@@ -12,8 +12,9 @@
 //!   [`GRID_TILE_RANK`] (truncation rank), [`GRID_TILE_STORED_BYTES`]
 //!   (bytes of the stored `U`/`V` factors), and [`GRID_TILE_TAIL_PPB`]
 //!   (the truncation backward error `‖A_t − U Vᴴ‖_F / ‖A_t‖_F` in parts
-//!   per billion — for the SVD backend this equals the discarded
-//!   singular-value tail `sqrt(Σ_{i≥k} σᵢ²)` by Eckart–Young). The rank
+//!   per billion — for the SVD backend this is the QR residual plus the
+//!   discarded singular-value tail, `sqrt(‖E₁‖² + Σ_{i≥k} σᵢ²)`, which
+//!   `svd_compress_with_tail` returns). The rank
 //!   and byte grids reconcile **exactly** (`==`, atlas-style) with the
 //!   [`TlrMatrix`] they describe — [`verify_compression_grids`] is the
 //!   checked form of that contract.

@@ -19,7 +19,10 @@ use crate::trace;
 /// Algebraic compression backend — the paper cites all four.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CompressionMethod {
-    /// Truncated one-sided Jacobi SVD (exact, the reference backend).
+    /// Optimal (Eckart–Young) truncation by one-sided Jacobi SVD, taken
+    /// of the rank-revealing-QR approximant of the tile, whose own error
+    /// is at most `tol/32` and is counted in the tolerance (see
+    /// [`seismic_la::svd::svd_compress`]). The reference backend.
     Svd,
     /// Rank-revealing column-pivoted QR.
     Rrqr,
@@ -294,6 +297,83 @@ mod tests {
         );
         assert!(loose.total_rank() <= tight.total_rank());
         assert!(loose.compressed_bytes() <= tight.compressed_bytes());
+    }
+
+    fn svd_config(nb: usize, acc: f32) -> CompressionConfig {
+        CompressionConfig {
+            nb,
+            acc,
+            method: CompressionMethod::Svd,
+            mode: ToleranceMode::RelativeTile,
+        }
+    }
+
+    #[test]
+    fn zero_matrix_compresses_to_rank_zero_tiles() {
+        let a = Matrix::<C32>::zeros(40, 24);
+        for method in CompressionMethod::ALL {
+            let tlr = compress(
+                &a,
+                CompressionConfig {
+                    method,
+                    ..svd_config(16, 1e-4)
+                },
+            );
+            assert_eq!(tlr.total_rank(), 0, "{method:?}");
+            for (i, j, t) in tlr.tiles_with_coords() {
+                let (_, rl) = tlr.tiling().row_range(i);
+                let (_, cl) = tlr.tiling().col_range(j);
+                assert_eq!(t.u.shape(), (rl, 0), "{method:?} tile ({i},{j})");
+                assert_eq!(t.v.shape(), (cl, 0), "{method:?} tile ({i},{j})");
+            }
+            assert!(seismic_la::exactly_zero_f32(tlr.reconstruct().fro_norm()));
+        }
+    }
+
+    #[test]
+    fn rank_one_matrix_compresses_to_rank_one_tiles() {
+        let a = Matrix::from_fn(48, 32, |i, j| {
+            C32::from_polar(1.0 + 0.01 * i as f32, 0.3 * i as f32)
+                * C32::from_polar(2.0 - 0.02 * j as f32, -0.2 * j as f32)
+        });
+        let tlr = compress(&a, svd_config(16, 1e-4));
+        assert_eq!(tlr.max_rank(), 1);
+        assert_eq!(tlr.total_rank(), tlr.tiling().tile_count());
+        assert!(tlr.reconstruct().sub(&a).fro_norm() <= 1e-4 * a.fro_norm());
+    }
+
+    #[test]
+    fn zero_accuracy_stores_every_tile_to_roundoff() {
+        let a = smooth_kernel(40, 24);
+        let tlr = compress(&a, svd_config(16, 0.0));
+        assert!(tlr.reconstruct().sub(&a).fro_norm() <= 1e-5 * a.fro_norm());
+    }
+
+    #[test]
+    fn accuracy_above_one_keeps_nothing() {
+        let a = smooth_kernel(40, 24);
+        let tlr = compress(&a, svd_config(16, 1.5));
+        assert_eq!(tlr.total_rank(), 0);
+        assert_eq!(tlr.shape(), (40, 24));
+    }
+
+    #[test]
+    fn edge_tiles_wide_and_tall_meet_the_tile_tolerance() {
+        // 37 = 2·16 + 5 rows and 21 = 16 + 5 columns: 5×16 (m < n),
+        // 16×5 (m > n) and 5×5 edge tiles beside the full ones.
+        let a = smooth_kernel(37, 21);
+        let tlr = compress(&a, svd_config(16, 1e-3));
+        for (i, j, t) in tlr.tiles_with_coords() {
+            let (r0, rl) = tlr.tiling().row_range(i);
+            let (c0, cl) = tlr.tiling().col_range(j);
+            let tile = a.block(r0, c0, rl, cl);
+            assert_eq!(t.shape(), (rl, cl));
+            let err = t.to_dense().sub(&tile).fro_norm();
+            assert!(
+                err <= 1.001e-3 * tile.fro_norm(),
+                "tile ({i},{j}) {rl}x{cl}: err {err}"
+            );
+        }
     }
 
     #[test]

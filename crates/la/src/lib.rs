@@ -7,8 +7,8 @@
 //! * [`dense`] — column-major [`Matrix`] storage.
 //! * [`blas`] — gemv/gemm/axpy/dot/norm kernels plus rayon-batched MVMs.
 //! * [`mod@qr`] — Householder QR and column-pivoted rank-revealing QR.
-//! * [`svd`] — one-sided Jacobi SVD (real & complex) with tolerance
-//!   truncation.
+//! * [`svd`] — one-sided Jacobi SVD (real & complex), and tolerance
+//!   truncation that runs it on the RRQR factor only.
 //! * [`rsvd`] — randomized SVD (Halko–Martinsson–Tropp).
 //! * [`aca`] — adaptive cross approximation.
 //! * [`lowrank`] — the `A ≈ U Vᴴ` factor pair shared by all backends.

@@ -45,7 +45,7 @@ impl<S: Scalar> Qr<S> {
         // Apply H_{k-1} ... H_0 to each column of the identity block.
         for col in 0..k {
             for h in (0..k).rev() {
-                apply_reflector_to_col(&self.factors, self.taus[h], h, &mut q, col);
+                apply_reflector_to_slice(&self.factors, self.taus[h], h, q.col_mut(col));
             }
         }
         q
@@ -61,47 +61,23 @@ impl<S: Scalar> Qr<S> {
     }
 }
 
-/// Apply reflector `h` (stored in `factors` column `h`) to column `col` of `out`.
-fn apply_reflector_to_col<S: Scalar>(
-    factors: &Matrix<S>,
-    tau: S,
-    h: usize,
-    out: &mut Matrix<S>,
-    col: usize,
-) {
-    if tau == S::ZERO {
-        return;
-    }
-    let m = factors.nrows();
-    // w = tau * v^H * out[:, col], with v = [1, factors[h+1.., h]]
-    let mut w = out[(h, col)];
-    for i in h + 1..m {
-        w += factors[(i, h)].conj() * out[(i, col)];
-    }
-    w *= tau;
-    out[(h, col)] -= w;
-    for i in h + 1..m {
-        let vi = factors[(i, h)];
-        let delta = w * vi;
-        out[(i, col)] -= delta;
-    }
-}
-
+/// Apply reflector `h` (`v = [1, factors[h+1.., h]]`) to `x` in place:
+/// `x -= tau · v · (vᴴ x)`.
 fn apply_reflector_to_slice<S: Scalar>(factors: &Matrix<S>, tau: S, h: usize, x: &mut [S]) {
     if tau == S::ZERO {
         return;
     }
-    let m = factors.nrows();
-    let mut w = x[h];
-    for i in h + 1..m {
-        w += factors[(i, h)].conj() * x[i];
+    let v = &factors.col(h)[h + 1..];
+    let (head, tail) = x[h..].split_at_mut(1);
+    let mut w = head[0];
+    for (vi, xi) in v.iter().zip(tail.iter()) {
+        w += vi.conj() * *xi;
     }
     w *= tau;
-    x[h] -= w;
-    for i in h + 1..m {
-        let vi = factors[(i, h)];
-        let delta = w * vi;
-        x[i] -= delta;
+    head[0] -= w;
+    for (vi, xi) in v.iter().zip(tail.iter_mut()) {
+        let delta = w * *vi;
+        *xi -= delta;
     }
 }
 
@@ -191,32 +167,48 @@ pub struct PivotedQr<S: Scalar> {
     pub perm: Vec<usize>,
     /// Numerical rank detected at the requested tolerance.
     pub rank: usize,
+    /// Frobenius norm of the trailing block the factorization stopped
+    /// on: `‖A − Q_k R_k Pᵀ‖_F`, at most `tol_fro`, and `0` when it ran
+    /// to `min(m, n)` steps.
+    pub residual_fro: f64,
 }
 
 impl<S: Scalar> PivotedQr<S> {
     /// Low-rank factors `(U, V)` with `A ≈ U Vᴴ`, `U: m×rank`, `V: n×rank`.
     pub fn low_rank_factors(&self) -> (Matrix<S>, Matrix<S>) {
-        let (m, n) = self.factors.shape();
+        (self.q_times(&Matrix::eye(self.rank)), self.right_factor())
+    }
+
+    /// `Q_k · C` for a `rank × c` matrix `C` (`m × c`): the reflectors are
+    /// applied to `[C; 0]`, so `Q_k` itself is never formed.
+    pub fn q_times(&self, c: &Matrix<S>) -> Matrix<S> {
+        let m = self.factors.nrows();
         let k = self.rank;
-        // U = Q_k: apply reflectors to identity columns.
-        let mut u = Matrix::zeros(m, k);
-        for j in 0..k {
-            u[(j, j)] = S::ONE;
-        }
-        for col in 0..k {
-            for h in (0..k.min(self.taus.len())).rev() {
-                apply_reflector_to_col(&self.factors, self.taus[h], h, &mut u, col);
+        debug_assert_eq!(c.nrows(), k, "q_times needs a rank-row matrix");
+        let mut out = Matrix::zeros(m, c.ncols());
+        for col in 0..c.ncols() {
+            let x = out.col_mut(col);
+            x[..k].copy_from_slice(c.col(col));
+            for h in (0..k).rev() {
+                apply_reflector_to_slice(&self.factors, self.taus[h], h, x);
             }
         }
-        // V = P * R_kᴴ: row j of R_k scattered through the permutation.
+        out
+    }
+
+    /// `V = P·R_kᴴ` (`n × rank`): row `i` of `R_k` conjugated into column
+    /// `i`, scattered through the permutation.
+    pub fn right_factor(&self) -> Matrix<S> {
+        let n = self.factors.ncols();
+        let k = self.rank;
         let mut v = Matrix::zeros(n, k);
-        for jj in 0..n {
-            let orig = self.perm[jj];
-            for i in 0..k.min(jj + 1) {
-                v[(orig, i)] = self.factors[(i, jj)].conj();
+        for (jj, &orig) in self.perm.iter().enumerate() {
+            let r_col = &self.factors.col(jj)[..k.min(jj + 1)];
+            for (i, r) in r_col.iter().enumerate() {
+                v[(orig, i)] = r.conj();
             }
         }
-        (u, v)
+        v
     }
 }
 
@@ -231,6 +223,7 @@ pub fn pivoted_qr<S: Scalar>(a: &Matrix<S>, tol_fro: S::Real) -> PivotedQr<S> {
     // Squared residual column norms, recomputed exactly to avoid the
     // classical downdating cancellation problem on f32 data.
     let mut rank = 0;
+    let mut residual_fro = 0.0f64;
     let tol_sq = tol_fro.to_f64() * tol_fro.to_f64();
     for j in 0..kmax {
         // Residual norms of trailing columns.
@@ -239,8 +232,8 @@ pub fn pivoted_qr<S: Scalar>(a: &Matrix<S>, tol_fro: S::Real) -> PivotedQr<S> {
         let mut total = 0.0f64;
         for c in j..n {
             let mut s = 0.0f64;
-            for i in j..m {
-                s += f[(i, c)].abs_sqr().to_f64();
+            for x in &f.col(c)[j..] {
+                s += x.abs_sqr().to_f64();
             }
             total += s;
             if s > best_norm {
@@ -249,6 +242,7 @@ pub fn pivoted_qr<S: Scalar>(a: &Matrix<S>, tol_fro: S::Real) -> PivotedQr<S> {
             }
         }
         if total <= tol_sq {
+            residual_fro = total.sqrt();
             break;
         }
         if best != j {
@@ -272,6 +266,7 @@ pub fn pivoted_qr<S: Scalar>(a: &Matrix<S>, tol_fro: S::Real) -> PivotedQr<S> {
         taus,
         perm,
         rank,
+        residual_fro,
     }
 }
 

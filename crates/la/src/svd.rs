@@ -1,9 +1,19 @@
-//! One-sided Jacobi SVD for real and complex matrices.
+//! One-sided Jacobi SVD for real and complex matrices, and the
+//! truncation-aware tile compression built on it.
 //!
-//! Jacobi SVD is chosen over bidiagonalization because tiles are small
-//! (`nb ≤ 70` in the paper) and Jacobi is simple, numerically robust, and
-//! embarrassingly regular — the same reasons the original TLR-MVM
-//! pre-processing uses dense-kernel-friendly factorizations.
+//! [`jacobi_svd`] is the full decomposition: every column pair of the
+//! input is orthogonalised to working precision, whatever happens to the
+//! singular values afterwards. `cond`, `rsvd` and
+//! [`LowRank::recompress`] call it on matrices that are already small.
+//!
+//! [`svd_compress`] keeps only the part of the spectrum above a
+//! tolerance, so it does not pay for the rest: a column-pivoted QR
+//! ([`pivoted_qr`]) stops at the numerical rank `k`, and Jacobi runs on
+//! the `n × k` factor `P·R_kᴴ` alone. Pivoting leaves that factor's
+//! columns graded by norm, which is the Drmač–Veselić preconditioning —
+//! Jacobi converges on it in a few sweeps — and the columns of a tile
+//! that are rounding noise never reach it. Cost follows the rank kept,
+//! not `nb`.
 
 // Index-based loops here walk multiple parallel arrays; iterator zips
 // would obscure the stride structure the kernels are about.
@@ -11,6 +21,7 @@
 
 use crate::dense::Matrix;
 use crate::lowrank::LowRank;
+use crate::qr::pivoted_qr;
 use crate::scalar::{exactly_zero_f64, Real, Scalar};
 
 /// Full (thin) singular value decomposition `A = U diag(s) Vᴴ`.
@@ -40,7 +51,11 @@ impl<S: Scalar> Svd<S> {
     /// Smallest rank `k` whose discarded tail satisfies
     /// `sqrt(Σ_{i≥k} σᵢ²) ≤ tol` (absolute Frobenius tolerance).
     pub fn rank_for_tolerance(&self, tol: S::Real) -> usize {
-        let tol_sq = tol.to_f64() * tol.to_f64();
+        self.rank_for_tail_sq(tol.to_f64() * tol.to_f64())
+    }
+
+    /// [`Self::rank_for_tolerance`] on the squared tolerance, in `f64`.
+    fn rank_for_tail_sq(&self, tol_sq: f64) -> usize {
         let mut tail = 0.0f64;
         let mut k = self.s.len();
         // Walk from the smallest singular value, growing the discarded tail.
@@ -185,19 +200,56 @@ pub fn jacobi_svd<S: Scalar>(a: &Matrix<S>) -> Svd<S> {
     Svd { u, s, v: v_sorted }
 }
 
-/// Truncated SVD compression at absolute Frobenius tolerance `tol`.
+/// Share of the tolerance the rank-revealing QR stage may spend:
+/// [`svd_compress`] stops the pivoted QR at `tol / QR_TOL_DIVISOR`.
+///
+/// Error budget. The QR residual `E₁ = A − Q_k R_k Pᵀ` lies in the
+/// orthogonal complement of `range(Q_k)` and the truncation error of the
+/// small SVD, `E₂ = Q_k (B − B_r)ᴴ`, lies inside it, so
+/// `‖A − U Vᴴ‖_F² = ‖E₁‖_F² + ‖E₂‖_F²`. The SVD stage is given what the
+/// QR stage left, `‖E₂‖_F² ≤ tol² − ‖E₁‖_F²`, which is at least
+/// `tol²·(1 − 1/32²)`: the sum never exceeds `tol²`, and the rank kept is
+/// that of an optimal truncation at no less than `0.9995·tol`. That
+/// truncation is optimal for the QR approximant, not for `A`, so a tile
+/// can keep one rank more than the one-stage SVD would: of the 6240
+/// tiles of the benchmark's `compress-stack` stack 17 do at a divisor of
+/// 8, 11 at 16, one at 32 and at 64, while the time per tile grows 7 %
+/// per doubling (DESIGN.md §17).
+const QR_TOL_DIVISOR: f64 = 32.0;
+
+/// Truncated SVD compression at absolute Frobenius tolerance `tol`:
+/// `‖A − U Vᴴ‖_F ≤ tol` with the singular values folded into `U`.
+///
+/// Two stages (see the module header and [`QR_TOL_DIVISOR`]): pivoted QR
+/// to the numerical rank, then an optimal (Eckart–Young) truncation of
+/// that rank-`k` approximant by a Jacobi SVD of its small factor.
 pub fn svd_compress<S: Scalar>(a: &Matrix<S>, tol: S::Real) -> LowRank<S> {
     svd_compress_with_tail(a, tol).0
 }
 
-/// [`svd_compress`] that also returns the exact truncation backward
-/// error `‖A − U Vᴴ‖_F = sqrt(Σ_{i≥k} σᵢ²)` of the discarded tail —
-/// free once the SVD is computed, and the per-tile accuracy signal the
-/// compression observatory records.
+/// [`svd_compress`] that also returns the backward error it made,
+/// `‖A − U Vᴴ‖_F = sqrt(‖E₁‖_F² + Σ_{i≥r} σᵢ²)` — the QR residual plus
+/// the discarded singular values of the small factor, both already
+/// computed — the per-tile accuracy signal the compression observatory
+/// records.
 pub fn svd_compress_with_tail<S: Scalar>(a: &Matrix<S>, tol: S::Real) -> (LowRank<S>, f64) {
-    let svd = jacobi_svd(a);
-    let k = svd.rank_for_tolerance(tol);
-    (svd.truncate(k), svd.tail_energy(k))
+    let tol = tol.to_f64();
+    let qr = pivoted_qr(a, S::Real::from_f64(tol / QR_TOL_DIVISOR));
+    let residual_sq = qr.residual_fro * qr.residual_fro;
+    // A ≈ Q_k Bᴴ with B = P·R_kᴴ (n × k, columns graded by norm), and
+    // B = U_s Σ V_sᴴ gives A ≈ (Q_k V_s Σ) U_sᴴ.
+    let svd = jacobi_svd(&qr.right_factor());
+    let keep = svd.rank_for_tail_sq(tol * tol - residual_sq);
+    let tail = svd.tail_energy(keep);
+    // Bᴴ = V_s Σ U_sᴴ is the same decomposition with the sides swapped.
+    let small = Svd {
+        u: svd.v,
+        s: svd.s,
+        v: svd.u,
+    }
+    .truncate(keep);
+    let lr = LowRank::new(qr.q_times(&small.u), small.v);
+    (lr, (residual_sq + tail * tail).sqrt())
 }
 
 fn col_norm_sq<S: Scalar>(w: &Matrix<S>, j: usize) -> f64 {
@@ -366,6 +418,80 @@ mod tests {
             (measured - tail).abs() <= 1e-3 * f64::from(a.fro_norm()),
             "measured {measured} vs tail {tail}"
         );
+    }
+
+    fn compress_err(a: &Matrix<C32>, lr: &LowRank<C32>) -> f32 {
+        lr.to_dense().sub(a).fro_norm()
+    }
+
+    #[test]
+    fn svd_compress_zero_tile_has_rank_zero_and_empty_factors() {
+        let a = Matrix::<C32>::zeros(16, 12);
+        for tol in [0.0f32, 1e-6] {
+            let (lr, tail) = svd_compress_with_tail(&a, tol);
+            assert_eq!(lr.rank(), 0);
+            assert_eq!(lr.u.shape(), (16, 0));
+            assert_eq!(lr.v.shape(), (12, 0));
+            assert!(exactly_zero_f64(tail));
+        }
+    }
+
+    #[test]
+    fn svd_compress_rank_one_tile_has_rank_one() {
+        let mut rng = ChaCha8Rng::seed_from_u64(49);
+        let u = Matrix::<C32>::random_normal(24, 1, &mut rng);
+        let v = Matrix::<C32>::random_normal(1, 20, &mut rng);
+        let a = gemm(&u, &v);
+        let tol = 1e-4 * a.fro_norm();
+        let lr = svd_compress(&a, tol);
+        assert_eq!(lr.rank(), 1);
+        assert!(compress_err(&a, &lr) <= tol);
+    }
+
+    #[test]
+    fn svd_compress_zero_tolerance_is_a_full_decomposition() {
+        let mut rng = ChaCha8Rng::seed_from_u64(50);
+        let a = Matrix::<C32>::random_normal(18, 18, &mut rng);
+        let (lr, tail) = svd_compress_with_tail(&a, 0.0);
+        assert_eq!(lr.rank(), 18);
+        assert!(exactly_zero_f64(tail));
+        assert!(compress_err(&a, &lr) <= 1e-5 * a.fro_norm());
+    }
+
+    #[test]
+    fn svd_compress_tolerance_above_the_norm_keeps_nothing() {
+        let mut rng = ChaCha8Rng::seed_from_u64(51);
+        let a = Matrix::<C32>::random_normal(10, 14, &mut rng);
+        // One tolerance stops the QR before its first step, the other only
+        // the SVD stage.
+        for factor in [40.0f32, 1.001] {
+            let (lr, tail) = svd_compress_with_tail(&a, factor * a.fro_norm());
+            assert_eq!(lr.rank(), 0, "factor {factor}");
+            assert_eq!(lr.shape(), (10, 14));
+            let norm = f64::from(a.fro_norm());
+            assert!((tail - norm).abs() <= 1e-5 * norm, "tail {tail} vs {norm}");
+        }
+    }
+
+    #[test]
+    fn svd_compress_edge_tiles_wide_and_tall() {
+        let mut rng = ChaCha8Rng::seed_from_u64(52);
+        for (m, n) in [(5usize, 32usize), (32, 5), (1, 9), (9, 1)] {
+            // Rank ≤ 3 plus a perturbation well under the tolerance.
+            let k = 3.min(m).min(n);
+            let base = gemm(
+                &Matrix::<C32>::random_normal(m, k, &mut rng),
+                &Matrix::<C32>::random_normal(k, n, &mut rng),
+            );
+            let a = base.add(&Matrix::<C32>::random_normal(m, n, &mut rng).scale_real(1e-5));
+            let tol = 1e-3 * a.fro_norm();
+            let (lr, tail) = svd_compress_with_tail(&a, tol);
+            assert_eq!(lr.shape(), (m, n));
+            assert_eq!(lr.rank(), k, "{m}x{n}");
+            let err = f64::from(compress_err(&a, &lr));
+            assert!(err <= f64::from(tol), "{m}x{n}: err {err} > tol {tol}");
+            assert!((err - tail).abs() <= 1e-5 * f64::from(a.fro_norm()));
+        }
     }
 
     #[test]

@@ -3,8 +3,8 @@
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use seismic_la::blas::{dotc, gemm, gemv, gemv_conj_transpose};
-use seismic_la::scalar::{c64, Scalar, C64};
+use seismic_la::blas::{dotc, gemm, gemm_conj_transpose_right, gemv, gemv_conj_transpose};
+use seismic_la::scalar::{c64, Real, Scalar, C32, C64};
 use seismic_la::{aca_compress, jacobi_svd, pivoted_qr, qr, svd_compress, Matrix};
 
 fn random_matrix(m: usize, n: usize, seed: u64) -> Matrix<C64> {
@@ -24,8 +24,78 @@ fn random_vec(n: usize, seed: u64) -> Vec<C64> {
         .collect()
 }
 
+/// `m × n` matrix with singular values `ρⁱ` and random singular vectors.
+fn geometric_spectrum(m: usize, n: usize, rho: f64, seed: u64) -> Matrix<C64> {
+    let r = m.min(n);
+    let mut left = qr(&random_matrix(m, r, seed)).q_thin();
+    let right = qr(&random_matrix(n, r, seed.wrapping_add(7))).q_thin();
+    for i in 0..r {
+        let sigma = rho.powi(i as i32);
+        for e in left.col_mut(i) {
+            *e = e.scale(sigma);
+        }
+    }
+    gemm_conj_transpose_right(&left, &right)
+}
+
+/// A tolerance that falls between two consecutive tails of the spectrum
+/// `ρⁱ` (geometric mean, so neither neighbouring rank is marginal), no
+/// lower than `floor` relative to `σ₁ = 1`.
+fn tolerance_between_tails(r: usize, rho: f64, cut: f64, floor: f64) -> f64 {
+    let tail = |k: usize| (k..r).map(|i| rho.powi(2 * i as i32)).sum::<f64>().sqrt();
+    let deepest = ((floor.ln() / rho.ln()) as usize).min(r - 1).max(1);
+    let j = 1 + ((deepest - 1) as f64 * cut) as usize;
+    (tail(j - 1) * tail(j)).sqrt()
+}
+
+/// The `svd_compress` contract against the full-SVD (Eckart–Young)
+/// truncation of the same matrix.
+fn check_svd_compress<S: Scalar>(a: &Matrix<S>, tol: f64) -> Result<(), TestCaseError> {
+    let (m, n) = a.shape();
+    let tol_s = S::Real::from_f64(tol);
+    let lr = svd_compress(a, tol_s);
+    let k = lr.rank();
+    prop_assert_eq!(lr.u.shape(), (m, k));
+    prop_assert_eq!(lr.v.shape(), (n, k));
+    let err = lr.to_dense().sub(a).fro_norm().to_f64();
+    prop_assert!(err <= tol * (1.0 + 1e-3), "err {} > tol {}", err, tol);
+    let optimal = jacobi_svd(a).rank_for_tolerance(tol_s);
+    prop_assert!(
+        optimal <= k && k <= optimal + 1,
+        "{}x{}: rank {} vs optimal {}",
+        m,
+        n,
+        k,
+        optimal
+    );
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Two-stage `svd_compress` on tall / wide / square matrices whose
+    /// geometric spectrum crosses the tolerance: error inside `tol`,
+    /// rank never below the optimal truncation's and at most one above.
+    #[test]
+    fn svd_compress_tracks_optimal_truncation(
+        base in 2usize..20,
+        extra in 1usize..10,
+        kind in 0usize..3,
+        rho in 0.3f64..0.8,
+        cut in 0.0f64..1.0,
+        seed in 0u64..1000,
+    ) {
+        let (m, n) = match kind {
+            0 => (base + extra, base),
+            1 => (base, base + extra),
+            _ => (base, base),
+        };
+        let a = geometric_spectrum(m, n, rho, seed);
+        check_svd_compress(&a, tolerance_between_tails(base, rho, cut, 1e-10))?;
+        let a32 = Matrix::<C32>::from_fn(m, n, |i, j| a[(i, j)].narrow());
+        check_svd_compress(&a32, tolerance_between_tails(base, rho, cut, 1e-4))?;
+    }
 
     /// ⟨Ax, y⟩ = ⟨x, Aᴴy⟩ for all shapes.
     #[test]
@@ -97,7 +167,7 @@ proptest! {
 
         let pqr = pivoted_qr(&base, tol);
         let (u, v) = pqr.low_rank_factors();
-        let rec = seismic_la::blas::gemm_conj_transpose_right(&u, &v);
+        let rec = gemm_conj_transpose_right(&u, &v);
         prop_assert!(rec.sub(&base).fro_norm() <= tol * 1.0001);
     }
 
