@@ -449,10 +449,10 @@ pub fn run_perfbench(reps: usize) -> BenchReport {
         },
     );
 
-    // Fastpath `.ref` / `.fast` pairs: the safe `seismic_la` kernel and
-    // its BD01-licensed `tlr_mvm::fastpath` counterpart on identical
-    // operands. Committing both sides makes the win the unsafe sanction
-    // buys a gated, re-measurable number instead of a claim.
+    // Fastpath `.ref` / `.fast` pairs: the plain `seismic_la` kernel and
+    // its register-blocked `tlr_mvm::fastpath` counterpart on identical
+    // operands. Committing both sides makes the win the blocking buys a
+    // gated, re-measurable number instead of a claim.
     // Cache-resident operands (~240 KB matrix): the pairs measure the
     // kernel's compute shape, not the host's DRAM bandwidth — the
     // three-phase stacks these kernels actually serve are SRAM/L2-sized
@@ -1040,8 +1040,7 @@ mod tests {
 
     /// The committed baseline must show the fastpath actually paying
     /// off: each `.fast` kernel at most 0.9x its `.ref` median on at
-    /// least two of the three pairs (the acceptance criterion the
-    /// BD01/US01 machinery exists to license).
+    /// least two of the three pairs.
     #[test]
     fn committed_baseline_shows_fastpath_speedup() {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_table2.json");

@@ -1,18 +1,11 @@
-//! Bounds-proof-licensed fast kernels for the TLR-MVM hot phases.
+//! Register-blocked kernels for the TLR-MVM hot phases, in safe Rust.
 //!
-//! Every `unsafe` block in this module is written in the exact idiom the
-//! `xtask` BD01 bounds pass can discharge: the length facts are hoisted
-//! into `assert!` guards (or loop headers) *outside* the inner loop, the
-//! index expressions inside are affine in the guarded variables, and the
-//! block carries a `// SAFETY(BD01: fn@file)` sanction that the US01
-//! ledger re-verifies against the live proof on every `analyze` run.
-//! Deleting a guard flips the BD01 verdict, which voids the sanction,
-//! which fails CI — the unsafe surface cannot drift ahead of the proof.
+//! Each kernel is a drop-in for a [`seismic_la::blas`] routine with a
+//! different (fixed) summation order, which is what lets it keep several
+//! independent accumulator chains in flight:
 //!
-//! The payoff (committed in `BENCH_table2.json`, gated by `perfgate`):
-//!
-//! * [`gather`] — the phase-2 shuffle as an inverse-permutation gather,
-//!   without the two data-dependent bound checks per element;
+//! * [`gather`] — the phase-2 shuffle as an inverse-permutation gather
+//!   (sequential stores, random loads);
 //! * [`dotc_fast`] / [`gemv_conj_transpose_fast`] — four-accumulator
 //!   conjugated dots and eight-column-blocked Aᴴx for the V-batch
 //!   (shares each `x` load across eight columns);
@@ -20,74 +13,58 @@
 //!   the U-batch (reads `y` once per four columns instead of once per
 //!   column).
 //!
-//! Everything here is a drop-in for the corresponding
-//! [`seismic_la::blas`] kernel and is exercised against it in the unit
-//! tests below (which are also the `cargo miri test -p tlr-mvm fastpath`
-//! UB-sanitizer surface in CI).
-
-// The crate denies unsafe_code; this module is the single sanctioned
-// exception, and every block below is individually US01-ledgered.
-#![allow(unsafe_code)]
+//! The inner loops carry no bounds checks and need no `unsafe` to get
+//! there: every blocked column is re-sliced to `&a.col(j)[..m]` before the
+//! loop, so LLVM sees one length `m` shared by the loop bound and every
+//! operand and drops the per-element checks itself. The only check left
+//! per element is the data-dependent one in [`gather`]. The unit tests
+//! below pin the result bits (`fastpath_golden_bits`) as well as the
+//! agreement with the reference kernels; `perfgate` gates the speed
+//! against `BENCH_table2.json`.
 
 use seismic_la::blas::axpy;
 use seismic_la::dense::Matrix;
 use seismic_la::scalar::Scalar;
 
 /// Permutation gather `dst[p] = src[idx[p]]` — the three-phase shuffle
-/// (paper Fig. 6) as a gather over the inverse permutation, without the
-/// two data-dependent bound checks per element.
+/// (paper Fig. 6) as a gather over the inverse permutation.
 ///
-/// The hoisted guards are the BD01 facts: `p` ranges over `dst` so
-/// `p < dst.len() <= idx.len()`, and every gathered index is checked
-/// against `src` once, up front. The gather formulation (sequential
-/// stores, random loads) lets the random *loads* overlap freely in the
-/// check-free body; note that the up-front forall guard is itself an
-/// `O(n)` pass, so whether this beats the safe loop is host-dependent —
-/// `BENCH_table2.json` records the honest pairing either way.
+/// Sequential stores, random loads: the loads are independent, so they
+/// overlap freely. Each one is bounds-checked against `src` where it
+/// happens (one well-predicted compare per element); an out-of-range
+/// index panics at the offending element, after the elements before it
+/// have been written. Entries of `idx` past `dst.len()` are ignored.
 #[inline]
 pub fn gather<S: Scalar>(dst: &mut [S], idx: &[usize], src: &[S]) {
     assert!(dst.len() <= idx.len());
-    assert!(idx.iter().all(|&q| q < src.len()));
-    for (p, d) in dst.iter_mut().enumerate() {
-        // SAFETY(BD01: gather@crates/core/src/fastpath.rs): p < dst.len() <= idx.len()
-        // from the enumerate bound and the first guard; idx[p] < src.len() from the
-        // forall guard (element term).
-        unsafe {
-            *d = *src.get_unchecked(idx[p]);
-        }
+    for (d, &q) in dst.iter_mut().zip(idx) {
+        *d = src[q];
     }
 }
 
 /// Conjugated dot `xᴴ y` with four independent accumulators.
 ///
-/// The four-way unroll is what the bounds proof buys: the safe zip loop
-/// is already check-free but serializes on one accumulator, and LLVM
-/// must not reassociate FP adds on its own. Splitting the sum is a
-/// semantic change (different rounding order) we make deliberately,
-/// and the unchecked loads keep the unrolled body branch-free.
+/// The plain zip loop serializes on one accumulator, and LLVM must not
+/// reassociate FP adds on its own. Splitting the sum is a semantic change
+/// (different rounding order) we make deliberately; the remainder of the
+/// length modulo four is folded into the first accumulator.
 #[inline]
 pub fn dotc_fast<S: Scalar>(x: &[S], y: &[S]) -> S {
     assert!(x.len() == y.len());
-    let n = x.len();
     let mut a0 = S::ZERO;
     let mut a1 = S::ZERO;
     let mut a2 = S::ZERO;
     let mut a3 = S::ZERO;
-    let mut i = 0;
-    while i + 4 <= n {
-        // SAFETY(BD01: dotc_fast@crates/core/src/fastpath.rs): i + 3 < n from the
-        // while guard, and n aliases both x.len() and y.len() via the hoisted assert.
-        unsafe {
-            a0 += (*x.get_unchecked(i)).conj() * *y.get_unchecked(i);
-            a1 += (*x.get_unchecked(i + 1)).conj() * *y.get_unchecked(i + 1);
-            a2 += (*x.get_unchecked(i + 2)).conj() * *y.get_unchecked(i + 2);
-            a3 += (*x.get_unchecked(i + 3)).conj() * *y.get_unchecked(i + 3);
-        }
-        i += 4;
+    let (xc, yc) = (x.chunks_exact(4), y.chunks_exact(4));
+    let (xr, yr) = (xc.remainder(), yc.remainder());
+    for (p, q) in xc.zip(yc) {
+        a0 += p[0].conj() * q[0];
+        a1 += p[1].conj() * q[1];
+        a2 += p[2].conj() * q[2];
+        a3 += p[3].conj() * q[3];
     }
-    while i < n {
-        a0 += x[i].conj() * y[i];
-        i += 1;
+    for (&p, &q) in xr.iter().zip(yr) {
+        a0 += p.conj() * q;
     }
     (a0 + a1) + (a2 + a3)
 }
@@ -108,16 +85,14 @@ pub fn gemv_conj_transpose_fast<S: Scalar>(a: &Matrix<S>, x: &[S], y: &mut [S]) 
     let n = y.len();
     let mut j = 0;
     while j + 8 <= n {
-        let c0 = a.col(j);
-        let c1 = a.col(j + 1);
-        let c2 = a.col(j + 2);
-        let c3 = a.col(j + 3);
-        let c4 = a.col(j + 4);
-        let c5 = a.col(j + 5);
-        let c6 = a.col(j + 6);
-        let c7 = a.col(j + 7);
-        assert!(m <= c0.len() && m <= c1.len() && m <= c2.len() && m <= c3.len());
-        assert!(m <= c4.len() && m <= c5.len() && m <= c6.len() && m <= c7.len());
+        let c0 = &a.col(j)[..m];
+        let c1 = &a.col(j + 1)[..m];
+        let c2 = &a.col(j + 2)[..m];
+        let c3 = &a.col(j + 3)[..m];
+        let c4 = &a.col(j + 4)[..m];
+        let c5 = &a.col(j + 5)[..m];
+        let c6 = &a.col(j + 6)[..m];
+        let c7 = &a.col(j + 7)[..m];
         let mut a0 = S::ZERO;
         let mut a1 = S::ZERO;
         let mut a2 = S::ZERO;
@@ -127,20 +102,15 @@ pub fn gemv_conj_transpose_fast<S: Scalar>(a: &Matrix<S>, x: &[S], y: &mut [S]) 
         let mut a6 = S::ZERO;
         let mut a7 = S::ZERO;
         for i in 0..m {
-            // SAFETY(BD01: gemv_conj_transpose_fast@crates/core/src/fastpath.rs):
-            // i < m = x.len() from the range bound, and m <= ck.len() for all eight
-            // columns from the two hoisted asserts directly above.
-            unsafe {
-                let xi = *x.get_unchecked(i);
-                a0 += (*c0.get_unchecked(i)).conj() * xi;
-                a1 += (*c1.get_unchecked(i)).conj() * xi;
-                a2 += (*c2.get_unchecked(i)).conj() * xi;
-                a3 += (*c3.get_unchecked(i)).conj() * xi;
-                a4 += (*c4.get_unchecked(i)).conj() * xi;
-                a5 += (*c5.get_unchecked(i)).conj() * xi;
-                a6 += (*c6.get_unchecked(i)).conj() * xi;
-                a7 += (*c7.get_unchecked(i)).conj() * xi;
-            }
+            let xi = x[i];
+            a0 += c0[i].conj() * xi;
+            a1 += c1[i].conj() * xi;
+            a2 += c2[i].conj() * xi;
+            a3 += c3[i].conj() * xi;
+            a4 += c4[i].conj() * xi;
+            a5 += c5[i].conj() * xi;
+            a6 += c6[i].conj() * xi;
+            a7 += c7[i].conj() * xi;
         }
         y[j] = a0;
         y[j + 1] = a1;
@@ -162,8 +132,8 @@ pub fn gemv_conj_transpose_fast<S: Scalar>(a: &Matrix<S>, x: &[S], y: &mut [S]) 
 /// [`seismic_la::blas::gemv_acc`] on the U-batch path.
 ///
 /// The column-sweep `gemv_acc` streams `y` through the cache once per
-/// column; blocking four columns cuts that traffic 4× and the hoisted
-/// length guard licenses an unchecked inner loop over the block.
+/// column; blocking four columns cuts that traffic 4×. The column tail
+/// falls back to [`axpy`].
 #[inline]
 pub fn gemv_acc_fast<S: Scalar>(a: &Matrix<S>, x: &[S], y: &mut [S]) {
     assert_eq!(a.ncols(), x.len(), "gemv_acc_fast: x length mismatch");
@@ -172,27 +142,16 @@ pub fn gemv_acc_fast<S: Scalar>(a: &Matrix<S>, x: &[S], y: &mut [S]) {
     let n = x.len();
     let mut j = 0;
     while j + 4 <= n {
-        let c0 = a.col(j);
-        let c1 = a.col(j + 1);
-        let c2 = a.col(j + 2);
-        let c3 = a.col(j + 3);
-        assert!(m <= c0.len() && m <= c1.len() && m <= c2.len() && m <= c3.len());
+        let c0 = &a.col(j)[..m];
+        let c1 = &a.col(j + 1)[..m];
+        let c2 = &a.col(j + 2)[..m];
+        let c3 = &a.col(j + 3)[..m];
         let x0 = x[j];
         let x1 = x[j + 1];
         let x2 = x[j + 2];
         let x3 = x[j + 3];
         for i in 0..m {
-            // SAFETY(BD01: gemv_acc_fast@crates/core/src/fastpath.rs): i < m = y.len()
-            // from the range bound, and m <= ck.len() for all four columns from the
-            // hoisted assert directly above.
-            unsafe {
-                let acc = *y.get_unchecked(i)
-                    + *c0.get_unchecked(i) * x0
-                    + *c1.get_unchecked(i) * x1
-                    + *c2.get_unchecked(i) * x2
-                    + *c3.get_unchecked(i) * x3;
-                *y.get_unchecked_mut(i) = acc;
-            }
+            y[i] = y[i] + c0[i] * x0 + c1[i] * x1 + c2[i] * x2 + c3[i] * x3;
         }
         j += 4;
     }
@@ -229,14 +188,80 @@ mod tests {
             .collect()
     }
 
+    /// Inexact (÷7) but libm-free values: every product and partial sum
+    /// rounds, so the result bits depend on the summation order and on
+    /// nothing platform-specific.
+    fn golden(i: usize, salt: usize) -> C32 {
+        let part = |k: usize| ((k * 37 + salt * 11) % 29) as f32 / 7.0 - 2.0;
+        c32(part(i), part(i + 13))
+    }
+
+    fn golden_vec(n: usize, salt: usize) -> Vec<C32> {
+        (0..n).map(|i| golden(i, salt)).collect()
+    }
+
+    fn fnv1a(mut h: u64, v: &[C32]) -> u64 {
+        for z in v {
+            for b in
+                z.re.to_bits()
+                    .to_le_bytes()
+                    .into_iter()
+                    .chain(z.im.to_bits().to_le_bytes())
+            {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    const GOLDEN_BITS: [u64; 4] = [
+        0x825b_b236_c60e_1c3d,
+        0x7764_75ba_d411_baae,
+        0xd793_5990_ea73_da92,
+        0xa731_89a4_958f_e2a4,
+    ];
+
+    /// The four kernels' output bits, hashed over shapes that cover full
+    /// blocks and every tail length. The constants were captured from the
+    /// `get_unchecked` kernels this module replaced: a change of blocking
+    /// factor or summation order fails here, not only in `perfgate`.
+    #[test]
+    fn fastpath_golden_bits() {
+        let mut shapes = vec![(32, 300), (63, 37), (16, 100)];
+        shapes.extend((0..12).map(|n| (5, n)));
+        shapes.extend((0..12).map(|m| (m, 9)));
+        let mut h = [0xcbf2_9ce4_8422_2325_u64; 4];
+        for (m, n) in shapes {
+            let a = Matrix::from_fn(m, n, |i, j| golden(0, i * 31 + j));
+            let (xm, xn) = (golden_vec(m, 1), golden_vec(n, 2));
+            let mut y = vec![C32::ZERO; n];
+            gemv_conj_transpose_fast(&a, &xm, &mut y);
+            h[0] = fnv1a(h[0], &y);
+            let mut y = golden_vec(m, 3);
+            gemv_acc_fast(&a, &xn, &mut y);
+            h[1] = fnv1a(h[1], &y);
+            h[2] = fnv1a(h[2], &[dotc_fast(&xm, &golden_vec(m, 4))]);
+            let src = golden_vec(m * n + 1, 5);
+            let idx: Vec<usize> = (0..m * n).map(|p| (p * 7 + 3) % src.len()).collect();
+            let mut dst = vec![C32::ZERO; idx.len()];
+            gather(&mut dst, &idx, &src);
+            h[3] = fnv1a(h[3], &dst);
+        }
+        assert_eq!(h, GOLDEN_BITS, "{h:#018x?}");
+    }
+
     #[test]
     fn fastpath_gather_matches_safe_loop() {
-        // A permutation with non-trivial structure, plus a partial map
-        // (destination shorter than the index vector) from a larger
-        // source.
-        for (ndst, nsrc) in [(16, 16), (9, 9), (7, 31)] {
+        // A permutation with non-trivial structure, a gather from a larger
+        // source, a destination shorter than the index vector (the
+        // surplus indices are ignored, even out-of-range ones), and the
+        // empty gather.
+        for (ndst, nidx, nsrc) in [(16, 16, 16), (9, 9, 9), (7, 7, 31), (5, 9, 9), (0, 0, 0)] {
             let src = test_vec(nsrc, 0.0);
-            let idx: Vec<usize> = (0..ndst).map(|p| (p * 7 + 3) % nsrc).collect();
+            let mut idx: Vec<usize> = (0..nidx).map(|p| (p * 7 + 3) % nsrc).collect();
+            if let Some(last) = idx.get_mut(ndst) {
+                *last = nsrc + 1;
+            }
             let mut safe = vec![C32::ZERO; ndst];
             for (p, d) in safe.iter_mut().enumerate() {
                 *d = src[idx[p]];
@@ -248,6 +273,9 @@ mod tests {
         }
     }
 
+    /// The index is checked where it is used, so the panic comes at the
+    /// offending element (the three before it are already written)
+    /// rather than before the first write.
     #[test]
     #[should_panic]
     fn fastpath_gather_rejects_out_of_range_index() {
@@ -255,6 +283,12 @@ mod tests {
         let idx = vec![0usize, 1, 2, 9];
         let mut dst = vec![C32::ZERO; 4];
         gather(&mut dst, &idx, &src);
+    }
+
+    #[test]
+    #[should_panic]
+    fn fastpath_gather_rejects_short_index_vector() {
+        gather(&mut [C32::ZERO; 3], &[0, 1], &test_vec(4, 0.0));
     }
 
     #[test]
@@ -284,12 +318,20 @@ mod tests {
             (19, 11),
             (12, 15),
             (64, 64),
+            // Degenerate: no rows (the output is still overwritten), no
+            // columns, fewer columns than one block.
+            (0, 0),
+            (0, 3),
+            (0, 9),
+            (7, 0),
+            (7, 1),
+            (7, 3),
         ] {
             let a = Matrix::from_fn(m, n, |i, j| c32((i * 3 + j) as f32 * 0.01, j as f32 * 0.02));
             let x = test_vec(m, 0.4);
             let mut reference = vec![C32::ZERO; n];
             gemv_conj_transpose(&a, &x, &mut reference);
-            let mut fast = vec![C32::ZERO; n];
+            let mut fast = test_vec(n, 9.0);
             gemv_conj_transpose_fast(&a, &x, &mut fast);
             vecs_close(&fast, &reference, 1e-3);
         }
@@ -297,8 +339,10 @@ mod tests {
 
     #[test]
     fn fastpath_gemv_acc_matches_reference_for_all_column_tails() {
-        for n in [4usize, 5, 6, 7, 8, 11, 12] {
-            let m = 23;
+        // Every column tail, fewer columns than one block (`n < 4`), no
+        // columns (`y` untouched) and no rows.
+        let tails = (0..=12).map(|n| (23, n));
+        for (m, n) in tails.chain([(0, 0), (0, 3), (0, 6)]) {
             let a = Matrix::from_fn(m, n, |i, j| c32(i as f32 * 0.03 - j as f32 * 0.05, 0.11));
             let x = test_vec(n, 2.2);
             let mut reference = test_vec(m, 5.0);

@@ -38,9 +38,9 @@ pub struct ThreePhase {
     row_offsets: Vec<usize>,
     /// The phase-2 projection from V- to U-ordering (paper Fig. 6),
     /// stored as the *inverse* permutation: `yu[q] = yv[shuffle_inv[q]]`.
-    /// Phase 2 executes as a gather over this map — sequential stores
-    /// and random loads overlap better than random stores, and the
-    /// [`crate::fastpath::gather`] guard is checked once per call.
+    /// Phase 2 executes as a gather over this map
+    /// ([`crate::fastpath::gather`]) — sequential stores and random
+    /// loads overlap better than random stores.
     shuffle_inv: Vec<usize>,
     /// The *forward* permutation (`yu[shuffle[p]] = yv[p]`), kept so the
     /// adjoint's phase 2 (`yv[p] = yu[shuffle[p]]`) is also a gather.
@@ -937,6 +937,29 @@ mod tests {
         let x1 = ca.apply_adjoint(&y);
         let x2 = t.apply_adjoint(&y);
         assert_close(&x1, &x2, 1e-5);
+    }
+
+    /// An all-zero matrix compresses to rank 0 everywhere, so every stack
+    /// is `cl × 0` and every phase runs on empty operands: the result is
+    /// the zero vector, not a panic.
+    #[test]
+    fn all_zero_matrix_applies_and_adjoint_applies_as_zero() {
+        let cfg = CompressionConfig {
+            nb: 16,
+            acc: 1e-4,
+            method: CompressionMethod::Svd,
+            mode: ToleranceMode::RelativeTile,
+        };
+        let t = compress(&Matrix::zeros(37, 29), cfg);
+        assert_eq!(t.total_rank(), 0);
+        let (x, y) = (test_x(29), test_x(37));
+        let tp = ThreePhase::new(&t);
+        let ca = CommAvoiding::new(&t);
+        assert_eq!(tp.apply(&x), vec![CZERO; 37]);
+        assert_eq!(tp.apply_adjoint(&y), vec![CZERO; 29]);
+        assert_eq!(ca.apply(&x), vec![CZERO; 37]);
+        assert_eq!(ca.apply_chunked(&x, 4), vec![CZERO; 37]);
+        assert_eq!(ca.apply_adjoint(&y), vec![CZERO; 29]);
     }
 
     #[test]

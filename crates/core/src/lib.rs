@@ -52,10 +52,7 @@
 //! assert_eq!(y.len(), 128);
 //! ```
 
-// deny (not forbid): the `fastpath` kernels hold the workspace's only
-// `unsafe` blocks, each licensed by a `// SAFETY(BD01: …)` sanction that
-// `cargo run -p xtask -- analyze` re-proves on every run (US01 ledger).
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod accounting;
@@ -86,7 +83,7 @@ pub use fastpath::{dotc_fast, gather, gemv_acc_fast, gemv_conj_transpose_fast};
 pub use layouts::{ColumnStack, CommAvoiding, RankChunk, ThreePhase, ThreePhaseScratch};
 pub use matrix::TlrMatrix;
 pub use mmm::{comm_avoiding_mmm, tlr_mmm, tlr_mmm_adjoint, tlr_mmm_cost};
-pub use ops::{BlockDiagonal, LinearOperator};
+pub use ops::LinearOperator;
 pub use precision::{bf16_to_f32, f32_to_bf16, Bf16Matrix, Bf16TlrMatrix};
 pub use real4::{join_vec, split_vec, RealSplitMatrix};
 pub use tiling::Tiling;

@@ -79,7 +79,7 @@ pub fn tlr_mmm(tlr: &TlrMatrix, x: &Matrix<C32>) -> Matrix<C32> {
             debug_assert_eq!(tile.v.nrows(), cl, "tile V height mismatch");
             let xj = x.block(c0, 0, cl, s);
             // T = Vᴴ X_j  (k × s), then Y += U T — accumulated straight
-            // into the row panel per source column (BD01-proven inner
+            // into the row panel per source column (check-free inner
             // loop), skipping the `contrib` intermediate entirely.
             let tcoef = seismic_la::blas::gemm_conj_transpose_left(&tile.v, &xj);
             for col in 0..s {

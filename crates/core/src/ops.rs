@@ -69,56 +69,6 @@ impl LinearOperator for TlrMatrix {
     }
 }
 
-/// Block-diagonal operator: independent blocks applied to contiguous
-/// segments — the shape of the per-frequency kernel stack `K` in
-/// `y = Fᴴ K F x`.
-pub struct BlockDiagonal<O: LinearOperator> {
-    blocks: Vec<O>,
-}
-
-impl<O: LinearOperator> BlockDiagonal<O> {
-    /// Assemble from blocks.
-    pub fn new(blocks: Vec<O>) -> Self {
-        Self { blocks }
-    }
-
-    /// The underlying blocks.
-    pub fn blocks(&self) -> &[O] {
-        &self.blocks
-    }
-}
-
-impl<O: LinearOperator> LinearOperator for BlockDiagonal<O> {
-    fn nrows(&self) -> usize {
-        self.blocks.iter().map(|b| b.nrows()).sum()
-    }
-    fn ncols(&self) -> usize {
-        self.blocks.iter().map(|b| b.ncols()).sum()
-    }
-    fn apply(&self, x: &[C32]) -> Vec<C32> {
-        assert_eq!(x.len(), self.ncols());
-        let mut y = Vec::with_capacity(self.nrows());
-        let mut off = 0;
-        for b in &self.blocks {
-            let n = b.ncols();
-            y.extend(b.apply(&x[off..off + n]));
-            off += n;
-        }
-        y
-    }
-    fn apply_adjoint(&self, y: &[C32]) -> Vec<C32> {
-        assert_eq!(y.len(), self.nrows());
-        let mut x = Vec::with_capacity(self.ncols());
-        let mut off = 0;
-        for b in &self.blocks {
-            let m = b.nrows();
-            x.extend(b.apply_adjoint(&y[off..off + m]));
-            off += m;
-        }
-        x
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,27 +96,6 @@ mod tests {
         let y = rand_cvec(8, 103);
         let lhs = dotc(&y, &a.apply(&x));
         let rhs = dotc(&a.apply_adjoint(&y), &x);
-        assert!((lhs - rhs).abs() < 1e-3);
-    }
-
-    #[test]
-    fn block_diagonal_matches_manual() {
-        let mut rng = ChaCha8Rng::seed_from_u64(104);
-        let b1 = Matrix::<C32>::random_normal(4, 3, &mut rng);
-        let b2 = Matrix::<C32>::random_normal(5, 2, &mut rng);
-        let x = rand_cvec(5, 105);
-        let bd = BlockDiagonal::new(vec![b1.clone(), b2.clone()]);
-        assert_eq!(bd.nrows(), 9);
-        assert_eq!(bd.ncols(), 5);
-        let y = bd.apply(&x);
-        let y1 = b1.apply(&x[..3]);
-        let y2 = b2.apply(&x[3..]);
-        assert_eq!(&y[..4], &y1[..]);
-        assert_eq!(&y[4..], &y2[..]);
-        // Adjoint identity for the composite.
-        let yy = rand_cvec(9, 106);
-        let lhs = dotc(&yy, &bd.apply(&x));
-        let rhs = dotc(&bd.apply_adjoint(&yy), &x);
         assert!((lhs - rhs).abs() < 1e-3);
     }
 }

@@ -22,7 +22,6 @@ use crate::matrix::TlrMatrix;
 /// silently wrong byte / cycle count.
 #[inline]
 #[track_caller]
-// SANCTION(PF01): the hot-path panic-freedom proof stops here — the panic! arm is unreachable for the range-checked counter values the kernels feed in, and a loud failure on a genuinely out-of-range cast is the documented contract (see the inline NP01 sanction at the arm)
 pub fn checked_cast<S, D>(x: S) -> D
 where
     S: Copy + core::fmt::Debug,

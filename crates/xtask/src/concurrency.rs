@@ -1,7 +1,6 @@
 //! `CC` — the concurrency-correctness pass: an atomic-ordering ledger
 //! (`CC01`), a seqlock-protocol verifier (`CC02`), and a
-//! lock-acquisition-order lint (`CC03`), in the same prove-then-sanction
-//! style as `BD01`/`US01`.
+//! lock-acquisition-order lint (`CC03`), in prove-then-sanction style.
 //!
 //! ## CC01 — atomic-ordering ledger
 //!
@@ -29,7 +28,7 @@
 //!
 //! * kind `seqlock` — verified structurally by `CC02` *this run*; a
 //!   sanction referencing a seqlock protocol whose verification failed
-//!   is stale (the same liveness rule `US01` applies to BD01 proofs).
+//!   is stale.
 //! * kind `flag` — a monotonic boolean (stop/enable gate); branches on
 //!   it only affect when a loop notices the transition, never which
 //!   data it may touch. Must be referenced by at least one sanction or
@@ -67,9 +66,9 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use wse_sim::verify::{Diagnostic, Severity};
 
-use crate::bounds::BoundsReport;
 use crate::lexer::{Tok, TokKind};
 use crate::lint::LoadedFile;
+use crate::scan::{fn_bodies, FnBody};
 
 /// Outcome of the CC pass over the workspace.
 pub struct ConcurrencyReport {
@@ -117,9 +116,9 @@ impl Cc01Sanction {
     }
 }
 
-/// Run the CC pass. `bounds` supplies the per-function line extents
-/// (the same `FnBody` records `US01` resolves enclosing functions with).
-pub fn check(files: &[LoadedFile], bounds: &BoundsReport) -> ConcurrencyReport {
+/// Run the CC pass over the pre-loaded workspace.
+pub fn check(files: &[LoadedFile]) -> ConcurrencyReport {
+    let fns = &fn_bodies(files);
     let mut report = ConcurrencyReport {
         diagnostics: Vec::new(),
         atomic_sites: 0,
@@ -139,14 +138,14 @@ pub fn check(files: &[LoadedFile], bounds: &BoundsReport) -> ConcurrencyReport {
     // protocols verified this run.
     let mut verified: BTreeSet<String> = BTreeSet::new();
     for p in &protocols {
-        if p.kind == "seqlock" && verify_seqlock(p, files, bounds, &mut report.diagnostics) {
+        if p.kind == "seqlock" && verify_seqlock(p, files, fns, &mut report.diagnostics) {
             verified.insert(p.name.clone());
             report.seqlocks_verified += 1;
         }
     }
 
-    cc01_ledger(files, bounds, &protocols, &verified, &mut report);
-    cc03_lock_order(files, bounds, &mut report);
+    cc01_ledger(files, fns, &protocols, &verified, &mut report);
+    cc03_lock_order(files, fns, &mut report);
     report
 }
 
@@ -259,15 +258,14 @@ fn collect_cc01_sanctions(files: &[LoadedFile], diags: &mut Vec<Diagnostic>) -> 
 // CC01 — atomic-ordering ledger
 // ---------------------------------------------------------------------
 
-/// Token-index extent of the function (from `bounds`) that encloses
+/// Token-index extent of the function (from `fns`) that encloses
 /// `line` in `f`, innermost (latest-starting) first.
 fn enclosing_fn_toks(
     f: &LoadedFile,
-    bounds: &BoundsReport,
+    fns: &[FnBody],
     line: usize,
 ) -> Option<(usize, usize, String)> {
-    let body = bounds
-        .fns
+    let body = fns
         .iter()
         .filter(|b| b.file == f.rel && b.line_start <= line && line <= b.line_end)
         .max_by_key(|b| b.line_start)?;
@@ -526,7 +524,7 @@ fn dataflow_violation(f: &LoadedFile, idx: &[usize], site_pos: usize) -> Option<
 
 fn cc01_ledger(
     files: &[LoadedFile],
-    bounds: &BoundsReport,
+    fns: &[FnBody],
     protocols: &[Protocol],
     verified_seqlocks: &BTreeSet<String>,
     report: &mut ConcurrencyReport,
@@ -557,7 +555,7 @@ fn cc01_ledger(
             report.atomic_sites += 1;
             let location = format!("{}:{}", f.rel, t.line);
 
-            let Some((lo, hi, func)) = enclosing_fn_toks(f, bounds, t.line) else {
+            let Some((lo, hi, func)) = enclosing_fn_toks(f, fns, t.line) else {
                 report.diagnostics.push(Diagnostic {
                     rule: "CC01",
                     severity: Severity::Error,
@@ -782,9 +780,9 @@ fn atomic_events(f: &LoadedFile, idx: &[usize], helpers: &BTreeSet<String>) -> V
 
 /// Fns in `file` whose bodies are a single relaxed store (payload-store
 /// helpers like `store_word`).
-fn relaxed_store_helpers(f: &LoadedFile, bounds: &BoundsReport) -> BTreeSet<String> {
+fn relaxed_store_helpers(f: &LoadedFile, fns: &[FnBody]) -> BTreeSet<String> {
     let mut out = BTreeSet::new();
-    for b in bounds.fns.iter().filter(|b| b.file == f.rel) {
+    for b in fns.iter().filter(|b| b.file == f.rel) {
         let lo = f.toks.partition_point(|t| t.line < b.line_start);
         let hi = f.toks.partition_point(|t| t.line <= b.line_end);
         let idx = code_toks(f, lo, hi);
@@ -804,9 +802,8 @@ fn relaxed_store_helpers(f: &LoadedFile, bounds: &BoundsReport) -> BTreeSet<Stri
     out
 }
 
-fn fn_tok_range(f: &LoadedFile, bounds: &BoundsReport, qualified: &str) -> Option<(usize, usize)> {
-    let b = bounds
-        .fns
+fn fn_tok_range(f: &LoadedFile, fns: &[FnBody], qualified: &str) -> Option<(usize, usize)> {
+    let b = fns
         .iter()
         .find(|b| b.file == f.rel && b.qualified == qualified)?;
     let lo = f.toks.partition_point(|t| t.line < b.line_start);
@@ -819,7 +816,7 @@ fn fn_tok_range(f: &LoadedFile, bounds: &BoundsReport, qualified: &str) -> Optio
 fn verify_seqlock(
     p: &Protocol,
     files: &[LoadedFile],
-    bounds: &BoundsReport,
+    fns: &[FnBody],
     diags: &mut Vec<Diagnostic>,
 ) -> bool {
     let f = files.iter().find(|f| f.rel == p.file);
@@ -835,11 +832,11 @@ fn verify_seqlock(
         });
     };
 
-    let helpers = relaxed_store_helpers(f, bounds);
+    let helpers = relaxed_store_helpers(f, fns);
     let mut ok = true;
 
     // ---- writer discipline ----
-    let Some((wlo, whi)) = fn_tok_range(f, bounds, writer) else {
+    let Some((wlo, whi)) = fn_tok_range(f, fns, writer) else {
         fail(
             p.line,
             format!("writer fn `{writer}` not found in {}", p.file),
@@ -943,7 +940,7 @@ fn verify_seqlock(
     }
 
     // ---- reader discipline ----
-    let Some((rlo, rhi)) = fn_tok_range(f, bounds, reader) else {
+    let Some((rlo, rhi)) = fn_tok_range(f, fns, reader) else {
         fail(
             p.line,
             format!("reader fn `{reader}` not found in {}", p.file),
@@ -1268,20 +1265,19 @@ fn scan_fn_locks(f: &LoadedFile, qualified: &str, lo: usize, hi: usize) -> FnLoc
     }
 }
 
-fn cc03_lock_order(files: &[LoadedFile], bounds: &BoundsReport, report: &mut ConcurrencyReport) {
-    // Scan every lib fn the bounds pass found.
+fn cc03_lock_order(files: &[LoadedFile], bodies: &[FnBody], report: &mut ConcurrencyReport) {
     let mut fns: Vec<FnLocks> = Vec::new();
     for f in files {
-        for b in bounds.fns.iter().filter(|b| b.file == f.rel) {
+        for b in bodies.iter().filter(|b| b.file == f.rel) {
             let lo = f.toks.partition_point(|t| t.line < b.line_start);
             let hi = f.toks.partition_point(|t| t.line <= b.line_end);
             fns.push(scan_fn_locks(f, &b.qualified, lo, hi));
         }
     }
 
-    // Name → fn ids, for conservative call resolution (mirrors
-    // `callgraph::resolve`: methods match any same-name method, free
-    // calls match by qualifier when one is present).
+    // Name → fn ids, for conservative call resolution: methods match
+    // any same-name method, free calls match by qualifier when one is
+    // present.
     let mut by_name: HashMap<&str, Vec<usize>> = HashMap::new();
     for (id, fl) in fns.iter().enumerate() {
         let short = fl.qualified.rsplit("::").next().unwrap_or(&fl.qualified);

@@ -6,8 +6,8 @@
 //! literals containing `"`) and, more fundamentally, could not see
 //! *structure*: call sites, brace depth, attribute groups. This lexer
 //! produces a flat token stream with byte ranges and line numbers so the
-//! rules ([`crate::lint`]) and the call-graph extractor
-//! ([`crate::callgraph`]) can reason about real tokens instead of text.
+//! rules ([`crate::lint`], [`crate::concurrency`]) can reason about real
+//! tokens instead of text.
 //!
 //! Scope: enough of the Rust lexical grammar to be *sound for analysis*
 //! of this workspace — identifiers (incl. raw `r#ident`), lifetimes,

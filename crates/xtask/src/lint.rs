@@ -8,11 +8,7 @@
 //! * `NP01` — no `unwrap()`/`expect()`/`panic!`/`unreachable!`/`todo!`/
 //!   `unimplemented!` in library-crate code, `bench` included (only
 //!   test regions are exempt).
-//! * `AT01` — every library crate keeps `#![forbid(unsafe_code)]`;
-//!   crates in [`DENY_UNSAFE_CRATES`] may instead keep
-//!   `#![deny(unsafe_code)]`, because their `unsafe` blocks are
-//!   individually licensed by the `US01` ledger (see
-//!   [`crate::unsafe_ledger`]) — nothing else may weaken the attribute.
+//! * `AT01` — every library crate keeps `#![forbid(unsafe_code)]`.
 //! * `AT02` — every library crate keeps `#![deny(missing_docs)]`.
 //! * `HP01` — no heap allocation (`Vec::new`, `vec![`, `.to_vec()`,
 //!   `.clone()`, `.collect()`, `Box::new`) inside the lexical region of
@@ -42,8 +38,6 @@
 //! rule on that line only. This is the preferred form for single-site
 //! exceptions (the justification lives next to the code it excuses and
 //! moves with it); `lint.toml` remains for path-scoped exceptions.
-//!
-//! Interprocedural panic-freedom (`PF01`) lives in [`crate::callgraph`].
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -60,11 +54,6 @@ pub const NA01_CRATES: &[&str] = &["core", "la", "wse"];
 pub const NP01_CRATES: &[&str] = &["core", "la", "fft", "geom", "wave", "mdd", "wse", "bench"];
 /// Crates whose `lib.rs` must carry the two crate-level attributes.
 pub const ATTR_CRATES: &[&str] = &["core", "la", "fft", "geom", "wave", "mdd", "wse", "bench"];
-/// Crates permitted to hold `#![deny(unsafe_code)]` instead of
-/// `#![forbid(unsafe_code)]`: their `unsafe` blocks are licensed
-/// one-by-one by the US01 ledger against live BD01 proofs. Everything
-/// else must keep the forbid.
-pub const DENY_UNSAFE_CRATES: &[&str] = &["core"];
 /// Crates whose traced kernels must be allocation-free inside spans.
 pub const HP01_CRATES: &[&str] = &["core", "wse"];
 /// Crates covered by the float-equality lint.
@@ -76,12 +65,11 @@ const INT_TYPES: &[&str] = &[
 ];
 
 /// Panic-family macro names (checked as `name` followed by `!`).
-pub const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
+const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 /// Panic-family method names (checked as `.name(`).
-pub const PANIC_METHODS: &[&str] = &["unwrap", "expect"];
+const PANIC_METHODS: &[&str] = &["unwrap", "expect"];
 
-/// One source file, lexed once and shared by every pass (lint rules and
-/// the call graph).
+/// One source file, lexed once and shared by every pass.
 pub struct LoadedFile {
     /// Workspace-relative path, `/`-separated.
     pub rel: String,
@@ -489,8 +477,7 @@ pub struct AllowEntry {
     pub rule: String,
     /// Path prefix (workspace-relative, `/`-separated).
     pub path: String,
-    /// Optional substring the offending line (or, for `PF01`, the
-    /// sanctioned callee's qualified name) must contain.
+    /// Optional substring the offending line must contain.
     pub contains: Option<String>,
     /// Why the exception is justified (mandatory, surfaced in reports).
     pub reason: String,
@@ -578,8 +565,7 @@ pub fn parse_lint_toml(text: &str, origin: &str) -> (Vec<AllowEntry>, Vec<Diagno
 
 /// LT02: every `[[allow]]` entry must have matched at least one
 /// diagnostic this run; stale entries are themselves errors so the
-/// allowlist can only shrink. `hits[i]` counts matches for entry `i`
-/// across *all* passes (token rules and PF01 sanctioned sinks).
+/// allowlist can only shrink. `hits[i]` counts matches for entry `i`.
 pub fn stale_allow_entries(allows: &[AllowEntry], hits: &[usize]) -> Vec<Diagnostic> {
     allows
         .iter()
@@ -673,12 +659,10 @@ pub fn run_lints(
             );
         }
         for (s, h) in sanctions.iter().zip(&sanction_hits) {
-            // PF01 sanctions suppress call-graph traversal, not token
-            // findings — their liveness is checked by the PF01 pass
-            // itself (`callgraph::prove_panic_free`), not here. CC01
-            // sanctions likewise cover atomic-ordering sites, whose
-            // liveness the concurrency pass owns.
-            if *h == 0 && s.rule != "PF01" && !s.rule.starts_with("CC01") {
+            // CC01 sanctions cover atomic-ordering sites, not token
+            // findings — their liveness is checked by the concurrency
+            // pass, not here.
+            if *h == 0 && !s.rule.starts_with("CC01") {
                 diagnostics.push(Diagnostic {
                     rule: "LT02",
                     severity: Severity::Error,
@@ -700,26 +684,15 @@ pub fn run_lints(
     }
 }
 
-/// AT01/AT02 over one crate root's text (fixture-friendly). The crate
-/// directory name is derived from `rel` to decide whether the weaker
-/// `#![deny(unsafe_code)]` attribute is acceptable.
+/// AT01/AT02 over one crate root's text (fixture-friendly).
 pub fn lint_crate_attributes(rel: &str, text: &str) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    let krate = rel.split('/').nth(1).unwrap_or("");
-    let deny_ok = DENY_UNSAFE_CRATES.contains(&krate);
-    let has_forbid = text.contains("#![forbid(unsafe_code)]");
-    let has_deny = text.contains("#![deny(unsafe_code)]");
-    if !(has_forbid || (deny_ok && has_deny)) {
+    if !text.contains("#![forbid(unsafe_code)]") {
         out.push(Diagnostic {
             rule: "AT01",
             severity: Severity::Error,
             location: rel.to_string(),
-            message: if deny_ok {
-                "crate must keep #![forbid(unsafe_code)] or (US01-ledgered) #![deny(unsafe_code)]"
-                    .to_string()
-            } else {
-                "crate must keep #![forbid(unsafe_code)]".to_string()
-            },
+            message: "crate must keep #![forbid(unsafe_code)]".to_string(),
         });
     }
     if !text.contains("#![deny(missing_docs)]") {
@@ -977,11 +950,9 @@ reason = "reproduction harness"
         assert!(stale_allow_entries(&entries, &[3]).is_empty());
     }
 
-    /// The allowlist retired to zero entries when the last
-    /// call-graph-scoped PF01 exception moved to an inline sanction at
-    /// its definition site (`precision::checked_cast`). It must stay
-    /// empty: any new exception belongs next to the code it excuses,
-    /// where LT02 liveness checking can see it.
+    /// The allowlist has retired to zero entries. It must stay empty:
+    /// any new exception belongs next to the code it excuses, where
+    /// LT02 liveness checking can see it.
     #[test]
     fn repo_lint_toml_stays_empty() {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../lint.toml");
@@ -1009,16 +980,14 @@ reason = "reproduction harness"
     }
 
     #[test]
-    fn deny_unsafe_accepted_only_for_ledgered_crates() {
+    fn deny_unsafe_is_not_enough_for_any_crate() {
         let text = "#![deny(unsafe_code)]\n#![deny(missing_docs)]\n";
-        assert!(
-            lint_crate_attributes("crates/core/src/lib.rs", text).is_empty(),
-            "core is US01-ledgered, deny(unsafe_code) is enough"
-        );
-        let other = lint_crate_attributes("crates/la/src/lib.rs", text);
-        assert_eq!(other.len(), 1);
-        assert_eq!(other[0].rule, "AT01");
-        assert!(other[0].message.contains("forbid"));
+        for rel in ["crates/core/src/lib.rs", "crates/la/src/lib.rs"] {
+            let diags = lint_crate_attributes(rel, text);
+            assert_eq!(diags.len(), 1);
+            assert_eq!(diags[0].rule, "AT01");
+            assert!(diags[0].message.contains("forbid"));
+        }
     }
 
     #[test]

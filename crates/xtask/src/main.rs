@@ -10,30 +10,17 @@
 //!    heap allocation inside `trace::span` regions in `core`/`wse`),
 //!    `FE01` (no `==`/`!=` on float operands), with a `lint.toml`
 //!    allowlist for justified exceptions.
-//! 2. **Bounds proof** ([`bounds`]): `BD01` — intra-procedural
-//!    interval/dataflow analysis over hot-phase functions classifies
-//!    every slice-indexing site as PROVEN or UNPROVEN; an unproven
-//!    `get_unchecked` site is a hard error with the missing fact named.
-//! 3. **Unsafe-sanction ledger** ([`unsafe_ledger`]): `US01` — every
-//!    `unsafe` block in lib code must carry a
-//!    `// SAFETY(BD01: <fn>@<file>)` comment whose referenced function
-//!    BD01 actually proved *this run*; unsanctioned unsafe, forged
-//!    references, and stale proofs are hard errors.
-//! 4. **Concurrency proofs** ([`concurrency`]): `CC01` — every
+//! 2. **Concurrency proofs** ([`concurrency`]): `CC01` — every
 //!    `Ordering::Relaxed`/`SeqCst` site is proven counter-only by
 //!    dataflow or carries a live `// SANCTION(CC01: <protocol>)` tied
 //!    to a declared `CC-PROTOCOL` block; `CC02` — the seqlock flight
 //!    recorder's odd/even Release/Acquire discipline is verified
 //!    structurally; `CC03` — the Mutex/Condvar acquisition graph must
 //!    be acyclic with no lock pinned across a blocking wait.
-//! 5. **Panic-freedom proof** ([`callgraph`]): `PF01` — BFS over the
-//!    approximate workspace call graph proves no panic-family token is
-//!    reachable from the hot TLR-MVM/MMM/solver entry points, printing
-//!    a witness call path for every violation.
-//! 6. **Static plan verification** ([`plan`]): the paper's Table 1
+//! 3. **Static plan verification** ([`plan`]): the paper's Table 1
 //!    configurations must pass the `WV..` rules of
 //!    [`wse_sim::verify::verify_plan`] without being placed or run.
-//! 7. **Allowlist hygiene**: malformed entries are `LT01`; entries that
+//! 4. **Allowlist hygiene**: malformed entries are `LT01`; entries that
 //!    matched nothing this run are `LT02` (stale — delete them).
 //!
 //! Flags: `--sarif <path>` writes a SARIF 2.1.0 report ([`sarif`]),
@@ -54,8 +41,6 @@
 #![forbid(unsafe_code)]
 
 mod accgate;
-mod bounds;
-mod callgraph;
 mod concurrency;
 mod lexer;
 mod lint;
@@ -64,7 +49,6 @@ mod plan;
 mod sarif;
 mod scan;
 mod selftest;
-mod unsafe_ledger;
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -95,11 +79,10 @@ fn print_usage() {
         "usage: cargo run -p xtask -- <command>\n\n\
          commands:\n  \
          analyze   run the static-analysis suite: token lints (NA01/NP01/AT01/AT02/\n            \
-         HP01/FE01), bounds proof (BD01), unsafe-sanction ledger (US01),\n            \
-         concurrency proofs (CC01 atomic-ordering ledger, CC02 seqlock\n            \
-         verifier, CC03 lock-order lint), call-graph panic-freedom\n            \
-         proof (PF01), lint.toml allowlist hygiene (LT01/LT02), static\n            \
-         WSE plan verification (WV01..WV07)\n            \
+         HP01/FE01), concurrency proofs (CC01 atomic-ordering ledger,\n            \
+         CC02 seqlock verifier, CC03 lock-order lint), lint.toml\n            \
+         allowlist hygiene (LT01/LT02), static WSE plan verification\n            \
+         (WV01..WV07)\n            \
          [--sarif <path>  write a SARIF 2.1.0 report]\n            \
          [--json          machine-readable output on stdout]\n            \
          [--self-test     prove every rule fires on embedded fixtures]\n  \
@@ -179,7 +162,7 @@ fn analyze(args: &[String]) -> ExitCode {
     all.append(&mut toml_problems);
     let mut hits = vec![0usize; allows.len()];
 
-    // Lex the workspace once; the lints and the call graph share it.
+    // Lex the workspace once; every pass shares it.
     let files = lint::load_workspace(&root);
 
     // Pass 1: token lints.
@@ -188,43 +171,11 @@ fn analyze(args: &[String]) -> ExitCode {
     let allowed = outcome.allowed;
     all.extend(outcome.diagnostics);
 
-    // Pass 1b: BD01 bounds proof over hot-phase/unsafe functions.
-    let mut bd01 = bounds::analyze(&files);
-    let bd01_clean = bd01.diagnostics.is_empty();
-    let (bd01_sites, bd01_proven, bd01_unchecked, bd01_fns) = (
-        bd01.sites.len(),
-        bd01.proven_sites(),
-        bd01.unchecked_sites(),
-        bd01.analyzed_fns,
-    );
-    all.append(&mut bd01.diagnostics);
-
-    // Pass 1c: US01 unsafe-sanction ledger against this run's proofs.
-    let us01 = unsafe_ledger::check(&files, &bd01);
-    let us01_clean = us01.diagnostics.is_empty();
-    let (us01_blocks, us01_sanctioned) = (us01.unsafe_blocks, us01.sanctioned);
-    all.extend(us01.diagnostics);
-
-    // Pass 1d: CC concurrency proofs — atomic-ordering ledger (CC01),
+    // Pass 2: CC concurrency proofs — atomic-ordering ledger (CC01),
     // seqlock-protocol verifier (CC02), lock-acquisition-order (CC03).
-    let cc = concurrency::check(&files, &bd01);
+    let cc = concurrency::check(&files);
     let cc_clean = cc.diagnostics.is_empty();
     all.extend(cc.diagnostics);
-
-    // Pass 2: PF01 panic-freedom proof over the call graph.
-    let graph = callgraph::build(&files);
-    let pf01_sanctions = callgraph::collect_pf01_sanctions(&files);
-    let pf01 = callgraph::prove_panic_free(
-        &graph,
-        callgraph::HOT_ENTRY_POINTS,
-        &pf01_sanctions,
-        &allows,
-        &mut hits,
-    );
-    let pf01_clean = pf01.diagnostics.is_empty();
-    let (pf01_entries, pf01_reachable, pf01_sanctioned) =
-        (pf01.entries_found, pf01.reachable, pf01.sanctioned);
-    all.extend(pf01.diagnostics);
 
     // Pass 3: static plan verification of the paper configurations.
     let (plan_diags, plans_checked) = plan::verify_paper_plans();
@@ -276,66 +227,6 @@ fn analyze(args: &[String]) -> ExitCode {
             ("warnings".to_string(), Json::u64(warnings as u64)),
             ("allowed".to_string(), Json::u64(allowed as u64)),
             (
-                "pf01".to_string(),
-                Json::Obj(vec![
-                    ("clean".to_string(), Json::Bool(pf01_clean)),
-                    ("entry_points".to_string(), Json::u64(pf01_entries as u64)),
-                    (
-                        "reachable_fns".to_string(),
-                        Json::u64(pf01_reachable as u64),
-                    ),
-                    (
-                        "sanctioned_sinks".to_string(),
-                        Json::u64(pf01_sanctioned as u64),
-                    ),
-                ]),
-            ),
-            (
-                "bd01".to_string(),
-                Json::Obj(vec![
-                    ("clean".to_string(), Json::Bool(bd01_clean)),
-                    ("analyzed_fns".to_string(), Json::u64(bd01_fns as u64)),
-                    ("sites".to_string(), Json::u64(bd01_sites as u64)),
-                    ("proven".to_string(), Json::u64(bd01_proven as u64)),
-                    (
-                        "unchecked_sites".to_string(),
-                        Json::u64(bd01_unchecked as u64),
-                    ),
-                    (
-                        "site_records".to_string(),
-                        Json::Arr(
-                            bd01.sites
-                                .iter()
-                                .map(|s| {
-                                    Json::Obj(vec![
-                                        (
-                                            "location".to_string(),
-                                            Json::str(&format!("{}:{}", s.file, s.line)),
-                                        ),
-                                        ("function".to_string(), Json::str(&s.func)),
-                                        ("site".to_string(), Json::str(&s.what)),
-                                        ("unchecked".to_string(), Json::Bool(s.unchecked)),
-                                        (
-                                            "verdict".to_string(),
-                                            Json::str(if s.proven { "PROVEN" } else { "UNPROVEN" }),
-                                        ),
-                                        ("missing".to_string(), Json::str(&s.missing)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ]),
-            ),
-            (
-                "us01".to_string(),
-                Json::Obj(vec![
-                    ("clean".to_string(), Json::Bool(us01_clean)),
-                    ("unsafe_blocks".to_string(), Json::u64(us01_blocks as u64)),
-                    ("sanctioned".to_string(), Json::u64(us01_sanctioned as u64)),
-                ]),
-            ),
-            (
                 "cc".to_string(),
                 Json::Obj(vec![
                     ("clean".to_string(), Json::Bool(cc_clean)),
@@ -361,24 +252,6 @@ fn analyze(args: &[String]) -> ExitCode {
     } else {
         for d in &all {
             println!("{d}");
-        }
-        if pf01_clean {
-            println!(
-                "analyze: PF01 proved {pf01_entries} hot entry points panic-free \
-                 ({pf01_reachable} reachable fns, {pf01_sanctioned} sanctioned sink calls)"
-            );
-        }
-        if bd01_clean {
-            println!(
-                "analyze: BD01 proved {bd01_proven}/{bd01_sites} indexing sites over \
-                 {bd01_fns} hot fns ({bd01_unchecked} unchecked, all proven)"
-            );
-        }
-        if us01_clean {
-            println!(
-                "analyze: US01 ledger clean — {us01_sanctioned}/{us01_blocks} unsafe \
-                 blocks carry a live BD01 sanction"
-            );
         }
         if cc_clean {
             println!(

@@ -15,26 +15,15 @@ use seismic_bench::jsonio::Json;
 use wse_sim::verify::{Diagnostic, Severity};
 
 /// The static rule inventory: id → short description. WV rules come
-/// from the plan verifier; the rest are the token/graph rules.
+/// from the plan verifier; the rest are the token and concurrency rules.
 pub const RULES: &[(&str, &str)] = &[
     (
         "NA01",
         "no raw `as` integer casts in core/la/wse library code",
     ),
     ("NP01", "no panic-family tokens in library crates"),
-    (
-        "AT01",
-        "crates keep #![forbid(unsafe_code)] (#![deny(unsafe_code)] only for US01-ledgered crates)",
-    ),
+    ("AT01", "crates keep #![forbid(unsafe_code)]"),
     ("AT02", "crates keep #![deny(missing_docs)]"),
-    (
-        "BD01",
-        "every slice-indexing site in hot-phase fns is bounds-proven; unchecked sites must be PROVEN",
-    ),
-    (
-        "US01",
-        "every unsafe block carries a live `// SAFETY(BD01: fn@file)` sanction proved this run",
-    ),
     (
         "HP01",
         "no heap allocation inside traced phase spans in core/wse",
@@ -54,10 +43,6 @@ pub const RULES: &[(&str, &str)] = &[
     (
         "CC03",
         "the Mutex/Condvar acquisition graph is acyclic; no lock pinned across a blocking wait",
-    ),
-    (
-        "PF01",
-        "no panic-family token reachable from hot entry points",
     ),
     ("LT01", "lint.toml allowlist entries are well-formed"),
     (
@@ -197,7 +182,7 @@ mod tests {
         assert!(!rules.is_empty());
         assert!(rules
             .iter()
-            .any(|r| r.get("id").and_then(Json::as_str) == Some("PF01")));
+            .any(|r| r.get("id").and_then(Json::as_str) == Some("NP01")));
 
         let results = runs[0]
             .get("results")

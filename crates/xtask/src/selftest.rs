@@ -2,19 +2,18 @@
 //!
 //! Mirrors `perfgate --self-test`: each rule is run against an embedded
 //! fixture that violates it, and the command exits 0 **iff** every rule
-//! (NA01, NP01, AT01, AT02, BD01, US01, CC01, CC02, CC03, HP01, FE01,
-//! PF01, LT01, LT02) produces the expected diagnostic. A lint engine that silently stops matching is a
-//! worse failure mode than a noisy one; this is the regression gate for
-//! the engine itself, runnable in CI without touching the workspace
-//! sources.
+//! (NA01, NP01, AT01, AT02, CC01, CC02, CC03, HP01, FE01, LT01, LT02)
+//! produces the expected diagnostic. A lint engine that silently stops
+//! matching is a worse failure mode than a noisy one; this is the
+//! regression gate for the engine itself, runnable in CI without
+//! touching the workspace sources.
 
 use std::process::ExitCode;
 
-use crate::callgraph::{build, prove_panic_free};
+use crate::concurrency;
 use crate::lint::{
     lint_crate_attributes, lint_file, parse_lint_toml, stale_allow_entries, LoadedFile, RuleSet,
 };
-use crate::{bounds, concurrency, unsafe_ledger};
 
 /// A fixture that plants one violation per token rule. The `#[cfg(test)]`
 /// block plants the same violations again — if test-region exemption
@@ -43,13 +42,6 @@ mod tests {
     }
 }
 "#;
-
-/// PF01 fixture: the planted violation is two hops away from the entry,
-/// so the emitted witness must spell out the full call path.
-const PF01_FIXTURE: &str = "\
-pub fn hot_entry(x: u32) -> u32 { stage_one(x) }\n\
-fn stage_one(x: u32) -> u32 { stage_two(x) }\n\
-fn stage_two(x: u32) -> u32 { if x > 3 { panic!(\"planted\") } else { x } }\n";
 
 struct Check {
     rule: &'static str,
@@ -117,142 +109,6 @@ fn allowlist_checks() -> Vec<Check> {
     vec![lt01, lt02]
 }
 
-/// A fully-guarded gather whose unchecked sites BD01 must prove, with a
-/// live US01 sanction. The failure fixtures below are derived from it
-/// by perturbing exactly one ingredient.
-const BD01_PROVEN_FIXTURE: &str = "\
-pub fn gather(dst: &mut [f32], idx: &[usize], src: &[f32]) {
-    assert!(idx.len() <= src.len());
-    assert!(idx.iter().all(|&q| q < dst.len()));
-    for (p, &q) in idx.iter().enumerate() {
-        // SAFETY(BD01: gather@crates/core/src/selftest_bd01.rs): guards hoisted above
-        unsafe {
-            *dst.get_unchecked_mut(q) = *src.get_unchecked(p);
-        }
-    }
-}
-";
-
-fn bd01_checks() -> Vec<Check> {
-    let run = |src: &str| {
-        let f = LoadedFile::new("crates/core/src/selftest_bd01.rs", src.to_string());
-        bounds::analyze(std::slice::from_ref(&f))
-    };
-
-    // Prove path: both unchecked sites discharge and the fn enters the
-    // proved set US01 draws from.
-    let proven = run(BD01_PROVEN_FIXTURE);
-    let prove = Check {
-        rule: "BD01",
-        ok: proven.diagnostics.is_empty()
-            && proven
-                .proved
-                .contains("gather@crates/core/src/selftest_bd01.rs"),
-        detail: format!(
-            "hoisted guards prove both unchecked sites ({} diags, proved={:?})",
-            proven.diagnostics.len(),
-            proven.proved
-        ),
-    };
-
-    // Fail path 1: off-by-one loop bound (`0..len + 1`) breaks the proof.
-    let off = run(&BD01_PROVEN_FIXTURE.replace(
-        "for (p, &q) in idx.iter().enumerate() {",
-        "let n = idx.len();\n    for p in 0..n + 1 {\n        let q = idx[p - p];",
-    ));
-    let off_by_one = Check {
-        rule: "BD01",
-        ok: !off.diagnostics.is_empty() && off.proved.is_empty(),
-        detail: format!(
-            "off-by-one loop bound rejected ({} diag(s))",
-            off.diagnostics.len()
-        ),
-    };
-
-    // Fail path 2: missing guard — the forall fact on dst is deleted, so
-    // the write site is UNPROVEN and the missing fact is named.
-    let missing =
-        run(&BD01_PROVEN_FIXTURE.replace("    assert!(idx.iter().all(|&q| q < dst.len()));\n", ""));
-    let named = missing
-        .diagnostics
-        .iter()
-        .any(|d| d.message.contains("dst.len()"));
-    let missing_guard = Check {
-        rule: "BD01",
-        ok: !missing.diagnostics.is_empty() && named,
-        detail: format!(
-            "deleted guard leaves UNPROVEN site with missing fact named ({} diag(s), names dst.len()={named})",
-            missing.diagnostics.len()
-        ),
-    };
-
-    // Fail path 3: guard on the wrong slice — a bound on src does not
-    // transfer to dst.
-    let wrong = run(&BD01_PROVEN_FIXTURE.replace(
-        "assert!(idx.iter().all(|&q| q < dst.len()));",
-        "assert!(idx.iter().all(|&q| q < src.len()));",
-    ));
-    let wrong_slice = Check {
-        rule: "BD01",
-        ok: !wrong.diagnostics.is_empty() && wrong.proved.is_empty(),
-        detail: format!(
-            "guard on the wrong slice does not transfer ({} diag(s))",
-            wrong.diagnostics.len()
-        ),
-    };
-
-    vec![prove, off_by_one, missing_guard, wrong_slice]
-}
-
-fn us01_checks() -> Vec<Check> {
-    let run = |src: &str| {
-        let f = LoadedFile::new("crates/core/src/selftest_bd01.rs", src.to_string());
-        let files = vec![f];
-        let b = bounds::analyze(&files);
-        unsafe_ledger::check(&files, &b)
-    };
-
-    let unsanctioned = run(&BD01_PROVEN_FIXTURE.replace(
-        "        // SAFETY(BD01: gather@crates/core/src/selftest_bd01.rs): guards hoisted above\n",
-        "",
-    ));
-    let a = Check {
-        rule: "US01",
-        ok: unsanctioned.diagnostics.len() == 1
-            && unsanctioned.diagnostics[0].message.contains("unsanctioned"),
-        detail: "unsafe block without a SAFETY(BD01:) comment rejected".to_string(),
-    };
-
-    // Stale: guards deleted → the referenced proof no longer holds.
-    let stale = run(&BD01_PROVEN_FIXTURE
-        .replace("    assert!(idx.len() <= src.len());\n", "")
-        .replace("    assert!(idx.iter().all(|&q| q < dst.len()));\n", ""));
-    let b = Check {
-        rule: "US01",
-        ok: stale
-            .diagnostics
-            .iter()
-            .any(|d| d.message.contains("stale sanction")),
-        detail: "sanction referencing a proof BD01 no longer discharges rejected".to_string(),
-    };
-
-    // Forged: the sanction points at another file.
-    let forged = run(&BD01_PROVEN_FIXTURE.replace(
-        "gather@crates/core/src/selftest_bd01.rs",
-        "gather@crates/core/src/other.rs",
-    ));
-    let c = Check {
-        rule: "US01",
-        ok: forged
-            .diagnostics
-            .iter()
-            .any(|d| d.message.contains("forged")),
-        detail: "sanction borrowing a proof from another file rejected".to_string(),
-    };
-
-    vec![a, b, c]
-}
-
 /// CC01 proof-path fixture: a pure counter — the fetch_add/load results
 /// never feed a branch or index, so the ledger must discharge both
 /// sites without a sanction.
@@ -309,9 +165,7 @@ impl Two {
 
 fn cc_run(src: &str) -> concurrency::ConcurrencyReport {
     let f = LoadedFile::new("crates/core/src/selftest_cc.rs", src.to_string());
-    let files = vec![f];
-    let b = bounds::analyze(&files);
-    concurrency::check(&files, &b)
+    concurrency::check(std::slice::from_ref(&f))
 }
 
 fn cc_checks() -> Vec<Check> {
@@ -423,70 +277,17 @@ fn cc_checks() -> Vec<Check> {
     vec![benign, unsanctioned, stale_check, forged_check, cc02, cc03]
 }
 
-/// PF01 site-sanction fixture: the same planted panic, but the sink
-/// carries an inline `// SANCTION(PF01)` on its definition line — the
-/// proof must stop there (zero diagnostics, one sanctioned stop), and a
-/// sanction that stops nothing must come back as LT02.
-fn pf01_sanction_check() -> Check {
-    let fixture = "\
-pub fn hot_entry(x: u32) -> u32 { stage_one(x) }\n\
-fn stage_one(x: u32) -> u32 { stage_two(x) }\n\
-// SANCTION(PF01): fixture — the panic is the documented contract\n\
-fn stage_two(x: u32) -> u32 { if x > 3 { panic!(\"planted\") } else { x } }\n";
-    let f = LoadedFile::new("crates/core/src/selftest_pf01s.rs", fixture.to_string());
-    let graph = build(std::slice::from_ref(&f));
-    let sanctions = crate::callgraph::collect_pf01_sanctions(std::slice::from_ref(&f));
-    let report = prove_panic_free(&graph, &["hot_entry"], &sanctions, &[], &mut []);
-    let live_ok = report.diagnostics.is_empty() && report.sanctioned == 1;
-
-    let stale = crate::callgraph::Pf01Sanction {
-        file: "crates/core/src/selftest_pf01s.rs".to_string(),
-        line: 999,
-        reason: "fixture — covers nothing".to_string(),
-    };
-    let stale_report = prove_panic_free(&graph, &["hot_entry"], &[stale], &[], &mut []);
-    let stale_ok = stale_report
-        .diagnostics
-        .iter()
-        .any(|d| d.rule == "LT02" && d.message.contains("stale inline sanction"));
-    Check {
-        rule: "PF01/LT02",
-        ok: live_ok && stale_ok,
-        detail: "site sanction stops traversal; a dead sanction is LT02".to_string(),
-    }
-}
-
-fn pf01_check() -> (Check, Option<String>) {
-    let f = LoadedFile::new("crates/core/src/selftest_pf01.rs", PF01_FIXTURE.to_string());
-    let graph = build(std::slice::from_ref(&f));
-    let report = prove_panic_free(&graph, &["hot_entry"], &[], &[], &mut []);
-    let witness = report.diagnostics.first().map(|d| d.message.clone());
-    let ok = report.diagnostics.len() == 1
-        && witness
-            .as_deref()
-            .is_some_and(|m| m.contains("hot_entry -> stage_one -> stage_two"));
-    (
-        Check {
-            rule: "PF01",
-            ok,
-            detail: "planted panic 2 hops from entry reported with witness path".to_string(),
-        },
-        witness,
-    )
+fn all_checks() -> Vec<Check> {
+    let mut checks = token_rule_checks();
+    checks.extend(attr_rule_checks());
+    checks.extend(cc_checks());
+    checks.extend(allowlist_checks());
+    checks
 }
 
 /// Run all fixture checks; exit 0 iff every rule fired as expected.
 pub fn run() -> ExitCode {
-    let mut checks = token_rule_checks();
-    checks.extend(attr_rule_checks());
-    checks.extend(bd01_checks());
-    checks.extend(us01_checks());
-    checks.extend(cc_checks());
-    checks.extend(allowlist_checks());
-    let (pf, witness) = pf01_check();
-    checks.push(pf);
-    checks.push(pf01_sanction_check());
-
+    let checks = all_checks();
     let mut failed = 0usize;
     for c in &checks {
         let tag = if c.ok { "ok" } else { "BROKEN" };
@@ -494,9 +295,6 @@ pub fn run() -> ExitCode {
         if !c.ok {
             failed += 1;
         }
-    }
-    if let Some(w) = witness {
-        println!("analyze --self-test: PF01 witness: {w}");
     }
     if failed > 0 {
         eprintln!(
@@ -519,24 +317,14 @@ mod tests {
 
     #[test]
     fn every_fixture_check_passes() {
-        let mut checks = token_rule_checks();
-        checks.extend(attr_rule_checks());
-        checks.extend(bd01_checks());
-        checks.extend(us01_checks());
-        checks.extend(cc_checks());
-        checks.extend(allowlist_checks());
-        let (pf, witness) = pf01_check();
-        checks.push(pf);
-        checks.push(pf01_sanction_check());
+        let checks = all_checks();
         for c in &checks {
             assert!(c.ok, "rule {} fixture broken: {}", c.rule, c.detail);
         }
         assert_eq!(
             checks.len(),
-            23,
-            "all analyze rules covered: 4 token + 2 attr + 4 BD01 + 3 US01 + 6 CC + \
-             2 allowlist + 2 PF01"
+            14,
+            "all analyze rules covered: 4 token + 2 attr + 6 CC + 2 allowlist"
         );
-        assert!(witness.expect("witness emitted").contains("panic!"));
     }
 }

@@ -4,8 +4,10 @@
 //! comm-avoiding shuffle-traffic acceptance criterion, property-based
 //! random-workload reconciliation, and artifact checksum determinism.
 //!
-//! Tests that open a trace window hold `TRACE_LOCK`, like
-//! `tests/trace.rs`.
+//! The trace collector is process-global and instrumented code adds to
+//! the `wse.atlas*` counters whenever a window is open, so every test
+//! here that reaches instrumented code — not only the one that opens the
+//! window — holds `TRACE_LOCK`, like `tests/trace.rs`.
 
 use std::sync::Mutex;
 
@@ -102,6 +104,7 @@ fn atlas_grids_reconcile_with_trace_counters_exactly() {
 /// through `three_phase_cost`, not just against the rank model.
 #[test]
 fn shuffle_traffic_matches_three_phase_cost_model() {
+    let _g = locked();
     let nb = 12;
     let (m, n) = (5 * nb + 3, 4 * nb + 5);
     let a = Matrix::from_fn(m, n, |i, j| {
@@ -153,6 +156,7 @@ fn shuffle_traffic_matches_three_phase_cost_model() {
 /// with the plain (atlas-free) path bit-for-bit.
 #[test]
 fn exec_atlas_totals_match_exec_result() {
+    let _g = locked();
     let nb = 10;
     let (m, n) = (4 * nb + 6, 3 * nb + 7);
     let a = Matrix::from_fn(m, n, |i, j| {
@@ -192,6 +196,7 @@ fn exec_atlas_totals_match_exec_result() {
 /// frames.
 #[test]
 fn atlas_artifact_checksum_is_deterministic() {
+    let _g = locked();
     let a = smoke_frames().expect("smoke frames collect");
     let b = smoke_frames().expect("smoke frames collect");
     assert_eq!(atlas_checksum(&a), atlas_checksum(&b));
@@ -239,6 +244,7 @@ proptest! {
         seed in 0u64..1_000,
         three_phase in proptest::bool::ANY,
     ) {
+        let _g = locked();
         let n_cols = n_freqs * cols;
         // Deterministic pseudo-ranks from the seed (splitmix-ish).
         let col_ranks: Vec<u64> = (0..n_cols)
