@@ -6,25 +6,31 @@
 //!
 //! * [`gather`] — the phase-2 shuffle as an inverse-permutation gather
 //!   (sequential stores, random loads);
-//! * [`dotc_fast`] / [`gemv_conj_transpose_fast`] — four-accumulator
-//!   conjugated dots and eight-column-blocked Aᴴx for the V-batch
-//!   (shares each `x` load across eight columns);
+//! * [`gemv_conj_transpose_fast`] — `Aᴴx` for the V-batch and for every
+//!   tile of [`crate::TlrMatrix::apply_into`]: four columns × four
+//!   complex lanes per step, written so that every float lane does the
+//!   same multiply-add and LLVM emits packed arithmetic (DESIGN.md §12);
+//! * [`dotc_fast`] — one four-accumulator conjugated dot, for the
+//!   comm-avoiding adjoint whose rank columns each meet a different
+//!   block of `y`;
 //! * [`gemv_acc_fast`] — four-column register-blocked accumulation for
 //!   the U-batch (reads `y` once per four columns instead of once per
 //!   column).
 //!
 //! The inner loops carry no bounds checks and need no `unsafe` to get
-//! there: every blocked column is re-sliced to `&a.col(j)[..m]` before the
-//! loop, so LLVM sees one length `m` shared by the loop bound and every
-//! operand and drops the per-element checks itself. The only check left
-//! per element is the data-dependent one in [`gather`]. The unit tests
-//! below pin the result bits (`fastpath_golden_bits`) as well as the
-//! agreement with the reference kernels; `perfgate` gates the speed
-//! against `BENCH_table2.json`.
+//! there: every operand is re-sliced to one shared length (or cut into
+//! fixed-size arrays by `as_chunks`) before the loop, so LLVM sees the
+//! loop bound and every operand agree and drops the per-element checks
+//! itself. The only check left per element is the data-dependent one in
+//! [`gather`]. The unit tests below pin the result bits
+//! (`fastpath_golden_bits`) as well as the agreement with the reference
+//! kernels; `perfgate` gates the speed against `BENCH_table2.json`, and
+//! the V-batch ÷ U-batch ratio within one run, which is what notices a
+//! compiler that stops vectorising the dot.
 
 use seismic_la::blas::axpy;
 use seismic_la::dense::Matrix;
-use seismic_la::scalar::Scalar;
+use seismic_la::scalar::{Scalar, C32};
 
 /// Permutation gather `dst[p] = src[idx[p]]` — the three-phase shuffle
 /// (paper Fig. 6) as a gather over the inverse permutation.
@@ -69,62 +75,114 @@ pub fn dotc_fast<S: Scalar>(x: &[S], y: &[S]) -> S {
     (a0 + a1) + (a2 + a3)
 }
 
-/// `y = Aᴴ x` (overwrite) with eight-column blocking — drop-in for
-/// [`seismic_la::blas::gemv_conj_transpose`] on the V-batch path.
+/// Rows per swapped-copy block of [`gemv_conj_transpose_fast`]: the copy
+/// lives in a `[C32; DOT_BLOCK]` on the stack, so the kernel never
+/// touches the heap whatever the row count.
+const DOT_BLOCK: usize = 64;
+
+/// `C32` lanes each column advances per step of the conjugated dot.
+const DOT_LANES: usize = 4;
+
+/// `N` conjugated dots over one row block, every lane doing the same
+/// multiply-add: with `xs[i] = (x[i].im, x[i].re)`, `p1 += a ⊙ x` and
+/// `p2 += a ⊙ xs` are element-wise products over consecutive floats, and
+/// `conj(a)·x = (Σ p1.re + p1.im, Σ p2.re − p2.im)` is folded once per
+/// column. All slices share one length. `as_chunks` hands the loop
+/// `[C32; DOT_LANES]` operands, which is what lets LLVM drop every bounds
+/// check and emit packed multiplies and adds; rows past the last full
+/// step go to the leading lanes.
 ///
-/// Eight conjugated dots advance in lockstep sharing each `x` load, so
-/// the block reads `1.125` values per product instead of `2`, and the
-/// eight independent accumulator chains keep the FP pipes full — the
-/// win on a load-throughput-bound host. The column tail falls back to
-/// [`dotc_fast`].
+/// Never inlined, on purpose: compiled out of line the loop vectorises
+/// the same way whoever calls it, whereas inlined into `repro perfbench`'s
+/// closure the identical source ran at half speed (a call per 4 × 64
+/// products costs nothing measurable).
+#[inline(never)]
+fn dotc_lanes<const N: usize>(cols: [&[C32]; N], x: &[C32], xs: &[C32]) -> [C32; N] {
+    fn fmac(p1: &mut C32, p2: &mut C32, a: C32, x: C32, xs: C32) {
+        p1.re += a.re * x.re;
+        p1.im += a.im * x.im;
+        p2.re += a.re * xs.re;
+        p2.im += a.im * xs.im;
+    }
+    let (x_steps, x_tail) = x.as_chunks::<DOT_LANES>();
+    let (xs_steps, xs_tail) = xs.as_chunks::<DOT_LANES>();
+    let steps = x_steps.len();
+    let xs_steps = &xs_steps[..steps];
+    let cols = cols.map(|c| c.as_chunks::<DOT_LANES>());
+    let col_steps = cols.map(|(c, _)| &c[..steps]);
+    let mut p1 = [[C32::ZERO; DOT_LANES]; N];
+    let mut p2 = [[C32::ZERO; DOT_LANES]; N];
+    for s in 0..steps {
+        for c in 0..N {
+            for l in 0..DOT_LANES {
+                fmac(
+                    &mut p1[c][l],
+                    &mut p2[c][l],
+                    col_steps[c][s][l],
+                    x_steps[s][l],
+                    xs_steps[s][l],
+                );
+            }
+        }
+    }
+    for c in 0..N {
+        for (l, ((&a, &xv), &sv)) in cols[c].1.iter().zip(x_tail).zip(xs_tail).enumerate() {
+            fmac(&mut p1[c][l], &mut p2[c][l], a, xv, sv);
+        }
+    }
+    let mut out = [C32::ZERO; N];
+    for c in 0..N {
+        for l in 0..DOT_LANES {
+            out[c].re += p1[c][l].re + p1[c][l].im;
+            out[c].im += p2[c][l].re - p2[c][l].im;
+        }
+    }
+    out
+}
+
+/// `y = Aᴴ x` (overwrite) — drop-in for
+/// [`seismic_la::blas::gemv_conj_transpose`] on the V-batch path, written
+/// so LLVM vectorises it.
+///
+/// A conjugated dot is a serial reduction of complex products whose real
+/// and imaginary lanes do different arithmetic, and LLVM may neither
+/// reassociate the sum nor invent the shuffle, so the obvious loop runs
+/// scalar. Here every lane is isomorphic (see [`dotc_lanes`]): four
+/// columns advance in lockstep, four `C32` per step, against `x` and a
+/// swapped copy of `x` kept on the stack per [`DOT_BLOCK`]-row block;
+/// taller operands accumulate block by block. The column tail runs the
+/// same lanes one column at a time.
 #[inline]
-pub fn gemv_conj_transpose_fast<S: Scalar>(a: &Matrix<S>, x: &[S], y: &mut [S]) {
+pub fn gemv_conj_transpose_fast(a: &Matrix<C32>, x: &[C32], y: &mut [C32]) {
     assert_eq!(a.nrows(), x.len(), "gemv_h_fast: x length mismatch");
     assert_eq!(a.ncols(), y.len(), "gemv_h_fast: y length mismatch");
-    let m = x.len();
     let n = y.len();
-    let mut j = 0;
-    while j + 8 <= n {
-        let c0 = &a.col(j)[..m];
-        let c1 = &a.col(j + 1)[..m];
-        let c2 = &a.col(j + 2)[..m];
-        let c3 = &a.col(j + 3)[..m];
-        let c4 = &a.col(j + 4)[..m];
-        let c5 = &a.col(j + 5)[..m];
-        let c6 = &a.col(j + 6)[..m];
-        let c7 = &a.col(j + 7)[..m];
-        let mut a0 = S::ZERO;
-        let mut a1 = S::ZERO;
-        let mut a2 = S::ZERO;
-        let mut a3 = S::ZERO;
-        let mut a4 = S::ZERO;
-        let mut a5 = S::ZERO;
-        let mut a6 = S::ZERO;
-        let mut a7 = S::ZERO;
-        for i in 0..m {
-            let xi = x[i];
-            a0 += c0[i].conj() * xi;
-            a1 += c1[i].conj() * xi;
-            a2 += c2[i].conj() * xi;
-            a3 += c3[i].conj() * xi;
-            a4 += c4[i].conj() * xi;
-            a5 += c5[i].conj() * xi;
-            a6 += c6[i].conj() * xi;
-            a7 += c7[i].conj() * xi;
+    y.fill(C32::ZERO);
+    let mut swapped = [C32::ZERO; DOT_BLOCK];
+    for (b, xb) in x.chunks(DOT_BLOCK).enumerate() {
+        let (r0, r1) = (b * DOT_BLOCK, b * DOT_BLOCK + xb.len());
+        let xs = &mut swapped[..xb.len()];
+        for (s, v) in xs.iter_mut().zip(xb) {
+            *s = C32::new(v.im, v.re);
         }
-        y[j] = a0;
-        y[j + 1] = a1;
-        y[j + 2] = a2;
-        y[j + 3] = a3;
-        y[j + 4] = a4;
-        y[j + 5] = a5;
-        y[j + 6] = a6;
-        y[j + 7] = a7;
-        j += 8;
-    }
-    while j < n {
-        y[j] = dotc_fast(a.col(j), x);
-        j += 1;
+        let mut j = 0;
+        while j + 4 <= n {
+            let cols = [
+                &a.col(j)[r0..r1],
+                &a.col(j + 1)[r0..r1],
+                &a.col(j + 2)[r0..r1],
+                &a.col(j + 3)[r0..r1],
+            ];
+            for (yj, d) in y[j..j + 4].iter_mut().zip(dotc_lanes(cols, xb, xs)) {
+                *yj += d;
+            }
+            j += 4;
+        }
+        while j < n {
+            let [d] = dotc_lanes([&a.col(j)[r0..r1]], xb, xs);
+            y[j] += d;
+            j += 1;
+        }
     }
 }
 
@@ -165,7 +223,7 @@ pub fn gemv_acc_fast<S: Scalar>(a: &Matrix<S>, x: &[S], y: &mut [S]) {
 mod tests {
     use super::*;
     use seismic_la::blas::{gemv_acc, gemv_conj_transpose};
-    use seismic_la::scalar::c32;
+    use seismic_la::scalar::{c32, C64};
     use seismic_la::C32;
 
     fn close(a: C32, b: C32, tol: f32) -> bool {
@@ -215,16 +273,19 @@ mod tests {
     }
 
     const GOLDEN_BITS: [u64; 4] = [
-        0x825b_b236_c60e_1c3d,
+        0x05fa_5b9a_4dde_3596,
         0x7764_75ba_d411_baae,
         0xd793_5990_ea73_da92,
         0xa731_89a4_958f_e2a4,
     ];
 
     /// The four kernels' output bits, hashed over shapes that cover full
-    /// blocks and every tail length. The constants were captured from the
-    /// `get_unchecked` kernels this module replaced: a change of blocking
-    /// factor or summation order fails here, not only in `perfgate`.
+    /// blocks and every tail length: a change of blocking factor or
+    /// summation order fails here, not only in `perfgate`. The constants
+    /// for `gemv_acc_fast`, `dotc_fast` and `gather` are the ones captured
+    /// from the `get_unchecked` kernels this module once held; the one for
+    /// `gemv_conj_transpose_fast` is the isomorphic-lane kernel's, the same
+    /// in debug and release builds (no product is contracted into an FMA).
     #[test]
     fn fastpath_golden_bits() {
         let mut shapes = vec![(32, 300), (63, 37), (16, 100)];
@@ -305,35 +366,71 @@ mod tests {
         }
     }
 
+    /// `Aᴴx` evaluated by the reference kernel in `f64`, and the
+    /// magnitude sum `Σ_i |a_ij||x_i|` the rounding bound scales with.
+    fn conj_transpose_f64(a: &Matrix<C32>, x: &[C32]) -> (Vec<C64>, Vec<f64>) {
+        let a64 = Matrix::from_fn(a.nrows(), a.ncols(), |i, j| a[(i, j)].widen());
+        let x64: Vec<C64> = x.iter().map(|v| v.widen()).collect();
+        let mut want = vec![C64::ZERO; a.ncols()];
+        gemv_conj_transpose(&a64, &x64, &mut want);
+        let mags = (0..a.ncols())
+            .map(|j| {
+                a64.col(j)
+                    .iter()
+                    .zip(&x64)
+                    .map(|(p, q)| p.abs() * q.abs())
+                    .sum()
+            })
+            .collect();
+        (want, mags)
+    }
+
+    /// Full four-column blocks and every column tail, full four-row steps
+    /// and every row tail, one and two (and a bit) 64-row blocks, against
+    /// the `f64` reference with the bound a length-`m` FP32 dot admits:
+    /// `|Δ_j| ≤ 4·m·ε₃₂·Σ_i |a_ij||x_i|`.
     #[test]
-    fn fastpath_gemv_conj_transpose_matches_reference() {
-        for (m, n) in [
-            (16, 12),
-            (17, 5),
-            (10, 6),
-            (9, 7),
-            (3, 8),
-            (20, 9),
-            (21, 10),
-            (19, 11),
-            (12, 15),
-            (64, 64),
-            // Degenerate: no rows (the output is still overwritten), no
-            // columns, fewer columns than one block.
-            (0, 0),
-            (0, 3),
-            (0, 9),
-            (7, 0),
-            (7, 1),
-            (7, 3),
-        ] {
-            let a = Matrix::from_fn(m, n, |i, j| c32((i * 3 + j) as f32 * 0.01, j as f32 * 0.02));
-            let x = test_vec(m, 0.4);
-            let mut reference = vec![C32::ZERO; n];
-            gemv_conj_transpose(&a, &x, &mut reference);
-            let mut fast = test_vec(n, 9.0);
-            gemv_conj_transpose_fast(&a, &x, &mut fast);
-            vecs_close(&fast, &reference, 1e-3);
+    fn fastpath_gemv_conj_transpose_within_rounding_bound_of_f64_reference() {
+        let rows = (0..=9).chain([15, 16, 17, 63, 64, 65, 70, 129]);
+        for m in rows {
+            for n in (0..=9).chain([37]) {
+                let a = Matrix::from_fn(m, n, |i, j| golden(i, j + 3));
+                let x = test_vec(m, 0.4);
+                let (want, mags) = conj_transpose_f64(&a, &x);
+                // Dirty output: the kernel overwrites.
+                let mut got = test_vec(n, 9.0);
+                gemv_conj_transpose_fast(&a, &x, &mut got);
+                for j in 0..n {
+                    let err = (got[j].widen() - want[j]).abs();
+                    let bound = 4.0 * m as f64 * f64::from(f32::EPSILON) * mags[j];
+                    assert!(err <= bound, "{m}x{n} col {j}: {err} > {bound}");
+                }
+            }
+        }
+    }
+
+    /// A NaN or infinity anywhere in `x` or in a column of `a` reaches
+    /// that column's output: no lane is skipped or masked.
+    #[test]
+    fn fastpath_gemv_conj_transpose_propagates_non_finite_inputs() {
+        for bad in [f32::NAN, f32::INFINITY] {
+            for (m, n) in [(70, 9), (5, 3), (64, 4)] {
+                for row in [0, m / 2, m - 1] {
+                    let a = Matrix::from_fn(m, n, golden);
+                    let mut x = test_vec(m, 0.4);
+                    x[row] = c32(bad, 1.0);
+                    let mut y = vec![C32::ZERO; n];
+                    gemv_conj_transpose_fast(&a, &x, &mut y);
+                    assert!(y.iter().all(|v| !v.is_finite()), "x[{row}]={bad} {m}x{n}");
+
+                    let mut a = a;
+                    a[(row, n - 1)] = c32(1.0, bad);
+                    let x = test_vec(m, 0.4);
+                    gemv_conj_transpose_fast(&a, &x, &mut y);
+                    assert!(!y[n - 1].is_finite(), "a[{row},{}]={bad}", n - 1);
+                    assert!(y[..n - 1].iter().all(|v| v.is_finite()));
+                }
+            }
         }
     }
 

@@ -6,6 +6,18 @@
 //!   of each *tile column* are stored side-by-side so phases 1 and 3 fuse
 //!   per column; the cross-fabric shuffle disappears, at the price of one
 //!   partial `y` vector per tile column reduced on the host.
+//!
+//! Both are *second copies* of the bases, built from a [`TlrMatrix`] for
+//! the engine's batched sweep and for the WSE simulator's per-PE chunks.
+//! The MDD solve itself runs on the tiles as stored
+//! ([`TlrMatrix::apply_into`], the same two [`crate::fastpath`] kernels
+//! fused per tile), which needs neither the copy nor the shuffle.
+//!
+//! Nothing here allocates inside a traced span: partial outputs, segment
+//! tables and the rank scratch the fused kernels write `Vᴴx` into are
+//! allocated by the caller of [`ColumnStack::apply_into`] /
+//! [`RankChunk::apply_into`] before the span opens (lint rule HP01 is
+//! lexical and cannot see through a call).
 
 // Index-based loops here walk multiple parallel arrays; iterator zips
 // would obscure the stride structure the kernels are about.
@@ -16,7 +28,7 @@ use seismic_la::scalar::C32;
 use seismic_la::Matrix;
 
 use crate::accounting::{absolute_bytes, mvm_flops, relative_bytes};
-use crate::fastpath::{gather, gemv_acc_fast, gemv_conj_transpose_fast};
+use crate::fastpath::{dotc_fast, gather, gemv_acc_fast, gemv_conj_transpose_fast};
 use crate::invariant::assert_finite;
 use crate::matrix::TlrMatrix;
 use crate::precision::to_u64;
@@ -24,6 +36,13 @@ use crate::tiling::Tiling;
 use crate::trace;
 
 const CZERO: C32 = C32::new(0.0, 0.0);
+
+/// Chunk length of a flat rank-scratch buffer cut into one piece per
+/// parallel task: the widest task's rank, and at least one so that
+/// `par_chunks_mut` accepts it when every rank is zero.
+fn rank_scratch_len(ranks: impl Iterator<Item = usize>) -> usize {
+    ranks.max().unwrap_or(0).max(1)
+}
 
 /// Classic three-phase TLR-MVM layout.
 pub struct ThreePhase {
@@ -444,8 +463,9 @@ impl ColumnStack {
     }
 
     /// Fused V+U kernel for this column: accumulate `Σ_i U_{i,j} V_{i,j}ᴴ x_j`
-    /// into the full-length partial output.
-    pub fn apply_into(&self, x_col: &[C32], y_partial: &mut [C32], nb: usize) {
+    /// into the full-length partial output. `yv` is caller-owned scratch
+    /// of length [`ColumnStack::rank`], so the kernel allocates nothing.
+    pub fn apply_into(&self, x_col: &[C32], yv: &mut [C32], y_partial: &mut [C32], nb: usize) {
         debug_assert_eq!(x_col.len(), self.cl);
         debug_assert_eq!(self.vstack.nrows(), self.cl, "V stack width mismatch");
         debug_assert_eq!(self.vstack.ncols(), self.rank(), "V stack rank mismatch");
@@ -457,11 +477,8 @@ impl ColumnStack {
                 .all(|(&b, &l)| b * nb + l <= y_partial.len()),
             "row block exceeds partial-y bounds"
         );
-        let k = self.rank();
-        let mut yv = vec![CZERO; k];
-        gemv_conj_transpose_fast(&self.vstack, x_col, &mut yv);
-        for r in 0..k {
-            let coeff = yv[r];
+        gemv_conj_transpose_fast(&self.vstack, x_col, yv);
+        for (r, &coeff) in yv.iter().enumerate() {
             if coeff == CZERO {
                 continue;
             }
@@ -531,8 +548,9 @@ impl RankChunk {
         self.row_block.len()
     }
 
-    /// Fused kernel: `y_partial += Σ_r u_r (v_rᴴ x_col)`.
-    pub fn apply_into(&self, x_col: &[C32], y_partial: &mut [C32], nb: usize) {
+    /// Fused kernel: `y_partial += Σ_r u_r (v_rᴴ x_col)`. `yv` is
+    /// caller-owned scratch of length [`RankChunk::width`].
+    pub fn apply_into(&self, x_col: &[C32], yv: &mut [C32], y_partial: &mut [C32], nb: usize) {
         debug_assert_eq!(x_col.len(), self.cl);
         debug_assert_eq!(self.v.ncols(), self.width(), "V slice width mismatch");
         debug_assert_eq!(self.u.ncols(), self.width(), "U slice width mismatch");
@@ -544,11 +562,8 @@ impl RankChunk {
                 .all(|(&b, &l)| b * nb + l <= y_partial.len()),
             "row block exceeds partial-y bounds"
         );
-        let w = self.width();
-        let mut yv = vec![CZERO; w];
-        gemv_conj_transpose_fast(&self.v, x_col, &mut yv);
-        for r in 0..w {
-            let coeff = yv[r];
+        gemv_conj_transpose_fast(&self.v, x_col, yv);
+        for (r, &coeff) in yv.iter().enumerate() {
             let dst0 = self.row_block[r] * nb;
             let len = self.row_len[r];
             let ucol = &self.u.col(r)[..len];
@@ -630,16 +645,23 @@ impl CommAvoiding {
         let nb = self.tiling.nb;
         let padded_m = self.tiling.tile_rows() * nb;
         self.trace_fused_cost(nb);
-        // Partial buffers are allocated before the span opens: the traced
-        // fused phase is pure per-column kernel work (lint rule HP01).
+        // Partial buffers and the per-column rank scratch are allocated
+        // before the span opens: the traced fused phase is pure per-column
+        // kernel work (lint rule HP01).
         let mut partials: Vec<Vec<C32>> =
             self.columns.iter().map(|_| vec![CZERO; padded_m]).collect();
+        let kmax = rank_scratch_len(self.columns.iter().map(ColumnStack::rank));
+        let mut scratch = vec![CZERO; self.columns.len() * kmax];
         {
             let _span = trace::span("comm_avoiding.fused");
-            partials.par_iter_mut().enumerate().for_each(|(j, part)| {
-                let cs = &self.columns[j];
-                cs.apply_into(&x[cs.c0..cs.c0 + cs.cl], part, nb);
-            });
+            partials
+                .par_iter_mut()
+                .zip(scratch.par_chunks_mut(kmax))
+                .enumerate()
+                .for_each(|(j, (part, yv))| {
+                    let cs = &self.columns[j];
+                    cs.apply_into(&x[cs.c0..cs.c0 + cs.cl], &mut yv[..cs.rank()], part, nb);
+                });
         }
         let y = self.reduce_partials(&partials, padded_m);
         assert_finite("comm_avoiding.apply.y", &y);
@@ -681,40 +703,32 @@ impl CommAvoiding {
     }
 
     /// `x = Ãᴴ y` over the stacked layout: per tile column, gather the
-    /// `y` row blocks through `Ustackᴴ`, then expand through `Vstack` —
-    /// each tile column owns a disjoint output segment, so the adjoint is
-    /// as communication-free as the forward pass.
+    /// `y` row blocks through `Ustackᴴ` (one [`dotc_fast`] per rank
+    /// column), then expand through `Vstack` — each tile column writes
+    /// its own `nb` chunk of `x`, so the adjoint is as communication-free
+    /// as the forward pass.
     pub fn apply_adjoint(&self, y: &[C32]) -> Vec<C32> {
         assert_eq!(y.len(), self.tiling.m);
         assert_finite("comm_avoiding.apply_adjoint.y", y);
         let nb = self.tiling.nb;
-        let outputs: Vec<Vec<C32>> = self
-            .columns
-            .par_iter()
-            .map(|cs| {
-                let k = cs.rank();
+        let mut x = vec![CZERO; self.tiling.n];
+        let kmax = rank_scratch_len(self.columns.iter().map(ColumnStack::rank));
+        let mut scratch = vec![CZERO; self.columns.len() * kmax];
+        x.par_chunks_mut(nb)
+            .zip(scratch.par_chunks_mut(kmax))
+            .enumerate()
+            .for_each(|(j, (xj, t))| {
+                let cs = &self.columns[j];
+                let t = &mut t[..cs.rank()];
                 // t[r] = u_rᴴ y_block(r)
-                let mut t = vec![CZERO; k];
-                for r in 0..k {
+                for (r, tr) in t.iter_mut().enumerate() {
                     let src0 = cs.row_block[r] * nb;
                     let len = cs.row_len[r];
-                    let ucol = &cs.ustack.col(r)[..len];
-                    let mut acc = CZERO;
-                    for (&u, &yi) in ucol.iter().zip(&y[src0..src0 + len]) {
-                        acc += u.conj() * yi;
-                    }
-                    t[r] = acc;
+                    *tr = dotc_fast(&cs.ustack.col(r)[..len], &y[src0..src0 + len]);
                 }
                 // x_j = Vstack_j t
-                let mut xj = vec![CZERO; cs.cl];
-                gemv_acc_fast(&cs.vstack, &t, &mut xj);
-                xj
-            })
-            .collect();
-        let mut x = vec![CZERO; self.tiling.n];
-        for (cs, xj) in self.columns.iter().zip(&outputs) {
-            x[cs.c0..cs.c0 + cs.cl].copy_from_slice(xj);
-        }
+                gemv_acc_fast(&cs.vstack, t, xj);
+            });
         assert_finite("comm_avoiding.apply_adjoint.x", &x);
         x
     }
@@ -736,14 +750,21 @@ impl CommAvoiding {
         let padded_m = self.tiling.tile_rows() * nb;
         let chunks = self.chunks(stack_width);
         self.trace_fused_cost(nb);
-        // As in `apply`: allocate partials before the span opens (HP01).
+        // As in `apply`: allocate partials and scratch before the span
+        // opens (HP01).
         let mut partials: Vec<Vec<C32>> = chunks.iter().map(|_| vec![CZERO; padded_m]).collect();
+        let kmax = rank_scratch_len(chunks.iter().map(RankChunk::width));
+        let mut scratch = vec![CZERO; chunks.len() * kmax];
         {
             let _span = trace::span("comm_avoiding.fused");
-            partials.par_iter_mut().enumerate().for_each(|(c, part)| {
-                let ch = &chunks[c];
-                ch.apply_into(&x[ch.c0..ch.c0 + ch.cl], part, nb);
-            });
+            partials
+                .par_iter_mut()
+                .zip(scratch.par_chunks_mut(kmax))
+                .enumerate()
+                .for_each(|(c, (part, yv))| {
+                    let ch = &chunks[c];
+                    ch.apply_into(&x[ch.c0..ch.c0 + ch.cl], &mut yv[..ch.width()], part, nb);
+                });
         }
         let y = self.reduce_partials(&partials, padded_m);
         assert_finite("comm_avoiding.apply_chunked.y", &y);

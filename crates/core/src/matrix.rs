@@ -1,12 +1,22 @@
 //! The tile low-rank matrix: per-tile `U·Vᴴ` factors on a uniform tile
 //! grid, with application, adjoint application, and storage accounting.
+//!
+//! [`TlrMatrix::apply_into`] / [`TlrMatrix::apply_adjoint_into`] are the
+//! operator the MDD solve runs on: the tile-fused product on the
+//! [`crate::fastpath`] kernels, over the tiles as stored — no second,
+//! stacked copy of the bases. The slow, obviously-right form of the same
+//! product is [`LowRank::apply_acc`] over `seismic_la::blas`; the tests
+//! below and `core::accuracy`'s probe use it as the oracle.
 
 use rayon::prelude::*;
 use seismic_la::scalar::C32;
 use seismic_la::{LowRank, Matrix};
 
 use crate::compress::CompressionConfig;
+use crate::fastpath::{gemv_acc_fast, gemv_conj_transpose_fast};
 use crate::tiling::Tiling;
+
+const CZERO: C32 = C32::new(0.0, 0.0);
 
 /// TLR representation of an `m × n` complex matrix.
 ///
@@ -16,6 +26,8 @@ pub struct TlrMatrix {
     tiling: Tiling,
     tiles: Vec<LowRank<C32>>,
     config: CompressionConfig,
+    /// Largest tile rank: the length of one task's rank scratch.
+    max_rank: usize,
 }
 
 impl TlrMatrix {
@@ -29,10 +41,12 @@ impl TlrMatrix {
             let (_, cl) = tiling.col_range(j);
             assert_eq!(t.shape(), (rl, cl), "tile ({i},{j}) shape mismatch");
         }
+        let max_rank = tiles.iter().map(LowRank::rank).max().unwrap_or(0);
         Self {
             tiling,
             tiles,
             config,
+            max_rank,
         }
     }
 
@@ -68,7 +82,7 @@ impl TlrMatrix {
 
     /// Largest tile rank.
     pub fn max_rank(&self) -> usize {
-        self.tiles.iter().map(|t| t.rank()).max().unwrap_or(0)
+        self.max_rank
     }
 
     /// Sum of tile ranks in tile column `j` (`K_j`, the V-stack width).
@@ -112,51 +126,68 @@ impl TlrMatrix {
         out
     }
 
-    /// `y = Ã x` via per-tile two-stage products, rayon-parallel over tile
-    /// rows (each tile row owns a disjoint output segment).
+    /// `y = Ã x`: [`TlrMatrix::apply_into`] on a fresh vector.
     pub fn apply(&self, x: &[C32]) -> Vec<C32> {
-        assert_eq!(x.len(), self.tiling.n, "input length mismatch");
-        let mt = self.tiling.tile_rows();
-        let mut y = vec![C32::new(0.0, 0.0); self.tiling.m];
-        // Split y into per-tile-row segments.
-        let mut segments: Vec<&mut [C32]> = Vec::with_capacity(mt);
-        let mut rest = y.as_mut_slice();
-        for i in 0..mt {
-            let (_, rl) = self.tiling.row_range(i);
-            let (seg, tail) = rest.split_at_mut(rl);
-            segments.push(seg);
-            rest = tail;
-        }
-        segments.par_iter_mut().enumerate().for_each(|(i, seg)| {
-            for j in 0..self.tiling.tile_cols() {
-                let (c0, cl) = self.tiling.col_range(j);
-                self.tile(i, j).apply_acc(&x[c0..c0 + cl], seg);
-            }
-        });
+        let mut y = vec![CZERO; self.tiling.m];
+        self.apply_into(x, &mut y);
         y
     }
 
-    /// `x = Ãᴴ y`, rayon-parallel over tile columns (each owns a disjoint
-    /// output segment). This is the adjoint LSQR needs.
+    /// `y = Ã x` into a caller-owned buffer, tile-fused on the
+    /// [`crate::fastpath`] kernels: per tile `t = V_ijᴴ x_j`, then
+    /// `y_i += U_ij t`, so no rank-length intermediate is stored and
+    /// nothing is shuffled. Parallel over tile rows (each owns one `nb`
+    /// chunk of `y`); the rank scratch is one allocation per call, cut
+    /// into one `max_rank` piece per tile row.
+    pub fn apply_into(&self, x: &[C32], y: &mut [C32]) {
+        assert_eq!(x.len(), self.tiling.n, "input length mismatch");
+        assert_eq!(y.len(), self.tiling.m, "output length mismatch");
+        let kmax = self.max_rank.max(1);
+        let mut scratch = vec![CZERO; self.tiling.tile_rows() * kmax];
+        y.par_chunks_mut(self.tiling.nb)
+            .zip(scratch.par_chunks_mut(kmax))
+            .enumerate()
+            .for_each(|(i, (seg, t))| {
+                seg.fill(CZERO);
+                for j in 0..self.tiling.tile_cols() {
+                    let (c0, cl) = self.tiling.col_range(j);
+                    let tile = self.tile(i, j);
+                    let t = &mut t[..tile.rank()];
+                    gemv_conj_transpose_fast(&tile.v, &x[c0..c0 + cl], t);
+                    gemv_acc_fast(&tile.u, t, seg);
+                }
+            });
+    }
+
+    /// `x = Ãᴴ y`: [`TlrMatrix::apply_adjoint_into`] on a fresh vector.
+    /// This is the adjoint LSQR needs.
     pub fn apply_adjoint(&self, y: &[C32]) -> Vec<C32> {
-        assert_eq!(y.len(), self.tiling.m, "input length mismatch");
-        let nt = self.tiling.tile_cols();
-        let mut x = vec![C32::new(0.0, 0.0); self.tiling.n];
-        let mut segments: Vec<&mut [C32]> = Vec::with_capacity(nt);
-        let mut rest = x.as_mut_slice();
-        for j in 0..nt {
-            let (_, cl) = self.tiling.col_range(j);
-            let (seg, tail) = rest.split_at_mut(cl);
-            segments.push(seg);
-            rest = tail;
-        }
-        segments.par_iter_mut().enumerate().for_each(|(j, seg)| {
-            for i in 0..self.tiling.tile_rows() {
-                let (r0, rl) = self.tiling.row_range(i);
-                self.tile(i, j).apply_adjoint_acc(&y[r0..r0 + rl], seg);
-            }
-        });
+        let mut x = vec![CZERO; self.tiling.n];
+        self.apply_adjoint_into(y, &mut x);
         x
+    }
+
+    /// `x = Ãᴴ y` into a caller-owned buffer: the same two kernels as
+    /// [`TlrMatrix::apply_into`] with `U` and `V` exchanged
+    /// (`t = U_ijᴴ y_i`, `x_j += V_ij t`), parallel over tile columns.
+    pub fn apply_adjoint_into(&self, y: &[C32], x: &mut [C32]) {
+        assert_eq!(y.len(), self.tiling.m, "input length mismatch");
+        assert_eq!(x.len(), self.tiling.n, "output length mismatch");
+        let kmax = self.max_rank.max(1);
+        let mut scratch = vec![CZERO; self.tiling.tile_cols() * kmax];
+        x.par_chunks_mut(self.tiling.nb)
+            .zip(scratch.par_chunks_mut(kmax))
+            .enumerate()
+            .for_each(|(j, (seg, t))| {
+                seg.fill(CZERO);
+                for i in 0..self.tiling.tile_rows() {
+                    let (r0, rl) = self.tiling.row_range(i);
+                    let tile = self.tile(i, j);
+                    let t = &mut t[..tile.rank()];
+                    gemv_conj_transpose_fast(&tile.u, &y[r0..r0 + rl], t);
+                    gemv_acc_fast(&tile.v, t, seg);
+                }
+            });
     }
 
     /// Iterate tiles with their grid coordinates.
@@ -291,6 +322,102 @@ mod tests {
             (lhs - rhs).abs() < 1e-3 * (1.0 + lhs.abs()),
             "{lhs} vs {rhs}"
         );
+    }
+
+    /// The product the obviously-right way: every tile through
+    /// [`LowRank::apply_acc`] (`seismic_la::blas`, one accumulator, a
+    /// fresh rank vector per tile).
+    fn reference_apply(tlr: &TlrMatrix, x: &[C32]) -> Vec<C32> {
+        let mut y = vec![CZERO; tlr.shape().0];
+        for (i, j, tile) in tlr.tiles_with_coords() {
+            let (r0, rl) = tlr.tiling().row_range(i);
+            let (c0, cl) = tlr.tiling().col_range(j);
+            tile.apply_acc(&x[c0..c0 + cl], &mut y[r0..r0 + rl]);
+        }
+        y
+    }
+
+    fn reference_apply_adjoint(tlr: &TlrMatrix, y: &[C32]) -> Vec<C32> {
+        let mut x = vec![CZERO; tlr.shape().1];
+        for (i, j, tile) in tlr.tiles_with_coords() {
+            let (r0, rl) = tlr.tiling().row_range(i);
+            let (c0, cl) = tlr.tiling().col_range(j);
+            tile.apply_adjoint_acc(&y[r0..r0 + rl], &mut x[c0..c0 + cl]);
+        }
+        x
+    }
+
+    fn dist(a: &[C32], b: &[C32]) -> f32 {
+        assert_eq!(a.len(), b.len());
+        let d: Vec<C32> = a.iter().zip(b).map(|(p, q)| *p - *q).collect();
+        seismic_la::blas::nrm2(&d)
+    }
+
+    /// Tile-fused fast path against the reference loop (rounding only:
+    /// `1e-5·‖A‖_F·‖x‖`) and against the dense matrix (compression error:
+    /// tile-relative `acc` sums to `acc·‖A‖_F`, doubled for rounding), on
+    /// grids the kernels' tails have to get right: `nb` not dividing the
+    /// shape, `nb` larger than both dimensions, tiles of rank zero and
+    /// tiles of full rank.
+    #[test]
+    fn apply_and_adjoint_match_reference_loop_and_dense_on_hostile_grids() {
+        let mut rng = ChaCha8Rng::seed_from_u64(85);
+        // A zero block spanning whole tiles, so some tiles have rank 0.
+        let mut holed = kernel(70, 52);
+        holed.set_block(16, 0, &Matrix::zeros(32, 32));
+        let cases: Vec<(&str, Matrix<C32>, usize, f32)> = vec![
+            ("ragged", kernel(67, 41), 16, 1e-4),
+            ("nb > dims", kernel(20, 15), 64, 1e-4),
+            ("zero-rank tiles", holed, 16, 1e-4),
+            (
+                "full-rank tiles",
+                Matrix::<C32>::random_normal(45, 38, &mut rng),
+                12,
+                1e-7,
+            ),
+            ("one row", kernel(1, 9), 4, 1e-4),
+        ];
+        for (name, a, nb, acc) in cases {
+            let (m, n) = a.shape();
+            let tlr = compress(&a, cfg(nb, acc));
+            if name == "zero-rank tiles" {
+                assert!(tlr.tiles_with_coords().any(|(_, _, t)| t.rank() == 0));
+            }
+            if name == "full-rank tiles" {
+                assert_eq!(tlr.max_rank(), nb);
+            }
+            let (x, y) = (rand_vec(n, 86), rand_vec(m, 87));
+            let a_norm = a.fro_norm();
+            let (x_norm, y_norm) = (seismic_la::blas::nrm2(&x), seismic_la::blas::nrm2(&y));
+
+            let ax = tlr.apply(&x);
+            let d = dist(&ax, &reference_apply(&tlr, &x));
+            assert!(
+                d <= 1e-5 * a_norm * x_norm,
+                "{name}: apply vs reference {d}"
+            );
+            let mut dense = vec![CZERO; m];
+            gemv(&a, &x, &mut dense);
+            let d = dist(&ax, &dense);
+            assert!(
+                d <= 2.0 * acc * a_norm * x_norm,
+                "{name}: apply vs dense {d}"
+            );
+
+            let ahy = tlr.apply_adjoint(&y);
+            let d = dist(&ahy, &reference_apply_adjoint(&tlr, &y));
+            assert!(
+                d <= 1e-5 * a_norm * y_norm,
+                "{name}: adjoint vs reference {d}"
+            );
+            let mut dense = vec![CZERO; n];
+            gemv_conj_transpose(&a, &y, &mut dense);
+            let d = dist(&ahy, &dense);
+            assert!(
+                d <= 2.0 * acc * a_norm * y_norm,
+                "{name}: adjoint vs dense {d}"
+            );
+        }
     }
 
     #[test]

@@ -1,10 +1,22 @@
 //! The linear-operator abstraction shared by the MDC/MDD solver stack.
+//!
+//! Two entry points per direction: `apply` / `apply_adjoint` return a
+//! fresh vector and are the only *required* methods; `apply_into` /
+//! `apply_adjoint_into` write a caller-owned buffer and are what the
+//! solvers call, so an iteration allocates no operator output. Every
+//! implementor in the workspace writes the `_into` pair natively and
+//! defines the allocating pair as `vec![0; n]` + `_into`, so both give
+//! the same bits; an operator that implements only the required pair
+//! (a timing or counting wrapper) reaches the solver through the
+//! provided defaults.
 
 use seismic_la::blas::{gemv, gemv_conj_transpose};
 use seismic_la::scalar::C32;
 use seismic_la::Matrix;
 
 use crate::matrix::TlrMatrix;
+
+const CZERO: C32 = C32::new(0.0, 0.0);
 
 /// A complex linear operator `A: ℂⁿ → ℂᵐ` with an adjoint — the interface
 /// LSQR and the MDC operator are written against, so dense, TLR, and
@@ -18,6 +30,17 @@ pub trait LinearOperator: Sync {
     fn apply(&self, x: &[C32]) -> Vec<C32>;
     /// `x = Aᴴ y`.
     fn apply_adjoint(&self, y: &[C32]) -> Vec<C32>;
+    /// `y = A x` into a caller-owned buffer (`y.len() == nrows()`; the
+    /// previous contents are overwritten). Defaults to [`Self::apply`]
+    /// and a copy.
+    fn apply_into(&self, x: &[C32], y: &mut [C32]) {
+        y.copy_from_slice(&self.apply(x));
+    }
+    /// `x = Aᴴ y` into a caller-owned buffer (`x.len() == ncols()`).
+    /// Defaults to [`Self::apply_adjoint`] and a copy.
+    fn apply_adjoint_into(&self, y: &[C32], x: &mut [C32]) {
+        x.copy_from_slice(&self.apply_adjoint(y));
+    }
 }
 
 impl<T: LinearOperator + ?Sized> LinearOperator for &T {
@@ -33,6 +56,12 @@ impl<T: LinearOperator + ?Sized> LinearOperator for &T {
     fn apply_adjoint(&self, y: &[C32]) -> Vec<C32> {
         (**self).apply_adjoint(y)
     }
+    fn apply_into(&self, x: &[C32], y: &mut [C32]) {
+        (**self).apply_into(x, y);
+    }
+    fn apply_adjoint_into(&self, y: &[C32], x: &mut [C32]) {
+        (**self).apply_adjoint_into(y, x);
+    }
 }
 
 impl LinearOperator for Matrix<C32> {
@@ -43,14 +72,20 @@ impl LinearOperator for Matrix<C32> {
         Matrix::ncols(self)
     }
     fn apply(&self, x: &[C32]) -> Vec<C32> {
-        let mut y = vec![C32::new(0.0, 0.0); Matrix::nrows(self)];
-        gemv(self, x, &mut y);
+        let mut y = vec![CZERO; Matrix::nrows(self)];
+        self.apply_into(x, &mut y);
         y
     }
     fn apply_adjoint(&self, y: &[C32]) -> Vec<C32> {
-        let mut x = vec![C32::new(0.0, 0.0); Matrix::ncols(self)];
-        gemv_conj_transpose(self, y, &mut x);
+        let mut x = vec![CZERO; Matrix::ncols(self)];
+        self.apply_adjoint_into(y, &mut x);
         x
+    }
+    fn apply_into(&self, x: &[C32], y: &mut [C32]) {
+        gemv(self, x, y);
+    }
+    fn apply_adjoint_into(&self, y: &[C32], x: &mut [C32]) {
+        gemv_conj_transpose(self, y, x);
     }
 }
 
@@ -66,6 +101,12 @@ impl LinearOperator for TlrMatrix {
     }
     fn apply_adjoint(&self, y: &[C32]) -> Vec<C32> {
         TlrMatrix::apply_adjoint(self, y)
+    }
+    fn apply_into(&self, x: &[C32], y: &mut [C32]) {
+        TlrMatrix::apply_into(self, x, y);
+    }
+    fn apply_adjoint_into(&self, y: &[C32], x: &mut [C32]) {
+        TlrMatrix::apply_adjoint_into(self, y, x);
     }
 }
 

@@ -4,11 +4,11 @@
 //! Included as the baseline iterative scheme for solver ablations.
 
 use seismic_la::blas::nrm2;
-use seismic_la::scalar::{exactly_zero_f32, C32};
+use seismic_la::scalar::C32;
 use tlr_mvm::precision::to_u64;
 use tlr_mvm::{trace, LinearOperator};
 
-use crate::lsqr::LsqrOptions;
+use crate::lsqr::{norm_stop, LsqrOptions, StopReason};
 
 /// CGLS outcome (mirrors [`crate::lsqr::LsqrResult`]).
 #[derive(Clone, Debug)]
@@ -17,11 +17,20 @@ pub struct CglsResult {
     pub x: Vec<C32>,
     /// Residual norm ‖b − Ax‖ per iteration (recomputed exactly).
     pub residual_history: Vec<f32>,
-    /// Iterations performed.
+    /// Iterations completed (`residual_history.len()`).
     pub iterations: usize,
+    /// Why the solve returned.
+    pub stop: StopReason,
+}
+
+fn norm_sqr(v: &[C32]) -> f32 {
+    v.iter().map(|e| e.norm_sqr()).sum()
 }
 
 /// Solve `min ‖Ax − b‖ (+ λ²‖x‖²)` with CGLS.
+///
+/// As in [`crate::lsqr::lsqr`], the operator writes into two buffers
+/// (`q = Ap`, `s = Aᴴr`) allocated once before the loop.
 pub fn cgls<A: LinearOperator + ?Sized>(a: &A, b: &[C32], opts: LsqrOptions) -> CglsResult {
     let _span = trace::span("cgls.solve");
     let m = a.nrows();
@@ -31,24 +40,26 @@ pub fn cgls<A: LinearOperator + ?Sized>(a: &A, b: &[C32], opts: LsqrOptions) -> 
 
     let mut x = vec![C32::new(0.0, 0.0); n];
     let mut r = b.to_vec(); // r = b − A x (x = 0)
-    let mut s = a.apply_adjoint(&r);
+    let mut s = vec![C32::new(0.0, 0.0); n];
+    a.apply_adjoint_into(&r, &mut s);
     // Damped: s = Aᴴr − λ²x (x = 0 initially).
     let mut p = s.clone();
-    let mut gamma: f32 = s.iter().map(|v| v.norm_sqr()).sum();
+    let mut q = vec![C32::new(0.0, 0.0); m];
+    let mut gamma = norm_sqr(&s);
     let b_norm = nrm2(b);
     let mut history = Vec::with_capacity(opts.max_iters);
 
-    let mut iterations = 0;
+    let mut stop = StopReason::MaxIters;
     for _ in 0..opts.max_iters {
-        if exactly_zero_f32(gamma) {
+        if let Some(why) = norm_stop(gamma) {
+            stop = why;
             break;
         }
         let iter_start = trace::is_enabled().then(std::time::Instant::now);
-        iterations += 1;
-        let q = a.apply(&p);
-        let q_norm_sq: f32 = q.iter().map(|v| v.norm_sqr()).sum::<f32>()
-            + damp_sq * p.iter().map(|v| v.norm_sqr()).sum::<f32>();
-        if exactly_zero_f32(q_norm_sq) {
+        a.apply_into(&p, &mut q);
+        let q_norm_sq = norm_sqr(&q) + damp_sq * norm_sqr(&p);
+        if let Some(why) = norm_stop(q_norm_sq) {
+            stop = why;
             break;
         }
         let alpha = gamma / q_norm_sq;
@@ -58,13 +69,13 @@ pub fn cgls<A: LinearOperator + ?Sized>(a: &A, b: &[C32], opts: LsqrOptions) -> 
         for (ri, qi) in r.iter_mut().zip(&q) {
             *ri -= qi.scale(alpha);
         }
-        s = a.apply_adjoint(&r);
+        a.apply_adjoint_into(&r, &mut s);
         if damp_sq > 0.0 {
             for (si, xi) in s.iter_mut().zip(&x) {
                 *si -= xi.scale(damp_sq);
             }
         }
-        let gamma_new: f32 = s.iter().map(|v| v.norm_sqr()).sum();
+        let gamma_new = norm_sqr(&s);
         let beta = gamma_new / gamma;
         gamma = gamma_new;
         for (pi, si) in p.iter_mut().zip(&s) {
@@ -74,17 +85,19 @@ pub fn cgls<A: LinearOperator + ?Sized>(a: &A, b: &[C32], opts: LsqrOptions) -> 
         history.push(res);
         if let Some(t0) = iter_start {
             let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            trace::record_solver_iteration("cgls", to_u64(iterations), res, b_norm, ns);
+            trace::record_solver_iteration("cgls", to_u64(history.len()), res, b_norm, ns);
         }
         if opts.rel_tol > 0.0 && res <= opts.rel_tol * b_norm {
+            stop = StopReason::Converged;
             break;
         }
     }
 
     CglsResult {
         x,
+        iterations: history.len(),
         residual_history: history,
-        iterations,
+        stop,
     }
 }
 
@@ -171,6 +184,36 @@ mod tests {
         for w in res.residual_history.windows(2) {
             assert!(w[1] <= w[0] * 1.001);
         }
+    }
+
+    #[test]
+    fn stop_reason_names_how_the_solve_ended() {
+        let mut rng = ChaCha8Rng::seed_from_u64(139);
+        let a = Matrix::<C32>::random_normal(14, 9, &mut rng);
+        let b = rand_cvec(14, 140);
+        let opts = |max_iters, rel_tol| LsqrOptions {
+            max_iters,
+            rel_tol,
+            damp: 0.0,
+        };
+        let res = cgls(&a, &b, opts(7, 0.0));
+        assert_eq!((res.iterations, res.stop), (7, StopReason::MaxIters));
+
+        let mut sq = Matrix::<C32>::random_normal(10, 10, &mut rng);
+        for i in 0..10 {
+            sq[(i, i)] += C32::new(8.0, 0.0);
+        }
+        let res = cgls(&sq, &sq.apply(&rand_cvec(10, 141)), opts(500, 1e-4));
+        assert_eq!(res.stop, StopReason::Converged);
+
+        // Aᴴb = 0: nothing to descend along.
+        let res = cgls(&a, &[C32::new(0.0, 0.0); 14], opts(30, 0.0));
+        assert_eq!((res.iterations, res.stop), (0, StopReason::Breakdown));
+
+        let mut bad_b = b.clone();
+        bad_b[2] = C32::new(0.0, f32::INFINITY);
+        let res = cgls(&a, &bad_b, opts(30, 0.0));
+        assert_eq!((res.iterations, res.stop), (0, StopReason::NonFinite));
     }
 
     #[test]

@@ -287,12 +287,19 @@ impl FrequencyOperators {
     }
 
     /// Batched adjoint sweep: `x_f = Ã_fᴴ y_f` for every frequency in
-    /// one pass, with the same sharding and scratch pooling as the
-    /// forward sweep.
+    /// one pass. See [`FrequencyOperators::apply_adjoint_all_frequencies_into`].
     pub fn apply_adjoint_all_frequencies(&self, y: &[C32]) -> Vec<C32> {
-        assert_eq!(y.len(), self.nrows_total());
-        assert_finite("engine.batch_adjoint.y", y);
         let mut x = vec![CZERO; self.ncols_total()];
+        self.apply_adjoint_all_frequencies_into(y, &mut x);
+        x
+    }
+
+    /// Batched adjoint sweep into a caller-owned buffer, with the same
+    /// sharding and scratch pooling as the forward sweep.
+    pub fn apply_adjoint_all_frequencies_into(&self, y: &[C32], x: &mut [C32]) {
+        assert_eq!(y.len(), self.nrows_total());
+        assert_eq!(x.len(), self.ncols_total());
+        assert_finite("engine.batch_adjoint.y", y);
         let ranges = self.shard_ranges(self.shards);
         let mut views: Vec<&mut [C32]> = Vec::with_capacity(ranges.len());
         let mut rest = &mut x[..];
@@ -314,8 +321,7 @@ impl FrequencyOperators {
                 }
                 self.return_scratch(scratch);
             });
-        assert_finite("engine.batch_adjoint.x", &x);
-        x
+        assert_finite("engine.batch_adjoint.x", x);
     }
 
     /// Reference serial per-frequency loop (fresh buffers every
@@ -343,6 +349,12 @@ impl LinearOperator for FrequencyOperators {
     }
     fn apply_adjoint(&self, y: &[C32]) -> Vec<C32> {
         self.apply_adjoint_all_frequencies(y)
+    }
+    fn apply_into(&self, x: &[C32], y: &mut [C32]) {
+        self.apply_all_frequencies_into(x, y);
+    }
+    fn apply_adjoint_into(&self, y: &[C32], x: &mut [C32]) {
+        self.apply_adjoint_all_frequencies_into(y, x);
     }
 }
 

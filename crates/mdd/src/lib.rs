@@ -43,7 +43,7 @@ pub use engine::{
     engine_metric_families, CacheStats, Engine, EngineConfig, EngineGauges, EngineStats,
     FrequencyOperators, JobHandle, JobResult, JobSpec, OperatorCache, OperatorKey, ShardRecorder,
 };
-pub use lsqr::{lsqr, LsqrOptions, LsqrResult};
+pub use lsqr::{lsqr, LsqrOptions, LsqrResult, StopReason};
 pub use mdc::{freq_vectors_to_time_traces, MdcOperator};
 pub use metrics::{classify, energy, nmse, nmse_change_pct, window_energy, QualityRegion};
 pub use multi::{run_mdd_multi, simultaneous_adjoint, simultaneous_forward};

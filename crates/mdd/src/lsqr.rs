@@ -1,5 +1,13 @@
 //! Complex operator-based LSQR (Paige & Saunders 1982) — the iterative
 //! solver the paper uses for MDD ("30 iterations of LSQR", §6.2).
+//!
+//! The operator is reached only through `apply_into` /
+//! `apply_adjoint_into`, into two buffers allocated before the loop: an
+//! iteration allocates nothing of its own. The result says why the solve
+//! returned ([`StopReason`]): the norms `β`, `α` are computed anyway, so
+//! a NaN ends the solve at the iteration that produced it instead of
+//! `max_iters` iterations later, and an exhausted Krylov space is a
+//! status, not a silent early exit.
 
 use seismic_la::blas::nrm2;
 use seismic_la::scalar::{exactly_zero_f32, C32};
@@ -28,6 +36,23 @@ impl Default for LsqrOptions {
     }
 }
 
+/// Why an iterative solve returned.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum StopReason {
+    /// Ran the `max_iters` it was given (what a paper-style fixed
+    /// 30-iteration solve reports).
+    MaxIters,
+    /// The residual estimate met `rel_tol`.
+    Converged,
+    /// A bidiagonalization norm (`β` or `α`; for CGLS `‖Aᴴr‖` or `‖Ap‖`)
+    /// came out exactly zero: the Krylov space is exhausted and the
+    /// iterate is the exact solution of everything reachable from `b`.
+    Breakdown,
+    /// One of those norms was NaN or infinite. The solve stops there;
+    /// `x` is the last iterate computed from finite quantities.
+    NonFinite,
+}
+
 /// LSQR outcome.
 #[derive(Clone, Debug)]
 pub struct LsqrResult {
@@ -36,8 +61,10 @@ pub struct LsqrResult {
     /// Estimated residual norm per iteration (`φ̄`, LSQR's monotone
     /// residual estimate).
     pub residual_history: Vec<f32>,
-    /// Iterations performed.
+    /// Iterations completed (`residual_history.len()`).
     pub iterations: usize,
+    /// Why the solve returned.
+    pub stop: StopReason,
 }
 
 fn scale(v: &mut [C32], s: f32) {
@@ -52,7 +79,23 @@ fn axpy_real(alpha: f32, x: &[C32], y: &mut [C32]) {
     }
 }
 
+/// [`StopReason`] for a freshly computed norm that ends the solve, if it
+/// does: exactly zero or not finite.
+pub(crate) fn norm_stop(norm: f32) -> Option<StopReason> {
+    if !norm.is_finite() {
+        Some(StopReason::NonFinite)
+    } else if exactly_zero_f32(norm) {
+        Some(StopReason::Breakdown)
+    } else {
+        None
+    }
+}
+
 /// Solve `min ‖A x − b‖₂ (+ λ²‖x‖²)` with LSQR.
+///
+/// The operator is applied through [`LinearOperator::apply_into`] /
+/// [`LinearOperator::apply_adjoint_into`] into two buffers allocated
+/// once before the loop, so an iteration allocates nothing of its own.
 pub fn lsqr<A: LinearOperator + ?Sized>(a: &A, b: &[C32], opts: LsqrOptions) -> LsqrResult {
     let _span = trace::span("lsqr.solve");
     let m = a.nrows();
@@ -61,27 +104,26 @@ pub fn lsqr<A: LinearOperator + ?Sized>(a: &A, b: &[C32], opts: LsqrOptions) -> 
 
     let mut x = vec![C32::new(0.0, 0.0); n];
     let mut history = Vec::with_capacity(opts.max_iters);
+    let done = |x, history: Vec<f32>, stop| LsqrResult {
+        x,
+        iterations: history.len(),
+        residual_history: history,
+        stop,
+    };
 
     // β₁ u₁ = b.
     let mut u = b.to_vec();
     let mut beta = nrm2(&u);
-    if exactly_zero_f32(beta) {
-        return LsqrResult {
-            x,
-            residual_history: history,
-            iterations: 0,
-        };
+    if let Some(stop) = norm_stop(beta) {
+        return done(x, history, stop);
     }
     scale(&mut u, 1.0 / beta);
     // α₁ v₁ = Aᴴ u₁.
-    let mut v = a.apply_adjoint(&u);
+    let mut v = vec![C32::new(0.0, 0.0); n];
+    a.apply_adjoint_into(&u, &mut v);
     let mut alpha = nrm2(&v);
-    if exactly_zero_f32(alpha) {
-        return LsqrResult {
-            x,
-            residual_history: history,
-            iterations: 0,
-        };
+    if let Some(stop) = norm_stop(alpha) {
+        return done(x, history, stop);
     }
     scale(&mut v, 1.0 / alpha);
 
@@ -90,29 +132,39 @@ pub fn lsqr<A: LinearOperator + ?Sized>(a: &A, b: &[C32], opts: LsqrOptions) -> 
     let mut rhobar = alpha;
     let b_norm = beta;
     let damp = opts.damp;
+    // Operator outputs, reused by every iteration.
+    let mut av = vec![C32::new(0.0, 0.0); m];
+    let mut ahu = vec![C32::new(0.0, 0.0); n];
 
-    let mut iterations = 0;
+    let mut stop = StopReason::MaxIters;
     for _ in 0..opts.max_iters {
         // Per-iteration residual/timing trace (paper §6.2: "30
         // iterations of LSQR"). The clock is only read while tracing
         // is enabled, so the disabled path stays a no-op.
         let iter_start = trace::is_enabled().then(std::time::Instant::now);
-        iterations += 1;
         // β u = A v − α u.
-        let av = a.apply(&v);
+        a.apply_into(&v, &mut av);
         for (ui, avi) in u.iter_mut().zip(&av) {
             *ui = *avi - ui.scale(alpha);
         }
         beta = nrm2(&u);
+        if !beta.is_finite() {
+            stop = StopReason::NonFinite;
+            break;
+        }
         if beta > 0.0 {
             scale(&mut u, 1.0 / beta);
         }
         // α v = Aᴴ u − β v.
-        let ahu = a.apply_adjoint(&u);
+        a.apply_adjoint_into(&u, &mut ahu);
         for (vi, ahui) in v.iter_mut().zip(&ahu) {
             *vi = *ahui - vi.scale(beta);
         }
         alpha = nrm2(&v);
+        if !alpha.is_finite() {
+            stop = StopReason::NonFinite;
+            break;
+        }
         if alpha > 0.0 {
             scale(&mut v, 1.0 / alpha);
         }
@@ -126,11 +178,11 @@ pub fn lsqr<A: LinearOperator + ?Sized>(a: &A, b: &[C32], opts: LsqrOptions) -> 
             (rhobar, phibar)
         };
 
-        // Krylov space exhausted (exact solution reached): both the new
-        // bidiagonal entries vanished and the rotation would divide by
-        // zero.
+        // Both new bidiagonal entries vanished and the rotation would
+        // divide by zero.
         let rho = rhobar1.hypot(beta);
         if exactly_zero_f32(rho) {
+            stop = StopReason::Breakdown;
             break;
         }
         let c = rhobar1 / rho;
@@ -151,18 +203,21 @@ pub fn lsqr<A: LinearOperator + ?Sized>(a: &A, b: &[C32], opts: LsqrOptions) -> 
         history.push(phibar);
         if let Some(t0) = iter_start {
             let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            trace::record_solver_iteration("lsqr", to_u64(iterations), phibar, b_norm, ns);
+            trace::record_solver_iteration("lsqr", to_u64(history.len()), phibar, b_norm, ns);
+        }
+        // Krylov space exhausted: this iteration's update was the last
+        // one that can change `x` (the next `u`, `v` are zero vectors).
+        if exactly_zero_f32(beta) || exactly_zero_f32(alpha) {
+            stop = StopReason::Breakdown;
+            break;
         }
         if opts.rel_tol > 0.0 && phibar <= opts.rel_tol * b_norm {
+            stop = StopReason::Converged;
             break;
         }
     }
 
-    LsqrResult {
-        x,
-        residual_history: history,
-        iterations,
-    }
+    done(x, history, stop)
 }
 
 #[cfg(test)]
@@ -274,6 +329,58 @@ mod tests {
         let b = vec![C32::new(0.0, 0.0); 6];
         let res = lsqr(&a, &b, LsqrOptions::default());
         assert_eq!(res.iterations, 0);
+        assert_eq!(res.stop, StopReason::Breakdown);
         assert!(res.x.iter().all(|v| *v == C32::new(0.0, 0.0)));
+    }
+
+    #[test]
+    fn stop_reason_names_how_the_solve_ended() {
+        let mut rng = ChaCha8Rng::seed_from_u64(141);
+        let a = Matrix::<C32>::random_normal(15, 10, &mut rng);
+        let b = rand_cvec(15, 142);
+        let run = |a: &Matrix<C32>, b: &[C32], max_iters, rel_tol| {
+            let opts = LsqrOptions {
+                max_iters,
+                rel_tol,
+                damp: 0.0,
+            };
+            lsqr(a, b, opts)
+        };
+
+        // Healthy fixed-length solve: every iteration runs.
+        let res = run(&a, &b, 8, 0.0);
+        assert_eq!((res.iterations, res.stop), (8, StopReason::MaxIters));
+        assert_eq!(res.residual_history.len(), 8);
+
+        // Tolerance met long before the budget.
+        let mut sq = Matrix::<C32>::random_normal(10, 10, &mut rng);
+        for i in 0..10 {
+            sq[(i, i)] += C32::new(8.0, 0.0);
+        }
+        let res = run(&sq, &rand_cvec(10, 143), 500, 1e-4);
+        assert_eq!(res.stop, StopReason::Converged);
+        assert!(res.iterations < 500);
+
+        // Krylov space exhausted after one step: A diagonal, b = e₁, so
+        // β₂ = ‖A v₁ − α₁ u₁‖ is exactly zero and x = e₁/2 is exact.
+        let diag = Matrix::from_fn(3, 3, |i, j| {
+            C32::new(if i == j { 2.0 + i as f32 } else { 0.0 }, 0.0)
+        });
+        let e1 = [C32::new(1.0, 0.0), C32::new(0.0, 0.0), C32::new(0.0, 0.0)];
+        let res = run(&diag, &e1, 30, 0.0);
+        assert_eq!((res.iterations, res.stop), (1, StopReason::Breakdown));
+        assert_eq!(res.x[0], C32::new(0.5, 0.0));
+
+        // A NaN right-hand side never starts; an operator that overflows
+        // stops at the iteration that sees it, with the last finite x.
+        let mut bad_b = b.clone();
+        bad_b[3] = C32::new(f32::NAN, 0.0);
+        let res = run(&a, &bad_b, 30, 0.0);
+        assert_eq!((res.iterations, res.stop), (0, StopReason::NonFinite));
+        let huge = Matrix::from_fn(4, 4, |i, j| C32::new(if i == j { 3e19 } else { 1e19 }, 0.0));
+        let res = run(&huge, &rand_cvec(4, 144), 30, 0.0);
+        assert_eq!(res.stop, StopReason::NonFinite);
+        assert!(res.iterations < 30);
+        assert!(res.x.iter().all(|v| v.re.is_finite() && v.im.is_finite()));
     }
 }

@@ -4,7 +4,9 @@
 //!
 //! The frequency-domain core (`K`) is a block-diagonal stack of the
 //! per-frequency kernels — dense or TLR-compressed interchangeably via
-//! [`LinearOperator`].
+//! [`LinearOperator`]. Each kernel writes its own disjoint chunk of the
+//! caller's output (`apply_into` / `apply_adjoint_into`), so one
+//! application of the whole stack allocates no output vector.
 
 use rayon::prelude::*;
 use seismic_fft::RealFft;
@@ -83,37 +85,42 @@ impl<O: LinearOperator> LinearOperator for MdcOperator<O> {
     fn ncols(&self) -> usize {
         self.n_rec * self.kernels.len()
     }
-    /// Frequency blocks are independent → rayon over frequencies (this is
-    /// the embarrassingly parallel structure the paper maps onto PEs).
     fn apply(&self, x: &[C32]) -> Vec<C32> {
-        assert_eq!(x.len(), self.ncols());
-        assert_finite("mdc.apply.x", x);
-        let _span = tlr_mvm::trace::span("mdc.apply");
-        let nr = self.n_rec;
-        let outs: Vec<Vec<C32>> = self
-            .kernels
-            .par_iter()
-            .enumerate()
-            .map(|(f, k)| k.apply(&x[f * nr..(f + 1) * nr]))
-            .collect();
-        let y = outs.concat();
-        assert_finite("mdc.apply.y", &y);
+        let mut y = vec![C32::new(0.0, 0.0); self.nrows()];
+        self.apply_into(x, &mut y);
         y
     }
     fn apply_adjoint(&self, y: &[C32]) -> Vec<C32> {
+        let mut x = vec![C32::new(0.0, 0.0); self.ncols()];
+        self.apply_adjoint_into(y, &mut x);
+        x
+    }
+    /// Frequency blocks are independent → rayon over frequencies (this is
+    /// the embarrassingly parallel structure the paper maps onto PEs).
+    /// Each kernel writes its own `n_src` chunk of `y` in place.
+    fn apply_into(&self, x: &[C32], y: &mut [C32]) {
+        assert_eq!(x.len(), self.ncols());
         assert_eq!(y.len(), self.nrows());
+        assert_finite("mdc.apply.x", x);
+        let _span = tlr_mvm::trace::span("mdc.apply");
+        let nr = self.n_rec;
+        y.par_chunks_mut(self.n_src.max(1))
+            .zip(&self.kernels)
+            .enumerate()
+            .for_each(|(f, (yf, k))| k.apply_into(&x[f * nr..(f + 1) * nr], yf));
+        assert_finite("mdc.apply.y", y);
+    }
+    fn apply_adjoint_into(&self, y: &[C32], x: &mut [C32]) {
+        assert_eq!(y.len(), self.nrows());
+        assert_eq!(x.len(), self.ncols());
         assert_finite("mdc.apply_adjoint.y", y);
         let _span = tlr_mvm::trace::span("mdc.apply_adjoint");
         let ns = self.n_src;
-        let outs: Vec<Vec<C32>> = self
-            .kernels
-            .par_iter()
+        x.par_chunks_mut(self.n_rec.max(1))
+            .zip(&self.kernels)
             .enumerate()
-            .map(|(f, k)| k.apply_adjoint(&y[f * ns..(f + 1) * ns]))
-            .collect();
-        let x = outs.concat();
-        assert_finite("mdc.apply_adjoint.x", &x);
-        x
+            .for_each(|(f, (xf, k))| k.apply_adjoint_into(&y[f * ns..(f + 1) * ns], xf));
+        assert_finite("mdc.apply_adjoint.x", x);
     }
 }
 

@@ -57,20 +57,24 @@ impl<'a> WeightedMdcOperator<'a> {
     /// Apply the weights to a data vector (the `W·b` right-hand side).
     pub fn weight_data(&self, y: &[C32]) -> Vec<C32> {
         assert_eq!(y.len(), self.inner.nrows());
-        let mut out = Vec::with_capacity(y.len());
-        for (f, &w) in self.weights.iter().enumerate() {
-            out.extend(
-                y[f * self.n_src..(f + 1) * self.n_src]
-                    .iter()
-                    .map(|v| v.scale(w)),
-            );
-        }
+        let mut out = y.to_vec();
+        self.scale_blocks(&mut out, self.n_src);
         out
     }
 
     /// The per-frequency weights.
     pub fn weights(&self) -> &[f32] {
         &self.weights
+    }
+
+    /// Scale block `f` (of `block` entries) of a frequency-major vector
+    /// by `w_f`, in place.
+    fn scale_blocks(&self, data: &mut [C32], block: usize) {
+        for (f, &w) in self.weights.iter().enumerate() {
+            for v in &mut data[f * block..(f + 1) * block] {
+                *v = v.scale(w);
+            }
+        }
     }
 }
 
@@ -82,18 +86,26 @@ impl LinearOperator for WeightedMdcOperator<'_> {
         self.inner.ncols()
     }
     fn apply(&self, x: &[C32]) -> Vec<C32> {
-        let mut y = self.inner.apply(x);
-        for (f, &w) in self.weights.iter().enumerate() {
-            for v in &mut y[f * self.n_src..(f + 1) * self.n_src] {
-                *v = v.scale(w);
-            }
-        }
+        let mut y = vec![C32::new(0.0, 0.0); self.nrows()];
+        self.apply_into(x, &mut y);
         y
     }
     fn apply_adjoint(&self, y: &[C32]) -> Vec<C32> {
-        // (WA)ᴴ = AᴴWᴴ with W a real diagonal: weight, then inner adjoint.
-        let wy = self.weight_data(y);
-        self.inner.apply_adjoint(&wy)
+        let mut x = vec![C32::new(0.0, 0.0); self.ncols()];
+        self.apply_adjoint_into(y, &mut x);
+        x
+    }
+    fn apply_into(&self, x: &[C32], y: &mut [C32]) {
+        self.inner.apply_into(x, y);
+        self.scale_blocks(y, self.n_src);
+    }
+    /// `(WA)ᴴ y = Aᴴ W y`, and `W` is one real scalar per frequency block
+    /// of a block-diagonal `A`, so `x_f = w_f · A_fᴴ y_f`: the inner
+    /// adjoint runs on `y` as given and the weights scale its output in
+    /// place — no weighted copy of `y`.
+    fn apply_adjoint_into(&self, y: &[C32], x: &mut [C32]) {
+        self.inner.apply_adjoint_into(y, x);
+        self.scale_blocks(x, self.inner.n_rec());
     }
 }
 

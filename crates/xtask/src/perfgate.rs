@@ -15,10 +15,16 @@
 //! the baseline, so a re-bless is always a reviewable diff of the same
 //! deterministic writer.
 //!
+//! One check needs no baseline: within the current run,
+//! `gemv.vbatch.fast ÷ gemv.ubatch.fast` — same matrix, same bytes —
+//! above 2.0 fails, which is what a compiler that stops vectorising the
+//! conjugated dot looks like (3.4 scalar, ≈1.1 vectorised).
+//!
 //! `--self-test` proves the gate can actually fail: it loads the
 //! baseline, doubles every median in memory, and exits 0 **iff** the
 //! gate rejects that synthetic 2× slowdown with at least one named
-//! kernel. `PERFGATE_INJECT_SLOWDOWN=<mult>` does the same to a real
+//! kernel, and rejects a run whose V-batch takes 2.5× its U-batch while
+//! passing one at 1.5×. `PERFGATE_INJECT_SLOWDOWN=<mult>` does the same to a real
 //! current run, for end-to-end rehearsals of the failure path.
 //!
 //! `--trend` additionally scans the append-only `BENCH_history.jsonl`
@@ -31,7 +37,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
 
 use seismic_bench::perf::{
-    compare_reports, read_bench_json, BenchReport, GateLevel, GateThresholds,
+    compare_reports, read_bench_json, BenchReport, GateLevel, GateThresholds, VBATCH_OVER_UBATCH,
 };
 
 /// Parsed command line + environment for one gate run.
@@ -248,15 +254,41 @@ pub fn run(root: &Path, args: &[String]) -> ExitCode {
         slow_down(&mut doubled, 2.0);
         let outcome = compare_reports(&baseline, &doubled, cfg.thresholds);
         let named = outcome.failing_kernels();
-        if outcome.failed() && !named.is_empty() {
+        if !outcome.failed() || named.is_empty() {
+            eprintln!("perfgate --self-test: BROKEN — a 2x slowdown passed the gate");
+            return ExitCode::FAILURE;
+        }
+        println!(
+            "perfgate --self-test: ok — synthetic 2x slowdown correctly fails \
+             the gate, naming: {}",
+            named.join(", ")
+        );
+        // The within-run quotient must fail on its own: a release run
+        // compared with itself (no median moved) whose V-batch takes
+        // 2.5x its U-batch is rejected by that name, and 1.5x passes.
+        let quotient_fails = |v_over_u: f64| {
+            let mut run = baseline.clone();
+            run.host.profile = "release".to_string();
+            let u = run.kernel("gemv.ubatch.fast").map_or(0, |k| k.median_ns);
+            if let Some(v) = run
+                .kernels
+                .iter_mut()
+                .find(|k| k.name == "gemv.vbatch.fast")
+            {
+                v.median_ns = (u as f64 * v_over_u) as u64;
+            }
+            compare_reports(&run, &run, cfg.thresholds)
+                .failing_kernels()
+                .contains(&VBATCH_OVER_UBATCH)
+        };
+        if quotient_fails(2.5) && !quotient_fails(1.5) {
             println!(
-                "perfgate --self-test: ok — synthetic 2x slowdown correctly fails \
-                 the gate, naming: {}",
-                named.join(", ")
+                "perfgate --self-test: ok — V-batch at 2.5x U-batch within one run \
+                 fails as {VBATCH_OVER_UBATCH}, 1.5x passes"
             );
             return ExitCode::SUCCESS;
         }
-        eprintln!("perfgate --self-test: BROKEN — a 2x slowdown passed the gate");
+        eprintln!("perfgate --self-test: BROKEN — the {VBATCH_OVER_UBATCH} ceiling does not gate");
         return ExitCode::FAILURE;
     }
 
