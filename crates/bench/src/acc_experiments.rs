@@ -35,7 +35,7 @@ use wse_sim::{plan_strategy1_pe, Cs2Config, RankModel};
 
 use crate::jsonio::Json;
 use crate::mdd_experiments::{default_dataset, mdd_config, ACC_SCALE};
-use crate::perf::GateLevel;
+use crate::perf::{GateFinding, GateLevel, GateOutcome};
 
 /// Schema version of `acc_report.json` / `BENCH_accuracy.json`.
 pub const ACC_SCHEMA_VERSION: u64 = 1;
@@ -439,70 +439,17 @@ pub fn read_acc_json(path: &Path) -> Result<(Vec<AccRow>, u64), String> {
 // The gate comparison (`xtask accgate`).
 // ---------------------------------------------------------------------
 
-/// Drift tolerances for [`compare_acc`]. The rank checksum is always
-/// exact; NMSE and ratio get percentage bands that absorb cross-machine
-/// float noise while catching real quality regressions.
-#[derive(Clone, Copy, Debug)]
-pub struct AccGateThresholds {
-    /// Inversion/operator NMSE drift beyond this fails.
-    pub nmse_fail_pct: f64,
-    /// NMSE drift beyond this (but below fail) warns.
-    pub nmse_warn_pct: f64,
-    /// Compression-ratio drift beyond this fails.
-    pub ratio_fail_pct: f64,
-    /// Ratio drift beyond this (but below fail) warns.
-    pub ratio_warn_pct: f64,
-}
-
-impl Default for AccGateThresholds {
-    fn default() -> Self {
-        Self {
-            nmse_fail_pct: 25.0,
-            nmse_warn_pct: 10.0,
-            ratio_fail_pct: 10.0,
-            ratio_warn_pct: 4.0,
-        }
-    }
-}
-
-/// One per-point verdict from [`compare_acc`].
-#[derive(Clone, Debug)]
-pub struct AccFinding {
-    /// Sweep point the finding is about (or `document` for file-level
-    /// problems).
-    pub point: String,
-    /// Severity (reuses the perfgate scale).
-    pub level: GateLevel,
-    /// Human-readable explanation.
-    pub message: String,
-}
-
-/// All findings of one gate comparison.
-#[derive(Clone, Debug, Default)]
-pub struct AccOutcome {
-    /// Every finding, in baseline order.
-    pub findings: Vec<AccFinding>,
-}
-
-impl AccOutcome {
-    /// Whether any finding fails the gate.
-    pub fn failed(&self) -> bool {
-        self.findings.iter().any(|f| f.level == GateLevel::Fail)
-    }
-
-    /// Labels of the failing sweep points (deduplicated — one point can
-    /// fail on several metrics at once).
-    pub fn failing_points(&self) -> Vec<&str> {
-        let mut out: Vec<&str> = self
-            .findings
-            .iter()
-            .filter(|f| f.level == GateLevel::Fail)
-            .map(|f| f.point.as_str())
-            .collect();
-        out.dedup();
-        out
-    }
-}
+// Drift bands of [`compare_acc`], in percent. The rank checksum is
+// always exact; NMSE and ratio get bands that absorb cross-machine
+// float noise while catching real quality regressions.
+/// Inversion/operator NMSE drift beyond this fails.
+const NMSE_FAIL_PCT: f64 = 25.0;
+/// NMSE drift beyond this (but below fail) warns.
+const NMSE_WARN_PCT: f64 = 10.0;
+/// Compression-ratio drift beyond this fails.
+const RATIO_FAIL_PCT: f64 = 10.0;
+/// Ratio drift beyond this (but below fail) warns.
+const RATIO_WARN_PCT: f64 = 4.0;
 
 fn drift_pct(base: f64, cur: f64) -> f64 {
     100.0 * (cur - base).abs() / base.abs().max(1e-12)
@@ -522,12 +469,11 @@ pub fn compare_acc(
     baseline_scale: u64,
     current: &[AccRow],
     current_scale: u64,
-    t: AccGateThresholds,
-) -> AccOutcome {
-    let mut out = AccOutcome::default();
+) -> GateOutcome {
+    let mut out = GateOutcome::default();
     if baseline_scale != current_scale {
-        out.findings.push(AccFinding {
-            point: "document".to_string(),
+        out.findings.push(GateFinding {
+            subject: "document".to_string(),
             level: GateLevel::Fail,
             message: format!(
                 "REPRO_SCALE mismatch: baseline {baseline_scale} vs current {current_scale}"
@@ -542,16 +488,16 @@ pub fn compare_acc(
     for b in baseline {
         let label = point_label(b.nb, b.acc);
         let Some(c) = cur.get(&point_key(b.nb, b.acc)) else {
-            out.findings.push(AccFinding {
-                point: label,
+            out.findings.push(GateFinding {
+                subject: label,
                 level: GateLevel::Info,
                 message: "not measured in this run (reduced sweep)".to_string(),
             });
             continue;
         };
         if c.rank_checksum != b.rank_checksum {
-            out.findings.push(AccFinding {
-                point: label.clone(),
+            out.findings.push(GateFinding {
+                subject: label.clone(),
                 level: GateLevel::Fail,
                 message: format!(
                     "rank-structure checksum drift: baseline {:#018x} vs current {:#018x}",
@@ -560,8 +506,8 @@ pub fn compare_acc(
             });
         }
         if b.sram_fits && !c.sram_fits {
-            out.findings.push(AccFinding {
-                point: label.clone(),
+            out.findings.push(GateFinding {
+                subject: label.clone(),
                 level: GateLevel::Fail,
                 message: "SRAM plan regressed: config no longer fits the per-PE budget".to_string(),
             });
@@ -575,8 +521,8 @@ pub fn compare_acc(
             } else {
                 (GateLevel::Info, "stable")
             };
-            out.findings.push(AccFinding {
-                point: label.clone(),
+            out.findings.push(GateFinding {
+                subject: label.clone(),
                 level,
                 message: format!(
                     "{name} {verb} {d:.1}%: baseline {base:.4e} vs current {curv:.4e}"
@@ -587,30 +533,30 @@ pub fn compare_acc(
             "inversion NMSE",
             b.nmse_inverse,
             c.nmse_inverse,
-            t.nmse_fail_pct,
-            t.nmse_warn_pct,
+            NMSE_FAIL_PCT,
+            NMSE_WARN_PCT,
         );
         band(
             "operator NMSE",
             b.operator_nmse,
             c.operator_nmse,
-            t.nmse_fail_pct,
-            t.nmse_warn_pct,
+            NMSE_FAIL_PCT,
+            NMSE_WARN_PCT,
         );
         band(
             "compression ratio",
             b.compression_ratio,
             c.compression_ratio,
-            t.ratio_fail_pct,
-            t.ratio_warn_pct,
+            RATIO_FAIL_PCT,
+            RATIO_WARN_PCT,
         );
     }
     let base_keys: std::collections::BTreeSet<u64> =
         baseline.iter().map(|r| point_key(r.nb, r.acc)).collect();
     for c in current {
         if !base_keys.contains(&point_key(c.nb, c.acc)) {
-            out.findings.push(AccFinding {
-                point: point_label(c.nb, c.acc),
+            out.findings.push(GateFinding {
+                subject: point_label(c.nb, c.acc),
                 level: GateLevel::Warn,
                 message: "no baseline row (run `xtask accgate --bless` to adopt)".to_string(),
             });
@@ -683,9 +629,8 @@ mod tests {
     #[test]
     fn compare_flags_induced_drift_and_passes_identity() {
         let base = vec![sample_row(25, 1e-4), sample_row(50, 3e-4)];
-        let t = AccGateThresholds::default();
         // Identity: no failures.
-        let same = compare_acc(&base, 12, &base, 12, t);
+        let same = compare_acc(&base, 12, &base, 12);
         assert!(
             !same.failed(),
             "identical runs must pass: {:?}",
@@ -694,22 +639,22 @@ mod tests {
         // Induced NMSE drift fails and names the point.
         let mut worse = base.clone();
         worse[0].nmse_inverse *= 2.0;
-        let out = compare_acc(&base, 12, &worse, 12, t);
+        let out = compare_acc(&base, 12, &worse, 12);
         assert!(out.failed());
-        assert!(out.failing_points().contains(&"nb=25 acc=1e-4"));
+        assert!(out.failing().contains(&"nb=25 acc=1e-4"));
         // Checksum drift fails even with identical floats.
         let mut drifted = base.clone();
         drifted[1].rank_checksum ^= 1;
-        assert!(compare_acc(&base, 12, &drifted, 12, t).failed());
+        assert!(compare_acc(&base, 12, &drifted, 12).failed());
         // Ratio drift fails.
         let mut fatter = base.clone();
         fatter[0].compression_ratio *= 1.5;
-        assert!(compare_acc(&base, 12, &fatter, 12, t).failed());
+        assert!(compare_acc(&base, 12, &fatter, 12).failed());
         // A reduced current run is informational, not failing.
-        let reduced = compare_acc(&base, 12, &base[..1], 12, t);
+        let reduced = compare_acc(&base, 12, &base[..1], 12);
         assert!(!reduced.failed());
         // Scale mismatch is an immediate failure.
-        assert!(compare_acc(&base, 12, &base, 6, t).failed());
+        assert!(compare_acc(&base, 12, &base, 6).failed());
     }
 
     #[test]

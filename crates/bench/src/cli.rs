@@ -120,7 +120,7 @@ pub const SUBCOMMANDS: &[Subcommand] = &[
     },
     Subcommand {
         name: "perfbench",
-        blurb: "host-kernel microbenchmarks (BENCH_*.json)",
+        blurb: "host-kernel checksums + within-run ratios (BENCH_*.json)",
         in_all: false,
     },
     Subcommand {
@@ -175,7 +175,8 @@ pub fn usage() -> String {
     out.push_str(
         "\n\
          --json additionally writes machine-readable results to target/repro/\n\
-        \x20       (perfbench: target/perf/BENCH_table2.json;\n\
+        \x20       (perfbench: target/perf/BENCH_table2.json, the run `xtask\n\
+        \x20        perfgate` compares against the committed BENCH_table2.json;\n\
         \x20        serve-sim: target/repro/serve_sim.json)\n\
          --trace enables the runtime observability layer and writes the phase\n\
         \x20       breakdown (spans, flop/byte counters, solver iterations) to\n\

@@ -11,8 +11,9 @@
 //! * [`mmm_experiments`] — the §8 TLR-MMM extension: simultaneous
 //!   virtual sources and the re-exacerbated memory wall.
 //! * [`report`] — text tables and JSON output (`target/repro/*.json`).
-//! * [`perf`] — host-kernel microbenchmarks, the `BENCH_*.json` baseline
-//!   schema, and the `xtask perfgate` regression comparison.
+//! * [`perf`] — host-kernel microbenchmarks, the `BENCH_*.json`
+//!   document, and the `xtask perfgate` comparison (trace-counter
+//!   checksums and within-run kernel ratios).
 //! * [`serve_sim`] — the closed-loop serving simulation against the
 //!   batched engine: latency vs offered QPS with per-stage percentiles
 //!   (`repro serve-sim`, DESIGN.md §13).

@@ -846,14 +846,15 @@ fn perfbench(json: bool) -> RunResult {
     let rows: Vec<Vec<String>> = report
         .kernels
         .iter()
-        .map(|k| {
-            vec![
+        .filter_map(|k| {
+            let t = k.timing?;
+            Some(vec![
                 k.name.clone(),
-                format!("{}", k.median_ns),
-                format!("{}", k.min_ns),
-                format!("{:.2}", k.derived_gbps),
+                format!("{}", t.median_ns),
+                format!("{}", t.min_ns),
+                format!("{:.2}", t.gbps(k.relative_bytes_per_op)),
                 format!("{:#018x}", k.trace_checksum),
-            ]
+            ])
         })
         .collect();
     println!(
@@ -870,23 +871,17 @@ fn perfbench(json: bool) -> RunResult {
             &rows
         )
     );
-    println!(
-        "  host: {} {} ({} cpus, {} build, v{})",
-        report.host.os,
-        report.host.arch,
-        report.host.cpus,
-        report.host.profile,
-        report.host.pkg_version
-    );
+    if let Some(host) = &report.host {
+        println!(
+            "  host: {} {} ({} cpus, {} build, v{})",
+            host.os, host.arch, host.cpus, host.profile, host.pkg_version
+        );
+    }
     if json {
         let path = std::path::Path::new("target/perf/BENCH_table2.json");
         perf::write_bench_json(path, &report)?;
         println!("  bench report written to {}", path.display());
-        let history = std::path::Path::new("BENCH_history.jsonl");
-        perf::append_bench_history(history, &report)?;
-        println!("  one-line record appended to {}", history.display());
         println!("  gate it with: cargo run -p xtask -- perfgate --compare-only");
-        println!("  trend check:  cargo run -p xtask -- perfgate --compare-only --trend");
     }
     Ok(())
 }

@@ -24,9 +24,9 @@
 //! itself. The only check left per element is the data-dependent one in
 //! [`gather`]. The unit tests below pin the result bits
 //! (`fastpath_golden_bits`) as well as the agreement with the reference
-//! kernels; `perfgate` gates the speed against `BENCH_table2.json`, and
-//! the V-batch ÷ U-batch ratio within one run, which is what notices a
-//! compiler that stops vectorising the dot.
+//! kernels; `perfgate` holds no absolute timing of them, only quotients
+//! within one run — V-batch ÷ U-batch, which is what notices a compiler
+//! that stops vectorising the dot, and blocked ÷ plain V-batch.
 
 use seismic_la::blas::axpy;
 use seismic_la::dense::Matrix;

@@ -657,7 +657,7 @@ fn cc01_ledger(
     }
 
     // Sanction liveness: a CC01 sanction that covers no atomic site is
-    // dead weight, exactly like a zero-hit lint.toml entry.
+    // dead weight, exactly like a stale token-rule sanction (LT02).
     for (s, h) in sanctions.iter().zip(&sanction_hits) {
         if *h == 0 {
             report.diagnostics.push(Diagnostic {

@@ -1,4 +1,4 @@
-//! The token-level source lint rules and the `lint.toml` allowlist.
+//! The token-level source lint rules and their inline sanctions.
 //!
 //! Rule inventory (all rebuilt on [`crate::lexer`] token streams — no
 //! rule ever matches inside a string, char literal, or comment):
@@ -22,22 +22,19 @@
 //!   (a float literal, or a binding known to be `f32`/`f64`, on either
 //!   side); use the `seismic_la::scalar` exact-zero helpers or an
 //!   explicit tolerance.
-//! * `LT01` — `lint.toml` entries must be well-formed, and inline
-//!   `// SANCTION(RULE): reason` comments must carry a reason.
-//! * `LT02` — `lint.toml` entries must be *live*: an `[[allow]]` entry
-//!   matching zero diagnostics is stale and must be deleted, so the
-//!   allowlist can only shrink. The same liveness contract applies to
-//!   inline sanctions: a `// SANCTION(RULE): …` comment that suppresses
-//!   zero findings is an error.
+//! * `LT01` — an inline `// SANCTION(RULE): reason` comment must carry
+//!   a reason.
+//! * `LT02` — an inline sanction must be *live*: a
+//!   `// SANCTION(RULE): …` comment that suppresses zero findings is an
+//!   error, so exceptions can only shrink.
 //!
 //! ### Inline sanctions
 //!
-//! A token-rule finding can be suppressed at the site itself instead of
-//! in `lint.toml`: a line comment `// SANCTION(RULE): reason` on the
-//! offending line or the line directly above covers findings of that
-//! rule on that line only. This is the preferred form for single-site
-//! exceptions (the justification lives next to the code it excuses and
-//! moves with it); `lint.toml` remains for path-scoped exceptions.
+//! A token-rule finding is suppressed at the site itself: a line comment
+//! `// SANCTION(RULE): reason` on the offending line or the line
+//! directly above covers findings of that rule on that line only, so
+//! the justification lives next to the code it excuses and moves with
+//! it. There is no path-scoped allowlist.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -105,11 +102,6 @@ impl LoadedFile {
             .copied()
             .unwrap_or(false)
     }
-
-    /// The source text of a 1-based line (for allowlist `contains`).
-    pub fn line_text(&self, line: usize) -> &str {
-        self.src.lines().nth(line.saturating_sub(1)).unwrap_or("")
-    }
 }
 
 /// Load every `.rs` file under `crates/*/src` (library code only).
@@ -129,7 +121,7 @@ pub fn load_workspace(root: &Path) -> Vec<LoadedFile> {
         .collect()
 }
 
-/// One raw (pre-allowlist) finding from a token rule.
+/// One raw (pre-sanction) finding from a token rule.
 pub struct Finding {
     /// Rule id.
     pub rule: &'static str,
@@ -223,7 +215,7 @@ pub fn lint_file(f: &LoadedFile, rules: RuleSet) -> Vec<Finding> {
                     rule: "NP01",
                     line: t.line,
                     message: format!(
-                        "`{}` in library code — return a Result or add a lint.toml exception",
+                        "`{}` in library code — return a Result or sanction the site",
                         text(i + 1)
                     ),
                 });
@@ -236,7 +228,7 @@ pub fn lint_file(f: &LoadedFile, rules: RuleSet) -> Vec<Finding> {
                     rule: "NP01",
                     line: t.line,
                     message: format!(
-                        "`{}!` in library code — return a Result or add a lint.toml exception",
+                        "`{}!` in library code — return a Result or sanction the site",
                         text(i)
                     ),
                 });
@@ -470,140 +462,20 @@ pub fn collect_sanctions(f: &LoadedFile) -> (Vec<InlineSanction>, Vec<Diagnostic
     (sanctions, problems)
 }
 
-/// One `[[allow]]` entry from `lint.toml`.
-#[derive(Clone, Debug)]
-pub struct AllowEntry {
-    /// Rule id the exception applies to.
-    pub rule: String,
-    /// Path prefix (workspace-relative, `/`-separated).
-    pub path: String,
-    /// Optional substring the offending line must contain.
-    pub contains: Option<String>,
-    /// Why the exception is justified (mandatory, surfaced in reports).
-    pub reason: String,
-}
-
-impl AllowEntry {
-    /// Line-level match used by the token rules.
-    pub fn matches(&self, rule: &str, rel_path: &str, line: &str) -> bool {
-        self.rule == rule
-            && rel_path.starts_with(&self.path)
-            && self
-                .contains
-                .as_ref()
-                .is_none_or(|needle| line.contains(needle))
-    }
-}
-
-/// Parse the minimal `lint.toml` dialect: `[[allow]]` tables of
-/// `key = "value"` pairs, `#` comments, blank lines. Returns an error
-/// diagnostic list for malformed entries instead of panicking.
-pub fn parse_lint_toml(text: &str, origin: &str) -> (Vec<AllowEntry>, Vec<Diagnostic>) {
-    let mut entries = Vec::new();
-    let mut problems = Vec::new();
-    let mut current: Option<AllowEntry> = None;
-
-    let mut finish = |cur: &mut Option<AllowEntry>, problems: &mut Vec<Diagnostic>, ln: usize| {
-        if let Some(e) = cur.take() {
-            if e.rule.is_empty() || e.path.is_empty() || e.reason.is_empty() {
-                problems.push(Diagnostic {
-                    rule: "LT01",
-                    severity: Severity::Error,
-                    location: format!("{origin}:{ln}"),
-                    message: "[[allow]] entry needs rule, path, and reason".to_string(),
-                });
-            } else {
-                entries.push(e);
-            }
-        }
-    };
-
-    for (idx, raw) in text.lines().enumerate() {
-        let ln = idx + 1;
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        if line == "[[allow]]" {
-            finish(&mut current, &mut problems, ln);
-            current = Some(AllowEntry {
-                rule: String::new(),
-                path: String::new(),
-                contains: None,
-                reason: String::new(),
-            });
-            continue;
-        }
-        let Some((key, value)) = line.split_once('=') else {
-            problems.push(Diagnostic {
-                rule: "LT01",
-                severity: Severity::Error,
-                location: format!("{origin}:{ln}"),
-                message: format!("unparseable line: {line}"),
-            });
-            continue;
-        };
-        let key = key.trim();
-        let value = value.trim().trim_matches('"').to_string();
-        match (&mut current, key) {
-            (Some(e), "rule") => e.rule = value,
-            (Some(e), "path") => e.path = value,
-            (Some(e), "contains") => e.contains = Some(value),
-            (Some(e), "reason") => e.reason = value,
-            _ => problems.push(Diagnostic {
-                rule: "LT01",
-                severity: Severity::Error,
-                location: format!("{origin}:{ln}"),
-                message: format!("unknown key or key outside [[allow]]: {key}"),
-            }),
-        }
-    }
-    let last = text.lines().count();
-    finish(&mut current, &mut problems, last);
-    (entries, problems)
-}
-
-/// LT02: every `[[allow]]` entry must have matched at least one
-/// diagnostic this run; stale entries are themselves errors so the
-/// allowlist can only shrink. `hits[i]` counts matches for entry `i`.
-pub fn stale_allow_entries(allows: &[AllowEntry], hits: &[usize]) -> Vec<Diagnostic> {
-    allows
-        .iter()
-        .zip(hits)
-        .filter(|(_, &h)| h == 0)
-        .map(|(a, _)| Diagnostic {
-            rule: "LT02",
-            severity: Severity::Error,
-            location: "lint.toml".to_string(),
-            message: format!(
-                "stale [[allow]] entry (rule {}, path {}) matches zero diagnostics — \
-                 delete this entry",
-                a.rule, a.path
-            ),
-        })
-        .collect()
-}
-
 /// Outcome of the lint pass: surviving diagnostics plus counts for the
 /// summary line.
 pub struct LintOutcome {
-    /// Diagnostics that no allowlist entry covers.
+    /// Diagnostics that no sanction covers.
     pub diagnostics: Vec<Diagnostic>,
-    /// Violations that were covered by `lint.toml` entries.
+    /// Violations that were covered by inline sanctions.
     pub allowed: usize,
     /// Files scanned.
     pub files: usize,
 }
 
 /// Run every token rule plus the crate-attribute checks over the
-/// pre-loaded workspace, recording allowlist hits into `hits` (parallel
-/// to `allows`).
-pub fn run_lints(
-    root: &Path,
-    files: &[LoadedFile],
-    allows: &[AllowEntry],
-    hits: &mut [usize],
-) -> LintOutcome {
+/// pre-loaded workspace.
+pub fn run_lints(root: &Path, files: &[LoadedFile]) -> LintOutcome {
     let mut diagnostics = Vec::new();
     let mut allowed = 0usize;
 
@@ -620,13 +492,10 @@ pub fn run_lints(
             });
             continue;
         };
-        for d in lint_crate_attributes(&rel, &text) {
-            push_or_allow(&mut diagnostics, &mut allowed, allows, hits, &rel, "", d);
-        }
+        diagnostics.extend(lint_crate_attributes(&rel, &text));
     }
 
-    // Token rules, with inline sanctions taking precedence over the
-    // path-scoped lint.toml entries.
+    // Token rules, minus what an inline sanction covers.
     for f in files {
         let rules = RuleSet::for_crate(&f.krate);
         let (sanctions, mut problems) = collect_sanctions(f);
@@ -641,22 +510,12 @@ pub fn run_lints(
                 allowed += 1;
                 continue;
             }
-            let line_text = f.line_text(finding.line);
-            let d = Diagnostic {
+            diagnostics.push(Diagnostic {
                 rule: finding.rule,
                 severity: Severity::Error,
                 location: format!("{}:{}", f.rel, finding.line),
                 message: finding.message,
-            };
-            push_or_allow(
-                &mut diagnostics,
-                &mut allowed,
-                allows,
-                hits,
-                &f.rel,
-                line_text,
-                d,
-            );
+            });
         }
         for (s, h) in sanctions.iter().zip(&sanction_hits) {
             // CC01 sanctions cover atomic-ordering sites, not token
@@ -704,25 +563,6 @@ pub fn lint_crate_attributes(rel: &str, text: &str) -> Vec<Diagnostic> {
         });
     }
     out
-}
-
-fn push_or_allow(
-    diagnostics: &mut Vec<Diagnostic>,
-    allowed: &mut usize,
-    allows: &[AllowEntry],
-    hits: &mut [usize],
-    rel: &str,
-    line: &str,
-    d: Diagnostic,
-) {
-    for (i, a) in allows.iter().enumerate() {
-        if a.matches(d.rule, rel, line) {
-            hits[i] += 1;
-            *allowed += 1;
-            return;
-        }
-    }
-    diagnostics.push(d);
 }
 
 /// Every `.rs` file under `crates/*/src` except `xtask` itself
@@ -907,66 +747,6 @@ mod tests {
     }
 
     #[test]
-    fn lint_toml_roundtrip() {
-        let text = r#"
-# comment
-[[allow]]
-rule = "NA01"
-path = "crates/core/src/precision.rs"
-contains = "x as u64"
-reason = "range-checked by the preceding asserts"
-
-[[allow]]
-rule = "NP01"
-path = "crates/bench/"
-reason = "reproduction harness"
-"#;
-        let (entries, problems) = parse_lint_toml(text, "lint.toml");
-        assert!(problems.is_empty(), "{problems:?}");
-        assert_eq!(entries.len(), 2);
-        assert!(entries[0].matches("NA01", "crates/core/src/precision.rs", "    x as u64"));
-        assert!(!entries[0].matches("NA01", "crates/core/src/precision.rs", "y as u32"));
-        assert!(entries[1].matches("NP01", "crates/bench/src/lib.rs", "panic!(\"x\")"));
-    }
-
-    #[test]
-    fn malformed_lint_toml_reports() {
-        let (entries, problems) = parse_lint_toml("[[allow]]\nrule = \"NA01\"\n", "lint.toml");
-        assert!(entries.is_empty());
-        assert_eq!(problems.len(), 1);
-        assert_eq!(problems[0].rule, "LT01");
-    }
-
-    #[test]
-    fn stale_entries_reported() {
-        let (entries, _) = parse_lint_toml(
-            "[[allow]]\nrule = \"NA01\"\npath = \"crates/x\"\nreason = \"r\"\n",
-            "lint.toml",
-        );
-        let stale = stale_allow_entries(&entries, &[0]);
-        assert_eq!(stale.len(), 1);
-        assert_eq!(stale[0].rule, "LT02");
-        assert!(stale[0].message.contains("delete this entry"));
-        assert!(stale_allow_entries(&entries, &[3]).is_empty());
-    }
-
-    /// The allowlist has retired to zero entries. It must stay empty:
-    /// any new exception belongs next to the code it excuses, where
-    /// LT02 liveness checking can see it.
-    #[test]
-    fn repo_lint_toml_stays_empty() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../lint.toml");
-        let text = std::fs::read_to_string(path).expect("repo lint.toml readable");
-        let (entries, problems) = parse_lint_toml(&text, "lint.toml");
-        assert!(problems.is_empty(), "lint.toml must stay well-formed");
-        assert!(
-            entries.is_empty(),
-            "lint.toml must stay empty — move the exception to an inline \
-             `// SANCTION(RULE): reason` comment at its site"
-        );
-    }
-
-    #[test]
     fn crate_attributes_checked() {
         let missing = lint_crate_attributes("crates/x/src/lib.rs", "//! docs\n");
         assert_eq!(missing.len(), 2);
@@ -1029,7 +809,7 @@ reason = "reproduction harness"
                    let y = 1;\n\
                    }\n";
         let files = vec![LoadedFile::new("crates/mdd/src/x.rs", src.to_string())];
-        let out = run_lints(Path::new("/nonexistent"), &files, &[], &mut []);
+        let out = run_lints(Path::new("/nonexistent"), &files);
         assert_eq!(out.allowed, 1, "the unwrap was sanctioned");
         // Expect: one LT02 for the stale NA01 sanction; the NP01 finding
         // itself is gone. (AT01/AT02 diagnostics for the fake root are

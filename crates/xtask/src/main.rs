@@ -8,8 +8,9 @@
 //!    integer `as` casts in `core`/`la`/`wse`), `NP01` (no panic family
 //!    in library crates), `AT01`/`AT02` (crate attributes), `HP01` (no
 //!    heap allocation inside `trace::span` regions in `core`/`wse`),
-//!    `FE01` (no `==`/`!=` on float operands), with a `lint.toml`
-//!    allowlist for justified exceptions.
+//!    `FE01` (no `==`/`!=` on float operands). A justified exception
+//!    lives at its site as `// SANCTION(RULE): reason`; one without a
+//!    reason is `LT01`, one that suppresses nothing is `LT02`.
 //! 2. **Concurrency proofs** ([`concurrency`]): `CC01` — every
 //!    `Ordering::Relaxed`/`SeqCst` site is proven counter-only by
 //!    dataflow or carries a live `// SANCTION(CC01: <protocol>)` tied
@@ -20,31 +21,27 @@
 //! 3. **Static plan verification** ([`plan`]): the paper's Table 1
 //!    configurations must pass the `WV..` rules of
 //!    [`wse_sim::verify::verify_plan`] without being placed or run.
-//! 4. **Allowlist hygiene**: malformed entries are `LT01`; entries that
-//!    matched nothing this run are `LT02` (stale — delete them).
 //!
 //! Flags: `--sarif <path>` writes a SARIF 2.1.0 report ([`sarif`]),
 //! `--json` prints a machine-readable summary to stdout instead of the
 //! human lines, `--self-test` ([`selftest`]) proves every rule fires on
 //! embedded fixtures (exit 0 iff all of them do).
 //!
-//! Exit status: `0` when no error-severity diagnostic survives the
-//! allowlist, `1` otherwise — suitable as a blocking CI step.
+//! Exit status: `0` when no error-severity diagnostic survives its
+//! sanctions, `1` otherwise — suitable as a blocking CI step.
 //!
-//! `cargo run -p xtask -- perfgate` ([`perfgate`]) is the companion
-//! perf-regression gate over the committed `BENCH_table2.json` baseline
-//! (with `--trend` scanning `BENCH_history.jsonl` for cumulative creep),
-//! and `cargo run -p xtask -- accgate` ([`accgate`]) is the accuracy
-//! gate over the committed `BENCH_accuracy.json` baseline (DESIGN.md
-//! §16).
+//! `cargo run -p xtask -- perfgate` and `-- accgate` are the two specs
+//! of the one baseline-gate driver in [`gate`]: trace-counter checksums
+//! and within-run kernel ratios against `BENCH_table2.json`, rank
+//! checksums and NMSE / ratio bands against `BENCH_accuracy.json`
+//! (DESIGN.md §9).
 
 #![forbid(unsafe_code)]
 
-mod accgate;
 mod concurrency;
+mod gate;
 mod lexer;
 mod lint;
-mod perfgate;
 mod plan;
 mod sarif;
 mod scan;
@@ -60,8 +57,8 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("analyze") => analyze(&args[1..]),
-        Some("perfgate") => perfgate::run(&workspace_root(), &args[1..]),
-        Some("accgate") => accgate::run(&workspace_root(), &args[1..]),
+        Some("perfgate") => gate::run(&gate::PERFGATE, &workspace_root(), &args[1..]),
+        Some("accgate") => gate::run(&gate::ACCGATE, &workspace_root(), &args[1..]),
         Some("help") | None => {
             print_usage();
             ExitCode::SUCCESS
@@ -79,24 +76,22 @@ fn print_usage() {
         "usage: cargo run -p xtask -- <command>\n\n\
          commands:\n  \
          analyze   run the static-analysis suite: token lints (NA01/NP01/AT01/AT02/\n            \
-         HP01/FE01), concurrency proofs (CC01 atomic-ordering ledger,\n            \
-         CC02 seqlock verifier, CC03 lock-order lint), lint.toml\n            \
-         allowlist hygiene (LT01/LT02), static WSE plan verification\n            \
+         HP01/FE01), inline-sanction hygiene (LT01/LT02), concurrency\n            \
+         proofs (CC01 atomic-ordering ledger, CC02 seqlock verifier,\n            \
+         CC03 lock-order lint), static WSE plan verification\n            \
          (WV01..WV07)\n            \
          [--sarif <path>  write a SARIF 2.1.0 report]\n            \
          [--json          machine-readable output on stdout]\n            \
          [--self-test     prove every rule fires on embedded fixtures]\n  \
          perfgate  compare a `repro perfbench --json` run against the committed\n            \
-         BENCH_table2.json baseline; fails (>15% median regression or\n            \
-         trace-checksum drift) with the offending kernel named\n            \
-         [--compare-only --self-test --bless --trend --baseline P --current P\n             \
-         --fail-pct F --warn-pct F]\n  \
+         BENCH_table2.json (exact: names, byte/flop counts, trace\n            \
+         checksums); fails on trace-checksum drift, naming the kernel,\n            \
+         or on a within-run kernel ratio over its ceiling\n  \
          accgate   compare a `repro acc-report --json` run against the committed\n            \
-         BENCH_accuracy.json baseline; fails (NMSE/ratio drift beyond\n            \
-         thresholds, any rank-structure checksum change, or an SRAM\n            \
-         plan regression) with the sweep point named\n            \
-         [--compare-only --self-test --bless --baseline P --current P\n             \
-         --nmse-fail-pct F --ratio-fail-pct F]\n  \
+         BENCH_accuracy.json; fails (NMSE/ratio drift beyond the fixed\n            \
+         bands, any rank-structure checksum change, or an SRAM plan\n            \
+         regression) with the sweep point named\n            \
+         both gates: [--compare-only --self-test --bless --baseline P --current P]\n  \
          help      show this message"
     );
 }
@@ -153,20 +148,11 @@ fn analyze(args: &[String]) -> ExitCode {
     let root = workspace_root();
     let mut all: Vec<Diagnostic> = Vec::new();
 
-    // Allowlist (absence is fine: zero exceptions).
-    let lint_toml = root.join("lint.toml");
-    let (allows, mut toml_problems) = match std::fs::read_to_string(&lint_toml) {
-        Ok(text) => lint::parse_lint_toml(&text, "lint.toml"),
-        Err(_) => (Vec::new(), Vec::new()),
-    };
-    all.append(&mut toml_problems);
-    let mut hits = vec![0usize; allows.len()];
-
     // Lex the workspace once; every pass shares it.
     let files = lint::load_workspace(&root);
 
     // Pass 1: token lints.
-    let outcome = lint::run_lints(&root, &files, &allows, &mut hits);
+    let outcome = lint::run_lints(&root, &files);
     let n_files = outcome.files;
     let allowed = outcome.allowed;
     all.extend(outcome.diagnostics);
@@ -180,9 +166,6 @@ fn analyze(args: &[String]) -> ExitCode {
     // Pass 3: static plan verification of the paper configurations.
     let (plan_diags, plans_checked) = plan::verify_paper_plans();
     all.extend(plan_diags);
-
-    // Pass 4: allowlist hygiene — every entry must have earned its keep.
-    all.extend(lint::stale_allow_entries(&allows, &hits));
 
     let errors = all.iter().filter(|d| d.severity == Severity::Error).count();
     let warnings = all.len() - errors;
@@ -269,9 +252,7 @@ fn analyze(args: &[String]) -> ExitCode {
         }
         println!(
             "analyze: {n_files} files linted, {plans_checked} plans verified, \
-             {errors} errors, {warnings} warnings, {allowed} allowed by inline \
-             sanctions + lint.toml ({} entries)",
-            allows.len()
+             {errors} errors, {warnings} warnings, {allowed} allowed by inline sanctions"
         );
     }
     if errors > 0 {

@@ -9,7 +9,7 @@
 //! Diagnostic locations of the form `path:line` map to an
 //! `artifactLocation.uri` plus `region.startLine`; locations without a
 //! numeric suffix (the plan verifier's `paper(nb=…, acc=…)` pseudo
-//! locations, `lint.toml`) become a bare uri at line 1.
+//! locations) become a bare uri at line 1.
 
 use seismic_bench::jsonio::Json;
 use wse_sim::verify::{Diagnostic, Severity};
@@ -44,11 +44,8 @@ pub const RULES: &[(&str, &str)] = &[
         "CC03",
         "the Mutex/Condvar acquisition graph is acyclic; no lock pinned across a blocking wait",
     ),
-    ("LT01", "lint.toml allowlist entries are well-formed"),
-    (
-        "LT02",
-        "lint.toml allowlist entries match at least one diagnostic",
-    ),
+    ("LT01", "inline sanctions carry a reason"),
+    ("LT02", "inline sanctions suppress at least one finding"),
     ("WV01..WV07", "static WSE plan verification"),
 ];
 

@@ -2,7 +2,7 @@
 //!
 //! Mirrors `perfgate --self-test`: each rule is run against an embedded
 //! fixture that violates it, and the command exits 0 **iff** every rule
-//! (NA01, NP01, AT01, AT02, CC01, CC02, CC03, HP01, FE01, LT01, LT02)
+//! (NA01, NP01, AT01, AT02, CC01, CC02, CC03, HP01, FE01)
 //! produces the expected diagnostic. A lint engine that silently stops
 //! matching is a worse failure mode than a noisy one; this is the
 //! regression gate for the engine itself, runnable in CI without
@@ -11,9 +11,7 @@
 use std::process::ExitCode;
 
 use crate::concurrency;
-use crate::lint::{
-    lint_crate_attributes, lint_file, parse_lint_toml, stale_allow_entries, LoadedFile, RuleSet,
-};
+use crate::lint::{lint_crate_attributes, lint_file, LoadedFile, RuleSet};
 
 /// A fixture that plants one violation per token rule. The `#[cfg(test)]`
 /// block plants the same violations again — if test-region exemption
@@ -87,26 +85,6 @@ fn attr_rule_checks() -> Vec<Check> {
             detail: "missing #![deny(missing_docs)] detected".to_string(),
         },
     ]
-}
-
-fn allowlist_checks() -> Vec<Check> {
-    let (entries, problems) = parse_lint_toml("[[allow]]\nrule = \"NA01\"\n", "selftest-lint.toml");
-    let lt01 = Check {
-        rule: "LT01",
-        ok: entries.is_empty() && problems.iter().any(|d| d.rule == "LT01"),
-        detail: "entry without path/reason rejected".to_string(),
-    };
-    let (entries, _) = parse_lint_toml(
-        "[[allow]]\nrule = \"NA01\"\npath = \"crates/none\"\nreason = \"stale fixture\"\n",
-        "selftest-lint.toml",
-    );
-    let stale = stale_allow_entries(&entries, &[0]);
-    let lt02 = Check {
-        rule: "LT02",
-        ok: stale.len() == 1 && stale[0].message.contains("delete this entry"),
-        detail: "zero-hit allow entry flagged for deletion".to_string(),
-    };
-    vec![lt01, lt02]
 }
 
 /// CC01 proof-path fixture: a pure counter — the fetch_add/load results
@@ -281,7 +259,6 @@ fn all_checks() -> Vec<Check> {
     let mut checks = token_rule_checks();
     checks.extend(attr_rule_checks());
     checks.extend(cc_checks());
-    checks.extend(allowlist_checks());
     checks
 }
 
@@ -323,8 +300,8 @@ mod tests {
         }
         assert_eq!(
             checks.len(),
-            14,
-            "all analyze rules covered: 4 token + 2 attr + 6 CC + 2 allowlist"
+            12,
+            "all analyze rules covered: 4 token + 2 attr + 6 CC"
         );
     }
 }

@@ -9,7 +9,7 @@ use std::sync::Mutex;
 
 use proptest::prelude::*;
 use seismic_bench::jsonio::Json;
-use seismic_bench::perf::{compare_reports, BenchReport, GateThresholds};
+use seismic_bench::perf::{compare_reports, BenchReport, RATIO_ROWS};
 use seismic_bench::timeline::{build_timeline, timeline_json, HOST_PID, WSE_PID};
 use seismic_bench::wse_experiments::traced_timeline_sample;
 use tlr_mvm::trace::{self, LatencyBucket, LatencyEntry};
@@ -185,21 +185,27 @@ fn timeline_schema_covers_all_tracks() {
     assert_eq!(wse_names.len(), group_phases);
 }
 
-/// End-to-end gate failure: serialize a baseline, re-parse it, inject a
-/// 2× slowdown on one kernel, and demand a nonzero-style failure naming
-/// exactly that kernel.
+/// End-to-end gate failure after a JSON round-trip: against the exact
+/// projection of a real run a flipped checksum is rejected naming that
+/// kernel, and an over-ceiling ratio is rejected naming that row.
 #[test]
-fn gate_rejects_injected_slowdown_after_json_roundtrip() {
+fn gate_rejects_flipped_checksum_and_over_ceiling_ratio_after_json_roundtrip() {
     let _g = locked();
-    let baseline = seismic_bench::perf::run_perfbench(1);
-    let text = baseline.to_json().to_pretty();
-    let mut current = BenchReport::parse(&text).expect("baseline roundtrips");
-    assert_eq!(current, baseline);
+    let run = seismic_bench::perf::run_perfbench(1);
+    let reparse = |r: &BenchReport| BenchReport::parse(&r.to_json().to_pretty()).expect("parses");
+    let baseline = reparse(&run.exact_projection());
+    assert_eq!(reparse(&run), run);
+    assert!(!compare_reports(&baseline, &baseline).failed());
 
-    let victim = current.kernels[2].name.clone();
-    current.kernels[2].median_ns = current.kernels[2].median_ns.saturating_mul(2).max(10);
+    let mut forged = baseline.clone();
+    forged.kernels[2].trace_checksum ^= 1;
+    let out = compare_reports(&baseline, &reparse(&forged));
+    assert_eq!(out.failing(), vec![baseline.kernels[2].name.as_str()]);
 
-    let out = compare_reports(&baseline, &current, GateThresholds::default());
-    assert!(out.failed(), "2x slowdown must fail the gate");
-    assert_eq!(out.failing_kernels(), vec![victim.as_str()]);
+    for row in RATIO_ROWS {
+        let Some(ceiling) = row.ceiling else { continue };
+        let slow = reparse(&row.synthetic_run(1.01 * ceiling));
+        let out = compare_reports(&reparse(&slow.exact_projection()), &slow);
+        assert_eq!(out.failing(), vec![row.name().as_str()]);
+    }
 }
