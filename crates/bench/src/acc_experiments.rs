@@ -93,6 +93,10 @@ pub struct AccRow {
     pub sram_fits: bool,
     /// Whether the paper's Table 1 rank model covers this point.
     pub paper_rank_model: bool,
+    /// `(tiles stored dense, all tiles)` of the stack this row measured —
+    /// for the text table only. The artifact does not carry it (the gate
+    /// judges ranks, bytes and NMSE), so a row read back holds `None`.
+    pub dense_tiles: Option<(u64, u64)>,
 }
 
 /// Stable join key for a sweep point: `nb` in the high half, the
@@ -264,6 +268,10 @@ pub fn acc_rows(ds: &SyntheticDataset, accs: &[f32]) -> Result<Vec<AccRow>, Stri
                 stack_width: w as u64,
                 sram_fits: fits,
                 paper_rank_model: RankModel::paper(nb, acc).is_some(),
+                dense_tiles: Some((
+                    stats.dense_tiles as u64,
+                    stack.iter().map(|t| t.tiling().tile_count() as u64).sum(),
+                )),
             };
             verify_probe_agreement(&row)?;
             rows.push(row);
@@ -378,6 +386,7 @@ impl AccRow {
             stack_width: u("stack_width")?,
             sram_fits: b("sram_fits")?,
             paper_rank_model: b("paper_rank_model")?,
+            dense_tiles: None,
         })
     }
 }
@@ -460,8 +469,10 @@ fn drift_pct(base: f64, cur: f64) -> f64 {
 /// Fails on: a `repro_scale` mismatch (different problem sizes are not
 /// comparable), a rank-checksum mismatch (the compressor's rank
 /// decisions drifted), NMSE or compression-ratio drift beyond the fail
-/// thresholds, or a config whose SRAM plan regressed from fitting to
-/// not fitting. Baseline points missing from a reduced (`smoke`) run
+/// thresholds, a config whose SRAM plan regressed from fitting to
+/// not fitting, or any current row whose compression ratio is below 1
+/// (exact and host-independent: no tile may store more words than its
+/// dense block). Baseline points missing from a reduced (`smoke`) run
 /// are informational; current points with no baseline warn until
 /// blessed.
 pub fn compare_acc(
@@ -554,6 +565,16 @@ pub fn compare_acc(
     let base_keys: std::collections::BTreeSet<u64> =
         baseline.iter().map(|r| point_key(r.nb, r.acc)).collect();
     for c in current {
+        if c.compression_ratio < 1.0 {
+            out.findings.push(GateFinding {
+                subject: point_label(c.nb, c.acc),
+                level: GateLevel::Fail,
+                message: format!(
+                    "stored operator is larger than the dense one: compression ratio {:.4}",
+                    c.compression_ratio
+                ),
+            });
+        }
         if !base_keys.contains(&point_key(c.nb, c.acc)) {
             out.findings.push(GateFinding {
                 subject: point_label(c.nb, c.acc),
@@ -586,6 +607,7 @@ mod tests {
             stack_width: 64,
             sram_fits: true,
             paper_rank_model: true,
+            dense_tiles: None,
         }
     }
 
@@ -650,6 +672,12 @@ mod tests {
         let mut fatter = base.clone();
         fatter[0].compression_ratio *= 1.5;
         assert!(compare_acc(&base, 12, &fatter, 12).failed());
+        // A stored operator larger than the dense one fails on its own,
+        // whatever the baseline says (here: the same sub-1 ratio, no drift).
+        let mut bloated = base.clone();
+        bloated[1].compression_ratio = 0.82;
+        let out = compare_acc(&bloated, 12, &bloated, 12);
+        assert_eq!(out.failing(), ["nb=50 acc=3e-4"]);
         // A reduced current run is informational, not failing.
         let reduced = compare_acc(&base, 12, &base[..1], 12);
         assert!(!reduced.failed());

@@ -325,6 +325,7 @@ fn fig12(json: bool) -> RunResult {
                 format!("{:?}", r.region),
                 fmt_bytes(r.compressed_bytes as u64),
                 format!("{:.2}x", r.ratio),
+                format!("{}/{}", r.dense_tiles, r.tiles),
             ]
         })
         .collect();
@@ -339,7 +340,8 @@ fn fig12(json: bool) -> RunResult {
                 "change",
                 "region",
                 "compressed",
-                "ratio"
+                "ratio",
+                "dense tiles"
             ],
             &rows
         )
@@ -901,6 +903,8 @@ fn acc_report(json: bool) -> RunResult {
                 format!("{:.3e}", r.probe_nmse),
                 format!("{:.2}x", r.compression_ratio),
                 fmt_bytes(r.compressed_bytes),
+                r.dense_tiles
+                    .map_or("-".into(), |(dense, all)| format!("{dense}/{all}")),
                 format!("{:#018x}", r.rank_checksum),
                 format!("{}/{}", fmt_bytes(r.sram_bytes_per_pe), r.stack_width),
                 if r.sram_fits {
@@ -923,6 +927,7 @@ fn acc_report(json: bool) -> RunResult {
                 "probe NMSE",
                 "ratio",
                 "bytes",
+                "dense tiles",
                 "rank checksum",
                 "SRAM/PE / w",
                 "fits"

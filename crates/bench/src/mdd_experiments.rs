@@ -147,6 +147,10 @@ pub struct Fig12Row {
     pub compressed_bytes: usize,
     /// Dense-to-compressed ratio.
     pub ratio: f64,
+    /// Tiles stored dense rather than as factors, whole stack.
+    pub dense_tiles: usize,
+    /// All tiles of the stack.
+    pub tiles: usize,
     /// Compressed bytes per frequency matrix (ascending frequency).
     pub bytes_per_freq: Vec<usize>,
 }
@@ -176,6 +180,8 @@ pub fn fig12(ds: &SyntheticDataset) -> Vec<Fig12Row> {
                 region: classify(change),
                 compressed_bytes: run.compression.compressed_bytes,
                 ratio: run.compression.ratio,
+                dense_tiles: run.compression.dense_tiles,
+                tiles: tlr.iter().map(|m| m.tiling().tile_count()).sum(),
                 bytes_per_freq,
             });
         }

@@ -68,6 +68,14 @@ impl TlrMvmCost {
 /// Per tile column `j` with width `cl_j` and stacked rank `K_j`, the fused
 /// communication-avoiding kernel runs the V batch as 4 real `(K_j × cl_j)`
 /// products and the U batch as 4 real `(nb × K_j)` products.
+///
+/// This is the stacked (§6.6 / wafer) model: it counts ranks, so a tile
+/// stored dense ([`crate::Tile::Dense`]) is charged as the `(A, I)`
+/// expansion the stacked views and `wse-sim` still execute, not as the one
+/// `m × n` product the host's tile-fused apply runs on it — until the
+/// wafer model takes a dense chunk (ROADMAP item 3b). `repro perfbench`
+/// declares it for every kernel that sweeps tiles, `engine.serial` and
+/// `engine.batch` alike: they run the same kernels on the same store.
 pub fn tlr_mvm_cost(tlr: &TlrMatrix) -> TlrMvmCost {
     let t = tlr.tiling();
     let nb = t.nb;

@@ -10,7 +10,8 @@
 //!   [`crate::compress::compress`] records three accuracy grids (one
 //!   cell per tile, row-major `mt × nt`):
 //!   [`GRID_TILE_RANK`] (truncation rank), [`GRID_TILE_STORED_BYTES`]
-//!   (bytes of the stored `U`/`V` factors), and [`GRID_TILE_TAIL_PPB`]
+//!   (bytes of the stored form — `U`/`V` factors or the dense block,
+//!   [`Tile::stored_elements`]), and [`GRID_TILE_TAIL_PPB`]
 //!   (the truncation backward error `‖A_t − U Vᴴ‖_F / ‖A_t‖_F` in parts
 //!   per billion — for the SVD backend this is the QR residual plus the
 //!   discarded singular-value tail, `sqrt(‖E₁‖² + Σ_{i≥k} σᵢ²)`, which
@@ -38,16 +39,16 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use seismic_la::blas::gemv;
 use seismic_la::scalar::C32;
-use seismic_la::{LowRank, Matrix};
+use seismic_la::Matrix;
 
-use crate::matrix::TlrMatrix;
+use crate::matrix::{Tile, TlrMatrix};
 use crate::precision::{f64_to_u64, to_u64};
 use crate::tiling::Tiling;
 use crate::trace::{self, TraceReport};
 
 /// Grid name: per-tile truncation rank (`total() == TlrMatrix::total_rank`).
 pub const GRID_TILE_RANK: &str = "accuracy.tile_rank";
-/// Grid name: per-tile stored factor bytes
+/// Grid name: per-tile stored bytes, factors or dense block
 /// (`total() == TlrMatrix::compressed_bytes`).
 pub const GRID_TILE_STORED_BYTES: &str = "accuracy.tile_stored_bytes";
 /// Grid name: per-tile relative truncation backward error, parts per
@@ -56,8 +57,13 @@ pub const GRID_TILE_TAIL_PPB: &str = "accuracy.tile_tail_ppb";
 
 /// Relative truncation backward error of one compressed tile, in parts
 /// per billion: `round(1e9 · ‖A_t − U Vᴴ‖_F / ‖A_t‖_F)`, saturating.
-/// A zero-norm tile has nothing to get wrong and reports 0.
-pub fn tile_tail_ppb(tile: &Matrix<C32>, lr: &LowRank<C32>) -> u64 {
+/// A zero-norm tile has nothing to get wrong and reports 0, and so does
+/// a tile stored dense: nothing was truncated (which also keeps a
+/// non-finite tile, always stored dense, out of the arithmetic below).
+pub fn tile_tail_ppb(tile: &Matrix<C32>, stored: &Tile) -> u64 {
+    let Tile::LowRank(lr) = stored else {
+        return 0;
+    };
     let norm = f64::from(tile.fro_norm());
     if norm <= 0.0 {
         return 0;
@@ -67,10 +73,13 @@ pub fn tile_tail_ppb(tile: &Matrix<C32>, lr: &LowRank<C32>) -> u64 {
     f64_to_u64((rel * 1e9).round())
 }
 
-/// Bytes one tile's stored factors occupy (`stored_elements · 8` for
+/// Bytes one tile's stored form occupies (`stored_elements · 8` for
 /// interleaved FP32 complex).
-fn tile_stored_bytes(lr: &LowRank<C32>) -> u64 {
-    to_u64(lr.stored_elements().saturating_mul(std::mem::size_of::<C32>()))
+fn tile_stored_bytes(tile: &Tile) -> u64 {
+    to_u64(
+        tile.stored_elements()
+            .saturating_mul(std::mem::size_of::<C32>()),
+    )
 }
 
 /// Record the three per-tile accuracy grids for one compressed matrix.
@@ -79,7 +88,7 @@ fn tile_stored_bytes(lr: &LowRank<C32>) -> u64 {
 /// `mt × nt` like every other trace grid. `tail_ppb` carries the
 /// pre-measured backward-error cells in the same tile-column-major
 /// order. No-op while tracing is disabled.
-pub fn record_compression_grids(tiling: &Tiling, tiles: &[LowRank<C32>], tail_ppb: &[u64]) {
+pub fn record_compression_grids(tiling: &Tiling, tiles: &[Tile], tail_ppb: &[u64]) {
     if !trace::is_enabled() {
         return;
     }
@@ -205,7 +214,7 @@ pub fn probe_nmse(
         let (r0, rl) = tiling.row_range(i);
         let (c0, cl) = tiling.col_range(j);
         let tile = dense.block(r0, c0, rl, cl);
-        let lr = tlr.tile(i, j);
+        let stored = tlr.tile(i, j);
         let x_probes = Matrix::<C32>::random_normal(cl, probes, &mut rng);
         let mut y_ref = vec![C32::new(0.0, 0.0); rl];
         let mut y_tlr = vec![C32::new(0.0, 0.0); rl];
@@ -215,7 +224,7 @@ pub fn probe_nmse(
             for y in &mut y_tlr {
                 *y = C32::new(0.0, 0.0);
             }
-            lr.apply_acc(x, &mut y_tlr);
+            stored.apply_acc(x, &mut y_tlr);
             for (r, t) in y_ref.iter().zip(&y_tlr) {
                 err2 += f64::from((*r - *t).norm_sqr());
                 ref2 += f64::from(r.norm_sqr());

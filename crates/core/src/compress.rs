@@ -1,4 +1,8 @@
-//! TLR compression: tile the matrix, compress every tile independently.
+//! TLR compression: tile the matrix, compress every tile independently,
+//! and store each as whichever form is fewer words — the `U·Vᴴ` factors
+//! while `k·(m+n) < m·n`, the dense block otherwise ([`compress_tile`]).
+//! The choice is a function of the data alone, so the stored operator is
+//! never larger than the dense one.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -12,7 +16,7 @@ use seismic_la::{LowRank, Matrix};
 use serde::{Deserialize, Serialize};
 
 use crate::accuracy;
-use crate::matrix::TlrMatrix;
+use crate::matrix::{Tile, TlrMatrix};
 use crate::tiling::Tiling;
 use crate::trace;
 
@@ -92,8 +96,9 @@ impl CompressionConfig {
 }
 
 /// Compress a dense matrix to TLR form. Tiles are compressed independently
-/// and in parallel; any tile that fails to compress below full rank is
-/// stored exactly (dense-as-low-rank), so the tolerance always holds.
+/// and in parallel; a tile whose factors would not be smaller than the
+/// block itself is stored dense ([`Tile::Dense`]), so the tolerance always
+/// holds and [`TlrMatrix::compression_ratio`] is at least 1.
 ///
 /// While tracing is enabled the compression observatory also records,
 /// per tile, the rank histogram plus three accuracy grids (rank, stored
@@ -111,8 +116,8 @@ pub fn compress(dense: &Matrix<C32>, config: CompressionConfig) -> TlrMatrix {
     // Tile slots (empty rank-0 factors) and the per-tile backward-error
     // staging buffer are allocated before the span opens: the traced
     // region is pure per-tile compression (HP01).
-    let mut tiles: Vec<LowRank<C32>> = (0..mt * nt)
-        .map(|_| LowRank::new(Matrix::zeros(0, 0), Matrix::zeros(0, 0)))
+    let mut tiles: Vec<Tile> = (0..mt * nt)
+        .map(|_| Tile::LowRank(LowRank::new(Matrix::zeros(0, 0), Matrix::zeros(0, 0))))
         .collect();
     let mut tail_ppb: Vec<u64> = vec![0; if observe { mt * nt } else { 0 }];
     {
@@ -153,14 +158,20 @@ pub fn compress(dense: &Matrix<C32>, config: CompressionConfig) -> TlrMatrix {
     TlrMatrix::new(tiling, tiles, config)
 }
 
-/// Compress a single tile with the chosen backend, falling back to the
-/// exact representation when the low-rank form would not save memory.
-pub fn compress_tile(
-    tile: &Matrix<C32>,
-    tol: f32,
-    method: CompressionMethod,
-    seed: u64,
-) -> LowRank<C32> {
+/// Compress a single tile with the chosen backend and keep whichever
+/// form is fewer words: the factors while `k·(m+n) < m·n`, the block
+/// itself otherwise.
+///
+/// A tile reaches a factoriser only when its Frobenius norm and `tol` are
+/// both finite. One holding a `NaN` or `Inf` (or truncated against a
+/// non-finite tolerance, as every tile is under
+/// [`ToleranceMode::RelativeGlobal`] once one entry is poisoned) is stored
+/// dense as given, so the poison reaches the output of the apply, where
+/// the finiteness checks see it, instead of vanishing into a rank-0 tile.
+pub fn compress_tile(tile: &Matrix<C32>, tol: f32, method: CompressionMethod, seed: u64) -> Tile {
+    if !(tol.is_finite() && tile.fro_norm().is_finite()) {
+        return Tile::Dense(tile.clone());
+    }
     let lr = match method {
         CompressionMethod::Svd => svd_compress(tile, tol),
         CompressionMethod::Rrqr => {
@@ -175,11 +186,10 @@ pub fn compress_tile(
         CompressionMethod::Aca => aca_compress(tile, tol),
     };
     // Keep the factorization only if it actually saves storage.
-    let dense_elems = tile.nrows() * tile.ncols();
-    if lr.stored_elements() < dense_elems {
-        lr
+    if lr.stored_elements() < tile.len() {
+        Tile::LowRank(lr)
     } else {
-        LowRank::dense_as_lowrank(tile)
+        Tile::Dense(tile.clone())
     }
 }
 
@@ -265,10 +275,10 @@ mod tests {
             mode: ToleranceMode::RelativeTile,
         };
         let tlr = compress(&a, cfg);
-        // Incompressible tiles are stored exactly in U·Vᴴ form (U = A,
-        // V = I), which costs up to 2× dense — the price of the uniform
-        // flat-TLR data structure. The tolerance must still hold exactly.
-        assert!(tlr.compression_ratio() >= 0.45);
+        // Incompressible tiles are stored as the blocks themselves, so
+        // the tolerance holds exactly and nothing is larger than dense.
+        assert!(tlr.compression_ratio() >= 1.0);
+        assert_eq!(tlr.dense_tiles(), tlr.tiling().tile_count());
         assert_eq!(tlr.max_rank(), 10, "full-rank tiles expected");
         let err = tlr.reconstruct().sub(&a).fro_norm();
         assert!(err <= 1e-5 * a.fro_norm());
@@ -323,8 +333,11 @@ mod tests {
             for (i, j, t) in tlr.tiles_with_coords() {
                 let (_, rl) = tlr.tiling().row_range(i);
                 let (_, cl) = tlr.tiling().col_range(j);
-                assert_eq!(t.u.shape(), (rl, 0), "{method:?} tile ({i},{j})");
-                assert_eq!(t.v.shape(), (cl, 0), "{method:?} tile ({i},{j})");
+                let Tile::LowRank(lr) = t else {
+                    panic!("{method:?} tile ({i},{j}) stored dense");
+                };
+                assert_eq!(lr.u.shape(), (rl, 0), "{method:?} tile ({i},{j})");
+                assert_eq!(lr.v.shape(), (cl, 0), "{method:?} tile ({i},{j})");
             }
             assert!(seismic_la::exactly_zero_f32(tlr.reconstruct().fro_norm()));
         }
@@ -373,6 +386,135 @@ mod tests {
                 err <= 1.001e-3 * tile.fro_norm(),
                 "tile ({i},{j}) {rl}x{cl}: err {err}"
             );
+        }
+    }
+
+    /// Compression compresses: whatever the backend, the grid and the
+    /// accuracy, no tile stores more words than its block, so the stored
+    /// operator is never larger than the dense one — and the tolerance
+    /// still holds (to roundoff at `acc` 0, trivially at `acc` > 1).
+    #[test]
+    fn no_tile_stores_more_than_its_dense_block() {
+        let mut rng = ChaCha8Rng::seed_from_u64(72);
+        let matrices = [
+            (smooth_kernel(53, 37), 16),
+            (smooth_kernel(20, 15), 64),
+            (smooth_kernel(37, 21), 5),
+            (Matrix::<C32>::random_normal(45, 38, &mut rng), 12),
+        ];
+        for (a, nb) in &matrices {
+            for method in CompressionMethod::ALL {
+                for acc in [0.0, 1e-6, 1e-3, 1.5] {
+                    let tlr = compress(
+                        a,
+                        CompressionConfig {
+                            method,
+                            ..svd_config(*nb, acc)
+                        },
+                    );
+                    let what = format!("{:?} nb {nb} {method:?} acc {acc}", a.shape());
+                    assert!(tlr.compressed_bytes() <= tlr.dense_bytes(), "{what}");
+                    assert!(tlr.compression_ratio() >= 1.0, "{what}");
+                    for (i, j, t) in tlr.tiles_with_coords() {
+                        let (rl, cl) = t.shape();
+                        assert!(t.stored_elements() <= rl * cl, "{what} tile ({i},{j})");
+                    }
+                    let err = tlr.reconstruct().sub(a).fro_norm();
+                    assert!(err <= (1.2 * acc + 2e-5) * a.fro_norm(), "{what}: {err}");
+                }
+            }
+        }
+    }
+
+    /// A `NaN` or `Inf` entry must not make its tile vanish: for every
+    /// backend the poisoned tile is stored dense as given, so `apply`
+    /// carries the poison to the entry's row of `y` (and `apply_adjoint`
+    /// to its column of `x`) and nowhere else, and every other tile keeps
+    /// the rank it has on the clean matrix.
+    #[test]
+    fn a_non_finite_entry_keeps_its_tile_dense_and_reaches_the_output() {
+        let clean = smooth_kernel(40, 24);
+        let (pi, pj) = (5, 3);
+        let x: Vec<C32> = (0..24)
+            .map(|i| C32::new(1.0 + 0.1 * i as f32, -0.5))
+            .collect();
+        let y: Vec<C32> = (0..40)
+            .map(|i| C32::new(0.5, 1.0 + 0.05 * i as f32))
+            .collect();
+        for method in CompressionMethod::ALL {
+            let config = CompressionConfig {
+                method,
+                ..svd_config(16, 1e-3)
+            };
+            let reference = compress(&clean, config);
+            for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                let what = format!("{method:?} {bad}");
+                let mut a = clean.clone();
+                a[(pi, pj)] = C32::new(bad, 0.25);
+                let tlr = compress(&a, config);
+                for (i, j, t) in tlr.tiles_with_coords() {
+                    if (i, j) == (0, 0) {
+                        assert!(matches!(t, Tile::Dense(_)), "{what}: tile (0,0) {t:?}");
+                    } else {
+                        assert_eq!(t.rank(), reference.rank(i, j), "{what}: tile ({i},{j})");
+                    }
+                }
+                for (i, v) in tlr.apply(&x).iter().enumerate() {
+                    assert_eq!(v.is_finite(), i != pi, "{what}: y[{i}] = {v}");
+                }
+                for (j, v) in tlr.apply_adjoint(&y).iter().enumerate() {
+                    assert_eq!(v.is_finite(), j != pj, "{what}: x[{j}] = {v}");
+                }
+            }
+        }
+    }
+
+    /// Under `RelativeGlobal` one poisoned entry makes every tolerance
+    /// non-finite, so every tile is kept exactly rather than truncated
+    /// against a `NaN`.
+    #[test]
+    fn a_non_finite_entry_keeps_every_tile_dense_under_the_global_tolerance() {
+        let mut a = smooth_kernel(40, 24);
+        a[(5, 3)] = C32::new(0.25, f32::INFINITY);
+        for method in CompressionMethod::ALL {
+            let tlr = compress(
+                &a,
+                CompressionConfig {
+                    method,
+                    mode: ToleranceMode::RelativeGlobal,
+                    ..svd_config(16, 1e-3)
+                },
+            );
+            assert_eq!(tlr.dense_tiles(), tlr.tiling().tile_count(), "{method:?}");
+            for (i, j, t) in tlr.tiles_with_coords() {
+                let (r0, rl) = tlr.tiling().row_range(i);
+                let (c0, cl) = tlr.tiling().col_range(j);
+                if (i, j) != (0, 0) {
+                    assert_eq!(t.to_dense(), a.block(r0, c0, rl, cl), "{method:?}");
+                }
+            }
+        }
+    }
+
+    /// A subnormal entry is an ordinary finite number: its tile is
+    /// truncated like any other (one rank more than the clean tile at
+    /// most, for the entry it replaces).
+    #[test]
+    fn a_subnormal_entry_still_compresses() {
+        let clean = smooth_kernel(40, 24);
+        let mut a = clean.clone();
+        a[(5, 3)] = C32::new(1e-42, 0.0);
+        assert!(a[(5, 3)].re > 0.0 && !a[(5, 3)].re.is_normal());
+        for method in CompressionMethod::ALL {
+            let config = CompressionConfig {
+                method,
+                ..svd_config(16, 1e-2)
+            };
+            let (tlr, reference) = (compress(&a, config), compress(&clean, config));
+            assert!(matches!(tlr.tile(0, 0), Tile::LowRank(_)), "{method:?}");
+            assert!((1..=reference.rank(0, 0) + 1).contains(&tlr.rank(0, 0)));
+            let err = tlr.reconstruct().sub(&a).fro_norm();
+            assert!(err <= 1.2e-2 * a.fro_norm(), "{method:?}: {err}");
         }
     }
 

@@ -8,10 +8,16 @@
 //!   partial `y` vector per tile column reduced on the host.
 //!
 //! Both are *second copies* of the bases, built from a [`TlrMatrix`] for
-//! the engine's batched sweep and for the WSE simulator's per-PE chunks.
-//! The MDD solve itself runs on the tiles as stored
-//! ([`TlrMatrix::apply_into`], the same two [`crate::fastpath`] kernels
-//! fused per tile), which needs neither the copy nor the shuffle.
+//! the paper's three-phase / communication-avoiding tables and for the
+//! WSE simulator's per-PE chunks. The MDD solve and the engine's sweep
+//! run on the tiles as stored ([`TlrMatrix::apply_into`], the same two
+//! [`crate::fastpath`] kernels fused per tile), which needs neither the
+//! copy nor the shuffle.
+//!
+//! The stacks hold factors only, so a tile stored dense is expanded here
+//! to the factorisation it stands for — `U` column `r` is the block's
+//! column `r`, `V` column `r` is `e_r` — written straight into the stacks.
+//! Giving the wafer model a dense chunk instead is ROADMAP item 3(b).
 //!
 //! Nothing here allocates inside a traced span: partial outputs, segment
 //! tables and the rank scratch the fused kernels write `Vᴴx` into are
@@ -71,10 +77,8 @@ pub struct ThreePhase {
 /// and [`ThreePhase::apply_adjoint_with_scratch`].
 ///
 /// A single scratch can be reused across *different* operators (e.g.
-/// one per engine worker, swept over every frequency): buffers grow to
-/// the largest total rank seen and are then reused without further
-/// allocation, which is what keeps the batched sweep's hot loop clean
-/// under lint rule HP01.
+/// swept over every frequency of a stack): buffers grow to the largest
+/// total rank seen and are then reused without further allocation.
 #[derive(Default)]
 pub struct ThreePhaseScratch {
     yv: Vec<C32>,
@@ -116,7 +120,7 @@ impl ThreePhase {
             for i in 0..mt {
                 let t = tlr.tile(i, j);
                 for r in 0..t.rank() {
-                    vs.col_mut(off + r).copy_from_slice(t.v.col(r));
+                    t.copy_v_col(r, vs.col_mut(off + r));
                 }
                 off += t.rank();
             }
@@ -139,7 +143,7 @@ impl ThreePhase {
             for j in 0..nt {
                 let t = tlr.tile(i, j);
                 for r in 0..t.rank() {
-                    us.col_mut(off + r).copy_from_slice(t.u.col(r));
+                    us.col_mut(off + r).copy_from_slice(t.u_col(r));
                 }
                 off += t.rank();
             }
@@ -205,19 +209,6 @@ impl ThreePhase {
     /// Output length of [`ThreePhase::apply`] (matrix rows).
     pub fn nrows(&self) -> usize {
         self.tiling.m
-    }
-
-    /// Heap bytes this layout keeps resident: stacked bases (8 bytes per
-    /// complex word) plus the permutation and offset tables. This is the
-    /// figure the engine's operator cache budgets against.
-    pub fn resident_bytes(&self) -> usize {
-        let words: usize = self.vstacks.iter().map(Matrix::len).sum::<usize>()
-            + self.ustacks.iter().map(Matrix::len).sum::<usize>();
-        let indices = self.shuffle.len()
-            + self.shuffle_inv.len()
-            + self.col_offsets.len()
-            + self.row_offsets.len();
-        8 * words + core::mem::size_of::<usize>() * indices
     }
 
     /// Input length of [`ThreePhase::apply`] (matrix cols).
@@ -347,7 +338,7 @@ impl ThreePhase {
     /// Bit-identical to [`ThreePhase::apply`] (same kernels over the
     /// same disjoint segments); the only difference is that nothing is
     /// allocated when the scratch has already grown to this operator's
-    /// total rank — the shape the batched multi-frequency sweep needs.
+    /// total rank.
     pub fn apply_with_scratch(&self, x: &[C32], scratch: &mut ThreePhaseScratch, y: &mut [C32]) {
         scratch.reserve_rank(self.total_rank);
         let k = self.total_rank;
@@ -605,8 +596,8 @@ impl CommAvoiding {
                     let t = tlr.tile(i, j);
                     let (_, rl) = tiling.row_range(i);
                     for r in 0..t.rank() {
-                        vstack.col_mut(off + r).copy_from_slice(t.v.col(r));
-                        ustack.col_mut(off + r)[..rl].copy_from_slice(t.u.col(r));
+                        t.copy_v_col(r, vstack.col_mut(off + r));
+                        ustack.col_mut(off + r)[..rl].copy_from_slice(t.u_col(r));
                         row_block.push(i);
                         row_len.push(rl);
                     }
@@ -981,6 +972,36 @@ mod tests {
         assert_eq!(ca.apply(&x), vec![CZERO; 37]);
         assert_eq!(ca.apply_chunked(&x, 4), vec![CZERO; 37]);
         assert_eq!(ca.apply_adjoint(&y), vec![CZERO; 29]);
+    }
+
+    /// The stacked views expand a dense tile to the `(A, I)` pair it
+    /// stands for, in place: built from the hybrid store they are
+    /// element for element what the same matrix with those pairs stored
+    /// gives — which is what keeps every stacked-path checksum still.
+    #[test]
+    fn stacked_views_expand_dense_tiles_to_the_factor_pairs_they_replace() {
+        use crate::matrix::test_support::{dense_tiles_as_factors, mixed_tiles, noise_tiles};
+        for hybrid in [mixed_tiles().1, noise_tiles()] {
+            assert!(hybrid.dense_tiles() > 0);
+            let factors = dense_tiles_as_factors(&hybrid);
+            let (tp, tp_f) = (ThreePhase::new(&hybrid), ThreePhase::new(&factors));
+            assert_eq!(tp.vstacks, tp_f.vstacks);
+            assert_eq!(tp.ustacks, tp_f.ustacks);
+            assert_eq!(tp.col_offsets, tp_f.col_offsets);
+            assert_eq!(tp.row_offsets, tp_f.row_offsets);
+            assert_eq!(tp.shuffle, tp_f.shuffle);
+            assert_eq!(tp.shuffle_inv, tp_f.shuffle_inv);
+            assert_eq!(tp.total_rank, tp_f.total_rank);
+            let (ca, ca_f) = (CommAvoiding::new(&hybrid), CommAvoiding::new(&factors));
+            assert_eq!(ca.columns.len(), ca_f.columns.len());
+            for (c, c_f) in ca.columns.iter().zip(&ca_f.columns) {
+                assert_eq!(c.vstack, c_f.vstack);
+                assert_eq!(c.ustack, c_f.ustack);
+                assert_eq!(c.row_block, c_f.row_block);
+                assert_eq!(c.row_len, c_f.row_len);
+                assert_eq!((c.col, c.c0, c.cl), (c_f.col, c_f.c0, c_f.cl));
+            }
+        }
     }
 
     #[test]

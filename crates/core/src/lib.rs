@@ -81,7 +81,7 @@ pub use accuracy::{
 pub use compress::{compress, compress_tile, CompressionConfig, CompressionMethod, ToleranceMode};
 pub use fastpath::{dotc_fast, gather, gemv_acc_fast, gemv_conj_transpose_fast};
 pub use layouts::{ColumnStack, CommAvoiding, RankChunk, ThreePhase, ThreePhaseScratch};
-pub use matrix::TlrMatrix;
+pub use matrix::{Tile, TlrMatrix};
 pub use mmm::{comm_avoiding_mmm, tlr_mmm, tlr_mmm_adjoint, tlr_mmm_cost};
 pub use ops::LinearOperator;
 pub use precision::{bf16_to_f32, f32_to_bf16, Bf16Matrix, Bf16TlrMatrix};

@@ -1,30 +1,136 @@
-//! The tile low-rank matrix: per-tile `U·Vᴴ` factors on a uniform tile
-//! grid, with application, adjoint application, and storage accounting.
+//! The tile low-rank matrix: one stored form per tile — `U·Vᴴ` factors
+//! or the dense block, whichever is fewer words ([`Tile`]) — on a uniform
+//! tile grid, with application, adjoint application, and storage
+//! accounting.
 //!
 //! [`TlrMatrix::apply_into`] / [`TlrMatrix::apply_adjoint_into`] are the
-//! operator the MDD solve runs on: the tile-fused product on the
-//! [`crate::fastpath`] kernels, over the tiles as stored — no second,
-//! stacked copy of the bases. The slow, obviously-right form of the same
-//! product is [`LowRank::apply_acc`] over `seismic_la::blas`; the tests
-//! below and `core::accuracy`'s probe use it as the oracle.
+//! operator the MDD solve and the engine's sweep run on: the tile-fused
+//! product on the [`crate::fastpath`] kernels, over the tiles as stored —
+//! no second, stacked copy of the bases. The slow, obviously-right form
+//! of the same product is [`Tile::apply_acc`] over `seismic_la::blas`;
+//! the tests below and `core::accuracy`'s probe use it as the oracle.
 
 use rayon::prelude::*;
+use seismic_la::blas::{gemv_acc, gemv_conj_transpose_acc};
 use seismic_la::scalar::C32;
 use seismic_la::{LowRank, Matrix};
 
-use crate::compress::CompressionConfig;
+use crate::compress::{compress_tile, CompressionConfig};
 use crate::fastpath::{gemv_acc_fast, gemv_conj_transpose_fast};
+use crate::precision::to_u64;
 use crate::tiling::Tiling;
 
 const CZERO: C32 = C32::new(0.0, 0.0);
+
+/// One tile as stored: the form with fewer words
+/// ([`crate::compress::compress_tile`] chooses).
+///
+/// A [`Tile::Dense`] tile stands for the exact factorisation `U = A`,
+/// `V = I` without storing it, so its [`Tile::rank`] is its column count
+/// and every rank-derived number (stack widths, the §6.6 cost model, the
+/// wafer workload) is what that factorisation gives, while
+/// [`Tile::stored_elements`] counts the `m·n` words actually held.
+#[derive(Clone, Debug)]
+pub enum Tile {
+    /// `U·Vᴴ` factors, `k·(m+n)` words.
+    LowRank(LowRank<C32>),
+    /// The block itself, `m·n` words.
+    Dense(Matrix<C32>),
+}
+
+impl Tile {
+    /// Rank `k` of the factors; the column count of a dense tile.
+    #[inline]
+    pub fn rank(&self) -> usize {
+        match self {
+            Tile::LowRank(lr) => lr.rank(),
+            Tile::Dense(a) => a.ncols(),
+        }
+    }
+
+    /// `(m, n)` of the block this tile stands for.
+    #[inline]
+    pub fn shape(&self) -> (usize, usize) {
+        match self {
+            Tile::LowRank(lr) => lr.shape(),
+            Tile::Dense(a) => a.shape(),
+        }
+    }
+
+    /// Number of stored scalars: `k·(m+n)`, or `m·n` for a dense tile.
+    #[inline]
+    pub fn stored_elements(&self) -> usize {
+        match self {
+            Tile::LowRank(lr) => lr.stored_elements(),
+            Tile::Dense(a) => a.len(),
+        }
+    }
+
+    /// Densify.
+    pub fn to_dense(&self) -> Matrix<C32> {
+        match self {
+            Tile::LowRank(lr) => lr.to_dense(),
+            Tile::Dense(a) => a.clone(),
+        }
+    }
+
+    /// `y += T x` on the reference kernels (`seismic_la::blas`).
+    pub fn apply_acc(&self, x: &[C32], y: &mut [C32]) {
+        match self {
+            Tile::LowRank(lr) => lr.apply_acc(x, y),
+            Tile::Dense(a) => gemv_acc(a, x, y),
+        }
+    }
+
+    /// `y += Tᴴ x` on the reference kernels.
+    pub fn apply_adjoint_acc(&self, x: &[C32], y: &mut [C32]) {
+        match self {
+            Tile::LowRank(lr) => lr.apply_adjoint_acc(x, y),
+            Tile::Dense(a) => gemv_conj_transpose_acc(a, x, y),
+        }
+    }
+
+    /// Column `r` of the `U` factor; of a dense tile, its own column `r`.
+    pub(crate) fn u_col(&self, r: usize) -> &[C32] {
+        match self {
+            Tile::LowRank(lr) => lr.u.col(r),
+            Tile::Dense(a) => a.col(r),
+        }
+    }
+
+    /// Write column `r` of the `V` factor into `dst`; for a dense tile
+    /// that is the unit vector `e_r`.
+    pub(crate) fn copy_v_col(&self, r: usize, dst: &mut [C32]) {
+        match self {
+            Tile::LowRank(lr) => dst.copy_from_slice(lr.v.col(r)),
+            Tile::Dense(_) => {
+                dst.fill(CZERO);
+                dst[r] = C32::new(1.0, 0.0);
+            }
+        }
+    }
+}
+
+/// `x += Aᴴ y` for a tile stored dense: `t = Aᴴ y` on the fast kernel into
+/// the head of the caller's rank scratch (at least `A`'s column count
+/// long), then the add — what `x += I·(Aᴴ y)` computed, without the `I`.
+#[inline]
+pub(crate) fn dense_adjoint_acc(a: &Matrix<C32>, y: &[C32], scratch: &mut [C32], x: &mut [C32]) {
+    let t = &mut scratch[..a.ncols()];
+    gemv_conj_transpose_fast(a, y, t);
+    for (xv, &tv) in x.iter_mut().zip(&*t) {
+        *xv += tv;
+    }
+}
 
 /// TLR representation of an `m × n` complex matrix.
 ///
 /// Tiles are stored tile-column-major (`idx = j·mt + i`), matching the
 /// V-stack construction order.
+#[derive(Clone)]
 pub struct TlrMatrix {
     tiling: Tiling,
-    tiles: Vec<LowRank<C32>>,
+    tiles: Vec<Tile>,
     config: CompressionConfig,
     /// Largest tile rank: the length of one task's rank scratch.
     max_rank: usize,
@@ -32,7 +138,7 @@ pub struct TlrMatrix {
 
 impl TlrMatrix {
     /// Assemble from parts (normally produced by [`crate::compress::compress`]).
-    pub fn new(tiling: Tiling, tiles: Vec<LowRank<C32>>, config: CompressionConfig) -> Self {
+    pub fn new(tiling: Tiling, tiles: Vec<Tile>, config: CompressionConfig) -> Self {
         assert_eq!(tiles.len(), tiling.tile_count());
         for (idx, t) in tiles.iter().enumerate() {
             let i = idx % tiling.tile_rows();
@@ -41,7 +147,7 @@ impl TlrMatrix {
             let (_, cl) = tiling.col_range(j);
             assert_eq!(t.shape(), (rl, cl), "tile ({i},{j}) shape mismatch");
         }
-        let max_rank = tiles.iter().map(LowRank::rank).max().unwrap_or(0);
+        let max_rank = tiles.iter().map(Tile::rank).max().unwrap_or(0);
         Self {
             tiling,
             tiles,
@@ -66,7 +172,7 @@ impl TlrMatrix {
     }
 
     /// Tile `(i, j)`.
-    pub fn tile(&self, i: usize, j: usize) -> &LowRank<C32> {
+    pub fn tile(&self, i: usize, j: usize) -> &Tile {
         &self.tiles[self.tiling.tile_index(i, j)]
     }
 
@@ -95,7 +201,16 @@ impl TlrMatrix {
         (0..self.tiling.tile_cols()).map(|j| self.rank(i, j)).sum()
     }
 
-    /// Stored bytes of all `U`/`V` bases (8 B per complex-FP32 entry).
+    /// Tiles stored dense rather than as factors.
+    pub fn dense_tiles(&self) -> usize {
+        self.tiles
+            .iter()
+            .filter(|t| matches!(t, Tile::Dense(_)))
+            .count()
+    }
+
+    /// Stored bytes of all tiles — `U`/`V` bases or the dense block (8 B
+    /// per complex-FP32 entry).
     pub fn compressed_bytes(&self) -> usize {
         self.tiles
             .iter()
@@ -108,7 +223,8 @@ impl TlrMatrix {
         self.tiling.m * self.tiling.n * std::mem::size_of::<C32>()
     }
 
-    /// Dense-to-compressed size ratio (the paper's "7×").
+    /// Dense-to-compressed size ratio (the paper's "7×"); at least 1,
+    /// since no tile stores more words than its dense block.
     pub fn compression_ratio(&self) -> f64 {
         self.dense_bytes() as f64 / self.compressed_bytes().max(1) as f64
     }
@@ -134,11 +250,12 @@ impl TlrMatrix {
     }
 
     /// `y = Ã x` into a caller-owned buffer, tile-fused on the
-    /// [`crate::fastpath`] kernels: per tile `t = V_ijᴴ x_j`, then
-    /// `y_i += U_ij t`, so no rank-length intermediate is stored and
-    /// nothing is shuffled. Parallel over tile rows (each owns one `nb`
-    /// chunk of `y`); the rank scratch is one allocation per call, cut
-    /// into one `max_rank` piece per tile row.
+    /// [`crate::fastpath`] kernels: per low-rank tile `t = V_ijᴴ x_j`,
+    /// then `y_i += U_ij t`, per dense tile `y_i += A_ij x_j`, so no
+    /// rank-length intermediate is stored and nothing is shuffled.
+    /// Parallel over tile rows (each owns one `nb` chunk of `y`); the
+    /// rank scratch is one allocation per call, cut into one `max_rank`
+    /// piece per tile row.
     pub fn apply_into(&self, x: &[C32], y: &mut [C32]) {
         assert_eq!(x.len(), self.tiling.n, "input length mismatch");
         assert_eq!(y.len(), self.tiling.m, "output length mismatch");
@@ -151,10 +268,15 @@ impl TlrMatrix {
                 seg.fill(CZERO);
                 for j in 0..self.tiling.tile_cols() {
                     let (c0, cl) = self.tiling.col_range(j);
-                    let tile = self.tile(i, j);
-                    let t = &mut t[..tile.rank()];
-                    gemv_conj_transpose_fast(&tile.v, &x[c0..c0 + cl], t);
-                    gemv_acc_fast(&tile.u, t, seg);
+                    let xj = &x[c0..c0 + cl];
+                    match self.tile(i, j) {
+                        Tile::LowRank(lr) => {
+                            let t = &mut t[..lr.rank()];
+                            gemv_conj_transpose_fast(&lr.v, xj, t);
+                            gemv_acc_fast(&lr.u, t, seg);
+                        }
+                        Tile::Dense(a) => gemv_acc_fast(a, xj, seg),
+                    }
                 }
             });
     }
@@ -169,7 +291,8 @@ impl TlrMatrix {
 
     /// `x = Ãᴴ y` into a caller-owned buffer: the same two kernels as
     /// [`TlrMatrix::apply_into`] with `U` and `V` exchanged
-    /// (`t = U_ijᴴ y_i`, `x_j += V_ij t`), parallel over tile columns.
+    /// (`t = U_ijᴴ y_i`, `x_j += V_ij t`; for a dense tile `t = A_ijᴴ y_i`,
+    /// `x_j += t`), parallel over tile columns.
     pub fn apply_adjoint_into(&self, y: &[C32], x: &mut [C32]) {
         assert_eq!(y.len(), self.tiling.m, "input length mismatch");
         assert_eq!(x.len(), self.tiling.n, "output length mismatch");
@@ -182,16 +305,21 @@ impl TlrMatrix {
                 seg.fill(CZERO);
                 for i in 0..self.tiling.tile_rows() {
                     let (r0, rl) = self.tiling.row_range(i);
-                    let tile = self.tile(i, j);
-                    let t = &mut t[..tile.rank()];
-                    gemv_conj_transpose_fast(&tile.u, &y[r0..r0 + rl], t);
-                    gemv_acc_fast(&tile.v, t, seg);
+                    let yi = &y[r0..r0 + rl];
+                    match self.tile(i, j) {
+                        Tile::LowRank(lr) => {
+                            let t = &mut t[..lr.rank()];
+                            gemv_conj_transpose_fast(&lr.u, yi, t);
+                            gemv_acc_fast(&lr.v, t, seg);
+                        }
+                        Tile::Dense(a) => dense_adjoint_acc(a, yi, t, seg),
+                    }
                 }
             });
     }
 
     /// Iterate tiles with their grid coordinates.
-    pub fn tiles_with_coords(&self) -> impl Iterator<Item = (usize, usize, &LowRank<C32>)> {
+    pub fn tiles_with_coords(&self) -> impl Iterator<Item = (usize, usize, &Tile)> {
         let mt = self.tiling.tile_rows();
         self.tiles.iter().enumerate().map(move |(idx, t)| {
             let i = idx % mt;
@@ -203,22 +331,23 @@ impl TlrMatrix {
     /// Re-truncate every tile to a looser accuracy without touching the
     /// dense source — tolerance laddering: compress once tightly, derive
     /// the whole Fig. 12 sweep by rounding. `acc` has the same semantics
-    /// as the compression config (per-tile relative).
+    /// as the compression config (per-tile relative). Factors are rounded
+    /// in place (their word count can only fall); a dense tile is
+    /// compressed afresh from the block it holds, and comes back as
+    /// whichever form is smaller at the new `acc`.
     pub fn recompress(&self, acc: f32) -> TlrMatrix {
-        let mt = self.tiling.tile_rows();
-        let tiles: Vec<LowRank<C32>> = (0..self.tiles.len())
-            .into_par_iter()
-            .map(|idx| {
-                let i = idx % mt;
-                let j = idx / mt;
-                let t = self.tile(i, j);
-                if t.rank() == 0 {
-                    return t.clone();
-                }
+        let tiles: Vec<Tile> = self
+            .tiles
+            .par_iter()
+            .enumerate()
+            .map(|(idx, t)| match t {
+                Tile::LowRank(lr) if lr.rank() == 0 => t.clone(),
                 // Per-tile relative tolerance against the tile's own norm
                 // (≈ the factor pair's norm).
-                let tile_norm = t.to_dense().fro_norm();
-                t.recompress(acc * tile_norm)
+                Tile::LowRank(lr) => Tile::LowRank(lr.recompress(acc * lr.to_dense().fro_norm())),
+                Tile::Dense(a) => {
+                    compress_tile(a, acc * a.fro_norm(), self.config.method, to_u64(idx))
+                }
             })
             .collect();
         let mut config = self.config;
@@ -236,8 +365,88 @@ impl TlrMatrix {
     }
 }
 
+/// What the hybrid-store tests across this crate share.
+#[cfg(test)]
+pub(crate) mod test_support {
+    use super::*;
+    use crate::compress::{compress, CompressionMethod, ToleranceMode};
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
+
+    /// `tlr` with every dense tile re-expressed as the `(A, I)` factor
+    /// pair it stands for — the only form the store had before [`Tile`].
+    pub(crate) fn dense_tiles_as_factors(tlr: &TlrMatrix) -> TlrMatrix {
+        let tiles = tlr
+            .tiles
+            .iter()
+            .map(|t| match t {
+                Tile::Dense(a) => Tile::LowRank(LowRank::dense_as_lowrank(a)),
+                Tile::LowRank(_) => t.clone(),
+            })
+            .collect();
+        TlrMatrix::new(tlr.tiling, tiles, tlr.config)
+    }
+
+    /// Noise does not compress: a ragged 45×38 matrix at `nb` 12 whose
+    /// tiles are all stored dense, but for the two a zero block covers
+    /// (rank 0). A dense tile's rank is its column count: ten 12-wide
+    /// tiles and four 2-wide ones.
+    pub(crate) fn noise_tiles() -> TlrMatrix {
+        let mut rng = ChaCha8Rng::seed_from_u64(89);
+        let mut a = Matrix::<C32>::random_normal(45, 38, &mut rng);
+        a.set_block(12, 0, &Matrix::zeros(12, 24));
+        let tlr = compress(
+            &a,
+            CompressionConfig {
+                nb: 12,
+                acc: 1e-7,
+                method: CompressionMethod::Svd,
+                mode: ToleranceMode::RelativeTile,
+            },
+        );
+        assert_eq!(tlr.dense_tiles(), tlr.tiling().tile_count() - 2);
+        assert_eq!(tlr.total_rank(), 10 * 12 + 4 * 2);
+        tlr
+    }
+
+    /// A ragged 50×52 matrix at `nb` 16 whose tile row 0 and tile column 1
+    /// each hold a dense, a low-rank and a rank-0 tile: a smooth kernel
+    /// with tile (0, 1) replaced by noise and tiles (0, 0), (2, 1) zeroed.
+    pub(crate) fn mixed_tiles() -> (Matrix<C32>, TlrMatrix) {
+        let (m, n) = (50, 52);
+        let mut a = Matrix::from_fn(m, n, |i, j| {
+            let x = i as f32 / m as f32;
+            let y = j as f32 / n as f32;
+            let d = ((x - y) * (x - y) + 0.02).sqrt();
+            C32::from_polar(1.0 / (1.0 + 3.0 * d), -9.0 * d)
+        });
+        let mut rng = ChaCha8Rng::seed_from_u64(88);
+        a.set_block(0, 16, &Matrix::<C32>::random_normal(16, 16, &mut rng));
+        a.set_block(0, 0, &Matrix::zeros(16, 16));
+        a.set_block(32, 16, &Matrix::zeros(16, 16));
+        let tlr = compress(
+            &a,
+            CompressionConfig {
+                nb: 16,
+                acc: 1e-4,
+                method: CompressionMethod::Svd,
+                mode: ToleranceMode::RelativeTile,
+            },
+        );
+        let kind = |i, j| match tlr.tile(i, j) {
+            Tile::Dense(_) => 'd',
+            Tile::LowRank(lr) if lr.rank() == 0 => '0',
+            Tile::LowRank(_) => 'l',
+        };
+        assert_eq!([kind(0, 0), kind(0, 1), kind(0, 2)], ['0', 'd', 'l']);
+        assert_eq!([kind(0, 1), kind(1, 1), kind(2, 1)], ['d', 'l', '0']);
+        (a, tlr)
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::test_support::{dense_tiles_as_factors, mixed_tiles};
     use super::*;
     use crate::compress::{compress, CompressionConfig, CompressionMethod, ToleranceMode};
     use rand::SeedableRng;
@@ -353,19 +562,15 @@ mod tests {
         seismic_la::blas::nrm2(&d)
     }
 
-    /// Tile-fused fast path against the reference loop (rounding only:
-    /// `1e-5·‖A‖_F·‖x‖`) and against the dense matrix (compression error:
-    /// tile-relative `acc` sums to `acc·‖A‖_F`, doubled for rounding), on
-    /// grids the kernels' tails have to get right: `nb` not dividing the
+    /// Grids the kernels' tails have to get right: `nb` not dividing the
     /// shape, `nb` larger than both dimensions, tiles of rank zero and
     /// tiles of full rank.
-    #[test]
-    fn apply_and_adjoint_match_reference_loop_and_dense_on_hostile_grids() {
+    fn hostile_grids() -> Vec<(&'static str, Matrix<C32>, usize, f32)> {
         let mut rng = ChaCha8Rng::seed_from_u64(85);
         // A zero block spanning whole tiles, so some tiles have rank 0.
         let mut holed = kernel(70, 52);
         holed.set_block(16, 0, &Matrix::zeros(32, 32));
-        let cases: Vec<(&str, Matrix<C32>, usize, f32)> = vec![
+        vec![
             ("ragged", kernel(67, 41), 16, 1e-4),
             ("nb > dims", kernel(20, 15), 64, 1e-4),
             ("zero-rank tiles", holed, 16, 1e-4),
@@ -376,8 +581,16 @@ mod tests {
                 1e-7,
             ),
             ("one row", kernel(1, 9), 4, 1e-4),
-        ];
-        for (name, a, nb, acc) in cases {
+        ]
+    }
+
+    /// Tile-fused fast path against the reference loop (rounding only:
+    /// `1e-5·‖A‖_F·‖x‖`) and against the dense matrix (compression error:
+    /// tile-relative `acc` sums to `acc·‖A‖_F`, doubled for rounding), on
+    /// [`hostile_grids`].
+    #[test]
+    fn apply_and_adjoint_match_reference_loop_and_dense_on_hostile_grids() {
+        for (name, a, nb, acc) in hostile_grids() {
             let (m, n) = a.shape();
             let tlr = compress(&a, cfg(nb, acc));
             if name == "zero-rank tiles" {
@@ -385,6 +598,7 @@ mod tests {
             }
             if name == "full-rank tiles" {
                 assert_eq!(tlr.max_rank(), nb);
+                assert_eq!(tlr.dense_tiles(), tlr.tiling().tile_count());
             }
             let (x, y) = (rand_vec(n, 86), rand_vec(m, 87));
             let a_norm = a.fro_norm();
@@ -420,6 +634,37 @@ mod tests {
         }
     }
 
+    /// The dense branch computes what the `(A, I)` factor pair it replaces
+    /// computed: the identity product only ever added exact zeros, so the
+    /// two stores agree under `==` (which takes `+0` and `-0` as equal),
+    /// forward and adjoint, on every hostile grid and on a matrix mixing
+    /// dense, low-rank and rank-0 tiles in one tile row and one tile column.
+    #[test]
+    fn dense_tiles_apply_as_the_factor_pairs_they_replace() {
+        let mut stores: Vec<(&str, TlrMatrix)> = hostile_grids()
+            .into_iter()
+            .map(|(name, a, nb, acc)| (name, compress(&a, cfg(nb, acc))))
+            .collect();
+        stores.push(("mixed", mixed_tiles().1));
+        let mut dense_seen = 0;
+        for (name, hybrid) in stores {
+            let factors = dense_tiles_as_factors(&hybrid);
+            assert_eq!(factors.dense_tiles(), 0);
+            assert_eq!(factors.total_rank(), hybrid.total_rank(), "{name}");
+            assert_eq!(factors.rank_histogram(), hybrid.rank_histogram());
+            dense_seen += hybrid.dense_tiles();
+            let (m, n) = hybrid.shape();
+            let (x, y) = (rand_vec(n, 91), rand_vec(m, 92));
+            assert_eq!(hybrid.apply(&x), factors.apply(&x), "{name}: apply");
+            assert_eq!(
+                hybrid.apply_adjoint(&y),
+                factors.apply_adjoint(&y),
+                "{name}: adjoint"
+            );
+        }
+        assert!(dense_seen > 0);
+    }
+
     #[test]
     fn rank_accounting_consistent() {
         let a = kernel(64, 48);
@@ -439,12 +684,19 @@ mod tests {
     fn compressed_bytes_formula() {
         let a = kernel(40, 30);
         let tlr = compress(&a, cfg(10, 1e-3));
-        let manual: usize = tlr
-            .tiles_with_coords()
-            .map(|(_, _, t)| (t.u.len() + t.v.len()) * 8)
-            .sum();
-        assert_eq!(manual, tlr.compressed_bytes());
+        let manual = |tlr: &TlrMatrix| -> usize {
+            tlr.tiles_with_coords()
+                .map(|(_, _, t)| match t {
+                    Tile::LowRank(lr) => (lr.u.len() + lr.v.len()) * 8,
+                    Tile::Dense(a) => a.nrows() * a.ncols() * 8,
+                })
+                .sum()
+        };
+        assert_eq!(manual(&tlr), tlr.compressed_bytes());
         assert_eq!(tlr.dense_bytes(), 40 * 30 * 8);
+        let (_, mixed) = mixed_tiles();
+        assert_eq!(manual(&mixed), mixed.compressed_bytes());
+        assert!(mixed.dense_tiles() > 0 && mixed.compressed_bytes() < mixed.dense_bytes());
     }
 
     #[test]
@@ -459,6 +711,24 @@ mod tests {
         assert!(err <= 1.2e-2 * a.fro_norm(), "err {err}");
         // And it should genuinely drop ranks on this smooth kernel.
         assert!(loose.total_rank() < tight.total_rank());
+    }
+
+    /// A dense tile is re-truncated from the block it holds: at the looser
+    /// accuracy it may come back as factors, and what comes back is again
+    /// the smaller form.
+    #[test]
+    fn recompress_retruncates_dense_tiles_from_the_block_they_hold() {
+        let a = kernel(80, 64);
+        let tight = compress(&a, cfg(8, 1e-6));
+        assert!(tight.dense_tiles() > 0, "1e-6 keeps some tiles dense");
+        let loose = tight.recompress(1e-2);
+        assert!(loose.compressed_bytes() <= tight.compressed_bytes());
+        assert!(loose.dense_tiles() < tight.dense_tiles());
+        for (i, j, t) in loose.tiles_with_coords() {
+            assert!(t.stored_elements() <= tight.tile(i, j).stored_elements());
+        }
+        let err = loose.reconstruct().sub(&a).fro_norm();
+        assert!(err <= 1.2e-2 * a.fro_norm(), "err {err}");
     }
 
     #[test]

@@ -16,14 +16,14 @@ use seismic_la::Matrix;
 use crate::accounting::{absolute_bytes, mvm_flops, TlrMvmCost};
 use crate::invariant::assert_finite;
 use crate::layouts::CommAvoiding;
-use crate::matrix::TlrMatrix;
+use crate::matrix::{dense_adjoint_acc, Tile, TlrMatrix};
 use crate::precision::to_u64;
 use crate::trace;
 
 /// `Y = Ã X` with `X: n × s` (one column per virtual source),
 /// rayon-parallel over tile rows. The per-tile product runs as two small
-/// GEMMs (`T = VᴴX`, `Y += U T`) so the bases are read once per tile, not
-/// once per source.
+/// GEMMs (`T = VᴴX`, `Y += U T`; one, `Y += A X`, for a tile stored dense)
+/// so the bases are read once per tile, not once per source.
 ///
 /// ```
 /// use seismic_la::{Matrix, C32};
@@ -75,15 +75,24 @@ pub fn tlr_mmm(tlr: &TlrMatrix, x: &Matrix<C32>) -> Matrix<C32> {
             if tile.rank() == 0 {
                 continue;
             }
-            debug_assert_eq!(tile.u.nrows(), rl, "tile U height mismatch");
-            debug_assert_eq!(tile.v.nrows(), cl, "tile V height mismatch");
-            let xj = x.block(c0, 0, cl, s);
-            // T = Vᴴ X_j  (k × s), then Y += U T — accumulated straight
-            // into the row panel per source column (check-free inner
-            // loop), skipping the `contrib` intermediate entirely.
-            let tcoef = seismic_la::blas::gemm_conj_transpose_left(&tile.v, &xj);
-            for col in 0..s {
-                gemv_acc_fast(&tile.u, tcoef.col(col), y.col_mut(col));
+            debug_assert_eq!(tile.shape(), (rl, cl), "tile shape mismatch");
+            match tile {
+                Tile::LowRank(lr) => {
+                    let xj = x.block(c0, 0, cl, s);
+                    // T = Vᴴ X_j  (k × s), then Y += U T — accumulated
+                    // straight into the row panel per source column
+                    // (check-free inner loop), skipping the `contrib`
+                    // intermediate entirely.
+                    let tcoef = seismic_la::blas::gemm_conj_transpose_left(&lr.v, &xj);
+                    for col in 0..s {
+                        gemv_acc_fast(&lr.u, tcoef.col(col), y.col_mut(col));
+                    }
+                }
+                Tile::Dense(a) => {
+                    for col in 0..s {
+                        gemv_acc_fast(a, &x.col(col)[c0..c0 + cl], y.col_mut(col));
+                    }
+                }
             }
         }
     });
@@ -98,6 +107,7 @@ pub fn tlr_mmm(tlr: &TlrMatrix, x: &Matrix<C32>) -> Matrix<C32> {
 }
 
 /// `X = Ãᴴ Y` with `Y: m × s` — the adjoint MMM for block solvers.
+/// A tile stored dense contributes `X_j += Aᴴ Y_i`, column by column.
 pub fn tlr_mmm_adjoint(tlr: &TlrMatrix, y: &Matrix<C32>) -> Matrix<C32> {
     let t = tlr.tiling();
     assert_eq!(y.nrows(), t.m, "Y row count must match operator rows");
@@ -111,6 +121,9 @@ pub fn tlr_mmm_adjoint(tlr: &TlrMatrix, y: &Matrix<C32>) -> Matrix<C32> {
             Matrix::zeros(cl, s)
         })
         .collect();
+    // One column of `Aᴴ y_i` per tile column, for the tiles stored dense.
+    let nb = t.nb;
+    let mut scratch = vec![C32::new(0.0, 0.0); nt * nb];
     let _span = trace::span("tlr_mmm.adjoint");
     if trace::is_enabled() {
         // Same tile traffic as the forward MMM, transposed roles.
@@ -123,22 +136,35 @@ pub fn tlr_mmm_adjoint(tlr: &TlrMatrix, y: &Matrix<C32>) -> Matrix<C32> {
         );
     }
 
-    col_panels.par_iter_mut().enumerate().for_each(|(j, x)| {
-        for i in 0..t.tile_rows() {
-            let (r0, rl) = t.row_range(i);
-            let tile = tlr.tile(i, j);
-            if tile.rank() == 0 {
-                continue;
+    col_panels
+        .par_iter_mut()
+        .zip(scratch.par_chunks_mut(nb))
+        .enumerate()
+        .for_each(|(j, (x, tcol))| {
+            for i in 0..t.tile_rows() {
+                let (r0, rl) = t.row_range(i);
+                let tile = tlr.tile(i, j);
+                if tile.rank() == 0 {
+                    continue;
+                }
+                match tile {
+                    Tile::LowRank(lr) => {
+                        let yi = y.block(r0, 0, rl, s);
+                        // T = Uᴴ Y_i (k × s), then X += V T — fused
+                        // accumulation as in the forward MMM.
+                        let tcoef = seismic_la::blas::gemm_conj_transpose_left(&lr.u, &yi);
+                        for col in 0..s {
+                            gemv_acc_fast(&lr.v, tcoef.col(col), x.col_mut(col));
+                        }
+                    }
+                    Tile::Dense(a) => {
+                        for col in 0..s {
+                            dense_adjoint_acc(a, &y.col(col)[r0..r0 + rl], tcol, x.col_mut(col));
+                        }
+                    }
+                }
             }
-            let yi = y.block(r0, 0, rl, s);
-            // T = Uᴴ Y_i (k × s), then X += V T — fused accumulation as
-            // in the forward MMM.
-            let tcoef = seismic_la::blas::gemm_conj_transpose_left(&tile.u, &yi);
-            for col in 0..s {
-                gemv_acc_fast(&tile.v, tcoef.col(col), x.col_mut(col));
-            }
-        }
-    });
+        });
 
     let mut x = Matrix::zeros(t.n, s);
     for (j, panel) in col_panels.iter().enumerate() {
@@ -323,6 +349,40 @@ mod tests {
             let xv = t.apply_adjoint(y.col(col));
             for (a, b) in x.col(col).iter().zip(&xv) {
                 assert!((*a - *b).abs() < 1e-4);
+            }
+        }
+    }
+
+    /// A tile stored dense goes through the kernels `apply` /
+    /// `apply_adjoint` use, one source column at a time: on a matrix whose
+    /// tiles are all dense or rank 0 the MMM is the MVM bit for bit; on one
+    /// that also holds low-rank tiles (whose `VᴴX` runs on the reference
+    /// GEMM) it is within rounding, for one right-hand side and for four.
+    #[test]
+    fn mmm_on_dense_tiles_matches_mvm_column_by_column() {
+        use crate::matrix::test_support::{mixed_tiles, noise_tiles};
+        let bits = |v: &[C32]| -> Vec<(u32, u32)> {
+            v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+        };
+        let dist = |a: &[C32], b: &[C32]| {
+            let d: Vec<C32> = a.iter().zip(b).map(|(p, q)| *p - *q).collect();
+            seismic_la::blas::nrm2(&d)
+        };
+        for (t, exact) in [(noise_tiles(), true), (mixed_tiles().1, false)] {
+            let (m, n) = t.shape();
+            let a_norm = t.reconstruct().fro_norm();
+            for s in [1, 4] {
+                let (x, y) = (rhs(n, s), rhs(m, s));
+                let (fwd, adj) = (tlr_mmm(&t, &x), tlr_mmm_adjoint(&t, &y));
+                for col in 0..s {
+                    let (want_f, want_a) = (t.apply(x.col(col)), t.apply_adjoint(y.col(col)));
+                    if exact {
+                        assert_eq!(bits(fwd.col(col)), bits(&want_f), "forward");
+                        assert_eq!(bits(adj.col(col)), bits(&want_a), "adjoint");
+                    }
+                    assert!(dist(fwd.col(col), &want_f) <= 1e-5 * a_norm * x.fro_norm());
+                    assert!(dist(adj.col(col), &want_a) <= 1e-5 * a_norm * y.fro_norm());
+                }
             }
         }
     }

@@ -13,7 +13,7 @@ use seismic_la::scalar::C32;
 use seismic_la::{LowRank, Matrix};
 use serde::{Deserialize, Serialize};
 
-use crate::matrix::TlrMatrix;
+use crate::matrix::{Tile, TlrMatrix};
 
 /// Checked numeric conversion between integer types: panics with the
 /// caller's location if `x` does not fit in the destination. This is the
@@ -156,18 +156,29 @@ impl Bf16Matrix {
     }
 }
 
-/// A TLR matrix with bf16 bases: half the memory of the FP32 version.
+/// One tile's stored form ([`Tile`]), quantised.
+enum Bf16Tile {
+    LowRank(Bf16Matrix, Bf16Matrix),
+    Dense(Bf16Matrix),
+}
+
+/// A TLR matrix with bf16 storage: half the memory of the FP32 version.
 pub struct Bf16TlrMatrix {
     tiling: crate::tiling::Tiling,
-    tiles: Vec<(Bf16Matrix, Bf16Matrix)>,
+    tiles: Vec<Bf16Tile>,
 }
 
 impl Bf16TlrMatrix {
-    /// Quantize every tile's bases.
+    /// Quantize every tile as stored: both bases, or the dense block.
     pub fn from_tlr(tlr: &TlrMatrix) -> Self {
         let tiles = tlr
             .tiles_with_coords()
-            .map(|(_, _, t)| (Bf16Matrix::from_c32(&t.u), Bf16Matrix::from_c32(&t.v)))
+            .map(|(_, _, t)| match t {
+                Tile::LowRank(lr) => {
+                    Bf16Tile::LowRank(Bf16Matrix::from_c32(&lr.u), Bf16Matrix::from_c32(&lr.v))
+                }
+                Tile::Dense(a) => Bf16Tile::Dense(Bf16Matrix::from_c32(a)),
+            })
             .collect();
         Self {
             tiling: *tlr.tiling(),
@@ -177,17 +188,26 @@ impl Bf16TlrMatrix {
 
     /// Total stored bytes.
     pub fn compressed_bytes(&self) -> usize {
-        self.tiles.iter().map(|(u, v)| u.bytes() + v.bytes()).sum()
+        self.tiles
+            .iter()
+            .map(|t| match t {
+                Bf16Tile::LowRank(u, v) => u.bytes() + v.bytes(),
+                Bf16Tile::Dense(a) => a.bytes(),
+            })
+            .sum()
     }
 
     /// Widen back into a full-precision [`TlrMatrix`] (the apply path:
-    /// quantization noise is baked into the bases, arithmetic stays FP32
-    /// as on the CS-2, whose fmacs are single precision).
+    /// quantization noise is baked into the stored words, arithmetic stays
+    /// FP32 as on the CS-2, whose fmacs are single precision).
     pub fn dequantize(&self, config: crate::compress::CompressionConfig) -> TlrMatrix {
-        let tiles: Vec<LowRank<C32>> = self
+        let tiles: Vec<Tile> = self
             .tiles
             .iter()
-            .map(|(u, v)| LowRank::new(u.to_c32(), v.to_c32()))
+            .map(|t| match t {
+                Bf16Tile::LowRank(u, v) => Tile::LowRank(LowRank::new(u.to_c32(), v.to_c32())),
+                Bf16Tile::Dense(a) => Tile::Dense(a.to_c32()),
+            })
             .collect();
         TlrMatrix::new(self.tiling, tiles, config)
     }

@@ -13,7 +13,8 @@ use proptest::prelude::*;
 use seismic_la::scalar::C32;
 use seismic_la::Matrix;
 use tlr_mvm::{
-    compress, trace, verify_compression_grids, CompressionConfig, CompressionMethod, ToleranceMode,
+    compress, trace, verify_compression_grids, CompressionConfig, CompressionMethod, Tile,
+    ToleranceMode,
 };
 
 /// Oscillatory kernel with seed-driven oscillation, mirroring the rank
@@ -90,18 +91,26 @@ proptest! {
         let byte_sum: u64 = byte_grid.cells.iter().sum();
         prop_assert_eq!(byte_sum, tlr.compressed_bytes() as u64);
 
-        // Cell-by-cell: the byte grid must be consistent with the rank
-        // grid and the tile geometry (a rank-r tile stores r·(rows+cols)
-        // complex elements unless kept dense).
+        // Cell-by-cell: the byte grid is the stored form's word count
+        // (`Tile::stored_elements`), which the tile geometry fixes — a
+        // rank-r tile stores r·(rows+cols) complex elements, one kept
+        // dense rows·cols, and never more than that.
         for i in 0..mt {
             for j in 0..nt {
                 let cell = i * nt + j;
                 prop_assert_eq!(rank_grid.cells[cell], tlr.rank(i, j) as u64);
-                let lr = tlr.tile(i, j);
+                let tile = tlr.tile(i, j);
                 prop_assert_eq!(
                     byte_grid.cells[cell],
-                    (lr.stored_elements() * std::mem::size_of::<C32>()) as u64
+                    (tile.stored_elements() * std::mem::size_of::<C32>()) as u64
                 );
+                let (rows, cols) = tile.shape();
+                let words = match tile {
+                    Tile::LowRank(lr) => lr.rank() * (rows + cols),
+                    Tile::Dense(_) => rows * cols,
+                };
+                prop_assert_eq!(tile.stored_elements(), words);
+                prop_assert!(words <= rows * cols);
             }
         }
 

@@ -63,6 +63,8 @@ pub struct CompressionStats {
     /// Worst per-matrix reconstruction error bound is `acc` by
     /// construction; this records the largest tile rank seen.
     pub max_rank: usize,
+    /// Tiles stored dense rather than as factors.
+    pub dense_tiles: usize,
 }
 
 /// Result of one MDD run for one virtual source.
@@ -109,6 +111,7 @@ pub fn compression_stats(mats: &[TlrMatrix]) -> CompressionStats {
         s.compressed_bytes += m.compressed_bytes();
         s.dense_bytes += m.dense_bytes();
         s.max_rank = s.max_rank.max(m.max_rank());
+        s.dense_tiles += m.dense_tiles();
     }
     s.ratio = s.dense_bytes as f64 / s.compressed_bytes.max(1) as f64;
     s

@@ -5,15 +5,14 @@
 //! inversions concurrently. This module supplies both layers (design
 //! notes: DESIGN.md §13):
 //!
-//! * [`FrequencyOperators`] — the batched operator stack: one prebuilt
-//!   [`ThreePhase`] layout per frequency, swept in a single pass by
-//!   [`FrequencyOperators::apply_all_frequencies`]. The sweep shards
-//!   frequencies into contiguous ranges, and each shard reuses one
-//!   hoisted [`ThreePhaseScratch`] (checked out of a pool) across all
-//!   of its frequencies, so the steady-state hot loop allocates
-//!   nothing. Results are bit-identical to the serial per-frequency
-//!   loop for every shard count, because each frequency runs the exact
-//!   same three fastpath kernels over the same disjoint segments.
+//! * [`FrequencyOperators`] — the batched operator stack: the compressed
+//!   [`TlrMatrix`] of every frequency, swept in a single pass by
+//!   [`FrequencyOperators::apply_all_frequencies`] — contiguous shards of
+//!   frequencies, one tile-fused [`TlrMatrix::apply_into`] each. That is
+//!   the operator the MDD solve runs on, over the tiles as stored, so
+//!   there is no second copy to build on a cache miss or to budget, and
+//!   results are bit-identical to the serial per-frequency loop for
+//!   every shard count (same kernels, same disjoint segments).
 //! * [`OperatorCache`] — compressed operator stacks keyed by
 //!   [`OperatorKey`] `(dataset, nb, acc)`, with byte-budget accounting
 //!   and least-recently-used eviction.
@@ -55,7 +54,7 @@
 //! let y = ops.apply_all_frequencies(&x);
 //! // One pass over all frequencies == the serial per-frequency loop.
 //! for f in 0..3 {
-//!     let yf = ops.layouts()[f].apply(&x[f * 20..(f + 1) * 20]);
+//!     let yf = tlr[f].apply(&x[f * 20..(f + 1) * 20]);
 //!     assert_eq!(&y[f * 24..(f + 1) * 24], &yf[..]);
 //! }
 //! ```
@@ -71,7 +70,7 @@ use seismic_la::scalar::C32;
 use tlr_mvm::invariant::assert_finite;
 use tlr_mvm::telemetry::{EventKind, FlightRecorder, MetricFamily, MetricKind, MetricValue};
 use tlr_mvm::trace;
-use tlr_mvm::{LinearOperator, ThreePhase, ThreePhaseScratch, TlrMatrix};
+use tlr_mvm::{LinearOperator, TlrMatrix};
 
 use crate::lsqr::{lsqr, LsqrOptions};
 
@@ -106,28 +105,21 @@ pub struct ShardRecorder<'a> {
     pub job: u64,
 }
 
-/// The batched multi-frequency operator: one prebuilt [`ThreePhase`]
-/// layout per retained frequency bin, applied to the matching segment
-/// of a frequency-major concatenated vector — the same block-diagonal
-/// action as [`crate::MdcOperator`], but executed as one sweep over
-/// stacked-bases layouts with pooled scratch instead of per-tile
-/// kernels.
+/// The batched multi-frequency operator: the compressed [`TlrMatrix`] of
+/// every retained frequency bin, applied to the matching segment of a
+/// frequency-major concatenated vector — the same block-diagonal action
+/// and the same tile-fused kernels as [`crate::MdcOperator`], executed
+/// as one sharded sweep.
 pub struct FrequencyOperators {
-    layouts: Vec<ThreePhase>,
+    tlr: Vec<TlrMatrix>,
     n_src: usize,
     n_rec: usize,
     shards: usize,
-    resident_bytes: usize,
-    /// Hoisted intermediates, one checked out per shard per sweep and
-    /// reused across every frequency in the shard. Grows to the number
-    /// of concurrent shards and is then allocation-free.
-    scratch_pool: Mutex<Vec<ThreePhaseScratch>>,
 }
 
 impl FrequencyOperators {
-    /// Build the stacked layouts from a compressed frequency stack.
-    /// All matrices must share their shape (the per-frequency kernels
-    /// of one dataset do).
+    /// Take a copy of a compressed frequency stack. All matrices must
+    /// share their shape (the per-frequency kernels of one dataset do).
     pub fn build(tlr: &[TlrMatrix]) -> Self {
         assert!(!tlr.is_empty(), "at least one frequency operator");
         let n_src = tlr[0].nrows();
@@ -135,15 +127,11 @@ impl FrequencyOperators {
         for t in tlr {
             assert_eq!((t.nrows(), t.ncols()), (n_src, n_rec));
         }
-        let layouts: Vec<ThreePhase> = tlr.par_iter().map(ThreePhase::new).collect();
-        let resident_bytes = layouts.iter().map(ThreePhase::resident_bytes).sum();
         Self {
-            layouts,
+            tlr: tlr.to_vec(),
             n_src,
             n_rec,
             shards: DEFAULT_SHARDS,
-            resident_bytes,
-            scratch_pool: Mutex::new(Vec::new()),
         }
     }
 
@@ -157,7 +145,7 @@ impl FrequencyOperators {
 
     /// Number of frequency blocks.
     pub fn n_freqs(&self) -> usize {
-        self.layouts.len()
+        self.tlr.len()
     }
 
     /// Sources per frequency (rows of each kernel).
@@ -172,49 +160,42 @@ impl FrequencyOperators {
 
     /// Total input length of the batched forward sweep.
     pub fn ncols_total(&self) -> usize {
-        self.n_rec * self.layouts.len()
+        self.n_rec * self.tlr.len()
     }
 
     /// Total output length of the batched forward sweep.
     pub fn nrows_total(&self) -> usize {
-        self.n_src * self.layouts.len()
+        self.n_src * self.tlr.len()
     }
 
-    /// The per-frequency stacked layouts.
-    pub fn layouts(&self) -> &[ThreePhase] {
-        &self.layouts
-    }
-
-    /// Heap bytes the stacked layouts keep resident — what the
-    /// [`OperatorCache`] budget accounts for.
+    /// Bytes the stack keeps resident — the sum of
+    /// [`TlrMatrix::compressed_bytes`], what the [`OperatorCache`] budget
+    /// accounts for.
     pub fn resident_bytes(&self) -> usize {
-        self.resident_bytes
+        self.tlr.iter().map(TlrMatrix::compressed_bytes).sum()
     }
 
-    fn checkout_scratch(&self) -> ThreePhaseScratch {
-        lock_recover(&self.scratch_pool).pop().unwrap_or_default()
-    }
-
-    fn return_scratch(&self, s: ThreePhaseScratch) {
-        lock_recover(&self.scratch_pool).push(s);
-    }
-
-    /// Contiguous shard ranges `[lo, hi)` over the frequency axis:
-    /// `shards` near-equal pieces, remainder spread over the leading
-    /// shards.
-    fn shard_ranges(&self, shards: usize) -> Vec<(usize, usize)> {
-        let nf = self.layouts.len();
-        let shards = shards.clamp(1, nf);
-        let base = nf / shards;
-        let extra = nf % shards;
-        let mut ranges = Vec::with_capacity(shards);
-        let mut lo = 0;
+    /// Contiguous frequency shards `(lo, hi, view)`: [`Self::with_shards`]
+    /// near-equal ranges `[lo, hi)`, remainder spread over the leading
+    /// ones, each with its disjoint view of a frequency-major buffer of
+    /// `block` entries per frequency. Built before a sweep's span opens.
+    fn shard_views<'a>(
+        &self,
+        buf: &'a mut [C32],
+        block: usize,
+    ) -> Vec<(usize, usize, &'a mut [C32])> {
+        let nf = self.tlr.len();
+        let shards = self.shards.clamp(1, nf);
+        let (base, extra) = (nf / shards, nf % shards);
+        let mut views = Vec::with_capacity(shards);
+        let (mut lo, mut rest) = (0, buf);
         for s in 0..shards {
             let len = base + usize::from(s < extra);
-            ranges.push((lo, lo + len));
-            lo += len;
+            let (seg, tail) = rest.split_at_mut(len * block);
+            views.push((lo, lo + len, seg));
+            (lo, rest) = (lo + len, tail);
         }
-        ranges
+        views
     }
 
     /// Batched forward sweep: `y_f = Ã_f x_f` for every frequency in
@@ -228,10 +209,10 @@ impl FrequencyOperators {
     /// Batched forward sweep into a caller-owned buffer.
     ///
     /// Frequencies are split into contiguous shards ([`Self::with_shards`]);
-    /// shards run under rayon, and each reuses one pooled scratch across
-    /// all of its frequencies. Bit-identical to the serial loop
-    /// `for f { y_f = layouts[f].apply(x_f) }` for every shard count:
-    /// each frequency executes the same kernels over the same disjoint
+    /// shards run under rayon, one [`TlrMatrix::apply_into`] per
+    /// frequency. Bit-identical to the serial loop
+    /// `for f { y_f = tlr[f].apply(x_f) }` for every shard count: each
+    /// frequency executes the same kernels over the same disjoint
     /// segments, so no summation order changes.
     pub fn apply_all_frequencies_into(&self, x: &[C32], y: &mut [C32]) {
         self.apply_all_frequencies_recorded(x, y, None);
@@ -252,33 +233,22 @@ impl FrequencyOperators {
         assert_eq!(x.len(), self.ncols_total());
         assert_eq!(y.len(), self.nrows_total());
         assert_finite("engine.batch_apply.x", x);
-        let ranges = self.shard_ranges(self.shards);
-        // Disjoint per-shard output views, built before the span opens.
-        let mut views: Vec<&mut [C32]> = Vec::with_capacity(ranges.len());
-        let mut rest = &mut y[..];
-        for &(lo, hi) in &ranges {
-            let (seg, tail) = rest.split_at_mut((hi - lo) * self.n_src);
-            views.push(seg);
-            rest = tail;
-        }
+        let mut views = self.shard_views(y, self.n_src);
         let _span = trace::span("engine.batch_apply");
         views
             .par_iter_mut()
-            .zip(&ranges)
             .enumerate()
-            .for_each(|(s, (seg, &(lo, hi)))| {
+            .for_each(|(s, &mut (lo, hi, ref mut seg))| {
                 let shard = u64::try_from(s).unwrap_or(u64::MAX);
                 if let Some(r) = rec {
                     r.recorder
                         .record(r.ring, EventKind::ShardBegin, r.job, shard);
                 }
-                let mut scratch = self.checkout_scratch();
                 for f in lo..hi {
                     let xf = &x[f * self.n_rec..(f + 1) * self.n_rec];
                     let yf = &mut seg[(f - lo) * self.n_src..(f - lo + 1) * self.n_src];
-                    self.layouts[f].apply_with_scratch(xf, &mut scratch, yf);
+                    self.tlr[f].apply_into(xf, yf);
                 }
-                self.return_scratch(scratch);
                 if let Some(r) = rec {
                     r.recorder.record(r.ring, EventKind::ShardEnd, r.job, shard);
                 }
@@ -294,44 +264,32 @@ impl FrequencyOperators {
         x
     }
 
-    /// Batched adjoint sweep into a caller-owned buffer, with the same
-    /// sharding and scratch pooling as the forward sweep.
+    /// Batched adjoint sweep into a caller-owned buffer, sharded like
+    /// the forward sweep.
     pub fn apply_adjoint_all_frequencies_into(&self, y: &[C32], x: &mut [C32]) {
         assert_eq!(y.len(), self.nrows_total());
         assert_eq!(x.len(), self.ncols_total());
         assert_finite("engine.batch_adjoint.y", y);
-        let ranges = self.shard_ranges(self.shards);
-        let mut views: Vec<&mut [C32]> = Vec::with_capacity(ranges.len());
-        let mut rest = &mut x[..];
-        for &(lo, hi) in &ranges {
-            let (seg, tail) = rest.split_at_mut((hi - lo) * self.n_rec);
-            views.push(seg);
-            rest = tail;
-        }
+        let mut views = self.shard_views(x, self.n_rec);
         let _span = trace::span("engine.batch_adjoint");
-        views
-            .par_iter_mut()
-            .zip(&ranges)
-            .for_each(|(seg, &(lo, hi))| {
-                let mut scratch = self.checkout_scratch();
-                for f in lo..hi {
-                    let yf = &y[f * self.n_src..(f + 1) * self.n_src];
-                    let xf = &mut seg[(f - lo) * self.n_rec..(f - lo + 1) * self.n_rec];
-                    self.layouts[f].apply_adjoint_with_scratch(yf, &mut scratch, xf);
-                }
-                self.return_scratch(scratch);
-            });
+        views.par_iter_mut().for_each(|&mut (lo, hi, ref mut seg)| {
+            for f in lo..hi {
+                let yf = &y[f * self.n_src..(f + 1) * self.n_src];
+                let xf = &mut seg[(f - lo) * self.n_rec..(f - lo + 1) * self.n_rec];
+                self.tlr[f].apply_adjoint_into(yf, xf);
+            }
+        });
         assert_finite("engine.batch_adjoint.x", x);
     }
 
     /// Reference serial per-frequency loop (fresh buffers every
-    /// frequency, no sharding, no scratch reuse) — the equivalence
-    /// baseline the batched sweep is tested against.
+    /// frequency, no sharding) — the equivalence baseline the batched
+    /// sweep is tested against.
     pub fn apply_serial(&self, x: &[C32]) -> Vec<C32> {
         assert_eq!(x.len(), self.ncols_total());
         let mut y = Vec::with_capacity(self.nrows_total());
-        for (f, layout) in self.layouts.iter().enumerate() {
-            y.extend_from_slice(&layout.apply(&x[f * self.n_rec..(f + 1) * self.n_rec]));
+        for (f, t) in self.tlr.iter().enumerate() {
+            y.extend_from_slice(&t.apply(&x[f * self.n_rec..(f + 1) * self.n_rec]));
         }
         y
     }
@@ -1192,24 +1150,6 @@ mod tests {
         for shards in [1, 2, 3, 5, 6, 64] {
             let ops = FrequencyOperators::build(&tlr).with_shards(shards);
             bits_eq(&ops.apply_all_frequencies(&x), &serial);
-            // Dirty scratch pool from the first sweep: still identical.
-            bits_eq(&ops.apply_all_frequencies(&x), &serial);
-        }
-    }
-
-    #[test]
-    fn batched_adjoint_matches_per_frequency_adjoint() {
-        let tlr = stack(4, 30, 24, 8);
-        let ops = FrequencyOperators::build(&tlr).with_shards(3);
-        let y = test_x(4 * 30);
-        let x = ops.apply_adjoint_all_frequencies(&y);
-        for f in 0..4 {
-            let xf = tlr[f].apply_adjoint(&y[f * 30..(f + 1) * 30]);
-            let got = &x[f * 24..(f + 1) * 24];
-            let scale = seismic_la::blas::nrm2(&xf).max(1.0);
-            for (a, b) in got.iter().zip(&xf) {
-                assert!((*a - *b).abs() <= 1e-5 * scale, "{a} vs {b}");
-            }
         }
     }
 
@@ -1246,6 +1186,53 @@ mod tests {
         let _ops = cache.get_or_build(&key, || FrequencyOperators::build(&tlr));
         assert!(cache.contains(&key));
         assert_eq!(cache.stats().entries, 1);
+    }
+
+    /// Budget 0: every insert evicts everything else and keeps itself
+    /// (ROADMAP 5b) — exactly the last-inserted entry stays, and the bytes
+    /// held are its own.
+    #[test]
+    fn zero_budget_keeps_exactly_the_last_inserted_entry() {
+        let tlr = stack(1, 24, 24, 8);
+        let cache = OperatorCache::new(0);
+        let keys: Vec<OperatorKey> = (0..3)
+            .map(|i| OperatorKey::new(format!("ds{i}"), 8, 1e-4))
+            .collect();
+        for (n, key) in keys.iter().enumerate() {
+            let ops = cache.get_or_build(key, || FrequencyOperators::build(&tlr));
+            let stats = cache.stats();
+            assert_eq!(stats.entries, 1);
+            assert_eq!(stats.used_bytes, ops.resident_bytes());
+            assert_eq!(stats.evictions, n as u64);
+            for (k, other) in keys.iter().enumerate() {
+                assert_eq!(cache.contains(other), k == n);
+            }
+            // A hit on the survivor changes nothing.
+            let again = cache.get_or_build(key, || panic!("must be cached"));
+            assert!(Arc::ptr_eq(&ops, &again));
+        }
+    }
+
+    /// A budget that held one stack of all-dense tiles when each was kept
+    /// as an `(A, I)` pair — `2·m·n` words a matrix — holds two now.
+    #[test]
+    fn a_budget_of_one_factor_pair_stack_holds_two_dense_ones() {
+        // At `nb` 2 a rank-1 tile is no smaller than its block: all dense.
+        let tlr = stack(2, 24, 24, 2);
+        assert!(tlr.iter().all(|t| t.dense_tiles() == 144));
+        let dense_bytes: usize = tlr.iter().map(TlrMatrix::dense_bytes).sum();
+        let cache = OperatorCache::new(2 * dense_bytes);
+        let keys: Vec<OperatorKey> = (0..2)
+            .map(|i| OperatorKey::new(format!("ds{i}"), 2, 1e-4))
+            .collect();
+        for key in &keys {
+            let ops = cache.get_or_build(key, || FrequencyOperators::build(&tlr));
+            assert_eq!(ops.resident_bytes(), dense_bytes);
+        }
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.evictions), (2, 0));
+        assert_eq!(stats.used_bytes, cache.budget_bytes());
+        assert!(keys.iter().all(|k| cache.contains(k)));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! * [`mdc`] — the per-frequency MDC operator stack `y = Fᴴ K F x` plus
 //!   frequency→time conversion of station gathers.
 //! * [`engine`] — the batched multi-frequency sweep (one pass over all
-//!   frequency operators with pooled scratch) and the async serving
+//!   frequency operators, tile-fused on the stored tiles) and the async serving
 //!   layer: work-stealing scheduler, LRU operator cache, backpressure,
 //!   per-stage latency histograms (DESIGN.md §13).
 //! * [`driver`] — the full pipeline: Hilbert reorder → TLR compress →

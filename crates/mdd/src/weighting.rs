@@ -7,8 +7,9 @@
 //! weights `w_f` ∝ 1/(‖A_f‖ + ε) equalizes the blocks' leverage; the
 //! solution is read off directly (the unknown is unchanged).
 
+use seismic_la::blas::nrm2;
 use seismic_la::scalar::C32;
-use tlr_mvm::{LinearOperator, TlrMatrix};
+use tlr_mvm::{LinearOperator, Tile, TlrMatrix};
 
 use crate::lsqr::{lsqr, LsqrOptions, LsqrResult};
 use crate::mdc::MdcOperator;
@@ -29,14 +30,26 @@ impl<'a> WeightedMdcOperator<'a> {
             .map(|b| {
                 // ‖A‖_F from the stored factors: ‖UVᴴ‖_F ≤ ‖U‖‖V‖; use the
                 // reconstruction-free estimate Σ‖u_k‖‖v_k‖ ≈ Σσ_k (exact
-                // for SVD-compressed tiles whose U carries Σ).
+                // for SVD-compressed tiles whose U carries Σ). A tile
+                // stored dense contributes its own ‖A‖_F², column by
+                // column.
                 b.tiles_with_coords()
                     .map(|(_, _, t)| {
                         let mut s = 0.0f32;
-                        for k in 0..t.rank() {
-                            let un = seismic_la::blas::nrm2(t.u.col(k));
-                            let vn = seismic_la::blas::nrm2(t.v.col(k));
-                            s += (un * vn) * (un * vn);
+                        match t {
+                            Tile::LowRank(lr) => {
+                                for k in 0..lr.rank() {
+                                    let un = nrm2(lr.u.col(k));
+                                    let vn = nrm2(lr.v.col(k));
+                                    s += (un * vn) * (un * vn);
+                                }
+                            }
+                            Tile::Dense(a) => {
+                                for k in 0..a.ncols() {
+                                    let an = nrm2(a.col(k));
+                                    s += an * an;
+                                }
+                            }
                         }
                         s
                     })

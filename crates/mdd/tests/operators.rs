@@ -143,6 +143,39 @@ fn every_implementor_meets_the_operator_contract() {
     assert_same_bits("default apply_into", &via_default, &native);
 }
 
+/// The engine sweeps the operator the solver runs on: forward and adjoint
+/// are `MdcOperator` over the same stack bit for bit, for every shard
+/// count, over dense tiles (the noise of [`stack`]) and low-rank ones (a
+/// smooth kernel) alike; `apply_serial` is the same loop unsharded, and
+/// what the cache budgets is the stack's stored bytes.
+#[test]
+fn engine_sweeps_are_the_mdc_operator_bit_for_bit() {
+    let mut tlr = stack();
+    let smooth = Matrix::from_fn(M, N, |i, j| {
+        let d = i as f32 / M as f32 - j as f32 / N as f32;
+        C32::from_polar(1.0 / (1.0 + 3.0 * d.abs()), -7.0 * d)
+    });
+    tlr.push(compress(&smooth, *tlr[0].config()));
+    let (dense, tiles) = tlr.iter().fold((0, 0), |(d, t), m| {
+        (d + m.dense_tiles(), t + m.tiling().tile_count())
+    });
+    assert!(0 < dense && dense < tiles, "{dense} of {tiles} tiles dense");
+    let nf = tlr.len();
+    let mdc = MdcOperator::new(tlr.iter().collect::<Vec<&TlrMatrix>>());
+    let (x, y) = (rand_vec(nf * N, 320), rand_vec(nf * M, 321));
+    let (forward, adjoint) = (mdc.apply(&x), mdc.apply_adjoint(&y));
+    for shards in [1, 2, 3, nf, 64] {
+        let ops = FrequencyOperators::build(&tlr).with_shards(shards);
+        assert_same_bits("forward", &ops.apply_all_frequencies(&x), &forward);
+        assert_same_bits("adjoint", &ops.apply_adjoint_all_frequencies(&y), &adjoint);
+        assert_same_bits("serial", &ops.apply_serial(&x), &forward);
+        assert_eq!(
+            ops.resident_bytes(),
+            tlr.iter().map(TlrMatrix::compressed_bytes).sum::<usize>()
+        );
+    }
+}
+
 /// Overrides `_into` and counts; the allocating pair must never run.
 struct IntoOnly<'a> {
     inner: &'a Matrix<C32>,

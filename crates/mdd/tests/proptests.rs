@@ -12,8 +12,7 @@ use seismic_mdd::{
     lsqr, nmse, Engine, EngineConfig, FrequencyOperators, JobSpec, LsqrOptions, MdcOperator,
 };
 use tlr_mvm::{
-    compress, CompressionConfig, CompressionMethod, LinearOperator, ThreePhase, TlrMatrix,
-    ToleranceMode,
+    compress, CompressionConfig, CompressionMethod, LinearOperator, TlrMatrix, ToleranceMode,
 };
 
 /// Loose tile-relative SVD compression at `nb = 4` — small enough that
@@ -128,9 +127,9 @@ proptest! {
     }
 
     /// The batched sweep is bit-identical to a serial per-frequency
-    /// `TlrMatrix::apply` of the same stacked layouts, for any frequency
-    /// count and any shard width: sharding only partitions disjoint
-    /// output segments, it never reorders a summation.
+    /// `TlrMatrix::apply` of the same stack, for any frequency count and
+    /// any shard width: sharding only partitions disjoint output
+    /// segments, it never reorders a summation.
     #[test]
     fn batched_sweep_bit_identical_to_serial_loop(
         nf in 1usize..6,
@@ -145,8 +144,7 @@ proptest! {
         let x = rand_vec(nf * n, seed + 40);
         let batched = ops.apply_all_frequencies(&x);
         for (f, t) in tlr.iter().enumerate() {
-            let layout = ThreePhase::new(t);
-            let serial_f = layout.apply(&x[f * n..(f + 1) * n]);
+            let serial_f = t.apply(&x[f * n..(f + 1) * n]);
             for (a, b) in batched[f * m..(f + 1) * m].iter().zip(&serial_f) {
                 prop_assert_eq!(a.re.to_bits(), b.re.to_bits());
                 prop_assert_eq!(a.im.to_bits(), b.im.to_bits());

@@ -13,7 +13,7 @@
 //! * [`ACCGATE`]: `repro acc-report --json` vs `BENCH_accuracy.json`
 //!   through [`seismic_bench::acc_experiments::compare_acc`] — rank
 //!   checksums exact, NMSE / compression-ratio drift inside fixed bands,
-//!   no SRAM plan that stops fitting. Baseline points missing from a
+//!   no compression ratio below 1, no SRAM plan that stops fitting. Baseline points missing from a
 //!   reduced (`ACC_REPORT_POINTS`) run are informational.
 //!
 //! Flags, the same five for both: `--compare-only` reuses the artifact
@@ -135,6 +135,12 @@ fn acc_self_test((rows, scale): &AccRun) -> Vec<Proof> {
     });
     let ratio = failing(&|cur| cur.iter_mut().for_each(|r| r.compression_ratio *= 1.5));
     let forged = failing(&|cur| cur[0].rank_checksum ^= 1);
+    // Baseline and current both below 1: no drift, only the floor fails.
+    let mut bloated = rows.clone();
+    bloated[0].compression_ratio = 0.82;
+    let floor = compare_acc(&bloated, *scale, &bloated, *scale)
+        .failing()
+        .len();
     vec![
         (
             format!("2x NMSE fails at {nmse} points"),
@@ -147,6 +153,10 @@ fn acc_self_test((rows, scale): &AccRun) -> Vec<Proof> {
         (
             format!("one flipped rank checksum fails at {forged} point"),
             forged == 1,
+        ),
+        (
+            format!("one stored operator larger than the dense one fails at {floor} point"),
+            floor == 1,
         ),
         (
             "the baseline passes against itself".to_string(),

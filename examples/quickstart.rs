@@ -34,14 +34,16 @@ fn main() {
     let tlr = compress(&a, cfg);
     println!(
         "compressed {}x{} matrix: total rank {}, max tile rank {}, {:.2}x smaller \
-         ({} -> {} bytes)",
+         ({} -> {} bytes), {} of {} tiles stored dense",
         m,
         n,
         tlr.total_rank(),
         tlr.max_rank(),
         tlr.compression_ratio(),
         tlr.dense_bytes(),
-        tlr.compressed_bytes()
+        tlr.compressed_bytes(),
+        tlr.dense_tiles(),
+        tlr.tiling().tile_count()
     );
 
     // 3. Apply through each layout.

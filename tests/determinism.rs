@@ -5,7 +5,7 @@
 use seis_wave::{DatasetConfig, SyntheticDataset, VelocityModel};
 use seismic_geom::Ordering;
 use seismic_mdd::{compress_dataset, run_mdd_with_operators, LsqrOptions, MddConfig};
-use tlr_mvm::{CompressionConfig, CompressionMethod, ToleranceMode};
+use tlr_mvm::{CompressionConfig, CompressionMethod, Tile, ToleranceMode};
 use wse_sim::RankModel;
 
 fn dataset() -> SyntheticDataset {
@@ -37,10 +37,16 @@ fn compression_is_deterministic() {
     for (ta, tb) in a.iter().zip(&b) {
         assert_eq!(ta.total_rank(), tb.total_rank());
         assert_eq!(ta.compressed_bytes(), tb.compressed_bytes());
-        // Tile factors agree exactly.
+        // The stored forms agree exactly.
         for ((_, _, la), (_, _, lb)) in ta.tiles_with_coords().zip(tb.tiles_with_coords()) {
-            assert_eq!(la.u.as_slice(), lb.u.as_slice());
-            assert_eq!(la.v.as_slice(), lb.v.as_slice());
+            match (la, lb) {
+                (Tile::LowRank(la), Tile::LowRank(lb)) => {
+                    assert_eq!(la.u.as_slice(), lb.u.as_slice());
+                    assert_eq!(la.v.as_slice(), lb.v.as_slice());
+                }
+                (Tile::Dense(a), Tile::Dense(b)) => assert_eq!(a.as_slice(), b.as_slice()),
+                _ => panic!("one run stored a tile dense, the other as factors"),
+            }
         }
     }
     // The randomized backend is seeded per tile and equally deterministic.
