@@ -488,7 +488,8 @@ pub fn run_perfbench(reps: usize) -> BenchReport {
             ));
         },
     );
-    // 8 LSQR iterations ≈ 8 × (A + Aᴴ) applies.
+    // 8 LSQR iterations are 8 forward and 8 adjoint applies: `α₁v₁ = Aᴴu₁`
+    // up front, and the last iteration skips its adjoint.
     push(
         "lsqr.8iters.nb16",
         16 * cost.relative_bytes,

@@ -10,6 +10,8 @@
 //! of the same product is [`Tile::apply_acc`] over `seismic_la::blas`;
 //! the tests below and `core::accuracy`'s probe use it as the oracle.
 
+use std::sync::Arc;
+
 use rayon::prelude::*;
 use seismic_la::blas::{gemv_acc, gemv_conj_transpose_acc};
 use seismic_la::scalar::C32;
@@ -126,11 +128,13 @@ pub(crate) fn dense_adjoint_acc(a: &Matrix<C32>, y: &[C32], scratch: &mut [C32],
 /// TLR representation of an `m × n` complex matrix.
 ///
 /// Tiles are stored tile-column-major (`idx = j·mt + i`), matching the
-/// V-stack construction order.
+/// V-stack construction order. They never change after [`TlrMatrix::new`]
+/// and are held behind an `Arc`, so a clone shares them: it costs a
+/// reference count, not a copy of the operator.
 #[derive(Clone)]
 pub struct TlrMatrix {
     tiling: Tiling,
-    tiles: Vec<Tile>,
+    tiles: Arc<[Tile]>,
     config: CompressionConfig,
     /// Largest tile rank: the length of one task's rank scratch.
     max_rank: usize,
@@ -150,7 +154,7 @@ impl TlrMatrix {
         let max_rank = tiles.iter().map(Tile::rank).max().unwrap_or(0);
         Self {
             tiling,
-            tiles,
+            tiles: tiles.into(),
             config,
             max_rank,
         }
@@ -358,7 +362,7 @@ impl TlrMatrix {
     /// Histogram of tile ranks (index = rank, value = tile count).
     pub fn rank_histogram(&self) -> Vec<usize> {
         let mut hist = vec![0usize; self.max_rank() + 1];
-        for t in &self.tiles {
+        for t in self.tiles.iter() {
             hist[t.rank()] += 1;
         }
         hist

@@ -42,6 +42,36 @@ pub fn dotu<S: Scalar>(x: &[S], y: &[S]) -> S {
     acc
 }
 
+/// `Σ_{i<len} term(i)` on four accumulators, term `i` into accumulator
+/// `i mod 4`, combined as `(a₀ + a₁) + (a₂ + a₃)`: a column reduction is
+/// otherwise one serial chain of dependent adds, which is what these
+/// factorisations spend their time waiting on.
+#[inline(always)]
+pub(crate) fn sum4<T: Copy + core::ops::Add<Output = T>>(
+    zero: T,
+    len: usize,
+    term: impl Fn(usize) -> T,
+) -> T {
+    let mut acc = [zero; 4];
+    let head = len - len % 4;
+    for i in (0..head).step_by(4) {
+        acc[0] = acc[0] + term(i);
+        acc[1] = acc[1] + term(i + 1);
+        acc[2] = acc[2] + term(i + 2);
+        acc[3] = acc[3] + term(i + 3);
+    }
+    for i in head..len {
+        acc[i - head] = acc[i - head] + term(i);
+    }
+    (acc[0] + acc[1]) + (acc[2] + acc[3])
+}
+
+/// `‖x‖²` accumulated in `f64` ([`sum4`]).
+#[inline]
+pub(crate) fn norm_sq<S: Scalar>(x: &[S]) -> f64 {
+    sum4(0.0f64, x.len(), |i| x[i].abs_sqr().to_f64())
+}
+
 /// Euclidean norm with f64 accumulation.
 pub fn nrm2<S: Scalar>(x: &[S]) -> S::Real {
     let mut acc = 0.0f64;

@@ -255,10 +255,21 @@ impl<S: Scalar> Matrix<S> {
         out
     }
 
-    /// Apply a row permutation: `out[i, :] = self[perm[i], :]`.
-    pub fn permute_rows(&self, perm: &[usize]) -> Self {
-        assert_eq!(perm.len(), self.nrows);
-        Self::from_fn(self.nrows, self.ncols, |i, j| self[(perm[i], j)])
+    /// Apply a row and a column permutation in one gather:
+    /// `out[i, j] = self[rows[i], cols[j]]`.
+    pub fn permute(&self, rows: &[usize], cols: &[usize]) -> Self {
+        assert_eq!(rows.len(), self.nrows);
+        assert_eq!(cols.len(), self.ncols);
+        let mut data = Vec::with_capacity(self.data.len());
+        for &c in cols {
+            let src = self.col(c);
+            data.extend(rows.iter().map(|&r| src[r]));
+        }
+        Self {
+            nrows: self.nrows,
+            ncols: self.ncols,
+            data,
+        }
     }
 
     /// `true` if every entry is finite.
@@ -405,6 +416,10 @@ mod tests {
         }
         let round = m.permute_cols(&perm).permute_cols(&inv);
         assert_eq!(round, m);
+        // The two-sided gather is the row gather followed by the column one.
+        let rows = vec![5, 0, 3, 1, 4, 2];
+        let by_rows = Matrix::from_fn(6, 5, |i, j| m[(rows[i], j)]);
+        assert_eq!(m.permute(&rows, &perm), by_rows.permute_cols(&perm));
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! (rank-revealing QR, Chan 1987 / Golub & Van Loan) for building the
 //! per-tile `U·Vᴴ` factors.
 
+use crate::blas::norm_sq;
 use crate::dense::Matrix;
 use crate::scalar::{exactly_zero_f64, Real, Scalar};
 
@@ -231,10 +232,7 @@ pub fn pivoted_qr<S: Scalar>(a: &Matrix<S>, tol_fro: S::Real) -> PivotedQr<S> {
         let mut best_norm = -1.0f64;
         let mut total = 0.0f64;
         for c in j..n {
-            let mut s = 0.0f64;
-            for x in &f.col(c)[j..] {
-                s += x.abs_sqr().to_f64();
-            }
+            let s = norm_sq(&f.col(c)[j..]);
             total += s;
             if s > best_norm {
                 best_norm = s;

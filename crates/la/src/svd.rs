@@ -19,6 +19,7 @@
 // would obscure the stride structure the kernels are about.
 #![allow(clippy::needless_range_loop)]
 
+use crate::blas::{norm_sq, sum4};
 use crate::dense::Matrix;
 use crate::lowrank::LowRank;
 use crate::qr::pivoted_qr;
@@ -125,13 +126,16 @@ pub fn jacobi_svd<S: Scalar>(a: &Matrix<S>) -> Svd<S> {
     let eps = S::Real::EPSILON;
     // Convergence threshold on |cos angle| between columns.
     let tol = eps.to_f64() * (n as f64).sqrt();
+    // Squared column norms of `w`, recomputed for the two columns a
+    // rotation touched and for nothing else: a pair that is already
+    // orthogonal costs its dot product alone.
+    let mut norms: Vec<f64> = (0..n).map(|j| col_norm_sq(&w, j)).collect();
 
     for _sweep in 0..MAX_SWEEPS {
         let mut rotated = false;
         for p in 0..n {
             for q in p + 1..n {
-                let app = col_norm_sq(&w, p);
-                let aqq = col_norm_sq(&w, q);
+                let (app, aqq) = (norms[p], norms[q]);
                 if exactly_zero_f64(app) && exactly_zero_f64(aqq) {
                     continue;
                 }
@@ -140,13 +144,17 @@ pub fn jacobi_svd<S: Scalar>(a: &Matrix<S>) -> Svd<S> {
                 if apq_abs <= tol * (app * aqq).sqrt() {
                     continue;
                 }
+                // A dot product so deep in the subnormal range that its
+                // reciprocal overflows gives no direction to rotate by
+                // (and would poison both columns with `0·∞`): columns
+                // that small are zero to working precision.
+                let inv_abs = S::Real::from_f64(apq_abs.recip());
+                if !inv_abs.is_finite() {
+                    continue;
+                }
                 rotated = true;
                 // Phase so that w_pᴴ (w_q e^{-iφ}) is real positive.
-                let phase = if apq_abs > 0.0 {
-                    apq.mul_real(S::Real::from_f64(apq_abs.recip()))
-                } else {
-                    S::ONE
-                };
+                let phase = apq.mul_real(inv_abs);
                 // Real 2x2 symmetric eigen-rotation on [[app, r],[r, aqq]].
                 let r = apq_abs;
                 let tau = (aqq - app) / (2.0 * r);
@@ -156,15 +164,16 @@ pub fn jacobi_svd<S: Scalar>(a: &Matrix<S>) -> Svd<S> {
                     -1.0 / (-tau + (1.0 + tau * tau).sqrt())
                 };
                 let c = 1.0 / (1.0 + t * t).sqrt();
-                let s = c * t;
-                let cs = S::from_real(S::Real::from_f64(c));
-                let sn = S::from_real(S::Real::from_f64(s));
-                // Column q gets the phase folded in: q' = q * conj(phase)?
-                // We need w_pᴴ (w_q * e^{-iφ}) real: e^{iφ} = phase, so
-                // multiply column q by conj(phase).
+                let (c, s) = (S::Real::from_f64(c), S::Real::from_f64(c * t));
+                // e^{iφ} = phase, so column q enters the rotation times
+                // conj(phase); the factor is folded into its two
+                // coefficients once instead of into every element.
                 let phq = phase.conj();
-                rotate_pair(&mut w, p, q, cs, sn, phq);
-                rotate_pair(&mut v, p, q, cs, sn, phq);
+                let (cph, sph) = (phq.mul_real(c), phq.mul_real(s));
+                rotate_pair(&mut w, p, q, c, s, cph, sph);
+                rotate_pair(&mut v, p, q, c, s, cph, sph);
+                norms[p] = col_norm_sq(&w, p);
+                norms[q] = col_norm_sq(&w, q);
             }
         }
         if !rotated {
@@ -173,8 +182,9 @@ pub fn jacobi_svd<S: Scalar>(a: &Matrix<S>) -> Svd<S> {
     }
 
     // Extract singular values and normalize U columns.
-    let mut s: Vec<S::Real> = (0..n)
-        .map(|j| S::Real::from_f64(col_norm_sq(&w, j).sqrt()))
+    let mut s: Vec<S::Real> = norms
+        .iter()
+        .map(|&sq| S::Real::from_f64(sq.sqrt()))
         .collect();
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&i, &j| {
@@ -253,22 +263,31 @@ pub fn svd_compress_with_tail<S: Scalar>(a: &Matrix<S>, tol: S::Real) -> (LowRan
 }
 
 fn col_norm_sq<S: Scalar>(w: &Matrix<S>, j: usize) -> f64 {
-    w.col(j).iter().map(|x| x.abs_sqr().to_f64()).sum()
+    norm_sq(w.col(j))
 }
 
 fn col_dotc<S: Scalar>(w: &Matrix<S>, p: usize, q: usize) -> S {
-    crate::blas::dotc(w.col(p), w.col(q))
+    let (x, y) = (w.col(p), w.col(q));
+    let y = &y[..x.len()];
+    sum4(S::ZERO, x.len(), |i| x[i].conj() * y[i])
 }
 
 /// Apply the complex Jacobi rotation to columns `p`, `q`:
-/// `[p', q'] = [c·p − s·(q·phq), s̄·p... ]` — concretely:
-/// `p_new = c·p − s·(phq·q)`, `q_new = s·p + c·(phq·q)`.
-fn rotate_pair<S: Scalar>(m: &mut Matrix<S>, p: usize, q: usize, c: S, s: S, phq: S) {
+/// `p_new = c·p − s·(φ̄·q)`, `q_new = s·p + c·(φ̄·q)` with real `c`, `s`
+/// and the unit phase `φ̄` already folded into `cph = c·φ̄`, `sph = s·φ̄`.
+fn rotate_pair<S: Scalar>(
+    m: &mut Matrix<S>,
+    p: usize,
+    q: usize,
+    c: S::Real,
+    s: S::Real,
+    cph: S,
+    sph: S,
+) {
     let (cp, cq) = m.cols_mut_pair(p, q);
     for (a, b) in cp.iter_mut().zip(cq.iter_mut()) {
-        let bq = phq * *b;
-        let new_a = c * *a - s * bq;
-        let new_b = s * *a + c * bq;
+        let new_a = a.mul_real(c) - sph * *b;
+        let new_b = a.mul_real(s) + cph * *b;
         *a = new_a;
         *b = new_b;
     }

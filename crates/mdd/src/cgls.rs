@@ -5,10 +5,9 @@
 
 use seismic_la::blas::nrm2;
 use seismic_la::scalar::C32;
-use tlr_mvm::precision::to_u64;
 use tlr_mvm::{trace, LinearOperator};
 
-use crate::lsqr::{norm_stop, LsqrOptions, StopReason};
+use crate::lsqr::{norm_stop, trace_row, LsqrOptions, StopReason};
 
 /// CGLS outcome (mirrors [`crate::lsqr::LsqrResult`]).
 #[derive(Clone, Debug)]
@@ -30,7 +29,9 @@ fn norm_sqr(v: &[C32]) -> f32 {
 /// Solve `min ‖Ax − b‖ (+ λ²‖x‖²)` with CGLS.
 ///
 /// As in [`crate::lsqr::lsqr`], the operator writes into two buffers
-/// (`q = Ap`, `s = Aᴴr`) allocated once before the loop.
+/// (`q = Ap`, `s = Aᴴr`) allocated once before the loop, and the
+/// iteration that ends the solve stops at its residual: `s = Aᴴr` is
+/// computed only for an iteration that has a successor.
 pub fn cgls<A: LinearOperator + ?Sized>(a: &A, b: &[C32], opts: LsqrOptions) -> CglsResult {
     let _span = trace::span("cgls.solve");
     let m = a.nrows();
@@ -49,13 +50,13 @@ pub fn cgls<A: LinearOperator + ?Sized>(a: &A, b: &[C32], opts: LsqrOptions) -> 
     let b_norm = nrm2(b);
     let mut history = Vec::with_capacity(opts.max_iters);
 
+    let mut row_start = trace::is_enabled().then(std::time::Instant::now);
     let mut stop = StopReason::MaxIters;
-    for _ in 0..opts.max_iters {
+    for iter in 1..=opts.max_iters {
         if let Some(why) = norm_stop(gamma) {
             stop = why;
             break;
         }
-        let iter_start = trace::is_enabled().then(std::time::Instant::now);
         a.apply_into(&p, &mut q);
         let q_norm_sq = norm_sqr(&q) + damp_sq * norm_sqr(&p);
         if let Some(why) = norm_stop(q_norm_sq) {
@@ -69,6 +70,18 @@ pub fn cgls<A: LinearOperator + ?Sized>(a: &A, b: &[C32], opts: LsqrOptions) -> 
         for (ri, qi) in r.iter_mut().zip(&q) {
             *ri -= qi.scale(alpha);
         }
+        let res = nrm2(&r);
+        history.push(res);
+        trace_row("cgls", &mut row_start, iter, res, b_norm);
+        if opts.rel_tol > 0.0 && res <= opts.rel_tol * b_norm {
+            stop = StopReason::Converged;
+            break;
+        }
+        if iter == opts.max_iters {
+            break;
+        }
+        // The next search direction: only an iteration that has a
+        // successor pays for `s = Aᴴr`.
         a.apply_adjoint_into(&r, &mut s);
         if damp_sq > 0.0 {
             for (si, xi) in s.iter_mut().zip(&x) {
@@ -80,16 +93,6 @@ pub fn cgls<A: LinearOperator + ?Sized>(a: &A, b: &[C32], opts: LsqrOptions) -> 
         gamma = gamma_new;
         for (pi, si) in p.iter_mut().zip(&s) {
             *pi = *si + pi.scale(beta);
-        }
-        let res = nrm2(&r);
-        history.push(res);
-        if let Some(t0) = iter_start {
-            let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            trace::record_solver_iteration("cgls", to_u64(history.len()), res, b_norm, ns);
-        }
-        if opts.rel_tol > 0.0 && res <= opts.rel_tol * b_norm {
-            stop = StopReason::Converged;
-            break;
         }
     }
 

@@ -97,9 +97,10 @@ pub fn compress_dataset(
     config: CompressionConfig,
     ordering: Ordering,
 ) -> Vec<TlrMatrix> {
+    let (rows, cols) = ds.permutations(ordering);
     (0..ds.n_freqs())
         .into_par_iter()
-        .map(|f| compress(&ds.reordered_kernel(f, ordering), config))
+        .map(|f| compress(&ds.reordered_kernel_with(f, &rows, &cols), config))
         .collect()
 }
 

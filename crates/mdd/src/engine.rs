@@ -9,8 +9,8 @@
 //!   [`TlrMatrix`] of every frequency, swept in a single pass by
 //!   [`FrequencyOperators::apply_all_frequencies`] — contiguous shards of
 //!   frequencies, one tile-fused [`TlrMatrix::apply_into`] each. That is
-//!   the operator the MDD solve runs on, over the tiles as stored, so
-//!   there is no second copy to build on a cache miss or to budget, and
+//!   the operator the MDD solve runs on, over the caller's tiles (shared
+//!   by reference count), so a cache miss copies nothing, and
 //!   results are bit-identical to the serial per-frequency loop for
 //!   every shard count (same kernels, same disjoint segments).
 //! * [`OperatorCache`] — compressed operator stacks keyed by
@@ -118,8 +118,10 @@ pub struct FrequencyOperators {
 }
 
 impl FrequencyOperators {
-    /// Take a copy of a compressed frequency stack. All matrices must
-    /// share their shape (the per-frequency kernels of one dataset do).
+    /// Share a compressed frequency stack: each [`TlrMatrix`] clone holds
+    /// the caller's tiles by reference count, so nothing is copied. All
+    /// matrices must share their shape (the per-frequency kernels of one
+    /// dataset do).
     pub fn build(tlr: &[TlrMatrix]) -> Self {
         assert!(!tlr.is_empty(), "at least one frequency operator");
         let n_src = tlr[0].nrows();
@@ -168,7 +170,7 @@ impl FrequencyOperators {
         self.n_src * self.tlr.len()
     }
 
-    /// Bytes the stack keeps resident — the sum of
+    /// Bytes the stack keeps alive, shared or not — the sum of
     /// [`TlrMatrix::compressed_bytes`], what the [`OperatorCache`] budget
     /// accounts for.
     pub fn resident_bytes(&self) -> usize {
@@ -402,7 +404,9 @@ struct CacheInner {
 
 /// LRU cache of batched operator stacks with byte-budget accounting.
 ///
-/// Entries cost their [`FrequencyOperators::resident_bytes`]. When an
+/// Entries cost their [`FrequencyOperators::resident_bytes`] — the bytes
+/// an entry keeps alive, whether or not another entry or the caller
+/// shares them, so the budget bounds the worst case. When an
 /// insert pushes the total over the budget, least-recently-used entries
 /// are evicted until it fits again — except the entry just inserted,
 /// which always stays (evicting the operator the caller is about to
@@ -1233,6 +1237,43 @@ mod tests {
         assert_eq!((stats.entries, stats.evictions), (2, 0));
         assert_eq!(stats.used_bytes, cache.budget_bytes());
         assert!(keys.iter().all(|k| cache.contains(k)));
+    }
+
+    /// `build` shares the caller's stack instead of copying it: the
+    /// operator's tiles are the caller's allocations, two operators built
+    /// from one stack survive each other's eviction, and each is still
+    /// charged its full `compressed_bytes`, shared or not.
+    #[test]
+    fn build_shares_the_callers_tiles_and_the_budget_still_counts_them() {
+        let tlr = stack(2, 24, 24, 8);
+        let bytes: usize = tlr.iter().map(TlrMatrix::compressed_bytes).sum();
+        let x = test_x(2 * 24);
+        let want = FrequencyOperators::build(&tlr).apply_serial(&x);
+
+        // Room for one entry: inserting the second evicts the first.
+        let cache = OperatorCache::new(bytes);
+        let keys = [
+            OperatorKey::new("a", 8, 1e-4),
+            OperatorKey::new("b", 8, 1e-4),
+        ];
+        let first = cache.get_or_build(&keys[0], || FrequencyOperators::build(&tlr));
+        for (f, (mine, theirs)) in first.tlr.iter().zip(&tlr).enumerate() {
+            for (i, j, tile) in theirs.tiles_with_coords() {
+                assert!(std::ptr::eq(mine.tile(i, j), tile), "f {f} tile ({i},{j})");
+            }
+        }
+        assert_eq!(first.resident_bytes(), bytes);
+        assert_eq!(cache.stats().used_bytes, bytes);
+
+        let second = cache.get_or_build(&keys[1], || FrequencyOperators::build(&tlr));
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.evictions), (1, 1));
+        assert_eq!(stats.used_bytes, bytes);
+        assert!(!cache.contains(&keys[0]) && cache.contains(&keys[1]));
+        drop(first);
+        bits_eq(&second.apply_all_frequencies(&x), &want);
+        drop(tlr);
+        bits_eq(&second.apply_all_frequencies(&x), &want);
     }
 
     #[test]

@@ -8,6 +8,20 @@
 //! a NaN ends the solve at the iteration that produced it instead of
 //! `max_iters` iterations later, and an exhausted Krylov space is a
 //! status, not a silent early exit.
+//!
+//! One iteration is forward apply → `β` → rotation → `x` update →
+//! history / stop test → adjoint → `α`, `θ`, `ρ̄`, `w`: the second half
+//! feeds the *next* iteration only, so the iteration that ends a solve
+//! (`max_iters` reached, `rel_tol` met) skips its adjoint — a solve of
+//! `k` iterations costs `k` forward and `k` adjoint applies, the first
+//! adjoint being `α₁v₁ = Aᴴu₁`. Two things follow for [`StopReason`]: an
+//! `α` that would have been zero or non-finite on that last iteration is
+//! never computed, so the solve reports `MaxIters` / `Converged`; and a
+//! non-finite `α` on an earlier iteration is seen after that iteration's
+//! `x` update (which read only finite quantities) and history entry, not
+//! before them.
+
+use std::time::Instant;
 
 use seismic_la::blas::nrm2;
 use seismic_la::scalar::{exactly_zero_f32, C32};
@@ -91,6 +105,25 @@ pub(crate) fn norm_stop(norm: f32) -> Option<StopReason> {
     }
 }
 
+/// Per-iteration residual/timing trace (paper §6.2: "30 iterations of
+/// LSQR"): one row per iteration, carrying the time since the previous
+/// row (`since`, which is `None` — and the clock never read — while
+/// tracing is disabled).
+pub(crate) fn trace_row(
+    solver: &'static str,
+    since: &mut Option<Instant>,
+    iter: usize,
+    residual: f32,
+    b_norm: f32,
+) {
+    if let Some(t0) = *since {
+        let now = Instant::now();
+        let ns = u64::try_from((now - t0).as_nanos()).unwrap_or(u64::MAX);
+        trace::record_solver_iteration(solver, to_u64(iter), residual, b_norm, ns);
+        *since = Some(now);
+    }
+}
+
 /// Solve `min ‖A x − b‖₂ (+ λ²‖x‖²)` with LSQR.
 ///
 /// The operator is applied through [`LinearOperator::apply_into`] /
@@ -136,12 +169,9 @@ pub fn lsqr<A: LinearOperator + ?Sized>(a: &A, b: &[C32], opts: LsqrOptions) -> 
     let mut av = vec![C32::new(0.0, 0.0); m];
     let mut ahu = vec![C32::new(0.0, 0.0); n];
 
+    let mut row_start = trace::is_enabled().then(Instant::now);
     let mut stop = StopReason::MaxIters;
-    for _ in 0..opts.max_iters {
-        // Per-iteration residual/timing trace (paper §6.2: "30
-        // iterations of LSQR"). The clock is only read while tracing
-        // is enabled, so the disabled path stays a no-op.
-        let iter_start = trace::is_enabled().then(std::time::Instant::now);
+    for iter in 1..=opts.max_iters {
         // β u = A v − α u.
         a.apply_into(&v, &mut av);
         for (ui, avi) in u.iter_mut().zip(&av) {
@@ -155,19 +185,6 @@ pub fn lsqr<A: LinearOperator + ?Sized>(a: &A, b: &[C32], opts: LsqrOptions) -> 
         if beta > 0.0 {
             scale(&mut u, 1.0 / beta);
         }
-        // α v = Aᴴ u − β v.
-        a.apply_adjoint_into(&u, &mut ahu);
-        for (vi, ahui) in v.iter_mut().zip(&ahu) {
-            *vi = *ahui - vi.scale(beta);
-        }
-        alpha = nrm2(&v);
-        if !alpha.is_finite() {
-            stop = StopReason::NonFinite;
-            break;
-        }
-        if alpha > 0.0 {
-            scale(&mut v, 1.0 / alpha);
-        }
 
         // Eliminate the damping term (if any) from the bidiagonalization.
         let (rhobar1, phibar1) = if damp > 0.0 {
@@ -178,8 +195,8 @@ pub fn lsqr<A: LinearOperator + ?Sized>(a: &A, b: &[C32], opts: LsqrOptions) -> 
             (rhobar, phibar)
         };
 
-        // Both new bidiagonal entries vanished and the rotation would
-        // divide by zero.
+        // Both bidiagonal entries vanished and the rotation would divide
+        // by zero.
         let rho = rhobar1.hypot(beta);
         if exactly_zero_f32(rho) {
             stop = StopReason::Breakdown;
@@ -187,33 +204,46 @@ pub fn lsqr<A: LinearOperator + ?Sized>(a: &A, b: &[C32], opts: LsqrOptions) -> 
         }
         let c = rhobar1 / rho;
         let s = beta / rho;
-        let theta = s * alpha;
-        rhobar = -c * alpha;
         let phi = c * phibar1;
         phibar = s * phibar1;
 
-        // x += (φ/ρ) w; w = v − (θ/ρ) w.
-        let t1 = phi / rho;
-        let t2 = -theta / rho;
-        axpy_real(t1, &w, &mut x);
-        for (wi, vi) in w.iter_mut().zip(&v) {
-            *wi = *vi + wi.scale(t2);
-        }
+        // x += (φ/ρ) w.
+        axpy_real(phi / rho, &w, &mut x);
 
         history.push(phibar);
-        if let Some(t0) = iter_start {
-            let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            trace::record_solver_iteration("lsqr", to_u64(history.len()), phibar, b_norm, ns);
-        }
+        trace_row("lsqr", &mut row_start, iter, phibar, b_norm);
         // Krylov space exhausted: this iteration's update was the last
         // one that can change `x` (the next `u`, `v` are zero vectors).
-        if exactly_zero_f32(beta) || exactly_zero_f32(alpha) {
+        if exactly_zero_f32(beta) {
             stop = StopReason::Breakdown;
             break;
         }
         if opts.rel_tol > 0.0 && phibar <= opts.rel_tol * b_norm {
             stop = StopReason::Converged;
             break;
+        }
+        if iter == opts.max_iters {
+            break;
+        }
+
+        // Only an iteration that has a successor pays for the adjoint:
+        // α v = Aᴴ u − β v, then θ, ρ̄ and w = v − (θ/ρ) w, none of which
+        // `x` or the history read before the next iteration.
+        a.apply_adjoint_into(&u, &mut ahu);
+        for (vi, ahui) in v.iter_mut().zip(&ahu) {
+            *vi = *ahui - vi.scale(beta);
+        }
+        alpha = nrm2(&v);
+        if let Some(why) = norm_stop(alpha) {
+            stop = why;
+            break;
+        }
+        scale(&mut v, 1.0 / alpha);
+        let theta = s * alpha;
+        rhobar = -c * alpha;
+        let t2 = -theta / rho;
+        for (wi, vi) in w.iter_mut().zip(&v) {
+            *wi = *vi + wi.scale(t2);
         }
     }
 

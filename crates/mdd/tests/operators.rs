@@ -224,16 +224,17 @@ fn solvers_run_on_the_into_entry_points_alone() {
     let op = counting();
     let sol = lsqr(&op, &b, opts);
     assert_eq!((sol.iterations, sol.stop), (6, StopReason::MaxIters));
-    // One forward and one adjoint per iteration, plus α₁v₁ = Aᴴu₁.
+    // One forward per iteration; α₁v₁ = Aᴴu₁ and one adjoint per
+    // iteration but the last, whose adjoint nobody would read.
     assert_eq!(op.forward.load(AtomicOrdering::Relaxed), 6);
-    assert_eq!(op.adjoint.load(AtomicOrdering::Relaxed), 7);
+    assert_eq!(op.adjoint.load(AtomicOrdering::Relaxed), 6);
     assert_same_bits("lsqr through the wrapper", &sol.x, &lsqr(&a, &b, opts).x);
 
     let op = counting();
     let sol = cgls(&op, &b, opts);
     assert_eq!((sol.iterations, sol.stop), (6, StopReason::MaxIters));
     assert_eq!(op.forward.load(AtomicOrdering::Relaxed), 6);
-    assert_eq!(op.adjoint.load(AtomicOrdering::Relaxed), 7);
+    assert_eq!(op.adjoint.load(AtomicOrdering::Relaxed), 6);
     assert_same_bits("cgls through the wrapper", &sol.x, &cgls(&a, &b, opts).x);
 }
 

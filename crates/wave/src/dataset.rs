@@ -9,7 +9,7 @@ use seismic_la::scalar::C32;
 use seismic_la::Matrix;
 use serde::{Deserialize, Serialize};
 
-use crate::modeling::{downgoing_matrix, reflectivity_column, ModelingConfig};
+use crate::modeling::{downgoing_stack, reflectivity_column, ModelingConfig};
 use crate::velocity::VelocityModel;
 use crate::wavelet::flat_band_spectrum;
 
@@ -101,7 +101,8 @@ pub struct SyntheticDataset {
 }
 
 impl SyntheticDataset {
-    /// Generate all frequency matrices (rayon-parallel over frequencies).
+    /// Generate all frequency matrices, in one pass over the station pairs
+    /// ([`downgoing_stack`]).
     pub fn generate(config: DatasetConfig, model: VelocityModel) -> Self {
         let acq = Acquisition::scaled_with(config.scale, config.station_spacing);
         let df = config.df();
@@ -116,18 +117,17 @@ impl SyntheticDataset {
             .filter(|&k| spectrum[k] > 1e-6)
             .step_by(config.freq_stride.max(1))
             .collect();
+        let amps: Vec<f64> = bins.iter().map(|&bin| spectrum[bin]).collect();
+        let kernels = downgoing_stack(&bins, df, &amps, &acq, &model, &mcfg);
         let slices: Vec<FrequencySlice> = bins
-            .into_par_iter()
-            .map(|bin| {
-                let freq_hz = bin as f64 * df;
-                let wavelet_amp = spectrum[bin];
-                let kernel = downgoing_matrix(freq_hz, wavelet_amp, &acq, &model, &mcfg);
-                FrequencySlice {
-                    bin,
-                    freq_hz,
-                    wavelet_amp,
-                    kernel,
-                }
+            .iter()
+            .zip(&amps)
+            .zip(kernels)
+            .map(|((&bin, &wavelet_amp), kernel)| FrequencySlice {
+                bin,
+                freq_hz: bin as f64 * df,
+                wavelet_amp,
+                kernel,
             })
             .collect();
         Self {
@@ -159,10 +159,20 @@ impl SyntheticDataset {
     /// Kernel of slice `idx` with rows/columns reordered.
     pub fn reordered_kernel(&self, idx: usize, ordering: Ordering) -> Matrix<C32> {
         let (rows, cols) = self.permutations(ordering);
+        self.reordered_kernel_with(idx, &rows, &cols)
+    }
+
+    /// [`Self::reordered_kernel`] under permutations the caller holds —
+    /// [`Self::permutations`] computed once for all the frequencies.
+    pub fn reordered_kernel_with(
+        &self,
+        idx: usize,
+        rows: &Permutation,
+        cols: &Permutation,
+    ) -> Matrix<C32> {
         self.slices[idx]
             .kernel
-            .permute_rows(&rows.forward)
-            .permute_cols(&cols.forward)
+            .permute(&rows.forward, &cols.forward)
     }
 
     /// True reflectivity columns (natural receiver ordering) for a virtual

@@ -30,7 +30,7 @@ pub mod wavelet;
 
 pub use dataset::{DatasetConfig, FrequencySlice, SyntheticDataset};
 pub use fdtd::{first_break, simulate, FdTrace, FdtdConfig, VelocitySlice};
-pub use modeling::{downgoing_matrix, reflectivity_column, ModelingConfig};
+pub use modeling::{downgoing_matrix, downgoing_stack, reflectivity_column, ModelingConfig};
 pub use separation::{plane_wave, separate, Field2d, SeparationConfig};
 pub use time_domain::{downgoing_trace, peak_sample, reflectivity_trace, GatherConfig};
 pub use velocity::{Reflector, VelocityModel};

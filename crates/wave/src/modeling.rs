@@ -34,12 +34,49 @@ impl Default for ModelingConfig {
     }
 }
 
-/// Free-space Green's function `e^{-iωd/c} / (4πd)` with a near-field
-/// clamp on the spreading term.
+/// Spreading amplitude `1 / (4πd)` of the free-space Green's function,
+/// with a near-field clamp.
+#[inline]
+fn spreading(d: f64) -> f64 {
+    let d_eff = d.max(1.0); // clamp: stations are never closer than ~1 m
+    1.0 / (4.0 * std::f64::consts::PI * d_eff)
+}
+
+/// Free-space Green's function `e^{-iωd/c} / (4πd)`.
 #[inline]
 fn greens(omega: f64, d: f64, c: f64) -> C64 {
-    let d_eff = d.max(1.0); // clamp: stations are never closer than ~1 m
-    C64::from_polar(1.0 / (4.0 * std::f64::consts::PI * d_eff), -omega * d / c)
+    C64::from_polar(spreading(d), -omega * d / c)
+}
+
+/// The image-source arrivals of `P⁺(src → rec)` through the water column,
+/// `(path length, reflection weight)` each: per reverberation order `k`
+/// the direct family (image source at `z_s − 2k·z_w`), then the
+/// free-surface ghost (image at `−z_s − 2k·z_w`). Nothing here depends on
+/// frequency, which is what lets [`downgoing_stack`] compute it once per
+/// station pair; [`downgoing_value`] sums the same terms in the same order.
+fn image_terms(
+    src: &Point3,
+    rec: &Point3,
+    model: &VelocityModel,
+    cfg: &ModelingConfig,
+) -> impl Iterator<Item = (f64, f64)> {
+    let h = src.hdist(rec);
+    let zw = model.water_depth;
+    let r_fs = model.free_surface_coefficient;
+    let r_sf = cfg.seafloor_coefficient;
+    let (dz_direct, dz_ghost) = (rec.z - src.z, rec.z + src.z);
+    let mut bounce_amp = 1.0f64;
+    (0..=cfg.n_water_multiples).flat_map(move |k| {
+        let extra = 2.0 * k as f64 * zw;
+        let dz1 = dz_direct + extra;
+        let dz2 = dz_ghost + extra;
+        let terms = [
+            ((h * h + dz1 * dz1).sqrt(), bounce_amp),
+            ((h * h + dz2 * dz2).sqrt(), bounce_amp * r_fs),
+        ];
+        bounce_amp *= r_sf * r_fs;
+        terms
+    })
 }
 
 /// Downgoing wavefield value `P⁺(ω; src → rec)` through the water column:
@@ -51,24 +88,10 @@ pub fn downgoing_value(
     model: &VelocityModel,
     cfg: &ModelingConfig,
 ) -> C64 {
-    let h = src.hdist(rec);
-    let zw = model.water_depth;
     let c = model.water_velocity;
-    let r_fs = model.free_surface_coefficient;
-    let r_sf = cfg.seafloor_coefficient;
     let mut acc = C64::new(0.0, 0.0);
-    let mut bounce_amp = 1.0f64;
-    for k in 0..=cfg.n_water_multiples {
-        let extra = 2.0 * k as f64 * zw;
-        // Direct family: image source at z_s − 2k·z_w.
-        let dz1 = rec.z - src.z + extra;
-        let d1 = (h * h + dz1 * dz1).sqrt();
-        acc += greens(omega, d1, c).scale(bounce_amp);
-        // Ghost family: image source at −z_s − 2k·z_w.
-        let dz2 = rec.z + src.z + extra;
-        let d2 = (h * h + dz2 * dz2).sqrt();
-        acc += greens(omega, d2, c).scale(bounce_amp * r_fs);
-        bounce_amp *= r_sf * r_fs;
+    for (d, weight) in image_terms(src, rec, model, cfg) {
+        acc += greens(omega, d, c).scale(weight);
     }
     acc
 }
@@ -113,6 +136,108 @@ pub fn downgoing_matrix(
         }
     });
     Matrix::from_col_major(m, n, data)
+}
+
+/// One image-source arrival while [`downgoing_stack`] walks the bins: its
+/// frequency-independent amplitude factors, the unit phasor
+/// `e^{-iω·d/c}` at the current bin, and the phasor of one bin step.
+struct Arrival {
+    spreading: f64,
+    weight: f64,
+    phasor: C64,
+    step: C64,
+}
+
+/// Build the frequency matrices `A_f[s, r] = W_f·P⁺(2π·bins[f]·df; src_s →
+/// rec_r)` of every retained bin in one pass over the station pairs:
+/// `bins` are FFT bin indices, strictly ascending, `df` the bin width (Hz)
+/// and `amps[f]` the source spectrum at `bins[f]`.
+///
+/// Equal to [`downgoing_matrix`] at `bins[f] as f64 * df` per frequency,
+/// at a fraction of its cost: the path lengths and weights of a pair's
+/// image-source arrivals do not depend on `ω`, so they are computed once
+/// (`image_terms`), and the only trigonometry per arrival is its phasor
+/// at `bins[0]` and the phasor `e^{-i·2π·df·d/c}` of one bin — from there
+/// each bin costs one complex multiply per arrival and bin stepped over.
+/// The recurrence runs in `C64`, where its rounding (`≲ bins·2⁻⁵²`) is
+/// nine orders below the `f32` the entry is narrowed to once, as in the
+/// one-frequency form. Parallel over receiver columns, each task writing
+/// its column of every matrix in place.
+///
+/// # Panics
+/// If `bins` is not strictly ascending or `amps` has another length.
+pub fn downgoing_stack(
+    bins: &[usize],
+    df: f64,
+    amps: &[f64],
+    acq: &Acquisition,
+    model: &VelocityModel,
+    cfg: &ModelingConfig,
+) -> Vec<Matrix<C32>> {
+    assert_eq!(amps.len(), bins.len(), "`amps` needs one entry per bin");
+    assert!(
+        bins.windows(2).all(|w| w[0] < w[1]),
+        "`bins` must be strictly ascending, got {bins:?}"
+    );
+    let srcs = acq.sources.positions();
+    let recs = acq.receivers.positions();
+    let m = srcs.len();
+    let c = model.water_velocity;
+    let two_pi = 2.0 * std::f64::consts::PI;
+    let first = bins.first().copied().unwrap_or(0);
+    let omega_first = two_pi * (first as f64 * df);
+    let omega_step = two_pi * df;
+
+    let mut stack: Vec<Vec<C32>> = bins
+        .iter()
+        .map(|_| vec![C32::new(0.0, 0.0); m * recs.len()])
+        .collect();
+    // Regroup the column chunks of the per-frequency buffers by receiver,
+    // so that one task owns column `r` of every matrix.
+    let mut columns: Vec<Vec<&mut [C32]>> = recs
+        .iter()
+        .map(|_| Vec::with_capacity(bins.len()))
+        .collect();
+    for buf in &mut stack {
+        for (column, chunk) in columns.iter_mut().zip(buf.chunks_mut(m.max(1))) {
+            column.push(chunk);
+        }
+    }
+    columns
+        .into_par_iter()
+        .zip(recs.par_iter())
+        .for_each(|(mut column, rec)| {
+            let mut arrivals: Vec<Arrival> = Vec::new();
+            for (s, src) in srcs.iter().enumerate() {
+                arrivals.clear();
+                arrivals.extend(
+                    image_terms(src, rec, model, cfg).map(|(d, weight)| Arrival {
+                        spreading: spreading(d),
+                        weight,
+                        phasor: C64::cis(-omega_first * d / c),
+                        step: C64::cis(-omega_step * d / c),
+                    }),
+                );
+                let mut at = first;
+                for ((&bin, &amp), out) in bins.iter().zip(amps).zip(column.iter_mut()) {
+                    for _ in at..bin {
+                        for a in &mut arrivals {
+                            a.phasor *= a.step;
+                        }
+                    }
+                    at = bin;
+                    let mut acc = C64::new(0.0, 0.0);
+                    for a in &arrivals {
+                        acc += a.phasor.scale(a.spreading).scale(a.weight);
+                    }
+                    out[s] = acc.scale(amp).narrow();
+                }
+            }
+        });
+    stack
+        .into_iter()
+        .map(|data| Matrix::from_col_major(m, recs.len(), data))
+        .collect()
 }
 
 /// Build the true reflectivity column for virtual source `vs` (a receiver
@@ -211,6 +336,58 @@ mod tests {
         assert_eq!(a.shape(), (acq.n_sources(), acq.n_receivers()));
         assert!(a.all_finite());
         assert!(a.fro_norm() > 0.0);
+    }
+
+    fn bits(a: &Matrix<C32>) -> Vec<(u32, u32)> {
+        a.as_slice()
+            .iter()
+            .map(|z| (z.re.to_bits(), z.im.to_bits()))
+            .collect()
+    }
+
+    /// The stack against its oracle, [`downgoing_matrix`] per frequency,
+    /// bit for bit: the `DatasetConfig::tiny()` stack (4 bins, stride 2),
+    /// the default scale-12 one (all 36 bins) and a gapped bin list.
+    #[test]
+    fn stack_equals_the_one_frequency_form_bit_for_bit() {
+        let model = VelocityModel::overthrust();
+        let cfg = ModelingConfig::default();
+        let every_bin: Vec<usize> = (1..=36).collect();
+        let cases: [(usize, f64, &[usize]); 3] = [
+            (40, 1.0 / (64.0 * 0.008), &[1, 3, 5, 7]),
+            (12, 1.0 / (256.0 * 0.008), &every_bin),
+            (24, 1.0 / (256.0 * 0.008), &[3, 4, 9, 30]),
+        ];
+        for (scale, df, bins) in cases {
+            let acq = Acquisition::scaled_with(scale, 40.0);
+            let amps: Vec<f64> = bins.iter().map(|&b| 1.0 / (1.0 + b as f64)).collect();
+            let stack = downgoing_stack(bins, df, &amps, &acq, &model, &cfg);
+            assert_eq!(stack.len(), bins.len());
+            for ((&bin, &amp), got) in bins.iter().zip(&amps).zip(&stack) {
+                let want = downgoing_matrix(bin as f64 * df, amp, &acq, &model, &cfg);
+                assert_eq!(got.shape(), want.shape());
+                assert!(bits(got) == bits(&want), "scale {scale}, bin {bin}");
+            }
+        }
+    }
+
+    #[test]
+    fn stack_of_no_bins_is_empty_and_one_bin_needs_no_stepping() {
+        let (acq, model, cfg) = setup();
+        assert!(downgoing_stack(&[], 0.5, &[], &acq, &model, &cfg).is_empty());
+        // A lone bin is never stepped to: its phasors are the oracle's own
+        // `cis`, so even a bin far beyond any recurrence's reach is exact.
+        let stack = downgoing_stack(&[5000], 0.5, &[0.7], &acq, &model, &cfg);
+        assert_eq!(stack.len(), 1);
+        let want = downgoing_matrix(2500.0, 0.7, &acq, &model, &cfg);
+        assert!(bits(&stack[0]) == bits(&want));
+    }
+
+    #[test]
+    #[should_panic(expected = "`bins` must be strictly ascending")]
+    fn stack_rejects_bins_that_do_not_ascend() {
+        let (acq, model, cfg) = setup();
+        let _ = downgoing_stack(&[3, 3], 0.5, &[1.0, 1.0], &acq, &model, &cfg);
     }
 
     #[test]

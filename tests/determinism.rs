@@ -2,8 +2,10 @@
 //! independent runs must agree bit-for-bit (modulo rayon reduction order,
 //! which the implementations keep deterministic by reducing sequentially).
 
+use seis_wave::modeling::{downgoing_matrix, ModelingConfig};
 use seis_wave::{DatasetConfig, SyntheticDataset, VelocityModel};
 use seismic_geom::Ordering;
+use seismic_mdd::driver::compression_stats;
 use seismic_mdd::{compress_dataset, run_mdd_with_operators, LsqrOptions, MddConfig};
 use tlr_mvm::{CompressionConfig, CompressionMethod, Tile, ToleranceMode};
 use wse_sim::RankModel;
@@ -20,6 +22,100 @@ fn dataset_generation_is_deterministic() {
     for (sa, sb) in a.slices.iter().zip(&b.slices) {
         assert_eq!(sa.bin, sb.bin);
         assert_eq!(sa.kernel.as_slice(), sb.kernel.as_slice());
+    }
+}
+
+/// `generate` synthesises the whole frequency stack by phasor recurrence;
+/// the oracle is the one-frequency form, `downgoing_matrix`, evaluated on
+/// the same host — so the comparison does not depend on the platform's
+/// `sin` / `cos`. Every committed checksum downstream (ranks, accuracy
+/// grids, trace counters) is a function of these bits.
+fn assert_generate_is_the_per_frequency_oracle(scale: usize, freq_stride: usize, n_freqs: usize) {
+    let config = DatasetConfig {
+        scale,
+        freq_stride,
+        ..DatasetConfig::default()
+    };
+    let mcfg = ModelingConfig {
+        n_water_multiples: config.n_water_multiples,
+        ..ModelingConfig::default()
+    };
+    let ds = SyntheticDataset::generate(config, VelocityModel::overthrust());
+    assert_eq!(ds.n_freqs(), n_freqs);
+    let bits = |z: &seismic_la::C32| (z.re.to_bits(), z.im.to_bits());
+    for s in &ds.slices {
+        let want = downgoing_matrix(s.freq_hz, s.wavelet_amp, &ds.acq, &ds.model, &mcfg);
+        assert_eq!(s.kernel.shape(), want.shape());
+        let differing = s
+            .kernel
+            .as_slice()
+            .iter()
+            .zip(want.as_slice())
+            .filter(|(g, w)| bits(g) != bits(w))
+            .count();
+        assert_eq!(differing, 0, "bin {}: entries that differ", s.bin);
+    }
+}
+
+#[test]
+fn generate_is_the_per_frequency_oracle_bit_for_bit() {
+    // The default dataset: scale 12, all 36 bins (180×98).
+    assert_generate_is_the_per_frequency_oracle(12, 1, 36);
+}
+
+#[test]
+#[ignore = "1.2 M entries: CI runs it in release"]
+fn generate_is_the_per_frequency_oracle_at_scale_8() {
+    // `compress-stack` / `wse-map`: 405×242, every third bin.
+    assert_generate_is_the_per_frequency_oracle(8, 3, 12);
+}
+
+#[test]
+#[ignore = "7.8 M entries: CI runs it in release"]
+fn generate_is_the_per_frequency_oracle_at_scale_5() {
+    // `solve-large`: 1032×630, every third bin.
+    assert_generate_is_the_per_frequency_oracle(5, 3, 12);
+}
+
+/// The benchmark's `compress-stack` stack at its two `(nb, acc)` points:
+/// tile counts, rank sum, stored bytes and dense-tile counts as they were
+/// before `jacobi_svd` and `pivoted_qr` regrouped their arithmetic. A
+/// rounding change that flips one tile's rank moves `total_rank`; one that
+/// flips a tile between forms moves `dense_tiles`.
+#[test]
+#[ignore = "6,240 tile SVDs: CI runs it in release"]
+fn compress_stack_keeps_every_rank_it_had() {
+    let config = DatasetConfig {
+        scale: 8,
+        freq_stride: 3,
+        ..DatasetConfig::default()
+    };
+    let ds = SyntheticDataset::generate(config, VelocityModel::overthrust());
+    // (nb, acc) → (tiles, total_rank, compressed_bytes, dense_tiles)
+    let points = [
+        ((32, 1e-4), (1_248, 23_056, 7_694_560, 513)),
+        ((16, 1e-3), (4_992, 43_947, 7_394_216, 2_061)),
+    ];
+    for ((nb, acc), want) in points {
+        let cfg = CompressionConfig {
+            nb,
+            acc,
+            method: CompressionMethod::Svd,
+            mode: ToleranceMode::RelativeTile,
+        };
+        let tlr = compress_dataset(&ds, cfg, Ordering::Hilbert);
+        let tiles: usize = tlr.iter().map(|t| t.tiling().tile_count()).sum();
+        let stats = compression_stats(&tlr);
+        assert_eq!(
+            (
+                tiles,
+                stats.total_rank,
+                stats.compressed_bytes,
+                stats.dense_tiles
+            ),
+            want,
+            "nb {nb} acc {acc}"
+        );
     }
 }
 
