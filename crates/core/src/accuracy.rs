@@ -10,8 +10,8 @@
 //!   [`crate::compress::compress`] records three accuracy grids (one
 //!   cell per tile, row-major `mt × nt`):
 //!   [`GRID_TILE_RANK`] (truncation rank), [`GRID_TILE_STORED_BYTES`]
-//!   (bytes of the stored form — `U`/`V` factors or the dense block,
-//!   [`Tile::stored_elements`]), and [`GRID_TILE_TAIL_PPB`]
+//!   (bytes of the stored form — skeleton with its column order, or the
+//!   dense block: [`Tile::stored_bytes`]), and [`GRID_TILE_TAIL_PPB`]
 //!   (the truncation backward error `‖A_t − U Vᴴ‖_F / ‖A_t‖_F` in parts
 //!   per billion — for the SVD backend this is the QR residual plus the
 //!   discarded singular-value tail, `sqrt(‖E₁‖² + Σ_{i≥k} σᵢ²)`, which
@@ -48,7 +48,7 @@ use crate::trace::{self, TraceReport};
 
 /// Grid name: per-tile truncation rank (`total() == TlrMatrix::total_rank`).
 pub const GRID_TILE_RANK: &str = "accuracy.tile_rank";
-/// Grid name: per-tile stored bytes, factors or dense block
+/// Grid name: per-tile stored bytes, skeleton or dense block
 /// (`total() == TlrMatrix::compressed_bytes`).
 pub const GRID_TILE_STORED_BYTES: &str = "accuracy.tile_stored_bytes";
 /// Grid name: per-tile relative truncation backward error, parts per
@@ -61,25 +61,16 @@ pub const GRID_TILE_TAIL_PPB: &str = "accuracy.tile_tail_ppb";
 /// a tile stored dense: nothing was truncated (which also keeps a
 /// non-finite tile, always stored dense, out of the arithmetic below).
 pub fn tile_tail_ppb(tile: &Matrix<C32>, stored: &Tile) -> u64 {
-    let Tile::LowRank(lr) = stored else {
+    if matches!(stored, Tile::Dense(_)) {
         return 0;
-    };
+    }
     let norm = f64::from(tile.fro_norm());
     if norm <= 0.0 {
         return 0;
     }
-    let err = f64::from(lr.to_dense().sub(tile).fro_norm());
+    let err = f64::from(stored.to_dense().sub(tile).fro_norm());
     let rel = (err / norm).min(u64::MAX as f64 / 1e10);
     f64_to_u64((rel * 1e9).round())
-}
-
-/// Bytes one tile's stored form occupies (`stored_elements · 8` for
-/// interleaved FP32 complex).
-fn tile_stored_bytes(tile: &Tile) -> u64 {
-    to_u64(
-        tile.stored_elements()
-            .saturating_mul(std::mem::size_of::<C32>()),
-    )
 }
 
 /// Record the three per-tile accuracy grids for one compressed matrix.
@@ -105,7 +96,7 @@ pub fn record_compression_grids(tiling: &Tiling, tiles: &[Tile], tail_ppb: &[u64
             let idx = j * mt + i;
             let cell = i * nt + j;
             rank_cells[cell] = to_u64(tiles[idx].rank());
-            byte_cells[cell] = tile_stored_bytes(&tiles[idx]);
+            byte_cells[cell] = to_u64(tiles[idx].stored_bytes());
             tail_cells[cell] = tail_ppb[idx];
         }
     }
@@ -372,12 +363,23 @@ mod tests {
             method: CompressionMethod::Svd,
             mode: ToleranceMode::RelativeTile,
         };
-        crate::trace::reset();
-        crate::trace::set_enabled(true);
-        let tlr = compress(&a, cfg);
-        crate::trace::set_enabled(false);
-        let report = crate::trace::snapshot();
-        verify_compression_grids(&tlr, &report).unwrap();
+        // The collector is process-global: a test of another module that
+        // compresses while this one has tracing on adds to the same grids.
+        // That shows as a mismatch here, so the window is taken again; a
+        // real discrepancy fails every time.
+        let mut attempt = 0;
+        let report = loop {
+            crate::trace::reset();
+            crate::trace::set_enabled(true);
+            let tlr = compress(&a, cfg);
+            crate::trace::set_enabled(false);
+            let report = crate::trace::snapshot();
+            attempt += 1;
+            match verify_compression_grids(&tlr, &report) {
+                Ok(()) => break report,
+                Err(why) => assert!(attempt < 4, "{why}"),
+            }
+        };
         // The tail grid exists and stays inside the tolerance: every
         // tile's relative error is ≤ acc (RelativeTile mode), i.e.
         // ≤ 1e-3 · 1e9 = 1e6 ppb per cell (small float slack).

@@ -1,22 +1,24 @@
 //! TLR compression: tile the matrix, compress every tile independently,
-//! and store each as whichever form is fewer words — the `U·Vᴴ` factors
-//! while `k·(m+n) < m·n`, the dense block otherwise ([`compress_tile`]).
-//! The choice is a function of the data alone, so the stored operator is
+//! and store each either as the skeleton form of its rank-`k` approximant
+//! — while `k·(m+n) < m·n` — or as the dense block ([`compress_tile`]).
+//! The choice is a function of the data alone, and the stored operator is
 //! never larger than the dense one.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
 use seismic_la::aca::aca_compress;
-use seismic_la::qr::pivoted_qr;
+use seismic_la::blas::gemm_conj_transpose_right;
+use seismic_la::qr::{pivoted_qr_until, RankStop};
 use seismic_la::rsvd::rsvd_compress_adaptive;
 use seismic_la::scalar::C32;
-use seismic_la::svd::svd_compress;
+use seismic_la::svd::svd_truncate;
 use seismic_la::{LowRank, Matrix};
 use serde::{Deserialize, Serialize};
 
 use crate::accuracy;
 use crate::matrix::{Tile, TlrMatrix};
+use crate::skeleton::Skeleton;
 use crate::tiling::Tiling;
 use crate::trace;
 
@@ -113,11 +115,11 @@ pub fn compress(dense: &Matrix<C32>, config: CompressionConfig) -> TlrMatrix {
     let tile_count = tiling.tile_count() as f32;
     let observe = trace::is_enabled();
 
-    // Tile slots (empty rank-0 factors) and the per-tile backward-error
+    // Tile slots (empty dense blocks) and the per-tile backward-error
     // staging buffer are allocated before the span opens: the traced
     // region is pure per-tile compression (HP01).
     let mut tiles: Vec<Tile> = (0..mt * nt)
-        .map(|_| Tile::LowRank(LowRank::new(Matrix::zeros(0, 0), Matrix::zeros(0, 0))))
+        .map(|_| Tile::Dense(Matrix::zeros(0, 0)))
         .collect();
     let mut tail_ppb: Vec<u64> = vec![0; if observe { mt * nt } else { 0 }];
     {
@@ -158,9 +160,17 @@ pub fn compress(dense: &Matrix<C32>, config: CompressionConfig) -> TlrMatrix {
     TlrMatrix::new(tiling, tiles, config)
 }
 
-/// Compress a single tile with the chosen backend and keep whichever
-/// form is fewer words: the factors while `k·(m+n) < m·n`, the block
-/// itself otherwise.
+/// Compress a single tile with the chosen backend and store its rank-`k`
+/// approximant in skeleton form while `k·(m+n) < m·n` — the rule that
+/// decides which tiles are approximated at all, so the rule the accuracy
+/// of the operator rests on — and the block itself otherwise.
+///
+/// The SVD backend is told the rank from which that rule stores the block
+/// (`⌈m·n/(m+n)⌉`), and gives up without running Jacobi when its QR stage
+/// proves the truncation would keep at least that many
+/// ([`seismic_la::svd::svd_truncate`]); the RRQR backend stops its QR at
+/// that rank. A dense tile holds the block as given, so neither early
+/// exit changes a stored bit.
 ///
 /// A tile reaches a factoriser only when its Frobenius norm and `tol` are
 /// both finite. One holding a `NaN` or `Inf` (or truncated against a
@@ -172,24 +182,44 @@ pub fn compress_tile(tile: &Matrix<C32>, tol: f32, method: CompressionMethod, se
     if !(tol.is_finite() && tile.fro_norm().is_finite()) {
         return Tile::Dense(tile.clone());
     }
-    let lr = match method {
-        CompressionMethod::Svd => svd_compress(tile, tol),
+    let (m, n) = tile.shape();
+    // Factors save storage only below this rank.
+    let pays = |k: usize| k * (m + n) < m * n;
+    let from_pair =
+        |lr: LowRank<C32>| pays(lr.rank()).then(|| Skeleton::from_factors(&lr.u, &lr.v));
+    let dense_from = (m * n).div_ceil((m + n).max(1));
+    let skeleton = match method {
+        CompressionMethod::Svd => {
+            svd_truncate(tile, tol, Some(dense_from))
+                .filter(|t| pays(t.rank()))
+                .map(|t| {
+                    // C = Q_k·(core·V_Jᴴ): the r × r product is taken in
+                    // the k × r core, before the reflectors expand it to
+                    // m rows.
+                    Skeleton::from_right_factor(&t.v, |v_j| {
+                        t.qr.q_times(&gemm_conj_transpose_right(&t.core, v_j))
+                    })
+                })
+        }
         CompressionMethod::Rrqr => {
-            let f = pivoted_qr(tile, tol);
-            let (u, v) = f.low_rank_factors();
-            LowRank::new(u, v)
+            // The QR is its own rank: it need not go past the first that
+            // no longer pays.
+            let stop = RankStop {
+                rank: dense_from,
+                sigma: f64::NEG_INFINITY,
+            };
+            let f = pivoted_qr_until(tile, tol, Some(stop));
+            (!f.stopped && pays(f.rank)).then(|| Skeleton::from_pivoted_qr(&f))
         }
         CompressionMethod::Rsvd => {
             let mut rng = ChaCha8Rng::seed_from_u64(0x7a5e_ed00 ^ seed);
-            rsvd_compress_adaptive(tile, tol, &mut rng)
+            from_pair(rsvd_compress_adaptive(tile, tol, &mut rng))
         }
-        CompressionMethod::Aca => aca_compress(tile, tol),
+        CompressionMethod::Aca => from_pair(aca_compress(tile, tol)),
     };
-    // Keep the factorization only if it actually saves storage.
-    if lr.stored_elements() < tile.len() {
-        Tile::LowRank(lr)
-    } else {
-        Tile::Dense(tile.clone())
+    match skeleton {
+        Some(s) => Tile::LowRank(s),
+        None => Tile::Dense(tile.clone()),
     }
 }
 
@@ -333,11 +363,11 @@ mod tests {
             for (i, j, t) in tlr.tiles_with_coords() {
                 let (_, rl) = tlr.tiling().row_range(i);
                 let (_, cl) = tlr.tiling().col_range(j);
-                let Tile::LowRank(lr) = t else {
+                let Tile::LowRank(s) = t else {
                     panic!("{method:?} tile ({i},{j}) stored dense");
                 };
-                assert_eq!(lr.u.shape(), (rl, 0), "{method:?} tile ({i},{j})");
-                assert_eq!(lr.v.shape(), (cl, 0), "{method:?} tile ({i},{j})");
+                assert_eq!((s.rank(), s.shape()), (0, (rl, cl)), "{method:?} ({i},{j})");
+                assert_eq!(t.stored_bytes(), 0, "{method:?} tile ({i},{j})");
             }
             assert!(seismic_la::exactly_zero_f32(tlr.reconstruct().fro_norm()));
         }

@@ -6,10 +6,13 @@
 //!
 //! * [`gather`] — the phase-2 shuffle as an inverse-permutation gather
 //!   (sequential stores, random loads);
-//! * [`gemv_conj_transpose_fast`] — `Aᴴx` for the V-batch and for every
-//!   tile of [`crate::TlrMatrix::apply_into`]: four columns × four
-//!   complex lanes per step, written so that every float lane does the
-//!   same multiply-add and LLVM emits packed arithmetic (DESIGN.md §12);
+//! * [`gemv_conj_transpose_fast`] — `Aᴴx` for the V-batch: four columns ×
+//!   four complex lanes per step, written so that every float lane does
+//!   the same multiply-add and LLVM emits packed arithmetic (DESIGN.md
+//!   §12); [`gemv_conj_transpose_swapped`] is the same kernel for a
+//!   caller that already holds the swapped copy of `x` it reads
+//!   ([`swap_re_im`]) — [`crate::TlrMatrix::apply_adjoint_into`] makes it
+//!   once per input, not once per tile;
 //! * [`dotc_fast`] — one four-accumulator conjugated dot, for the
 //!   comm-avoiding adjoint whose rank columns each meet a different
 //!   block of `y`;
@@ -28,7 +31,6 @@
 //! within one run — V-batch ÷ U-batch, which is what notices a compiler
 //! that stops vectorising the dot, and blocked ÷ plain V-batch.
 
-use seismic_la::blas::axpy;
 use seismic_la::dense::Matrix;
 use seismic_la::scalar::{Scalar, C32};
 
@@ -140,6 +142,62 @@ fn dotc_lanes<const N: usize>(cols: [&[C32]; N], x: &[C32], xs: &[C32]) -> [C32;
     out
 }
 
+/// `xs[i] = (x[i].im, x[i].re)`: the swapped copy of `x` that
+/// the conjugated-dot lanes read beside `x` itself.
+#[inline]
+pub fn swap_re_im(x: &[C32], xs: &mut [C32]) {
+    assert_eq!(x.len(), xs.len(), "swap_re_im: length mismatch");
+    for (s, v) in xs.iter_mut().zip(x) {
+        *s = C32::new(v.im, v.re);
+    }
+}
+
+/// `N ≤ 4` conjugated dots on [`dotc_lanes`] in the forms it compiles
+/// well to: four columns in lockstep (a block of three repeats its last
+/// column and drops the repeat), or one column at a time. Every column's
+/// dot is the same lanes whichever way it is reached.
+#[inline]
+pub(crate) fn dotc_cols<const N: usize>(cols: [&[C32]; N], x: &[C32], xs: &[C32]) -> [C32; N] {
+    if N >= 3 {
+        let d = dotc_lanes::<4>(core::array::from_fn(|c| cols[c.min(N - 1)]), x, xs);
+        core::array::from_fn(|c| d[c])
+    } else {
+        cols.map(|c| dotc_lanes([c], x, xs)[0])
+    }
+}
+
+/// `y += A[r0.., :]ᴴ x` over the `x.len()` rows from `r0`, four columns
+/// at a time and the column tail in one block.
+#[inline]
+fn conj_transpose_block(a: &Matrix<C32>, r0: usize, x: &[C32], xs: &[C32], y: &mut [C32]) {
+    fn cols<const N: usize>(
+        a: &Matrix<C32>,
+        j: usize,
+        rows: core::ops::Range<usize>,
+        x: &[C32],
+        xs: &[C32],
+        y: &mut [C32],
+    ) {
+        let cols: [&[C32]; N] = core::array::from_fn(|c| &a.col(j + c)[rows.clone()]);
+        for (yj, d) in y[j..j + N].iter_mut().zip(dotc_cols(cols, x, xs)) {
+            *yj += d;
+        }
+    }
+    let rows = r0..r0 + x.len();
+    let n = y.len();
+    let mut j = 0;
+    while j + 4 <= n {
+        cols::<4>(a, j, rows.clone(), x, xs, y);
+        j += 4;
+    }
+    match n - j {
+        3 => cols::<3>(a, j, rows, x, xs, y),
+        2 => cols::<2>(a, j, rows, x, xs, y),
+        1 => cols::<1>(a, j, rows, x, xs, y),
+        _ => {}
+    }
+}
+
 /// `y = Aᴴ x` (overwrite) — drop-in for
 /// [`seismic_la::blas::gemv_conj_transpose`] on the V-batch path, written
 /// so LLVM vectorises it.
@@ -150,39 +208,49 @@ fn dotc_lanes<const N: usize>(cols: [&[C32]; N], x: &[C32], xs: &[C32]) -> [C32;
 /// scalar. Here every lane is isomorphic (see [`dotc_lanes`]): four
 /// columns advance in lockstep, four `C32` per step, against `x` and a
 /// swapped copy of `x` kept on the stack per [`DOT_BLOCK`]-row block;
-/// taller operands accumulate block by block. The column tail runs the
-/// same lanes one column at a time.
+/// taller operands accumulate block by block. A caller that applies many
+/// operands to one `x` makes the copy itself and calls
+/// [`gemv_conj_transpose_swapped`].
 #[inline]
 pub fn gemv_conj_transpose_fast(a: &Matrix<C32>, x: &[C32], y: &mut [C32]) {
     assert_eq!(a.nrows(), x.len(), "gemv_h_fast: x length mismatch");
     assert_eq!(a.ncols(), y.len(), "gemv_h_fast: y length mismatch");
-    let n = y.len();
     y.fill(C32::ZERO);
     let mut swapped = [C32::ZERO; DOT_BLOCK];
     for (b, xb) in x.chunks(DOT_BLOCK).enumerate() {
-        let (r0, r1) = (b * DOT_BLOCK, b * DOT_BLOCK + xb.len());
         let xs = &mut swapped[..xb.len()];
-        for (s, v) in xs.iter_mut().zip(xb) {
-            *s = C32::new(v.im, v.re);
+        swap_re_im(xb, xs);
+        conj_transpose_block(a, b * DOT_BLOCK, xb, xs, y);
+    }
+}
+
+/// [`gemv_conj_transpose_fast`] on a caller-owned swapped copy
+/// `xs = swap_re_im(x)`: the same blocks in the same order, so the same
+/// bits.
+#[inline]
+pub fn gemv_conj_transpose_swapped(a: &Matrix<C32>, x: &[C32], xs: &[C32], y: &mut [C32]) {
+    assert_eq!(a.nrows(), x.len(), "gemv_h_swapped: x length mismatch");
+    assert_eq!(x.len(), xs.len(), "gemv_h_swapped: xs length mismatch");
+    assert_eq!(a.ncols(), y.len(), "gemv_h_swapped: y length mismatch");
+    y.fill(C32::ZERO);
+    let blocks = x.chunks(DOT_BLOCK).zip(xs.chunks(DOT_BLOCK));
+    for (b, (xb, xsb)) in blocks.enumerate() {
+        conj_transpose_block(a, b * DOT_BLOCK, xb, xsb, y);
+    }
+}
+
+/// `y += Σ_c cols[c]·x[c]` in one pass over `y`: the `N` products of a row
+/// are added to it left to right.
+#[inline]
+pub(crate) fn axpy_cols<S: Scalar, const N: usize>(cols: [&[S]; N], x: [S; N], y: &mut [S]) {
+    let m = y.len();
+    let cols = cols.map(|c| &c[..m]);
+    for i in 0..m {
+        let mut acc = y[i];
+        for c in 0..N {
+            acc += cols[c][i] * x[c];
         }
-        let mut j = 0;
-        while j + 4 <= n {
-            let cols = [
-                &a.col(j)[r0..r1],
-                &a.col(j + 1)[r0..r1],
-                &a.col(j + 2)[r0..r1],
-                &a.col(j + 3)[r0..r1],
-            ];
-            for (yj, d) in y[j..j + 4].iter_mut().zip(dotc_lanes(cols, xb, xs)) {
-                *yj += d;
-            }
-            j += 4;
-        }
-        while j < n {
-            let [d] = dotc_lanes([&a.col(j)[r0..r1]], xb, xs);
-            y[j] += d;
-            j += 1;
-        }
+        y[i] = acc;
     }
 }
 
@@ -190,12 +258,20 @@ pub fn gemv_conj_transpose_fast(a: &Matrix<C32>, x: &[C32], y: &mut [C32]) {
 /// [`seismic_la::blas::gemv_acc`] on the U-batch path.
 ///
 /// The column-sweep `gemv_acc` streams `y` through the cache once per
-/// column; blocking four columns cuts that traffic 4×. The column tail
-/// falls back to [`axpy`].
+/// column; blocking four columns cuts that traffic 4×. The column tail is
+/// one block of three, two or one (`axpy_cols`), which rounds as the
+/// column-at-a-time tail did.
 #[inline]
 pub fn gemv_acc_fast<S: Scalar>(a: &Matrix<S>, x: &[S], y: &mut [S]) {
     assert_eq!(a.ncols(), x.len(), "gemv_acc_fast: x length mismatch");
     assert_eq!(a.nrows(), y.len(), "gemv_acc_fast: y length mismatch");
+    fn tail<S: Scalar, const N: usize>(a: &Matrix<S>, j: usize, x: &[S], y: &mut [S]) {
+        axpy_cols::<S, N>(
+            core::array::from_fn(|c| a.col(j + c)),
+            core::array::from_fn(|c| x[j + c]),
+            y,
+        );
+    }
     let m = y.len();
     let n = x.len();
     let mut j = 0;
@@ -213,9 +289,11 @@ pub fn gemv_acc_fast<S: Scalar>(a: &Matrix<S>, x: &[S], y: &mut [S]) {
         }
         j += 4;
     }
-    while j < n {
-        axpy(x[j], a.col(j), y);
-        j += 1;
+    match n - j {
+        3 => tail::<S, 3>(a, j, x, y),
+        2 => tail::<S, 2>(a, j, x, y),
+        1 => tail::<S, 1>(a, j, x, y),
+        _ => {}
     }
 }
 

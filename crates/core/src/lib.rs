@@ -8,6 +8,8 @@
 //! * [`mod@compress`] — per-tile algebraic compression (SVD / RRQR /
 //!   randomized SVD / ACA) at a tile-wise accuracy threshold `acc`.
 //! * [`matrix`] — the [`TlrMatrix`] with apply/adjoint and storage stats.
+//! * [`skeleton`] — the stored form of an approximated tile,
+//!   `C·[I Xᴴ]·Πᵀ`: `r²` fewer words than the `U·Vᴴ` pair it equals.
 //! * [`layouts`] — the classic three-phase pipeline (V-batch → shuffle →
 //!   U-batch, paper Figs. 4–7) and the CS-2 communication-avoiding layout
 //!   (fused per-tile-column kernels + host reduction, paper Fig. 9),
@@ -66,6 +68,7 @@ pub mod mmm;
 pub mod ops;
 pub mod precision;
 pub mod real4;
+pub mod skeleton;
 pub mod telemetry;
 pub mod tiling;
 pub mod trace;
@@ -79,11 +82,15 @@ pub use accuracy::{
     ConvergenceCheck, ProbeEstimate,
 };
 pub use compress::{compress, compress_tile, CompressionConfig, CompressionMethod, ToleranceMode};
-pub use fastpath::{dotc_fast, gather, gemv_acc_fast, gemv_conj_transpose_fast};
+pub use fastpath::{
+    dotc_fast, gather, gemv_acc_fast, gemv_conj_transpose_fast, gemv_conj_transpose_swapped,
+    swap_re_im,
+};
 pub use layouts::{ColumnStack, CommAvoiding, RankChunk, ThreePhase, ThreePhaseScratch};
 pub use matrix::{Tile, TlrMatrix};
 pub use mmm::{comm_avoiding_mmm, tlr_mmm, tlr_mmm_adjoint, tlr_mmm_cost};
 pub use ops::LinearOperator;
 pub use precision::{bf16_to_f32, f32_to_bf16, Bf16Matrix, Bf16TlrMatrix};
 pub use real4::{join_vec, split_vec, RealSplitMatrix};
+pub use skeleton::Skeleton;
 pub use tiling::Tiling;

@@ -1,7 +1,8 @@
-//! The tile low-rank matrix: one stored form per tile — `U·Vᴴ` factors
-//! or the dense block, whichever is fewer words ([`Tile`]) — on a uniform
-//! tile grid, with application, adjoint application, and storage
-//! accounting.
+//! The tile low-rank matrix: one stored form per tile — the skeleton form
+//! `C·[I Xᴴ]·Πᵀ` of its low-rank approximant ([`Skeleton`]) or the dense
+//! block, whichever [`crate::compress::compress_tile`] chose ([`Tile`]) —
+//! on a uniform tile grid, with application, adjoint application, and
+//! storage accounting.
 //!
 //! [`TlrMatrix::apply_into`] / [`TlrMatrix::apply_adjoint_into`] are the
 //! operator the MDD solve and the engine's sweep run on: the tile-fused
@@ -15,37 +16,41 @@ use std::sync::Arc;
 use rayon::prelude::*;
 use seismic_la::blas::{gemv_acc, gemv_conj_transpose_acc};
 use seismic_la::scalar::C32;
-use seismic_la::{LowRank, Matrix};
+use seismic_la::Matrix;
 
 use crate::compress::{compress_tile, CompressionConfig};
-use crate::fastpath::{gemv_acc_fast, gemv_conj_transpose_fast};
+use crate::fastpath::{gemv_acc_fast, gemv_conj_transpose_swapped, swap_re_im};
 use crate::precision::to_u64;
+use crate::skeleton::Skeleton;
 use crate::tiling::Tiling;
 
 const CZERO: C32 = C32::new(0.0, 0.0);
 
-/// One tile as stored: the form with fewer words
-/// ([`crate::compress::compress_tile`] chooses).
+/// One tile as stored ([`crate::compress::compress_tile`] chooses the
+/// form).
 ///
-/// A [`Tile::Dense`] tile stands for the exact factorisation `U = A`,
-/// `V = I` without storing it, so its [`Tile::rank`] is its column count
-/// and every rank-derived number (stack widths, the §6.6 cost model, the
-/// wafer workload) is what that factorisation gives, while
-/// [`Tile::stored_elements`] counts the `m·n` words actually held.
+/// Either form stands for a factor pair without storing it — a
+/// [`Tile::LowRank`] tile for `(C, W)` with `W = Π·[I; X]`, a
+/// [`Tile::Dense`] tile for `(A, I)`, the `r = n` case in which `X` is
+/// empty — and `Tile::u_col` / `Tile::copy_v_col` hand that pair out
+/// column by column, so every rank-derived number (stack widths, the §6.6
+/// cost model, the wafer workload) is what that factorisation gives,
+/// while [`Tile::stored_bytes`] counts what is actually held.
 #[derive(Clone, Debug)]
 pub enum Tile {
-    /// `U·Vᴴ` factors, `k·(m+n)` words.
-    LowRank(LowRank<C32>),
+    /// The skeleton form of a rank-`r` approximant: `r·(m+n−r)` words and
+    /// the column order.
+    LowRank(Skeleton),
     /// The block itself, `m·n` words.
     Dense(Matrix<C32>),
 }
 
 impl Tile {
-    /// Rank `k` of the factors; the column count of a dense tile.
+    /// Rank `r` of the skeleton; the column count of a dense tile.
     #[inline]
     pub fn rank(&self) -> usize {
         match self {
-            Tile::LowRank(lr) => lr.rank(),
+            Tile::LowRank(s) => s.rank(),
             Tile::Dense(a) => a.ncols(),
         }
     }
@@ -54,32 +59,52 @@ impl Tile {
     #[inline]
     pub fn shape(&self) -> (usize, usize) {
         match self {
-            Tile::LowRank(lr) => lr.shape(),
+            Tile::LowRank(s) => s.shape(),
             Tile::Dense(a) => a.shape(),
         }
     }
 
-    /// Number of stored scalars: `k·(m+n)`, or `m·n` for a dense tile.
+    /// Number of stored scalars: `r·(m+n−r)`, or `m·n` for a dense tile.
     #[inline]
     pub fn stored_elements(&self) -> usize {
         match self {
-            Tile::LowRank(lr) => lr.stored_elements(),
+            Tile::LowRank(s) => s.stored_elements(),
             Tile::Dense(a) => a.len(),
         }
+    }
+
+    /// Stored bytes: 8 per scalar (complex FP32), plus the column order of
+    /// a skeleton — one byte per tile column up to 256 of them.
+    #[inline]
+    pub fn stored_bytes(&self) -> usize {
+        let index = match self {
+            Tile::LowRank(s) => s.index_bytes(),
+            Tile::Dense(_) => 0,
+        };
+        self.stored_elements() * std::mem::size_of::<C32>() + index
     }
 
     /// Densify.
     pub fn to_dense(&self) -> Matrix<C32> {
         match self {
-            Tile::LowRank(lr) => lr.to_dense(),
+            Tile::LowRank(s) => s.factors().to_dense(),
             Tile::Dense(a) => a.clone(),
         }
     }
 
-    /// `y += T x` on the reference kernels (`seismic_la::blas`).
+    /// `‖T‖_F²` of the block this tile stands for, without densifying.
+    pub fn fro_norm_sq(&self) -> f64 {
+        match self {
+            Tile::LowRank(s) => s.fro_norm_sq(),
+            Tile::Dense(a) => a.as_slice().iter().map(|v| f64::from(v.norm_sqr())).sum(),
+        }
+    }
+
+    /// `y += T x` on the reference kernels (`seismic_la::blas`), a
+    /// skeleton through the `(C, W)` pair it stands for.
     pub fn apply_acc(&self, x: &[C32], y: &mut [C32]) {
         match self {
-            Tile::LowRank(lr) => lr.apply_acc(x, y),
+            Tile::LowRank(s) => s.factors().apply_acc(x, y),
             Tile::Dense(a) => gemv_acc(a, x, y),
         }
     }
@@ -87,24 +112,25 @@ impl Tile {
     /// `y += Tᴴ x` on the reference kernels.
     pub fn apply_adjoint_acc(&self, x: &[C32], y: &mut [C32]) {
         match self {
-            Tile::LowRank(lr) => lr.apply_adjoint_acc(x, y),
+            Tile::LowRank(s) => s.factors().apply_adjoint_acc(x, y),
             Tile::Dense(a) => gemv_conj_transpose_acc(a, x, y),
         }
     }
 
-    /// Column `r` of the `U` factor; of a dense tile, its own column `r`.
+    /// Column `r` of the left factor: of `C`; of a dense tile, its own
+    /// column `r`.
     pub(crate) fn u_col(&self, r: usize) -> &[C32] {
         match self {
-            Tile::LowRank(lr) => lr.u.col(r),
+            Tile::LowRank(s) => s.c_col(r),
             Tile::Dense(a) => a.col(r),
         }
     }
 
-    /// Write column `r` of the `V` factor into `dst`; for a dense tile
-    /// that is the unit vector `e_r`.
+    /// Write column `r` of the right factor into `dst`: `e_{J[r]}` plus
+    /// column `r` of `X`; for a dense tile the unit vector `e_r` alone.
     pub(crate) fn copy_v_col(&self, r: usize, dst: &mut [C32]) {
         match self {
-            Tile::LowRank(lr) => dst.copy_from_slice(lr.v.col(r)),
+            Tile::LowRank(s) => s.copy_w_col(r, dst),
             Tile::Dense(_) => {
                 dst.fill(CZERO);
                 dst[r] = C32::new(1.0, 0.0);
@@ -114,12 +140,19 @@ impl Tile {
 }
 
 /// `x += Aᴴ y` for a tile stored dense: `t = Aᴴ y` on the fast kernel into
-/// the head of the caller's rank scratch (at least `A`'s column count
-/// long), then the add — what `x += I·(Aᴴ y)` computed, without the `I`.
+/// the head of the caller's scratch (at least `A`'s column count long),
+/// then the add — what `x += I·(Aᴴ y)` computed, without the `I`. `ys` is
+/// `swap_re_im(y)`.
 #[inline]
-pub(crate) fn dense_adjoint_acc(a: &Matrix<C32>, y: &[C32], scratch: &mut [C32], x: &mut [C32]) {
+pub(crate) fn dense_adjoint_acc(
+    a: &Matrix<C32>,
+    y: &[C32],
+    ys: &[C32],
+    scratch: &mut [C32],
+    x: &mut [C32],
+) {
     let t = &mut scratch[..a.ncols()];
-    gemv_conj_transpose_fast(a, y, t);
+    gemv_conj_transpose_swapped(a, y, ys, t);
     for (xv, &tv) in x.iter_mut().zip(&*t) {
         *xv += tv;
     }
@@ -136,7 +169,7 @@ pub struct TlrMatrix {
     tiling: Tiling,
     tiles: Arc<[Tile]>,
     config: CompressionConfig,
-    /// Largest tile rank: the length of one task's rank scratch.
+    /// Largest tile rank.
     max_rank: usize,
 }
 
@@ -213,13 +246,11 @@ impl TlrMatrix {
             .count()
     }
 
-    /// Stored bytes of all tiles — `U`/`V` bases or the dense block (8 B
-    /// per complex-FP32 entry).
+    /// Stored bytes of all tiles ([`Tile::stored_bytes`]): skeleton or
+    /// dense block at 8 B per complex-FP32 entry, plus the skeletons'
+    /// column orders.
     pub fn compressed_bytes(&self) -> usize {
-        self.tiles
-            .iter()
-            .map(|t| t.stored_elements() * std::mem::size_of::<C32>())
-            .sum()
+        self.tiles.iter().map(Tile::stored_bytes).sum()
     }
 
     /// Dense storage the compression replaced.
@@ -254,31 +285,28 @@ impl TlrMatrix {
     }
 
     /// `y = Ã x` into a caller-owned buffer, tile-fused on the
-    /// [`crate::fastpath`] kernels: per low-rank tile `t = V_ijᴴ x_j`,
-    /// then `y_i += U_ij t`, per dense tile `y_i += A_ij x_j`, so no
-    /// rank-length intermediate is stored and nothing is shuffled.
-    /// Parallel over tile rows (each owns one `nb` chunk of `y`); the
-    /// rank scratch is one allocation per call, cut into one `max_rank`
-    /// piece per tile row.
+    /// [`crate::fastpath`] kernels: per skeleton tile `t = x_J + Xᴴ x̃` on
+    /// the tile's own ordering of `x_j`, then `y_i += C t`; per dense tile
+    /// `y_i += A_ij x_j`. No rank-length intermediate is stored and
+    /// nothing is shuffled between tiles. Parallel over tile rows (each
+    /// owns one `nb` chunk of `y`); the scratch is one allocation per
+    /// call, cut into one `2·nb` piece per tile row (`x_j` in the tile's
+    /// order, and the swapped copy of its `x̃` part).
     pub fn apply_into(&self, x: &[C32], y: &mut [C32]) {
         assert_eq!(x.len(), self.tiling.n, "input length mismatch");
         assert_eq!(y.len(), self.tiling.m, "output length mismatch");
-        let kmax = self.max_rank.max(1);
-        let mut scratch = vec![CZERO; self.tiling.tile_rows() * kmax];
-        y.par_chunks_mut(self.tiling.nb)
-            .zip(scratch.par_chunks_mut(kmax))
+        let nb = self.tiling.nb;
+        let mut scratch = vec![CZERO; self.tiling.tile_rows() * 2 * nb];
+        y.par_chunks_mut(nb)
+            .zip(scratch.par_chunks_mut(2 * nb))
             .enumerate()
-            .for_each(|(i, (seg, t))| {
+            .for_each(|(i, (seg, scratch))| {
                 seg.fill(CZERO);
                 for j in 0..self.tiling.tile_cols() {
                     let (c0, cl) = self.tiling.col_range(j);
                     let xj = &x[c0..c0 + cl];
                     match self.tile(i, j) {
-                        Tile::LowRank(lr) => {
-                            let t = &mut t[..lr.rank()];
-                            gemv_conj_transpose_fast(&lr.v, xj, t);
-                            gemv_acc_fast(&lr.u, t, seg);
-                        }
+                        Tile::LowRank(s) => s.apply_acc_fast(xj, scratch, seg),
                         Tile::Dense(a) => gemv_acc_fast(a, xj, seg),
                     }
                 }
@@ -293,30 +321,31 @@ impl TlrMatrix {
         x
     }
 
-    /// `x = Ãᴴ y` into a caller-owned buffer: the same two kernels as
-    /// [`TlrMatrix::apply_into`] with `U` and `V` exchanged
-    /// (`t = U_ijᴴ y_i`, `x_j += V_ij t`; for a dense tile `t = A_ijᴴ y_i`,
-    /// `x_j += t`), parallel over tile columns.
+    /// `x = Ãᴴ y` into a caller-owned buffer: per skeleton tile
+    /// `s = Cᴴ y_i`, then `x_J += s` and `x̃ += X s` scattered back onto
+    /// `x_j`; per dense tile `x_j += A_ijᴴ y_i`. Parallel over tile
+    /// columns. The one scratch allocation holds the swapped copy of `y`
+    /// both conjugated dots read — made once here, not once per tile — and
+    /// one `nb` piece per tile column.
     pub fn apply_adjoint_into(&self, y: &[C32], x: &mut [C32]) {
         assert_eq!(y.len(), self.tiling.m, "input length mismatch");
         assert_eq!(x.len(), self.tiling.n, "output length mismatch");
-        let kmax = self.max_rank.max(1);
-        let mut scratch = vec![CZERO; self.tiling.tile_cols() * kmax];
-        x.par_chunks_mut(self.tiling.nb)
-            .zip(scratch.par_chunks_mut(kmax))
+        let nb = self.tiling.nb;
+        let mut scratch = vec![CZERO; y.len() + self.tiling.tile_cols() * nb];
+        let (ys, scratch) = scratch.split_at_mut(y.len());
+        swap_re_im(y, ys);
+        let ys = &*ys;
+        x.par_chunks_mut(nb)
+            .zip(scratch.par_chunks_mut(nb))
             .enumerate()
-            .for_each(|(j, (seg, t))| {
+            .for_each(|(j, (seg, scratch))| {
                 seg.fill(CZERO);
                 for i in 0..self.tiling.tile_rows() {
                     let (r0, rl) = self.tiling.row_range(i);
-                    let yi = &y[r0..r0 + rl];
+                    let (yi, ysi) = (&y[r0..r0 + rl], &ys[r0..r0 + rl]);
                     match self.tile(i, j) {
-                        Tile::LowRank(lr) => {
-                            let t = &mut t[..lr.rank()];
-                            gemv_conj_transpose_fast(&lr.u, yi, t);
-                            gemv_acc_fast(&lr.v, t, seg);
-                        }
-                        Tile::Dense(a) => dense_adjoint_acc(a, yi, t, seg),
+                        Tile::LowRank(s) => s.apply_adjoint_acc_fast(yi, ysi, scratch, seg),
+                        Tile::Dense(a) => dense_adjoint_acc(a, yi, ysi, scratch, seg),
                     }
                 }
             });
@@ -335,20 +364,24 @@ impl TlrMatrix {
     /// Re-truncate every tile to a looser accuracy without touching the
     /// dense source — tolerance laddering: compress once tightly, derive
     /// the whole Fig. 12 sweep by rounding. `acc` has the same semantics
-    /// as the compression config (per-tile relative). Factors are rounded
-    /// in place (their word count can only fall); a dense tile is
-    /// compressed afresh from the block it holds, and comes back as
-    /// whichever form is smaller at the new `acc`.
+    /// as the compression config (per-tile relative, against the norm of
+    /// the tile as stored). A skeleton is rounded through the factor pair
+    /// it stands for and skeletonised again (its rank, and with it its
+    /// byte count, can only fall); a dense tile is compressed afresh from
+    /// the block it holds, and comes back in whichever form
+    /// [`compress_tile`] picks at the new `acc`.
     pub fn recompress(&self, acc: f32) -> TlrMatrix {
         let tiles: Vec<Tile> = self
             .tiles
             .par_iter()
             .enumerate()
             .map(|(idx, t)| match t {
-                Tile::LowRank(lr) if lr.rank() == 0 => t.clone(),
-                // Per-tile relative tolerance against the tile's own norm
-                // (≈ the factor pair's norm).
-                Tile::LowRank(lr) => Tile::LowRank(lr.recompress(acc * lr.to_dense().fro_norm())),
+                Tile::LowRank(s) if s.rank() == 0 => t.clone(),
+                Tile::LowRank(s) => {
+                    let tol = acc * s.fro_norm_sq().sqrt() as f32;
+                    let rounded = s.factors().recompress(tol);
+                    Tile::LowRank(Skeleton::from_factors(&rounded.u, &rounded.v))
+                }
                 Tile::Dense(a) => {
                     compress_tile(a, acc * a.fro_norm(), self.config.method, to_u64(idx))
                 }
@@ -369,7 +402,7 @@ impl TlrMatrix {
     }
 }
 
-/// What the hybrid-store tests across this crate share.
+/// What the stored-form tests across this crate share.
 #[cfg(test)]
 pub(crate) mod test_support {
     use super::*;
@@ -378,13 +411,18 @@ pub(crate) mod test_support {
     use rand_chacha::ChaCha8Rng;
 
     /// `tlr` with every dense tile re-expressed as the `(A, I)` factor
-    /// pair it stands for — the only form the store had before [`Tile`].
+    /// pair it stands for: the skeleton with `r = n`, `C = A`, no `X` and
+    /// the columns in their own order.
     pub(crate) fn dense_tiles_as_factors(tlr: &TlrMatrix) -> TlrMatrix {
         let tiles = tlr
             .tiles
             .iter()
             .map(|t| match t {
-                Tile::Dense(a) => Tile::LowRank(LowRank::dense_as_lowrank(a)),
+                Tile::Dense(a) => {
+                    let n = a.ncols();
+                    let order: Vec<usize> = (0..n).collect();
+                    Tile::LowRank(Skeleton::new(a, &Matrix::zeros(0, n), &order))
+                }
                 Tile::LowRank(_) => t.clone(),
             })
             .collect();
@@ -439,7 +477,7 @@ pub(crate) mod test_support {
         );
         let kind = |i, j| match tlr.tile(i, j) {
             Tile::Dense(_) => 'd',
-            Tile::LowRank(lr) if lr.rank() == 0 => '0',
+            Tile::LowRank(s) if s.rank() == 0 => '0',
             Tile::LowRank(_) => 'l',
         };
         assert_eq!([kind(0, 0), kind(0, 1), kind(0, 2)], ['0', 'd', 'l']);
@@ -538,8 +576,9 @@ mod tests {
     }
 
     /// The product the obviously-right way: every tile through
-    /// [`LowRank::apply_acc`] (`seismic_la::blas`, one accumulator, a
-    /// fresh rank vector per tile).
+    /// [`Tile::apply_acc`] — a skeleton as the `(C, W)` pair it stands for
+    /// on `seismic_la::LowRank::apply_acc` (`seismic_la::blas`, one
+    /// accumulator, a fresh rank vector per tile).
     fn reference_apply(tlr: &TlrMatrix, x: &[C32]) -> Vec<C32> {
         let mut y = vec![CZERO; tlr.shape().0];
         for (i, j, tile) in tlr.tiles_with_coords() {
@@ -567,13 +606,17 @@ mod tests {
     }
 
     /// Grids the kernels' tails have to get right: `nb` not dividing the
-    /// shape, `nb` larger than both dimensions, tiles of rank zero and
-    /// tiles of full rank.
+    /// shape (edge tiles with `m < n` and `m > n`), `nb` larger than both
+    /// dimensions, tiles of rank zero, one, `n − 1` and of full rank.
     fn hostile_grids() -> Vec<(&'static str, Matrix<C32>, usize, f32)> {
         let mut rng = ChaCha8Rng::seed_from_u64(85);
         // A zero block spanning whole tiles, so some tiles have rank 0.
         let mut holed = kernel(70, 52);
         holed.set_block(16, 0, &Matrix::zeros(32, 32));
+        let rank_one = Matrix::from_fn(40, 34, |i, j| {
+            C32::from_polar(1.0 + 0.01 * i as f32, 0.3 * i as f32)
+                * C32::from_polar(2.0 - 0.02 * j as f32, -0.2 * j as f32)
+        });
         vec![
             ("ragged", kernel(67, 41), 16, 1e-4),
             ("nb > dims", kernel(20, 15), 64, 1e-4),
@@ -585,16 +628,25 @@ mod tests {
                 1e-7,
             ),
             ("one row", kernel(1, 9), 4, 1e-4),
+            // 34 = 2·16 + 2: the last tile column is two wide, so its
+            // rank-1 skeletons have r = n − 1 and a single row of X.
+            ("rank one", rank_one, 16, 1e-4),
         ]
     }
 
-    /// Tile-fused fast path against the reference loop (rounding only:
-    /// `1e-5·‖A‖_F·‖x‖`) and against the dense matrix (compression error:
-    /// tile-relative `acc` sums to `acc·‖A‖_F`, doubled for rounding), on
-    /// [`hostile_grids`].
+    /// Tile-fused fast path against the reference loop — every skeleton
+    /// through the `(C, W)` pair it stands for on `seismic_la::blas`
+    /// (rounding only: `1e-5·‖A‖_F·‖x‖`) — and against the dense matrix
+    /// (compression error: tile-relative `acc` sums to `acc·‖A‖_F`, doubled
+    /// for rounding), with the adjoint dot-product test, on
+    /// [`hostile_grids`] and on the matrix whose tile row 0 and tile
+    /// column 1 each hold a dense, a skeleton and a rank-0 tile.
     #[test]
     fn apply_and_adjoint_match_reference_loop_and_dense_on_hostile_grids() {
-        for (name, a, nb, acc) in hostile_grids() {
+        let mut cases = hostile_grids();
+        let (mixed, _) = mixed_tiles();
+        cases.push(("mixed", mixed, 16, 1e-4));
+        for (name, a, nb, acc) in cases {
             let (m, n) = a.shape();
             let tlr = compress(&a, cfg(nb, acc));
             if name == "zero-rank tiles" {
@@ -603,6 +655,10 @@ mod tests {
             if name == "full-rank tiles" {
                 assert_eq!(tlr.max_rank(), nb);
                 assert_eq!(tlr.dense_tiles(), tlr.tiling().tile_count());
+            }
+            if name == "rank one" {
+                assert_eq!((tlr.max_rank(), tlr.dense_tiles()), (1, 0));
+                assert_eq!(tlr.tile(0, 2).shape(), (16, 2), "r = n − 1");
             }
             let (x, y) = (rand_vec(n, 86), rand_vec(m, 87));
             let a_norm = a.fro_norm();
@@ -634,6 +690,12 @@ mod tests {
             assert!(
                 d <= 2.0 * acc * a_norm * y_norm,
                 "{name}: adjoint vs dense {d}"
+            );
+
+            let (lhs, rhs) = (dotc(&y, &ax), dotc(&ahy, &x));
+            assert!(
+                (lhs - rhs).abs() <= 1e-4 * a_norm * x_norm * y_norm,
+                "{name}: ⟨y, Ãx⟩ = {lhs} but ⟨Ãᴴy, x⟩ = {rhs}"
             );
         }
     }
@@ -684,22 +746,32 @@ mod tests {
         assert_eq!(hist_total, tlr.total_rank());
     }
 
+    /// `r·(m+n−r)·8 + n` bytes per skeleton tile (nothing at rank 0),
+    /// `m·n·8` per dense one; against the `U·Vᴴ` pair's `r·(m+n)·8` a
+    /// skeleton is `8r² − n` bytes smaller.
     #[test]
     fn compressed_bytes_formula() {
         let a = kernel(40, 30);
         let tlr = compress(&a, cfg(10, 1e-3));
-        let manual = |tlr: &TlrMatrix| -> usize {
-            tlr.tiles_with_coords()
-                .map(|(_, _, t)| match t {
-                    Tile::LowRank(lr) => (lr.u.len() + lr.v.len()) * 8,
-                    Tile::Dense(a) => a.nrows() * a.ncols() * 8,
-                })
-                .sum()
-        };
-        assert_eq!(manual(&tlr), tlr.compressed_bytes());
-        assert_eq!(tlr.dense_bytes(), 40 * 30 * 8);
         let (_, mixed) = mixed_tiles();
-        assert_eq!(manual(&mixed), mixed.compressed_bytes());
+        for tlr in [&tlr, &mixed] {
+            let (mut stored, mut as_pairs) = (0, 0);
+            for (_, _, t) in tlr.tiles_with_coords() {
+                let ((m, n), r) = (t.shape(), t.rank());
+                let (bytes, pair) = match t {
+                    Tile::LowRank(_) if r == 0 => (0, 0),
+                    Tile::LowRank(_) => (r * (m + n - r) * 8 + n, r * (m + n) * 8),
+                    Tile::Dense(_) => (m * n * 8, m * n * 8),
+                };
+                assert_eq!(t.stored_bytes(), bytes);
+                assert!(bytes <= pair, "{m}x{n} rank {r}");
+                stored += bytes;
+                as_pairs += pair;
+            }
+            assert_eq!(stored, tlr.compressed_bytes());
+            assert!(stored < as_pairs);
+        }
+        assert_eq!(tlr.dense_bytes(), 40 * 30 * 8);
         assert!(mixed.dense_tiles() > 0 && mixed.compressed_bytes() < mixed.dense_bytes());
     }
 

@@ -8,7 +8,7 @@
 //! opposite direction: the kernel leaves the bandwidth-bound regime, but
 //! per-PE SRAM must now hold `s` input and output panels.
 
-use crate::fastpath::gemv_acc_fast;
+use crate::fastpath::{gemv_acc_fast, swap_re_im};
 use rayon::prelude::*;
 use seismic_la::scalar::C32;
 use seismic_la::Matrix;
@@ -22,8 +22,9 @@ use crate::trace;
 
 /// `Y = Ã X` with `X: n × s` (one column per virtual source),
 /// rayon-parallel over tile rows. The per-tile product runs as two small
-/// GEMMs (`T = VᴴX`, `Y += U T`; one, `Y += A X`, for a tile stored dense)
-/// so the bases are read once per tile, not once per source.
+/// GEMMs on the tile's own ordering of the panel rows (`T = X_J + XᴴX̃`,
+/// `Y += C T`; one, `Y += A X`, for a tile stored dense) so the bases are
+/// read once per tile, not once per source.
 ///
 /// ```
 /// use seismic_la::{Matrix, C32};
@@ -77,15 +78,28 @@ pub fn tlr_mmm(tlr: &TlrMatrix, x: &Matrix<C32>) -> Matrix<C32> {
             }
             debug_assert_eq!(tile.shape(), (rl, cl), "tile shape mismatch");
             match tile {
-                Tile::LowRank(lr) => {
-                    let xj = x.block(c0, 0, cl, s);
-                    // T = Vᴴ X_j  (k × s), then Y += U T — accumulated
+                Tile::LowRank(sk) => {
+                    // The panel rows in the tile's stored order: the k
+                    // skeleton rows, then the others.
+                    let k = sk.rank();
+                    let mut xp = Matrix::zeros(cl, s);
+                    for col in 0..s {
+                        sk.permute_into(&x.col(col)[c0..c0 + cl], xp.col_mut(col));
+                    }
+                    // T = X_J + Xᴴ X̃ (k × s), then Y += C T — accumulated
                     // straight into the row panel per source column
                     // (check-free inner loop), skipping the `contrib`
                     // intermediate entirely.
-                    let tcoef = seismic_la::blas::gemm_conj_transpose_left(&lr.v, &xj);
+                    let mut tcoef = seismic_la::blas::gemm_conj_transpose_left(
+                        &sk.x(),
+                        &xp.block(k, 0, cl - k, s),
+                    );
+                    let c = sk.c();
                     for col in 0..s {
-                        gemv_acc_fast(&lr.u, tcoef.col(col), y.col_mut(col));
+                        for (t, &p) in tcoef.col_mut(col).iter_mut().zip(xp.col(col)) {
+                            *t += p;
+                        }
+                        gemv_acc_fast(&c, tcoef.col(col), y.col_mut(col));
                     }
                 }
                 Tile::Dense(a) => {
@@ -107,7 +121,8 @@ pub fn tlr_mmm(tlr: &TlrMatrix, x: &Matrix<C32>) -> Matrix<C32> {
 }
 
 /// `X = Ãᴴ Y` with `Y: m × s` — the adjoint MMM for block solvers.
-/// A tile stored dense contributes `X_j += Aᴴ Y_i`, column by column.
+/// A skeleton tile contributes `S = CᴴY_i`, then `[S; X S]` scattered back
+/// onto `X_j`; a tile stored dense `X_j += Aᴴ Y_i`, column by column.
 pub fn tlr_mmm_adjoint(tlr: &TlrMatrix, y: &Matrix<C32>) -> Matrix<C32> {
     let t = tlr.tiling();
     assert_eq!(y.nrows(), t.m, "Y row count must match operator rows");
@@ -121,9 +136,12 @@ pub fn tlr_mmm_adjoint(tlr: &TlrMatrix, y: &Matrix<C32>) -> Matrix<C32> {
             Matrix::zeros(cl, s)
         })
         .collect();
-    // One column of `Aᴴ y_i` per tile column, for the tiles stored dense.
+    // One tile-column-long vector per tile column, and the swapped copy
+    // of `Y` the dense tiles' conjugated dots read.
     let nb = t.nb;
     let mut scratch = vec![C32::new(0.0, 0.0); nt * nb];
+    let mut ys = Matrix::zeros(t.m, s);
+    swap_re_im(y.as_slice(), ys.as_mut_slice());
     let _span = trace::span("tlr_mmm.adjoint");
     if trace::is_enabled() {
         // Same tile traffic as the forward MMM, transposed roles.
@@ -148,18 +166,30 @@ pub fn tlr_mmm_adjoint(tlr: &TlrMatrix, y: &Matrix<C32>) -> Matrix<C32> {
                     continue;
                 }
                 match tile {
-                    Tile::LowRank(lr) => {
+                    Tile::LowRank(sk) => {
                         let yi = y.block(r0, 0, rl, s);
-                        // T = Uᴴ Y_i (k × s), then X += V T — fused
-                        // accumulation as in the forward MMM.
-                        let tcoef = seismic_la::blas::gemm_conj_transpose_left(&lr.u, &yi);
+                        // S = Cᴴ Y_i (k × s), then per source column
+                        // [s; X s] in stored order, scattered onto X_j.
+                        let k = sk.rank();
+                        let tcoef = seismic_la::blas::gemm_conj_transpose_left(&sk.c(), &yi);
+                        let xk = sk.x();
                         for col in 0..s {
-                            gemv_acc_fast(&lr.v, tcoef.col(col), x.col_mut(col));
+                            let (head, rest) = tcol[..x.nrows()].split_at_mut(k);
+                            head.copy_from_slice(tcoef.col(col));
+                            rest.fill(C32::new(0.0, 0.0));
+                            gemv_acc_fast(&xk, head, rest);
+                            sk.scatter_add(&tcol[..x.nrows()], x.col_mut(col));
                         }
                     }
                     Tile::Dense(a) => {
                         for col in 0..s {
-                            dense_adjoint_acc(a, &y.col(col)[r0..r0 + rl], tcol, x.col_mut(col));
+                            dense_adjoint_acc(
+                                a,
+                                &y.col(col)[r0..r0 + rl],
+                                &ys.col(col)[r0..r0 + rl],
+                                tcol,
+                                x.col_mut(col),
+                            );
                         }
                     }
                 }

@@ -1,7 +1,7 @@
 //! Mixed-precision base storage — the ablation from the paper's companion
 //! work (Hong et al., "HPC Seismic Redatuming by Inversion with Algebraic
 //! Compression and *Multiple Precisions*", refs \[23\]/\[24\]): store the
-//! `U`/`V` bases in a narrower format and widen on the fly, halving the
+//! bases in a narrower format and widen on the fly, halving the
 //! memory footprint (and on bandwidth-bound hardware, the traffic) at a
 //! quantization-noise cost that the `acc` tolerance already budgets for.
 //!
@@ -10,10 +10,11 @@
 //! quantization error is ~2⁻⁸ ≈ 4e-3 per entry.
 
 use seismic_la::scalar::C32;
-use seismic_la::{LowRank, Matrix};
+use seismic_la::Matrix;
 use serde::{Deserialize, Serialize};
 
 use crate::matrix::{Tile, TlrMatrix};
+use crate::skeleton::{Perm, Skeleton};
 
 /// Checked numeric conversion between integer types: panics with the
 /// caller's location if `x` does not fit in the destination. This is the
@@ -156,9 +157,11 @@ impl Bf16Matrix {
     }
 }
 
-/// One tile's stored form ([`Tile`]), quantised.
+/// One tile's stored form ([`Tile`]), quantised: the panel of a skeleton
+/// beside its row count and its column order, which stay as they are, or
+/// the dense block.
 enum Bf16Tile {
-    LowRank(Bf16Matrix, Bf16Matrix),
+    LowRank(Bf16Matrix, usize, Perm),
     Dense(Bf16Matrix),
 }
 
@@ -169,14 +172,17 @@ pub struct Bf16TlrMatrix {
 }
 
 impl Bf16TlrMatrix {
-    /// Quantize every tile as stored: both bases, or the dense block.
+    /// Quantize every tile as stored: the `[X; C]` panel of a skeleton (its
+    /// column order is kept as it is), or the dense block.
     pub fn from_tlr(tlr: &TlrMatrix) -> Self {
         let tiles = tlr
             .tiles_with_coords()
             .map(|(_, _, t)| match t {
-                Tile::LowRank(lr) => {
-                    Bf16Tile::LowRank(Bf16Matrix::from_c32(&lr.u), Bf16Matrix::from_c32(&lr.v))
-                }
+                Tile::LowRank(s) => Bf16Tile::LowRank(
+                    Bf16Matrix::from_c32(s.panel()),
+                    s.shape().0,
+                    s.order().clone(),
+                ),
                 Tile::Dense(a) => Bf16Tile::Dense(Bf16Matrix::from_c32(a)),
             })
             .collect();
@@ -186,12 +192,13 @@ impl Bf16TlrMatrix {
         }
     }
 
-    /// Total stored bytes.
+    /// Total stored bytes: half the words' bytes of the FP32 matrix, and
+    /// the skeletons' column orders as they are.
     pub fn compressed_bytes(&self) -> usize {
         self.tiles
             .iter()
             .map(|t| match t {
-                Bf16Tile::LowRank(u, v) => u.bytes() + v.bytes(),
+                Bf16Tile::LowRank(panel, _, order) => panel.bytes() + order.bytes(),
                 Bf16Tile::Dense(a) => a.bytes(),
             })
             .sum()
@@ -205,7 +212,9 @@ impl Bf16TlrMatrix {
             .tiles
             .iter()
             .map(|t| match t {
-                Bf16Tile::LowRank(u, v) => Tile::LowRank(LowRank::new(u.to_c32(), v.to_c32())),
+                Bf16Tile::LowRank(panel, m, order) => {
+                    Tile::LowRank(Skeleton::with_order(panel.to_c32(), *m, order.clone()))
+                }
                 Bf16Tile::Dense(a) => Tile::Dense(a.to_c32()),
             })
             .collect();
@@ -326,7 +335,17 @@ mod tests {
         };
         let tlr = compress(&a, cfg);
         let q = Bf16TlrMatrix::from_tlr(&tlr);
-        assert_eq!(q.compressed_bytes() * 2, tlr.compressed_bytes());
+        // Words halve; the column orders (one byte per column of every
+        // skeleton tile that stores anything) are kept whole.
+        let index: usize = tlr
+            .tiles_with_coords()
+            .map(|(_, _, t)| t.stored_bytes() - 8 * t.stored_elements())
+            .sum();
+        assert!(index > 0);
+        assert_eq!(
+            (q.compressed_bytes() - index) * 2,
+            tlr.compressed_bytes() - index
+        );
     }
 
     #[test]
@@ -341,7 +360,7 @@ mod tests {
         let tlr = compress(&a, cfg);
         let deq = Bf16TlrMatrix::from_tlr(&tlr).dequantize(cfg);
         // Operator perturbation from quantization: ≲ 2·bf16 eps relative
-        // (U and V each quantized).
+        // (C and X each quantized).
         let err = deq.reconstruct().sub(&tlr.reconstruct()).fro_norm();
         let norm = tlr.reconstruct().fro_norm();
         assert!(err < 0.01 * norm, "quantization err {err} vs norm {norm}");

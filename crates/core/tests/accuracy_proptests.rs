@@ -91,25 +91,28 @@ proptest! {
         let byte_sum: u64 = byte_grid.cells.iter().sum();
         prop_assert_eq!(byte_sum, tlr.compressed_bytes() as u64);
 
-        // Cell-by-cell: the byte grid is the stored form's word count
-        // (`Tile::stored_elements`), which the tile geometry fixes — a
-        // rank-r tile stores r·(rows+cols) complex elements, one kept
-        // dense rows·cols, and never more than that.
+        // Cell-by-cell: the byte grid is the stored form's byte count
+        // (`Tile::stored_bytes`), which the tile geometry fixes — a
+        // rank-r skeleton stores r·(rows+cols−r) complex elements and one
+        // index byte per column, a tile kept dense rows·cols elements, and
+        // never more words than that.
         for i in 0..mt {
             for j in 0..nt {
                 let cell = i * nt + j;
                 prop_assert_eq!(rank_grid.cells[cell], tlr.rank(i, j) as u64);
                 let tile = tlr.tile(i, j);
-                prop_assert_eq!(
-                    byte_grid.cells[cell],
-                    (tile.stored_elements() * std::mem::size_of::<C32>()) as u64
-                );
+                prop_assert_eq!(byte_grid.cells[cell], tile.stored_bytes() as u64);
                 let (rows, cols) = tile.shape();
-                let words = match tile {
-                    Tile::LowRank(lr) => lr.rank() * (rows + cols),
-                    Tile::Dense(_) => rows * cols,
+                let (words, index) = match tile {
+                    Tile::LowRank(s) if s.rank() == 0 => (0, 0),
+                    Tile::LowRank(s) => (s.rank() * (rows + cols - s.rank()), cols),
+                    Tile::Dense(_) => (rows * cols, 0),
                 };
                 prop_assert_eq!(tile.stored_elements(), words);
+                prop_assert_eq!(
+                    tile.stored_bytes(),
+                    words * std::mem::size_of::<C32>() + index
+                );
                 prop_assert!(words <= rows * cols);
             }
         }

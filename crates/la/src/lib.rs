@@ -35,7 +35,7 @@ pub use aca::aca_compress;
 pub use cond::{condition_number, spectral_norm_est};
 pub use dense::Matrix;
 pub use lowrank::LowRank;
-pub use qr::{pivoted_qr, qr, PivotedQr, Qr};
+pub use qr::{pivoted_qr, pivoted_qr_until, qr, PivotedQr, Qr, RankStop};
 pub use rsvd::{randomized_svd, rsvd_compress_adaptive, RsvdOptions};
 pub use scalar::{c32, c64, exactly_zero_f32, exactly_zero_f64, Complex, Real, Scalar, C32, C64};
-pub use svd::{jacobi_svd, svd_compress, svd_compress_with_tail, Svd};
+pub use svd::{jacobi_svd, svd_compress, svd_compress_with_tail, svd_truncate, Svd, TruncatedSvd};

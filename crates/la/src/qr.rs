@@ -6,7 +6,7 @@
 
 use crate::blas::norm_sq;
 use crate::dense::Matrix;
-use crate::scalar::{exactly_zero_f64, Real, Scalar};
+use crate::scalar::{exactly_zero_f64, Real, Scalar, C64};
 
 /// Compact-WY-free Householder QR factorization: `A = Q R` with `Q`
 /// represented by reflectors stored below the diagonal of `factors`.
@@ -172,6 +172,28 @@ pub struct PivotedQr<S: Scalar> {
     /// on: `‖A − Q_k R_k Pᵀ‖_F`, at most `tol_fro`, and `0` when it ran
     /// to `min(m, n)` steps.
     pub residual_fro: f64,
+    /// The factorization was abandoned at its [`RankStop`]: `rank` is the
+    /// stop rank and nothing past it was computed (`residual_fro` is `0`).
+    pub stopped: bool,
+}
+
+/// A rank at which [`pivoted_qr_until`] may give up: once step `rank` is
+/// done, if the leading `rank × rank` triangle `R₁₁` has
+/// `1/‖R₁₁⁻¹‖_F > sigma`, the factorization is abandoned. The bound is
+/// never negative, so a `sigma` below zero abandons it there whatever
+/// `R₁₁` is — for a caller that has no use for that rank or more.
+///
+/// `1/‖R₁₁⁻¹‖_F ≤ σ_min(R₁₁)`, later steps leave `R₁₁` as it is, and
+/// `[R₁₁; 0]` is a column subset of every later `R_k`, so by interlacing
+/// `σ_rank(Q_k R_k Pᵀ) ≥ σ_min(R₁₁) > sigma` whatever `k` the run would
+/// have reached: a caller that only needs to know "at least `rank`
+/// singular values above `sigma`" has its answer.
+#[derive(Clone, Copy, Debug)]
+pub struct RankStop {
+    /// The step after which the bound is evaluated (once).
+    pub rank: usize,
+    /// The threshold on `σ_min(R₁₁)`.
+    pub sigma: f64,
 }
 
 impl<S: Scalar> PivotedQr<S> {
@@ -197,6 +219,19 @@ impl<S: Scalar> PivotedQr<S> {
         out
     }
 
+    /// `R_k` (`rank × n`, upper trapezoidal), columns in pivot order:
+    /// `A·P ≈ Q_k R_k`.
+    pub fn r(&self) -> Matrix<S> {
+        let k = self.rank;
+        Matrix::from_fn(k, self.factors.ncols(), |i, j| {
+            if i <= j {
+                self.factors[(i, j)]
+            } else {
+                S::ZERO
+            }
+        })
+    }
+
     /// `V = P·R_kᴴ` (`n × rank`): row `i` of `R_k` conjugated into column
     /// `i`, scattered through the permutation.
     pub fn right_factor(&self) -> Matrix<S> {
@@ -216,6 +251,16 @@ impl<S: Scalar> PivotedQr<S> {
 /// Column-pivoted Householder QR, truncated at absolute Frobenius tolerance
 /// `tol_fro` (pass `0.0` for a full decomposition).
 pub fn pivoted_qr<S: Scalar>(a: &Matrix<S>, tol_fro: S::Real) -> PivotedQr<S> {
+    pivoted_qr_until(a, tol_fro, None)
+}
+
+/// [`pivoted_qr`] that may also be abandoned at a [`RankStop`]
+/// ([`PivotedQr::stopped`] says whether it was).
+pub fn pivoted_qr_until<S: Scalar>(
+    a: &Matrix<S>,
+    tol_fro: S::Real,
+    stop: Option<RankStop>,
+) -> PivotedQr<S> {
     let mut f = a.clone();
     let (m, n) = f.shape();
     let kmax = m.min(n);
@@ -225,6 +270,7 @@ pub fn pivoted_qr<S: Scalar>(a: &Matrix<S>, tol_fro: S::Real) -> PivotedQr<S> {
     // classical downdating cancellation problem on f32 data.
     let mut rank = 0;
     let mut residual_fro = 0.0f64;
+    let mut stopped = false;
     let tol_sq = tol_fro.to_f64() * tol_fro.to_f64();
     for j in 0..kmax {
         // Residual norms of trailing columns.
@@ -258,6 +304,10 @@ pub fn pivoted_qr<S: Scalar>(a: &Matrix<S>, tol_fro: S::Real) -> PivotedQr<S> {
                 apply_reflector_trailing(&mut f, tau.conj(), j, c);
             }
         }
+        if stop.is_some_and(|s| s.rank == rank && sigma_min_lower_bound(&f, rank) > s.sigma) {
+            stopped = true;
+            break;
+        }
     }
     PivotedQr {
         factors: f,
@@ -265,6 +315,37 @@ pub fn pivoted_qr<S: Scalar>(a: &Matrix<S>, tol_fro: S::Real) -> PivotedQr<S> {
         perm,
         rank,
         residual_fro,
+        stopped,
+    }
+}
+
+/// `1/‖R₁₁⁻¹‖_F`, a lower bound on the smallest singular value of the
+/// leading `k × k` triangle of `f`; the inverse is formed column by column
+/// by back substitution in `f64`. Zero when the triangle is singular or
+/// the arithmetic overflowed.
+fn sigma_min_lower_bound<S: Scalar>(f: &Matrix<S>, k: usize) -> f64 {
+    let r = |i: usize, j: usize| {
+        let v = f[(i, j)];
+        C64::new(v.real().to_f64(), v.imag().to_f64())
+    };
+    let mut inv_sq = 0.0f64;
+    let mut col = vec![C64::ZERO; k];
+    for j in 0..k {
+        // Column j of the inverse: R₁₁ z = e_j, z[i] = 0 below row j.
+        for i in (0..=j).rev() {
+            let mut acc = if i == j { C64::ONE } else { C64::ZERO };
+            for (l, &z) in col.iter().enumerate().take(j + 1).skip(i + 1) {
+                acc -= r(i, l) * z;
+            }
+            col[i] = acc * r(i, i).inv();
+            inv_sq += col[i].norm_sqr();
+        }
+    }
+    let lb = inv_sq.sqrt().recip();
+    if lb.is_finite() {
+        lb
+    } else {
+        0.0
     }
 }
 

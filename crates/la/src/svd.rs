@@ -8,7 +8,7 @@
 //!
 //! [`svd_compress`] keeps only the part of the spectrum above a
 //! tolerance, so it does not pay for the rest: a column-pivoted QR
-//! ([`pivoted_qr`]) stops at the numerical rank `k`, and Jacobi runs on
+//! ([`crate::qr::pivoted_qr`]) stops at the numerical rank `k`, and Jacobi runs on
 //! the `n × k` factor `P·R_kᴴ` alone. Pivoting leaves that factor's
 //! columns graded by norm, which is the Drmač–Veselić preconditioning —
 //! Jacobi converges on it in a few sweeps — and the columns of a tile
@@ -22,7 +22,7 @@
 use crate::blas::{norm_sq, sum4};
 use crate::dense::Matrix;
 use crate::lowrank::LowRank;
-use crate::qr::pivoted_qr;
+use crate::qr::{pivoted_qr_until, PivotedQr, RankStop};
 use crate::scalar::{exactly_zero_f64, Real, Scalar};
 
 /// Full (thin) singular value decomposition `A = U diag(s) Vᴴ`.
@@ -232,19 +232,77 @@ const QR_TOL_DIVISOR: f64 = 32.0;
 ///
 /// Two stages (see the module header and [`QR_TOL_DIVISOR`]): pivoted QR
 /// to the numerical rank, then an optimal (Eckart–Young) truncation of
-/// that rank-`k` approximant by a Jacobi SVD of its small factor.
+/// that rank-`k` approximant by a Jacobi SVD of its small factor —
+/// [`svd_truncate`] without a stop rank.
 pub fn svd_compress<S: Scalar>(a: &Matrix<S>, tol: S::Real) -> LowRank<S> {
     svd_compress_with_tail(a, tol).0
 }
 
-/// [`svd_compress`] that also returns the backward error it made,
-/// `‖A − U Vᴴ‖_F = sqrt(‖E₁‖_F² + Σ_{i≥r} σᵢ²)` — the QR residual plus
-/// the discarded singular values of the small factor, both already
-/// computed — the per-tile accuracy signal the compression observatory
-/// records.
+/// [`svd_compress`] that also returns the backward error it made
+/// ([`TruncatedSvd::tail`]) — the per-tile accuracy signal the compression
+/// observatory records.
 pub fn svd_compress_with_tail<S: Scalar>(a: &Matrix<S>, tol: S::Real) -> (LowRank<S>, f64) {
+    match svd_truncate(a, tol, None) {
+        Some(t) => (LowRank::new(t.left(), t.v), t.tail),
+        // Only a stop rank ends the truncation early; the exact pair is
+        // what such an exit stands for.
+        None => (LowRank::dense_as_lowrank(a), 0.0),
+    }
+}
+
+/// What the two stages of [`svd_truncate`] leave, before the left factor
+/// is expanded: `A ≈ Q_k · core · Vᴴ`.
+pub struct TruncatedSvd<S: Scalar> {
+    /// The QR stage; holds `Q_k` as reflectors.
+    pub qr: PivotedQr<S>,
+    /// `k × r`: the kept right singular vectors of the small factor, the
+    /// singular values folded in.
+    pub core: Matrix<S>,
+    /// `n × r` right factor, orthonormal columns.
+    pub v: Matrix<S>,
+    /// `‖A − Q_k·core·Vᴴ‖_F = sqrt(‖E₁‖_F² + Σ_{i≥r} σᵢ²)`: the QR
+    /// residual plus the discarded singular values, both already computed.
+    pub tail: f64,
+}
+
+impl<S: Scalar> TruncatedSvd<S> {
+    /// Rank kept.
+    pub fn rank(&self) -> usize {
+        self.core.ncols()
+    }
+
+    /// The left factor `U = Q_k · core` (`m × r`).
+    pub fn left(&self) -> Matrix<S> {
+        self.qr.q_times(&self.core)
+    }
+}
+
+/// The truncation behind [`svd_compress`], with an optional `stop_rank`:
+/// a rank from which the caller has no use for the factors (a TLR tile
+/// that would be stored dense). `None` is returned, the QR abandoned and
+/// Jacobi never run, once the QR stage proves the truncation would keep
+/// at least that many.
+///
+/// The proof is [`RankStop`] at `sigma = 2·tol`: it gives
+/// `σ_stop(Q_k R_k Pᵀ) > 2·tol`, so the tail discarded at any rank below
+/// `stop_rank` exceeds `tol² ≥ tol² − ‖E₁‖_F²` and `keep ≥ stop_rank`
+/// follows; the factor 2 is room for the rounding of `R₁₁` and of Jacobi's
+/// singular values. It is a sufficient condition only: a tile it misses is
+/// truncated as usual.
+pub fn svd_truncate<S: Scalar>(
+    a: &Matrix<S>,
+    tol: S::Real,
+    stop_rank: Option<usize>,
+) -> Option<TruncatedSvd<S>> {
     let tol = tol.to_f64();
-    let qr = pivoted_qr(a, S::Real::from_f64(tol / QR_TOL_DIVISOR));
+    let stop = stop_rank.map(|rank| RankStop {
+        rank,
+        sigma: 2.0 * tol,
+    });
+    let qr = pivoted_qr_until(a, S::Real::from_f64(tol / QR_TOL_DIVISOR), stop);
+    if qr.stopped {
+        return None;
+    }
     let residual_sq = qr.residual_fro * qr.residual_fro;
     // A ≈ Q_k Bᴴ with B = P·R_kᴴ (n × k, columns graded by norm), and
     // B = U_s Σ V_sᴴ gives A ≈ (Q_k V_s Σ) U_sᴴ.
@@ -258,8 +316,12 @@ pub fn svd_compress_with_tail<S: Scalar>(a: &Matrix<S>, tol: S::Real) -> (LowRan
         v: svd.u,
     }
     .truncate(keep);
-    let lr = LowRank::new(qr.q_times(&small.u), small.v);
-    (lr, (residual_sq + tail * tail).sqrt())
+    Some(TruncatedSvd {
+        qr,
+        core: small.u,
+        v: small.v,
+        tail: (residual_sq + tail * tail).sqrt(),
+    })
 }
 
 fn col_norm_sq<S: Scalar>(w: &Matrix<S>, j: usize) -> f64 {

@@ -5,7 +5,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use seismic_la::blas::{dotc, gemm, gemm_conj_transpose_right, gemv, gemv_conj_transpose};
 use seismic_la::scalar::{c64, Real, Scalar, C32, C64};
-use seismic_la::{aca_compress, jacobi_svd, pivoted_qr, qr, svd_compress, Matrix};
+use seismic_la::{aca_compress, jacobi_svd, pivoted_qr, qr, svd_compress, svd_truncate, Matrix};
 
 fn random_matrix(m: usize, n: usize, seed: u64) -> Matrix<C64> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -95,6 +95,58 @@ proptest! {
         check_svd_compress(&a, tolerance_between_tails(base, rho, cut, 1e-10))?;
         let a32 = Matrix::<C32>::from_fn(m, n, |i, j| a[(i, j)].narrow());
         check_svd_compress(&a32, tolerance_between_tails(base, rho, cut, 1e-4))?;
+    }
+
+    /// The dense certificate of `svd_truncate` is sound: on tiles whose
+    /// spectrum steps down at a rank `keep` placed around the stop rank
+    /// `⌈m·n/(m+n)⌉`, on both sides, an early exit only ever happens where
+    /// the full truncation keeps at least the stop rank — never on a tile
+    /// that would be stored as factors — and a run that is not cut short
+    /// is the truncation itself.
+    #[test]
+    fn dense_certificate_never_fires_below_the_stop_rank(
+        m in 4usize..28,
+        n in 4usize..28,
+        offset in -3i32..=3,
+        floor in 0.02f64..1.0,
+        seed in 0u64..1000,
+    ) {
+        let r = m.min(n);
+        let stop = (m * n).div_ceil(m + n);
+        let keep = (stop as i32 + offset).clamp(1, r as i32) as usize;
+        // σ falls from 1 to `floor` over the first `keep` values, then
+        // drops by four orders: the tolerance sits in the gap, above the
+        // whole tail (at most √27·1e-4·floor).
+        let mut left = qr(&random_matrix(m, r, seed)).q_thin();
+        let right = qr(&random_matrix(n, r, seed.wrapping_add(7))).q_thin();
+        for i in 0..r {
+            let sigma = if i < keep {
+                floor.powf(i as f64 / keep.max(2) as f64)
+            } else {
+                1e-4 * floor
+            };
+            for e in left.col_mut(i) {
+                *e = e.scale(sigma);
+            }
+        }
+        let a64 = gemm_conj_transpose_right(&left, &right);
+        let a = Matrix::<C32>::from_fn(m, n, |i, j| a64[(i, j)].narrow());
+        let tol = (1e-3 * floor) as f32;
+        let full = svd_compress(&a, tol);
+        prop_assert_eq!(full.rank(), keep);
+        match svd_truncate(&a, tol, Some(stop)) {
+            None => prop_assert!(keep >= stop, "{}x{}: fired at keep {} < stop {}", m, n, keep, stop),
+            Some(t) => {
+                prop_assert_eq!(t.rank(), keep);
+                let left = t.left();
+                prop_assert_eq!(left.as_slice(), full.u.as_slice());
+                prop_assert_eq!(t.v.as_slice(), full.v.as_slice());
+            }
+        }
+        // Two past the stop rank with a flat spectrum, the proof is easy.
+        if keep >= stop + 2 && floor > 0.5 {
+            prop_assert!(svd_truncate(&a, tol, Some(stop)).is_none());
+        }
     }
 
     /// ⟨Ax, y⟩ = ⟨x, Aᴴy⟩ for all shapes.

@@ -7,9 +7,8 @@
 //! weights `w_f` ∝ 1/(‖A_f‖ + ε) equalizes the blocks' leverage; the
 //! solution is read off directly (the unknown is unchanged).
 
-use seismic_la::blas::nrm2;
 use seismic_la::scalar::C32;
-use tlr_mvm::{LinearOperator, Tile, TlrMatrix};
+use tlr_mvm::{LinearOperator, TlrMatrix};
 
 use crate::lsqr::{lsqr, LsqrOptions, LsqrResult};
 use crate::mdc::MdcOperator;
@@ -28,33 +27,11 @@ impl<'a> WeightedMdcOperator<'a> {
         let norms: Vec<f32> = blocks
             .iter()
             .map(|b| {
-                // ‖A‖_F from the stored factors: ‖UVᴴ‖_F ≤ ‖U‖‖V‖; use the
-                // reconstruction-free estimate Σ‖u_k‖‖v_k‖ ≈ Σσ_k (exact
-                // for SVD-compressed tiles whose U carries Σ). A tile
-                // stored dense contributes its own ‖A‖_F², column by
-                // column.
+                // ‖A‖_F from the tiles as stored, nothing densified.
                 b.tiles_with_coords()
-                    .map(|(_, _, t)| {
-                        let mut s = 0.0f32;
-                        match t {
-                            Tile::LowRank(lr) => {
-                                for k in 0..lr.rank() {
-                                    let un = nrm2(lr.u.col(k));
-                                    let vn = nrm2(lr.v.col(k));
-                                    s += (un * vn) * (un * vn);
-                                }
-                            }
-                            Tile::Dense(a) => {
-                                for k in 0..a.ncols() {
-                                    let an = nrm2(a.col(k));
-                                    s += an * an;
-                                }
-                            }
-                        }
-                        s
-                    })
-                    .sum::<f32>()
-                    .sqrt()
+                    .map(|(_, _, t)| t.fro_norm_sq())
+                    .sum::<f64>()
+                    .sqrt() as f32
             })
             .collect();
         let max = norms.iter().cloned().fold(0.0f32, f32::max).max(1e-30);

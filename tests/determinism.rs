@@ -77,46 +77,97 @@ fn generate_is_the_per_frequency_oracle_at_scale_5() {
     assert_generate_is_the_per_frequency_oracle(5, 3, 12);
 }
 
-/// The benchmark's `compress-stack` stack at its two `(nb, acc)` points:
-/// tile counts, rank sum, stored bytes and dense-tile counts as they were
-/// before `jacobi_svd` and `pivoted_qr` regrouped their arithmetic. A
-/// rounding change that flips one tile's rank moves `total_rank`; one that
-/// flips a tile between forms moves `dense_tiles`.
-#[test]
-#[ignore = "6,240 tile SVDs: CI runs it in release"]
-fn compress_stack_keeps_every_rank_it_had() {
+/// What a compressed stack is pinned by: tile count, rank sum, stored
+/// bytes, dense-tile count, and an FNV-1a checksum over the positions
+/// (frequency-major, then tile-column-major) of the tiles stored dense.
+type StackSignature = (usize, usize, usize, usize, u64);
+
+fn stack_signature(scale: usize, freq_stride: usize, cfg: CompressionConfig) -> StackSignature {
     let config = DatasetConfig {
-        scale: 8,
-        freq_stride: 3,
+        scale,
+        freq_stride,
         ..DatasetConfig::default()
     };
     let ds = SyntheticDataset::generate(config, VelocityModel::overthrust());
-    // (nb, acc) → (tiles, total_rank, compressed_bytes, dense_tiles)
-    let points = [
-        ((32, 1e-4), (1_248, 23_056, 7_694_560, 513)),
-        ((16, 1e-3), (4_992, 43_947, 7_394_216, 2_061)),
-    ];
-    for ((nb, acc), want) in points {
-        let cfg = CompressionConfig {
-            nb,
-            acc,
-            method: CompressionMethod::Svd,
-            mode: ToleranceMode::RelativeTile,
-        };
-        let tlr = compress_dataset(&ds, cfg, Ordering::Hilbert);
-        let tiles: usize = tlr.iter().map(|t| t.tiling().tile_count()).sum();
-        let stats = compression_stats(&tlr);
-        assert_eq!(
-            (
-                tiles,
-                stats.total_rank,
-                stats.compressed_bytes,
-                stats.dense_tiles
-            ),
-            want,
-            "nb {nb} acc {acc}"
-        );
+    let tlr = compress_dataset(&ds, cfg, Ordering::Hilbert);
+    let stats = compression_stats(&tlr);
+    let mut dense_at = 0xcbf2_9ce4_8422_2325_u64;
+    let tiles = tlr.iter().flat_map(|t| t.tiles_with_coords());
+    let mut count = 0;
+    for (k, (_, _, tile)) in tiles.enumerate() {
+        count += 1;
+        if matches!(tile, Tile::Dense(_)) {
+            for b in (k as u64).to_le_bytes() {
+                dense_at = (dense_at ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
     }
+    (
+        count,
+        stats.total_rank,
+        stats.compressed_bytes,
+        stats.dense_tiles,
+        dense_at,
+    )
+}
+
+fn config(nb: usize, acc: f32, method: CompressionMethod) -> CompressionConfig {
+    CompressionConfig {
+        nb,
+        acc,
+        method,
+        mode: ToleranceMode::RelativeTile,
+    }
+}
+
+/// The default dataset (scale 12, all 36 bins) at the `solve-small`
+/// configuration: ranks, forms and which tiles are dense as they were
+/// before the skeleton form and the dense certificate — the certificate
+/// may only skip work, the skeleton only words — and the stored bytes,
+/// `r·(m+n−r)·8 + n` per skeleton and `m·n·8` per dense tile (4,873,216
+/// as `U`/`V` pairs).
+#[test]
+fn default_stack_keeps_its_ranks_and_pins_its_bytes() {
+    assert_eq!(
+        stack_signature(12, 1, config(16, 1e-4, CompressionMethod::Svd)),
+        (3_024, 37_433, 4_722_168, 2_522, 0x2b06_4e35_dcf0_3f2f)
+    );
+}
+
+/// The benchmark's `compress-stack` stack at its two `(nb, acc)` points
+/// (the first is `wse-map`'s too): every rank and form as before
+/// `jacobi_svd` and `pivoted_qr` regrouped their arithmetic and before the
+/// QR stage learnt to prove a tile dense. A rounding change that flips
+/// one tile's rank moves `total_rank`; a certificate that fires on a tile
+/// the truncation would have stored as factors moves the dense count and
+/// the checksum. Bytes were 7,694,560 / 7,394,216 as `U`/`V` pairs.
+#[test]
+#[ignore = "6,240 tile SVDs: CI runs it in release"]
+fn compress_stack_keeps_every_rank_it_had() {
+    assert_eq!(
+        stack_signature(8, 3, config(32, 1e-4, CompressionMethod::Svd)),
+        (1_248, 23_056, 7_019_034, 513, 0x9263_00d5_18b3_aa49)
+    );
+    assert_eq!(
+        stack_signature(8, 3, config(16, 1e-3, CompressionMethod::Svd)),
+        (4_992, 43_947, 6_757_088, 2_061, 0x73bf_557b_f4d7_7dd7)
+    );
+}
+
+/// The two scale-5 benchmark stacks, `solve-large` (every third bin, SVD
+/// at `nb` 32) and `sweep-large` (every second bin, RRQR at `nb` 64):
+/// 42,628,864 and 55,122,784 bytes as `U`/`V` pairs.
+#[test]
+#[ignore = "10,980 tile compressions at 1032×630: CI runs it in release"]
+fn scale_5_stacks_keep_their_ranks_and_pin_their_bytes() {
+    assert_eq!(
+        stack_signature(5, 3, config(32, 1e-4, CompressionMethod::Svd)),
+        (7_920, 107_758, 37_486_216, 1_425, 0x472a_b38c_4c0c_6fe7)
+    );
+    assert_eq!(
+        stack_signature(5, 2, config(64, 1e-4, CompressionMethod::Rrqr)),
+        (3_060, 68_004, 47_999_108, 349, 0x75b4_522c_ed22_a191)
+    );
 }
 
 #[test]
@@ -137,11 +188,11 @@ fn compression_is_deterministic() {
         for ((_, _, la), (_, _, lb)) in ta.tiles_with_coords().zip(tb.tiles_with_coords()) {
             match (la, lb) {
                 (Tile::LowRank(la), Tile::LowRank(lb)) => {
-                    assert_eq!(la.u.as_slice(), lb.u.as_slice());
-                    assert_eq!(la.v.as_slice(), lb.v.as_slice());
+                    assert_eq!(la.panel().as_slice(), lb.panel().as_slice());
+                    assert!(la.perm().eq(lb.perm()));
                 }
                 (Tile::Dense(a), Tile::Dense(b)) => assert_eq!(a.as_slice(), b.as_slice()),
-                _ => panic!("one run stored a tile dense, the other as factors"),
+                _ => panic!("one run stored a tile dense, the other as a skeleton"),
             }
         }
     }
