@@ -497,6 +497,7 @@ mod tests {
 
     #[test]
     fn smoke_frames_verify_and_checksum_deterministically() {
+        let _g = crate::test_sync::trace_lock();
         let a = smoke_frames().expect("smoke frames collect");
         let b = smoke_frames().expect("smoke frames collect");
         for f in &a {
@@ -510,6 +511,7 @@ mod tests {
 
     #[test]
     fn artifact_round_trips_through_jsonio() {
+        let _g = crate::test_sync::trace_lock();
         let frames = smoke_frames().expect("smoke frames collect");
         let tree = atlas_json("smoke", &frames).expect("frames verify");
         let text = tree.to_pretty();
@@ -537,6 +539,7 @@ mod tests {
 
     #[test]
     fn verify_frame_rejects_tampering() {
+        let _g = crate::test_sync::trace_lock();
         let mut frames = smoke_frames().expect("smoke frames collect");
         frames[0].flops.cells[0] += 1;
         assert!(verify_frame(&frames[0]).is_err());
@@ -545,6 +548,7 @@ mod tests {
 
     #[test]
     fn ascii_map_shape_and_ramp() {
+        let _g = crate::test_sync::trace_lock();
         let frames = smoke_frames().expect("smoke frames collect");
         let map = ascii_occupancy(&frames[0]);
         let lines: Vec<&str> = map.lines().collect();

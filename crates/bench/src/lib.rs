@@ -33,6 +33,19 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::float_cmp,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 pub mod acc_experiments;
 pub mod atlas_experiments;
@@ -48,9 +61,13 @@ pub mod wse_experiments;
 
 #[cfg(test)]
 pub(crate) mod test_sync {
-    //! `tlr_mvm::trace` is a process-global collector; unit tests that
-    //! reset/enable it must not overlap or their counters bleed into
-    //! each other. Every such test takes this lock first.
+    //! `tlr_mvm::trace` is a process-global collector: while one test
+    //! has it enabled, every other test of this binary that reaches
+    //! instrumented code (`compress`, a stacked apply, `tlr_mmm`,
+    //! `collect_atlas`, `execute_chunks`, LSQR, the engine) records into
+    //! the same window. Every test that reaches such code takes this
+    //! lock first — not only the ones that reset or enable the
+    //! collector. A test on synthetic reports or pure helpers needs none.
     use std::sync::{Mutex, MutexGuard};
 
     static TRACE_LOCK: Mutex<()> = Mutex::new(());

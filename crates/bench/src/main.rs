@@ -11,6 +11,20 @@
 //! only other place a subcommand name appears, and `--self-check` (plus
 //! the `serve_cli` integration tests) holds the two in lockstep.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::float_cmp,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 use std::process::ExitCode;
 
 use seismic_bench::acc_experiments as accx;

@@ -418,6 +418,7 @@ mod tests {
 
     #[test]
     fn fig11_tight_acc_beats_loose() {
+        let _g = crate::test_sync::trace_lock();
         let ds = tiny();
         // Use small nb for the tiny grid.
         let vs = ds.acq.n_receivers() / 2;

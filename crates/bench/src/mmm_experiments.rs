@@ -84,6 +84,7 @@ mod tests {
 
     #[test]
     fn sweep_shows_reexacerbated_wall() {
+        let _g = crate::test_sync::trace_lock();
         let ds = SyntheticDataset::generate(DatasetConfig::tiny(), VelocityModel::overthrust());
         let rows = mmm_sweep(&ds, &[1, 4, 16, 64, 512]);
         // Relative intensity grows with s…

@@ -625,7 +625,7 @@ pub fn run_perfbench(reps: usize) -> BenchReport {
 
     // Flight-recorder overhead on the hottest engine kernel: the same
     // batched sweep with shard events off vs on (DESIGN.md §14) — the
-    // recorder's seqlock writes must stay invisible next to the MVM
+    // recorder's locked writes must stay invisible next to the MVM
     // work they annotate.
     let rec = tlr_mvm::telemetry::FlightRecorder::new(1, 1 << 10);
     push("telemetry.overhead.off", op_bytes, op_flops, &mut || {

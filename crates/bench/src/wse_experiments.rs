@@ -21,7 +21,7 @@ pub const VALIDATED_CONFIGS: [(usize, f32); 5] =
 
 /// Failure modes of the paper-scale experiment generators. All of them
 /// are configuration errors — the validated tables always succeed — but
-/// propagating them keeps the library panic-free (lint NP01).
+/// propagating them keeps the library panic-free (`clippy::panic`).
 #[derive(Clone, Debug, PartialEq)]
 pub enum ExperimentError {
     /// `(nb, acc)` outside the paper's validated rank-model table.
@@ -885,6 +885,7 @@ mod tests {
 
     #[test]
     fn roofline_reconciliation_is_consistent() {
+        let _g = crate::test_sync::trace_lock();
         let rows = roofline_reconciliation().expect("recon rows place");
         // 5 six-shard configs + 3 table-5 configs.
         assert_eq!(rows.len(), 8);

@@ -25,9 +25,11 @@
 //! [`RankChunk::apply_into`] before the span opens (lint rule HP01 is
 //! lexical and cannot see through a call).
 
-// Index-based loops here walk multiple parallel arrays; iterator zips
-// would obscure the stride structure the kernels are about.
-#![allow(clippy::needless_range_loop)]
+#![allow(
+    clippy::needless_range_loop,
+    reason = "index-based loops here walk multiple parallel arrays; iterator zips would obscure \
+              the stride structure the kernels are about"
+)]
 
 use rayon::prelude::*;
 use seismic_la::scalar::C32;

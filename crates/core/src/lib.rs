@@ -21,7 +21,7 @@
 //! * [`ops`] — the [`LinearOperator`] abstraction used by the MDD solver.
 //! * [`trace`] — zero-cost-when-disabled phase spans and flop/byte
 //!   counters; the runtime accounting behind `repro --trace`.
-//! * [`telemetry`] — serving-grade observability: the lock-free flight
+//! * [`telemetry`] — serving-grade observability: the flight
 //!   recorder, OpenMetrics exposition, and the SLO watchdog
 //!   (DESIGN.md §14).
 //! * [`accuracy`] — the accuracy observatory: per-tile compression
@@ -56,6 +56,19 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::float_cmp,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 pub mod accounting;
 pub mod accuracy;

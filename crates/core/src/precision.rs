@@ -33,7 +33,10 @@ where
         // The one sanctioned loud-failure point for numeric narrowing:
         // #[track_caller] reports the caller's site, and every caller
         // prefers a panic over a silently truncated byte / cycle count.
-        // SANCTION(NP01): checked_cast is the documented loud-failure contract for narrowing
+        #[expect(
+            clippy::panic,
+            reason = "checked_cast is the documented loud-failure contract for narrowing"
+        )]
         Err(_) => panic!(
             "numeric cast out of range: {:?} does not fit in {}",
             x,

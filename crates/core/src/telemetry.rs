@@ -1,14 +1,14 @@
-//! Serving-grade telemetry: a lock-free flight recorder, OpenMetrics
-//! text exposition, and an SLO watchdog (DESIGN.md §14).
+//! Serving-grade telemetry: a flight recorder, OpenMetrics text
+//! exposition, and an SLO watchdog (DESIGN.md §14).
 //!
 //! Three layers, each usable on its own:
 //!
 //! * **Flight recorder** — [`FlightRecorder`] keeps one fixed-capacity
-//!   ring of compact binary events per engine worker (plus one
-//!   *external* ring for submit-side and cache events). Writers are
-//!   lock-free and allocation-free (the HP01 lint holds the record path
+//!   ring of typed events per engine worker (plus one *external* ring
+//!   for submit-side and cache events), each behind its own mutex.
+//!   Recording is allocation-free (the HP01 lint holds the record path
 //!   to that); readers merge all rings into one timestamp-ordered
-//!   [`FlightEvent`] list without stopping writers.
+//!   [`FlightEvent`] list, locking one ring at a time.
 //! * **Metrics** — [`MetricFamily`] values render to the
 //!   OpenMetrics/Prometheus text format via [`render_openmetrics`], and
 //!   [`check_openmetrics`] validates an exposition (HELP/TYPE lines,
@@ -33,6 +33,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use parking_lot::Mutex;
+
 use crate::trace::{LatencyBucket, LatencyEntry, TraceReport};
 
 /// Zero-cost hot-path marker. The `xtask` HP01 lint treats the rest of
@@ -40,9 +42,6 @@ use crate::trace::{LatencyBucket, LatencyEntry, TraceReport};
 /// `trace::span(..)` region; the call itself compiles to nothing.
 #[inline(always)]
 pub fn hot_path(_label: &'static str) {}
-
-/// Words per ring slot: `[seq, ts, kind, a, b]`.
-const SLOT_WORDS: usize = 5;
 
 /// The event vocabulary of the flight recorder.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -75,39 +74,6 @@ pub enum EventKind {
 }
 
 impl EventKind {
-    /// Stable wire code (nonzero; 0 marks an empty slot).
-    pub const fn code(self) -> u64 {
-        match self {
-            EventKind::JobSubmitted => 1,
-            EventKind::JobStolen => 2,
-            EventKind::JobStarted => 3,
-            EventKind::JobFinished => 4,
-            EventKind::ShardBegin => 5,
-            EventKind::ShardEnd => 6,
-            EventKind::CacheHit => 7,
-            EventKind::CacheMiss => 8,
-            EventKind::CacheEvict => 9,
-            EventKind::QueueDepth => 10,
-        }
-    }
-
-    /// Inverse of [`EventKind::code`].
-    pub const fn from_code(code: u64) -> Option<Self> {
-        Some(match code {
-            1 => EventKind::JobSubmitted,
-            2 => EventKind::JobStolen,
-            3 => EventKind::JobStarted,
-            4 => EventKind::JobFinished,
-            5 => EventKind::ShardBegin,
-            6 => EventKind::ShardEnd,
-            7 => EventKind::CacheHit,
-            8 => EventKind::CacheMiss,
-            9 => EventKind::CacheEvict,
-            10 => EventKind::QueueDepth,
-            _ => return None,
-        })
-    }
-
     /// Human-readable name used in JSON dumps and timelines.
     pub const fn name(self) -> &'static str {
         match self {
@@ -141,33 +107,46 @@ pub struct FlightEvent {
     pub b: u64,
 }
 
-/// Per-worker lock-free ring buffers of compact binary events.
+/// One ring: `capacity` preallocated slots written round-robin. Aligned
+/// to a cache line so neighbouring rings' heads do not share one (two
+/// workers on their own rings read 117 ns per event unaligned, 18 ns
+/// aligned — EXPERIMENTS.md).
+#[repr(align(64))]
+struct Ring {
+    slots: Box<[FlightEvent]>,
+    /// Events ever recorded on this ring; the next one lands in slot
+    /// `head % capacity`.
+    head: u64,
+    /// Events recorded since the last [`FlightRecorder::clear`], capped
+    /// at the capacity: the newest `live` slots are the ring's content.
+    live: usize,
+}
+
+/// Per-worker ring buffers of typed events, one mutex per ring.
 ///
-/// Layout: `workers + 1` rings of `capacity` slots, each slot five
-/// `AtomicU64` words `[seq, ts, kind, a, b]`. The last ring is the
+/// Layout: `workers + 1` rings of `capacity` [`FlightEvent`] slots,
+/// allocated once in [`FlightRecorder::new`]. The last ring is the
 /// *external* ring for events with no owning worker (job submission,
-/// cache traffic, watchdog queue-depth samples).
+/// cache traffic, watchdog queue-depth samples), so it is the one ring
+/// many threads write.
 ///
-/// Writers claim a slot with a fetch-add ticket and bracket the payload
-/// stores with odd/even sequence numbers (`2·ticket+1` while writing,
-/// `2·ticket+2` when done); readers accept a slot only when they load
-/// the same even sequence before and after the payload. Sequences grow
-/// strictly with the ticket, so a reader can never confuse two
-/// generations of the same slot. Everything is a plain atomic word —
-/// no locks, no allocation, no unsafe.
+/// A writer locks its ring, stores one slot and bumps the head; a reader
+/// locks one ring at a time and copies out the newest
+/// `min(recorded, capacity)` events. The critical sections are a few
+/// words long and no caller holds another lock while recording
+/// (DESIGN.md §15), so a ring's mutex is the whole protocol: no event is
+/// skipped, none is a mix of two.
 pub struct FlightRecorder {
-    rings: usize,
     capacity: usize,
     base: Instant,
     epoch_off: AtomicU64,
-    heads: Vec<AtomicU64>,
-    words: Vec<AtomicU64>,
+    rings: Box<[Mutex<Ring>]>,
 }
 
 impl std::fmt::Debug for FlightRecorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FlightRecorder")
-            .field("rings", &self.rings)
+            .field("rings", &self.rings.len())
             .field("capacity", &self.capacity)
             .finish()
     }
@@ -177,22 +156,34 @@ impl FlightRecorder {
     /// A recorder with one ring per worker plus the external ring, each
     /// holding `capacity` events (min 2).
     pub fn new(workers: usize, capacity: usize) -> Self {
-        let rings = workers.saturating_add(1);
         let capacity = capacity.max(2);
-        let words = rings.saturating_mul(capacity).saturating_mul(SLOT_WORDS);
+        let rings = (0..workers.saturating_add(1))
+            .map(|ring| {
+                let empty = FlightEvent {
+                    ring: u64::try_from(ring).unwrap_or(u64::MAX),
+                    ts_ns: 0,
+                    kind: EventKind::QueueDepth,
+                    a: 0,
+                    b: 0,
+                };
+                Mutex::new(Ring {
+                    slots: vec![empty; capacity].into_boxed_slice(),
+                    head: 0,
+                    live: 0,
+                })
+            })
+            .collect();
         Self {
-            rings,
             capacity,
             base: Instant::now(),
             epoch_off: AtomicU64::new(0),
-            heads: (0..rings).map(|_| AtomicU64::new(0)).collect(),
-            words: (0..words).map(|_| AtomicU64::new(0)).collect(),
+            rings,
         }
     }
 
     /// Number of rings (workers + 1).
     pub fn rings(&self) -> usize {
-        self.rings
+        self.rings.len()
     }
 
     /// Slots per ring.
@@ -202,15 +193,13 @@ impl FlightRecorder {
 
     /// Index of the external ring (submit/cache/watchdog events).
     pub fn external_ring(&self) -> usize {
-        self.rings - 1
+        self.rings.len() - 1
     }
 
     /// Total events ever recorded on `ring` (including overwritten
     /// ones); 0 for an out-of-range ring.
     pub fn recorded(&self, ring: usize) -> u64 {
-        self.heads
-            .get(ring)
-            .map_or(0, |h| h.load(Ordering::Relaxed))
+        self.rings.get(ring).map_or(0, |r| r.lock().head)
     }
 
     fn base_ns(&self) -> u64 {
@@ -223,8 +212,8 @@ impl FlightRecorder {
             .saturating_sub(self.epoch_off.load(Ordering::Relaxed))
     }
 
-    /// Restart the epoch at "now" (lock-free; pair with `trace::reset`
-    /// so flight events and span events share a timeline).
+    /// Restart the epoch at "now" (pair with `trace::reset` so flight
+    /// events and span events share a timeline).
     pub fn reset_epoch(&self) {
         self.epoch_off.store(self.base_ns(), Ordering::Relaxed);
     }
@@ -236,101 +225,58 @@ impl FlightRecorder {
 
     /// Record an event with an explicit timestamp (deterministic
     /// tests). Out-of-range rings are ignored.
-    //
-    // CC-PROTOCOL(seqlock-flight-recorder): seqlock writer=FlightRecorder::record_at reader=FlightRecorder::snapshot_events
-    // Per-slot sequence word: odd = writer active, even = published.
-    // The writer brackets the payload stores with Release stores of
-    // `2t+1` / `2t+2`; the reader validates with two Acquire loads.
     pub fn record_at(&self, ring: usize, ts_ns: u64, kind: EventKind, a: u64, b: u64) {
         crate::telemetry::hot_path("telemetry.record");
-        let Some(head) = self.heads.get(ring) else {
+        let Some(r) = self.rings.get(ring) else {
             return;
         };
-        // The ticket picks the slot (an index); racing writers may
-        // share a slot, but the sequence discipline below makes any
-        // collision detectable by the reader, never a torn read.
-        // SANCTION(CC01: seqlock-flight-recorder): indexed ticket, protected by the seq words
-        let ticket = head.fetch_add(1, Ordering::Relaxed);
-        let cap = u64::try_from(self.capacity).unwrap_or(u64::MAX);
-        let slot = usize::try_from(ticket % cap).unwrap_or(0);
-        let base = (ring * self.capacity + slot) * SLOT_WORDS;
-        let Some(seq) = self.words.get(base) else {
-            return;
-        };
-        seq.store(
-            ticket.saturating_mul(2).saturating_add(1),
-            Ordering::Release,
-        );
-        self.store_word(base + 1, ts_ns);
-        self.store_word(base + 2, kind.code());
-        self.store_word(base + 3, a);
-        self.store_word(base + 4, b);
-        seq.store(
-            ticket.saturating_mul(2).saturating_add(2),
-            Ordering::Release,
-        );
+        let mut r = r.lock();
+        let at = r.next_slot();
+        let slot = &mut r.slots[at];
+        slot.ts_ns = ts_ns;
+        slot.kind = kind;
+        slot.a = a;
+        slot.b = b;
+        r.head += 1;
+        r.live = (r.live + 1).min(self.capacity);
     }
 
-    #[inline(always)]
-    fn store_word(&self, idx: usize, v: u64) {
-        if let Some(w) = self.words.get(idx) {
-            w.store(v, Ordering::Relaxed);
-        }
-    }
-
-    fn load_word(&self, idx: usize, ord: Ordering) -> u64 {
-        self.words.get(idx).map_or(0, |w| w.load(ord))
-    }
-
-    /// Non-destructive merged drain: every consistently-readable event
-    /// across all rings, sorted by timestamp (ties broken by ring and
-    /// kind for determinism). Slots being overwritten mid-read are
-    /// skipped, never torn.
+    /// Non-destructive merged drain: the newest `min(recorded,
+    /// capacity)` events of every ring (since the last
+    /// [`FlightRecorder::clear`]), sorted by timestamp, then ring; events
+    /// of one ring with equal timestamps keep their write order. Each
+    /// ring is copied under its own lock, one at a time, so a writer
+    /// waits for at most one ring's copy.
     pub fn snapshot_events(&self) -> Vec<FlightEvent> {
-        let mut out = Vec::new();
-        for ring in 0..self.rings {
-            for slot in 0..self.capacity {
-                let base = (ring * self.capacity + slot) * SLOT_WORDS;
-                let s1 = self.load_word(base, Ordering::Acquire);
-                if s1 == 0 || s1 % 2 == 1 {
-                    continue;
-                }
-                let ts_ns = self.load_word(base + 1, Ordering::Relaxed);
-                let code = self.load_word(base + 2, Ordering::Relaxed);
-                let a = self.load_word(base + 3, Ordering::Relaxed);
-                let b = self.load_word(base + 4, Ordering::Relaxed);
-                let s2 = self.load_word(base, Ordering::Acquire);
-                if s1 != s2 {
-                    continue;
-                }
-                let Some(kind) = EventKind::from_code(code) else {
-                    continue;
-                };
-                out.push(FlightEvent {
-                    ring: u64::try_from(ring).unwrap_or(u64::MAX),
-                    ts_ns,
-                    kind,
-                    a,
-                    b,
-                });
-            }
+        let mut out: Vec<FlightEvent> =
+            Vec::with_capacity(self.rings.len().saturating_mul(self.capacity));
+        for ring in self.rings.iter() {
+            let r = ring.lock();
+            // Oldest first, the slots read from the next write position
+            // round; the ring's content is the last `live` of them.
+            let (newer, older) = r.slots.split_at(r.next_slot());
+            let stale = r.slots.len() - r.live;
+            out.extend(older.iter().chain(newer).skip(stale));
         }
-        out.sort_by_key(|e| (e.ts_ns, e.ring, e.kind.code(), e.a, e.b));
+        out.sort_by_key(|e| (e.ts_ns, e.ring));
         out
     }
 
-    /// Mark every slot empty. Quiescent-use only (call between load
-    /// rungs, not while writers run); heads keep counting, so sequence
-    /// numbers stay strictly monotone across clears.
+    /// Empty every ring, at any time: an event whose `record` call
+    /// begins after `clear` returns is in the next snapshot. Heads keep
+    /// counting, so [`FlightRecorder::recorded`] stays monotone.
     pub fn clear(&self) {
-        for ring in 0..self.rings {
-            for slot in 0..self.capacity {
-                let base = (ring * self.capacity + slot) * SLOT_WORDS;
-                if let Some(w) = self.words.get(base) {
-                    w.store(0, Ordering::Release);
-                }
-            }
+        for ring in self.rings.iter() {
+            ring.lock().live = 0;
         }
+    }
+}
+
+impl Ring {
+    /// Slot the next event lands in.
+    fn next_slot(&self) -> usize {
+        let cap = u64::try_from(self.slots.len()).unwrap_or(u64::MAX);
+        usize::try_from(self.head % cap).unwrap_or(0)
     }
 }
 
@@ -1222,14 +1168,12 @@ impl Watchdog {
         let breaches = Arc::new(AtomicU64::new(0));
         let t_stop = Arc::clone(&stop);
         let t_breaches = Arc::clone(&breaches);
-        // CC-PROTOCOL(watchdog-stop-flag): flag
         // Monotonic stop gate: `halt` stores true once, the sampler
         // polls it. Relaxed is sound — the flag only decides when the
         // loop notices shutdown, never which data it may touch, and
         // `JoinHandle::join` supplies the final happens-before edge.
         let handle = std::thread::spawn(move || {
             let mut monitor = SloMonitor::new(cfg.thresholds.clone());
-            // SANCTION(CC01: watchdog-stop-flag): poll of the monotonic stop gate
             while !t_stop.load(Ordering::Relaxed) {
                 std::thread::sleep(cfg.poll);
                 let depth = queue_depth();
@@ -1279,33 +1223,6 @@ impl Drop for Watchdog {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    #[test]
-    fn event_kind_codes_roundtrip_and_are_unique() {
-        let kinds = [
-            EventKind::JobSubmitted,
-            EventKind::JobStolen,
-            EventKind::JobStarted,
-            EventKind::JobFinished,
-            EventKind::ShardBegin,
-            EventKind::ShardEnd,
-            EventKind::CacheHit,
-            EventKind::CacheMiss,
-            EventKind::CacheEvict,
-            EventKind::QueueDepth,
-        ];
-        let mut codes: Vec<u64> = kinds.iter().map(|k| k.code()).collect();
-        codes.sort_unstable();
-        codes.dedup();
-        assert_eq!(codes.len(), kinds.len());
-        for k in kinds {
-            assert_ne!(k.code(), 0, "0 marks an empty slot");
-            assert_eq!(EventKind::from_code(k.code()), Some(k));
-            assert!(!k.name().is_empty());
-        }
-        assert_eq!(EventKind::from_code(0), None);
-        assert_eq!(EventKind::from_code(999), None);
-    }
 
     #[test]
     fn single_writer_wraparound_keeps_last_capacity_events() {
@@ -1362,54 +1279,199 @@ mod tests {
             let want: Vec<u64> = (n - keep..n).collect();
             prop_assert_eq!(got, want);
         }
+    }
 
-        /// Concurrent writers on a shared ring and private rings: the
-        /// merged drain is timestamp-ordered, every event is one that
-        /// some writer actually wrote (payload words consistent with
-        /// its timestamp — no torn slots), and per-ring counts respect
-        /// capacity.
-        #[test]
-        fn merged_drain_is_ordered_and_untorn_under_concurrency(
-            writers in 1usize..4,
-            per_writer in 1usize..40,
-            cap in 2usize..33,
-        ) {
-            // Ring w per writer, plus every writer also hammers ring 0.
-            let rec = Arc::new(FlightRecorder::new(writers, cap));
+    const KINDS: [EventKind; 10] = [
+        EventKind::JobSubmitted,
+        EventKind::JobStolen,
+        EventKind::JobStarted,
+        EventKind::JobFinished,
+        EventKind::ShardBegin,
+        EventKind::ShardEnd,
+        EventKind::CacheHit,
+        EventKind::CacheMiss,
+        EventKind::CacheEvict,
+        EventKind::QueueDepth,
+    ];
+
+    /// The event counter `c` stands for, stamped `ts_ns = c`: every field
+    /// is a function of `c`, so a slot holding words of two events
+    /// cannot pass [`is_whole`].
+    fn fields_of(c: u64) -> (EventKind, u64, u64) {
+        (KINDS[(c % 10) as usize], c.wrapping_mul(3), !c)
+    }
+
+    fn record_counter(rec: &FlightRecorder, ring: usize, c: u64) {
+        let (kind, a, b) = fields_of(c);
+        rec.record_at(ring, c, kind, a, b);
+    }
+
+    fn is_whole(e: &FlightEvent) -> bool {
+        (e.kind, e.a, e.b) == fields_of(e.ts_ns)
+    }
+
+    fn ring_stamps(events: &[FlightEvent], ring: u64) -> Vec<u64> {
+        events
+            .iter()
+            .filter(|e| e.ring == ring)
+            .map(|e| e.ts_ns)
+            .collect()
+    }
+
+    /// Writers racing on one ring (what the external ring is in
+    /// production) while a reader snapshots throughout. Mid-flight, every
+    /// event of every snapshot is one a writer wrote, and every ring
+    /// holds the newest `min(recorded, capacity)`: never more than its
+    /// capacity, never fewer than it had when the snapshot began. After
+    /// the writers join, each ring holds exactly its newest events in
+    /// write order. Capacity 2 laps a stalled writer at once, 1,024 is
+    /// the serving size.
+    #[test]
+    fn racing_writers_on_one_ring_never_tear() {
+        const WRITERS: u64 = 3;
+        const PER_WRITER: u64 = 400_000;
+        for cap in [2usize, 16, 1024] {
+            // Ring 0 is shared by every writer, ring `w + 1` is writer
+            // `w`'s own; writer `w` records the counters `w + 3·i`.
+            let rec = FlightRecorder::new(WRITERS as usize, cap);
+            let running = AtomicU64::new(WRITERS);
+            let (mut torn, mut over, mut short) = (0usize, 0usize, 0usize);
             std::thread::scope(|s| {
-                for w in 0..writers {
-                    let rec = Arc::clone(&rec);
+                for w in 0..WRITERS {
+                    let (rec, running) = (&rec, &running);
                     s.spawn(move || {
-                        let wu = u64::try_from(w).unwrap_or(0);
-                        for i in 0..per_writer {
-                            let iu = u64::try_from(i).unwrap_or(0);
-                            let ts = wu * 1_000_000 + iu;
-                            rec.record_at(w, ts, EventKind::JobStarted, wu, iu);
-                            rec.record_at(0, ts, EventKind::QueueDepth, wu, iu);
+                        for i in 0..PER_WRITER {
+                            record_counter(rec, 0, w + WRITERS * i);
+                            record_counter(rec, w as usize + 1, w + WRITERS * i);
                         }
+                        running.fetch_sub(1, Ordering::Relaxed);
                     });
                 }
+                while running.load(Ordering::Relaxed) > 0 {
+                    let before: Vec<u64> = (0..rec.rings()).map(|r| rec.recorded(r)).collect();
+                    let events = rec.snapshot_events();
+                    torn += events.iter().filter(|e| !is_whole(e)).count();
+                    for (ring, recorded) in before.into_iter().enumerate() {
+                        let held = events.iter().filter(|e| e.ring == ring as u64).count();
+                        over += usize::from(held > cap);
+                        short += usize::from((held as u64) < recorded.min(cap as u64));
+                    }
+                }
             });
+            assert_eq!(
+                (torn, over, short),
+                (0, 0, 0),
+                "capacity {cap}: torn events / rings over capacity / rings short of \
+                 min(recorded, capacity), summed over the mid-flight snapshots"
+            );
+
             let events = rec.snapshot_events();
-            // Timestamp-ordered merge.
-            for pair in events.windows(2) {
-                prop_assert!(pair[0].ts_ns <= pair[1].ts_ns);
+            assert!(events.iter().all(is_whole), "capacity {cap}");
+            assert!(
+                events
+                    .windows(2)
+                    .all(|p| (p[0].ts_ns, p[0].ring) <= (p[1].ts_ns, p[1].ring)),
+                "capacity {cap}: merged drain ordered by (ts_ns, ring)"
+            );
+            let keep = PER_WRITER.min(cap as u64);
+            for w in 0..WRITERS {
+                assert_eq!(rec.recorded(w as usize + 1), PER_WRITER);
+                let want: Vec<u64> = (PER_WRITER - keep..PER_WRITER)
+                    .map(|i| w + WRITERS * i)
+                    .collect();
+                assert_eq!(
+                    ring_stamps(&events, w + 1),
+                    want,
+                    "capacity {cap}, ring {}",
+                    w + 1
+                );
             }
-            // No torn reads: every event's payload matches the
-            // (writer, index) encoding of its timestamp.
-            for e in &events {
-                prop_assert_eq!(e.ts_ns, e.a * 1_000_000 + e.b, "payload tearing");
-                prop_assert!(matches!(
-                    e.kind,
-                    EventKind::JobStarted | EventKind::QueueDepth
-                ));
-            }
-            for ring in 0..rec.rings() {
-                let ru = u64::try_from(ring).unwrap();
-                let count = events.iter().filter(|e| e.ring == ru).count();
-                prop_assert!(count <= cap);
+            // The shared ring's newest `cap` events in lock order: from
+            // each writer a gapless run ending at its last event.
+            assert_eq!(rec.recorded(0), WRITERS * PER_WRITER);
+            let shared = ring_stamps(&events, 0);
+            assert_eq!(shared.len(), cap.min((WRITERS * PER_WRITER) as usize));
+            for w in 0..WRITERS {
+                let mine: Vec<u64> = shared
+                    .iter()
+                    .filter(|&&c| c % WRITERS == w)
+                    .map(|&c| c / WRITERS)
+                    .collect();
+                let want: Vec<u64> = (PER_WRITER - mine.len() as u64..PER_WRITER).collect();
+                assert_eq!(
+                    mine, want,
+                    "capacity {cap}: writer {w}'s survivors on ring 0"
+                );
             }
         }
+    }
+
+    /// `clear` is safe while writers run: an event whose `record_at`
+    /// began after `clear` returned is never lost, and what was there
+    /// before it is gone. Writers tag each event with whether they had
+    /// seen the "cleared" flag before recording it and stop `AFTER`
+    /// tagged events later, so the clear always lands mid-stream; the
+    /// ring holds every event that can follow the first tagged one.
+    #[test]
+    fn clear_while_writers_run_keeps_everything_recorded_after_it() {
+        const WRITERS: u64 = 3;
+        const AFTER: u64 = 5_000;
+        const BEFORE: u64 = 10_000;
+        let rec = FlightRecorder::new(0, (WRITERS * (AFTER + 1)) as usize);
+        let cleared = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            for _ in 0..WRITERS {
+                s.spawn(|| {
+                    let mut tagged = 0;
+                    while tagged < AFTER {
+                        let after = u64::from(cleared.load(Ordering::SeqCst));
+                        rec.record_at(0, 0, EventKind::CacheHit, after, 0);
+                        tagged += after;
+                    }
+                });
+            }
+            while rec.recorded(0) < BEFORE {
+                std::hint::spin_loop();
+            }
+            rec.clear();
+            cleared.store(true, Ordering::SeqCst);
+        });
+        let events = rec.snapshot_events();
+        let kept = events.iter().filter(|e| e.a == 1).count() as u64;
+        assert_eq!(kept, WRITERS * AFTER, "every event recorded after clear()");
+        assert!(
+            events.len() as u64 <= rec.recorded(0) - BEFORE,
+            "clear() dropped what was there"
+        );
+    }
+
+    /// Equal timestamps on one ring drain in write order (not by kind or
+    /// payload), across a wrap; equal timestamps on two rings drain in
+    /// ring order.
+    #[test]
+    fn equal_timestamps_drain_in_write_order() {
+        let rec = FlightRecorder::new(1, 4);
+        let written = [
+            (EventKind::QueueDepth, 9),
+            (EventKind::JobFinished, 7),
+            (EventKind::JobSubmitted, 8),
+            (EventKind::CacheHit, 0),
+            (EventKind::JobStolen, 3),
+            (EventKind::JobStarted, 1),
+        ];
+        rec.record_at(1, 5, EventKind::ShardEnd, 0, 0);
+        for (kind, a) in written {
+            rec.record_at(0, 5, kind, a, 0);
+        }
+        let got: Vec<(u64, EventKind, u64)> = rec
+            .snapshot_events()
+            .iter()
+            .map(|e| (e.ring, e.kind, e.a))
+            .collect();
+        let mut want: Vec<(u64, EventKind, u64)> =
+            written[2..].iter().map(|&(kind, a)| (0, kind, a)).collect();
+        want.push((1, EventKind::ShardEnd, 0));
+        assert_eq!(got, want);
     }
 
     fn sample_families() -> Vec<MetricFamily> {

@@ -188,10 +188,10 @@ impl Collector {
 /// Enable or disable tracing globally. Disabling does not clear
 /// previously collected data — call [`reset`] for that.
 ///
-/// Relaxed is the weakest sound ordering here (CC01): the flag is a
-/// monotonic gate polled by [`is_enabled`] — it decides only whether a
-/// span records, never what data it touches, and all recorded data is
-/// serialized through the collector's own mutex.
+/// Relaxed is enough: the flag gates recording and nothing else —
+/// polled by [`is_enabled`], it decides only whether a span records,
+/// never what data it touches, and all recorded data is serialized
+/// through the collector's own mutex.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }

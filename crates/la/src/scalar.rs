@@ -72,7 +72,7 @@ pub trait Real:
     fn ln(self) -> Self;
     /// `true` iff the value is exactly `±0.0`. This is a bitwise test
     /// (never true for NaN), so exact-zero short-circuits don't need a
-    /// float `==` comparison (lint rule `FE01`).
+    /// float `==` comparison (`clippy::float_cmp`, denied in every crate).
     fn exactly_zero(self) -> bool;
 }
 
@@ -158,7 +158,7 @@ impl_real!(f64);
 
 /// `true` iff `x` is exactly `±0.0` — the bitwise form of `x == 0.0`
 /// (identical semantics: both reject NaN) that exact-zero short-circuit
-/// tests use instead of a float `==` comparison (lint rule `FE01`).
+/// tests use instead of a float `==` comparison (`clippy::float_cmp`).
 #[inline(always)]
 pub fn exactly_zero_f32(x: f32) -> bool {
     x.to_bits() << 1 == 0
@@ -295,9 +295,11 @@ impl<T: Real> Mul for Complex<T> {
 
 impl<T: Real> Div for Complex<T> {
     type Output = Self;
-    // Division by multiplicative inverse is the standard complex
-    // formulation; the lint expects a literal `/`.
-    #[allow(clippy::suspicious_arithmetic_impl)]
+    #[allow(
+        clippy::suspicious_arithmetic_impl,
+        reason = "division by multiplicative inverse is the standard complex formulation; the \
+                  lint expects a literal `/`"
+    )]
     #[inline]
     fn div(self, rhs: Self) -> Self {
         self * rhs.inv()

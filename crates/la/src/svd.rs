@@ -15,9 +15,11 @@
 //! that are rounding noise never reach it. Cost follows the rank kept,
 //! not `nb`.
 
-// Index-based loops here walk multiple parallel arrays; iterator zips
-// would obscure the stride structure the kernels are about.
-#![allow(clippy::needless_range_loop)]
+#![allow(
+    clippy::needless_range_loop,
+    reason = "index-based loops here walk multiple parallel arrays; iterator zips would obscure \
+              the stride structure the kernels are about"
+)]
 
 use crate::blas::{norm_sq, sum4};
 use crate::dense::Matrix;

@@ -728,8 +728,9 @@ struct SchedState {
     shutdown: bool,
     /// Lifetime counters, kept under the scheduler mutex so
     /// [`Engine::stats`] snapshots them consistently — a reader can
-    /// never observe `completed > submitted` mid-update (CC01 proves
-    /// the remaining atomics counter-only).
+    /// never observe `completed > submitted` mid-update. The atomics
+    /// that remain (`busy`, `next_job`) are counters read for statistics
+    /// and ids only; no branch or index depends on one.
     submitted: u64,
     completed: u64,
     rejected: u64,
@@ -931,11 +932,12 @@ fn enqueue(st: &mut SchedState, job: Job) {
 }
 
 /// Pop work for worker `id`: own deque first (front), then steal from
-/// the back of the longest peer deque.
-fn take_job(st: &mut SchedState, id: usize, shared: &Shared) -> Option<Job> {
+/// the back of the longest peer deque. A stolen job comes with its
+/// victim, for the caller to record once the scheduler guard is dropped.
+fn take_job(st: &mut SchedState, id: usize) -> Option<(Job, Option<usize>)> {
     if let Some(job) = st.deques[id].pop_front() {
         st.queued -= 1;
-        return Some(job);
+        return Some((job, None));
     }
     let victim = (0..st.deques.len())
         .filter(|&w| w != id && !st.deques[w].is_empty())
@@ -943,24 +945,16 @@ fn take_job(st: &mut SchedState, id: usize, shared: &Shared) -> Option<Job> {
     let job = st.deques[victim].pop_back()?;
     st.queued -= 1;
     st.stolen += 1;
-    if let Some(rec) = &shared.recorder {
-        rec.record(
-            id,
-            EventKind::JobStolen,
-            job.id,
-            u64::try_from(victim).unwrap_or(u64::MAX),
-        );
-    }
-    Some(job)
+    Some((job, Some(victim)))
 }
 
 fn worker_loop(id: usize, shared: &Shared) {
     loop {
-        let job = {
+        let taken = {
             let mut st = lock_recover(&shared.state);
             loop {
-                if let Some(job) = take_job(&mut st, id, shared) {
-                    break Some(job);
+                if let Some(taken) = take_job(&mut st, id) {
+                    break Some(taken);
                 }
                 if st.shutdown {
                     break None;
@@ -971,10 +965,18 @@ fn worker_loop(id: usize, shared: &Shared) {
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
             }
         };
-        let Some(job) = job else {
+        let Some((job, victim)) = taken else {
             return;
         };
         shared.room.notify_one();
+        if let (Some(rec), Some(victim)) = (&shared.recorder, victim) {
+            rec.record(
+                id,
+                EventKind::JobStolen,
+                job.id,
+                u64::try_from(victim).unwrap_or(u64::MAX),
+            );
+        }
         let queue_ns = duration_ns(job.submitted.elapsed());
         trace::record_duration("engine.queue_wait", queue_ns);
         if let Some(rec) = &shared.recorder {
@@ -1596,6 +1598,82 @@ mod tests {
         Arc::clone(OPS.get_or_init(|| Arc::new(FrequencyOperators::build(&stack(2, 12, 10, 4)))))
     }
 
+    /// The storm's shape under a continuous drain: a thread snapshots the
+    /// recorder in a tight loop while three submitters push blocking
+    /// submits through a queue of two. No engine thread records while it
+    /// holds the scheduler mutex (`JobStolen` is stamped after the guard
+    /// drops), so the drain can hold up `submit` / `take_job` for one
+    /// ring's copy at most: every job completes, each `JobId` exactly
+    /// once, and each steal is on its thief's ring right before the
+    /// job's start.
+    #[test]
+    fn scheduler_keeps_running_under_a_continuous_drain() {
+        const JOBS: u64 = 60;
+        let ops = storm_ops();
+        let recorder = Arc::new(FlightRecorder::new(3, 4096));
+        let engine = Engine::start(EngineConfig {
+            workers: 3,
+            queue_depth: 2,
+            recorder: Some(Arc::clone(&recorder)),
+        });
+        let draining = std::sync::atomic::AtomicBool::new(true);
+        let mut ids: Vec<u64> = std::thread::scope(|s| {
+            s.spawn(|| {
+                while draining.load(AtomicOrdering::SeqCst) {
+                    let _ = recorder.snapshot_events();
+                }
+            });
+            let submitters: Vec<_> = (0..3)
+                .map(|_| {
+                    s.spawn(|| {
+                        let handles: Vec<JobHandle> = (0..JOBS)
+                            .map(|_| {
+                                engine.submit(JobSpec::Mvm {
+                                    ops: Arc::clone(&ops),
+                                    x: test_x(ops.ncols_total()),
+                                })
+                            })
+                            .collect();
+                        handles
+                            .into_iter()
+                            .map(|h| h.wait().job)
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            let ids = submitters
+                .into_iter()
+                .flat_map(|h| h.join().expect("submitter"))
+                .collect();
+            draining.store(false, AtomicOrdering::SeqCst);
+            ids
+        });
+        let stats = engine.stats();
+        assert_eq!(stats.submitted, 3 * JOBS);
+        assert_eq!(stats.completed, stats.submitted);
+        ids.sort_unstable();
+        assert_eq!(ids, (0..3 * JOBS).collect::<Vec<_>>());
+
+        let events = recorder.snapshot_events();
+        assert_eq!(
+            count_kind(&events, EventKind::JobSubmitted),
+            stats.submitted
+        );
+        assert_eq!(count_kind(&events, EventKind::JobStolen), stats.stolen);
+        for ring in 0..3 {
+            let on_ring: Vec<_> = events.iter().filter(|e| e.ring == ring).collect();
+            for pair in on_ring.windows(2) {
+                if pair[0].kind == EventKind::JobStolen {
+                    assert_eq!(
+                        (pair[1].kind, pair[1].a),
+                        (EventKind::JobStarted, pair[0].a),
+                        "a steal is followed by its job's start"
+                    );
+                }
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -1639,7 +1717,7 @@ mod tests {
                     })
                     .collect();
                 // Mid-storm concurrent drain: must coexist with racing
-                // writers (torn slots are skipped, never corrupted).
+                // writers.
                 let _ = recorder.snapshot_events();
                 submitters
                     .into_iter()

@@ -1,8 +1,8 @@
-//! loom model of the engine's work-stealing handoff (CC03's dynamic
-//! backing): jobs land on per-worker deques under one scheduler mutex,
-//! an idle worker pops its own front or steals a peer's back, and a
-//! condvar parks idle workers — asserts no job is lost or executed
-//! twice across the explored interleavings. Runs only under
+//! loom model of the engine's work-stealing handoff: jobs land on
+//! per-worker deques under one scheduler mutex, an idle worker pops its
+//! own front or steals a peer's back, and a condvar parks idle workers —
+//! asserts no job is lost or executed twice across the explored
+//! interleavings. Runs only under
 //! `RUSTFLAGS="--cfg loom"` (the CI loom job); a plain `cargo test`
 //! compiles this file to nothing.
 #![cfg(loom)]

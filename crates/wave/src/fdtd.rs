@@ -8,9 +8,11 @@
 //! image-source Green's functions: arrival times of the direct wave,
 //! free-surface ghost, and water-layer multiples must agree.
 
-// The time loop indexes the wavelet alongside two mutated field arrays;
-// an iterator would obscure the leapfrog structure.
-#![allow(clippy::needless_range_loop)]
+#![allow(
+    clippy::needless_range_loop,
+    reason = "the time loop indexes the wavelet alongside two mutated field arrays; an iterator \
+              would obscure the leapfrog structure"
+)]
 
 use seismic_la::scalar::exactly_zero_f64;
 

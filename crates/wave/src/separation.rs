@@ -8,9 +8,11 @@
 //! transform back. Evanescent wavenumbers (`k_z` imaginary) are tapered
 //! to zero, as production implementations do.
 
-// Index-based loops here walk multiple parallel arrays; iterator zips
-// would obscure the stride structure the kernels are about.
-#![allow(clippy::needless_range_loop)]
+#![allow(
+    clippy::needless_range_loop,
+    reason = "index-based loops here walk multiple parallel arrays; iterator zips would obscure \
+              the stride structure the kernels are about"
+)]
 
 use seismic_fft::{Direction, FftPlan};
 use seismic_la::scalar::C64;

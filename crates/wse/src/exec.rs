@@ -3,9 +3,11 @@
 //! per virtual PE, host-side reduction — while accumulating the cycle
 //! model. Used to prove the mapping computes the right answer.
 
-// Index-based loops here walk multiple parallel arrays; iterator zips
-// would obscure the stride structure the kernels are about.
-#![allow(clippy::needless_range_loop)]
+#![allow(
+    clippy::needless_range_loop,
+    reason = "index-based loops here walk multiple parallel arrays; iterator zips would obscure \
+              the stride structure the kernels are about"
+)]
 
 use rayon::prelude::*;
 use seismic_la::scalar::C32;

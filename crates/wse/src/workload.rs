@@ -2,9 +2,11 @@
 //! frequency matrix, either measured from real compressed data or
 //! synthesized from a rank model calibrated to the paper's dataset.
 
-// Index-based loops here walk multiple parallel arrays; iterator zips
-// would obscure the stride structure the kernels are about.
-#![allow(clippy::needless_range_loop)]
+#![allow(
+    clippy::needless_range_loop,
+    reason = "index-based loops here walk multiple parallel arrays; iterator zips would obscure \
+              the stride structure the kernels are about"
+)]
 
 use std::collections::BTreeMap;
 

@@ -6,8 +6,7 @@
 //! literals containing `"`) and, more fundamentally, could not see
 //! *structure*: call sites, brace depth, attribute groups. This lexer
 //! produces a flat token stream with byte ranges and line numbers so the
-//! rules ([`crate::lint`], [`crate::concurrency`]) can reason about real
-//! tokens instead of text.
+//! rules ([`crate::lint`]) can reason about real tokens instead of text.
 //!
 //! Scope: enough of the Rust lexical grammar to be *sound for analysis*
 //! of this workspace — identifiers (incl. raw `r#ident`), lifetimes,
@@ -58,12 +57,6 @@ impl Tok {
         &src[self.start..self.end]
     }
 }
-
-/// Keywords that can immediately precede `(` without being a call.
-pub const STMT_KEYWORDS: &[&str] = &[
-    "if", "else", "while", "for", "loop", "match", "return", "break", "continue", "in", "let",
-    "move", "ref", "mut", "pub", "unsafe", "async", "await", "dyn", "impl", "where", "as",
-];
 
 /// Lex `src` into a token stream. Whitespace is skipped (line numbers on
 /// the tokens preserve layout); everything else — comments included — is
@@ -380,43 +373,6 @@ fn is_ident_continue(c: u8) -> bool {
     c.is_ascii_alphanumeric() || c == b'_' || c >= 0x80
 }
 
-/// `true` when a numeric literal's text is a *float* literal: it has a
-/// fractional part, an exponent, or an `f32`/`f64` suffix.
-pub fn is_float_literal(text: &str) -> bool {
-    if text.ends_with("f32") || text.ends_with("f64") {
-        return true;
-    }
-    // Hex literals contain 'e' digits without being floats.
-    if text.starts_with("0x") || text.starts_with("0X") {
-        return false;
-    }
-    // Integer-suffixed literals (`0usize`, `9i16`) contain suffix letters
-    // (the `e` of `usize`/`isize`, the `i` of `i16`) without being floats.
-    const INT_SUFFIXES: [&str; 12] = [
-        "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize",
-    ];
-    if INT_SUFFIXES.iter().any(|s| text.ends_with(s)) {
-        return false;
-    }
-    if text.contains('.') {
-        return true;
-    }
-    // An exponent makes it a float only when `e`/`E` follows at least one
-    // digit and is itself followed by an optionally signed digit run.
-    let b = text.as_bytes();
-    b.iter().enumerate().any(|(i, &c)| {
-        (c == b'e' || c == b'E') && i > 0 && {
-            let rest = &b[i + 1..];
-            let digits = if rest.first().is_some_and(|&s| s == b'+' || s == b'-') {
-                &rest[1..]
-            } else {
-                rest
-            };
-            !digits.is_empty() && digits.iter().all(|d| d.is_ascii_digit() || *d == b'_')
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -484,20 +440,6 @@ mod tests {
             nums,
             vec!["0.0", "1e-4", "2.5f32", "42", "0xFFu64", "1", "2"]
         );
-        assert!(is_float_literal("0.0"));
-        assert!(is_float_literal("1e-4"));
-        assert!(is_float_literal("2.5f32"));
-        assert!(!is_float_literal("42"));
-        assert!(!is_float_literal("0xFFu64"));
-        assert!(!is_float_literal("1"));
-        // Integer suffixes contain letters (`e` in `usize`) that must not
-        // read as an exponent; a real exponent needs trailing digits.
-        assert!(!is_float_literal("0usize"));
-        assert!(!is_float_literal("3i64"));
-        assert!(!is_float_literal("255u8"));
-        assert!(is_float_literal("1E6"));
-        assert!(is_float_literal("1e+9"));
-        assert!(is_float_literal("7f64"));
     }
 
     #[test]

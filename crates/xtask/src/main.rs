@@ -4,21 +4,15 @@
 //! Passes, all reporting through the shared
 //! [`wse_sim::verify::Diagnostic`] type:
 //!
-//! 1. **Token lints** ([`lint`] on the [`lexer`] stream): `NA01` (no raw
-//!    integer `as` casts in `core`/`la`/`wse`), `NP01` (no panic family
-//!    in library crates), `AT01`/`AT02` (crate attributes), `HP01` (no
-//!    heap allocation inside `trace::span` regions in `core`/`wse`),
-//!    `FE01` (no `==`/`!=` on float operands). A justified exception
-//!    lives at its site as `// SANCTION(RULE): reason`; one without a
-//!    reason is `LT01`, one that suppresses nothing is `LT02`.
-//! 2. **Concurrency proofs** ([`concurrency`]): `CC01` — every
-//!    `Ordering::Relaxed`/`SeqCst` site is proven counter-only by
-//!    dataflow or carries a live `// SANCTION(CC01: <protocol>)` tied
-//!    to a declared `CC-PROTOCOL` block; `CC02` — the seqlock flight
-//!    recorder's odd/even Release/Acquire discipline is verified
-//!    structurally; `CC03` — the Mutex/Condvar acquisition graph must
-//!    be acyclic with no lock pinned across a blocking wait.
-//! 3. **Static plan verification** ([`plan`]): the paper's Table 1
+//! 1. **Token and attribute lints** ([`lint`] on the [`lexer`] stream):
+//!    `NA01` (no raw integer `as` casts in `core`/`la`/`wse`), `HP01`
+//!    (no heap allocation inside `trace::span` regions in `core`/`wse`),
+//!    `AT01`/`AT02`/`AT03` (crate-root attributes — AT03 is the
+//!    `deny(clippy::…)` line under which `cargo clippy` rejects the
+//!    panic family, float `==` and reason-less `#[allow]`, so those
+//!    rules and their `#[expect(…, reason)]` exceptions are the
+//!    compiler's). A finding here is fixed, not excused.
+//! 2. **Static plan verification** ([`plan`]): the paper's Table 1
 //!    configurations must pass the `WV..` rules of
 //!    [`wse_sim::verify::verify_plan`] without being placed or run.
 //!
@@ -27,8 +21,8 @@
 //! human lines, `--self-test` ([`selftest`]) proves every rule fires on
 //! embedded fixtures (exit 0 iff all of them do).
 //!
-//! Exit status: `0` when no error-severity diagnostic survives its
-//! sanctions, `1` otherwise — suitable as a blocking CI step.
+//! Exit status: `0` when there is no error-severity diagnostic, `1`
+//! otherwise — suitable as a blocking CI step.
 //!
 //! `cargo run -p xtask -- perfgate` and `-- accgate` are the two specs
 //! of the one baseline-gate driver in [`gate`]: trace-counter checksums
@@ -38,7 +32,6 @@
 
 #![forbid(unsafe_code)]
 
-mod concurrency;
 mod gate;
 mod lexer;
 mod lint;
@@ -75,10 +68,8 @@ fn print_usage() {
     eprintln!(
         "usage: cargo run -p xtask -- <command>\n\n\
          commands:\n  \
-         analyze   run the static-analysis suite: token lints (NA01/NP01/AT01/AT02/\n            \
-         HP01/FE01), inline-sanction hygiene (LT01/LT02), concurrency\n            \
-         proofs (CC01 atomic-ordering ledger, CC02 seqlock verifier,\n            \
-         CC03 lock-order lint), static WSE plan verification\n            \
+         analyze   run the static-analysis suite: token lints (NA01/HP01), crate-root\n            \
+         attributes (AT01/AT02/AT03), static WSE plan verification\n            \
          (WV01..WV07)\n            \
          [--sarif <path>  write a SARIF 2.1.0 report]\n            \
          [--json          machine-readable output on stdout]\n            \
@@ -148,22 +139,12 @@ fn analyze(args: &[String]) -> ExitCode {
     let root = workspace_root();
     let mut all: Vec<Diagnostic> = Vec::new();
 
-    // Lex the workspace once; every pass shares it.
-    let files = lint::load_workspace(&root);
-
-    // Pass 1: token lints.
-    let outcome = lint::run_lints(&root, &files);
+    // Pass 1: token and attribute lints.
+    let outcome = lint::run_lints(&root, &lint::load_workspace(&root));
     let n_files = outcome.files;
-    let allowed = outcome.allowed;
     all.extend(outcome.diagnostics);
 
-    // Pass 2: CC concurrency proofs — atomic-ordering ledger (CC01),
-    // seqlock-protocol verifier (CC02), lock-acquisition-order (CC03).
-    let cc = concurrency::check(&files);
-    let cc_clean = cc.diagnostics.is_empty();
-    all.extend(cc.diagnostics);
-
-    // Pass 3: static plan verification of the paper configurations.
+    // Pass 2: static plan verification of the paper configurations.
     let (plan_diags, plans_checked) = plan::verify_paper_plans();
     all.extend(plan_diags);
 
@@ -208,27 +189,6 @@ fn analyze(args: &[String]) -> ExitCode {
             ),
             ("errors".to_string(), Json::u64(errors as u64)),
             ("warnings".to_string(), Json::u64(warnings as u64)),
-            ("allowed".to_string(), Json::u64(allowed as u64)),
-            (
-                "cc".to_string(),
-                Json::Obj(vec![
-                    ("clean".to_string(), Json::Bool(cc_clean)),
-                    (
-                        "atomic_sites".to_string(),
-                        Json::u64(cc.atomic_sites as u64),
-                    ),
-                    ("benign".to_string(), Json::u64(cc.benign as u64)),
-                    ("sanctioned".to_string(), Json::u64(cc.sanctioned as u64)),
-                    ("protocols".to_string(), Json::u64(cc.protocols as u64)),
-                    (
-                        "seqlocks_verified".to_string(),
-                        Json::u64(cc.seqlocks_verified as u64),
-                    ),
-                    ("locks".to_string(), Json::u64(cc.locks as u64)),
-                    ("lock_edges".to_string(), Json::u64(cc.lock_edges as u64)),
-                    ("wait_sites".to_string(), Json::u64(cc.wait_sites as u64)),
-                ]),
-            ),
             ("diagnostics".to_string(), Json::Arr(diags)),
         ]);
         print!("{}", doc.to_pretty());
@@ -236,23 +196,9 @@ fn analyze(args: &[String]) -> ExitCode {
         for d in &all {
             println!("{d}");
         }
-        if cc_clean {
-            println!(
-                "analyze: CC ledger clean — {} atomic sites ({} proven counter-only, \
-                 {} protocol-sanctioned), {} seqlock protocol(s) verified, {} locks / \
-                 {} order edges acyclic, {} wait sites disciplined",
-                cc.atomic_sites,
-                cc.benign,
-                cc.sanctioned,
-                cc.seqlocks_verified,
-                cc.locks,
-                cc.lock_edges,
-                cc.wait_sites
-            );
-        }
         println!(
             "analyze: {n_files} files linted, {plans_checked} plans verified, \
-             {errors} errors, {warnings} warnings, {allowed} allowed by inline sanctions"
+             {errors} errors, {warnings} warnings"
         );
     }
     if errors > 0 {

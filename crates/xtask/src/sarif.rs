@@ -15,37 +15,22 @@ use seismic_bench::jsonio::Json;
 use wse_sim::verify::{Diagnostic, Severity};
 
 /// The static rule inventory: id → short description. WV rules come
-/// from the plan verifier; the rest are the token and concurrency rules.
+/// from the plan verifier; the rest are the token and attribute rules.
 pub const RULES: &[(&str, &str)] = &[
     (
         "NA01",
         "no raw `as` integer casts in core/la/wse library code",
     ),
-    ("NP01", "no panic-family tokens in library crates"),
     ("AT01", "crates keep #![forbid(unsafe_code)]"),
     ("AT02", "crates keep #![deny(missing_docs)]"),
+    (
+        "AT03",
+        "crate roots keep the #![cfg_attr(not(test), deny(clippy::…))] panic / float-equality line",
+    ),
     (
         "HP01",
         "no heap allocation inside traced phase spans in core/wse",
     ),
-    (
-        "FE01",
-        "no ==/!= between float-typed operands in library code",
-    ),
-    (
-        "CC01",
-        "every Ordering::Relaxed/SeqCst site is proven counter-only or carries a live protocol sanction",
-    ),
-    (
-        "CC02",
-        "seqlock protocols keep the odd/even Release/Acquire sequence discipline",
-    ),
-    (
-        "CC03",
-        "the Mutex/Condvar acquisition graph is acyclic; no lock pinned across a blocking wait",
-    ),
-    ("LT01", "inline sanctions carry a reason"),
-    ("LT02", "inline sanctions suppress at least one finding"),
     ("WV01..WV07", "static WSE plan verification"),
 ];
 
@@ -179,7 +164,7 @@ mod tests {
         assert!(!rules.is_empty());
         assert!(rules
             .iter()
-            .any(|r| r.get("id").and_then(Json::as_str) == Some("NP01")));
+            .any(|r| r.get("id").and_then(Json::as_str) == Some("HP01")));
 
         let results = runs[0]
             .get("results")

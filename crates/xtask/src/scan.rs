@@ -1,8 +1,6 @@
 //! Lexical preprocessing shims over [`crate::lexer`]: source masking
-//! (comments/strings/chars blanked with line structure preserved),
-//! `#[cfg(test)]` region detection, and the function-extent scan
-//! ([`fn_bodies`]) the concurrency pass resolves enclosing functions
-//! with — all token-based.
+//! (comments/strings/chars blanked with line structure preserved) and
+//! `#[cfg(test)]` region detection — both token-based.
 //!
 //! The PR-1 implementations worked on regex-masked text and had blind
 //! spots this rewrite closes (and regression-tests below): raw strings
@@ -10,10 +8,7 @@
 //! char literals containing `"`, and `#[cfg(test)]` items preceded by
 //! doc comments or further attributes.
 
-use std::collections::HashMap;
-
 use crate::lexer::{lex, Tok, TokKind};
-use crate::lint::LoadedFile;
 
 /// Replace the contents of comments, string literals, and char literals
 /// with spaces, keeping newlines so byte offsets map to the same lines.
@@ -235,149 +230,6 @@ fn end_line_of(src: &str, t: &Tok) -> usize {
     t.line + src[t.start..t.end].bytes().filter(|&b| b == b'\n').count()
 }
 
-/// One function found in a lib source file (tests excluded), with the
-/// line extent of its body — the concurrency pass resolves the function
-/// enclosing an atomic or lock site with it.
-pub struct FnBody {
-    /// Workspace-relative file path.
-    pub file: String,
-    /// `Type::name` inside an impl block, bare `name` otherwise.
-    pub qualified: String,
-    /// 1-based line of the `fn` keyword.
-    pub line_start: usize,
-    /// 1-based line of the body's closing brace.
-    pub line_end: usize,
-}
-
-/// Every non-test function with a body in `files`, nested fns included
-/// (the scan continues into every body).
-pub fn fn_bodies(files: &[LoadedFile]) -> Vec<FnBody> {
-    let mut out = Vec::new();
-    for f in files {
-        let code: Vec<Tok> = f
-            .toks
-            .iter()
-            .filter(|t| !matches!(t.kind, TokKind::LineComment | TokKind::BlockComment))
-            .copied()
-            .collect();
-        let src = f.src.as_str();
-        let close = brace_matches(src, &code);
-        let impls = impl_scopes(src, &code, &close);
-        let mut i = 0usize;
-        while i < code.len() {
-            if code[i].kind == TokKind::Ident
-                && code[i].text(src) == "fn"
-                && code.get(i + 1).is_some_and(|t| t.kind == TokKind::Ident)
-            {
-                if let Some(lb) = body_open(src, &code, i + 2) {
-                    let name = code[i + 1].text(src);
-                    let rb = close.get(&lb).copied().unwrap_or(code.len() - 1);
-                    let self_ty = impls
-                        .iter()
-                        .rfind(|(range, _)| range.0 < i && i < range.1)
-                        .map(|(_, ty)| ty);
-                    if !f.line_is_test(code[i].line) {
-                        out.push(FnBody {
-                            file: f.rel.clone(),
-                            qualified: match self_ty {
-                                Some(ty) => format!("{ty}::{name}"),
-                                None => name.to_string(),
-                            },
-                            line_start: code[i].line,
-                            line_end: code[rb].line,
-                        });
-                    }
-                    i = lb + 1;
-                    continue;
-                }
-            }
-            i += 1;
-        }
-    }
-    out
-}
-
-/// Match every `{` to its `}` by token index.
-fn brace_matches(src: &str, code: &[Tok]) -> HashMap<usize, usize> {
-    let mut map = HashMap::new();
-    let mut stack = Vec::new();
-    for (i, t) in code.iter().enumerate() {
-        if t.kind == TokKind::Punct {
-            match t.text(src) {
-                "{" => stack.push(i),
-                "}" => {
-                    if let Some(open) = stack.pop() {
-                        map.insert(open, i);
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    map
-}
-
-/// Collect `(body token range, self type)` for every impl block.
-fn impl_scopes(
-    src: &str,
-    code: &[Tok],
-    close: &HashMap<usize, usize>,
-) -> Vec<((usize, usize), String)> {
-    let mut out = Vec::new();
-    for (i, t) in code.iter().enumerate() {
-        if t.kind != TokKind::Ident || t.text(src) != "impl" {
-            continue;
-        }
-        let mut angle = 0i64;
-        let mut ty: Option<String> = None;
-        let mut j = i + 1;
-        while j < code.len() {
-            let s = code[j].text(src);
-            match (code[j].kind, s) {
-                (TokKind::Punct, "<") => angle += 1,
-                (TokKind::Punct, ">") => angle -= 1,
-                (TokKind::Punct, "{") if angle <= 0 => break,
-                (TokKind::Punct, ";") => {
-                    j = code.len();
-                    break;
-                }
-                (TokKind::Ident, "for") => ty = None,
-                (TokKind::Ident, "where") => {}
-                (TokKind::Ident, w) if angle == 0 && ty.is_none() => ty = Some(w.to_string()),
-                _ => {}
-            }
-            j += 1;
-        }
-        if j < code.len() {
-            if let (Some(ty), Some(&end)) = (ty, close.get(&j)) {
-                out.push(((j, end), ty));
-            }
-        }
-    }
-    out
-}
-
-/// Find the body `{` of a fn whose signature starts at `from`; `None`
-/// for bodyless trait declarations.
-fn body_open(src: &str, code: &[Tok], from: usize) -> Option<usize> {
-    let mut paren = 0i64;
-    let mut j = from;
-    while j < code.len() {
-        let t = &code[j];
-        if t.kind == TokKind::Punct {
-            match t.text(src) {
-                "(" | "[" => paren += 1,
-                ")" | "]" => paren -= 1,
-                "{" if paren == 0 => return Some(j),
-                ";" if paren == 0 => return None,
-                _ => {}
-            }
-        }
-        j += 1;
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -518,40 +370,6 @@ mod tests {
         assert!(
             flags[0] && flags[1] && flags[2] && flags[3] && flags[4],
             "{flags:?}"
-        );
-    }
-
-    #[test]
-    fn fn_bodies_qualifies_methods_and_skips_tests_and_declarations() {
-        let src = "\
-pub fn free(x: u32) -> u32 {
-    x
-}
-trait T {
-    fn declared(&self);
-}
-impl<'a> T for S<'a> {
-    fn declared(&self) {
-        fn nested() {}
-    }
-}
-#[cfg(test)]
-mod tests {
-    fn t() {}
-}
-";
-        let f = LoadedFile::new("crates/core/src/fixture.rs", src.to_string());
-        let got: Vec<(String, usize, usize)> = fn_bodies(std::slice::from_ref(&f))
-            .into_iter()
-            .map(|b| (b.qualified, b.line_start, b.line_end))
-            .collect();
-        assert_eq!(
-            got,
-            vec![
-                ("free".to_string(), 1, 3),
-                ("S::declared".to_string(), 8, 10),
-                ("S::nested".to_string(), 9, 9),
-            ]
         );
     }
 }
