@@ -29,11 +29,13 @@ use std::path::Path;
 use std::sync::{Mutex, OnceLock};
 
 use seis_wave::SyntheticDataset;
+use seismic_la::sync::lock;
 use seismic_mdd::{compress_dataset, compression_stats, run_mdd_with_operators};
+use tlr_mvm::json::Json;
+use tlr_mvm::json_fields;
 use tlr_mvm::{compress, probe_nmse, trace, verify_compression_grids, TlrMatrix};
 use wse_sim::{plan_strategy1_pe, Cs2Config, RankModel};
 
-use crate::jsonio::Json;
 use crate::mdd_experiments::{default_dataset, mdd_config, ACC_SCALE};
 use crate::perf::{GateFinding, GateLevel, GateOutcome};
 
@@ -294,7 +296,7 @@ pub fn operator_quality(nb: usize, acc: f32) -> (f64, f64) {
     static DS: OnceLock<SyntheticDataset> = OnceLock::new();
     static MEMO: Mutex<BTreeMap<u64, (f64, f64)>> = Mutex::new(BTreeMap::new());
     let key = point_key(nb, acc);
-    if let Some(&hit) = MEMO.lock().unwrap_or_else(|p| p.into_inner()).get(&key) {
+    if let Some(&hit) = lock(&MEMO).get(&key) {
         return hit;
     }
     let ds = DS.get_or_init(default_dataset);
@@ -310,47 +312,22 @@ pub fn operator_quality(nb: usize, acc: f32) -> (f64, f64) {
     }
     let nmse = if ref2 > 0.0 { err2 / ref2 } else { 0.0 };
     let out = (nmse, stats.ratio);
-    MEMO.lock()
-        .unwrap_or_else(|p| p.into_inner())
-        .insert(key, out);
+    lock(&MEMO).insert(key, out);
     out
 }
 
 // ---------------------------------------------------------------------
-// JSON artifact (jsonio, so u64 checksums roundtrip exactly).
+// JSON artifact (`tlr_mvm::json`, so u64 checksums roundtrip exactly).
 // ---------------------------------------------------------------------
 
 impl AccRow {
     /// The row as a [`Json`] object.
     pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("nb".to_string(), Json::u64(self.nb as u64)),
-            ("acc".to_string(), Json::f64(f64::from(self.acc))),
-            ("effective_acc".to_string(), Json::f64(self.effective_acc)),
-            ("nmse_inverse".to_string(), Json::f64(self.nmse_inverse)),
-            ("operator_nmse".to_string(), Json::f64(self.operator_nmse)),
-            ("probe_nmse".to_string(), Json::f64(self.probe_nmse)),
-            (
-                "compression_ratio".to_string(),
-                Json::f64(self.compression_ratio),
-            ),
-            (
-                "compressed_bytes".to_string(),
-                Json::u64(self.compressed_bytes),
-            ),
-            ("total_rank".to_string(), Json::u64(self.total_rank)),
-            ("rank_checksum".to_string(), Json::u64(self.rank_checksum)),
-            (
-                "sram_bytes_per_pe".to_string(),
-                Json::u64(self.sram_bytes_per_pe),
-            ),
-            ("stack_width".to_string(), Json::u64(self.stack_width)),
-            ("sram_fits".to_string(), Json::Bool(self.sram_fits)),
-            (
-                "paper_rank_model".to_string(),
-                Json::Bool(self.paper_rank_model),
-            ),
-        ])
+        json_fields!(self;
+            nb, acc => f64::from(self.acc).into(), effective_acc, nmse_inverse, operator_nmse,
+            probe_nmse, compression_ratio, compressed_bytes, total_rank, rank_checksum,
+            sram_bytes_per_pe, stack_width, sram_fits, paper_rank_model
+        )
     }
 
     /// Parse one row back from its [`Json`] object.
@@ -394,14 +371,11 @@ impl AccRow {
 /// The artifact document: schema, experiment tag, the `REPRO_SCALE`
 /// the rows were measured at, and the rows.
 pub fn acc_doc(rows: &[AccRow], scale: u64) -> Json {
-    Json::Obj(vec![
-        ("schema_version".to_string(), Json::u64(ACC_SCHEMA_VERSION)),
-        ("experiment".to_string(), Json::str("acc-report")),
-        ("repro_scale".to_string(), Json::u64(scale)),
-        (
-            "rows".to_string(),
-            Json::Arr(rows.iter().map(AccRow::to_json).collect()),
-        ),
+    Json::obj([
+        ("schema_version", ACC_SCHEMA_VERSION.into()),
+        ("experiment", "acc-report".into()),
+        ("repro_scale", scale.into()),
+        ("rows", Json::arr(rows.iter().map(AccRow::to_json))),
     ])
 }
 

@@ -3,7 +3,7 @@
 //!
 //! A frame set is collected through [`wse_sim::collect_atlas`] for the
 //! paper's validated configurations, then serialized with the
-//! self-contained [`crate::jsonio`] writer (the artifact must be
+//! self-contained [`tlr_mvm::json`] writer (the artifact must be
 //! round-trippable by the repo itself, like `BENCH_*.json`). Every
 //! frame is re-verified at write time by [`verify_frame`] — the same
 //! reconciliation invariants `tests/atlas.rs` asserts — so a drifting
@@ -11,10 +11,11 @@
 //! checksum ([`atlas_checksum`]) over every counter and cell for the
 //! CI determinism gate.
 
+use tlr_mvm::json::Json;
+use tlr_mvm::json_fields;
 use tlr_mvm::precision::to_u64;
 use wse_sim::{collect_atlas, AtlasConfig, AtlasFrame, AtlasLayout, Cluster, Grid, Strategy};
 
-use crate::jsonio::Json;
 use crate::wse_experiments::{paper_six_shard_refs, ExperimentError, VALIDATED_CONFIGS};
 
 /// Schema version stamped into every `*.atlas.json` artifact.
@@ -280,61 +281,25 @@ pub fn atlas_checksum(frames: &[AtlasFrame]) -> u64 {
 }
 
 fn grid_json(g: &Grid) -> Json {
-    Json::Obj(vec![
-        ("rows".into(), Json::u64(to_u64(g.rows))),
-        ("cols".into(), Json::u64(to_u64(g.cols))),
-        ("total".into(), Json::u64(g.total())),
-        ("max".into(), Json::u64(g.max())),
-        (
-            "row_profile".into(),
-            Json::Arr(g.row_profile().iter().map(|&v| Json::u64(v)).collect()),
-        ),
-        (
-            "col_profile".into(),
-            Json::Arr(g.col_profile().iter().map(|&v| Json::u64(v)).collect()),
-        ),
-        (
-            "cells".into(),
-            Json::Arr(g.cells.iter().map(|&v| Json::u64(v)).collect()),
-        ),
-    ])
+    let counts = |v: &[u64]| Json::arr(v.iter().map(Json::from));
+    json_fields!(g;
+        rows, cols, total => g.total().into(), max => g.max().into(),
+        row_profile => counts(&g.row_profile()), col_profile => counts(&g.col_profile()),
+        cells => counts(&g.cells)
+    )
 }
 
 fn frame_json(f: &AtlasFrame) -> Json {
-    let placement = Json::Obj(vec![
-        ("pes_used".into(), Json::u64(f.placement.pes_used)),
-        ("pes_available".into(), Json::u64(f.placement.pes_available)),
-        ("occupancy".into(), Json::f64(f.placement.occupancy)),
-        ("worst_cycles".into(), Json::u64(f.placement.worst_cycles)),
-        ("flops".into(), Json::u64(f.placement.flops)),
-        (
-            "relative_bytes".into(),
-            Json::u64(f.placement.relative_bytes),
-        ),
-        (
-            "absolute_bytes".into(),
-            Json::u64(f.placement.absolute_bytes),
-        ),
-        ("time_s".into(), Json::f64(f.placement.time_s)),
-    ]);
-    let grids = Json::Obj(
-        frame_grids(f)
-            .iter()
-            .map(|(name, g)| ((*name).to_string(), grid_json(g)))
-            .collect(),
+    let placement = json_fields!(f.placement;
+        pes_used, pes_available, occupancy, worst_cycles, flops, relative_bytes, absolute_bytes,
+        time_s
     );
-    Json::Obj(vec![
-        ("nb".into(), Json::u64(to_u64(f.nb))),
-        ("stack_width".into(), Json::u64(to_u64(f.stack_width))),
-        ("strategy".into(), Json::str(&format!("{:?}", f.strategy))),
-        ("layout".into(), Json::str(f.layout.token())),
-        ("shards".into(), Json::u64(to_u64(f.shards))),
-        ("group_rows".into(), Json::u64(to_u64(f.group_rows))),
-        ("group_cols".into(), Json::u64(to_u64(f.group_cols))),
-        ("total_energy_pj".into(), Json::u64(f.total_energy_pj)),
-        ("placement".into(), placement),
-        ("grids".into(), grids),
-    ])
+    let grids = Json::obj(frame_grids(f).iter().map(|(name, g)| (*name, grid_json(g))));
+    json_fields!(f;
+        nb, stack_width, strategy => format!("{:?}", f.strategy).into(),
+        layout => f.layout.token().into(), shards, group_rows, group_cols, total_energy_pj,
+        placement => placement, grids => grids
+    )
 }
 
 /// Build the full `*.atlas.json` tree for a frame set, verifying every
@@ -344,14 +309,11 @@ pub fn atlas_json(experiment: &str, frames: &[AtlasFrame]) -> Result<Json, Atlas
     for f in frames {
         verify_frame(f).map_err(AtlasError::Reconciliation)?;
     }
-    Ok(Json::Obj(vec![
-        ("schema_version".into(), Json::u64(ATLAS_SCHEMA_VERSION)),
-        ("experiment".into(), Json::str(experiment)),
-        ("checksum".into(), Json::u64(atlas_checksum(frames))),
-        (
-            "frames".into(),
-            Json::Arr(frames.iter().map(frame_json).collect()),
-        ),
+    Ok(Json::obj([
+        ("schema_version", ATLAS_SCHEMA_VERSION.into()),
+        ("experiment", experiment.into()),
+        ("checksum", atlas_checksum(frames).into()),
+        ("frames", Json::arr(frames.iter().map(frame_json))),
     ]))
 }
 
@@ -510,7 +472,7 @@ mod tests {
     }
 
     #[test]
-    fn artifact_round_trips_through_jsonio() {
+    fn artifact_round_trips_through_json() {
         let _g = crate::test_sync::trace_lock();
         let frames = smoke_frames().expect("smoke frames collect");
         let tree = atlas_json("smoke", &frames).expect("frames verify");

@@ -21,8 +21,6 @@
 //!   and dispatcher self-check are generated from.
 //! * [`timeline`] — Chrome Trace Event / Perfetto export of trace
 //!   reports (`repro <exp> --timeline`).
-//! * [`jsonio`] — the self-contained JSON tree those artifacts are
-//!   written and parsed with.
 //! * [`atlas_experiments`] — the fabric atlas: per-PE-group heatmap
 //!   frames with exact cross-layer reconciliation
 //!   (`repro <exp> --atlas`, `repro atlas-sweep`).
@@ -50,7 +48,6 @@
 pub mod acc_experiments;
 pub mod atlas_experiments;
 pub mod cli;
-pub mod jsonio;
 pub mod mdd_experiments;
 pub mod mmm_experiments;
 pub mod perf;
@@ -73,6 +70,6 @@ pub(crate) mod test_sync {
     static TRACE_LOCK: Mutex<()> = Mutex::new(());
 
     pub fn trace_lock() -> MutexGuard<'static, ()> {
-        TRACE_LOCK.lock().unwrap_or_else(|p| p.into_inner())
+        seismic_la::sync::lock(&TRACE_LOCK)
     }
 }

@@ -11,6 +11,7 @@
 //! only other place a subcommand name appears, and `--self-check` (plus
 //! the `serve_cli` integration tests) holds the two in lockstep.
 
+#![forbid(unsafe_code)]
 #![cfg_attr(
     not(test),
     deny(
@@ -33,17 +34,21 @@ use seismic_bench::cli;
 use seismic_bench::mdd_experiments as mddx;
 use seismic_bench::mmm_experiments as mmmx;
 use seismic_bench::perf;
-use seismic_bench::report::{
-    fmt_bytes, fmt_pbs, render_table, write_json, write_trace_json, TraceArtifact,
-};
+use seismic_bench::report::{fmt_bytes, fmt_pbs, render_table, write_json, TraceArtifact};
 use seismic_bench::serve_sim as servesim;
 use seismic_bench::timeline;
 use seismic_bench::wse_experiments as wsex;
+use tlr_mvm::json::Json;
 use tlr_mvm::trace;
 
 /// Everything `run` can fail with: I/O, JSON serialization, or an
 /// experiment configuration error.
 type RunResult<T = ()> = Result<T, Box<dyn std::error::Error>>;
+
+/// Write an experiment's `--json` rows as the array `target/repro/<name>.json`.
+fn write_rows<T>(name: &str, rows: &[T], row: fn(&T) -> Json) -> std::io::Result<()> {
+    write_json("target/repro", name, &Json::arr(rows.iter().map(row)))
+}
 
 /// Flags shared by every experiment handler.
 struct Ctx {
@@ -224,7 +229,7 @@ fn run() -> RunResult<ExitCode> {
                 report,
                 phase_breakdown,
             };
-            write_trace_json(&which, &artifact)?;
+            write_json("target/trace", &which, &artifact.to_json())?;
             println!("\n  trace written to target/trace/{which}.json");
         }
     }
@@ -319,7 +324,7 @@ fn fig11(json: bool) -> RunResult {
          loosening acc from 1e-4 to 7e-4 adds noise to the solution."
     );
     if json {
-        write_json("fig11", &results)?;
+        write_rows("fig11", &results, mddx::Fig11Result::to_json)?;
     }
     Ok(())
 }
@@ -385,7 +390,7 @@ fn fig12(json: bool) -> RunResult {
         )
     );
     if json {
-        write_json("fig12", &rows_data)?;
+        write_rows("fig12", &rows_data, mddx::Fig12Row::to_json)?;
     }
     Ok(())
 }
@@ -409,7 +414,7 @@ fn fig13(json: bool) -> RunResult {
     );
     println!("  paper shape: green-arrow multiples present in upgoing data are removed by MDD.");
     if json {
-        write_json("fig13", &result)?;
+        write_json("target/repro", "fig13", &result.to_json())?;
     }
     Ok(())
 }
@@ -441,7 +446,7 @@ fn fig14(json: bool) -> RunResult {
     );
     println!("  paper shape: relative bw saturates near 2 PB/s; absolute ≈ 3x relative.");
     if json {
-        write_json("fig14", &rows_data)?;
+        write_rows("fig14", &rows_data, wsex::Fig14Row::to_json)?;
     }
     Ok(())
 }
@@ -539,7 +544,7 @@ fn tables123(which: &str, all: bool, json: bool) -> RunResult {
         );
     }
     if json {
-        write_json("tables123", &rows_data)?;
+        write_rows("tables123", &rows_data, wsex::SixShardRow::to_json)?;
     }
     Ok(())
 }
@@ -581,7 +586,7 @@ fn table4(json: bool) -> RunResult {
         )
     );
     if json {
-        write_json("table4", &rows_data)?;
+        write_rows("table4", &rows_data, wsex::Table4Row::to_json)?;
     }
     Ok(())
 }
@@ -625,7 +630,7 @@ fn table5(json: bool) -> RunResult {
         )
     );
     if json {
-        write_json("table5", &rows_data)?;
+        write_rows("table5", &rows_data, wsex::Table5Row::to_json)?;
     }
     Ok(())
 }
@@ -660,7 +665,9 @@ fn fig15(json: bool) -> RunResult {
         point.flops / 1e15
     );
     if json {
-        write_json("fig15", &(machines, point))?;
+        let machines = Json::arr(machines.iter().map(wsex::RooflinePoint::to_json));
+        let doc = Json::arr([machines, point.to_json()]);
+        write_json("target/repro", "fig15", &doc)?;
     }
     Ok(())
 }
@@ -704,7 +711,9 @@ fn fig16(json: bool) -> RunResult {
         )
     );
     if json {
-        write_json("fig16", &(machines, points))?;
+        let machines = Json::arr(machines.iter().map(wsex::RooflinePoint::to_json));
+        let points = Json::arr(points.iter().map(wsex::MeasuredPoint::to_json));
+        write_json("target/repro", "fig16", &Json::arr([machines, points]))?;
     }
     Ok(())
 }
@@ -764,7 +773,7 @@ fn recon(json: bool) -> RunResult {
          operator NMSE and dense-to-compressed ratio — `repro acc-report`)."
     );
     if json {
-        write_json("recon", &rows_data)?;
+        write_rows("recon", &rows_data, wsex::ReconRow::to_json)?;
     }
     Ok(())
 }
@@ -1009,7 +1018,7 @@ fn mmm(json: bool) -> RunResult {
         "  §8's claim quantified: relative intensity rises with the source count\n           (bases amortize), but flat SRAM gives no reuse — and the panels exhaust\n           the 48 kB PE, so the memory wall returns as a capacity limit."
     );
     if json {
-        write_json("mmm", &rows_data)?;
+        write_rows("mmm", &rows_data, mmmx::MmmRow::to_json)?;
     }
     Ok(())
 }
@@ -1040,7 +1049,7 @@ fn precision(json: bool) -> RunResult {
         "  bf16 bases halve the footprint; the quantization noise (≈4e-3 per\n           entry) sits inside the compression tolerance's quality budget."
     );
     if json {
-        write_json("precision", &rows_data)?;
+        write_rows("precision", &rows_data, mddx::PrecisionRow::to_json)?;
     }
     Ok(())
 }
@@ -1072,7 +1081,7 @@ fn coupling(json: bool) -> RunResult {
         "  §4's point: the decoupled solve degrades at poorly-excited frequencies\n           once the data are noisy — the joint (time-domain) solve balances them."
     );
     if json {
-        write_json("coupling", &rows_data)?;
+        write_rows("coupling", &rows_data, mddx::CouplingRow::to_json)?;
     }
     Ok(())
 }
@@ -1112,7 +1121,7 @@ fn appbench(json: bool) -> RunResult {
         )
     );
     if json {
-        write_json("appbench", &rows_data)?;
+        write_rows("appbench", &rows_data, mddx::AppBenchRow::to_json)?;
     }
     Ok(())
 }
@@ -1150,7 +1159,7 @@ fn io_study(json: bool) -> RunResult {
         "  the paper excludes transfers from its timings and points to double\n           buffering / CXL as mitigations — this quantifies when that works."
     );
     if json {
-        write_json("io", &rows_data)?;
+        write_rows("io", &rows_data, wsex::IoRow::to_json)?;
     }
     Ok(())
 }
@@ -1168,7 +1177,7 @@ fn power(json: bool) -> RunResult {
         p.gflops_per_w, p.paper_gflops_per_w
     );
     if json {
-        write_json("power", &p)?;
+        write_json("target/repro", "power", &p.to_json())?;
     }
     Ok(())
 }

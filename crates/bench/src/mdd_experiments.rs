@@ -12,7 +12,8 @@ use seismic_mdd::{
     classify, compress_dataset, nmse_change_pct, run_mdd_with_operators, zero_offset_sections,
     LsqrOptions, MddConfig, QualityRegion,
 };
-use serde::Serialize;
+use tlr_mvm::json::Json;
+use tlr_mvm::json_fields;
 use tlr_mvm::{CompressionConfig, CompressionMethod, ToleranceMode};
 
 /// The laptop-scale dataset used by all MDD experiments. The geometry
@@ -69,7 +70,7 @@ pub fn mdd_config(nb: usize, acc: f32) -> MddConfig {
 }
 
 /// One Fig. 11 panel summary.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Fig11Result {
     /// Tile size.
     pub nb: usize,
@@ -85,6 +86,15 @@ pub struct Fig11Result {
     pub final_residual: f32,
     /// Compression ratio achieved on this dataset.
     pub compression_ratio: f64,
+}
+
+impl Fig11Result {
+    /// The row as a [`Json`] object, one key per field.
+    pub fn to_json(&self) -> Json {
+        json_fields!(self;
+            nb, acc, nmse_adjoint, nmse_inverse, iterations, final_residual, compression_ratio
+        )
+    }
 }
 
 /// Fig. 11: adjoint and inversion at `acc = 1e-4` and `acc = 7e-4`
@@ -131,7 +141,7 @@ pub fn fig11(ds: &SyntheticDataset) -> Vec<Fig11Result> {
 }
 
 /// One Fig. 12 sweep point.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Fig12Row {
     /// Tile size.
     pub nb: usize,
@@ -153,6 +163,17 @@ pub struct Fig12Row {
     pub tiles: usize,
     /// Compressed bytes per frequency matrix (ascending frequency).
     pub bytes_per_freq: Vec<usize>,
+}
+
+impl Fig12Row {
+    /// The row as a [`Json`] object, one key per field.
+    pub fn to_json(&self) -> Json {
+        json_fields!(self;
+            nb, acc, nmse, nmse_change_pct, region => format!("{:?}", self.region).into(),
+            compressed_bytes, ratio, dense_tiles, tiles,
+            bytes_per_freq => Json::arr(self.bytes_per_freq.iter().map(Json::from))
+        )
+    }
 }
 
 /// Fig. 12: the `nb × acc` sweep against the `nb = 70, acc = 1e-4`
@@ -192,7 +213,7 @@ pub fn fig12(ds: &SyntheticDataset) -> Vec<Fig12Row> {
 /// Whole-application host benchmark row (§6.2's "results reported on
 /// basis of whole application"): dense vs TLR operator in the same
 /// 30-iteration LSQR inversion.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct AppBenchRow {
     /// Operator label.
     pub operator: String,
@@ -202,6 +223,13 @@ pub struct AppBenchRow {
     pub operator_bytes: usize,
     /// Inversion NMSE vs ground truth.
     pub nmse: f64,
+}
+
+impl AppBenchRow {
+    /// The row as a [`Json`] object, one key per field.
+    pub fn to_json(&self) -> Json {
+        json_fields!(self; operator, seconds, operator_bytes, nmse)
+    }
 }
 
 /// Run the full MDD inversion with the dense operator and with TLR at
@@ -275,7 +303,7 @@ pub fn app_bench(ds: &SyntheticDataset) -> Vec<AppBenchRow> {
 
 /// Mixed-precision ablation row (the companion work's "multiple
 /// precisions", refs \[23\]/\[24\]): FP32 vs bf16 base storage.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct PrecisionRow {
     /// Storage format label.
     pub format: String,
@@ -283,6 +311,13 @@ pub struct PrecisionRow {
     pub bytes: usize,
     /// MDD inversion NMSE.
     pub nmse: f64,
+}
+
+impl PrecisionRow {
+    /// The row as a [`Json`] object, one key per field.
+    pub fn to_json(&self) -> Json {
+        json_fields!(self; format, bytes, nmse)
+    }
 }
 
 /// Compare FP32 and bf16 base storage end-to-end through the MDD solve.
@@ -318,7 +353,7 @@ pub fn precision_study(ds: &SyntheticDataset) -> Vec<PrecisionRow> {
 }
 
 /// §4 ablation row: joint vs per-frequency MDD on noisy data.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct CouplingRow {
     /// Data signal-to-noise ratio (power); `None` = clean.
     pub snr: Option<f64>,
@@ -328,6 +363,13 @@ pub struct CouplingRow {
     pub nmse_per_frequency: f64,
     /// Worst single-frequency NMSE of the decoupled solve.
     pub worst_frequency_nmse: f64,
+}
+
+impl CouplingRow {
+    /// The row as a [`Json`] object, one key per field.
+    pub fn to_json(&self) -> Json {
+        json_fields!(self; snr, nmse_joint, nmse_per_frequency, worst_frequency_nmse)
+    }
 }
 
 /// §4 ablation: decoupling the inversion in frequency "may have
@@ -352,7 +394,7 @@ pub fn coupling_study(ds: &SyntheticDataset) -> Vec<CouplingRow> {
 }
 
 /// Fig. 13 summary: the sections plus the suppression measurement.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Fig13Result {
     /// Trace inline positions (m).
     pub x_positions: Vec<f64>,
@@ -367,6 +409,16 @@ pub struct Fig13Result {
     pub rms_upgoing: f64,
     /// RMS of the stacked MDD panel.
     pub rms_mdd: f64,
+}
+
+impl Fig13Result {
+    /// The row as a [`Json`] object, one key per field.
+    pub fn to_json(&self) -> Json {
+        json_fields!(self;
+            x_positions => Json::arr(self.x_positions.iter().map(Json::from)),
+            n_virtual_sources, multiple_suppression_ratio, rms_full, rms_upgoing, rms_mdd
+        )
+    }
 }
 
 fn rms(traces: &[Vec<f64>]) -> f64 {

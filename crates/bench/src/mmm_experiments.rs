@@ -10,12 +10,13 @@
 use seis_wave::SyntheticDataset;
 use seismic_geom::Ordering;
 use seismic_mdd::compress_dataset;
-use serde::Serialize;
+use tlr_mvm::json::Json;
+use tlr_mvm::json_fields;
 use tlr_mvm::{tlr_mmm_cost, CompressionConfig, CompressionMethod, ToleranceMode};
 use wse_sim::Cs2Config;
 
 /// One row of the TLR-MMM sweep.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct MmmRow {
     /// Simultaneous virtual sources.
     pub s: usize,
@@ -33,6 +34,16 @@ pub struct MmmRow {
     /// Largest `s` is bounded by SRAM, not by arithmetic — the
     /// re-exacerbated wall.
     pub flops: u64,
+}
+
+impl MmmRow {
+    /// The row as a [`Json`] object, one key per field.
+    pub fn to_json(&self) -> Json {
+        json_fields!(self;
+            s, relative_intensity, absolute_intensity, cs2_compute_bound, panel_bytes_per_pe,
+            fits_sram, flops
+        )
+    }
 }
 
 /// Sweep the simultaneous-source count on a real compressed laptop-scale

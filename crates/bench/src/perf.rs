@@ -32,14 +32,14 @@ use seismic_la::blas::{gemv_acc, gemv_conj_transpose};
 use seismic_la::scalar::C32;
 use seismic_la::{Matrix, Scalar};
 use seismic_mdd::{lsqr, Engine, EngineConfig, FrequencyOperators, JobSpec, LsqrOptions};
+use tlr_mvm::json::Json;
+use tlr_mvm::json_fields;
 use tlr_mvm::{
     compress, gather, gemv_acc_fast, gemv_conj_transpose_fast, three_phase_cost, tlr_mvm_cost,
     trace, CommAvoiding, CompressionConfig, CompressionMethod, LinearOperator, ThreePhase,
     ToleranceMode,
 };
 use wse_sim::{execute_chunks, Cs2Config, Strategy};
-
-use crate::jsonio::Json;
 
 /// Version stamp of the `BENCH_*.json` document layout. Schema 1
 /// committed a host and absolute medians; [`BenchReport::from_json`]
@@ -88,13 +88,7 @@ impl HostInfo {
     }
 
     fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("os".to_string(), Json::str(&self.os)),
-            ("arch".to_string(), Json::str(&self.arch)),
-            ("cpus".to_string(), Json::u64(self.cpus)),
-            ("profile".to_string(), Json::str(&self.profile)),
-            ("pkg_version".to_string(), Json::str(&self.pkg_version)),
-        ])
+        json_fields!(self; os, arch, cpus, profile, pkg_version)
     }
 
     fn from_json(v: &Json) -> Result<Self, String> {
@@ -147,24 +141,21 @@ pub struct KernelResult {
 impl KernelResult {
     fn to_json(&self) -> Json {
         let mut fields = vec![
-            ("name".to_string(), Json::str(&self.name)),
-            (
-                "relative_bytes_per_op".to_string(),
-                Json::u64(self.relative_bytes_per_op),
-            ),
-            ("flops_per_op".to_string(), Json::u64(self.flops_per_op)),
-            ("trace_checksum".to_string(), Json::u64(self.trace_checksum)),
+            ("name", self.name.as_str().into()),
+            ("relative_bytes_per_op", self.relative_bytes_per_op.into()),
+            ("flops_per_op", self.flops_per_op.into()),
+            ("trace_checksum", self.trace_checksum.into()),
         ];
         if let Some(t) = self.timing {
             let gbps = t.gbps(self.relative_bytes_per_op);
             fields.extend([
-                ("reps".to_string(), Json::u64(t.reps)),
-                ("median_ns".to_string(), Json::u64(t.median_ns)),
-                ("min_ns".to_string(), Json::u64(t.min_ns)),
-                ("derived_gbps".to_string(), Json::f64(gbps)),
+                ("reps", t.reps.into()),
+                ("median_ns", t.median_ns.into()),
+                ("min_ns", t.min_ns.into()),
+                ("derived_gbps", gbps.into()),
             ]);
         }
-        Json::Obj(fields)
+        Json::obj(fields)
     }
 
     fn from_json(v: &Json) -> Result<Self, String> {
@@ -204,17 +195,17 @@ impl BenchReport {
     /// Serialize to the on-disk JSON tree.
     pub fn to_json(&self) -> Json {
         let mut fields = vec![
-            ("schema_version".to_string(), Json::u64(self.schema_version)),
-            ("experiment".to_string(), Json::str(&self.experiment)),
+            ("schema_version", self.schema_version.into()),
+            ("experiment", self.experiment.as_str().into()),
         ];
         if let Some(host) = &self.host {
-            fields.push(("host".to_string(), host.to_json()));
+            fields.push(("host", host.to_json()));
         }
         fields.push((
-            "kernels".to_string(),
-            Json::Arr(self.kernels.iter().map(KernelResult::to_json).collect()),
+            "kernels",
+            Json::arr(self.kernels.iter().map(KernelResult::to_json)),
         ));
-        Json::Obj(fields)
+        Json::obj(fields)
     }
 
     /// Deserialize from a parsed JSON tree.
@@ -962,6 +953,29 @@ mod tests {
 
         let out = compare_reports(&exact, &run);
         assert!(out.findings.iter().all(|f| f.level == GateLevel::Info));
+    }
+
+    /// A checksum one past `u64::MAX` is an error naming the field, not
+    /// a report that silently holds `u64::MAX`.
+    #[test]
+    fn a_checksum_that_overflows_u64_is_refused_not_saturated() {
+        let exact = report_with(vec![kernel("gemv.ubatch.fast", 1, u64::MAX)]).exact_projection();
+        let text = exact.to_json().to_pretty();
+        let path = std::env::temp_dir().join(format!("tlr-bench-{}.json", std::process::id()));
+        for (lexeme, ok) in [
+            ("18446744073709551615", true),
+            ("18446744073709551616", false),
+            ("1.8446744073709552e19", false),
+        ] {
+            std::fs::write(&path, text.replace("18446744073709551615", lexeme)).expect("written");
+            let read = read_bench_json(&path);
+            match (ok, read) {
+                (true, read) => assert_eq!(read.as_ref(), Ok(&exact)),
+                (false, Err(e)) => assert!(e.contains("'trace_checksum'"), "{e}"),
+                (false, Ok(r)) => panic!("{lexeme} read back as {}", r.kernels[0].trace_checksum),
+            }
+        }
+        let _ = std::fs::remove_file(&path);
     }
 
     /// Absolute medians are not this gate's evidence: two reports 100×

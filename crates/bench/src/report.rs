@@ -3,13 +3,13 @@
 use std::fs;
 use std::path::Path;
 
-use serde::Serialize;
+use tlr_mvm::json::Json;
+use tlr_mvm::json_fields;
 
 use crate::wse_experiments::PhaseBreakdownRow;
 
 /// Everything a `repro --trace` run persists under `target/trace/` —
 /// the JSON schema documented in DESIGN.md §9.
-#[derive(Serialize)]
 pub struct TraceArtifact {
     /// The experiment that ran.
     pub experiment: String,
@@ -19,6 +19,17 @@ pub struct TraceArtifact {
     /// Per-config three-phase breakdown (only populated for `table2`
     /// and `all`).
     pub phase_breakdown: Vec<PhaseBreakdownRow>,
+}
+
+impl TraceArtifact {
+    /// The artifact as the JSON document of DESIGN.md §9.
+    pub fn to_json(&self) -> Json {
+        json_fields!(self;
+            experiment,
+            report => self.report.to_json(),
+            phase_breakdown => Json::arr(self.phase_breakdown.iter().map(PhaseBreakdownRow::to_json))
+        )
+    }
 }
 
 /// Render a fixed-width text table.
@@ -54,24 +65,14 @@ pub fn render_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> Stri
     out
 }
 
-/// Write an experiment result as JSON under `target/repro/<name>.json`.
-pub fn write_json<T: Serialize>(name: &str, value: &T) -> std::io::Result<()> {
-    let dir = Path::new("target/repro");
+/// Write `value` as `<dir>/<name>.json`, creating `dir`: experiment
+/// results go to `target/repro`, `--trace` artifacts to `target/trace`
+/// (kept apart so CI can upload the observability artifacts on their
+/// own).
+pub fn write_json(dir: &str, name: &str, value: &Json) -> std::io::Result<()> {
     fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{name}.json"));
-    let json = serde_json::to_string_pretty(value)?;
-    fs::write(path, json)
-}
-
-/// Write a trace artifact as JSON under `target/trace/<name>.json` —
-/// the `--trace` output directory (kept separate from `target/repro/`
-/// so CI can upload the observability artifacts on their own).
-pub fn write_trace_json<T: Serialize>(name: &str, value: &T) -> std::io::Result<()> {
-    let dir = Path::new("target/trace");
-    fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{name}.json"));
-    let json = serde_json::to_string_pretty(value)?;
-    fs::write(path, json)
+    let path = Path::new(dir).join(format!("{name}.json"));
+    fs::write(path, value.to_pretty())
 }
 
 /// Format bytes with a binary-ish human suffix used in the tables.

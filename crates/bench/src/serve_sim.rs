@@ -34,14 +34,14 @@ use seismic_mdd::{
     engine_metric_families, Engine, EngineConfig, FrequencyOperators, JobSpec, OperatorCache,
     OperatorKey,
 };
+use tlr_mvm::json::Json;
+use tlr_mvm::json_fields;
 use tlr_mvm::telemetry::{
     check_openmetrics, render_openmetrics, trace_metric_families, FlightEvent, FlightRecorder,
     SloThresholds, Watchdog, WatchdogConfig,
 };
 use tlr_mvm::trace::TraceReport;
 use tlr_mvm::{compress, trace, CompressionConfig, CompressionMethod, ToleranceMode};
-
-use crate::jsonio::Json;
 
 /// Environment variable overriding jobs per ladder rung (CI smoke).
 pub const JOBS_ENV: &str = "SERVE_SIM_JOBS";
@@ -413,59 +413,19 @@ pub fn run_metrics_sample() -> io::Result<(PathBuf, usize)> {
     Ok((path, samples))
 }
 
-/// Serialize a report to the artifact's JSON tree.
+/// A report as the artifact's JSON tree.
 pub fn report_to_json(r: &ServeSimReport) -> Json {
-    Json::Obj(vec![
-        ("workers".to_string(), Json::u64(r.workers as u64)),
-        ("queue_depth".to_string(), Json::u64(r.queue_depth as u64)),
-        ("n_freqs".to_string(), Json::u64(r.n_freqs as u64)),
-        ("cache_hits".to_string(), Json::u64(r.cache_hits)),
-        ("cache_misses".to_string(), Json::u64(r.cache_misses)),
-        ("stolen".to_string(), Json::u64(r.stolen)),
-        (
-            "rungs".to_string(),
-            Json::Arr(
-                r.rungs
-                    .iter()
-                    .map(|rung| {
-                        Json::Obj(vec![
-                            ("offered_qps".to_string(), Json::f64(rung.offered_qps)),
-                            ("jobs".to_string(), Json::u64(rung.jobs)),
-                            ("wall_s".to_string(), Json::f64(rung.wall_s)),
-                            ("achieved_qps".to_string(), Json::f64(rung.achieved_qps)),
-                            ("cache_hits".to_string(), Json::u64(rung.cache_hits)),
-                            ("cache_misses".to_string(), Json::u64(rung.cache_misses)),
-                            (
-                                "cache_evictions".to_string(),
-                                Json::u64(rung.cache_evictions),
-                            ),
-                            ("submitted".to_string(), Json::u64(rung.submitted)),
-                            ("completed".to_string(), Json::u64(rung.completed)),
-                            ("rejected".to_string(), Json::u64(rung.rejected)),
-                            ("stolen".to_string(), Json::u64(rung.stolen)),
-                            (
-                                "stages".to_string(),
-                                Json::Arr(
-                                    rung.stages
-                                        .iter()
-                                        .map(|s| {
-                                            Json::Obj(vec![
-                                                ("stage".to_string(), Json::str(&s.stage)),
-                                                ("count".to_string(), Json::u64(s.count)),
-                                                ("p50_ns".to_string(), Json::u64(s.p50_ns)),
-                                                ("p95_ns".to_string(), Json::u64(s.p95_ns)),
-                                                ("p99_ns".to_string(), Json::u64(s.p99_ns)),
-                                            ])
-                                        })
-                                        .collect(),
-                                ),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+    let stage = |s: &StageLatency| json_fields!(s; stage, count, p50_ns, p95_ns, p99_ns);
+    let rung = |rung: &Rung| {
+        json_fields!(rung;
+            offered_qps, jobs, wall_s, achieved_qps, cache_hits, cache_misses, cache_evictions,
+            submitted, completed, rejected, stolen, stages => Json::arr(rung.stages.iter().map(stage))
+        )
+    };
+    json_fields!(r;
+        workers, queue_depth, n_freqs, cache_hits, cache_misses, stolen,
+        rungs => Json::arr(r.rungs.iter().map(rung))
+    )
 }
 
 /// Write one rung's OpenMetrics scrape to

@@ -16,17 +16,16 @@
 //!   at `ts = 0`: the model has no schedule, only per-group totals.
 //!
 //! Track names arrive via `"M"` (metadata) events, exactly as the Trace
-//! Event format specifies. Serialization goes through [`crate::jsonio`],
+//! Event format specifies. Serialization goes through [`tlr_mvm::json`],
 //! so the artifact round-trips through this repo's own parser (the
 //! schema test in `tests/perf.rs` relies on that).
 
 use std::io;
 use std::path::{Path, PathBuf};
 
+use tlr_mvm::json::Json;
 use tlr_mvm::telemetry::{EventKind, FlightEvent};
 use tlr_mvm::trace::TraceReport;
-
-use crate::jsonio::Json;
 
 /// Trace Event `pid` for measured host-side spans.
 pub const HOST_PID: u64 = 1;
@@ -65,32 +64,32 @@ pub struct TimelineEvent {
     /// the enclosing slice). `None` otherwise.
     pub bp: Option<&'static str>,
     /// Extra key/value payload rendered by the viewer.
-    pub args: Vec<(String, Json)>,
+    pub args: Vec<(&'static str, Json)>,
 }
 
 impl TimelineEvent {
     fn to_json(&self) -> Json {
         let mut fields = vec![
-            ("name".to_string(), Json::str(&self.name)),
-            ("cat".to_string(), Json::str(self.cat)),
-            ("ph".to_string(), Json::str(self.ph)),
-            ("ts".to_string(), Json::f64(self.ts_us)),
-            ("pid".to_string(), Json::u64(self.pid)),
-            ("tid".to_string(), Json::u64(self.tid)),
+            ("name", self.name.as_str().into()),
+            ("cat", self.cat.into()),
+            ("ph", self.ph.into()),
+            ("ts", self.ts_us.into()),
+            ("pid", self.pid.into()),
+            ("tid", self.tid.into()),
         ];
         if let Some(dur) = self.dur_us {
-            fields.insert(4, ("dur".to_string(), Json::f64(dur)));
+            fields.insert(4, ("dur", dur.into()));
         }
         if let Some(id) = self.id {
-            fields.push(("id".to_string(), Json::u64(id)));
+            fields.push(("id", id.into()));
         }
         if let Some(bp) = self.bp {
-            fields.push(("bp".to_string(), Json::str(bp)));
+            fields.push(("bp", bp.into()));
         }
         if !self.args.is_empty() {
-            fields.push(("args".to_string(), Json::Obj(self.args.clone())));
+            fields.push(("args", Json::obj(self.args.iter().cloned())));
         }
-        Json::Obj(fields)
+        Json::obj(fields)
     }
 }
 
@@ -105,7 +104,7 @@ fn metadata(name: &'static str, pid: u64, tid: u64, label: &str) -> TimelineEven
         tid,
         id: None,
         bp: None,
-        args: vec![("name".to_string(), Json::str(label))],
+        args: vec![("name", label.into())],
     }
 }
 
@@ -179,9 +178,9 @@ pub fn build_timeline(report: &TraceReport, clock_hz: f64) -> Vec<TimelineEvent>
             id: None,
             bp: None,
             args: vec![
-                ("cycles".to_string(), Json::u64(group.stats.cycles)),
-                ("sram_bytes".to_string(), Json::u64(group.stats.sram_bytes)),
-                ("pes".to_string(), Json::u64(group.stats.iterations)),
+                ("cycles", group.stats.cycles.into()),
+                ("sram_bytes", group.stats.sram_bytes.into()),
+                ("pes", group.stats.iterations.into()),
             ],
         });
     }
@@ -335,7 +334,7 @@ pub fn engine_track_events(flight: &[FlightEvent], workers: usize) -> Vec<Timeli
             tid: exec_tid,
             id: None,
             bp: None,
-            args: vec![("stolen".to_string(), Json::Bool(t.stolen_ns.is_some()))],
+            args: vec![("stolen", t.stolen_ns.is_some().into())],
         });
         events.push(TimelineEvent {
             name: format!("job {id}"),
@@ -355,19 +354,17 @@ pub fn engine_track_events(flight: &[FlightEvent], workers: usize) -> Vec<Timeli
 
 /// Wrap events in the Trace Event container object.
 pub fn timeline_json(experiment: &str, events: &[TimelineEvent]) -> Json {
-    Json::Obj(vec![
+    let other = Json::obj([
+        ("experiment", experiment.into()),
+        ("generator", "repro --timeline".into()),
+    ]);
+    Json::obj([
         (
-            "traceEvents".to_string(),
-            Json::Arr(events.iter().map(TimelineEvent::to_json).collect()),
+            "traceEvents",
+            Json::arr(events.iter().map(TimelineEvent::to_json)),
         ),
-        ("displayTimeUnit".to_string(), Json::str("ms")),
-        (
-            "otherData".to_string(),
-            Json::Obj(vec![
-                ("experiment".to_string(), Json::str(experiment)),
-                ("generator".to_string(), Json::str("repro --timeline")),
-            ]),
-        ),
+        ("displayTimeUnit", "ms".into()),
+        ("otherData", other),
     ])
 }
 

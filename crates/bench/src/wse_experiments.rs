@@ -4,7 +4,8 @@
 
 use seismic_la::scalar::C32;
 use seismic_la::Matrix;
-use serde::Serialize;
+use tlr_mvm::json::Json;
+use tlr_mvm::json_fields;
 use tlr_mvm::{
     compress, three_phase_cost, trace, CommAvoiding, CompressionConfig, CompressionMethod,
     ThreePhase, ToleranceMode,
@@ -64,7 +65,7 @@ fn paper_workload(nb: usize, acc: f32) -> Result<wse_sim::Workload, ExperimentEr
 }
 
 /// Paper reference values for Tables 1–3 (per validated config).
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct PaperSixShardRef {
     /// Stack width (Table 1).
     pub stack_width: usize,
@@ -84,6 +85,16 @@ pub struct PaperSixShardRef {
     pub abs_pbs: f64,
     /// PFlop/s (Table 3).
     pub pflops: f64,
+}
+
+impl PaperSixShardRef {
+    /// The row as a [`Json`] object, one key per field.
+    pub fn to_json(&self) -> Json {
+        json_fields!(self;
+            stack_width, pes_used, occupancy_pct, worst_cycles, relative_bytes, absolute_bytes,
+            rel_pbs, abs_pbs, pflops
+        )
+    }
 }
 
 /// Paper values per validated config, in `VALIDATED_CONFIGS` order.
@@ -148,7 +159,7 @@ pub fn paper_six_shard_refs() -> [PaperSixShardRef; 5] {
 }
 
 /// Model results for one validated config on six shards.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct SixShardRow {
     /// Tile size.
     pub nb: usize,
@@ -158,6 +169,13 @@ pub struct SixShardRow {
     pub report: PlacementReport,
     /// Paper reference values.
     pub paper: PaperSixShardRef,
+}
+
+impl SixShardRow {
+    /// The row as a [`Json`] object, one key per field.
+    pub fn to_json(&self) -> Json {
+        json_fields!(self; nb, acc, report => self.report.to_json(), paper => self.paper.to_json())
+    }
 }
 
 /// Compute the six-shard placement for every validated config — the data
@@ -184,7 +202,7 @@ pub fn six_shard_rows() -> Result<Vec<SixShardRow>, ExperimentError> {
 }
 
 /// One Fig. 14 sweep point.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Fig14Row {
     /// Matrix size N (the batched MVM is N × N per PE).
     pub n: usize,
@@ -196,6 +214,13 @@ pub struct Fig14Row {
     pub rel_bw_ideal: f64,
     /// Ideal absolute bandwidth, B/s.
     pub abs_bw_ideal: f64,
+}
+
+impl Fig14Row {
+    /// The row as a [`Json`] object, one key per field.
+    pub fn to_json(&self) -> Json {
+        json_fields!(self; n, rel_bw, abs_bw, rel_bw_ideal, abs_bw_ideal)
+    }
 }
 
 /// Fig. 14: constant-size batched MVM bandwidth vs tile size on one CS-2.
@@ -218,7 +243,7 @@ pub fn fig14(sizes: &[usize]) -> Vec<Fig14Row> {
 }
 
 /// One Table 4 strong-scaling row.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Table4Row {
     /// Shard (system) count.
     pub shards: usize,
@@ -232,6 +257,16 @@ pub struct Table4Row {
     pub parallel_efficiency: f64,
     /// Paper's aggregate relative bandwidth (PB/s).
     pub paper_rel_pbs: f64,
+}
+
+impl Table4Row {
+    /// The row as a [`Json`] object, one key per field.
+    pub fn to_json(&self) -> Json {
+        json_fields!(self;
+            shards, stack_width, strategy => format!("{:?}", self.strategy).into(),
+            report => self.report.to_json(), parallel_efficiency, paper_rel_pbs
+        )
+    }
 }
 
 /// Table 4: strong scaling of the `nb = 25, acc = 1e-4` configuration.
@@ -270,7 +305,7 @@ pub fn table4() -> Result<Vec<Table4Row>, ExperimentError> {
 }
 
 /// One Table 5 row: 48-shard strategy-2 runs.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Table5Row {
     /// Tile size.
     pub nb: usize,
@@ -286,6 +321,16 @@ pub struct Table5Row {
     pub paper_abs_pbs: f64,
     /// Paper PFlop/s.
     pub paper_pflops: f64,
+}
+
+impl Table5Row {
+    /// The row as a [`Json`] object, one key per field.
+    pub fn to_json(&self) -> Json {
+        json_fields!(self;
+            nb, stack_width, shards, report => self.report.to_json(), paper_rel_pbs, paper_abs_pbs,
+            paper_pflops
+        )
+    }
 }
 
 /// Table 5: the headline 48-system runs (`acc = 1e-4`, strategy 2).
@@ -314,7 +359,7 @@ pub fn table5() -> Result<Vec<Table5Row>, ExperimentError> {
 }
 
 /// §7.6 power assessment of the worst-case six-shard configuration.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct PowerResult {
     /// Modeled power per CS-2 (W); paper measures ~16 kW.
     pub power_per_system_w: f64,
@@ -324,6 +369,13 @@ pub struct PowerResult {
     pub paper_power_w: f64,
     /// Paper energy efficiency.
     pub paper_gflops_per_w: f64,
+}
+
+impl PowerResult {
+    /// The row as a [`Json`] object, one key per field.
+    pub fn to_json(&self) -> Json {
+        json_fields!(self; power_per_system_w, gflops_per_w, paper_power_w, paper_gflops_per_w)
+    }
 }
 
 /// Power model on the `nb = 25, acc = 1e-4` six-shard run.
@@ -343,7 +395,7 @@ pub fn power() -> Result<PowerResult, ExperimentError> {
 }
 
 /// §6.6 I/O study row: can double buffering hide the host link?
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct IoRow {
     /// Link label.
     pub link: String,
@@ -355,6 +407,13 @@ pub struct IoRow {
     pub ratio: f64,
     /// Effective throughput with double buffering.
     pub double_buffer_efficiency: f64,
+}
+
+impl IoRow {
+    /// The row as a [`Json`] object, one key per field.
+    pub fn to_json(&self) -> Json {
+        json_fields!(self; link, transfer_s, compute_s, ratio, double_buffer_efficiency)
+    }
 }
 
 /// §6.6: quantify the "slow-bandwidth ethernet … may be mitigated with a
@@ -385,7 +444,7 @@ pub fn io_study() -> Result<Vec<IoRow>, ExperimentError> {
 }
 
 /// A roofline point or ceiling for the Fig. 15/16 outputs.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct RooflinePoint {
     /// Label.
     pub name: String,
@@ -397,8 +456,15 @@ pub struct RooflinePoint {
     pub ridge: f64,
 }
 
+impl RooflinePoint {
+    /// The row as a [`Json`] object, one key per field.
+    pub fn to_json(&self) -> Json {
+        json_fields!(self; name, peak_bw, peak_flops, ridge)
+    }
+}
+
 /// Measured TLR-MVM points placed on a roofline.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct MeasuredPoint {
     /// Label.
     pub name: String,
@@ -408,6 +474,13 @@ pub struct MeasuredPoint {
     pub bandwidth: f64,
     /// Sustained flops (flop/s).
     pub flops: f64,
+}
+
+impl MeasuredPoint {
+    /// The row as a [`Json`] object, one key per field.
+    pub fn to_json(&self) -> Json {
+        json_fields!(self; name, intensity, bandwidth, flops)
+    }
 }
 
 /// Fig. 15: six-CS-2 roofline vs vendor hardware, with the model's
@@ -486,7 +559,7 @@ pub fn fig16() -> Result<(Vec<RooflinePoint>, Vec<MeasuredPoint>), ExperimentErr
 /// placed configuration's sustained bandwidth and flop rate expressed as
 /// a percentage of its machine's roofline ceilings — Tables 4–5 restated
 /// against Figs. 15–16.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct ReconRow {
     /// Which cluster/table the row comes from.
     pub setting: String,
@@ -529,6 +602,17 @@ pub struct ReconRow {
     /// Measured laptop-scale dense-to-compressed storage ratio of the
     /// same config.
     pub compression_ratio: f64,
+}
+
+impl ReconRow {
+    /// The row as a [`Json`] object, one key per field.
+    pub fn to_json(&self) -> Json {
+        json_fields!(self;
+            setting, machine, nb, acc, intensity, rel_bw, abs_bw, flops_per_s, rel_bw_pct_peak,
+            abs_bw_pct_peak, flops_pct_peak, attainable_flops, pct_of_attainable, pj_per_flop,
+            total_energy_pj, nmse, compression_ratio
+        )
+    }
 }
 
 fn recon_row(
@@ -655,7 +739,7 @@ const BREAKDOWN_REPS: u64 = 8;
 /// columns must agree (both derive from the §6.6 formulas); the
 /// `repro table2 --trace` artifact records both so the reconciliation
 /// is checkable from the JSON alone.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct PhaseBreakdownRow {
     /// Tile size.
     pub nb: usize,
@@ -690,6 +774,15 @@ pub struct PhaseBreakdownRow {
 }
 
 impl PhaseBreakdownRow {
+    /// The row as a [`Json`] object, one key per field.
+    pub fn to_json(&self) -> Json {
+        json_fields!(self;
+            nb, acc, stack_width, reps, v_nanos, shuffle_nanos, u_nanos, v_bytes, shuffle_bytes,
+            u_bytes, model_v_bytes, model_shuffle_bytes, model_u_bytes, model_v_cycles,
+            model_u_cycles
+        )
+    }
+
     /// `phase / (v + shuffle + u)` as a percentage; 0 when the total is 0.
     pub fn share_pct(phase: u64, v: u64, shuffle: u64, u: u64) -> f64 {
         let total = v + shuffle + u;

@@ -13,8 +13,6 @@
 //! TLR-MVM totals below multiply the per-basis counts by 4 for the V batch
 //! plus 4 for the U batch.
 
-use serde::{Deserialize, Serialize};
-
 use crate::matrix::TlrMatrix;
 use crate::precision::to_u64;
 
@@ -39,7 +37,7 @@ pub fn mvm_flops(m: usize, n: usize) -> u64 {
 
 /// Aggregate cost of one full TLR-MVM in the complex-as-4-real execution
 /// model.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct TlrMvmCost {
     /// Total real-FP32 flops (V batch + U batch, ×4 real MVMs each).
     pub flops: u64,
@@ -108,7 +106,7 @@ pub fn tlr_mvm_cost(tlr: &TlrMatrix) -> TlrMvmCost {
 /// edge's true height). The shuffle moves `Σ ranks` complex values from
 /// column-major to row-major order — zero flops, one read plus one
 /// write of 8 bytes per rank entry under both byte models.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct ThreePhaseCost {
     /// V batch: per tile column `j`, 4 real `(K_j × cl_j)` MVMs.
     pub v: TlrMvmCost,

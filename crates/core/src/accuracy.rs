@@ -334,15 +334,8 @@ pub fn relative_residuals(report: &TraceReport, solver: &str) -> Vec<f32> {
 mod tests {
     use super::*;
     use crate::compress::{compress, CompressionConfig, CompressionMethod, ToleranceMode};
-    use std::sync::Mutex as StdMutex;
-
-    /// Serializes tests that flip the global trace flag (same contract
-    /// as the `trace` module's own tests, which run in this process).
-    static TEST_LOCK: StdMutex<()> = StdMutex::new(());
-
-    fn locked() -> std::sync::MutexGuard<'static, ()> {
-        TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner())
-    }
+    // The trace flag is process-global: share the `trace` tests' lock.
+    use crate::trace::tests::locked;
 
     fn smooth_kernel(m: usize, n: usize) -> Matrix<C32> {
         Matrix::from_fn(m, n, |i, j| {

@@ -14,7 +14,6 @@ use seismic_la::rsvd::rsvd_compress_adaptive;
 use seismic_la::scalar::C32;
 use seismic_la::svd::svd_truncate;
 use seismic_la::{LowRank, Matrix};
-use serde::{Deserialize, Serialize};
 
 use crate::accuracy;
 use crate::matrix::{Tile, TlrMatrix};
@@ -23,7 +22,7 @@ use crate::tiling::Tiling;
 use crate::trace;
 
 /// Algebraic compression backend — the paper cites all four.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CompressionMethod {
     /// Optimal (Eckart–Young) truncation by one-sided Jacobi SVD, taken
     /// of the rank-revealing-QR approximant of the tile, whose own error
@@ -50,7 +49,7 @@ impl CompressionMethod {
 
 /// How the scalar accuracy `acc` is turned into per-tile truncation
 /// tolerances.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ToleranceMode {
     /// Per-tile relative: `‖E_t‖_F ≤ acc · ‖A_t‖_F`. Matches the paper's
     /// "tile-wise accuracy tolerance".
@@ -61,7 +60,7 @@ pub enum ToleranceMode {
 }
 
 /// Full compression configuration.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct CompressionConfig {
     /// Tile size (`nb` in the paper: 25, 50, 70).
     pub nb: usize,

@@ -205,9 +205,9 @@ fn conj_transpose_block(a: &Matrix<C32>, r0: usize, x: &[C32], xs: &[C32], y: &m
 /// A conjugated dot is a serial reduction of complex products whose real
 /// and imaginary lanes do different arithmetic, and LLVM may neither
 /// reassociate the sum nor invent the shuffle, so the obvious loop runs
-/// scalar. Here every lane is isomorphic (see [`dotc_lanes`]): four
+/// scalar. Here every lane is isomorphic (see `dotc_lanes`): four
 /// columns advance in lockstep, four `C32` per step, against `x` and a
-/// swapped copy of `x` kept on the stack per [`DOT_BLOCK`]-row block;
+/// swapped copy of `x` kept on the stack per `DOT_BLOCK`-row block;
 /// taller operands accumulate block by block. A caller that applies many
 /// operands to one `x` makes the copy itself and calls
 /// [`gemv_conj_transpose_swapped`].

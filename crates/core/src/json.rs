@@ -1,20 +1,21 @@
-//! A minimal, dependency-free JSON tree: writer plus recursive-descent
-//! parser.
+//! The workspace's one JSON tree: constructors, writer and
+//! recursive-descent parser, with no dependency.
 //!
-//! The performance artifacts this crate emits — `BENCH_*.json` baselines
-//! and `*.timeline.json` Perfetto exports — must be *round-trippable by
-//! the repo itself*: `xtask perfgate` parses the committed baseline, and
-//! the timeline schema test parses an emitted trace. Routing these
-//! through a hand-rolled tree keeps that loop self-contained and exact
-//! (u64 counters are kept as verbatim numeric lexemes, so checksums
-//! survive bit-for-bit), independent of which serde_json happens to be
-//! linked.
+//! Every artifact the workspace emits — `BENCH_*.json` baselines, trace
+//! and `repro --json` reports, `*.timeline.json` Perfetto exports, atlas
+//! frames, anomaly dumps, SARIF — is built as a [`Json`] value and so is
+//! *round-trippable by the repo itself*: `xtask perfgate` parses the
+//! committed baseline, and the schema tests parse what was written. u64
+//! counters are kept as verbatim numeric lexemes, so checksums survive
+//! bit for bit.
 //!
 //! The dialect is plain RFC 8259 JSON. The parser accepts anything this
 //! module's writer produces plus ordinary hand-edited files; it is not a
 //! hardened parser for adversarial input (depth is capped, not fuzzed).
 
 use std::fmt;
+
+use crate::precision::f64_to_u64;
 
 /// Maximum container nesting the parser accepts; our artifacts use < 8.
 const MAX_DEPTH: usize = 64;
@@ -55,25 +56,63 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-impl Json {
-    /// A number from a `u64`, exact.
-    pub fn u64(v: u64) -> Json {
-        Json::Num(v.to_string())
-    }
-
-    /// A number from an `f64` (non-finite values become `null`, which
-    /// JSON cannot represent as a number).
-    pub fn f64(v: f64) -> Json {
-        if v.is_finite() {
-            Json::Num(format!("{v}"))
-        } else {
-            Json::Null
+/// `impl From<T> for Json`, one `types => |v| value;` line per family.
+macro_rules! json_from {
+    ($($($t:ty),+ => |$v:ident| $json:expr;)*) => {$($(
+        impl From<$t> for Json {
+            fn from($v: $t) -> Json {
+                $json
+            }
         }
+    )+)*};
+}
+json_from! {
+    // Integers keep every digit.
+    u64, usize, &u32, &u64, &usize => |v| Json::Num(v.to_string());
+    // Floats print their shortest round-trip form (an `f32` as an `f32`); a
+    // non-finite one becomes `null`, which JSON cannot represent as a number.
+    f32, f64, &f32, &f64 => |v| if v.is_finite() { Json::Num(v.to_string()) } else { Json::Null };
+    // `None` is `null`.
+    &Option<f64> => |v| v.map_or(Json::Null, Json::from);
+    bool => |v| Json::Bool(v);
+    &bool => |v| Json::Bool(*v);
+    &str, &&str, &String => |v| Json::Str(v.to_string());
+    String => |v| Json::Str(v);
+}
+
+/// `json_fields!(row; a, b, c => expr)`: the object whose keys are the
+/// listed fields of `row`, in that order — a key cannot drift from the
+/// field it names. A value is `Json::from(&row.field)` (nothing is
+/// cloned) unless `=> expr` supplies it.
+#[macro_export]
+macro_rules! json_fields {
+    ($row:expr; $($field:ident $(=> $value:expr)?),+ $(,)?) => {
+        $crate::json::Json::obj([
+            $((stringify!($field), $crate::json_fields!(@value $row, $field $(, $value)?))),+
+        ])
+    };
+    (@value $row:expr, $field:ident) => {
+        $crate::json::Json::from(&$row.$field)
+    };
+    (@value $row:expr, $field:ident, $value:expr) => {
+        $value
+    };
+}
+
+impl Json {
+    /// An object from `(key, value)` pairs, in the order given.
+    pub fn obj<'a>(fields: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+        Json::Obj(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
     }
 
-    /// A string value.
-    pub fn str(s: &str) -> Json {
-        Json::Str(s.to_string())
+    /// An array from its elements.
+    pub fn arr(items: impl IntoIterator<Item = Json>) -> Json {
+        Json::Arr(items.into_iter().collect())
     }
 
     /// Object field lookup (first match).
@@ -92,16 +131,17 @@ impl Json {
         }
     }
 
-    /// The number as `u64`, if this is an integral number in range.
+    /// The number as `u64`: an integer lexeme in range, or an
+    /// exponent/decimal form whose value is integral and below 2⁵³ (so
+    /// the `f64` it passed through held it exactly). Anything larger
+    /// must arrive as an integer lexeme — it is rejected, not saturated.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             Json::Num(lex) => lex.parse::<u64>().ok().or_else(|| {
-                // Tolerate exponent/decimal forms that are still integral.
-                // The fract test is bitwise (±0.0 only) so this module
-                // stays free of float `==` without pulling in a dep.
                 let f = lex.parse::<f64>().ok()?;
+                // The fract test is bitwise (±0.0 only): no float `==`.
                 let integral = f.fract().to_bits() << 1 == 0;
-                (f >= 0.0 && integral && f <= u64::MAX as f64).then_some(f as u64)
+                (integral && (0.0..9_007_199_254_740_992.0).contains(&f)).then(|| f64_to_u64(f))
             }),
             _ => None,
         }
@@ -203,8 +243,8 @@ fn write_escaped(s: &str, out: &mut String) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+            c if u32::from(c) < 0x20 => {
+                out.push_str(&format!("\\u{:04x}", u32::from(c)));
             }
             c => out.push(c),
         }
@@ -418,21 +458,43 @@ mod tests {
 
     #[test]
     fn roundtrips_nested_document() {
-        let doc = Json::Obj(vec![
-            ("name".to_string(), Json::str("three_phase.apply \"q\"")),
-            ("median_ns".to_string(), Json::u64(u64::MAX)),
-            ("gbps".to_string(), Json::f64(12.25)),
-            (
-                "kernels".to_string(),
-                Json::Arr(vec![Json::Null, Json::Bool(true), Json::u64(0)]),
-            ),
-            ("empty".to_string(), Json::Obj(vec![])),
+        let doc = Json::obj([
+            ("name", "three_phase.apply \"q\"".into()),
+            ("median_ns", u64::MAX.into()),
+            ("gbps", 12.25.into()),
+            ("acc", 1e-4f32.into()),
+            ("kernels", Json::arr([Json::Null, true.into(), 0u64.into()])),
+            ("empty", Json::obj([])),
         ]);
         let text = doc.to_pretty();
+        assert!(
+            text.contains("\"acc\": 0.0001,"),
+            "an f32 prints its own shortest form"
+        );
         let back = Json::parse(&text).expect("parse own output");
         assert_eq!(doc, back);
         // u64::MAX survives exactly (would be lossy through f64).
         assert_eq!(back.get("median_ns").and_then(Json::as_u64), Some(u64::MAX));
+    }
+
+    #[test]
+    fn as_u64_rejects_what_an_f64_cannot_hold_exactly() {
+        let read = |lex: &str| Json::parse(lex).expect("a number").as_u64();
+        assert_eq!(read("18446744073709551615"), Some(u64::MAX));
+        for too_big in [
+            "18446744073709551616",
+            "18446744073709551617",
+            "1.8446744073709552e19",
+            "9007199254740993.0",
+            "2e19",
+        ] {
+            assert_eq!(read(too_big), None, "{too_big} must not saturate or round");
+        }
+        assert_eq!(read("1e3"), Some(1000));
+        assert_eq!(read("9007199254740991.0"), Some((1 << 53) - 1));
+        assert_eq!(read("-0.0"), Some(0));
+        assert_eq!(read("-1"), None);
+        assert_eq!(read("1.5"), None);
     }
 
     #[test]
@@ -451,7 +513,7 @@ mod tests {
 
     #[test]
     fn non_finite_floats_become_null() {
-        assert_eq!(Json::f64(f64::NAN), Json::Null);
-        assert_eq!(Json::f64(f64::INFINITY), Json::Null);
+        assert_eq!(Json::from(f64::NAN), Json::Null);
+        assert_eq!(Json::from(f32::INFINITY), Json::Null);
     }
 }

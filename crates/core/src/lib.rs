@@ -19,6 +19,8 @@
 //! * [`accounting`] — the paper's relative/absolute byte formulas and flop
 //!   counts (§6.6, §7.1).
 //! * [`ops`] — the [`LinearOperator`] abstraction used by the MDD solver.
+//! * [`json`] — the workspace's one JSON value, writer and parser; every
+//!   report, baseline and dump is built on it.
 //! * [`trace`] — zero-cost-when-disabled phase spans and flop/byte
 //!   counters; the runtime accounting behind `repro --trace`.
 //! * [`telemetry`] — serving-grade observability: the flight
@@ -75,6 +77,7 @@ pub mod accuracy;
 pub mod compress;
 pub mod fastpath;
 pub mod invariant;
+pub mod json;
 pub mod layouts;
 pub mod matrix;
 pub mod mmm;

@@ -11,7 +11,6 @@
 
 use seismic_la::scalar::C32;
 use seismic_la::Matrix;
-use serde::{Deserialize, Serialize};
 
 use crate::matrix::{Tile, TlrMatrix};
 use crate::skeleton::{Perm, Skeleton};
@@ -121,7 +120,7 @@ pub fn bf16_to_f32(h: u16) -> f32 {
 }
 
 /// A complex matrix with bf16-quantized storage (interleaved re/im).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Bf16Matrix {
     nrows: usize,
     ncols: usize,

@@ -29,12 +29,14 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
+use seismic_la::sync::lock;
 
+use crate::json::Json;
+use crate::json_fields;
 use crate::trace::{LatencyBucket, LatencyEntry, TraceReport};
 
 /// Zero-cost hot-path marker. The `xtask` HP01 lint treats the rest of
@@ -199,7 +201,7 @@ impl FlightRecorder {
     /// Total events ever recorded on `ring` (including overwritten
     /// ones); 0 for an out-of-range ring.
     pub fn recorded(&self, ring: usize) -> u64 {
-        self.rings.get(ring).map_or(0, |r| r.lock().head)
+        self.rings.get(ring).map_or(0, |r| lock(r).head)
     }
 
     fn base_ns(&self) -> u64 {
@@ -230,7 +232,7 @@ impl FlightRecorder {
         let Some(r) = self.rings.get(ring) else {
             return;
         };
-        let mut r = r.lock();
+        let mut r = lock(r);
         let at = r.next_slot();
         let slot = &mut r.slots[at];
         slot.ts_ns = ts_ns;
@@ -251,7 +253,7 @@ impl FlightRecorder {
         let mut out: Vec<FlightEvent> =
             Vec::with_capacity(self.rings.len().saturating_mul(self.capacity));
         for ring in self.rings.iter() {
-            let r = ring.lock();
+            let r = lock(ring);
             // Oldest first, the slots read from the next write position
             // round; the ring's content is the last `live` of them.
             let (newer, older) = r.slots.split_at(r.next_slot());
@@ -267,7 +269,7 @@ impl FlightRecorder {
     /// counting, so [`FlightRecorder::recorded`] stays monotone.
     pub fn clear(&self) {
         for ring in self.rings.iter() {
-            ring.lock().live = 0;
+            lock(ring).live = 0;
         }
     }
 }
@@ -280,43 +282,14 @@ impl Ring {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if u32::from(c) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", u32::from(c)));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Render a merged event list as a JSON array (one object per event),
-/// the flight recorder's dump format.
-pub fn events_json(events: &[FlightEvent]) -> String {
-    let mut out = String::from("[");
-    for (i, e) in events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n  {{\"ring\":{},\"ts_ns\":{},\"kind\":\"{}\",\"a\":{},\"b\":{}}}",
-            e.ring,
-            e.ts_ns,
-            e.kind.name(),
-            e.a,
-            e.b
-        ));
-    }
-    out.push_str("\n]");
-    out
+/// A merged event list as a JSON array (one object per event), the
+/// flight recorder's dump format.
+pub fn events_json(events: &[FlightEvent]) -> Json {
+    Json::arr(
+        events
+            .iter()
+            .map(|e| json_fields!(e; ring, ts_ns, kind => e.kind.name().into(), a, b)),
+    )
 }
 
 /// Metric family kind, mirroring the OpenMetrics `# TYPE` vocabulary
@@ -1110,16 +1083,15 @@ pub fn write_anomaly_dump(
 ) -> io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
     let path = dir.join(format!("anomaly_{n}.json"));
-    let doc = format!(
-        "{{\n\"breach\": {{\"reason\": \"{}\", \"stage\": \"{}\", \"observed\": {}, \"limit\": {}}},\n\"events\": {},\n\"metrics\": \"{}\"\n}}\n",
-        breach.reason,
-        json_escape(&breach.stage),
-        breach.observed,
-        breach.limit,
-        events_json(events),
-        json_escape(metrics)
-    );
-    std::fs::write(&path, doc)?;
+    let doc = Json::obj([
+        (
+            "breach",
+            json_fields!(breach; reason, stage, observed, limit),
+        ),
+        ("events", events_json(events)),
+        ("metrics", metrics.into()),
+    ]);
+    std::fs::write(&path, doc.to_pretty())?;
     Ok(path)
 }
 
@@ -1711,7 +1683,7 @@ mod tests {
 
         // A frozen residual trips the detector...
         let mut frozen = healthy.clone();
-        frozen.extend(std::iter::repeat(frozen[7]).take(6));
+        frozen.extend(std::iter::repeat_n(frozen[7], 6));
         let b = mon.observe(&report_with_solver_rows("lsqr", &frozen), 0);
         assert_eq!(b.len(), 1);
         assert_eq!(b[0].reason, "solver_stall");
@@ -1796,28 +1768,25 @@ mod tests {
     }
 
     #[test]
-    fn anomaly_dump_is_written_and_carries_events_and_metrics() {
+    fn anomaly_dump_parses_and_carries_breach_events_and_metrics() {
         let dir = std::env::temp_dir().join(format!("tlr-anomaly-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let events = vec![
-            FlightEvent {
-                ring: 0,
-                ts_ns: 5,
-                kind: EventKind::JobStarted,
-                a: 1,
-                b: 0,
-            },
-            FlightEvent {
-                ring: 0,
-                ts_ns: 9,
-                kind: EventKind::JobFinished,
-                a: 1,
-                b: 4,
-            },
+        let event = |ts_ns, kind, b| FlightEvent {
+            ring: 0,
+            ts_ns,
+            kind,
+            a: 1,
+            b,
+        };
+        let events = [
+            event(5, EventKind::JobStarted, 0),
+            event(9, EventKind::JobFinished, u64::MAX),
         ];
+        // A stage name no hand-rolled escaper should be trusted with.
+        let stage = "engine.\"job\"\\total\nline two\u{1}";
         let breach = SloBreach {
             reason: "stage_p99",
-            stage: "engine.job_total".to_string(),
+            stage: stage.to_string(),
             observed: 9_000,
             limit: 100,
         };
@@ -1825,27 +1794,27 @@ mod tests {
         let path = write_anomaly_dump(&dir, 0, &breach, &events, &metrics).expect("dump written");
         assert!(path.ends_with("anomaly_0.json"));
         let text = std::fs::read_to_string(&path).expect("dump readable");
-        assert!(text.contains("\"reason\": \"stage_p99\""));
-        assert!(text.contains("\"kind\":\"JobStarted\""));
-        assert!(text.contains("\"kind\":\"JobFinished\""));
-        assert!(text.contains("engine_jobs_total"));
+        let doc = Json::parse(&text).expect("an anomaly dump is JSON by construction");
+        let got = doc.get("breach").expect("breach");
+        assert_eq!(got.get("reason").and_then(Json::as_str), Some("stage_p99"));
+        assert_eq!(got.get("stage").and_then(Json::as_str), Some(stage));
+        assert_eq!(got.get("observed").and_then(Json::as_u64), Some(9_000));
+        assert_eq!(got.get("limit").and_then(Json::as_u64), Some(100));
+        assert_eq!(doc.get("events"), Some(&events_json(&events)));
+        let listed = doc.get("events").and_then(Json::as_arr).expect("events");
+        assert_eq!(listed.len(), 2);
+        assert_eq!(
+            listed[0].get("kind").and_then(Json::as_str),
+            Some("JobStarted")
+        );
+        assert_eq!(listed[1].get("ts_ns").and_then(Json::as_u64), Some(9));
+        assert_eq!(listed[1].get("b").and_then(Json::as_u64), Some(u64::MAX));
+        // The exposition text (quotes, newlines, braces) survives whole.
+        assert_eq!(
+            doc.get("metrics").and_then(Json::as_str),
+            Some(metrics.as_str())
+        );
+        assert_eq!(events_json(&[]).to_pretty(), "[]\n");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn events_json_is_ordered_and_escaped() {
-        let events = vec![FlightEvent {
-            ring: 2,
-            ts_ns: 7,
-            kind: EventKind::CacheEvict,
-            a: 64,
-            b: 128,
-        }];
-        let text = events_json(&events);
-        assert!(text.starts_with('['));
-        assert!(text.contains("\"ring\":2"));
-        assert!(text.contains("\"kind\":\"CacheEvict\""));
-        assert!(text.ends_with("]"));
-        assert_eq!(events_json(&[]), "[\n]");
     }
 }

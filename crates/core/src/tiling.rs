@@ -1,10 +1,8 @@
 //! Uniform tile partitioning of an `m × n` matrix with tile size `nb`
 //! (edge tiles may be smaller).
 
-use serde::{Deserialize, Serialize};
-
 /// Tile grid over an `m × n` matrix.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Tiling {
     /// Matrix rows.
     pub m: usize,

@@ -28,7 +28,7 @@
 //!   accumulators per phase name. Every increment is a `saturating_add`,
 //!   so a counter that reaches `u64::MAX` on a long multi-frequency MDD
 //!   run pins there instead of wrapping to a nonsense small value. The
-//!   collector is a single `parking_lot::Mutex`, so accumulation from
+//!   collector is a single `std::sync::Mutex`, so accumulation from
 //!   rayon workers is safe; instrumentation therefore counts at *phase*
 //!   granularity (once per batch), not per tile.
 //! * Every completed span also feeds a **log-bucketed latency
@@ -57,8 +57,9 @@
 //!   later calls with mismatched dimensions are ignored (documented on
 //!   [`add_grid`]), so a grid can never silently change shape mid-trace.
 //!
-//! Reports serialize with serde; the JSON schema is documented in
-//! `DESIGN.md` §9 and written by `repro --trace` under `target/trace/`.
+//! [`TraceReport::to_json`] is the report's JSON form; the schema is
+//! documented in `DESIGN.md` §9 and written by `repro --trace` under
+//! `target/trace/`.
 //!
 //! ## Example
 //!
@@ -84,10 +85,13 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use seismic_la::sync::lock;
+
+use crate::json::Json;
+use crate::json_fields;
 
 /// The global on/off switch. Relaxed loads keep the disabled fast path
 /// to a single uncontended atomic read.
@@ -206,13 +210,13 @@ pub fn is_enabled() -> bool {
 /// span event, and restart the wall-clock epoch that [`SpanEvent`]
 /// timestamps are measured from.
 pub fn reset() {
-    let mut c = COLLECTOR.lock();
+    let mut c = lock(&COLLECTOR);
     c.clear();
     c.epoch = Some(Instant::now());
 }
 
 /// Monotonic counters attached to one named phase.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseStats {
     /// Times a span for this phase completed.
     pub calls: u64,
@@ -233,7 +237,7 @@ pub struct PhaseStats {
 }
 
 /// One named phase in a [`TraceReport`].
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PhaseEntry {
     /// Phase name (e.g. `tlr_mvm.v_batch`).
     pub name: String,
@@ -243,7 +247,7 @@ pub struct PhaseEntry {
 
 /// One iterative-solver step: the per-iteration residual/timing trace
 /// the paper's convergence plots are built from.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SolverIteration {
     /// Solver name (`lsqr` or `cgls`).
     pub solver: String,
@@ -253,10 +257,8 @@ pub struct SolverIteration {
     /// exact `‖r‖`).
     pub residual: f32,
     /// Residual of the starting iterate (`‖b‖` for a zero initial
-    /// guess) — the scale [`Self::relative_residual`] divides by.
-    /// `default` so pre-accuracy trace JSON still deserializes (as 0,
-    /// which reads back as "scale unknown").
-    #[serde(default)]
+    /// guess) — the scale [`Self::relative_residual`] divides by; 0
+    /// reads as "scale unknown".
     pub initial_residual: f32,
     /// Wall-clock nanoseconds the iteration took.
     pub nanos: u64,
@@ -264,9 +266,9 @@ pub struct SolverIteration {
 
 impl SolverIteration {
     /// Scale-free relative residual `residual / initial_residual`.
-    /// Rows recorded without a starting residual (deserialized
-    /// pre-accuracy traces, or a degenerate `‖b‖ = 0` solve) return the
-    /// raw residual unchanged — there is no scale to divide by.
+    /// Rows recorded without a starting residual (a degenerate
+    /// `‖b‖ = 0` solve) return the raw residual unchanged — there is no
+    /// scale to divide by.
     pub fn relative_residual(&self) -> f32 {
         if self.initial_residual > 0.0 {
             self.residual / self.initial_residual
@@ -277,7 +279,7 @@ impl SolverIteration {
 }
 
 /// One bucket of the compression rank histogram.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RankBucket {
     /// Tile rank.
     pub rank: u64,
@@ -287,7 +289,7 @@ pub struct RankBucket {
 
 /// One occupied log2 latency bucket: `count` observations fell in
 /// `[floor_ns, 2·max(floor_ns, 1))`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LatencyBucket {
     /// Inclusive lower bound of the bucket in nanoseconds (0 or a power
     /// of two).
@@ -298,7 +300,7 @@ pub struct LatencyBucket {
 
 /// Per-span-label latency distribution: sparse log2 buckets plus the
 /// nearest-rank p50/p95/p99 snapshotted from them.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LatencyEntry {
     /// Span label (phase name).
     pub name: String,
@@ -359,7 +361,7 @@ impl LatencyEntry {
             }
         }
         // Malformed entry (count > 0 with no buckets — only reachable
-        // via hand-built or deserialized data): also "no data".
+        // via hand-built data): also "no data".
         self.buckets
             .last()
             .map_or(LATENCY_EMPTY_SENTINEL, |b| b.floor_ns)
@@ -369,7 +371,7 @@ impl LatencyEntry {
 /// One named 2-D grid counter: a row-major `rows × cols` field of
 /// monotonic `u64` accumulators (fabric-atlas heatmaps — busy cycles,
 /// link bytes, SRAM bytes per PE group).
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct GridEntry {
     /// Grid name (e.g. `wse.atlas.busy_cycles`).
     pub name: String,
@@ -391,7 +393,7 @@ impl GridEntry {
 
 /// One completed span, stamped relative to the trace epoch (the last
 /// [`reset`]) — the raw record the Perfetto timeline export renders.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SpanEvent {
     /// Span label (phase name).
     pub name: String,
@@ -401,8 +403,8 @@ pub struct SpanEvent {
     pub dur_ns: u64,
 }
 
-/// A serializable snapshot of everything collected since [`reset`].
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+/// A snapshot of everything collected since [`reset`].
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct TraceReport {
     /// Every phase, sorted by name.
     pub phases: Vec<PhaseEntry>,
@@ -410,24 +412,50 @@ pub struct TraceReport {
     pub solver_iterations: Vec<SolverIteration>,
     /// Compression rank histogram, sorted by rank.
     pub rank_histogram: Vec<RankBucket>,
-    /// Per-span-label latency distributions, sorted by name. `default`
-    /// so pre-histogram trace JSON still deserializes.
-    #[serde(default)]
+    /// Per-span-label latency distributions, sorted by name.
     pub latency: Vec<LatencyEntry>,
     /// Completed spans with epoch-relative wall-clock stamps, in
     /// completion order (capped at [`MAX_SPAN_EVENTS`]).
-    #[serde(default)]
     pub span_events: Vec<SpanEvent>,
     /// Span events discarded after the cap was hit.
-    #[serde(default)]
     pub dropped_span_events: u64,
-    /// Named 2-D grid counters, sorted by name. `default` so pre-atlas
-    /// trace JSON still deserializes.
-    #[serde(default)]
+    /// Named 2-D grid counters, sorted by name.
     pub grids: Vec<GridEntry>,
 }
 
 impl TraceReport {
+    /// The report as the JSON document of DESIGN.md §9, key for key in
+    /// declaration order; u64 counters keep every digit.
+    pub fn to_json(&self) -> Json {
+        let stats = |s: &PhaseStats| {
+            json_fields!(s;
+                calls, nanos, flops, relative_bytes, absolute_bytes, cycles, sram_bytes, iterations
+            )
+        };
+        let phase = |p: &PhaseEntry| json_fields!(p; name, stats => stats(&p.stats));
+        let iteration = |i: &SolverIteration| {
+            json_fields!(i;
+                solver, iteration, residual, initial_residual, nanos
+            )
+        };
+        let span = |e: &SpanEvent| json_fields!(e; name, start_ns, dur_ns);
+        let bucket = |b: &LatencyBucket| json_fields!(b; floor_ns, count);
+        let latency = |l: &LatencyEntry| {
+            json_fields!(l;
+                name, count, p50_ns, p95_ns, p99_ns, buckets => Json::arr(l.buckets.iter().map(bucket))
+            )
+        };
+        json_fields!(self;
+            phases => Json::arr(self.phases.iter().map(phase)),
+            solver_iterations => Json::arr(self.solver_iterations.iter().map(iteration)),
+            rank_histogram => Json::arr(self.rank_histogram.iter().map(|b| json_fields!(b; rank, tiles))),
+            latency => Json::arr(self.latency.iter().map(latency)),
+            span_events => Json::arr(self.span_events.iter().map(span)),
+            dropped_span_events,
+            grids => Json::arr(self.grids.iter().map(|g| json_fields!(g; name, rows, cols, cells => Json::arr(g.cells.iter().map(Json::from)))))
+        )
+    }
+
     /// Look up a phase by name.
     pub fn phase(&self, name: &str) -> Option<&PhaseEntry> {
         self.phases.iter().find(|p| p.name == name)
@@ -480,7 +508,7 @@ impl Drop for Span {
     fn drop(&mut self) {
         if let Some((name, start)) = self.live.take() {
             let ns = duration_nanos(start.elapsed());
-            let mut c = COLLECTOR.lock();
+            let mut c = lock(&COLLECTOR);
             // First span since process start with no reset yet: its own
             // start becomes the epoch.
             let epoch = *c.epoch.get_or_insert(start);
@@ -535,7 +563,7 @@ pub fn record_duration(name: &str, nanos: u64) {
     if !is_enabled() {
         return;
     }
-    let mut c = COLLECTOR.lock();
+    let mut c = lock(&COLLECTOR);
     let p = c.phase_mut(name);
     p.calls = p.calls.saturating_add(1);
     p.nanos = p.nanos.saturating_add(nanos);
@@ -551,7 +579,7 @@ pub fn add_flops(name: &str, flops: u64) {
     if !is_enabled() {
         return;
     }
-    let mut c = COLLECTOR.lock();
+    let mut c = lock(&COLLECTOR);
     let p = c.phase_mut(name);
     p.flops = p.flops.saturating_add(flops);
 }
@@ -563,7 +591,7 @@ pub fn add_bytes(name: &str, relative: u64, absolute: u64) {
     if !is_enabled() {
         return;
     }
-    let mut c = COLLECTOR.lock();
+    let mut c = lock(&COLLECTOR);
     let p = c.phase_mut(name);
     p.relative_bytes = p.relative_bytes.saturating_add(relative);
     p.absolute_bytes = p.absolute_bytes.saturating_add(absolute);
@@ -576,7 +604,7 @@ pub fn add_cost(name: &str, flops: u64, relative: u64, absolute: u64) {
     if !is_enabled() {
         return;
     }
-    let mut c = COLLECTOR.lock();
+    let mut c = lock(&COLLECTOR);
     let p = c.phase_mut(name);
     p.flops = p.flops.saturating_add(flops);
     p.relative_bytes = p.relative_bytes.saturating_add(relative);
@@ -590,7 +618,7 @@ pub fn add_cycles(name: &str, cycles: u64) {
     if !is_enabled() {
         return;
     }
-    let mut c = COLLECTOR.lock();
+    let mut c = lock(&COLLECTOR);
     let p = c.phase_mut(name);
     p.cycles = p.cycles.saturating_add(cycles);
 }
@@ -602,7 +630,7 @@ pub fn add_sram_bytes(name: &str, bytes: u64) {
     if !is_enabled() {
         return;
     }
-    let mut c = COLLECTOR.lock();
+    let mut c = lock(&COLLECTOR);
     let p = c.phase_mut(name);
     p.sram_bytes = p.sram_bytes.saturating_add(bytes);
 }
@@ -613,7 +641,7 @@ pub fn add_iterations(name: &str, iterations: u64) {
     if !is_enabled() {
         return;
     }
-    let mut c = COLLECTOR.lock();
+    let mut c = lock(&COLLECTOR);
     let p = c.phase_mut(name);
     p.iterations = p.iterations.saturating_add(iterations);
 }
@@ -633,7 +661,7 @@ pub fn record_solver_iteration(
     if !is_enabled() {
         return;
     }
-    let mut c = COLLECTOR.lock();
+    let mut c = lock(&COLLECTOR);
     c.iterations.push(SolverIteration {
         solver: solver.to_string(),
         iteration,
@@ -662,7 +690,7 @@ pub fn add_grid(name: &str, rows: usize, cols: usize, cells: &[u64]) {
     if cells.len() != rows.saturating_mul(cols) {
         return;
     }
-    let mut c = COLLECTOR.lock();
+    let mut c = lock(&COLLECTOR);
     let (grows, gcols, gcells) = c
         .grids
         .entry(name.to_string())
@@ -681,7 +709,7 @@ pub fn record_tile_rank(rank: usize) {
     if !is_enabled() {
         return;
     }
-    let mut c = COLLECTOR.lock();
+    let mut c = lock(&COLLECTOR);
     let tiles = c.ranks.entry(crate::precision::to_u64(rank)).or_insert(0);
     *tiles = tiles.saturating_add(1);
 }
@@ -689,7 +717,7 @@ pub fn record_tile_rank(rank: usize) {
 /// Snapshot everything collected since the last [`reset`] into a
 /// serializable report. Collection continues unaffected.
 pub fn snapshot() -> TraceReport {
-    let c = COLLECTOR.lock();
+    let c = lock(&COLLECTOR);
     TraceReport {
         phases: c
             .phases
@@ -750,16 +778,15 @@ pub fn snapshot() -> TraceReport {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use std::sync::Mutex as StdMutex;
 
     /// Serializes tests that flip the global enable flag, so parallel
     /// test threads cannot observe each other's tracing windows.
-    static TEST_LOCK: StdMutex<()> = StdMutex::new(());
+    static TEST_LOCK: Mutex<()> = Mutex::new(());
 
-    fn locked() -> std::sync::MutexGuard<'static, ()> {
-        TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner())
+    pub(crate) fn locked() -> std::sync::MutexGuard<'static, ()> {
+        lock(&TEST_LOCK)
     }
 
     #[test]

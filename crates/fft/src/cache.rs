@@ -4,43 +4,39 @@
 //! `Arc` and memoized per length.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
+use seismic_la::scalar::Real;
+use seismic_la::sync::lock;
 
 use crate::plan::FftPlan;
 
-/// Process-wide caches, one per precision.
-static CACHE_F64: Mutex<Option<HashMap<usize, Arc<FftPlan<f64>>>>> = Mutex::new(None);
-static CACHE_F32: Mutex<Option<HashMap<usize, Arc<FftPlan<f32>>>>> = Mutex::new(None);
+/// One precision's process-wide cache.
+type Cache<T> = Mutex<Option<HashMap<usize, Arc<FftPlan<T>>>>>;
+
+static CACHE_F64: Cache<f64> = Mutex::new(None);
+static CACHE_F32: Cache<f32> = Mutex::new(None);
+
+/// The plan for length `n` in `cache`, built on first use.
+fn cached<T: Real>(cache: &Cache<T>, n: usize) -> Arc<FftPlan<T>> {
+    let mut guard = lock(cache);
+    let map = guard.get_or_insert_with(HashMap::new);
+    Arc::clone(map.entry(n).or_insert_with(|| Arc::new(FftPlan::new(n))))
+}
 
 /// Shared `f64` plan for length `n`, built once per process.
 pub fn plan_f64(n: usize) -> Arc<FftPlan<f64>> {
-    let mut guard = CACHE_F64.lock();
-    let map = guard.get_or_insert_with(HashMap::new);
-    if let Some(p) = map.get(&n) {
-        return Arc::clone(p);
-    }
-    let p = Arc::new(FftPlan::new(n));
-    map.insert(n, Arc::clone(&p));
-    p
+    cached(&CACHE_F64, n)
 }
 
 /// Shared `f32` plan for length `n`.
 pub fn plan_f32(n: usize) -> Arc<FftPlan<f32>> {
-    let mut guard = CACHE_F32.lock();
-    let map = guard.get_or_insert_with(HashMap::new);
-    if let Some(p) = map.get(&n) {
-        return Arc::clone(p);
-    }
-    let p = Arc::new(FftPlan::new(n));
-    map.insert(n, Arc::clone(&p));
-    p
+    cached(&CACHE_F32, n)
 }
 
 /// Number of cached `f64` plans (diagnostics/tests).
 pub fn cached_f64_plans() -> usize {
-    CACHE_F64.lock().as_ref().map_or(0, |m| m.len())
+    lock(&CACHE_F64).as_ref().map_or(0, |m| m.len())
 }
 
 #[cfg(test)]

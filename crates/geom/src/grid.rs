@@ -1,10 +1,8 @@
 //! Regular 2D acquisition grids (sources / receivers) and the
 //! ocean-bottom-acquisition geometry of the paper's numerical example.
 
-use serde::{Deserialize, Serialize};
-
 /// A point in 3D space (meters).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Point3 {
     /// Inline coordinate (m).
     pub x: f64,
@@ -41,7 +39,7 @@ impl Point3 {
 /// Index order is *inline-fastest* (row-major over `(iy, ix)`): station
 /// `k` sits at `ix = k % nx`, `iy = k / nx` — the "natural" ordering whose
 /// poor spatial locality the paper's Hilbert reordering fixes.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct StationGrid {
     /// Inline station count.
     pub nx: usize,
@@ -98,7 +96,7 @@ impl StationGrid {
 /// [`Acquisition::overthrust_paper`] reproduces the paper's §6.1 setup;
 /// [`Acquisition::scaled`] shrinks it for laptop-scale runs while keeping
 /// the aspect ratios and spacings.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Acquisition {
     /// Source grid (10 m depth in the paper).
     pub sources: StationGrid,

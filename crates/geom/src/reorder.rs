@@ -1,12 +1,10 @@
 //! Distance-aware station reorderings and locality metrics.
 
-use serde::{Deserialize, Serialize};
-
 use crate::curves::{gilbert_order, hilbert_xy2d, morton_encode, order_for};
 use crate::grid::StationGrid;
 
 /// Station ordering strategy for the rows/columns of frequency matrices.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Ordering {
     /// Acquisition (inline-fastest) order — the paper's poorly-compressing
     /// baseline.
@@ -46,7 +44,7 @@ fn splitmix64(mut x: u64) -> u64 {
 ///
 /// Applying it to a frequency matrix means
 /// `K_reordered[i, j] = K[perm_rows[i], perm_cols[j]]`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Permutation {
     /// `forward[new] = old`.
     pub forward: Vec<usize>,

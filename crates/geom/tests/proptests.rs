@@ -18,6 +18,53 @@ fn grid(nx: usize, ny: usize) -> StationGrid {
     }
 }
 
+fn check_gilbert_hamiltonian_path(nx: usize, ny: usize) -> Result<(), TestCaseError> {
+    let order = gilbert_order(nx, ny);
+    prop_assert_eq!(order.len(), nx * ny);
+    let mut seen = vec![false; nx * ny];
+    for &(x, y) in &order {
+        let idx = y as usize * nx + x as usize;
+        prop_assert!((x as usize) < nx && (y as usize) < ny);
+        prop_assert!(!seen[idx]);
+        seen[idx] = true;
+    }
+    // Unit king-moves throughout; the construction allows at most a
+    // couple of diagonal steps on odd-dimension rectangles.
+    let mut diagonals = 0usize;
+    for w in order.windows(2) {
+        let dx = (w[0].0 as i64 - w[1].0 as i64).abs();
+        let dy = (w[0].1 as i64 - w[1].1 as i64).abs();
+        prop_assert!(dx.max(dy) == 1, "jump from {:?} to {:?}", w[0], w[1]);
+        if dx + dy == 2 {
+            diagonals += 1;
+        }
+    }
+    prop_assert!(diagonals <= 2, "{diagonals} diagonal steps");
+    Ok(())
+}
+
+fn check_orderings_are_bijections(nx: usize, ny: usize) -> Result<(), TestCaseError> {
+    let g = grid(nx, ny);
+    let data: Vec<u32> = (0..g.len() as u32).collect();
+    for ord in Ordering::ALL {
+        let p = station_permutation(&g, ord);
+        let mut sorted = p.forward.clone();
+        sorted.sort_unstable();
+        prop_assert_eq!(&sorted, &(0..g.len()).collect::<Vec<_>>());
+        let round = p.unapply(&p.apply(&data));
+        prop_assert_eq!(&round, &data);
+    }
+    Ok(())
+}
+
+/// A failure proptest once shrank to this grid; the seeded cases draw it
+/// about one run in seven, so it is held here.
+#[test]
+fn the_6_by_13_grid_that_once_failed_still_passes() {
+    check_gilbert_hamiltonian_path(6, 13).expect("gilbert at 6 x 13");
+    check_orderings_are_bijections(6, 13).expect("orderings at 6 x 13");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -41,43 +88,14 @@ proptest! {
     /// with unit steps.
     #[test]
     fn gilbert_hamiltonian_path(nx in 1usize..40, ny in 1usize..40) {
-        let order = gilbert_order(nx, ny);
-        prop_assert_eq!(order.len(), nx * ny);
-        let mut seen = vec![false; nx * ny];
-        for &(x, y) in &order {
-            let idx = y as usize * nx + x as usize;
-            prop_assert!((x as usize) < nx && (y as usize) < ny);
-            prop_assert!(!seen[idx]);
-            seen[idx] = true;
-        }
-        // Unit king-moves throughout; the construction allows at most a
-        // couple of diagonal steps on odd-dimension rectangles.
-        let mut diagonals = 0usize;
-        for w in order.windows(2) {
-            let dx = (w[0].0 as i64 - w[1].0 as i64).abs();
-            let dy = (w[0].1 as i64 - w[1].1 as i64).abs();
-            prop_assert!(dx.max(dy) == 1, "jump from {:?} to {:?}", w[0], w[1]);
-            if dx + dy == 2 {
-                diagonals += 1;
-            }
-        }
-        prop_assert!(diagonals <= 2, "{diagonals} diagonal steps");
+        check_gilbert_hamiltonian_path(nx, ny)?;
     }
 
     /// Every ordering yields a valid permutation on arbitrary grids, and
     /// apply/unapply round-trip.
     #[test]
     fn orderings_are_bijections(nx in 1usize..30, ny in 1usize..30) {
-        let g = grid(nx, ny);
-        let data: Vec<u32> = (0..g.len() as u32).collect();
-        for ord in Ordering::ALL {
-            let p = station_permutation(&g, ord);
-            let mut sorted = p.forward.clone();
-            sorted.sort_unstable();
-            prop_assert_eq!(&sorted, &(0..g.len()).collect::<Vec<_>>());
-            let round = p.unapply(&p.apply(&data));
-            prop_assert_eq!(&round, &data);
-        }
+        check_orderings_are_bijections(nx, ny)?;
     }
 
     /// Space-filling curves never have worse block locality than the

@@ -12,6 +12,8 @@
 //! * [`rsvd`] — randomized SVD (Halko–Martinsson–Tropp).
 //! * [`aca`] — adaptive cross approximation.
 //! * [`lowrank`] — the `A ≈ U Vᴴ` factor pair shared by all backends.
+//! * [`sync`] — the poison-recovering `lock` every mutex in the workspace
+//!   is taken through.
 //!
 //! These are the algebraic compression methods the SC'23 paper
 //! *"Scaling the Memory Wall for Multi-Dimensional Seismic Processing with
@@ -43,6 +45,7 @@ pub mod qr;
 pub mod rsvd;
 pub mod scalar;
 pub mod svd;
+pub mod sync;
 
 pub use aca::aca_compress;
 pub use cond::{condition_number, spectral_norm_est};

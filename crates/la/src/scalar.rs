@@ -6,8 +6,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// Real floating-point field (`f32` or `f64`).
 pub trait Real:
     Copy
@@ -175,7 +173,7 @@ pub fn exactly_zero_f64(x: f64) -> bool {
 /// Single-precision complex ([`C32`]) is the working precision of the paper
 /// (FP32 complex seismic frequency matrices); [`C64`] is used by tests and
 /// reference computations.
-#[derive(Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Default)]
 #[repr(C)]
 pub struct Complex<T> {
     /// Real part.

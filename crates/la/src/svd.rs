@@ -232,7 +232,7 @@ const QR_TOL_DIVISOR: f64 = 32.0;
 /// Truncated SVD compression at absolute Frobenius tolerance `tol`:
 /// `‖A − U Vᴴ‖_F ≤ tol` with the singular values folded into `U`.
 ///
-/// Two stages (see the module header and [`QR_TOL_DIVISOR`]): pivoted QR
+/// Two stages (see the module header and `QR_TOL_DIVISOR`): pivoted QR
 /// to the numerical rank, then an optimal (Eckart–Young) truncation of
 /// that rank-`k` approximant by a Jacobi SVD of its small factor —
 /// [`svd_truncate`] without a stop rank.

@@ -21,7 +21,6 @@ use rayon::prelude::*;
 use seis_wave::SyntheticDataset;
 use seismic_geom::Ordering;
 use seismic_la::scalar::{exactly_zero_f32, C32};
-use serde::{Deserialize, Serialize};
 use tlr_mvm::{compress, CompressionConfig, LinearOperator, TlrMatrix};
 
 use crate::lsqr::{lsqr, LsqrOptions};
@@ -50,7 +49,7 @@ impl Default for MddConfig {
 }
 
 /// Aggregate compression statistics over all frequency matrices.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct CompressionStats {
     /// Σ tile ranks over all frequencies.
     pub total_rank: usize,

@@ -61,12 +61,13 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 use rayon::prelude::*;
 use seismic_la::scalar::C32;
+use seismic_la::sync::lock;
 use tlr_mvm::invariant::assert_finite;
 use tlr_mvm::telemetry::{EventKind, FlightRecorder, MetricFamily, MetricKind, MetricValue};
 use tlr_mvm::trace;
@@ -75,13 +76,6 @@ use tlr_mvm::{LinearOperator, TlrMatrix};
 use crate::lsqr::{lsqr, LsqrOptions};
 
 const CZERO: C32 = C32::new(0.0, 0.0);
-
-/// Lock a mutex, recovering the guard if a worker panicked while
-/// holding it (the protected state is plain data, always consistent
-/// between operations).
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 // ---------------------------------------------------------------------------
 // Batched operator stack
@@ -495,7 +489,7 @@ impl OperatorCache {
         build: impl FnOnce() -> FrequencyOperators,
     ) -> Arc<FrequencyOperators> {
         {
-            let mut c = lock_recover(&self.inner);
+            let mut c = lock(&self.inner);
             c.tick += 1;
             let tick = c.tick;
             if let Some(slot) = c.map.get_mut(key) {
@@ -511,7 +505,7 @@ impl OperatorCache {
         }
         let built = Arc::new(build());
         let bytes = built.resident_bytes();
-        let mut c = lock_recover(&self.inner);
+        let mut c = lock(&self.inner);
         if let Some(slot) = c.map.get(key) {
             // Lost a build race: the winner's entry is the cache's.
             return Arc::clone(&slot.ops);
@@ -557,12 +551,12 @@ impl OperatorCache {
 
     /// Whether `key` is currently resident (does not touch LRU order).
     pub fn contains(&self, key: &OperatorKey) -> bool {
-        lock_recover(&self.inner).map.contains_key(key)
+        lock(&self.inner).map.contains_key(key)
     }
 
     /// Snapshot of the cache counters.
     pub fn stats(&self) -> CacheStats {
-        let c = lock_recover(&self.inner);
+        let c = lock(&self.inner);
         CacheStats {
             hits: c.hits,
             misses: c.misses,
@@ -628,7 +622,7 @@ pub struct JobHandle {
 impl JobHandle {
     /// Block until the job completes and take its result.
     pub fn wait(self) -> JobResult {
-        let mut done = lock_recover(&self.slot.done);
+        let mut done = lock(&self.slot.done);
         loop {
             if let Some(r) = done.take() {
                 return r;
@@ -643,7 +637,7 @@ impl JobHandle {
 
     /// Take the result if the job already completed.
     pub fn try_take(&self) -> Option<JobResult> {
-        lock_recover(&self.slot.done).take()
+        lock(&self.slot.done).take()
     }
 }
 
@@ -719,6 +713,7 @@ pub struct EngineGauges {
     pub workers_busy: u64,
 }
 
+#[derive(Default)]
 struct SchedState {
     /// One deque per worker; submission round-robins, owners pop the
     /// front, thieves steal from the back.
@@ -776,13 +771,7 @@ impl Engine {
         let shared = Arc::new(Shared {
             state: Mutex::new(SchedState {
                 deques: (0..workers_n).map(|_| VecDeque::new()).collect(),
-                queued: 0,
-                next: 0,
-                shutdown: false,
-                submitted: 0,
-                completed: 0,
-                rejected: 0,
-                stolen: 0,
+                ..SchedState::default()
             }),
             work: Condvar::new(),
             room: Condvar::new(),
@@ -808,7 +797,7 @@ impl Engine {
         let handle = JobHandle {
             slot: Arc::clone(&job.slot),
         };
-        let mut st = lock_recover(&self.shared.state);
+        let mut st = lock(&self.shared.state);
         while st.queued >= self.shared.queue_depth && !st.shutdown {
             st = self
                 .shared
@@ -828,7 +817,7 @@ impl Engine {
     /// Submit without blocking: at queue depth the spec is handed back
     /// as `Err` and counted in [`EngineStats::rejected`].
     pub fn try_submit(&self, spec: JobSpec) -> Result<JobHandle, JobSpec> {
-        let mut st = lock_recover(&self.shared.state);
+        let mut st = lock(&self.shared.state);
         if st.queued >= self.shared.queue_depth {
             st.rejected += 1;
             drop(st);
@@ -850,7 +839,7 @@ impl Engine {
 
     /// Jobs currently queued (not yet picked up by a worker).
     pub fn queued(&self) -> usize {
-        lock_recover(&self.shared.state).queued
+        lock(&self.shared.state).queued
     }
 
     /// Instantaneous gauges: current queue depth and busy workers —
@@ -858,7 +847,7 @@ impl Engine {
     /// `engine_workers_busy`.
     pub fn gauges(&self) -> EngineGauges {
         EngineGauges {
-            queue_depth: u64::try_from(lock_recover(&self.shared.state).queued).unwrap_or(u64::MAX),
+            queue_depth: u64::try_from(lock(&self.shared.state).queued).unwrap_or(u64::MAX),
             workers_busy: self.shared.busy.load(AtomicOrdering::Relaxed),
         }
     }
@@ -868,7 +857,7 @@ impl Engine {
     /// struct reflects a single instant (`completed <= submitted`
     /// always holds within a snapshot).
     pub fn stats(&self) -> EngineStats {
-        let st = lock_recover(&self.shared.state);
+        let st = lock(&self.shared.state);
         EngineStats {
             submitted: st.submitted,
             completed: st.completed,
@@ -881,7 +870,7 @@ impl Engine {
     /// automatically on drop.
     pub fn shutdown(&mut self) {
         {
-            let mut st = lock_recover(&self.shared.state);
+            let mut st = lock(&self.shared.state);
             st.shutdown = true;
         }
         self.shared.work.notify_all();
@@ -951,7 +940,7 @@ fn take_job(st: &mut SchedState, id: usize) -> Option<(Job, Option<usize>)> {
 fn worker_loop(id: usize, shared: &Shared) {
     loop {
         let taken = {
-            let mut st = lock_recover(&shared.state);
+            let mut st = lock(&shared.state);
             loop {
                 if let Some(taken) = take_job(&mut st, id) {
                     break Some(taken);
@@ -997,7 +986,7 @@ fn worker_loop(id: usize, shared: &Shared) {
         }
         let total_ns = duration_ns(job.submitted.elapsed());
         trace::record_duration("engine.job_total", total_ns);
-        lock_recover(&shared.state).completed += 1;
+        lock(&shared.state).completed += 1;
         let result = JobResult {
             job: job.id,
             output,
@@ -1005,7 +994,7 @@ fn worker_loop(id: usize, shared: &Shared) {
             exec_ns,
             total_ns,
         };
-        let mut done = lock_recover(&job.slot.done);
+        let mut done = lock(&job.slot.done);
         *done = Some(result);
         job.slot.cv.notify_all();
     }
@@ -1109,6 +1098,7 @@ fn duration_ns(d: std::time::Duration) -> u64 {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use tlr_mvm::json::Json;
     use tlr_mvm::{compress, CompressionConfig, CompressionMethod, ToleranceMode};
 
     fn kernel(m: usize, n: usize, f: usize) -> seismic_la::Matrix<C32> {
@@ -1407,7 +1397,7 @@ mod tests {
         // Global-trace test: guarded by the bench-side lock convention
         // (mdd has no shared lock, so serialize on a local static).
         static LOCAL: Mutex<()> = Mutex::new(());
-        let _g = lock_recover(&LOCAL);
+        let _g = lock(&LOCAL);
         let tlr = stack(1, 24, 24, 8);
         let ops = Arc::new(FrequencyOperators::build(&tlr));
         trace::reset();
@@ -1572,13 +1562,18 @@ mod tests {
         let stats = engine.stats();
         assert_eq!(stats.completed, 10);
         let dump = std::fs::read_to_string(dir.join("anomaly_0.json")).expect("anomaly dump");
-        assert!(!dump.is_empty());
-        assert!(dump.contains("\"reason\": \"queue_stall\""));
-        assert!(dump.contains("\"kind\":\"QueueDepth\""));
+        let dump = Json::parse(&dump).expect("an anomaly dump is JSON");
+        let reason = dump.get("breach").and_then(|b| b.get("reason"));
+        assert_eq!(reason.and_then(Json::as_str), Some("queue_stall"));
+        let dumped = dump.get("events").and_then(Json::as_arr).expect("events");
+        let of_kind = |kind: &str| {
+            let is = |e: &&Json| e.get("kind").and_then(Json::as_str) == Some(kind);
+            u64::try_from(dumped.iter().filter(is).count()).unwrap()
+        };
+        assert!(of_kind("QueueDepth") >= 1);
         // The dump is a mid-run ring snapshot: every job event it holds
         // must be one the engine actually counted.
-        let submitted_in_dump =
-            u64::try_from(dump.matches("\"kind\":\"JobSubmitted\"").count()).unwrap();
+        let submitted_in_dump = of_kind("JobSubmitted");
         assert!(submitted_in_dump >= 1, "dump carries submit events");
         assert!(submitted_in_dump <= stats.submitted);
         // The final ring state reconciles exactly with the counters.
@@ -1589,6 +1584,51 @@ mod tests {
         );
         assert_eq!(count_kind(&events, EventKind::JobFinished), stats.completed);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The deque discipline on the scheduler's own functions, with no
+    /// thread in sight: round-robin placement, own front before the
+    /// longest peer's back, `queued` and `stolen` kept in step, every job
+    /// handed out exactly once and `None` only when every deque is empty.
+    #[test]
+    fn enqueue_and_take_job_hand_out_every_job_exactly_once() {
+        let ops = Arc::new(FrequencyOperators::build(&stack(1, 8, 8, 8)));
+        let mut st = SchedState {
+            deques: (0..3).map(|_| VecDeque::new()).collect(),
+            ..SchedState::default()
+        };
+        for id in 0..7 {
+            let spec = JobSpec::Mvm {
+                ops: Arc::clone(&ops),
+                x: Vec::new(),
+            };
+            enqueue(&mut st, make_job(id, spec));
+        }
+        let held: Vec<Vec<u64>> = (st.deques.iter())
+            .map(|d| d.iter().map(|j| j.id).collect())
+            .collect();
+        assert_eq!(held, [vec![0, 3, 6], vec![1, 4], vec![2, 5]]);
+        assert_eq!((st.queued, st.stolen), (7, 0));
+
+        // (worker, the job it must get, the victim it must be stolen from)
+        let script = [
+            (1, 1, None),    // own front …
+            (1, 4, None),    // … in submission order
+            (1, 6, Some(0)), // own deque empty: the back of the longest peer
+            (2, 2, None),
+            (1, 3, Some(0)), // worker 0 still holds two jobs, worker 2 one
+            (0, 0, None),
+            (0, 5, Some(2)), // the only deque left
+        ];
+        for (step, (worker, id, victim)) in script.into_iter().enumerate() {
+            let got = take_job(&mut st, worker).map(|(job, victim)| (job.id, victim));
+            assert_eq!(got, Some((id, victim)), "step {step}");
+            assert_eq!(st.queued, 6 - step);
+        }
+        assert_eq!(st.stolen, 3);
+        assert!(st.deques.iter().all(VecDeque::is_empty));
+        assert!((0..3).all(|w| take_job(&mut st, w).is_none()));
+        assert_eq!((st.queued, st.stolen), (0, 3));
     }
 
     /// One operator stack shared by every storm case — compression cost
@@ -1682,7 +1722,7 @@ mod tests {
         /// drains the flight recorder mid-flight. Every storm must end
         /// with jobs-completed == jobs-submitted and every JobId exactly
         /// once in the recorder's drain — lost or double-executed jobs
-        /// (the loom deque model's property, here at full scale) fail.
+        /// fail (`enqueue_and_take_job_…` holds the same, thread-free).
         #[test]
         fn submit_steal_drain_storm(
             workers in 1usize..4,

@@ -2,7 +2,6 @@
 //! classification.
 
 use seismic_la::scalar::{exactly_zero_f64, C32};
-use serde::{Deserialize, Serialize};
 
 /// Normalized mean square error `‖est − truth‖² / ‖truth‖²`.
 pub fn nmse(est: &[C32], truth: &[C32]) -> f64 {
@@ -39,7 +38,7 @@ pub fn nmse_change_pct(nmse_config: f64, nmse_benchmark: f64) -> f64 {
 }
 
 /// Fig. 12's quality regions.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum QualityRegion {
     /// Accurate — suitable for quantitative analysis (seismic inversion).
     Green,

@@ -43,6 +43,45 @@ fn rand_vec(n: usize, seed: u64) -> Vec<C32> {
         .collect()
 }
 
+/// Exactly `max_iters` undamped iterations: no early stop.
+fn fixed_iters(max_iters: usize) -> LsqrOptions {
+    LsqrOptions {
+        max_iters,
+        rel_tol: 0.0,
+        damp: 0.0,
+    }
+}
+
+fn check_lsqr_residual_monotone(m: usize, n: usize, seed: u64) -> Result<(), TestCaseError> {
+    let a = rand_matrix(m, n, seed);
+    let b = rand_vec(m, seed + 1);
+    let res = lsqr(&a, &b, fixed_iters(25));
+    for w in res.residual_history.windows(2) {
+        prop_assert!(w[1] <= w[0] * (1.0 + 1e-5));
+    }
+    Ok(())
+}
+
+fn check_lsqr_gradient_vanishes(m: usize, n: usize, seed: u64) -> Result<(), TestCaseError> {
+    let a = rand_matrix(m, n, seed);
+    let b = rand_vec(m, seed + 2);
+    let res = lsqr(&a, &b, fixed_iters(150));
+    let ax = a.apply(&res.x);
+    let r: Vec<C32> = b.iter().zip(&ax).map(|(bi, axi)| *bi - *axi).collect();
+    let g = a.apply_adjoint(&r);
+    prop_assert!(nrm2(&g) < 1e-2 * nrm2(&b).max(1.0), "gradient {}", nrm2(&g));
+    Ok(())
+}
+
+/// A failure proptest once shrank to this system; the seeded cases draw
+/// it about one run in a thousand, so it is held here. The record did not
+/// say which of the two properties the triple fits had failed.
+#[test]
+fn the_7_by_2_system_that_once_failed_still_passes() {
+    check_lsqr_residual_monotone(7, 2, 171).expect("residual history at (7, 2, 171)");
+    check_lsqr_gradient_vanishes(7, 2, 171).expect("gradient at (7, 2, 171)");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -50,12 +89,7 @@ proptest! {
     /// system.
     #[test]
     fn lsqr_residual_monotone(m in 2usize..25, n in 2usize..25, seed in 0u64..500) {
-        let a = rand_matrix(m, n, seed);
-        let b = rand_vec(m, seed + 1);
-        let res = lsqr(&a, &b, LsqrOptions { max_iters: 25, rel_tol: 0.0, damp: 0.0 });
-        for w in res.residual_history.windows(2) {
-            prop_assert!(w[1] <= w[0] * (1.0 + 1e-5));
-        }
+        check_lsqr_residual_monotone(m, n, seed)?;
     }
 
     /// On square diagonally-dominant systems LSQR recovers the solution.
@@ -76,13 +110,7 @@ proptest! {
     /// overdetermined systems.
     #[test]
     fn lsqr_gradient_vanishes(m in 6usize..30, n in 2usize..6, seed in 0u64..500) {
-        let a = rand_matrix(m, n, seed);
-        let b = rand_vec(m, seed + 2);
-        let res = lsqr(&a, &b, LsqrOptions { max_iters: 150, rel_tol: 0.0, damp: 0.0 });
-        let ax = a.apply(&res.x);
-        let r: Vec<C32> = b.iter().zip(&ax).map(|(bi, axi)| *bi - *axi).collect();
-        let g = a.apply_adjoint(&r);
-        prop_assert!(nrm2(&g) < 1e-2 * nrm2(&b).max(1.0), "gradient {}", nrm2(&g));
+        check_lsqr_gradient_vanishes(m, n, seed)?;
     }
 
     /// The MDC operator satisfies the adjoint identity for any block
@@ -121,7 +149,7 @@ proptest! {
     fn damping_regularizes(m in 4usize..20, n in 4usize..20, seed in 0u64..200, damp in 0.5f32..5.0) {
         let a = rand_matrix(m, n, seed);
         let b = rand_vec(m, seed + 3);
-        let free = lsqr(&a, &b, LsqrOptions { max_iters: 60, rel_tol: 0.0, damp: 0.0 });
+        let free = lsqr(&a, &b, fixed_iters(60));
         let reg = lsqr(&a, &b, LsqrOptions { max_iters: 60, rel_tol: 0.0, damp });
         prop_assert!(nrm2(&reg.x) <= nrm2(&free.x) * (1.0 + 1e-4));
     }

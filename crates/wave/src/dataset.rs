@@ -7,14 +7,13 @@ use seismic_geom::{station_permutation, Acquisition, Ordering, Permutation};
 use seismic_la::blas::gemv;
 use seismic_la::scalar::C32;
 use seismic_la::Matrix;
-use serde::{Deserialize, Serialize};
 
 use crate::modeling::{downgoing_stack, reflectivity_column, ModelingConfig};
 use crate::velocity::VelocityModel;
 use crate::wavelet::flat_band_spectrum;
 
 /// Dataset generation parameters.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DatasetConfig {
     /// Geometry downscale factor relative to the paper (1 = full 26040
     /// sources; 12 ≈ a few hundred stations for laptop runs).

@@ -7,11 +7,10 @@
 //! which is cut by a dipping thrust, so reflector depths vary laterally.
 
 use seismic_geom::Point3;
-use serde::{Deserialize, Serialize};
 
 /// One subsurface reflector: a locally planar interface whose depth varies
 /// laterally, with a fixed reflection coefficient.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Reflector {
     /// Reference depth at the model origin (m).
     pub depth0: f64,
@@ -40,7 +39,7 @@ impl Reflector {
 }
 
 /// Water layer over a stack of reflectors, with interval velocities.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct VelocityModel {
     /// Water depth (m) — 300 m in the paper's modified Overthrust.
     pub water_depth: f64,

@@ -45,7 +45,6 @@
 //! span (lint rule HP01): every grid and per-shape slot table is
 //! pre-sized from the placement before the span opens.
 
-use serde::{Deserialize, Serialize};
 use tlr_mvm::precision::{checked_cast, to_u64};
 use tlr_mvm::trace;
 
@@ -61,7 +60,7 @@ use crate::sram::{peak_bank_bytes, plan_strategy1_pe, plan_strategy2_pe};
 use crate::workload::Workload;
 
 /// A row-major 2-D field of `u64` accumulators over PE groups.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Grid {
     /// Grid height (PE-group rows).
     pub rows: usize,
@@ -148,7 +147,7 @@ impl Grid {
 }
 
 /// Grouping of the usable fabric into atlas cells.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AtlasConfig {
     /// PE rows per group (the last group row may be ragged).
     pub group_rows: usize,
@@ -180,7 +179,7 @@ impl AtlasConfig {
 }
 
 /// Which data-movement layout the atlas prices the fabric under.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AtlasLayout {
     /// The classical V-batch / shuffle / U-batch organization: the `yv`
     /// intermediate crosses the fabric between phases (`16·w` bytes per
@@ -203,7 +202,7 @@ impl AtlasLayout {
 
 /// One frame of the atlas: every grid plus the placement it reconciles
 /// against.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct AtlasFrame {
     /// Tile size.
     pub nb: usize,

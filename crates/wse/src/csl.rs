@@ -8,7 +8,6 @@
 //! producing the numeric result *and* the exact cycle/byte counts from
 //! the same instruction stream, instead of positing them separately.
 
-use serde::{Deserialize, Serialize};
 use tlr_mvm::precision::to_u64;
 
 use crate::machine::Cs2Config;
@@ -20,7 +19,7 @@ pub const NUM_REGS: usize = 8;
 pub const NUM_DSRS: usize = 8;
 
 /// One mini-CSL instruction.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub enum CslOp {
     /// Configure DSR `id` (1 cycle).
     SetDsr {
@@ -87,7 +86,7 @@ pub enum CslOp {
 }
 
 /// Execution statistics from one interpreted program.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct CslStats {
     /// Total cycles.
     pub cycles: u64,

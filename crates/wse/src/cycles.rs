@@ -22,13 +22,12 @@
 //! reproduce Fig. 14's ~2 PB/s single-system relative-bandwidth
 //! saturation.
 
-use serde::{Deserialize, Serialize};
 use tlr_mvm::precision::to_u64;
 
 use crate::machine::Cs2Config;
 
 /// One real MVM task in a PE program.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MvmTask {
     /// Output length.
     pub m: usize,
@@ -86,7 +85,7 @@ impl MvmTask {
 }
 
 /// A PE's whole program: a sequence of real MVMs executed back to back.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct PeCost {
     /// Total cycles.
     pub cycles: u64,

@@ -6,14 +6,13 @@
 //! workloads. We model per-system draw as idle + occupancy-scaled active
 //! power, calibrated to those two operating points.
 
-use serde::{Deserialize, Serialize};
 use tlr_mvm::precision::f64_to_u64;
 
 use crate::machine::Cluster;
 use crate::placement::PlacementReport;
 
 /// Power/energy summary of a placed workload.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct EnergyReport {
     /// Power per CS-2 system (W).
     pub power_per_system_w: f64,

@@ -9,13 +9,12 @@
 //! fmac kernel, which is what makes the paper's no-communication claim
 //! (§6.5) hold.
 
-use serde::{Deserialize, Serialize};
 use tlr_mvm::precision::{f64_to_u64, to_u64};
 
 use crate::machine::Cs2Config;
 
 /// Fabric timing parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct FabricConfig {
     /// Per-hop router latency (cycles).
     pub hop_latency_cycles: u64,
@@ -34,7 +33,7 @@ impl Default for FabricConfig {
 }
 
 /// Cost of one collective phase on the fabric.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct FabricCost {
     /// Cycles until the last PE has its data.
     pub cycles: u64,
@@ -67,7 +66,7 @@ pub fn drain_cost(words_per_pe: u64, rows: usize, fabric: &FabricConfig) -> Fabr
 /// running strategy-1 chunks of geometry `(nb, cl, w)`:
 /// broadcast `x_j` (cl complex = 2·cl words… stored split, 4·cl FP32 =
 /// 2·cl 64-bit words) down each column, drain `nb`-long split partials.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct WaferIoCost {
     /// Broadcast phase (worst column).
     pub broadcast: FabricCost,
@@ -84,7 +83,7 @@ pub struct WaferIoCost {
 /// onto each of its four mesh links for one chunk, in bytes. The atlas's
 /// link grids are built from these; their totals are the fabric-side
 /// face of the §6.6 byte accounting.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LinkBytes {
     /// North link: split-complex `x_j` segment arriving from the
     /// broadcast spine.

@@ -4,13 +4,11 @@
 //! quantifies that remark: given a link bandwidth, how does per-MVM
 //! transfer time compare to compute, and does double buffering hide it?
 
-use serde::{Deserialize, Serialize};
-
 use crate::machine::Cs2Config;
 use crate::placement::PlacementReport;
 
 /// Host link options.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct HostLink {
     /// Sustained link bandwidth per CS-2 system (B/s).
     pub bandwidth: f64,
@@ -37,7 +35,7 @@ impl HostLink {
 }
 
 /// Transfer/compute balance of a placed TLR-MVM.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct IoReport {
     /// Bytes in per MVM invocation per system (the x vectors).
     pub bytes_in_per_system: f64,

@@ -1,9 +1,7 @@
 //! The CS-2 machine model (paper §5.2, §6.5).
 
-use serde::{Deserialize, Serialize};
-
 /// Static description of one Cerebras CS-2 system as the paper uses it.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Cs2Config {
     /// Full fabric rows (757 in the paper).
     pub grid_rows: usize,
@@ -87,7 +85,7 @@ impl Cs2Config {
 }
 
 /// A cluster of identical CS-2 systems (Condor Galaxy scale: up to 48).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Cluster {
     /// Per-system configuration.
     pub cs2: Cs2Config,

@@ -4,7 +4,8 @@
 //! PEs or systems, so aggregate sustained bandwidth is total bytes divided
 //! by the worst per-PE time — exactly the paper's §7.3 metric.
 
-use serde::{Deserialize, Serialize};
+use tlr_mvm::json::Json;
+use tlr_mvm::json_fields;
 use tlr_mvm::precision::to_u64;
 
 use crate::cycles::{pe_cost, strategy1_tasks, MvmTask};
@@ -13,7 +14,7 @@ use crate::sram::{plan_strategy1_pe, plan_strategy2_pe};
 use crate::workload::Workload;
 
 /// The paper's two strong-scaling strategies (§6.7).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Strategy {
     /// Strategy 1: all eight real MVMs of a chunk on one PE.
     FusedSinglePe,
@@ -51,7 +52,7 @@ impl std::fmt::Display for PlaceError {
 impl std::error::Error for PlaceError {}
 
 /// Aggregate metrics of a placed TLR-MVM workload.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct PlacementReport {
     /// Strategy used.
     pub strategy: Strategy,
@@ -84,6 +85,15 @@ pub struct PlacementReport {
 }
 
 impl PlacementReport {
+    /// The report as a [`Json`] object, one key per field.
+    pub fn to_json(&self) -> Json {
+        json_fields!(self;
+            strategy => format!("{:?}", self.strategy).into(), shards, stack_width, pes_used,
+            pes_available, occupancy, worst_cycles, time_s, relative_bytes, absolute_bytes, flops,
+            relative_bw, absolute_bw, flops_per_s
+        )
+    }
+
     /// Relative bandwidth in PB/s.
     pub fn relative_pbs(&self) -> f64 {
         self.relative_bw / 1e15
@@ -106,7 +116,7 @@ impl PlacementReport {
 /// atlas scatters the *same* quotas into per-PE-group grids, which is
 /// why grid totals reconcile with the placement report exactly (the
 /// same multiset of u64 additions).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PeQuota {
     /// Modeled cycle count of this PE's program.
     pub cycles: u64,

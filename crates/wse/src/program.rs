@@ -8,13 +8,12 @@
 //! describing strided operand streams feeding a fused-multiply-accumulate
 //! pipeline.
 
-use serde::{Deserialize, Serialize};
 use tlr_mvm::precision::to_u64;
 
 use crate::machine::Cs2Config;
 
 /// One operand stream descriptor (a CSL memory DSR).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Dsr {
     /// SRAM byte offset of the stream start.
     pub base: usize,
@@ -45,7 +44,7 @@ impl Dsr {
 }
 
 /// One instruction in the PE schedule.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Instr {
     /// Configure a DSR (fixed small cost).
     SetDsr,
@@ -67,7 +66,7 @@ pub enum Instr {
 }
 
 /// A complete PE program.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct PeProgram {
     /// The instruction schedule.
     pub instrs: Vec<Instr>,

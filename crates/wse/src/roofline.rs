@@ -5,10 +5,8 @@
 //! compute ceilings as drawn); the TLR-MVM measured points come from our
 //! placement model.
 
-use serde::{Deserialize, Serialize};
-
 /// One machine (or cluster) on a roofline plot.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct MachineDescriptor {
     /// Display name.
     pub name: String,

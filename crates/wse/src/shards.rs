@@ -3,7 +3,6 @@
 //! shards … evenly distributed workloads as much as possible".
 
 use seismic_la::scalar::exactly_zero_f64;
-use serde::{Deserialize, Serialize};
 use tlr_mvm::precision::{to_u64, to_usize};
 
 use crate::cycles::{pe_cost, strategy1_tasks};
@@ -12,7 +11,7 @@ use crate::placement::Strategy;
 use crate::workload::Workload;
 
 /// Statistics of one shard (one CS-2 system).
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct ShardStats {
     /// PEs occupied on this system.
     pub pes_used: u64,
@@ -25,7 +24,7 @@ pub struct ShardStats {
 }
 
 /// A full shard assignment.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ShardAssignment {
     /// Per-shard statistics.
     pub shards: Vec<ShardStats>,

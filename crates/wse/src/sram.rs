@@ -4,12 +4,10 @@
 //! bases and the accumulator vectors in disjoint banks and pads array
 //! starts to 64-bit boundaries.
 
-use serde::{Deserialize, Serialize};
-
 use crate::machine::Cs2Config;
 
 /// One array placed in PE SRAM.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Placed {
     /// Human-readable role ("V_re", "y_im", …).
     pub name: String,
@@ -24,7 +22,7 @@ pub struct Placed {
 }
 
 /// A complete SRAM plan for one PE.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct SramPlan {
     /// Arrays in placement order.
     pub arrays: Vec<Placed>,

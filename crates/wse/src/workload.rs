@@ -10,7 +10,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
 use tlr_mvm::precision::{f64_to_u64, to_u64, to_usize};
 use tlr_mvm::TlrMatrix;
 
@@ -19,7 +18,7 @@ use tlr_mvm::TlrMatrix;
 /// All the mapper needs from the data is, per frequency and per tile
 /// column: the column width `cl` and the stacked rank `K_j` — chunk
 /// shapes, PE counts, cycles and bytes all follow.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Workload {
     /// Tile size.
     pub nb: usize,

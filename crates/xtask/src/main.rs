@@ -43,7 +43,7 @@ mod selftest;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use seismic_bench::jsonio::Json;
+use tlr_mvm::json::Json;
 use wse_sim::verify::{Diagnostic, Severity};
 
 fn main() -> ExitCode {
@@ -170,26 +170,20 @@ fn analyze(args: &[String]) -> ExitCode {
     }
 
     if cfg.json {
-        let diags: Vec<Json> = all
-            .iter()
-            .map(|d| {
-                Json::Obj(vec![
-                    ("rule".to_string(), Json::str(d.rule)),
-                    ("severity".to_string(), Json::str(&d.severity.to_string())),
-                    ("location".to_string(), Json::str(&d.location)),
-                    ("message".to_string(), Json::str(&d.message)),
-                ])
-            })
-            .collect();
-        let doc = Json::Obj(vec![
-            ("files".to_string(), Json::u64(n_files as u64)),
-            (
-                "plans_verified".to_string(),
-                Json::u64(plans_checked as u64),
-            ),
-            ("errors".to_string(), Json::u64(errors as u64)),
-            ("warnings".to_string(), Json::u64(warnings as u64)),
-            ("diagnostics".to_string(), Json::Arr(diags)),
+        let diags = all.iter().map(|d| {
+            Json::obj([
+                ("rule", d.rule.into()),
+                ("severity", d.severity.to_string().into()),
+                ("location", d.location.as_str().into()),
+                ("message", d.message.as_str().into()),
+            ])
+        });
+        let doc = Json::obj([
+            ("files", n_files.into()),
+            ("plans_verified", plans_checked.into()),
+            ("errors", errors.into()),
+            ("warnings", warnings.into()),
+            ("diagnostics", Json::arr(diags)),
         ]);
         print!("{}", doc.to_pretty());
     } else {

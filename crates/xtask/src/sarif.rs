@@ -1,7 +1,7 @@
-//! SARIF 2.1.0 output for `analyze` — hand-rolled on
-//! [`seismic_bench::jsonio::Json`], the same dependency-free writer the
-//! perf artifacts use, so CI can upload `target/analyze.sarif` to any
-//! SARIF consumer (GitHub code scanning included) without serde.
+//! SARIF 2.1.0 output for `analyze` — built on [`tlr_mvm::json::Json`],
+//! the same dependency-free writer every other artifact uses, so CI can
+//! upload `target/analyze.sarif` to any SARIF consumer (GitHub code
+//! scanning included).
 //!
 //! Only the fields the format requires for useful results are emitted:
 //! `version`, `runs[].tool.driver.{name,rules}`, and per-result
@@ -11,7 +11,7 @@
 //! numeric suffix (the plan verifier's `paper(nb=…, acc=…)` pseudo
 //! locations) become a bare uri at line 1.
 
-use seismic_bench::jsonio::Json;
+use tlr_mvm::json::Json;
 use wse_sim::verify::{Diagnostic, Severity};
 
 /// The static rule inventory: id → short description. WV rules come
@@ -53,72 +53,41 @@ fn severity_level(s: Severity) -> &'static str {
 
 /// Build the complete SARIF document for one `analyze` run.
 pub fn sarif_report(diags: &[Diagnostic]) -> Json {
-    let rules: Vec<Json> = RULES
+    let text = |t: &str| Json::obj([("text", t.into())]);
+    let rules = RULES
         .iter()
-        .map(|(id, desc)| {
-            Json::Obj(vec![
-                ("id".to_string(), Json::str(id)),
-                (
-                    "shortDescription".to_string(),
-                    Json::Obj(vec![("text".to_string(), Json::str(desc))]),
-                ),
-            ])
-        })
-        .collect();
-
-    let results: Vec<Json> = diags
-        .iter()
-        .map(|d| {
-            let (uri, line) = split_location(&d.location);
-            Json::Obj(vec![
-                ("ruleId".to_string(), Json::str(d.rule)),
-                ("level".to_string(), Json::str(severity_level(d.severity))),
-                (
-                    "message".to_string(),
-                    Json::Obj(vec![("text".to_string(), Json::str(&d.message))]),
-                ),
-                (
-                    "locations".to_string(),
-                    Json::Arr(vec![Json::Obj(vec![(
-                        "physicalLocation".to_string(),
-                        Json::Obj(vec![
-                            (
-                                "artifactLocation".to_string(),
-                                Json::Obj(vec![("uri".to_string(), Json::str(uri))]),
-                            ),
-                            (
-                                "region".to_string(),
-                                Json::Obj(vec![("startLine".to_string(), Json::u64(line))]),
-                            ),
-                        ]),
-                    )])]),
-                ),
-            ])
-        })
-        .collect();
-
-    Json::Obj(vec![
+        .map(|&(id, desc)| Json::obj([("id", id.into()), ("shortDescription", text(desc))]));
+    let results = diags.iter().map(|d| {
+        let (uri, line) = split_location(&d.location);
+        let physical = Json::obj([
+            ("artifactLocation", Json::obj([("uri", uri.into())])),
+            ("region", Json::obj([("startLine", line.into())])),
+        ]);
+        Json::obj([
+            ("ruleId", d.rule.into()),
+            ("level", severity_level(d.severity).into()),
+            ("message", text(&d.message)),
+            (
+                "locations",
+                Json::arr([Json::obj([("physicalLocation", physical)])]),
+            ),
+        ])
+    });
+    let driver = Json::obj([
+        ("name", "xtask-analyze".into()),
+        ("rules", Json::arr(rules)),
+    ]);
+    let run = Json::obj([
+        ("tool", Json::obj([("driver", driver)])),
+        ("results", Json::arr(results)),
+    ]);
+    Json::obj([
         (
-            "$schema".to_string(),
-            Json::str("https://json.schemastore.org/sarif-2.1.0.json"),
+            "$schema",
+            "https://json.schemastore.org/sarif-2.1.0.json".into(),
         ),
-        ("version".to_string(), Json::str("2.1.0")),
-        (
-            "runs".to_string(),
-            Json::Arr(vec![Json::Obj(vec![
-                (
-                    "tool".to_string(),
-                    Json::Obj(vec![(
-                        "driver".to_string(),
-                        Json::Obj(vec![
-                            ("name".to_string(), Json::str("xtask-analyze")),
-                            ("rules".to_string(), Json::Arr(rules)),
-                        ]),
-                    )]),
-                ),
-                ("results".to_string(), Json::Arr(results)),
-            ])]),
-        ),
+        ("version", "2.1.0".into()),
+        ("runs", Json::arr([run])),
     ])
 }
 

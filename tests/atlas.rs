@@ -15,9 +15,9 @@ use proptest::prelude::*;
 use seismic_bench::atlas_experiments::{
     atlas_checksum, atlas_json, smoke_frames, verify_frame, ATLAS_SCHEMA_VERSION,
 };
-use seismic_bench::jsonio::Json;
 use seismic_la::scalar::C32;
 use seismic_la::Matrix;
+use tlr_mvm::json::Json;
 use tlr_mvm::{compress, three_phase_cost, trace, CommAvoiding, CompressionConfig};
 use wse_sim::{
     collect_atlas, energy_total_pj, execute_chunks, execute_chunks_with_atlas, AtlasConfig,
@@ -27,7 +27,7 @@ use wse_sim::{
 static TRACE_LOCK: Mutex<()> = Mutex::new(());
 
 fn locked() -> std::sync::MutexGuard<'static, ()> {
-    TRACE_LOCK.lock().unwrap_or_else(|p| p.into_inner())
+    seismic_la::sync::lock(&TRACE_LOCK)
 }
 
 fn test_workload() -> Workload {
@@ -191,7 +191,7 @@ fn exec_atlas_totals_match_exec_result() {
 }
 
 /// Artifact determinism, perfbench-style: two collections checksum
-/// identically, the JSON round-trips through `jsonio`, and the embedded
+/// identically, the JSON round-trips through `tlr_mvm::json`, and the embedded
 /// checksum matches a recomputation from the parsed artifact's source
 /// frames.
 #[test]

@@ -8,16 +8,16 @@
 use std::sync::Mutex;
 
 use proptest::prelude::*;
-use seismic_bench::jsonio::Json;
 use seismic_bench::perf::{compare_reports, BenchReport, RATIO_ROWS};
 use seismic_bench::timeline::{build_timeline, timeline_json, HOST_PID, WSE_PID};
 use seismic_bench::wse_experiments::traced_timeline_sample;
+use tlr_mvm::json::Json;
 use tlr_mvm::trace::{self, LatencyBucket, LatencyEntry};
 
 static TRACE_LOCK: Mutex<()> = Mutex::new(());
 
 fn locked() -> std::sync::MutexGuard<'static, ()> {
-    TRACE_LOCK.lock().unwrap_or_else(|p| p.into_inner())
+    seismic_la::sync::lock(&TRACE_LOCK)
 }
 
 fn entry(buckets: &[(u64, u64)]) -> LatencyEntry {

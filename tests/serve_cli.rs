@@ -7,7 +7,7 @@ use std::path::PathBuf;
 use std::process::Command;
 
 use seismic_bench::cli;
-use seismic_bench::jsonio::Json;
+use tlr_mvm::json::Json;
 
 fn repro() -> Command {
     Command::new(env!("CARGO_BIN_EXE_repro"))

@@ -1,6 +1,6 @@
 //! Integration tests for the runtime observability layer: span nesting,
 //! counter aggregation under rayon, the zero-cost-when-disabled
-//! guarantee, serde round-tripping of trace reports, and — most
+//! guarantee, the written trace artifact read back key by key, and — most
 //! importantly — that enabling `--trace` does not change any numerics.
 //!
 //! Every test that flips the global enable flag holds `TRACE_LOCK`, so
@@ -9,9 +9,11 @@
 use std::sync::Mutex;
 
 use rayon::prelude::*;
+use seismic_bench::report::{write_json, TraceArtifact};
 use seismic_la::scalar::C32;
 use seismic_la::Matrix;
 use seismic_mdd::{lsqr, LsqrOptions};
+use tlr_mvm::json::Json;
 use tlr_mvm::{
     compress, three_phase_cost, trace, CompressionConfig, CompressionMethod, ThreePhase,
     ToleranceMode,
@@ -20,7 +22,7 @@ use tlr_mvm::{
 static TRACE_LOCK: Mutex<()> = Mutex::new(());
 
 fn locked() -> std::sync::MutexGuard<'static, ()> {
-    TRACE_LOCK.lock().unwrap_or_else(|p| p.into_inner())
+    seismic_la::sync::lock(&TRACE_LOCK)
 }
 
 fn kernel(m: usize, n: usize) -> Matrix<C32> {
@@ -107,9 +109,9 @@ fn counters_aggregate_across_rayon_workers() {
     let _g = locked();
     trace::reset();
     trace::set_enabled(true);
-    (0..128u64).into_par_iter().for_each(|i| {
+    (0..128usize).into_par_iter().for_each(|i| {
         trace::add_flops("it.rayon", 10);
-        trace::add_bytes("it.rayon", i, 2 * i);
+        trace::add_bytes("it.rayon", i as u64, 2 * i as u64);
     });
     trace::set_enabled(false);
     let rep = trace::snapshot();
@@ -189,8 +191,10 @@ fn traced_bytes_match_cost_model() {
     }
 }
 
-/// A `TraceReport` survives a JSON round trip unchanged — the schema
-/// documented in DESIGN.md §9 is what actually serializes.
+/// What `repro --trace` writes is what DESIGN.md §9 documents: the
+/// artifact of a small traced run goes through the one writer, the text
+/// is parsed back, and every documented key holds the recorded value —
+/// u64 counters at `u64::MAX` included.
 #[test]
 fn trace_report_roundtrips_through_json() {
     let _g = locked();
@@ -198,22 +202,144 @@ fn trace_report_roundtrips_through_json() {
     trace::set_enabled(true);
     {
         let _s = trace::span("it.roundtrip");
-        trace::add_cost("it.roundtrip", 1000, 400, 1200);
+        trace::add_cost("it.roundtrip", 1000, 400, u64::MAX);
         trace::add_cycles("it.roundtrip", 77);
+        trace::add_sram_bytes("it.roundtrip", 4096);
+        trace::add_iterations("it.roundtrip", 3);
         trace::record_tile_rank(4);
         trace::record_tile_rank(4);
-        trace::record_solver_iteration("lsqr", 1, 0.25, 1.0, 9000);
+        trace::record_solver_iteration("lsqr", 1, 0.25, 1.5, 9000);
+        trace::add_grid("it.grid", 2, 3, &[1, 2, 3, 4, 5, u64::MAX]);
     }
     trace::set_enabled(false);
-    let report = trace::snapshot();
+    let mut report = trace::snapshot();
+    report.dropped_span_events = u64::MAX;
+    let artifact = TraceArtifact {
+        experiment: "it \"roundtrip\"".to_string(),
+        report: report.clone(),
+        phase_breakdown: Vec::new(),
+    };
 
-    let json = serde_json::to_string_pretty(&report).expect("serialize trace report");
-    if !json.contains("phases") {
-        // The offline verification sandbox stubs serde out; the round
-        // trip is only meaningful against the real serde_json.
-        return;
+    let dir = std::env::temp_dir().join(format!("tlr-trace-{}", std::process::id()));
+    let dir = dir.to_str().expect("utf-8 temp dir");
+    write_json(dir, "roundtrip", &artifact.to_json()).expect("artifact written");
+    let text = std::fs::read_to_string(format!("{dir}/roundtrip.json")).expect("artifact readable");
+    let _ = std::fs::remove_dir_all(dir);
+    let doc = Json::parse(&text).expect("the artifact is JSON");
+
+    let field = |v: &Json, key: &str| {
+        v.get(key)
+            .unwrap_or_else(|| panic!("missing key {key}"))
+            .clone()
+    };
+    let u = |v: &Json, key: &str| {
+        field(v, key)
+            .as_u64()
+            .unwrap_or_else(|| panic!("{key} not a u64"))
+    };
+    let f = |v: &Json, key: &str| {
+        field(v, key)
+            .as_f64()
+            .unwrap_or_else(|| panic!("{key} not a number"))
+    };
+    let name = |v: &Json, key: &str| field(v, key).as_str().map(str::to_string);
+    let list = |v: &Json, key: &str| field(v, key).as_arr().expect("an array").to_vec();
+
+    assert_eq!(
+        name(&doc, "experiment").as_deref(),
+        Some("it \"roundtrip\"")
+    );
+    assert!(list(&doc, "phase_breakdown").is_empty());
+    let got = field(&doc, "report");
+
+    let phases = list(&got, "phases");
+    assert_eq!(phases.len(), report.phases.len());
+    for (p, want) in phases.iter().zip(&report.phases) {
+        assert_eq!(name(p, "name").as_deref(), Some(want.name.as_str()));
+        let (s, w) = (field(p, "stats"), want.stats);
+        let read = [
+            "calls",
+            "nanos",
+            "flops",
+            "relative_bytes",
+            "absolute_bytes",
+            "cycles",
+            "sram_bytes",
+            "iterations",
+        ]
+        .map(|key| u(&s, key));
+        let recorded = [
+            w.calls,
+            w.nanos,
+            w.flops,
+            w.relative_bytes,
+            w.absolute_bytes,
+            w.cycles,
+            w.sram_bytes,
+            w.iterations,
+        ];
+        assert_eq!(read, recorded, "phase {}", want.name);
     }
-    let back: trace::TraceReport = serde_json::from_str(&json).expect("deserialize trace report");
-    assert_eq!(report, back);
-    assert_eq!(back.phase("it.roundtrip").map(|p| p.stats.cycles), Some(77));
+    let stats = report
+        .phase("it.roundtrip")
+        .expect("the traced phase")
+        .stats;
+    assert_eq!(
+        (stats.calls, stats.flops, stats.relative_bytes),
+        (1, 1000, 400)
+    );
+    assert_eq!((stats.absolute_bytes, stats.cycles), (u64::MAX, 77));
+    assert_eq!((stats.sram_bytes, stats.iterations), (4096, 3));
+
+    let iterations = list(&got, "solver_iterations");
+    assert_eq!(iterations.len(), 1);
+    assert_eq!(name(&iterations[0], "solver").as_deref(), Some("lsqr"));
+    assert_eq!(u(&iterations[0], "iteration"), 1);
+    assert_eq!(f(&iterations[0], "residual"), 0.25);
+    assert_eq!(f(&iterations[0], "initial_residual"), 1.5);
+    assert_eq!(u(&iterations[0], "nanos"), 9000);
+
+    let ranks = list(&got, "rank_histogram");
+    assert_eq!(ranks.len(), 1);
+    assert_eq!((u(&ranks[0], "rank"), u(&ranks[0], "tiles")), (4, 2));
+
+    let latency = list(&got, "latency");
+    assert_eq!(latency.len(), report.latency.len());
+    for (l, want) in latency.iter().zip(&report.latency) {
+        assert_eq!(name(l, "name").as_deref(), Some(want.name.as_str()));
+        let read = ["count", "p50_ns", "p95_ns", "p99_ns"].map(|key| u(l, key));
+        assert_eq!(read, [want.count, want.p50_ns, want.p95_ns, want.p99_ns]);
+        let buckets: Vec<(u64, u64)> = list(l, "buckets")
+            .iter()
+            .map(|b| (u(b, "floor_ns"), u(b, "count")))
+            .collect();
+        let recorded: Vec<(u64, u64)> =
+            want.buckets.iter().map(|b| (b.floor_ns, b.count)).collect();
+        assert_eq!(buckets, recorded);
+    }
+    assert!(report
+        .latency_for("it.roundtrip")
+        .is_some_and(|l| l.count == 1));
+
+    let spans = list(&got, "span_events");
+    assert_eq!(spans.len(), report.span_events.len());
+    for (e, want) in spans.iter().zip(&report.span_events) {
+        assert_eq!(name(e, "name").as_deref(), Some(want.name.as_str()));
+        assert_eq!(
+            (u(e, "start_ns"), u(e, "dur_ns")),
+            (want.start_ns, want.dur_ns)
+        );
+    }
+    assert!(!spans.is_empty());
+    assert_eq!(u(&got, "dropped_span_events"), u64::MAX);
+
+    let grids = list(&got, "grids");
+    assert_eq!(grids.len(), 1);
+    assert_eq!(name(&grids[0], "name").as_deref(), Some("it.grid"));
+    assert_eq!((u(&grids[0], "rows"), u(&grids[0], "cols")), (2, 3));
+    let cells: Vec<u64> = list(&grids[0], "cells")
+        .iter()
+        .filter_map(Json::as_u64)
+        .collect();
+    assert_eq!(cells, [1, 2, 3, 4, 5, u64::MAX]);
 }
