@@ -7,9 +7,12 @@
 //! [`TlrMatrix::apply_into`] / [`TlrMatrix::apply_adjoint_into`] are the
 //! operator the MDD solve and the engine's sweep run on: the tile-fused
 //! product on the [`crate::fastpath`] kernels, over the tiles as stored —
-//! no second, stacked copy of the bases. The slow, obviously-right form
-//! of the same product is [`Tile::apply_acc`] over `seismic_la::blas`;
-//! the tests below and `core::accuracy`'s probe use it as the oracle.
+//! no second, stacked copy of the bases — and
+//! [`TlrMatrix::adjoint_then_apply_into`] is the two of them in one pass
+//! over the store, which is what an LSQR iteration costs. The slow,
+//! obviously-right form of the same product is [`Tile::apply_acc`] over
+//! `seismic_la::blas`; the tests below and `core::accuracy`'s probe use it
+//! as the oracle.
 
 use std::sync::Arc;
 
@@ -20,6 +23,7 @@ use seismic_la::Matrix;
 
 use crate::compress::{compress_tile, CompressionConfig};
 use crate::fastpath::{gemv_acc_fast, gemv_conj_transpose_swapped, swap_re_im};
+use crate::ops::subtract_scaled;
 use crate::precision::to_u64;
 use crate::skeleton::Skeleton;
 use crate::tiling::Tiling;
@@ -351,6 +355,65 @@ impl TlrMatrix {
             });
     }
 
+    /// `v ← Ãᴴu − βv`, then `w ← Ãv`, in one sweep over the tiles in
+    /// storage order (tile-column-major): per tile column `j`, every
+    /// tile's adjoint kernel into `z_j` in row order, the update of `v_j`
+    /// — final the moment the column is done — and every tile's forward
+    /// kernel into its `w_i`, over the tiles the adjoint just pulled into
+    /// cache. The distance between a tile's two uses is one tile column
+    /// of the store, where [`Self::apply_adjoint_into`] followed by
+    /// [`Self::apply_into`] reads the whole store twice.
+    ///
+    /// Those two calls' kernels, scratch shapes and accumulation order per
+    /// output element (`z_j` over `i` ascending, `w_i` over `j`
+    /// ascending), hence their bits. Serial: the parallelism is across the
+    /// matrices of a frequency stack, one sweep each (a lone matrix keeps
+    /// one thread busy). `z` is `n` long and ends up holding `Ãᴴu`; the
+    /// one scratch allocation is the swapped copy of `u`, the adjoint
+    /// kernels' `nb` and the forward kernels' `2·nb`.
+    pub fn adjoint_then_apply_into(
+        &self,
+        u: &[C32],
+        beta: f32,
+        v: &mut [C32],
+        w: &mut [C32],
+        z: &mut [C32],
+    ) {
+        assert_eq!(u.len(), self.tiling.m, "input length mismatch");
+        assert_eq!(w.len(), self.tiling.m, "output length mismatch");
+        assert_eq!(v.len(), self.tiling.n, "update length mismatch");
+        assert_eq!(z.len(), self.tiling.n, "scratch length mismatch");
+        let nb = self.tiling.nb;
+        let mut scratch = vec![CZERO; u.len() + 3 * nb];
+        let (us, scratch) = scratch.split_at_mut(u.len());
+        swap_re_im(u, us);
+        let us = &*us;
+        let (adjoint_scratch, forward_scratch) = scratch.split_at_mut(nb);
+        w.fill(CZERO);
+        for j in 0..self.tiling.tile_cols() {
+            let (c0, cl) = self.tiling.col_range(j);
+            let (zj, vj) = (&mut z[c0..c0 + cl], &mut v[c0..c0 + cl]);
+            zj.fill(CZERO);
+            for i in 0..self.tiling.tile_rows() {
+                let (r0, rl) = self.tiling.row_range(i);
+                let (ui, usi) = (&u[r0..r0 + rl], &us[r0..r0 + rl]);
+                match self.tile(i, j) {
+                    Tile::LowRank(s) => s.apply_adjoint_acc_fast(ui, usi, adjoint_scratch, zj),
+                    Tile::Dense(a) => dense_adjoint_acc(a, ui, usi, adjoint_scratch, zj),
+                }
+            }
+            subtract_scaled(zj, beta, vj);
+            for i in 0..self.tiling.tile_rows() {
+                let (r0, rl) = self.tiling.row_range(i);
+                let wi = &mut w[r0..r0 + rl];
+                match self.tile(i, j) {
+                    Tile::LowRank(s) => s.apply_acc_fast(vj, forward_scratch, wi),
+                    Tile::Dense(a) => gemv_acc_fast(a, vj, wi),
+                }
+            }
+        }
+    }
+
     /// Iterate tiles with their grid coordinates.
     pub fn tiles_with_coords(&self) -> impl Iterator<Item = (usize, usize, &Tile)> {
         let mt = self.tiling.tile_rows();
@@ -488,7 +551,7 @@ pub(crate) mod test_support {
 
 #[cfg(test)]
 mod tests {
-    use super::test_support::{dense_tiles_as_factors, mixed_tiles};
+    use super::test_support::{dense_tiles_as_factors, mixed_tiles, noise_tiles};
     use super::*;
     use crate::compress::{compress, CompressionConfig, CompressionMethod, ToleranceMode};
     use rand::SeedableRng;
@@ -729,6 +792,56 @@ mod tests {
             );
         }
         assert!(dense_seen > 0);
+    }
+
+    /// The one-pass sweep runs the kernels of `apply_adjoint_into` followed
+    /// by `apply_into` in their order per output element, so it returns
+    /// their bits (`to_bits`: a `−0` counts) — on every hostile grid, the
+    /// mixed and the all-dense store, with and without a `βv` to subtract,
+    /// into dirty buffers, and through a tile that holds a NaN.
+    #[test]
+    fn fused_sweep_is_the_two_passes_bit_for_bit() {
+        let mut stores: Vec<(&str, TlrMatrix)> = hostile_grids()
+            .into_iter()
+            .map(|(name, a, nb, acc)| (name, compress(&a, cfg(nb, acc))))
+            .collect();
+        let (_, mixed) = mixed_tiles();
+        let mut tiles = mixed.tiles.to_vec();
+        let mut poisoned = tiles[mixed.tiling.tile_index(0, 1)].to_dense();
+        poisoned[(3, 5)] = C32::new(f32::NAN, 1.0);
+        tiles[mixed.tiling.tile_index(0, 1)] = Tile::Dense(poisoned);
+        let poisoned = TlrMatrix::new(mixed.tiling, tiles, mixed.config);
+        stores.push(("NaN tile", poisoned.clone()));
+        stores.push(("mixed", mixed));
+        stores.push(("noise", noise_tiles()));
+
+        let bits = |v: &[C32]| -> Vec<(u32, u32)> {
+            v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+        };
+        for (name, tlr) in &stores {
+            let (m, n) = tlr.shape();
+            for beta in [0.0f32, 0.7] {
+                let (u, v0) = (rand_vec(m, 93), rand_vec(n, 94));
+
+                let (mut z, mut v, mut w) = (rand_vec(n, 95), v0.clone(), rand_vec(m, 96));
+                tlr.apply_adjoint_into(&u, &mut z);
+                for (vi, zi) in v.iter_mut().zip(&z) {
+                    *vi = *zi - vi.scale(beta);
+                }
+                tlr.apply_into(&v, &mut w);
+
+                let (mut z1, mut v1, mut w1) = (rand_vec(n, 97), v0, rand_vec(m, 98));
+                tlr.adjoint_then_apply_into(&u, beta, &mut v1, &mut w1, &mut z1);
+                assert_eq!(bits(&v1), bits(&v), "{name}, β = {beta}: v");
+                assert_eq!(bits(&w1), bits(&w), "{name}, β = {beta}: w");
+                assert_eq!(bits(&z1), bits(&z), "{name}, β = {beta}: Ãᴴu");
+            }
+        }
+        let nan = |v: &[C32]| v.iter().filter(|z| z.re.is_nan() || z.im.is_nan()).count();
+        let (m, n) = poisoned.shape();
+        let (mut v, mut w, mut z) = (vec![CZERO; n], vec![CZERO; m], vec![CZERO; n]);
+        poisoned.adjoint_then_apply_into(&rand_vec(m, 93), 0.0, &mut v, &mut w, &mut z);
+        assert!(nan(&v) > 0 && nan(&w) > 0, "the NaN reaches both outputs");
     }
 
     #[test]

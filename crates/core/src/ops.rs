@@ -1,14 +1,22 @@
 //! The linear-operator abstraction shared by the MDC/MDD solver stack.
 //!
-//! Two entry points per direction: `apply` / `apply_adjoint` return a
-//! fresh vector and are the only *required* methods; `apply_into` /
-//! `apply_adjoint_into` write a caller-owned buffer and are what the
-//! solvers call, so an iteration allocates no operator output. Every
-//! implementor in the workspace writes the `_into` pair natively and
-//! defines the allocating pair as `vec![0; n]` + `_into`, so both give
-//! the same bits; an operator that implements only the required pair
-//! (a timing or counting wrapper) reaches the solver through the
-//! provided defaults.
+//! Three layers, each provided in terms of the one before. `apply` /
+//! `apply_adjoint` return a fresh vector and are the only *required*
+//! methods. `apply_into` / `apply_adjoint_into` write a caller-owned
+//! buffer, so a sweep, an MVM job or a CGLS iteration allocates no
+//! operator output. [`LinearOperator::adjoint_then_apply_into`] is the
+//! bidiagonalization half-step pair `v ← Aᴴu − βv`, `w ← Av` in one call —
+//! the only operator call LSQR makes — so an operator that holds its data
+//! in memory can run both products over each piece while it is in cache
+//! and stream itself once per iteration, not twice.
+//!
+//! Every implementor in the workspace writes the `_into` pair natively and
+//! defines the allocating pair as `vec![0; n]` + `_into`, and every
+//! override of the fused call runs the kernels of the `_into` pair in the
+//! order the provided default runs them, per output element: all three
+//! layers give the same bits. An operator that implements only the
+//! required pair (a timing or counting wrapper) reaches the solvers
+//! through the provided defaults, as two passes.
 
 use seismic_la::blas::{gemv, gemv_conj_transpose};
 use seismic_la::scalar::C32;
@@ -41,6 +49,40 @@ pub trait LinearOperator: Sync {
     fn apply_adjoint_into(&self, y: &[C32], x: &mut [C32]) {
         x.copy_from_slice(&self.apply_adjoint(y));
     }
+    /// `v ← Aᴴu − βv`, then `w ← Av` with the updated `v`: the adjoint
+    /// half-step of one Golub–Kahan iteration and the forward half-step of
+    /// the next. `scratch` is `ncols()` long and holds nothing the caller
+    /// may read afterwards. The default is [`Self::apply_adjoint_into`]
+    /// into `scratch`, the update, [`Self::apply_into`] — two passes over
+    /// the operator, nothing allocated here; an override makes it one pass
+    /// and must return the default's bits.
+    fn adjoint_then_apply_into(
+        &self,
+        u: &[C32],
+        beta: f32,
+        v: &mut [C32],
+        w: &mut [C32],
+        scratch: &mut [C32],
+    ) {
+        self.apply_adjoint_into(u, scratch);
+        subtract_scaled(scratch, beta, v);
+        self.apply_into(v, w);
+    }
+    /// Bytes one pass over the operator reads, as a scheduling hint (a
+    /// composite runs its largest blocks first); 0 when unknown.
+    fn stored_bytes(&self) -> usize {
+        0
+    }
+}
+
+/// `v ← z − βv`, the update between the two halves of
+/// [`LinearOperator::adjoint_then_apply_into`]: the one expression the
+/// provided default and every override share, so their bits cannot drift.
+#[inline]
+pub(crate) fn subtract_scaled(z: &[C32], beta: f32, v: &mut [C32]) {
+    for (vi, zi) in v.iter_mut().zip(z) {
+        *vi = *zi - vi.scale(beta);
+    }
 }
 
 impl<T: LinearOperator + ?Sized> LinearOperator for &T {
@@ -61,6 +103,19 @@ impl<T: LinearOperator + ?Sized> LinearOperator for &T {
     }
     fn apply_adjoint_into(&self, y: &[C32], x: &mut [C32]) {
         (**self).apply_adjoint_into(y, x);
+    }
+    fn adjoint_then_apply_into(
+        &self,
+        u: &[C32],
+        beta: f32,
+        v: &mut [C32],
+        w: &mut [C32],
+        scratch: &mut [C32],
+    ) {
+        (**self).adjoint_then_apply_into(u, beta, v, w, scratch);
+    }
+    fn stored_bytes(&self) -> usize {
+        (**self).stored_bytes()
     }
 }
 
@@ -107,6 +162,19 @@ impl LinearOperator for TlrMatrix {
     }
     fn apply_adjoint_into(&self, y: &[C32], x: &mut [C32]) {
         TlrMatrix::apply_adjoint_into(self, y, x);
+    }
+    fn adjoint_then_apply_into(
+        &self,
+        u: &[C32],
+        beta: f32,
+        v: &mut [C32],
+        w: &mut [C32],
+        scratch: &mut [C32],
+    ) {
+        TlrMatrix::adjoint_then_apply_into(self, u, beta, v, w, scratch);
+    }
+    fn stored_bytes(&self) -> usize {
+        self.compressed_bytes()
     }
 }
 

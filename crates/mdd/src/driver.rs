@@ -147,7 +147,7 @@ pub fn run_mdd_with_operators(
 
     // Ground truth and observed data (natural ordering, per frequency).
     let x_true_blocks = ds.true_reflectivity(vs);
-    let y_blocks = ds.observed_data(vs);
+    let y_blocks = ds.observed_data_of(&x_true_blocks);
 
     // Reorder data to match the permuted kernels.
     let y_perm: Vec<C32> = y_blocks.iter().flat_map(|yf| rows.apply(yf)).collect();

@@ -74,6 +74,7 @@ use tlr_mvm::trace;
 use tlr_mvm::{LinearOperator, TlrMatrix};
 
 use crate::lsqr::{lsqr, LsqrOptions};
+use crate::mdc::MdcOperator;
 
 const CZERO: C32 = C32::new(0.0, 0.0);
 
@@ -105,9 +106,7 @@ pub struct ShardRecorder<'a> {
 /// and the same tile-fused kernels as [`crate::MdcOperator`], executed
 /// as one sharded sweep.
 pub struct FrequencyOperators {
-    tlr: Vec<TlrMatrix>,
-    n_src: usize,
-    n_rec: usize,
+    stack: MdcOperator<TlrMatrix>,
     shards: usize,
 }
 
@@ -118,15 +117,8 @@ impl FrequencyOperators {
     /// dataset do).
     pub fn build(tlr: &[TlrMatrix]) -> Self {
         assert!(!tlr.is_empty(), "at least one frequency operator");
-        let n_src = tlr[0].nrows();
-        let n_rec = tlr[0].ncols();
-        for t in tlr {
-            assert_eq!((t.nrows(), t.ncols()), (n_src, n_rec));
-        }
         Self {
-            tlr: tlr.to_vec(),
-            n_src,
-            n_rec,
+            stack: MdcOperator::new(tlr.to_vec()),
             shards: DEFAULT_SHARDS,
         }
     }
@@ -141,34 +133,34 @@ impl FrequencyOperators {
 
     /// Number of frequency blocks.
     pub fn n_freqs(&self) -> usize {
-        self.tlr.len()
+        self.stack.n_freqs()
     }
 
     /// Sources per frequency (rows of each kernel).
     pub fn n_src(&self) -> usize {
-        self.n_src
+        self.stack.n_src()
     }
 
     /// Receivers per frequency (columns of each kernel).
     pub fn n_rec(&self) -> usize {
-        self.n_rec
+        self.stack.n_rec()
     }
 
     /// Total input length of the batched forward sweep.
     pub fn ncols_total(&self) -> usize {
-        self.n_rec * self.tlr.len()
+        self.stack.ncols()
     }
 
     /// Total output length of the batched forward sweep.
     pub fn nrows_total(&self) -> usize {
-        self.n_src * self.tlr.len()
+        self.stack.nrows()
     }
 
     /// Bytes the stack keeps alive, shared or not — the sum of
     /// [`TlrMatrix::compressed_bytes`], what the [`OperatorCache`] budget
     /// accounts for.
     pub fn resident_bytes(&self) -> usize {
-        self.tlr.iter().map(TlrMatrix::compressed_bytes).sum()
+        self.stack.stored_bytes()
     }
 
     /// Contiguous frequency shards `(lo, hi, view)`: [`Self::with_shards`]
@@ -180,7 +172,7 @@ impl FrequencyOperators {
         buf: &'a mut [C32],
         block: usize,
     ) -> Vec<(usize, usize, &'a mut [C32])> {
-        let nf = self.tlr.len();
+        let nf = self.n_freqs();
         let shards = self.shards.clamp(1, nf);
         let (base, extra) = (nf / shards, nf % shards);
         let mut views = Vec::with_capacity(shards);
@@ -229,7 +221,8 @@ impl FrequencyOperators {
         assert_eq!(x.len(), self.ncols_total());
         assert_eq!(y.len(), self.nrows_total());
         assert_finite("engine.batch_apply.x", x);
-        let mut views = self.shard_views(y, self.n_src);
+        let (tlr, n_src, n_rec) = (self.stack.kernels(), self.n_src(), self.n_rec());
+        let mut views = self.shard_views(y, n_src);
         let _span = trace::span("engine.batch_apply");
         views
             .par_iter_mut()
@@ -241,9 +234,9 @@ impl FrequencyOperators {
                         .record(r.ring, EventKind::ShardBegin, r.job, shard);
                 }
                 for f in lo..hi {
-                    let xf = &x[f * self.n_rec..(f + 1) * self.n_rec];
-                    let yf = &mut seg[(f - lo) * self.n_src..(f - lo + 1) * self.n_src];
-                    self.tlr[f].apply_into(xf, yf);
+                    let xf = &x[f * n_rec..(f + 1) * n_rec];
+                    let yf = &mut seg[(f - lo) * n_src..(f - lo + 1) * n_src];
+                    tlr[f].apply_into(xf, yf);
                 }
                 if let Some(r) = rec {
                     r.recorder.record(r.ring, EventKind::ShardEnd, r.job, shard);
@@ -266,13 +259,14 @@ impl FrequencyOperators {
         assert_eq!(y.len(), self.nrows_total());
         assert_eq!(x.len(), self.ncols_total());
         assert_finite("engine.batch_adjoint.y", y);
-        let mut views = self.shard_views(x, self.n_rec);
+        let (tlr, n_src, n_rec) = (self.stack.kernels(), self.n_src(), self.n_rec());
+        let mut views = self.shard_views(x, n_rec);
         let _span = trace::span("engine.batch_adjoint");
         views.par_iter_mut().for_each(|&mut (lo, hi, ref mut seg)| {
             for f in lo..hi {
-                let yf = &y[f * self.n_src..(f + 1) * self.n_src];
-                let xf = &mut seg[(f - lo) * self.n_rec..(f - lo + 1) * self.n_rec];
-                self.tlr[f].apply_adjoint_into(yf, xf);
+                let yf = &y[f * n_src..(f + 1) * n_src];
+                let xf = &mut seg[(f - lo) * n_rec..(f - lo + 1) * n_rec];
+                tlr[f].apply_adjoint_into(yf, xf);
             }
         });
         assert_finite("engine.batch_adjoint.x", x);
@@ -284,8 +278,9 @@ impl FrequencyOperators {
     pub fn apply_serial(&self, x: &[C32]) -> Vec<C32> {
         assert_eq!(x.len(), self.ncols_total());
         let mut y = Vec::with_capacity(self.nrows_total());
-        for (f, t) in self.tlr.iter().enumerate() {
-            y.extend_from_slice(&t.apply(&x[f * self.n_rec..(f + 1) * self.n_rec]));
+        let n_rec = self.n_rec();
+        for (f, t) in self.stack.kernels().iter().enumerate() {
+            y.extend_from_slice(&t.apply(&x[f * n_rec..(f + 1) * n_rec]));
         }
         y
     }
@@ -309,6 +304,21 @@ impl LinearOperator for FrequencyOperators {
     }
     fn apply_adjoint_into(&self, y: &[C32], x: &mut [C32]) {
         self.apply_adjoint_all_frequencies_into(y, x);
+    }
+    /// [`MdcOperator`]'s: one task per frequency, largest first. The shard
+    /// count cuts the sweeps only; a solve's iterations are not sharded.
+    fn adjoint_then_apply_into(
+        &self,
+        u: &[C32],
+        beta: f32,
+        v: &mut [C32],
+        w: &mut [C32],
+        scratch: &mut [C32],
+    ) {
+        self.stack.adjoint_then_apply_into(u, beta, v, w, scratch);
+    }
+    fn stored_bytes(&self) -> usize {
+        self.stack.stored_bytes()
     }
 }
 
@@ -1249,7 +1259,7 @@ mod tests {
             OperatorKey::new("b", 8, 1e-4),
         ];
         let first = cache.get_or_build(&keys[0], || FrequencyOperators::build(&tlr));
-        for (f, (mine, theirs)) in first.tlr.iter().zip(&tlr).enumerate() {
+        for (f, (mine, theirs)) in first.stack.kernels().iter().zip(&tlr).enumerate() {
             for (i, j, tile) in theirs.tiles_with_coords() {
                 assert!(std::ptr::eq(mine.tile(i, j), tile), "f {f} tile ({i},{j})");
             }

@@ -1,25 +1,31 @@
 //! Complex operator-based LSQR (Paige & Saunders 1982) — the iterative
 //! solver the paper uses for MDD ("30 iterations of LSQR", §6.2).
 //!
-//! The operator is reached only through `apply_into` /
-//! `apply_adjoint_into`, into two buffers allocated before the loop: an
-//! iteration allocates nothing of its own. The result says why the solve
-//! returned ([`StopReason`]): the norms `β`, `α` are computed anyway, so
-//! a NaN ends the solve at the iteration that produced it instead of
-//! `max_iters` iterations later, and an exhausted Krylov space is a
-//! status, not a silent early exit.
+//! The operator is reached through one call,
+//! [`LinearOperator::adjoint_then_apply_into`] — `v ← Aᴴu − βv` and
+//! `w = Av` together — into buffers allocated before the loop: an
+//! iteration allocates nothing of its own, and an operator that overrides
+//! the call (a TLR stack) is streamed once per iteration, not twice. The
+//! result says why the solve returned ([`StopReason`]): the norms `β`, `α`
+//! are computed anyway, so a NaN ends the solve at the iteration that
+//! produced it instead of `max_iters` iterations later, and an exhausted
+//! Krylov space is a status, not a silent early exit.
 //!
-//! One iteration is forward apply → `β` → rotation → `x` update →
-//! history / stop test → adjoint → `α`, `θ`, `ρ̄`, `w`: the second half
-//! feeds the *next* iteration only, so the iteration that ends a solve
-//! (`max_iters` reached, `rel_tol` met) skips its adjoint — a solve of
-//! `k` iterations costs `k` forward and `k` adjoint applies, the first
-//! adjoint being `α₁v₁ = Aᴴu₁`. Two things follow for [`StopReason`]: an
-//! `α` that would have been zero or non-finite on that last iteration is
-//! never computed, so the solve reports `MaxIters` / `Converged`; and a
-//! non-finite `α` on an earlier iteration is seen after that iteration's
-//! `x` update (which read only finite quantities) and history entry, not
-//! before them.
+//! One iteration is the fused call → `α`, `θ`, `ρ̄`, `w` → `β` → rotation
+//! → `x` update → history / stop test. The call pairs the adjoint that
+//! closes one bidiagonalization step with the forward product that opens
+//! the next — the first one computes `α₁v₁ = Aᴴu₁` and `Av₁` (`β = 0`) —
+//! so a solve of `k ≥ 1` iterations makes exactly `k` operator calls, and
+//! the iteration that ends it (`max_iters` reached, `rel_tol` met, `β`
+//! exactly zero) has paid for nothing it does not read. The forward
+//! product is taken of `v` before it is normalised and scaled by `1/α`
+//! afterwards: `Av = (Av̂)·(1/α)`. Two things follow for [`StopReason`]:
+//! the `α` that would have followed the last iteration is never computed,
+//! so a breakdown only it would have seen is reported as `MaxIters` /
+//! `Converged`; and an `α` that comes back zero or non-finite ends the
+//! solve after the previous iteration's `x` update and history entry,
+//! with a forward product nobody reads. `max_iters = 0` has no iteration
+//! to fuse into: it makes the one adjoint call that classifies `α₁`.
 
 use std::time::Instant;
 
@@ -126,9 +132,9 @@ pub(crate) fn trace_row(
 
 /// Solve `min ‖A x − b‖₂ (+ λ²‖x‖²)` with LSQR.
 ///
-/// The operator is applied through [`LinearOperator::apply_into`] /
-/// [`LinearOperator::apply_adjoint_into`] into two buffers allocated
-/// once before the loop, so an iteration allocates nothing of its own.
+/// The operator is applied through
+/// [`LinearOperator::adjoint_then_apply_into`], once per iteration, into
+/// buffers allocated once before the loop.
 pub fn lsqr<A: LinearOperator + ?Sized>(a: &A, b: &[C32], opts: LsqrOptions) -> LsqrResult {
     let _span = trace::span("lsqr.solve");
     let m = a.nrows();
@@ -146,36 +152,53 @@ pub fn lsqr<A: LinearOperator + ?Sized>(a: &A, b: &[C32], opts: LsqrOptions) -> 
 
     // β₁ u₁ = b.
     let mut u = b.to_vec();
-    let mut beta = nrm2(&u);
-    if let Some(stop) = norm_stop(beta) {
+    let b_norm = nrm2(&u);
+    if let Some(stop) = norm_stop(b_norm) {
         return done(x, history, stop);
     }
-    scale(&mut u, 1.0 / beta);
-    // α₁ v₁ = Aᴴ u₁.
-    let mut v = vec![C32::new(0.0, 0.0); n];
-    a.apply_adjoint_into(&u, &mut v);
-    let mut alpha = nrm2(&v);
-    if let Some(stop) = norm_stop(alpha) {
-        return done(x, history, stop);
-    }
-    scale(&mut v, 1.0 / alpha);
-
-    let mut w = v.clone();
-    let mut phibar = beta;
-    let mut rhobar = alpha;
-    let b_norm = beta;
+    scale(&mut u, 1.0 / b_norm);
+    let mut phibar = b_norm;
     let damp = opts.damp;
+
+    let mut v = vec![C32::new(0.0, 0.0); n];
+    if opts.max_iters == 0 {
+        a.apply_adjoint_into(&u, &mut v);
+        let stop = norm_stop(nrm2(&v)).unwrap_or(StopReason::MaxIters);
+        return done(x, history, stop);
+    }
+    let mut w = vec![C32::new(0.0, 0.0); n];
     // Operator outputs, reused by every iteration.
     let mut av = vec![C32::new(0.0, 0.0); m];
-    let mut ahu = vec![C32::new(0.0, 0.0); n];
+    let mut scratch = vec![C32::new(0.0, 0.0); n];
+    // α₁ v₁ = Aᴴ u₁ is the general step from v₀ = w₀ = 0 behind an identity
+    // rotation: β = 0 subtracts nothing, and θ = 0, ρ̄ = −c·α = α,
+    // w = v + (−0)·w = v come out exact.
+    let mut beta = 0.0f32;
+    let (mut c, mut s, mut rho) = (-1.0f32, 0.0f32, 1.0f32);
 
     let mut row_start = trace::is_enabled().then(Instant::now);
     let mut stop = StopReason::MaxIters;
     for iter in 1..=opts.max_iters {
-        // β u = A v − α u.
-        a.apply_into(&v, &mut av);
+        // α v = Aᴴ u − β v, and A of it, in one pass over the operator.
+        a.adjoint_then_apply_into(&u, beta, &mut v, &mut av, &mut scratch);
+        let alpha = nrm2(&v);
+        if let Some(why) = norm_stop(alpha) {
+            stop = why;
+            break;
+        }
+        let inv_alpha = 1.0 / alpha;
+        scale(&mut v, inv_alpha);
+        // θ, ρ̄ and w = v − (θ/ρ) w of the step just closed.
+        let theta = s * alpha;
+        let rhobar = -c * alpha;
+        let t2 = -theta / rho;
+        for (wi, vi) in w.iter_mut().zip(&v) {
+            *wi = *vi + wi.scale(t2);
+        }
+
+        // β u = A v − α u, where `av` holds A of the un-normalised v.
         for (ui, avi) in u.iter_mut().zip(&av) {
-            *ui = *avi - ui.scale(alpha);
+            *ui = avi.scale(inv_alpha) - ui.scale(alpha);
         }
         beta = nrm2(&u);
         if !beta.is_finite() {
@@ -197,13 +220,13 @@ pub fn lsqr<A: LinearOperator + ?Sized>(a: &A, b: &[C32], opts: LsqrOptions) -> 
 
         // Both bidiagonal entries vanished and the rotation would divide
         // by zero.
-        let rho = rhobar1.hypot(beta);
+        rho = rhobar1.hypot(beta);
         if exactly_zero_f32(rho) {
             stop = StopReason::Breakdown;
             break;
         }
-        let c = rhobar1 / rho;
-        let s = beta / rho;
+        c = rhobar1 / rho;
+        s = beta / rho;
         let phi = c * phibar1;
         phibar = s * phibar1;
 
@@ -221,29 +244,6 @@ pub fn lsqr<A: LinearOperator + ?Sized>(a: &A, b: &[C32], opts: LsqrOptions) -> 
         if opts.rel_tol > 0.0 && phibar <= opts.rel_tol * b_norm {
             stop = StopReason::Converged;
             break;
-        }
-        if iter == opts.max_iters {
-            break;
-        }
-
-        // Only an iteration that has a successor pays for the adjoint:
-        // α v = Aᴴ u − β v, then θ, ρ̄ and w = v − (θ/ρ) w, none of which
-        // `x` or the history read before the next iteration.
-        a.apply_adjoint_into(&u, &mut ahu);
-        for (vi, ahui) in v.iter_mut().zip(&ahu) {
-            *vi = *ahui - vi.scale(beta);
-        }
-        alpha = nrm2(&v);
-        if let Some(why) = norm_stop(alpha) {
-            stop = why;
-            break;
-        }
-        scale(&mut v, 1.0 / alpha);
-        let theta = s * alpha;
-        rhobar = -c * alpha;
-        let t2 = -theta / rho;
-        for (wi, vi) in w.iter_mut().zip(&v) {
-            *wi = *vi + wi.scale(t2);
         }
     }
 

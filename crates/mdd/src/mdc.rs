@@ -6,7 +6,10 @@
 //! per-frequency kernels — dense or TLR-compressed interchangeably via
 //! [`LinearOperator`]. Each kernel writes its own disjoint chunk of the
 //! caller's output (`apply_into` / `apply_adjoint_into`), so one
-//! application of the whole stack allocates no output vector.
+//! application of the whole stack allocates no output vector. LSQR's
+//! call, `adjoint_then_apply_into`, is one task per frequency — each
+//! kernel's own fused half-step pair on its own chunks — so an iteration
+//! is one fork-join and, over TLR kernels, one pass over the stack.
 
 use rayon::prelude::*;
 use seismic_fft::RealFft;
@@ -37,6 +40,8 @@ use tlr_mvm::LinearOperator;
 /// ```
 pub struct MdcOperator<O: LinearOperator> {
     kernels: Vec<O>,
+    /// [`LinearOperator::stored_bytes`] of each kernel.
+    bytes: Vec<usize>,
     n_src: usize,
     n_rec: usize,
 }
@@ -51,6 +56,7 @@ impl<O: LinearOperator> MdcOperator<O> {
             assert_eq!((k.nrows(), k.ncols()), (n_src, n_rec));
         }
         Self {
+            bytes: kernels.iter().map(O::stored_bytes).collect(),
             kernels,
             n_src,
             n_rec,
@@ -121,6 +127,46 @@ impl<O: LinearOperator> LinearOperator for MdcOperator<O> {
             .enumerate()
             .for_each(|(f, (xf, k))| k.apply_adjoint_into(&y[f * ns..(f + 1) * ns], xf));
         assert_finite("mdc.apply_adjoint.x", x);
+    }
+    /// One task per frequency, each kernel's own fused pair on its own
+    /// chunks of `v`, `w` and `scratch`, so the order they start in changes
+    /// no result — and it is largest [`LinearOperator::stored_bytes`]
+    /// first (ties in index order): a frequency stack's bytes rise
+    /// several-fold from its first matrix to its last, and the pool hands
+    /// tasks out in list order, so the big ones must not start last. A
+    /// TLR kernel's sweep is serial, so a stack with fewer frequencies
+    /// than threads leaves threads idle here; the stacks this runs on hold
+    /// 12–230.
+    fn adjoint_then_apply_into(
+        &self,
+        u: &[C32],
+        beta: f32,
+        v: &mut [C32],
+        w: &mut [C32],
+        scratch: &mut [C32],
+    ) {
+        assert_eq!(u.len(), self.nrows());
+        assert_eq!(w.len(), self.nrows());
+        assert_eq!(v.len(), self.ncols());
+        assert_eq!(scratch.len(), self.ncols());
+        assert_finite("mdc.adjoint_then_apply.u", u);
+        let (ns, nr) = (self.n_src, self.n_rec);
+        let mut tasks: Vec<_> = v
+            .chunks_mut(nr.max(1))
+            .zip(w.chunks_mut(ns.max(1)))
+            .zip(scratch.chunks_mut(nr.max(1)))
+            .enumerate()
+            .collect();
+        tasks.sort_by_key(|&(f, _)| std::cmp::Reverse(self.bytes[f]));
+        let _span = tlr_mvm::trace::span("mdc.adjoint_then_apply");
+        tasks.into_par_iter().for_each(|(f, ((vf, wf), zf))| {
+            self.kernels[f].adjoint_then_apply_into(&u[f * ns..(f + 1) * ns], beta, vf, wf, zf);
+        });
+        assert_finite("mdc.adjoint_then_apply.v", v);
+        assert_finite("mdc.adjoint_then_apply.w", w);
+    }
+    fn stored_bytes(&self) -> usize {
+        self.bytes.iter().sum()
     }
 }
 

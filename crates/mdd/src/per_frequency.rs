@@ -51,11 +51,12 @@ pub fn compare_frequency_coupling(
     let n_rec = ds.acq.n_receivers();
     let nf = ds.n_freqs();
 
+    let x_true_blocks = ds.true_reflectivity(vs);
     let y_blocks = match snr {
         Some(s) => ds.observed_data_noisy(vs, s, 0xc0ffee),
-        None => ds.observed_data(vs),
+        None => ds.observed_data_of(&x_true_blocks),
     };
-    let x_true: Vec<C32> = ds.true_reflectivity(vs).concat();
+    let x_true: Vec<C32> = x_true_blocks.concat();
     let y_perm: Vec<C32> = y_blocks.iter().flat_map(|yf| rows.apply(yf)).collect();
 
     let unpermute = |data: &[C32]| -> Vec<C32> {

@@ -1,11 +1,15 @@
-//! Frequency-weighted (preconditioned) MDD — the standard cure for the
-//! band-edge pathology the §4 ablation exposes: scale each frequency
-//! block so poorly-excited frequencies (wavelet rolloff) cannot dominate
-//! the joint least-squares fit with amplified noise.
+//! Frequency-weighted (preconditioned) MDD — the standard response to
+//! the band-edge pathology the §4 ablation exposes: scale each frequency
+//! block so that poorly-excited frequencies (wavelet rolloff) and strong
+//! ones have comparable leverage in the joint least-squares fit.
 //!
 //! Solving `min ‖W(Ax − b)‖` with `W = diag(w_f)` per frequency block and
 //! weights `w_f` ∝ 1/(‖A_f‖ + ε) equalizes the blocks' leverage; the
-//! solution is read off directly (the unknown is unchanged).
+//! solution is read off directly (the unknown is unchanged). It is a
+//! preconditioner, not a regulariser: on noisy data the weighted solve
+//! reaches a lower error in fewer iterations (SNR 10 on the tiny dataset:
+//! best early-stopped NMSE 0.021 at 2 iterations against 0.048 at 4), and
+//! run on undamped it amplifies the noise as the plain solve does.
 
 use seismic_la::scalar::C32;
 use tlr_mvm::{LinearOperator, TlrMatrix};
@@ -168,6 +172,25 @@ mod tests {
         assert!(spread(&weighted) < 0.5 * spread(&raw) + 2.0);
     }
 
+    /// What weighting buys on noisy data, posed where the answer means
+    /// something. Undamped LSQR on SNR-10 data semi-converges: the NMSE
+    /// falls for a handful of iterations and then climbs as the small
+    /// singular directions fill with noise, and by iteration 30 both solves
+    /// are amplified noise whose ranking is rounding luck. The assertion
+    /// this replaces, `weighted ≤ 1.2·plain` at 30 iterations, held at
+    /// 42.8 ≤ 1.2·43.5 and fails on a last-bit edit of the solver. The
+    /// iterate a user keeps is the early-stopped one, and there the weights
+    /// matter — the weighted solve bottoms out sooner and lower — and
+    /// rounding has not been amplified yet:
+    ///
+    /// | `plain`, `weighted` NMSE          | best `k ≤ 8`            | `k = 30`   |
+    /// |-----------------------------------|-------------------------|------------|
+    /// | PR 21 (two calls, `A(v̂/α)`)       | 0.048351 at 4, 0.021159 at 2 | 43.5, 42.8 |
+    /// | PR 21, `scale` as `e / (1.0 / s)` | 0.048351 at 4, 0.021159 at 2 | 44.8, 54.0 |
+    /// | this tree (`(Av̂)/α`)              | 0.048351 at 4, 0.021159 at 2 | 43.4, 53.3 |
+    ///
+    /// (Through `k = 5` the three agree to six digits at every `k`; at
+    /// `k = 8` the second digit of the plain solve has moved.)
     #[test]
     fn weighting_tames_noisy_joint_inversion() {
         let (ds, tlr) = setup();
@@ -182,28 +205,32 @@ mod tests {
             .collect();
         let x_true: Vec<C32> = ds.true_reflectivity(vs).concat();
         let n_rec = ds.acq.n_receivers();
-        let unpermute = |data: &[C32]| -> Vec<C32> {
-            (0..nf)
-                .flat_map(|f| cols.unapply(&data[f * n_rec..(f + 1) * n_rec]))
-                .collect()
+        let error = |x: &[C32]| -> f64 {
+            let natural: Vec<C32> = (0..nf)
+                .flat_map(|f| cols.unapply(&x[f * n_rec..(f + 1) * n_rec]))
+                .collect();
+            nmse(&natural, &x_true)
         };
-        let opts = LsqrOptions {
-            max_iters: 30,
-            rel_tol: 0.0,
-            damp: 0.0,
-        };
-        // Plain joint solve.
         let plain_op = MdcOperator::new(tlr.iter().collect::<Vec<_>>());
-        let plain = lsqr(&plain_op, &y_perm, opts);
-        let nmse_plain = nmse(&unpermute(&plain.x), &x_true);
-        // Weighted solve.
-        let weighted = weighted_lsqr(&tlr, &y_perm, 0.1, opts);
-        let nmse_weighted = nmse(&unpermute(&weighted.x), &x_true);
-        // The weighted solve must be no worse (usually better) and finite.
-        assert!(nmse_weighted.is_finite());
+        // (NMSE, k) of the best early-stopped iterate, k = 1..=8.
+        let best = |solve: &dyn Fn(LsqrOptions) -> LsqrResult| {
+            (1..=8)
+                .map(|max_iters| {
+                    let opts = LsqrOptions {
+                        max_iters,
+                        rel_tol: 0.0,
+                        damp: 0.0,
+                    };
+                    (error(&solve(opts).x), max_iters)
+                })
+                .fold((f64::INFINITY, 0), |a, b| if b.0 < a.0 { b } else { a })
+        };
+        let (nmse_plain, k_plain) = best(&|opts| lsqr(&plain_op, &y_perm, opts));
+        let (nmse_weighted, k_weighted) = best(&|opts| weighted_lsqr(&tlr, &y_perm, 0.1, opts));
+        assert!(nmse_plain < 0.1, "plain {nmse_plain} at k = {k_plain}");
         assert!(
-            nmse_weighted <= nmse_plain * 1.2,
-            "weighted {nmse_weighted} vs plain {nmse_plain}"
+            nmse_weighted <= 0.75 * nmse_plain && k_weighted <= k_plain,
+            "weighted {nmse_weighted} at k = {k_weighted} vs plain {nmse_plain} at k = {k_plain}"
         );
     }
 }

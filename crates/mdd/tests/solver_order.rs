@@ -1,8 +1,12 @@
-//! LSQR and CGLS skip the adjoint of the iteration that ends a solve.
-//! Everything `x` and the residual history are computed from keeps its
-//! operand order, so both must equal — bit for bit — what the loops gave
-//! when every iteration ran forward apply *and* adjoint before touching
-//! `x`. Those loops are kept here, verbatim but for tracing, as the oracle.
+//! LSQR and CGLS skip the adjoint of the iteration that ends a solve, and
+//! LSQR makes its adjoint and the next forward product in one operator
+//! call. Everything `x` and the residual history are computed from keeps
+//! its operand order, so both must equal — bit for bit — what the loops
+//! gave when every iteration ran forward apply *and* adjoint, as two
+//! calls, before touching `x`. Those loops are kept here, verbatim but for
+//! tracing, as the oracle — with the one reassociation the fused call
+//! brought: `Av` is the product of the un-normalised `v`, scaled by `1/α`
+//! afterwards.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -40,15 +44,16 @@ fn lsqr_adjoint_every_iteration(
     let mut v = vec![CZERO; n];
     a.apply_adjoint_into(&u, &mut v);
     let mut alpha = nrm2(&v);
+    let mut av = vec![CZERO; m];
+    a.apply_into(&v, &mut av);
+    scale(&mut av, 1.0 / alpha);
     scale(&mut v, 1.0 / alpha);
     let mut w = v.clone();
     let mut phibar = beta;
     let mut rhobar = alpha;
     let b_norm = beta;
-    let mut av = vec![CZERO; m];
     let mut ahu = vec![CZERO; n];
     for _ in 0..opts.max_iters {
-        a.apply_into(&v, &mut av);
         for (ui, avi) in u.iter_mut().zip(&av) {
             *ui = *avi - ui.scale(alpha);
         }
@@ -59,6 +64,8 @@ fn lsqr_adjoint_every_iteration(
             *vi = *ahui - vi.scale(beta);
         }
         alpha = nrm2(&v);
+        a.apply_into(&v, &mut av);
+        scale(&mut av, 1.0 / alpha);
         scale(&mut v, 1.0 / alpha);
         let (rhobar1, phibar1) = if opts.damp > 0.0 {
             let rb1 = rhobar.hypot(opts.damp);

@@ -186,10 +186,18 @@ impl SyntheticDataset {
     /// Observed upgoing data for a virtual source: `y_f = A_f · x_f` per
     /// frequency (natural orderings) — the noiseless forward-modeled `p⁻`.
     pub fn observed_data(&self, vs: usize) -> Vec<Vec<C32>> {
-        let x = self.true_reflectivity(vs);
+        self.observed_data_of(&self.true_reflectivity(vs))
+    }
+
+    /// `y_f = A_f · x_f` per frequency for a reflectivity already in hand
+    /// (one vector per retained frequency, natural orderings): what
+    /// [`Self::observed_data`] computes, for a caller that also needs the
+    /// [`Self::true_reflectivity`] it is the image of.
+    pub fn observed_data_of(&self, x: &[Vec<C32>]) -> Vec<Vec<C32>> {
+        assert_eq!(x.len(), self.slices.len(), "one vector per frequency");
         self.slices
             .par_iter()
-            .zip(&x)
+            .zip(x)
             .map(|(s, xf)| {
                 let mut y = vec![C32::new(0.0, 0.0); s.kernel.nrows()];
                 gemv(&s.kernel, xf, &mut y);
