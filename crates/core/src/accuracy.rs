@@ -378,7 +378,11 @@ mod tests {
         // ≤ 1e-3 · 1e9 = 1e6 ppb per cell (small float slack).
         let tail = report.grid_for(GRID_TILE_TAIL_PPB).expect("tail grid");
         assert_eq!(tail.cells.len(), 30);
-        assert!(tail.cells.iter().all(|&c| c <= 1_100_000), "{:?}", tail.cells);
+        assert!(
+            tail.cells.iter().all(|&c| c <= 1_100_000),
+            "{:?}",
+            tail.cells
+        );
         // A non-trivial compression truncates something somewhere.
         assert!(tail.total() > 0);
     }

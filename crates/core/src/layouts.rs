@@ -19,11 +19,16 @@
 //! column `r`, `V` column `r` is `e_r` — written straight into the stacks.
 //! Giving the wafer model a dense chunk instead is ROADMAP item 3(b).
 //!
+//! A [`RankChunk`] is a borrowed view of contiguous columns of one
+//! [`ColumnStack`]; [`ChunkRun`] executes a set of them as independent
+//! PEs with a host reduction — what [`CommAvoiding::apply_chunked`] and
+//! the WSE simulator's functional execution both run.
+//!
 //! Nothing here allocates inside a traced span: partial outputs, segment
 //! tables and the rank scratch the fused kernels write `Vᴴx` into are
 //! allocated by the caller of [`ColumnStack::apply_into`] /
-//! [`RankChunk::apply_into`] before the span opens (lint rule HP01 is
-//! lexical and cannot see through a call).
+//! [`ChunkRun::new`] before the span opens (lint rule HP01 is lexical and
+//! cannot see through a call).
 
 #![allow(
     clippy::needless_range_loop,
@@ -36,7 +41,9 @@ use seismic_la::scalar::C32;
 use seismic_la::Matrix;
 
 use crate::accounting::{absolute_bytes, mvm_flops, relative_bytes};
-use crate::fastpath::{dotc_fast, gather, gemv_acc_fast, gemv_conj_transpose_fast};
+use crate::fastpath::{
+    dotc_cols, dotc_fast, gather, gemv_acc_fast, gemv_conj_transpose_fast, swap_re_im,
+};
 use crate::invariant::assert_finite;
 use crate::matrix::TlrMatrix;
 use crate::precision::to_u64;
@@ -486,81 +493,105 @@ impl ColumnStack {
 
     /// Split this column's rank dimension into chunks of at most
     /// `stack_width` rank columns — the unit of work one CS-2 PE owns.
-    pub fn split(&self, stack_width: usize) -> Vec<RankChunk> {
+    /// The stacks are column-major, so every chunk is a view of
+    /// contiguous columns: nothing is copied.
+    pub fn split(&self, stack_width: usize) -> impl Iterator<Item = RankChunk<'_>> {
         assert!(stack_width > 0);
-        let k = self.rank();
-        let mut chunks = Vec::new();
-        let mut start = 0;
-        while start < k {
+        let (k, cl, nb) = (self.rank(), self.cl, self.ustack.nrows());
+        (0..k).step_by(stack_width).map(move |start| {
             let end = (start + stack_width).min(k);
-            let w = end - start;
-            let mut v = Matrix::zeros(self.vstack.nrows(), w);
-            let mut u = Matrix::zeros(self.ustack.nrows(), w);
-            for (c, r) in (start..end).enumerate() {
-                v.col_mut(c).copy_from_slice(self.vstack.col(r));
-                u.col_mut(c).copy_from_slice(self.ustack.col(r));
-            }
-            chunks.push(RankChunk {
+            RankChunk {
                 col: self.col,
                 c0: self.c0,
-                cl: self.cl,
-                v,
-                u,
-                row_block: self.row_block[start..end].to_vec(),
-                row_len: self.row_len[start..end].to_vec(),
-            });
-            start = end;
-        }
-        chunks
+                cl,
+                nb,
+                v: &self.vstack.as_slice()[start * cl..end * cl],
+                u: &self.ustack.as_slice()[start * nb..end * nb],
+                row_block: &self.row_block[start..end],
+                row_len: &self.row_len[start..end],
+            }
+        })
     }
 }
 
 /// A contiguous slice of a column stack's rank dimension: the workload of
-/// a single CS-2 processing element.
-#[derive(Clone)]
-pub struct RankChunk {
-    /// Tile-column index this chunk belongs to.
-    pub col: usize,
-    /// First matrix column / width of the owning tile column.
-    pub c0: usize,
-    /// Width of the owning tile column.
-    pub cl: usize,
-    /// `(cl × w)` V-basis slice.
-    pub v: Matrix<C32>,
-    /// `(nb × w)` U-basis slice (zero-padded rows).
-    pub u: Matrix<C32>,
-    /// Tile-row of each rank column.
-    pub row_block: Vec<usize>,
-    /// Valid row count of each rank column.
-    pub row_len: Vec<usize>,
+/// a single CS-2 processing element, borrowed from its [`ColumnStack`].
+///
+/// Built only by [`ColumnStack::split`], which keeps the slices in
+/// agreement: `w ≥ 1` rank columns, `v` is `cl × w` and `u` is `nb × w`
+/// column-major, and `row_block` is non-decreasing.
+#[derive(Clone, Copy, Debug)]
+pub struct RankChunk<'a> {
+    col: usize,
+    c0: usize,
+    cl: usize,
+    nb: usize,
+    v: &'a [C32],
+    u: &'a [C32],
+    row_block: &'a [usize],
+    row_len: &'a [usize],
 }
 
-impl RankChunk {
+impl<'a> RankChunk<'a> {
+    /// Tile-column index this chunk belongs to.
+    pub fn col(&self) -> usize {
+        self.col
+    }
+
+    /// The input entries this chunk reads: its tile column's `c0..c0 + cl`.
+    pub fn x_range(&self) -> std::ops::Range<usize> {
+        self.c0..self.c0 + self.cl
+    }
+
     /// Chunk width `w` (number of rank columns).
     pub fn width(&self) -> usize {
         self.row_block.len()
     }
 
-    /// Fused kernel: `y_partial += Σ_r u_r (v_rᴴ x_col)`. `yv` is
-    /// caller-owned scratch of length [`RankChunk::width`].
-    pub fn apply_into(&self, x_col: &[C32], yv: &mut [C32], y_partial: &mut [C32], nb: usize) {
-        debug_assert_eq!(x_col.len(), self.cl);
-        debug_assert_eq!(self.v.ncols(), self.width(), "V slice width mismatch");
-        debug_assert_eq!(self.u.ncols(), self.width(), "U slice width mismatch");
-        debug_assert_eq!(self.v.nrows(), self.cl, "V slice height mismatch");
-        debug_assert!(
-            self.row_block
-                .iter()
-                .zip(&self.row_len)
-                .all(|(&b, &l)| b * nb + l <= y_partial.len()),
-            "row block exceeds partial-y bounds"
-        );
-        gemv_conj_transpose_fast(&self.v, x_col, yv);
+    /// Height of the U slice: the tile size `nb` the stack was built at.
+    pub fn u_rows(&self) -> usize {
+        self.nb
+    }
+
+    /// Valid row count of each rank column (`rl_i` of its tile row).
+    pub fn row_len(&self) -> &'a [usize] {
+        self.row_len
+    }
+
+    /// The output rows this chunk writes: from its first rank column's
+    /// tile row to the end of its last one's.
+    pub fn row_span(&self) -> std::ops::Range<usize> {
+        let w = self.width();
+        self.row_block[0] * self.nb..self.row_block[w - 1] * self.nb + self.row_len[w - 1]
+    }
+
+    /// Fused kernel: `y_span = Σ_r u_r (v_rᴴ x)` over
+    /// [`RankChunk::row_span`], reading `x` and `xs = swap_re_im(x)` at
+    /// [`RankChunk::x_range`]. The V phase runs four rank columns at a
+    /// time on the lanes of [`crate::fastpath::gemv_conj_transpose_fast`];
+    /// `yv` is caller-owned scratch of length [`RankChunk::width`].
+    pub fn apply_into(&self, x: &[C32], xs: &[C32], yv: &mut [C32], y_span: &mut [C32]) {
+        let w = self.width();
+        let lens = (yv.len(), y_span.len());
+        assert_eq!(lens, (w, self.row_span().len()), "yv / y_span lengths");
+        let (x, xs) = (&x[self.x_range()], &xs[self.x_range()]);
+        let v_col = |r: usize| &self.v[r * self.cl..(r + 1) * self.cl];
+        for (q, out) in yv.chunks_mut(4).enumerate() {
+            // A short last block repeats its last column and drops it.
+            let d = dotc_cols::<4>(
+                std::array::from_fn(|c| v_col((4 * q + c).min(w - 1))),
+                x,
+                xs,
+            );
+            out.copy_from_slice(&d[..out.len()]);
+        }
+        y_span.fill(CZERO);
+        let base = self.row_block[0] * self.nb;
         for (r, &coeff) in yv.iter().enumerate() {
-            let dst0 = self.row_block[r] * nb;
+            let dst0 = self.row_block[r] * self.nb - base;
             let len = self.row_len[r];
-            let ucol = &self.u.col(r)[..len];
-            for (d, &u) in y_partial[dst0..dst0 + len].iter_mut().zip(ucol) {
+            let ucol = &self.u[r * self.nb..][..len];
+            for (d, &u) in y_span[dst0..dst0 + len].iter_mut().zip(ucol) {
                 *d += u * coeff;
             }
         }
@@ -569,6 +600,63 @@ impl RankChunk {
     /// Complex words stored by this chunk (V + U slices).
     pub fn stored_elements(&self) -> usize {
         self.v.len() + self.u.len()
+    }
+}
+
+/// One run of rank chunks on one input, as independent PEs: the swapped
+/// copy of `x` every V phase reads, and per chunk its rank scratch and its
+/// partial over [`RankChunk::row_span`] — all cut from one caller-owned
+/// buffer when the run is built, before any traced span opens (HP01), so
+/// [`ChunkRun::apply`] and [`ChunkRun::reduce_into`] allocate nothing.
+pub struct ChunkRun<'b> {
+    chunks: &'b [RankChunk<'b>],
+    x: &'b [C32],
+    xs: &'b [C32],
+    /// Per chunk: `(yv, partial)`.
+    segments: Vec<(&'b mut [C32], &'b mut [C32])>,
+}
+
+impl<'b> ChunkRun<'b> {
+    /// Size `buf` for `chunks` on `x`, swap `x` into its head and cut the
+    /// rest per chunk.
+    pub fn new(chunks: &'b [RankChunk<'b>], x: &'b [C32], buf: &'b mut Vec<C32>) -> Self {
+        let cut = |ch: &RankChunk| ch.width() + ch.row_span().len();
+        buf.resize(x.len() + chunks.iter().map(cut).sum::<usize>(), CZERO);
+        let (xs, mut rest) = buf.split_at_mut(x.len());
+        swap_re_im(x, xs);
+        let segments = chunks
+            .iter()
+            .map(|ch| {
+                let (seg, tail) = std::mem::take(&mut rest).split_at_mut(cut(ch));
+                rest = tail;
+                seg.split_at_mut(ch.width())
+            })
+            .collect();
+        Self {
+            chunks,
+            x,
+            xs,
+            segments,
+        }
+    }
+
+    /// Every chunk's [`RankChunk::apply_into`], one parallel task each.
+    pub fn apply(&mut self) {
+        let (chunks, x, xs) = (self.chunks, self.x, self.xs);
+        self.segments
+            .par_iter_mut()
+            .enumerate()
+            .for_each(|(c, (yv, part))| chunks[c].apply_into(x, xs, yv, part));
+    }
+
+    /// The host reduction: `y[row_span] += partial`, chunk by chunk in
+    /// order.
+    pub fn reduce_into(&self, y: &mut [C32]) {
+        for (ch, (_, part)) in self.chunks.iter().zip(&self.segments) {
+            for (yi, &p) in y[ch.row_span()].iter_mut().zip(part.iter()) {
+                *yi += p;
+            }
+        }
     }
 }
 
@@ -726,40 +814,34 @@ impl CommAvoiding {
         x
     }
 
-    /// All rank chunks at a given stack width (the per-PE work units).
-    pub fn chunks(&self, stack_width: usize) -> Vec<RankChunk> {
+    /// All rank chunks at a given stack width (the per-PE work units),
+    /// borrowed from the column stacks.
+    pub fn chunks(&self, stack_width: usize) -> Vec<RankChunk<'_>> {
         self.columns
             .iter()
             .flat_map(|c| c.split(stack_width))
             .collect()
     }
 
-    /// Apply via explicit chunks — bit-identical work to what the WSE
-    /// simulator executes, used to cross-check PE placement.
+    /// Apply via explicit chunks: the [`ChunkRun`] the WSE simulator
+    /// executes, so the two agree bit for bit.
     pub fn apply_chunked(&self, x: &[C32], stack_width: usize) -> Vec<C32> {
         assert_eq!(x.len(), self.tiling.n);
         assert_finite("comm_avoiding.apply_chunked.x", x);
-        let nb = self.tiling.nb;
-        let padded_m = self.tiling.tile_rows() * nb;
         let chunks = self.chunks(stack_width);
-        self.trace_fused_cost(nb);
-        // As in `apply`: allocate partials and scratch before the span
-        // opens (HP01).
-        let mut partials: Vec<Vec<C32>> = chunks.iter().map(|_| vec![CZERO; padded_m]).collect();
-        let kmax = rank_scratch_len(chunks.iter().map(RankChunk::width));
-        let mut scratch = vec![CZERO; chunks.len() * kmax];
+        self.trace_fused_cost(self.tiling.nb);
+        // As in `apply`: cut the run's buffers before the span opens (HP01).
+        let (mut buf, mut y) = (Vec::new(), vec![CZERO; self.tiling.m]);
+        let mut run = ChunkRun::new(&chunks, x, &mut buf);
         {
             let _span = trace::span("comm_avoiding.fused");
-            partials
-                .par_iter_mut()
-                .zip(scratch.par_chunks_mut(kmax))
-                .enumerate()
-                .for_each(|(c, (part, yv))| {
-                    let ch = &chunks[c];
-                    ch.apply_into(&x[ch.c0..ch.c0 + ch.cl], &mut yv[..ch.width()], part, nb);
-                });
+            run.apply();
         }
-        let y = self.reduce_partials(&partials, padded_m);
+        let _span = trace::span("comm_avoiding.host_reduce");
+        let spans: usize = chunks.iter().map(|ch| ch.row_span().len()).sum();
+        let moved = 8 * to_u64(spans + self.tiling.m);
+        trace::add_bytes("comm_avoiding.host_reduce", moved, moved);
+        run.reduce_into(&mut y);
         assert_finite("comm_avoiding.apply_chunked.y", &y);
         y
     }
@@ -869,13 +951,60 @@ mod tests {
         let w = 5;
         for ch in ca.chunks(w) {
             assert!(ch.width() > 0 && ch.width() <= w);
-            assert_eq!(ch.v.ncols(), ch.width());
-            assert_eq!(ch.u.ncols(), ch.width());
-            assert_eq!(ch.u.nrows(), 12);
+            assert_eq!(ch.v.len(), ch.x_range().len() * ch.width());
+            assert_eq!(ch.u.len(), ch.u_rows() * ch.width());
+            assert_eq!(ch.u_rows(), 12);
         }
         // Total chunk width must equal total rank.
         let total: usize = ca.chunks(w).iter().map(|c| c.width()).sum();
         assert_eq!(total, t.total_rank());
+    }
+
+    /// Chunks are views: every chunk's V and U slices lie inside its
+    /// column stack's, and together they hold exactly the stacks' words.
+    #[test]
+    fn chunks_borrow_the_column_stacks_without_copying() {
+        let ca = CommAvoiding::new(&tlr(67, 41, 16));
+        let within = |inner: &[C32], outer: &Matrix<C32>| {
+            let outer = outer.as_slice().as_ptr_range();
+            let inner = inner.as_ptr_range();
+            outer.start <= inner.start && inner.end <= outer.end
+        };
+        for w in [1usize, 3, 7, 1000] {
+            let mut stored = 0;
+            for cs in ca.columns() {
+                for ch in cs.split(w) {
+                    assert!(within(ch.v, &cs.vstack) && within(ch.u, &cs.ustack));
+                    stored += ch.stored_elements();
+                }
+            }
+            let stacks: usize = ca
+                .columns()
+                .iter()
+                .map(|cs| cs.vstack.len() + cs.ustack.len())
+                .sum();
+            assert_eq!(stored, stacks, "w={w}");
+        }
+    }
+
+    /// Each chunk's partial covers its own row span and nothing more,
+    /// and the spans stay inside the unpadded output.
+    #[test]
+    fn chunk_partials_are_exactly_their_row_spans() {
+        let t = tlr(67, 41, 16);
+        let ca = CommAvoiding::new(&t);
+        let x = test_x(41);
+        for w in [1usize, 2, 5, 64] {
+            let chunks = ca.chunks(w);
+            let mut buf = Vec::new();
+            let run = ChunkRun::new(&chunks, &x, &mut buf);
+            assert_eq!(run.segments.len(), chunks.len());
+            for (ch, (yv, part)) in chunks.iter().zip(&run.segments) {
+                let span = ch.row_span();
+                assert_eq!((yv.len(), part.len()), (ch.width(), span.len()));
+                assert!(span.end <= 67);
+            }
+        }
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!   U-batch, paper Figs. 4–7) and the CS-2 communication-avoiding layout
 //!   (fused per-tile-column kernels + host reduction, paper Fig. 9),
 //!   including the stack-width chunking that defines per-PE work units.
-//! * [`real4`] — complex MVMs as four real FP32 MVMs (§6.6), the execution
-//!   model shared with the WSE simulator.
+//! * [`real4`] — complex MVMs as four real FP32 MVMs (§6.6): the PE SRAM
+//!   image and host reference for the WSE simulator's CSL kernel.
 //! * [`accounting`] — the paper's relative/absolute byte formulas and flop
 //!   counts (§6.6, §7.1).
 //! * [`ops`] — the [`LinearOperator`] abstraction used by the MDD solver.
@@ -102,11 +102,11 @@ pub use fastpath::{
     dotc_fast, gather, gemv_acc_fast, gemv_conj_transpose_fast, gemv_conj_transpose_swapped,
     swap_re_im,
 };
-pub use layouts::{ColumnStack, CommAvoiding, RankChunk, ThreePhase, ThreePhaseScratch};
+pub use layouts::{ChunkRun, ColumnStack, CommAvoiding, RankChunk, ThreePhase, ThreePhaseScratch};
 pub use matrix::{Tile, TlrMatrix};
 pub use mmm::{comm_avoiding_mmm, tlr_mmm, tlr_mmm_adjoint, tlr_mmm_cost};
 pub use ops::LinearOperator;
 pub use precision::{bf16_to_f32, f32_to_bf16, Bf16Matrix, Bf16TlrMatrix};
-pub use real4::{join_vec, split_vec, RealSplitMatrix};
+pub use real4::{split_vec, RealSplitMatrix};
 pub use skeleton::Skeleton;
 pub use tiling::Tiling;

@@ -1,4 +1,6 @@
-//! Complex MVMs as four real FP32 MVMs.
+//! Split-complex storage: the PE SRAM image format of the WSE
+//! simulator's CSL kernel, and the host reference that kernel is checked
+//! against.
 //!
 //! The Cerebras SDK (like every vendor batched-BLAS the paper surveys)
 //! lacks complex batched kernels, so the paper splits each complex MVM
@@ -6,6 +8,11 @@
 //! `y_re = A_re·x_re − A_im·x_im`, `y_im = A_re·x_im + A_im·x_re`.
 //! With the V and U batches that makes **eight** independent real MVMs —
 //! the unit the CS-2 strong-scaling strategies distribute over PEs.
+//! [`RealSplitMatrix::from_complex`] and [`split_vec`] lay a chunk out as
+//! the PE holds it; [`RealSplitMatrix::gemv_conj_transpose_acc_4real`]
+//! (V phase) and [`RealSplitMatrix::gemv_acc_4real`] (U phase) compute on
+//! the host what the interpreted PE program must reproduce. The host
+//! itself runs complex arithmetic ([`crate::layouts::RankChunk`]).
 
 use seismic_la::scalar::C32;
 use seismic_la::Matrix;
@@ -37,12 +44,6 @@ impl RealSplitMatrix {
         self.re.shape()
     }
 
-    /// Recombine into a complex matrix.
-    pub fn to_complex(&self) -> Matrix<C32> {
-        let (m, n) = self.shape();
-        Matrix::from_fn(m, n, |i, j| C32::new(self.re[(i, j)], self.im[(i, j)]))
-    }
-
     /// `y += A x` executed as the four real MVMs. Returns the number of
     /// real fused multiply-adds performed (for the performance model).
     pub fn gemv_acc_4real(
@@ -57,36 +58,11 @@ impl RealSplitMatrix {
         assert_eq!(x_im.len(), n);
         assert_eq!(y_re.len(), m);
         assert_eq!(y_im.len(), m);
-        // MVM 1: y_re += A_re x_re
-        real_gemv_acc(&self.re, x_re, y_re);
-        // MVM 2: y_re -= A_im x_im
-        real_gemv_sub(&self.im, x_im, y_re);
-        // MVM 3: y_im += A_re x_im
-        real_gemv_acc(&self.re, x_im, y_im);
-        // MVM 4: y_im += A_im x_re
-        real_gemv_acc(&self.im, x_re, y_im);
-        4 * m * n
-    }
-
-    /// `y += Aᵀ x` as four real MVMs (note: *transpose*, not conjugate —
-    /// conjugation is a sign flip on the imaginary operands chosen by the
-    /// caller).
-    pub fn gemv_transpose_acc_4real(
-        &self,
-        x_re: &[f32],
-        x_im: &[f32],
-        y_re: &mut [f32],
-        y_im: &mut [f32],
-    ) -> usize {
-        let (m, n) = self.shape();
-        assert_eq!(x_re.len(), m);
-        assert_eq!(x_im.len(), m);
-        assert_eq!(y_re.len(), n);
-        assert_eq!(y_im.len(), n);
-        real_gemv_t_acc(&self.re, x_re, y_re);
-        real_gemv_t_sub(&self.im, x_im, y_re);
-        real_gemv_t_acc(&self.re, x_im, y_im);
-        real_gemv_t_acc(&self.im, x_re, y_im);
+        // y_re += A_re x_re − A_im x_im; y_im += A_re x_im + A_im x_re.
+        real_gemv_acc(&self.re, x_re, y_re, 1.0);
+        real_gemv_acc(&self.im, x_im, y_re, -1.0);
+        real_gemv_acc(&self.re, x_im, y_im, 1.0);
+        real_gemv_acc(&self.im, x_re, y_im, 1.0);
         4 * m * n
     }
 
@@ -105,10 +81,10 @@ impl RealSplitMatrix {
         assert_eq!(x_im.len(), m);
         assert_eq!(y_re.len(), n);
         assert_eq!(y_im.len(), n);
-        real_gemv_t_acc(&self.re, x_re, y_re);
-        real_gemv_t_acc(&self.im, x_im, y_re);
-        real_gemv_t_acc(&self.re, x_im, y_im);
-        real_gemv_t_sub(&self.im, x_re, y_im);
+        real_gemv_t_acc(&self.re, x_re, y_re, 1.0);
+        real_gemv_t_acc(&self.im, x_im, y_re, 1.0);
+        real_gemv_t_acc(&self.re, x_im, y_im, 1.0);
+        real_gemv_t_acc(&self.im, x_re, y_im, -1.0);
         4 * m * n
     }
 }
@@ -121,49 +97,23 @@ pub fn split_vec(x: &[C32]) -> (Vec<f32>, Vec<f32>) {
     )
 }
 
-/// Recombine parallel real/imag arrays.
-pub fn join_vec(re: &[f32], im: &[f32]) -> Vec<C32> {
-    assert_eq!(re.len(), im.len());
-    re.iter().zip(im).map(|(&r, &i)| C32::new(r, i)).collect()
-}
-
-fn real_gemv_acc(a: &Matrix<f32>, x: &[f32], y: &mut [f32]) {
+/// `y += sign·(A x)`; `sign` is ±1, so each step rounds as `y ± a·x`.
+fn real_gemv_acc(a: &Matrix<f32>, x: &[f32], y: &mut [f32], sign: f32) {
     for (j, &xj) in x.iter().enumerate() {
-        let col = a.col(j);
-        for (yi, &aij) in y.iter_mut().zip(col) {
-            *yi += aij * xj;
+        for (yi, &aij) in y.iter_mut().zip(a.col(j)) {
+            *yi += sign * (aij * xj);
         }
     }
 }
 
-fn real_gemv_sub(a: &Matrix<f32>, x: &[f32], y: &mut [f32]) {
-    for (j, &xj) in x.iter().enumerate() {
-        let col = a.col(j);
-        for (yi, &aij) in y.iter_mut().zip(col) {
-            *yi -= aij * xj;
-        }
-    }
-}
-
-fn real_gemv_t_acc(a: &Matrix<f32>, x: &[f32], y: &mut [f32]) {
+/// `y += sign·(Aᵀ x)`, one dot per column.
+fn real_gemv_t_acc(a: &Matrix<f32>, x: &[f32], y: &mut [f32], sign: f32) {
     for (j, yj) in y.iter_mut().enumerate() {
-        let col = a.col(j);
         let mut acc = 0.0f32;
-        for (&aij, &xi) in col.iter().zip(x) {
+        for (&aij, &xi) in a.col(j).iter().zip(x) {
             acc += aij * xi;
         }
-        *yj += acc;
-    }
-}
-
-fn real_gemv_t_sub(a: &Matrix<f32>, x: &[f32], y: &mut [f32]) {
-    for (j, yj) in y.iter_mut().enumerate() {
-        let col = a.col(j);
-        let mut acc = 0.0f32;
-        for (&aij, &xi) in col.iter().zip(x) {
-            acc += aij * xi;
-        }
-        *yj -= acc;
+        *yj += sign * acc;
     }
 }
 
@@ -186,15 +136,22 @@ mod tests {
             .collect()
     }
 
+    fn join(re: &[f32], im: &[f32]) -> Vec<C32> {
+        re.iter().zip(im).map(|(&r, &i)| C32::new(r, i)).collect()
+    }
+
+    /// The planes are the parts, in the source's column-major order, so
+    /// joining them back gives the source.
     #[test]
     fn split_roundtrip() {
         let mut rng = ChaCha8Rng::seed_from_u64(91);
         let a = Matrix::<C32>::random_normal(9, 7, &mut rng);
         let s = RealSplitMatrix::from_complex(&a);
-        assert_eq!(s.to_complex(), a);
+        assert_eq!(s.shape(), (9, 7));
+        assert_eq!(join(s.re.as_slice(), s.im.as_slice()), a.as_slice());
         let x = rand_cvec(5, 92);
         let (re, im) = split_vec(&x);
-        assert_eq!(join_vec(&re, &im), x);
+        assert_eq!(join(&re, &im), x);
     }
 
     #[test]
@@ -212,7 +169,7 @@ mod tests {
         let mut yi = vec![0.0f32; 11];
         let fmas = s.gemv_acc_4real(&xr, &xi, &mut yr, &mut yi);
         assert_eq!(fmas, 4 * 11 * 8);
-        let got = join_vec(&yr, &yi);
+        let got = join(&yr, &yi);
         for (g, w) in got.iter().zip(&want) {
             assert!((*g - *w).abs() < 1e-4);
         }
@@ -230,25 +187,7 @@ mod tests {
         let mut xr = vec![0.0f32; 6];
         let mut xi = vec![0.0f32; 6];
         s.gemv_conj_transpose_acc_4real(&yr, &yi, &mut xr, &mut xi);
-        let got = join_vec(&xr, &xi);
-        for (g, w) in got.iter().zip(&want) {
-            assert!((*g - *w).abs() < 1e-4);
-        }
-    }
-
-    #[test]
-    fn transpose_matches_explicit_transpose() {
-        let mut rng = ChaCha8Rng::seed_from_u64(97);
-        let a = Matrix::<C32>::random_normal(7, 5, &mut rng);
-        let x = rand_cvec(7, 98);
-        let mut want = vec![C32::new(0.0, 0.0); 5];
-        gemv_acc(&a.transpose(), &x, &mut want);
-        let s = RealSplitMatrix::from_complex(&a);
-        let (xr, xi) = split_vec(&x);
-        let mut yr = vec![0.0f32; 5];
-        let mut yi = vec![0.0f32; 5];
-        s.gemv_transpose_acc_4real(&xr, &xi, &mut yr, &mut yi);
-        let got = join_vec(&yr, &yi);
+        let got = join(&xr, &xi);
         for (g, w) in got.iter().zip(&want) {
             assert!((*g - *w).abs() < 1e-4);
         }

@@ -556,8 +556,8 @@ pub fn collect_atlas(
 }
 
 /// Per-PE-group collection for the **functional** executor
-/// ([`crate::exec::execute_chunks_with_atlas`]): exact kernel-counted
-/// fmacs and modeled cycles, scattered with the same column-major PE
+/// ([`crate::exec::execute_chunks_with_atlas`]): exact per-chunk fmacs
+/// and modeled cycles, scattered with the same column-major PE
 /// mapping as [`collect_atlas`].
 #[derive(Clone, Debug)]
 pub struct ExecAtlas {

@@ -1,19 +1,16 @@
-//! Functional execution: actually run the TLR-MVM rank chunks the way the
-//! CS-2 placement lays them out — split-complex four-real-MVM arithmetic
-//! per virtual PE, host-side reduction — while accumulating the cycle
-//! model. Used to prove the mapping computes the right answer.
+//! Functional execution: run the TLR-MVM rank chunks the way the CS-2
+//! placement lays them out — one virtual PE per chunk, host-side
+//! reduction — while accumulating the cycle model. Used to prove the
+//! mapping computes the right answer.
+//!
+//! The arithmetic is the layout's own [`ChunkRun`] over views of the
+//! column stacks, the run [`tlr_mvm::CommAvoiding::apply_chunked`] makes,
+//! so the two agree bit for bit; this module adds the cost model. The
+//! split-complex arithmetic of a PE is modelled in [`crate::csl`].
 
-#![allow(
-    clippy::needless_range_loop,
-    reason = "index-based loops here walk multiple parallel arrays; iterator zips would obscure \
-              the stride structure the kernels are about"
-)]
-
-use rayon::prelude::*;
 use seismic_la::scalar::C32;
-use tlr_mvm::layouts::RankChunk;
+use tlr_mvm::layouts::{ChunkRun, RankChunk};
 use tlr_mvm::precision::to_u64;
-use tlr_mvm::real4::{join_vec, split_vec, RealSplitMatrix};
 
 use std::collections::BTreeMap;
 
@@ -33,17 +30,18 @@ pub struct ExecResult {
     pub worst_cycles: u64,
     /// Virtual PEs engaged.
     pub pes_used: u64,
-    /// Total real fmacs executed (exact, counted by the kernels).
+    /// Total real fmacs of the eight real MVMs (§6.6): `4·cl·w` for the V
+    /// phase and `4·Σ row_len` for the U phase of each chunk — exactly
+    /// the count a split-complex kernel performs on that shape.
     pub fmacs: u64,
 }
 
 /// Execute rank chunks functionally as virtual PEs.
 ///
-/// Every chunk is executed with split-complex arithmetic (the eight real
-/// MVMs of §6.6); the partial `y` vectors are reduced on the host exactly
-/// as the paper does. `m` is the (unpadded) output length; `nb` the tile
-/// size (partials are `tile_rows·nb` long, zero-padded at the ragged
-/// edge).
+/// Every chunk runs its fused V+U kernel into a partial over its own row
+/// span; the partials are reduced on the host in chunk order, as the
+/// paper does. `m` is the (unpadded) output length; `nb` the tile size,
+/// which must be every chunk's U height.
 pub fn execute_chunks(
     chunks: &[RankChunk],
     x: &[C32],
@@ -56,10 +54,9 @@ pub fn execute_chunks(
 }
 
 /// [`execute_chunks`], additionally scattering each chunk's modeled
-/// cycles and kernel-counted fmacs into a pre-sized [`ExecAtlas`] during
-/// the host reduction (pure indexed adds — the traced region stays
-/// allocation-free, and the default path records exactly what it always
-/// did).
+/// cycles and fmacs into a pre-sized [`ExecAtlas`] (pure indexed adds —
+/// the traced region stays allocation-free, and the default path records
+/// exactly what it always did).
 pub fn execute_chunks_with_atlas(
     chunks: &[RankChunk],
     x: &[C32],
@@ -81,79 +78,40 @@ fn execute_chunks_inner(
     cfg: &Cs2Config,
     mut atlas: Option<&mut ExecAtlas>,
 ) -> ExecResult {
-    let tile_rows = m.div_ceil(nb);
-    let padded_m = tile_rows * nb;
-
-    struct PartialOut {
-        y: Vec<C32>,
-        yvr: Vec<f32>,
-        yvi: Vec<f32>,
-        cycles: u64,
-        fmacs: u64,
+    for (c, ch) in chunks.iter().enumerate() {
+        let (cols, rows) = (ch.x_range(), ch.row_span());
+        assert!(
+            ch.u_rows() == nb && cols.end <= x.len() && rows.end <= m,
+            "chunk {c} (tile column {}, U height {}, x[{cols:?}], y[{rows:?}]) does not fit \
+             nb {nb}, x of {} and m {m}",
+            ch.col(),
+            ch.u_rows(),
+            x.len()
+        );
     }
-
-    // Every per-chunk buffer (partial output plus V-phase scratch) and
-    // the reduced output are allocated before the span opens: the traced
-    // region is pure simulated-PE compute (lint rule HP01).
-    let mut partials: Vec<PartialOut> = chunks
-        .iter()
-        .map(|ch| PartialOut {
-            y: vec![C32::new(0.0, 0.0); padded_m],
-            yvr: vec![0.0f32; ch.width()],
-            yvi: vec![0.0f32; ch.width()],
-            cycles: 0,
-            fmacs: 0,
-        })
-        .collect();
-    let mut y = vec![C32::new(0.0, 0.0); m];
+    // The run's one buffer and the output are allocated before the span
+    // opens: the traced region is pure simulated-PE compute (HP01).
+    let (mut buf, mut y) = (Vec::new(), vec![C32::new(0.0, 0.0); m]);
+    let mut run = ChunkRun::new(chunks, x, &mut buf);
 
     let _span = trace::span("wse.exec");
     trace_pe_groups(chunks, nb, cfg);
-    partials.par_iter_mut().enumerate().for_each(|(c, out)| {
-        let ch = &chunks[c];
-        let w = ch.width();
-        let x_col = &x[ch.c0..ch.c0 + ch.cl];
-        let (xr, xi) = split_vec(x_col);
-        // V phase: yv = Vᴴ x (4 real MVMs).
-        let v_split = RealSplitMatrix::from_complex(&ch.v);
-        let v_fmacs =
-            to_u64(v_split.gemv_conj_transpose_acc_4real(&xr, &xi, &mut out.yvr, &mut out.yvi));
-        // U phase: scatter-accumulate per rank column (4 real MVMs
-        // worth of fmacs over the padded nb-tall U slice).
-        let u_split = RealSplitMatrix::from_complex(&ch.u);
-        let mut u_fmacs = 0u64;
-        let yv = join_vec(&out.yvr, &out.yvi);
-        for r in 0..w {
-            let coeff = yv[r];
-            let dst0 = ch.row_block[r] * nb;
-            let len = ch.row_len[r];
-            for i in 0..len {
-                let u = C32::new(u_split.re[(i, r)], u_split.im[(i, r)]);
-                out.y[dst0 + i] += u * coeff;
-            }
-            u_fmacs += 4 * to_u64(len);
-        }
-        // Cycle model for this PE's program.
-        let v_task = MvmTask::dot_form(w, ch.cl);
+    run.apply();
+    run.reduce_into(&mut y);
+    let (mut worst_cycles, mut fmacs) = (0u64, 0u64);
+    for (c, ch) in chunks.iter().enumerate() {
+        let (cl, w) = (ch.x_range().len(), ch.width());
+        let v_task = MvmTask::dot_form(w, cl);
         let u_task = MvmTask::axpy_form(nb, w);
-        out.cycles = match strategy {
+        let cycles = match strategy {
             Strategy::FusedSinglePe => 4 * v_task.cycles(cfg, true) + 4 * u_task.cycles(cfg, true),
             Strategy::ScatterEightPes => v_task.cycles(cfg, true).max(u_task.cycles(cfg, true)),
         };
-        out.fmacs = v_fmacs + u_fmacs;
-    });
-
-    // Host reduction.
-    let mut worst_cycles = 0u64;
-    let mut fmacs = 0u64;
-    for (c, p) in partials.iter().enumerate() {
-        for (i, yi) in y.iter_mut().enumerate() {
-            *yi += p.y[i];
-        }
-        worst_cycles = worst_cycles.max(p.cycles);
-        fmacs += p.fmacs;
+        let chunk_fmacs = 4 * to_u64(cl * w + ch.row_len().iter().sum::<usize>());
+        worst_cycles = worst_cycles.max(cycles);
+        fmacs += chunk_fmacs;
         if let Some(a) = atlas.as_deref_mut() {
-            a.record(c, p.cycles, p.fmacs);
+            a.record(c, cycles, chunk_fmacs);
         }
     }
     let pes_per_chunk = match strategy {
@@ -181,13 +139,13 @@ fn trace_pe_groups(chunks: &[RankChunk], nb: usize, cfg: &Cs2Config) {
     let mut groups: BTreeMap<(usize, usize), (u64, u64, u64)> = BTreeMap::new();
     let (mut v_cycles, mut u_cycles) = (0u64, 0u64);
     for ch in chunks {
-        let w = ch.width();
-        let (v, u) = strategy1_phase_costs(nb, ch.cl, w, cfg, true);
+        let (cl, w) = (ch.x_range().len(), ch.width());
+        let (v, u) = strategy1_phase_costs(nb, cl, w, cfg, true);
         v_cycles += v.cycles;
         u_cycles += u.cycles;
         // Split-complex storage: 8 bytes per stored complex word.
         let sram = 8 * to_u64(ch.stored_elements());
-        let g = groups.entry((ch.cl, w)).or_insert((0, 0, 0));
+        let g = groups.entry((cl, w)).or_insert((0, 0, 0));
         g.0 += 1;
         g.1 += v.cycles + u.cycles;
         g.2 += sram;
@@ -249,6 +207,97 @@ mod tests {
                 assert!((*g - *w).abs() < 1e-4 * scale, "sw={sw}: {g} vs {w}");
             }
         }
+    }
+
+    fn compress_at(a: &Matrix<C32>, nb: usize) -> tlr_mvm::TlrMatrix {
+        compress(
+            a,
+            CompressionConfig {
+                nb,
+                acc: 1e-4,
+                method: CompressionMethod::Svd,
+                mode: ToleranceMode::RelativeTile,
+            },
+        )
+    }
+
+    /// The simulator runs the layout's own chunk kernel: its output is
+    /// `apply_chunked`'s to the bit, at every width, under both
+    /// strategies, on a tiling ragged in both dimensions with a tile
+    /// column of rank zero, and on the all-zero matrix (no chunks at all).
+    #[test]
+    fn exec_equals_apply_chunked_bit_for_bit() {
+        let (m, n, nb) = (67, 53, 16);
+        let (a, zero) = (kernel(m, n), C32::new(0.0, 0.0));
+        let hole = Matrix::from_fn(m, n, |i, j| if j / nb == 1 { zero } else { a[(i, j)] });
+        let cfg = Cs2Config::default();
+        let x = test_x(n);
+        for (dense, zero_rank_cols) in [(a, 0), (hole, 1), (Matrix::zeros(m, n), 4)] {
+            let ca = CommAvoiding::new(&compress_at(&dense, nb));
+            let empty = ca.columns().iter().filter(|c| c.rank() == 0).count();
+            assert_eq!(empty, zero_rank_cols);
+            for sw in [1usize, 2, 3, 7, 16, 64, 1000] {
+                let want = ca.apply_chunked(&x, sw);
+                for strategy in [Strategy::FusedSinglePe, Strategy::ScatterEightPes] {
+                    let got = execute_chunks(&ca.chunks(sw), &x, m, nb, strategy, &cfg).y;
+                    assert_eq!(got.len(), want.len());
+                    for (g, w) in got.iter().zip(&want) {
+                        assert_eq!(
+                            (g.re.to_bits(), g.im.to_bits()),
+                            (w.re.to_bits(), w.im.to_bits()),
+                            "sw={sw} {strategy:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The simulated counts at one geometry equal what a split-complex PE
+    /// kernel performs: `fmacs` from the shape formula, `worst_cycles`
+    /// from the `MvmTask` model.
+    #[test]
+    fn exec_counts_match_the_split_complex_executor() {
+        let ca = CommAvoiding::new(&compress_at(&kernel(60, 44), 12));
+        let (x, cfg) = (test_x(44), Cs2Config::default());
+        let chunks = ca.chunks(5);
+        let s1 = execute_chunks(&chunks, &x, 60, 12, Strategy::FusedSinglePe, &cfg);
+        let s2 = execute_chunks(&chunks, &x, 60, 12, Strategy::ScatterEightPes, &cfg);
+        assert_eq!((s1.fmacs, s1.worst_cycles, s1.pes_used), (6528, 4400, 16));
+        assert_eq!((s2.fmacs, s2.worst_cycles, s2.pes_used), (6528, 550, 128));
+    }
+
+    /// A chunk's U height is the tile size: a different `nb` would place
+    /// its rows in the wrong tile rows, so it is refused, naming the chunk.
+    /// So is an input too short for a chunk's columns.
+    #[test]
+    #[should_panic(expected = "chunk 0 (tile column 0, U height 12, x[0..12], y[0..")]
+    fn exec_rejects_an_nb_other_than_the_chunks_u_height() {
+        let ca = CommAvoiding::new(&compress_at(&kernel(48, 40), 12));
+        let cfg = Cs2Config::default();
+        execute_chunks(
+            &ca.chunks(4),
+            &test_x(40),
+            48,
+            8,
+            Strategy::FusedSinglePe,
+            &cfg,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "x[36..40], y[0..24]) does not fit nb 12, x of 39")]
+    fn exec_rejects_an_input_shorter_than_a_chunks_columns() {
+        let ca = CommAvoiding::new(&compress_at(&kernel(48, 40), 12));
+        let cfg = Cs2Config::default();
+        execute_chunks(
+            &ca.chunks(4),
+            &test_x(39),
+            48,
+            12,
+            Strategy::FusedSinglePe,
+            &cfg,
+        );
     }
 
     #[test]

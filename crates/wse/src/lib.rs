@@ -16,9 +16,9 @@
 //!   calibrated to the paper's dataset, plus the §6.7 stack-width rule.
 //! * [`placement`] — shard placement under both strong-scaling
 //!   strategies with occupancy/bandwidth/PFlop-rate metrics.
-//! * [`exec`] — functional execution of rank chunks as virtual PEs
-//!   (split-complex four-real-MVM arithmetic + host reduction), proving
-//!   the mapping computes the same answer as the host TLR-MVM.
+//! * [`exec`] — functional execution of rank chunks as virtual PEs (the
+//!   layout's own chunk kernel + host reduction, with the cycle model),
+//!   proving the mapping computes the same answer as the host TLR-MVM.
 //! * [`csl`] — a miniature CSL interpreter: the per-PE TLR kernel as an
 //!   instruction stream executed against simulated SRAM, producing the
 //!   numeric result and exact cycle/byte counts from the same program.
