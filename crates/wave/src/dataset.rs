@@ -27,6 +27,8 @@ pub struct DatasetConfig {
     /// Spectrum rolloff end (Hz).
     pub f_max: f64,
     /// Keep every `freq_stride`-th usable frequency bin (1 = all).
+    /// Synthesis cost scales with the bins retained, not with the bins
+    /// they span: [`downgoing_stack`] leaps a stride in one multiply.
     pub freq_stride: usize,
     /// Water-layer reverberation orders in the downgoing kernels.
     pub n_water_multiples: usize,

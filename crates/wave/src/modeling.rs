@@ -103,7 +103,8 @@ pub fn reflectivity_value(omega: f64, a: &Point3, b: &Point3, model: &VelocityMo
     let mut acc = C64::new(0.0, 0.0);
     for idx in 0..model.reflectors.len() {
         let t = model.reflection_travel_time(a, b, idx);
-        let d = model.reflection_distance(a, b, idx);
+        // `reflection_distance`'s expression, without a second ray trace.
+        let d = t * model.sediment_velocity;
         let coeff = model.reflectors[idx].coefficient;
         let d_eff = d.max(1.0);
         acc += C64::from_polar(coeff / (4.0 * std::f64::consts::PI * d_eff), -omega * t);
@@ -140,12 +141,24 @@ pub fn downgoing_matrix(
 
 /// One image-source arrival while [`downgoing_stack`] walks the bins: its
 /// frequency-independent amplitude factors, the unit phasor
-/// `e^{-iω·d/c}` at the current bin, and the phasor of one bin step.
+/// `e^{-iω·d/c}` at the current bin, the phasor of one bin step, and
+/// `step^gap` for the current gap between retained bins.
 struct Arrival {
     spreading: f64,
     weight: f64,
     phasor: C64,
     step: C64,
+    leap: C64,
+}
+
+impl Arrival {
+    /// Set `leap` to `step^gap`, by `gap − 1` multiplies.
+    fn set_gap(&mut self, gap: usize) {
+        self.leap = self.step;
+        for _ in 1..gap {
+            self.leap *= self.step;
+        }
+    }
 }
 
 /// Build the frequency matrices `A_f[s, r] = W_f·P⁺(2π·bins[f]·df; src_s →
@@ -157,12 +170,16 @@ struct Arrival {
 /// at a fraction of its cost: the path lengths and weights of a pair's
 /// image-source arrivals do not depend on `ω`, so they are computed once
 /// (`image_terms`), and the only trigonometry per arrival is its phasor
-/// at `bins[0]` and the phasor `e^{-i·2π·df·d/c}` of one bin — from there
-/// each bin costs one complex multiply per arrival and bin stepped over.
-/// The recurrence runs in `C64`, where its rounding (`≲ bins·2⁻⁵²`) is
-/// nine orders below the `f32` the entry is narrowed to once, as in the
-/// one-frequency form. Parallel over receiver columns, each task writing
-/// its column of every matrix in place.
+/// at `bins[0]` and the phasor `e^{-i·2π·df·d/c}` of one bin — one `cis`
+/// when `bins[0]` is bin 1, whose phasor is the step itself. From there
+/// each retained bin costs one complex multiply per arrival, by
+/// `step^gap`, plus `gap − 1` multiplies to rebuild `step^gap` whenever
+/// the gap to the previous retained bin changes (once per station pair,
+/// on a strided list). The recurrence runs in `C64`, where its rounding (`≲ k·2⁻⁵²`
+/// after `k` multiplies, `k` at most the bins spanned) is nine orders
+/// below the `f32` the entry is narrowed to once, as in the one-frequency
+/// form. Parallel over receiver columns, each task writing its column of
+/// every matrix in place.
 ///
 /// # Panics
 /// If `bins` is not strictly ascending or `amps` has another length.
@@ -187,6 +204,8 @@ pub fn downgoing_stack(
     let first = bins.first().copied().unwrap_or(0);
     let omega_first = two_pi * (first as f64 * df);
     let omega_step = two_pi * df;
+    // Bin 1's phasor is the step's: same argument bits, one `cis` saved.
+    let first_is_step = omega_first.to_bits() == omega_step.to_bits();
 
     let mut stack: Vec<Vec<C32>> = bins
         .iter()
@@ -210,22 +229,35 @@ pub fn downgoing_stack(
             let mut arrivals: Vec<Arrival> = Vec::new();
             for (s, src) in srcs.iter().enumerate() {
                 arrivals.clear();
-                arrivals.extend(
-                    image_terms(src, rec, model, cfg).map(|(d, weight)| Arrival {
+                arrivals.extend(image_terms(src, rec, model, cfg).map(|(d, weight)| {
+                    let step = C64::cis(-omega_step * d / c);
+                    let phasor = if first_is_step {
+                        step
+                    } else {
+                        C64::cis(-omega_first * d / c)
+                    };
+                    Arrival {
                         spreading: spreading(d),
                         weight,
-                        phasor: C64::cis(-omega_first * d / c),
-                        step: C64::cis(-omega_step * d / c),
-                    }),
-                );
-                let mut at = first;
-                for ((&bin, &amp), out) in bins.iter().zip(amps).zip(column.iter_mut()) {
-                    for _ in at..bin {
-                        for a in &mut arrivals {
-                            a.phasor *= a.step;
-                        }
+                        phasor,
+                        step,
+                        leap: step,
                     }
-                    at = bin;
+                }));
+                let (mut at, mut gap) = (first, 1);
+                for ((&bin, &amp), out) in bins.iter().zip(amps).zip(column.iter_mut()) {
+                    if bin != at {
+                        if bin - at != gap {
+                            gap = bin - at;
+                            for a in &mut arrivals {
+                                a.set_gap(gap);
+                            }
+                        }
+                        for a in &mut arrivals {
+                            a.phasor *= a.leap;
+                        }
+                        at = bin;
+                    }
                     let mut acc = C64::new(0.0, 0.0);
                     for a in &arrivals {
                         acc += a.phasor.scale(a.spreading).scale(a.weight);
@@ -347,16 +379,23 @@ mod tests {
 
     /// The stack against its oracle, [`downgoing_matrix`] per frequency,
     /// bit for bit: the `DatasetConfig::tiny()` stack (4 bins, stride 2),
-    /// the default scale-12 one (all 36 bins) and a gapped bin list.
+    /// the default scale-12 one (all 36 bins), a constant gap that does not
+    /// start at bin 1 (no first-bin reuse), the benchmark's stride-3 list,
+    /// a list whose gap changes twice and a gapped list.
     #[test]
     fn stack_equals_the_one_frequency_form_bit_for_bit() {
         let model = VelocityModel::overthrust();
         let cfg = ModelingConfig::default();
         let every_bin: Vec<usize> = (1..=36).collect();
-        let cases: [(usize, f64, &[usize]); 3] = [
+        let stride_3: Vec<usize> = (1..=34).step_by(3).collect();
+        let df = 1.0 / (256.0 * 0.008);
+        let cases: [(usize, f64, &[usize]); 6] = [
             (40, 1.0 / (64.0 * 0.008), &[1, 3, 5, 7]),
-            (12, 1.0 / (256.0 * 0.008), &every_bin),
-            (24, 1.0 / (256.0 * 0.008), &[3, 4, 9, 30]),
+            (12, df, &every_bin),
+            (24, df, &[2, 5, 8, 11, 14]),
+            (24, df, &stride_3),
+            (24, df, &[1, 3, 5, 9, 13, 14, 15]),
+            (24, df, &[3, 4, 9, 30]),
         ];
         for (scale, df, bins) in cases {
             let acq = Acquisition::scaled_with(scale, 40.0);
@@ -381,6 +420,39 @@ mod tests {
         assert_eq!(stack.len(), 1);
         let want = downgoing_matrix(2500.0, 0.7, &acq, &model, &cfg);
         assert!(bits(&stack[0]) == bits(&want));
+    }
+
+    /// `reflectivity_value` traces each reflection once; the column equals
+    /// the form that traced it twice (`reflection_travel_time`, then
+    /// `reflection_distance`), bit for bit.
+    #[test]
+    fn reflectivity_column_equals_the_two_trace_form_bit_for_bit() {
+        let model = VelocityModel::overthrust();
+        for (scale, vs) in [(40, 3), (12, 57)] {
+            let recs = Acquisition::scaled_with(scale, 40.0).receivers;
+            let positions = recs.positions();
+            for freq_hz in [2.0, 11.5, 17.0] {
+                let omega = 2.0 * std::f64::consts::PI * freq_hz;
+                let got = reflectivity_column(freq_hz, vs, &recs, &model);
+                assert_eq!(got.len(), positions.len());
+                for (g, a) in got.iter().zip(&positions) {
+                    let mut acc = C64::new(0.0, 0.0);
+                    for idx in 0..model.reflectors.len() {
+                        let t = model.reflection_travel_time(a, &positions[vs], idx);
+                        let d = model.reflection_distance(a, &positions[vs], idx);
+                        let amp = model.reflectors[idx].coefficient
+                            / (4.0 * std::f64::consts::PI * d.max(1.0));
+                        acc += C64::from_polar(amp, -omega * t);
+                    }
+                    let want = acc.narrow();
+                    assert_eq!(
+                        (g.re.to_bits(), g.im.to_bits()),
+                        (want.re.to_bits(), want.im.to_bits()),
+                        "scale {scale}, {freq_hz} Hz"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -77,6 +77,13 @@ fn generate_is_the_per_frequency_oracle_at_scale_5() {
     assert_generate_is_the_per_frequency_oracle(5, 3, 12);
 }
 
+#[test]
+#[ignore = "11.7 M entries: CI runs it in release"]
+fn generate_is_the_per_frequency_oracle_at_scale_5_stride_2() {
+    // `sweep-large`: 1032×630, every second bin.
+    assert_generate_is_the_per_frequency_oracle(5, 2, 18);
+}
+
 /// What a compressed stack is pinned by: tile count, rank sum, stored
 /// bytes, dense-tile count, and an FNV-1a checksum over the positions
 /// (frequency-major, then tile-column-major) of the tiles stored dense.
