@@ -97,6 +97,40 @@ pub fn tlr_mvm_cost(tlr: &TlrMatrix) -> TlrMvmCost {
     cost
 }
 
+/// Cost of one TLR-MMM with `s` right-hand sides in the
+/// complex-as-4-real execution model — the paper's §8 "open research
+/// opportunity" of processing `s` virtual sources at once, as a model
+/// (`repro mmm`): flops scale by `s`, but the base matrices are read once
+/// per chunk — arithmetic intensity grows ~`s`× until the panel traffic
+/// dominates.
+pub fn tlr_mmm_cost(tlr: &TlrMatrix, s: usize) -> TlrMvmCost {
+    let t = tlr.tiling();
+    let nb = t.nb;
+    let s64 = to_u64(s);
+    let mut cost = TlrMvmCost::default();
+    for j in 0..t.tile_cols() {
+        let (_, cl) = t.col_range(j);
+        let kj = tlr.column_rank(j);
+        if kj == 0 {
+            continue;
+        }
+        let (kj64, cl64, nb64) = (to_u64(kj), to_u64(cl), to_u64(nb));
+        // Flops: s MVMs worth.
+        cost.flops += 4 * s64 * (mvm_flops(kj, cl) + mvm_flops(nb, kj));
+        // Bytes: bases read once (the MMM win); panels read/written per s.
+        // Relative model: bases + s·(x + t + y) vectors.
+        let bases = 4u64 * 4 * (kj64 * cl64 + nb64 * kj64);
+        let panels = 4u64 * 4 * s64 * (cl64 + 2 * kj64 + nb64);
+        cost.relative_bytes += bases + panels;
+        // Absolute (flat SRAM): no cache, no reuse — each of the s
+        // sources pays the full per-MVM traffic, so absolute intensity
+        // does not improve with s (the §8 re-exacerbated memory wall).
+        cost.absolute_bytes += 4 * s64 * (absolute_bytes(kj, cl) + absolute_bytes(nb, kj));
+        cost.total_rank += kj64;
+    }
+    cost
+}
+
 /// Per-phase cost breakdown of the classic three-phase TLR-MVM
 /// (V-batch → shuffle → U-batch, paper Figs. 4–7).
 ///
@@ -280,6 +314,48 @@ mod tests {
         assert!(
             t.relative_bytes > 0 && t.relative_bytes <= fused.relative_bytes + 16 * t.total_rank
         );
+    }
+
+    fn smooth_tlr(m: usize, n: usize) -> TlrMatrix {
+        let a = Matrix::from_fn(m, n, |i, j| {
+            let (x, y) = (i as f32 / m as f32, j as f32 / n as f32);
+            let d = ((x - y) * (x - y) + 0.02).sqrt();
+            C32::from_polar(1.0 / (1.0 + 3.0 * d), -9.0 * d)
+        });
+        compress(
+            &a,
+            CompressionConfig {
+                nb: 16,
+                acc: 1e-5,
+                method: CompressionMethod::Svd,
+                mode: ToleranceMode::RelativeTile,
+            },
+        )
+    }
+
+    #[test]
+    fn intensity_grows_with_rhs_count() {
+        // §8: the MMM recast raises arithmetic intensity (relative model)
+        // because the bases amortize over the sources.
+        let t = smooth_tlr(80, 64);
+        let i1 = tlr_mmm_cost(&t, 1).relative_intensity();
+        let i8 = tlr_mmm_cost(&t, 8).relative_intensity();
+        let i64 = tlr_mmm_cost(&t, 64).relative_intensity();
+        assert!(i8 > 2.0 * i1, "i1={i1} i8={i8}");
+        assert!(i64 > i8);
+        // Absolute (flat-SRAM) intensity does NOT improve: no cache, no
+        // reuse — this is exactly why the memory wall re-appears on CS-2.
+        let a1 = tlr_mmm_cost(&t, 1).absolute_intensity();
+        let a64 = tlr_mmm_cost(&t, 64).absolute_intensity();
+        assert!((a1 - a64).abs() < 0.05 * a1);
+    }
+
+    #[test]
+    fn single_rhs_cost_matches_mvm_cost() {
+        let t = smooth_tlr(64, 48);
+        let (mvm, mmm) = (tlr_mvm_cost(&t), tlr_mmm_cost(&t, 1));
+        assert_eq!(mvm.flops, mmm.flops);
+        assert_eq!(mvm.absolute_bytes, mmm.absolute_bytes);
     }
 
     #[test]

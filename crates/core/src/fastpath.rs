@@ -13,9 +13,9 @@
 //!   caller that already holds the swapped copy of `x` it reads
 //!   ([`swap_re_im`]) — [`crate::TlrMatrix::apply_adjoint_into`] makes it
 //!   once per input, not once per tile;
-//! * [`dotc_fast`] — one four-accumulator conjugated dot, for the
-//!   comm-avoiding adjoint whose rank columns each meet a different
-//!   block of `y`;
+//! * [`dotc_fast`] — one four-accumulator conjugated dot, for a kernel
+//!   whose rank columns each meet a different block of `y` (nothing in
+//!   the workspace calls it);
 //! * [`gemv_acc_fast`] — four-column register-blocked accumulation for
 //!   the U-batch (reads `y` once per four columns instead of once per
 //!   column).

@@ -9,10 +9,10 @@
 //!
 //! Both are *second copies* of the bases, built from a [`TlrMatrix`] for
 //! the paper's three-phase / communication-avoiding tables and for the
-//! WSE simulator's per-PE chunks. The MDD solve and the engine's sweep
-//! run on the tiles as stored ([`TlrMatrix::apply_into`], the same two
-//! [`crate::fastpath`] kernels fused per tile), which needs neither the
-//! copy nor the shuffle.
+//! WSE simulator's per-PE chunks. Each computes the forward product only,
+//! with one kernel per layout; the MDD solve and the engine's sweep run
+//! on the tiles as stored ([`TlrMatrix::apply_into`] and its adjoint),
+//! which needs neither the copy nor the shuffle.
 //!
 //! The stacks hold factors only, so a tile stored dense is expanded here
 //! to the factorisation it stands for — `U` column `r` is the block's
@@ -21,14 +21,15 @@
 //!
 //! A [`RankChunk`] is a borrowed view of contiguous columns of one
 //! [`ColumnStack`]; [`ChunkRun`] executes a set of them as independent
-//! PEs with a host reduction — what [`CommAvoiding::apply_chunked`] and
-//! the WSE simulator's functional execution both run.
+//! PEs with a host reduction — the one communication-avoiding kernel:
+//! [`CommAvoiding::apply`] runs it with one chunk per column stack,
+//! [`CommAvoiding::apply_chunked`] at a stack width, and the WSE
+//! simulator's functional execution on its placed chunks.
 //!
 //! Nothing here allocates inside a traced span: partial outputs, segment
 //! tables and the rank scratch the fused kernels write `Vᴴx` into are
-//! allocated by the caller of [`ColumnStack::apply_into`] /
-//! [`ChunkRun::new`] before the span opens (lint rule HP01 is lexical and
-//! cannot see through a call).
+//! allocated by [`ChunkRun::new`] and the phase callers before the span
+//! opens (lint rule HP01 is lexical and cannot see through a call).
 
 #![allow(
     clippy::needless_range_loop,
@@ -41,9 +42,7 @@ use seismic_la::scalar::C32;
 use seismic_la::Matrix;
 
 use crate::accounting::{absolute_bytes, mvm_flops, relative_bytes};
-use crate::fastpath::{
-    dotc_cols, dotc_fast, gather, gemv_acc_fast, gemv_conj_transpose_fast, swap_re_im,
-};
+use crate::fastpath::{dotc_cols, gather, gemv_acc_fast, gemv_conj_transpose_fast, swap_re_im};
 use crate::invariant::assert_finite;
 use crate::matrix::TlrMatrix;
 use crate::precision::to_u64;
@@ -51,13 +50,6 @@ use crate::tiling::Tiling;
 use crate::trace;
 
 const CZERO: C32 = C32::new(0.0, 0.0);
-
-/// Chunk length of a flat rank-scratch buffer cut into one piece per
-/// parallel task: the widest task's rank, and at least one so that
-/// `par_chunks_mut` accepts it when every rank is zero.
-fn rank_scratch_len(ranks: impl Iterator<Item = usize>) -> usize {
-    ranks.max().unwrap_or(0).max(1)
-}
 
 /// Classic three-phase TLR-MVM layout.
 pub struct ThreePhase {
@@ -76,14 +68,10 @@ pub struct ThreePhase {
     /// ([`crate::fastpath::gather`]) — sequential stores and random
     /// loads overlap better than random stores.
     shuffle_inv: Vec<usize>,
-    /// The *forward* permutation (`yu[shuffle[p]] = yv[p]`), kept so the
-    /// adjoint's phase 2 (`yv[p] = yu[shuffle[p]]`) is also a gather.
-    shuffle: Vec<usize>,
     total_rank: usize,
 }
 
-/// Reusable intermediate buffers for [`ThreePhase::apply_with_scratch`]
-/// and [`ThreePhase::apply_adjoint_with_scratch`].
+/// Reusable intermediate buffers for [`ThreePhase::apply_with_scratch`].
 ///
 /// A single scratch can be reused across *different* operators (e.g.
 /// swept over every frequency of a stack): buffers grow to the largest
@@ -162,10 +150,11 @@ impl ThreePhase {
         row_offsets.push(acc_u);
         debug_assert_eq!(acc_u, total_rank);
 
-        // Shuffle: walk yv order (j, then i, then r) and compute the
-        // position of the same (i, j, r) coefficient in yu order
-        // (i, then j, then r).
-        let mut shuffle = vec![0usize; total_rank];
+        // Shuffle: walk yv order (j, then i, then r) and record, at the
+        // position of the same (i, j, r) coefficient in yu order (i, then
+        // j, then r), where it comes from — phase 2 runs as a gather over
+        // this inverse map.
+        let mut shuffle_inv = vec![0usize; total_rank];
         // Per (i, j): rank offset of tile (i,j) inside row stack i.
         let mut row_tile_offset = vec![vec![0usize; nt]; mt];
         for i in 0..mt {
@@ -181,16 +170,10 @@ impl ThreePhase {
                 let k = tlr.rank(i, j);
                 let base = row_offsets[i] + row_tile_offset[i][j];
                 for r in 0..k {
-                    shuffle[p] = base + r;
+                    shuffle_inv[base + r] = p;
                     p += 1;
                 }
             }
-        }
-
-        // Phase 2 runs as a gather over the inverse map.
-        let mut shuffle_inv = vec![0usize; total_rank];
-        for (p, &q) in shuffle.iter().enumerate() {
-            shuffle_inv[q] = p;
         }
 
         Self {
@@ -200,7 +183,6 @@ impl ThreePhase {
             col_offsets,
             row_offsets,
             shuffle_inv,
-            shuffle,
             total_rank,
         }
     }
@@ -225,16 +207,9 @@ impl ThreePhase {
         self.tiling.n
     }
 
-    /// Phase 1 (paper Fig. 5): batched `yv_j = Vstack_jᴴ x_j`.
-    pub fn v_batch(&self, x: &[C32]) -> Vec<C32> {
-        let mut yv = vec![CZERO; self.total_rank];
-        self.v_batch_into(x, &mut yv);
-        yv
-    }
-
-    /// Phase 1 into a caller-owned buffer (`yv.len() == total_rank`).
-    /// Bit-identical to [`ThreePhase::v_batch`]; allocation-free past
-    /// the per-call segment table.
+    /// Phase 1 (paper Fig. 5): batched `yv_j = Vstack_jᴴ x_j` into a
+    /// caller-owned buffer (`yv.len() == total_rank`); allocation-free
+    /// past the per-call segment table.
     pub fn v_batch_into(&self, x: &[C32], yv: &mut [C32]) {
         assert_eq!(x.len(), self.tiling.n);
         assert_eq!(yv.len(), self.total_rank);
@@ -271,14 +246,8 @@ impl ThreePhase {
         assert_finite("three_phase.v_batch.yv", yv);
     }
 
-    /// Phase 2 (paper Fig. 6): project coefficients from V- to U-ordering.
-    pub fn shuffle(&self, yv: &[C32]) -> Vec<C32> {
-        let mut yu = vec![CZERO; self.total_rank];
-        self.shuffle_into(yv, &mut yu);
-        yu
-    }
-
-    /// Phase 2 into a caller-owned buffer (`yu.len() == total_rank`).
+    /// Phase 2 (paper Fig. 6): project coefficients from V- to
+    /// U-ordering, into a caller-owned buffer (`yu.len() == total_rank`).
     pub fn shuffle_into(&self, yv: &[C32], yu: &mut [C32]) {
         assert_eq!(yv.len(), self.total_rank);
         assert_eq!(yu.len(), self.total_rank);
@@ -290,15 +259,9 @@ impl ThreePhase {
         assert_finite("three_phase.shuffle.yu", yu);
     }
 
-    /// Phase 3 (paper Fig. 7): batched `y_i = Ustack_i · yu_i`.
-    pub fn u_batch(&self, yu: &[C32]) -> Vec<C32> {
-        let mut y = vec![CZERO; self.tiling.m];
-        self.u_batch_into(yu, &mut y);
-        y
-    }
-
-    /// Phase 3 into a caller-owned buffer. `y` must be **zeroed** by the
-    /// caller (`y.len() == nrows()`): the row-stack kernel accumulates.
+    /// Phase 3 (paper Fig. 7): batched `y_i = Ustack_i · yu_i` into a
+    /// caller-owned buffer. `y` must be **zeroed** by the caller
+    /// (`y.len() == nrows()`): the row-stack kernel accumulates.
     pub fn u_batch_into(&self, yu: &[C32], y: &mut [C32]) {
         assert_eq!(yu.len(), self.total_rank);
         assert_eq!(y.len(), self.tiling.m);
@@ -334,19 +297,16 @@ impl ThreePhase {
         assert_finite("three_phase.u_batch.y", y);
     }
 
-    /// Full three-phase TLR-MVM: `y = Ã x`.
+    /// Full three-phase TLR-MVM: `y = Ã x`, on a fresh scratch.
     pub fn apply(&self, x: &[C32]) -> Vec<C32> {
-        let yv = self.v_batch(x);
-        let yu = self.shuffle(&yv);
-        self.u_batch(&yu)
+        let mut y = vec![CZERO; self.tiling.m];
+        self.apply_with_scratch(x, &mut ThreePhaseScratch::new(), &mut y);
+        y
     }
 
     /// Full three-phase TLR-MVM into caller-owned buffers: `y = Ã x`
-    /// with both rank-length intermediates taken from `scratch`.
-    ///
-    /// Bit-identical to [`ThreePhase::apply`] (same kernels over the
-    /// same disjoint segments); the only difference is that nothing is
-    /// allocated when the scratch has already grown to this operator's
+    /// with both rank-length intermediates taken from `scratch`, so
+    /// nothing is allocated once the scratch has grown to this operator's
     /// total rank.
     pub fn apply_with_scratch(&self, x: &[C32], scratch: &mut ThreePhaseScratch, y: &mut [C32]) {
         scratch.reserve_rank(self.total_rank);
@@ -356,83 +316,6 @@ impl ThreePhase {
         y.fill(CZERO);
         self.u_batch_into(&scratch.yu[..k], y);
     }
-
-    /// Adjoint three-phase TLR-MVM: `x = Ãᴴ y`.
-    ///
-    /// Runs the pipeline backwards — `yu_i = Ustack_iᴴ y_i`, the
-    /// *forward* shuffle map as a gather (`yv[p] = yu[shuffle[p]]`),
-    /// then `x_j = Vstack_j yv_j` — so the adjoint reuses the exact
-    /// stacked bases and fastpath kernels of the forward pass.
-    pub fn apply_adjoint(&self, y: &[C32]) -> Vec<C32> {
-        let mut x = vec![CZERO; self.tiling.n];
-        let mut scratch = ThreePhaseScratch::new();
-        self.apply_adjoint_with_scratch(y, &mut scratch, &mut x);
-        x
-    }
-
-    /// Adjoint into caller-owned buffers (see
-    /// [`ThreePhase::apply_adjoint`]); `x.len() == ncols()`.
-    pub fn apply_adjoint_with_scratch(
-        &self,
-        y: &[C32],
-        scratch: &mut ThreePhaseScratch,
-        x: &mut [C32],
-    ) {
-        assert_eq!(y.len(), self.tiling.m);
-        assert_eq!(x.len(), self.tiling.n);
-        assert_finite("three_phase.adjoint.y", y);
-        scratch.reserve_rank(self.total_rank);
-        let k = self.total_rank;
-
-        // Phase 3ᴴ: yu_i = Ustack_iᴴ y_i. Segment table before the span
-        // (HP01), as in the forward phases.
-        {
-            let yu = &mut scratch.yu[..k];
-            let mut segments: Vec<&mut [C32]> = Vec::with_capacity(self.ustacks.len());
-            let mut rest = &mut yu[..];
-            for i in 0..self.ustacks.len() {
-                let len = self.row_offsets[i + 1] - self.row_offsets[i];
-                let (seg, tail) = rest.split_at_mut(len);
-                segments.push(seg);
-                rest = tail;
-            }
-            let _span = trace::span("tlr_mvm.adj_u_batch");
-            segments.par_iter_mut().enumerate().for_each(|(i, seg)| {
-                let (r0, rl) = self.tiling.row_range(i);
-                gemv_conj_transpose_fast(&self.ustacks[i], &y[r0..r0 + rl], seg);
-            });
-        }
-
-        // Phase 2ᴴ: the forward permutation applied as a gather.
-        {
-            let _span = trace::span("tlr_mvm.adj_shuffle");
-            let moved = 16 * to_u64(self.total_rank);
-            trace::add_bytes("tlr_mvm.adj_shuffle", moved, moved);
-            gather(&mut scratch.yv[..k], &self.shuffle, &scratch.yu[..k]);
-        }
-
-        // Phase 1ᴴ: x_j = Vstack_j yv_j into disjoint column segments.
-        // The column kernel accumulates, so zero the output first.
-        x.fill(CZERO);
-        {
-            let yv = &scratch.yv[..k];
-            let mut segments: Vec<&mut [C32]> = Vec::with_capacity(self.vstacks.len());
-            let mut rest = &mut x[..];
-            for j in 0..self.vstacks.len() {
-                let (_, cl) = self.tiling.col_range(j);
-                let (seg, tail) = rest.split_at_mut(cl);
-                segments.push(seg);
-                rest = tail;
-            }
-            let _span = trace::span("tlr_mvm.adj_v_batch");
-            segments.par_iter_mut().enumerate().for_each(|(j, seg)| {
-                let lo = self.col_offsets[j];
-                let hi = self.col_offsets[j + 1];
-                gemv_acc_fast(&self.vstacks[j], &yv[lo..hi], seg);
-            });
-        }
-        assert_finite("three_phase.adjoint.x", x);
-    }
 }
 
 /// One tile column of the communication-avoiding layout: `V` bases stacked
@@ -440,55 +323,26 @@ impl ThreePhase {
 /// per-rank-column row-block metadata (paper Fig. 9).
 pub struct ColumnStack {
     /// Tile-column index.
-    pub col: usize,
+    col: usize,
     /// First matrix column covered / width.
-    pub c0: usize,
+    c0: usize,
     /// Width of this tile column.
-    pub cl: usize,
+    cl: usize,
     /// `(cl × K_j)` stacked V bases.
-    pub vstack: Matrix<C32>,
+    vstack: Matrix<C32>,
     /// `(nb × K_j)` stacked U bases, rows zero-padded to `nb` for edge
     /// tile rows (the CS-2 code pads for SRAM bank alignment anyway).
-    pub ustack: Matrix<C32>,
+    ustack: Matrix<C32>,
     /// Tile-row index of each rank column.
-    pub row_block: Vec<usize>,
+    row_block: Vec<usize>,
     /// Actual row count of each rank column (`rl_i`).
-    pub row_len: Vec<usize>,
+    row_len: Vec<usize>,
 }
 
 impl ColumnStack {
     /// Number of rank columns `K_j`.
     pub fn rank(&self) -> usize {
         self.row_block.len()
-    }
-
-    /// Fused V+U kernel for this column: accumulate `Σ_i U_{i,j} V_{i,j}ᴴ x_j`
-    /// into the full-length partial output. `yv` is caller-owned scratch
-    /// of length [`ColumnStack::rank`], so the kernel allocates nothing.
-    pub fn apply_into(&self, x_col: &[C32], yv: &mut [C32], y_partial: &mut [C32], nb: usize) {
-        debug_assert_eq!(x_col.len(), self.cl);
-        debug_assert_eq!(self.vstack.nrows(), self.cl, "V stack width mismatch");
-        debug_assert_eq!(self.vstack.ncols(), self.rank(), "V stack rank mismatch");
-        debug_assert_eq!(self.ustack.ncols(), self.rank(), "U stack rank mismatch");
-        debug_assert!(
-            self.row_block
-                .iter()
-                .zip(&self.row_len)
-                .all(|(&b, &l)| b * nb + l <= y_partial.len()),
-            "row block exceeds partial-y bounds"
-        );
-        gemv_conj_transpose_fast(&self.vstack, x_col, yv);
-        for (r, &coeff) in yv.iter().enumerate() {
-            if coeff == CZERO {
-                continue;
-            }
-            let dst0 = self.row_block[r] * nb;
-            let len = self.row_len[r];
-            let ucol = &self.ustack.col(r)[..len];
-            for (d, &u) in y_partial[dst0..dst0 + len].iter_mut().zip(ucol) {
-                *d += u * coeff;
-            }
-        }
     }
 
     /// Split this column's rank dimension into chunks of at most
@@ -499,7 +353,7 @@ impl ColumnStack {
         assert!(stack_width > 0);
         let (k, cl, nb) = (self.rank(), self.cl, self.ustack.nrows());
         (0..k).step_by(stack_width).map(move |start| {
-            let end = (start + stack_width).min(k);
+            let end = start.saturating_add(stack_width).min(k);
             RankChunk {
                 col: self.col,
                 c0: self.c0,
@@ -717,44 +571,22 @@ impl CommAvoiding {
         &self.columns
     }
 
-    /// `y = Ã x`: each tile column produces a partial `y` (fused V+U, no
-    /// shuffle), then the host reduces the partials — exactly the paper's
-    /// CS-2 execution with the reduction step "handled by the host".
+    /// `y = Ã x`: each tile column produces a partial `y` over its rows
+    /// (fused V+U, no shuffle), then the host reduces the partials —
+    /// exactly the paper's CS-2 execution with the reduction step
+    /// "handled by the host". [`CommAvoiding::apply_chunked`] with one
+    /// chunk per column stack.
     pub fn apply(&self, x: &[C32]) -> Vec<C32> {
-        assert_eq!(x.len(), self.tiling.n);
-        assert_finite("comm_avoiding.apply.x", x);
-        let nb = self.tiling.nb;
-        let padded_m = self.tiling.tile_rows() * nb;
-        self.trace_fused_cost(nb);
-        // Partial buffers and the per-column rank scratch are allocated
-        // before the span opens: the traced fused phase is pure per-column
-        // kernel work (lint rule HP01).
-        let mut partials: Vec<Vec<C32>> =
-            self.columns.iter().map(|_| vec![CZERO; padded_m]).collect();
-        let kmax = rank_scratch_len(self.columns.iter().map(ColumnStack::rank));
-        let mut scratch = vec![CZERO; self.columns.len() * kmax];
-        {
-            let _span = trace::span("comm_avoiding.fused");
-            partials
-                .par_iter_mut()
-                .zip(scratch.par_chunks_mut(kmax))
-                .enumerate()
-                .for_each(|(j, (part, yv))| {
-                    let cs = &self.columns[j];
-                    cs.apply_into(&x[cs.c0..cs.c0 + cs.cl], &mut yv[..cs.rank()], part, nb);
-                });
-        }
-        let y = self.reduce_partials(&partials, padded_m);
-        assert_finite("comm_avoiding.apply.y", &y);
-        y
+        self.apply_chunked(x, usize::MAX)
     }
 
     /// Attribute the §6.6 fused-kernel cost (4 real V MVMs + 4 real U
     /// MVMs per tile column) to the `comm_avoiding.fused` phase.
-    fn trace_fused_cost(&self, nb: usize) {
+    fn trace_fused_cost(&self) {
         if !trace::is_enabled() {
             return;
         }
+        let nb = self.tiling.nb;
         let (mut fl, mut rel, mut abs) = (0u64, 0u64, 0u64);
         for cs in &self.columns {
             let kj = cs.rank();
@@ -768,52 +600,6 @@ impl CommAvoiding {
         trace::add_cost("comm_avoiding.fused", fl, rel, abs);
     }
 
-    /// Host reduction of per-column partial outputs, traced as its own
-    /// phase (read every partial once, write `y` once).
-    fn reduce_partials(&self, partials: &[Vec<C32>], padded_m: usize) -> Vec<C32> {
-        let mut y = vec![CZERO; self.tiling.m];
-        let _span = trace::span("comm_avoiding.host_reduce");
-        let moved = 8 * to_u64(partials.len() * padded_m + self.tiling.m);
-        trace::add_bytes("comm_avoiding.host_reduce", moved, moved);
-        for part in partials {
-            for (i, yi) in y.iter_mut().enumerate() {
-                *yi += part[i];
-            }
-        }
-        y
-    }
-
-    /// `x = Ãᴴ y` over the stacked layout: per tile column, gather the
-    /// `y` row blocks through `Ustackᴴ` (one [`dotc_fast`] per rank
-    /// column), then expand through `Vstack` — each tile column writes
-    /// its own `nb` chunk of `x`, so the adjoint is as communication-free
-    /// as the forward pass.
-    pub fn apply_adjoint(&self, y: &[C32]) -> Vec<C32> {
-        assert_eq!(y.len(), self.tiling.m);
-        assert_finite("comm_avoiding.apply_adjoint.y", y);
-        let nb = self.tiling.nb;
-        let mut x = vec![CZERO; self.tiling.n];
-        let kmax = rank_scratch_len(self.columns.iter().map(ColumnStack::rank));
-        let mut scratch = vec![CZERO; self.columns.len() * kmax];
-        x.par_chunks_mut(nb)
-            .zip(scratch.par_chunks_mut(kmax))
-            .enumerate()
-            .for_each(|(j, (xj, t))| {
-                let cs = &self.columns[j];
-                let t = &mut t[..cs.rank()];
-                // t[r] = u_rᴴ y_block(r)
-                for (r, tr) in t.iter_mut().enumerate() {
-                    let src0 = cs.row_block[r] * nb;
-                    let len = cs.row_len[r];
-                    *tr = dotc_fast(&cs.ustack.col(r)[..len], &y[src0..src0 + len]);
-                }
-                // x_j = Vstack_j t
-                gemv_acc_fast(&cs.vstack, t, xj);
-            });
-        assert_finite("comm_avoiding.apply_adjoint.x", &x);
-        x
-    }
-
     /// All rank chunks at a given stack width (the per-PE work units),
     /// borrowed from the column stacks.
     pub fn chunks(&self, stack_width: usize) -> Vec<RankChunk<'_>> {
@@ -823,14 +609,15 @@ impl CommAvoiding {
             .collect()
     }
 
-    /// Apply via explicit chunks: the [`ChunkRun`] the WSE simulator
-    /// executes, so the two agree bit for bit.
+    /// Apply via explicit chunks of at most `stack_width` rank columns:
+    /// the [`ChunkRun`] the WSE simulator executes, so the two agree bit
+    /// for bit.
     pub fn apply_chunked(&self, x: &[C32], stack_width: usize) -> Vec<C32> {
         assert_eq!(x.len(), self.tiling.n);
         assert_finite("comm_avoiding.apply_chunked.x", x);
         let chunks = self.chunks(stack_width);
-        self.trace_fused_cost(self.tiling.nb);
-        // As in `apply`: cut the run's buffers before the span opens (HP01).
+        self.trace_fused_cost();
+        // The run's buffers are cut before the span opens (HP01).
         let (mut buf, mut y) = (Vec::new(), vec![CZERO; self.tiling.m]);
         let mut run = ChunkRun::new(&chunks, x, &mut buf);
         {
@@ -931,17 +718,18 @@ mod tests {
         assert!(seen.iter().all(|&s| s));
     }
 
+    /// The three phases run one after another are the whole apply.
     #[test]
     fn phases_have_expected_lengths() {
         let t = tlr(48, 36, 10);
         let layout = ThreePhase::new(&t);
         let x = test_x(36);
-        let yv = layout.v_batch(&x);
-        assert_eq!(yv.len(), layout.total_rank());
-        let yu = layout.shuffle(&yv);
-        assert_eq!(yu.len(), layout.total_rank());
-        let y = layout.u_batch(&yu);
-        assert_eq!(y.len(), 48);
+        let k = layout.total_rank();
+        let (mut yv, mut yu, mut y) = (vec![CZERO; k], vec![CZERO; k], vec![CZERO; 48]);
+        layout.v_batch_into(&x, &mut yv);
+        layout.shuffle_into(&yv, &mut yu);
+        layout.u_batch_into(&yu, &mut y);
+        assert_eq!(y, layout.apply(&x));
     }
 
     #[test]
@@ -1041,50 +829,11 @@ mod tests {
         assert_close(&y_small, &want_small, 1e-6);
     }
 
-    #[test]
-    fn three_phase_adjoint_matches_matrix_adjoint() {
-        let t = tlr(70, 55, 16);
-        let tp = ThreePhase::new(&t);
-        let y: Vec<C32> = (0..70)
-            .map(|i| C32::new((i as f32 * 0.11).cos(), (i as f32 * 0.23).sin()))
-            .collect();
-        assert_close(&tp.apply_adjoint(&y), &t.apply_adjoint(&y), 1e-5);
-    }
-
-    #[test]
-    fn three_phase_adjoint_satisfies_inner_product_identity() {
-        // ⟨Ax, y⟩ == ⟨x, Aᴴy⟩ — the defining adjoint property.
-        let t = tlr(48, 36, 10);
-        let tp = ThreePhase::new(&t);
-        let x = test_x(36);
-        let y: Vec<C32> = (0..48)
-            .map(|i| C32::new((i as f32 * 0.31).sin(), (i as f32 * 0.13).cos()))
-            .collect();
-        let ax = tp.apply(&x);
-        let aty = tp.apply_adjoint(&y);
-        let lhs = seismic_la::blas::dotc(&y, &ax);
-        let rhs = seismic_la::blas::dotc(&aty, &x);
-        assert!(
-            (lhs - rhs).abs() <= 1e-4 * lhs.abs().max(1.0),
-            "{lhs} vs {rhs}"
-        );
-    }
-
-    #[test]
-    fn comm_avoiding_adjoint_matches_matrix_adjoint() {
-        let t = tlr(70, 55, 16);
-        let ca = CommAvoiding::new(&t);
-        let y: Vec<C32> = (0..70)
-            .map(|i| C32::new((i as f32 * 0.11).cos(), (i as f32 * 0.23).sin()))
-            .collect();
-        let x1 = ca.apply_adjoint(&y);
-        let x2 = t.apply_adjoint(&y);
-        assert_close(&x1, &x2, 1e-5);
-    }
-
     /// An all-zero matrix compresses to rank 0 everywhere, so every stack
-    /// is `cl × 0` and every phase runs on empty operands: the result is
-    /// the zero vector, not a panic.
+    /// is `cl × 0` and every phase runs on empty operands (and the
+    /// comm-avoiding layout on no chunks at all): the result is the zero
+    /// vector, not a panic — forward on both layouts, and through the
+    /// matrix's own adjoint.
     #[test]
     fn all_zero_matrix_applies_and_adjoint_applies_as_zero() {
         let cfg = CompressionConfig {
@@ -1099,10 +848,9 @@ mod tests {
         let tp = ThreePhase::new(&t);
         let ca = CommAvoiding::new(&t);
         assert_eq!(tp.apply(&x), vec![CZERO; 37]);
-        assert_eq!(tp.apply_adjoint(&y), vec![CZERO; 29]);
         assert_eq!(ca.apply(&x), vec![CZERO; 37]);
         assert_eq!(ca.apply_chunked(&x, 4), vec![CZERO; 37]);
-        assert_eq!(ca.apply_adjoint(&y), vec![CZERO; 29]);
+        assert_eq!(t.apply_adjoint(&y), vec![CZERO; 29]);
     }
 
     /// The stacked views expand a dense tile to the `(A, I)` pair it
@@ -1120,7 +868,6 @@ mod tests {
             assert_eq!(tp.ustacks, tp_f.ustacks);
             assert_eq!(tp.col_offsets, tp_f.col_offsets);
             assert_eq!(tp.row_offsets, tp_f.row_offsets);
-            assert_eq!(tp.shuffle, tp_f.shuffle);
             assert_eq!(tp.shuffle_inv, tp_f.shuffle_inv);
             assert_eq!(tp.total_rank, tp_f.total_rank);
             let (ca, ca_f) = (CommAvoiding::new(&hybrid), CommAvoiding::new(&factors));

@@ -12,12 +12,14 @@
 //!   `C·[I Xᴴ]·Πᵀ`: `r²` fewer words than the `U·Vᴴ` pair it equals.
 //! * [`layouts`] — the classic three-phase pipeline (V-batch → shuffle →
 //!   U-batch, paper Figs. 4–7) and the CS-2 communication-avoiding layout
-//!   (fused per-tile-column kernels + host reduction, paper Fig. 9),
-//!   including the stack-width chunking that defines per-PE work units.
+//!   (paper Fig. 9): one chunk kernel plus host reduction, run at one
+//!   chunk per tile column or at the stack width that defines per-PE work
+//!   units. Both are forward-only second copies of the bases; the matrix's
+//!   own apply and adjoint are the operator the solver runs.
 //! * [`real4`] — complex MVMs as four real FP32 MVMs (§6.6): the PE SRAM
 //!   image and host reference for the WSE simulator's CSL kernel.
 //! * [`accounting`] — the paper's relative/absolute byte formulas and flop
-//!   counts (§6.6, §7.1).
+//!   counts (§6.6, §7.1), and the §8 TLR-MMM cost model.
 //! * [`ops`] — the [`LinearOperator`] abstraction used by the MDD solver.
 //! * [`json`] — the workspace's one JSON value, writer and parser; every
 //!   report, baseline and dump is built on it.
@@ -80,7 +82,6 @@ pub mod invariant;
 pub mod json;
 pub mod layouts;
 pub mod matrix;
-pub mod mmm;
 pub mod ops;
 pub mod precision;
 pub mod real4;
@@ -90,8 +91,8 @@ pub mod tiling;
 pub mod trace;
 
 pub use accounting::{
-    absolute_bytes, dense_mvm_cost, mvm_flops, relative_bytes, three_phase_cost, tlr_mvm_cost,
-    ThreePhaseCost, TlrMvmCost,
+    absolute_bytes, dense_mvm_cost, mvm_flops, relative_bytes, three_phase_cost, tlr_mmm_cost,
+    tlr_mvm_cost, ThreePhaseCost, TlrMvmCost,
 };
 pub use accuracy::{
     convergence_check, log_residual_slope, probe_nmse, verify_compression_grids, Convergence,
@@ -104,7 +105,6 @@ pub use fastpath::{
 };
 pub use layouts::{ChunkRun, ColumnStack, CommAvoiding, RankChunk, ThreePhase, ThreePhaseScratch};
 pub use matrix::{Tile, TlrMatrix};
-pub use mmm::{comm_avoiding_mmm, tlr_mmm, tlr_mmm_adjoint, tlr_mmm_cost};
 pub use ops::LinearOperator;
 pub use precision::{bf16_to_f32, f32_to_bf16, Bf16Matrix, Bf16TlrMatrix};
 pub use real4::{split_vec, RealSplitMatrix};

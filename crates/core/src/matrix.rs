@@ -148,13 +148,7 @@ impl Tile {
 /// then the add — what `x += I·(Aᴴ y)` computed, without the `I`. `ys` is
 /// `swap_re_im(y)`.
 #[inline]
-pub(crate) fn dense_adjoint_acc(
-    a: &Matrix<C32>,
-    y: &[C32],
-    ys: &[C32],
-    scratch: &mut [C32],
-    x: &mut [C32],
-) {
+fn dense_adjoint_acc(a: &Matrix<C32>, y: &[C32], ys: &[C32], scratch: &mut [C32], x: &mut [C32]) {
     let t = &mut scratch[..a.ncols()];
     gemv_conj_transpose_swapped(a, y, ys, t);
     for (xv, &tv) in x.iter_mut().zip(&*t) {

@@ -96,21 +96,6 @@ impl Perm {
         }
     }
 
-    /// `dst[k] = src[perm[k]]`.
-    #[inline]
-    fn gather(&self, src: &[C32], dst: &mut [C32]) {
-        fn run<I: Copy + Into<usize>>(idx: &[I], src: &[C32], dst: &mut [C32]) {
-            assert_eq!(idx.len(), dst.len());
-            for (d, &p) in dst.iter_mut().zip(idx) {
-                *d = src[p.into()];
-            }
-        }
-        match self {
-            Perm::Byte(p) => run(p, src, dst),
-            Perm::Wide(p) => run(p, src, dst),
-        }
-    }
-
     /// `dst[perm[k]] += src[k]`.
     #[inline]
     fn scatter_add(&self, src: &[C32], dst: &mut [C32]) {
@@ -342,18 +327,6 @@ impl Skeleton {
             }
         }
         sum
-    }
-
-    /// `dst[k] = src[perm[k]]`: a tile-column vector into stored order.
-    #[inline]
-    pub(crate) fn permute_into(&self, src: &[C32], dst: &mut [C32]) {
-        self.perm.gather(src, dst);
-    }
-
-    /// `dst[perm[k]] += src[k]`: stored order back onto the tile's columns.
-    #[inline]
-    pub(crate) fn scatter_add(&self, src: &[C32], dst: &mut [C32]) {
-        self.perm.scatter_add(src, dst);
     }
 
     /// `y += C·(x_J + Xᴴ x̃)`, block by block of four panel columns (the

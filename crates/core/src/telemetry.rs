@@ -60,10 +60,6 @@ pub enum EventKind {
     /// A worker finished a job (`a` = job id, `b` = execution
     /// nanoseconds).
     JobFinished,
-    /// A batched sweep began one shard (`a` = job id, `b` = shard).
-    ShardBegin,
-    /// A batched sweep finished one shard (`a` = job id, `b` = shard).
-    ShardEnd,
     /// Operator cache hit (`a` = entry bytes, `b` = resident bytes).
     CacheHit,
     /// Operator cache miss (`a` = entry bytes, `b` = resident bytes).
@@ -83,8 +79,6 @@ impl EventKind {
             EventKind::JobStolen => "JobStolen",
             EventKind::JobStarted => "JobStarted",
             EventKind::JobFinished => "JobFinished",
-            EventKind::ShardBegin => "ShardBegin",
-            EventKind::ShardEnd => "ShardEnd",
             EventKind::CacheHit => "CacheHit",
             EventKind::CacheMiss => "CacheMiss",
             EventKind::CacheEvict => "CacheEvict",
@@ -1239,7 +1233,7 @@ mod tests {
         fn ring_wraparound_is_exact(cap in 2usize..17, n in 0u64..60) {
             let rec = FlightRecorder::new(1, cap);
             for i in 0..n {
-                rec.record_at(0, i, EventKind::ShardBegin, i, i.wrapping_mul(3));
+                rec.record_at(0, i, EventKind::JobStarted, i, i.wrapping_mul(3));
             }
             let got: Vec<u64> = rec
                 .snapshot_events()
@@ -1253,13 +1247,11 @@ mod tests {
         }
     }
 
-    const KINDS: [EventKind; 10] = [
+    const KINDS: [EventKind; 8] = [
         EventKind::JobSubmitted,
         EventKind::JobStolen,
         EventKind::JobStarted,
         EventKind::JobFinished,
-        EventKind::ShardBegin,
-        EventKind::ShardEnd,
         EventKind::CacheHit,
         EventKind::CacheMiss,
         EventKind::CacheEvict,
@@ -1270,7 +1262,7 @@ mod tests {
     /// is a function of `c`, so a slot holding words of two events
     /// cannot pass [`is_whole`].
     fn fields_of(c: u64) -> (EventKind, u64, u64) {
-        (KINDS[(c % 10) as usize], c.wrapping_mul(3), !c)
+        (KINDS[(c % 8) as usize], c.wrapping_mul(3), !c)
     }
 
     fn record_counter(rec: &FlightRecorder, ring: usize, c: u64) {
@@ -1431,7 +1423,7 @@ mod tests {
             (EventKind::JobStolen, 3),
             (EventKind::JobStarted, 1),
         ];
-        rec.record_at(1, 5, EventKind::ShardEnd, 0, 0);
+        rec.record_at(1, 5, EventKind::CacheEvict, 0, 0);
         for (kind, a) in written {
             rec.record_at(0, 5, kind, a, 0);
         }
@@ -1442,7 +1434,7 @@ mod tests {
             .collect();
         let mut want: Vec<(u64, EventKind, u64)> =
             written[2..].iter().map(|&(kind, a)| (0, kind, a)).collect();
-        want.push((1, EventKind::ShardEnd, 0));
+        want.push((1, EventKind::CacheEvict, 0));
         assert_eq!(got, want);
     }
 

@@ -38,7 +38,6 @@
 
 pub mod aca;
 pub mod blas;
-pub mod cond;
 pub mod dense;
 pub mod lowrank;
 pub mod qr;
@@ -48,7 +47,6 @@ pub mod svd;
 pub mod sync;
 
 pub use aca::aca_compress;
-pub use cond::{condition_number, spectral_norm_est};
 pub use dense::Matrix;
 pub use lowrank::LowRank;
 pub use qr::{pivoted_qr, pivoted_qr_until, qr, PivotedQr, Qr, RankStop};

@@ -5,14 +5,15 @@
 //! inversions concurrently. This module supplies both layers (design
 //! notes: DESIGN.md §13):
 //!
-//! * [`FrequencyOperators`] — the batched operator stack: the compressed
-//!   [`TlrMatrix`] of every frequency, swept in a single pass by
-//!   [`FrequencyOperators::apply_all_frequencies`] — contiguous shards of
-//!   frequencies, one tile-fused [`TlrMatrix::apply_into`] each. That is
+//! * [`FrequencyOperators`] — the batched operator stack: the
+//!   [`MdcOperator`] over the compressed [`TlrMatrix`] of every frequency,
+//!   swept in a single pass by
+//!   [`FrequencyOperators::apply_all_frequencies`] — one task per
+//!   frequency, one tile-fused [`TlrMatrix::apply_into`] each. That is
 //!   the operator the MDD solve runs on, over the caller's tiles (shared
-//!   by reference count), so a cache miss copies nothing, and
-//!   results are bit-identical to the serial per-frequency loop for
-//!   every shard count (same kernels, same disjoint segments).
+//!   by reference count), so a cache miss copies nothing, and results
+//!   are bit-identical to the serial per-frequency loop (same kernels,
+//!   same disjoint segments).
 //! * [`OperatorCache`] — compressed operator stacks keyed by
 //!   [`OperatorKey`] `(dataset, nb, acc)`, with byte-budget accounting
 //!   and least-recently-used eviction.
@@ -65,10 +66,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use rayon::prelude::*;
 use seismic_la::scalar::C32;
 use seismic_la::sync::lock;
-use tlr_mvm::invariant::assert_finite;
 use tlr_mvm::telemetry::{EventKind, FlightRecorder, MetricFamily, MetricKind, MetricValue};
 use tlr_mvm::trace;
 use tlr_mvm::{LinearOperator, TlrMatrix};
@@ -82,243 +81,72 @@ const CZERO: C32 = C32::new(0.0, 0.0);
 // Batched operator stack
 // ---------------------------------------------------------------------------
 
-/// Default number of frequency shards per sweep when the caller does
-/// not pick one ([`FrequencyOperators::with_shards`]).
-pub const DEFAULT_SHARDS: usize = 8;
-
-/// Per-job handle a batched sweep uses to stamp `ShardBegin` /
-/// `ShardEnd` flight-recorder events (DESIGN.md §14): which recorder,
-/// which ring (the executing worker's), and which job the shards belong
-/// to. `Copy` so the rayon shard closure can capture it by value.
-#[derive(Clone, Copy)]
-pub struct ShardRecorder<'a> {
-    /// Destination flight recorder.
-    pub recorder: &'a FlightRecorder,
-    /// Ring the events land on (the executing worker's ring).
-    pub ring: usize,
-    /// Engine-assigned id of the job this sweep executes.
-    pub job: u64,
-}
-
 /// The batched multi-frequency operator: the compressed [`TlrMatrix`] of
 /// every retained frequency bin, applied to the matching segment of a
-/// frequency-major concatenated vector — the same block-diagonal action
-/// and the same tile-fused kernels as [`crate::MdcOperator`], executed
-/// as one sharded sweep.
-pub struct FrequencyOperators {
-    stack: MdcOperator<TlrMatrix>,
-    shards: usize,
-}
+/// frequency-major concatenated vector. It *is* [`MdcOperator`] — one
+/// sweep body, one task per frequency — and the names below are the
+/// engine's spelling of its calls.
+pub type FrequencyOperators = MdcOperator<TlrMatrix>;
 
-impl FrequencyOperators {
+impl MdcOperator<TlrMatrix> {
     /// Share a compressed frequency stack: each [`TlrMatrix`] clone holds
     /// the caller's tiles by reference count, so nothing is copied. All
     /// matrices must share their shape (the per-frequency kernels of one
     /// dataset do).
     pub fn build(tlr: &[TlrMatrix]) -> Self {
-        assert!(!tlr.is_empty(), "at least one frequency operator");
-        Self {
-            stack: MdcOperator::new(tlr.to_vec()),
-            shards: DEFAULT_SHARDS,
-        }
-    }
-
-    /// Set the number of contiguous frequency shards per sweep (clamped
-    /// to `[1, n_freqs]` at apply time). Sharding never changes results
-    /// — only how the sweep is split across rayon workers.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
-    /// Number of frequency blocks.
-    pub fn n_freqs(&self) -> usize {
-        self.stack.n_freqs()
-    }
-
-    /// Sources per frequency (rows of each kernel).
-    pub fn n_src(&self) -> usize {
-        self.stack.n_src()
-    }
-
-    /// Receivers per frequency (columns of each kernel).
-    pub fn n_rec(&self) -> usize {
-        self.stack.n_rec()
+        Self::new(tlr.to_vec())
     }
 
     /// Total input length of the batched forward sweep.
     pub fn ncols_total(&self) -> usize {
-        self.stack.ncols()
+        self.ncols()
     }
 
     /// Total output length of the batched forward sweep.
     pub fn nrows_total(&self) -> usize {
-        self.stack.nrows()
+        self.nrows()
     }
 
     /// Bytes the stack keeps alive, shared or not — the sum of
     /// [`TlrMatrix::compressed_bytes`], what the [`OperatorCache`] budget
     /// accounts for.
     pub fn resident_bytes(&self) -> usize {
-        self.stack.stored_bytes()
+        self.stored_bytes()
     }
 
-    /// Contiguous frequency shards `(lo, hi, view)`: [`Self::with_shards`]
-    /// near-equal ranges `[lo, hi)`, remainder spread over the leading
-    /// ones, each with its disjoint view of a frequency-major buffer of
-    /// `block` entries per frequency. Built before a sweep's span opens.
-    fn shard_views<'a>(
-        &self,
-        buf: &'a mut [C32],
-        block: usize,
-    ) -> Vec<(usize, usize, &'a mut [C32])> {
-        let nf = self.n_freqs();
-        let shards = self.shards.clamp(1, nf);
-        let (base, extra) = (nf / shards, nf % shards);
-        let mut views = Vec::with_capacity(shards);
-        let (mut lo, mut rest) = (0, buf);
-        for s in 0..shards {
-            let len = base + usize::from(s < extra);
-            let (seg, tail) = rest.split_at_mut(len * block);
-            views.push((lo, lo + len, seg));
-            (lo, rest) = (lo + len, tail);
-        }
-        views
-    }
-
-    /// Batched forward sweep: `y_f = Ã_f x_f` for every frequency in
-    /// one pass. See [`FrequencyOperators::apply_all_frequencies_into`].
+    /// Batched forward sweep `y_f = Ã_f x_f`: [`LinearOperator::apply`].
     pub fn apply_all_frequencies(&self, x: &[C32]) -> Vec<C32> {
-        let mut y = vec![CZERO; self.nrows_total()];
-        self.apply_all_frequencies_into(x, &mut y);
-        y
+        self.apply(x)
     }
 
-    /// Batched forward sweep into a caller-owned buffer.
-    ///
-    /// Frequencies are split into contiguous shards ([`Self::with_shards`]);
-    /// shards run under rayon, one [`TlrMatrix::apply_into`] per
-    /// frequency. Bit-identical to the serial loop
-    /// `for f { y_f = tlr[f].apply(x_f) }` for every shard count: each
-    /// frequency executes the same kernels over the same disjoint
-    /// segments, so no summation order changes.
+    /// Batched forward sweep into a caller-owned buffer:
+    /// [`LinearOperator::apply_into`].
     pub fn apply_all_frequencies_into(&self, x: &[C32], y: &mut [C32]) {
-        self.apply_all_frequencies_recorded(x, y, None);
+        self.apply_into(x, y);
     }
 
-    /// [`Self::apply_all_frequencies_into`] with optional flight-recorder
-    /// shard events: when `rec` is supplied, every shard stamps a
-    /// `ShardBegin`/`ShardEnd` pair `(a = job, b = shard index)` onto the
-    /// recorder ring. With `rec = None` the only extra cost is one
-    /// `Option` test per shard — the `telemetry.overhead` perfbench pair
-    /// measures exactly this path on and off.
-    pub fn apply_all_frequencies_recorded(
-        &self,
-        x: &[C32],
-        y: &mut [C32],
-        rec: Option<ShardRecorder<'_>>,
-    ) {
-        assert_eq!(x.len(), self.ncols_total());
-        assert_eq!(y.len(), self.nrows_total());
-        assert_finite("engine.batch_apply.x", x);
-        let (tlr, n_src, n_rec) = (self.stack.kernels(), self.n_src(), self.n_rec());
-        let mut views = self.shard_views(y, n_src);
-        let _span = trace::span("engine.batch_apply");
-        views
-            .par_iter_mut()
-            .enumerate()
-            .for_each(|(s, &mut (lo, hi, ref mut seg))| {
-                let shard = u64::try_from(s).unwrap_or(u64::MAX);
-                if let Some(r) = rec {
-                    r.recorder
-                        .record(r.ring, EventKind::ShardBegin, r.job, shard);
-                }
-                for f in lo..hi {
-                    let xf = &x[f * n_rec..(f + 1) * n_rec];
-                    let yf = &mut seg[(f - lo) * n_src..(f - lo + 1) * n_src];
-                    tlr[f].apply_into(xf, yf);
-                }
-                if let Some(r) = rec {
-                    r.recorder.record(r.ring, EventKind::ShardEnd, r.job, shard);
-                }
-            });
-        assert_finite("engine.batch_apply.y", y);
-    }
-
-    /// Batched adjoint sweep: `x_f = Ã_fᴴ y_f` for every frequency in
-    /// one pass. See [`FrequencyOperators::apply_adjoint_all_frequencies_into`].
+    /// Batched adjoint sweep `x_f = Ã_fᴴ y_f`: [`LinearOperator::apply_adjoint`].
     pub fn apply_adjoint_all_frequencies(&self, y: &[C32]) -> Vec<C32> {
-        let mut x = vec![CZERO; self.ncols_total()];
-        self.apply_adjoint_all_frequencies_into(y, &mut x);
-        x
+        self.apply_adjoint(y)
     }
 
-    /// Batched adjoint sweep into a caller-owned buffer, sharded like
-    /// the forward sweep.
+    /// Batched adjoint sweep into a caller-owned buffer:
+    /// [`LinearOperator::apply_adjoint_into`].
     pub fn apply_adjoint_all_frequencies_into(&self, y: &[C32], x: &mut [C32]) {
-        assert_eq!(y.len(), self.nrows_total());
-        assert_eq!(x.len(), self.ncols_total());
-        assert_finite("engine.batch_adjoint.y", y);
-        let (tlr, n_src, n_rec) = (self.stack.kernels(), self.n_src(), self.n_rec());
-        let mut views = self.shard_views(x, n_rec);
-        let _span = trace::span("engine.batch_adjoint");
-        views.par_iter_mut().for_each(|&mut (lo, hi, ref mut seg)| {
-            for f in lo..hi {
-                let yf = &y[f * n_src..(f + 1) * n_src];
-                let xf = &mut seg[(f - lo) * n_rec..(f - lo + 1) * n_rec];
-                tlr[f].apply_adjoint_into(yf, xf);
-            }
-        });
-        assert_finite("engine.batch_adjoint.x", x);
+        self.apply_adjoint_into(y, x);
     }
 
     /// Reference serial per-frequency loop (fresh buffers every
-    /// frequency, no sharding) — the equivalence baseline the batched
+    /// frequency, one thread) — the equivalence baseline the batched
     /// sweep is tested against.
     pub fn apply_serial(&self, x: &[C32]) -> Vec<C32> {
-        assert_eq!(x.len(), self.ncols_total());
-        let mut y = Vec::with_capacity(self.nrows_total());
+        assert_eq!(x.len(), self.ncols());
+        let mut y = Vec::with_capacity(self.nrows());
         let n_rec = self.n_rec();
-        for (f, t) in self.stack.kernels().iter().enumerate() {
+        for (f, t) in self.kernels().iter().enumerate() {
             y.extend_from_slice(&t.apply(&x[f * n_rec..(f + 1) * n_rec]));
         }
         y
-    }
-}
-
-impl LinearOperator for FrequencyOperators {
-    fn nrows(&self) -> usize {
-        self.nrows_total()
-    }
-    fn ncols(&self) -> usize {
-        self.ncols_total()
-    }
-    fn apply(&self, x: &[C32]) -> Vec<C32> {
-        self.apply_all_frequencies(x)
-    }
-    fn apply_adjoint(&self, y: &[C32]) -> Vec<C32> {
-        self.apply_adjoint_all_frequencies(y)
-    }
-    fn apply_into(&self, x: &[C32], y: &mut [C32]) {
-        self.apply_all_frequencies_into(x, y);
-    }
-    fn apply_adjoint_into(&self, y: &[C32], x: &mut [C32]) {
-        self.apply_adjoint_all_frequencies_into(y, x);
-    }
-    /// [`MdcOperator`]'s: one task per frequency, largest first. The shard
-    /// count cuts the sweeps only; a solve's iterations are not sharded.
-    fn adjoint_then_apply_into(
-        &self,
-        u: &[C32],
-        beta: f32,
-        v: &mut [C32],
-        w: &mut [C32],
-        scratch: &mut [C32],
-    ) {
-        self.stack.adjoint_then_apply_into(u, beta, v, w, scratch);
-    }
-    fn stored_bytes(&self) -> usize {
-        self.stack.stored_bytes()
     }
 }
 
@@ -983,12 +811,7 @@ fn worker_loop(id: usize, shared: &Shared) {
         }
         shared.busy.fetch_add(1, AtomicOrdering::Relaxed);
         let exec_start = Instant::now();
-        let shard_rec = shared.recorder.as_deref().map(|recorder| ShardRecorder {
-            recorder,
-            ring: id,
-            job: job.id,
-        });
-        let output = execute(job.spec, shard_rec);
+        let output = execute(job.spec);
         let exec_ns = duration_ns(exec_start.elapsed());
         shared.busy.fetch_sub(1, AtomicOrdering::Relaxed);
         if let Some(rec) = &shared.recorder {
@@ -1010,18 +833,15 @@ fn worker_loop(id: usize, shared: &Shared) {
     }
 }
 
-fn execute(spec: JobSpec, rec: Option<ShardRecorder<'_>>) -> Vec<C32> {
+fn execute(spec: JobSpec) -> Vec<C32> {
     match spec {
         JobSpec::Mvm { ops, x } => {
             let _span = trace::span("engine.exec_mvm");
             let mut y = vec![CZERO; ops.nrows_total()];
-            ops.apply_all_frequencies_recorded(&x, &mut y, rec);
+            ops.apply_into(&x, &mut y);
             y
         }
         JobSpec::Mdd { ops, y, opts } => {
-            // LSQR runs many sweeps per job; per-shard events would
-            // dominate the ring, so MDD jobs record only the job-level
-            // lifecycle.
             let _span = trace::span("engine.exec_mdd");
             lsqr(&*ops, &y, opts).x
         }
@@ -1149,17 +969,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_sweep_is_bit_identical_to_serial_for_every_shard_count() {
-        let tlr = stack(6, 30, 24, 8);
-        let x = test_x(6 * 24);
-        let serial = FrequencyOperators::build(&tlr).apply_serial(&x);
-        for shards in [1, 2, 3, 5, 6, 64] {
-            let ops = FrequencyOperators::build(&tlr).with_shards(shards);
-            bits_eq(&ops.apply_all_frequencies(&x), &serial);
-        }
-    }
-
-    #[test]
     fn cache_hits_share_and_evictions_respect_budget() {
         let tlr = stack(2, 24, 24, 8);
         let bytes = FrequencyOperators::build(&tlr).resident_bytes();
@@ -1259,7 +1068,7 @@ mod tests {
             OperatorKey::new("b", 8, 1e-4),
         ];
         let first = cache.get_or_build(&keys[0], || FrequencyOperators::build(&tlr));
-        for (f, (mine, theirs)) in first.stack.kernels().iter().zip(&tlr).enumerate() {
+        for (f, (mine, theirs)) in first.kernels().iter().zip(&tlr).enumerate() {
             for (i, j, tile) in theirs.tiles_with_coords() {
                 assert!(std::ptr::eq(mine.tile(i, j), tile), "f {f} tile ({i},{j})");
             }
@@ -1289,7 +1098,7 @@ mod tests {
     #[test]
     fn engine_runs_concurrent_mvm_jobs() {
         let tlr = stack(3, 24, 20, 8);
-        let ops = Arc::new(FrequencyOperators::build(&tlr).with_shards(2));
+        let ops = Arc::new(FrequencyOperators::build(&tlr));
         let want = ops.apply_serial(&test_x(3 * 20));
         let engine = Engine::start(EngineConfig {
             workers: 3,
@@ -1446,7 +1255,7 @@ mod tests {
     #[test]
     fn flight_recorder_captures_every_job_lifecycle_event() {
         let tlr = stack(3, 24, 20, 8);
-        let ops = Arc::new(FrequencyOperators::build(&tlr).with_shards(2));
+        let ops = Arc::new(FrequencyOperators::build(&tlr));
         let recorder = Arc::new(FlightRecorder::new(2, 4096));
         let mut engine = Engine::start(EngineConfig {
             workers: 2,
@@ -1473,15 +1282,6 @@ mod tests {
         assert_eq!(count_kind(&events, EventKind::JobStarted), stats.completed);
         assert_eq!(count_kind(&events, EventKind::JobFinished), stats.completed);
         assert_eq!(count_kind(&events, EventKind::JobStolen), stats.stolen);
-        // 2 shards per MVM job, one Begin/End pair each.
-        assert_eq!(
-            count_kind(&events, EventKind::ShardBegin),
-            2 * stats.completed
-        );
-        assert_eq!(
-            count_kind(&events, EventKind::ShardEnd),
-            2 * stats.completed
-        );
         // Submissions land on the external ring; worker events on 0/1.
         let ext = u64::try_from(recorder.external_ring()).unwrap();
         for e in &events {
@@ -1511,7 +1311,7 @@ mod tests {
         use tlr_mvm::telemetry::{SloThresholds, Watchdog, WatchdogConfig};
 
         let tlr = stack(2, 24, 20, 8);
-        let ops = Arc::new(FrequencyOperators::build(&tlr).with_shards(2));
+        let ops = Arc::new(FrequencyOperators::build(&tlr));
         let recorder = Arc::new(FlightRecorder::new(1, 8192));
         let engine = Arc::new(Engine::start(EngineConfig {
             workers: 1,
@@ -1742,7 +1542,7 @@ mod tests {
             let ops = storm_ops();
             // `workers + 1` rings: the external ring (JobSubmitted) is
             // not shared with any worker, so submit events can't be
-            // overwritten by per-shard worker events.
+            // overwritten by worker events.
             let recorder = Arc::new(FlightRecorder::new(workers + 1, 256));
             let engine = Arc::new(Engine::start(EngineConfig {
                 workers,

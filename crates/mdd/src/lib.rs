@@ -6,11 +6,15 @@
 //! * [`mod@lsqr`] — operator-based complex LSQR (Paige & Saunders), the
 //!   paper's iterative scheme (30 iterations).
 //! * [`mdc`] — the per-frequency MDC operator stack `y = Fᴴ K F x` plus
-//!   frequency→time conversion of station gathers.
-//! * [`engine`] — the batched multi-frequency sweep (one pass over all
-//!   frequency operators, tile-fused on the stored tiles) and the async serving
-//!   layer: work-stealing scheduler, LRU operator cache, backpressure,
-//!   per-stage latency histograms (DESIGN.md §13).
+//!   frequency→time conversion of station gathers. Its sweep — one task
+//!   per frequency, tile-fused on the stored tiles — is the one the solver,
+//!   the engine and every benchmark run.
+//! * [`engine`] — the batched multi-frequency operator
+//!   ([`FrequencyOperators`], the [`MdcOperator`] over a compressed stack)
+//!   and the async serving layer: work-stealing scheduler, LRU operator
+//!   cache, backpressure, per-stage latency histograms (DESIGN.md §13).
+//! * [`multi`] — many virtual sources, one independent inversion each,
+//!   off one shared compressed stack.
 //! * [`driver`] — the full pipeline: Hilbert reorder → TLR compress →
 //!   adjoint (cross-correlation) and LSQR inversion → NMSE metrics.
 //! * [`sections`] — Fig. 13's zero-offset panels (velocity model / full /
@@ -54,12 +58,12 @@ pub use driver::{
 };
 pub use engine::{
     engine_metric_families, CacheStats, Engine, EngineConfig, EngineGauges, EngineStats,
-    FrequencyOperators, JobHandle, JobResult, JobSpec, OperatorCache, OperatorKey, ShardRecorder,
+    FrequencyOperators, JobHandle, JobResult, JobSpec, OperatorCache, OperatorKey,
 };
 pub use lsqr::{lsqr, LsqrOptions, LsqrResult, StopReason};
 pub use mdc::{freq_vectors_to_time_traces, MdcOperator};
 pub use metrics::{classify, energy, nmse, nmse_change_pct, window_energy, QualityRegion};
-pub use multi::{run_mdd_multi, simultaneous_adjoint, simultaneous_forward};
+pub use multi::run_mdd_multi;
 pub use panels::{ascii_panel, gather_panel, write_panel_csv, PanelField};
 pub use per_frequency::{compare_frequency_coupling, FrequencyCouplingResult};
 pub use sections::{stack_traces, zero_offset_sections, ZeroOffsetSections};

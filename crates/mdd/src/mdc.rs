@@ -10,6 +10,10 @@
 //! call, `adjoint_then_apply_into`, is one task per frequency — each
 //! kernel's own fused half-step pair on its own chunks — so an iteration
 //! is one fork-join and, over TLR kernels, one pass over the stack.
+//!
+//! Over owned [`tlr_mvm::TlrMatrix`] kernels this is also the engine's
+//! batched operator ([`crate::engine::FrequencyOperators`]): the one
+//! frequency sweep in the workspace.
 
 use rayon::prelude::*;
 use seismic_fft::RealFft;
@@ -188,7 +192,9 @@ pub fn freq_vectors_to_time_traces(
         bins.iter().all(|&b| b < nf_full),
         "frequency bin out of range: spectrum has {nf_full} bins for nt={nt}"
     );
-    debug_assert!(
+    // O(nf) next to the inverse FFTs: checked in every build, because a
+    // repeated bin would overwrite an earlier frequency's data.
+    assert!(
         bins.windows(2).all(|w| w[0] < w[1]),
         "frequency bins must be strictly increasing (duplicates silently overwrite)"
     );
@@ -274,6 +280,16 @@ mod tests {
         let lhs = dotc(&y, &op.apply(&x));
         let rhs = dotc(&op.apply_adjoint(&y), &x);
         assert!((lhs - rhs).abs() < 1e-2 * (1.0 + lhs.abs()));
+    }
+
+    /// A repeated bin is refused in every build profile: `--release`
+    /// runs this too, where a `debug_assert!` would let the second
+    /// frequency overwrite the first.
+    #[test]
+    #[should_panic(expected = "frequency bins must be strictly increasing")]
+    fn time_conversion_rejects_a_repeated_bin() {
+        let data = vec![C32::new(1.0, 0.0), C32::new(2.0, 0.0)];
+        freq_vectors_to_time_traces(&data, &[5, 5], 1, 64);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Multi-virtual-source MDD — the paper's §6.4 production mode ("tens of
 //! thousands of virtual sources … embarrassingly parallel on 708 V100
-//! GPUs") and its §8 TLR-MMM recast for simultaneous sources.
+//! GPUs"). The §8 TLR-MMM recast for simultaneous sources is kept as a
+//! cost model only ([`tlr_mvm::tlr_mmm_cost`], `repro mmm`).
 //!
 //! Scaling is over the *source* axis here: every source solves an
 //! independent inverse problem against one shared compressed operator
@@ -12,9 +13,7 @@
 
 use rayon::prelude::*;
 use seis_wave::SyntheticDataset;
-use seismic_la::scalar::C32;
-use seismic_la::Matrix;
-use tlr_mvm::{tlr_mmm, tlr_mmm_adjoint, TlrMatrix};
+use tlr_mvm::TlrMatrix;
 
 use crate::driver::{run_mdd_with_operators, MddConfig, MddRun};
 
@@ -30,28 +29,6 @@ pub fn run_mdd_multi(
     virtual_sources
         .par_iter()
         .map(|&vs| run_mdd_with_operators(ds, tlr, vs, cfg))
-        .collect()
-}
-
-/// Simultaneous adjoint images for many virtual sources via TLR-MMM: one
-/// multi-RHS pass per frequency instead of one MVM per (frequency,
-/// source). `data[f]` is the `n_src × s` panel of observed data at
-/// frequency `f`; returns `n_rec × s` panels.
-pub fn simultaneous_adjoint(tlr: &[TlrMatrix], data: &[Matrix<C32>]) -> Vec<Matrix<C32>> {
-    assert_eq!(tlr.len(), data.len());
-    tlr.par_iter()
-        .zip(data)
-        .map(|(op, panel)| tlr_mmm_adjoint(op, panel))
-        .collect()
-}
-
-/// Simultaneous forward modeling via TLR-MMM: `Y_f = Ã_f X_f` per
-/// frequency for `s` sources at once.
-pub fn simultaneous_forward(tlr: &[TlrMatrix], model: &[Matrix<C32>]) -> Vec<Matrix<C32>> {
-    assert_eq!(tlr.len(), model.len());
-    tlr.par_iter()
-        .zip(model)
-        .map(|(op, panel)| tlr_mmm(op, panel))
         .collect()
 }
 
@@ -93,55 +70,6 @@ mod tests {
         for (k, &vs) in sources.iter().enumerate() {
             let single = run_mdd_with_operators(&ds, &tlr, vs, &cfg);
             assert!((multi[k].nmse_inverse - single.nmse_inverse).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn simultaneous_adjoint_matches_per_source() {
-        let (ds, tlr, _) = setup();
-        let n_src = ds.acq.n_sources();
-        let s = 4;
-        // Build per-frequency data panels from forward-modeled sources.
-        let panels: Vec<Matrix<C32>> = (0..tlr.len())
-            .map(|f| {
-                Matrix::from_fn(n_src, s, |i, col| {
-                    C32::new(
-                        ((i * 3 + col * 7 + f) as f32 * 0.1).sin(),
-                        ((i + col) as f32 * 0.05).cos(),
-                    )
-                })
-            })
-            .collect();
-        let adj = simultaneous_adjoint(&tlr, &panels);
-        for f in 0..tlr.len() {
-            for col in 0..s {
-                let single = tlr[f].apply_adjoint(panels[f].col(col));
-                for (a, b) in adj[f].col(col).iter().zip(&single) {
-                    assert!((*a - *b).abs() < 1e-4);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn forward_then_adjoint_is_consistent() {
-        let (ds, tlr, _) = setup();
-        let n_rec = ds.acq.n_receivers();
-        let s = 2;
-        let x: Vec<Matrix<C32>> = (0..tlr.len())
-            .map(|f| Matrix::from_fn(n_rec, s, |i, c| C32::new((i + c + f) as f32 * 0.01, 0.2)))
-            .collect();
-        let y = simultaneous_forward(&tlr, &x);
-        // ⟨Ax, Ax⟩ = ⟨x, Aᴴ(Ax)⟩ per frequency.
-        for f in 0..tlr.len() {
-            let ahax = tlr_mmm_adjoint(&tlr[f], &y[f]);
-            let lhs: f32 = y[f].as_slice().iter().map(|v| v.norm_sqr()).sum();
-            let mut rhs = C32::new(0.0, 0.0);
-            for (xi, zi) in x[f].as_slice().iter().zip(ahax.as_slice()) {
-                rhs += xi.conj() * *zi;
-            }
-            assert!((lhs - rhs.re).abs() < 1e-2 * (1.0 + lhs));
-            assert!(rhs.im.abs() < 1e-2 * (1.0 + lhs));
         }
     }
 }

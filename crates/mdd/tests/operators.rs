@@ -155,10 +155,7 @@ fn every_implementor_meets_the_operator_contract() {
         &MdcOperator::new(vec![dense.clone(), rand_matrix(M, N, 211)]),
     );
     check_contract("WeightedMdcOperator", &WeightedMdcOperator::new(&tlr, 0.05));
-    for shards in [1, 2, 8] {
-        let ops = FrequencyOperators::build(&tlr).with_shards(shards);
-        check_contract(&format!("FrequencyOperators/{shards}"), &ops);
-    }
+    check_contract("FrequencyOperators", &FrequencyOperators::build(&tlr));
 
     // The provided defaults: same bits as the wrapped operator's own
     // `_into`, through `apply` + copy.
@@ -172,10 +169,10 @@ fn every_implementor_meets_the_operator_contract() {
 }
 
 /// The engine sweeps the operator the solver runs on: forward, adjoint and
-/// the fused pair are `MdcOperator` over the same stack bit for bit, for
-/// every shard count, over dense tiles (the noise of [`stack`]) and
+/// the fused pair of the engine's owned stack are `MdcOperator` over the
+/// borrowed one bit for bit, over dense tiles (the noise of [`stack`]) and
 /// low-rank ones (a smooth kernel) alike; `apply_serial` is the same loop
-/// unsharded, and what the cache budgets is the stack's stored bytes.
+/// on one thread, and what the cache budgets is the stack's stored bytes.
 #[test]
 fn engine_sweeps_are_the_mdc_operator_bit_for_bit() {
     let mut tlr = stack();
@@ -193,19 +190,17 @@ fn engine_sweeps_are_the_mdc_operator_bit_for_bit() {
     let (x, y) = (rand_vec(nf * N, 320), rand_vec(nf * M, 321));
     let (forward, adjoint) = (mdc.apply(&x), mdc.apply_adjoint(&y));
     let [v, w] = fused(&RequiredOnly(&mdc), &y, 0.7, &x);
-    for shards in [1, 2, 3, nf, 64] {
-        let ops = FrequencyOperators::build(&tlr).with_shards(shards);
-        assert_same_bits("forward", &ops.apply_all_frequencies(&x), &forward);
-        assert_same_bits("adjoint", &ops.apply_adjoint_all_frequencies(&y), &adjoint);
-        assert_same_bits("serial", &ops.apply_serial(&x), &forward);
-        let [v1, w1] = fused(&ops, &y, 0.7, &x);
-        assert_same_bits("fused v", &v1, &v);
-        assert_same_bits("fused w", &w1, &w);
-        assert_eq!(
-            ops.resident_bytes(),
-            tlr.iter().map(TlrMatrix::compressed_bytes).sum::<usize>()
-        );
-    }
+    let ops = FrequencyOperators::build(&tlr);
+    assert_same_bits("forward", &ops.apply_all_frequencies(&x), &forward);
+    assert_same_bits("adjoint", &ops.apply_adjoint_all_frequencies(&y), &adjoint);
+    assert_same_bits("serial", &ops.apply_serial(&x), &forward);
+    let [v1, w1] = fused(&ops, &y, 0.7, &x);
+    assert_same_bits("fused v", &v1, &v);
+    assert_same_bits("fused w", &w1, &w);
+    assert_eq!(
+        ops.resident_bytes(),
+        tlr.iter().map(TlrMatrix::compressed_bytes).sum::<usize>()
+    );
 }
 
 /// A stack assembled tile by tile from dense blocks: `blocks(f, i, j)` is

@@ -155,20 +155,19 @@ proptest! {
     }
 
     /// The batched sweep is bit-identical to a serial per-frequency
-    /// `TlrMatrix::apply` of the same stack, for any frequency count and
-    /// any shard width: sharding only partitions disjoint output
-    /// segments, it never reorders a summation.
+    /// `TlrMatrix::apply` of the same stack, for any frequency count: one
+    /// task per frequency only partitions disjoint output segments, it
+    /// never reorders a summation.
     #[test]
     fn batched_sweep_bit_identical_to_serial_loop(
         nf in 1usize..6,
-        shards in 1usize..12,
         seed in 0u64..300,
     ) {
         let (m, n) = (12usize, 10usize);
         let tlr: Vec<TlrMatrix> = (0..nf)
             .map(|f| compress(&rand_matrix(m, n, seed + f as u64), prop_compression()))
             .collect();
-        let ops = FrequencyOperators::build(&tlr).with_shards(shards);
+        let ops = FrequencyOperators::build(&tlr);
         let x = rand_vec(nf * n, seed + 40);
         let batched = ops.apply_all_frequencies(&x);
         for (f, t) in tlr.iter().enumerate() {
@@ -181,12 +180,11 @@ proptest! {
     }
 
     /// Routing the same sweep through the async engine — any worker
-    /// count, any shard width — changes nothing: a scheduled MVM job
-    /// returns the exact bits of the in-thread batched sweep.
+    /// count — changes nothing: a scheduled MVM job returns the exact bits
+    /// of the in-thread batched sweep.
     #[test]
     fn engine_job_bit_identical_across_worker_counts(
         nf in 1usize..5,
-        shards in 1usize..8,
         workers in 1usize..4,
         seed in 0u64..300,
     ) {
@@ -194,7 +192,7 @@ proptest! {
         let tlr: Vec<TlrMatrix> = (0..nf)
             .map(|f| compress(&rand_matrix(m, n, seed + 7 + f as u64), prop_compression()))
             .collect();
-        let ops = Arc::new(FrequencyOperators::build(&tlr).with_shards(shards));
+        let ops = Arc::new(FrequencyOperators::build(&tlr));
         let x = rand_vec(nf * n, seed + 80);
         let want = ops.apply_all_frequencies(&x);
         let engine = Engine::start(EngineConfig {

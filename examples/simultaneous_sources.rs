@@ -1,7 +1,7 @@
-//! Multi-virtual-source MDD and the §8 TLR-MMM recast: run many
+//! Multi-virtual-source MDD and the §8 TLR-MMM cost model: run many
 //! independent inversions off one compressed operator stack (the paper's
-//! production mode), then compare per-source TLR-MVMs against the
-//! simultaneous TLR-MMM kernel.
+//! production mode), then read what processing the same sources as one
+//! multi-right-hand-side product would do to the arithmetic intensity.
 //!
 //! ```text
 //! cargo run --release --example simultaneous_sources
@@ -9,10 +9,8 @@
 
 use seis_wave::{DatasetConfig, SyntheticDataset, VelocityModel};
 use seismic_geom::Ordering;
-use seismic_la::scalar::C32;
-use seismic_la::Matrix;
 use seismic_mdd::{compress_dataset, run_mdd_multi, LsqrOptions, MddConfig};
-use tlr_mvm::{tlr_mmm, tlr_mmm_cost, CompressionConfig, CompressionMethod, ToleranceMode};
+use tlr_mvm::{tlr_mmm_cost, CompressionConfig, CompressionMethod, ToleranceMode};
 
 fn main() {
     let ds = SyntheticDataset::generate(
@@ -70,33 +68,9 @@ fn main() {
         worst
     );
 
-    // §8 extension: per-source MVMs vs one simultaneous MMM.
+    // §8 extension, as a model: the same sources as one TLR-MMM.
     let op = &tlr[ds.n_freqs() / 2];
-    let (_, n_rec) = op.shape();
     let s = sources.len();
-    let x = Matrix::from_fn(n_rec, s, |i, c| {
-        C32::new((i as f32 * 0.1 + c as f32).sin(), (i as f32 * 0.07).cos())
-    });
-    let t1 = std::time::Instant::now();
-    let mut per_source = Vec::with_capacity(s);
-    for c in 0..s {
-        per_source.push(op.apply(x.col(c)));
-    }
-    let t_mvm = t1.elapsed();
-    let t2 = std::time::Instant::now();
-    let y = tlr_mmm(op, &x);
-    let t_mmm = t2.elapsed();
-    // Verify equality.
-    let mut max_err = 0.0f32;
-    for (c, ps) in per_source.iter().enumerate() {
-        for (a, b) in y.col(c).iter().zip(ps) {
-            max_err = max_err.max((*a - *b).abs());
-        }
-    }
-    println!(
-        "TLR-MMM over {s} sources: {:.2?} vs {:.2?} for per-source MVMs (max diff {:.2e})",
-        t_mmm, t_mvm, max_err
-    );
     let i1 = tlr_mmm_cost(op, 1).relative_intensity();
     let is = tlr_mmm_cost(op, s).relative_intensity();
     println!(
