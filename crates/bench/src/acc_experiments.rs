@@ -18,11 +18,10 @@
 //!   within a generous multiplicative band (the estimator is unbiased
 //!   but sampled; see [`PROBE_AGREEMENT_FACTOR`]).
 //!
-//! `ACC_REPORT_POINTS=<1..=4>` truncates the per-`nb` accuracy list for
-//! CI smoke runs; the gate treats baseline rows missing from a reduced
-//! run as informational, so a 2-point sweep still gates the points it
-//! measured. The committed baseline is `BENCH_accuracy.json` at the
-//! workspace root, re-blessed only via `xtask accgate --bless`.
+//! Every run sweeps all twelve points, and the gate fails on a baseline
+//! point the run did not measure. The committed baseline is
+//! `BENCH_accuracy.json` at the workspace root, re-blessed only via
+//! `xtask accgate --bless`.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -111,17 +110,6 @@ pub fn point_key(nb: usize, acc: f32) -> u64 {
 /// Human-readable sweep-point label for findings and tables.
 pub fn point_label(nb: usize, acc: f32) -> String {
     format!("nb={nb} acc={acc:.0e}")
-}
-
-/// The accuracy labels this run sweeps: all of [`SWEEP_ACC`], truncated
-/// to `ACC_REPORT_POINTS` (1..=4) when set — the CI smoke knob.
-pub fn sweep_accs() -> Vec<f32> {
-    let points = std::env::var("ACC_REPORT_POINTS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(SWEEP_ACC.len())
-        .clamp(1, SWEEP_ACC.len());
-    SWEEP_ACC[..points].to_vec()
 }
 
 /// The `REPRO_SCALE` this process runs at (recorded in the artifact so
@@ -282,9 +270,9 @@ pub fn acc_rows(ds: &SyntheticDataset, accs: &[f32]) -> Result<Vec<AccRow>, Stri
     Ok(rows)
 }
 
-/// The full `repro acc-report` sweep: [`sweep_accs`] × [`SWEEP_NB`].
+/// The full `repro acc-report` sweep: [`SWEEP_ACC`] × [`SWEEP_NB`].
 pub fn acc_report(ds: &SyntheticDataset) -> Result<Vec<AccRow>, String> {
-    acc_rows(ds, &sweep_accs())
+    acc_rows(ds, &SWEEP_ACC)
 }
 
 /// Measured operator quality `(exact NMSE, compression ratio)` of one
@@ -446,9 +434,8 @@ fn drift_pct(base: f64, cur: f64) -> f64 {
 /// thresholds, a config whose SRAM plan regressed from fitting to
 /// not fitting, or any current row whose compression ratio is below 1
 /// (exact and host-independent: no tile may store more words than its
-/// dense block). Baseline points missing from a reduced (`smoke`) run
-/// are informational; current points with no baseline warn until
-/// blessed.
+/// dense block), or a baseline point the current run did not measure.
+/// Current points with no baseline warn until blessed.
 pub fn compare_acc(
     baseline: &[AccRow],
     baseline_scale: u64,
@@ -475,8 +462,8 @@ pub fn compare_acc(
         let Some(c) = cur.get(&point_key(b.nb, b.acc)) else {
             out.findings.push(GateFinding {
                 subject: label,
-                level: GateLevel::Info,
-                message: "not measured in this run (reduced sweep)".to_string(),
+                level: GateLevel::Fail,
+                message: "baseline point not measured in this run".to_string(),
             });
             continue;
         };
@@ -652,9 +639,9 @@ mod tests {
         bloated[1].compression_ratio = 0.82;
         let out = compare_acc(&bloated, 12, &bloated, 12);
         assert_eq!(out.failing(), ["nb=50 acc=3e-4"]);
-        // A reduced current run is informational, not failing.
+        // A baseline point the current run did not measure fails, named.
         let reduced = compare_acc(&base, 12, &base[..1], 12);
-        assert!(!reduced.failed());
+        assert_eq!(reduced.failing(), ["nb=50 acc=3e-4"]);
         // Scale mismatch is an immediate failure.
         assert!(compare_acc(&base, 12, &base, 6).failed());
     }

@@ -193,9 +193,8 @@ pub fn usage() -> String {
          REPRO_SCALE=<n> overrides the dataset downscale factor (default 12)\n\
          PERFBENCH_REPS=<n> overrides perfbench's median-of-N sample count\n\
          ATLAS_SWEEP_POINTS=<1-4> stack widths per config in atlas-sweep (default 3)\n\
-         ACC_REPORT_POINTS=<1-4> accuracy labels per tile size in acc-report\n\
-        \x20       (default 4; acc-report --json writes target/repro/acc_report.json,\n\
-        \x20        the artifact `xtask accgate` compares against BENCH_accuracy.json)\n\
+         acc-report --json writes target/repro/acc_report.json, the artifact\n\
+        \x20       `xtask accgate` compares against BENCH_accuracy.json\n\
          SERVE_SIM_JOBS=<n> jobs per serve-sim ladder rung (default 96)\n\
          SERVE_SIM_RUNGS=<1-8> serve-sim offered-QPS ladder rungs (default 5)\n\
          serve-sim also scrapes per-rung OpenMetrics expositions to\n\

@@ -13,9 +13,6 @@
 //!   caller that already holds the swapped copy of `x` it reads
 //!   ([`swap_re_im`]) — [`crate::TlrMatrix::apply_adjoint_into`] makes it
 //!   once per input, not once per tile;
-//! * [`dotc_fast`] — one four-accumulator conjugated dot, for a kernel
-//!   whose rank columns each meet a different block of `y` (nothing in
-//!   the workspace calls it);
 //! * [`gemv_acc_fast`] — four-column register-blocked accumulation for
 //!   the U-batch (reads `y` once per four columns instead of once per
 //!   column).
@@ -48,33 +45,6 @@ pub fn gather<S: Scalar>(dst: &mut [S], idx: &[usize], src: &[S]) {
     for (d, &q) in dst.iter_mut().zip(idx) {
         *d = src[q];
     }
-}
-
-/// Conjugated dot `xᴴ y` with four independent accumulators.
-///
-/// The plain zip loop serializes on one accumulator, and LLVM must not
-/// reassociate FP adds on its own. Splitting the sum is a semantic change
-/// (different rounding order) we make deliberately; the remainder of the
-/// length modulo four is folded into the first accumulator.
-#[inline]
-pub fn dotc_fast<S: Scalar>(x: &[S], y: &[S]) -> S {
-    assert!(x.len() == y.len());
-    let mut a0 = S::ZERO;
-    let mut a1 = S::ZERO;
-    let mut a2 = S::ZERO;
-    let mut a3 = S::ZERO;
-    let (xc, yc) = (x.chunks_exact(4), y.chunks_exact(4));
-    let (xr, yr) = (xc.remainder(), yc.remainder());
-    for (p, q) in xc.zip(yc) {
-        a0 += p[0].conj() * q[0];
-        a1 += p[1].conj() * q[1];
-        a2 += p[2].conj() * q[2];
-        a3 += p[3].conj() * q[3];
-    }
-    for (&p, &q) in xr.iter().zip(yr) {
-        a0 += p.conj() * q;
-    }
-    (a0 + a1) + (a2 + a3)
 }
 
 /// Rows per swapped-copy block of [`gemv_conj_transpose_fast`]: the copy
@@ -350,18 +320,17 @@ mod tests {
         h
     }
 
-    const GOLDEN_BITS: [u64; 4] = [
+    const GOLDEN_BITS: [u64; 3] = [
         0x05fa_5b9a_4dde_3596,
         0x7764_75ba_d411_baae,
-        0xd793_5990_ea73_da92,
         0xa731_89a4_958f_e2a4,
     ];
 
-    /// The four kernels' output bits, hashed over shapes that cover full
+    /// The three kernels' output bits, hashed over shapes that cover full
     /// blocks and every tail length: a change of blocking factor or
     /// summation order fails here, not only in `perfgate`. The constants
-    /// for `gemv_acc_fast`, `dotc_fast` and `gather` are the ones captured
-    /// from the `get_unchecked` kernels this module once held; the one for
+    /// for `gemv_acc_fast` and `gather` are the ones captured from the
+    /// `get_unchecked` kernels this module once held; the one for
     /// `gemv_conj_transpose_fast` is the isomorphic-lane kernel's, the same
     /// in debug and release builds (no product is contracted into an FMA).
     #[test]
@@ -369,7 +338,7 @@ mod tests {
         let mut shapes = vec![(32, 300), (63, 37), (16, 100)];
         shapes.extend((0..12).map(|n| (5, n)));
         shapes.extend((0..12).map(|m| (m, 9)));
-        let mut h = [0xcbf2_9ce4_8422_2325_u64; 4];
+        let mut h = [0xcbf2_9ce4_8422_2325_u64; 3];
         for (m, n) in shapes {
             let a = Matrix::from_fn(m, n, |i, j| golden(0, i * 31 + j));
             let (xm, xn) = (golden_vec(m, 1), golden_vec(n, 2));
@@ -379,12 +348,11 @@ mod tests {
             let mut y = golden_vec(m, 3);
             gemv_acc_fast(&a, &xn, &mut y);
             h[1] = fnv1a(h[1], &y);
-            h[2] = fnv1a(h[2], &[dotc_fast(&xm, &golden_vec(m, 4))]);
             let src = golden_vec(m * n + 1, 5);
             let idx: Vec<usize> = (0..m * n).map(|p| (p * 7 + 3) % src.len()).collect();
             let mut dst = vec![C32::ZERO; idx.len()];
             gather(&mut dst, &idx, &src);
-            h[3] = fnv1a(h[3], &dst);
+            h[2] = fnv1a(h[2], &dst);
         }
         assert_eq!(h, GOLDEN_BITS, "{h:#018x?}");
     }
@@ -430,17 +398,31 @@ mod tests {
         gather(&mut [C32::ZERO; 3], &[0, 1], &test_vec(4, 0.0));
     }
 
+    /// The module's one conjugated dot, `dotc_cols`, in each of its forms
+    /// (four columns in lockstep, three through the repeated column, two
+    /// and one singly) against the reference `dotc`, over every row tail
+    /// of the four-lane step.
     #[test]
     fn fastpath_dotc_matches_reference_for_all_tail_lengths() {
+        fn check<const N: usize>(n: usize) {
+            let cols: Vec<Vec<C32>> = (0..N).map(|c| test_vec(n, 0.1 + 0.3 * c as f32)).collect();
+            let x = test_vec(n, 1.7);
+            let mut xs = vec![C32::ZERO; n];
+            swap_re_im(&x, &mut xs);
+            let fast = dotc_cols::<N>(core::array::from_fn(|c| cols[c].as_slice()), &x, &xs);
+            for (c, (&got, col)) in fast.iter().zip(&cols).enumerate() {
+                let reference = seismic_la::blas::dotc(col, &x);
+                assert!(
+                    close(got, reference, 1e-4 * (n as f32 + 1.0)),
+                    "N={N} column {c} n={n}: {got:?} vs {reference:?}"
+                );
+            }
+        }
         for n in 0..33 {
-            let x = test_vec(n, 0.1);
-            let y = test_vec(n, 1.7);
-            let fast = dotc_fast(&x, &y);
-            let reference = seismic_la::blas::dotc(&x, &y);
-            assert!(
-                close(fast, reference, 1e-4 * (n as f32 + 1.0)),
-                "n={n}: {fast:?} vs {reference:?}"
-            );
+            check::<1>(n);
+            check::<2>(n);
+            check::<3>(n);
+            check::<4>(n);
         }
     }
 

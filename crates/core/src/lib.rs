@@ -100,8 +100,7 @@ pub use accuracy::{
 };
 pub use compress::{compress, compress_tile, CompressionConfig, CompressionMethod, ToleranceMode};
 pub use fastpath::{
-    dotc_fast, gather, gemv_acc_fast, gemv_conj_transpose_fast, gemv_conj_transpose_swapped,
-    swap_re_im,
+    gather, gemv_acc_fast, gemv_conj_transpose_fast, gemv_conj_transpose_swapped, swap_re_im,
 };
 pub use layouts::{ChunkRun, ColumnStack, CommAvoiding, RankChunk, ThreePhase, ThreePhaseScratch};
 pub use matrix::{Tile, TlrMatrix};

@@ -178,22 +178,80 @@ pub struct PivotedQr<S: Scalar> {
 }
 
 /// A rank at which [`pivoted_qr_until`] may give up: once step `rank` is
-/// done, if the leading `rank × rank` triangle `R₁₁` has
-/// `1/‖R₁₁⁻¹‖_F > sigma`, the factorization is abandoned. The bound is
-/// never negative, so a `sigma` below zero abandons it there whatever
-/// `R₁₁` is — for a caller that has no use for that rank or more.
+/// done, if the leading rows `R_top = [R₁₁ R₁₂]` (`rank × n`) have
+/// `σ_min(R_top) > τ`, `τ = sigma + per_norm·‖A‖_F`, the factorization is
+/// abandoned. A `τ` below zero abandons it there whatever `R_top` is, and
+/// before any arithmetic — for a caller that has no use for that rank or
+/// more.
 ///
-/// `1/‖R₁₁⁻¹‖_F ≤ σ_min(R₁₁)`, later steps leave `R₁₁` as it is, and
-/// `[R₁₁; 0]` is a column subset of every later `R_k`, so by interlacing
-/// `σ_rank(Q_k R_k Pᵀ) ≥ σ_min(R₁₁) > sigma` whatever `k` the run would
-/// have reached: a caller that only needs to know "at least `rank`
-/// singular values above `sigma`" has its answer.
+/// The test is a Cholesky factorization of `R_top·R_topᴴ − τ²I` in `f64`
+/// (the Gram matrix built by one rank-1 update per column of the
+/// trapezoid): it succeeds only if that matrix is positive definite, that
+/// is `σ_min(R_top) > τ`. Later steps touch rows `rank..` only and permute
+/// columns, so `R_top` is final up to a column order its singular values
+/// do not see; it is the leading rows of every later `R_k`, so by
+/// interlacing `σ_rank(Q_k R_k Pᵀ) ≥ σ_min(R_top) > τ` whatever `k` the
+/// run would have reached: a caller that only needs to know "at least
+/// `rank` singular values above `τ`" has its answer. `‖A‖_F` is the QR's
+/// own first trailing-norm sum, so the proportional part costs no pass
+/// over the matrix.
 #[derive(Clone, Copy, Debug)]
 pub struct RankStop {
     /// The step after which the bound is evaluated (once).
     pub rank: usize,
-    /// The threshold on `σ_min(R₁₁)`.
+    /// The absolute part of the threshold on `σ_min(R_top)`.
     pub sigma: f64,
+    /// The part of the threshold proportional to `‖A‖_F`.
+    pub per_norm: f64,
+}
+
+impl RankStop {
+    /// Whether the leading `rank` rows of `f` (the factorization after step
+    /// `rank`) prove `σ_min(R_top) > τ` for a matrix of Frobenius norm
+    /// `a_norm`.
+    fn proves<S: Scalar>(&self, f: &Matrix<S>, a_norm: f64) -> bool {
+        let tau = self.sigma + self.per_norm * a_norm;
+        if tau < 0.0 {
+            return true;
+        }
+        let k = self.rank;
+        // Lower triangle of M = R_top·R_topᴴ, row-major: m[i·k + j], j ≤ i.
+        let mut m = vec![C64::ZERO; k * k];
+        let mut col = vec![C64::ZERO; k];
+        for c in 0..f.ncols() {
+            let len = k.min(c + 1);
+            for (dst, v) in col.iter_mut().zip(&f.col(c)[..len]) {
+                *dst = C64::new(v.real().to_f64(), v.imag().to_f64());
+            }
+            for i in 0..len {
+                let ri = col[i];
+                for (mij, rj) in m[i * k..=i * k + i].iter_mut().zip(&col) {
+                    *mij += ri * rj.conj();
+                }
+            }
+        }
+        // Cholesky of M − τ²I in place: L[i][j] overwrites m[i·k + j].
+        let shift = tau * tau;
+        for j in 0..k {
+            let row_j = j * k;
+            let d = m[row_j + j].re - shift - norm_sq(&m[row_j..row_j + j]);
+            // `!(d > 0)` also rejects a NaN from overflowed arithmetic.
+            if !(d > 0.0) {
+                return false;
+            }
+            let ljj = d.sqrt();
+            m[row_j + j] = C64::new(ljj, 0.0);
+            for i in j + 1..k {
+                let row_i = i * k;
+                let mut acc = m[row_i + j];
+                for l in 0..j {
+                    acc -= m[row_i + l] * m[row_j + l].conj();
+                }
+                m[row_i + j] = acc.scale(ljj.recip());
+            }
+        }
+        true
+    }
 }
 
 impl<S: Scalar> PivotedQr<S> {
@@ -271,6 +329,8 @@ pub fn pivoted_qr_until<S: Scalar>(
     let mut rank = 0;
     let mut residual_fro = 0.0f64;
     let mut stopped = false;
+    // ‖A‖_F: the first step's trailing-norm sum, for the `RankStop`.
+    let mut a_norm = 0.0f64;
     let tol_sq = tol_fro.to_f64() * tol_fro.to_f64();
     for j in 0..kmax {
         // Residual norms of trailing columns.
@@ -284,6 +344,9 @@ pub fn pivoted_qr_until<S: Scalar>(
                 best_norm = s;
                 best = c;
             }
+        }
+        if j == 0 {
+            a_norm = total.sqrt();
         }
         if total <= tol_sq {
             residual_fro = total.sqrt();
@@ -304,7 +367,7 @@ pub fn pivoted_qr_until<S: Scalar>(
                 apply_reflector_trailing(&mut f, tau.conj(), j, c);
             }
         }
-        if stop.is_some_and(|s| s.rank == rank && sigma_min_lower_bound(&f, rank) > s.sigma) {
+        if stop.is_some_and(|s| s.rank == rank && s.proves(&f, a_norm)) {
             stopped = true;
             break;
         }
@@ -316,36 +379,6 @@ pub fn pivoted_qr_until<S: Scalar>(
         rank,
         residual_fro,
         stopped,
-    }
-}
-
-/// `1/‖R₁₁⁻¹‖_F`, a lower bound on the smallest singular value of the
-/// leading `k × k` triangle of `f`; the inverse is formed column by column
-/// by back substitution in `f64`. Zero when the triangle is singular or
-/// the arithmetic overflowed.
-fn sigma_min_lower_bound<S: Scalar>(f: &Matrix<S>, k: usize) -> f64 {
-    let r = |i: usize, j: usize| {
-        let v = f[(i, j)];
-        C64::new(v.real().to_f64(), v.imag().to_f64())
-    };
-    let mut inv_sq = 0.0f64;
-    let mut col = vec![C64::ZERO; k];
-    for j in 0..k {
-        // Column j of the inverse: R₁₁ z = e_j, z[i] = 0 below row j.
-        for i in (0..=j).rev() {
-            let mut acc = if i == j { C64::ONE } else { C64::ZERO };
-            for (l, &z) in col.iter().enumerate().take(j + 1).skip(i + 1) {
-                acc -= r(i, l) * z;
-            }
-            col[i] = acc * r(i, i).inv();
-            inv_sq += col[i].norm_sqr();
-        }
-    }
-    let lb = inv_sq.sqrt().recip();
-    if lb.is_finite() {
-        lb
-    } else {
-        0.0
     }
 }
 

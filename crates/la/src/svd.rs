@@ -3,8 +3,8 @@
 //!
 //! [`jacobi_svd`] is the full decomposition: every column pair of the
 //! input is orthogonalised to working precision, whatever happens to the
-//! singular values afterwards. `cond`, `rsvd` and
-//! [`LowRank::recompress`] call it on matrices that are already small.
+//! singular values afterwards. `rsvd` and [`LowRank::recompress`] call it
+//! on matrices that are already small.
 //!
 //! [`svd_compress`] keeps only the part of the spectrum above a
 //! tolerance, so it does not pay for the rest: a column-pivoted QR
@@ -12,8 +12,11 @@
 //! the `n × k` factor `P·R_kᴴ` alone. Pivoting leaves that factor's
 //! columns graded by norm, which is the Drmač–Veselić preconditioning —
 //! Jacobi converges on it in a few sweeps — and the columns of a tile
-//! that are rounding noise never reach it. Cost follows the rank kept,
-//! not `nb`.
+//! that are rounding noise never reach it. Jacobi stops there at the
+//! column angle the truncation reads (`TRUNCATION_COS_TOL`), not at
+//! working precision, and a tile the caller would store dense is proved
+//! so from the QR's leading rows and never reaches Jacobi at all
+//! ([`svd_truncate`]). Cost follows the rank kept, not `nb`.
 
 #![allow(
     clippy::needless_range_loop,
@@ -112,7 +115,7 @@ impl<S: Scalar> Svd<S> {
 const MAX_SWEEPS: usize = 60;
 
 /// One-sided Jacobi SVD. Handles `m < n` by factoring `Aᴴ` and swapping
-/// the factors.
+/// the factors. Every column pair ends orthogonal to `|cos| ≤ ε√n`.
 pub fn jacobi_svd<S: Scalar>(a: &Matrix<S>) -> Svd<S> {
     let (m, n) = a.shape();
     if m < n {
@@ -123,11 +126,18 @@ pub fn jacobi_svd<S: Scalar>(a: &Matrix<S>) -> Svd<S> {
             v: t.u,
         };
     }
+    jacobi_sweeps(a, S::Real::EPSILON.to_f64() * (n as f64).sqrt())
+}
+
+/// One-sided Jacobi on `a` (`m ≥ n`): `W = A·V` with `V` unitary, a
+/// column pair rotated while `|w_pᴴw_q| > cos_tol·‖w_p‖‖w_q‖`. The
+/// returned singular values are the column norms of `W`, its columns
+/// normalised are `U`.
+fn jacobi_sweeps<S: Scalar>(a: &Matrix<S>, cos_tol: f64) -> Svd<S> {
+    let n = a.ncols();
+    debug_assert!(a.nrows() >= n, "jacobi_sweeps needs a tall matrix");
     let mut w = a.clone();
     let mut v = Matrix::<S>::eye(n);
-    let eps = S::Real::EPSILON;
-    // Convergence threshold on |cos angle| between columns.
-    let tol = eps.to_f64() * (n as f64).sqrt();
     // Squared column norms of `w`, recomputed for the two columns a
     // rotation touched and for nothing else: a pair that is already
     // orthogonal costs its dot product alone.
@@ -143,7 +153,7 @@ pub fn jacobi_svd<S: Scalar>(a: &Matrix<S>) -> Svd<S> {
                 }
                 let apq = col_dotc(&w, p, q); // w_pᴴ w_q
                 let apq_abs = apq.abs().to_f64();
-                if apq_abs <= tol * (app * aqq).sqrt() {
+                if apq_abs <= cos_tol * (app * aqq).sqrt() {
                     continue;
                 }
                 // A dot product so deep in the subnormal range that its
@@ -229,8 +239,35 @@ pub fn jacobi_svd<S: Scalar>(a: &Matrix<S>) -> Svd<S> {
 /// per doubling (DESIGN.md §17).
 const QR_TOL_DIVISOR: f64 = 32.0;
 
+/// The column angle at which the Jacobi stage of [`svd_truncate`] stops
+/// rotating a pair: `|w_pᴴw_q| ≤ δ·‖w_p‖‖w_q‖`, where [`jacobi_svd`]
+/// goes on to `ε√n`. The truncation reads column norms only, and `δ`
+/// changes neither what it guarantees nor the rank it keeps:
+///
+/// - Error. `W = B·V` with `V` unitary at any `δ`, so the energy of the
+///   dropped columns of `W` — the `tail` reported — is exactly the error of
+///   dropping them, and `‖A − U Vᴴ‖_F ≤ tol` holds as before.
+/// - Rank. The squared column norms of `W` are the diagonal of
+///   `Vᴴ·BᴴB·V`, which the `σᵢ²` majorize (Schur–Horn): the sum of its `j`
+///   smallest entries is never below the sum of the `j` smallest `σᵢ²`.
+///   The tail read at any rank is at least the converged one, so the rank
+///   kept cannot fall below it.
+///
+/// No rank changed at `1e-2` on any of the 30,972 SVD tiles of the
+/// benchmark's `compress-stack`, `solve-large` and `serve-mix` stacks, or
+/// at the twelve accuracy-gate points; the first change appears at `3e-2`,
+/// on one tile (DESIGN.md §17).
+const TRUNCATION_COS_TOL: f64 = 1e-2;
+
+/// Rounding room of the dense certificate of [`svd_truncate`]: the QR is
+/// abandoned at the stop rank when `σ_min(R_top) > tol + c·ε·√n·‖A‖_F`.
+/// The `c·ε·√n·‖A‖_F` covers the rounding of the column norms Jacobi would
+/// compute, which `la/tests/jacobi_oracle.rs` pins at `4·ε·√n·σ₁`.
+const DENSE_PROOF_ROUNDING: f64 = 8.0;
+
 /// Truncated SVD compression at absolute Frobenius tolerance `tol`:
-/// `‖A − U Vᴴ‖_F ≤ tol` with the singular values folded into `U`.
+/// `‖A − U Vᴴ‖_F ≤ tol` with the singular values folded into `U`; `V`'s
+/// columns are orthonormal to the angle `TRUNCATION_COS_TOL`.
 ///
 /// Two stages (see the module header and `QR_TOL_DIVISOR`): pivoted QR
 /// to the numerical rank, then an optimal (Eckart–Young) truncation of
@@ -260,7 +297,8 @@ pub struct TruncatedSvd<S: Scalar> {
     /// `k × r`: the kept right singular vectors of the small factor, the
     /// singular values folded in.
     pub core: Matrix<S>,
-    /// `n × r` right factor, orthonormal columns.
+    /// `n × r` right factor, unit columns orthogonal to the angle
+    /// `TRUNCATION_COS_TOL` (`|cos| ≤ 1e-2`).
     pub v: Matrix<S>,
     /// `‖A − Q_k·core·Vᴴ‖_F = sqrt(‖E₁‖_F² + Σ_{i≥r} σᵢ²)`: the QR
     /// residual plus the discarded singular values, both already computed.
@@ -285,30 +323,39 @@ impl<S: Scalar> TruncatedSvd<S> {
 /// Jacobi never run, once the QR stage proves the truncation would keep
 /// at least that many.
 ///
-/// The proof is [`RankStop`] at `sigma = 2·tol`: it gives
-/// `σ_stop(Q_k R_k Pᵀ) > 2·tol`, so the tail discarded at any rank below
-/// `stop_rank` exceeds `tol² ≥ tol² − ‖E₁‖_F²` and `keep ≥ stop_rank`
-/// follows; the factor 2 is room for the rounding of `R₁₁` and of Jacobi's
-/// singular values. It is a sufficient condition only: a tile it misses is
-/// truncated as usual.
+/// The proof is [`RankStop`] on the leading rows `[R₁₁ R₁₂]` at
+/// `τ = tol + c·ε·√n·‖A‖_F` (`DENSE_PROOF_ROUNDING`): it gives
+/// `σ_stop(Q_k R_k Pᵀ) > τ`, Jacobi's column norms are within the rounding
+/// room of those singular values, and by `TRUNCATION_COS_TOL`'s
+/// majorization argument the tail read at any rank below `stop_rank`
+/// exceeds `tol² ≥ tol² − ‖E₁‖_F²`, so `keep ≥ stop_rank` follows. It is a
+/// sufficient condition only: a tile it misses is truncated as usual, bit
+/// for bit as without a stop rank.
+///
+/// The Jacobi stage stops at the column angle `TRUNCATION_COS_TOL`, not
+/// at working precision: `core·Vᴴ` is `Bᴴ` to rounding and the `tail` is
+/// the exact error at any angle, but `V`'s columns are orthonormal only to
+/// that angle.
 pub fn svd_truncate<S: Scalar>(
     a: &Matrix<S>,
     tol: S::Real,
     stop_rank: Option<usize>,
 ) -> Option<TruncatedSvd<S>> {
     let tol = tol.to_f64();
+    let eps = S::Real::EPSILON.to_f64();
     let stop = stop_rank.map(|rank| RankStop {
         rank,
-        sigma: 2.0 * tol,
+        sigma: tol,
+        per_norm: DENSE_PROOF_ROUNDING * eps * (a.ncols() as f64).sqrt(),
     });
     let qr = pivoted_qr_until(a, S::Real::from_f64(tol / QR_TOL_DIVISOR), stop);
     if qr.stopped {
         return None;
     }
     let residual_sq = qr.residual_fro * qr.residual_fro;
-    // A ≈ Q_k Bᴴ with B = P·R_kᴴ (n × k, columns graded by norm), and
-    // B = U_s Σ V_sᴴ gives A ≈ (Q_k V_s Σ) U_sᴴ.
-    let svd = jacobi_svd(&qr.right_factor());
+    // A ≈ Q_k Bᴴ with B = P·R_kᴴ (n × k, k ≤ n, columns graded by norm),
+    // and B = U_s Σ V_sᴴ gives A ≈ (Q_k V_s Σ) U_sᴴ.
+    let svd = jacobi_sweeps(&qr.right_factor(), TRUNCATION_COS_TOL);
     let keep = svd.rank_for_tail_sq(tol * tol - residual_sq);
     let tail = svd.tail_energy(keep);
     // Bᴴ = V_s Σ U_sᴴ is the same decomposition with the sides swapped.
@@ -575,6 +622,141 @@ mod tests {
             assert!(err <= f64::from(tol), "{m}x{n}: err {err} > tol {tol}");
             assert!((err - tail).abs() <= 1e-5 * f64::from(a.fro_norm()));
         }
+    }
+
+    /// `m × n` matrix with singular values `sigma` (descending, `min(m, n)`
+    /// of them) and random singular vectors, rounded to `C32`.
+    fn with_spectrum(m: usize, n: usize, sigma: &[f64], seed: u64) -> Matrix<C32> {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let r = sigma.len();
+        let mut left = crate::qr::qr(&Matrix::<C64>::random_normal(m, r, &mut rng)).q_thin();
+        let right = crate::qr::qr(&Matrix::<C64>::random_normal(n, r, &mut rng)).q_thin();
+        for (i, &s) in sigma.iter().enumerate() {
+            for e in left.col_mut(i) {
+                *e = e.scale(s);
+            }
+        }
+        let a = crate::blas::gemm_conj_transpose_right(&left, &right);
+        Matrix::from_fn(m, n, |i, j| a[(i, j)].narrow())
+    }
+
+    /// The certificate's reach: a tile whose stop-rank singular value lies
+    /// between `1.1·τ` and `2·tol` keeps the stop rank and is proved
+    /// dense. The bound on `R₁₁` it replaced asked `1/‖R₁₁⁻¹‖_F > 2·tol`,
+    /// and `1/‖R₁₁⁻¹‖_F ≤ σ_stop`, so it could prove none of these.
+    #[test]
+    fn dense_certificate_reaches_below_twice_the_tolerance() {
+        let tol = 1e-3f32;
+        let mut cases = 0;
+        for (m, n) in [
+            (32usize, 32usize),
+            (16, 16),
+            (27, 9),
+            (9, 27),
+            (20, 24),
+            (32, 5),
+        ] {
+            let stop = (m * n).div_ceil(m + n);
+            for (seed, frac) in [0.05f64, 0.3, 0.6, 0.95].into_iter().enumerate() {
+                // σ = 1 down to the stop rank, the stop-rank value in the
+                // window, and a tail far below the tolerance.
+                let mut sigma = vec![1e-4 * f64::from(tol); m.min(n)];
+                sigma[..stop - 1].fill(1.0);
+                let norm = ((stop - 1) as f64).sqrt();
+                let eps_room = DENSE_PROOF_ROUNDING * f64::from(f32::EPSILON) * (n as f64).sqrt();
+                let tau = f64::from(tol) + eps_room * norm;
+                let (lo, hi) = (1.1 * tau, 2.0 * f64::from(tol));
+                assert!(lo < hi, "{m}x{n}: empty window");
+                sigma[stop - 1] = lo + frac * (hi - lo);
+                let a = with_spectrum(m, n, &sigma, 60 + seed as u64);
+                assert_eq!(svd_compress(&a, tol).rank(), stop, "{m}x{n}");
+                assert!(
+                    svd_truncate(&a, tol, Some(stop)).is_none(),
+                    "{m}x{n}: σ_stop {} not certified (τ {tau})",
+                    sigma[stop - 1]
+                );
+                cases += 1;
+            }
+        }
+        assert_eq!(cases, 24);
+    }
+
+    /// `svd_truncate` stops Jacobi at the angle `TRUNCATION_COS_TOL`, and
+    /// the `tail` it reports is still the error it made: on graded spectra
+    /// crossing the tolerance, at several cut points, it equals the
+    /// measured `‖A − U Vᴴ‖_F` and stays inside `tol`.
+    #[test]
+    fn truncation_tail_is_the_measured_error_at_the_stopping_angle() {
+        for (m, n, rho) in [
+            (32, 32, 0.7f64),
+            (24, 16, 0.5),
+            (16, 28, 0.6),
+            (40, 40, 0.85),
+        ] {
+            let r = m.min(n);
+            let sigma: Vec<f64> = (0..r).map(|i| rho.powi(i as i32)).collect();
+            let a = with_spectrum(m, n, &sigma, (m * n) as u64);
+            let norm = f64::from(a.fro_norm());
+            for cut in [1e-1f64, 1e-2, 1e-3] {
+                let tol = (cut * norm) as f32;
+                let Some(t) = svd_truncate(&a, tol, None) else {
+                    panic!("no stop rank, no early exit");
+                };
+                assert!(
+                    t.rank() > 0 && t.rank() < r,
+                    "{m}x{n} cut {cut}: rank {}",
+                    t.rank()
+                );
+                let u = t.left();
+                let err = f64::from(
+                    crate::blas::gemm_conj_transpose_right(&u, &t.v)
+                        .sub(&a)
+                        .fro_norm(),
+                );
+                assert!(
+                    t.tail <= f64::from(tol) * 1.0001,
+                    "tail {} > tol {tol}",
+                    t.tail
+                );
+                assert!(
+                    (err - t.tail).abs() <= 1e-5 * norm,
+                    "{m}x{n} cut {cut}: measured {err} vs tail {}",
+                    t.tail
+                );
+            }
+        }
+    }
+
+    /// A stop rank that does not fire changes no bit: the QR runs the same
+    /// steps and Jacobi sees the same factor, so rank, `core`, `V` and
+    /// `tail` are those of the run without one — on tiles where the stop is
+    /// past the QR's rank, at it but not proved, and where it fires.
+    #[test]
+    fn unfired_stop_rank_changes_no_bit() {
+        let (mut fired, mut ran) = (0, 0);
+        for (m, n) in [(32usize, 32usize), (16, 16), (32, 13), (7, 30)] {
+            let stop = (m * n).div_ceil(m + n);
+            for (seed, rho) in [0.3f64, 0.6, 0.8, 0.95].into_iter().enumerate() {
+                let sigma: Vec<f64> = (0..m.min(n)).map(|i| rho.powi(i as i32)).collect();
+                let a = with_spectrum(m, n, &sigma, (m * n + seed) as u64);
+                for tol in [1e-1f32, 1e-2, 1e-4] {
+                    let Some(free) = svd_truncate(&a, tol, None) else {
+                        panic!("no stop rank, no early exit");
+                    };
+                    let Some(t) = svd_truncate(&a, tol, Some(stop)) else {
+                        assert!(free.rank() >= stop, "fired below the stop rank");
+                        fired += 1;
+                        continue;
+                    };
+                    ran += 1;
+                    assert_eq!(t.qr.rank, free.qr.rank);
+                    assert_eq!(t.core.as_slice(), free.core.as_slice());
+                    assert_eq!(t.v.as_slice(), free.v.as_slice());
+                    assert_eq!(t.tail.to_bits(), free.tail.to_bits());
+                }
+            }
+        }
+        assert!(fired > 0 && ran > 0, "fired {fired}, ran {ran}");
     }
 
     #[test]

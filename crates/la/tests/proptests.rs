@@ -97,12 +97,15 @@ proptest! {
         check_svd_compress(&a32, tolerance_between_tails(base, rho, cut, 1e-4))?;
     }
 
-    /// The dense certificate of `svd_truncate` is sound: on tiles whose
-    /// spectrum steps down at a rank `keep` placed around the stop rank
-    /// `⌈m·n/(m+n)⌉`, on both sides, an early exit only ever happens where
-    /// the full truncation keeps at least the stop rank — never on a tile
-    /// that would be stored as factors — and a run that is not cut short
-    /// is the truncation itself.
+    /// The dense certificate of `svd_truncate` is sound and reaches what it
+    /// should: on tiles whose spectrum steps down at a rank `keep` placed
+    /// around the stop rank `⌈m·n/(m+n)⌉`, on both sides, an early exit
+    /// only ever happens where the full truncation keeps at least the stop
+    /// rank — never on a tile that would be stored as factors — a run that
+    /// is not cut short is the truncation itself, and every tile that does
+    /// keep the stop rank is proved dense: there `σ_stop ≥ floor`, a
+    /// thousand times the tolerance, far above the bound
+    /// `τ = tol + c·ε·√n·‖A‖_F` on the QR's leading rows.
     #[test]
     fn dense_certificate_never_fires_below_the_stop_rank(
         m in 4usize..28,
@@ -137,15 +140,12 @@ proptest! {
         match svd_truncate(&a, tol, Some(stop)) {
             None => prop_assert!(keep >= stop, "{}x{}: fired at keep {} < stop {}", m, n, keep, stop),
             Some(t) => {
+                prop_assert!(keep < stop, "{}x{}: missed keep {} ≥ stop {}", m, n, keep, stop);
                 prop_assert_eq!(t.rank(), keep);
                 let left = t.left();
                 prop_assert_eq!(left.as_slice(), full.u.as_slice());
                 prop_assert_eq!(t.v.as_slice(), full.v.as_slice());
             }
-        }
-        // Two past the stop rank with a flat spectrum, the proof is easy.
-        if keep >= stop + 2 && floor > 0.5 {
-            prop_assert!(svd_truncate(&a, tol, Some(stop)).is_none());
         }
     }
 

@@ -13,8 +13,8 @@
 //! * [`ACCGATE`]: `repro acc-report --json` vs `BENCH_accuracy.json`
 //!   through [`seismic_bench::acc_experiments::compare_acc`] — rank
 //!   checksums exact, NMSE / compression-ratio drift inside fixed bands,
-//!   no compression ratio below 1, no SRAM plan that stops fitting. Baseline points missing from a
-//!   reduced (`ACC_REPORT_POINTS`) run are informational.
+//!   no compression ratio below 1, no SRAM plan that stops fitting, no
+//!   baseline point missing from the run.
 //!
 //! Flags, the same five for both: `--compare-only` reuses the artifact
 //! already on disk, `--baseline P` / `--current P` move the two files,
@@ -135,6 +135,9 @@ fn acc_self_test((rows, scale): &AccRun) -> Vec<Proof> {
     });
     let ratio = failing(&|cur| cur.iter_mut().for_each(|r| r.compression_ratio *= 1.5));
     let forged = failing(&|cur| cur[0].rank_checksum ^= 1);
+    let dropped = failing(&|cur| {
+        cur.pop();
+    });
     // Baseline and current both below 1: no drift, only the floor fails.
     let mut bloated = rows.clone();
     bloated[0].compression_ratio = 0.82;
@@ -153,6 +156,10 @@ fn acc_self_test((rows, scale): &AccRun) -> Vec<Proof> {
         (
             format!("one flipped rank checksum fails at {forged} point"),
             forged == 1,
+        ),
+        (
+            format!("one baseline point the run did not measure fails at {dropped} point"),
+            dropped == 1,
         ),
         (
             format!("one stored operator larger than the dense one fails at {floor} point"),

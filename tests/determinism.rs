@@ -5,6 +5,7 @@
 use seis_wave::modeling::{downgoing_matrix, ModelingConfig};
 use seis_wave::{DatasetConfig, SyntheticDataset, VelocityModel};
 use seismic_geom::Ordering;
+use seismic_la::svd_truncate;
 use seismic_mdd::driver::compression_stats;
 use seismic_mdd::{compress_dataset, run_mdd_with_operators, LsqrOptions, MddConfig};
 use tlr_mvm::{CompressionConfig, CompressionMethod, Tile, ToleranceMode};
@@ -175,6 +176,63 @@ fn scale_5_stacks_keep_their_ranks_and_pin_their_bytes() {
         stack_signature(5, 2, config(64, 1e-4, CompressionMethod::Rrqr)),
         (3_060, 68_004, 47_999_108, 349, 0x75b4_522c_ed22_a191)
     );
+}
+
+/// `(certified, dense)`: of the tiles an SVD-compressed stack stores
+/// dense, how many `svd_truncate` proves dense from its QR's leading rows
+/// at the stop rank `compress_tile` hands it — the tiles that never reach
+/// Jacobi.
+fn dense_census(scale: usize, freq_stride: usize, nb: usize, acc: f32) -> (usize, usize) {
+    let config = DatasetConfig {
+        scale,
+        freq_stride,
+        ..DatasetConfig::default()
+    };
+    let ds = SyntheticDataset::generate(config, VelocityModel::overthrust());
+    let cfg = self::config(nb, acc, CompressionMethod::Svd);
+    let tlr = compress_dataset(&ds, cfg, Ordering::Hilbert);
+    let (rows, cols) = ds.permutations(Ordering::Hilbert);
+    let (mut certified, mut dense) = (0, 0);
+    for (f, stack) in tlr.iter().enumerate() {
+        let kernel = ds.reordered_kernel_with(f, &rows, &cols);
+        let tiling = stack.tiling();
+        for (i, j, tile) in stack.tiles_with_coords() {
+            if !matches!(tile, Tile::Dense(_)) {
+                continue;
+            }
+            let ((r0, m), (c0, n)) = (tiling.row_range(i), tiling.col_range(j));
+            let block = kernel.block(r0, c0, m, n);
+            let tol = acc * block.fro_norm();
+            dense += 1;
+            if svd_truncate(&block, tol, Some((m * n).div_ceil(m + n))).is_none() {
+                certified += 1;
+            }
+        }
+    }
+    (certified, dense)
+}
+
+/// How far the dense certificate reaches: nine in ten of the tiles stored
+/// dense on the `compress-stack` stacks (466 of 513, 1,952 of 2,061), and
+/// 1,222 of 1,425 (86 %) on the `solve-large` stack, where more of them
+/// keep `⌈m·n/(m+n)⌉` ranks only through a tail of singular values each
+/// below the tolerance, which a bound on one singular value cannot see.
+/// The pins above hold that it never fires on a tile stored as factors.
+#[test]
+#[ignore = "re-truncates every dense tile of three stacks: CI runs it in release"]
+fn dense_certificate_reaches_most_dense_tiles() {
+    let stacks = [
+        (8, 3, 32, 1e-4, 90),
+        (8, 3, 16, 1e-3, 90),
+        (5, 3, 32, 1e-4, 85),
+    ];
+    for (scale, stride, nb, acc, percent) in stacks {
+        let (certified, dense) = dense_census(scale, stride, nb, acc);
+        assert!(
+            100 * certified >= percent * dense,
+            "scale {scale}, nb {nb}, acc {acc}: {certified} of {dense} dense tiles certified"
+        );
+    }
 }
 
 #[test]
