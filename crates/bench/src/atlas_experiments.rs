@@ -13,7 +13,7 @@
 
 use tlr_mvm::json::Json;
 use tlr_mvm::json_fields;
-use tlr_mvm::precision::to_u64;
+use tlr_mvm::precision::{to_u64, to_usize};
 use wse_sim::{collect_atlas, AtlasConfig, AtlasFrame, AtlasLayout, Cluster, Grid, Strategy};
 
 use crate::wse_experiments::{paper_six_shard_refs, ExperimentError, VALIDATED_CONFIGS};
@@ -98,10 +98,9 @@ pub fn tab2wse_frames() -> Result<Vec<AtlasFrame>, AtlasError> {
     Ok(frames)
 }
 
-/// Stack widths a config is swept over: the paper width plus smaller
-/// points down to a quarter of it, truncated to `points` entries
-/// (`ATLAS_SWEEP_POINTS` in the environment; CI smoke uses 1).
-fn sweep_widths(paper_width: usize, points: usize) -> Vec<usize> {
+/// Stack widths a config is swept over: the paper width and three
+/// smaller points down to a quarter of it.
+fn sweep_widths(paper_width: usize) -> Vec<usize> {
     let mut widths = Vec::new();
     for w in [
         paper_width,
@@ -113,40 +112,52 @@ fn sweep_widths(paper_width: usize, points: usize) -> Vec<usize> {
             widths.push(w);
         }
     }
-    widths.truncate(points.max(1));
     widths
 }
 
-/// Sweep point count from `ATLAS_SWEEP_POINTS` (default 3, clamped to
-/// the 4 candidate widths).
-pub fn sweep_points_from_env() -> usize {
-    std::env::var("ATLAS_SWEEP_POINTS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(3)
-        .clamp(1, 4)
+/// One frame on the smallest cluster that places it: a narrower stack
+/// cuts more chunks than the paper's six systems hold, and the failed
+/// placement names how many PEs it needs.
+fn collect_on_smallest_cluster(
+    w: &wse_sim::Workload,
+    stack_width: usize,
+    layout: AtlasLayout,
+    acfg: &AtlasConfig,
+) -> Result<AtlasFrame, AtlasError> {
+    let mut cluster = Cluster::new(1);
+    loop {
+        match collect_atlas(
+            w,
+            stack_width,
+            Strategy::FusedSinglePe,
+            layout,
+            &cluster,
+            acfg,
+        ) {
+            Err(wse_sim::PlaceError::NotEnoughPes { required, .. }) => {
+                let per_system = to_u64(cluster.cs2.usable_pes());
+                let systems = to_usize(required.div_ceil(per_system)).max(cluster.systems + 1);
+                cluster = Cluster::new(systems);
+            }
+            frame => return Ok(frame?),
+        }
+    }
 }
 
-/// The `atlas-sweep` frame set: one frame per stack width per layout
-/// for every validated config — the stack-width axis the §6.7 rule
-/// optimizes, made spatial.
-pub fn sweep_frames(points: usize) -> Result<Vec<AtlasFrame>, AtlasError> {
-    let cluster = Cluster::new(6);
+/// The `atlas-sweep` frame set: every validated config at its paper
+/// stack width and at ¾, ½ and ¼ of it, under both layouts, each frame
+/// on the smallest cluster that places it ([`AtlasFrame::shards`]
+/// systems) — the stack-width axis the §6.7 rule optimizes, made
+/// spatial.
+pub fn sweep_frames() -> Result<Vec<AtlasFrame>, AtlasError> {
     let acfg = AtlasConfig::default();
     let refs = paper_six_shard_refs();
     let mut frames = Vec::new();
     for (&(nb, acc), paper) in VALIDATED_CONFIGS.iter().zip(refs) {
         let w = paper_workload(nb, acc)?;
-        for sw in sweep_widths(paper.stack_width, points) {
+        for sw in sweep_widths(paper.stack_width) {
             for layout in [AtlasLayout::ThreePhase, AtlasLayout::CommAvoiding] {
-                frames.push(collect_atlas(
-                    &w,
-                    sw,
-                    Strategy::FusedSinglePe,
-                    layout,
-                    &cluster,
-                    &acfg,
-                )?);
+                frames.push(collect_on_smallest_cluster(&w, sw, layout, &acfg)?);
             }
         }
     }
@@ -368,6 +379,8 @@ pub struct AtlasSummaryRow {
     pub stack_width: usize,
     /// Layout token (`three_phase` / `comm_avoiding`).
     pub layout: &'static str,
+    /// CS-2 systems the frame was placed on.
+    pub systems: usize,
     /// Busy-PE fraction of the whole cluster fabric.
     pub occupancy: f64,
     /// North-link byte total.
@@ -394,7 +407,7 @@ pub fn config_acc(nb: usize, stack_width: usize) -> f32 {
         .iter()
         .zip(refs)
         .find(|((cfg_nb, _), paper)| {
-            *cfg_nb == nb && sweep_widths(paper.stack_width, 4).contains(&stack_width)
+            *cfg_nb == nb && sweep_widths(paper.stack_width).contains(&stack_width)
         })
         .map_or(0.0, |(&(_, acc), _)| acc)
 }
@@ -408,6 +421,7 @@ pub fn summarize(frames: &[AtlasFrame]) -> Vec<AtlasSummaryRow> {
             acc: config_acc(f.nb, f.stack_width),
             stack_width: f.stack_width,
             layout: f.layout.token(),
+            systems: f.shards,
             occupancy: f.placement.occupancy,
             north: f.link_north.total(),
             south: f.link_south.total(),
@@ -541,9 +555,7 @@ mod tests {
 
     #[test]
     fn sweep_widths_descend_from_paper_width() {
-        assert_eq!(sweep_widths(64, 4), vec![64, 48, 32, 16]);
-        assert_eq!(sweep_widths(64, 1), vec![64]);
-        assert_eq!(sweep_widths(1, 4), vec![1]);
-        assert_eq!(sweep_points_from_env().clamp(1, 4), sweep_points_from_env());
+        assert_eq!(sweep_widths(64), vec![64, 48, 32, 16]);
+        assert_eq!(sweep_widths(1), vec![1]);
     }
 }

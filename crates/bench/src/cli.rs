@@ -192,7 +192,6 @@ pub fn usage() -> String {
         \x20       target/trace/<experiment>.atlas.json plus a terminal heatmap\n\
          REPRO_SCALE=<n> overrides the dataset downscale factor (default 12)\n\
          PERFBENCH_REPS=<n> overrides perfbench's median-of-N sample count\n\
-         ATLAS_SWEEP_POINTS=<1-4> stack widths per config in atlas-sweep (default 3)\n\
          acc-report --json writes target/repro/acc_report.json, the artifact\n\
         \x20       `xtask accgate` compares against BENCH_accuracy.json\n\
          SERVE_SIM_JOBS=<n> jobs per serve-sim ladder rung (default 96)\n\

@@ -787,6 +787,7 @@ fn print_atlas_summary(title: &str, frames: &[wse_sim::AtlasFrame]) {
                 format!("{:.0e}", r.acc),
                 r.stack_width.to_string(),
                 r.layout.to_string(),
+                r.systems.to_string(),
                 format!("{:.0}%", 100.0 * r.occupancy),
                 fmt_bytes(r.north),
                 fmt_bytes(r.south),
@@ -805,6 +806,7 @@ fn print_atlas_summary(title: &str, frames: &[wse_sim::AtlasFrame]) {
                 "acc",
                 "stack w",
                 "layout",
+                "systems",
                 "occup.",
                 "north B",
                 "south B",
@@ -852,12 +854,11 @@ fn tab2wse(atlas: bool) -> RunResult {
 }
 
 fn atlas_sweep() -> RunResult {
-    let points = atlasx::sweep_points_from_env();
     println!(
         "\n[atlas-sweep] One atlas frame per stack width per validated config\n\
-         ({points} width(s) per config, both layouts)"
+         (4 widths per config, both layouts, each on the smallest cluster that places it)"
     );
-    let frames = atlasx::sweep_frames(points)?;
+    let frames = atlasx::sweep_frames()?;
     print_atlas_summary("atlas sweep frames", &frames);
     let path = atlasx::write_atlas_json("atlas-sweep", &frames)?;
     println!("\n  atlas written to {}", path.display());

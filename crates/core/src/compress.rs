@@ -7,13 +7,12 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
-use seismic_la::aca::aca_compress;
 use seismic_la::blas::gemm_conj_transpose_right;
 use seismic_la::qr::{pivoted_qr_until, RankStop};
 use seismic_la::rsvd::rsvd_compress_adaptive;
 use seismic_la::scalar::C32;
 use seismic_la::svd::svd_truncate;
-use seismic_la::{LowRank, Matrix};
+use seismic_la::Matrix;
 
 use crate::accuracy;
 use crate::matrix::{Tile, TlrMatrix};
@@ -21,7 +20,7 @@ use crate::skeleton::Skeleton;
 use crate::tiling::Tiling;
 use crate::trace;
 
-/// Algebraic compression backend — the paper cites all four.
+/// Algebraic compression backend.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CompressionMethod {
     /// Optimal (Eckart–Young) truncation by one-sided Jacobi SVD, taken
@@ -33,17 +32,14 @@ pub enum CompressionMethod {
     Rrqr,
     /// Randomized SVD with adaptive sketch growth.
     Rsvd,
-    /// Adaptive cross approximation with partial pivoting.
-    Aca,
 }
 
 impl CompressionMethod {
     /// All backends, for sweeps/ablations.
-    pub const ALL: [CompressionMethod; 4] = [
+    pub const ALL: [CompressionMethod; 3] = [
         CompressionMethod::Svd,
         CompressionMethod::Rrqr,
         CompressionMethod::Rsvd,
-        CompressionMethod::Aca,
     ];
 }
 
@@ -185,8 +181,6 @@ pub fn compress_tile(tile: &Matrix<C32>, tol: f32, method: CompressionMethod, se
     let (m, n) = tile.shape();
     // Factors save storage only below this rank.
     let pays = |k: usize| k * (m + n) < m * n;
-    let from_pair =
-        |lr: LowRank<C32>| pays(lr.rank()).then(|| Skeleton::from_factors(&lr.u, &lr.v));
     let dense_from = (m * n).div_ceil((m + n).max(1));
     let skeleton = match method {
         CompressionMethod::Svd => {
@@ -214,9 +208,9 @@ pub fn compress_tile(tile: &Matrix<C32>, tol: f32, method: CompressionMethod, se
         }
         CompressionMethod::Rsvd => {
             let mut rng = ChaCha8Rng::seed_from_u64(0x7a5e_ed00 ^ seed);
-            from_pair(rsvd_compress_adaptive(tile, tol, &mut rng))
+            let lr = rsvd_compress_adaptive(tile, tol, &mut rng);
+            pays(lr.rank()).then(|| Skeleton::from_factors(&lr.u, &lr.v))
         }
-        CompressionMethod::Aca => from_pair(aca_compress(tile, tol)),
     };
     match skeleton {
         Some(s) => Tile::LowRank(s),

@@ -27,19 +27,6 @@ pub fn assert_finite(label: &str, values: &[C32]) {
     }
 }
 
-/// Assert every real entry is finite (debug builds only).
-#[inline]
-pub fn assert_finite_real(label: &str, values: &[f32]) {
-    #[cfg(debug_assertions)]
-    for (i, v) in values.iter().enumerate() {
-        debug_assert!(v.is_finite(), "non-finite value at {label}[{i}]: {v}");
-    }
-    #[cfg(not(debug_assertions))]
-    {
-        let _ = (label, values);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -48,7 +35,6 @@ mod tests {
     fn finite_vectors_pass() {
         let v = vec![C32::new(1.0, -2.0); 8];
         assert_finite("test.ok", &v);
-        assert_finite_real("test.ok.real", &[0.0, 1.5, -3.0]);
     }
 
     #[test]

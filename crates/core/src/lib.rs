@@ -6,7 +6,7 @@
 //!
 //! * [`tiling`] — uniform `nb × nb` tile grids with ragged edges.
 //! * [`mod@compress`] — per-tile algebraic compression (SVD / RRQR /
-//!   randomized SVD / ACA) at a tile-wise accuracy threshold `acc`.
+//!   randomized SVD) at a tile-wise accuracy threshold `acc`.
 //! * [`matrix`] — the [`TlrMatrix`] with apply/adjoint and storage stats.
 //! * [`skeleton`] — the stored form of an approximated tile,
 //!   `C·[I Xᴴ]·Πᵀ`: `r²` fewer words than the `U·Vᴴ` pair it equals.

@@ -21,10 +21,9 @@ use seismic_la::blas::{gemv_acc, gemv_conj_transpose_acc};
 use seismic_la::scalar::C32;
 use seismic_la::Matrix;
 
-use crate::compress::{compress_tile, CompressionConfig};
+use crate::compress::CompressionConfig;
 use crate::fastpath::{gemv_acc_fast, gemv_conj_transpose_swapped, swap_re_im};
 use crate::ops::subtract_scaled;
-use crate::precision::to_u64;
 use crate::skeleton::Skeleton;
 use crate::tiling::Tiling;
 
@@ -93,14 +92,6 @@ impl Tile {
         match self {
             Tile::LowRank(s) => s.factors().to_dense(),
             Tile::Dense(a) => a.clone(),
-        }
-    }
-
-    /// `‖T‖_F²` of the block this tile stands for, without densifying.
-    pub fn fro_norm_sq(&self) -> f64 {
-        match self {
-            Tile::LowRank(s) => s.fro_norm_sq(),
-            Tile::Dense(a) => a.as_slice().iter().map(|v| f64::from(v.norm_sqr())).sum(),
         }
     }
 
@@ -416,37 +407,6 @@ impl TlrMatrix {
             let j = idx / mt;
             (i, j, t)
         })
-    }
-
-    /// Re-truncate every tile to a looser accuracy without touching the
-    /// dense source — tolerance laddering: compress once tightly, derive
-    /// the whole Fig. 12 sweep by rounding. `acc` has the same semantics
-    /// as the compression config (per-tile relative, against the norm of
-    /// the tile as stored). A skeleton is rounded through the factor pair
-    /// it stands for and skeletonised again (its rank, and with it its
-    /// byte count, can only fall); a dense tile is compressed afresh from
-    /// the block it holds, and comes back in whichever form
-    /// [`compress_tile`] picks at the new `acc`.
-    pub fn recompress(&self, acc: f32) -> TlrMatrix {
-        let tiles: Vec<Tile> = self
-            .tiles
-            .par_iter()
-            .enumerate()
-            .map(|(idx, t)| match t {
-                Tile::LowRank(s) if s.rank() == 0 => t.clone(),
-                Tile::LowRank(s) => {
-                    let tol = acc * s.fro_norm_sq().sqrt() as f32;
-                    let rounded = s.factors().recompress(tol);
-                    Tile::LowRank(Skeleton::from_factors(&rounded.u, &rounded.v))
-                }
-                Tile::Dense(a) => {
-                    compress_tile(a, acc * a.fro_norm(), self.config.method, to_u64(idx))
-                }
-            })
-            .collect();
-        let mut config = self.config;
-        config.acc = acc;
-        TlrMatrix::new(self.tiling, tiles, config)
     }
 
     /// Histogram of tile ranks (index = rank, value = tile count).
@@ -880,38 +840,6 @@ mod tests {
         }
         assert_eq!(tlr.dense_bytes(), 40 * 30 * 8);
         assert!(mixed.dense_tiles() > 0 && mixed.compressed_bytes() < mixed.dense_bytes());
-    }
-
-    #[test]
-    fn recompress_ladders_tolerances() {
-        let a = kernel(80, 64);
-        let tight = compress(&a, cfg(16, 1e-5));
-        let loose = tight.recompress(1e-2);
-        // Looser: never more storage, tolerance still met against the
-        // original dense matrix (1e-5 + 1e-2 ≤ 1.1e-2 triangle bound).
-        assert!(loose.compressed_bytes() <= tight.compressed_bytes());
-        let err = loose.reconstruct().sub(&a).fro_norm();
-        assert!(err <= 1.2e-2 * a.fro_norm(), "err {err}");
-        // And it should genuinely drop ranks on this smooth kernel.
-        assert!(loose.total_rank() < tight.total_rank());
-    }
-
-    /// A dense tile is re-truncated from the block it holds: at the looser
-    /// accuracy it may come back as factors, and what comes back is again
-    /// the smaller form.
-    #[test]
-    fn recompress_retruncates_dense_tiles_from_the_block_they_hold() {
-        let a = kernel(80, 64);
-        let tight = compress(&a, cfg(8, 1e-6));
-        assert!(tight.dense_tiles() > 0, "1e-6 keeps some tiles dense");
-        let loose = tight.recompress(1e-2);
-        assert!(loose.compressed_bytes() <= tight.compressed_bytes());
-        assert!(loose.dense_tiles() < tight.dense_tiles());
-        for (i, j, t) in loose.tiles_with_coords() {
-            assert!(t.stored_elements() <= tight.tile(i, j).stored_elements());
-        }
-        let err = loose.reconstruct().sub(&a).fro_norm();
-        assert!(err <= 1.2e-2 * a.fro_norm(), "err {err}");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Three layers, each provided in terms of the one before. `apply` /
 //! `apply_adjoint` return a fresh vector and are the only *required*
 //! methods. `apply_into` / `apply_adjoint_into` write a caller-owned
-//! buffer, so a sweep, an MVM job or a CGLS iteration allocates no
+//! buffer, so a sweep or an MVM job allocates no
 //! operator output. [`LinearOperator::adjoint_then_apply_into`] is the
 //! bidiagonalization half-step pair `v ← Aᴴu − βv`, `w ← Av` in one call —
 //! the only operator call LSQR makes — so an operator that holds its data

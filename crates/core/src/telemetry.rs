@@ -1697,10 +1697,10 @@ mod tests {
             ..Default::default()
         });
         let diverging: Vec<f32> = (0..8).map(|i| 1.2f32.powi(i)).collect();
-        let b = mon.observe(&report_with_solver_rows("cgls", &diverging), 0);
+        let b = mon.observe(&report_with_solver_rows("lsqr", &diverging), 0);
         assert_eq!(b.len(), 1);
         assert_eq!(b[0].reason, "solver_stall");
-        assert_eq!(b[0].stage, "cgls");
+        assert_eq!(b[0].stage, "lsqr");
     }
 
     #[test]

@@ -47,7 +47,7 @@
 //!   model.
 //! * [`record_solver_iteration`] appends one `(solver, iteration,
 //!   residual, initial_residual, nanos)` row per iterative-solver step
-//!   (LSQR / CGLS) — carrying the starting residual makes
+//!   (LSQR) — carrying the starting residual makes
 //!   [`SolverIteration::relative_residual`] scale-free, so convergence
 //!   curves compare across datasets — and [`record_tile_rank`] grows
 //!   the compression rank histogram.
@@ -249,12 +249,11 @@ pub struct PhaseEntry {
 /// the paper's convergence plots are built from.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SolverIteration {
-    /// Solver name (`lsqr` or `cgls`).
+    /// Solver name (`lsqr`).
     pub solver: String,
     /// 1-based iteration index.
     pub iteration: u64,
-    /// Residual estimate after the iteration (LSQR's `φ̄`, CGLS's
-    /// exact `‖r‖`).
+    /// Residual estimate after the iteration (LSQR's `φ̄`).
     pub residual: f32,
     /// Residual of the starting iterate (`‖b‖` for a zero initial
     /// guess) — the scale [`Self::relative_residual`] divides by; 0
@@ -469,30 +468,6 @@ impl TraceReport {
     /// Look up a grid counter by name.
     pub fn grid_for(&self, name: &str) -> Option<&GridEntry> {
         self.grids.iter().find(|g| g.name == name)
-    }
-
-    /// Sum of `nanos` over phases whose name starts with `prefix`.
-    pub fn nanos_under(&self, prefix: &str) -> u64 {
-        self.phases
-            .iter()
-            .filter(|p| p.name.starts_with(prefix))
-            .map(|p| p.stats.nanos)
-            .sum()
-    }
-
-    /// This phase's share of `relative_bytes` among the given phases;
-    /// 0 when nothing was recorded.
-    pub fn byte_share(&self, name: &str, among: &[&str]) -> f64 {
-        let total: u64 = among
-            .iter()
-            .filter_map(|n| self.phase(n))
-            .map(|p| p.stats.relative_bytes)
-            .sum();
-        if total == 0 {
-            return 0.0;
-        }
-        self.phase(name)
-            .map_or(0.0, |p| p.stats.relative_bytes as f64 / total as f64)
     }
 }
 
@@ -1085,21 +1060,5 @@ pub(crate) mod tests {
             let f = bucket_floor(b);
             assert_eq!(bucket_index(f.max(1)), if b == 0 { 0 } else { b });
         }
-    }
-
-    #[test]
-    fn byte_share_partitions_to_one() {
-        let _g = locked();
-        reset();
-        set_enabled(true);
-        add_bytes("test.share.a", 30, 0);
-        add_bytes("test.share.b", 70, 0);
-        set_enabled(false);
-        let rep = snapshot();
-        let names = ["test.share.a", "test.share.b"];
-        let a = rep.byte_share("test.share.a", &names);
-        let b = rep.byte_share("test.share.b", &names);
-        assert!((a - 0.3).abs() < 1e-12);
-        assert!((a + b - 1.0).abs() < 1e-12);
     }
 }

@@ -27,13 +27,11 @@
 )]
 
 pub mod batch;
-pub mod cache;
 pub mod plan;
 pub mod real;
 
 pub use batch::{
     forward_traces, frequency_slices_to_traces, inverse_traces, traces_to_frequency_slices,
 };
-pub use cache::{plan_f32, plan_f64};
 pub use plan::{Direction, FftPlan};
 pub use real::RealFft;

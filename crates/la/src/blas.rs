@@ -2,11 +2,8 @@
 //!
 //! All matrix kernels sweep columns (axpy-style), matching the access
 //! pattern the paper's CS-2 `fmac` loops use and keeping the inner loop on
-//! contiguous memory. Parallel variants batch over independent problems
-//! with rayon rather than parallelizing a single small kernel: TLR tiles are
-//! small (`nb <= 70`), so the concurrency lives across tiles.
-
-use rayon::prelude::*;
+//! contiguous memory. None is parallel: TLR tiles are small (`nb <= 70`),
+//! so the concurrency lives across tiles, in the callers.
 
 use crate::dense::Matrix;
 use crate::scalar::{Real, Scalar};
@@ -27,17 +24,6 @@ pub fn dotc<S: Scalar>(x: &[S], y: &[S]) -> S {
     let mut acc = S::ZERO;
     for (&xi, &yi) in x.iter().zip(y) {
         acc += xi.conj() * yi;
-    }
-    acc
-}
-
-/// Unconjugated dot product `xᵀ y`.
-#[inline]
-pub fn dotu<S: Scalar>(x: &[S], y: &[S]) -> S {
-    debug_assert_eq!(x.len(), y.len());
-    let mut acc = S::ZERO;
-    for (&xi, &yi) in x.iter().zip(y) {
-        acc += xi * yi;
     }
     acc
 }
@@ -79,14 +65,6 @@ pub fn nrm2<S: Scalar>(x: &[S]) -> S::Real {
         acc += v.abs_sqr().to_f64();
     }
     S::Real::from_f64(acc.sqrt())
-}
-
-/// Scale a vector in place.
-#[inline]
-pub fn scal<S: Scalar>(alpha: S, x: &mut [S]) {
-    for v in x.iter_mut() {
-        *v *= alpha;
-    }
 }
 
 /// `y = A x` (overwrite), column-sweep.
@@ -172,42 +150,6 @@ pub fn gemm_conj_transpose_right<S: Scalar>(a: &Matrix<S>, b: &Matrix<S>) -> Mat
         }
     }
     c
-}
-
-/// One independent MVM problem for [`batched_gemv`].
-pub struct GemvTask<'a, S> {
-    /// The matrix operand.
-    pub a: &'a Matrix<S>,
-    /// The input vector (length `a.ncols()`).
-    pub x: &'a [S],
-}
-
-/// Execute a batch of independent `y_i = A_i x_i` problems in parallel.
-///
-/// This is the host-side reference for the paper's "batched MVM kernel with
-/// variable sizes" (Figs. 5 and 7): each task may have a different shape
-/// (variable tile ranks), and tasks never share outputs.
-pub fn batched_gemv<S: Scalar>(tasks: &[GemvTask<'_, S>]) -> Vec<Vec<S>> {
-    tasks
-        .par_iter()
-        .map(|t| {
-            let mut y = vec![S::ZERO; t.a.nrows()];
-            gemv_acc(t.a, t.x, &mut y);
-            y
-        })
-        .collect()
-}
-
-/// Sequential variant of [`batched_gemv`] for baseline comparisons.
-pub fn batched_gemv_seq<S: Scalar>(tasks: &[GemvTask<'_, S>]) -> Vec<Vec<S>> {
-    tasks
-        .iter()
-        .map(|t| {
-            let mut y = vec![S::ZERO; t.a.nrows()];
-            gemv_acc(t.a, t.x, &mut y);
-            y
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -301,34 +243,6 @@ mod tests {
         let c1 = gemm_conj_transpose_right(&a, &b);
         let c2 = gemm(&a, &b.conj_transpose());
         assert!(c1.sub(&c2).max_abs() < 1e-4);
-    }
-
-    #[test]
-    fn batched_matches_sequential() {
-        let mut rng = ChaCha8Rng::seed_from_u64(6);
-        let mats: Vec<Matrix<C32>> = (0..16)
-            .map(|k| Matrix::<C32>::random_normal(3 + k % 5, 2 + k % 4, &mut rng))
-            .collect();
-        let xs: Vec<Vec<C32>> = mats
-            .iter()
-            .map(|m| {
-                let mut r = ChaCha8Rng::seed_from_u64(m.ncols() as u64);
-                rand_vec(m.ncols(), &mut r)
-            })
-            .collect();
-        let tasks: Vec<GemvTask<'_, C32>> = mats
-            .iter()
-            .zip(&xs)
-            .map(|(a, x)| GemvTask { a, x })
-            .collect();
-        let par = batched_gemv(&tasks);
-        let seq = batched_gemv_seq(&tasks);
-        assert_eq!(par.len(), seq.len());
-        for (p, s) in par.iter().zip(&seq) {
-            for (a, b) in p.iter().zip(s) {
-                assert!((*a - *b).abs() < 1e-6);
-            }
-        }
     }
 
     #[test]

@@ -5,20 +5,20 @@
 //!
 //! * [`scalar`] — `f32`/`f64`/[`C32`]/[`C64`] under one [`Scalar`] trait.
 //! * [`dense`] — column-major [`Matrix`] storage.
-//! * [`blas`] — gemv/gemm/axpy/dot/norm kernels plus rayon-batched MVMs.
+//! * [`blas`] — gemv/gemm/axpy/dot/norm kernels.
 //! * [`mod@qr`] — Householder QR and column-pivoted rank-revealing QR.
 //! * [`svd`] — one-sided Jacobi SVD (real & complex), and tolerance
 //!   truncation that runs it on the RRQR factor only.
 //! * [`rsvd`] — randomized SVD (Halko–Martinsson–Tropp).
-//! * [`aca`] — adaptive cross approximation.
 //! * [`lowrank`] — the `A ≈ U Vᴴ` factor pair shared by all backends.
 //! * [`sync`] — the poison-recovering `lock` every mutex in the workspace
 //!   is taken through.
 //!
-//! These are the algebraic compression methods the SC'23 paper
-//! *"Scaling the Memory Wall for Multi-Dimensional Seismic Processing with
-//! Algebraic Compression on Cerebras CS-2 Systems"* lists for its TLR
-//! pre-processing step (rank-revealing QR, randomized SVD, ACA, SVD).
+//! These are three of the four algebraic compression methods the SC'23
+//! paper *"Scaling the Memory Wall for Multi-Dimensional Seismic Processing
+//! with Algebraic Compression on Cerebras CS-2 Systems"* lists for its TLR
+//! pre-processing step (rank-revealing QR, randomized SVD and SVD; not
+//! ACA).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -36,7 +36,6 @@
     )
 )]
 
-pub mod aca;
 pub mod blas;
 pub mod dense;
 pub mod lowrank;
@@ -46,7 +45,6 @@ pub mod scalar;
 pub mod svd;
 pub mod sync;
 
-pub use aca::aca_compress;
 pub use dense::Matrix;
 pub use lowrank::LowRank;
 pub use qr::{pivoted_qr, pivoted_qr_until, qr, PivotedQr, Qr, RankStop};

@@ -1,11 +1,9 @@
 //! Low-rank factor pair `A ≈ U·Vᴴ` — the common output of every
-//! compression backend (truncated SVD, RRQR, randomized SVD, ACA).
+//! compression backend (truncated SVD, RRQR, randomized SVD).
 
-use crate::blas::{gemm, gemm_conj_transpose_right, gemv_acc, gemv_conj_transpose};
+use crate::blas::{gemm_conj_transpose_right, gemv_acc, gemv_conj_transpose};
 use crate::dense::Matrix;
-use crate::qr::qr;
-use crate::scalar::{Real, Scalar};
-use crate::svd::jacobi_svd;
+use crate::scalar::Scalar;
 
 /// Rank-`k` factorization `A ≈ U Vᴴ` with `U: m×k`, `V: n×k`.
 ///
@@ -72,48 +70,6 @@ impl<S: Scalar> LowRank<S> {
         gemv_acc(&self.v, &t, y);
     }
 
-    /// Recompress (round) the factorization to a tighter rank at absolute
-    /// Frobenius tolerance `tol`, without densifying: QR both factors,
-    /// SVD the small `R_u R_vᴴ` core, truncate. The standard low-rank
-    /// rounding used to ladder a tight compression to looser tolerances.
-    pub fn recompress(&self, tol: S::Real) -> Self {
-        debug_assert!(tol >= S::Real::ZERO, "negative rounding tolerance");
-        let k = self.rank();
-        if k == 0 {
-            return self.clone();
-        }
-        let qu = qr(&self.u);
-        let qv = qr(&self.v);
-        // Core: R_u · R_vᴴ (k' × k'' with k', k'' ≤ k).
-        let core = gemm_conj_transpose_right(&qu.r(), &qv.r());
-        let svd = jacobi_svd(&core);
-        let keep = svd.rank_for_tolerance(tol);
-        let small = svd.truncate(keep); // core ≈ Us·Σ · Vsᴴ with Σ folded in U
-        let u = gemm(&qu.q_thin(), &small.u);
-        let v = gemm(&qv.q_thin(), &small.v);
-        Self { u, v }
-    }
-
-    /// Rounded sum: `self + other` (same shape) recompressed at `tol`.
-    /// Concatenate the factors, then round — the H-matrix addition
-    /// primitive.
-    pub fn add_rounded(&self, other: &Self, tol: S::Real) -> Self {
-        assert_eq!(self.shape(), other.shape(), "shape mismatch in add");
-        let (m, n) = self.shape();
-        let k = self.rank() + other.rank();
-        let mut u = Matrix::zeros(m, k);
-        let mut v = Matrix::zeros(n, k);
-        for r in 0..self.rank() {
-            u.col_mut(r).copy_from_slice(self.u.col(r));
-            v.col_mut(r).copy_from_slice(self.v.col(r));
-        }
-        for r in 0..other.rank() {
-            u.col_mut(self.rank() + r).copy_from_slice(other.u.col(r));
-            v.col_mut(self.rank() + r).copy_from_slice(other.v.col(r));
-        }
-        Self { u, v }.recompress(tol)
-    }
-
     /// An exact (rank = n) representation of a dense matrix: `U = A`,
     /// `V = I`. Used when a tile refuses to compress below full rank.
     pub fn dense_as_lowrank(a: &Matrix<S>) -> Self {
@@ -167,65 +123,6 @@ mod tests {
         let lhs = dotc(&y, &ax);
         let rhs = dotc(&ahy, &x);
         assert!((lhs - rhs).abs() < 1e-9);
-    }
-
-    #[test]
-    fn recompress_keeps_accuracy_and_reduces_rank() {
-        // Build a rank-6 pair whose true rank is 3 (duplicated columns).
-        let mut rng = ChaCha8Rng::seed_from_u64(34);
-        let u3 = Matrix::<C64>::random_normal(10, 3, &mut rng);
-        let v3 = Matrix::<C64>::random_normal(8, 3, &mut rng);
-        let mut u = Matrix::zeros(10, 6);
-        let mut v = Matrix::zeros(8, 6);
-        for r in 0..3 {
-            u.col_mut(r).copy_from_slice(u3.col(r));
-            v.col_mut(r).copy_from_slice(v3.col(r));
-            // Duplicate with a scale: still rank 3 overall.
-            let us: Vec<C64> = u3.col(r).iter().map(|x| x.scale(0.5)).collect();
-            let vs: Vec<C64> = v3.col(r).iter().map(|x| x.scale(1.0)).collect();
-            u.col_mut(3 + r).copy_from_slice(&us);
-            v.col_mut(3 + r).copy_from_slice(&vs);
-        }
-        let lr = LowRank::new(u, v);
-        let dense = lr.to_dense();
-        let rounded = lr.recompress(1e-10);
-        assert!(
-            rounded.rank() <= 3,
-            "rank {} after rounding",
-            rounded.rank()
-        );
-        assert!(rounded.to_dense().sub(&dense).fro_norm() < 1e-9 * dense.fro_norm());
-    }
-
-    #[test]
-    fn recompress_respects_tolerance() {
-        let mut rng = ChaCha8Rng::seed_from_u64(35);
-        let u = Matrix::<C64>::random_normal(12, 8, &mut rng);
-        let v = Matrix::<C64>::random_normal(9, 8, &mut rng);
-        let lr = LowRank::new(u, v);
-        let dense = lr.to_dense();
-        let tol = 0.05 * dense.fro_norm();
-        let rounded = lr.recompress(tol);
-        let err = rounded.to_dense().sub(&dense).fro_norm();
-        assert!(err <= tol * 1.001, "err {err} > tol {tol}");
-        assert!(rounded.rank() <= lr.rank());
-    }
-
-    #[test]
-    fn add_rounded_matches_dense_sum() {
-        let mut rng = ChaCha8Rng::seed_from_u64(36);
-        let a = LowRank::new(
-            Matrix::<C64>::random_normal(7, 2, &mut rng),
-            Matrix::<C64>::random_normal(6, 2, &mut rng),
-        );
-        let b = LowRank::new(
-            Matrix::<C64>::random_normal(7, 3, &mut rng),
-            Matrix::<C64>::random_normal(6, 3, &mut rng),
-        );
-        let sum = a.add_rounded(&b, 1e-12);
-        let want = a.to_dense().add(&b.to_dense());
-        assert!(sum.to_dense().sub(&want).fro_norm() < 1e-10 * want.fro_norm());
-        assert!(sum.rank() <= 5);
     }
 
     #[test]

@@ -16,11 +16,6 @@ pub struct Qr<S: Scalar> {
 }
 
 impl<S: Scalar> Qr<S> {
-    /// Number of reflectors = `min(m, n)`.
-    pub fn rank_bound(&self) -> usize {
-        self.taus.len()
-    }
-
     /// Upper-triangular `R` (`min(m,n) x n`).
     pub fn r(&self) -> Matrix<S> {
         let (m, n) = self.factors.shape();
@@ -50,15 +45,6 @@ impl<S: Scalar> Qr<S> {
             }
         }
         q
-    }
-
-    /// Apply `Qᴴ` to a vector in place (length `m`).
-    pub fn apply_qh(&self, x: &mut [S]) {
-        let (m, _) = self.factors.shape();
-        assert_eq!(x.len(), m);
-        for h in 0..self.taus.len() {
-            apply_reflector_to_slice(&self.factors, self.taus[h].conj(), h, x);
-        }
     }
 }
 
@@ -235,8 +221,8 @@ impl RankStop {
         for j in 0..k {
             let row_j = j * k;
             let d = m[row_j + j].re - shift - norm_sq(&m[row_j..row_j + j]);
-            // `!(d > 0)` also rejects a NaN from overflowed arithmetic.
-            if !(d > 0.0) {
+            // A NaN from overflowed arithmetic proves nothing either.
+            if d.is_nan() || d <= 0.0 {
                 return false;
             }
             let ljj = d.sqrt();
@@ -437,24 +423,6 @@ mod tests {
         assert!(qr_prod.sub(&a).fro_norm() < 1e-10 * a.fro_norm());
     }
 
-    #[test]
-    fn apply_qh_consistent_with_q() {
-        let mut rng = ChaCha8Rng::seed_from_u64(13);
-        let a = Matrix::<C64>::random_normal(7, 7, &mut rng);
-        let f = qr(&a);
-        let q = f.q_thin();
-        let x: Vec<C64> = (0..7)
-            .map(|i| crate::scalar::c64(i as f64 + 0.5, -(i as f64)))
-            .collect();
-        let mut qh_x = x.clone();
-        f.apply_qh(&mut qh_x);
-        let mut want = vec![C64::ZERO; 7];
-        crate::blas::gemv_conj_transpose(&q, &x, &mut want);
-        for (g, w) in qh_x.iter().zip(&want) {
-            assert!((*g - *w).abs() < 1e-10);
-        }
-    }
-
     /// Build an exactly rank-k matrix.
     fn rank_k(m: usize, n: usize, k: usize, seed: u64) -> Matrix<C64> {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -507,5 +475,22 @@ mod tests {
         let (u, v) = f.low_rank_factors();
         assert_eq!(u.ncols(), 0);
         assert_eq!(v.ncols(), 0);
+    }
+
+    #[test]
+    fn a_nan_in_r_top_proves_nothing() {
+        let stop = RankStop {
+            rank: 2,
+            sigma: 0.5,
+            per_norm: 0.0,
+        };
+        let mut r = Matrix::<C64>::eye(2);
+        r[(1, 1)] = C64::new(3.0, 0.0);
+        assert!(stop.proves(&r, 1.0));
+        r[(0, 1)] = C64::new(f64::NAN, 0.0);
+        assert!(!stop.proves(&r, 1.0));
+        r[(0, 1)] = C64::ZERO;
+        r[(0, 0)] = C64::new(f64::NAN, 0.0);
+        assert!(!stop.proves(&r, 1.0));
     }
 }

@@ -3,8 +3,8 @@
 //!
 //! [`jacobi_svd`] is the full decomposition: every column pair of the
 //! input is orthogonalised to working precision, whatever happens to the
-//! singular values afterwards. `rsvd` and [`LowRank::recompress`] call it
-//! on matrices that are already small.
+//! singular values afterwards. `rsvd` calls it on matrices that are
+//! already small.
 //!
 //! [`svd_compress`] keeps only the part of the spectrum above a
 //! tolerance, so it does not pay for the rest: a column-pivoted QR
@@ -386,6 +386,10 @@ fn col_dotc<S: Scalar>(w: &Matrix<S>, p: usize, q: usize) -> S {
 /// Apply the complex Jacobi rotation to columns `p`, `q`:
 /// `p_new = c·p − s·(φ̄·q)`, `q_new = s·p + c·(φ̄·q)` with real `c`, `s`
 /// and the unit phase `φ̄` already folded into `cph = c·φ̄`, `sph = s·φ̄`.
+///
+/// Kept out of line: inlined twice into `jacobi_sweeps`, it slowed the
+/// benchmark's `compress-stack` operation by 6 % (2-vCPU Xeon guest).
+#[inline(never)]
 fn rotate_pair<S: Scalar>(
     m: &mut Matrix<S>,
     p: usize,

@@ -5,7 +5,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use seismic_la::blas::{dotc, gemm, gemm_conj_transpose_right, gemv, gemv_conj_transpose};
 use seismic_la::scalar::{c64, Real, Scalar, C32, C64};
-use seismic_la::{aca_compress, jacobi_svd, pivoted_qr, qr, svd_compress, svd_truncate, Matrix};
+use seismic_la::{jacobi_svd, pivoted_qr, qr, svd_compress, svd_truncate, Matrix};
 
 fn random_matrix(m: usize, n: usize, seed: u64) -> Matrix<C64> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -213,9 +213,6 @@ proptest! {
 
         let svd_lr = svd_compress(&base, tol);
         prop_assert!(svd_lr.to_dense().sub(&base).fro_norm() <= tol * 1.0001);
-
-        let aca_lr = aca_compress(&base, tol);
-        prop_assert!(aca_lr.to_dense().sub(&base).fro_norm() <= tol * 1.0001);
 
         let pqr = pivoted_qr(&base, tol);
         let (u, v) = pqr.low_rank_factors();

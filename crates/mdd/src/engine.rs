@@ -130,12 +130,6 @@ impl MdcOperator<TlrMatrix> {
         self.apply_adjoint(y)
     }
 
-    /// Batched adjoint sweep into a caller-owned buffer:
-    /// [`LinearOperator::apply_adjoint_into`].
-    pub fn apply_adjoint_all_frequencies_into(&self, y: &[C32], x: &mut [C32]) {
-        self.apply_adjoint_into(y, x);
-    }
-
     /// Reference serial per-frequency loop (fresh buffers every
     /// frequency, one thread) — the equivalence baseline the batched
     /// sweep is tested against.

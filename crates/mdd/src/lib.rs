@@ -39,7 +39,6 @@
     )
 )]
 
-pub mod cgls;
 pub mod driver;
 pub mod engine;
 pub mod lsqr;
@@ -49,9 +48,7 @@ pub mod multi;
 pub mod panels;
 pub mod per_frequency;
 pub mod sections;
-pub mod weighting;
 
-pub use cgls::{cgls, CglsResult};
 pub use driver::{
     compress_dataset, compression_stats, run_mdd, run_mdd_with_operators, CompressionStats,
     MddConfig, MddRun,
@@ -62,9 +59,8 @@ pub use engine::{
 };
 pub use lsqr::{lsqr, LsqrOptions, LsqrResult, StopReason};
 pub use mdc::{freq_vectors_to_time_traces, MdcOperator};
-pub use metrics::{classify, energy, nmse, nmse_change_pct, window_energy, QualityRegion};
+pub use metrics::{classify, nmse, nmse_change_pct, window_energy, QualityRegion};
 pub use multi::run_mdd_multi;
-pub use panels::{ascii_panel, gather_panel, write_panel_csv, PanelField};
+pub use panels::{gather_panel, write_panel_csv, PanelField};
 pub use per_frequency::{compare_frequency_coupling, FrequencyCouplingResult};
 pub use sections::{stack_traces, zero_offset_sections, ZeroOffsetSections};
-pub use weighting::{weighted_lsqr, WeightedMdcOperator};

@@ -64,7 +64,7 @@ pub enum StopReason {
     MaxIters,
     /// The residual estimate met `rel_tol`.
     Converged,
-    /// A bidiagonalization norm (`β` or `α`; for CGLS `‖Aᴴr‖` or `‖Ap‖`)
+    /// A bidiagonalization norm (`β` or `α`)
     /// came out exactly zero: the Krylov space is exhausted and the
     /// iterate is the exact solution of everything reachable from `b`.
     Breakdown,
@@ -101,7 +101,7 @@ fn axpy_real(alpha: f32, x: &[C32], y: &mut [C32]) {
 
 /// [`StopReason`] for a freshly computed norm that ends the solve, if it
 /// does: exactly zero or not finite.
-pub(crate) fn norm_stop(norm: f32) -> Option<StopReason> {
+fn norm_stop(norm: f32) -> Option<StopReason> {
     if !norm.is_finite() {
         Some(StopReason::NonFinite)
     } else if exactly_zero_f32(norm) {
@@ -115,17 +115,11 @@ pub(crate) fn norm_stop(norm: f32) -> Option<StopReason> {
 /// LSQR"): one row per iteration, carrying the time since the previous
 /// row (`since`, which is `None` — and the clock never read — while
 /// tracing is disabled).
-pub(crate) fn trace_row(
-    solver: &'static str,
-    since: &mut Option<Instant>,
-    iter: usize,
-    residual: f32,
-    b_norm: f32,
-) {
+fn trace_row(since: &mut Option<Instant>, iter: usize, residual: f32, b_norm: f32) {
     if let Some(t0) = *since {
         let now = Instant::now();
         let ns = u64::try_from((now - t0).as_nanos()).unwrap_or(u64::MAX);
-        trace::record_solver_iteration(solver, to_u64(iter), residual, b_norm, ns);
+        trace::record_solver_iteration("lsqr", to_u64(iter), residual, b_norm, ns);
         *since = Some(now);
     }
 }
@@ -234,7 +228,7 @@ pub fn lsqr<A: LinearOperator + ?Sized>(a: &A, b: &[C32], opts: LsqrOptions) -> 
         axpy_real(phi / rho, &w, &mut x);
 
         history.push(phibar);
-        trace_row("lsqr", &mut row_start, iter, phibar, b_norm);
+        trace_row(&mut row_start, iter, phibar, b_norm);
         // Krylov space exhausted: this iteration's update was the last
         // one that can change `x` (the next `u`, `v` are zero vectors).
         if exactly_zero_f32(beta) {

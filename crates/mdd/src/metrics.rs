@@ -60,11 +60,6 @@ pub fn classify(nmse_change: f64) -> QualityRegion {
     }
 }
 
-/// Energy (sum of squared moduli) of a complex signal.
-pub fn energy(x: &[C32]) -> f64 {
-    x.iter().map(|v| v.norm_sqr() as f64).sum()
-}
-
 /// Energy of a real time window `[t0, t1)` of a trace (samples at `dt`).
 pub fn window_energy(trace: &[f64], dt: f64, t0: f64, t1: f64) -> f64 {
     let i0 = ((t0 / dt).floor().max(0.0) as usize).min(trace.len());

@@ -1,6 +1,5 @@
 //! Trace-panel output: turn MDD results into the receiver×time gathers
-//! the paper displays (Fig. 11 / Fig. 13), as CSV files and quick-look
-//! ASCII wiggle plots.
+//! the paper displays (Fig. 11 / Fig. 13), as CSV files.
 
 use std::io::Write;
 use std::path::Path;
@@ -55,52 +54,9 @@ pub fn write_panel_csv(path: &Path, traces: &[Vec<f64>], dt: f64) -> std::io::Re
     Ok(())
 }
 
-/// Quick-look ASCII rendering: rows = time (downsampled), columns =
-/// traces; amplitude mapped onto ` .:-=+*#%@` by magnitude.
-pub fn ascii_panel(traces: &[Vec<f64>], max_rows: usize) -> String {
-    const RAMP: &[u8] = b" .:-=+*#%@";
-    if traces.is_empty() || traces[0].is_empty() {
-        return String::new();
-    }
-    let nt = traces[0].len();
-    let step = nt.div_ceil(max_rows.max(1));
-    let peak = traces
-        .iter()
-        .flatten()
-        .fold(0.0f64, |a, &b| a.max(b.abs()))
-        .max(1e-300);
-    let mut out = String::new();
-    let mut t = 0;
-    while t < nt {
-        for tr in traces {
-            let a = (tr[t].abs() / peak * (RAMP.len() - 1) as f64).round() as usize;
-            out.push(RAMP[a.min(RAMP.len() - 1)] as char);
-        }
-        out.push('\n');
-        t += step;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ascii_panel_shape_and_ramp() {
-        let traces = vec![vec![0.0, 1.0, 0.5], vec![0.0, -1.0, 0.25]];
-        let s = ascii_panel(&traces, 3);
-        let lines: Vec<&str> = s.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert_eq!(lines[0], "  "); // zeros -> spaces
-        assert_eq!(lines[1], "@@"); // peaks -> '@'
-        assert!(lines[2].starts_with('=') || lines[2].starts_with('+'));
-    }
-
-    #[test]
-    fn ascii_empty_ok() {
-        assert_eq!(ascii_panel(&[], 5), "");
-    }
 
     #[test]
     fn csv_roundtrip_structure() {

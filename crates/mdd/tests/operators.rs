@@ -18,8 +18,8 @@ use seismic_la::blas::nrm2;
 use seismic_la::scalar::{C32, C64};
 use seismic_la::Matrix;
 use seismic_mdd::{
-    cgls, compress_dataset, lsqr, run_mdd_with_operators, FrequencyOperators, LsqrOptions,
-    MdcOperator, MddConfig, StopReason, WeightedMdcOperator,
+    compress_dataset, lsqr, run_mdd_with_operators, FrequencyOperators, LsqrOptions, MdcOperator,
+    MddConfig, StopReason,
 };
 use tlr_mvm::{
     compress, CompressionConfig, CompressionMethod, LinearOperator, Tile, Tiling, TlrMatrix,
@@ -154,7 +154,6 @@ fn every_implementor_meets_the_operator_contract() {
         "MdcOperator<Matrix<C32>>",
         &MdcOperator::new(vec![dense.clone(), rand_matrix(M, N, 211)]),
     );
-    check_contract("WeightedMdcOperator", &WeightedMdcOperator::new(&tlr, 0.05));
     check_contract("FrequencyOperators", &FrequencyOperators::build(&tlr));
 
     // The provided defaults: same bits as the wrapped operator's own
@@ -495,13 +494,6 @@ fn solvers_run_on_the_into_entry_points_alone() {
     assert_eq!(op.forward.load(AtomicOrdering::Relaxed), 6);
     assert_eq!(op.adjoint.load(AtomicOrdering::Relaxed), 6);
     assert_same_bits("lsqr through the wrapper", &sol.x, &lsqr(&a, &b, opts).x);
-
-    let op = counting();
-    let sol = cgls(&op, &b, opts);
-    assert_eq!((sol.iterations, sol.stop), (6, StopReason::MaxIters));
-    assert_eq!(op.forward.load(AtomicOrdering::Relaxed), 6);
-    assert_eq!(op.adjoint.load(AtomicOrdering::Relaxed), 6);
-    assert_same_bits("cgls through the wrapper", &sol.x, &cgls(&a, &b, opts).x);
 }
 
 /// `run_mdd_with_operators` is `lsqr` on `MdcOperator<&TlrMatrix>` over

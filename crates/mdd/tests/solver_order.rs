@@ -1,11 +1,11 @@
-//! LSQR and CGLS skip the adjoint of the iteration that ends a solve, and
-//! LSQR makes its adjoint and the next forward product in one operator
-//! call. Everything `x` and the residual history are computed from keeps
-//! its operand order, so both must equal — bit for bit — what the loops
-//! gave when every iteration ran forward apply *and* adjoint, as two
-//! calls, before touching `x`. Those loops are kept here, verbatim but for
-//! tracing, as the oracle — with the one reassociation the fused call
-//! brought: `Av` is the product of the un-normalised `v`, scaled by `1/α`
+//! LSQR skips the adjoint of the iteration that ends a solve, and makes
+//! its adjoint and the next forward product in one operator call.
+//! Everything `x` and the residual history are computed from keeps its
+//! operand order, so both must equal — bit for bit — what the loop gave
+//! when every iteration ran forward apply *and* adjoint, as two calls,
+//! before touching `x`. That loop is kept here, verbatim but for tracing,
+//! as the oracle — with the one reassociation the fused call brought:
+//! `Av` is the product of the un-normalised `v`, scaled by `1/α`
 //! afterwards.
 
 use rand::SeedableRng;
@@ -13,7 +13,7 @@ use rand_chacha::ChaCha8Rng;
 use seismic_la::blas::nrm2;
 use seismic_la::scalar::C32;
 use seismic_la::Matrix;
-use seismic_mdd::{cgls, lsqr, LsqrOptions, StopReason};
+use seismic_mdd::{lsqr, LsqrOptions, StopReason};
 use tlr_mvm::LinearOperator;
 
 const CZERO: C32 = C32::new(0.0, 0.0);
@@ -96,52 +96,6 @@ fn lsqr_adjoint_every_iteration(
     (x, history)
 }
 
-/// CGLS with `s = Aᴴr` ahead of the residual norm and the stop test.
-fn cgls_adjoint_every_iteration(
-    a: &Matrix<C32>,
-    b: &[C32],
-    opts: LsqrOptions,
-) -> (Vec<C32>, Vec<f32>) {
-    let norm_sqr = |v: &[C32]| -> f32 { v.iter().map(|e| e.norm_sqr()).sum() };
-    let (m, n) = a.shape();
-    let damp_sq = opts.damp * opts.damp;
-    let mut x = vec![CZERO; n];
-    let mut r = b.to_vec();
-    let mut s = vec![CZERO; n];
-    a.apply_adjoint_into(&r, &mut s);
-    let mut p = s.clone();
-    let mut q = vec![CZERO; m];
-    let mut gamma = norm_sqr(&s);
-    let b_norm = nrm2(b);
-    let mut history = Vec::new();
-    for _ in 0..opts.max_iters {
-        a.apply_into(&p, &mut q);
-        let alpha = gamma / (norm_sqr(&q) + damp_sq * norm_sqr(&p));
-        for (xi, pi) in x.iter_mut().zip(&p) {
-            *xi += pi.scale(alpha);
-        }
-        for (ri, qi) in r.iter_mut().zip(&q) {
-            *ri -= qi.scale(alpha);
-        }
-        a.apply_adjoint_into(&r, &mut s);
-        for (si, xi) in s.iter_mut().zip(&x) {
-            *si -= xi.scale(damp_sq);
-        }
-        let gamma_new = norm_sqr(&s);
-        let beta = gamma_new / gamma;
-        gamma = gamma_new;
-        for (pi, si) in p.iter_mut().zip(&s) {
-            *pi = *si + pi.scale(beta);
-        }
-        let res = nrm2(&r);
-        history.push(res);
-        if opts.rel_tol > 0.0 && res <= opts.rel_tol * b_norm {
-            break;
-        }
-    }
-    (x, history)
-}
-
 fn assert_same_bits(what: &str, got: (&[C32], &[f32]), want: (&[C32], &[f32])) {
     let bits = |v: &[C32]| -> Vec<(u32, u32)> {
         v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
@@ -182,17 +136,6 @@ fn x_and_history_are_those_of_the_loop_that_ran_every_adjoint() {
                 (&got.x, &got.residual_history),
                 (&x, &history),
             );
-            let got = cgls(&a, &b, opts);
-            assert_eq!(
-                (got.iterations, got.stop),
-                (max_iters, StopReason::MaxIters)
-            );
-            let (x, history) = cgls_adjoint_every_iteration(&a, &b, opts);
-            assert_same_bits(
-                &format!("cgls {what}"),
-                (&got.x, &got.residual_history),
-                (&x, &history),
-            );
         }
 
         let opts = LsqrOptions {
@@ -210,22 +153,6 @@ fn x_and_history_are_those_of_the_loop_that_ran_every_adjoint() {
             (&x, &history),
         );
     }
-    // CGLS's `‖b − Ax‖` only reaches `rel_tol` on a consistent system.
-    let opts = LsqrOptions {
-        max_iters: 500,
-        rel_tol: 1e-4,
-        damp: 0.0,
-    };
-    let consistent = sq.apply(&sq_b);
-    let got = cgls(&sq, &consistent, opts);
-    assert_eq!(got.stop, StopReason::Converged);
-    assert!(got.iterations > 1 && got.iterations < 500);
-    let (x, history) = cgls_adjoint_every_iteration(&sq, &consistent, opts);
-    assert_same_bits(
-        "cgls rel_tol",
-        (&got.x, &got.residual_history),
-        (&x, &history),
-    );
 }
 
 /// The one visible difference: a breakdown that only the skipped adjoint

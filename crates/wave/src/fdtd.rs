@@ -16,7 +16,6 @@
 
 use seismic_la::scalar::exactly_zero_f64;
 
-use crate::velocity::VelocityModel;
 use crate::wavelet::ricker;
 
 /// 2D (x, z) simulation grid and run parameters.
@@ -39,7 +38,7 @@ pub struct FdtdConfig {
 
 impl FdtdConfig {
     /// The 4th-order-in-space CFL limit `dt ≤ ~0.6·dh/c_max`.
-    pub fn cfl_ok(&self, c_max: f64) -> bool {
+    fn cfl_ok(&self, c_max: f64) -> bool {
         self.dt <= 0.606 * self.dh / c_max
     }
 }
@@ -56,36 +55,6 @@ pub struct VelocitySlice {
 }
 
 impl VelocitySlice {
-    /// Rasterize the crossline `y` slice of a [`VelocityModel`]: water
-    /// above the seafloor, sediment below, with a velocity step of
-    /// `c·(1+R)/(1−R)` across each reflector to realize its reflection
-    /// coefficient `R`.
-    pub fn from_model(model: &VelocityModel, y: f64, nx: usize, nz: usize, dh: f64) -> Self {
-        let mut c = vec![model.water_velocity; nx * nz];
-        for iz in 0..nz {
-            let z = iz as f64 * dh;
-            for ix in 0..nx {
-                let x = ix as f64 * dh;
-                let idx = iz * nx + ix;
-                if z < model.water_depth {
-                    c[idx] = model.water_velocity;
-                } else {
-                    // Base sediment velocity, stepped at each reflector.
-                    let mut v = model.sediment_velocity;
-                    for r in &model.reflectors {
-                        if z >= r.depth_at(x, y) {
-                            // Impedance ratio for coefficient R (equal
-                            // densities): c2/c1 = (1+R)/(1−R).
-                            v *= (1.0 + r.coefficient) / (1.0 - r.coefficient);
-                        }
-                    }
-                    c[idx] = v;
-                }
-            }
-        }
-        Self { nx, nz, c }
-    }
-
     /// Fastest velocity in the slice.
     pub fn c_max(&self) -> f64 {
         self.c.iter().cloned().fold(0.0, f64::max)
@@ -318,22 +287,6 @@ mod tests {
             c: vec![1500.0; 2500],
         };
         let _ = simulate(&cfg, &vel, (25, 25), 25.0, &[(30, 25)]);
-    }
-
-    #[test]
-    fn velocity_slice_reflects_model_structure() {
-        let model = VelocityModel::overthrust();
-        let vel = VelocitySlice::from_model(&model, 1000.0, 100, 200, 20.0);
-        // Water at the top.
-        assert_eq!(vel.c[5 * 100 + 50], 1500.0);
-        // Sediment below the seafloor (300 m = iz 15).
-        assert!(vel.c[20 * 100 + 50] >= 2500.0);
-        // Below the deepest reflector the velocity has stepped up 3 times.
-        let deep = vel.c[120 * 100 + 10];
-        assert!(deep > 3500.0, "deep velocity {deep}");
-        // Three stacked velocity-only contrasts (R = 0.22/0.30/0.18)
-        // compound to ~4.2x the sediment velocity.
-        assert!(vel.c_max() < 12_000.0);
     }
 
     /// The water-bottom multiple: in a water layer over a fast half-space,

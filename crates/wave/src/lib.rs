@@ -36,7 +36,6 @@
 pub mod dataset;
 pub mod fdtd;
 pub mod modeling;
-pub mod separation;
 pub mod time_domain;
 pub mod velocity;
 pub mod wavelet;
@@ -44,7 +43,6 @@ pub mod wavelet;
 pub use dataset::{DatasetConfig, FrequencySlice, SyntheticDataset};
 pub use fdtd::{first_break, simulate, FdTrace, FdtdConfig, VelocitySlice};
 pub use modeling::{downgoing_matrix, downgoing_stack, reflectivity_column, ModelingConfig};
-pub use separation::{plane_wave, separate, Field2d, SeparationConfig};
-pub use time_domain::{downgoing_trace, peak_sample, reflectivity_trace, GatherConfig};
+pub use time_domain::{downgoing_trace, peak_sample, GatherConfig};
 pub use velocity::{Reflector, VelocityModel};
-pub use wavelet::{flat_band_spectrum, flat_band_wavelet, ricker};
+pub use wavelet::{flat_band_spectrum, ricker};

@@ -7,7 +7,7 @@ use seismic_fft::RealFft;
 use seismic_geom::Point3;
 use seismic_la::scalar::C64;
 
-use crate::modeling::{downgoing_value, reflectivity_value, ModelingConfig};
+use crate::modeling::{downgoing_value, ModelingConfig};
 use crate::velocity::VelocityModel;
 use crate::wavelet::flat_band_spectrum;
 
@@ -52,17 +52,6 @@ pub fn downgoing_trace(
         ..Default::default()
     };
     synthesize(cfg, |omega| downgoing_value(omega, src, rec, model, &mcfg))
-}
-
-/// Synthesize the local-reflectivity trace `r(t)` between two seafloor
-/// points.
-pub fn reflectivity_trace(
-    a: &Point3,
-    b: &Point3,
-    model: &VelocityModel,
-    cfg: &GatherConfig,
-) -> Vec<f64> {
-    synthesize(cfg, |omega| reflectivity_value(omega, a, b, model))
 }
 
 /// Common synthesis loop: evaluate the response at each positive bin,
@@ -126,16 +115,6 @@ mod tests {
             (peak_t - 0.1933).abs() < 0.02,
             "direct arrival at {peak_t} s (want ~0.193 s)"
         );
-    }
-
-    #[test]
-    fn reflection_arrival_lands_at_travel_time() {
-        let model = VelocityModel::single_flat_reflector(800.0, 0.3);
-        let a = Point3::new(500.0, 500.0, 300.0);
-        let trace = reflectivity_trace(&a, &a, &model, &cfg());
-        // Zero-offset: 2·(800−300)/2500 = 0.4 s.
-        let peak_t = peak_sample(&trace) as f64 * 0.004;
-        assert!((peak_t - 0.4).abs() < 0.02, "reflection at {peak_t} s");
     }
 
     #[test]

@@ -93,24 +93,6 @@ impl VelocityModel {
         }
     }
 
-    /// A single flat reflector — the simplest well-posed MDD test model.
-    pub fn single_flat_reflector(depth: f64, coefficient: f64) -> Self {
-        Self {
-            water_depth: 300.0,
-            water_velocity: 1500.0,
-            sediment_velocity: 2500.0,
-            reflectors: vec![Reflector {
-                depth0: depth,
-                dip_x: 0.0,
-                dip_y: 0.0,
-                thrust_throw: 0.0,
-                thrust_x: f64::INFINITY,
-                coefficient,
-            }],
-            free_surface_coefficient: -1.0,
-        }
-    }
-
     /// One-way vertical travel time from the free surface to the seafloor.
     pub fn water_travel_time(&self) -> f64 {
         self.water_depth / self.water_velocity
@@ -148,6 +130,24 @@ impl VelocityModel {
 mod tests {
     use super::*;
 
+    /// A single flat reflector below the Overthrust water layer.
+    fn single_flat_reflector(depth: f64, coefficient: f64) -> VelocityModel {
+        VelocityModel {
+            water_depth: 300.0,
+            water_velocity: 1500.0,
+            sediment_velocity: 2500.0,
+            reflectors: vec![Reflector {
+                depth0: depth,
+                dip_x: 0.0,
+                dip_y: 0.0,
+                thrust_throw: 0.0,
+                thrust_x: f64::INFINITY,
+                coefficient,
+            }],
+            free_surface_coefficient: -1.0,
+        }
+    }
+
     #[test]
     fn thrust_offsets_depth() {
         let m = VelocityModel::overthrust();
@@ -166,7 +166,7 @@ mod tests {
 
     #[test]
     fn zero_offset_reflection_time() {
-        let m = VelocityModel::single_flat_reflector(800.0, 0.2);
+        let m = single_flat_reflector(800.0, 0.2);
         let p = Point3::new(1000.0, 500.0, 300.0);
         let t = m.reflection_travel_time(&p, &p, 0);
         // two-way vertical: 2·(800−300)/2500 = 0.4 s
@@ -175,7 +175,7 @@ mod tests {
 
     #[test]
     fn reflection_time_grows_with_offset() {
-        let m = VelocityModel::single_flat_reflector(800.0, 0.2);
+        let m = single_flat_reflector(800.0, 0.2);
         let a = Point3::new(0.0, 0.0, 300.0);
         let b0 = Point3::new(0.0, 0.0, 300.0);
         let b1 = Point3::new(400.0, 0.0, 300.0);

@@ -2,9 +2,6 @@
 
 use std::f64::consts::PI;
 
-use seismic_fft::RealFft;
-use seismic_la::scalar::C64;
-
 /// Time-domain Ricker (Mexican-hat) wavelet with peak frequency `f0`,
 /// centered at `t0`, sampled at `dt` over `nt` samples.
 pub fn ricker(nt: usize, dt: f64, f0: f64, t0: f64) -> Vec<f64> {
@@ -35,24 +32,6 @@ pub fn flat_band_spectrum(nf: usize, df: f64, f_flat: f64, f_max: f64) -> Vec<f6
             }
         })
         .collect()
-}
-
-/// Zero-phase time-domain realization of [`flat_band_spectrum`], centered
-/// at `t0` (a linear-phase shift applied in frequency).
-pub fn flat_band_wavelet(nt: usize, dt: f64, f_flat: f64, f_max: f64, t0: f64) -> Vec<f64> {
-    let rf = RealFft::<f64>::new(nt);
-    let nf = rf.spectrum_len();
-    let df = 1.0 / (nt as f64 * dt);
-    let amp = flat_band_spectrum(nf, df, f_flat, f_max);
-    let spec: Vec<C64> = amp
-        .iter()
-        .enumerate()
-        .map(|(k, &a)| {
-            let f = k as f64 * df;
-            C64::from_polar(a, -2.0 * PI * f * t0)
-        })
-        .collect();
-    rf.inverse(&spec)
 }
 
 #[cfg(test)]
@@ -89,35 +68,5 @@ mod tests {
         assert!(s[..46].iter().all(|&a| (a - 1.0).abs() < 1e-12));
         assert!(s[56..].iter().all(|&a| a.abs() < 1e-12));
         assert!(s[50] > 0.0 && s[50] < 1.0);
-    }
-
-    #[test]
-    fn flat_wavelet_energy_concentrated_at_t0() {
-        let nt = 512;
-        let dt = 0.004;
-        let t0 = 1.0;
-        let w = flat_band_wavelet(nt, dt, 45.0, 55.0, t0);
-        let peak = w
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.abs().partial_cmp(&b.1.abs()).unwrap())
-            .unwrap()
-            .0;
-        assert!((peak as f64 * dt - t0).abs() < 2.0 * dt);
-    }
-
-    #[test]
-    fn flat_wavelet_spectrum_roundtrip() {
-        let nt = 256;
-        let dt = 0.004;
-        let w = flat_band_wavelet(nt, dt, 30.0, 45.0, 0.0);
-        let rf = RealFft::<f64>::new(nt);
-        let spec = rf.forward(&w);
-        let df = 1.0 / (nt as f64 * dt);
-        // amplitude at 10 Hz should be ~1, at 60 Hz ~0
-        let k10 = (10.0 / df).round() as usize;
-        let k60 = (60.0 / df).round() as usize;
-        assert!((spec[k10].abs() - 1.0).abs() < 1e-9);
-        assert!(spec[k60].abs() < 1e-9);
     }
 }

@@ -555,52 +555,6 @@ pub fn collect_atlas(
     })
 }
 
-/// Per-PE-group collection for the **functional** executor
-/// ([`crate::exec::execute_chunks_with_atlas`]): exact per-chunk fmacs
-/// and modeled cycles, scattered with the same column-major PE
-/// mapping as [`collect_atlas`].
-#[derive(Clone, Debug)]
-pub struct ExecAtlas {
-    /// Modeled busy cycles per group.
-    pub busy_cycles: Grid,
-    /// Kernel-counted real fmacs per group.
-    pub fmacs: Grid,
-    usable_rows: usize,
-    usable_pes: usize,
-    group_rows: usize,
-    group_cols: usize,
-    pes_per_chunk: usize,
-}
-
-impl ExecAtlas {
-    /// Pre-size an exec atlas for a machine and grouping.
-    pub fn new(cfg: &Cs2Config, acfg: &AtlasConfig, strategy: Strategy) -> Self {
-        Self {
-            busy_cycles: Grid::new(acfg.grid_rows(cfg), acfg.grid_cols(cfg)),
-            fmacs: Grid::new(acfg.grid_rows(cfg), acfg.grid_cols(cfg)),
-            usable_rows: cfg.usable_rows.max(1),
-            usable_pes: cfg.usable_pes().max(1),
-            group_rows: acfg.group_rows.max(1),
-            group_cols: acfg.group_cols.max(1),
-            pes_per_chunk: match strategy {
-                Strategy::FusedSinglePe => 1,
-                Strategy::ScatterEightPes => 8,
-            },
-        }
-    }
-
-    /// Charge one executed chunk's cycles and fmacs to the cell of its
-    /// first PE (chunks occupy `pes_per_chunk` consecutive PEs).
-    #[inline]
-    pub fn record(&mut self, chunk_idx: usize, cycles: u64, fmacs: u64) {
-        let idx = (chunk_idx * self.pes_per_chunk) % self.usable_pes;
-        let gr = (idx % self.usable_rows) / self.group_rows;
-        let gc = (idx / self.usable_rows) / self.group_cols;
-        self.busy_cycles.add(gr, gc, cycles);
-        self.fmacs.add(gr, gc, fmacs);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -16,7 +16,6 @@ use std::collections::BTreeMap;
 
 use tlr_mvm::trace;
 
-use crate::atlas::ExecAtlas;
 use crate::cycles::{strategy1_phase_costs, MvmTask};
 use crate::machine::Cs2Config;
 use crate::placement::Strategy;
@@ -50,34 +49,6 @@ pub fn execute_chunks(
     strategy: Strategy,
     cfg: &Cs2Config,
 ) -> ExecResult {
-    execute_chunks_inner(chunks, x, m, nb, strategy, cfg, None)
-}
-
-/// [`execute_chunks`], additionally scattering each chunk's modeled
-/// cycles and fmacs into a pre-sized [`ExecAtlas`] (pure indexed adds —
-/// the traced region stays allocation-free, and the default path records
-/// exactly what it always did).
-pub fn execute_chunks_with_atlas(
-    chunks: &[RankChunk],
-    x: &[C32],
-    m: usize,
-    nb: usize,
-    strategy: Strategy,
-    cfg: &Cs2Config,
-    atlas: &mut ExecAtlas,
-) -> ExecResult {
-    execute_chunks_inner(chunks, x, m, nb, strategy, cfg, Some(atlas))
-}
-
-fn execute_chunks_inner(
-    chunks: &[RankChunk],
-    x: &[C32],
-    m: usize,
-    nb: usize,
-    strategy: Strategy,
-    cfg: &Cs2Config,
-    mut atlas: Option<&mut ExecAtlas>,
-) -> ExecResult {
     for (c, ch) in chunks.iter().enumerate() {
         let (cols, rows) = (ch.x_range(), ch.row_span());
         assert!(
@@ -99,7 +70,7 @@ fn execute_chunks_inner(
     run.apply();
     run.reduce_into(&mut y);
     let (mut worst_cycles, mut fmacs) = (0u64, 0u64);
-    for (c, ch) in chunks.iter().enumerate() {
+    for ch in chunks {
         let (cl, w) = (ch.x_range().len(), ch.width());
         let v_task = MvmTask::dot_form(w, cl);
         let u_task = MvmTask::axpy_form(nb, w);
@@ -107,12 +78,8 @@ fn execute_chunks_inner(
             Strategy::FusedSinglePe => 4 * v_task.cycles(cfg, true) + 4 * u_task.cycles(cfg, true),
             Strategy::ScatterEightPes => v_task.cycles(cfg, true).max(u_task.cycles(cfg, true)),
         };
-        let chunk_fmacs = 4 * to_u64(cl * w + ch.row_len().iter().sum::<usize>());
         worst_cycles = worst_cycles.max(cycles);
-        fmacs += chunk_fmacs;
-        if let Some(a) = atlas.as_deref_mut() {
-            a.record(c, cycles, chunk_fmacs);
-        }
+        fmacs += 4 * to_u64(cl * w + ch.row_len().iter().sum::<usize>());
     }
     let pes_per_chunk = match strategy {
         Strategy::FusedSinglePe => 1,
@@ -323,46 +290,6 @@ mod tests {
         }
         assert!(s2.worst_cycles < s1.worst_cycles);
         assert_eq!(s2.pes_used, 8 * s1.pes_used);
-    }
-
-    #[test]
-    fn exec_atlas_reconciles_with_exec_result() {
-        use crate::atlas::AtlasConfig;
-        let a = kernel(60, 44);
-        let tlr = compress(
-            &a,
-            CompressionConfig {
-                nb: 12,
-                acc: 1e-4,
-                method: CompressionMethod::Svd,
-                mode: ToleranceMode::RelativeTile,
-            },
-        );
-        let ca = CommAvoiding::new(&tlr);
-        let x = test_x(44);
-        let cfg = Cs2Config::default();
-        let chunks = ca.chunks(5);
-        let plain = execute_chunks(&chunks, &x, 60, 12, Strategy::FusedSinglePe, &cfg);
-        let mut atlas = ExecAtlas::new(&cfg, &AtlasConfig::default(), Strategy::FusedSinglePe);
-        let res = execute_chunks_with_atlas(
-            &chunks,
-            &x,
-            60,
-            12,
-            Strategy::FusedSinglePe,
-            &cfg,
-            &mut atlas,
-        );
-        // Same answer and counters as the default path…
-        for (p, q) in plain.y.iter().zip(&res.y) {
-            assert_eq!(p, q);
-        }
-        assert_eq!(plain.fmacs, res.fmacs);
-        // …and the grids reconcile: fmacs exactly, worst-PE cycles as a
-        // lower bound of the busiest cell.
-        assert_eq!(atlas.fmacs.total(), res.fmacs);
-        assert!(atlas.busy_cycles.max() >= res.worst_cycles);
-        assert!(atlas.busy_cycles.total() > 0);
     }
 
     #[test]

@@ -5,78 +5,10 @@
 //! broadcast each tile column's `x_j` segment to the PEs holding its
 //! chunks before the kernel, and (b) drain the partial `y` vectors to the
 //! wafer edge afterwards — no PE-to-PE traffic during the kernel. This
-//! module prices those phases and verifies they are small next to the
-//! fmac kernel, which is what makes the paper's no-communication claim
-//! (§6.5) hold.
+//! module counts the bytes each PE injects onto its links in those
+//! phases, which the atlas's link grids are built from.
 
-use tlr_mvm::precision::{f64_to_u64, to_u64};
-
-use crate::machine::Cs2Config;
-
-/// Fabric timing parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct FabricConfig {
-    /// Per-hop router latency (cycles).
-    pub hop_latency_cycles: u64,
-    /// Words (64-bit) injected per cycle per link — matched to the SRAM
-    /// rate per §5.2.
-    pub words_per_cycle: f64,
-}
-
-impl Default for FabricConfig {
-    fn default() -> Self {
-        Self {
-            hop_latency_cycles: 1,
-            words_per_cycle: 1.0,
-        }
-    }
-}
-
-/// Cost of one collective phase on the fabric.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FabricCost {
-    /// Cycles until the last PE has its data.
-    pub cycles: u64,
-    /// Total 64-bit words moved.
-    pub words: u64,
-}
-
-/// Broadcast `words` 64-bit words along a PE column of `rows` hops
-/// (pipelined wormhole: latency = hops + words/rate).
-pub fn broadcast_cost(words: u64, rows: usize, fabric: &FabricConfig) -> FabricCost {
-    let stream = f64_to_u64((words as f64 / fabric.words_per_cycle).ceil());
-    FabricCost {
-        cycles: to_u64(rows) * fabric.hop_latency_cycles + stream,
-        words: words * to_u64(rows),
-    }
-}
-
-/// Drain one `words`-long result from every PE of a column to the edge
-/// (serialized on the shared column link).
-pub fn drain_cost(words_per_pe: u64, rows: usize, fabric: &FabricConfig) -> FabricCost {
-    let total = words_per_pe * to_u64(rows);
-    let stream = f64_to_u64((total as f64 / fabric.words_per_cycle).ceil());
-    FabricCost {
-        cycles: to_u64(rows) * fabric.hop_latency_cycles + stream,
-        words: total,
-    }
-}
-
-/// On/off-wafer collective cost for one TLR-MVM invocation on one CS-2
-/// running strategy-1 chunks of geometry `(nb, cl, w)`:
-/// broadcast `x_j` (cl complex = 2·cl words… stored split, 4·cl FP32 =
-/// 2·cl 64-bit words) down each column, drain `nb`-long split partials.
-#[derive(Clone, Copy, Debug)]
-pub struct WaferIoCost {
-    /// Broadcast phase (worst column).
-    pub broadcast: FabricCost,
-    /// Drain phase (worst column).
-    pub drain: FabricCost,
-    /// Kernel cycles for comparison.
-    pub kernel_cycles: u64,
-    /// (broadcast + drain) / kernel.
-    pub overhead_fraction: f64,
-}
+use tlr_mvm::precision::to_u64;
 
 /// Per-chunk-slot link-byte injection under the comm-avoiding layout
 /// (and the V/U plumbing shared by both layouts): what one PE *injects*
@@ -147,70 +79,9 @@ pub fn shuffle_chunk_bytes(w: usize) -> u64 {
     16 * to_u64(w)
 }
 
-/// Price the fabric phases against the chunk kernel.
-pub fn wafer_io_cost(
-    nb: usize,
-    cl: usize,
-    w: usize,
-    cfg: &Cs2Config,
-    fabric: &FabricConfig,
-) -> WaferIoCost {
-    // 64-bit words: split-complex x is 2·cl FP32 = cl words; split partial
-    // y is 2·nb FP32 = nb words.
-    let x_words = to_u64(cl);
-    let y_words = to_u64(nb);
-    let rows = cfg.usable_rows;
-    let broadcast = broadcast_cost(x_words, rows, fabric);
-    let drain = drain_cost(y_words, rows, fabric);
-    let kernel = crate::cycles::pe_cost(&crate::cycles::strategy1_tasks(nb, cl, w), cfg, true);
-    let io_cycles = broadcast.cycles + drain.cycles;
-    WaferIoCost {
-        broadcast,
-        drain,
-        kernel_cycles: kernel.cycles,
-        overhead_fraction: io_cycles as f64 / kernel.cycles as f64,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn broadcast_pipelines() {
-        let f = FabricConfig::default();
-        let c = broadcast_cost(100, 750, &f);
-        // Latency-dominated: hops + words, not hops × words.
-        assert_eq!(c.cycles, 750 + 100);
-        assert_eq!(c.words, 100 * 750);
-    }
-
-    #[test]
-    fn drain_serializes_column() {
-        let f = FabricConfig::default();
-        let c = drain_cost(70, 750, &f);
-        assert_eq!(c.cycles, 750 + 70 * 750);
-    }
-
-    #[test]
-    fn x_broadcast_is_cheap_y_drain_dominates_io() {
-        // §5.3's trade: the communication-avoiding layout accepts "an
-        // increase of data movement of multiple y vectors" — visible here
-        // as the drain being the larger of the two collectives.
-        let cfg = Cs2Config::default();
-        let f = FabricConfig::default();
-        let io = wafer_io_cost(70, 70, 23, &cfg, &f);
-        assert!(io.drain.cycles > io.broadcast.cycles);
-        // The whole I/O is within ~3x of one kernel invocation —
-        // amortized over the 10 000-rep timing loops of §7.1 it vanishes,
-        // consistent with the paper's "no communication is required"
-        // accounting for the kernel itself.
-        assert!(
-            io.overhead_fraction < 3.5,
-            "I/O fraction {}",
-            io.overhead_fraction
-        );
-    }
 
     #[test]
     fn link_byte_conventions() {
@@ -227,17 +98,5 @@ mod tests {
         // column — the three-phase term the comm-avoiding layout drops.
         assert_eq!(shuffle_chunk_bytes(23), 16 * 23);
         assert_eq!(shuffle_chunk_bytes(0), 0);
-    }
-
-    #[test]
-    fn per_invocation_io_amortizes_over_repetitions() {
-        let cfg = Cs2Config::default();
-        let f = FabricConfig::default();
-        let io = wafer_io_cost(25, 25, 64, &cfg, &f);
-        // 10 000 kernel reps per data load (paper §7.1 measurement): the
-        // one-time I/O overhead fraction drops below 0.1 %.
-        let amortized =
-            (io.broadcast.cycles + io.drain.cycles) as f64 / (10_000.0 * io.kernel_cycles as f64);
-        assert!(amortized < 1e-3, "amortized {amortized}");
     }
 }

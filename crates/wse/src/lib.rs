@@ -67,14 +67,14 @@ pub mod sram;
 pub mod verify;
 pub mod workload;
 
-pub use atlas::{collect_atlas, AtlasConfig, AtlasFrame, AtlasLayout, ExecAtlas, Grid};
+pub use atlas::{collect_atlas, AtlasConfig, AtlasFrame, AtlasLayout, Grid};
 pub use csl::{ChunkLayout, CslError, CslOp, CslStats, Pe};
 pub use cycles::{pe_cost, strategy1_phase_costs, strategy1_tasks, MvmTask, PeCost};
 pub use energy::{energy_report, energy_total_pj, EnergyReport};
-pub use exec::{execute_chunks, execute_chunks_with_atlas, ExecResult};
+pub use exec::{execute_chunks, ExecResult};
 pub use fabric::{
-    broadcast_cost, drain_cost, shuffle_chunk_bytes, strategy1_link_bytes, strategy2_u_link_bytes,
-    strategy2_v_link_bytes, wafer_io_cost, FabricConfig, FabricCost, LinkBytes, WaferIoCost,
+    shuffle_chunk_bytes, strategy1_link_bytes, strategy2_u_link_bytes, strategy2_v_link_bytes,
+    LinkBytes,
 };
 pub use io::{io_report, HostLink, IoReport};
 pub use machine::{Cluster, Cs2Config};

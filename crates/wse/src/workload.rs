@@ -254,46 +254,6 @@ impl RankModel {
     }
 }
 
-impl RankModel {
-    /// Fit a paper-scale model from a *measured* laptop-scale workload —
-    /// the "measured rank distributions" path: the mean per-tile rank
-    /// fraction and the per-frequency size trend come from real
-    /// compression output (no Table 1 calibration constants), and are
-    /// transplanted onto the paper's 26040 × 15930 × 230-frequency
-    /// geometry. `measured_m` is the measured matrix row count.
-    pub fn fit_from_workload(measured: &Workload, measured_m: usize, nb: usize) -> RankModel {
-        let measured_mt = measured_m.div_ceil(measured.nb).max(1) as f64;
-        // Mean per-tile rank fraction across all (freq, column) cells.
-        let mut frac_sum = 0.0f64;
-        let mut count = 0usize;
-        for f in 0..measured.n_freqs {
-            for j in 0..measured.cols_per_freq {
-                let k = measured.col_ranks[f * measured.cols_per_freq + j] as f64;
-                let cap = measured.nb.min(measured.col_widths[j]) as f64 * measured_mt;
-                if cap > 0.0 {
-                    frac_sum += k / cap;
-                    count += 1;
-                }
-            }
-        }
-        let mean_fraction = (frac_sum / count.max(1) as f64).clamp(0.0, 1.0);
-        let tiling = tlr_mvm::Tiling::new(26_040, 15_930, nb);
-        let per_col = mean_fraction * tiling.tile_rows() as f64 * nb as f64;
-        let total = f64_to_u64(
-            (per_col * tiling.tile_cols() as f64 * 230.0)
-                .round()
-                .max(1.0),
-        );
-        RankModel {
-            m: 26_040,
-            n: 15_930,
-            nb,
-            n_freqs: 230,
-            total_rank_target: total,
-        }
-    }
-}
-
 /// SplitMix64 — deterministic jitter without an RNG dependency here.
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);

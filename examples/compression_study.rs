@@ -1,5 +1,5 @@
 //! Ablation: how station ordering (natural / Morton / Hilbert) and the
-//! compression backend (SVD / RRQR / RSVD / ACA) affect TLR compression
+//! compression backend (SVD / RRQR / RSVD) affect TLR compression
 //! of the seismic frequency matrices — the paper's §4 discussion of
 //! distance-aware reordering, quantified.
 //!

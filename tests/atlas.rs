@@ -13,15 +13,16 @@ use std::sync::Mutex;
 
 use proptest::prelude::*;
 use seismic_bench::atlas_experiments::{
-    atlas_checksum, atlas_json, smoke_frames, verify_frame, ATLAS_SCHEMA_VERSION,
+    atlas_checksum, atlas_json, smoke_frames, sweep_frames, verify_frame, ATLAS_SCHEMA_VERSION,
 };
+use seismic_bench::wse_experiments::VALIDATED_CONFIGS;
 use seismic_la::scalar::C32;
 use seismic_la::Matrix;
 use tlr_mvm::json::Json;
-use tlr_mvm::{compress, three_phase_cost, trace, CommAvoiding, CompressionConfig};
+use tlr_mvm::{compress, three_phase_cost, trace, CompressionConfig};
 use wse_sim::{
-    collect_atlas, energy_total_pj, execute_chunks, execute_chunks_with_atlas, AtlasConfig,
-    AtlasLayout, Cluster, Cs2Config, ExecAtlas, Strategy, Workload,
+    collect_atlas, energy_total_pj, verify_plan, AtlasConfig, AtlasLayout, Cluster, Cs2Config,
+    RankModel, Strategy, Workload,
 };
 
 static TRACE_LOCK: Mutex<()> = Mutex::new(());
@@ -152,44 +153,6 @@ fn shuffle_traffic_matches_three_phase_cost_model() {
     assert_eq!(tp.link_south.total(), ca.link_south.total());
 }
 
-/// The functional executor's atlas agrees with its own `ExecResult` and
-/// with the plain (atlas-free) path bit-for-bit.
-#[test]
-fn exec_atlas_totals_match_exec_result() {
-    let _g = locked();
-    let nb = 10;
-    let (m, n) = (4 * nb + 6, 3 * nb + 7);
-    let a = Matrix::from_fn(m, n, |i, j| {
-        let x = i as f32 / m as f32;
-        let y = j as f32 / n as f32;
-        C32::new((3.0 * x - 2.0 * y).cos(), (x + 2.0 * y).sin() * 0.5)
-    });
-    let tlr = compress(&a, CompressionConfig::paper_default().with_nb(nb));
-    let ca = CommAvoiding::new(&tlr);
-    let chunks = ca.chunks(4);
-    let x: Vec<C32> = (0..n)
-        .map(|i| C32::new((i as f32 * 0.23).sin(), (i as f32 * 0.11).cos()))
-        .collect();
-    let cfg = Cs2Config::default();
-
-    let plain = execute_chunks(&chunks, &x, m, nb, Strategy::FusedSinglePe, &cfg);
-    let mut atlas = ExecAtlas::new(&cfg, &AtlasConfig::default(), Strategy::FusedSinglePe);
-    let traced = execute_chunks_with_atlas(
-        &chunks,
-        &x,
-        m,
-        nb,
-        Strategy::FusedSinglePe,
-        &cfg,
-        &mut atlas,
-    );
-
-    assert_eq!(plain.fmacs, traced.fmacs);
-    assert_eq!(plain.y.len(), traced.y.len());
-    assert_eq!(atlas.fmacs.total(), traced.fmacs);
-    assert!(atlas.busy_cycles.max() >= traced.worst_cycles);
-}
-
 /// Artifact determinism, perfbench-style: two collections checksum
 /// identically, the JSON round-trips through `tlr_mvm::json`, and the embedded
 /// checksum matches a recomputation from the parsed artifact's source
@@ -225,6 +188,43 @@ fn atlas_artifact_checksum_is_deterministic() {
                 .and_then(|g| g.get("total"))
                 .and_then(Json::as_u64);
             assert_eq!(total, Some(grid.total()), "{name}");
+        }
+    }
+}
+
+/// `repro atlas-sweep`: every validated config at four stack widths
+/// under both layouts, each frame on the smallest cluster that places
+/// it (one system fewer cannot hold its PEs), a plan `verify_plan`
+/// accepts, and reconciled with its placement. The census overlays
+/// about 390 M PEs: 5 s optimised, over a minute without.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "paper-scale census: run with --release")]
+fn atlas_sweep_places_every_width_of_every_config() {
+    let _g = locked();
+    let frames = sweep_frames().expect("every width places on some cluster");
+    assert_eq!(frames.len(), VALIDATED_CONFIGS.len() * 4 * 2);
+    let per_system = Cs2Config::default().usable_pes() as u64;
+    for (config, &(nb, acc)) in frames.chunks(8).zip(&VALIDATED_CONFIGS) {
+        let w = RankModel::paper(nb, acc).expect("validated").generate();
+        let mut widths: Vec<usize> = config.iter().map(|f| f.stack_width).collect();
+        widths.dedup();
+        assert_eq!(widths.len(), 4, "nb={nb} acc={acc}: {widths:?}");
+        for pair in config.chunks(2) {
+            assert_eq!(pair[0].stack_width, pair[1].stack_width);
+            assert_eq!(pair[0].layout, AtlasLayout::ThreePhase);
+            assert_eq!(pair[1].layout, AtlasLayout::CommAvoiding);
+        }
+        for f in config {
+            let what = format!("nb={nb} acc={acc} sw={} {:?}", f.stack_width, f.layout);
+            assert_eq!(f.nb, nb, "{what}");
+            let cluster = Cluster::new(f.shards);
+            let plan = verify_plan(&w, f.stack_width, f.strategy, &cluster);
+            assert!(plan.is_ok(), "{what}: {:?}", plan.diagnostics);
+            assert!(
+                f.placement.pes_used > (f.shards as u64 - 1) * per_system,
+                "{what}"
+            );
+            verify_frame(f).unwrap_or_else(|e| panic!("{what}: {e}"));
         }
     }
 }

@@ -105,31 +105,6 @@ fn measured_workload_places_on_small_cluster() {
 }
 
 #[test]
-fn fitted_rank_model_extrapolates_sanely() {
-    // Fit a paper-scale rank model from real measured compression output
-    // and check it lands in the physically sensible band: positive total
-    // rank, below the structural maximum, same order as the calibrated
-    // Table 1 models when the measured data compresses comparably.
-    let ds = dataset();
-    let tlr = compress_dataset(&ds, compression(8, 5e-3), Ordering::Hilbert);
-    let workload = Workload::from_tlr_matrices(&tlr);
-    let (m, _) = ds.kernel_shape();
-    let model = wse_sim::RankModel::fit_from_workload(&workload, m, 70);
-    assert_eq!(model.m, 26_040);
-    assert!(model.total_rank_target > 0);
-    // Structural maximum: mt·nb·cols·freqs.
-    let tiling = tlr_mvm::Tiling::new(26_040, 15_930, 70);
-    let cap = tiling.tile_rows() as u64 * 70 * tiling.tile_cols() as u64 * 230;
-    assert!(model.total_rank_target < cap);
-    // The fitted workload generates and reports consistent stats (per-cell
-    // clamping against the structural cap allows some shortfall when the
-    // measured data barely compresses).
-    let w = model.generate();
-    let ratio = w.total_rank() as f64 / model.total_rank_target as f64;
-    assert!((0.7..=1.05).contains(&ratio), "ratio {ratio}");
-}
-
-#[test]
 fn gilbert_ordering_compresses_like_hilbert() {
     // The rectangle-exact generalized Hilbert curve should compress the
     // frequency matrices about as well as the square-embedded Hilbert
@@ -170,7 +145,7 @@ fn mdc_time_domain_roundtrip_energy() {
 
 #[test]
 fn compression_backends_agree_on_operator_action() {
-    // All four backends at the same tolerance produce operators whose
+    // Every backend at the same tolerance produce operators whose
     // action agrees within the tolerance.
     let ds = dataset();
     let dense = ds.reordered_kernel(0, Ordering::Hilbert);
