@@ -267,8 +267,44 @@ pub fn gemv_acc_fast<S: Scalar>(a: &Matrix<S>, x: &[S], y: &mut [S]) {
     }
 }
 
+/// What the golden-bit tests (`fastpath_golden_bits`, and
+/// `sweep_golden_bits` in `core::matrix`) share: inputs and a hash of
+/// output bits.
+#[cfg(test)]
+pub(crate) mod golden {
+    use seismic_la::scalar::{c32, C32};
+
+    /// Inexact (÷7) but libm-free values in `[−2, 2]²`: every product and
+    /// partial sum rounds, so the result bits depend on the summation
+    /// order and on nothing platform-specific.
+    pub(crate) fn golden(i: usize, salt: usize) -> C32 {
+        let part = |k: usize| ((k * 37 + salt * 11) % 29) as f32 / 7.0 - 2.0;
+        c32(part(i), part(i + 13))
+    }
+
+    pub(crate) fn golden_vec(n: usize, salt: usize) -> Vec<C32> {
+        (0..n).map(|i| golden(i, salt)).collect()
+    }
+
+    /// FNV-1a over the little-endian bits of `v`, continuing from `h`.
+    pub(crate) fn fnv1a(mut h: u64, v: &[C32]) -> u64 {
+        for z in v {
+            for b in
+                z.re.to_bits()
+                    .to_le_bytes()
+                    .into_iter()
+                    .chain(z.im.to_bits().to_le_bytes())
+            {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::golden::{fnv1a, golden, golden_vec};
     use super::*;
     use seismic_la::blas::{gemv_acc, gemv_conj_transpose};
     use seismic_la::scalar::{c32, C64};
@@ -292,32 +328,6 @@ mod tests {
                 c32(t.sin(), t.cos() * 0.5)
             })
             .collect()
-    }
-
-    /// Inexact (÷7) but libm-free values: every product and partial sum
-    /// rounds, so the result bits depend on the summation order and on
-    /// nothing platform-specific.
-    fn golden(i: usize, salt: usize) -> C32 {
-        let part = |k: usize| ((k * 37 + salt * 11) % 29) as f32 / 7.0 - 2.0;
-        c32(part(i), part(i + 13))
-    }
-
-    fn golden_vec(n: usize, salt: usize) -> Vec<C32> {
-        (0..n).map(|i| golden(i, salt)).collect()
-    }
-
-    fn fnv1a(mut h: u64, v: &[C32]) -> u64 {
-        for z in v {
-            for b in
-                z.re.to_bits()
-                    .to_le_bytes()
-                    .into_iter()
-                    .chain(z.im.to_bits().to_le_bytes())
-            {
-                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        h
     }
 
     const GOLDEN_BITS: [u64; 3] = [

@@ -508,6 +508,7 @@ mod tests {
     use super::test_support::{dense_tiles_as_factors, mixed_tiles, noise_tiles};
     use super::*;
     use crate::compress::{compress, CompressionConfig, CompressionMethod, ToleranceMode};
+    use crate::fastpath::golden::{fnv1a, golden, golden_vec};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use seismic_la::blas::{dotc, gemv, gemv_conj_transpose};
@@ -796,6 +797,82 @@ mod tests {
         let (mut v, mut w, mut z) = (vec![CZERO; n], vec![CZERO; m], vec![CZERO; n]);
         poisoned.adjoint_then_apply_into(&rand_vec(m, 93), 0.0, &mut v, &mut w, &mut z);
         assert!(nan(&v) > 0 && nan(&w) > 0, "the NaN reaches both outputs");
+    }
+
+    /// A ragged 70×82 store at `nb` 24 built by hand, no compressor: per
+    /// tile (column-major) a skeleton of the listed rank or, for `None`, a
+    /// dense block. The ranks cover every residue mod 4 (the kernels'
+    /// block width), `r = n − 1`, `r = n` (an empty `X`) and rank 0.
+    fn golden_store() -> TlrMatrix {
+        const RANKS: [Option<usize>; 12] = [
+            Some(5),
+            None,
+            Some(0),
+            Some(1),
+            Some(6),
+            Some(3),
+            Some(4),
+            Some(11),
+            None,
+            Some(2),
+            Some(10),
+            Some(9),
+        ];
+        let tiling = Tiling::new(70, 82, 24);
+        let tiles = RANKS
+            .iter()
+            .enumerate()
+            .map(|(t, rank)| {
+                let (_, m) = tiling.row_range(t % tiling.tile_rows());
+                let (_, n) = tiling.col_range(t / tiling.tile_rows());
+                let entry = |salt: usize| move |i: usize, j: usize| golden(i * 31 + j, salt);
+                match *rank {
+                    None => Tile::Dense(Matrix::from_fn(m, n, entry(3 * t))),
+                    Some(r) => {
+                        let order: Vec<usize> = (0..n).map(|k| (k * 7 + 3) % n).collect();
+                        Tile::LowRank(Skeleton::new(
+                            &Matrix::from_fn(m, r, entry(3 * t + 1)),
+                            &Matrix::from_fn(n - r, r, entry(3 * t + 2)),
+                            &order,
+                        ))
+                    }
+                }
+            })
+            .collect();
+        TlrMatrix::new(tiling, tiles, cfg(24, 1e-4))
+    }
+
+    const SWEEP_GOLDEN_BITS: [u64; 4] = [
+        0x119e_e264_c612_85c4,
+        0xb8bc_71d7_d93d_2666,
+        0x5013_ff49_b582_2d7b,
+        0x8d60_cca1_25d4_ba86,
+    ];
+
+    /// The tile-fused sweep's output bits on [`golden_store`] — the
+    /// skeleton block kernels (`dotc_cols`, `axpy_cols`), the gather and
+    /// scatter and the dense tiles' kernels, forward, adjoint and fused at
+    /// `β` 0 and 0.7 — hashed: a change of blocking, lane width that
+    /// reorders a sum, or summation order fails here. The same constants
+    /// hold in debug and release builds, at SSE2 and at `x86-64-v3` width:
+    /// no product is contracted into an FMA.
+    #[test]
+    fn sweep_golden_bits() {
+        let tlr = golden_store();
+        let (m, n) = tlr.shape();
+        let mut h = [0xcbf2_9ce4_8422_2325_u64; 4];
+        let mut y = golden_vec(m, 5);
+        tlr.apply_into(&golden_vec(n, 4), &mut y);
+        h[0] = fnv1a(h[0], &y);
+        let mut x = golden_vec(n, 6);
+        tlr.apply_adjoint_into(&golden_vec(m, 7), &mut x);
+        h[1] = fnv1a(h[1], &x);
+        for (k, beta) in [(2, 0.0f32), (3, 0.7)] {
+            let (mut v, mut w, mut z) = (golden_vec(n, 8), golden_vec(m, 9), golden_vec(n, 10));
+            tlr.adjoint_then_apply_into(&golden_vec(m, 11), beta, &mut v, &mut w, &mut z);
+            h[k] = [v, w, z].iter().fold(h[k], |h, out| fnv1a(h, out));
+        }
+        assert_eq!(h, SWEEP_GOLDEN_BITS, "{h:#018x?}");
     }
 
     #[test]

@@ -408,11 +408,6 @@ pub trait Scalar:
     fn inv(self) -> Self;
     /// `true` iff both components are finite.
     fn is_finite(self) -> bool;
-    /// Fused multiply-accumulate convention: `self + a * b`.
-    #[inline(always)]
-    fn mul_add_acc(self, a: Self, b: Self) -> Self {
-        self + a * b
-    }
     /// Number of real FP words per scalar (1 for real, 2 for complex);
     /// used by the memory-traffic accounting in the performance model.
     const REAL_WORDS: usize;
