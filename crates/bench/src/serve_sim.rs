@@ -38,7 +38,6 @@ use tlr_mvm::json::Json;
 use tlr_mvm::json_fields;
 use tlr_mvm::telemetry::{
     check_openmetrics, render_openmetrics, trace_metric_families, FlightEvent, FlightRecorder,
-    SloThresholds, Watchdog, WatchdogConfig,
 };
 use tlr_mvm::trace::TraceReport;
 use tlr_mvm::{compress, trace, CompressionConfig, CompressionMethod, ToleranceMode};
@@ -216,9 +215,7 @@ pub fn run_serve_sim(jobs_per_rung: usize, ladder: &[f64]) -> ServeSimReport {
 }
 
 /// [`run_serve_sim`] plus telemetry artifacts: per-rung OpenMetrics
-/// scrapes, the final rung's flight-recorder drain, and an SLO watchdog
-/// sampling the queue while the ladder runs (breach dumps land in
-/// `target/trace/anomaly_<n>.json`).
+/// scrapes and the final rung's flight-recorder drain.
 pub fn run_serve_sim_full(jobs_per_rung: usize, ladder: &[f64]) -> ServeSimArtifacts {
     assert!(!ladder.is_empty() && jobs_per_rung > 0);
     assert!(
@@ -228,32 +225,12 @@ pub fn run_serve_sim_full(jobs_per_rung: usize, ladder: &[f64]) -> ServeSimArtif
     let cfg = EngineConfig::default();
     let (workers, queue_depth) = (cfg.workers, cfg.queue_depth);
     let recorder = Arc::new(FlightRecorder::new(workers, RING_CAPACITY));
-    let engine = Arc::new(Engine::start(EngineConfig {
+    let engine = Engine::start(EngineConfig {
         recorder: Some(Arc::clone(&recorder)),
         ..cfg
-    }));
-    let cache = OperatorCache::new(256 << 20).with_recorder(Arc::clone(&recorder));
+    });
+    let cache = OperatorCache::new(256 << 20);
     let key = OperatorKey::new("serve-sim-synthetic", NB, ACC);
-
-    // Lenient SLOs: the stall bound sits at the backpressure depth, so a
-    // healthy closed loop never dumps; a wedged engine does.
-    let dog = {
-        let eng = Arc::clone(&engine);
-        Watchdog::start(
-            WatchdogConfig {
-                poll: Duration::from_millis(25),
-                thresholds: SloThresholds {
-                    stage_p99_ns: Vec::new(),
-                    queue_depth_limit: u64::try_from(queue_depth).unwrap_or(u64::MAX),
-                    queue_stall_polls: 40,
-                    ..SloThresholds::default()
-                },
-                out_dir: PathBuf::from("target/trace"),
-            },
-            Arc::clone(&recorder),
-            move || u64::try_from(eng.queued()).unwrap_or(u64::MAX),
-        )
-    };
 
     let was_enabled = trace::is_enabled();
     let mut rungs = Vec::with_capacity(ladder.len());
@@ -336,7 +313,6 @@ pub fn run_serve_sim_full(jobs_per_rung: usize, ladder: &[f64]) -> ServeSimArtif
         final_trace = rep;
     }
     let final_events = recorder.snapshot_events();
-    let _ = dog.stop();
     trace::reset();
     trace::set_enabled(was_enabled);
 
@@ -367,13 +343,12 @@ pub fn run_serve_sim_full(jobs_per_rung: usize, ladder: &[f64]) -> ServeSimArtif
 ///
 /// Owns the global trace collector — call outside any `--trace` window.
 pub fn run_metrics_sample() -> io::Result<(PathBuf, usize)> {
-    let recorder = Arc::new(FlightRecorder::new(2, 1024));
     let engine = Engine::start(EngineConfig {
         workers: 2,
         queue_depth: 16,
-        recorder: Some(Arc::clone(&recorder)),
+        recorder: None,
     });
-    let cache = OperatorCache::new(64 << 20).with_recorder(Arc::clone(&recorder));
+    let cache = OperatorCache::new(64 << 20);
     let key = OperatorKey::new("metrics-sample", NB, ACC);
 
     let was_enabled = trace::is_enabled();

@@ -243,7 +243,6 @@ pub fn engine_track_events(flight: &[FlightEvent], workers: usize) -> Vec<Timeli
                 jobs[i].1.finish_ns = Some(e.ts_ns);
                 jobs[i].1.exec_ns = e.b;
             }
-            _ => {}
         }
     }
     jobs.retain(|(_, t)| t.submit_ns.is_some() && t.start_ns.is_some() && t.finish_ns.is_some());

@@ -25,15 +25,9 @@
 //!   (`E‖M x‖² = c·‖M‖²_F` for isotropic complex Gaussian `x`; the
 //!   constant cancels in the ratio), H2OPUS-TLR-style — no dense
 //!   operator is ever materialized beyond the sampled tile blocks.
-//! * **Convergence-stall detection.** [`log_residual_slope`] fits a
-//!   least-squares slope to `ln(residual)` over a rolling window of
-//!   solver iterations; [`convergence_check`] turns it into a
-//!   [`Convergence`] verdict (converging / stalled / diverging) that the
-//!   SLO watchdog surfaces as a `solver_stall` breach
-//!   (see [`crate::telemetry::SloThresholds`]).
 //!
-//! Estimator math, threshold rationale, and the accgate methodology are
-//! documented in `DESIGN.md` §16.
+//! Estimator math and the accgate methodology are documented in
+//! `DESIGN.md` §16.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -229,107 +223,6 @@ pub fn probe_nmse(
     }
 }
 
-/// Convergence verdict over a rolling residual window.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Convergence {
-    /// Residuals shrink at or above the required rate.
-    Converging,
-    /// Residuals shrink slower than the required rate (or not at all).
-    Stalled,
-    /// Residuals grow: the fitted `ln(residual)` slope is positive.
-    Diverging,
-}
-
-/// One evaluated convergence check.
-#[derive(Clone, Copy, Debug)]
-pub struct ConvergenceCheck {
-    /// The verdict.
-    pub verdict: Convergence,
-    /// Fitted per-iteration slope of `ln(residual)` (negative =
-    /// shrinking).
-    pub slope: f64,
-    /// Per-iteration residual decay in parts per million:
-    /// `round(1e6 · (1 − e^slope))`, clamped at 0 for growth — the
-    /// integer the SLO breach record carries as `observed`.
-    pub decay_ppm: u64,
-}
-
-/// Least-squares slope of `ln(residual)` per iteration over the last
-/// `window` entries. Returns `None` when fewer than `window` (or 2)
-/// residuals exist, or when any windowed residual is non-positive
-/// (an exact solve — there is no log-linear trend to fit).
-pub fn log_residual_slope(residuals: &[f32], window: usize) -> Option<f64> {
-    let window = window.max(2);
-    if residuals.len() < window {
-        return None;
-    }
-    let tail = &residuals[residuals.len() - window..];
-    if tail.iter().any(|&r| r <= 0.0) {
-        return None;
-    }
-    // Least squares of y = ln(r) against x = 0..window.
-    let n = window as f64;
-    let mut sx = 0.0f64;
-    let mut sy = 0.0f64;
-    let mut sxx = 0.0f64;
-    let mut sxy = 0.0f64;
-    for (i, &r) in tail.iter().enumerate() {
-        let x = i as f64;
-        let y = f64::from(r).ln();
-        sx += x;
-        sy += y;
-        sxx += x * x;
-        sxy += x * y;
-    }
-    let denom = n * sxx - sx * sx;
-    if denom <= 0.0 {
-        return None;
-    }
-    Some((n * sxy - sx * sy) / denom)
-}
-
-/// Evaluate a residual trajectory against a stall threshold: fit the
-/// windowed log-residual slope and compare the implied per-iteration
-/// decay against `min_decay_ppm` (parts per million per iteration).
-/// `None` when the window has not filled yet or the solve already hit
-/// an exact zero residual.
-pub fn convergence_check(
-    residuals: &[f32],
-    window: usize,
-    min_decay_ppm: u64,
-) -> Option<ConvergenceCheck> {
-    let slope = log_residual_slope(residuals, window)?;
-    let decay = 1.0 - slope.exp();
-    let decay_ppm = if decay > 0.0 {
-        f64_to_u64((decay * 1e6).round().min(1e6))
-    } else {
-        0
-    };
-    let verdict = if slope > 0.0 {
-        Convergence::Diverging
-    } else if decay_ppm < min_decay_ppm {
-        Convergence::Stalled
-    } else {
-        Convergence::Converging
-    };
-    Some(ConvergenceCheck {
-        verdict,
-        slope,
-        decay_ppm,
-    })
-}
-
-/// The relative residual trajectory of one solver in a trace snapshot,
-/// in record order — the scale-free series the stall detector feeds on.
-pub fn relative_residuals(report: &TraceReport, solver: &str) -> Vec<f32> {
-    report
-        .solver_iterations
-        .iter()
-        .filter(|r| r.solver == solver)
-        .map(|r| r.relative_residual())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -439,43 +332,5 @@ mod tests {
         let tlr = compress(&a, cfg);
         let est = probe_nmse(&a, &tlr, 16, 4, 3);
         assert!(est.nmse < 1e-10, "nmse {}", est.nmse);
-    }
-
-    #[test]
-    fn stall_detector_classifies_trajectories() {
-        // Healthy geometric convergence: 5 % decay per iteration.
-        let healthy: Vec<f32> = (0..12).map(|i| 0.95f32.powi(i)).collect();
-        let c = convergence_check(&healthy, 8, 10_000).expect("window filled");
-        assert_eq!(c.verdict, Convergence::Converging);
-        assert!(c.decay_ppm > 40_000 && c.decay_ppm < 60_000);
-
-        // Stalled: residual frozen.
-        let stalled = vec![0.5f32; 12];
-        let c = convergence_check(&stalled, 8, 10_000).expect("window filled");
-        assert_eq!(c.verdict, Convergence::Stalled);
-        assert_eq!(c.decay_ppm, 0);
-
-        // Diverging: residual growing.
-        let diverging: Vec<f32> = (0..12).map(|i| 1.05f32.powi(i)).collect();
-        let c = convergence_check(&diverging, 8, 10_000).expect("window filled");
-        assert_eq!(c.verdict, Convergence::Diverging);
-
-        // Window not filled yet.
-        assert!(convergence_check(&healthy[..4], 8, 10_000).is_none());
-        // Exact solve: a zero residual has no log-linear trend.
-        let exact = [0.5f32, 0.1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0];
-        assert!(convergence_check(&exact, 8, 10_000).is_none());
-    }
-
-    #[test]
-    fn slope_fit_matches_known_geometry() {
-        let rate = 0.9f32;
-        let series: Vec<f32> = (0..20).map(|i| rate.powi(i)).collect();
-        let slope = log_residual_slope(&series, 10).expect("fit");
-        assert!(
-            (slope - f64::from(rate).ln()).abs() < 1e-4,
-            "slope {slope} vs ln(0.9) {}",
-            f64::from(rate).ln()
-        );
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! Every artifact the workspace emits — `BENCH_*.json` baselines, trace
 //! and `repro --json` reports, `*.timeline.json` Perfetto exports, atlas
-//! frames, anomaly dumps, SARIF — is built as a [`Json`] value and so is
+//! frames, SARIF — is built as a [`Json`] value and so is
 //! *round-trippable by the repo itself*: `xtask perfgate` parses the
 //! committed baseline, and the schema tests parse what was written. u64
 //! counters are kept as verbatim numeric lexemes, so checksums survive

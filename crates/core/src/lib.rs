@@ -26,12 +26,10 @@
 //! * [`trace`] — zero-cost-when-disabled phase spans and flop/byte
 //!   counters; the runtime accounting behind `repro --trace`.
 //! * [`telemetry`] — serving-grade observability: the flight
-//!   recorder, OpenMetrics exposition, and the SLO watchdog
-//!   (DESIGN.md §14).
+//!   recorder and OpenMetrics exposition (DESIGN.md §14).
 //! * [`accuracy`] — the accuracy observatory: per-tile compression
-//!   grids with exact byte/rank reconciliation, a sampled-probe NMSE
-//!   estimator, and the solver convergence-stall detector
-//!   (DESIGN.md §16).
+//!   grids with exact byte/rank reconciliation and a sampled-probe NMSE
+//!   estimator (DESIGN.md §16).
 //!
 //! ## Quick start
 //!
@@ -94,10 +92,7 @@ pub use accounting::{
     absolute_bytes, dense_mvm_cost, mvm_flops, relative_bytes, three_phase_cost, tlr_mmm_cost,
     tlr_mvm_cost, ThreePhaseCost, TlrMvmCost,
 };
-pub use accuracy::{
-    convergence_check, log_residual_slope, probe_nmse, verify_compression_grids, Convergence,
-    ConvergenceCheck, ProbeEstimate,
-};
+pub use accuracy::{probe_nmse, verify_compression_grids, ProbeEstimate};
 pub use compress::{compress, compress_tile, CompressionConfig, CompressionMethod, ToleranceMode};
 pub use fastpath::{
     gather, gemv_acc_fast, gemv_conj_transpose_fast, gemv_conj_transpose_swapped, swap_re_im,

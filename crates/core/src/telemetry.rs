@@ -1,11 +1,11 @@
-//! Serving-grade telemetry: a flight recorder, OpenMetrics text
-//! exposition, and an SLO watchdog (DESIGN.md §14).
+//! Serving-grade telemetry: a flight recorder and OpenMetrics text
+//! exposition (DESIGN.md §14).
 //!
-//! Three layers, each usable on its own:
+//! Two layers, each usable on its own:
 //!
 //! * **Flight recorder** — [`FlightRecorder`] keeps one fixed-capacity
 //!   ring of typed events per engine worker (plus one *external* ring
-//!   for submit-side and cache events), each behind its own mutex.
+//!   for submissions), each behind its own mutex.
 //!   Recording is allocation-free (the HP01 lint holds the record path
 //!   to that); readers merge all rings into one timestamp-ordered
 //!   [`FlightEvent`] list, locking one ring at a time.
@@ -15,29 +15,19 @@
 //!   label escaping, monotone histogram buckets ending in `+Inf`).
 //!   [`trace_metric_families`] derives families from a
 //!   [`TraceReport`]'s phase counters and latency histograms.
-//! * **Watchdog** — [`SloMonitor`] turns consecutive trace snapshots
-//!   into per-stage *delta* p99s and queue-stall verdicts;
-//!   [`Watchdog`] runs it on a sampler thread and writes
-//!   `anomaly_<n>.json` postmortem dumps ([`write_anomaly_dump`]) on
-//!   breach.
 //!
 //! Event timestamps count nanoseconds from the recorder's epoch
 //! ([`FlightRecorder::reset_epoch`]), mirroring `trace::reset`, so
 //! flight events and span events share a timeline.
 
 use std::collections::BTreeMap;
-use std::io;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
+use std::time::Instant;
 
 use seismic_la::sync::lock;
 
-use crate::json::Json;
-use crate::json_fields;
-use crate::trace::{LatencyBucket, LatencyEntry, TraceReport};
+use crate::trace::TraceReport;
 
 /// Zero-cost hot-path marker. The `xtask` HP01 lint treats the rest of
 /// the enclosing block as allocation-free territory, exactly like a
@@ -60,31 +50,6 @@ pub enum EventKind {
     /// A worker finished a job (`a` = job id, `b` = execution
     /// nanoseconds).
     JobFinished,
-    /// Operator cache hit (`a` = entry bytes, `b` = resident bytes).
-    CacheHit,
-    /// Operator cache miss (`a` = entry bytes, `b` = resident bytes).
-    CacheMiss,
-    /// Operator cache eviction (`a` = evicted bytes, `b` = resident
-    /// bytes after).
-    CacheEvict,
-    /// Watchdog queue-depth sample (`a` = depth, `b` = 0).
-    QueueDepth,
-}
-
-impl EventKind {
-    /// Human-readable name used in JSON dumps and timelines.
-    pub const fn name(self) -> &'static str {
-        match self {
-            EventKind::JobSubmitted => "JobSubmitted",
-            EventKind::JobStolen => "JobStolen",
-            EventKind::JobStarted => "JobStarted",
-            EventKind::JobFinished => "JobFinished",
-            EventKind::CacheHit => "CacheHit",
-            EventKind::CacheMiss => "CacheMiss",
-            EventKind::CacheEvict => "CacheEvict",
-            EventKind::QueueDepth => "QueueDepth",
-        }
-    }
 }
 
 /// One decoded flight-recorder event.
@@ -122,9 +87,8 @@ struct Ring {
 ///
 /// Layout: `workers + 1` rings of `capacity` [`FlightEvent`] slots,
 /// allocated once in [`FlightRecorder::new`]. The last ring is the
-/// *external* ring for events with no owning worker (job submission,
-/// cache traffic, watchdog queue-depth samples), so it is the one ring
-/// many threads write.
+/// *external* ring for events with no owning worker (job submission),
+/// so it is the one ring many threads write.
 ///
 /// A writer locks its ring, stores one slot and bumps the head; a reader
 /// locks one ring at a time and copies out the newest
@@ -158,7 +122,7 @@ impl FlightRecorder {
                 let empty = FlightEvent {
                     ring: u64::try_from(ring).unwrap_or(u64::MAX),
                     ts_ns: 0,
-                    kind: EventKind::QueueDepth,
+                    kind: EventKind::JobSubmitted,
                     a: 0,
                     b: 0,
                 };
@@ -187,7 +151,7 @@ impl FlightRecorder {
         self.capacity
     }
 
-    /// Index of the external ring (submit/cache/watchdog events).
+    /// Index of the external ring (submit events).
     pub fn external_ring(&self) -> usize {
         self.rings.len() - 1
     }
@@ -274,16 +238,6 @@ impl Ring {
         let cap = u64::try_from(self.slots.len()).unwrap_or(u64::MAX);
         usize::try_from(self.head % cap).unwrap_or(0)
     }
-}
-
-/// A merged event list as a JSON array (one object per event), the
-/// flight recorder's dump format.
-pub fn events_json(events: &[FlightEvent]) -> Json {
-    Json::arr(
-        events
-            .iter()
-            .map(|e| json_fields!(e; ring, ts_ns, kind => e.kind.name().into(), a, b)),
-    )
 }
 
 /// Metric family kind, mirroring the OpenMetrics `# TYPE` vocabulary
@@ -898,303 +852,17 @@ pub fn trace_metric_families(report: &TraceReport) -> Vec<MetricFamily> {
     out
 }
 
-/// SLO thresholds the watchdog enforces.
-#[derive(Clone, Debug)]
-pub struct SloThresholds {
-    /// Per-stage rolling-p99 ceilings, nanoseconds: `(stage, limit)`.
-    pub stage_p99_ns: Vec<(String, u64)>,
-    /// Queue depth at or above which a poll counts toward a stall
-    /// (0 disables the stall check).
-    pub queue_depth_limit: u64,
-    /// Consecutive saturated polls that constitute a stall.
-    pub queue_stall_polls: u32,
-    /// Rolling window (iterations) for the solver convergence-stall
-    /// detector (0 disables it). See
-    /// [`crate::accuracy::convergence_check`].
-    pub solver_stall_window: usize,
-    /// Minimum per-iteration residual decay, parts per million, below
-    /// which a filled window counts as stalled.
-    pub solver_stall_min_decay_ppm: u64,
-}
-
-impl Default for SloThresholds {
-    fn default() -> Self {
-        Self {
-            stage_p99_ns: Vec::new(),
-            queue_depth_limit: 0,
-            queue_stall_polls: 3,
-            solver_stall_window: 0,
-            solver_stall_min_decay_ppm: 1_000,
-        }
-    }
-}
-
-/// One SLO breach verdict.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SloBreach {
-    /// `"stage_p99"`, `"queue_stall"`, or `"solver_stall"`.
-    pub reason: &'static str,
-    /// Offending stage (empty for queue stalls; the solver name for
-    /// solver stalls).
-    pub stage: String,
-    /// Observed p99 nanoseconds, queue depth, or residual decay ppm.
-    pub observed: u64,
-    /// The configured limit that was crossed.
-    pub limit: u64,
-}
-
-/// Deterministic core of the watchdog: feeds on consecutive
-/// (cumulative) trace snapshots and a queue-depth sample, computes
-/// per-stage *delta* histograms between observations, and reports
-/// breaches. Pure — the sampler thread lives in [`Watchdog`].
-#[derive(Debug, Default)]
-pub struct SloMonitor {
-    thresholds: SloThresholds,
-    prev: BTreeMap<String, BTreeMap<u64, u64>>,
-    stall_polls: u32,
-    solver_rows: BTreeMap<String, usize>,
-}
-
-impl SloMonitor {
-    /// A monitor with the given thresholds and no history.
-    pub fn new(thresholds: SloThresholds) -> Self {
-        Self {
-            thresholds,
-            prev: BTreeMap::new(),
-            stall_polls: 0,
-            solver_rows: BTreeMap::new(),
-        }
-    }
-
-    /// Observe one poll: a fresh (cumulative) trace snapshot plus the
-    /// current queue depth. Returns every breach this poll produced.
-    pub fn observe(&mut self, report: &TraceReport, queue_depth: u64) -> Vec<SloBreach> {
-        let mut out = Vec::new();
-        for (stage, limit) in &self.thresholds.stage_p99_ns {
-            let cur: BTreeMap<u64, u64> =
-                report.latency_for(stage).map_or_else(BTreeMap::new, |e| {
-                    e.buckets.iter().map(|b| (b.floor_ns, b.count)).collect()
-                });
-            let prev = self.prev.entry(stage.clone()).or_default();
-            let delta: Vec<LatencyBucket> = cur
-                .iter()
-                .filter_map(|(&floor_ns, &c)| {
-                    let p = prev.get(&floor_ns).copied().unwrap_or(0);
-                    (c > p).then_some(LatencyBucket {
-                        floor_ns,
-                        count: c - p,
-                    })
-                })
-                .collect();
-            *prev = cur;
-            let count: u64 = delta.iter().map(|b| b.count).sum();
-            if count == 0 {
-                continue;
-            }
-            let entry = LatencyEntry {
-                name: stage.clone(),
-                count,
-                p50_ns: 0,
-                p95_ns: 0,
-                p99_ns: 0,
-                buckets: delta,
-            };
-            let p99 = entry.percentile_ns(0.99);
-            if p99 > *limit {
-                out.push(SloBreach {
-                    reason: "stage_p99",
-                    stage: stage.clone(),
-                    observed: p99,
-                    limit: *limit,
-                });
-            }
-        }
-        let limit = self.thresholds.queue_depth_limit;
-        if limit > 0 && queue_depth >= limit {
-            self.stall_polls = self.stall_polls.saturating_add(1);
-            if self.stall_polls >= self.thresholds.queue_stall_polls {
-                out.push(SloBreach {
-                    reason: "queue_stall",
-                    stage: String::new(),
-                    observed: queue_depth,
-                    limit,
-                });
-                self.stall_polls = 0;
-            }
-        } else {
-            self.stall_polls = 0;
-        }
-
-        // Convergence-stall detector: a solver whose windowed relative
-        // residual stops decaying (or grows) breaches once per poll in
-        // which new iterations actually arrived — a solver that merely
-        // sits idle between polls never re-triggers on stale rows.
-        let window = self.thresholds.solver_stall_window;
-        if window > 0 {
-            let mut solvers: Vec<&str> = report
-                .solver_iterations
-                .iter()
-                .map(|r| r.solver.as_str())
-                .collect();
-            solvers.sort_unstable();
-            solvers.dedup();
-            for solver in solvers {
-                let residuals = crate::accuracy::relative_residuals(report, solver);
-                let seen = self.solver_rows.entry(solver.to_string()).or_insert(0);
-                if residuals.len() <= *seen {
-                    continue;
-                }
-                *seen = residuals.len();
-                if let Some(check) = crate::accuracy::convergence_check(
-                    &residuals,
-                    window,
-                    self.thresholds.solver_stall_min_decay_ppm,
-                ) {
-                    if check.verdict != crate::accuracy::Convergence::Converging {
-                        out.push(SloBreach {
-                            reason: "solver_stall",
-                            stage: solver.to_string(),
-                            observed: check.decay_ppm,
-                            limit: self.thresholds.solver_stall_min_decay_ppm,
-                        });
-                    }
-                }
-            }
-        }
-        out
-    }
-}
-
-/// Write an anomaly dump (`anomaly_<n>.json`): the breach verdict, the
-/// merged flight-recorder events, and a metrics snapshot. Returns the
-/// path written.
-pub fn write_anomaly_dump(
-    dir: &Path,
-    n: u64,
-    breach: &SloBreach,
-    events: &[FlightEvent],
-    metrics: &str,
-) -> io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("anomaly_{n}.json"));
-    let doc = Json::obj([
-        (
-            "breach",
-            json_fields!(breach; reason, stage, observed, limit),
-        ),
-        ("events", events_json(events)),
-        ("metrics", metrics.into()),
-    ]);
-    std::fs::write(&path, doc.to_pretty())?;
-    Ok(path)
-}
-
-/// Watchdog configuration: sampling cadence, thresholds, and where
-/// anomaly dumps land.
-#[derive(Clone, Debug)]
-pub struct WatchdogConfig {
-    /// Sampler period.
-    pub poll: Duration,
-    /// The SLOs to enforce.
-    pub thresholds: SloThresholds,
-    /// Directory receiving `anomaly_<n>.json` dumps.
-    pub out_dir: PathBuf,
-}
-
-impl Default for WatchdogConfig {
-    fn default() -> Self {
-        Self {
-            poll: Duration::from_millis(50),
-            thresholds: SloThresholds::default(),
-            out_dir: PathBuf::from("target/trace"),
-        }
-    }
-}
-
-/// The SLO watchdog sampler thread: polls the global trace collector
-/// and a queue-depth probe through an [`SloMonitor`], records
-/// [`EventKind::QueueDepth`] samples on the recorder's external ring,
-/// and writes an anomaly dump per breach. Stopped (and joined) by
-/// [`Watchdog::stop`] or drop.
-#[derive(Debug)]
-pub struct Watchdog {
-    stop: Arc<AtomicBool>,
-    breaches: Arc<AtomicU64>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl Watchdog {
-    /// Start the sampler thread. `queue_depth` is polled once per
-    /// period (e.g. `move || engine.queued() as u64`).
-    pub fn start<F>(cfg: WatchdogConfig, recorder: Arc<FlightRecorder>, queue_depth: F) -> Self
-    where
-        F: Fn() -> u64 + Send + 'static,
-    {
-        let stop = Arc::new(AtomicBool::new(false));
-        let breaches = Arc::new(AtomicU64::new(0));
-        let t_stop = Arc::clone(&stop);
-        let t_breaches = Arc::clone(&breaches);
-        // Monotonic stop gate: `halt` stores true once, the sampler
-        // polls it. Relaxed is sound — the flag only decides when the
-        // loop notices shutdown, never which data it may touch, and
-        // `JoinHandle::join` supplies the final happens-before edge.
-        let handle = std::thread::spawn(move || {
-            let mut monitor = SloMonitor::new(cfg.thresholds.clone());
-            while !t_stop.load(Ordering::Relaxed) {
-                std::thread::sleep(cfg.poll);
-                let depth = queue_depth();
-                recorder.record(recorder.external_ring(), EventKind::QueueDepth, depth, 0);
-                let report = crate::trace::snapshot();
-                for breach in monitor.observe(&report, depth) {
-                    let idx = t_breaches.fetch_add(1, Ordering::Relaxed);
-                    let events = recorder.snapshot_events();
-                    let metrics = render_openmetrics(&trace_metric_families(&report));
-                    let _ = write_anomaly_dump(&cfg.out_dir, idx, &breach, &events, &metrics);
-                }
-            }
-        });
-        Self {
-            stop,
-            breaches,
-            handle: Some(handle),
-        }
-    }
-
-    /// Breaches observed so far.
-    pub fn breaches(&self) -> u64 {
-        self.breaches.load(Ordering::Relaxed)
-    }
-
-    fn halt(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-
-    /// Stop and join the sampler; returns the final breach count.
-    pub fn stop(mut self) -> u64 {
-        self.halt();
-        self.breaches()
-    }
-}
-
-impl Drop for Watchdog {
-    fn drop(&mut self) {
-        self.halt();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
     use proptest::prelude::*;
 
     #[test]
     fn single_writer_wraparound_keeps_last_capacity_events() {
         let rec = FlightRecorder::new(1, 4);
         for i in 0..10u64 {
-            rec.record_at(0, i, EventKind::QueueDepth, i, 0);
+            rec.record_at(0, i, EventKind::JobSubmitted, i, 0);
         }
         let ring0: Vec<u64> = rec
             .snapshot_events()
@@ -1209,10 +877,10 @@ mod tests {
     #[test]
     fn clear_empties_rings_but_heads_stay_monotone() {
         let rec = FlightRecorder::new(1, 4);
-        rec.record_at(0, 1, EventKind::CacheHit, 0, 0);
+        rec.record_at(0, 1, EventKind::JobStarted, 0, 0);
         rec.clear();
         assert!(rec.snapshot_events().is_empty());
-        rec.record_at(0, 2, EventKind::CacheMiss, 0, 0);
+        rec.record_at(0, 2, EventKind::JobFinished, 0, 0);
         assert_eq!(rec.snapshot_events().len(), 1);
         assert_eq!(rec.recorded(0), 2);
     }
@@ -1220,7 +888,7 @@ mod tests {
     #[test]
     fn out_of_range_ring_is_ignored() {
         let rec = FlightRecorder::new(1, 4);
-        rec.record_at(99, 1, EventKind::CacheHit, 0, 0);
+        rec.record_at(99, 1, EventKind::JobSubmitted, 0, 0);
         assert!(rec.snapshot_events().is_empty());
         assert_eq!(rec.external_ring(), 1);
     }
@@ -1247,22 +915,18 @@ mod tests {
         }
     }
 
-    const KINDS: [EventKind; 8] = [
+    const KINDS: [EventKind; 4] = [
         EventKind::JobSubmitted,
         EventKind::JobStolen,
         EventKind::JobStarted,
         EventKind::JobFinished,
-        EventKind::CacheHit,
-        EventKind::CacheMiss,
-        EventKind::CacheEvict,
-        EventKind::QueueDepth,
     ];
 
     /// The event counter `c` stands for, stamped `ts_ns = c`: every field
     /// is a function of `c`, so a slot holding words of two events
     /// cannot pass [`is_whole`].
     fn fields_of(c: u64) -> (EventKind, u64, u64) {
-        (KINDS[(c % 8) as usize], c.wrapping_mul(3), !c)
+        (KINDS[(c % 4) as usize], c.wrapping_mul(3), !c)
     }
 
     fn record_counter(rec: &FlightRecorder, ring: usize, c: u64) {
@@ -1389,7 +1053,7 @@ mod tests {
                     let mut tagged = 0;
                     while tagged < AFTER {
                         let after = u64::from(cleared.load(Ordering::SeqCst));
-                        rec.record_at(0, 0, EventKind::CacheHit, after, 0);
+                        rec.record_at(0, 0, EventKind::JobSubmitted, after, 0);
                         tagged += after;
                     }
                 });
@@ -1416,14 +1080,14 @@ mod tests {
     fn equal_timestamps_drain_in_write_order() {
         let rec = FlightRecorder::new(1, 4);
         let written = [
-            (EventKind::QueueDepth, 9),
+            (EventKind::JobStarted, 9),
             (EventKind::JobFinished, 7),
-            (EventKind::JobSubmitted, 8),
-            (EventKind::CacheHit, 0),
+            (EventKind::JobFinished, 8),
+            (EventKind::JobSubmitted, 0),
             (EventKind::JobStolen, 3),
             (EventKind::JobStarted, 1),
         ];
-        rec.record_at(1, 5, EventKind::CacheEvict, 0, 0);
+        rec.record_at(1, 5, EventKind::JobStolen, 0, 0);
         for (kind, a) in written {
             rec.record_at(0, 5, kind, a, 0);
         }
@@ -1434,7 +1098,7 @@ mod tests {
             .collect();
         let mut want: Vec<(u64, EventKind, u64)> =
             written[2..].iter().map(|&(kind, a)| (0, kind, a)).collect();
-        want.push((1, EventKind::CacheEvict, 0));
+        want.push((1, EventKind::JobStolen, 0));
         assert_eq!(got, want);
     }
 
@@ -1525,7 +1189,7 @@ mod tests {
 
     #[test]
     fn trace_families_build_monotone_histograms() {
-        use crate::trace::{LatencyEntry, PhaseEntry, PhaseStats};
+        use crate::trace::{LatencyBucket, LatencyEntry, PhaseEntry, PhaseStats};
         let report = TraceReport {
             phases: vec![PhaseEntry {
                 name: "engine.queue_wait".to_string(),
@@ -1565,151 +1229,6 @@ mod tests {
         assert!(text.contains("le=\"4\"} 3\n"));
         assert!(text.contains("le=\"8\"} 7\n"));
         assert!(text.contains("trace_phase_calls_total{phase=\"engine.queue_wait\"} 7\n"));
-    }
-
-    fn report_with_latency(stage: &str, buckets: Vec<LatencyBucket>, count: u64) -> TraceReport {
-        TraceReport {
-            latency: vec![LatencyEntry {
-                name: stage.to_string(),
-                count,
-                p50_ns: 0,
-                p95_ns: 0,
-                p99_ns: 0,
-                buckets,
-            }],
-            ..Default::default()
-        }
-    }
-
-    #[test]
-    fn slo_monitor_fires_on_delta_p99_not_cumulative_history() {
-        let mut mon = SloMonitor::new(SloThresholds {
-            stage_p99_ns: vec![("s".to_string(), 100)],
-            ..Default::default()
-        });
-        // First snapshot: 10 fast observations — under the limit.
-        let fast = report_with_latency(
-            "s",
-            vec![LatencyBucket {
-                floor_ns: 16,
-                count: 10,
-            }],
-            10,
-        );
-        assert!(mon.observe(&fast, 0).is_empty());
-        // Re-observing the identical snapshot: zero delta, no breach.
-        assert!(mon.observe(&fast, 0).is_empty());
-        // Now 5 *new* slow observations land; the cumulative histogram
-        // still holds the 10 fast ones, but the delta p99 is slow.
-        let mixed = report_with_latency(
-            "s",
-            vec![
-                LatencyBucket {
-                    floor_ns: 16,
-                    count: 10,
-                },
-                LatencyBucket {
-                    floor_ns: 4096,
-                    count: 5,
-                },
-            ],
-            15,
-        );
-        let breaches = mon.observe(&mixed, 0);
-        assert_eq!(breaches.len(), 1);
-        assert_eq!(breaches[0].reason, "stage_p99");
-        assert_eq!(breaches[0].stage, "s");
-        assert!(breaches[0].observed >= 4096);
-    }
-
-    #[test]
-    fn slo_monitor_requires_consecutive_polls_for_a_stall() {
-        let mut mon = SloMonitor::new(SloThresholds {
-            queue_depth_limit: 4,
-            queue_stall_polls: 3,
-            ..Default::default()
-        });
-        let empty = TraceReport::default();
-        assert!(mon.observe(&empty, 9).is_empty());
-        assert!(mon.observe(&empty, 9).is_empty());
-        // A dip resets the streak.
-        assert!(mon.observe(&empty, 0).is_empty());
-        assert!(mon.observe(&empty, 9).is_empty());
-        assert!(mon.observe(&empty, 9).is_empty());
-        let b = mon.observe(&empty, 9);
-        assert_eq!(b.len(), 1);
-        assert_eq!(b[0].reason, "queue_stall");
-        assert_eq!(b[0].observed, 9);
-        assert_eq!(b[0].limit, 4);
-    }
-
-    fn report_with_solver_rows(solver: &str, residuals: &[f32]) -> TraceReport {
-        TraceReport {
-            solver_iterations: residuals
-                .iter()
-                .enumerate()
-                .map(|(i, &r)| crate::trace::SolverIteration {
-                    solver: solver.to_string(),
-                    iteration: i as u64 + 1,
-                    residual: r,
-                    initial_residual: 1.0,
-                    nanos: 0,
-                })
-                .collect(),
-            ..Default::default()
-        }
-    }
-
-    #[test]
-    fn slo_monitor_flags_a_stalled_solver_once_per_batch_of_new_rows() {
-        let mut mon = SloMonitor::new(SloThresholds {
-            solver_stall_window: 4,
-            solver_stall_min_decay_ppm: 10_000,
-            ..Default::default()
-        });
-        // Healthy convergence: no breach.
-        let healthy: Vec<f32> = (0..8).map(|i| 0.8f32.powi(i)).collect();
-        assert!(mon
-            .observe(&report_with_solver_rows("lsqr", &healthy), 0)
-            .is_empty());
-
-        // A frozen residual trips the detector...
-        let mut frozen = healthy.clone();
-        frozen.extend(std::iter::repeat_n(frozen[7], 6));
-        let b = mon.observe(&report_with_solver_rows("lsqr", &frozen), 0);
-        assert_eq!(b.len(), 1);
-        assert_eq!(b[0].reason, "solver_stall");
-        assert_eq!(b[0].stage, "lsqr");
-        assert_eq!(b[0].observed, 0);
-        assert_eq!(b[0].limit, 10_000);
-        // ...but re-observing the identical snapshot (no new rows) does
-        // not re-breach on stale history.
-        assert!(mon
-            .observe(&report_with_solver_rows("lsqr", &frozen), 0)
-            .is_empty());
-    }
-
-    #[test]
-    fn slo_monitor_flags_a_diverging_solver() {
-        let mut mon = SloMonitor::new(SloThresholds {
-            solver_stall_window: 4,
-            solver_stall_min_decay_ppm: 1_000,
-            ..Default::default()
-        });
-        let diverging: Vec<f32> = (0..8).map(|i| 1.2f32.powi(i)).collect();
-        let b = mon.observe(&report_with_solver_rows("lsqr", &diverging), 0);
-        assert_eq!(b.len(), 1);
-        assert_eq!(b[0].reason, "solver_stall");
-        assert_eq!(b[0].stage, "lsqr");
-    }
-
-    #[test]
-    fn solver_stall_detector_disabled_by_default() {
-        let mut mon = SloMonitor::new(SloThresholds::default());
-        let frozen = vec![0.5f32; 16];
-        assert!(mon
-            .observe(&report_with_solver_rows("lsqr", &frozen), 0)
-            .is_empty());
     }
 
     #[test]
@@ -1757,56 +1276,5 @@ mod tests {
         // The whole set still renders as valid OpenMetrics.
         let text = render_openmetrics(&fams);
         check_openmetrics(&text).expect("valid exposition");
-    }
-
-    #[test]
-    fn anomaly_dump_parses_and_carries_breach_events_and_metrics() {
-        let dir = std::env::temp_dir().join(format!("tlr-anomaly-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let event = |ts_ns, kind, b| FlightEvent {
-            ring: 0,
-            ts_ns,
-            kind,
-            a: 1,
-            b,
-        };
-        let events = [
-            event(5, EventKind::JobStarted, 0),
-            event(9, EventKind::JobFinished, u64::MAX),
-        ];
-        // A stage name no hand-rolled escaper should be trusted with.
-        let stage = "engine.\"job\"\\total\nline two\u{1}";
-        let breach = SloBreach {
-            reason: "stage_p99",
-            stage: stage.to_string(),
-            observed: 9_000,
-            limit: 100,
-        };
-        let metrics = render_openmetrics(&sample_families());
-        let path = write_anomaly_dump(&dir, 0, &breach, &events, &metrics).expect("dump written");
-        assert!(path.ends_with("anomaly_0.json"));
-        let text = std::fs::read_to_string(&path).expect("dump readable");
-        let doc = Json::parse(&text).expect("an anomaly dump is JSON by construction");
-        let got = doc.get("breach").expect("breach");
-        assert_eq!(got.get("reason").and_then(Json::as_str), Some("stage_p99"));
-        assert_eq!(got.get("stage").and_then(Json::as_str), Some(stage));
-        assert_eq!(got.get("observed").and_then(Json::as_u64), Some(9_000));
-        assert_eq!(got.get("limit").and_then(Json::as_u64), Some(100));
-        assert_eq!(doc.get("events"), Some(&events_json(&events)));
-        let listed = doc.get("events").and_then(Json::as_arr).expect("events");
-        assert_eq!(listed.len(), 2);
-        assert_eq!(
-            listed[0].get("kind").and_then(Json::as_str),
-            Some("JobStarted")
-        );
-        assert_eq!(listed[1].get("ts_ns").and_then(Json::as_u64), Some(9));
-        assert_eq!(listed[1].get("b").and_then(Json::as_u64), Some(u64::MAX));
-        // The exposition text (quotes, newlines, braces) survives whole.
-        assert_eq!(
-            doc.get("metrics").and_then(Json::as_str),
-            Some(metrics.as_str())
-        );
-        assert_eq!(events_json(&[]).to_pretty(), "[]\n");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
