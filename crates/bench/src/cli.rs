@@ -15,8 +15,8 @@ pub struct Subcommand {
     /// One-line help blurb.
     pub blurb: &'static str,
     /// Whether `repro all` runs it. Measurement tools (perfbench,
-    /// atlas-sweep, serve-sim) stay out: their timings are only
-    /// meaningful run on their own.
+    /// atlas-sweep, metrics, acc-report) stay out: their timings are
+    /// only meaningful run on their own.
     pub in_all: bool,
 }
 
@@ -129,11 +129,6 @@ pub const SUBCOMMANDS: &[Subcommand] = &[
         in_all: false,
     },
     Subcommand {
-        name: "serve-sim",
-        blurb: "closed-loop serving load: latency vs offered QPS",
-        in_all: false,
-    },
-    Subcommand {
         name: "metrics",
         blurb: "one-shot OpenMetrics scrape (target/repro/metrics.prom)",
         in_all: false,
@@ -176,8 +171,7 @@ pub fn usage() -> String {
         "\n\
          --json additionally writes machine-readable results to target/repro/\n\
         \x20       (perfbench: target/perf/BENCH_table2.json, the run `xtask\n\
-        \x20        perfgate` compares against the committed BENCH_table2.json;\n\
-        \x20        serve-sim: target/repro/serve_sim.json)\n\
+        \x20        perfgate` compares against the committed BENCH_table2.json)\n\
          --trace enables the runtime observability layer and writes the phase\n\
         \x20       breakdown (spans, flop/byte counters, solver iterations) to\n\
         \x20       target/trace/<experiment>.json; table2 additionally prints the\n\
@@ -193,13 +187,7 @@ pub fn usage() -> String {
          REPRO_SCALE=<n> overrides the dataset downscale factor (default 12)\n\
          PERFBENCH_REPS=<n> overrides perfbench's median-of-N sample count\n\
          acc-report --json writes target/repro/acc_report.json, the artifact\n\
-        \x20       `xtask accgate` compares against BENCH_accuracy.json\n\
-         SERVE_SIM_JOBS=<n> jobs per serve-sim ladder rung (default 96)\n\
-         SERVE_SIM_RUNGS=<1-8> serve-sim offered-QPS ladder rungs (default 5)\n\
-         serve-sim also scrapes per-rung OpenMetrics expositions to\n\
-        \x20       target/repro/metrics_<rung>.prom; with --timeline its Perfetto\n\
-        \x20       trace carries per-worker engine tracks with submit→steal→exec\n\
-        \x20       flow arrows from the flight recorder",
+        \x20       `xtask accgate` compares against BENCH_accuracy.json",
     );
     out
 }
@@ -251,7 +239,7 @@ mod tests {
 
     #[test]
     fn find_resolves_known_and_rejects_unknown() {
-        assert!(find("serve-sim").is_some_and(|s| !s.in_all));
+        assert!(find("metrics").is_some_and(|s| !s.in_all));
         assert!(find("fig11").is_some_and(|s| s.in_all));
         assert!(find("fig99").is_none());
     }

@@ -14,9 +14,8 @@
 //! * [`perf`] — host-kernel microbenchmarks, the `BENCH_*.json`
 //!   document, and the `xtask perfgate` comparison (trace-counter
 //!   checksums and within-run kernel ratios).
-//! * [`serve_sim`] — the closed-loop serving simulation against the
-//!   batched engine: latency vs offered QPS with per-stage percentiles
-//!   (`repro serve-sim`, DESIGN.md §13).
+//! * [`metrics_sample`] — the one-shot OpenMetrics scrape of a short
+//!   engine run (`repro metrics`, DESIGN.md §14).
 //! * [`cli`] — the `repro` subcommand table the help text, `all` list,
 //!   and dispatcher self-check are generated from.
 //! * [`timeline`] — Chrome Trace Event / Perfetto export of trace
@@ -49,10 +48,10 @@ pub mod acc_experiments;
 pub mod atlas_experiments;
 pub mod cli;
 pub mod mdd_experiments;
+pub mod metrics_sample;
 pub mod mmm_experiments;
 pub mod perf;
 pub mod report;
-pub mod serve_sim;
 pub mod timeline;
 pub mod wse_experiments;
 

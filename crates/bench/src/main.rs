@@ -32,10 +32,10 @@ use seismic_bench::acc_experiments as accx;
 use seismic_bench::atlas_experiments as atlasx;
 use seismic_bench::cli;
 use seismic_bench::mdd_experiments as mddx;
+use seismic_bench::metrics_sample;
 use seismic_bench::mmm_experiments as mmmx;
 use seismic_bench::perf;
 use seismic_bench::report::{fmt_bytes, fmt_pbs, render_table, write_json, TraceArtifact};
-use seismic_bench::serve_sim as servesim;
 use seismic_bench::timeline;
 use seismic_bench::wse_experiments as wsex;
 use tlr_mvm::json::Json;
@@ -54,7 +54,6 @@ fn write_rows<T>(name: &str, rows: &[T], row: fn(&T) -> Json) -> std::io::Result
 struct Ctx {
     json: bool,
     atlas: bool,
-    timeline: bool,
 }
 
 /// One experiment's entry point. Closures that capture nothing coerce
@@ -92,7 +91,6 @@ fn handler_for(name: &str) -> Option<Handler> {
         "tab2wse" => |c: &Ctx| tab2wse(c.atlas),
         "perfbench" => |c: &Ctx| perfbench(c.json),
         "atlas-sweep" => |_c: &Ctx| atlas_sweep(),
-        "serve-sim" => |c: &Ctx| serve_sim_cmd(c.json, c.timeline),
         "metrics" => |_c: &Ctx| metrics_cmd(),
         "acc-report" => |c: &Ctx| acc_report(c.json),
         _ => return None,
@@ -168,7 +166,6 @@ fn run() -> RunResult<ExitCode> {
     let ctx = Ctx {
         json,
         atlas: atlas_on,
-        timeline: timeline_on,
     };
     if which == "all" {
         for sc in cli::SUBCOMMANDS.iter().filter(|s| s.in_all) {
@@ -193,12 +190,8 @@ fn run() -> RunResult<ExitCode> {
         println!("\n  atlas written to {}", path.display());
     }
 
-    // serve-sim owns its trace window and writes its own enriched
-    // timeline (engine flight-recorder tracks + flow arrows), so the
-    // generic epilogue must not overwrite it.
-    let serve_owns_timeline = which == "serve-sim";
     if trace_on || timeline_on {
-        if timeline_on && !serve_owns_timeline {
+        if timeline_on {
             // Make sure both track families exist whatever experiment
             // ran: one traced three-phase apply (host spans) + one
             // functional exec (modeled PE-group tracks).
@@ -208,7 +201,7 @@ fn run() -> RunResult<ExitCode> {
         // owns (and resets) the global collector for its measurements.
         trace::set_enabled(false);
         let report = trace::snapshot();
-        if timeline_on && !serve_owns_timeline {
+        if timeline_on {
             let clock_hz = wse_sim::Cs2Config::default().clock_hz;
             let path = timeline::write_timeline(&which, &report, clock_hz)?;
             println!(
@@ -1183,120 +1176,9 @@ fn power(json: bool) -> RunResult {
     Ok(())
 }
 
-fn serve_sim_cmd(json: bool, timeline: bool) -> RunResult {
-    let jobs = servesim::jobs_from_env();
-    let ladder = servesim::offered_ladder(servesim::rungs_from_env());
-    println!(
-        "\n[serve-sim] closed-loop synthetic MVM load against the batched engine\n\
-         ({jobs} jobs per rung, {} rungs; DESIGN.md §13)",
-        ladder.len()
-    );
-    let art = servesim::run_serve_sim_full(jobs, &ladder);
-    let rep = &art.report;
-    let us = |ns: u64| format!("{:.1}", ns as f64 / 1e3);
-    let rows: Vec<Vec<String>> = rep
-        .rungs
-        .iter()
-        .map(|r| {
-            let stage = |name: &str| {
-                r.stages
-                    .iter()
-                    .find(|s| s.stage == name)
-                    .map(|s| format!("{}/{}/{}", us(s.p50_ns), us(s.p95_ns), us(s.p99_ns)))
-                    .unwrap_or_default()
-            };
-            vec![
-                format!("{:.0}", r.offered_qps),
-                format!("{:.0}", r.achieved_qps),
-                stage("engine.queue_wait"),
-                stage("engine.exec_mvm"),
-                stage("engine.job_total"),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            "latency vs offered load (p50/p95/p99, µs; log2-bucket floors)",
-            &[
-                "offered QPS",
-                "achieved QPS",
-                "queue wait",
-                "exec",
-                "end-to-end"
-            ],
-            &rows
-        )
-    );
-    println!(
-        "  engine: {} workers, queue depth {}; operator cache {} miss / {} hit\n  \
-         across the ladder; {} jobs stolen by idle workers. Achieved QPS\n  \
-         flattens below offered once submit-side backpressure closes the loop.",
-        rep.workers, rep.queue_depth, rep.cache_misses, rep.cache_hits, rep.stolen
-    );
-    let counter_rows: Vec<Vec<String>> = rep
-        .rungs
-        .iter()
-        .map(|r| {
-            vec![
-                format!("{:.0}", r.offered_qps),
-                format!("{}/{}/{}", r.cache_hits, r.cache_misses, r.cache_evictions),
-                r.submitted.to_string(),
-                r.completed.to_string(),
-                r.rejected.to_string(),
-                r.stolen.to_string(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            "per-rung operator-cache and scheduler counters",
-            &[
-                "offered QPS",
-                "cache h/m/e",
-                "submitted",
-                "completed",
-                "rejected",
-                "stolen"
-            ],
-            &counter_rows
-        )
-    );
-    for (i, text) in art.rung_metrics.iter().enumerate() {
-        let path = servesim::write_rung_metrics(i, text)?;
-        println!("  rung {i} metrics scraped to {}", path.display());
-    }
-    println!(
-        "  engine: {} workers, queue depth {}; operator cache {} miss / {} hit\n  \
-         across the ladder; {} jobs stolen by idle workers. Achieved QPS\n  \
-         flattens below offered once submit-side backpressure closes the loop.",
-        rep.workers, rep.queue_depth, rep.cache_misses, rep.cache_hits, rep.stolen
-    );
-    if timeline {
-        let clock_hz = wse_sim::Cs2Config::default().clock_hz;
-        let mut events = timeline::build_timeline(&art.final_trace, clock_hz);
-        events.extend(timeline::engine_track_events(
-            &art.final_events,
-            art.workers,
-        ));
-        let path = timeline::write_timeline_events("serve-sim", &events)?;
-        println!(
-            "  timeline (final rung, per-worker tracks + flow arrows) written to {}\n  \
-             (open in ui.perfetto.dev)",
-            path.display()
-        );
-    }
-    if json {
-        let path = servesim::write_serve_sim_json(rep)?;
-        println!("  latency curve written to {}", path.display());
-    }
-    Ok(())
-}
-
 fn metrics_cmd() -> RunResult {
     println!("\n[metrics] one-shot OpenMetrics scrape of a short engine run");
-    let (path, samples) = servesim::run_metrics_sample()?;
+    let (path, samples) = metrics_sample::run_metrics_sample()?;
     println!(
         "  {samples} samples pass the OpenMetrics checker; exposition written to {}",
         path.display()

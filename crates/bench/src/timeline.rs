@@ -24,17 +24,12 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use tlr_mvm::json::Json;
-use tlr_mvm::telemetry::{EventKind, FlightEvent};
 use tlr_mvm::trace::TraceReport;
 
 /// Trace Event `pid` for measured host-side spans.
 pub const HOST_PID: u64 = 1;
 /// Trace Event `pid` for modeled WSE-simulator tracks.
 pub const WSE_PID: u64 = 2;
-/// Trace Event `pid` for the MDD engine's flight-recorder tracks: one
-/// tid per worker plus a submission track, with flow arrows
-/// (submit→steal→exec) linking each job's causal chain.
-pub const ENGINE_PID: u64 = 3;
 
 /// Phase-name prefix that selects the simulator PE-group tracks.
 pub const PE_GROUP_PREFIX: &str = "wse.pe_group.";
@@ -57,12 +52,6 @@ pub struct TimelineEvent {
     pub pid: u64,
     /// Thread id (track within the group).
     pub tid: u64,
-    /// Flow-event id (`"s"`/`"t"`/`"f"` events): all events of one
-    /// flow share it. `None` for ordinary slices and metadata.
-    pub id: Option<u64>,
-    /// Flow binding point (`"e"` on a `"f"` event binds the arrow to
-    /// the enclosing slice). `None` otherwise.
-    pub bp: Option<&'static str>,
     /// Extra key/value payload rendered by the viewer.
     pub args: Vec<(&'static str, Json)>,
 }
@@ -80,12 +69,6 @@ impl TimelineEvent {
         if let Some(dur) = self.dur_us {
             fields.insert(4, ("dur", dur.into()));
         }
-        if let Some(id) = self.id {
-            fields.push(("id", id.into()));
-        }
-        if let Some(bp) = self.bp {
-            fields.push(("bp", bp.into()));
-        }
         if !self.args.is_empty() {
             fields.push(("args", Json::obj(self.args.iter().cloned())));
         }
@@ -102,8 +85,6 @@ fn metadata(name: &'static str, pid: u64, tid: u64, label: &str) -> TimelineEven
         dur_us: None,
         pid,
         tid,
-        id: None,
-        bp: None,
         args: vec![("name", label.into())],
     }
 }
@@ -139,8 +120,6 @@ pub fn build_timeline(report: &TraceReport, clock_hz: f64) -> Vec<TimelineEvent>
             dur_us: Some((span.dur_ns.max(1)) as f64 / 1e3),
             pid: HOST_PID,
             tid,
-            id: None,
-            bp: None,
             args: Vec::new(),
         });
     }
@@ -175,8 +154,6 @@ pub fn build_timeline(report: &TraceReport, clock_hz: f64) -> Vec<TimelineEvent>
             dur_us: Some(dur_us.max(1e-3)),
             pid: WSE_PID,
             tid,
-            id: None,
-            bp: None,
             args: vec![
                 ("cycles", group.stats.cycles.into()),
                 ("sram_bytes", group.stats.sram_bytes.into()),
@@ -185,169 +162,6 @@ pub fn build_timeline(report: &TraceReport, clock_hz: f64) -> Vec<TimelineEvent>
         });
     }
 
-    events
-}
-
-/// Accumulated lifecycle of one engine job while grouping flight events.
-#[derive(Default)]
-struct JobTrace {
-    submit_ns: Option<u64>,
-    submit_ring: u64,
-    start_ns: Option<u64>,
-    exec_ring: u64,
-    exec_ns: u64,
-    finish_ns: Option<u64>,
-    stolen_ns: Option<u64>,
-    thief_ring: u64,
-}
-
-/// Build the pid-3 engine tracks from a flight-recorder drain: one tid
-/// per worker ring plus the submission (external) ring, a queued slice
-/// and an exec slice per completed job, and a `"s"`→(`"t"`)→`"f"` flow
-/// chain (id = job id) linking submit→steal→exec so Perfetto draws the
-/// causal arrow across tracks.
-///
-/// `workers` names the first `workers` rings; ring `workers` is the
-/// submission track. Jobs missing any of submit/start/finish (still in
-/// flight, or overwritten in a wrapped ring) are skipped.
-pub fn engine_track_events(flight: &[FlightEvent], workers: usize) -> Vec<TimelineEvent> {
-    let mut jobs: Vec<(u64, JobTrace)> = Vec::new();
-    let trace_for = |id: u64, jobs: &mut Vec<(u64, JobTrace)>| -> usize {
-        match jobs.iter().position(|(j, _)| *j == id) {
-            Some(i) => i,
-            None => {
-                jobs.push((id, JobTrace::default()));
-                jobs.len() - 1
-            }
-        }
-    };
-    for e in flight {
-        match e.kind {
-            EventKind::JobSubmitted => {
-                let i = trace_for(e.a, &mut jobs);
-                jobs[i].1.submit_ns = Some(e.ts_ns);
-                jobs[i].1.submit_ring = e.ring;
-            }
-            EventKind::JobStolen => {
-                let i = trace_for(e.a, &mut jobs);
-                jobs[i].1.stolen_ns = Some(e.ts_ns);
-                jobs[i].1.thief_ring = e.ring;
-            }
-            EventKind::JobStarted => {
-                let i = trace_for(e.a, &mut jobs);
-                jobs[i].1.start_ns = Some(e.ts_ns);
-                jobs[i].1.exec_ring = e.ring;
-            }
-            EventKind::JobFinished => {
-                let i = trace_for(e.a, &mut jobs);
-                jobs[i].1.finish_ns = Some(e.ts_ns);
-                jobs[i].1.exec_ns = e.b;
-            }
-        }
-    }
-    jobs.retain(|(_, t)| t.submit_ns.is_some() && t.start_ns.is_some() && t.finish_ns.is_some());
-    let mut events = Vec::new();
-    if jobs.is_empty() {
-        return events;
-    }
-    events.push(metadata(
-        "process_name",
-        ENGINE_PID,
-        0,
-        "MDD engine (flight recorder)",
-    ));
-    for w in 0..workers {
-        let tid = w as u64 + 1;
-        events.push(metadata(
-            "thread_name",
-            ENGINE_PID,
-            tid,
-            &format!("worker {w}"),
-        ));
-    }
-    events.push(metadata(
-        "thread_name",
-        ENGINE_PID,
-        workers as u64 + 1,
-        "submit",
-    ));
-    for (id, t) in &jobs {
-        let (submit_ns, start_ns, finish_ns) = match (t.submit_ns, t.start_ns, t.finish_ns) {
-            (Some(s), Some(b), Some(f)) => (s, b, f),
-            _ => continue,
-        };
-        let submit_tid = t.submit_ring + 1;
-        let exec_tid = t.exec_ring + 1;
-        // Queued slice on the submission track: submit → dequeue.
-        events.push(TimelineEvent {
-            name: format!("job {id} queued"),
-            cat: "engine",
-            ph: "X",
-            ts_us: submit_ns as f64 / 1e3,
-            dur_us: Some((start_ns.saturating_sub(submit_ns).max(1)) as f64 / 1e3),
-            pid: ENGINE_PID,
-            tid: submit_tid,
-            id: None,
-            bp: None,
-            args: Vec::new(),
-        });
-        events.push(TimelineEvent {
-            name: format!("job {id}"),
-            cat: "engine",
-            ph: "s",
-            ts_us: submit_ns as f64 / 1e3,
-            dur_us: None,
-            pid: ENGINE_PID,
-            tid: submit_tid,
-            id: Some(*id),
-            bp: None,
-            args: Vec::new(),
-        });
-        if let Some(stolen_ns) = t.stolen_ns {
-            events.push(TimelineEvent {
-                name: format!("job {id}"),
-                cat: "engine",
-                ph: "t",
-                ts_us: stolen_ns as f64 / 1e3,
-                dur_us: None,
-                pid: ENGINE_PID,
-                tid: t.thief_ring + 1,
-                id: Some(*id),
-                bp: None,
-                args: Vec::new(),
-            });
-        }
-        // Exec slice on the worker track; the flow lands inside it.
-        let exec_dur_ns = if t.exec_ns > 0 {
-            t.exec_ns
-        } else {
-            finish_ns.saturating_sub(start_ns)
-        };
-        events.push(TimelineEvent {
-            name: format!("job {id} exec"),
-            cat: "engine",
-            ph: "X",
-            ts_us: start_ns as f64 / 1e3,
-            dur_us: Some((exec_dur_ns.max(1)) as f64 / 1e3),
-            pid: ENGINE_PID,
-            tid: exec_tid,
-            id: None,
-            bp: None,
-            args: vec![("stolen", t.stolen_ns.is_some().into())],
-        });
-        events.push(TimelineEvent {
-            name: format!("job {id}"),
-            cat: "engine",
-            ph: "f",
-            ts_us: start_ns as f64 / 1e3,
-            dur_us: None,
-            pid: ENGINE_PID,
-            tid: exec_tid,
-            id: Some(*id),
-            bp: Some("e"),
-            args: Vec::new(),
-        });
-    }
     events
 }
 
@@ -374,13 +188,7 @@ pub fn write_timeline(
     report: &TraceReport,
     clock_hz: f64,
 ) -> io::Result<PathBuf> {
-    write_timeline_events(experiment, &build_timeline(report, clock_hz))
-}
-
-/// Write a prebuilt event list (e.g. [`build_timeline`] output plus
-/// [`engine_track_events`]) to `target/trace/<experiment>.timeline.json`.
-pub fn write_timeline_events(experiment: &str, events: &[TimelineEvent]) -> io::Result<PathBuf> {
-    let doc = timeline_json(experiment, events);
+    let doc = timeline_json(experiment, &build_timeline(report, clock_hz));
     let dir = Path::new("target/trace");
     std::fs::create_dir_all(dir)?;
     let path = dir.join(format!("{experiment}.timeline.json"));
@@ -476,71 +284,6 @@ mod tests {
             assert!(ev.get("pid").and_then(Json::as_u64).is_some());
             assert!(ev.get("tid").and_then(Json::as_u64).is_some());
         }
-    }
-
-    fn fe(ring: u64, ts_ns: u64, kind: EventKind, a: u64, b: u64) -> FlightEvent {
-        FlightEvent {
-            ring,
-            ts_ns,
-            kind,
-            a,
-            b,
-        }
-    }
-
-    #[test]
-    fn engine_tracks_link_submit_steal_exec_with_flows() {
-        // Two workers (rings 0/1), submission ring 2. Job 0 runs where it
-        // was queued; job 1 is stolen by worker 1.
-        let flight = vec![
-            fe(2, 1_000, EventKind::JobSubmitted, 0, 1),
-            fe(2, 2_000, EventKind::JobSubmitted, 1, 2),
-            fe(0, 5_000, EventKind::JobStarted, 0, 4_000),
-            fe(1, 6_000, EventKind::JobStolen, 1, 0),
-            fe(1, 7_000, EventKind::JobStarted, 1, 5_000),
-            fe(0, 9_000, EventKind::JobFinished, 0, 4_000),
-            fe(1, 10_000, EventKind::JobFinished, 1, 3_000),
-            // In-flight job: submitted but never finished — skipped.
-            fe(2, 11_000, EventKind::JobSubmitted, 2, 1),
-        ];
-        let events = engine_track_events(&flight, 2);
-        let flows_s: Vec<_> = events.iter().filter(|e| e.ph == "s").collect();
-        let flows_t: Vec<_> = events.iter().filter(|e| e.ph == "t").collect();
-        let flows_f: Vec<_> = events.iter().filter(|e| e.ph == "f").collect();
-        assert_eq!(flows_s.len(), 2, "one flow start per completed job");
-        assert_eq!(flows_t.len(), 1, "one steal step for the stolen job");
-        assert_eq!(flows_f.len(), 2);
-        assert!(flows_f.iter().all(|e| e.bp == Some("e")));
-        assert!(flows_s.iter().all(|e| e.tid == 3), "starts on submit track");
-        assert_eq!(flows_t[0].id, Some(1));
-        // Exec slices land on the executing worker's track with the
-        // recorder-reported duration.
-        let execs: Vec<_> = events
-            .iter()
-            .filter(|e| e.ph == "X" && e.name.ends_with("exec"))
-            .collect();
-        assert_eq!(execs.len(), 2);
-        assert_eq!(execs[0].tid, 1);
-        assert_eq!(execs[0].dur_us, Some(4.0));
-        assert_eq!(execs[1].tid, 2);
-        assert_eq!(execs[1].dur_us, Some(3.0));
-        // The flow id round-trips through serialization.
-        let doc = timeline_json("serve-sim", &events);
-        let back = Json::parse(&doc.to_pretty()).expect("parse engine timeline");
-        let list = back.get("traceEvents").and_then(Json::as_arr).unwrap();
-        let with_id = list
-            .iter()
-            .filter(|e| e.get("id").and_then(Json::as_u64).is_some())
-            .count();
-        assert_eq!(with_id, 5, "s+t+f events carry the flow id");
-        // No trace for incomplete job 2.
-        assert!(!events.iter().any(|e| e.name.contains("job 2")));
-    }
-
-    #[test]
-    fn engine_tracks_for_no_completed_jobs_are_empty() {
-        let flight = vec![fe(1, 10, EventKind::JobSubmitted, 0, 1)];
-        assert!(engine_track_events(&flight, 1).is_empty());
     }
 
     #[test]

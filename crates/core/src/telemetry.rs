@@ -16,12 +16,10 @@
 //!   [`trace_metric_families`] derives families from a
 //!   [`TraceReport`]'s phase counters and latency histograms.
 //!
-//! Event timestamps count nanoseconds from the recorder's epoch
-//! ([`FlightRecorder::reset_epoch`]), mirroring `trace::reset`, so
-//! flight events and span events share a timeline.
+//! Event timestamps count nanoseconds from the recorder's creation
+//! ([`FlightRecorder::now_ns`]).
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -58,7 +56,7 @@ pub struct FlightEvent {
     /// Ring the event was recorded on (worker id, or
     /// [`FlightRecorder::external_ring`]).
     pub ring: u64,
-    /// Nanoseconds since the recorder epoch.
+    /// Nanoseconds since the recorder was created.
     pub ts_ns: u64,
     /// Event kind.
     pub kind: EventKind,
@@ -78,9 +76,6 @@ struct Ring {
     /// Events ever recorded on this ring; the next one lands in slot
     /// `head % capacity`.
     head: u64,
-    /// Events recorded since the last [`FlightRecorder::clear`], capped
-    /// at the capacity: the newest `live` slots are the ring's content.
-    live: usize,
 }
 
 /// Per-worker ring buffers of typed events, one mutex per ring.
@@ -99,7 +94,6 @@ struct Ring {
 pub struct FlightRecorder {
     capacity: usize,
     base: Instant,
-    epoch_off: AtomicU64,
     rings: Box<[Mutex<Ring>]>,
 }
 
@@ -129,14 +123,12 @@ impl FlightRecorder {
                 Mutex::new(Ring {
                     slots: vec![empty; capacity].into_boxed_slice(),
                     head: 0,
-                    live: 0,
                 })
             })
             .collect();
         Self {
             capacity,
             base: Instant::now(),
-            epoch_off: AtomicU64::new(0),
             rings,
         }
     }
@@ -162,23 +154,12 @@ impl FlightRecorder {
         self.rings.get(ring).map_or(0, |r| lock(r).head)
     }
 
-    fn base_ns(&self) -> u64 {
+    /// Nanoseconds since the recorder was created.
+    pub fn now_ns(&self) -> u64 {
         u64::try_from(self.base.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 
-    /// Nanoseconds since the recorder epoch.
-    pub fn now_ns(&self) -> u64 {
-        self.base_ns()
-            .saturating_sub(self.epoch_off.load(Ordering::Relaxed))
-    }
-
-    /// Restart the epoch at "now" (pair with `trace::reset` so flight
-    /// events and span events share a timeline).
-    pub fn reset_epoch(&self) {
-        self.epoch_off.store(self.base_ns(), Ordering::Relaxed);
-    }
-
-    /// Record an event stamped with the current epoch time.
+    /// Record an event stamped with [`FlightRecorder::now_ns`].
     pub fn record(&self, ring: usize, kind: EventKind, a: u64, b: u64) {
         self.record_at(ring, self.now_ns(), kind, a, b);
     }
@@ -198,13 +179,11 @@ impl FlightRecorder {
         slot.a = a;
         slot.b = b;
         r.head += 1;
-        r.live = (r.live + 1).min(self.capacity);
     }
 
     /// Non-destructive merged drain: the newest `min(recorded,
-    /// capacity)` events of every ring (since the last
-    /// [`FlightRecorder::clear`]), sorted by timestamp, then ring; events
-    /// of one ring with equal timestamps keep their write order. Each
+    /// capacity)` events of every ring, sorted by timestamp, then ring;
+    /// events of one ring with equal timestamps keep their write order. Each
     /// ring is copied under its own lock, one at a time, so a writer
     /// waits for at most one ring's copy.
     pub fn snapshot_events(&self) -> Vec<FlightEvent> {
@@ -213,22 +192,16 @@ impl FlightRecorder {
         for ring in self.rings.iter() {
             let r = lock(ring);
             // Oldest first, the slots read from the next write position
-            // round; the ring's content is the last `live` of them.
+            // round; before the ring first wraps, the slots from the
+            // head on were never written.
             let (newer, older) = r.slots.split_at(r.next_slot());
-            let stale = r.slots.len() - r.live;
-            out.extend(older.iter().chain(newer).skip(stale));
+            if usize::try_from(r.head).map_or(true, |h| h >= self.capacity) {
+                out.extend_from_slice(older);
+            }
+            out.extend_from_slice(newer);
         }
         out.sort_by_key(|e| (e.ts_ns, e.ring));
         out
-    }
-
-    /// Empty every ring, at any time: an event whose `record` call
-    /// begins after `clear` returns is in the next snapshot. Heads keep
-    /// counting, so [`FlightRecorder::recorded`] stays monotone.
-    pub fn clear(&self) {
-        for ring in self.rings.iter() {
-            lock(ring).live = 0;
-        }
     }
 }
 
@@ -855,8 +828,8 @@ pub fn trace_metric_families(report: &TraceReport) -> Vec<MetricFamily> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
     use proptest::prelude::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn single_writer_wraparound_keeps_last_capacity_events() {
@@ -872,17 +845,6 @@ mod tests {
             .collect();
         assert_eq!(ring0, vec![6, 7, 8, 9], "ring keeps the newest 4 events");
         assert_eq!(rec.recorded(0), 10);
-    }
-
-    #[test]
-    fn clear_empties_rings_but_heads_stay_monotone() {
-        let rec = FlightRecorder::new(1, 4);
-        rec.record_at(0, 1, EventKind::JobStarted, 0, 0);
-        rec.clear();
-        assert!(rec.snapshot_events().is_empty());
-        rec.record_at(0, 2, EventKind::JobFinished, 0, 0);
-        assert_eq!(rec.snapshot_events().len(), 1);
-        assert_eq!(rec.recorded(0), 2);
     }
 
     #[test]
@@ -1032,45 +994,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    /// `clear` is safe while writers run: an event whose `record_at`
-    /// began after `clear` returned is never lost, and what was there
-    /// before it is gone. Writers tag each event with whether they had
-    /// seen the "cleared" flag before recording it and stop `AFTER`
-    /// tagged events later, so the clear always lands mid-stream; the
-    /// ring holds every event that can follow the first tagged one.
-    #[test]
-    fn clear_while_writers_run_keeps_everything_recorded_after_it() {
-        const WRITERS: u64 = 3;
-        const AFTER: u64 = 5_000;
-        const BEFORE: u64 = 10_000;
-        let rec = FlightRecorder::new(0, (WRITERS * (AFTER + 1)) as usize);
-        let cleared = AtomicBool::new(false);
-        std::thread::scope(|s| {
-            for _ in 0..WRITERS {
-                s.spawn(|| {
-                    let mut tagged = 0;
-                    while tagged < AFTER {
-                        let after = u64::from(cleared.load(Ordering::SeqCst));
-                        rec.record_at(0, 0, EventKind::JobSubmitted, after, 0);
-                        tagged += after;
-                    }
-                });
-            }
-            while rec.recorded(0) < BEFORE {
-                std::hint::spin_loop();
-            }
-            rec.clear();
-            cleared.store(true, Ordering::SeqCst);
-        });
-        let events = rec.snapshot_events();
-        let kept = events.iter().filter(|e| e.a == 1).count() as u64;
-        assert_eq!(kept, WRITERS * AFTER, "every event recorded after clear()");
-        assert!(
-            events.len() as u64 <= rec.recorded(0) - BEFORE,
-            "clear() dropped what was there"
-        );
     }
 
     /// Equal timestamps on one ring drain in write order (not by kind or

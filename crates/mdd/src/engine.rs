@@ -194,25 +194,6 @@ pub struct CacheStats {
     pub entries: usize,
 }
 
-impl CacheStats {
-    /// Counter movement between two snapshots: monotone counters are
-    /// subtracted (saturating, so a reset-between-snapshots can't
-    /// underflow), instantaneous gauges (`used_bytes`, `entries`) keep
-    /// the newer value. The one sanctioned way to build per-rung delta
-    /// tables — both snapshots come from a single lock acquisition
-    /// each, so a delta can never mix mid-update counter states.
-    #[must_use]
-    pub fn delta(&self, before: &CacheStats) -> CacheStats {
-        CacheStats {
-            hits: self.hits.saturating_sub(before.hits),
-            misses: self.misses.saturating_sub(before.misses),
-            evictions: self.evictions.saturating_sub(before.evictions),
-            used_bytes: self.used_bytes,
-            entries: self.entries,
-        }
-    }
-}
-
 struct CacheSlot {
     ops: Arc<FrequencyOperators>,
     bytes: usize,
@@ -457,8 +438,7 @@ pub struct EngineConfig {
     /// [`Engine::submit`] blocks and [`Engine::try_submit`] refuses.
     pub queue_depth: usize,
     /// Optional flight recorder: worker `w` stamps its events on ring
-    /// `w`, submissions and queue-depth samples land on the external
-    /// ring. Build it with at least `workers` rings
+    /// `w`, submissions land on the external ring. Build it with at least `workers` rings
     /// (`FlightRecorder::new(workers, capacity)`); events addressed to
     /// missing rings are dropped, never an error.
     pub recorder: Option<Arc<FlightRecorder>>,
@@ -554,11 +534,11 @@ struct Shared {
 /// the back of the longest peer deque (LIFO for the victim, preserving
 /// the victim's locality). When the total queued depth reaches
 /// [`EngineConfig::queue_depth`], [`Engine::submit`] blocks until a
-/// worker makes room and [`Engine::try_submit`] returns the spec back —
-/// the closed-loop backpressure `repro serve-sim` measures.
+/// worker makes room and [`Engine::try_submit`] returns the spec back.
 ///
-/// Dropping the engine shuts it down gracefully: queued jobs finish,
-/// then workers exit.
+/// Dropping the engine is the only way to shut it down: queued jobs
+/// finish, then workers exit. No call can follow it, so no job is ever
+/// queued with no worker left to run it.
 pub struct Engine {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
@@ -598,7 +578,7 @@ impl Engine {
             slot: Arc::clone(&job.slot),
         };
         let mut st = lock(&self.shared.state);
-        while st.queued >= self.shared.queue_depth && !st.shutdown {
+        while st.queued >= self.shared.queue_depth {
             st = self
                 .shared
                 .room
@@ -660,25 +640,16 @@ impl Engine {
             stolen: st.stolen,
         }
     }
-
-    /// Graceful shutdown: queued jobs finish, then workers exit. Called
-    /// automatically on drop.
-    pub fn shutdown(&mut self) {
-        {
-            let mut st = lock(&self.shared.state);
-            st.shutdown = true;
-        }
-        self.shared.work.notify_all();
-        self.shared.room.notify_all();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
 }
 
 impl Drop for Engine {
+    /// Graceful shutdown: queued jobs finish, then workers exit.
     fn drop(&mut self) {
-        self.shutdown();
+        lock(&self.shared.state).shutdown = true;
+        self.shared.work.notify_all();
+        for w in self.workers.drain(..) {
+            let _ = w.join();
+        }
     }
 }
 
@@ -1147,7 +1118,7 @@ mod tests {
     fn engine_drains_queue_on_shutdown() {
         let tlr = stack(1, 24, 24, 8);
         let ops = Arc::new(FrequencyOperators::build(&tlr));
-        let mut engine = Engine::start(EngineConfig {
+        let engine = Engine::start(EngineConfig {
             workers: 2,
             queue_depth: 64,
             recorder: None,
@@ -1160,8 +1131,7 @@ mod tests {
                 })
             })
             .collect();
-        engine.shutdown();
-        assert_eq!(engine.stats().completed, 16);
+        drop(engine);
         for h in handles {
             assert!(h.try_take().is_some(), "job finished before shutdown");
         }
@@ -1213,7 +1183,7 @@ mod tests {
         let tlr = stack(3, 24, 20, 8);
         let ops = Arc::new(FrequencyOperators::build(&tlr));
         let recorder = Arc::new(FlightRecorder::new(2, 4096));
-        let mut engine = Engine::start(EngineConfig {
+        let engine = Engine::start(EngineConfig {
             workers: 2,
             queue_depth: 16,
             recorder: Some(Arc::clone(&recorder)),
@@ -1226,8 +1196,9 @@ mod tests {
                 })
             })
             .collect();
+        // Exact once every handle is waited on: a worker records its
+        // events and counts the job completed before it fills the slot.
         let ids: Vec<u64> = handles.into_iter().map(|h| h.wait().job).collect();
-        engine.shutdown();
         let stats = engine.stats();
         let events = recorder.snapshot_events();
 
