@@ -3,7 +3,7 @@
 //! unknown-experiment error are all generated.
 //!
 //! The binary's dispatcher is validated against this table (`repro
-//! --self-check` and the `serve_cli` integration tests), so a
+//! --self-check` and the `repro_cli` integration tests), so a
 //! subcommand cannot appear in `--help` without dispatching, or
 //! dispatch without appearing in `--help` — the drift the old
 //! hand-maintained usage string allowed.
@@ -15,7 +15,7 @@ pub struct Subcommand {
     /// One-line help blurb.
     pub blurb: &'static str,
     /// Whether `repro all` runs it. Measurement tools (perfbench,
-    /// atlas-sweep, metrics, acc-report) stay out: their timings are
+    /// atlas-sweep, acc-report) stay out: their timings are
     /// only meaningful run on their own.
     pub in_all: bool,
 }
@@ -129,11 +129,6 @@ pub const SUBCOMMANDS: &[Subcommand] = &[
         in_all: false,
     },
     Subcommand {
-        name: "metrics",
-        blurb: "one-shot OpenMetrics scrape (target/repro/metrics.prom)",
-        in_all: false,
-    },
-    Subcommand {
         name: "acc-report",
         blurb: "accuracy observatory: NMSE vs compression sweep",
         in_all: false,
@@ -239,7 +234,7 @@ mod tests {
 
     #[test]
     fn find_resolves_known_and_rejects_unknown() {
-        assert!(find("metrics").is_some_and(|s| !s.in_all));
+        assert!(find("atlas-sweep").is_some_and(|s| !s.in_all));
         assert!(find("fig11").is_some_and(|s| s.in_all));
         assert!(find("fig99").is_none());
     }

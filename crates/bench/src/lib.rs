@@ -14,8 +14,6 @@
 //! * [`perf`] — host-kernel microbenchmarks, the `BENCH_*.json`
 //!   document, and the `xtask perfgate` comparison (trace-counter
 //!   checksums and within-run kernel ratios).
-//! * [`metrics_sample`] — the one-shot OpenMetrics scrape of a short
-//!   engine run (`repro metrics`, DESIGN.md §14).
 //! * [`cli`] — the `repro` subcommand table the help text, `all` list,
 //!   and dispatcher self-check are generated from.
 //! * [`timeline`] — Chrome Trace Event / Perfetto export of trace
@@ -48,7 +46,6 @@ pub mod acc_experiments;
 pub mod atlas_experiments;
 pub mod cli;
 pub mod mdd_experiments;
-pub mod metrics_sample;
 pub mod mmm_experiments;
 pub mod perf;
 pub mod report;

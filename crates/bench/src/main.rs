@@ -32,7 +32,6 @@ use seismic_bench::acc_experiments as accx;
 use seismic_bench::atlas_experiments as atlasx;
 use seismic_bench::cli;
 use seismic_bench::mdd_experiments as mddx;
-use seismic_bench::metrics_sample;
 use seismic_bench::mmm_experiments as mmmx;
 use seismic_bench::perf;
 use seismic_bench::report::{fmt_bytes, fmt_pbs, render_table, write_json, TraceArtifact};
@@ -91,7 +90,6 @@ fn handler_for(name: &str) -> Option<Handler> {
         "tab2wse" => |c: &Ctx| tab2wse(c.atlas),
         "perfbench" => |c: &Ctx| perfbench(c.json),
         "atlas-sweep" => |_c: &Ctx| atlas_sweep(),
-        "metrics" => |_c: &Ctx| metrics_cmd(),
         "acc-report" => |c: &Ctx| acc_report(c.json),
         _ => return None,
     })
@@ -1176,16 +1174,6 @@ fn power(json: bool) -> RunResult {
     Ok(())
 }
 
-fn metrics_cmd() -> RunResult {
-    println!("\n[metrics] one-shot OpenMetrics scrape of a short engine run");
-    let (path, samples) = metrics_sample::run_metrics_sample()?;
-    println!(
-        "  {samples} samples pass the OpenMetrics checker; exposition written to {}",
-        path.display()
-    );
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1206,7 +1194,7 @@ mod tests {
 
     #[test]
     fn dispatcher_rejects_unlisted_names() {
-        for bogus in ["fig99", "table9", "serve", "bench", ""] {
+        for bogus in ["fig99", "table9", "serve", "bench", "metrics", ""] {
             assert!(handler_for(bogus).is_none(), "'{bogus}' must not dispatch");
         }
         // `all` is a meta-command handled by `run`, never a handler.

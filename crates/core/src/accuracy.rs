@@ -1,10 +1,10 @@
 //! Numerical-quality observability: the accuracy observatory.
 //!
 //! Every other observability layer in this workspace (trace spans, the
-//! fabric atlas, the flight recorder, OpenMetrics) measures time, bytes,
-//! and flops. This module observes the quantity the paper's entire
-//! argument rests on — *numerical quality under algebraic compression* —
-//! from the live pipeline:
+//! fabric atlas, the flight recorder) measures time, bytes, and flops.
+//! This module observes the quantity the paper's entire argument rests
+//! on — *numerical quality under algebraic compression* — from the live
+//! pipeline:
 //!
 //! * **Per-tile compression grids.** While tracing is enabled,
 //!   [`crate::compress::compress`] records three accuracy grids (one

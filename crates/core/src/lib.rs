@@ -25,8 +25,8 @@
 //!   report, baseline and dump is built on it.
 //! * [`trace`] — zero-cost-when-disabled phase spans and flop/byte
 //!   counters; the runtime accounting behind `repro --trace`.
-//! * [`telemetry`] — serving-grade observability: the flight
-//!   recorder and OpenMetrics exposition (DESIGN.md §14).
+//! * [`telemetry`] — serving-grade observability: the engine's flight
+//!   recorder (DESIGN.md §14).
 //! * [`accuracy`] — the accuracy observatory: per-tile compression
 //!   grids with exact byte/rank reconciliation and a sampled-probe NMSE
 //!   estimator (DESIGN.md §16).

@@ -68,7 +68,7 @@ use std::time::Instant;
 
 use seismic_la::scalar::C32;
 use seismic_la::sync::lock;
-use tlr_mvm::telemetry::{EventKind, FlightRecorder, MetricFamily, MetricKind, MetricValue};
+use tlr_mvm::telemetry::{EventKind, FlightRecorder};
 use tlr_mvm::trace;
 use tlr_mvm::{LinearOperator, TlrMatrix};
 
@@ -376,8 +376,8 @@ pub enum JobSpec {
 /// A finished job: its output vector and per-stage timings.
 #[derive(Clone, Debug)]
 pub struct JobResult {
-    /// Engine-assigned job id — the same id the flight recorder and the
-    /// Perfetto flow arrows carry for this job.
+    /// Engine-assigned job id — the same id the flight recorder's events
+    /// carry for this job.
     pub job: u64,
     /// MVM output (`nrows_total`) or MDD solution (`ncols_total`).
     pub output: Vec<C32>,
@@ -469,9 +469,12 @@ pub struct EngineStats {
 
 impl EngineStats {
     /// Counter movement between two [`Engine::stats`] snapshots
-    /// (saturating, so restarts can't underflow). Because each snapshot
-    /// is taken under one scheduler-mutex acquisition, the delta is a
-    /// consistent interval — `completed <= submitted` holds within it.
+    /// (saturating, so restarts can't underflow). Each snapshot is taken
+    /// under one scheduler-mutex acquisition, so each field counts exactly
+    /// the events of its kind between the two instants. The fields need
+    /// not count the same jobs: a job queued before `before` and finished
+    /// before `self` counts in `completed` only, so `completed <=
+    /// submitted` holds within each snapshot, not within the delta.
     #[must_use]
     pub fn delta(&self, before: &EngineStats) -> EngineStats {
         EngineStats {
@@ -481,16 +484,6 @@ impl EngineStats {
             stolen: self.stolen.saturating_sub(before.stolen),
         }
     }
-}
-
-/// Instantaneous scheduler gauges, sampled by [`Engine::gauges`] and
-/// exported as `engine_queue_depth` / `engine_workers_busy`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct EngineGauges {
-    /// Jobs currently queued (not yet picked up by a worker).
-    pub queue_depth: u64,
-    /// Workers currently executing a job.
-    pub workers_busy: u64,
 }
 
 #[derive(Default)]
@@ -503,9 +496,9 @@ struct SchedState {
     shutdown: bool,
     /// Lifetime counters, kept under the scheduler mutex so
     /// [`Engine::stats`] snapshots them consistently — a reader can
-    /// never observe `completed > submitted` mid-update. The atomics
-    /// that remain (`busy`, `next_job`) are counters read for statistics
-    /// and ids only; no branch or index depends on one.
+    /// never observe `completed > submitted` mid-update. The one atomic
+    /// that remains (`next_job`) is read for ids only; no branch or index
+    /// depends on it.
     submitted: u64,
     completed: u64,
     rejected: u64,
@@ -519,9 +512,6 @@ struct Shared {
     /// Blocked submitters wait here for queue room.
     room: Condvar,
     queue_depth: usize,
-    /// Workers currently inside `execute` (the `engine_workers_busy`
-    /// gauge).
-    busy: AtomicU64,
     /// Monotone job-id source shared by `submit` and `try_submit`.
     next_job: AtomicU64,
     recorder: Option<Arc<FlightRecorder>>,
@@ -556,7 +546,6 @@ impl Engine {
             work: Condvar::new(),
             room: Condvar::new(),
             queue_depth: cfg.queue_depth.max(1),
-            busy: AtomicU64::new(0),
             next_job: AtomicU64::new(0),
             recorder: cfg.recorder,
         });
@@ -571,7 +560,13 @@ impl Engine {
 
     /// Submit a job, blocking while the queues are at depth
     /// (backpressure). Returns a handle to wait on.
+    ///
+    /// # Panics
+    ///
+    /// If the job's vector does not match its operator (see
+    /// [`JobSpec`]); nothing is queued then.
     pub fn submit(&self, spec: JobSpec) -> JobHandle {
+        check_shape(&spec);
         let id = self.shared.next_job.fetch_add(1, AtomicOrdering::Relaxed);
         let job = make_job(id, spec);
         let handle = JobHandle {
@@ -596,7 +591,13 @@ impl Engine {
 
     /// Submit without blocking: at queue depth the spec is handed back
     /// as `Err` and counted in [`EngineStats::rejected`].
+    ///
+    /// # Panics
+    ///
+    /// As [`Engine::submit`], on a vector that does not match its
+    /// operator.
     pub fn try_submit(&self, spec: JobSpec) -> Result<JobHandle, JobSpec> {
+        check_shape(&spec);
         let mut st = lock(&self.shared.state);
         if st.queued >= self.shared.queue_depth {
             st.rejected += 1;
@@ -615,16 +616,6 @@ impl Engine {
         record_submitted(&self.shared, id, depth);
         self.shared.work.notify_one();
         Ok(handle)
-    }
-
-    /// Instantaneous gauges: current queue depth and busy workers —
-    /// the scrape targets behind `engine_queue_depth` /
-    /// `engine_workers_busy`.
-    pub fn gauges(&self) -> EngineGauges {
-        EngineGauges {
-            queue_depth: u64::try_from(lock(&self.shared.state).queued).unwrap_or(u64::MAX),
-            workers_busy: self.shared.busy.load(AtomicOrdering::Relaxed),
-        }
     }
 
     /// Consistent snapshot of the scheduler counters: all four are read
@@ -650,6 +641,24 @@ impl Drop for Engine {
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
+    }
+}
+
+/// Assert, in the submitting thread, that the job's vector fits its
+/// operator: the same check the operator makes, made before the worker
+/// that would fail it ever sees the job.
+fn check_shape(spec: &JobSpec) {
+    match spec {
+        JobSpec::Mvm { ops, x } => assert_eq!(
+            x.len(),
+            ops.ncols_total(),
+            "Mvm job: x must have ncols_total entries"
+        ),
+        JobSpec::Mdd { ops, y, .. } => assert_eq!(
+            y.len(),
+            ops.nrows_total(),
+            "Mdd job: y must have nrows_total entries"
+        ),
     }
 }
 
@@ -737,11 +746,9 @@ fn worker_loop(id: usize, shared: &Shared) {
         if let Some(rec) = &shared.recorder {
             rec.record(id, EventKind::JobStarted, job.id, queue_ns);
         }
-        shared.busy.fetch_add(1, AtomicOrdering::Relaxed);
         let exec_start = Instant::now();
         let output = execute(job.spec);
         let exec_ns = duration_ns(exec_start.elapsed());
-        shared.busy.fetch_sub(1, AtomicOrdering::Relaxed);
         if let Some(rec) = &shared.recorder {
             rec.record(id, EventKind::JobFinished, job.id, exec_ns);
         }
@@ -774,78 +781,6 @@ fn execute(spec: JobSpec) -> Vec<C32> {
             lsqr(&*ops, &y, opts).x
         }
     }
-}
-
-/// Render the serving-side counters — scheduler gauges,
-/// [`EngineStats`] and [`CacheStats`] — as OpenMetrics families. The
-/// trace-histogram half of a full scrape comes from
-/// [`tlr_mvm::telemetry::trace_metric_families`]; `repro metrics`
-/// concatenates both.
-pub fn engine_metric_families(
-    gauges: &EngineGauges,
-    stats: &EngineStats,
-    cache: &CacheStats,
-) -> Vec<MetricFamily> {
-    let mut depth = MetricFamily::new(
-        "engine_queue_depth",
-        "Jobs queued across all worker deques.",
-        MetricKind::Gauge,
-    );
-    depth.push(&[], MetricValue::from_u64(gauges.queue_depth));
-    let mut busy = MetricFamily::new(
-        "engine_workers_busy",
-        "Workers currently executing a job.",
-        MetricKind::Gauge,
-    );
-    busy.push(&[], MetricValue::from_u64(gauges.workers_busy));
-    let mut jobs = MetricFamily::new(
-        "engine_jobs",
-        "Scheduler job counters by state.",
-        MetricKind::Counter,
-    );
-    jobs.push(
-        &[("state", "submitted")],
-        MetricValue::from_u64(stats.submitted),
-    );
-    jobs.push(
-        &[("state", "completed")],
-        MetricValue::from_u64(stats.completed),
-    );
-    jobs.push(
-        &[("state", "rejected")],
-        MetricValue::from_u64(stats.rejected),
-    );
-    jobs.push(&[("state", "stolen")], MetricValue::from_u64(stats.stolen));
-    let mut resident = MetricFamily::new(
-        "cache_resident_bytes",
-        "Bytes of compressed operators held by the cache.",
-        MetricKind::Gauge,
-    );
-    resident.push(
-        &[],
-        MetricValue::from_u64(u64::try_from(cache.used_bytes).unwrap_or(u64::MAX)),
-    );
-    let mut entries = MetricFamily::new(
-        "cache_entries",
-        "Operator stacks currently resident.",
-        MetricKind::Gauge,
-    );
-    entries.push(
-        &[],
-        MetricValue::from_u64(u64::try_from(cache.entries).unwrap_or(u64::MAX)),
-    );
-    let mut events = MetricFamily::new(
-        "cache_events",
-        "Operator-cache lookup outcomes by kind.",
-        MetricKind::Counter,
-    );
-    events.push(&[("kind", "hit")], MetricValue::from_u64(cache.hits));
-    events.push(&[("kind", "miss")], MetricValue::from_u64(cache.misses));
-    events.push(
-        &[("kind", "eviction")],
-        MetricValue::from_u64(cache.evictions),
-    );
-    vec![depth, busy, jobs, resident, entries, events]
 }
 
 fn duration_ns(d: std::time::Duration) -> u64 {
@@ -1112,6 +1047,49 @@ mod tests {
         assert_eq!(stats.rejected, rejected);
         assert_eq!(stats.completed, accepted);
         assert!(accepted >= 1);
+    }
+
+    /// A job whose vector does not fit its operator panics in the
+    /// submitting thread and is never queued, so the one worker lives on
+    /// to run the next job.
+    #[test]
+    fn wrong_length_job_panics_in_submit_and_the_worker_lives_on() {
+        let ops = Arc::new(FrequencyOperators::build(&stack(1, 16, 16, 8)));
+        let engine = Engine::start(EngineConfig {
+            workers: 1,
+            queue_depth: 4,
+            recorder: None,
+        });
+        let bad_mvm = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            engine.submit(JobSpec::Mvm {
+                ops: Arc::clone(&ops),
+                x: test_x(3),
+            })
+        }));
+        assert!(bad_mvm.is_err(), "submit of a 3-entry x must panic");
+        let bad_mdd = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            engine.try_submit(JobSpec::Mdd {
+                ops: Arc::clone(&ops),
+                y: test_x(3),
+                opts: LsqrOptions::default(),
+            })
+        }));
+        assert!(bad_mdd.is_err(), "try_submit of a 3-entry y must panic");
+
+        let x = test_x(ops.ncols_total());
+        let want = ops.apply_serial(&x);
+        let got = engine
+            .submit(JobSpec::Mvm {
+                ops: Arc::clone(&ops),
+                x,
+            })
+            .wait();
+        bits_eq(&got.output, &want);
+        let stats = engine.stats();
+        assert_eq!(
+            (stats.submitted, stats.completed, stats.rejected),
+            (1, 1, 0)
+        );
     }
 
     #[test]

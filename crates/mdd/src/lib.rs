@@ -54,8 +54,8 @@ pub use driver::{
     MddConfig, MddRun,
 };
 pub use engine::{
-    engine_metric_families, CacheStats, Engine, EngineConfig, EngineGauges, EngineStats,
-    FrequencyOperators, JobHandle, JobResult, JobSpec, OperatorCache, OperatorKey,
+    CacheStats, Engine, EngineConfig, EngineStats, FrequencyOperators, JobHandle, JobResult,
+    JobSpec, OperatorCache, OperatorKey,
 };
 pub use lsqr::{lsqr, LsqrOptions, LsqrResult, StopReason};
 pub use mdc::{freq_vectors_to_time_traces, MdcOperator};
