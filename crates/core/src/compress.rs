@@ -102,12 +102,27 @@ impl CompressionConfig {
 /// bytes, and the truncation backward error — see [`crate::accuracy`]);
 /// the grid totals reconcile *exactly* with the returned matrix's
 /// [`TlrMatrix::total_rank`] / [`TlrMatrix::compressed_bytes`].
+///
+/// # Panics
+///
+/// On a negative, `NaN` or infinite `config.acc` (`0` is legal: every
+/// tile is kept to rounding), and on `config.nb == 0` ([`Tiling::new`]).
 pub fn compress(dense: &Matrix<C32>, config: CompressionConfig) -> TlrMatrix {
+    assert!(
+        config.acc >= 0.0 && config.acc.is_finite(),
+        "accuracy must be finite and non-negative, got {}",
+        config.acc
+    );
     let tiling = Tiling::new(dense.nrows(), dense.ncols(), config.nb);
     let mt = tiling.tile_rows();
     let nt = tiling.tile_cols();
-    let global_norm = dense.fro_norm();
-    let tile_count = tiling.tile_count() as f32;
+    // Only the global mode reads ‖A‖_F; the per-tile mode skips the pass.
+    let global_tol = match config.mode {
+        ToleranceMode::RelativeTile => None,
+        ToleranceMode::RelativeGlobal => {
+            Some(config.acc * dense.fro_norm() / (tiling.tile_count() as f32).sqrt())
+        }
+    };
     let observe = trace::is_enabled();
 
     // Tile slots (empty dense blocks) and the per-tile backward-error
@@ -126,10 +141,7 @@ pub fn compress(dense: &Matrix<C32>, config: CompressionConfig) -> TlrMatrix {
             let (r0, rl) = tiling.row_range(i);
             let (c0, cl) = tiling.col_range(j);
             let tile = dense.block(r0, c0, rl, cl);
-            let tol = match config.mode {
-                ToleranceMode::RelativeTile => config.acc * tile.fro_norm(),
-                ToleranceMode::RelativeGlobal => config.acc * global_norm / tile_count.sqrt(),
-            };
+            let tol = global_tol.unwrap_or_else(|| config.acc * tile.fro_norm());
             *slot = compress_tile(&tile, tol, config.method, crate::precision::to_u64(idx));
         });
     }
@@ -541,6 +553,45 @@ mod tests {
             let err = tlr.reconstruct().sub(&a).fro_norm();
             assert!(err <= 1.2e-2 * a.fro_norm(), "{method:?}: {err}");
         }
+    }
+
+    /// `compress` refuses an accuracy that is negative, `NaN` or infinite
+    /// under `method`, in either tolerance mode, instead of answering with
+    /// ranks that depend on the backend.
+    fn refuses_a_bad_accuracy(method: CompressionMethod) {
+        let a = smooth_kernel(40, 24);
+        for mode in [ToleranceMode::RelativeTile, ToleranceMode::RelativeGlobal] {
+            for acc in [
+                -1e-3,
+                -f32::MIN_POSITIVE,
+                f32::NAN,
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+            ] {
+                let config = CompressionConfig {
+                    method,
+                    mode,
+                    ..svd_config(16, acc)
+                };
+                let refused = std::panic::catch_unwind(|| compress(&a, config)).is_err();
+                assert!(refused, "{method:?} {mode:?} accepted acc {acc}");
+            }
+        }
+    }
+
+    #[test]
+    fn svd_refuses_a_negative_or_non_finite_accuracy() {
+        refuses_a_bad_accuracy(CompressionMethod::Svd);
+    }
+
+    #[test]
+    fn rrqr_refuses_a_negative_or_non_finite_accuracy() {
+        refuses_a_bad_accuracy(CompressionMethod::Rrqr);
+    }
+
+    #[test]
+    fn rsvd_refuses_a_negative_or_non_finite_accuracy() {
+        refuses_a_bad_accuracy(CompressionMethod::Rsvd);
     }
 
     #[test]

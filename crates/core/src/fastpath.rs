@@ -17,6 +17,11 @@
 //!   the U-batch (reads `y` once per four columns instead of once per
 //!   column).
 //!
+//! The conjugated dot of the V-batch kernel and of the skeleton tiles is
+//! `seismic_la::blas::dotc_lanes` (reached through
+//! [`seismic_la::blas::dotc_cols`]), the kernel the write side's QR and
+//! Jacobi factorisations run on too.
+//!
 //! The inner loops carry no bounds checks and need no `unsafe` to get
 //! there: every operand is re-sliced to one shared length (or cut into
 //! fixed-size arrays by `as_chunks`) before the loop, so LLVM sees the
@@ -28,6 +33,8 @@
 //! within one run — V-batch ÷ U-batch, which is what notices a compiler
 //! that stops vectorising the dot, and blocked ÷ plain V-batch.
 
+pub(crate) use seismic_la::blas::dotc_cols;
+pub use seismic_la::blas::swap_re_im;
 use seismic_la::dense::Matrix;
 use seismic_la::scalar::{Scalar, C32};
 
@@ -51,90 +58,6 @@ pub fn gather<S: Scalar>(dst: &mut [S], idx: &[usize], src: &[S]) {
 /// lives in a `[C32; DOT_BLOCK]` on the stack, so the kernel never
 /// touches the heap whatever the row count.
 const DOT_BLOCK: usize = 64;
-
-/// `C32` lanes each column advances per step of the conjugated dot.
-const DOT_LANES: usize = 4;
-
-/// `N` conjugated dots over one row block, every lane doing the same
-/// multiply-add: with `xs[i] = (x[i].im, x[i].re)`, `p1 += a ⊙ x` and
-/// `p2 += a ⊙ xs` are element-wise products over consecutive floats, and
-/// `conj(a)·x = (Σ p1.re + p1.im, Σ p2.re − p2.im)` is folded once per
-/// column. All slices share one length. `as_chunks` hands the loop
-/// `[C32; DOT_LANES]` operands, which is what lets LLVM drop every bounds
-/// check and emit packed multiplies and adds; rows past the last full
-/// step go to the leading lanes.
-///
-/// Never inlined, on purpose: compiled out of line the loop vectorises
-/// the same way whoever calls it, whereas inlined into `repro perfbench`'s
-/// closure the identical source ran at half speed (a call per 4 × 64
-/// products costs nothing measurable).
-#[inline(never)]
-fn dotc_lanes<const N: usize>(cols: [&[C32]; N], x: &[C32], xs: &[C32]) -> [C32; N] {
-    fn fmac(p1: &mut C32, p2: &mut C32, a: C32, x: C32, xs: C32) {
-        p1.re += a.re * x.re;
-        p1.im += a.im * x.im;
-        p2.re += a.re * xs.re;
-        p2.im += a.im * xs.im;
-    }
-    let (x_steps, x_tail) = x.as_chunks::<DOT_LANES>();
-    let (xs_steps, xs_tail) = xs.as_chunks::<DOT_LANES>();
-    let steps = x_steps.len();
-    let xs_steps = &xs_steps[..steps];
-    let cols = cols.map(|c| c.as_chunks::<DOT_LANES>());
-    let col_steps = cols.map(|(c, _)| &c[..steps]);
-    let mut p1 = [[C32::ZERO; DOT_LANES]; N];
-    let mut p2 = [[C32::ZERO; DOT_LANES]; N];
-    for s in 0..steps {
-        for c in 0..N {
-            for l in 0..DOT_LANES {
-                fmac(
-                    &mut p1[c][l],
-                    &mut p2[c][l],
-                    col_steps[c][s][l],
-                    x_steps[s][l],
-                    xs_steps[s][l],
-                );
-            }
-        }
-    }
-    for c in 0..N {
-        for (l, ((&a, &xv), &sv)) in cols[c].1.iter().zip(x_tail).zip(xs_tail).enumerate() {
-            fmac(&mut p1[c][l], &mut p2[c][l], a, xv, sv);
-        }
-    }
-    let mut out = [C32::ZERO; N];
-    for c in 0..N {
-        for l in 0..DOT_LANES {
-            out[c].re += p1[c][l].re + p1[c][l].im;
-            out[c].im += p2[c][l].re - p2[c][l].im;
-        }
-    }
-    out
-}
-
-/// `xs[i] = (x[i].im, x[i].re)`: the swapped copy of `x` that
-/// the conjugated-dot lanes read beside `x` itself.
-#[inline]
-pub fn swap_re_im(x: &[C32], xs: &mut [C32]) {
-    assert_eq!(x.len(), xs.len(), "swap_re_im: length mismatch");
-    for (s, v) in xs.iter_mut().zip(x) {
-        *s = C32::new(v.im, v.re);
-    }
-}
-
-/// `N ≤ 4` conjugated dots on [`dotc_lanes`] in the forms it compiles
-/// well to: four columns in lockstep (a block of three repeats its last
-/// column and drops the repeat), or one column at a time. Every column's
-/// dot is the same lanes whichever way it is reached.
-#[inline]
-pub(crate) fn dotc_cols<const N: usize>(cols: [&[C32]; N], x: &[C32], xs: &[C32]) -> [C32; N] {
-    if N >= 3 {
-        let d = dotc_lanes::<4>(core::array::from_fn(|c| cols[c.min(N - 1)]), x, xs);
-        core::array::from_fn(|c| d[c])
-    } else {
-        cols.map(|c| dotc_lanes([c], x, xs)[0])
-    }
-}
 
 /// `y += A[r0.., :]ᴴ x` over the `x.len()` rows from `r0`, four columns
 /// at a time and the column tail in one block.
@@ -175,7 +98,7 @@ fn conj_transpose_block(a: &Matrix<C32>, r0: usize, x: &[C32], xs: &[C32], y: &m
 /// A conjugated dot is a serial reduction of complex products whose real
 /// and imaginary lanes do different arithmetic, and LLVM may neither
 /// reassociate the sum nor invent the shuffle, so the obvious loop runs
-/// scalar. Here every lane is isomorphic (see `dotc_lanes`): four
+/// scalar. Here every lane is isomorphic (see `seismic_la::blas::dotc_lanes`): four
 /// columns advance in lockstep, four `C32` per step, against `x` and a
 /// swapped copy of `x` kept on the stack per `DOT_BLOCK`-row block;
 /// taller operands accumulate block by block. A caller that applies many
@@ -419,7 +342,7 @@ mod tests {
             let x = test_vec(n, 1.7);
             let mut xs = vec![C32::ZERO; n];
             swap_re_im(&x, &mut xs);
-            let fast = dotc_cols::<N>(core::array::from_fn(|c| cols[c].as_slice()), &x, &xs);
+            let fast = dotc_cols::<C32, N>(core::array::from_fn(|c| cols[c].as_slice()), &x, &xs);
             for (c, (&got, col)) in fast.iter().zip(&cols).enumerate() {
                 let reference = seismic_la::blas::dotc(col, &x);
                 assert!(

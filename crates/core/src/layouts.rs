@@ -432,7 +432,7 @@ impl<'a> RankChunk<'a> {
         let v_col = |r: usize| &self.v[r * self.cl..(r + 1) * self.cl];
         for (q, out) in yv.chunks_mut(4).enumerate() {
             // A short last block repeats its last column and drops it.
-            let d = dotc_cols::<4>(
+            let d = dotc_cols::<C32, 4>(
                 std::array::from_fn(|c| v_col((4 * q + c).min(w - 1))),
                 x,
                 xs,

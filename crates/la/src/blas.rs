@@ -28,34 +28,117 @@ pub fn dotc<S: Scalar>(x: &[S], y: &[S]) -> S {
     acc
 }
 
-/// `Σ_{i<len} term(i)` on four accumulators, term `i` into accumulator
-/// `i mod 4`, combined as `(a₀ + a₁) + (a₂ + a₃)`: a column reduction is
-/// otherwise one serial chain of dependent adds, which is what these
-/// factorisations spend their time waiting on.
+/// Scalars each column advances per step of the lane kernels below: four
+/// `C32` fill one 256-bit register.
+const LANES: usize = 4;
+
+/// `a + x ⊙ y`, the parts multiplied pairwise: `(a.re + x.re·y.re,
+/// a.im + x.im·y.im)`. Every float lane does the same multiply-add, which
+/// is what lets LLVM pack a step of `LANES` of them.
 #[inline(always)]
-pub(crate) fn sum4<T: Copy + core::ops::Add<Output = T>>(
-    zero: T,
-    len: usize,
-    term: impl Fn(usize) -> T,
-) -> T {
-    let mut acc = [zero; 4];
-    let head = len - len % 4;
-    for i in (0..head).step_by(4) {
-        acc[0] = acc[0] + term(i);
-        acc[1] = acc[1] + term(i + 1);
-        acc[2] = acc[2] + term(i + 2);
-        acc[3] = acc[3] + term(i + 3);
-    }
-    for i in head..len {
-        acc[i - head] = acc[i - head] + term(i);
-    }
-    (acc[0] + acc[1]) + (acc[2] + acc[3])
+fn hadamard_add<S: Scalar>(a: S, x: S, y: S) -> S {
+    S::from_parts(
+        a.real() + x.real() * y.real(),
+        a.imag() + x.imag() * y.imag(),
+    )
 }
 
-/// `‖x‖²` accumulated in `f64` ([`sum4`]).
+/// `xs[i] = (x[i].im, x[i].re)`: the swapped copy of `x` the lane kernels
+/// read beside `x` itself (all zeros for a real scalar).
 #[inline]
-pub(crate) fn norm_sq<S: Scalar>(x: &[S]) -> f64 {
-    sum4(0.0f64, x.len(), |i| x[i].abs_sqr().to_f64())
+pub fn swap_re_im<S: Scalar>(x: &[S], xs: &mut [S]) {
+    assert_eq!(x.len(), xs.len(), "swap_re_im: length mismatch");
+    for (s, v) in xs.iter_mut().zip(x) {
+        *s = S::from_parts(v.imag(), v.real());
+    }
+}
+
+/// `N` conjugated dots `cols[c]ᴴ x` in one pass, every lane doing the same
+/// multiply-add: with `xs = swap_re_im(x)`, `p1 += a ⊙ x` and `p2 += a ⊙ xs`
+/// are element-wise products over consecutive floats, and
+/// `conj(a)·x = (Σ p1.re + p1.im, Σ p2.re − p2.im)` is folded once per
+/// column. All slices share one length. `as_chunks` hands the loop
+/// `[S; LANES]` operands, which is what lets LLVM drop every bounds check
+/// and emit packed multiplies and adds; rows past the last full step go to
+/// the leading lanes.
+///
+/// This is the workspace's one vectorised conjugated dot: the MVM's
+/// V-batch and skeleton kernels (`tlr_mvm::fastpath`) and the QR and
+/// Jacobi factorisations here all run on it.
+///
+/// Never inlined, on purpose: compiled out of line the loop vectorises the
+/// same way whoever calls it, whereas inlined into a benchmark closure the
+/// identical source ran at half speed (a call per 4 × 64 products costs
+/// nothing measurable).
+#[inline(never)]
+pub fn dotc_lanes<S: Scalar, const N: usize>(cols: [&[S]; N], x: &[S], xs: &[S]) -> [S; N] {
+    let (x_steps, x_tail) = x.as_chunks::<LANES>();
+    let (xs_steps, xs_tail) = xs.as_chunks::<LANES>();
+    let steps = x_steps.len();
+    let xs_steps = &xs_steps[..steps];
+    let cols = cols.map(|c| c.as_chunks::<LANES>());
+    let col_steps = cols.map(|(c, _)| &c[..steps]);
+    let mut p1 = [[S::ZERO; LANES]; N];
+    let mut p2 = [[S::ZERO; LANES]; N];
+    for s in 0..steps {
+        for c in 0..N {
+            for l in 0..LANES {
+                let a = col_steps[c][s][l];
+                p1[c][l] = hadamard_add(p1[c][l], a, x_steps[s][l]);
+                p2[c][l] = hadamard_add(p2[c][l], a, xs_steps[s][l]);
+            }
+        }
+    }
+    for c in 0..N {
+        for (l, ((&a, &xv), &sv)) in cols[c].1.iter().zip(x_tail).zip(xs_tail).enumerate() {
+            p1[c][l] = hadamard_add(p1[c][l], a, xv);
+            p2[c][l] = hadamard_add(p2[c][l], a, sv);
+        }
+    }
+    core::array::from_fn(|c| {
+        let (mut re, mut im) = (S::Real::ZERO, S::Real::ZERO);
+        for l in 0..LANES {
+            re += p1[c][l].real() + p1[c][l].imag();
+            im += p2[c][l].real() - p2[c][l].imag();
+        }
+        S::from_parts(re, im)
+    })
+}
+
+/// `N ≤ 4` conjugated dots `cols[c]ᴴ x` on [`dotc_lanes`] in the forms it compiles
+/// well to: four columns in lockstep (a block of three repeats its last
+/// column and drops the repeat), or one column at a time. Every column's
+/// dot is the same lanes whichever way it is reached.
+#[inline]
+pub fn dotc_cols<S: Scalar, const N: usize>(cols: [&[S]; N], x: &[S], xs: &[S]) -> [S; N] {
+    if N >= 3 {
+        let d = dotc_lanes::<S, 4>(core::array::from_fn(|c| cols[c.min(N - 1)]), x, xs);
+        core::array::from_fn(|c| d[c])
+    } else {
+        cols.map(|c| dotc_lanes([c], x, xs)[0])
+    }
+}
+
+/// `‖x‖²`: each `|x_i|²` taken in the working precision and accumulated in
+/// `f64`, element `i` into lane `i mod LANES`, the lanes combined as
+/// `(a₀ + a₁) + (a₂ + a₃)`. Rounding `|x_i|²` in the working precision is
+/// what the column pivoting of [`crate::qr::pivoted_qr_until`] has always
+/// seen: on near-tied columns it decides the pivot, so it is kept (squares
+/// taken in `f64` moved 17 of the 3,060 RRQR tiles of the benchmark's
+/// `sweep-large` stack by one rank).
+#[inline(never)]
+pub fn norm_sq<S: Scalar>(x: &[S]) -> f64 {
+    let (steps, tail) = x.as_chunks::<LANES>();
+    let mut acc = [0.0f64; LANES];
+    for step in steps {
+        for (l, &v) in step.iter().enumerate() {
+            acc[l] += v.abs_sqr().to_f64();
+        }
+    }
+    for (l, &v) in tail.iter().enumerate() {
+        acc[l] += v.abs_sqr().to_f64();
+    }
+    (acc[0] + acc[1]) + (acc[2] + acc[3])
 }
 
 /// Euclidean norm with f64 accumulation.
@@ -243,6 +326,117 @@ mod tests {
         let c1 = gemm_conj_transpose_right(&a, &b);
         let c2 = gemm(&a, &b.conj_transpose());
         assert!(c1.sub(&c2).max_abs() < 1e-4);
+    }
+
+    /// The lengths the lane kernels are checked at: every tail of the
+    /// four-lane step around one and two steps, a full 16, every tail
+    /// around 32, and 64.
+    const LANE_LENGTHS: [usize; 14] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 31, 32, 33, 64];
+
+    fn lane_vec(n: usize, salt: usize, rng: &mut ChaCha8Rng) -> Vec<C32> {
+        let mut v = rand_vec(n, rng);
+        // Magnitudes graded over four decades, so no two terms are alike.
+        for (i, z) in v.iter_mut().enumerate() {
+            *z = z.scale(10f32.powi(-(((i * 7 + salt) % 5) as i32)));
+        }
+        v
+    }
+
+    fn swapped(x: &[C32]) -> Vec<C32> {
+        let mut xs = vec![C32::ZERO; x.len()];
+        swap_re_im(x, &mut xs);
+        xs
+    }
+
+    /// `dotc_lanes` (through `dotc_cols`, in all four widths) against `xᴴy`
+    /// summed in `f64`, within the bound a length-`n` FP32 dot admits,
+    /// `|Δ| ≤ 2·n·ε₃₂·Σ|a_i||x_i|`; a zero column gives exactly zero.
+    #[test]
+    fn dotc_lanes_within_rounding_bound_of_f64_reference() {
+        fn check<const N: usize>(n: usize, rng: &mut ChaCha8Rng) {
+            let mut cols: Vec<Vec<C32>> = (0..N).map(|c| lane_vec(n, c, rng)).collect();
+            cols[N - 1].fill(C32::ZERO);
+            let x = lane_vec(n, 9, rng);
+            let got = dotc_cols::<C32, N>(
+                core::array::from_fn(|c| cols[c].as_slice()),
+                &x,
+                &swapped(&x),
+            );
+            for (c, col) in cols.iter().enumerate() {
+                let (mut want, mut mag) = (crate::scalar::C64::ZERO, 0.0f64);
+                for (a, v) in col.iter().zip(&x) {
+                    want += a.widen().conj() * v.widen();
+                    mag += f64::from(a.abs()) * f64::from(v.abs());
+                }
+                let err = (got[c].widen() - want).abs();
+                let bound = 2.0 * n as f64 * f64::from(f32::EPSILON) * mag;
+                assert!(err <= bound, "N={N} n={n} col {c}: {err} > {bound}");
+            }
+            assert_eq!(got[N - 1], C32::ZERO, "zero column, N={N} n={n}");
+        }
+        let mut rng = ChaCha8Rng::seed_from_u64(6);
+        for n in LANE_LENGTHS {
+            check::<1>(n, &mut rng);
+            check::<2>(n, &mut rng);
+            check::<3>(n, &mut rng);
+            check::<4>(n, &mut rng);
+        }
+    }
+
+    /// A column pair whose dot product is subnormal in `f32` (the case that
+    /// once turned Jacobi's phase into NaN): the lanes return it finite,
+    /// within the bound plus one subnormal step per term.
+    #[test]
+    fn dotc_lanes_keeps_a_subnormal_dot_finite() {
+        let mut rng = ChaCha8Rng::seed_from_u64(7);
+        for n in LANE_LENGTHS {
+            let a: Vec<C32> = rand_vec(n, &mut rng)
+                .iter()
+                .map(|z| z.scale(3e-23))
+                .collect();
+            let x: Vec<C32> = rand_vec(n, &mut rng)
+                .iter()
+                .map(|z| z.scale(2e-23))
+                .collect();
+            let got = dotc_lanes([a.as_slice()], &x, &swapped(&x))[0];
+            assert!(got.is_finite(), "n={n}: {got:?}");
+            assert!(
+                got.abs() < f32::MIN_POSITIVE,
+                "n={n}: {got:?} is not subnormal"
+            );
+            let want: crate::scalar::C64 = a
+                .iter()
+                .zip(&x)
+                .map(|(p, q)| p.widen().conj() * q.widen())
+                .sum();
+            let mag: f64 = a
+                .iter()
+                .zip(&x)
+                .map(|(p, q)| f64::from(p.abs()) * f64::from(q.abs()))
+                .sum();
+            let step = f64::from(f32::from_bits(1));
+            let bound = 2.0 * n as f64 * (f64::from(f32::EPSILON) * mag + 2.0 * step);
+            let err = (got.widen() - want).abs();
+            assert!(err <= bound, "n={n}: {err} > {bound}");
+        }
+    }
+
+    /// `norm_sq` against `‖x‖²` summed in `f64` from exact squares: each
+    /// `|x_i|²` rounds once per product and once in the sum of the two, so
+    /// `|Δ| ≤ 3ε₃₂·‖x‖²`; a zero column gives exactly zero.
+    #[test]
+    fn norm_sq_within_rounding_bound_of_f64_reference() {
+        let mut rng = ChaCha8Rng::seed_from_u64(9);
+        for n in LANE_LENGTHS {
+            let x = lane_vec(n, 1, &mut rng);
+            let want: f64 = x.iter().map(|z| z.widen().norm_sqr()).sum();
+            let err = (norm_sq(&x) - want).abs();
+            assert!(err <= 3.0 * f64::from(f32::EPSILON) * want, "n={n}: {err}");
+            assert!(crate::scalar::exactly_zero_f64(norm_sq(&vec![
+                C32::ZERO;
+                n
+            ])));
+        }
     }
 
     #[test]

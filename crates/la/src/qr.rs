@@ -4,7 +4,7 @@
 //! (rank-revealing QR, Chan 1987 / Golub & Van Loan) for building the
 //! per-tile `U·Vᴴ` factors.
 
-use crate::blas::norm_sq;
+use crate::blas::{axpy, dotc_cols, norm_sq, swap_re_im};
 use crate::dense::Matrix;
 use crate::scalar::{exactly_zero_f64, Real, Scalar, C64};
 
@@ -12,7 +12,7 @@ use crate::scalar::{exactly_zero_f64, Real, Scalar, C64};
 /// represented by reflectors stored below the diagonal of `factors`.
 pub struct Qr<S: Scalar> {
     factors: Matrix<S>,
-    taus: Vec<S>,
+    refl: Reflectors<S>,
 }
 
 impl<S: Scalar> Qr<S> {
@@ -38,33 +38,96 @@ impl<S: Scalar> Qr<S> {
         for j in 0..k {
             q[(j, j)] = S::ONE;
         }
-        // Apply H_{k-1} ... H_0 to each column of the identity block.
-        for col in 0..k {
-            for h in (0..k).rev() {
-                apply_reflector_to_slice(&self.factors, self.taus[h], h, q.col_mut(col));
-            }
-        }
+        self.refl.apply_q(k, &mut q);
         q
     }
 }
 
-/// Apply reflector `h` (`v = [1, factors[h+1.., h]]`) to `x` in place:
-/// `x -= tau · v · (vᴴ x)`.
-fn apply_reflector_to_slice<S: Scalar>(factors: &Matrix<S>, tau: S, h: usize, x: &mut [S]) {
-    if tau == S::ZERO {
-        return;
+/// The Householder reflectors of a factorisation, each written out in
+/// full — `v_h = [1, factors[h+1.., h]]` — beside its swapped copy
+/// (`blas::swap_re_im`), the operands of the lane kernels: one buffer per
+/// factorisation that grows as the steps make them, so neither the
+/// trailing updates nor `Q·C` allocate or copy per step.
+struct Reflectors<S: Scalar> {
+    /// `v_h` then its swapped copy, each `m − h` long, for `h = 0, 1, …`.
+    buf: Vec<S>,
+    /// `τ_h`: `H_h = I − τ_h·v_h·v_hᴴ`.
+    taus: Vec<S>,
+    m: usize,
+}
+
+impl<S: Scalar> Reflectors<S> {
+    /// Room for `k` reflectors of an `m`-row factorisation.
+    fn new(m: usize, k: usize) -> Self {
+        Self {
+            buf: Vec::with_capacity(k * (2 * m + 1 - k)),
+            taus: Vec::with_capacity(k),
+            m,
+        }
     }
-    let v = &factors.col(h)[h + 1..];
-    let (head, tail) = x[h..].split_at_mut(1);
-    let mut w = head[0];
-    for (vi, xi) in v.iter().zip(tail.iter()) {
-        w += vi.conj() * *xi;
+
+    /// Record reflector `h = taus.len()`, its tail in column `h` of
+    /// `factors`.
+    fn push(&mut self, factors: &Matrix<S>, tau: S) {
+        let h = self.taus.len();
+        let (start, len) = (self.buf.len(), self.m - h);
+        self.buf.push(S::ONE);
+        self.buf.extend_from_slice(&factors.col(h)[h + 1..]);
+        self.buf.resize(start + 2 * len, S::ZERO);
+        let (v, vs) = self.buf[start..].split_at_mut(len);
+        swap_re_im(v, vs);
+        self.taus.push(tau);
     }
-    w *= tau;
-    head[0] -= w;
-    for (vi, xi) in v.iter().zip(tail.iter_mut()) {
-        let delta = w * *vi;
-        *xi -= delta;
+
+    /// `x −= τ·v_h·(v_hᴴx)` on rows `h..` of every column `x` of `cols`
+    /// (column major, `m` rows each): four columns per pass, the lane dots
+    /// of the block and then its rank-1 update, and the column tail in one
+    /// block. The update is the plain complex `axpy`: LLVM vectorises it as
+    /// it stands, faster than on lanes (a second operand stream for `vs`).
+    fn apply(&self, h: usize, tau: S, cols: &mut [S]) {
+        fn block<S: Scalar, const N: usize>(
+            (v, vs): (&[S], &[S]),
+            tau: S,
+            cols: &mut [S],
+            m: usize,
+        ) {
+            let h = m - v.len();
+            let mut rest = cols;
+            let cols: [&mut [S]; N] = core::array::from_fn(|_| {
+                let (col, tail) = core::mem::take(&mut rest).split_at_mut(m);
+                rest = tail;
+                &mut col[h..]
+            });
+            // dotc_cols gives xᴴv = conj(vᴴx); x + (−w)·v is x − w·v to the bit.
+            let d = dotc_cols::<S, N>(cols.each_ref().map(|c| &**c), v, vs);
+            for (col, d) in cols.into_iter().zip(d) {
+                axpy(-(d.conj() * tau), v, col);
+            }
+        }
+        let m = self.m;
+        let start = h * (2 * m + 1 - h);
+        let (v, vs) = self.buf[start..start + 2 * (m - h)].split_at(m - h);
+        let mut blocks = cols.chunks_exact_mut(4 * m);
+        for b in &mut blocks {
+            block::<S, 4>((v, vs), tau, b, m);
+        }
+        let tail = blocks.into_remainder();
+        match tail.len() / m {
+            3 => block::<S, 3>((v, vs), tau, tail, m),
+            2 => block::<S, 2>((v, vs), tau, tail, m),
+            1 => block::<S, 1>((v, vs), tau, tail, m),
+            _ => {}
+        }
+    }
+
+    /// `x ← H₀·H₁⋯H_{k−1}·x` for every column `x` of `out`: one reflector
+    /// at a time, the last first, each applied to all of `out`.
+    fn apply_q(&self, k: usize, out: &mut Matrix<S>) {
+        for (h, &tau) in self.taus[..k].iter().enumerate().rev() {
+            if tau != S::ZERO {
+                self.apply(h, tau, out.as_mut_slice());
+            }
+        }
     }
 }
 
@@ -73,10 +136,7 @@ fn apply_reflector_to_slice<S: Scalar>(factors: &Matrix<S>, tau: S, h: usize, x:
 /// reflector tail (`v[0] == 1` implicitly), `x[0]` with `beta`.
 fn make_reflector<S: Scalar>(x: &mut [S]) -> S {
     let alpha = x[0];
-    let mut tail_sq = 0.0f64;
-    for v in &x[1..] {
-        tail_sq += v.abs_sqr().to_f64();
-    }
+    let tail_sq = norm_sq(&x[1..]);
     let alpha_abs_sq = alpha.abs_sqr().to_f64();
     if exactly_zero_f64(tail_sq) && alpha.imag().exactly_zero() {
         // Already in the right form.
@@ -106,42 +166,19 @@ pub fn qr<S: Scalar>(a: &Matrix<S>) -> Qr<S> {
     let mut f = a.clone();
     let (m, n) = f.shape();
     let k = m.min(n);
-    let mut taus = Vec::with_capacity(k);
+    let mut refl = Reflectors::new(m, k);
     for j in 0..k {
         // Form reflector from f[j.., j].
-        let tau = {
-            let col = &mut f.col_mut(j)[j..];
-            make_reflector(col)
-        };
-        taus.push(tau);
+        let tau = make_reflector(&mut f.col_mut(j)[j..]);
+        refl.push(&f, tau);
         if tau == S::ZERO {
             continue;
         }
         // Zero the trailing columns with Hᴴ (LAPACK convention: the
         // reflector satisfies Hᴴx = βe₁, so R = Hₖᴴ…H₁ᴴ A).
-        for c in j + 1..n {
-            apply_reflector_trailing(&mut f, tau.conj(), j, c);
-        }
+        refl.apply(j, tau.conj(), &mut f.as_mut_slice()[(j + 1) * m..]);
     }
-    Qr { factors: f, taus }
-}
-
-/// Apply the reflector stored in column `h` (rows `h..`) to column `c`.
-fn apply_reflector_trailing<S: Scalar>(f: &mut Matrix<S>, tau: S, h: usize, c: usize) {
-    let m = f.nrows();
-    let (vcol, ccol) = f.cols_mut_pair(h, c);
-    let v = &vcol[h..];
-    let cc = &mut ccol[h..];
-    let mut w = cc[0];
-    for i in 1..m - h {
-        w += v[i].conj() * cc[i];
-    }
-    w *= tau;
-    cc[0] -= w;
-    for i in 1..m - h {
-        let delta = w * v[i];
-        cc[i] -= delta;
-    }
+    Qr { factors: f, refl }
 }
 
 /// Column-pivoted QR with early termination: stops once the Frobenius norm
@@ -149,7 +186,7 @@ fn apply_reflector_trailing<S: Scalar>(f: &mut Matrix<S>, tau: S, h: usize, c: u
 /// numerical rank.
 pub struct PivotedQr<S: Scalar> {
     factors: Matrix<S>,
-    taus: Vec<S>,
+    refl: Reflectors<S>,
     /// `perm[j]` = original index of the column now in position `j`.
     pub perm: Vec<usize>,
     /// Numerical rank detected at the requested tolerance.
@@ -254,12 +291,9 @@ impl<S: Scalar> PivotedQr<S> {
         debug_assert_eq!(c.nrows(), k, "q_times needs a rank-row matrix");
         let mut out = Matrix::zeros(m, c.ncols());
         for col in 0..c.ncols() {
-            let x = out.col_mut(col);
-            x[..k].copy_from_slice(c.col(col));
-            for h in (0..k).rev() {
-                apply_reflector_to_slice(&self.factors, self.taus[h], h, x);
-            }
+            out.col_mut(col)[..k].copy_from_slice(c.col(col));
         }
+        self.refl.apply_q(k, &mut out);
         out
     }
 
@@ -308,10 +342,12 @@ pub fn pivoted_qr_until<S: Scalar>(
     let mut f = a.clone();
     let (m, n) = f.shape();
     let kmax = m.min(n);
-    let mut taus: Vec<S> = Vec::with_capacity(kmax);
     let mut perm: Vec<usize> = (0..n).collect();
-    // Squared residual column norms, recomputed exactly to avoid the
-    // classical downdating cancellation problem on f32 data.
+    // Squared residual column norms: summed once, then downdated by the
+    // row each step moves into R (LAPACK xGEQP3), and summed again where
+    // the downdate has cancelled or the stop test is near.
+    let mut norms = DowndatedNorms::new::<S>((0..n).map(|c| norm_sq(f.col(c))));
+    let mut refl = Reflectors::new(m, kmax);
     let mut rank = 0;
     let mut residual_fro = 0.0f64;
     let mut stopped = false;
@@ -319,39 +355,44 @@ pub fn pivoted_qr_until<S: Scalar>(
     let mut a_norm = 0.0f64;
     let tol_sq = tol_fro.to_f64() * tol_fro.to_f64();
     for j in 0..kmax {
-        // Residual norms of trailing columns.
-        let mut best = j;
-        let mut best_norm = -1.0f64;
-        let mut total = 0.0f64;
-        for c in j..n {
-            let s = norm_sq(&f.col(c)[j..]);
-            total += s;
-            if s > best_norm {
-                best_norm = s;
-                best = c;
-            }
-        }
+        let mut total = norms.total(j);
         if j == 0 {
             a_norm = total.sqrt();
+        }
+        // The stop test reads sums: near the tolerance every trailing norm
+        // is summed again, so the QR stops at the step summed norms give.
+        if norms.stale && total <= STOP_RESUM * tol_sq {
+            norms.resum_all(j, |c| norm_sq(&f.col(c)[j..]));
+            total = norms.total(j);
         }
         if total <= tol_sq {
             residual_fro = total.sqrt();
             break;
         }
+        let mut best = j;
+        let mut best_norm = -1.0f64;
+        for c in j..n {
+            let s = norms.get(c);
+            if s > best_norm {
+                best_norm = s;
+                best = c;
+            }
+        }
         if best != j {
             swap_cols(&mut f, j, best);
             perm.swap(j, best);
+            norms.swap(j, best);
         }
-        let tau = {
-            let col = &mut f.col_mut(j)[j..];
-            make_reflector(col)
-        };
-        taus.push(tau);
+        let tau = make_reflector(&mut f.col_mut(j)[j..]);
+        refl.push(&f, tau);
         rank = j + 1;
         if tau != S::ZERO {
-            for c in j + 1..n {
-                apply_reflector_trailing(&mut f, tau.conj(), j, c);
-            }
+            refl.apply(j, tau.conj(), &mut f.as_mut_slice()[(j + 1) * m..]);
+        }
+        for c in j + 1..n {
+            let col = f.col(c);
+            let left = norms.get(c) - col[j].abs_sqr().to_f64();
+            norms.update(c, left, || norm_sq(&col[j + 1..]));
         }
         if stop.is_some_and(|s| s.rank == rank && s.proves(&f, a_norm)) {
             stopped = true;
@@ -360,11 +401,77 @@ pub fn pivoted_qr_until<S: Scalar>(
     }
     PivotedQr {
         factors: f,
-        taus,
+        refl,
         perm,
         rank,
         residual_fro,
         stopped,
+    }
+}
+
+/// [`pivoted_qr_until`] sums every trailing norm again once the
+/// downdated trailing energy is within this factor of `tol_fro²`. The
+/// downdates stay within a relative `√ε` or so of the sums (their guard
+/// sees to that), so the factor 2 leaves the stop test to sums whenever it
+/// could go either way.
+const STOP_RESUM: f64 = 2.0;
+
+/// Squared column norms kept current by downdating: after a step changes
+/// a column by a known amount, its norm is the old one minus (or plus)
+/// that amount, with no pass over the column. A downdate that has fallen
+/// below `√ε` (of the working precision) times the column's last full sum
+/// has lost too many digits to cancellation and is summed again — LAPACK
+/// xGEQP3's guard, here in `f64`.
+pub(crate) struct DowndatedNorms {
+    /// Per column: the current squared norm, and the norm as it was last
+    /// summed in full.
+    norms: Vec<[f64; 2]>,
+    guard: f64,
+    /// Some current norm is a downdate rather than a sum.
+    stale: bool,
+}
+
+impl DowndatedNorms {
+    /// From full sums, for a working precision `S`.
+    pub(crate) fn new<S: Scalar>(sums: impl Iterator<Item = f64>) -> Self {
+        Self {
+            norms: sums.map(|s| [s; 2]).collect(),
+            guard: S::Real::EPSILON.to_f64().sqrt(),
+            stale: false,
+        }
+    }
+
+    /// The current squared norm of column `c`.
+    pub(crate) fn get(&self, c: usize) -> f64 {
+        self.norms[c][0]
+    }
+
+    /// `Σ_{c ≥ from}` of the current squared norms, in column order.
+    fn total(&self, from: usize) -> f64 {
+        self.norms[from..].iter().map(|n| n[0]).sum()
+    }
+
+    /// Take the downdated value `value` for column `c`, or `sum()` in its
+    /// place when the guard fires.
+    pub(crate) fn update(&mut self, c: usize, value: f64, sum: impl FnOnce() -> f64) {
+        if value < self.guard * self.norms[c][1] {
+            self.norms[c] = [sum(); 2];
+        } else {
+            self.norms[c][0] = value;
+            self.stale = true;
+        }
+    }
+
+    /// Sum every norm from column `from` on again.
+    fn resum_all(&mut self, from: usize, sum: impl Fn(usize) -> f64) {
+        for (c, n) in self.norms.iter_mut().enumerate().skip(from) {
+            *n = [sum(c); 2];
+        }
+        self.stale = false;
+    }
+
+    fn swap(&mut self, a: usize, b: usize) {
+        self.norms.swap(a, b);
     }
 }
 
@@ -475,6 +582,63 @@ mod tests {
         let (u, v) = f.low_rank_factors();
         assert_eq!(u.ncols(), 0);
         assert_eq!(v.ncols(), 0);
+    }
+
+    /// The downdate is taken while it keeps at least `√ε` of the column's
+    /// last sum, and summed again below that.
+    #[test]
+    fn downdated_norms_sum_again_below_the_guard() {
+        let guard = f64::from(f32::EPSILON).sqrt();
+        let mut norms = DowndatedNorms::new::<C32>([1.0, 4.0].into_iter());
+        norms.update(0, 1.5 * guard, || panic!("summed above the guard"));
+        assert!(norms.stale);
+        assert_eq!(norms.get(0).to_bits(), (1.5 * guard).to_bits());
+        norms.update(0, 0.5 * guard, || 0.25);
+        assert_eq!(norms.get(0).to_bits(), 0.25f64.to_bits());
+        // The guard is relative to the new sum now, not to the first one.
+        norms.update(0, 0.5 * guard, || panic!("guard still reads the old sum"));
+        norms.update(1, -1e-9, || 2.0);
+        assert_eq!(norms.get(1).to_bits(), 2.0f64.to_bits());
+    }
+
+    /// A graded matrix of rank 4 (`σ` = 1, 1e-1, 1e-2, 1e-3, then `f32`
+    /// rounding) truncated at `1e-5·‖A‖_F`: by step 4 every trailing column
+    /// has lost all but ~1e-12 of its squared norm, far more than a downdate
+    /// in `f32` keeps (its error is ~ε₃₂ of the sum), so only the guard's
+    /// fresh sums let the QR see the tolerance met. It stops at rank 4 with
+    /// the residual it reports, on the pivots the matrix gives in `C64`.
+    #[test]
+    fn graded_matrix_stops_at_its_rank_through_the_downdate_guard() {
+        let mut rng = ChaCha8Rng::seed_from_u64(24);
+        let (m, n) = (48, 12);
+        let mut u = qr(&Matrix::<C64>::random_normal(m, 4, &mut rng)).q_thin();
+        let v = qr(&Matrix::<C64>::random_normal(n, 4, &mut rng)).q_thin();
+        for (j, sigma) in [1.0, 1e-1, 1e-2, 1e-3].into_iter().enumerate() {
+            for e in u.col_mut(j) {
+                *e = e.scale(sigma);
+            }
+        }
+        let a = crate::blas::gemm_conj_transpose_right(&u, &v);
+        let a32 = Matrix::<C32>::from_fn(m, n, |i, j| a[(i, j)].narrow());
+        let tol = 1e-5 * a32.fro_norm();
+        let f = pivoted_qr(&a32, tol);
+        assert_eq!(f.rank, 4);
+        let (q, r) = (f.q_times(&Matrix::eye(4)), f.r());
+        let approx = gemm(&q, &r);
+        let residual = a32.permute_cols(&f.perm).sub(&approx).fro_norm();
+        assert!(
+            f.residual_fro <= f64::from(tol),
+            "{} > {tol}",
+            f.residual_fro
+        );
+        assert!(
+            (f.residual_fro - f64::from(residual)).abs() <= 1e-6 * f64::from(a32.fro_norm()),
+            "reported {} vs measured {residual}",
+            f.residual_fro
+        );
+        let a64 = Matrix::<C64>::from_fn(m, n, |i, j| a32[(i, j)].widen());
+        let f64r = pivoted_qr(&a64, f64::from(tol));
+        assert_eq!(f.perm[..4], f64r.perm[..4]);
     }
 
     #[test]

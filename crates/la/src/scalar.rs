@@ -398,6 +398,10 @@ pub trait Scalar:
     fn abs_sqr(self) -> Self::Real;
     /// Embed a real value.
     fn from_real(r: Self::Real) -> Self;
+    /// Build from real and imaginary parts; a real scalar drops `im`. The
+    /// lane kernels of [`crate::blas`] work on the two parts separately and
+    /// put them back together with this.
+    fn from_parts(re: Self::Real, im: Self::Real) -> Self;
     /// Real part.
     fn real(self) -> Self::Real;
     /// Imaginary part (zero for real scalars).
@@ -434,6 +438,10 @@ impl Scalar for f32 {
     #[inline(always)]
     fn from_real(r: f32) -> Self {
         r
+    }
+    #[inline(always)]
+    fn from_parts(re: f32, _im: f32) -> Self {
+        re
     }
     #[inline(always)]
     fn real(self) -> f32 {
@@ -480,6 +488,10 @@ impl Scalar for f64 {
         r
     }
     #[inline(always)]
+    fn from_parts(re: f64, _im: f64) -> Self {
+        re
+    }
+    #[inline(always)]
     fn real(self) -> f64 {
         self
     }
@@ -524,6 +536,10 @@ macro_rules! impl_scalar_complex {
             #[inline(always)]
             fn from_real(r: $real) -> Self {
                 Complex::new(r, 0.0)
+            }
+            #[inline(always)]
+            fn from_parts(re: $real, im: $real) -> Self {
+                Complex::new(re, im)
             }
             #[inline(always)]
             fn real(self) -> $real {

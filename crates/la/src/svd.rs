@@ -24,10 +24,10 @@
               the stride structure the kernels are about"
 )]
 
-use crate::blas::{norm_sq, sum4};
+use crate::blas::{dotc_lanes, norm_sq, swap_re_im};
 use crate::dense::Matrix;
 use crate::lowrank::LowRank;
-use crate::qr::{pivoted_qr_until, PivotedQr, RankStop};
+use crate::qr::{pivoted_qr_until, DowndatedNorms, PivotedQr, RankStop};
 use crate::scalar::{exactly_zero_f64, Real, Scalar};
 
 /// Full (thin) singular value decomposition `A = U diag(s) Vᴴ`.
@@ -134,24 +134,28 @@ pub fn jacobi_svd<S: Scalar>(a: &Matrix<S>) -> Svd<S> {
 /// returned singular values are the column norms of `W`, its columns
 /// normalised are `U`.
 fn jacobi_sweeps<S: Scalar>(a: &Matrix<S>, cos_tol: f64) -> Svd<S> {
-    let n = a.ncols();
-    debug_assert!(a.nrows() >= n, "jacobi_sweeps needs a tall matrix");
+    let (m, n) = a.shape();
+    debug_assert!(m >= n, "jacobi_sweeps needs a tall matrix");
     let mut w = a.clone();
     let mut v = Matrix::<S>::eye(n);
-    // Squared column norms of `w`, recomputed for the two columns a
-    // rotation touched and for nothing else: a pair that is already
-    // orthogonal costs its dot product alone.
-    let mut norms: Vec<f64> = (0..n).map(|j| col_norm_sq(&w, j)).collect();
+    // Squared column norms of `w`, read off each rotation's 2×2 update:
+    // a pair that is already orthogonal costs its dot product alone, one
+    // that is rotated no pass beyond the rotation.
+    let mut norms = DowndatedNorms::new::<S>((0..n).map(|j| norm_sq(w.col(j))));
+    // Swapped copy of column p, the `x` of the lane dots against every q.
+    let mut ps = vec![S::ZERO; m];
 
     for _sweep in 0..MAX_SWEEPS {
         let mut rotated = false;
         for p in 0..n {
+            swap_re_im(w.col(p), &mut ps);
             for q in p + 1..n {
-                let (app, aqq) = (norms[p], norms[q]);
+                let (app, aqq) = (norms.get(p), norms.get(q));
                 if exactly_zero_f64(app) && exactly_zero_f64(aqq) {
                     continue;
                 }
-                let apq = col_dotc(&w, p, q); // w_pᴴ w_q
+                // w_pᴴ w_q, as the conjugate of w_qᴴ w_p.
+                let apq = dotc_lanes([w.col(q)], w.col(p), &ps)[0].conj();
                 let apq_abs = apq.abs().to_f64();
                 if apq_abs <= cos_tol * (app * aqq).sqrt() {
                     continue;
@@ -184,19 +188,21 @@ fn jacobi_sweeps<S: Scalar>(a: &Matrix<S>, cos_tol: f64) -> Svd<S> {
                 let (cph, sph) = (phq.mul_real(c), phq.mul_real(s));
                 rotate_pair(&mut w, p, q, c, s, cph, sph);
                 rotate_pair(&mut v, p, q, c, s, cph, sph);
-                norms[p] = col_norm_sq(&w, p);
-                norms[q] = col_norm_sq(&w, q);
+                swap_re_im(w.col(p), &mut ps);
+                // The rotation diagonalises [[app, r], [r, aqq]]: its
+                // eigenvalues app − t·r and aqq + t·r are the new norms.
+                norms.update(p, app - t * r, || norm_sq(w.col(p)));
+                norms.update(q, aqq + t * r, || norm_sq(w.col(q)));
             }
         }
         if !rotated {
             break;
         }
     }
-
-    // Extract singular values and normalize U columns.
-    let mut s: Vec<S::Real> = norms
-        .iter()
-        .map(|&sq| S::Real::from_f64(sq.sqrt()))
+    // Extract singular values and normalize U columns. The values are the
+    // norms summed, not downdated: the truncation reads them.
+    let mut s: Vec<S::Real> = (0..n)
+        .map(|j| S::Real::from_f64(norm_sq(w.col(j)).sqrt()))
         .collect();
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&i, &j| {
@@ -371,16 +377,6 @@ pub fn svd_truncate<S: Scalar>(
         v: small.v,
         tail: (residual_sq + tail * tail).sqrt(),
     })
-}
-
-fn col_norm_sq<S: Scalar>(w: &Matrix<S>, j: usize) -> f64 {
-    norm_sq(w.col(j))
-}
-
-fn col_dotc<S: Scalar>(w: &Matrix<S>, p: usize, q: usize) -> S {
-    let (x, y) = (w.col(p), w.col(q));
-    let y = &y[..x.len()];
-    sum4(S::ZERO, x.len(), |i| x[i].conj() * y[i])
 }
 
 /// Apply the complex Jacobi rotation to columns `p`, `q`:

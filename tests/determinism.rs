@@ -142,6 +142,34 @@ fn default_stack_keeps_its_ranks_and_pins_its_bytes() {
     );
 }
 
+/// The other small-tile stacks of the default dataset, where a rounding
+/// change in the factorisations would first move a rank: `serve-mix`'s two
+/// looser keys (SVD at `(16, 1e-3)` and `(8, 1e-3)`; its third,
+/// `(16, 1e-4)`, is `solve-small`'s stack, pinned above), the RRQR backend
+/// at `solve-small`'s point and the randomized one at `(32, 1e-3)` (at
+/// `nb` 16 its 16-column sketch spans the tile and it is the SVD). Pinned
+/// as they were before the QR downdated its column norms and the QR and
+/// Jacobi kernels moved to lanes.
+#[test]
+fn small_tile_stacks_keep_their_ranks_and_pin_their_bytes() {
+    assert_eq!(
+        stack_signature(12, 1, config(16, 1e-3, CompressionMethod::Svd)),
+        (3_024, 29_291, 4_070_552, 1_784, 0xb777_721a_088d_f737)
+    );
+    assert_eq!(
+        stack_signature(12, 1, config(8, 1e-3, CompressionMethod::Svd)),
+        (10_764, 72_744, 4_758_112, 9_088, 0x7f7b_dee2_e1ce_d1e3)
+    );
+    assert_eq!(
+        stack_signature(12, 1, config(16, 1e-4, CompressionMethod::Rrqr)),
+        (3_024, 38_897, 4_830_968, 2_666, 0xe6a8_88a5_297f_2d29)
+    );
+    assert_eq!(
+        stack_signature(12, 1, config(32, 1e-3, CompressionMethod::Rsvd)),
+        (864, 9_773, 3_293_416, 346, 0xcc1d_650c_f8a5_7f88)
+    );
+}
+
 /// The benchmark's `compress-stack` stack at its two `(nb, acc)` points
 /// (the first is `wse-map`'s too): every rank and form as before
 /// `jacobi_svd` and `pivoted_qr` regrouped their arithmetic and before the
