@@ -32,10 +32,11 @@ use seismic_la::sync::lock;
 use seismic_mdd::{compress_dataset, compression_stats, run_mdd_with_operators};
 use tlr_mvm::json::Json;
 use tlr_mvm::json_fields;
+use tlr_mvm::precision::to_u64;
 use tlr_mvm::{compress, probe_nmse, trace, verify_compression_grids, TlrMatrix};
 use wse_sim::{plan_strategy1_pe, Cs2Config, RankModel};
 
-use crate::mdd_experiments::{default_dataset, mdd_config, ACC_SCALE};
+use crate::mdd_experiments::{default_dataset, mdd_config, repro_scale, ACC_SCALE};
 use crate::perf::{GateFinding, GateLevel, GateOutcome};
 
 /// Schema version of `acc_report.json` / `BENCH_accuracy.json`.
@@ -110,16 +111,6 @@ pub fn point_key(nb: usize, acc: f32) -> u64 {
 /// Human-readable sweep-point label for findings and tables.
 pub fn point_label(nb: usize, acc: f32) -> String {
     format!("nb={nb} acc={acc:.0e}")
-}
-
-/// The `REPRO_SCALE` this process runs at (recorded in the artifact so
-/// the gate refuses to compare runs at different problem sizes).
-pub fn repro_scale() -> u64 {
-    std::env::var("REPRO_SCALE")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(12)
-        .max(2)
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -367,13 +358,15 @@ pub fn acc_doc(rows: &[AccRow], scale: u64) -> Json {
     ])
 }
 
-/// Write `acc_report.json` (pretty, trailing newline), creating parent
+/// Write `acc_report.json` (pretty, trailing newline) at the
+/// [`repro_scale`] the rows were measured at, creating parent
 /// directories as needed.
 pub fn write_acc_json(path: &Path, rows: &[AccRow]) -> Result<(), String> {
+    let scale = to_u64(repro_scale()?);
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent).map_err(|e| format!("create {}: {e}", parent.display()))?;
     }
-    std::fs::write(path, acc_doc(rows, repro_scale()).to_pretty())
+    std::fs::write(path, acc_doc(rows, scale).to_pretty())
         .map_err(|e| format!("write {}: {e}", path.display()))
 }
 

@@ -1,6 +1,7 @@
 //! The `repro` CLI's single source of truth: one table of subcommands
-//! from which the help text, the `repro all` experiment list, and the
-//! unknown-experiment error are all generated.
+//! and one of flags, from which the help text, the `repro all`
+//! experiment list, the argument parser and its errors are all
+//! generated.
 //!
 //! The binary's dispatcher is validated against this table (`repro
 //! --self-check` and the `repro_cli` integration tests), so a
@@ -15,8 +16,8 @@ pub struct Subcommand {
     /// One-line help blurb.
     pub blurb: &'static str,
     /// Whether `repro all` runs it. Measurement tools (perfbench,
-    /// atlas-sweep, acc-report) stay out: their timings are
-    /// only meaningful run on their own.
+    /// acc-report) stay out: their timings are only meaningful run on
+    /// their own.
     pub in_all: bool,
 }
 
@@ -114,18 +115,8 @@ pub const SUBCOMMANDS: &[Subcommand] = &[
         in_all: true,
     },
     Subcommand {
-        name: "tab2wse",
-        blurb: "fabric-atlas heatmap summary of the validated configs",
-        in_all: true,
-    },
-    Subcommand {
         name: "perfbench",
         blurb: "host-kernel checksums + within-run ratios (BENCH_*.json)",
-        in_all: false,
-    },
-    Subcommand {
-        name: "atlas-sweep",
-        blurb: "one atlas frame per stack width per validated config",
         in_all: false,
     },
     Subcommand {
@@ -134,6 +125,101 @@ pub const SUBCOMMANDS: &[Subcommand] = &[
         in_all: false,
     },
 ];
+
+/// One `repro` flag.
+pub struct Flag {
+    /// The flag as typed, `--` included.
+    pub name: &'static str,
+    /// Help text; each line after the first is printed indented under
+    /// the first.
+    pub help: &'static str,
+}
+
+/// Every flag `repro` accepts. [`parse`] refuses any other, so a
+/// mistyped or retired flag is an error instead of a silent no-op.
+pub const FLAGS: &[Flag] = &[
+    Flag {
+        name: "--json",
+        help: "additionally writes machine-readable results to target/repro/\n\
+               (perfbench: target/perf/BENCH_table2.json, the run `xtask\n \
+               perfgate` compares against the committed BENCH_table2.json;\n\
+               acc-report: target/repro/acc_report.json, the artifact\n \
+               `xtask accgate` compares against BENCH_accuracy.json)",
+    },
+    Flag {
+        name: "--trace",
+        help: "enables the runtime observability layer and writes the phase\n\
+               breakdown (spans, flop/byte counters, solver iterations) to\n\
+               target/trace/<experiment>.json; table2 additionally prints the\n\
+               per-phase V/shuffle/U table against the cost model",
+    },
+    Flag {
+        name: "--timeline",
+        help: "writes a Chrome Trace Event / Perfetto timeline to\n\
+               target/trace/<experiment>.timeline.json (host span tracks +\n\
+               modeled WSE PE-group tracks; open in ui.perfetto.dev)",
+    },
+    Flag {
+        name: "--self-check",
+        help: "verifies every listed experiment dispatches, and runs none",
+    },
+    Flag {
+        name: "--help",
+        help: "prints this text (also -h)",
+    },
+];
+
+/// A parsed `repro` command line.
+#[derive(Debug)]
+pub struct Invocation {
+    /// The experiment to run: a [`SUBCOMMANDS`] name, or `all` when the
+    /// line names none.
+    pub experiment: String,
+    /// The [`FLAGS`] given, by name.
+    pub flags: Vec<&'static str>,
+}
+
+impl Invocation {
+    /// Whether the [`FLAGS`] entry `name` was given.
+    pub fn has(&self, name: &str) -> bool {
+        self.flags.contains(&name)
+    }
+}
+
+/// Parse a `repro` command line (the program name excluded). An unknown
+/// flag, an unknown experiment and a second experiment are refused
+/// with a message naming the argument, so nothing on the line is
+/// silently dropped.
+pub fn parse(args: &[String]) -> Result<Invocation, String> {
+    let mut experiment: Option<&str> = None;
+    let mut flags = Vec::new();
+    for arg in args {
+        let arg = arg.as_str();
+        if arg.starts_with('-') {
+            let name = if arg == "-h" { "--help" } else { arg };
+            let flag = FLAGS.iter().find(|f| f.name == name).ok_or_else(|| {
+                let known: Vec<&str> = FLAGS.iter().map(|f| f.name).collect();
+                format!("unknown flag '{arg}'; choose from: {}", known.join(" "))
+            })?;
+            flags.push(flag.name);
+        } else if let Some(first) = experiment {
+            return Err(format!(
+                "more than one experiment: '{first}' and '{arg}'; name one (or 'all')"
+            ));
+        } else if arg == "all" || find(arg).is_some() {
+            experiment = Some(arg);
+        } else {
+            return Err(format!(
+                "unknown experiment '{arg}'; choose from: {}",
+                names_joined(" ")
+            ));
+        }
+    }
+    Ok(Invocation {
+        experiment: experiment.unwrap_or("all").to_string(),
+        flags,
+    })
+}
 
 /// Look up a subcommand by its CLI name.
 pub fn find(name: &str) -> Option<&'static Subcommand> {
@@ -148,42 +234,38 @@ pub fn names_joined(sep: &str) -> String {
     names.join(sep)
 }
 
-/// The full `--help` text, generated from [`SUBCOMMANDS`] so the help
-/// can never list an experiment the dispatcher doesn't know (or vice
-/// versa).
+/// The full `--help` text, generated from [`SUBCOMMANDS`] and [`FLAGS`]
+/// so the help can never list an experiment or flag the parser and
+/// dispatcher don't know (or vice versa).
 pub fn usage() -> String {
     let mut out = String::from(
         "repro — regenerate every table and figure of the paper\n\n\
-         USAGE: repro <experiment> [--json] [--trace] [--timeline] [--atlas]\n       \
-         repro --self-check   (verify every listed experiment dispatches)\n\n\
+         USAGE: repro [<experiment>] [<flag>...]   (no experiment: all)\n\n\
          experiments ('all' runs every row marked •):\n",
     );
     for s in SUBCOMMANDS {
         let mark = if s.in_all { '•' } else { ' ' };
         out.push_str(&format!("  {mark} {:<12} {}\n", s.name, s.blurb));
     }
-    out.push_str(
-        "\n\
-         --json additionally writes machine-readable results to target/repro/\n\
-        \x20       (perfbench: target/perf/BENCH_table2.json, the run `xtask\n\
-        \x20        perfgate` compares against the committed BENCH_table2.json)\n\
-         --trace enables the runtime observability layer and writes the phase\n\
-        \x20       breakdown (spans, flop/byte counters, solver iterations) to\n\
-        \x20       target/trace/<experiment>.json; table2 additionally prints the\n\
-        \x20       per-phase V/shuffle/U table against the cost model\n\
-         --timeline writes a Chrome Trace Event / Perfetto timeline to\n\
-        \x20       target/trace/<experiment>.timeline.json (host span tracks +\n\
-        \x20       modeled WSE PE-group tracks; open in ui.perfetto.dev)\n\
-         --atlas collects the per-PE-group fabric atlas (occupancy, SRAM bank\n\
-        \x20       pressure, link traffic, flops, energy) for the validated\n\
-        \x20       configs under both layouts, verifies every grid total against\n\
-        \x20       the placement aggregates, and writes\n\
-        \x20       target/trace/<experiment>.atlas.json plus a terminal heatmap\n\
-         REPRO_SCALE=<n> overrides the dataset downscale factor (default 12)\n\
-         PERFBENCH_REPS=<n> overrides perfbench's median-of-N sample count\n\
-         acc-report --json writes target/repro/acc_report.json, the artifact\n\
-        \x20       `xtask accgate` compares against BENCH_accuracy.json",
-    );
+    out.push_str("\nflags:\n");
+    for f in FLAGS {
+        let mut lines = f.help.lines();
+        out.push_str(&format!(
+            "  {:<13} {}\n",
+            f.name,
+            lines.next().unwrap_or("")
+        ));
+        for line in lines {
+            out.push_str(&format!("  {:<13} {line}\n", ""));
+        }
+    }
+    out.push_str(&format!(
+        "\nenvironment:\n  \
+         REPRO_SCALE=<n>     the dataset downscale factor (default {}; a value\n  \
+         \x20                   that is not a whole number is refused)\n  \
+         PERFBENCH_REPS=<n>  perfbench's median-of-N sample count",
+        crate::mdd_experiments::DEFAULT_SCALE
+    ));
     out
 }
 
@@ -210,7 +292,7 @@ mod tests {
         // Inspect the experiment list only — the flags/env section below
         // it may mention subcommand names in prose.
         let list = text
-            .split("\n--json")
+            .split("\nflags:")
             .next()
             .expect("usage has an experiment list");
         for s in SUBCOMMANDS {
@@ -232,9 +314,48 @@ mod tests {
         assert!(joined.ends_with("all"));
     }
 
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn parse_takes_one_experiment_and_known_flags() {
+        let cmd = parse(&args("table2 --trace -h --json")).expect("valid line");
+        assert_eq!(cmd.experiment, "table2");
+        assert_eq!(cmd.flags, ["--trace", "--help", "--json"]);
+        assert!(cmd.has("--json") && !cmd.has("--timeline"));
+        assert_eq!(parse(&[]).expect("empty line").experiment, "all");
+        assert_eq!(parse(&args("all --json")).expect("all").experiment, "all");
+    }
+
+    #[test]
+    fn parse_refuses_what_it_would_drop() {
+        let err = |line: &str| parse(&args(line)).expect_err(line);
+        assert!(err("--jsno").starts_with("unknown flag '--jsno'"));
+        assert!(err("table1 --jason").starts_with("unknown flag '--jason'"));
+        assert!(err("table1 --json=1").contains("'--json=1'"));
+        assert!(err("-j").contains("'-j'"));
+        assert!(err("table1 fig14").contains("'table1' and 'fig14'"));
+        assert!(err("all table1").contains("'all' and 'table1'"));
+        assert!(err("fig99").starts_with("unknown experiment 'fig99'"));
+    }
+
+    #[test]
+    fn usage_lists_every_flag() {
+        let text = usage();
+        let flags = text
+            .split("\nflags:")
+            .nth(1)
+            .expect("usage has a flag list");
+        for f in FLAGS {
+            assert!(f.name.starts_with("--") && !f.help.is_empty());
+            assert!(flags.contains(&format!("  {:<13} ", f.name)), "{}", f.name);
+        }
+    }
+
     #[test]
     fn find_resolves_known_and_rejects_unknown() {
-        assert!(find("atlas-sweep").is_some_and(|s| !s.in_all));
+        assert!(find("acc-report").is_some_and(|s| !s.in_all));
         assert!(find("fig11").is_some_and(|s| s.in_all));
         assert!(find("fig99").is_none());
     }

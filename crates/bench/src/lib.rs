@@ -18,9 +18,6 @@
 //!   and dispatcher self-check are generated from.
 //! * [`timeline`] — Chrome Trace Event / Perfetto export of trace
 //!   reports (`repro <exp> --timeline`).
-//! * [`atlas_experiments`] — the fabric atlas: per-PE-group heatmap
-//!   frames with exact cross-layer reconciliation
-//!   (`repro <exp> --atlas`, `repro atlas-sweep`).
 //! * [`acc_experiments`] — the accuracy observatory: the `repro
 //!   acc-report` NMSE-vs-compression sweep, its self-verifying
 //!   `acc_report.json` artifact, and the `xtask accgate` comparison
@@ -43,7 +40,6 @@
 )]
 
 pub mod acc_experiments;
-pub mod atlas_experiments;
 pub mod cli;
 pub mod mdd_experiments;
 pub mod mmm_experiments;
@@ -57,7 +53,7 @@ pub(crate) mod test_sync {
     //! `tlr_mvm::trace` is a process-global collector: while one test
     //! has it enabled, every other test of this binary that reaches
     //! instrumented code (`compress`, a stacked apply, `tlr_mmm`,
-    //! `collect_atlas`, `execute_chunks`, LSQR, the engine) records into
+    //! `execute_chunks`, LSQR, the engine) records into
     //! the same window. Every test that reaches such code takes this
     //! lock first — not only the ones that reset or enable the
     //! collector. A test on synthetic reports or pure helpers needs none.

@@ -1,15 +1,16 @@
 //! `repro` — regenerate every table and figure of the paper.
 //!
 //! ```text
-//! repro <experiment> [--json] [--trace] [--timeline] [--atlas]
-//! repro --help         full experiment list (generated from one table)
+//! repro [<experiment>] [--json] [--trace] [--timeline]
+//! repro --help         full experiment and flag list (generated from the tables)
 //! repro --self-check   verify help and dispatcher agree
 //! ```
 //!
-//! The experiment list, the `all` sequence, and the unknown-experiment
-//! error all derive from [`cli::SUBCOMMANDS`]; [`handler_for`] is the
-//! only other place a subcommand name appears, and `--self-check` (plus
-//! the `serve_cli` integration tests) holds the two in lockstep.
+//! The experiment list, the `all` sequence, the accepted flags and the
+//! argument errors all derive from [`cli::SUBCOMMANDS`] and
+//! [`cli::FLAGS`]; [`handler_for`] is the only other place a subcommand
+//! name appears, and `--self-check` (plus the `repro_cli` integration
+//! tests) holds the two in lockstep.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(
@@ -29,7 +30,6 @@
 use std::process::ExitCode;
 
 use seismic_bench::acc_experiments as accx;
-use seismic_bench::atlas_experiments as atlasx;
 use seismic_bench::cli;
 use seismic_bench::mdd_experiments as mddx;
 use seismic_bench::mmm_experiments as mmmx;
@@ -49,48 +49,35 @@ fn write_rows<T>(name: &str, rows: &[T], row: fn(&T) -> Json) -> std::io::Result
     write_json("target/repro", name, &Json::arr(rows.iter().map(row)))
 }
 
-/// Flags shared by every experiment handler.
-struct Ctx {
-    json: bool,
-    atlas: bool,
-}
-
-/// One experiment's entry point. Closures that capture nothing coerce
-/// to this, so the match arms below stay one line each.
-type Handler = fn(&Ctx) -> RunResult;
+/// One experiment's entry point, given whether `--json` was passed.
+type Handler = fn(bool) -> RunResult;
 
 /// The dispatcher: maps a [`cli::SUBCOMMANDS`] name to its handler.
 /// `--self-check` asserts this covers the table exactly.
 fn handler_for(name: &str) -> Option<Handler> {
     Some(match name {
-        "fig11" => |c: &Ctx| fig11(c.json),
-        "fig12" => |c: &Ctx| fig12(c.json),
-        "fig13" => |c: &Ctx| fig13(c.json),
-        "fig14" => |c: &Ctx| fig14(c.json),
-        "table1" | "table2" | "table3" => {
-            // One handler per name so each table prints alone; the
-            // shared row computation happens inside `tables123`.
-            match name {
-                "table1" => |c: &Ctx| tables123("table1", false, c.json),
-                "table2" => |c: &Ctx| tables123("table2", false, c.json),
-                _ => |c: &Ctx| tables123("table3", false, c.json),
-            }
-        }
-        "table4" => |c: &Ctx| table4(c.json),
-        "table5" => |c: &Ctx| table5(c.json),
-        "fig15" => |c: &Ctx| fig15(c.json),
-        "fig16" => |c: &Ctx| fig16(c.json),
-        "recon" => |c: &Ctx| recon(c.json),
-        "power" => |c: &Ctx| power(c.json),
-        "mmm" => |c: &Ctx| mmm(c.json),
-        "io" => |c: &Ctx| io_study(c.json),
-        "appbench" => |c: &Ctx| appbench(c.json),
-        "coupling" => |c: &Ctx| coupling(c.json),
-        "precision" => |c: &Ctx| precision(c.json),
-        "tab2wse" => |c: &Ctx| tab2wse(c.atlas),
-        "perfbench" => |c: &Ctx| perfbench(c.json),
-        "atlas-sweep" => |_c: &Ctx| atlas_sweep(),
-        "acc-report" => |c: &Ctx| acc_report(c.json),
+        "fig11" => fig11,
+        "fig12" => fig12,
+        "fig13" => fig13,
+        "fig14" => fig14,
+        // One handler per name so each table prints alone; the shared
+        // row computation happens inside `tables123`.
+        "table1" => |json| tables123("table1", false, json),
+        "table2" => |json| tables123("table2", false, json),
+        "table3" => |json| tables123("table3", false, json),
+        "table4" => table4,
+        "table5" => table5,
+        "fig15" => fig15,
+        "fig16" => fig16,
+        "recon" => recon,
+        "power" => power,
+        "mmm" => mmm,
+        "io" => io_study,
+        "appbench" => appbench,
+        "coupling" => coupling,
+        "precision" => precision,
+        "perfbench" => perfbench,
+        "acc-report" => acc_report,
         _ => return None,
     })
 }
@@ -139,53 +126,46 @@ fn main() -> ExitCode {
 
 fn run() -> RunResult<ExitCode> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
+    let cmd = match cli::parse(&args) {
+        Ok(cmd) => cmd,
+        Err(e) => {
+            eprintln!("repro: {e}");
+            return Ok(ExitCode::from(2));
+        }
+    };
+    if cmd.has("--help") {
         println!("{}", cli::usage());
         return Ok(ExitCode::SUCCESS);
     }
-    if args.iter().any(|a| a == "--self-check") {
+    if cmd.has("--self-check") {
         return Ok(self_check());
     }
-    let json = args.iter().any(|a| a == "--json");
-    let trace_on = args.iter().any(|a| a == "--trace");
-    let timeline_on = args.iter().any(|a| a == "--timeline");
-    let atlas_on = args.iter().any(|a| a == "--atlas");
-    let which = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "all".to_string());
+    if let Err(e) = mddx::repro_scale() {
+        eprintln!("repro: {e}");
+        return Ok(ExitCode::from(2));
+    }
+    let json = cmd.has("--json");
+    let trace_on = cmd.has("--trace");
+    let timeline_on = cmd.has("--timeline");
+    let which = cmd.experiment;
 
     if trace_on || timeline_on {
         trace::reset();
         trace::set_enabled(true);
     }
 
-    let ctx = Ctx {
-        json,
-        atlas: atlas_on,
-    };
-    if which == "all" {
-        for sc in cli::SUBCOMMANDS.iter().filter(|s| s.in_all) {
-            let h = handler_for(sc.name)
-                .ok_or_else(|| format!("'{}' listed but not dispatchable", sc.name))?;
-            h(&ctx)?;
-        }
-    } else if let Some(h) = handler_for(&which) {
-        h(&ctx)?;
+    let names: Vec<&str> = if which == "all" {
+        cli::SUBCOMMANDS
+            .iter()
+            .filter(|s| s.in_all)
+            .map(|s| s.name)
+            .collect()
     } else {
-        eprintln!(
-            "unknown experiment '{which}'; choose from: {}",
-            cli::names_joined(" ")
-        );
-        return Ok(ExitCode::from(2));
-    }
-    // Atlas epilogue for every other experiment: the validated-config
-    // frame set under the requested experiment's artifact name.
-    if atlas_on && which != "tab2wse" && which != "atlas-sweep" {
-        let frames = atlasx::tab2wse_frames()?;
-        let path = atlasx::write_atlas_json(&which, &frames)?;
-        println!("\n  atlas written to {}", path.display());
+        vec![&which]
+    };
+    for name in names {
+        let h = handler_for(name).ok_or_else(|| format!("'{name}' listed but not dispatchable"))?;
+        h(json)?;
     }
 
     if trace_on || timeline_on {
@@ -757,8 +737,7 @@ fn recon(json: bool) -> RunResult {
          absolute bandwidth and flop rate by the Fig. 15/16 ceilings of the\n  \
          cluster that hosts the row; '% of roofline' compares the flop rate\n  \
          against min(peak_flops, intensity x peak_bw) at the row's intensity;\n  \
-         the §7.6 energy columns use the integer-picojoule path the fabric\n  \
-         atlas distributes, so they reconcile with `tab2wse --atlas` exactly;\n  \
+         the §7.6 energy columns use the integer-picojoule energy total;\n  \
          'op NMSE' and 'ratio' are the measured laptop-scale operator quality\n  \
          of the row's (nb, acc) config (the accuracy observatory's exact\n  \
          operator NMSE and dense-to-compressed ratio — `repro acc-report`)."
@@ -766,93 +745,6 @@ fn recon(json: bool) -> RunResult {
     if json {
         write_rows("recon", &rows_data, wsex::ReconRow::to_json)?;
     }
-    Ok(())
-}
-
-fn print_atlas_summary(title: &str, frames: &[wse_sim::AtlasFrame]) {
-    let rows: Vec<Vec<String>> = atlasx::summarize(frames)
-        .iter()
-        .map(|r| {
-            vec![
-                r.nb.to_string(),
-                format!("{:.0e}", r.acc),
-                r.stack_width.to_string(),
-                r.layout.to_string(),
-                r.systems.to_string(),
-                format!("{:.0}%", 100.0 * r.occupancy),
-                fmt_bytes(r.north),
-                fmt_bytes(r.south),
-                fmt_bytes(r.shuffle),
-                fmt_bytes(r.peak_bank),
-                format!("{:.2}", r.energy_pj as f64 / 1e12),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            title,
-            &[
-                "nb",
-                "acc",
-                "stack w",
-                "layout",
-                "systems",
-                "occup.",
-                "north B",
-                "south B",
-                "shuffle B",
-                "peak bank",
-                "energy J"
-            ],
-            &rows
-        )
-    );
-}
-
-fn tab2wse(atlas: bool) -> RunResult {
-    println!(
-        "\n[tab2wse] Fabric atlas: per-PE-group heatmaps of the validated six-shard\n\
-         configurations, three-phase vs communication-avoiding layouts"
-    );
-    let frames = atlasx::tab2wse_frames()?;
-    for f in &frames {
-        atlasx::verify_frame(f).map_err(atlasx::AtlasError::Reconciliation)?;
-    }
-    print_atlas_summary(
-        "atlas frames — grid totals reconcile exactly with the placement",
-        &frames,
-    );
-    println!(
-        "  the shuffle column is the §6.6 three-phase `16·Σrank` byte term; the\n  \
-         comm-avoiding rows are identically zero — the traffic the paper's\n  \
-         layout eliminates. checksum {:#018x}",
-        atlasx::atlas_checksum(&frames)
-    );
-    if let Some(f) = frames.first() {
-        println!(
-            "\n  occupancy map (nb={}, {}; 16x16 sum-pooled, ' '=idle '@'=full):",
-            f.nb,
-            f.layout.token()
-        );
-        print!("{}", atlasx::ascii_occupancy(f));
-    }
-    if atlas {
-        let path = atlasx::write_atlas_json("tab2wse", &frames)?;
-        println!("\n  atlas written to {}", path.display());
-    }
-    Ok(())
-}
-
-fn atlas_sweep() -> RunResult {
-    println!(
-        "\n[atlas-sweep] One atlas frame per stack width per validated config\n\
-         (4 widths per config, both layouts, each on the smallest cluster that places it)"
-    );
-    let frames = atlasx::sweep_frames()?;
-    print_atlas_summary("atlas sweep frames", &frames);
-    let path = atlasx::write_atlas_json("atlas-sweep", &frames)?;
-    println!("\n  atlas written to {}", path.display());
     Ok(())
 }
 

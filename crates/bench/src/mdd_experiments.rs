@@ -16,16 +16,29 @@ use tlr_mvm::json::Json;
 use tlr_mvm::json_fields;
 use tlr_mvm::{CompressionConfig, CompressionMethod, ToleranceMode};
 
-/// The laptop-scale dataset used by all MDD experiments. The geometry
-/// downscale factor is overridable with `REPRO_SCALE` (default 12;
-/// smaller = bigger problem, e.g. `REPRO_SCALE=6` quadruples the station
-/// count).
+/// The geometry downscale factor when `REPRO_SCALE` is unset.
+pub const DEFAULT_SCALE: usize = 12;
+
+/// The geometry downscale factor: `REPRO_SCALE` (at least 2), or
+/// [`DEFAULT_SCALE`] when it is unset — the one place the variable is
+/// read. Smaller is a bigger problem: `REPRO_SCALE=6` quadruples the
+/// station count. A value that is not a whole number is an error naming
+/// it; `repro` refuses it before running anything.
+pub fn repro_scale() -> Result<usize, String> {
+    let Some(v) = std::env::var_os("REPRO_SCALE") else {
+        return Ok(DEFAULT_SCALE);
+    };
+    let v = v.to_string_lossy();
+    v.parse::<usize>()
+        .map(|scale| scale.max(2))
+        .map_err(|_| format!("REPRO_SCALE='{v}' is not a whole number"))
+}
+
+/// The laptop-scale dataset used by all MDD experiments, at
+/// [`repro_scale`] (or [`DEFAULT_SCALE`] if that is malformed, which
+/// `repro` has refused before any experiment runs).
 pub fn default_dataset() -> SyntheticDataset {
-    let scale = std::env::var("REPRO_SCALE")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(12)
-        .max(2);
+    let scale = repro_scale().unwrap_or(DEFAULT_SCALE);
     SyntheticDataset::generate(
         DatasetConfig {
             scale,

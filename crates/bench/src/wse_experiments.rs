@@ -588,12 +588,10 @@ pub struct ReconRow {
     /// `flops_per_s` as % of `attainable_flops` — how close the mapping
     /// gets to its own roofline, the reconciliation headline.
     pub pct_of_attainable: f64,
-    /// §7.6 energy cost per flop, picojoules — the fabric atlas's
-    /// energy grid distributes exactly `total_energy_pj`, so this
-    /// column reconciles with `repro tab2wse --atlas` by construction.
+    /// §7.6 energy cost per flop, picojoules: `total_energy_pj / flops`.
     pub pj_per_flop: f64,
     /// Total energy of one TLR-MVM invocation, integer picojoules
-    /// ([`energy_total_pj`] — the same arithmetic path the atlas uses).
+    /// ([`energy_total_pj`]).
     pub total_energy_pj: u64,
     /// Measured laptop-scale exact operator NMSE of this `(nb, acc)`
     /// config ([`crate::acc_experiments::operator_quality`]) — the

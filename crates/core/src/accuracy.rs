@@ -1,7 +1,7 @@
 //! Numerical-quality observability: the accuracy observatory.
 //!
 //! Every other observability layer in this workspace (trace spans, the
-//! fabric atlas, the flight recorder) measures time, bytes, and flops.
+//! flight recorder) measures time, bytes, and flops.
 //! This module observes the quantity the paper's entire argument rests
 //! on — *numerical quality under algebraic compression* — from the live
 //! pipeline:
@@ -16,7 +16,7 @@
 //!   per billion — for the SVD backend this is the QR residual plus the
 //!   discarded singular-value tail, `sqrt(‖E₁‖² + Σ_{i≥k} σᵢ²)`, which
 //!   `svd_compress_with_tail` returns). The rank
-//!   and byte grids reconcile **exactly** (`==`, atlas-style) with the
+//!   and byte grids reconcile **exactly** (`==`) with the
 //!   [`TlrMatrix`] they describe — [`verify_compression_grids`] is the
 //!   checked form of that contract.
 //! * **Sampled-probe NMSE estimator.** [`probe_nmse`] measures the

@@ -2,8 +2,8 @@
 //! recursive-descent parser, with no dependency.
 //!
 //! Every artifact the workspace emits — `BENCH_*.json` baselines, trace
-//! and `repro --json` reports, `*.timeline.json` Perfetto exports, atlas
-//! frames, SARIF — is built as a [`Json`] value and so is
+//! and `repro --json` reports, `*.timeline.json` Perfetto exports,
+//! SARIF — is built as a [`Json`] value and so is
 //! *round-trippable by the repo itself*: `xtask perfgate` parses the
 //! committed baseline, and the schema tests parse what was written. u64
 //! counters are kept as verbatim numeric lexemes, so checksums survive

@@ -52,10 +52,11 @@
 //!   curves compare across datasets — and [`record_tile_rank`] grows
 //!   the compression rank histogram.
 //! * [`add_grid`] accumulates named **2-D grid counters** (element-wise
-//!   saturating adds over a row-major `u64` grid) — the fabric-atlas
-//!   heatmaps. The first call for a name fixes the grid's dimensions;
-//!   later calls with mismatched dimensions are ignored (documented on
-//!   [`add_grid`]), so a grid can never silently change shape mid-trace.
+//!   saturating adds over a row-major `u64` grid) — the per-tile
+//!   accuracy grids of [`crate::accuracy`]. The first call for a name
+//!   fixes the grid's dimensions; later calls with mismatched dimensions
+//!   are ignored (documented on [`add_grid`]), so a grid can never
+//!   silently change shape mid-trace.
 //!
 //! [`TraceReport::to_json`] is the report's JSON form; the schema is
 //! documented in `DESIGN.md` §9 and written by `repro --trace` under
@@ -368,11 +369,11 @@ impl LatencyEntry {
 }
 
 /// One named 2-D grid counter: a row-major `rows × cols` field of
-/// monotonic `u64` accumulators (fabric-atlas heatmaps — busy cycles,
-/// link bytes, SRAM bytes per PE group).
+/// monotonic `u64` accumulators (the per-tile accuracy grids — rank,
+/// stored bytes, truncation tail).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct GridEntry {
-    /// Grid name (e.g. `wse.atlas.busy_cycles`).
+    /// Grid name (e.g. `accuracy.tile_rank`).
     pub name: String,
     /// Grid height.
     pub rows: u64,
@@ -654,9 +655,9 @@ pub fn record_solver_iteration(
 /// The **first** call for a `name` fixes the grid's dimensions. Later
 /// calls must pass the same `rows × cols`; a mismatched call — or any
 /// call where `cells.len() != rows · cols` — is ignored rather than
-/// resized, so a grid can never silently change shape mid-trace (the
-/// atlas pre-sizes every grid from the placement before simulation, so
-/// a mismatch is always a caller bug, not data).
+/// resized, so a grid can never silently change shape mid-trace (a
+/// caller sizes its grid from the tiling before the first add, so a
+/// mismatch is always a caller bug, not data).
 #[inline]
 pub fn add_grid(name: &str, rows: usize, cols: usize, cells: &[u64]) {
     if !is_enabled() {

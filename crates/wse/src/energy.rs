@@ -38,10 +38,7 @@ pub fn energy_report(report: &PlacementReport, cluster: &Cluster) -> EnergyRepor
 }
 
 /// Total energy of one TLR-MVM invocation in **integer picojoules**:
-/// `round(energy_per_mvm_j · 1e12)`. This is the single arithmetic path
-/// both the `repro recon` energy column and the atlas energy grid start
-/// from, so the grid total reconciles with the recon aggregate exactly
-/// (integer pJ distribute without float drift).
+/// `round(energy_per_mvm_j · 1e12)`, the `repro recon` energy column.
 pub fn energy_total_pj(report: &PlacementReport, cluster: &Cluster) -> u64 {
     f64_to_u64((energy_report(report, cluster).energy_per_mvm_j * 1e12).round())
 }

@@ -31,9 +31,6 @@
 //! * [`io`] — the §6.6 host-link / double-buffering analysis.
 //! * [`roofline`] — the machine descriptors of Figs. 15–16.
 //! * [`energy`] — the §7.6 power model (16 kW/system, GFlop/s/W).
-//! * [`atlas`] — fabric-level telemetry: per-PE-group occupancy /
-//!   SRAM-pressure / link-traffic / flop / energy heatmaps whose totals
-//!   reconcile exactly with the placement report and trace counters.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -51,12 +48,10 @@
     )
 )]
 
-pub mod atlas;
 pub mod csl;
 pub mod cycles;
 pub mod energy;
 pub mod exec;
-pub mod fabric;
 pub mod io;
 pub mod machine;
 pub mod placement;
@@ -67,26 +62,16 @@ pub mod sram;
 pub mod verify;
 pub mod workload;
 
-pub use atlas::{collect_atlas, AtlasConfig, AtlasFrame, AtlasLayout, Grid};
 pub use csl::{ChunkLayout, CslError, CslOp, CslStats, Pe};
 pub use cycles::{pe_cost, strategy1_phase_costs, strategy1_tasks, MvmTask, PeCost};
 pub use energy::{energy_report, energy_total_pj, EnergyReport};
 pub use exec::{execute_chunks, ExecResult};
-pub use fabric::{
-    shuffle_chunk_bytes, strategy1_link_bytes, strategy2_u_link_bytes, strategy2_v_link_bytes,
-    LinkBytes,
-};
 pub use io::{io_report, HostLink, IoReport};
 pub use machine::{Cluster, Cs2Config};
-pub use placement::{
-    constant_size_bandwidth, place, shape_pe_quotas, PeQuota, PlaceError, PlacementReport, Strategy,
-};
+pub use placement::{constant_size_bandwidth, place, PlaceError, PlacementReport, Strategy};
 pub use program::{mvm_program, Dsr, Instr, PeProgram};
 pub use roofline::{constant_rank_estimates, fig15_machines, fig16_machines, MachineDescriptor};
-pub use shards::{assign_shards, shard_share, ShardAssignment, ShardStats};
-pub use sram::{
-    bank_pressure, peak_bank_bytes, plan_strategy1_pe, plan_strategy2_pe, SramError, SramPlan,
-    SramPlanner,
-};
+pub use shards::{assign_shards, ShardAssignment, ShardStats};
+pub use sram::{plan_strategy1_pe, plan_strategy2_pe, SramError, SramPlan, SramPlanner};
 pub use verify::{verify_plan, Diagnostic, Severity, VerifyReport};
 pub use workload::{choose_stack_width, paper_total_rank, RankModel, Workload};

@@ -112,31 +112,25 @@ impl PlacementReport {
 
 /// Per-PE resource quota for **one slot** of a chunk's placement: what a
 /// single physical PE is charged when a chunk of some `(cl, w)` shape is
-/// placed. [`place`] sums quotas into its aggregates and the fabric
-/// atlas scatters the *same* quotas into per-PE-group grids, which is
-/// why grid totals reconcile with the placement report exactly (the
-/// same multiset of u64 additions).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PeQuota {
+/// placed. [`place`] sums quotas into its aggregates.
+#[derive(Clone, Copy)]
+struct PeQuota {
     /// Modeled cycle count of this PE's program.
-    pub cycles: u64,
+    cycles: u64,
     /// Real FP32 flops this PE executes.
-    pub flops: u64,
+    flops: u64,
     /// Relative (cache-model) bytes this PE moves.
-    pub relative_bytes: u64,
+    relative_bytes: u64,
     /// Absolute (flat-SRAM) bytes this PE moves.
-    pub absolute_bytes: u64,
-    /// SRAM bytes resident on this PE (from the bank planner).
-    pub sram_bytes: u64,
+    absolute_bytes: u64,
 }
 
 /// The per-PE quotas one chunk of shape `(cl, w)` occupies under a
 /// strategy: one fused PE ([`Strategy::FusedSinglePe`]), or eight
 /// scattered PEs — four V-side (`w × cl` dot-form) then four U-side
 /// (`nb × w` axpy-form) — for [`Strategy::ScatterEightPes`]. SRAM
-/// feasibility is checked via the same planners [`place`] uses; the
-/// error text matches the placement errors verbatim.
-pub fn shape_pe_quotas(
+/// feasibility is checked with the per-PE SRAM planners.
+fn shape_pe_quotas(
     nb: usize,
     cl: usize,
     w: usize,
@@ -145,7 +139,7 @@ pub fn shape_pe_quotas(
 ) -> Result<Vec<PeQuota>, PlaceError> {
     match strategy {
         Strategy::FusedSinglePe => {
-            let plan = plan_strategy1_pe(cfg, nb, cl, w)
+            plan_strategy1_pe(cfg, nb, cl, w)
                 .map_err(|e| PlaceError::SramOverflow(format!("cl={cl} w={w}: {e}")))?;
             let cost = pe_cost(&strategy1_tasks(nb, cl, w), cfg, true);
             Ok(vec![PeQuota {
@@ -153,16 +147,15 @@ pub fn shape_pe_quotas(
                 flops: cost.flops,
                 relative_bytes: cost.relative_bytes,
                 absolute_bytes: cost.absolute_bytes,
-                sram_bytes: to_u64(plan.used_bytes),
             }])
         }
         Strategy::ScatterEightPes => {
             // Four PEs run the V-side MVM (w × cl, dot form), four the
             // U-side (nb × w, axpy form); each holds one real base
             // matrix.
-            let v_plan = plan_strategy2_pe(cfg, w, cl)
+            plan_strategy2_pe(cfg, w, cl)
                 .map_err(|e| PlaceError::SramOverflow(format!("V cl={cl} w={w}: {e}")))?;
-            let u_plan = plan_strategy2_pe(cfg, nb, w)
+            plan_strategy2_pe(cfg, nb, w)
                 .map_err(|e| PlaceError::SramOverflow(format!("U nb={nb} w={w}: {e}")))?;
             let vc = pe_cost(&[MvmTask::dot_form(w, cl)], cfg, true);
             let uc = pe_cost(&[MvmTask::axpy_form(nb, w)], cfg, true);
@@ -171,14 +164,12 @@ pub fn shape_pe_quotas(
                 flops: vc.flops,
                 relative_bytes: vc.relative_bytes,
                 absolute_bytes: vc.absolute_bytes,
-                sram_bytes: to_u64(v_plan.used_bytes),
             };
             let uq = PeQuota {
                 cycles: uc.cycles,
                 flops: uc.flops,
                 relative_bytes: uc.relative_bytes,
                 absolute_bytes: uc.absolute_bytes,
-                sram_bytes: to_u64(u_plan.used_bytes),
             };
             Ok(vec![vq, vq, vq, vq, uq, uq, uq, uq])
         }
@@ -388,9 +379,6 @@ mod tests {
         assert_eq!(fl, 4 * (vc.flops + uc.flops));
         let worst = scatter.iter().map(|q| q.cycles).max().unwrap();
         assert_eq!(worst, vc.cycles.max(uc.cycles));
-        for q in &scatter {
-            assert!(q.sram_bytes > 0);
-        }
     }
 
     #[test]

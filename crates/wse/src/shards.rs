@@ -72,9 +72,8 @@ impl ShardAssignment {
 /// Number of chunks (out of `count` interchangeable ones) that shard
 /// `idx` of `n` receives under the even base-plus-remainder split used
 /// by [`assign_shards`]: `⌊count/n⌋` each, with the first `count mod n`
-/// shards taking one extra. The atlas uses the same function so its
-/// per-shard grids reconcile exactly with the shard assignment.
-pub fn shard_share(count: u64, idx: usize, n: usize) -> u64 {
+/// shards taking one extra.
+fn shard_share(count: u64, idx: usize, n: usize) -> u64 {
     let n64 = to_u64(n.max(1));
     let base = count / n64;
     let rem = to_usize(count % n64);

@@ -137,30 +137,6 @@ impl SramPlan {
     }
 }
 
-/// Per-bank byte occupancy of a plan: element `b` is how many of the
-/// plan's bytes land in bank `b`'s `[b·bank_bytes, (b+1)·bank_bytes)`
-/// window. The atlas's SRAM-pressure grid records the **peak** bank
-/// ([`peak_bank_bytes`]) — the fullest of the 8 banks, the quantity
-/// that first collides with the dual-read constraint.
-pub fn bank_pressure(plan: &SramPlan, cfg: &Cs2Config) -> Vec<usize> {
-    let bank = cfg.bank_bytes().max(1);
-    let mut banks = vec![0usize; cfg.sram_banks];
-    for p in &plan.arrays {
-        let (start, end) = (p.offset, p.offset + p.bytes);
-        for (b, used) in banks.iter_mut().enumerate() {
-            let (lo, hi) = (b * bank, (b + 1) * bank);
-            let overlap = end.min(hi).saturating_sub(start.max(lo));
-            *used += overlap;
-        }
-    }
-    banks
-}
-
-/// Bytes in the fullest SRAM bank of a plan (see [`bank_pressure`]).
-pub fn peak_bank_bytes(plan: &SramPlan, cfg: &Cs2Config) -> usize {
-    bank_pressure(plan, cfg).into_iter().max().unwrap_or(0)
-}
-
 /// Plan the SRAM of one strategy-1 PE: the four real base matrices
 /// (`V_re/V_im/U_re/U_im`) are placed against the bases budget; the split
 /// input/intermediate/output vectors, their double buffers, and code live
@@ -245,21 +221,6 @@ mod tests {
         let plan = p.finish();
         assert!(plan.banks_disjoint("m", "y"));
         assert!(!plan.banks_disjoint("m", "missing"));
-    }
-
-    #[test]
-    fn bank_pressure_partitions_used_bytes() {
-        let cfg = Cs2Config::default();
-        let plan = plan_strategy1_pe(&cfg, 50, 50, 32).unwrap();
-        let banks = bank_pressure(&plan, &cfg);
-        assert_eq!(banks.len(), cfg.sram_banks);
-        // Every plan byte lands in exactly one bank window.
-        assert_eq!(banks.iter().sum::<usize>(), plan.used_bytes);
-        let peak = peak_bank_bytes(&plan, &cfg);
-        assert_eq!(peak, *banks.iter().max().unwrap());
-        assert!(peak <= cfg.bank_bytes());
-        // A contiguous fill makes every bank before the cursor full.
-        assert_eq!(banks[0], cfg.bank_bytes());
     }
 
     #[test]

@@ -473,21 +473,21 @@ mod tests {
     }
 
     #[test]
-    fn hp01_covers_atlas_collect_path() {
-        // The atlas hot loop lives in crates/wse/src/atlas.rs under the
-        // "wse.atlas.collect" span; an allocation slipped into it must
-        // fire, and the real file must be in an HP01-scanned crate.
+    fn hp01_covers_wse_exec_path() {
+        // The functional executor lives in crates/wse/src/exec.rs under
+        // the "wse.exec" span; an allocation slipped into it must fire,
+        // and the real file must be in an HP01-scanned crate.
         assert!(HP01_CRATES.contains(&"wse"));
         let rules = RuleSet {
             hp01: true,
             ..Default::default()
         };
-        let src = "fn collect() {\n\
-                   let grids = vec![0u64; 8];\n\
-                   let _span = trace::span(\"wse.atlas.collect\");\n\
+        let src = "fn execute() {\n\
+                   let chunks = vec![0u64; 8];\n\
+                   let _span = trace::span(\"wse.exec\");\n\
                    let bad = Vec::new();\n\
                    }\n";
-        let hits = findings("crates/wse/src/atlas.rs", src, rules);
+        let hits = findings("crates/wse/src/exec.rs", src, rules);
         assert_eq!(hits.iter().map(|(_, l)| *l).collect::<Vec<_>>(), vec![4]);
     }
 

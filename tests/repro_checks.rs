@@ -1,7 +1,10 @@
 //! Regression tests pinning the reproduction's headline numbers — if a
 //! refactor drifts the calibrated models away from the paper, these fail.
 
-use seismic_bench::wse_experiments::{fig14, six_shard_rows, table4, table5};
+use seismic_bench::wse_experiments::{
+    fig14, paper_six_shard_refs, six_shard_rows, table4, table5, VALIDATED_CONFIGS,
+};
+use wse_sim::{place, verify_plan, Cluster, Cs2Config, PlaceError, RankModel, Strategy};
 
 #[test]
 fn table1_stack_widths_match_paper() {
@@ -100,4 +103,57 @@ fn power_sixteen_kilowatts() {
     let p = seismic_bench::wse_experiments::power().expect("power config places");
     assert!((p.power_per_system_w - 16_000.0).abs() < 1_000.0);
     assert!(p.gflops_per_w > 25.0 && p.gflops_per_w < 55.0);
+}
+
+/// Stack widths below the paper's: every validated config at its paper
+/// width and at ¾, ½ and ¼ of it (strategy 1). A narrower stack cuts
+/// more chunks than the paper's six systems hold; the PE count a failed
+/// one-system placement reports sizes the cluster, `place` succeeds on
+/// `⌈required / usable_pes⌉` systems, `verify_plan` finds nothing to
+/// report there, and one system fewer could not hold the PEs used.
+#[test]
+fn narrower_stacks_place_on_the_fewest_systems_that_hold_them() {
+    // Systems at (paper, ¾, ½, ¼) width, per config.
+    let want: [[usize; 4]; 5] = [
+        [6, 8, 12, 24],
+        [6, 8, 12, 24],
+        [6, 9, 13, 28],
+        [6, 9, 12, 27],
+        [6, 8, 12, 27],
+    ];
+    let per_system = Cs2Config::default().usable_pes() as u64;
+    let strategy = Strategy::FusedSinglePe;
+    for ((&(nb, acc), paper), want) in VALIDATED_CONFIGS
+        .iter()
+        .zip(paper_six_shard_refs())
+        .zip(want)
+    {
+        let w = RankModel::paper(nb, acc).expect("validated").generate();
+        let pw = paper.stack_width;
+        let widths = [pw, 3 * pw / 4, pw / 2, pw / 4];
+        for (sw, want) in widths.into_iter().zip(want) {
+            let what = format!("nb={nb} acc={acc} sw={sw}");
+            let required = match place(&w, sw, strategy, &Cluster::new(1)) {
+                Err(PlaceError::NotEnoughPes { required, .. }) => required,
+                other => panic!("{what}: one system should not hold it: {other:?}"),
+            };
+            let systems = required.div_ceil(per_system) as usize;
+            assert_eq!(systems, want, "{what}");
+            let cluster = Cluster::new(systems);
+            let report =
+                place(&w, sw, strategy, &cluster).unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert_eq!(report.pes_used, required, "{what}");
+            let plan = verify_plan(&w, sw, strategy, &cluster);
+            assert!(
+                plan.diagnostics.is_empty(),
+                "{what}: {:?}",
+                plan.diagnostics
+            );
+            assert!(
+                report.pes_used > (systems as u64 - 1) * per_system,
+                "{what}: fits on {} systems",
+                systems - 1
+            );
+        }
+    }
 }

@@ -1,6 +1,7 @@
 //! End-to-end checks of the `repro` binary's CLI surface: the help
-//! text, the self-check and the unknown-experiment path — exactly what
-//! the CI `repro-cli` job executes.
+//! text, the self-check, and the refusals of an unknown experiment, an
+//! unknown flag and a malformed `REPRO_SCALE` — exactly what the CI
+//! `repro-cli` job executes.
 
 use std::process::Command;
 
@@ -46,4 +47,52 @@ fn unknown_experiment_exits_2_and_lists_choices() {
     for s in cli::SUBCOMMANDS {
         assert!(err.contains(s.name), "error must offer '{}'", s.name);
     }
+}
+
+#[test]
+fn retired_flag_exits_2_and_names_it() {
+    let out = repro()
+        .args(["table1", "--atlas"])
+        .output()
+        .expect("run repro table1 --atlas");
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown flag '--atlas'"), "{err}");
+    // The choices come from the same table as --help.
+    for f in cli::FLAGS {
+        assert!(err.contains(f.name), "error must offer '{}'", f.name);
+    }
+    assert!(out.stdout.is_empty(), "table1 must not run");
+}
+
+#[test]
+fn mistyped_flag_runs_nothing() {
+    let out = repro().arg("--jsno").output().expect("run repro --jsno");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("'--jsno'"));
+    assert!(out.stdout.is_empty(), "no experiment may run");
+}
+
+#[test]
+fn second_experiment_exits_2_and_names_both() {
+    let out = repro()
+        .args(["table1", "fig14"])
+        .output()
+        .expect("run repro table1 fig14");
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("'table1'") && err.contains("'fig14'"), "{err}");
+    assert!(out.stdout.is_empty());
+}
+
+#[test]
+fn malformed_repro_scale_exits_2_and_names_it() {
+    let out = repro()
+        .arg("table1")
+        .env("REPRO_SCALE", "6x")
+        .output()
+        .expect("run repro table1");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("REPRO_SCALE='6x'"));
+    assert!(out.stdout.is_empty());
 }
