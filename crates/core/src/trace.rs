@@ -47,10 +47,9 @@
 //!   model.
 //! * [`record_solver_iteration`] appends one `(solver, iteration,
 //!   residual, initial_residual, nanos)` row per iterative-solver step
-//!   (LSQR) — carrying the starting residual makes
-//!   [`SolverIteration::relative_residual`] scale-free, so convergence
-//!   curves compare across datasets — and [`record_tile_rank`] grows
-//!   the compression rank histogram.
+//!   (LSQR) — carrying the starting residual lets a reader divide by
+//!   it, so convergence curves compare across datasets — and
+//!   [`record_tile_rank`] grows the compression rank histogram.
 //! * [`add_grid`] accumulates named **2-D grid counters** (element-wise
 //!   saturating adds over a row-major `u64` grid) — the per-tile
 //!   accuracy grids of [`crate::accuracy`]. The first call for a name
@@ -257,25 +256,11 @@ pub struct SolverIteration {
     /// Residual estimate after the iteration (LSQR's `φ̄`).
     pub residual: f32,
     /// Residual of the starting iterate (`‖b‖` for a zero initial
-    /// guess) — the scale [`Self::relative_residual`] divides by; 0
-    /// reads as "scale unknown".
+    /// guess) — the scale that makes `residual` relative; 0 reads as
+    /// "scale unknown".
     pub initial_residual: f32,
     /// Wall-clock nanoseconds the iteration took.
     pub nanos: u64,
-}
-
-impl SolverIteration {
-    /// Scale-free relative residual `residual / initial_residual`.
-    /// Rows recorded without a starting residual (a degenerate
-    /// `‖b‖ = 0` solve) return the raw residual unchanged — there is no
-    /// scale to divide by.
-    pub fn relative_residual(&self) -> f32 {
-        if self.initial_residual > 0.0 {
-            self.residual / self.initial_residual
-        } else {
-            self.residual
-        }
-    }
 }
 
 /// One bucket of the compression rank histogram.
@@ -861,38 +846,6 @@ pub(crate) mod tests {
         let rep = snapshot();
         assert!(rep.phase("test.dur.off").is_none());
         assert!(rep.latency_for("test.dur.off").is_none());
-    }
-
-    /// Satellite regression test: solver rows carry the starting
-    /// residual, so [`SolverIteration::relative_residual`] is
-    /// scale-free; rows without one (pre-accuracy traces) fall back to
-    /// the raw residual.
-    #[test]
-    fn solver_rows_expose_relative_residual() {
-        let _g = locked();
-        reset();
-        set_enabled(true);
-        record_solver_iteration("test.solver.rel", 1, 5.0, 20.0, 3);
-        record_solver_iteration("test.solver.rel", 2, 2.0, 20.0, 4);
-        set_enabled(false);
-        let rep = snapshot();
-        let rows: Vec<_> = rep
-            .solver_iterations
-            .iter()
-            .filter(|r| r.solver == "test.solver.rel")
-            .collect();
-        assert_eq!(rows.len(), 2);
-        assert!((rows[0].relative_residual() - 0.25).abs() < 1e-7);
-        assert!((rows[1].relative_residual() - 0.10).abs() < 1e-7);
-        // A legacy row deserialized without the field scales by nothing.
-        let legacy = SolverIteration {
-            solver: "legacy".to_string(),
-            iteration: 1,
-            residual: 0.5,
-            initial_residual: 0.0,
-            nanos: 0,
-        };
-        assert!((legacy.relative_residual() - 0.5).abs() < 1e-7);
     }
 
     #[test]

@@ -27,8 +27,9 @@ pub struct DatasetConfig {
     /// Spectrum rolloff end (Hz).
     pub f_max: f64,
     /// Keep every `freq_stride`-th usable frequency bin (1 = all).
-    /// Synthesis cost scales with the bins retained, not with the bins
-    /// they span: [`downgoing_stack`] leaps a stride in one multiply.
+    /// Synthesis cost scales with distinct station-pair geometries × bins
+    /// retained, not with the bins they span ([`downgoing_stack`] leaps a
+    /// stride in one multiply), plus the entries written.
     pub freq_stride: usize,
     /// Water-layer reverberation orders in the downgoing kernels.
     pub n_water_multiples: usize,
@@ -102,8 +103,8 @@ pub struct SyntheticDataset {
 }
 
 impl SyntheticDataset {
-    /// Generate all frequency matrices, in one pass over the station pairs
-    /// ([`downgoing_stack`]).
+    /// Generate all frequency matrices, each distinct station-pair
+    /// geometry synthesised once ([`downgoing_stack`]).
     pub fn generate(config: DatasetConfig, model: VelocityModel) -> Self {
         let acq = Acquisition::scaled_with(config.scale, config.station_spacing);
         let df = config.df();
