@@ -142,7 +142,7 @@ pub fn compress(dense: &Matrix<C32>, config: CompressionConfig) -> TlrMatrix {
             let (c0, cl) = tiling.col_range(j);
             let tile = dense.block(r0, c0, rl, cl);
             let tol = global_tol.unwrap_or_else(|| config.acc * tile.fro_norm());
-            *slot = compress_tile(&tile, tol, config.method, crate::precision::to_u64(idx));
+            *slot = compress_tile(tile, tol, config.method, crate::precision::to_u64(idx));
         });
     }
 
@@ -177,8 +177,8 @@ pub fn compress(dense: &Matrix<C32>, config: CompressionConfig) -> TlrMatrix {
 /// rows of its QR prove the truncation would keep at least that many
 /// ([`seismic_la::svd::svd_truncate`]: about 9 in 10 of the tiles stored
 /// dense on the benchmark's stacks); the RRQR backend stops its QR at that
-/// rank. A dense tile holds the block as given, so neither early exit
-/// changes a stored bit.
+/// rank. A dense tile holds the block as given — moved in, not copied —
+/// so neither early exit changes a stored bit.
 ///
 /// A tile reaches a factoriser only when its Frobenius norm and `tol` are
 /// both finite. One holding a `NaN` or `Inf` (or truncated against a
@@ -186,9 +186,9 @@ pub fn compress(dense: &Matrix<C32>, config: CompressionConfig) -> TlrMatrix {
 /// [`ToleranceMode::RelativeGlobal`] once one entry is poisoned) is stored
 /// dense as given, so the poison reaches the output of the apply, where
 /// the finiteness checks see it, instead of vanishing into a rank-0 tile.
-pub fn compress_tile(tile: &Matrix<C32>, tol: f32, method: CompressionMethod, seed: u64) -> Tile {
+pub fn compress_tile(tile: Matrix<C32>, tol: f32, method: CompressionMethod, seed: u64) -> Tile {
     if !(tol.is_finite() && tile.fro_norm().is_finite()) {
-        return Tile::Dense(tile.clone());
+        return Tile::Dense(tile);
     }
     let (m, n) = tile.shape();
     // Factors save storage only below this rank.
@@ -196,7 +196,7 @@ pub fn compress_tile(tile: &Matrix<C32>, tol: f32, method: CompressionMethod, se
     let dense_from = (m * n).div_ceil((m + n).max(1));
     let skeleton = match method {
         CompressionMethod::Svd => {
-            svd_truncate(tile, tol, Some(dense_from))
+            svd_truncate(&tile, tol, Some(dense_from))
                 .filter(|t| pays(t.rank()))
                 .map(|t| {
                     // C = Q_k·(core·V_Jᴴ): the r × r product is taken in
@@ -215,18 +215,18 @@ pub fn compress_tile(tile: &Matrix<C32>, tol: f32, method: CompressionMethod, se
                 sigma: f64::NEG_INFINITY,
                 per_norm: 0.0,
             };
-            let f = pivoted_qr_until(tile, tol, Some(stop));
+            let f = pivoted_qr_until(&tile, tol, Some(stop));
             (!f.stopped && pays(f.rank)).then(|| Skeleton::from_pivoted_qr(&f))
         }
         CompressionMethod::Rsvd => {
             let mut rng = ChaCha8Rng::seed_from_u64(0x7a5e_ed00 ^ seed);
-            let lr = rsvd_compress_adaptive(tile, tol, &mut rng);
+            let lr = rsvd_compress_adaptive(&tile, tol, &mut rng);
             pays(lr.rank()).then(|| Skeleton::from_factors(&lr.u, &lr.v))
         }
     };
     match skeleton {
         Some(s) => Tile::LowRank(s),
-        None => Tile::Dense(tile.clone()),
+        None => Tile::Dense(tile),
     }
 }
 

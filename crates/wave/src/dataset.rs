@@ -4,11 +4,10 @@
 use rand::SeedableRng;
 use rayon::prelude::*;
 use seismic_geom::{station_permutation, Acquisition, Ordering, Permutation};
-use seismic_la::blas::gemv;
 use seismic_la::scalar::C32;
 use seismic_la::Matrix;
 
-use crate::modeling::{downgoing_stack, reflectivity_column, ModelingConfig};
+use crate::modeling::{downgoing_stack, reflectivity_column, DowngoingStack, ModelingConfig};
 use crate::velocity::VelocityModel;
 use crate::wavelet::flat_band_spectrum;
 
@@ -29,7 +28,8 @@ pub struct DatasetConfig {
     /// Keep every `freq_stride`-th usable frequency bin (1 = all).
     /// Synthesis cost scales with distinct station-pair geometries × bins
     /// retained, not with the bins they span ([`downgoing_stack`] leaps a
-    /// stride in one multiply), plus the entries written.
+    /// stride in one multiply), plus one hashed lookup per station pair;
+    /// entries are written only when a kernel is gathered.
     pub freq_stride: usize,
     /// Water-layer reverberation orders in the downgoing kernels.
     pub n_water_multiples: usize,
@@ -75,8 +75,8 @@ impl DatasetConfig {
     }
 }
 
-/// One frequency slice: the physical frequency and its dense kernel matrix
-/// (`n_src × n_rec`, natural station ordering).
+/// One retained frequency: its bin, physical frequency and source
+/// amplitude. Its kernel is [`SyntheticDataset::kernel`].
 #[derive(Clone, Debug)]
 pub struct FrequencySlice {
     /// FFT bin index in the `nt`-sample trace spectrum.
@@ -85,12 +85,11 @@ pub struct FrequencySlice {
     pub freq_hz: f64,
     /// Source-spectrum amplitude baked into the kernel.
     pub wavelet_amp: f64,
-    /// Dense kernel in natural ordering.
-    pub kernel: Matrix<C32>,
 }
 
 /// A complete synthetic dataset: acquisition geometry, velocity model, and
-/// one kernel matrix per retained frequency.
+/// one kernel matrix per retained frequency — held as the station-pair
+/// tables they are gathered from ([`DowngoingStack`]), not as matrices.
 pub struct SyntheticDataset {
     /// Acquisition geometry used for generation.
     pub acq: Acquisition,
@@ -100,11 +99,14 @@ pub struct SyntheticDataset {
     pub config: DatasetConfig,
     /// Retained frequency slices, ascending in frequency.
     pub slices: Vec<FrequencySlice>,
+    /// The kernels of `slices`, one bin each.
+    stack: DowngoingStack,
 }
 
 impl SyntheticDataset {
-    /// Generate all frequency matrices, each distinct station-pair
-    /// geometry synthesised once ([`downgoing_stack`]).
+    /// Generate the kernels of every retained frequency, each distinct
+    /// station-pair geometry synthesised once ([`downgoing_stack`]); no
+    /// matrix is written until a caller gathers one.
     pub fn generate(config: DatasetConfig, model: VelocityModel) -> Self {
         let acq = Acquisition::scaled_with(config.scale, config.station_spacing);
         let df = config.df();
@@ -120,16 +122,14 @@ impl SyntheticDataset {
             .step_by(config.freq_stride.max(1))
             .collect();
         let amps: Vec<f64> = bins.iter().map(|&bin| spectrum[bin]).collect();
-        let kernels = downgoing_stack(&bins, df, &amps, &acq, &model, &mcfg);
+        let stack = downgoing_stack(&bins, df, &amps, &acq, &model, &mcfg);
         let slices: Vec<FrequencySlice> = bins
             .iter()
             .zip(&amps)
-            .zip(kernels)
-            .map(|((&bin, &wavelet_amp), kernel)| FrequencySlice {
+            .map(|(&bin, &wavelet_amp)| FrequencySlice {
                 bin,
                 freq_hz: bin as f64 * df,
                 wavelet_amp,
-                kernel,
             })
             .collect();
         Self {
@@ -137,6 +137,7 @@ impl SyntheticDataset {
             model,
             config,
             slices,
+            stack,
         }
     }
 
@@ -158,6 +159,12 @@ impl SyntheticDataset {
         )
     }
 
+    /// Kernel of slice `idx` (`n_src × n_rec`, natural station ordering),
+    /// gathered from the tables on each call.
+    pub fn kernel(&self, idx: usize) -> Matrix<C32> {
+        self.stack.matrix(idx)
+    }
+
     /// Kernel of slice `idx` with rows/columns reordered.
     pub fn reordered_kernel(&self, idx: usize, ordering: Ordering) -> Matrix<C32> {
         let (rows, cols) = self.permutations(ordering);
@@ -166,15 +173,15 @@ impl SyntheticDataset {
 
     /// [`Self::reordered_kernel`] under permutations the caller holds —
     /// [`Self::permutations`] computed once for all the frequencies.
+    /// Gathered straight into that order: `self.kernel(idx).permute(..)`
+    /// bit for bit, without the natural-order copy.
     pub fn reordered_kernel_with(
         &self,
         idx: usize,
         rows: &Permutation,
         cols: &Permutation,
     ) -> Matrix<C32> {
-        self.slices[idx]
-            .kernel
-            .permute(&rows.forward, &cols.forward)
+        self.stack.permuted(idx, &rows.forward, &cols.forward)
     }
 
     /// True reflectivity columns (natural receiver ordering) for a virtual
@@ -195,15 +202,16 @@ impl SyntheticDataset {
     /// `y_f = A_f · x_f` per frequency for a reflectivity already in hand
     /// (one vector per retained frequency, natural orderings): what
     /// [`Self::observed_data`] computes, for a caller that also needs the
-    /// [`Self::true_reflectivity`] it is the image of.
+    /// [`Self::true_reflectivity`] it is the image of. Each product is
+    /// gathered from the tables: [`seismic_la::blas::gemv`] on
+    /// [`Self::kernel`], bit for bit ([`DowngoingStack::gemv`]).
     pub fn observed_data_of(&self, x: &[Vec<C32>]) -> Vec<Vec<C32>> {
         assert_eq!(x.len(), self.slices.len(), "one vector per frequency");
-        self.slices
-            .par_iter()
-            .zip(x)
-            .map(|(s, xf)| {
-                let mut y = vec![C32::new(0.0, 0.0); s.kernel.nrows()];
-                gemv(&s.kernel, xf, &mut y);
+        x.par_iter()
+            .enumerate()
+            .map(|(f, xf)| {
+                let mut y = vec![C32::new(0.0, 0.0); self.acq.n_sources()];
+                self.stack.gemv(f, xf, &mut y);
                 y
             })
             .collect()
@@ -243,6 +251,13 @@ impl SyntheticDataset {
         let (m, n) = self.kernel_shape();
         self.n_freqs() * m * n * std::mem::size_of::<C32>()
     }
+
+    /// Bytes the dataset holds for its kernels: the station-pair keys and
+    /// the walked rows ([`DowngoingStack::resident_bytes`]), where
+    /// [`Self::dense_bytes`] is what the matrices would take.
+    pub fn resident_bytes(&self) -> usize {
+        self.stack.resident_bytes()
+    }
 }
 
 /// Box-Muller normal sample (local helper to avoid a dev-only re-export).
@@ -253,6 +268,9 @@ fn normal<R: rand::Rng>(rng: &mut R) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::modeling::downgoing_matrix;
+    use crate::modeling::tests::{probe_vectors, vec_bits};
+    use seismic_la::blas::gemv;
 
     fn tiny() -> SyntheticDataset {
         SyntheticDataset::generate(DatasetConfig::tiny(), VelocityModel::overthrust())
@@ -264,9 +282,10 @@ mod tests {
         assert!(ds.n_freqs() > 3);
         let (m, n) = ds.kernel_shape();
         assert!(m > n, "paper layout: more sources than receivers");
-        for s in &ds.slices {
-            assert_eq!(s.kernel.shape(), (m, n));
-            assert!(s.kernel.all_finite());
+        for f in 0..ds.n_freqs() {
+            let kernel = ds.kernel(f);
+            assert_eq!(kernel.shape(), (m, n));
+            assert!(kernel.all_finite());
         }
         // Frequencies ascend.
         for w in ds.slices.windows(2) {
@@ -285,7 +304,7 @@ mod tests {
         // Spot-check one frequency against a manual gemv.
         let f = ds.n_freqs() / 2;
         let mut want = vec![C32::new(0.0, 0.0); ds.kernel_shape().0];
-        gemv(&ds.slices[f].kernel, &x[f], &mut want);
+        gemv(&ds.kernel(f), &x[f], &mut want);
         for (got, want) in y[f].iter().zip(&want) {
             assert!((*got - *want).abs() < 1e-6);
         }
@@ -294,7 +313,7 @@ mod tests {
     #[test]
     fn reordering_is_a_permutation_of_entries() {
         let ds = tiny();
-        let k0 = &ds.slices[0].kernel;
+        let k0 = &ds.kernel(0);
         let kh = ds.reordered_kernel(0, Ordering::Hilbert);
         assert_eq!(k0.shape(), kh.shape());
         assert!((k0.fro_norm() - kh.fro_norm()).abs() < 1e-3 * k0.fro_norm());
@@ -325,5 +344,64 @@ mod tests {
         let ds = tiny();
         let (m, n) = ds.kernel_shape();
         assert_eq!(ds.dense_bytes(), ds.n_freqs() * m * n * 8);
+    }
+
+    /// On the tiny dataset, every kernel the dataset gathers is its dense
+    /// form bit for bit: `kernel` is `downgoing_matrix`, `reordered_kernel`
+    /// its `permute`, and `observed_data_of` `gemv` on it — over probes
+    /// holding `+0`, `−0`, a NaN and an infinity as well as finite ones.
+    #[test]
+    fn gathers_are_the_dense_forms_bit_for_bit() {
+        let ds = tiny();
+        let mcfg = ModelingConfig {
+            n_water_multiples: ds.config.n_water_multiples,
+            ..Default::default()
+        };
+        let (rows, cols) = ds.permutations(Ordering::Hilbert);
+        let n = ds.acq.n_receivers();
+        let dense: Vec<Matrix<C32>> = ds
+            .slices
+            .iter()
+            .map(|s| downgoing_matrix(s.freq_hz, s.wavelet_amp, &ds.acq, &ds.model, &mcfg))
+            .collect();
+        for (f, want) in dense.iter().enumerate() {
+            assert!(vec_bits(ds.kernel(f).as_slice()) == vec_bits(want.as_slice()));
+            let permuted = want.permute(&rows.forward, &cols.forward);
+            let got = ds.reordered_kernel(f, Ordering::Hilbert);
+            assert!(vec_bits(got.as_slice()) == vec_bits(permuted.as_slice()));
+        }
+        for probe in probe_vectors(n) {
+            let x = vec![probe; ds.n_freqs()];
+            for ((got, want), xf) in ds.observed_data_of(&x).iter().zip(&dense).zip(&x) {
+                let mut y = vec![C32::new(0.0, 0.0); want.nrows()];
+                gemv(want, xf, &mut y);
+                assert!(vec_bits(got) == vec_bits(&y));
+            }
+        }
+    }
+
+    /// What the dataset holds is its tables, not its matrices: pinned to
+    /// the byte on the default dataset (17,640 pair keys and 118 keys × 36
+    /// bins in one run), and under 1/8 of the dense stack on the four
+    /// datasets the benchmark generates. A change that holds the matrices
+    /// again fails here.
+    #[test]
+    fn dataset_holds_its_tables_not_its_matrices() {
+        let ds = SyntheticDataset::generate(DatasetConfig::default(), VelocityModel::overthrust());
+        assert_eq!(ds.resident_bytes(), 17_640 * 4 + 118 * 36 * 8);
+        for (scale, freq_stride) in [(12, 1), (8, 3), (5, 3), (5, 2)] {
+            let config = DatasetConfig {
+                scale,
+                freq_stride,
+                ..DatasetConfig::default()
+            };
+            let ds = SyntheticDataset::generate(config, VelocityModel::overthrust());
+            assert!(
+                ds.resident_bytes() * 8 < ds.dense_bytes(),
+                "scale {scale} / stride {freq_stride}: {} B held of {} B dense",
+                ds.resident_bytes(),
+                ds.dense_bytes()
+            );
+        }
     }
 }

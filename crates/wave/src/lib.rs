@@ -42,7 +42,9 @@ pub mod wavelet;
 
 pub use dataset::{DatasetConfig, FrequencySlice, SyntheticDataset};
 pub use fdtd::{first_break, simulate, FdTrace, FdtdConfig, VelocitySlice};
-pub use modeling::{downgoing_matrix, downgoing_stack, reflectivity_column, ModelingConfig};
+pub use modeling::{
+    downgoing_matrix, downgoing_stack, reflectivity_column, DowngoingStack, ModelingConfig,
+};
 pub use time_domain::{downgoing_trace, peak_sample, GatherConfig};
 pub use velocity::{Reflector, VelocityModel};
 pub use wavelet::{flat_band_spectrum, ricker};

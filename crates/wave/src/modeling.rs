@@ -132,14 +132,17 @@ pub fn downgoing_matrix(
     let m = srcs.len();
     let n = recs.len();
     let mut data = vec![C32::new(0.0, 0.0); m * n];
-    // Column-major fill, parallel over receiver columns.
-    data.par_chunks_mut(m).enumerate().for_each(|(r, col)| {
-        let rec = &recs[r];
-        for (s, out) in col.iter_mut().enumerate() {
-            let v = downgoing_value(omega, &srcs[s], rec, model, cfg).scale(wavelet_amp);
-            *out = v.narrow();
-        }
-    });
+    // Column-major fill, parallel over receiver columns (none without
+    // sources: a chunk size may not be 0).
+    data.par_chunks_mut(m.max(1))
+        .enumerate()
+        .for_each(|(r, col)| {
+            let rec = &recs[r];
+            for (s, out) in col.iter_mut().enumerate() {
+                let v = downgoing_value(omega, &srcs[s], rec, model, cfg).scale(wavelet_amp);
+                *out = v.narrow();
+            }
+        });
     Matrix::from_col_major(m, n, data)
 }
 
@@ -175,25 +178,157 @@ fn geometry(src: &Point3, rec: &Point3) -> Geometry {
     [src.hdist(rec).to_bits(), src.z.to_bits(), rec.z.to_bits()]
 }
 
-/// Build the frequency matrices `A_f[s, r] = W_f·P⁺(2π·bins[f]·df; src_s →
-/// rec_r)` of every retained bin: `bins` are FFT bin indices, strictly
-/// ascending, `df` the bin width (Hz) and `amps[f]` the source spectrum
-/// at `bins[f]`.
+/// Station pairs per run of receiver columns in [`downgoing_stack`]'s
+/// walk, rounded down to whole columns (at least one). A fixed count, not
+/// a share of the pool, so the tables — and what a dataset holds — are
+/// the same on every host: 10 runs at scale 5, 2 at scale 8, 1 at scale 12.
+/// The walk is parallel over runs, so it uses at most that many threads.
+const RUN_PAIRS: usize = 1 << 16;
+
+/// The downgoing stack `A_f[s, r] = W_f·P⁺(2π·bins[f]·df; src_s → rec_r)`
+/// of every retained bin, held as the tables [`downgoing_stack`] walks
+/// instead of as `bins × m × n` entries: per run of receiver columns, each
+/// pair's key index (`u32`, column-major) and one walked row per key.
+/// Entry `(s, r)` at bin `f` is `rows[f·keys + pair_key[(r − r0)·m + s]]`
+/// of `r`'s run, which starts at column `r0`.
 ///
-/// Equal to [`downgoing_matrix`] at `bins[f] as f64 * df` per frequency,
-/// bit for bit, at a fraction of its cost. An entry reads its station
-/// pair only through `(h, z_src, z_rec)` (`image_terms`), and on grids of
-/// one spacing and origin most pairs share those bits with another: the
-/// benchmark's 650,160 pairs at scale 5 have 594 distinct geometries. So
-/// pass 1, parallel over runs of receiver columns, keys each pair by the
-/// bits of `(h, z_src, z_rec)` and walks the bins once per key the run
-/// has not seen; pass 2, parallel over bins, gathers each matrix from
-/// those tables. A key's row is a pure function of its bits, so which
-/// run walks it, and in what order, moves no bit. Cost scales with
-/// distinct geometries × runs × bins for the arithmetic (a run is a
-/// quarter of a thread's share of the columns), plus one hashed lookup
-/// per pair and the entries written; a geometry that shares no keys has
-/// as many as it has pairs, and a stack of one bin writes on one thread.
+/// Three gathers read it, each the bits of the dense form it stands in
+/// for, because each reads the same entries and does the same arithmetic
+/// on them in the same order: [`Self::matrix`] is the matrix of one bin,
+/// [`Self::permuted`] is that matrix under [`Matrix::permute`], gathered
+/// straight into the requested order, and [`Self::gemv`] is
+/// [`seismic_la::blas::gemv`] on it. What it holds is
+/// [`Self::resident_bytes`]: 4 B per pair plus 8 B per key, bin and run —
+/// on a grid whose pairs share no key, the dense stack plus 4 B per pair.
+#[derive(Clone, Debug)]
+pub struct DowngoingStack {
+    m: usize,
+    n: usize,
+    n_bins: usize,
+    /// Receiver columns per run; every run but the last holds this many.
+    run_len: usize,
+    runs: Vec<Run>,
+}
+
+/// One run of receiver columns of a [`DowngoingStack`].
+#[derive(Clone, Debug)]
+struct Run {
+    /// Key index of each of the run's pairs, column-major.
+    pair_key: Vec<u32>,
+    /// Keys the run numbered.
+    n_keys: usize,
+    /// The walked rows, bin-major: `rows[f·n_keys + k]` is key `k` at bin
+    /// `f`, so one bin of the run is `n_keys` consecutive entries.
+    rows: Vec<C32>,
+}
+
+impl DowngoingStack {
+    /// Retained bins.
+    pub fn n_bins(&self) -> usize {
+        self.n_bins
+    }
+
+    /// Bytes held: the pair keys and the walked rows.
+    pub fn resident_bytes(&self) -> usize {
+        self.runs
+            .iter()
+            .map(|run| {
+                run.pair_key.len() * std::mem::size_of::<u32>()
+                    + run.rows.len() * std::mem::size_of::<C32>()
+            })
+            .sum()
+    }
+
+    /// Receiver column `r`'s key indices, and the row of bin `f` its run's
+    /// keys index.
+    fn column(&self, f: usize, r: usize) -> (&[u32], &[C32]) {
+        let run = &self.runs[r / self.run_len];
+        let at = (r % self.run_len) * self.m;
+        (
+            &run.pair_key[at..at + self.m],
+            &run.rows[f * run.n_keys..(f + 1) * run.n_keys],
+        )
+    }
+
+    fn check_bin(&self, f: usize) {
+        assert!(f < self.n_bins, "bin {f} of a stack of {}", self.n_bins);
+    }
+
+    /// The matrix of bin `f`, column-major in natural station order: what
+    /// [`downgoing_matrix`] computes at that bin, bit for bit.
+    ///
+    /// # Panics
+    /// If `f` is not a bin of the stack.
+    pub fn matrix(&self, f: usize) -> Matrix<C32> {
+        let rows: Vec<usize> = (0..self.m).collect();
+        let cols: Vec<usize> = (0..self.n).collect();
+        self.permuted(f, &rows, &cols)
+    }
+
+    /// `self.matrix(f).permute(rows, cols)` — `out[i, j] = A_f[rows[i],
+    /// cols[j]]` — gathered straight from the tables, without the
+    /// natural-order matrix.
+    ///
+    /// # Panics
+    /// If `f` is not a bin of the stack, or `rows` / `cols` do not have
+    /// one entry per source / receiver.
+    pub fn permuted(&self, f: usize, rows: &[usize], cols: &[usize]) -> Matrix<C32> {
+        self.check_bin(f);
+        assert_eq!(rows.len(), self.m, "one row index per source");
+        assert_eq!(cols.len(), self.n, "one column index per receiver");
+        let mut data = Vec::with_capacity(self.m * self.n);
+        for &c in cols {
+            let (keys, row) = self.column(f, c);
+            data.extend(rows.iter().map(|&s| row[keys[s] as usize]));
+        }
+        Matrix::from_col_major(self.m, self.n, data)
+    }
+
+    /// `y = A_f·x`, the bits of [`seismic_la::blas::gemv`] on
+    /// [`Self::matrix`]: the same column sweep, `y_s += x_r·A_f[s, r]` in
+    /// ascending `r`, skipping an `x_r` equal to zero (`+0` or `−0`) as
+    /// `gemv_acc` does, so a NaN or an infinity in `x` reaches `y` as it
+    /// does there. Each entry's product is formed in place, one multiply
+    /// per entry as in the dense sweep.
+    ///
+    /// # Panics
+    /// If `f` is not a bin of the stack, or `x` / `y` do not have one
+    /// entry per receiver / source.
+    pub fn gemv(&self, f: usize, x: &[C32], y: &mut [C32]) {
+        self.check_bin(f);
+        assert_eq!(x.len(), self.n, "gemv: x length mismatch");
+        assert_eq!(y.len(), self.m, "gemv: y length mismatch");
+        let zero = C32::new(0.0, 0.0);
+        y.fill(zero);
+        for (r, &xr) in x.iter().enumerate() {
+            if xr == zero {
+                continue;
+            }
+            let (keys, row) = self.column(f, r);
+            for (yi, &k) in y.iter_mut().zip(keys) {
+                *yi += xr * row[k as usize];
+            }
+        }
+    }
+}
+
+/// The downgoing stack of every retained bin as its station-pair tables
+/// ([`DowngoingStack`]): `bins` are FFT bin indices, strictly ascending,
+/// `df` the bin width (Hz) and `amps[f]` the source spectrum at `bins[f]`.
+///
+/// Its matrix at bin `f` equals [`downgoing_matrix`] at `bins[f] as f64 *
+/// df`, bit for bit, at a fraction of its cost, and no matrix is written
+/// until one is asked for. An entry reads its station pair only through
+/// `(h, z_src, z_rec)` (`image_terms`), and on grids of one spacing and
+/// origin most pairs share those bits with another: the benchmark's
+/// 650,160 pairs at scale 5 have 594 distinct geometries. So the stack is
+/// built parallel over runs of receiver columns (`RUN_PAIRS` pairs
+/// each): a run keys each pair by the bits of `(h, z_src, z_rec)` and
+/// walks the bins once per key it has not seen. A key's row is a pure
+/// function of its bits, so which run walks it, and in what order, moves
+/// no bit. Cost scales with distinct geometries × runs × bins for the
+/// arithmetic plus one hashed lookup per pair; a geometry that shares no
+/// keys has as many as it has pairs.
 ///
 /// The walk: the path lengths and weights of a geometry's image-source
 /// arrivals do not depend on `ω`, so the only trigonometry per arrival
@@ -215,19 +350,27 @@ pub fn downgoing_stack(
     acq: &Acquisition,
     model: &VelocityModel,
     cfg: &ModelingConfig,
-) -> Vec<Matrix<C32>> {
+) -> DowngoingStack {
     assert_eq!(amps.len(), bins.len(), "`amps` needs one entry per bin");
     assert!(
         bins.windows(2).all(|w| w[0] < w[1]),
         "`bins` must be strictly ascending, got {bins:?}"
     );
-    let nb = bins.len();
-    if nb == 0 {
-        return Vec::new();
-    }
     let srcs = acq.sources.positions();
     let recs = acq.receivers.positions();
-    let (m, n) = (srcs.len(), recs.len());
+    let (m, n, nb) = (srcs.len(), recs.len(), bins.len());
+    // A run holds at most `max(RUN_PAIRS, m)` pairs, so a `u32` numbers
+    // its keys on any grid of fewer than 2³² sources.
+    let run_len = (RUN_PAIRS / m.max(1)).max(1);
+    if nb == 0 {
+        return DowngoingStack {
+            m,
+            n,
+            n_bins: 0,
+            run_len,
+            runs: Vec::new(),
+        };
+    }
     let c = model.water_velocity;
     let two_pi = 2.0 * std::f64::consts::PI;
     let first = bins[0];
@@ -236,8 +379,9 @@ pub fn downgoing_stack(
     // Bin 1's phasor is the step's: same argument bits, one `cis` saved.
     let first_is_step = omega_first.to_bits() == omega_step.to_bits();
 
-    // One walk over the retained bins for one geometry, into `row`.
-    let walk = |&[h, z_src, z_rec]: &Geometry, row: &mut [C32]| {
+    // One walk over the retained bins for one geometry, into every
+    // `stride`-th entry of `out`.
+    let walk = |&[h, z_src, z_rec]: &Geometry, out: &mut [C32], stride: usize| {
         let mut arrivals: Vec<Arrival> = image_terms(
             f64::from_bits(h),
             f64::from_bits(z_src),
@@ -262,7 +406,7 @@ pub fn downgoing_stack(
         })
         .collect();
         let (mut at, mut gap) = (first, 1);
-        for ((&bin, &amp), out) in bins.iter().zip(amps).zip(row) {
+        for ((&bin, &amp), out) in bins.iter().zip(amps).zip(out.iter_mut().step_by(stride)) {
             if bin != at {
                 if bin - at != gap {
                     gap = bin - at;
@@ -283,14 +427,10 @@ pub fn downgoing_stack(
         }
     };
 
-    // Pass 1, one task per run of receiver columns: each pair's key index
+    // One task per run of receiver columns: each pair's key index
     // (column-major, keys numbered as first seen), then one walk per key
-    // into the run's table, row `k` holding key `k` at every bin. A run
-    // holds at most `u32::MAX` pairs, so a `u32` numbers its keys.
-    let run_len = n
-        .div_ceil(4 * rayon::current_num_threads())
-        .clamp(1, (u32::MAX as usize / m.max(1)).max(1));
-    let runs: Vec<(Vec<u32>, Vec<C32>)> = recs
+    // into the run's rows.
+    let runs: Vec<Run> = recs
         .par_chunks(run_len)
         .map(|columns| {
             let mut index: HashMap<Geometry, u32> = HashMap::new();
@@ -305,30 +445,25 @@ pub fn downgoing_stack(
                     }));
                 }
             }
-            let mut table = vec![C32::new(0.0, 0.0); keys.len() * nb];
-            for (key, row) in keys.iter().zip(table.chunks_mut(nb)) {
-                walk(key, row);
+            let n_keys = keys.len();
+            let mut rows = vec![C32::new(0.0, 0.0); n_keys * nb];
+            for (k, key) in keys.iter().enumerate() {
+                walk(key, &mut rows[k..], n_keys);
             }
-            (pair_key, table)
+            Run {
+                pair_key,
+                n_keys,
+                rows,
+            }
         })
         .collect();
-
-    // Pass 2, one task per bin: the matrix gathered from the tables in
-    // column order. The buffers are reserved here, so the calling thread's
-    // allocator arena owns them; each entry is written once, by the task
-    // that gathers its matrix, so its page is first touched there, in
-    // parallel, and never zeroed beforehand.
-    let buffers: Vec<Vec<C32>> = bins.iter().map(|_| Vec::with_capacity(m * n)).collect();
-    buffers
-        .into_par_iter()
-        .enumerate()
-        .map(|(f, mut data)| {
-            for (pair_key, table) in &runs {
-                data.extend(pair_key.iter().map(|&k| table[k as usize * nb + f]));
-            }
-            Matrix::from_col_major(m, n, data)
-        })
-        .collect()
+    DowngoingStack {
+        m,
+        n,
+        n_bins: nb,
+        run_len,
+        runs,
+    }
 }
 
 /// Build the true reflectivity column for virtual source `vs` (a receiver
@@ -348,9 +483,10 @@ pub fn reflectivity_column(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use seismic_geom::Acquisition;
+    use seismic_geom::{station_permutation, Acquisition, Ordering};
+    use seismic_la::blas::gemv;
 
     fn setup() -> (Acquisition, VelocityModel, ModelingConfig) {
         (
@@ -430,10 +566,96 @@ mod tests {
     }
 
     fn bits(a: &Matrix<C32>) -> Vec<(u32, u32)> {
-        a.as_slice()
-            .iter()
-            .map(|z| (z.re.to_bits(), z.im.to_bits()))
-            .collect()
+        vec_bits(a.as_slice())
+    }
+
+    /// Bit patterns of `v`: `−0` and NaN payloads count.
+    pub(crate) fn vec_bits(v: &[C32]) -> Vec<(u32, u32)> {
+        v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+    }
+
+    /// Every bin's matrix of `stack`.
+    fn matrices(stack: &DowngoingStack) -> Vec<Matrix<C32>> {
+        (0..stack.n_bins()).map(|f| stack.matrix(f)).collect()
+    }
+
+    /// Vectors of `n` entries for a gemv: finite ones, then the same with
+    /// a `+0` and two `−0`s (which `gemv_acc` skips), then with a NaN, an
+    /// infinity, and both added (which it carries to `y`).
+    pub(crate) fn probe_vectors(n: usize) -> Vec<Vec<C32>> {
+        let finite: Vec<C32> = (0..n)
+            .map(|j| C32::new(0.5 - j as f32 * 0.01, 0.25 + j as f32 * 0.02))
+            .collect();
+        let with = |specials: &[(usize, C32)]| {
+            let mut x = finite.clone();
+            for &(at, v) in specials {
+                if at < n {
+                    x[at] = v;
+                }
+            }
+            x
+        };
+        let zeros = [
+            (n / 5, C32::new(0.0, 0.0)),
+            (n / 3, C32::new(-0.0, -0.0)),
+            (n / 2, C32::new(-0.0, 0.0)),
+        ];
+        let nan = (3 * n / 5, C32::new(f32::NAN, 0.5));
+        let inf = (4 * n / 5, C32::new(f32::INFINITY, 0.5));
+        vec![
+            finite.clone(),
+            with(&zeros),
+            with(&[zeros[0], zeros[1], zeros[2], nan]),
+            with(&[zeros[0], zeros[1], zeros[2], inf]),
+            with(&[zeros[0], zeros[1], zeros[2], nan, inf]),
+        ]
+    }
+
+    /// The three gathers of the stack against the dense forms they stand
+    /// in for, bit for bit: `matrix` against [`downgoing_matrix`],
+    /// `permuted` against [`Matrix::permute`] of it (Hilbert and reversed
+    /// orders), `gemv` against [`gemv`] on it over [`probe_vectors`].
+    fn assert_gathers_are_the_dense_forms(
+        bins: &[usize],
+        df: f64,
+        amps: &[f64],
+        acq: &Acquisition,
+        model: &VelocityModel,
+        cfg: &ModelingConfig,
+    ) {
+        let stack = downgoing_stack(bins, df, amps, acq, model, cfg);
+        let (m, n) = (acq.n_sources(), acq.n_receivers());
+        assert_eq!(stack.n_bins(), bins.len());
+        let orders = [
+            (
+                station_permutation(&acq.sources, Ordering::Hilbert).forward,
+                station_permutation(&acq.receivers, Ordering::Hilbert).forward,
+            ),
+            ((0..m).rev().collect(), (0..n).rev().collect()),
+        ];
+        for (f, (&bin, &amp)) in bins.iter().zip(amps).enumerate() {
+            let dense = downgoing_matrix(bin as f64 * df, amp, acq, model, cfg);
+            let got = stack.matrix(f);
+            assert_eq!(got.shape(), dense.shape());
+            assert!(bits(&got) == bits(&dense), "matrix, bin {bin}");
+            for (rows, cols) in &orders {
+                let want = dense.permute(rows, cols);
+                assert!(
+                    bits(&stack.permuted(f, rows, cols)) == bits(&want),
+                    "permuted, bin {bin}"
+                );
+            }
+            for (p, x) in probe_vectors(n).iter().enumerate() {
+                let (mut got, mut want) =
+                    (vec![C32::new(1.0, 1.0); m], vec![C32::new(0.0, 0.0); m]);
+                stack.gemv(f, x, &mut got);
+                gemv(&dense, x, &mut want);
+                assert!(
+                    vec_bits(&got) == vec_bits(&want),
+                    "gemv, bin {bin}, probe {p}"
+                );
+            }
+        }
     }
 
     /// The stack against its oracle, [`downgoing_matrix`] per frequency,
@@ -459,7 +681,7 @@ mod tests {
         for (scale, df, bins) in cases {
             let acq = Acquisition::scaled_with(scale, 40.0);
             let amps: Vec<f64> = bins.iter().map(|&b| 1.0 / (1.0 + b as f64)).collect();
-            let stack = downgoing_stack(bins, df, &amps, &acq, &model, &cfg);
+            let stack = matrices(&downgoing_stack(bins, df, &amps, &acq, &model, &cfg));
             assert_eq!(stack.len(), bins.len());
             for ((&bin, &amp), got) in bins.iter().zip(&amps).zip(&stack) {
                 let want = downgoing_matrix(bin as f64 * df, amp, &acq, &model, &cfg);
@@ -472,10 +694,10 @@ mod tests {
     #[test]
     fn stack_of_no_bins_is_empty_and_one_bin_needs_no_stepping() {
         let (acq, model, cfg) = setup();
-        assert!(downgoing_stack(&[], 0.5, &[], &acq, &model, &cfg).is_empty());
+        assert!(matrices(&downgoing_stack(&[], 0.5, &[], &acq, &model, &cfg)).is_empty());
         // A lone bin is never stepped to: its phasors are the oracle's own
         // `cis`, so even a bin far beyond any recurrence's reach is exact.
-        let stack = downgoing_stack(&[5000], 0.5, &[0.7], &acq, &model, &cfg);
+        let stack = matrices(&downgoing_stack(&[5000], 0.5, &[0.7], &acq, &model, &cfg));
         assert_eq!(stack.len(), 1);
         let want = downgoing_matrix(2500.0, 0.7, &acq, &model, &cfg);
         assert!(bits(&stack[0]) == bits(&want));
@@ -504,7 +726,7 @@ mod tests {
         let df = 1.0 / (256.0 * 0.008);
         let bins = [2, 5, 8, 11, 15];
         let amps = [0.9, 0.8, 0.7, 0.6, 0.5];
-        let stack = downgoing_stack(&bins, df, &amps, &acq, &model, &cfg);
+        let stack = matrices(&downgoing_stack(&bins, df, &amps, &acq, &model, &cfg));
         assert_eq!(stack.len(), bins.len());
         for ((&bin, &amp), got) in bins.iter().zip(&amps).zip(&stack) {
             let want = downgoing_matrix(bin as f64 * df, amp, &acq, &model, &cfg);
@@ -533,9 +755,88 @@ mod tests {
             },
         };
         for (acq, shape) in [(no_sources, (0, n)), (no_receivers, (m, 0))] {
-            let stack = downgoing_stack(&[1, 3, 5], 0.5, &[1.0, 0.5, 0.25], &acq, &model, &cfg);
+            let stack = matrices(&downgoing_stack(
+                &[1, 3, 5],
+                0.5,
+                &[1.0, 0.5, 0.25],
+                &acq,
+                &model,
+                &cfg,
+            ));
             assert_eq!(stack.len(), 3);
             assert!(stack.iter().all(|a| a.shape() == shape), "{shape:?}");
+        }
+    }
+
+    /// The gathers on a grid of two runs (405 × 242 pairs, the scale-8
+    /// geometry): a column's run and its offset in it are found by
+    /// division, on both sides of the boundary between the runs.
+    #[test]
+    fn gathers_across_runs_are_the_dense_forms_bit_for_bit() {
+        let acq = Acquisition::scaled_with(8, 40.0);
+        let (model, cfg) = (VelocityModel::overthrust(), ModelingConfig::default());
+        assert!(acq.n_sources() * acq.n_receivers() > RUN_PAIRS);
+        let df = 1.0 / (256.0 * 0.008);
+        assert_gathers_are_the_dense_forms(&[4, 9], df, &[0.8, 0.3], &acq, &model, &cfg);
+    }
+
+    /// Grids offset and spaced apart on both axes share no pair geometry:
+    /// every pair is a key of its own, the tables hold the dense stack
+    /// plus 4 B per pair — exactly — and the gathers are still the dense
+    /// forms bit for bit.
+    #[test]
+    fn gathers_of_a_grid_that_shares_no_key_are_the_dense_forms_bit_for_bit() {
+        let model = VelocityModel::overthrust();
+        let cfg = ModelingConfig::default();
+        let grid = |nx, ny, (x0, y0), (dx, dy), depth| StationGrid {
+            nx,
+            ny,
+            dx,
+            dy,
+            x0,
+            y0,
+            depth,
+        };
+        let acq = Acquisition {
+            sources: grid(7, 5, (7.3, 3.1), (37.9, 35.3), 10.0),
+            receivers: grid(6, 4, (0.0, 0.0), (41.3, 43.7), 300.0),
+        };
+        let df = 1.0 / (256.0 * 0.008);
+        let (bins, amps) = ([2, 5, 8, 11, 15], [0.9, 0.8, 0.7, 0.6, 0.5]);
+        let stack = downgoing_stack(&bins, df, &amps, &acq, &model, &cfg);
+        let pairs = 35 * 24;
+        assert_eq!(stack.resident_bytes(), pairs * 4 + pairs * bins.len() * 8);
+        assert_gathers_are_the_dense_forms(&bins, df, &amps, &acq, &model, &cfg);
+    }
+
+    /// Over an empty source or receiver grid every gather has its empty
+    /// dense form, and the gemv over no receivers writes `m` zeros.
+    #[test]
+    fn gathers_over_an_empty_grid_are_the_dense_forms() {
+        let (acq, model, cfg) = setup();
+        let no_sources = Acquisition {
+            sources: StationGrid {
+                nx: 0,
+                ..acq.sources.clone()
+            },
+            receivers: acq.receivers.clone(),
+        };
+        let no_receivers = Acquisition {
+            sources: acq.sources.clone(),
+            receivers: StationGrid {
+                ny: 0,
+                ..acq.receivers.clone()
+            },
+        };
+        for acq in [no_sources, no_receivers] {
+            assert_gathers_are_the_dense_forms(
+                &[1, 3, 5],
+                0.5,
+                &[1.0, 0.5, 0.25],
+                &acq,
+                &model,
+                &cfg,
+            );
         }
     }
 

@@ -150,8 +150,9 @@ proptest! {
         let bins = ascending_bins(start, &[g1, g2, g3, g4, g5]);
         let amps: Vec<f64> = bins.iter().map(|&b| 1.0 / (1.0 + b as f64 * df)).collect();
         let stack = downgoing_stack(&bins, df, &amps, &acq, &m, &cfg);
-        prop_assert_eq!(stack.len(), bins.len());
-        for ((&bin, &amp), got) in bins.iter().zip(&amps).zip(&stack) {
+        prop_assert_eq!(stack.n_bins(), bins.len());
+        for (f, (&bin, &amp)) in bins.iter().zip(&amps).enumerate() {
+            let got = stack.matrix(f);
             let want = downgoing_matrix(bin as f64 * df, amp, &acq, &m, &cfg);
             for (g, w) in got.as_slice().iter().zip(want.as_slice()) {
                 let ulp = w.abs() * f32::EPSILON;
@@ -160,6 +161,49 @@ proptest! {
                     "bin {} of {:?}: {:?} vs {:?}", bin, bins, g, w
                 );
             }
+        }
+    }
+
+    /// The permuted and gemv gathers of `downgoing_stack` against the
+    /// dense forms of its own matrix, bit for bit, over random geometry,
+    /// orders (rotations of the station lists) and vectors, some of whose
+    /// entries are `+0` or `−0`.
+    #[test]
+    fn gathers_are_the_dense_forms_of_the_stack_bit_for_bit(
+        (snx, sny, rnx, rny) in (1usize..6, 1usize..5, 1usize..5, 1usize..4),
+        (spacing, src_depth, x0) in (10.0f64..90.0, 2.0f64..40.0, -300.0f64..300.0),
+        (row_shift, col_shift) in (0usize..40, 0usize..40),
+        (zero_every, x_re, x_im) in (1usize..5, -2.0f32..2.0, -2.0f32..2.0),
+    ) {
+        use seis_wave::modeling::downgoing_stack;
+        use seismic_geom::{Acquisition, StationGrid};
+        use seismic_la::{blas::gemv, C32};
+        let grid = |nx, ny, x0, depth| StationGrid { nx, ny, dx: spacing, dy: spacing, x0, y0: 0.0, depth };
+        let acq = Acquisition {
+            sources: grid(snx, sny, x0, src_depth),
+            receivers: grid(rnx, rny, 0.0, 300.0),
+        };
+        let bins = [2, 5, 6];
+        let stack = downgoing_stack(&bins, 0.5, &[1.0, 0.7, 0.4], &acq, &model(), &ModelingConfig::default());
+        let (ns, nr) = (acq.n_sources(), acq.n_receivers());
+        let rows: Vec<usize> = (0..ns).map(|i| (i + row_shift) % ns).collect();
+        let cols: Vec<usize> = (0..nr).map(|j| (j + col_shift) % nr).collect();
+        let x: Vec<C32> = (0..nr)
+            .map(|j| match j % (zero_every + 1) {
+                0 => C32::new(0.0, 0.0),
+                1 => C32::new(-0.0, -0.0),
+                _ => C32::new(x_re + j as f32, x_im - j as f32),
+            })
+            .collect();
+        let bits = |v: &[C32]| v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect::<Vec<_>>();
+        for f in 0..bins.len() {
+            let dense = stack.matrix(f);
+            let got = stack.permuted(f, &rows, &cols);
+            prop_assert!(bits(got.as_slice()) == bits(dense.permute(&rows, &cols).as_slice()), "bin {}", f);
+            let (mut got, mut want) = (vec![C32::new(0.0, 0.0); ns], vec![C32::new(0.0, 0.0); ns]);
+            stack.gemv(f, &x, &mut got);
+            gemv(&dense, &x, &mut want);
+            prop_assert!(bits(&got) == bits(&want), "bin {}", f);
         }
     }
 }

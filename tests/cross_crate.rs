@@ -69,7 +69,7 @@ fn reordering_preserves_mvm_results() {
     let ds = dataset();
     let f = 0;
     let (rows, cols) = ds.permutations(Ordering::Hilbert);
-    let k_nat = &ds.slices[f].kernel;
+    let k_nat = &ds.kernel(f);
     let k_perm = ds.reordered_kernel(f, Ordering::Hilbert);
 
     let n = ds.acq.n_receivers();

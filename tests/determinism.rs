@@ -20,9 +20,9 @@ fn dataset_generation_is_deterministic() {
     let a = dataset();
     let b = dataset();
     assert_eq!(a.n_freqs(), b.n_freqs());
-    for (sa, sb) in a.slices.iter().zip(&b.slices) {
+    for (f, (sa, sb)) in a.slices.iter().zip(&b.slices).enumerate() {
         assert_eq!(sa.bin, sb.bin);
-        assert_eq!(sa.kernel.as_slice(), sb.kernel.as_slice());
+        assert_eq!(a.kernel(f).as_slice(), b.kernel(f).as_slice());
     }
 }
 
@@ -44,11 +44,11 @@ fn assert_generate_is_the_per_frequency_oracle(scale: usize, freq_stride: usize,
     let ds = SyntheticDataset::generate(config, VelocityModel::overthrust());
     assert_eq!(ds.n_freqs(), n_freqs);
     let bits = |z: &seismic_la::C32| (z.re.to_bits(), z.im.to_bits());
-    for s in &ds.slices {
+    for (f, s) in ds.slices.iter().enumerate() {
         let want = downgoing_matrix(s.freq_hz, s.wavelet_amp, &ds.acq, &ds.model, &mcfg);
-        assert_eq!(s.kernel.shape(), want.shape());
-        let differing = s
-            .kernel
+        assert_eq!(ds.kernel(f).shape(), want.shape());
+        let differing = ds
+            .kernel(f)
             .as_slice()
             .iter()
             .zip(want.as_slice())
@@ -83,6 +83,44 @@ fn generate_is_the_per_frequency_oracle_at_scale_5() {
 fn generate_is_the_per_frequency_oracle_at_scale_5_stride_2() {
     // `sweep-large`: 1032×630, every second bin.
     assert_generate_is_the_per_frequency_oracle(5, 2, 18);
+}
+
+/// `sweep-large`'s dataset (1032×630, every second bin) gathered the two
+/// ways the pipeline reads it — Hilbert-ordered for the compressor,
+/// multiplied for the observed data — against the per-frequency oracle
+/// permuted and multiplied densely, bit for bit.
+#[test]
+#[ignore = "11.7 M entries twice: CI runs it in release"]
+fn gathers_at_scale_5_stride_2_are_the_dense_forms_bit_for_bit() {
+    let config = DatasetConfig {
+        scale: 5,
+        freq_stride: 2,
+        ..DatasetConfig::default()
+    };
+    let mcfg = ModelingConfig {
+        n_water_multiples: config.n_water_multiples,
+        ..ModelingConfig::default()
+    };
+    let ds = SyntheticDataset::generate(config, VelocityModel::overthrust());
+    let (rows, cols) = ds.permutations(Ordering::Hilbert);
+    let x = ds.true_reflectivity(ds.acq.n_receivers() / 3);
+    let y = ds.observed_data_of(&x);
+    let bits = |v: &[seismic_la::C32]| -> Vec<(u32, u32)> {
+        v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+    };
+    for (f, s) in ds.slices.iter().enumerate() {
+        let dense = downgoing_matrix(s.freq_hz, s.wavelet_amp, &ds.acq, &ds.model, &mcfg);
+        let permuted = dense.permute(&rows.forward, &cols.forward);
+        let got = ds.reordered_kernel_with(f, &rows, &cols);
+        assert!(
+            bits(got.as_slice()) == bits(permuted.as_slice()),
+            "bin {}: permuted",
+            s.bin
+        );
+        let mut want = vec![seismic_la::C32::new(0.0, 0.0); dense.nrows()];
+        seismic_la::blas::gemv(&dense, &x[f], &mut want);
+        assert!(bits(&y[f]) == bits(&want), "bin {}: observed data", s.bin);
+    }
 }
 
 /// What a compressed stack is pinned by: tile count, rank sum, stored
