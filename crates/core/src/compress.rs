@@ -92,10 +92,36 @@ impl CompressionConfig {
     }
 }
 
-/// Compress a dense matrix to TLR form. Tiles are compressed independently
-/// and in parallel; a tile whose factors would not be smaller than the
-/// block itself is stored dense ([`Tile::Dense`]), so the tolerance always
-/// holds and [`TlrMatrix::compression_ratio`] is at least 1.
+/// Compress a dense matrix to TLR form: [`compress_blocks`] reading each
+/// tile with [`Matrix::block`] and `‖A‖_F` with [`Matrix::fro_norm`].
+///
+/// # Panics
+///
+/// As [`compress_blocks`].
+pub fn compress(dense: &Matrix<C32>, config: CompressionConfig) -> TlrMatrix {
+    compress_blocks(
+        dense.shape(),
+        config,
+        || dense.fro_norm(),
+        |r0, c0, m, n| dense.block(r0, c0, m, n),
+    )
+}
+
+/// Compress the `rows × cols` operator whose tiles `block` returns to TLR
+/// form, without ever holding the operator: `block(r0, c0, m, n)` is
+/// its `m × n` block at rows `r0..r0+m` and columns `c0..c0+n`, asked for
+/// once per tile (twice while tracing) and dropped or moved into the tile
+/// as soon as that tile is compressed, and `fro_norm` is `‖A‖_F`, called
+/// once, only under [`ToleranceMode::RelativeGlobal`]. A source whose
+/// blocks and norm are the bits of a matrix's [`Matrix::block`] and
+/// [`Matrix::fro_norm`] gives the operator [`compress`] gives that matrix,
+/// bit for bit: every tile reaches [`compress_tile`] with the same entries
+/// and the same tolerance.
+///
+/// Tiles are compressed independently and in parallel; a tile whose
+/// factors would not be smaller than the block itself is stored dense
+/// ([`Tile::Dense`]), so the tolerance always holds and
+/// [`TlrMatrix::compression_ratio`] is at least 1.
 ///
 /// While tracing is enabled the compression observatory also records,
 /// per tile, the rank histogram plus three accuracy grids (rank, stored
@@ -107,23 +133,37 @@ impl CompressionConfig {
 ///
 /// On a negative, `NaN` or infinite `config.acc` (`0` is legal: every
 /// tile is kept to rounding), and on `config.nb == 0` ([`Tiling::new`]).
-pub fn compress(dense: &Matrix<C32>, config: CompressionConfig) -> TlrMatrix {
+pub fn compress_blocks<B>(
+    (rows, cols): (usize, usize),
+    config: CompressionConfig,
+    fro_norm: impl FnOnce() -> f32,
+    block: B,
+) -> TlrMatrix
+where
+    B: Fn(usize, usize, usize, usize) -> Matrix<C32> + Sync,
+{
     assert!(
         config.acc >= 0.0 && config.acc.is_finite(),
         "accuracy must be finite and non-negative, got {}",
         config.acc
     );
-    let tiling = Tiling::new(dense.nrows(), dense.ncols(), config.nb);
+    let tiling = Tiling::new(rows, cols, config.nb);
     let mt = tiling.tile_rows();
     let nt = tiling.tile_cols();
     // Only the global mode reads ‖A‖_F; the per-tile mode skips the pass.
     let global_tol = match config.mode {
         ToleranceMode::RelativeTile => None,
         ToleranceMode::RelativeGlobal => {
-            Some(config.acc * dense.fro_norm() / (tiling.tile_count() as f32).sqrt())
+            Some(config.acc * fro_norm() / (tiling.tile_count() as f32).sqrt())
         }
     };
     let observe = trace::is_enabled();
+    // Tile `idx` (column-major: idx = j*mt + i) read from the source.
+    let tile_block = |idx: usize| {
+        let (r0, rl) = tiling.row_range(idx % mt);
+        let (c0, cl) = tiling.col_range(idx / mt);
+        block(r0, c0, rl, cl)
+    };
 
     // Tile slots (empty dense blocks) and the per-tile backward-error
     // staging buffer are allocated before the span opens: the traced
@@ -135,12 +175,7 @@ pub fn compress(dense: &Matrix<C32>, config: CompressionConfig) -> TlrMatrix {
     {
         let _span = trace::span("compress.tiles");
         tiles.par_iter_mut().enumerate().for_each(|(idx, slot)| {
-            // idx is column-major: idx = j*mt + i.
-            let i = idx % mt;
-            let j = idx / mt;
-            let (r0, rl) = tiling.row_range(i);
-            let (c0, cl) = tiling.col_range(j);
-            let tile = dense.block(r0, c0, rl, cl);
+            let tile = tile_block(idx);
             let tol = global_tol.unwrap_or_else(|| config.acc * tile.fro_norm());
             *slot = compress_tile(tile, tol, config.method, crate::precision::to_u64(idx));
         });
@@ -148,16 +183,11 @@ pub fn compress(dense: &Matrix<C32>, config: CompressionConfig) -> TlrMatrix {
 
     if observe {
         // Second pass for the backward-error grid only: the per-tile
-        // truncation error is measured against the dense tile outside
-        // the timed span, so the observatory never perturbs the traced
-        // compression kernel itself.
+        // truncation error is measured against the tile, read from the
+        // source again, outside the timed span, so the observatory never
+        // perturbs the traced compression kernel itself.
         tail_ppb.par_iter_mut().enumerate().for_each(|(idx, cell)| {
-            let i = idx % mt;
-            let j = idx / mt;
-            let (r0, rl) = tiling.row_range(i);
-            let (c0, cl) = tiling.col_range(j);
-            let tile = dense.block(r0, c0, rl, cl);
-            *cell = accuracy::tile_tail_ppb(&tile, &tiles[idx]);
+            *cell = accuracy::tile_tail_ppb(&tile_block(idx), &tiles[idx]);
         });
         accuracy::record_compression_grids(&tiling, &tiles, &tail_ppb);
         for t in &tiles {

@@ -93,7 +93,9 @@ pub use accounting::{
     tlr_mvm_cost, ThreePhaseCost, TlrMvmCost,
 };
 pub use accuracy::{probe_nmse, verify_compression_grids, ProbeEstimate};
-pub use compress::{compress, compress_tile, CompressionConfig, CompressionMethod, ToleranceMode};
+pub use compress::{
+    compress, compress_blocks, compress_tile, CompressionConfig, CompressionMethod, ToleranceMode,
+};
 pub use fastpath::{
     gather, gemv_acc_fast, gemv_conj_transpose_fast, gemv_conj_transpose_swapped, swap_re_im,
 };

@@ -166,15 +166,15 @@ impl<S: Scalar> Matrix<S> {
         }
     }
 
-    /// Extract the dense block with rows `r0..r0+m` and cols `c0..c0+n`.
+    /// Extract the dense block with rows `r0..r0+m` and cols `c0..c0+n`,
+    /// each entry written once.
     pub fn block(&self, r0: usize, c0: usize, m: usize, n: usize) -> Self {
         assert!(r0 + m <= self.nrows && c0 + n <= self.ncols);
-        let mut out = Self::zeros(m, n);
-        for j in 0..n {
-            let src = &self.col(c0 + j)[r0..r0 + m];
-            out.col_mut(j).copy_from_slice(src);
+        let mut data = Vec::with_capacity(m * n);
+        for j in c0..c0 + n {
+            data.extend_from_slice(&self.col(j)[r0..r0 + m]);
         }
-        out
+        Self::from_col_major(m, n, data)
     }
 
     /// Write `block` into position `(r0, c0)`.

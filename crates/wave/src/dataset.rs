@@ -165,6 +165,14 @@ impl SyntheticDataset {
         self.stack.matrix(idx)
     }
 
+    /// The tables every kernel is gathered from: slice `idx` is bin `idx`
+    /// of the stack. A caller that reads a kernel in pieces — the
+    /// compressor, one tile at a time — gathers each piece from here
+    /// ([`DowngoingStack::gather`]) instead of the whole matrix.
+    pub fn stack(&self) -> &DowngoingStack {
+        &self.stack
+    }
+
     /// Kernel of slice `idx` with rows/columns reordered.
     pub fn reordered_kernel(&self, idx: usize, ordering: Ordering) -> Matrix<C32> {
         let (rows, cols) = self.permutations(ordering);
@@ -175,6 +183,12 @@ impl SyntheticDataset {
     /// [`Self::permutations`] computed once for all the frequencies.
     /// Gathered straight into that order: `self.kernel(idx).permute(..)`
     /// bit for bit, without the natural-order copy.
+    ///
+    /// This is the whole frequency matrix, for a caller that needs it
+    /// dense (a reference, a test, a one-matrix experiment). The
+    /// compressor does not: `compress_dataset` gathers each tile of this
+    /// matrix from the tables as it compresses it, and its operator is
+    /// `compress` of this matrix bit for bit.
     pub fn reordered_kernel_with(
         &self,
         idx: usize,

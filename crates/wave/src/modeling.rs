@@ -262,7 +262,7 @@ impl DowngoingStack {
     pub fn matrix(&self, f: usize) -> Matrix<C32> {
         let rows: Vec<usize> = (0..self.m).collect();
         let cols: Vec<usize> = (0..self.n).collect();
-        self.permuted(f, &rows, &cols)
+        self.gather(f, &rows, &cols)
     }
 
     /// `self.matrix(f).permute(rows, cols)` — `out[i, j] = A_f[rows[i],
@@ -273,15 +273,48 @@ impl DowngoingStack {
     /// If `f` is not a bin of the stack, or `rows` / `cols` do not have
     /// one entry per source / receiver.
     pub fn permuted(&self, f: usize, rows: &[usize], cols: &[usize]) -> Matrix<C32> {
-        self.check_bin(f);
         assert_eq!(rows.len(), self.m, "one row index per source");
         assert_eq!(cols.len(), self.n, "one column index per receiver");
-        let mut data = Vec::with_capacity(self.m * self.n);
+        self.gather(f, rows, cols)
+    }
+
+    /// The `rows.len() × cols.len()` block `out[i, j] = A_f[rows[i],
+    /// cols[j]]` for any index slices, written column by column, each
+    /// entry once. A block of [`Self::permuted`] is this gather over the
+    /// matching slices of its permutations: `permuted(f, rows,
+    /// cols).block(r0, c0, m, n)` is `gather(f, &rows[r0..r0 + m],
+    /// &cols[c0..c0 + n])`, bit for bit, since both copy the same entries.
+    ///
+    /// # Panics
+    /// If `f` is not a bin of the stack, or an index is not a source /
+    /// receiver of it.
+    pub fn gather(&self, f: usize, rows: &[usize], cols: &[usize]) -> Matrix<C32> {
+        self.check_bin(f);
+        let mut data = Vec::with_capacity(rows.len() * cols.len());
         for &c in cols {
             let (keys, row) = self.column(f, c);
             data.extend(rows.iter().map(|&s| row[keys[s] as usize]));
         }
-        Matrix::from_col_major(self.m, self.n, data)
+        Matrix::from_col_major(rows.len(), cols.len(), data)
+    }
+
+    /// `self.gather(f, rows, cols).fro_norm()` without the block: the same
+    /// `|a|²` of each entry, widened to `f64` and summed in the same
+    /// column-major order as [`Matrix::fro_norm`], so the bits are equal —
+    /// over full permutations, the norm of [`Self::permuted`].
+    ///
+    /// # Panics
+    /// As [`Self::gather`].
+    pub fn gather_fro_norm(&self, f: usize, rows: &[usize], cols: &[usize]) -> f32 {
+        self.check_bin(f);
+        let mut acc = 0.0f64;
+        for &c in cols {
+            let (keys, row) = self.column(f, c);
+            for &s in rows {
+                acc += f64::from(row[keys[s] as usize].norm_sqr());
+            }
+        }
+        acc.sqrt() as f32
     }
 
     /// `y = A_f·x`, the bits of [`seismic_la::blas::gemv`] on
@@ -611,10 +644,45 @@ pub(crate) mod tests {
         ]
     }
 
-    /// The three gathers of the stack against the dense forms they stand
-    /// in for, bit for bit: `matrix` against [`downgoing_matrix`],
-    /// `permuted` against [`Matrix::permute`] of it (Hilbert and reversed
-    /// orders), `gemv` against [`gemv`] on it over [`probe_vectors`].
+    /// Every tile of `permuted` — `stack.permuted(f, rows, cols)` — at the
+    /// ragged tile sizes 5, 8 and 16: the block gather over the matching
+    /// slices of `rows` and `cols` against [`Matrix::block`] of it, and the
+    /// table norm of those slices against the block's
+    /// [`Matrix::fro_norm`], bit for bit.
+    fn assert_tiles_are_gathered(
+        stack: &DowngoingStack,
+        f: usize,
+        rows: &[usize],
+        cols: &[usize],
+        permuted: &Matrix<C32>,
+    ) {
+        let (m, n) = permuted.shape();
+        for nb in [5, 8, 16] {
+            for c0 in (0..n).step_by(nb) {
+                let cl = nb.min(n - c0);
+                for r0 in (0..m).step_by(nb) {
+                    let rl = nb.min(m - r0);
+                    let (r, c) = (&rows[r0..r0 + rl], &cols[c0..c0 + cl]);
+                    let want = permuted.block(r0, c0, rl, cl);
+                    let at = format!("bin {f}, nb {nb}, tile at ({r0}, {c0})");
+                    assert!(bits(&stack.gather(f, r, c)) == bits(&want), "{at}");
+                    assert_eq!(
+                        stack.gather_fro_norm(f, r, c).to_bits(),
+                        want.fro_norm().to_bits(),
+                        "{at}: norm"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The gathers of the stack against the dense forms they stand in
+    /// for, bit for bit: `matrix` against [`downgoing_matrix`], `permuted`
+    /// against [`Matrix::permute`] of it (Hilbert and reversed orders),
+    /// `gather_fro_norm` against its [`Matrix::fro_norm`], `gather` and
+    /// `gather_fro_norm` of every tile against its blocks
+    /// ([`assert_tiles_are_gathered`]), `gemv` against [`gemv`] on it
+    /// over [`probe_vectors`].
     fn assert_gathers_are_the_dense_forms(
         bins: &[usize],
         df: f64,
@@ -644,6 +712,12 @@ pub(crate) mod tests {
                     bits(&stack.permuted(f, rows, cols)) == bits(&want),
                     "permuted, bin {bin}"
                 );
+                assert_eq!(
+                    stack.gather_fro_norm(f, rows, cols).to_bits(),
+                    want.fro_norm().to_bits(),
+                    "norm, bin {bin}"
+                );
+                assert_tiles_are_gathered(&stack, f, rows, cols, &want);
             }
             for (p, x) in probe_vectors(n).iter().enumerate() {
                 let (mut got, mut want) =
