@@ -147,6 +147,44 @@ pub(crate) fn axpy_cols<S: Scalar, const N: usize>(cols: [&[S]; N], x: [S; N], y
     }
 }
 
+/// `y += Σ_k col(cols.start + k)·t[k]`: four columns per pass over `y`, the
+/// tail in one block of three, two or one — the order [`gemv_acc_fast`]
+/// adds in, over any run of columns of a stored tile.
+#[inline]
+pub(crate) fn axpy_blocks<'a>(
+    col: impl Fn(usize) -> &'a [C32],
+    cols: core::ops::Range<usize>,
+    t: &[C32],
+    y: &mut [C32],
+) {
+    fn block<'a, const N: usize>(
+        col: &impl Fn(usize) -> &'a [C32],
+        j: usize,
+        t: &[C32],
+        y: &mut [C32],
+    ) {
+        axpy_cols::<C32, N>(
+            core::array::from_fn(|c| col(j + c)),
+            core::array::from_fn(|c| t[c]),
+            y,
+        );
+    }
+    assert_eq!(
+        cols.len(),
+        t.len(),
+        "axpy_blocks: one coefficient per column"
+    );
+    for (k, tk) in t.chunks(4).enumerate() {
+        let j = cols.start + 4 * k;
+        match tk.len() {
+            1 => block::<1>(&col, j, tk, y),
+            2 => block::<2>(&col, j, tk, y),
+            3 => block::<3>(&col, j, tk, y),
+            _ => block::<4>(&col, j, tk, y),
+        }
+    }
+}
+
 /// `y += A x` with four-column register blocking — drop-in for
 /// [`seismic_la::blas::gemv_acc`] on the U-batch path.
 ///

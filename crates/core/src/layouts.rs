@@ -7,42 +7,35 @@
 //!   per column; the cross-fabric shuffle disappears, at the price of one
 //!   partial `y` vector per tile column reduced on the host.
 //!
-//! Both are *second copies* of the bases, built from a [`TlrMatrix`] for
-//! the paper's three-phase / communication-avoiding tables and for the
-//! WSE simulator's per-PE chunks. Each computes the forward product only,
-//! with one kernel per layout; the MDD solve and the engine's sweep run
-//! on the tiles as stored ([`TlrMatrix::apply_into`] and its adjoint),
-//! which needs neither the copy nor the shuffle.
+//! Both are views of a [`TlrMatrix`]: each holds a clone of it (its tiles
+//! are shared, not copied) and the index tables of its stacking — rank
+//! offsets per tile column and row, and the shuffle map — and reads every
+//! tile in its stored form through [`TlrMatrix::tile`]. The V phase of a
+//! skeleton tile is `x_J + Xᴴx̃`, of a dense tile `x_j` itself; the U
+//! phase is `C·t`, or the dense block times `x_j`. They serve the paper's
+//! three-phase / communication-avoiding tables and the WSE simulator's
+//! per-PE chunks, forward only, one kernel per layout; the MDD solve and
+//! the engine's sweep run [`TlrMatrix::apply_into`] and its adjoint,
+//! which need neither the stacking nor the shuffle.
 //!
-//! The stacks hold factors only, so a tile stored dense is expanded here
-//! to the factorisation it stands for — `U` column `r` is the block's
-//! column `r`, `V` column `r` is `e_r` — written straight into the stacks.
-//! Giving the wafer model a dense chunk instead is ROADMAP item 3(b).
-//!
-//! A [`RankChunk`] is a borrowed view of contiguous columns of one
-//! [`ColumnStack`]; [`ChunkRun`] executes a set of them as independent
-//! PEs with a host reduction — the one communication-avoiding kernel:
-//! [`CommAvoiding::apply`] runs it with one chunk per column stack,
+//! A [`RankChunk`] is a view of contiguous rank columns of one tile column
+//! ([`ColumnStack`]), free to start or end inside a tile's rank range;
+//! [`ChunkRun`] executes a set of them as independent PEs with a host
+//! reduction — the one communication-avoiding kernel:
+//! [`CommAvoiding::apply`] runs it with one chunk per tile column,
 //! [`CommAvoiding::apply_chunked`] at a stack width, and the WSE
 //! simulator's functional execution on its placed chunks.
 //!
 //! Nothing here allocates inside a traced span: partial outputs, segment
-//! tables and the rank scratch the fused kernels write `Vᴴx` into are
-//! allocated by [`ChunkRun::new`] and the phase callers before the span
-//! opens (lint rule HP01 is lexical and cannot see through a call).
-
-#![allow(
-    clippy::needless_range_loop,
-    reason = "index-based loops here walk multiple parallel arrays; iterator zips would obscure \
-              the stride structure the kernels are about"
-)]
+//! tables and the kernels' gather scratch are allocated by
+//! [`ChunkRun::new`] and the phase callers before the span opens (lint
+//! rule HP01 is lexical and cannot see through a call).
 
 use rayon::prelude::*;
 use seismic_la::scalar::C32;
-use seismic_la::Matrix;
 
 use crate::accounting::{absolute_bytes, mvm_flops, relative_bytes};
-use crate::fastpath::{dotc_cols, gather, gemv_acc_fast, gemv_conj_transpose_fast, swap_re_im};
+use crate::fastpath::gather;
 use crate::invariant::assert_finite;
 use crate::matrix::TlrMatrix;
 use crate::precision::to_u64;
@@ -51,14 +44,24 @@ use crate::trace;
 
 const CZERO: C32 = C32::new(0.0, 0.0);
 
-/// Classic three-phase TLR-MVM layout.
+/// `[0, s₀, s₀+s₁, …]`: where each of `sizes` starts in their
+/// concatenation, and the total last.
+fn prefix_sums(sizes: impl Iterator<Item = usize>) -> Vec<usize> {
+    let mut out = vec![0];
+    out.extend(sizes.scan(0, |acc, s| {
+        *acc += s;
+        Some(*acc)
+    }));
+    out
+}
+
+/// Classic three-phase TLR-MVM layout: a view of the matrix's tiles in
+/// V-stack order (tile column by tile column) and U-stack order (tile row
+/// by tile row).
 pub struct ThreePhase {
-    tiling: Tiling,
-    /// Per tile column `j`: `(cl_j × K_j)` horizontal concat of `V_{i,j}`.
-    vstacks: Vec<Matrix<C32>>,
-    /// Per tile row `i`: `(rl_i × R_i)` horizontal concat of `U_{i,j}`.
-    ustacks: Vec<Matrix<C32>>,
-    /// Flat offsets of each column segment in the `yv` vector.
+    tlr: TlrMatrix,
+    /// Flat offsets of each column segment in the `yv` vector
+    /// (`nt + 1` entries, the total rank last).
     col_offsets: Vec<usize>,
     /// Flat offsets of each row segment in the `yu` vector.
     row_offsets: Vec<usize>,
@@ -68,7 +71,6 @@ pub struct ThreePhase {
     /// ([`crate::fastpath::gather`]) — sequential stores and random
     /// loads overlap better than random stores.
     shuffle_inv: Vec<usize>,
-    total_rank: usize,
 }
 
 /// Reusable intermediate buffers for [`ThreePhase::apply_with_scratch`].
@@ -98,138 +100,86 @@ impl ThreePhaseScratch {
 }
 
 impl ThreePhase {
-    /// Build the stacked layout from a TLR matrix.
+    /// Build the stacked layout's index tables over a TLR matrix's tiles.
     pub fn new(tlr: &TlrMatrix) -> Self {
-        let tiling = *tlr.tiling();
-        let mt = tiling.tile_rows();
-        let nt = tiling.tile_cols();
-
-        // V stacks (per column) and flat yv offsets.
-        let mut vstacks = Vec::with_capacity(nt);
-        let mut col_offsets = Vec::with_capacity(nt + 1);
-        let mut acc = 0usize;
-        for j in 0..nt {
-            col_offsets.push(acc);
-            let (_, cl) = tiling.col_range(j);
-            let kj = tlr.column_rank(j);
-            let mut vs = Matrix::zeros(cl, kj);
-            let mut off = 0;
-            for i in 0..mt {
-                let t = tlr.tile(i, j);
-                for r in 0..t.rank() {
-                    t.copy_v_col(r, vs.col_mut(off + r));
-                }
-                off += t.rank();
-            }
-            acc += kj;
-            vstacks.push(vs);
-        }
-        col_offsets.push(acc);
-        let total_rank = acc;
-
-        // U stacks (per row) and flat yu offsets.
-        let mut ustacks = Vec::with_capacity(mt);
-        let mut row_offsets = Vec::with_capacity(mt + 1);
-        let mut acc_u = 0usize;
-        for i in 0..mt {
-            row_offsets.push(acc_u);
-            let (_, rl) = tiling.row_range(i);
-            let ri = tlr.row_rank(i);
-            let mut us = Matrix::zeros(rl, ri);
-            let mut off = 0;
-            for j in 0..nt {
-                let t = tlr.tile(i, j);
-                for r in 0..t.rank() {
-                    us.col_mut(off + r).copy_from_slice(t.u_col(r));
-                }
-                off += t.rank();
-            }
-            acc_u += ri;
-            ustacks.push(us);
-        }
-        row_offsets.push(acc_u);
-        debug_assert_eq!(acc_u, total_rank);
+        let tiling = tlr.tiling();
+        let (mt, nt) = (tiling.tile_rows(), tiling.tile_cols());
+        let col_offsets = prefix_sums((0..nt).map(|j| tlr.column_rank(j)));
+        let row_offsets = prefix_sums((0..mt).map(|i| tlr.row_rank(i)));
 
         // Shuffle: walk yv order (j, then i, then r) and record, at the
         // position of the same (i, j, r) coefficient in yu order (i, then
         // j, then r), where it comes from — phase 2 runs as a gather over
-        // this inverse map.
-        let mut shuffle_inv = vec![0usize; total_rank];
-        // Per (i, j): rank offset of tile (i,j) inside row stack i.
-        let mut row_tile_offset = vec![vec![0usize; nt]; mt];
-        for i in 0..mt {
-            let mut off = 0;
-            for j in 0..nt {
-                row_tile_offset[i][j] = off;
-                off += tlr.rank(i, j);
-            }
-        }
+        // this inverse map. Row stack i is filled in column order, so its
+        // next free slot is all the walk needs to remember.
+        let mut shuffle_inv = vec![0usize; col_offsets[nt]];
+        let mut next = row_offsets[..mt].to_vec();
         let mut p = 0usize;
         for j in 0..nt {
-            for i in 0..mt {
-                let k = tlr.rank(i, j);
-                let base = row_offsets[i] + row_tile_offset[i][j];
-                for r in 0..k {
-                    shuffle_inv[base + r] = p;
-                    p += 1;
+            for (i, q) in next.iter_mut().enumerate() {
+                for _ in 0..tlr.rank(i, j) {
+                    shuffle_inv[*q] = p;
+                    (*q, p) = (*q + 1, p + 1);
                 }
             }
         }
 
         Self {
-            tiling,
-            vstacks,
-            ustacks,
+            tlr: tlr.clone(),
             col_offsets,
             row_offsets,
             shuffle_inv,
-            total_rank,
         }
     }
 
     /// Total rank Σ k_{ij} (length of the intermediate vectors).
     pub fn total_rank(&self) -> usize {
-        self.total_rank
+        self.shuffle_inv.len()
     }
 
     /// The tile grid this layout was built from.
     pub fn tiling(&self) -> &Tiling {
-        &self.tiling
+        self.tlr.tiling()
     }
 
     /// Output length of [`ThreePhase::apply`] (matrix rows).
     pub fn nrows(&self) -> usize {
-        self.tiling.m
+        self.tiling().m
     }
 
     /// Input length of [`ThreePhase::apply`] (matrix cols).
     pub fn ncols(&self) -> usize {
-        self.tiling.n
+        self.tiling().n
     }
 
-    /// Phase 1 (paper Fig. 5): batched `yv_j = Vstack_jᴴ x_j` into a
-    /// caller-owned buffer (`yv.len() == total_rank`); allocation-free
-    /// past the per-call segment table.
+    /// Phase 1 (paper Fig. 5): batched `yv_j = V_jᴴ x_j` into a
+    /// caller-owned buffer (`yv.len() == total_rank`), tile column by tile
+    /// column, each tile in its stored form; allocation-free past the
+    /// per-call segment table and gather scratch.
     pub fn v_batch_into(&self, x: &[C32], yv: &mut [C32]) {
-        assert_eq!(x.len(), self.tiling.n);
-        assert_eq!(yv.len(), self.total_rank);
+        let tiling = self.tiling();
+        assert_eq!(x.len(), tiling.n);
+        assert_eq!(yv.len(), self.total_rank());
         assert_finite("three_phase.v_batch.x", x);
-        // Segment table is built before the span opens: the traced hot
-        // phase is pure batched MVM work (lint rule HP01).
-        let mut segments: Vec<&mut [C32]> = Vec::with_capacity(self.vstacks.len());
+        // Segment table and per-column gather scratch are built before
+        // the span opens: the traced hot phase is pure batched MVM work
+        // (lint rule HP01).
+        let nb = tiling.nb;
+        let mut scratch = vec![CZERO; 2 * nb * tiling.tile_cols()];
+        let mut segments: Vec<(&mut [C32], &mut [C32])> = Vec::with_capacity(tiling.tile_cols());
         let mut rest = &mut yv[..];
-        for j in 0..self.vstacks.len() {
+        for (j, gather) in scratch.chunks_mut(2 * nb).enumerate() {
             let len = self.col_offsets[j + 1] - self.col_offsets[j];
             let (seg, tail) = rest.split_at_mut(len);
-            segments.push(seg);
+            segments.push((seg, gather));
             rest = tail;
         }
         let _span = trace::span("tlr_mvm.v_batch");
         if trace::is_enabled() {
             // §6.6 cost per column stack: 4 real (K_j × cl_j) MVMs.
             let (mut fl, mut rel, mut abs) = (0u64, 0u64, 0u64);
-            for vs in &self.vstacks {
-                let (cl, kj) = (vs.nrows(), vs.ncols());
+            for (j, seg) in segments.iter().enumerate() {
+                let ((_, cl), kj) = (tiling.col_range(j), seg.0.len());
                 if kj == 0 {
                     continue;
                 }
@@ -239,37 +189,49 @@ impl ThreePhase {
             }
             trace::add_cost("tlr_mvm.v_batch", fl, rel, abs);
         }
-        segments.par_iter_mut().enumerate().for_each(|(j, seg)| {
-            let (c0, cl) = self.tiling.col_range(j);
-            gemv_conj_transpose_fast(&self.vstacks[j], &x[c0..c0 + cl], seg);
-        });
+        segments
+            .par_iter_mut()
+            .enumerate()
+            .for_each(|(j, (seg, gather))| {
+                let (c0, cl) = tiling.col_range(j);
+                let xj = &x[c0..c0 + cl];
+                let mut off = 0;
+                for i in 0..tiling.tile_rows() {
+                    let tile = self.tlr.tile(i, j);
+                    let k = tile.rank();
+                    tile.gather(xj, gather);
+                    tile.coefficients(xj, gather, &mut seg[off..off + k]);
+                    off += k;
+                }
+            });
         assert_finite("three_phase.v_batch.yv", yv);
     }
 
     /// Phase 2 (paper Fig. 6): project coefficients from V- to
     /// U-ordering, into a caller-owned buffer (`yu.len() == total_rank`).
     pub fn shuffle_into(&self, yv: &[C32], yu: &mut [C32]) {
-        assert_eq!(yv.len(), self.total_rank);
-        assert_eq!(yu.len(), self.total_rank);
+        assert_eq!(yv.len(), self.total_rank());
+        assert_eq!(yu.len(), self.total_rank());
         let _span = trace::span("tlr_mvm.shuffle");
         // Pure data movement: read + write 8 bytes per rank entry.
-        let moved = 16 * to_u64(self.total_rank);
+        let moved = 16 * to_u64(self.total_rank());
         trace::add_bytes("tlr_mvm.shuffle", moved, moved);
         gather(yu, &self.shuffle_inv, yv);
         assert_finite("three_phase.shuffle.yu", yu);
     }
 
-    /// Phase 3 (paper Fig. 7): batched `y_i = Ustack_i · yu_i` into a
-    /// caller-owned buffer. `y` must be **zeroed** by the caller
-    /// (`y.len() == nrows()`): the row-stack kernel accumulates.
+    /// Phase 3 (paper Fig. 7): batched `y_i = U_i · yu_i` into a
+    /// caller-owned buffer, tile row by tile row. `y` must be **zeroed**
+    /// by the caller (`y.len() == nrows()`): the row kernel accumulates.
     pub fn u_batch_into(&self, yu: &[C32], y: &mut [C32]) {
-        assert_eq!(yu.len(), self.total_rank);
-        assert_eq!(y.len(), self.tiling.m);
+        let tiling = self.tiling();
+        assert_eq!(yu.len(), self.total_rank());
+        assert_eq!(y.len(), tiling.m);
         // As in `v_batch_into`: segment table built before the span (HP01).
-        let mut segments: Vec<&mut [C32]> = Vec::with_capacity(self.ustacks.len());
+        let mut segments: Vec<&mut [C32]> = Vec::with_capacity(tiling.tile_rows());
         let mut rest = &mut y[..];
-        for i in 0..self.ustacks.len() {
-            let (_, rl) = self.tiling.row_range(i);
+        for i in 0..tiling.tile_rows() {
+            let (_, rl) = tiling.row_range(i);
             let (seg, tail) = rest.split_at_mut(rl);
             segments.push(seg);
             rest = tail;
@@ -278,8 +240,8 @@ impl ThreePhase {
         if trace::is_enabled() {
             // §6.6 cost per row stack: 4 real (m_i × R_i) MVMs.
             let (mut fl, mut rel, mut abs) = (0u64, 0u64, 0u64);
-            for us in &self.ustacks {
-                let (mi, ri) = (us.nrows(), us.ncols());
+            for (i, seg) in segments.iter().enumerate() {
+                let (mi, ri) = (seg.len(), self.row_offsets[i + 1] - self.row_offsets[i]);
                 if ri == 0 {
                     continue;
                 }
@@ -290,27 +252,31 @@ impl ThreePhase {
             trace::add_cost("tlr_mvm.u_batch", fl, rel, abs);
         }
         segments.par_iter_mut().enumerate().for_each(|(i, seg)| {
-            let lo = self.row_offsets[i];
-            let hi = self.row_offsets[i + 1];
-            gemv_acc_fast(&self.ustacks[i], &yu[lo..hi], seg);
+            let mut off = self.row_offsets[i];
+            for j in 0..tiling.tile_cols() {
+                let tile = self.tlr.tile(i, j);
+                let k = tile.rank();
+                tile.expand_acc(&yu[off..off + k], seg);
+                off += k;
+            }
         });
         assert_finite("three_phase.u_batch.y", y);
     }
 
     /// Full three-phase TLR-MVM: `y = Ã x`, on a fresh scratch.
     pub fn apply(&self, x: &[C32]) -> Vec<C32> {
-        let mut y = vec![CZERO; self.tiling.m];
+        let mut y = vec![CZERO; self.nrows()];
         self.apply_with_scratch(x, &mut ThreePhaseScratch::new(), &mut y);
         y
     }
 
     /// Full three-phase TLR-MVM into caller-owned buffers: `y = Ã x`
     /// with both rank-length intermediates taken from `scratch`, so
-    /// nothing is allocated once the scratch has grown to this operator's
+    /// neither is allocated once the scratch has grown to this operator's
     /// total rank.
     pub fn apply_with_scratch(&self, x: &[C32], scratch: &mut ThreePhaseScratch, y: &mut [C32]) {
-        scratch.reserve_rank(self.total_rank);
-        let k = self.total_rank;
+        let k = self.total_rank();
+        scratch.reserve_rank(k);
         self.v_batch_into(x, &mut scratch.yv[..k]);
         self.shuffle_into(&scratch.yv[..k], &mut scratch.yu[..k]);
         y.fill(CZERO);
@@ -318,9 +284,10 @@ impl ThreePhase {
     }
 }
 
-/// One tile column of the communication-avoiding layout: `V` bases stacked
-/// as usual, `U` bases of the *same column* stored side-by-side with
-/// per-rank-column row-block metadata (paper Fig. 9).
+/// One tile column of the communication-avoiding layout (paper Fig. 9):
+/// the index table of its rank dimension — the tiles' rank columns stacked
+/// tile row by tile row, each with the row count of its tile. The bases
+/// stay in the tiles.
 pub struct ColumnStack {
     /// Tile-column index.
     col: usize,
@@ -328,13 +295,9 @@ pub struct ColumnStack {
     c0: usize,
     /// Width of this tile column.
     cl: usize,
-    /// `(cl × K_j)` stacked V bases.
-    vstack: Matrix<C32>,
-    /// `(nb × K_j)` stacked U bases, rows zero-padded to `nb` for edge
-    /// tile rows (the CS-2 code pads for SRAM bank alignment anyway).
-    ustack: Matrix<C32>,
-    /// Tile-row index of each rank column.
-    row_block: Vec<usize>,
+    /// Per tile row `i`: its first rank column; `mt + 1` entries, the
+    /// last `K_j`.
+    tile_start: Vec<usize>,
     /// Actual row count of each rank column (`rl_i`).
     row_len: Vec<usize>,
 }
@@ -342,228 +305,217 @@ pub struct ColumnStack {
 impl ColumnStack {
     /// Number of rank columns `K_j`.
     pub fn rank(&self) -> usize {
-        self.row_block.len()
+        self.row_len.len()
     }
 
-    /// Split this column's rank dimension into chunks of at most
-    /// `stack_width` rank columns — the unit of work one CS-2 PE owns.
-    /// The stacks are column-major, so every chunk is a view of
-    /// contiguous columns: nothing is copied.
-    pub fn split(&self, stack_width: usize) -> impl Iterator<Item = RankChunk<'_>> {
-        assert!(stack_width > 0);
-        let (k, cl, nb) = (self.rank(), self.cl, self.ustack.nrows());
-        (0..k).step_by(stack_width).map(move |start| {
-            let end = start.saturating_add(stack_width).min(k);
-            RankChunk {
-                col: self.col,
-                c0: self.c0,
-                cl,
-                nb,
-                v: &self.vstack.as_slice()[start * cl..end * cl],
-                u: &self.ustack.as_slice()[start * nb..end * nb],
-                row_block: &self.row_block[start..end],
-                row_len: &self.row_len[start..end],
-            }
-        })
+    /// The tile row rank column `k` belongs to.
+    fn tile_row(&self, k: usize) -> usize {
+        self.tile_start.partition_point(|&s| s <= k) - 1
     }
 }
 
-/// A contiguous slice of a column stack's rank dimension: the workload of
-/// a single CS-2 processing element, borrowed from its [`ColumnStack`].
+/// A contiguous slice of a tile column's rank dimension: the workload of
+/// a single CS-2 processing element, a view of its [`ColumnStack`] and of
+/// the matrix's tiles.
 ///
-/// Built only by [`ColumnStack::split`], which keeps the slices in
-/// agreement: `w ≥ 1` rank columns, `v` is `cl × w` and `u` is `nb × w`
-/// column-major, and `row_block` is non-decreasing.
-#[derive(Clone, Copy, Debug)]
+/// Built only by [`CommAvoiding::chunks`], which keeps `start < end ≤ K_j`
+/// — `w = end − start ≥ 1` rank columns, which may start and end anywhere
+/// inside a tile's rank range — and `tiles` the tile rows of the first
+/// and the last of them.
+#[derive(Clone, Copy)]
 pub struct RankChunk<'a> {
-    col: usize,
-    c0: usize,
-    cl: usize,
-    nb: usize,
-    v: &'a [C32],
-    u: &'a [C32],
-    row_block: &'a [usize],
-    row_len: &'a [usize],
+    tlr: &'a TlrMatrix,
+    column: &'a ColumnStack,
+    start: usize,
+    end: usize,
+    tiles: (usize, usize),
 }
 
 impl<'a> RankChunk<'a> {
     /// Tile-column index this chunk belongs to.
     pub fn col(&self) -> usize {
-        self.col
+        self.column.col
     }
 
     /// The input entries this chunk reads: its tile column's `c0..c0 + cl`.
     pub fn x_range(&self) -> std::ops::Range<usize> {
-        self.c0..self.c0 + self.cl
+        self.column.c0..self.column.c0 + self.column.cl
     }
 
     /// Chunk width `w` (number of rank columns).
     pub fn width(&self) -> usize {
-        self.row_block.len()
+        self.end - self.start
     }
 
-    /// Height of the U slice: the tile size `nb` the stack was built at.
+    /// Height of the modelled U slice: the tile size `nb` of the grid.
     pub fn u_rows(&self) -> usize {
-        self.nb
+        self.tlr.tiling().nb
     }
 
     /// Valid row count of each rank column (`rl_i` of its tile row).
     pub fn row_len(&self) -> &'a [usize] {
-        self.row_len
+        &self.column.row_len[self.start..self.end]
     }
 
     /// The output rows this chunk writes: from its first rank column's
     /// tile row to the end of its last one's.
     pub fn row_span(&self) -> std::ops::Range<usize> {
-        let w = self.width();
-        self.row_block[0] * self.nb..self.row_block[w - 1] * self.nb + self.row_len[w - 1]
+        let tiling = self.tlr.tiling();
+        let ((first, _), (last, rl)) = (
+            tiling.row_range(self.tiles.0),
+            tiling.row_range(self.tiles.1),
+        );
+        first..last + rl
     }
 
     /// Fused kernel: `y_span = Σ_r u_r (v_rᴴ x)` over
-    /// [`RankChunk::row_span`], reading `x` and `xs = swap_re_im(x)` at
-    /// [`RankChunk::x_range`]. The V phase runs four rank columns at a
-    /// time on the lanes of [`crate::fastpath::gemv_conj_transpose_fast`];
-    /// `yv` is caller-owned scratch of length [`RankChunk::width`].
-    pub fn apply_into(&self, x: &[C32], xs: &[C32], yv: &mut [C32], y_span: &mut [C32]) {
-        let w = self.width();
-        let lens = (yv.len(), y_span.len());
-        assert_eq!(lens, (w, self.row_span().len()), "yv / y_span lengths");
-        let (x, xs) = (&x[self.x_range()], &xs[self.x_range()]);
-        let v_col = |r: usize| &self.v[r * self.cl..(r + 1) * self.cl];
-        for (q, out) in yv.chunks_mut(4).enumerate() {
-            // A short last block repeats its last column and drops it.
-            let d = dotc_cols::<C32, 4>(
-                std::array::from_fn(|c| v_col((4 * q + c).min(w - 1))),
-                x,
-                xs,
-            );
-            out.copy_from_slice(&d[..out.len()]);
-        }
+    /// [`RankChunk::row_span`], reading `x` at [`RankChunk::x_range`]. Per
+    /// tile the chunk covers, its share of the tile's rank columns four at
+    /// a time: their V coefficients from the tile's stored form, then the
+    /// U phase on the tile's rows. `gathered` holds the gather
+    /// ([`crate::Tile`]'s column order of `x_j`) of tile row `held`, made
+    /// anew when this chunk needs another tile's.
+    fn apply_into(
+        &self,
+        x: &[C32],
+        gathered: &mut [C32],
+        held: &mut Option<usize>,
+        y_span: &mut [C32],
+    ) {
+        let span = self.row_span();
+        assert_eq!(y_span.len(), span.len(), "y_span length");
+        let (x, cs, tiling) = (&x[self.x_range()], self.column, self.tlr.tiling());
         y_span.fill(CZERO);
-        let base = self.row_block[0] * self.nb;
-        for (r, &coeff) in yv.iter().enumerate() {
-            let dst0 = self.row_block[r] * self.nb - base;
-            let len = self.row_len[r];
-            let ucol = &self.u[r * self.nb..][..len];
-            for (d, &u) in y_span[dst0..dst0 + len].iter_mut().zip(ucol) {
-                *d += u * coeff;
+        for i in self.tiles.0..=self.tiles.1 {
+            // This chunk's rank columns of tile i, numbered in the tile.
+            let s = cs.tile_start[i];
+            let cols = self.start.max(s) - s..self.end.min(cs.tile_start[i + 1]) - s;
+            let (r0, rl) = tiling.row_range(i);
+            let y = &mut y_span[r0 - span.start..][..rl];
+            let tile = self.tlr.tile(i, cs.col);
+            if *held != Some(i) {
+                tile.gather(x, gathered);
+                *held = Some(i);
             }
+            tile.apply_cols_acc(cols, x, gathered, y);
         }
     }
 
-    /// Complex words stored by this chunk (V + U slices).
+    /// The modelled PE SRAM words of this chunk: a `cl × w` V slice and an
+    /// `nb × w` U slice, `(cl + nb)·w` complex words, whatever form its
+    /// tiles are stored in.
     pub fn stored_elements(&self) -> usize {
-        self.v.len() + self.u.len()
+        (self.column.cl + self.u_rows()) * self.width()
     }
 }
 
-/// One run of rank chunks on one input, as independent PEs: the swapped
-/// copy of `x` every V phase reads, and per chunk its rank scratch and its
-/// partial over [`RankChunk::row_span`] — all cut from one caller-owned
-/// buffer when the run is built, before any traced span opens (HP01), so
-/// [`ChunkRun::apply`] and [`ChunkRun::reduce_into`] allocate nothing.
+/// One run of rank chunks on one input, as independent PEs: per chunk its
+/// partial over [`RankChunk::row_span`], and per stretch of consecutive
+/// chunks of one tile column the gather scratch they share — all cut from
+/// one caller-owned buffer when the run is built, before any traced span
+/// opens (HP01), so [`ChunkRun::apply`] and [`ChunkRun::reduce_into`]
+/// allocate nothing.
 pub struct ChunkRun<'b> {
-    chunks: &'b [RankChunk<'b>],
     x: &'b [C32],
-    xs: &'b [C32],
-    /// Per chunk: `(yv, partial)`.
-    segments: Vec<(&'b mut [C32], &'b mut [C32])>,
+    stretches: Vec<Stretch<'b>>,
+}
+
+/// Consecutive chunks of one tile column: one parallel task, whose chunks
+/// run in order over one gather scratch, so a tile two of them split is
+/// gathered once.
+struct Stretch<'b> {
+    chunks: &'b [RankChunk<'b>],
+    gathered: &'b mut [C32],
+    partials: Vec<&'b mut [C32]>,
 }
 
 impl<'b> ChunkRun<'b> {
-    /// Size `buf` for `chunks` on `x`, swap `x` into its head and cut the
-    /// rest per chunk.
+    /// Size `buf` for `chunks` and cut it per stretch and per chunk.
     pub fn new(chunks: &'b [RankChunk<'b>], x: &'b [C32], buf: &'b mut Vec<C32>) -> Self {
-        let cut = |ch: &RankChunk| ch.width() + ch.row_span().len();
-        buf.resize(x.len() + chunks.iter().map(cut).sum::<usize>(), CZERO);
-        let (xs, mut rest) = buf.split_at_mut(x.len());
-        swap_re_im(x, xs);
-        let segments = chunks
-            .iter()
-            .map(|ch| {
-                let (seg, tail) = std::mem::take(&mut rest).split_at_mut(cut(ch));
-                rest = tail;
-                seg.split_at_mut(ch.width())
+        let same_column = |a: &RankChunk, b: &RankChunk| std::ptr::eq(a.column, b.column);
+        let cut = |ch: &RankChunk| ch.row_span().len();
+        let gather_len = |run: &[RankChunk]| 2 * run[0].column.cl;
+        let len = chunks.chunk_by(same_column).map(gather_len).sum::<usize>()
+            + chunks.iter().map(cut).sum::<usize>();
+        buf.resize(len, CZERO);
+        let mut rest = &mut buf[..];
+        let mut take = |len: usize| {
+            let (head, tail) = std::mem::take(&mut rest).split_at_mut(len);
+            rest = tail;
+            head
+        };
+        let stretches = chunks
+            .chunk_by(same_column)
+            .map(|run| Stretch {
+                chunks: run,
+                gathered: take(gather_len(run)),
+                partials: run.iter().map(|ch| take(cut(ch))).collect(),
             })
             .collect();
-        Self {
-            chunks,
-            x,
-            xs,
-            segments,
-        }
+        Self { x, stretches }
     }
 
-    /// Every chunk's [`RankChunk::apply_into`], one parallel task each.
+    /// Every chunk's fused kernel, one parallel task per stretch.
     pub fn apply(&mut self) {
-        let (chunks, x, xs) = (self.chunks, self.x, self.xs);
-        self.segments
-            .par_iter_mut()
-            .enumerate()
-            .for_each(|(c, (yv, part))| chunks[c].apply_into(x, xs, yv, part));
+        let x = self.x;
+        self.stretches.par_iter_mut().for_each(|stretch| {
+            let mut held = None;
+            for (ch, part) in stretch.chunks.iter().zip(&mut stretch.partials) {
+                ch.apply_into(x, stretch.gathered, &mut held, part);
+            }
+        });
     }
 
     /// The host reduction: `y[row_span] += partial`, chunk by chunk in
     /// order.
     pub fn reduce_into(&self, y: &mut [C32]) {
-        for (ch, (_, part)) in self.chunks.iter().zip(&self.segments) {
-            for (yi, &p) in y[ch.row_span()].iter_mut().zip(part.iter()) {
-                *yi += p;
+        for stretch in &self.stretches {
+            for (ch, part) in stretch.chunks.iter().zip(&stretch.partials) {
+                for (yi, &p) in y[ch.row_span()].iter_mut().zip(part.iter()) {
+                    *yi += p;
+                }
             }
         }
     }
 }
 
-/// The communication-avoiding layout: one [`ColumnStack`] per tile column.
+/// The communication-avoiding layout: one [`ColumnStack`] per tile column
+/// over the matrix's tiles.
 pub struct CommAvoiding {
-    tiling: Tiling,
+    tlr: TlrMatrix,
     columns: Vec<ColumnStack>,
 }
 
 impl CommAvoiding {
-    /// Build the layout from a TLR matrix.
+    /// Build the layout's index tables over a TLR matrix's tiles.
     pub fn new(tlr: &TlrMatrix) -> Self {
-        let tiling = *tlr.tiling();
-        let mt = tiling.tile_rows();
-        let nt = tiling.tile_cols();
-        let nb = tiling.nb;
-        let columns = (0..nt)
+        let tiling = tlr.tiling();
+        let columns = (0..tiling.tile_cols())
             .map(|j| {
                 let (c0, cl) = tiling.col_range(j);
-                let kj = tlr.column_rank(j);
-                let mut vstack = Matrix::zeros(cl, kj);
-                let mut ustack = Matrix::zeros(nb, kj);
-                let mut row_block = Vec::with_capacity(kj);
-                let mut row_len = Vec::with_capacity(kj);
-                let mut off = 0;
-                for i in 0..mt {
-                    let t = tlr.tile(i, j);
+                let mut row_len = Vec::with_capacity(tlr.column_rank(j));
+                for i in 0..tiling.tile_rows() {
                     let (_, rl) = tiling.row_range(i);
-                    for r in 0..t.rank() {
-                        t.copy_v_col(r, vstack.col_mut(off + r));
-                        ustack.col_mut(off + r)[..rl].copy_from_slice(t.u_col(r));
-                        row_block.push(i);
-                        row_len.push(rl);
-                    }
-                    off += t.rank();
+                    row_len.resize(row_len.len() + tlr.rank(i, j), rl);
                 }
                 ColumnStack {
                     col: j,
                     c0,
                     cl,
-                    vstack,
-                    ustack,
-                    row_block,
+                    tile_start: prefix_sums((0..tiling.tile_rows()).map(|i| tlr.rank(i, j))),
                     row_len,
                 }
             })
             .collect();
-        Self { tiling, columns }
+        Self {
+            tlr: tlr.clone(),
+            columns,
+        }
     }
 
     /// The tile grid.
     pub fn tiling(&self) -> &Tiling {
-        &self.tiling
+        self.tlr.tiling()
     }
 
     /// Column stacks.
@@ -575,7 +527,7 @@ impl CommAvoiding {
     /// (fused V+U, no shuffle), then the host reduces the partials —
     /// exactly the paper's CS-2 execution with the reduction step
     /// "handled by the host". [`CommAvoiding::apply_chunked`] with one
-    /// chunk per column stack.
+    /// chunk per tile column.
     pub fn apply(&self, x: &[C32]) -> Vec<C32> {
         self.apply_chunked(x, usize::MAX)
     }
@@ -586,7 +538,7 @@ impl CommAvoiding {
         if !trace::is_enabled() {
             return;
         }
-        let nb = self.tiling.nb;
+        let nb = self.tiling().nb;
         let (mut fl, mut rel, mut abs) = (0u64, 0u64, 0u64);
         for cs in &self.columns {
             let kj = cs.rank();
@@ -600,12 +552,25 @@ impl CommAvoiding {
         trace::add_cost("comm_avoiding.fused", fl, rel, abs);
     }
 
-    /// All rank chunks at a given stack width (the per-PE work units),
-    /// borrowed from the column stacks.
+    /// All rank chunks at a given stack width (the per-PE work units):
+    /// each tile column's rank dimension cut every `stack_width` columns.
     pub fn chunks(&self, stack_width: usize) -> Vec<RankChunk<'_>> {
+        assert!(stack_width > 0);
         self.columns
             .iter()
-            .flat_map(|c| c.split(stack_width))
+            .flat_map(|column| {
+                let k = column.rank();
+                (0..k).step_by(stack_width).map(move |start| {
+                    let end = start.saturating_add(stack_width).min(k);
+                    RankChunk {
+                        tlr: &self.tlr,
+                        column,
+                        start,
+                        end,
+                        tiles: (column.tile_row(start), column.tile_row(end - 1)),
+                    }
+                })
+            })
             .collect()
     }
 
@@ -613,12 +578,13 @@ impl CommAvoiding {
     /// the [`ChunkRun`] the WSE simulator executes, so the two agree bit
     /// for bit.
     pub fn apply_chunked(&self, x: &[C32], stack_width: usize) -> Vec<C32> {
-        assert_eq!(x.len(), self.tiling.n);
+        let tiling = self.tiling();
+        assert_eq!(x.len(), tiling.n);
         assert_finite("comm_avoiding.apply_chunked.x", x);
         let chunks = self.chunks(stack_width);
         self.trace_fused_cost();
         // The run's buffers are cut before the span opens (HP01).
-        let (mut buf, mut y) = (Vec::new(), vec![CZERO; self.tiling.m]);
+        let (mut buf, mut y) = (Vec::new(), vec![CZERO; tiling.m]);
         let mut run = ChunkRun::new(&chunks, x, &mut buf);
         {
             let _span = trace::span("comm_avoiding.fused");
@@ -626,7 +592,7 @@ impl CommAvoiding {
         }
         let _span = trace::span("comm_avoiding.host_reduce");
         let spans: usize = chunks.iter().map(|ch| ch.row_span().len()).sum();
-        let moved = 8 * to_u64(spans + self.tiling.m);
+        let moved = 8 * to_u64(spans + tiling.m);
         trace::add_bytes("comm_avoiding.host_reduce", moved, moved);
         run.reduce_into(&mut y);
         assert_finite("comm_avoiding.apply_chunked.y", &y);
@@ -639,6 +605,7 @@ mod tests {
     use super::*;
     use crate::compress::{compress, CompressionConfig, CompressionMethod, ToleranceMode};
     use seismic_la::blas::gemv;
+    use seismic_la::Matrix;
 
     fn kernel(m: usize, n: usize) -> Matrix<C32> {
         Matrix::from_fn(m, n, |i, j| {
@@ -739,8 +706,9 @@ mod tests {
         let w = 5;
         for ch in ca.chunks(w) {
             assert!(ch.width() > 0 && ch.width() <= w);
-            assert_eq!(ch.v.len(), ch.x_range().len() * ch.width());
-            assert_eq!(ch.u.len(), ch.u_rows() * ch.width());
+            assert_eq!(ch.row_len().len(), ch.width());
+            let words = (ch.x_range().len() + ch.u_rows()) * ch.width();
+            assert_eq!(ch.stored_elements(), words);
             assert_eq!(ch.u_rows(), 12);
         }
         // Total chunk width must equal total rank.
@@ -748,35 +716,40 @@ mod tests {
         assert_eq!(total, t.total_rank());
     }
 
-    /// Chunks are views: every chunk's V and U slices lie inside its
-    /// column stack's, and together they hold exactly the stacks' words.
+    /// No base is copied: both layouts read the caller's own tiles, every
+    /// chunk's row lengths lie inside its column's table and it reads the
+    /// layout's matrix, and together the chunks model `(cl + nb)` words
+    /// per rank column of each tile column.
     #[test]
     fn chunks_borrow_the_column_stacks_without_copying() {
-        let ca = CommAvoiding::new(&tlr(67, 41, 16));
-        let within = |inner: &[C32], outer: &Matrix<C32>| {
-            let outer = outer.as_slice().as_ptr_range();
-            let inner = inner.as_ptr_range();
+        let t = tlr(67, 41, 16);
+        let (tp, ca) = (ThreePhase::new(&t), CommAvoiding::new(&t));
+        for (i, j, tile) in t.tiles_with_coords() {
+            let (in_tp, in_ca) = (tp.tlr.tile(i, j), ca.tlr.tile(i, j));
+            assert!(
+                std::ptr::eq(in_tp, tile) && std::ptr::eq(in_ca, tile),
+                "({i},{j})"
+            );
+        }
+        let within = |inner: &[usize], outer: &[usize]| {
+            let (outer, inner) = (outer.as_ptr_range(), inner.as_ptr_range());
             outer.start <= inner.start && inner.end <= outer.end
         };
+        let modelled: usize = ca.columns().iter().map(|cs| (cs.cl + 16) * cs.rank()).sum();
         for w in [1usize, 3, 7, 1000] {
             let mut stored = 0;
-            for cs in ca.columns() {
-                for ch in cs.split(w) {
-                    assert!(within(ch.v, &cs.vstack) && within(ch.u, &cs.ustack));
-                    stored += ch.stored_elements();
-                }
+            for ch in ca.chunks(w) {
+                let cs = &ca.columns()[ch.col()];
+                assert!(within(ch.row_len(), &cs.row_len) && std::ptr::eq(ch.tlr, &ca.tlr));
+                stored += ch.stored_elements();
             }
-            let stacks: usize = ca
-                .columns()
-                .iter()
-                .map(|cs| cs.vstack.len() + cs.ustack.len())
-                .sum();
-            assert_eq!(stored, stacks, "w={w}");
+            assert_eq!(stored, modelled, "w={w}");
         }
     }
 
-    /// Each chunk's partial covers its own row span and nothing more,
-    /// and the spans stay inside the unpadded output.
+    /// Each chunk's partial covers its own row span and nothing more, the
+    /// spans stay inside the unpadded output, and the chunks of one tile
+    /// column form one stretch with one `2·cl` gather scratch.
     #[test]
     fn chunk_partials_are_exactly_their_row_spans() {
         let t = tlr(67, 41, 16);
@@ -786,12 +759,21 @@ mod tests {
             let chunks = ca.chunks(w);
             let mut buf = Vec::new();
             let run = ChunkRun::new(&chunks, &x, &mut buf);
-            assert_eq!(run.segments.len(), chunks.len());
-            for (ch, (yv, part)) in chunks.iter().zip(&run.segments) {
-                let span = ch.row_span();
-                assert_eq!((yv.len(), part.len()), (ch.width(), span.len()));
-                assert!(span.end <= 67);
+            let columns = ca.columns().iter().filter(|cs| cs.rank() > 0).count();
+            assert_eq!(run.stretches.len(), columns);
+            let mut seen = 0;
+            for stretch in &run.stretches {
+                let cl = stretch.chunks[0].x_range().len();
+                assert_eq!(stretch.gathered.len(), 2 * cl);
+                for (ch, part) in stretch.chunks.iter().zip(&stretch.partials) {
+                    assert_eq!(ch.col(), stretch.chunks[0].col());
+                    let span = ch.row_span();
+                    assert_eq!(part.len(), span.len());
+                    assert!(span.end <= 67);
+                    seen += 1;
+                }
             }
+            assert_eq!(seen, chunks.len());
         }
     }
 
@@ -853,31 +835,33 @@ mod tests {
         assert_eq!(t.apply_adjoint(&y), vec![CZERO; 29]);
     }
 
-    /// The stacked views expand a dense tile to the `(A, I)` pair it
-    /// stands for, in place: built from the hybrid store they are
-    /// element for element what the same matrix with those pairs stored
-    /// gives — which is what keeps every stacked-path checksum still.
+    /// The views read a dense tile as the `(A, I)` pair it stands for:
+    /// built from the hybrid store they hold the index tables of the same
+    /// matrix with those pairs stored, and compute what it computes — the
+    /// identity's V phase only ever added exact zeros, so the two agree
+    /// under `==` (which takes `+0` and `-0` as equal) — three-phase,
+    /// comm-avoiding and chunked at widths that cut dense tiles mid-rank.
     #[test]
     fn stacked_views_expand_dense_tiles_to_the_factor_pairs_they_replace() {
         use crate::matrix::test_support::{dense_tiles_as_factors, mixed_tiles, noise_tiles};
         for hybrid in [mixed_tiles().1, noise_tiles()] {
             assert!(hybrid.dense_tiles() > 0);
             let factors = dense_tiles_as_factors(&hybrid);
+            let x = test_x(hybrid.shape().1);
             let (tp, tp_f) = (ThreePhase::new(&hybrid), ThreePhase::new(&factors));
-            assert_eq!(tp.vstacks, tp_f.vstacks);
-            assert_eq!(tp.ustacks, tp_f.ustacks);
             assert_eq!(tp.col_offsets, tp_f.col_offsets);
             assert_eq!(tp.row_offsets, tp_f.row_offsets);
             assert_eq!(tp.shuffle_inv, tp_f.shuffle_inv);
-            assert_eq!(tp.total_rank, tp_f.total_rank);
+            assert_eq!(tp.apply(&x), tp_f.apply(&x));
             let (ca, ca_f) = (CommAvoiding::new(&hybrid), CommAvoiding::new(&factors));
             assert_eq!(ca.columns.len(), ca_f.columns.len());
             for (c, c_f) in ca.columns.iter().zip(&ca_f.columns) {
-                assert_eq!(c.vstack, c_f.vstack);
-                assert_eq!(c.ustack, c_f.ustack);
-                assert_eq!(c.row_block, c_f.row_block);
+                assert_eq!(c.tile_start, c_f.tile_start);
                 assert_eq!(c.row_len, c_f.row_len);
                 assert_eq!((c.col, c.c0, c.cl), (c_f.col, c_f.c0, c_f.cl));
+            }
+            for w in [1usize, 3, 5, usize::MAX] {
+                assert_eq!(ca.apply_chunked(&x, w), ca_f.apply_chunked(&x, w), "w={w}");
             }
         }
     }

@@ -14,8 +14,9 @@
 //!   U-batch, paper Figs. 4–7) and the CS-2 communication-avoiding layout
 //!   (paper Fig. 9): one chunk kernel plus host reduction, run at one
 //!   chunk per tile column or at the stack width that defines per-PE work
-//!   units. Both are forward-only second copies of the bases; the matrix's
-//!   own apply and adjoint are the operator the solver runs.
+//!   units. Both are forward-only views of the matrix's tiles (index
+//!   tables, no base copied); the matrix's own apply and adjoint are the
+//!   operator the solver runs.
 //! * [`real4`] — complex MVMs as four real FP32 MVMs (§6.6): the PE SRAM
 //!   image and host reference for the WSE simulator's CSL kernel.
 //! * [`accounting`] — the paper's relative/absolute byte formulas and flop
@@ -89,8 +90,8 @@ pub mod tiling;
 pub mod trace;
 
 pub use accounting::{
-    absolute_bytes, dense_mvm_cost, mvm_flops, relative_bytes, three_phase_cost, tlr_mmm_cost,
-    tlr_mvm_cost, ThreePhaseCost, TlrMvmCost,
+    absolute_bytes, mvm_flops, relative_bytes, three_phase_cost, tlr_mmm_cost, tlr_mvm_cost,
+    ThreePhaseCost, TlrMvmCost,
 };
 pub use accuracy::{probe_nmse, verify_compression_grids, ProbeEstimate};
 pub use compress::{

@@ -14,6 +14,7 @@
 //! `seismic_la::blas`; the tests below and `core::accuracy`'s probe use it
 //! as the oracle.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use rayon::prelude::*;
@@ -22,7 +23,7 @@ use seismic_la::scalar::C32;
 use seismic_la::Matrix;
 
 use crate::compress::CompressionConfig;
-use crate::fastpath::{gemv_acc_fast, gemv_conj_transpose_swapped, swap_re_im};
+use crate::fastpath::{axpy_blocks, gemv_acc_fast, gemv_conj_transpose_swapped, swap_re_im};
 use crate::ops::subtract_scaled;
 use crate::skeleton::Skeleton;
 use crate::tiling::Tiling;
@@ -35,10 +36,12 @@ const CZERO: C32 = C32::new(0.0, 0.0);
 /// Either form stands for a factor pair without storing it — a
 /// [`Tile::LowRank`] tile for `(C, W)` with `W = Π·[I; X]`, a
 /// [`Tile::Dense`] tile for `(A, I)`, the `r = n` case in which `X` is
-/// empty — and `Tile::u_col` / `Tile::copy_v_col` hand that pair out
-/// column by column, so every rank-derived number (stack widths, the §6.6
-/// cost model, the wafer workload) is what that factorisation gives,
-/// while [`Tile::stored_bytes`] counts what is actually held.
+/// empty — so every rank-derived number (stack widths, the §6.6 cost
+/// model, the wafer workload) is what that factorisation gives, while
+/// [`Tile::stored_bytes`] counts what is actually held. The stacked
+/// layouts read a tile's rank columns in its stored form through
+/// `Tile::gather` and `Tile::coefficients` (the V phase),
+/// `Tile::expand_acc` (the U phase) and `Tile::apply_cols_acc` (both).
 #[derive(Clone, Debug)]
 pub enum Tile {
     /// The skeleton form of a rank-`r` approximant: `r·(m+n−r)` words and
@@ -112,24 +115,48 @@ impl Tile {
         }
     }
 
-    /// Column `r` of the left factor: of `C`; of a dense tile, its own
-    /// column `r`.
-    pub(crate) fn u_col(&self, r: usize) -> &[C32] {
-        match self {
-            Tile::LowRank(s) => s.c_col(r),
-            Tile::Dense(a) => a.col(r),
+    /// What the V phase reads of `x_j`: a skeleton's column order of it,
+    /// gathered into `scratch` (at least `2n` entries, as
+    /// [`Skeleton::apply_acc_fast`] takes it); a dense tile reads `x_j` as
+    /// it is and gathers nothing.
+    pub(crate) fn gather(&self, x: &[C32], scratch: &mut [C32]) {
+        if let Tile::LowRank(s) = self {
+            s.gather(x, scratch);
         }
     }
 
-    /// Write column `r` of the right factor into `dst`: `e_{J[r]}` plus
-    /// column `r` of `X`; for a dense tile the unit vector `e_r` alone.
-    pub(crate) fn copy_v_col(&self, r: usize, dst: &mut [C32]) {
+    /// The V phase of the stacked layouts: `t[r]` is the coefficient rank
+    /// column `r` multiplies — of a skeleton `(x_J + Xᴴ x̃)[r]` on the dot
+    /// lanes, from what [`Tile::gather`] left in `gathered`; of a dense
+    /// tile `x[r]` itself, its right factor being the identity.
+    pub(crate) fn coefficients(&self, x: &[C32], gathered: &[C32], t: &mut [C32]) {
         match self {
-            Tile::LowRank(s) => s.copy_w_col(r, dst),
-            Tile::Dense(_) => {
-                dst.fill(CZERO);
-                dst[r] = C32::new(1.0, 0.0);
-            }
+            Tile::LowRank(s) => s.coefficients(gathered, t),
+            Tile::Dense(_) => t.copy_from_slice(x),
+        }
+    }
+
+    /// Both phases over the rank columns `cols`, four at a time:
+    /// `y += U[:, cols]·t` with `t` the [`Tile::coefficients`] of those
+    /// columns, kept in registers.
+    pub(crate) fn apply_cols_acc(
+        &self,
+        cols: Range<usize>,
+        x: &[C32],
+        gathered: &[C32],
+        y: &mut [C32],
+    ) {
+        match self {
+            Tile::LowRank(s) => s.forward_acc(cols, gathered, y),
+            Tile::Dense(a) => axpy_blocks(|c| a.col(c), cols.clone(), &x[cols], y),
+        }
+    }
+
+    /// The U phase: `y += U·t`, `U` being `C` or the dense block.
+    pub(crate) fn expand_acc(&self, t: &[C32], y: &mut [C32]) {
+        match self {
+            Tile::LowRank(s) => axpy_blocks(|c| s.c_col(c), 0..t.len(), t, y),
+            Tile::Dense(a) => gemv_acc_fast(a, t, y),
         }
     }
 }

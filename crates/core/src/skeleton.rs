@@ -12,6 +12,8 @@
 //! the pivoting, so `‖W‖` is bounded and the product is as well
 //! conditioned as the pair it replaces (DESIGN.md §12).
 
+use std::ops::Range;
+
 use seismic_la::blas::gemm_conj_transpose_right;
 use seismic_la::scalar::{Scalar, C32, C64};
 use seismic_la::{LowRank, Matrix, PivotedQr};
@@ -293,9 +295,42 @@ impl Skeleton {
         }
     }
 
+    /// `t = x_J + Xᴴ x̃`: the coefficients the skeleton's columns
+    /// multiply, four at a time on the conjugated-dot lanes, from the
+    /// scratch [`Skeleton::gather`] filled.
+    pub(crate) fn coefficients(&self, gathered: &[C32], t: &mut [C32]) {
+        assert_eq!(t.len(), self.rank(), "one coefficient per column");
+        let (x_j, x_rest, xs) = self.gathered(gathered);
+        for (k, tk) in t.chunks_mut(4).enumerate() {
+            let j = 4 * k;
+            match tk.len() {
+                1 => self.coefficient_block::<1>(j, x_j, x_rest, xs, tk),
+                2 => self.coefficient_block::<2>(j, x_j, x_rest, xs, tk),
+                3 => self.coefficient_block::<3>(j, x_j, x_rest, xs, tk),
+                _ => self.coefficient_block::<4>(j, x_j, x_rest, xs, tk),
+            }
+        }
+    }
+
+    #[inline(always)]
+    fn coefficient_block<const N: usize>(
+        &self,
+        j: usize,
+        x_j: &[C32],
+        x_rest: &[C32],
+        xs: &[C32],
+        t: &mut [C32],
+    ) {
+        let (top, _) = self.block::<N>(j);
+        let d = dotc_cols(top, x_rest, xs);
+        for ((tv, dv), &p) in t.iter_mut().zip(d).zip(&x_j[j..]) {
+            *tv = dv + p;
+        }
+    }
+
     /// Write column `r` of the right factor `W` (tile `= C·Wᴴ`) into `dst`:
     /// `e_{J[r]}` plus column `r` of `X` on the other columns' rows.
-    pub(crate) fn copy_w_col(&self, r: usize, dst: &mut [C32]) {
+    fn copy_w_col(&self, r: usize, dst: &mut [C32]) {
         dst.fill(CZERO);
         dst[self.perm.get(r)] = C32::new(1.0, 0.0);
         for (k, &v) in self.x_col(r).iter().enumerate() {
@@ -313,28 +348,53 @@ impl Skeleton {
         LowRank::new(self.c(), w)
     }
 
-    /// `y += C·(x_J + Xᴴ x̃)`, block by block of four panel columns (the
-    /// last of three, two or one): `t = x_J + Xᴴ x̃` of the block from the
-    /// conjugated-dot lanes, then `y += C t` of the same columns. `scratch`
-    /// holds at least `2n` entries: the tile's ordering of `x`, and the
-    /// swapped copy of `x̃`.
+    /// `y += C·(x_J + Xᴴ x̃)`: the gather of `x` into `scratch` (at least
+    /// `2n` entries: the tile's ordering of `x`, and the swapped copy of
+    /// `x̃`), then [`Skeleton::forward_acc`] over every column.
     #[inline]
     pub(crate) fn apply_acc_fast(&self, x: &[C32], scratch: &mut [C32], y: &mut [C32]) {
-        let (r, n) = (self.rank(), self.perm.len());
+        let r = self.rank();
         if r == 0 {
             return;
         }
-        let (xp, xs) = scratch.split_at_mut(n);
-        let (x_j, x_rest) = xp.split_at_mut(r);
-        let xs = &mut xs[..n - r];
-        self.perm.gather_split(x, x_j, x_rest, xs);
+        self.gather(x, scratch);
+        self.forward_acc(0..r, scratch, y);
+    }
+
+    /// `y += C[:, cols]·(x_J + Xᴴ x̃)[cols]` from the scratch
+    /// [`Skeleton::gather`] filled, block by block of four panel columns
+    /// from `cols.start` (the last of three, two or one): `t = x_J + Xᴴ x̃`
+    /// of the block from the conjugated-dot lanes, then `y += C t` of the
+    /// same columns.
+    #[inline]
+    pub(crate) fn forward_acc(&self, cols: Range<usize>, gathered: &[C32], y: &mut [C32]) {
+        let (x_j, x_rest, xs) = self.gathered(gathered);
         let mut block = |j: usize, width: usize| match width {
             1 => self.forward_block::<1>(j, x_j, x_rest, xs, y),
             2 => self.forward_block::<2>(j, x_j, x_rest, xs, y),
             3 => self.forward_block::<3>(j, x_j, x_rest, xs, y),
             _ => self.forward_block::<4>(j, x_j, x_rest, xs, y),
         };
-        (0..r).step_by(4).for_each(|j| block(j, r - j));
+        cols.clone().step_by(4).for_each(|j| block(j, cols.end - j));
+    }
+
+    /// Fill the head of `scratch` (at least `2n` entries) with the tile's
+    /// ordering of `x` — `x_J`, then `x̃` — and the swapped copy of `x̃`.
+    #[inline]
+    pub(crate) fn gather(&self, x: &[C32], scratch: &mut [C32]) {
+        let (r, n) = (self.rank(), self.perm.len());
+        let (xp, xs) = scratch.split_at_mut(n);
+        let (x_j, x_rest) = xp.split_at_mut(r);
+        self.perm.gather_split(x, x_j, x_rest, &mut xs[..n - r]);
+    }
+
+    /// What [`Skeleton::gather`] wrote: `x_J`, `x̃` and the swapped `x̃`.
+    #[inline]
+    fn gathered<'s>(&self, gathered: &'s [C32]) -> (&'s [C32], &'s [C32], &'s [C32]) {
+        let (r, n) = (self.rank(), self.perm.len());
+        let (x_j, rest) = gathered.split_at(r);
+        let (x_rest, xs) = rest.split_at(n - r);
+        (x_j, x_rest, &xs[..n - r])
     }
 
     #[inline(always)]

@@ -93,9 +93,10 @@ impl StationGrid {
 /// Full ocean-bottom acquisition geometry: a source grid near the surface
 /// and a receiver grid along the seafloor.
 ///
-/// [`Acquisition::overthrust_paper`] reproduces the paper's §6.1 setup;
-/// [`Acquisition::scaled`] shrinks it for laptop-scale runs while keeping
-/// the aspect ratios and spacings.
+/// [`Acquisition::scaled_with`] at scale 1 and 20 m spacing is the
+/// paper's §6.1 setup — 217×120 sources at 10 m, 177×90 receivers at
+/// 300 m; larger scales shrink it for laptop-scale runs while keeping
+/// the aspect ratios.
 #[derive(Clone, Debug)]
 pub struct Acquisition {
     /// Source grid (10 m depth in the paper).
@@ -105,40 +106,6 @@ pub struct Acquisition {
 }
 
 impl Acquisition {
-    /// The paper's geometry: 217×120 sources at 10 m, 177×90 receivers at
-    /// 300 m, 20 m spacing in both directions (§6.1).
-    pub fn overthrust_paper() -> Self {
-        Self {
-            sources: StationGrid {
-                nx: 217,
-                ny: 120,
-                dx: 20.0,
-                dy: 20.0,
-                x0: 0.0,
-                y0: 0.0,
-                depth: 10.0,
-            },
-            receivers: StationGrid {
-                nx: 177,
-                ny: 90,
-                dx: 20.0,
-                dy: 20.0,
-                x0: 0.0,
-                y0: 0.0,
-                depth: 300.0,
-            },
-        }
-    }
-
-    /// Scaled-down geometry preserving the paper's ~1.21 source:receiver
-    /// aspect. `scale` divides the station counts (e.g. `scale = 8` gives
-    /// 27×15 sources and 22×11 receivers) while the spacing grows so the
-    /// total aperture is preserved.
-    pub fn scaled(scale: usize) -> Self {
-        let s = scale.max(1);
-        Self::scaled_with(scale, 20.0 * s as f64)
-    }
-
     /// Scaled-down geometry with an explicit station spacing.
     ///
     /// Keeping the spacing near the paper's 20 m (instead of stretching it
@@ -186,7 +153,7 @@ mod tests {
 
     #[test]
     fn paper_geometry_counts() {
-        let acq = Acquisition::overthrust_paper();
+        let acq = Acquisition::scaled_with(1, 20.0);
         assert_eq!(acq.n_sources(), 26040);
         assert_eq!(acq.n_receivers(), 15930);
     }
@@ -219,8 +186,8 @@ mod tests {
 
     #[test]
     fn scaled_preserves_extent_roughly() {
-        let full = Acquisition::overthrust_paper();
-        let small = Acquisition::scaled(8);
+        let full = Acquisition::scaled_with(1, 20.0);
+        let small = Acquisition::scaled_with(8, 160.0);
         let full_extent = full.sources.nx as f64 * full.sources.dx;
         let small_extent = small.sources.nx as f64 * small.sources.dx;
         assert!((full_extent - small_extent).abs() / full_extent < 0.05);

@@ -523,7 +523,7 @@ pub(crate) mod tests {
 
     fn setup() -> (Acquisition, VelocityModel, ModelingConfig) {
         (
-            Acquisition::scaled(24),
+            Acquisition::scaled_with(24, 480.0),
             VelocityModel::overthrust(),
             ModelingConfig::default(),
         )

@@ -3,9 +3,11 @@
 //! reduction — while accumulating the cycle model. Used to prove the
 //! mapping computes the right answer.
 //!
-//! The arithmetic is the layout's own [`ChunkRun`] over views of the
-//! column stacks, the run [`tlr_mvm::CommAvoiding::apply_chunked`] makes,
-//! so the two agree bit for bit; this module adds the cost model. The
+//! The arithmetic is the layout's own [`ChunkRun`] over its rank chunks —
+//! views of the matrix's tiles — the run
+//! [`tlr_mvm::CommAvoiding::apply_chunked`] makes, so the two agree bit
+//! for bit; this module adds the cost model, which reads each chunk's
+//! modelled shape (`(cl + nb)·w` SRAM words), not its storage. The
 //! split-complex arithmetic of a PE is modelled in [`crate::csl`].
 
 use seismic_la::scalar::C32;
@@ -131,8 +133,23 @@ fn trace_pe_groups(chunks: &[RankChunk], nb: usize, cfg: &Cs2Config) {
 mod tests {
     use super::*;
     use seismic_la::blas::gemv;
+    use seismic_la::scalar::C64;
     use seismic_la::Matrix;
-    use tlr_mvm::{compress, CommAvoiding, CompressionConfig, CompressionMethod, ToleranceMode};
+    use tlr_mvm::{
+        compress, CommAvoiding, CompressionConfig, CompressionMethod, Skeleton, Tile, Tiling,
+        TlrMatrix, ToleranceMode,
+    };
+
+    /// Per stack width 1, 3, 5, 12 and `usize::MAX` on [`ragged_store`]:
+    /// chunks, Σ width, Σ row_len, Σ row_span, Σ stored_elements, then
+    /// `fmacs` and `worst_cycles` of strategy 1 and of strategy 2.
+    const RAGGED_MODEL: [[u64; 9]; 5] = [
+        [99, 99, 2304, 2304, 4458, 17544, 3696, 17544, 462],
+        [34, 99, 2304, 910, 4458, 17544, 4288, 17544, 536],
+        [21, 99, 2304, 606, 4458, 17544, 4880, 17544, 610],
+        [10, 99, 2304, 374, 4458, 17544, 6952, 17544, 869],
+        [4, 99, 2304, 258, 4458, 17544, 14944, 17544, 1868],
+    ];
 
     fn kernel(m: usize, n: usize) -> Matrix<C32> {
         Matrix::from_fn(m, n, |i, j| {
@@ -265,6 +282,135 @@ mod tests {
             Strategy::FusedSinglePe,
             &cfg,
         );
+    }
+
+    /// A ragged 70×106 store at `nb` 24 built by hand, the one
+    /// `tests/support/ragged_store.rs` builds: per tile, column-major, a
+    /// skeleton of the listed rank or, for `None`, a dense block. It holds
+    /// dense tiles, rank-0 tiles, a rank-0 tile column (2), `r = n` and a
+    /// rank of every residue mod 4; the entries are exact sevenths in
+    /// `[−2, 2]`.
+    fn ragged_store() -> TlrMatrix {
+        const RANKS: [Option<usize>; 15] = [
+            Some(5),
+            None,
+            Some(0),
+            Some(1),
+            Some(6),
+            Some(3),
+            Some(0),
+            Some(0),
+            Some(0),
+            Some(4),
+            Some(11),
+            None,
+            Some(2),
+            Some(10),
+            Some(9),
+        ];
+        let tiling = Tiling::new(70, 106, 24);
+        let entry = |salt: usize| {
+            move |i: usize, j: usize| {
+                let part = |k: usize| ((k * 37 + salt * 11) % 29) as f32 / 7.0 - 2.0;
+                C32::new(part(i * 31 + j), part(i * 31 + j + 13))
+            }
+        };
+        let tiles = RANKS
+            .iter()
+            .enumerate()
+            .map(|(t, rank)| {
+                let (_, m) = tiling.row_range(t % tiling.tile_rows());
+                let (_, n) = tiling.col_range(t / tiling.tile_rows());
+                match *rank {
+                    None => Tile::Dense(Matrix::from_fn(m, n, entry(3 * t))),
+                    Some(r) => {
+                        let order: Vec<usize> = (0..n).map(|k| (k * 7 + 3) % n).collect();
+                        Tile::LowRank(Skeleton::new(
+                            &Matrix::from_fn(m, r, entry(3 * t + 1)),
+                            &Matrix::from_fn(n - r, r, entry(3 * t + 2)),
+                            &order,
+                        ))
+                    }
+                }
+            })
+            .collect();
+        TlrMatrix::new(
+            tiling,
+            tiles,
+            CompressionConfig::paper_default().with_nb(24),
+        )
+    }
+
+    /// `‖got − A x‖ / (‖A‖_F‖x‖)` against the store's reconstruction in
+    /// `f64`.
+    fn relative_error(t: &TlrMatrix, x: &[C32], got: &[C32]) -> f64 {
+        let a = t.reconstruct();
+        let (mut err, mut fro) = (0.0f64, 0.0f64);
+        for (i, g) in got.iter().enumerate() {
+            let mut want = C64::new(0.0, 0.0);
+            for (j, xj) in x.iter().enumerate() {
+                want += a[(i, j)].widen() * xj.widen();
+                fro += a[(i, j)].widen().norm_sqr();
+            }
+            err += (g.widen() - want).norm_sqr();
+        }
+        let xn = x.iter().map(|v| v.widen().norm_sqr()).sum::<f64>();
+        (err / (fro * xn)).sqrt()
+    }
+
+    /// On the ragged store, at stack widths that start and end chunks
+    /// inside tiles' rank ranges (1, 3, 5, 12) and at one chunk per tile
+    /// column, the comm-avoiding apply, the chunked apply and the
+    /// simulator's run are the reconstruction's product to four units of
+    /// `f32` rounding relative to `‖A‖_F‖x‖`, and the simulator's run is
+    /// the chunked apply's bits.
+    #[test]
+    fn exec_on_a_ragged_store_matches_the_dense_reconstruction() {
+        let t = ragged_store();
+        assert_eq!((t.dense_tiles(), t.column_rank(2)), (2, 0));
+        let ca = CommAvoiding::new(&t);
+        let (x, cfg) = (test_x(106), Cs2Config::default());
+        let bound = 4.0 * f64::from(f32::EPSILON);
+        let whole = ca.apply(&x);
+        assert!(relative_error(&t, &x, &whole) <= bound);
+        for sw in [1usize, 3, 5, 12, usize::MAX] {
+            let chunked = ca.apply_chunked(&x, sw);
+            let err = relative_error(&t, &x, &chunked);
+            assert!(err <= bound, "sw={sw}: {err:e}");
+            let run = execute_chunks(&ca.chunks(sw), &x, 70, 24, Strategy::FusedSinglePe, &cfg);
+            assert!(run.y == chunked, "sw={sw}: execute_chunks is apply_chunked");
+        }
+    }
+
+    /// The simulator's model reads the layout's shapes, not its storage:
+    /// on the ragged store, per stack width, the chunk count, the sums of
+    /// `width`, `row_len`, `row_span` and `stored_elements` (the modelled
+    /// `(cl + nb)·w` SRAM words), and `execute_chunks`' `fmacs` and
+    /// `worst_cycles` under both strategies — values the stacked-copy
+    /// layout gave.
+    #[test]
+    fn exec_model_of_a_ragged_store_is_pinned() {
+        let ca = CommAvoiding::new(&ragged_store());
+        let (x, cfg) = (test_x(106), Cs2Config::default());
+        let mut got = Vec::new();
+        for sw in [1usize, 3, 5, 12, usize::MAX] {
+            let chunks = ca.chunks(sw);
+            let sum = |f: &dyn Fn(&RankChunk) -> usize| chunks.iter().map(f).sum::<usize>();
+            let run = |s| execute_chunks(&chunks, &x, 70, 24, s, &cfg);
+            let (s1, s2) = (run(Strategy::FusedSinglePe), run(Strategy::ScatterEightPes));
+            got.push([
+                chunks.len() as u64,
+                sum(&|c| c.width()) as u64,
+                sum(&|c| c.row_len().iter().sum()) as u64,
+                sum(&|c| c.row_span().len()) as u64,
+                sum(&|c| c.stored_elements()) as u64,
+                s1.fmacs,
+                s1.worst_cycles,
+                s2.fmacs,
+                s2.worst_cycles,
+            ]);
+        }
+        assert_eq!(got, RAGGED_MODEL);
     }
 
     #[test]

@@ -10,19 +10,25 @@
 //!
 //! The comm-avoiding forms are also held to each other bit for bit:
 //! `CommAvoiding::apply` is `apply_chunked` with one chunk per column
-//! stack, and `wse::execute_chunks` runs the same `ChunkRun`.
+//! stack, and `wse::execute_chunks` runs the same `ChunkRun`. On a ragged
+//! store built by hand (`support/ragged_store.rs`) the layouts are held
+//! at stack widths that cut tiles mid-rank, and the three-phase layout
+//! phase by phase.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use seismic_la::blas::{gemv, gemv_conj_transpose};
+use seismic_la::blas::{gemv, gemv_acc, gemv_conj_transpose};
 use seismic_la::scalar::{C32, C64};
 use seismic_la::Matrix;
 use seismic_mdd::MdcOperator;
 use tlr_mvm::{
-    compress, CommAvoiding, CompressionConfig, CompressionMethod, LinearOperator, ThreePhase,
+    compress, CommAvoiding, CompressionConfig, CompressionMethod, LinearOperator, ThreePhase, Tile,
     TlrMatrix, ToleranceMode,
 };
 use wse_sim::{execute_chunks, Cs2Config, Strategy};
+
+#[path = "support/ragged_store.rs"]
+mod ragged_store;
 
 const M: usize = 67;
 const N: usize = 53;
@@ -267,4 +273,120 @@ fn the_mdc_sweeps_match_the_dense_reconstructions() {
             KERNEL_BOUND,
         );
     }
+}
+
+/// Tile `(i, j)` as the factor pair `(U, W)` it stands for, in `f64`: a
+/// skeleton's `(C, Π·[I; X])`, a dense block's `(A, I)`.
+fn factor_pair(t: &TlrMatrix, i: usize, j: usize) -> (Matrix<C64>, Matrix<C64>) {
+    let wide = |a: &Matrix<C32>| Matrix::from_fn(a.nrows(), a.ncols(), |r, c| a[(r, c)].widen());
+    match t.tile(i, j) {
+        Tile::LowRank(s) => {
+            let pair = s.factors();
+            (wide(&pair.u), wide(&pair.v))
+        }
+        Tile::Dense(a) => {
+            let one = |r, c| C64::new(if r == c { 1.0 } else { 0.0 }, 0.0);
+            (wide(a), Matrix::from_fn(a.ncols(), a.ncols(), one))
+        }
+    }
+}
+
+fn fro(a: &Matrix<C64>) -> f64 {
+    norm(a.as_slice())
+}
+
+/// On the ragged store the comm-avoiding apply, `apply_chunked` and
+/// `execute_chunks` hold the kernel bound at stack widths 1, 3, 5 and 12,
+/// which start and end chunks inside tiles' rank ranges, and at one chunk
+/// per tile column. The three-phase layout is held phase by phase: the V
+/// batch against `W_ijᴴ x_j` of every tile's factor pair (bound
+/// `4ε·(Σ‖W_ij‖²‖x_j‖²)^½`), the shuffle as the exact reordering from
+/// tile-column to tile-row order, and the U batch against `Σ_j U_ij t_ij`
+/// of the coefficients it was given (bound `4ε·‖U‖_F‖t‖`).
+#[test]
+fn the_layouts_on_a_ragged_store_match_the_dense_reconstruction() {
+    let t = ragged_store::ragged_store();
+    let ((m, n), nb, tiling) = (t.shape(), t.tiling().nb, *t.tiling());
+    let d = Dense::of(&t);
+    let x = probe(n, 0.0);
+    let x64 = widen(&x);
+    let ax = d.apply(&x64);
+    let forward = |what: &str, got: &[C32]| {
+        check(what, got, &ax, d.fro * norm(&x64), KERNEL_BOUND);
+    };
+
+    let (ca, cfg) = (CommAvoiding::new(&t), Cs2Config::default());
+    forward("CommAvoiding::apply", &ca.apply(&x));
+    for width in [1, 3, 5, 12, usize::MAX] {
+        forward(
+            &format!("apply_chunked({width})"),
+            &ca.apply_chunked(&x, width),
+        );
+        let run = execute_chunks(&ca.chunks(width), &x, m, nb, Strategy::FusedSinglePe, &cfg);
+        forward(&format!("execute_chunks({width})"), &run.y);
+    }
+
+    let tp = ThreePhase::new(&t);
+    let k = tp.total_rank();
+    assert_eq!(k, t.total_rank());
+    let (mut yv, mut yu, mut y) = (
+        vec![C32::new(0.0, 0.0); k],
+        vec![C32::new(0.0, 0.0); k],
+        vec![C32::new(0.0, 0.0); m],
+    );
+    tp.v_batch_into(&x, &mut yv);
+    let (mut v_want, mut v_scale) = (vec![], 0.0);
+    for j in 0..tiling.tile_cols() {
+        let (c0, cl) = tiling.col_range(j);
+        for i in 0..tiling.tile_rows() {
+            let (_, w) = factor_pair(&t, i, j);
+            let mut coeff = vec![C64::new(0.0, 0.0); w.ncols()];
+            gemv_conj_transpose(&w, &x64[c0..c0 + cl], &mut coeff);
+            v_want.extend(coeff);
+            v_scale += (fro(&w) * norm(&x64[c0..c0 + cl])).powi(2);
+        }
+    }
+    check(
+        "ThreePhase::v_batch_into",
+        &yv,
+        &v_want,
+        v_scale.sqrt(),
+        KERNEL_BOUND,
+    );
+
+    tp.shuffle_into(&yv, &mut yu);
+    // Where tile (i, j)'s coefficients start in V order: column by column.
+    let v_at = |i: usize, j: usize| -> usize {
+        (0..j).map(|c| t.column_rank(c)).sum::<usize>()
+            + (0..i).map(|r| t.rank(r, j)).sum::<usize>()
+    };
+    let mut u_order = Vec::with_capacity(k);
+    for i in 0..tiling.tile_rows() {
+        for j in 0..tiling.tile_cols() {
+            u_order.extend_from_slice(&yv[v_at(i, j)..][..t.rank(i, j)]);
+        }
+    }
+    assert_eq!(bits(&yu), bits(&u_order), "ThreePhase::shuffle_into");
+
+    tp.u_batch_into(&yu, &mut y);
+    let (mut y_want, mut u_fro, mut q) = (vec![C64::new(0.0, 0.0); m], 0.0f64, 0);
+    for i in 0..tiling.tile_rows() {
+        let (r0, rl) = tiling.row_range(i);
+        for j in 0..tiling.tile_cols() {
+            let (u, _) = factor_pair(&t, i, j);
+            let coeff = widen(&yu[q..q + u.ncols()]);
+            gemv_acc(&u, &coeff, &mut y_want[r0..r0 + rl]);
+            u_fro += fro(&u).powi(2);
+            q += u.ncols();
+        }
+    }
+    let u_scale = u_fro.sqrt() * norm(&widen(&yu));
+    check(
+        "ThreePhase::u_batch_into",
+        &y,
+        &y_want,
+        u_scale,
+        KERNEL_BOUND,
+    );
+    forward("ThreePhase::apply", &tp.apply(&x));
 }

@@ -15,9 +15,12 @@ use seismic_la::Matrix;
 use seismic_mdd::{lsqr, LsqrOptions};
 use tlr_mvm::json::Json;
 use tlr_mvm::{
-    compress, three_phase_cost, trace, CompressionConfig, CompressionMethod, ThreePhase,
-    ToleranceMode,
+    compress, three_phase_cost, trace, CommAvoiding, CompressionConfig, CompressionMethod,
+    ThreePhase, ToleranceMode,
 };
+
+#[path = "support/ragged_store.rs"]
+mod ragged_store;
 
 static TRACE_LOCK: Mutex<()> = Mutex::new(());
 
@@ -190,6 +193,46 @@ fn traced_bytes_match_cost_model() {
         assert!(err < 0.10, "{phase}: traced {got} vs model {want}");
     }
 }
+
+/// The §6.6 costs the layouts trace come from their index tables, not
+/// from what they store: on the ragged store (dense tiles, a rank-0 tile
+/// column) one three-phase apply and one comm-avoiding apply at stack
+/// width 5 record, per phase, the `(flops, relative bytes, absolute
+/// bytes)` the stacked-copy layouts recorded.
+#[test]
+fn traced_layout_costs_of_a_ragged_store_are_pinned() {
+    let _g = locked();
+    let t = ragged_store::ragged_store();
+    let (tp, ca) = (ThreePhase::new(&t), CommAvoiding::new(&t));
+    let x = test_x(t.shape().1);
+    trace::reset();
+    trace::set_enabled(true);
+    let _y = tp.apply(&x);
+    let _y = ca.apply_chunked(&x, 5);
+    trace::set_enabled(false);
+    let rep = trace::snapshot();
+    let got = [
+        "tlr_mvm.v_batch",
+        "tlr_mvm.shuffle",
+        "tlr_mvm.u_batch",
+        "comm_avoiding.fused",
+        "comm_avoiding.host_reduce",
+    ]
+    .map(|phase| {
+        let s = rep.phase(phase).map(|p| p.stats).unwrap_or_default();
+        (s.flops, s.relative_bytes, s.absolute_bytes)
+    });
+    assert_eq!(got, RAGGED_COSTS);
+}
+
+/// V batch, shuffle, U batch, fused chunks and host reduction.
+const RAGGED_COSTS: [(u64, u64, u64); 5] = [
+    (16656, 36208, 101248),
+    (0, 1584, 1584),
+    (18432, 39568, 112176),
+    (35664, 77344, 216880),
+    (0, 5408, 5408),
+];
 
 /// What `repro --trace` writes is what DESIGN.md §9 documents: the
 /// artifact of a small traced run goes through the one writer, the text
