@@ -725,9 +725,11 @@ pub fn traced_timeline_sample() {
     std::hint::black_box(res.y.len());
 }
 
-/// Traced applies per config in [`phase_breakdown`] — enough for the
-/// wall-clock split to be measurable without slowing `repro table2` down.
-const BREAKDOWN_REPS: u64 = 8;
+/// Traced applies per config in [`phase_breakdown`]. At 8 the wall-clock
+/// split was bimodal on a 2-vCPU host even after a warm-up apply (a
+/// config's phases read a few µs or 50–150 µs per apply); 64 average the
+/// slow applies away for about 10 ms more of `repro table2 --trace`.
+const BREAKDOWN_REPS: u64 = 64;
 
 /// Per-phase observability row for one validated `(nb, acc)` config:
 /// *measured* (traced) wall time and §6.6 bytes for the V-batch /
@@ -836,6 +838,10 @@ pub fn phase_breakdown() -> Vec<PhaseBreakdownRow> {
             let x: Vec<C32> = (0..a.ncols())
                 .map(|i| C32::new((i as f32 * 0.17).sin(), (i as f32 * 0.31).cos()))
                 .collect();
+            // One untraced apply first, so no traced one pays the cold
+            // start (the pool's workers asleep since the compression).
+            trace::set_enabled(false);
+            let _warm = tp.apply(&x);
             trace::reset();
             trace::set_enabled(true);
             for _ in 0..BREAKDOWN_REPS {

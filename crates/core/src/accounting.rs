@@ -9,9 +9,10 @@
 //!   per column sweep: `4·(3·M·N + N)`;
 //! * flops: `2·M·N` (one fmac = 2 flops).
 //!
-//! A complex MVM executes as four real MVMs (see [`crate::real4`]), so the
-//! TLR-MVM totals below multiply the per-basis counts by 4 for the V batch
-//! plus 4 for the U batch.
+//! A complex MVM executes as four real MVMs (the CS-2 SDK has no complex
+//! kernel: `y_re = A_re·x_re − A_im·x_im`, `y_im = A_re·x_im + A_im·x_re`),
+//! so the TLR-MVM totals below multiply the per-basis counts by 4 for the
+//! V batch plus 4 for the U batch.
 
 use crate::matrix::TlrMatrix;
 use crate::precision::to_u64;

@@ -17,8 +17,6 @@
 //!   units. Both are forward-only views of the matrix's tiles (index
 //!   tables, no base copied); the matrix's own apply and adjoint are the
 //!   operator the solver runs.
-//! * [`real4`] — complex MVMs as four real FP32 MVMs (§6.6): the PE SRAM
-//!   image and host reference for the WSE simulator's CSL kernel.
 //! * [`accounting`] — the paper's relative/absolute byte formulas and flop
 //!   counts (§6.6, §7.1), and the §8 TLR-MMM cost model.
 //! * [`ops`] — the [`LinearOperator`] abstraction used by the MDD solver.
@@ -83,7 +81,6 @@ pub mod layouts;
 pub mod matrix;
 pub mod ops;
 pub mod precision;
-pub mod real4;
 pub mod skeleton;
 pub mod telemetry;
 pub mod tiling;
@@ -104,6 +101,5 @@ pub use layouts::{ChunkRun, ColumnStack, CommAvoiding, RankChunk, ThreePhase, Th
 pub use matrix::{Tile, TlrMatrix};
 pub use ops::LinearOperator;
 pub use precision::{bf16_to_f32, f32_to_bf16, Bf16Matrix, Bf16TlrMatrix};
-pub use real4::{split_vec, RealSplitMatrix};
 pub use skeleton::Skeleton;
 pub use tiling::Tiling;

@@ -7,8 +7,9 @@
 //! views of the matrix's tiles — the run
 //! [`tlr_mvm::CommAvoiding::apply_chunked`] makes, so the two agree bit
 //! for bit; this module adds the cost model, which reads each chunk's
-//! modelled shape (`(cl + nb)·w` SRAM words), not its storage. The
-//! split-complex arithmetic of a PE is modelled in [`crate::csl`].
+//! modelled shape (`(cl + nb)·w` SRAM words), not its storage: the eight
+//! real MVMs a PE runs on split-complex operands are counted by
+//! [`crate::cycles`], not executed.
 
 use seismic_la::scalar::C32;
 use tlr_mvm::layouts::{ChunkRun, RankChunk};

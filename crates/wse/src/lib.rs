@@ -19,11 +19,6 @@
 //! * [`exec`] — functional execution of rank chunks as virtual PEs (the
 //!   layout's own chunk kernel + host reduction, with the cycle model),
 //!   proving the mapping computes the same answer as the host TLR-MVM.
-//! * [`csl`] — a miniature CSL interpreter: the per-PE TLR kernel as an
-//!   instruction stream executed against simulated SRAM, producing the
-//!   numeric result and exact cycle/byte counts from the same program.
-//! * [`program`] — per-PE instruction schedules whose derived cycle
-//!   counts match the closed-form model.
 //! * [`verify`] — static plan verification: every SRAM/PE/fabric bound
 //!   checked against a plan before placement, reported as structured
 //!   diagnostics (rule id, location, severity).
@@ -48,28 +43,24 @@
     )
 )]
 
-pub mod csl;
 pub mod cycles;
 pub mod energy;
 pub mod exec;
 pub mod io;
 pub mod machine;
 pub mod placement;
-pub mod program;
 pub mod roofline;
 pub mod shards;
 pub mod sram;
 pub mod verify;
 pub mod workload;
 
-pub use csl::{ChunkLayout, CslError, CslOp, CslStats, Pe};
 pub use cycles::{pe_cost, strategy1_phase_costs, strategy1_tasks, MvmTask, PeCost};
 pub use energy::{energy_report, energy_total_pj, EnergyReport};
 pub use exec::{execute_chunks, ExecResult};
 pub use io::{io_report, HostLink, IoReport};
 pub use machine::{Cluster, Cs2Config};
 pub use placement::{constant_size_bandwidth, place, PlaceError, PlacementReport, Strategy};
-pub use program::{mvm_program, Dsr, Instr, PeProgram};
 pub use roofline::{constant_rank_estimates, fig15_machines, fig16_machines, MachineDescriptor};
 pub use shards::{assign_shards, ShardAssignment, ShardStats};
 pub use sram::{plan_strategy1_pe, plan_strategy2_pe, SramError, SramPlan, SramPlanner};

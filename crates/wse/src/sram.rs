@@ -162,6 +162,17 @@ pub fn strategy1_vector_bytes(nb: usize, cl: usize, w: usize) -> usize {
     2 * 4 * cl + 2 * 4 * w + 2 * 2 * 4 * nb
 }
 
+/// Bytes of one strategy-1 chunk's full SRAM image: the four real bases
+/// [`plan_strategy1_pe`] places plus the split `x`, `yv` and `y` vectors
+/// (`cl`, `w` and `nb` elements), each array padded to the port width.
+/// The static verifier bounds it against the whole PE SRAM (WV05).
+pub fn strategy1_image_bytes(nb: usize, cl: usize, w: usize) -> usize {
+    2 * [cl * w, nb * w, cl, w, nb]
+        .into_iter()
+        .map(|elems| pad8(4 * elems))
+        .sum::<usize>()
+}
+
 /// Plan the SRAM of one strategy-2 PE: a single real base matrix plus its
 /// vectors (the eight MVMs of a chunk are scattered over eight such PEs).
 pub fn plan_strategy2_pe(cfg: &Cs2Config, m: usize, n: usize) -> Result<SramPlan, SramError> {
@@ -196,8 +207,25 @@ mod tests {
     fn oversized_stack_width_rejected() {
         let cfg = Cs2Config::default();
         // One step beyond the paper's stack width must exceed the budget.
+        assert!(plan_strategy1_pe(&cfg, 70, 70, 24).is_err());
         assert!(plan_strategy1_pe(&cfg, 70, 70, 40).is_err());
         assert!(plan_strategy1_pe(&cfg, 25, 25, 200).is_err());
+    }
+
+    #[test]
+    fn chunk_images_at_the_table2_shapes_are_pinned() {
+        let cfg = Cs2Config::default();
+        for (nb, w, bytes) in [
+            (25usize, 64usize, 26_528usize),
+            (50, 32, 26_656),
+            (70, 23, 27_072),
+            (50, 18, 15_344),
+            (70, 14, 16_912),
+        ] {
+            let image = strategy1_image_bytes(nb, nb, w);
+            assert_eq!(image, bytes, "nb={nb} w={w}");
+            assert!(image <= cfg.sram_bytes, "nb={nb} w={w}: {image} B");
+        }
     }
 
     #[test]

@@ -2,12 +2,9 @@
 //! bound checked *before* anything is placed or executed.
 //!
 //! [`place`](crate::placement::place) discovers infeasible plans by
-//! failing mid-placement; the functional paths ([`exec`](crate::exec),
-//! [`csl`](crate::csl)) discover them as out-of-bounds SRAM accesses.
-//! This module re-derives every such bound from the same arithmetic
-//! ([`sram`](crate::sram) planners,
-//! [`chunk_census`](crate::workload::Workload::chunk_census),
-//! [`ChunkLayout`]) and
+//! failing mid-placement. This module re-derives every such bound from
+//! the same arithmetic ([`sram`](crate::sram) planners,
+//! [`chunk_census`](crate::workload::Workload::chunk_census)) and
 //! reports *all* violations at once as structured diagnostics, so a bad
 //! configuration is rejected with a rule id and location instead of a
 //! panic deep in a simulated run.
@@ -23,10 +20,11 @@ use std::fmt;
 
 use tlr_mvm::precision::to_u64;
 
-use crate::csl::{ChunkLayout, NUM_DSRS};
 use crate::machine::Cluster;
 use crate::placement::Strategy;
-use crate::sram::{plan_strategy1_pe, plan_strategy2_pe, strategy1_vector_bytes};
+use crate::sram::{
+    plan_strategy1_pe, plan_strategy2_pe, strategy1_image_bytes, strategy1_vector_bytes,
+};
 use crate::workload::Workload;
 
 /// How bad a diagnostic is.
@@ -80,7 +78,7 @@ pub const RULE_SRAM_BUDGET: &str = "WV02";
 pub const RULE_RUNTIME_RESERVATION: &str = "WV03";
 /// The plan needs more PEs than the cluster has.
 pub const RULE_PE_COUNT: &str = "WV04";
-/// The full chunk SRAM image or DSR demand exceeds the PE's resources.
+/// The full chunk SRAM image exceeds the PE's SRAM.
 pub const RULE_CHUNK_LAYOUT: &str = "WV05";
 /// The machine description itself is inconsistent.
 pub const RULE_MACHINE_GEOMETRY: &str = "WV06";
@@ -91,11 +89,16 @@ pub const RULE_WORKLOAD_SHAPE: &str = "WV07";
 /// SRAM tests demand of the runtime reservation.
 const CODE_BYTES_ESTIMATE: usize = 8 * 1024;
 
-/// DSR slots the fused strategy-1 kernel configures
-/// ([`ChunkLayout::emit_kernel`] uses ids 0–7).
+/// DSR file size of one PE.
+const NUM_DSRS: usize = 8;
+/// DSR slots the fused strategy-1 kernel configures: the real and
+/// imaginary streams of `V`, `x` (V phase) and `U`, `y` (U phase).
 const FUSED_KERNEL_DSRS: usize = 8;
 /// DSR slots one scattered real MVM needs (matrix, x, y streams).
 const SCATTER_KERNEL_DSRS: usize = 3;
+// Neither kernel's DSR demand depends on the plan, so WV05 checks it
+// here, at compile time.
+const _: () = assert!(FUSED_KERNEL_DSRS <= NUM_DSRS && SCATTER_KERNEL_DSRS <= NUM_DSRS);
 
 /// The verifier's output: every violated bound, not just the first.
 #[derive(Clone, Debug, Default)]
@@ -145,8 +148,8 @@ impl fmt::Display for VerifyReport {
 /// Checks, in order: machine-description consistency (`WV06`), workload
 /// shape invariants (`WV07`), stack-width bound (`WV01`), per-chunk SRAM
 /// bases budget via the exact [`sram`](crate::sram) planners (`WV02`),
-/// runtime-reservation accounting (`WV03`), full chunk-image and DSR
-/// bounds (`WV05`), and the cluster PE budget (`WV04`).
+/// runtime-reservation accounting (`WV03`), the full chunk-image bound
+/// (`WV05`), and the cluster PE budget (`WV04`).
 ///
 /// ```
 /// use wse_sim::{choose_stack_width, verify_plan, Cluster, RankModel, Strategy};
@@ -231,24 +234,16 @@ pub fn verify_plan(
                         ),
                     );
                 }
-                // WV05 — the CSL interpreter's full SRAM image and DSR file.
-                let layout = ChunkLayout::plan(nb, cl, w);
-                let image = layout.total_bytes();
+                // WV05 — the chunk's full SRAM image: bases and vectors.
+                let image = strategy1_image_bytes(nb, cl, w);
                 if image > cfg.sram_bytes {
                     report.error(
                         RULE_CHUNK_LAYOUT,
-                        loc.clone(),
+                        loc,
                         format!(
                             "chunk SRAM image {image} B exceeds the {} B PE SRAM",
                             cfg.sram_bytes
                         ),
-                    );
-                }
-                if FUSED_KERNEL_DSRS > NUM_DSRS {
-                    report.error(
-                        RULE_CHUNK_LAYOUT,
-                        loc.clone(),
-                        format!("fused kernel needs {FUSED_KERNEL_DSRS} DSRs, PE has {NUM_DSRS}"),
                     );
                 }
             }
@@ -266,20 +261,11 @@ pub fn verify_plan(
                 if CODE_BYTES_ESTIMATE > cfg.runtime_reserved_bytes {
                     report.error(
                         RULE_RUNTIME_RESERVATION,
-                        loc.clone(),
+                        loc,
                         format!(
                             "code estimate {CODE_BYTES_ESTIMATE} B exceeds the {} B \
                              runtime reservation",
                             cfg.runtime_reserved_bytes
-                        ),
-                    );
-                }
-                if SCATTER_KERNEL_DSRS > NUM_DSRS {
-                    report.error(
-                        RULE_CHUNK_LAYOUT,
-                        loc,
-                        format!(
-                            "scatter kernel needs {SCATTER_KERNEL_DSRS} DSRs, PE has {NUM_DSRS}"
                         ),
                     );
                 }
