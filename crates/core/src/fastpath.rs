@@ -9,10 +9,7 @@
 //! * [`gemv_conj_transpose_fast`] — `Aᴴx` for the V-batch: four columns ×
 //!   four complex lanes per step, written so that every float lane does
 //!   the same multiply-add and LLVM emits packed arithmetic (DESIGN.md
-//!   §12); [`gemv_conj_transpose_swapped`] is the same kernel for a
-//!   caller that already holds the swapped copy of `x` it reads
-//!   ([`swap_re_im`]) — [`crate::TlrMatrix::apply_adjoint_into`] makes it
-//!   once per input, not once per tile;
+//!   §12);
 //! * [`gemv_acc_fast`] — four-column register-blocked accumulation for
 //!   the U-batch (reads `y` once per four columns instead of once per
 //!   column).
@@ -20,7 +17,9 @@
 //! The conjugated dot of the V-batch kernel and of the skeleton tiles is
 //! `seismic_la::blas::dotc_lanes` (reached through
 //! [`seismic_la::blas::dotc_cols`]), the kernel the write side's QR and
-//! Jacobi factorisations run on too.
+//! Jacobi factorisations run on too; [`crate::TlrMatrix`]'s adjoint runs
+//! a tile column's dense tiles through its lane step as one stacked block
+//! (`seismic_la::blas::gemv_conj_transpose_stacked`).
 //!
 //! The inner loops carry no bounds checks and need no `unsafe` to get
 //! there: every operand is re-sliced to one shared length (or cut into
@@ -101,9 +100,7 @@ fn conj_transpose_block(a: &Matrix<C32>, r0: usize, x: &[C32], xs: &[C32], y: &m
 /// scalar. Here every lane is isomorphic (see `seismic_la::blas::dotc_lanes`): four
 /// columns advance in lockstep, four `C32` per step, against `x` and a
 /// swapped copy of `x` kept on the stack per `DOT_BLOCK`-row block;
-/// taller operands accumulate block by block. A caller that applies many
-/// operands to one `x` makes the copy itself and calls
-/// [`gemv_conj_transpose_swapped`].
+/// taller operands accumulate block by block.
 #[inline]
 pub fn gemv_conj_transpose_fast(a: &Matrix<C32>, x: &[C32], y: &mut [C32]) {
     assert_eq!(a.nrows(), x.len(), "gemv_h_fast: x length mismatch");
@@ -114,21 +111,6 @@ pub fn gemv_conj_transpose_fast(a: &Matrix<C32>, x: &[C32], y: &mut [C32]) {
         let xs = &mut swapped[..xb.len()];
         swap_re_im(xb, xs);
         conj_transpose_block(a, b * DOT_BLOCK, xb, xs, y);
-    }
-}
-
-/// [`gemv_conj_transpose_fast`] on a caller-owned swapped copy
-/// `xs = swap_re_im(x)`: the same blocks in the same order, so the same
-/// bits.
-#[inline]
-pub fn gemv_conj_transpose_swapped(a: &Matrix<C32>, x: &[C32], xs: &[C32], y: &mut [C32]) {
-    assert_eq!(a.nrows(), x.len(), "gemv_h_swapped: x length mismatch");
-    assert_eq!(x.len(), xs.len(), "gemv_h_swapped: xs length mismatch");
-    assert_eq!(a.ncols(), y.len(), "gemv_h_swapped: y length mismatch");
-    y.fill(C32::ZERO);
-    let blocks = x.chunks(DOT_BLOCK).zip(xs.chunks(DOT_BLOCK));
-    for (b, (xb, xsb)) in blocks.enumerate() {
-        conj_transpose_block(a, b * DOT_BLOCK, xb, xsb, y);
     }
 }
 
@@ -267,7 +249,7 @@ pub(crate) mod golden {
 mod tests {
     use super::golden::{fnv1a, golden, golden_vec};
     use super::*;
-    use seismic_la::blas::{gemv_acc, gemv_conj_transpose};
+    use seismic_la::blas::{gemv_acc, gemv_conj_transpose, gemv_conj_transpose_stacked};
     use seismic_la::scalar::{c32, C64};
     use seismic_la::C32;
 
@@ -326,6 +308,42 @@ mod tests {
             h[2] = fnv1a(h[2], &dst);
         }
         assert_eq!(h, GOLDEN_BITS, "{h:#018x?}");
+    }
+
+    const STACKED_GOLDEN_BITS: u64 = 0x7fd7_11b5_2d96_42dc;
+
+    /// The stacked dot's output bits (`gemv_conj_transpose_stacked`, the
+    /// dense half of `TlrMatrix`'s per-column adjoint), hashed over stacks
+    /// whose blocks end on every lane tail and widths that run every column
+    /// form — four in lockstep, three as four, two and one singly. The
+    /// same constant holds in debug and release builds.
+    #[test]
+    fn stacked_dot_golden_bits() {
+        let stacks: [&[usize]; 6] = [&[], &[2], &[8, 3], &[16, 16, 16], &[5, 0, 9, 1], &[7, 6, 4]];
+        let mut h = 0xcbf2_9ce4_8422_2325_u64;
+        for heights in stacks {
+            for n in (0..=9).chain([16]) {
+                let blocks: Vec<(Matrix<C32>, Vec<C32>, Vec<C32>)> = heights
+                    .iter()
+                    .enumerate()
+                    .map(|(b, &m)| {
+                        let a = Matrix::from_fn(m, n, |i, j| golden(i * 31 + j, b));
+                        let x = golden_vec(m, b + 1);
+                        let mut xs = vec![C32::ZERO; m];
+                        swap_re_im(&x, &mut xs);
+                        (a, x, xs)
+                    })
+                    .collect();
+                let stack: Vec<(&Matrix<C32>, &[C32], &[C32])> = blocks
+                    .iter()
+                    .map(|(a, x, xs)| (a, x.as_slice(), xs.as_slice()))
+                    .collect();
+                let mut y = golden_vec(n, 9);
+                gemv_conj_transpose_stacked(&stack, &mut y);
+                h = fnv1a(h, &y);
+            }
+        }
+        assert_eq!(h, STACKED_GOLDEN_BITS, "{h:#018x}");
     }
 
     #[test]

@@ -94,9 +94,7 @@ pub use accuracy::{probe_nmse, verify_compression_grids, ProbeEstimate};
 pub use compress::{
     compress, compress_blocks, compress_tile, CompressionConfig, CompressionMethod, ToleranceMode,
 };
-pub use fastpath::{
-    gather, gemv_acc_fast, gemv_conj_transpose_fast, gemv_conj_transpose_swapped, swap_re_im,
-};
+pub use fastpath::{gather, gemv_acc_fast, gemv_conj_transpose_fast, swap_re_im};
 pub use layouts::{ChunkRun, ColumnStack, CommAvoiding, RankChunk, ThreePhase, ThreePhaseScratch};
 pub use matrix::{Tile, TlrMatrix};
 pub use ops::LinearOperator;

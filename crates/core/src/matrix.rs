@@ -18,12 +18,12 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use rayon::prelude::*;
-use seismic_la::blas::{gemv_acc, gemv_conj_transpose_acc};
+use seismic_la::blas::{gemv_acc, gemv_conj_transpose_acc, gemv_conj_transpose_stacked};
 use seismic_la::scalar::C32;
 use seismic_la::Matrix;
 
 use crate::compress::CompressionConfig;
-use crate::fastpath::{axpy_blocks, gemv_acc_fast, gemv_conj_transpose_swapped, swap_re_im};
+use crate::fastpath::{axpy_blocks, gemv_acc_fast, swap_re_im};
 use crate::ops::subtract_scaled;
 use crate::skeleton::Skeleton;
 use crate::tiling::Tiling;
@@ -158,19 +158,6 @@ impl Tile {
             Tile::LowRank(s) => axpy_blocks(|c| s.c_col(c), 0..t.len(), t, y),
             Tile::Dense(a) => gemv_acc_fast(a, t, y),
         }
-    }
-}
-
-/// `x += Aᴴ y` for a tile stored dense: `t = Aᴴ y` on the fast kernel into
-/// the head of the caller's scratch (at least `A`'s column count long),
-/// then the add — what `x += I·(Aᴴ y)` computed, without the `I`. `ys` is
-/// `swap_re_im(y)`.
-#[inline]
-fn dense_adjoint_acc(a: &Matrix<C32>, y: &[C32], ys: &[C32], scratch: &mut [C32], x: &mut [C32]) {
-    let t = &mut scratch[..a.ncols()];
-    gemv_conj_transpose_swapped(a, y, ys, t);
-    for (xv, &tv) in x.iter_mut().zip(&*t) {
-        *xv += tv;
     }
 }
 
@@ -337,12 +324,11 @@ impl TlrMatrix {
         x
     }
 
-    /// `x = Ãᴴ y` into a caller-owned buffer: per skeleton tile
-    /// `s = Cᴴ y_i`, then `x_J += s` and `x̃ += X s` scattered back onto
-    /// `x_j`; per dense tile `x_j += A_ijᴴ y_i`. Parallel over tile
-    /// columns. The one scratch allocation holds the swapped copy of `y`
-    /// both conjugated dots read — made once here, not once per tile — and
-    /// one `nb` piece per tile column.
+    /// `x = Ãᴴ y` into a caller-owned buffer: one task per tile column,
+    /// each [`Self::column_adjoint`] into its `x_j`. The one scratch
+    /// allocation holds the swapped copy of `y` every conjugated dot
+    /// reads — made once here, not once per tile — and one `nb` piece per
+    /// tile column; each task lists its column's dense tiles in one `Vec`.
     pub fn apply_adjoint_into(&self, y: &[C32], x: &mut [C32]) {
         assert_eq!(y.len(), self.tiling.m, "input length mismatch");
         assert_eq!(x.len(), self.tiling.n, "output length mismatch");
@@ -355,34 +341,67 @@ impl TlrMatrix {
             .zip(scratch.par_chunks_mut(nb))
             .enumerate()
             .for_each(|(j, (seg, scratch))| {
-                seg.fill(CZERO);
-                for i in 0..self.tiling.tile_rows() {
-                    let (r0, rl) = self.tiling.row_range(i);
-                    let (yi, ysi) = (&y[r0..r0 + rl], &ys[r0..r0 + rl]);
-                    match self.tile(i, j) {
-                        Tile::LowRank(s) => s.apply_adjoint_acc_fast(yi, ysi, scratch, seg),
-                        Tile::Dense(a) => dense_adjoint_acc(a, yi, ysi, scratch, seg),
-                    }
-                }
+                let mut dense = Vec::with_capacity(self.tiling.tile_rows());
+                self.column_adjoint(j, y, ys, &mut dense, scratch, seg);
             });
     }
 
+    /// `z_j = Σ_i A_ijᴴ u_i` for tile column `j` (overwrite), the adjoint
+    /// both [`Self::apply_adjoint_into`] and
+    /// [`Self::adjoint_then_apply_into`] run. First the column's dense
+    /// tiles as one stacked block: every tile's rows against its own `u_i`
+    /// on one set of dot lanes, folded once per four columns
+    /// (`seismic_la::blas::gemv_conj_transpose_stacked`). Then each
+    /// skeleton in row order: `s = Cᴴ u_i`, `x̃ += X s`, `[s; x̃]`
+    /// scattered onto `z_j`. `us` is `swap_re_im(u)`; `dense` is the
+    /// caller's list, refilled here with the column's dense tiles;
+    /// `scratch` holds at least `nb` entries.
+    fn column_adjoint<'a>(
+        &'a self,
+        j: usize,
+        u: &'a [C32],
+        us: &'a [C32],
+        dense: &mut Vec<(&'a Matrix<C32>, &'a [C32], &'a [C32])>,
+        scratch: &mut [C32],
+        zj: &mut [C32],
+    ) {
+        let rows = |i: usize| {
+            let (r0, rl) = self.tiling.row_range(i);
+            (&u[r0..r0 + rl], &us[r0..r0 + rl])
+        };
+        dense.clear();
+        for i in 0..self.tiling.tile_rows() {
+            if let Tile::Dense(a) = self.tile(i, j) {
+                let (ui, usi) = rows(i);
+                dense.push((a, ui, usi));
+            }
+        }
+        gemv_conj_transpose_stacked(dense, zj);
+        for i in 0..self.tiling.tile_rows() {
+            if let Tile::LowRank(s) = self.tile(i, j) {
+                let (ui, usi) = rows(i);
+                s.apply_adjoint_acc_fast(ui, usi, scratch, zj);
+            }
+        }
+    }
+
     /// `v ← Ãᴴu − βv`, then `w ← Ãv`, in one sweep over the tiles in
-    /// storage order (tile-column-major): per tile column `j`, every
-    /// tile's adjoint kernel into `z_j` in row order, the update of `v_j`
-    /// — final the moment the column is done — and every tile's forward
-    /// kernel into its `w_i`, over the tiles the adjoint just pulled into
-    /// cache. The distance between a tile's two uses is one tile column
-    /// of the store, where [`Self::apply_adjoint_into`] followed by
-    /// [`Self::apply_into`] reads the whole store twice.
+    /// storage order (tile-column-major): per tile column `j`,
+    /// [`Self::column_adjoint`] into `z_j`, the update of `v_j` — final the
+    /// moment the column is done — and every tile's forward kernel into
+    /// its `w_i`, over the tiles the adjoint just pulled into cache. The
+    /// distance between a tile's two uses is one tile column of the store,
+    /// where [`Self::apply_adjoint_into`] followed by [`Self::apply_into`]
+    /// reads the whole store twice.
     ///
     /// Those two calls' kernels, scratch shapes and accumulation order per
-    /// output element (`z_j` over `i` ascending, `w_i` over `j`
+    /// output element (`z_j` by [`Self::column_adjoint`], `w_i` over `j`
     /// ascending), hence their bits. Serial: the parallelism is across the
     /// matrices of a frequency stack, one sweep each (a lone matrix keeps
     /// one thread busy). `z` is `n` long and ends up holding `Ãᴴu`; the
     /// one scratch allocation is the swapped copy of `u`, the adjoint
-    /// kernels' `nb` and the forward kernels' `2·nb`.
+    /// kernels' `nb` and the forward kernels' `2·nb`, and one `Vec` lists
+    /// each column's dense tiles in turn.
     pub fn adjoint_then_apply_into(
         &self,
         u: &[C32],
@@ -401,19 +420,12 @@ impl TlrMatrix {
         swap_re_im(u, us);
         let us = &*us;
         let (adjoint_scratch, forward_scratch) = scratch.split_at_mut(nb);
+        let mut dense = Vec::with_capacity(self.tiling.tile_rows());
         w.fill(CZERO);
         for j in 0..self.tiling.tile_cols() {
             let (c0, cl) = self.tiling.col_range(j);
             let (zj, vj) = (&mut z[c0..c0 + cl], &mut v[c0..c0 + cl]);
-            zj.fill(CZERO);
-            for i in 0..self.tiling.tile_rows() {
-                let (r0, rl) = self.tiling.row_range(i);
-                let (ui, usi) = (&u[r0..r0 + rl], &us[r0..r0 + rl]);
-                match self.tile(i, j) {
-                    Tile::LowRank(s) => s.apply_adjoint_acc_fast(ui, usi, adjoint_scratch, zj),
-                    Tile::Dense(a) => dense_adjoint_acc(a, ui, usi, adjoint_scratch, zj),
-                }
-            }
+            self.column_adjoint(j, u, us, &mut dense, adjoint_scratch, zj);
             subtract_scaled(zj, beta, vj);
             for i in 0..self.tiling.tile_rows() {
                 let (r0, rl) = self.tiling.row_range(i);
@@ -539,7 +551,7 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use seismic_la::blas::{dotc, gemv, gemv_conj_transpose};
-    use seismic_la::scalar::c32;
+    use seismic_la::scalar::{c32, C64};
 
     fn kernel(m: usize, n: usize) -> Matrix<C32> {
         Matrix::from_fn(m, n, |i, j| {
@@ -746,10 +758,13 @@ mod tests {
     }
 
     /// The dense branch computes what the `(A, I)` factor pair it replaces
-    /// computed: the identity product only ever added exact zeros, so the
-    /// two stores agree under `==` (which takes `+0` and `-0` as equal),
-    /// forward and adjoint, on every hostile grid and on a matrix mixing
-    /// dense, low-rank and rank-0 tiles in one tile row and one tile column.
+    /// computed, forward: the identity product only ever added exact
+    /// zeros, so the two stores agree under `==` (which takes `+0` and `-0`
+    /// as equal), on every hostile grid and on a matrix mixing dense,
+    /// low-rank and rank-0 tiles in one tile row and one tile column. The
+    /// adjoint sums a tile column's dense tiles on one set of dot lanes,
+    /// which the factor pairs do not, so there both stores are held to the
+    /// reconstruction in `f64` within `4ε₃₂·‖A‖_F·‖y‖`.
     #[test]
     fn dense_tiles_apply_as_the_factor_pairs_they_replace() {
         let mut stores: Vec<(&str, TlrMatrix)> = hostile_grids()
@@ -767,13 +782,115 @@ mod tests {
             let (m, n) = hybrid.shape();
             let (x, y) = (rand_vec(n, 91), rand_vec(m, 92));
             assert_eq!(hybrid.apply(&x), factors.apply(&x), "{name}: apply");
-            assert_eq!(
-                hybrid.apply_adjoint(&y),
-                factors.apply_adjoint(&y),
-                "{name}: adjoint"
-            );
+            let (want, bound) = adjoint_f64(&hybrid, &y);
+            for (store, tlr) in [("dense tiles", &hybrid), ("factor pairs", &factors)] {
+                let err = dist_f64(&tlr.apply_adjoint(&y), &want);
+                assert!(err <= bound, "{name}, {store}: adjoint {err} > {bound}");
+            }
         }
         assert!(dense_seen > 0);
+    }
+
+    /// `Ãᴴy` of the reconstruction in `f64`, and the bound a product of
+    /// the stored words in `f32` keeps to, `4ε₃₂·‖A‖_F·‖y‖`.
+    fn adjoint_f64(tlr: &TlrMatrix, y: &[C32]) -> (Vec<C64>, f64) {
+        let a = tlr.reconstruct();
+        let a = Matrix::from_fn(a.nrows(), a.ncols(), |i, j| a[(i, j)].widen());
+        let y: Vec<C64> = y.iter().map(|v| v.widen()).collect();
+        let mut want = vec![C64::new(0.0, 0.0); a.ncols()];
+        gemv_conj_transpose(&a, &y, &mut want);
+        let norm = |v: &[C64]| v.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt();
+        let bound = 4.0 * f64::from(f32::EPSILON) * norm(a.as_slice()) * norm(&y);
+        (want, bound)
+    }
+
+    fn dist_f64(got: &[C32], want: &[C64]) -> f64 {
+        assert_eq!(got.len(), want.len());
+        got.iter()
+            .zip(want)
+            .map(|(g, w)| (g.widen() - *w).norm_sqr())
+            .sum::<f64>()
+            .sqrt()
+    }
+
+    /// A store built by hand ([`hand_built_store`]) at `nb` 10 whose tile
+    /// columns are all skeleton (0), all dense (1), and mixed dense,
+    /// skeleton and rank 0 (2, and 3, seven wide: a block of four and a
+    /// tail of three); the last tile row is `last` rows high. The
+    /// skeletons' ranks cover every residue mod 4.
+    fn column_mix_store(last: usize) -> TlrMatrix {
+        const RANKS: [Option<usize>; 16] = [
+            Some(3),
+            Some(5),
+            Some(2),
+            Some(1),
+            None,
+            None,
+            None,
+            None,
+            None,
+            Some(4),
+            Some(0),
+            None,
+            Some(0),
+            None,
+            Some(6),
+            None,
+        ];
+        hand_built_store(Tiling::new(30 + last, 37, 10), &RANKS, 3)
+    }
+
+    const COLUMN_ADJOINT_BITS: u64 = 0x2e62_7e5b_352d_7c5f;
+
+    /// The per-column adjoint — a tile column's dense tiles on one set of
+    /// dot lanes, then its skeletons — against every tile through
+    /// [`Tile::apply_adjoint_acc`], within `4ε₃₂·‖A‖_F·‖y‖`, with a last
+    /// tile row of one, two and three rows; its output bits on those
+    /// stores hashed (two to four dense tiles per column, so the order
+    /// they are stacked in is pinned, as `sweep_golden_bits`' one per
+    /// column cannot; the same constant in debug and release builds); and
+    /// a NaN in one dense tile reaches the column of `x` its entry sits in
+    /// and no other, in a block of four, a single column and a tail of
+    /// three run as four.
+    #[test]
+    fn column_adjoint_stacks_the_dense_tiles_of_a_tile_column() {
+        let mut h = 0xcbf2_9ce4_8422_2325_u64;
+        for last in 1..=3 {
+            let tlr = column_mix_store(last);
+            let dense = [0, 1, 2, 3].map(|j| {
+                (0..4)
+                    .filter(|&i| matches!(tlr.tile(i, j), Tile::Dense(_)))
+                    .count()
+            });
+            assert_eq!(dense, [0, 4, 2, 2], "dense tiles per tile column");
+            assert_eq!(tlr.tile(2, 2).rank() + tlr.tile(0, 3).rank(), 0);
+            let y = rand_vec(tlr.shape().0, 99);
+            let got = tlr.apply_adjoint(&y);
+            let (_, bound) = adjoint_f64(&tlr, &y);
+            let d = f64::from(dist(&got, &reference_apply_adjoint(&tlr, &y)));
+            assert!(d <= bound, "last tile row {last}: {d} > {bound}");
+            h = fnv1a(h, &tlr.apply_adjoint(&golden_vec(tlr.shape().0, 7)));
+
+            for (i, j, row, col) in [(1, 1, 4, 1), (3, 1, 0, 9), (0, 2, 7, 3), (3, 3, 2, 6)] {
+                let mut tiles = tlr.tiles.to_vec();
+                let t = tlr.tiling.tile_index(i, j);
+                assert!(matches!(tiles[t], Tile::Dense(_)));
+                let mut poisoned = tiles[t].to_dense();
+                let row = row.min(poisoned.nrows() - 1);
+                poisoned[(row, col)] = C32::new(1.0, f32::NAN);
+                tiles[t] = Tile::Dense(poisoned);
+                let bad = TlrMatrix::new(tlr.tiling, tiles, tlr.config);
+                let (c0, _) = tlr.tiling.col_range(j);
+                for (k, v) in bad.apply_adjoint(&y).iter().enumerate() {
+                    assert_eq!(
+                        v.is_finite(),
+                        k != c0 + col,
+                        "NaN in tile ({i},{j}) column {col}: x[{k}] = {v}"
+                    );
+                }
+            }
+        }
+        assert_eq!(h, COLUMN_ADJOINT_BITS, "{h:#018x}");
     }
 
     /// The one-pass sweep runs the kernels of `apply_adjoint_into` followed
@@ -826,10 +943,10 @@ mod tests {
         assert!(nan(&v) > 0 && nan(&w) > 0, "the NaN reaches both outputs");
     }
 
-    /// A ragged 70×82 store at `nb` 24 built by hand, no compressor: per
-    /// tile (column-major) a skeleton of the listed rank or, for `None`, a
-    /// dense block. The ranks cover every residue mod 4 (the kernels'
-    /// block width), `r = n − 1`, `r = n` (an empty `X`) and rank 0.
+    /// A ragged 70×82 store at `nb` 24 built by hand
+    /// ([`hand_built_store`]). The ranks cover every residue mod 4 (the
+    /// kernels' block width), `r = n − 1`, `r = n` (an empty `X`) and
+    /// rank 0.
     fn golden_store() -> TlrMatrix {
         const RANKS: [Option<usize>; 12] = [
             Some(5),
@@ -845,8 +962,16 @@ mod tests {
             Some(10),
             Some(9),
         ];
-        let tiling = Tiling::new(70, 82, 24);
-        let tiles = RANKS
+        hand_built_store(Tiling::new(70, 82, 24), &RANKS, 7)
+    }
+
+    /// A store built by hand, no compressor: per tile (column-major) a
+    /// skeleton of the listed rank whose column order is
+    /// `k ↦ (k·step + 3) mod n`, or, for `None`, a dense block; the
+    /// entries are [`golden`] values. `step` must be prime to every tile
+    /// width.
+    fn hand_built_store(tiling: Tiling, ranks: &[Option<usize>], step: usize) -> TlrMatrix {
+        let tiles = ranks
             .iter()
             .enumerate()
             .map(|(t, rank)| {
@@ -856,7 +981,7 @@ mod tests {
                 match *rank {
                     None => Tile::Dense(Matrix::from_fn(m, n, entry(3 * t))),
                     Some(r) => {
-                        let order: Vec<usize> = (0..n).map(|k| (k * 7 + 3) % n).collect();
+                        let order: Vec<usize> = (0..n).map(|k| (k * step + 3) % n).collect();
                         Tile::LowRank(Skeleton::new(
                             &Matrix::from_fn(m, r, entry(3 * t + 1)),
                             &Matrix::from_fn(n - r, r, entry(3 * t + 2)),
@@ -866,14 +991,14 @@ mod tests {
                 }
             })
             .collect();
-        TlrMatrix::new(tiling, tiles, cfg(24, 1e-4))
+        TlrMatrix::new(tiling, tiles, cfg(tiling.nb, 1e-4))
     }
 
     const SWEEP_GOLDEN_BITS: [u64; 4] = [
         0x119e_e264_c612_85c4,
-        0xb8bc_71d7_d93d_2666,
-        0x5013_ff49_b582_2d7b,
-        0x8d60_cca1_25d4_ba86,
+        0x1bec_0c79_ec66_9cbd,
+        0x4362_73ab_e3cc_c569,
+        0xf2a9_c0b5_5f96_82fc,
     ];
 
     /// The tile-fused sweep's output bits on [`golden_store`] — the

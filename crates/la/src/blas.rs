@@ -64,7 +64,8 @@ pub fn swap_re_im<S: Scalar>(x: &[S], xs: &mut [S]) {
 ///
 /// This is the workspace's one vectorised conjugated dot: the MVM's
 /// V-batch and skeleton kernels (`tlr_mvm::fastpath`) and the QR and
-/// Jacobi factorisations here all run on it.
+/// Jacobi factorisations here all run on it, and [`dotc_lanes_stacked`]
+/// runs its lane step and fold down a stack of blocks.
 ///
 /// Never inlined, on purpose: compiled out of line the loop vectorises the
 /// same way whoever calls it, whereas inlined into a benchmark closure the
@@ -72,14 +73,54 @@ pub fn swap_re_im<S: Scalar>(x: &[S], xs: &mut [S]) {
 /// nothing measurable).
 #[inline(never)]
 pub fn dotc_lanes<S: Scalar, const N: usize>(cols: [&[S]; N], x: &[S], xs: &[S]) -> [S; N] {
+    let mut p1 = [[S::ZERO; LANES]; N];
+    let mut p2 = [[S::ZERO; LANES]; N];
+    lane_step(&mut p1, &mut p2, cols, x, xs);
+    lane_fold(&p1, &p2)
+}
+
+/// `N` conjugated dots down a stack of blocks, `Σ_b a_b[:, cols[c]]ᴴ x_b`:
+/// each block `(a_b, x_b, xs_b)` is a matrix, the vector its rows are
+/// dotted with and that vector's swapped copy (`swap_re_im(x_b)`). The
+/// lane step of [`dotc_lanes`] runs over every block's rows in turn, into
+/// one set of lanes, and the lanes are folded once at the end, not once
+/// per block. Each block's rows past its last full step go to the leading
+/// lanes, so one block gives [`dotc_lanes`]' bits. Column indices may
+/// repeat (a block of three run as four); no block gives zeros.
+///
+/// Never inlined, for the reason [`dotc_lanes`] is not.
+#[inline(never)]
+pub fn dotc_lanes_stacked<S: Scalar, const N: usize>(
+    blocks: &[(&Matrix<S>, &[S], &[S])],
+    cols: [usize; N],
+) -> [S; N] {
+    let mut p1 = [[S::ZERO; LANES]; N];
+    let mut p2 = [[S::ZERO; LANES]; N];
+    for &(a, x, xs) in blocks {
+        debug_assert!(a.nrows() == x.len() && x.len() == xs.len());
+        let a_cols: [&[S]; N] = core::array::from_fn(|k| a.col(cols[k]));
+        lane_step(&mut p1, &mut p2, a_cols, x, xs);
+    }
+    lane_fold(&p1, &p2)
+}
+
+/// The lane step of the dot kernels above: `p1 += a ⊙ x`, `p2 += a ⊙ xs`
+/// over the rows of `cols`, `LANES` rows per step and the tail into the
+/// leading lanes.
+#[inline(always)]
+fn lane_step<S: Scalar, const N: usize>(
+    p1: &mut [[S; LANES]; N],
+    p2: &mut [[S; LANES]; N],
+    cols: [&[S]; N],
+    x: &[S],
+    xs: &[S],
+) {
     let (x_steps, x_tail) = x.as_chunks::<LANES>();
     let (xs_steps, xs_tail) = xs.as_chunks::<LANES>();
     let steps = x_steps.len();
     let xs_steps = &xs_steps[..steps];
     let cols = cols.map(|c| c.as_chunks::<LANES>());
     let col_steps = cols.map(|(c, _)| &c[..steps]);
-    let mut p1 = [[S::ZERO; LANES]; N];
-    let mut p2 = [[S::ZERO; LANES]; N];
     for s in 0..steps {
         for c in 0..N {
             for l in 0..LANES {
@@ -95,6 +136,12 @@ pub fn dotc_lanes<S: Scalar, const N: usize>(cols: [&[S]; N], x: &[S], xs: &[S])
             p2[c][l] = hadamard_add(p2[c][l], a, sv);
         }
     }
+}
+
+/// The fold of the dot kernels above, once per column:
+/// `(Σ p1.re + p1.im, Σ p2.re − p2.im)`.
+#[inline(always)]
+fn lane_fold<S: Scalar, const N: usize>(p1: &[[S; LANES]; N], p2: &[[S; LANES]; N]) -> [S; N] {
     core::array::from_fn(|c| {
         let (mut re, mut im) = (S::Real::ZERO, S::Real::ZERO);
         for l in 0..LANES {
@@ -116,6 +163,32 @@ pub fn dotc_cols<S: Scalar, const N: usize>(cols: [&[S]; N], x: &[S], xs: &[S]) 
         core::array::from_fn(|c| d[c])
     } else {
         cols.map(|c| dotc_lanes([c], x, xs)[0])
+    }
+}
+
+/// `y = Σ_b a_bᴴ x_b` (overwrite) down a stack of blocks of `y.len()`
+/// columns each, `(a_b, x_b, xs_b)` as [`dotc_lanes_stacked`] takes them,
+/// in the forms [`dotc_cols`] runs: four columns in lockstep, a tail of
+/// three as four with its last column repeated, one or two singly. An
+/// empty stack leaves `y` zero.
+pub fn gemv_conj_transpose_stacked<S: Scalar>(blocks: &[(&Matrix<S>, &[S], &[S])], y: &mut [S]) {
+    for &(a, x, xs) in blocks {
+        assert!(
+            a.ncols() == y.len() && a.nrows() == x.len() && x.len() == xs.len(),
+            "gemv_h_stacked: block shape mismatch"
+        );
+    }
+    for (k, yk) in y.chunks_mut(4).enumerate() {
+        let j = 4 * k;
+        match yk.len() {
+            4 => yk.copy_from_slice(&dotc_lanes_stacked(blocks, [j, j + 1, j + 2, j + 3])),
+            3 => yk.copy_from_slice(&dotc_lanes_stacked(blocks, [j, j + 1, j + 2, j + 2])[..3]),
+            _ => {
+                for (c, yc) in yk.iter_mut().enumerate() {
+                    *yc = dotc_lanes_stacked(blocks, [j + c])[0];
+                }
+            }
+        }
     }
 }
 
@@ -380,6 +453,77 @@ mod tests {
             check::<2>(n, &mut rng);
             check::<3>(n, &mut rng);
             check::<4>(n, &mut rng);
+        }
+    }
+
+    /// `dotc_lanes_stacked` against `Σ_b a_bᴴ x_b` summed in `f64`, within
+    /// `4·M·ε₃₂·Σ|a||x|` (`M` the stacked rows), on every stack of one to
+    /// three blocks of heights 0 to 9 (each lane tail, and blocks with no
+    /// rows): one column at a time, four in lockstep, and three as four
+    /// with the last one repeated, whose repeat returns the same bits. A
+    /// single block gives `dotc_lanes`' bits; no rows give exactly zero.
+    #[test]
+    fn dotc_lanes_stacked_within_rounding_bound_of_f64_reference() {
+        const COLS: usize = 5;
+        let mut rng = ChaCha8Rng::seed_from_u64(10);
+        let mut stacks = Vec::new();
+        for h0 in 0..10 {
+            stacks.push(vec![h0]);
+            for h1 in 0..10 {
+                stacks.push(vec![h0, h1]);
+                stacks.extend((0..10).map(|h2| vec![h0, h1, h2]));
+            }
+        }
+        for heights in stacks {
+            let blocks: Vec<(Matrix<C32>, Vec<C32>)> = heights
+                .iter()
+                .enumerate()
+                .map(|(b, &h)| {
+                    let a = Matrix::from_col_major(h, COLS, lane_vec(h * COLS, b, &mut rng));
+                    (a, lane_vec(h, b + 3, &mut rng))
+                })
+                .collect();
+            let swaps: Vec<Vec<C32>> = blocks.iter().map(|(_, x)| swapped(x)).collect();
+            let stack: Vec<(&Matrix<C32>, &[C32], &[C32])> = blocks
+                .iter()
+                .zip(&swaps)
+                .map(|((a, x), xs)| (a, x.as_slice(), xs.as_slice()))
+                .collect();
+            let rows: usize = heights.iter().sum();
+            let check = |c: usize, got: C32, form: &str| {
+                let (mut want, mut mag) = (crate::scalar::C64::ZERO, 0.0f64);
+                for (a, x) in &blocks {
+                    for (p, q) in a.col(c).iter().zip(x) {
+                        want += p.widen().conj() * q.widen();
+                        mag += f64::from(p.abs()) * f64::from(q.abs());
+                    }
+                }
+                let err = (got.widen() - want).abs();
+                let bound = 4.0 * rows as f64 * f64::from(f32::EPSILON) * mag;
+                assert!(
+                    err <= bound,
+                    "{form}, heights {heights:?}, col {c}: {err} > {bound}"
+                );
+            };
+            for c in 0..COLS {
+                let one = dotc_lanes_stacked(&stack, [c])[0];
+                check(c, one, "N = 1");
+                if let [(a, x, xs)] = stack[..] {
+                    assert_eq!(one, dotc_lanes([a.col(c)], x, xs)[0], "one block, col {c}");
+                }
+            }
+            let four = dotc_lanes_stacked(&stack, [0, 1, 2, 3]);
+            (0..4).for_each(|c| check(c, four[c], "N = 4"));
+            let three = dotc_lanes_stacked(&stack, [1, 2, 4, 4]);
+            [1, 2, 4]
+                .into_iter()
+                .zip(three)
+                .for_each(|(c, d)| check(c, d, "three as four"));
+            assert_eq!(three[3].real().to_bits(), three[2].real().to_bits());
+            assert_eq!(three[3].imag().to_bits(), three[2].imag().to_bits());
+            if rows == 0 {
+                assert_eq!(four, [C32::ZERO; 4]);
+            }
         }
     }
 
