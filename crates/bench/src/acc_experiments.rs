@@ -37,7 +37,6 @@ use tlr_mvm::{compress, probe_nmse, trace, verify_compression_grids, TlrMatrix};
 use wse_sim::{plan_strategy1_pe, Cs2Config, RankModel};
 
 use crate::mdd_experiments::{default_dataset, mdd_config, repro_scale, ACC_SCALE};
-use crate::perf::{GateFinding, GateLevel, GateOutcome};
 
 /// Schema version of `acc_report.json` / `BENCH_accuracy.json`.
 pub const ACC_SCHEMA_VERSION: u64 = 1;
@@ -402,6 +401,56 @@ pub fn read_acc_json(path: &Path) -> Result<(Vec<AccRow>, u64), String> {
 // ---------------------------------------------------------------------
 // The gate comparison (`xtask accgate`).
 // ---------------------------------------------------------------------
+
+/// Severity of one gate finding.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum GateLevel {
+    /// Informational.
+    Info,
+    /// Suspicious but not blocking.
+    Warn,
+    /// Gate failure — nonzero exit.
+    Fail,
+}
+
+/// One verdict of [`compare_acc`].
+#[derive(Clone, Debug)]
+pub struct GateFinding {
+    /// What the finding is about: a sweep point, or `document` for a
+    /// `REPRO_SCALE` mismatch.
+    pub subject: String,
+    /// Severity.
+    pub level: GateLevel,
+    /// Human-readable explanation.
+    pub message: String,
+}
+
+/// A gate comparison's full output.
+#[derive(Clone, Debug, Default)]
+pub struct GateOutcome {
+    /// Every finding, in baseline order.
+    pub findings: Vec<GateFinding>,
+}
+
+impl GateOutcome {
+    /// Whether any finding fails the gate.
+    pub fn failed(&self) -> bool {
+        self.findings.iter().any(|f| f.level == GateLevel::Fail)
+    }
+
+    /// Subjects of the failing findings (deduplicated — one subject can
+    /// fail on several counts at once).
+    pub fn failing(&self) -> Vec<&str> {
+        let mut out: Vec<&str> = self
+            .findings
+            .iter()
+            .filter(|f| f.level == GateLevel::Fail)
+            .map(|f| f.subject.as_str())
+            .collect();
+        out.dedup();
+        out
+    }
+}
 
 // Drift bands of [`compare_acc`], in percent. The rank checksum is
 // always exact; NMSE and ratio get bands that absorb cross-machine

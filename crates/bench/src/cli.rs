@@ -15,14 +15,13 @@ pub struct Subcommand {
     pub name: &'static str,
     /// One-line help blurb.
     pub blurb: &'static str,
-    /// Whether `repro all` runs it. Measurement tools (perfbench,
-    /// acc-report) stay out: their timings are only meaningful run on
-    /// their own.
+    /// Whether `repro all` runs it. The measurement tool (acc-report)
+    /// stays out: its sweep is a gate's input, run on its own.
     pub in_all: bool,
 }
 
 /// Every subcommand, in the order `repro all` executes them (the
-/// `in_all` rows) followed by the standalone measurement tools.
+/// `in_all` rows) followed by the standalone measurement tool.
 pub const SUBCOMMANDS: &[Subcommand] = &[
     Subcommand {
         name: "fig11",
@@ -115,11 +114,6 @@ pub const SUBCOMMANDS: &[Subcommand] = &[
         in_all: true,
     },
     Subcommand {
-        name: "perfbench",
-        blurb: "host-kernel checksums + within-run ratios (BENCH_*.json)",
-        in_all: false,
-    },
-    Subcommand {
         name: "acc-report",
         blurb: "accuracy observatory: NMSE vs compression sweep",
         in_all: false,
@@ -141,9 +135,7 @@ pub const FLAGS: &[Flag] = &[
     Flag {
         name: "--json",
         help: "additionally writes machine-readable results to target/repro/\n\
-               (perfbench: target/perf/BENCH_table2.json, the run `xtask\n \
-               perfgate` compares against the committed BENCH_table2.json;\n\
-               acc-report: target/repro/acc_report.json, the artifact\n \
+               (acc-report: target/repro/acc_report.json, the artifact\n \
                `xtask accgate` compares against BENCH_accuracy.json)",
     },
     Flag {
@@ -261,9 +253,8 @@ pub fn usage() -> String {
     }
     out.push_str(&format!(
         "\nenvironment:\n  \
-         REPRO_SCALE=<n>     the dataset downscale factor (default {}; a value\n  \
-         \x20                   that is not a whole number is refused)\n  \
-         PERFBENCH_REPS=<n>  perfbench's median-of-N sample count",
+         REPRO_SCALE=<n>  the dataset downscale factor (default {}; a value\n  \
+         \x20                that is not a whole number is refused)",
         crate::mdd_experiments::DEFAULT_SCALE
     ));
     out

@@ -11,9 +11,6 @@
 //! * [`mmm_experiments`] — the §8 TLR-MMM extension: simultaneous
 //!   virtual sources and the re-exacerbated memory wall.
 //! * [`report`] — text tables and JSON output (`target/repro/*.json`).
-//! * [`perf`] — host-kernel microbenchmarks, the `BENCH_*.json`
-//!   document, and the `xtask perfgate` comparison (trace-counter
-//!   checksums and within-run kernel ratios).
 //! * [`cli`] — the `repro` subcommand table the help text, `all` list,
 //!   and dispatcher self-check are generated from.
 //! * [`timeline`] — Chrome Trace Event / Perfetto export of trace
@@ -43,7 +40,6 @@ pub mod acc_experiments;
 pub mod cli;
 pub mod mdd_experiments;
 pub mod mmm_experiments;
-pub mod perf;
 pub mod report;
 pub mod timeline;
 pub mod wse_experiments;

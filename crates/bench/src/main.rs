@@ -33,7 +33,6 @@ use seismic_bench::acc_experiments as accx;
 use seismic_bench::cli;
 use seismic_bench::mdd_experiments as mddx;
 use seismic_bench::mmm_experiments as mmmx;
-use seismic_bench::perf;
 use seismic_bench::report::{fmt_bytes, fmt_pbs, render_table, write_json, TraceArtifact};
 use seismic_bench::timeline;
 use seismic_bench::wse_experiments as wsex;
@@ -76,7 +75,6 @@ fn handler_for(name: &str) -> Option<Handler> {
         "appbench" => appbench,
         "coupling" => coupling,
         "precision" => precision,
-        "perfbench" => perfbench,
         "acc-report" => acc_report,
         _ => return None,
     })
@@ -744,53 +742,6 @@ fn recon(json: bool) -> RunResult {
     );
     if json {
         write_rows("recon", &rows_data, wsex::ReconRow::to_json)?;
-    }
-    Ok(())
-}
-
-fn perfbench(json: bool) -> RunResult {
-    let reps = perf::reps_from_env();
-    println!("\n[perfbench] host-kernel microbenchmarks, median of {reps}");
-    let report = perf::run_perfbench(reps);
-    let rows: Vec<Vec<String>> = report
-        .kernels
-        .iter()
-        .filter_map(|k| {
-            let t = k.timing?;
-            Some(vec![
-                k.name.clone(),
-                format!("{}", t.median_ns),
-                format!("{}", t.min_ns),
-                format!("{:.2}", t.gbps(k.relative_bytes_per_op)),
-                format!("{:#018x}", k.trace_checksum),
-            ])
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            "BENCH_table2 kernels",
-            &[
-                "kernel",
-                "median ns/op",
-                "min ns/op",
-                "GB/s",
-                "trace checksum"
-            ],
-            &rows
-        )
-    );
-    if let Some(host) = &report.host {
-        println!(
-            "  host: {} {} ({} cpus, {} build, v{})",
-            host.os, host.arch, host.cpus, host.profile, host.pkg_version
-        );
-    }
-    if json {
-        let path = std::path::Path::new("target/perf/BENCH_table2.json");
-        perf::write_bench_json(path, &report)?;
-        println!("  bench report written to {}", path.display());
-        println!("  gate it with: cargo run -p xtask -- perfgate --compare-only");
     }
     Ok(())
 }

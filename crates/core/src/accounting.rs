@@ -72,9 +72,9 @@ impl TlrMvmCost {
 /// stored dense ([`crate::Tile::Dense`]) is charged as the `(A, I)`
 /// expansion the stacked views and `wse-sim` still execute, not as the one
 /// `m × n` product the host's tile-fused apply runs on it — until the
-/// wafer model takes a dense chunk (ROADMAP item 3b). `repro perfbench`
-/// declares it for every kernel that sweeps tiles, `engine.serial` and
-/// `engine.batch` alike: they run the same kernels on the same store.
+/// wafer model takes a dense chunk (ROADMAP item 3b). `tests/perf.rs`
+/// declares it for every fixture kernel that sweeps tiles, the engine's
+/// batched and queued sweeps alike: they run the same kernels on it.
 pub fn tlr_mvm_cost(tlr: &TlrMatrix) -> TlrMvmCost {
     let t = tlr.tiling();
     let nb = t.nb;

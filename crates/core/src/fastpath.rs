@@ -28,9 +28,9 @@
 //! itself. The only check left per element is the data-dependent one in
 //! [`gather`]. The unit tests below pin the result bits
 //! (`fastpath_golden_bits`) as well as the agreement with the reference
-//! kernels; `perfgate` holds no absolute timing of them, only quotients
-//! within one run — V-batch ÷ U-batch, which is what notices a compiler
-//! that stops vectorising the dot, and blocked ÷ plain V-batch.
+//! kernels; `tests/lane_ratios.rs` holds no absolute timing of them, only
+//! quotients within one release run — V-batch ÷ U-batch, which notices a
+//! compiler that stops vectorising the dot, and blocked ÷ plain V-batch.
 
 pub(crate) use seismic_la::blas::dotc_cols;
 pub use seismic_la::blas::swap_re_im;
@@ -281,9 +281,9 @@ mod tests {
 
     /// The three kernels' output bits, hashed over shapes that cover full
     /// blocks and every tail length: a change of blocking factor or
-    /// summation order fails here, not only in `perfgate`. The constants
-    /// for `gemv_acc_fast` and `gather` are the ones captured from the
-    /// `get_unchecked` kernels this module once held; the one for
+    /// summation order fails here, whatever it does to a timing. The
+    /// constants for `gemv_acc_fast` and `gather` are the ones captured from
+    /// the `get_unchecked` kernels this module once held; the one for
     /// `gemv_conj_transpose_fast` is the isomorphic-lane kernel's, the same
     /// in debug and release builds (no product is contracted into an FMA).
     #[test]

@@ -4,10 +4,10 @@
 //! Every artifact the workspace emits — `BENCH_*.json` baselines, trace
 //! and `repro --json` reports, `*.timeline.json` Perfetto exports,
 //! SARIF — is built as a [`Json`] value and so is
-//! *round-trippable by the repo itself*: `xtask perfgate` parses the
-//! committed baseline, and the schema tests parse what was written. u64
-//! counters are kept as verbatim numeric lexemes, so checksums survive
-//! bit for bit.
+//! *round-trippable by the repo itself*: `tests/perf.rs` and `xtask
+//! accgate` parse the committed baselines, and the schema tests parse
+//! what was written. u64 counters are kept as verbatim numeric lexemes,
+//! so checksums survive bit for bit.
 //!
 //! The dialect is plain RFC 8259 JSON. The parser accepts anything this
 //! module's writer produces plus ordinary hand-edited files; it is not a

@@ -24,11 +24,9 @@
 //! Exit status: `0` when there is no error-severity diagnostic, `1`
 //! otherwise — suitable as a blocking CI step.
 //!
-//! `cargo run -p xtask -- perfgate` and `-- accgate` are the two specs
-//! of the one baseline-gate driver in [`gate`]: trace-counter checksums
-//! and within-run kernel ratios against `BENCH_table2.json`, rank
-//! checksums and NMSE / ratio bands against `BENCH_accuracy.json`
-//! (DESIGN.md §9).
+//! `cargo run -p xtask -- accgate` ([`gate`]) holds a `repro acc-report`
+//! run to the rank checksums and NMSE / ratio bands of
+//! `BENCH_accuracy.json` (DESIGN.md §9, §16).
 
 #![forbid(unsafe_code)]
 
@@ -48,20 +46,24 @@ use wse_sim::verify::{Diagnostic, Severity};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
+    dispatch(&args).unwrap_or_else(|e| {
+        eprintln!("{e}\n");
+        print_usage();
+        ExitCode::FAILURE
+    })
+}
+
+/// Run the command `args` names; an unknown name is an error naming it.
+fn dispatch(args: &[String]) -> Result<ExitCode, String> {
+    Ok(match args.first().map(String::as_str) {
         Some("analyze") => analyze(&args[1..]),
-        Some("perfgate") => gate::run(&gate::PERFGATE, &workspace_root(), &args[1..]),
-        Some("accgate") => gate::run(&gate::ACCGATE, &workspace_root(), &args[1..]),
+        Some("accgate") => gate::run(&workspace_root(), &args[1..]),
         Some("help") | None => {
             print_usage();
             ExitCode::SUCCESS
         }
-        Some(other) => {
-            eprintln!("unknown xtask command: {other}\n");
-            print_usage();
-            ExitCode::FAILURE
-        }
-    }
+        Some(other) => return Err(format!("unknown xtask command: {other}")),
+    })
 }
 
 fn print_usage() {
@@ -74,15 +76,11 @@ fn print_usage() {
          [--sarif <path>  write a SARIF 2.1.0 report]\n            \
          [--json          machine-readable output on stdout]\n            \
          [--self-test     prove every rule fires on embedded fixtures]\n  \
-         perfgate  compare a `repro perfbench --json` run against the committed\n            \
-         BENCH_table2.json (exact: names, byte/flop counts, trace\n            \
-         checksums); fails on trace-checksum drift, naming the kernel,\n            \
-         or on a within-run kernel ratio over its ceiling\n  \
          accgate   compare a `repro acc-report --json` run against the committed\n            \
          BENCH_accuracy.json; fails (NMSE/ratio drift beyond the fixed\n            \
          bands, any rank-structure checksum change, or an SRAM plan\n            \
          regression) with the sweep point named\n            \
-         both gates: [--compare-only --self-test --bless --baseline P --current P]\n  \
+         [--compare-only --self-test --bless --baseline P --current P]\n  \
          help      show this message"
     );
 }

@@ -1,6 +1,6 @@
 //! `analyze --self-test` — prove every rule can actually fire.
 //!
-//! Mirrors `perfgate --self-test`: each rule is run against an embedded
+//! Mirrors `accgate --self-test`: each rule is run against an embedded
 //! fixture that violates it, and the command exits 0 **iff** every rule
 //! of this crate (NA01, HP01, AT01, AT02, AT03) produces the expected
 //! diagnostic — the WV01–WV07 plan rules are `wse_sim::verify`'s and are
