@@ -263,6 +263,7 @@ pub fn compress_tile(tile: Matrix<C32>, tol: f32, method: CompressionMethod, see
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::TileRef;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -400,7 +401,7 @@ mod tests {
             for (i, j, t) in tlr.tiles_with_coords() {
                 let (_, rl) = tlr.tiling().row_range(i);
                 let (_, cl) = tlr.tiling().col_range(j);
-                let Tile::LowRank(s) = t else {
+                let TileRef::LowRank(s) = t else {
                     panic!("{method:?} tile ({i},{j}) stored dense");
                 };
                 assert_eq!((s.rank(), s.shape()), (0, (rl, cl)), "{method:?} ({i},{j})");
@@ -521,7 +522,7 @@ mod tests {
                 let tlr = compress(&a, config);
                 for (i, j, t) in tlr.tiles_with_coords() {
                     if (i, j) == (0, 0) {
-                        assert!(matches!(t, Tile::Dense(_)), "{what}: tile (0,0) {t:?}");
+                        assert!(matches!(t, TileRef::Dense(_)), "{what}: tile (0,0) {t:?}");
                     } else {
                         assert_eq!(t.rank(), reference.rank(i, j), "{what}: tile ({i},{j})");
                     }
@@ -578,7 +579,7 @@ mod tests {
                 ..svd_config(16, 1e-2)
             };
             let (tlr, reference) = (compress(&a, config), compress(&clean, config));
-            assert!(matches!(tlr.tile(0, 0), Tile::LowRank(_)), "{method:?}");
+            assert!(matches!(tlr.tile(0, 0), TileRef::LowRank(_)), "{method:?}");
             assert!((1..=reference.rank(0, 0) + 1).contains(&tlr.rank(0, 0)));
             let err = tlr.reconstruct().sub(&a).fro_norm();
             assert!(err <= 1.2e-2 * a.fro_norm(), "{method:?}: {err}");

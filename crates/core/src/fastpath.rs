@@ -18,8 +18,9 @@
 //! `seismic_la::blas::dotc_lanes` (reached through
 //! [`seismic_la::blas::dotc_cols`]), the kernel the write side's QR and
 //! Jacobi factorisations run on too; [`crate::TlrMatrix`]'s adjoint runs
-//! a tile column's dense tiles through its lane step as one stacked block
-//! (`seismic_la::blas::gemv_conj_transpose_stacked`).
+//! a tile column's dense runs through its lane step as the blocks of one
+//! stack (`seismic_la::blas::gemv_conj_transpose_stacked`), and its
+//! forward product runs [`gemv_acc_fast`] over each run's full height.
 //!
 //! The inner loops carry no bounds checks and need no `unsafe` to get
 //! there: every operand is re-sliced to one shared length (or cut into

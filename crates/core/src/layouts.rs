@@ -10,7 +10,8 @@
 //! Both are views of a [`TlrMatrix`]: each holds a clone of it (its tiles
 //! are shared, not copied) and the index tables of its stacking — rank
 //! offsets per tile column and row, and the shuffle map — and reads every
-//! tile in its stored form through [`TlrMatrix::tile`]. The V phase of a
+//! tile in its stored form through [`TlrMatrix::tile`] — a skeleton, or a
+//! dense tile's rows of its run panel, read in place. The V phase of a
 //! skeleton tile is `x_J + Xᴴx̃`, of a dense tile `x_j` itself; the U
 //! phase is `C·t`, or the dense block times `x_j`. They serve the paper's
 //! three-phase / communication-avoiding tables and the WSE simulator's
@@ -373,7 +374,7 @@ impl<'a> RankChunk<'a> {
     /// tile the chunk covers, its share of the tile's rank columns four at
     /// a time: their V coefficients from the tile's stored form, then the
     /// U phase on the tile's rows. `gathered` holds the gather
-    /// ([`crate::Tile`]'s column order of `x_j`) of tile row `held`, made
+    /// ([`crate::TileRef`]'s column order of `x_j`) of tile row `held`, made
     /// anew when this chunk needs another tile's.
     fn apply_into(
         &self,
@@ -727,7 +728,7 @@ mod tests {
         for (i, j, tile) in t.tiles_with_coords() {
             let (in_tp, in_ca) = (tp.tlr.tile(i, j), ca.tlr.tile(i, j));
             assert!(
-                std::ptr::eq(in_tp, tile) && std::ptr::eq(in_ca, tile),
+                in_tp.ptr_eq(&tile) && in_ca.ptr_eq(&tile),
                 "({i},{j})"
             );
         }

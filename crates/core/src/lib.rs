@@ -96,7 +96,7 @@ pub use compress::{
 };
 pub use fastpath::{gather, gemv_acc_fast, gemv_conj_transpose_fast, swap_re_im};
 pub use layouts::{ChunkRun, ColumnStack, CommAvoiding, RankChunk, ThreePhase, ThreePhaseScratch};
-pub use matrix::{Tile, TlrMatrix};
+pub use matrix::{DenseView, Tile, TileRef, TlrMatrix};
 pub use ops::LinearOperator;
 pub use precision::{bf16_to_f32, f32_to_bf16, Bf16Matrix, Bf16TlrMatrix};
 pub use skeleton::Skeleton;

@@ -4,21 +4,28 @@
 //! on a uniform tile grid, with application, adjoint application, and
 //! storage accounting.
 //!
+//! The store keeps a tile column's dense tiles as runs: each maximal run
+//! of consecutive dense tiles in a tile column is one column-major panel,
+//! the run's rows × the tile width, so the kernels stream a run whole
+//! instead of making one call per 8- or 16-row tile. [`TlrMatrix::tile`]
+//! reads a tile back as a borrowed [`TileRef`]: its skeleton, or its rows
+//! of its run ([`DenseView`]).
+//!
 //! [`TlrMatrix::apply_into`] / [`TlrMatrix::apply_adjoint_into`] are the
 //! operator the MDD solve and the engine's sweep run on: the tile-fused
 //! product on the [`crate::fastpath`] kernels, over the tiles as stored —
 //! no second, stacked copy of the bases — and
 //! [`TlrMatrix::adjoint_then_apply_into`] is the two of them in one pass
-//! over the store, which is what an LSQR iteration costs. The slow,
-//! obviously-right form of the same product is [`Tile::apply_acc`] over
+//! over the store, which is what an LSQR iteration costs. All three walk
+//! the tile columns in storage order on one thread. The slow,
+//! obviously-right form of the same product is [`TileRef::apply_acc`] over
 //! `seismic_la::blas`; the tests below and `core::accuracy`'s probe use it
 //! as the oracle.
 
 use std::ops::Range;
 use std::sync::Arc;
 
-use rayon::prelude::*;
-use seismic_la::blas::{gemv_acc, gemv_conj_transpose_acc, gemv_conj_transpose_stacked};
+use seismic_la::blas::{axpy, dotc, gemv_conj_transpose_stacked};
 use seismic_la::scalar::C32;
 use seismic_la::Matrix;
 
@@ -30,18 +37,16 @@ use crate::tiling::Tiling;
 
 const CZERO: C32 = C32::new(0.0, 0.0);
 
-/// One tile as stored ([`crate::compress::compress_tile`] chooses the
-/// form).
+/// One tile as the compressor returns it and [`TlrMatrix::new`] takes it
+/// ([`crate::compress::compress_tile`] chooses the form).
 ///
 /// Either form stands for a factor pair without storing it — a
 /// [`Tile::LowRank`] tile for `(C, W)` with `W = Π·[I; X]`, a
 /// [`Tile::Dense`] tile for `(A, I)`, the `r = n` case in which `X` is
 /// empty — so every rank-derived number (stack widths, the §6.6 cost
 /// model, the wafer workload) is what that factorisation gives, while
-/// [`Tile::stored_bytes`] counts what is actually held. The stacked
-/// layouts read a tile's rank columns in its stored form through
-/// `Tile::gather` and `Tile::coefficients` (the V phase),
-/// `Tile::expand_acc` (the U phase) and `Tile::apply_cols_acc` (both).
+/// [`TileRef::stored_bytes`] counts what is actually held. The matrix
+/// hands its tiles out as [`TileRef`]s, which carry the methods.
 #[derive(Clone, Debug)]
 pub enum Tile {
     /// The skeleton form of a rank-`r` approximant: `r·(m+n−r)` words and
@@ -52,12 +57,98 @@ pub enum Tile {
 }
 
 impl Tile {
+    /// This tile as a [`TlrMatrix`] hands its tiles out.
+    #[inline]
+    pub fn view(&self) -> TileRef<'_> {
+        match self {
+            Tile::LowRank(s) => TileRef::LowRank(s),
+            Tile::Dense(a) => TileRef::Dense(DenseView {
+                data: a.as_slice(),
+                ld: a.nrows(),
+                m: a.nrows(),
+                n: a.ncols(),
+            }),
+        }
+    }
+
+    /// Rank `r` of the skeleton; the column count of a dense tile.
+    #[inline]
+    pub fn rank(&self) -> usize {
+        self.view().rank()
+    }
+
+    /// `(m, n)` of the block this tile stands for.
+    #[inline]
+    pub fn shape(&self) -> (usize, usize) {
+        self.view().shape()
+    }
+
+    /// Stored bytes ([`TileRef::stored_bytes`]).
+    #[inline]
+    pub fn stored_bytes(&self) -> usize {
+        self.view().stored_bytes()
+    }
+
+    /// Densify.
+    pub fn to_dense(&self) -> Matrix<C32> {
+        self.view().to_dense()
+    }
+}
+
+/// A dense tile as the store holds it: `m` rows of a column-major run
+/// panel whose columns are `ld` long, `data` starting at the tile's
+/// first entry.
+#[derive(Clone, Copy, Debug)]
+pub struct DenseView<'a> {
+    data: &'a [C32],
+    ld: usize,
+    m: usize,
+    n: usize,
+}
+
+impl<'a> DenseView<'a> {
+    /// `(m, n)`.
+    #[inline]
+    pub fn shape(&self) -> (usize, usize) {
+        (self.m, self.n)
+    }
+
+    /// Column `c` of the tile (`m` entries).
+    #[inline]
+    pub fn col(&self, c: usize) -> &'a [C32] {
+        let start = c * self.ld;
+        &self.data[start..start + self.m]
+    }
+
+    /// A copy of the tile.
+    pub fn to_matrix(&self) -> Matrix<C32> {
+        Matrix::from_fn(self.m, self.n, |i, j| self.col(j)[i])
+    }
+}
+
+/// Tile `(i, j)` of a [`TlrMatrix`] as stored, borrowed: its skeleton, or
+/// its rows of the dense run it belongs to. Copying one copies a
+/// reference.
+///
+/// The stacked layouts read a tile's rank columns in its stored form
+/// through `TileRef::gather` and `TileRef::coefficients` (the V phase),
+/// `TileRef::expand_acc` (the U phase) and `TileRef::apply_cols_acc`
+/// (both).
+#[derive(Clone, Copy, Debug)]
+pub enum TileRef<'a> {
+    /// A skeleton tile.
+    LowRank(&'a Skeleton),
+    /// A dense tile.
+    Dense(DenseView<'a>),
+}
+
+impl<'a> TileRef<'a> {
     /// Rank `r` of the skeleton; the column count of a dense tile.
     #[inline]
     pub fn rank(&self) -> usize {
         match self {
-            Tile::LowRank(s) => s.rank(),
-            Tile::Dense(a) => a.ncols(),
+            TileRef::LowRank(s) => s.rank(),
+            TileRef::Dense(a) => a.n,
         }
     }
 
@@ -65,8 +156,8 @@ impl Tile {
     #[inline]
     pub fn shape(&self) -> (usize, usize) {
         match self {
-            Tile::LowRank(s) => s.shape(),
-            Tile::Dense(a) => a.shape(),
+            TileRef::LowRank(s) => s.shape(),
+            TileRef::Dense(a) => a.shape(),
         }
     }
 
@@ -74,8 +165,8 @@ impl Tile {
     #[inline]
     pub fn stored_elements(&self) -> usize {
         match self {
-            Tile::LowRank(s) => s.stored_elements(),
-            Tile::Dense(a) => a.len(),
+            TileRef::LowRank(s) => s.stored_elements(),
+            TileRef::Dense(a) => a.m * a.n,
         }
     }
 
@@ -84,34 +175,64 @@ impl Tile {
     #[inline]
     pub fn stored_bytes(&self) -> usize {
         let index = match self {
-            Tile::LowRank(s) => s.index_bytes(),
-            Tile::Dense(_) => 0,
+            TileRef::LowRank(s) => s.index_bytes(),
+            TileRef::Dense(_) => 0,
         };
         self.stored_elements() * std::mem::size_of::<C32>() + index
+    }
+
+    /// Whether `self` and `other` read the same stored words: true for a
+    /// tile and the same tile of a clone of its matrix.
+    pub fn ptr_eq(&self, other: &TileRef<'_>) -> bool {
+        match (self, other) {
+            (TileRef::LowRank(a), TileRef::LowRank(b)) => std::ptr::eq(*a, *b),
+            (TileRef::Dense(a), TileRef::Dense(b)) => std::ptr::eq(a.data, b.data) && a.m == b.m,
+            _ => false,
+        }
+    }
+
+    /// An owned copy, as [`TlrMatrix::new`] takes it.
+    pub fn to_tile(&self) -> Tile {
+        match self {
+            TileRef::LowRank(s) => Tile::LowRank((*s).clone()),
+            TileRef::Dense(a) => Tile::Dense(a.to_matrix()),
+        }
     }
 
     /// Densify.
     pub fn to_dense(&self) -> Matrix<C32> {
         match self {
-            Tile::LowRank(s) => s.factors().to_dense(),
-            Tile::Dense(a) => a.clone(),
+            TileRef::LowRank(s) => s.factors().to_dense(),
+            TileRef::Dense(a) => a.to_matrix(),
         }
     }
 
-    /// `y += T x` on the reference kernels (`seismic_la::blas`), a
-    /// skeleton through the `(C, W)` pair it stands for.
+    /// `y += T x` on the reference kernels (`seismic_la::blas`): a
+    /// skeleton through the `(C, W)` pair it stands for, a dense tile one
+    /// `axpy` per column.
     pub fn apply_acc(&self, x: &[C32], y: &mut [C32]) {
         match self {
-            Tile::LowRank(s) => s.factors().apply_acc(x, y),
-            Tile::Dense(a) => gemv_acc(a, x, y),
+            TileRef::LowRank(s) => s.factors().apply_acc(x, y),
+            TileRef::Dense(a) => {
+                assert_eq!((y.len(), x.len()), a.shape(), "apply_acc: shape mismatch");
+                for (c, &xc) in x.iter().enumerate() {
+                    axpy(xc, a.col(c), y);
+                }
+            }
         }
     }
 
-    /// `y += Tᴴ x` on the reference kernels.
+    /// `y += Tᴴ x` on the reference kernels: a dense tile one `dotc` per
+    /// column.
     pub fn apply_adjoint_acc(&self, x: &[C32], y: &mut [C32]) {
         match self {
-            Tile::LowRank(s) => s.factors().apply_adjoint_acc(x, y),
-            Tile::Dense(a) => gemv_conj_transpose_acc(a, x, y),
+            TileRef::LowRank(s) => s.factors().apply_adjoint_acc(x, y),
+            TileRef::Dense(a) => {
+                assert_eq!((x.len(), y.len()), a.shape(), "apply_adjoint_acc: shape mismatch");
+                for (c, yc) in y.iter_mut().enumerate() {
+                    *yc += dotc(a.col(c), x);
+                }
+            }
         }
     }
 
@@ -120,24 +241,24 @@ impl Tile {
     /// [`Skeleton::apply_acc_fast`] takes it); a dense tile reads `x_j` as
     /// it is and gathers nothing.
     pub(crate) fn gather(&self, x: &[C32], scratch: &mut [C32]) {
-        if let Tile::LowRank(s) = self {
+        if let TileRef::LowRank(s) = self {
             s.gather(x, scratch);
         }
     }
 
     /// The V phase of the stacked layouts: `t[r]` is the coefficient rank
     /// column `r` multiplies — of a skeleton `(x_J + Xᴴ x̃)[r]` on the dot
-    /// lanes, from what [`Tile::gather`] left in `gathered`; of a dense
+    /// lanes, from what [`TileRef::gather`] left in `gathered`; of a dense
     /// tile `x[r]` itself, its right factor being the identity.
     pub(crate) fn coefficients(&self, x: &[C32], gathered: &[C32], t: &mut [C32]) {
         match self {
-            Tile::LowRank(s) => s.coefficients(gathered, t),
-            Tile::Dense(_) => t.copy_from_slice(x),
+            TileRef::LowRank(s) => s.coefficients(gathered, t),
+            TileRef::Dense(_) => t.copy_from_slice(x),
         }
     }
 
     /// Both phases over the rank columns `cols`, four at a time:
-    /// `y += U[:, cols]·t` with `t` the [`Tile::coefficients`] of those
+    /// `y += U[:, cols]·t` with `t` the [`TileRef::coefficients`] of those
     /// columns, kept in registers.
     pub(crate) fn apply_cols_acc(
         &self,
@@ -147,50 +268,154 @@ impl Tile {
         y: &mut [C32],
     ) {
         match self {
-            Tile::LowRank(s) => s.forward_acc(cols, gathered, y),
-            Tile::Dense(a) => axpy_blocks(|c| a.col(c), cols.clone(), &x[cols], y),
+            TileRef::LowRank(s) => s.forward_acc(cols, gathered, y),
+            TileRef::Dense(a) => axpy_blocks(|c| a.col(c), cols.clone(), &x[cols], y),
         }
     }
 
-    /// The U phase: `y += U·t`, `U` being `C` or the dense block.
+    /// The U phase: `y += U·t`, `U` being `C` or the dense block, in the
+    /// order [`gemv_acc_fast`] adds in.
     pub(crate) fn expand_acc(&self, t: &[C32], y: &mut [C32]) {
         match self {
-            Tile::LowRank(s) => axpy_blocks(|c| s.c_col(c), 0..t.len(), t, y),
-            Tile::Dense(a) => gemv_acc_fast(a, t, y),
+            TileRef::LowRank(s) => axpy_blocks(|c| s.c_col(c), 0..t.len(), t, y),
+            TileRef::Dense(a) => axpy_blocks(|c| a.col(c), 0..t.len(), t, y),
         }
     }
 }
 
+/// A maximal run of consecutive dense tiles of one tile column.
+struct Run {
+    /// The matrix rows it covers.
+    rows: Range<usize>,
+    /// The tiles one above the other: `rows.len()` × the tile width,
+    /// column-major.
+    panel: Matrix<C32>,
+}
+
+/// One tile column as stored.
+struct Column {
+    /// Its dense runs, top to bottom.
+    runs: Vec<Run>,
+    /// Its skeletons, top to bottom, each with the matrix rows it covers.
+    skeletons: Vec<(Range<usize>, Skeleton)>,
+}
+
+/// Where a tile is stored in its [`Column`].
+#[derive(Clone, Copy)]
+enum Slot {
+    /// In run `k`.
+    Run(usize),
+    /// Skeleton `k`.
+    Skeleton(usize),
+}
+
+/// What every clone of a [`TlrMatrix`] shares.
+struct Store {
+    columns: Vec<Column>,
+    /// Per tile, tile-column-major (`idx = j·mt + i`).
+    slots: Vec<Slot>,
+}
+
 /// TLR representation of an `m × n` complex matrix.
 ///
-/// Tiles are stored tile-column-major (`idx = j·mt + i`), matching the
-/// V-stack construction order. They never change after [`TlrMatrix::new`]
-/// and are held behind an `Arc`, so a clone shares them: it costs a
-/// reference count, not a copy of the operator.
+/// Stored tile column by tile column (the V-stack construction order):
+/// per tile column its dense runs and its skeletons. The store never
+/// changes after [`TlrMatrix::new`] and is held behind an `Arc`, so a
+/// clone shares it: it costs a reference count, not a copy of the
+/// operator.
 #[derive(Clone)]
 pub struct TlrMatrix {
     tiling: Tiling,
-    tiles: Arc<[Tile]>,
+    store: Arc<Store>,
     config: CompressionConfig,
     /// Largest tile rank.
     max_rank: usize,
 }
 
 impl TlrMatrix {
-    /// Assemble from parts (normally produced by [`crate::compress::compress`]).
+    /// Assemble from parts (normally produced by [`crate::compress::compress`]),
+    /// tile-column-major. Every panel of a run of two or more dense tiles
+    /// is filled, column by column, before any tile is freed, so the
+    /// blocks freed after them lie together (peak RSS: freeing each run's
+    /// tiles as its panel was made left more scattered holes); a run of
+    /// one tile, and every skeleton, is moved in as it is.
     pub fn new(tiling: Tiling, tiles: Vec<Tile>, config: CompressionConfig) -> Self {
         assert_eq!(tiles.len(), tiling.tile_count());
+        let mt = tiling.tile_rows();
         for (idx, t) in tiles.iter().enumerate() {
-            let i = idx % tiling.tile_rows();
-            let j = idx / tiling.tile_rows();
-            let (_, rl) = tiling.row_range(i);
-            let (_, cl) = tiling.col_range(j);
+            let (i, j) = (idx % mt, idx / mt);
+            let ((_, rl), (_, cl)) = (tiling.row_range(i), tiling.col_range(j));
             assert_eq!(t.shape(), (rl, cl), "tile ({i},{j}) shape mismatch");
         }
         let max_rank = tiles.iter().map(Tile::rank).max().unwrap_or(0);
+        let mut columns: Vec<Column> = (0..tiling.tile_cols())
+            .map(|j| {
+                let column = &tiles[j * mt..(j + 1) * mt];
+                let (_, cl) = tiling.col_range(j);
+                // Each run as the tile rows it spans.
+                let mut runs: Vec<Range<usize>> = Vec::new();
+                for (i, t) in column.iter().enumerate() {
+                    match (t, runs.last_mut()) {
+                        (Tile::Dense(_), Some(run)) if run.end == i => run.end = i + 1,
+                        (Tile::Dense(_), _) => runs.push(i..i + 1),
+                        (Tile::LowRank(_), _) => {}
+                    }
+                }
+                let runs = runs
+                    .into_iter()
+                    .map(|tile_rows| {
+                        let (r0, _) = tiling.row_range(tile_rows.start);
+                        let (last, rl) = tiling.row_range(tile_rows.end - 1);
+                        let rows = r0..last + rl;
+                        // A lone tile is moved in below, not copied.
+                        if tile_rows.len() == 1 {
+                            return Run {
+                                panel: Matrix::zeros(0, 0),
+                                rows,
+                            };
+                        }
+                        let mut data = Vec::with_capacity(rows.len() * cl);
+                        for c in 0..cl {
+                            for t in &column[tile_rows.clone()] {
+                                if let Tile::Dense(a) = t {
+                                    data.extend_from_slice(a.col(c));
+                                }
+                            }
+                        }
+                        Run {
+                            panel: Matrix::from_col_major(rows.len(), cl, data),
+                            rows,
+                        }
+                    })
+                    .collect();
+                Column {
+                    runs,
+                    skeletons: Vec::new(),
+                }
+            })
+            .collect();
+        let mut slots = Vec::with_capacity(tiles.len());
+        for (idx, t) in tiles.into_iter().enumerate() {
+            let (i, j) = (idx % mt, idx / mt);
+            let (r0, rl) = tiling.row_range(i);
+            let column = &mut columns[j];
+            match t {
+                Tile::Dense(a) => {
+                    let k = column.runs.partition_point(|run| run.rows.start <= r0) - 1;
+                    if column.runs[k].rows.len() == rl {
+                        column.runs[k].panel = a;
+                    }
+                    slots.push(Slot::Run(k));
+                }
+                Tile::LowRank(s) => {
+                    slots.push(Slot::Skeleton(column.skeletons.len()));
+                    column.skeletons.push((r0..r0 + rl, s));
+                }
+            }
+        }
         Self {
             tiling,
-            tiles: tiles.into(),
+            store: Arc::new(Store { columns, slots }),
             config,
             max_rank,
         }
@@ -211,9 +436,22 @@ impl TlrMatrix {
         (self.tiling.m, self.tiling.n)
     }
 
-    /// Tile `(i, j)`.
-    pub fn tile(&self, i: usize, j: usize) -> &Tile {
-        &self.tiles[self.tiling.tile_index(i, j)]
+    /// Tile `(i, j)` as stored.
+    pub fn tile(&self, i: usize, j: usize) -> TileRef<'_> {
+        let column = &self.store.columns[j];
+        match self.store.slots[self.tiling.tile_index(i, j)] {
+            Slot::Skeleton(k) => TileRef::LowRank(&column.skeletons[k].1),
+            Slot::Run(k) => {
+                let run = &column.runs[k];
+                let (r0, m) = self.tiling.row_range(i);
+                TileRef::Dense(DenseView {
+                    data: &run.panel.as_slice()[r0 - run.rows.start..],
+                    ld: run.rows.len(),
+                    m,
+                    n: run.panel.ncols(),
+                })
+            }
+        }
     }
 
     /// Rank of tile `(i, j)`.
@@ -223,7 +461,7 @@ impl TlrMatrix {
 
     /// Sum of all tile ranks.
     pub fn total_rank(&self) -> usize {
-        self.tiles.iter().map(|t| t.rank()).sum()
+        self.tiles_with_coords().map(|(_, _, t)| t.rank()).sum()
     }
 
     /// Largest tile rank.
@@ -243,17 +481,15 @@ impl TlrMatrix {
 
     /// Tiles stored dense rather than as factors.
     pub fn dense_tiles(&self) -> usize {
-        self.tiles
-            .iter()
-            .filter(|t| matches!(t, Tile::Dense(_)))
-            .count()
+        let skeletons: usize = self.store.columns.iter().map(|c| c.skeletons.len()).sum();
+        self.tiling.tile_count() - skeletons
     }
 
-    /// Stored bytes of all tiles ([`Tile::stored_bytes`]): skeleton or
+    /// Stored bytes of all tiles ([`TileRef::stored_bytes`]): skeleton or
     /// dense block at 8 B per complex-FP32 entry, plus the skeletons'
     /// column orders.
     pub fn compressed_bytes(&self) -> usize {
-        self.tiles.iter().map(Tile::stored_bytes).sum()
+        self.tiles_with_coords().map(|(_, _, t)| t.stored_bytes()).sum()
     }
 
     /// Dense storage the compression replaced.
@@ -270,12 +506,10 @@ impl TlrMatrix {
     /// Densify (tests and small problems only).
     pub fn reconstruct(&self) -> Matrix<C32> {
         let mut out = Matrix::zeros(self.tiling.m, self.tiling.n);
-        for j in 0..self.tiling.tile_cols() {
+        for (i, j, tile) in self.tiles_with_coords() {
+            let (r0, _) = self.tiling.row_range(i);
             let (c0, _) = self.tiling.col_range(j);
-            for i in 0..self.tiling.tile_rows() {
-                let (r0, _) = self.tiling.row_range(i);
-                out.set_block(r0, c0, &self.tile(i, j).to_dense());
-            }
+            out.set_block(r0, c0, &tile.to_dense());
         }
         out
     }
@@ -288,32 +522,23 @@ impl TlrMatrix {
     }
 
     /// `y = Ã x` into a caller-owned buffer, tile-fused on the
-    /// [`crate::fastpath`] kernels: per skeleton tile `t = x_J + Xᴴ x̃` on
-    /// the tile's own ordering of `x_j`, then `y_i += C t`; per dense tile
-    /// `y_i += A_ij x_j`. No rank-length intermediate is stored and
-    /// nothing is shuffled between tiles. Parallel over tile rows (each
-    /// owns one `nb` chunk of `y`); the scratch is one allocation per
-    /// call, cut into one `2·nb` piece per tile row (`x_j` in the tile's
-    /// order, and the swapped copy of its `x̃` part).
+    /// [`crate::fastpath`] kernels, tile column by tile column in storage
+    /// order (`column_forward`): per dense run `y_run += A_run x_j` over the
+    /// run's full height, per skeleton tile `t = x_J + Xᴴ x̃` on the tile's
+    /// own ordering of `x_j`, then `y_i += C t`. No rank-length
+    /// intermediate is stored and nothing is shuffled between tiles. Each
+    /// output element sums its tiles over `j` ascending. Serial, like the
+    /// other two products; the one scratch allocation holds `2·nb` entries
+    /// (`x_j` in a skeleton's order, and the swapped copy of its `x̃` part).
     pub fn apply_into(&self, x: &[C32], y: &mut [C32]) {
         assert_eq!(x.len(), self.tiling.n, "input length mismatch");
         assert_eq!(y.len(), self.tiling.m, "output length mismatch");
-        let nb = self.tiling.nb;
-        let mut scratch = vec![CZERO; self.tiling.tile_rows() * 2 * nb];
-        y.par_chunks_mut(nb)
-            .zip(scratch.par_chunks_mut(2 * nb))
-            .enumerate()
-            .for_each(|(i, (seg, scratch))| {
-                seg.fill(CZERO);
-                for j in 0..self.tiling.tile_cols() {
-                    let (c0, cl) = self.tiling.col_range(j);
-                    let xj = &x[c0..c0 + cl];
-                    match self.tile(i, j) {
-                        Tile::LowRank(s) => s.apply_acc_fast(xj, scratch, seg),
-                        Tile::Dense(a) => gemv_acc_fast(a, xj, seg),
-                    }
-                }
-            });
+        let mut scratch = vec![CZERO; 2 * self.tiling.nb];
+        y.fill(CZERO);
+        for j in 0..self.tiling.tile_cols() {
+            let (c0, cl) = self.tiling.col_range(j);
+            self.column_forward(j, &x[c0..c0 + cl], &mut scratch, y);
+        }
     }
 
     /// `x = Ãᴴ y`: [`TlrMatrix::apply_adjoint_into`] on a fresh vector.
@@ -324,84 +549,69 @@ impl TlrMatrix {
         x
     }
 
-    /// `x = Ãᴴ y` into a caller-owned buffer: one task per tile column,
-    /// each [`Self::column_adjoint`] into its `x_j`. The one scratch
-    /// allocation holds the swapped copy of `y` every conjugated dot
-    /// reads — made once here, not once per tile — and one `nb` piece per
-    /// tile column; each task lists its column's dense tiles in one `Vec`.
+    /// `x = Ãᴴ y` into a caller-owned buffer: `column_adjoint` into each
+    /// `x_j`, tile column by tile column, serial. The one scratch
+    /// allocation holds the swapped copy of `y` every conjugated dot reads
+    /// — made once here, not once per tile — and the skeletons' `nb`.
     pub fn apply_adjoint_into(&self, y: &[C32], x: &mut [C32]) {
         assert_eq!(y.len(), self.tiling.m, "input length mismatch");
         assert_eq!(x.len(), self.tiling.n, "output length mismatch");
-        let nb = self.tiling.nb;
-        let mut scratch = vec![CZERO; y.len() + self.tiling.tile_cols() * nb];
+        let mut scratch = vec![CZERO; y.len() + self.tiling.nb];
         let (ys, scratch) = scratch.split_at_mut(y.len());
         swap_re_im(y, ys);
-        let ys = &*ys;
-        x.par_chunks_mut(nb)
-            .zip(scratch.par_chunks_mut(nb))
-            .enumerate()
-            .for_each(|(j, (seg, scratch))| {
-                let mut dense = Vec::with_capacity(self.tiling.tile_rows());
-                self.column_adjoint(j, y, ys, &mut dense, scratch, seg);
-            });
+        for j in 0..self.tiling.tile_cols() {
+            let (c0, cl) = self.tiling.col_range(j);
+            self.column_adjoint(j, y, ys, scratch, &mut x[c0..c0 + cl]);
+        }
+    }
+
+    /// `y += A_{:j} x_j` for tile column `j`: each dense run on
+    /// [`gemv_acc_fast`] over its full height, then each skeleton.
+    /// `scratch` holds at least `2·nb` entries.
+    fn column_forward(&self, j: usize, xj: &[C32], scratch: &mut [C32], y: &mut [C32]) {
+        let column = &self.store.columns[j];
+        for run in &column.runs {
+            gemv_acc_fast(&run.panel, xj, &mut y[run.rows.clone()]);
+        }
+        for (rows, s) in &column.skeletons {
+            s.apply_acc_fast(xj, scratch, &mut y[rows.clone()]);
+        }
     }
 
     /// `z_j = Σ_i A_ijᴴ u_i` for tile column `j` (overwrite), the adjoint
-    /// both [`Self::apply_adjoint_into`] and
-    /// [`Self::adjoint_then_apply_into`] run. First the column's dense
-    /// tiles as one stacked block: every tile's rows against its own `u_i`
-    /// on one set of dot lanes, folded once per four columns
+    /// all three products share. First the column's dense runs as the
+    /// blocks of one stack: each run's rows against its own part of `u` on
+    /// one set of dot lanes, folded once per four columns
     /// (`seismic_la::blas::gemv_conj_transpose_stacked`). Then each
     /// skeleton in row order: `s = Cᴴ u_i`, `x̃ += X s`, `[s; x̃]`
-    /// scattered onto `z_j`. `us` is `swap_re_im(u)`; `dense` is the
-    /// caller's list, refilled here with the column's dense tiles;
-    /// `scratch` holds at least `nb` entries.
-    fn column_adjoint<'a>(
-        &'a self,
-        j: usize,
-        u: &'a [C32],
-        us: &'a [C32],
-        dense: &mut Vec<(&'a Matrix<C32>, &'a [C32], &'a [C32])>,
-        scratch: &mut [C32],
-        zj: &mut [C32],
-    ) {
-        let rows = |i: usize| {
-            let (r0, rl) = self.tiling.row_range(i);
-            (&u[r0..r0 + rl], &us[r0..r0 + rl])
-        };
-        dense.clear();
-        for i in 0..self.tiling.tile_rows() {
-            if let Tile::Dense(a) = self.tile(i, j) {
-                let (ui, usi) = rows(i);
-                dense.push((a, ui, usi));
-            }
-        }
-        gemv_conj_transpose_stacked(dense, zj);
-        for i in 0..self.tiling.tile_rows() {
-            if let Tile::LowRank(s) = self.tile(i, j) {
-                let (ui, usi) = rows(i);
-                s.apply_adjoint_acc_fast(ui, usi, scratch, zj);
-            }
+    /// scattered onto `z_j`. `us` is `swap_re_im(u)`; `scratch` holds at
+    /// least `nb` entries.
+    fn column_adjoint(&self, j: usize, u: &[C32], us: &[C32], scratch: &mut [C32], zj: &mut [C32]) {
+        let column = &self.store.columns[j];
+        let runs = column.runs.iter().map(|run| {
+            let rows = run.rows.clone();
+            (&run.panel, &u[rows.clone()], &us[rows])
+        });
+        gemv_conj_transpose_stacked(runs, zj);
+        for (rows, s) in &column.skeletons {
+            s.apply_adjoint_acc_fast(&u[rows.clone()], &us[rows.clone()], scratch, zj);
         }
     }
 
-    /// `v ← Ãᴴu − βv`, then `w ← Ãv`, in one sweep over the tiles in
-    /// storage order (tile-column-major): per tile column `j`,
-    /// [`Self::column_adjoint`] into `z_j`, the update of `v_j` — final the
-    /// moment the column is done — and every tile's forward kernel into
-    /// its `w_i`, over the tiles the adjoint just pulled into cache. The
-    /// distance between a tile's two uses is one tile column of the store,
-    /// where [`Self::apply_adjoint_into`] followed by [`Self::apply_into`]
-    /// reads the whole store twice.
+    /// `v ← Ãᴴu − βv`, then `w ← Ãv`, in one sweep over the store in
+    /// storage order: per tile column `j`, `column_adjoint` into `z_j`, the
+    /// update of `v_j` — final the moment the column is done — and
+    /// `column_forward` of `v_j` into `w`, over the tiles the adjoint just
+    /// pulled into cache. The distance between a tile's two uses is one
+    /// tile column of the store, where [`Self::apply_adjoint_into`]
+    /// followed by [`Self::apply_into`] reads the whole store twice.
     ///
     /// Those two calls' kernels, scratch shapes and accumulation order per
-    /// output element (`z_j` by [`Self::column_adjoint`], `w_i` over `j`
-    /// ascending), hence their bits. Serial: the parallelism is across the
-    /// matrices of a frequency stack, one sweep each (a lone matrix keeps
-    /// one thread busy). `z` is `n` long and ends up holding `Ãᴴu`; the
-    /// one scratch allocation is the swapped copy of `u`, the adjoint
-    /// kernels' `nb` and the forward kernels' `2·nb`, and one `Vec` lists
-    /// each column's dense tiles in turn.
+    /// output element, hence their bits. Serial: the parallelism is across
+    /// the matrices of a frequency stack, one sweep each (a lone matrix
+    /// keeps one thread busy). `z` is `n` long and ends up holding `Ãᴴu`;
+    /// the one scratch allocation is the swapped copy of `u`, the adjoint
+    /// kernels' `nb` and the forward kernels' `2·nb`.
     pub fn adjoint_then_apply_into(
         &self,
         u: &[C32],
@@ -418,40 +628,30 @@ impl TlrMatrix {
         let mut scratch = vec![CZERO; u.len() + 3 * nb];
         let (us, scratch) = scratch.split_at_mut(u.len());
         swap_re_im(u, us);
-        let us = &*us;
         let (adjoint_scratch, forward_scratch) = scratch.split_at_mut(nb);
-        let mut dense = Vec::with_capacity(self.tiling.tile_rows());
         w.fill(CZERO);
         for j in 0..self.tiling.tile_cols() {
             let (c0, cl) = self.tiling.col_range(j);
             let (zj, vj) = (&mut z[c0..c0 + cl], &mut v[c0..c0 + cl]);
-            self.column_adjoint(j, u, us, &mut dense, adjoint_scratch, zj);
+            self.column_adjoint(j, u, us, adjoint_scratch, zj);
             subtract_scaled(zj, beta, vj);
-            for i in 0..self.tiling.tile_rows() {
-                let (r0, rl) = self.tiling.row_range(i);
-                let wi = &mut w[r0..r0 + rl];
-                match self.tile(i, j) {
-                    Tile::LowRank(s) => s.apply_acc_fast(vj, forward_scratch, wi),
-                    Tile::Dense(a) => gemv_acc_fast(a, vj, wi),
-                }
-            }
+            self.column_forward(j, vj, forward_scratch, w);
         }
     }
 
-    /// Iterate tiles with their grid coordinates.
-    pub fn tiles_with_coords(&self) -> impl Iterator<Item = (usize, usize, &Tile)> {
+    /// Iterate tiles with their grid coordinates, tile-column-major.
+    pub fn tiles_with_coords(&self) -> impl Iterator<Item = (usize, usize, TileRef<'_>)> {
         let mt = self.tiling.tile_rows();
-        self.tiles.iter().enumerate().map(move |(idx, t)| {
-            let i = idx % mt;
-            let j = idx / mt;
-            (i, j, t)
+        (0..self.tiling.tile_count()).map(move |idx| {
+            let (i, j) = (idx % mt, idx / mt);
+            (i, j, self.tile(i, j))
         })
     }
 
     /// Histogram of tile ranks (index = rank, value = tile count).
     pub fn rank_histogram(&self) -> Vec<usize> {
         let mut hist = vec![0usize; self.max_rank() + 1];
-        for t in self.tiles.iter() {
+        for (_, _, t) in self.tiles_with_coords() {
             hist[t.rank()] += 1;
         }
         hist
@@ -471,18 +671,24 @@ pub(crate) mod test_support {
     /// the columns in their own order.
     pub(crate) fn dense_tiles_as_factors(tlr: &TlrMatrix) -> TlrMatrix {
         let tiles = tlr
-            .tiles
-            .iter()
-            .map(|t| match t {
-                Tile::Dense(a) => {
-                    let n = a.ncols();
+            .tiles_with_coords()
+            .map(|(_, _, t)| match t {
+                TileRef::Dense(a) => {
+                    let n = a.shape().1;
                     let order: Vec<usize> = (0..n).collect();
-                    Tile::LowRank(Skeleton::new(a, &Matrix::zeros(0, n), &order))
+                    let zeros = Matrix::zeros(0, n);
+                    Tile::LowRank(Skeleton::new(&a.to_matrix(), &zeros, &order))
                 }
-                Tile::LowRank(_) => t.clone(),
+                TileRef::LowRank(_) => t.to_tile(),
             })
             .collect();
         TlrMatrix::new(tlr.tiling, tiles, tlr.config)
+    }
+
+    /// Owned copies of `tlr`'s tiles, tile-column-major, as
+    /// [`TlrMatrix::new`] takes them.
+    pub(crate) fn owned_tiles(tlr: &TlrMatrix) -> Vec<Tile> {
+        tlr.tiles_with_coords().map(|(_, _, t)| t.to_tile()).collect()
     }
 
     /// Noise does not compress: a ragged 45×38 matrix at `nb` 12 whose
@@ -532,9 +738,9 @@ pub(crate) mod test_support {
             },
         );
         let kind = |i, j| match tlr.tile(i, j) {
-            Tile::Dense(_) => 'd',
-            Tile::LowRank(s) if s.rank() == 0 => '0',
-            Tile::LowRank(_) => 'l',
+            TileRef::Dense(_) => 'd',
+            TileRef::LowRank(s) if s.rank() == 0 => '0',
+            TileRef::LowRank(_) => 'l',
         };
         assert_eq!([kind(0, 0), kind(0, 1), kind(0, 2)], ['0', 'd', 'l']);
         assert_eq!([kind(0, 1), kind(1, 1), kind(2, 1)], ['d', 'l', '0']);
@@ -544,7 +750,7 @@ pub(crate) mod test_support {
 
 #[cfg(test)]
 mod tests {
-    use super::test_support::{dense_tiles_as_factors, mixed_tiles, noise_tiles};
+    use super::test_support::{dense_tiles_as_factors, mixed_tiles, noise_tiles, owned_tiles};
     use super::*;
     use crate::compress::{compress, CompressionConfig, CompressionMethod, ToleranceMode};
     use crate::fastpath::golden::{fnv1a, golden, golden_vec};
@@ -633,7 +839,7 @@ mod tests {
     }
 
     /// The product the obviously-right way: every tile through
-    /// [`Tile::apply_acc`] — a skeleton as the `(C, W)` pair it stands for
+    /// [`TileRef::apply_acc`] — a skeleton as the `(C, W)` pair it stands for
     /// on `seismic_la::LowRank::apply_acc` (`seismic_la::blas`, one
     /// accumulator, a fresh rank vector per tile).
     fn reference_apply(tlr: &TlrMatrix, x: &[C32]) -> Vec<C32> {
@@ -840,15 +1046,17 @@ mod tests {
         hand_built_store(Tiling::new(30 + last, 37, 10), &RANKS, 3)
     }
 
-    const COLUMN_ADJOINT_BITS: u64 = 0x2e62_7e5b_352d_7c5f;
+    const COLUMN_ADJOINT_BITS: u64 = 0xe6c6_9a87_4344_a939;
 
-    /// The per-column adjoint — a tile column's dense tiles on one set of
+    /// The per-column adjoint — a tile column's dense runs on one set of
     /// dot lanes, then its skeletons — against every tile through
-    /// [`Tile::apply_adjoint_acc`], within `4ε₃₂·‖A‖_F·‖y‖`, with a last
+    /// [`TileRef::apply_adjoint_acc`], within `4ε₃₂·‖A‖_F·‖y‖`, with a last
     /// tile row of one, two and three rows; its output bits on those
     /// stores hashed (two to four dense tiles per column, so the order
     /// they are stacked in is pinned, as `sweep_golden_bits`' one per
-    /// column cannot; the same constant in debug and release builds); and
+    /// column cannot; the same constant in debug and release builds —
+    /// recaptured when the dense tiles became runs, because the dot lanes
+    /// no longer restart at each 10-row tile); and
     /// a NaN in one dense tile reaches the column of `x` its entry sits in
     /// and no other, in a block of four, a single column and a tail of
     /// three run as four.
@@ -859,7 +1067,7 @@ mod tests {
             let tlr = column_mix_store(last);
             let dense = [0, 1, 2, 3].map(|j| {
                 (0..4)
-                    .filter(|&i| matches!(tlr.tile(i, j), Tile::Dense(_)))
+                    .filter(|&i| matches!(tlr.tile(i, j), TileRef::Dense(_)))
                     .count()
             });
             assert_eq!(dense, [0, 4, 2, 2], "dense tiles per tile column");
@@ -872,7 +1080,7 @@ mod tests {
             h = fnv1a(h, &tlr.apply_adjoint(&golden_vec(tlr.shape().0, 7)));
 
             for (i, j, row, col) in [(1, 1, 4, 1), (3, 1, 0, 9), (0, 2, 7, 3), (3, 3, 2, 6)] {
-                let mut tiles = tlr.tiles.to_vec();
+                let mut tiles = owned_tiles(&tlr);
                 let t = tlr.tiling.tile_index(i, j);
                 assert!(matches!(tiles[t], Tile::Dense(_)));
                 let mut poisoned = tiles[t].to_dense();
@@ -893,6 +1101,213 @@ mod tests {
         assert_eq!(h, COLUMN_ADJOINT_BITS, "{h:#018x}");
     }
 
+    /// Tile columns holding dense runs of one tile, of two and of the
+    /// whole column, between skeletons and rank-0 tiles, at `nb` with a
+    /// last tile row `last` rows high: five tile rows, and five tile
+    /// columns, the last seven wide. Returns the tiles it was built from
+    /// beside the store.
+    fn run_store(nb: usize, last: usize) -> (Vec<Tile>, TlrMatrix) {
+        const D: Option<usize> = None;
+        #[rustfmt::skip]
+        const RANKS: [Option<usize>; 25] = [
+            D, Some(3), D, D, Some(0),
+            D, D, D, D, D,
+            Some(0), D, Some(2), D, D,
+            Some(5), Some(1), D, Some(0), D,
+            D, D, Some(0), Some(4), D,
+        ];
+        let tiling = Tiling::new(4 * nb + last, 4 * nb + 7, nb);
+        let tiles = hand_built_tiles(tiling, &RANKS, 11);
+        let tlr = TlrMatrix::new(tiling, tiles.clone(), cfg(nb, 1e-4));
+        (tiles, tlr)
+    }
+
+    /// `y = Ãx` tile by tile, on the kernels the store ran before dense
+    /// runs: each dense tile a block of its own.
+    fn per_tile_apply(tlr: &TlrMatrix, x: &[C32]) -> Vec<C32> {
+        let t = tlr.tiling();
+        let (mut y, mut scratch) = (vec![CZERO; t.m], vec![CZERO; 2 * t.nb]);
+        for (i, j, tile) in tlr.tiles_with_coords() {
+            let ((r0, rl), (c0, cl)) = (t.row_range(i), t.col_range(j));
+            let (xj, yi) = (&x[c0..c0 + cl], &mut y[r0..r0 + rl]);
+            match tile {
+                TileRef::LowRank(s) => s.apply_acc_fast(xj, &mut scratch, yi),
+                TileRef::Dense(a) => gemv_acc_fast(&a.to_matrix(), xj, yi),
+            }
+        }
+        y
+    }
+
+    /// `x = Ãᴴy` tile by tile: per tile column its dense tiles, each a
+    /// block of its own, on one set of dot lanes, then its skeletons.
+    fn per_tile_adjoint(tlr: &TlrMatrix, y: &[C32]) -> Vec<C32> {
+        let t = tlr.tiling();
+        let (mut x, mut scratch) = (vec![CZERO; t.n], vec![CZERO; t.nb]);
+        let mut ys = vec![CZERO; t.m];
+        swap_re_im(y, &mut ys);
+        for j in 0..t.tile_cols() {
+            let (c0, cl) = t.col_range(j);
+            let rows = |i: usize| {
+                let (r0, rl) = t.row_range(i);
+                r0..r0 + rl
+            };
+            let dense: Vec<(Matrix<C32>, Range<usize>)> = (0..t.tile_rows())
+                .filter_map(|i| match tlr.tile(i, j) {
+                    TileRef::Dense(a) => Some((a.to_matrix(), rows(i))),
+                    TileRef::LowRank(_) => None,
+                })
+                .collect();
+            let blocks = dense.iter().map(|(a, r)| (a, &y[r.clone()], &ys[r.clone()]));
+            let xj = &mut x[c0..c0 + cl];
+            gemv_conj_transpose_stacked(blocks, xj);
+            for i in 0..t.tile_rows() {
+                if let TileRef::LowRank(s) = tlr.tile(i, j) {
+                    s.apply_adjoint_acc_fast(&y[rows(i)], &ys[rows(i)], &mut scratch, xj);
+                }
+            }
+        }
+        x
+    }
+
+    /// `4ε₃₂·‖A‖_F·‖v‖` of the reconstruction, in `f64`.
+    fn rounding_bound(tlr: &TlrMatrix, v: &[C32]) -> f64 {
+        let norm = |v: &[C32]| v.iter().map(|z| f64::from(z.norm_sqr())).sum::<f64>().sqrt();
+        4.0 * f64::from(f32::EPSILON) * norm(tlr.reconstruct().as_slice()) * norm(v)
+    }
+
+    fn bits(v: &[C32]) -> Vec<(u32, u32)> {
+        v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+    }
+
+    /// On [`run_store`] at `nb` 8, 10 and 12 with a last tile row of one
+    /// to four rows: the runs are the maximal ones; every `tile(i, j)`
+    /// view is the block it was built from, bit for bit; the three
+    /// products hold the per-tile reference ([`TileRef::apply_acc`] /
+    /// [`TileRef::apply_adjoint_acc`]) within `4ε₃₂·‖A‖_F·‖x‖`, and equal a
+    /// per-tile walk on the fast kernels bit for bit wherever every tile
+    /// row but the last is a multiple of four rows high (the dot lanes
+    /// restart at the same rows); the forward product equals it at every
+    /// `nb`.
+    #[test]
+    fn dense_runs_are_the_tiles_they_stack() {
+        for nb in [8, 10, 12] {
+            for last in 1..=4 {
+                let at = format!("nb {nb}, last tile row {last}");
+                let (tiles, tlr) = run_store(nb, last);
+                let t = *tlr.tiling();
+                let runs: Vec<Vec<(usize, usize)>> = tlr
+                    .store
+                    .columns
+                    .iter()
+                    .map(|c| c.runs.iter().map(|r| (r.rows.start, r.rows.end)).collect())
+                    .collect();
+                let m = t.m;
+                let want = [
+                    vec![(0, nb), (2 * nb, 4 * nb)],
+                    vec![(0, m)],
+                    vec![(nb, 2 * nb), (3 * nb, m)],
+                    vec![(2 * nb, 3 * nb), (4 * nb, m)],
+                    vec![(0, 2 * nb), (4 * nb, m)],
+                ];
+                assert_eq!(runs, want, "{at}: runs");
+                assert_eq!(tlr.dense_tiles(), 16, "{at}");
+                for (idx, tile) in tiles.iter().enumerate() {
+                    let (i, j) = (idx % t.tile_rows(), idx / t.tile_rows());
+                    let view = tlr.tile(i, j);
+                    assert_eq!(view.shape(), tile.shape(), "{at}: ({i},{j})");
+                    assert_eq!(view.stored_bytes(), tile.stored_bytes(), "{at}: ({i},{j})");
+                    let (got, want) = (view.to_dense(), tile.to_dense());
+                    assert_eq!(bits(got.as_slice()), bits(want.as_slice()), "{at}: ({i},{j})");
+                }
+
+                let (m, n) = tlr.shape();
+                let (x, y) = (rand_vec(n, 31), rand_vec(m, 32));
+                let ax = tlr.apply(&x);
+                let ahy = tlr.apply_adjoint(&y);
+                let d = f64::from(dist(&ax, &reference_apply(&tlr, &x)));
+                assert!(d <= rounding_bound(&tlr, &x), "{at}: apply {d}");
+                let d = f64::from(dist(&ahy, &reference_apply_adjoint(&tlr, &y)));
+                assert!(d <= rounding_bound(&tlr, &y), "{at}: adjoint {d}");
+
+                let beta = 0.7;
+                let (mut v, mut w, mut z) = (x.clone(), rand_vec(m, 33), rand_vec(n, 34));
+                tlr.adjoint_then_apply_into(&y, beta, &mut v, &mut w, &mut z);
+                let v_ref: Vec<C32> = reference_apply_adjoint(&tlr, &y)
+                    .iter()
+                    .zip(&x)
+                    .map(|(z, x)| *z - x.scale(beta))
+                    .collect();
+                let d = f64::from(dist(&z, &reference_apply_adjoint(&tlr, &y)));
+                assert!(d <= rounding_bound(&tlr, &y), "{at}: fused Ãᴴu {d}");
+                let d = f64::from(dist(&w, &reference_apply(&tlr, &v_ref)));
+                let bound = rounding_bound(&tlr, &v_ref) + rounding_bound(&tlr, &y);
+                assert!(d <= 2.0 * bound, "{at}: fused Ãv {d}");
+
+                assert_eq!(bits(&ax), bits(&per_tile_apply(&tlr, &x)), "{at}: apply");
+                assert_eq!(bits(&w), bits(&per_tile_apply(&tlr, &v)), "{at}: fused Ãv");
+                if nb % 4 == 0 {
+                    let walk = per_tile_adjoint(&tlr, &y);
+                    assert_eq!(bits(&ahy), bits(&walk), "{at}: adjoint");
+                    assert_eq!(bits(&z), bits(&walk), "{at}: fused Ãᴴu");
+                }
+            }
+        }
+    }
+
+    /// A NaN in one tile of a dense run — the top of a two-tile run, the
+    /// middle of a whole tile column, the short last tile row — reaches
+    /// the one column of `x` (adjoint) and the one row of `y` (forward)
+    /// its entry sits in, and nothing else of the run.
+    #[test]
+    fn a_nan_in_a_run_stays_in_its_tile() {
+        for nb in [8, 10] {
+            let (tiles, tlr) = run_store(nb, 3);
+            let t = *tlr.tiling();
+            let (m, n) = tlr.shape();
+            let (x, y) = (rand_vec(n, 35), rand_vec(m, 36));
+            for (i, j, row, col) in [(2, 0, 5, 1), (1, 1, 0, 7), (4, 2, 2, 3), (1, 4, 7, 6)] {
+                let mut tiles = tiles.clone();
+                let idx = t.tile_index(i, j);
+                let Tile::Dense(a) = &mut tiles[idx] else {
+                    panic!("tile ({i},{j}) is dense");
+                };
+                a[(row, col)] = C32::new(f32::NAN, 1.0);
+                let bad = TlrMatrix::new(t, tiles, tlr.config);
+                let ((r0, _), (c0, _)) = (t.row_range(i), t.col_range(j));
+                for (k, v) in bad.apply_adjoint(&y).iter().enumerate() {
+                    assert_eq!(v.is_finite(), k != c0 + col, "nb {nb} ({i},{j}): x[{k}] = {v}");
+                }
+                for (k, v) in bad.apply(&x).iter().enumerate() {
+                    assert_eq!(v.is_finite(), k != r0 + row, "nb {nb} ({i},{j}): y[{k}] = {v}");
+                }
+            }
+        }
+    }
+
+    /// A clone — what the layouts and the engine's cache hold — reads
+    /// every run and skeleton of the matrix it was cloned from, and a
+    /// matrix rebuilt from copies of the tiles reads none of them.
+    #[test]
+    fn a_clone_shares_every_run_and_skeleton() {
+        let (_, tlr) = run_store(8, 2);
+        let clone = tlr.clone();
+        let rebuilt = TlrMatrix::new(tlr.tiling, owned_tiles(&tlr), tlr.config);
+        for (i, j, tile) in tlr.tiles_with_coords() {
+            assert!(clone.tile(i, j).ptr_eq(&tile), "({i},{j})");
+            assert!(!rebuilt.tile(i, j).ptr_eq(&tile), "({i},{j})");
+        }
+        // A view reads its run from its first row to the panel's end.
+        let same_run = |a: TileRef, b: TileRef| match (a, b) {
+            (TileRef::Dense(a), TileRef::Dense(b)) => {
+                a.data.as_ptr_range().end == b.data.as_ptr_range().end
+            }
+            _ => false,
+        };
+        assert!(same_run(tlr.tile(2, 0), tlr.tile(3, 0)));
+        assert!(!same_run(tlr.tile(0, 0), tlr.tile(2, 0)));
+        assert!(!tlr.tile(2, 0).ptr_eq(&tlr.tile(3, 0)));
+    }
+
     /// The one-pass sweep runs the kernels of `apply_adjoint_into` followed
     /// by `apply_into` in their order per output element, so it returns
     /// their bits (`to_bits`: a `−0` counts) — on every hostile grid, the
@@ -905,7 +1320,7 @@ mod tests {
             .map(|(name, a, nb, acc)| (name, compress(&a, cfg(nb, acc))))
             .collect();
         let (_, mixed) = mixed_tiles();
-        let mut tiles = mixed.tiles.to_vec();
+        let mut tiles = owned_tiles(&mixed);
         let mut poisoned = tiles[mixed.tiling.tile_index(0, 1)].to_dense();
         poisoned[(3, 5)] = C32::new(f32::NAN, 1.0);
         tiles[mixed.tiling.tile_index(0, 1)] = Tile::Dense(poisoned);
@@ -965,13 +1380,18 @@ mod tests {
         hand_built_store(Tiling::new(70, 82, 24), &RANKS, 7)
     }
 
-    /// A store built by hand, no compressor: per tile (column-major) a
-    /// skeleton of the listed rank whose column order is
-    /// `k ↦ (k·step + 3) mod n`, or, for `None`, a dense block; the
-    /// entries are [`golden`] values. `step` must be prime to every tile
-    /// width.
+    /// A store built by hand, no compressor, from [`hand_built_tiles`].
     fn hand_built_store(tiling: Tiling, ranks: &[Option<usize>], step: usize) -> TlrMatrix {
-        let tiles = ranks
+        let tiles = hand_built_tiles(tiling, ranks, step);
+        TlrMatrix::new(tiling, tiles, cfg(tiling.nb, 1e-4))
+    }
+
+    /// Tiles built by hand, column-major: per tile a skeleton of the
+    /// listed rank whose column order is `k ↦ (k·step + 3) mod n`, or, for
+    /// `None`, a dense block; the entries are [`golden`] values. `step`
+    /// must be prime to every tile width.
+    fn hand_built_tiles(tiling: Tiling, ranks: &[Option<usize>], step: usize) -> Vec<Tile> {
+        ranks
             .iter()
             .enumerate()
             .map(|(t, rank)| {
@@ -990,8 +1410,7 @@ mod tests {
                     }
                 }
             })
-            .collect();
-        TlrMatrix::new(tiling, tiles, cfg(tiling.nb, 1e-4))
+            .collect()
     }
 
     const SWEEP_GOLDEN_BITS: [u64; 4] = [
@@ -1055,9 +1474,9 @@ mod tests {
             for (_, _, t) in tlr.tiles_with_coords() {
                 let ((m, n), r) = (t.shape(), t.rank());
                 let (bytes, pair) = match t {
-                    Tile::LowRank(_) if r == 0 => (0, 0),
-                    Tile::LowRank(_) => (r * (m + n - r) * 8 + n, r * (m + n) * 8),
-                    Tile::Dense(_) => (m * n * 8, m * n * 8),
+                    TileRef::LowRank(_) if r == 0 => (0, 0),
+                    TileRef::LowRank(_) => (r * (m + n - r) * 8 + n, r * (m + n) * 8),
+                    TileRef::Dense(_) => (m * n * 8, m * n * 8),
                 };
                 assert_eq!(t.stored_bytes(), bytes);
                 assert!(bytes <= pair, "{m}x{n} rank {r}");

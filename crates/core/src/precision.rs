@@ -12,7 +12,7 @@
 use seismic_la::scalar::C32;
 use seismic_la::Matrix;
 
-use crate::matrix::{Tile, TlrMatrix};
+use crate::matrix::{Tile, TileRef, TlrMatrix};
 use crate::skeleton::{Perm, Skeleton};
 
 /// Checked numeric conversion between integer types: panics with the
@@ -180,12 +180,12 @@ impl Bf16TlrMatrix {
         let tiles = tlr
             .tiles_with_coords()
             .map(|(_, _, t)| match t {
-                Tile::LowRank(s) => Bf16Tile::LowRank(
+                TileRef::LowRank(s) => Bf16Tile::LowRank(
                     Bf16Matrix::from_c32(s.panel()),
                     s.shape().0,
                     s.order().clone(),
                 ),
-                Tile::Dense(a) => Bf16Tile::Dense(Bf16Matrix::from_c32(a)),
+                TileRef::Dense(a) => Bf16Tile::Dense(Bf16Matrix::from_c32(&a.to_matrix())),
             })
             .collect();
         Self {

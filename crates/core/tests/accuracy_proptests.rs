@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use seismic_la::scalar::C32;
 use seismic_la::Matrix;
 use tlr_mvm::{
-    compress, trace, verify_compression_grids, CompressionConfig, CompressionMethod, Tile,
+    compress, trace, verify_compression_grids, CompressionConfig, CompressionMethod, TileRef,
     ToleranceMode,
 };
 
@@ -92,7 +92,7 @@ proptest! {
         prop_assert_eq!(byte_sum, tlr.compressed_bytes() as u64);
 
         // Cell-by-cell: the byte grid is the stored form's byte count
-        // (`Tile::stored_bytes`), which the tile geometry fixes — a
+        // (`TileRef::stored_bytes`), which the tile geometry fixes — a
         // rank-r skeleton stores r·(rows+cols−r) complex elements and one
         // index byte per column, a tile kept dense rows·cols elements, and
         // never more words than that.
@@ -104,9 +104,9 @@ proptest! {
                 prop_assert_eq!(byte_grid.cells[cell], tile.stored_bytes() as u64);
                 let (rows, cols) = tile.shape();
                 let (words, index) = match tile {
-                    Tile::LowRank(s) if s.rank() == 0 => (0, 0),
-                    Tile::LowRank(s) => (s.rank() * (rows + cols - s.rank()), cols),
-                    Tile::Dense(_) => (rows * cols, 0),
+                    TileRef::LowRank(s) if s.rank() == 0 => (0, 0),
+                    TileRef::LowRank(s) => (s.rank() * (rows + cols - s.rank()), cols),
+                    TileRef::Dense(_) => (rows * cols, 0),
                 };
                 prop_assert_eq!(tile.stored_elements(), words);
                 prop_assert_eq!(

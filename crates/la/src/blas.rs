@@ -5,6 +5,8 @@
 //! contiguous memory. None is parallel: TLR tiles are small (`nb <= 70`),
 //! so the concurrency lives across tiles, in the callers.
 
+use core::borrow::Borrow;
+
 use crate::dense::Matrix;
 use crate::scalar::{Real, Scalar};
 
@@ -57,10 +59,10 @@ pub fn swap_re_im<S: Scalar>(x: &[S], xs: &mut [S]) {
 /// multiply-add: with `xs = swap_re_im(x)`, `p1 += a ⊙ x` and `p2 += a ⊙ xs`
 /// are element-wise products over consecutive floats, and
 /// `conj(a)·x = (Σ p1.re + p1.im, Σ p2.re − p2.im)` is folded once per
-/// column. All slices share one length. `as_chunks` hands the loop
-/// `[S; LANES]` operands, which is what lets LLVM drop every bounds check
-/// and emit packed multiplies and adds; rows past the last full step go to
-/// the leading lanes.
+/// column. All slices share one length (checked once per call). `as_chunks`
+/// hands the loop `[S; LANES]` operands, zipped step by step, which is what
+/// lets LLVM drop every bounds check and emit packed multiplies and adds;
+/// rows past the last full step go to the leading lanes.
 ///
 /// This is the workspace's one vectorised conjugated dot: the MVM's
 /// V-batch and skeleton kernels (`tlr_mvm::fastpath`) and the QR and
@@ -79,24 +81,30 @@ pub fn dotc_lanes<S: Scalar, const N: usize>(cols: [&[S]; N], x: &[S], xs: &[S])
     lane_fold(&p1, &p2)
 }
 
-/// `N` conjugated dots down a stack of blocks, `Σ_b a_b[:, cols[c]]ᴴ x_b`:
-/// each block `(a_b, x_b, xs_b)` is a matrix, the vector its rows are
-/// dotted with and that vector's swapped copy (`swap_re_im(x_b)`). The
-/// lane step of [`dotc_lanes`] runs over every block's rows in turn, into
-/// one set of lanes, and the lanes are folded once at the end, not once
-/// per block. Each block's rows past its last full step go to the leading
+/// One block of a stack the stacked dot kernels run down: a matrix, the
+/// vector its rows are dotted with and that vector's swapped copy
+/// (`swap_re_im(x_b)`).
+pub type StackedBlock<'a, S> = (&'a Matrix<S>, &'a [S], &'a [S]);
+
+/// `N` conjugated dots down a stack of blocks, `Σ_b a_b[:, cols[c]]ᴴ x_b`,
+/// each block a [`StackedBlock`] `(a_b, x_b, xs_b)`, by value or by
+/// reference (a slice of them, or an iterator that makes them). The lane
+/// step of [`dotc_lanes`] runs over every block's rows in turn, into one
+/// set of lanes, and the lanes are folded once at the end, not once per
+/// block. Each block's rows past its last full step go to the leading
 /// lanes, so one block gives [`dotc_lanes`]' bits. Column indices may
 /// repeat (a block of three run as four); no block gives zeros.
 ///
 /// Never inlined, for the reason [`dotc_lanes`] is not.
 #[inline(never)]
-pub fn dotc_lanes_stacked<S: Scalar, const N: usize>(
-    blocks: &[(&Matrix<S>, &[S], &[S])],
+pub fn dotc_lanes_stacked<'a, S: Scalar + 'a, const N: usize>(
+    blocks: impl IntoIterator<Item: Borrow<StackedBlock<'a, S>>>,
     cols: [usize; N],
 ) -> [S; N] {
     let mut p1 = [[S::ZERO; LANES]; N];
     let mut p2 = [[S::ZERO; LANES]; N];
-    for &(a, x, xs) in blocks {
+    for block in blocks {
+        let &(a, x, xs) = block.borrow();
         debug_assert!(a.nrows() == x.len() && x.len() == xs.len());
         let a_cols: [&[S]; N] = core::array::from_fn(|k| a.col(cols[k]));
         lane_step(&mut p1, &mut p2, a_cols, x, xs);
@@ -106,7 +114,11 @@ pub fn dotc_lanes_stacked<S: Scalar, const N: usize>(
 
 /// The lane step of the dot kernels above: `p1 += a ⊙ x`, `p2 += a ⊙ xs`
 /// over the rows of `cols`, `LANES` rows per step and the tail into the
-/// leading lanes.
+/// leading lanes. At most four columns: the steps of four are zipped with
+/// `x`'s and `xs`', so the loop indexes nothing. (Indexing the columns'
+/// steps by step number left one bounds check per step in the
+/// four-column loop: LLVM proves it only after the column slices are out
+/// of the array `map` builds, when the loop passes have run.)
 #[inline(always)]
 fn lane_step<S: Scalar, const N: usize>(
     p1: &mut [[S; LANES]; N],
@@ -115,18 +127,24 @@ fn lane_step<S: Scalar, const N: usize>(
     x: &[S],
     xs: &[S],
 ) {
+    const { assert!(N <= 4, "at most four columns per lane step") };
+    assert!(
+        xs.len() == x.len() && cols.iter().all(|c| c.len() == x.len()),
+        "lane step: length mismatch"
+    );
     let (x_steps, x_tail) = x.as_chunks::<LANES>();
     let (xs_steps, xs_tail) = xs.as_chunks::<LANES>();
-    let steps = x_steps.len();
-    let xs_steps = &xs_steps[..steps];
     let cols = cols.map(|c| c.as_chunks::<LANES>());
-    let col_steps = cols.map(|(c, _)| &c[..steps]);
-    for s in 0..steps {
+    // Fewer than four columns repeat the last one, whose steps are never
+    // read.
+    let [c0, c1, c2, c3] = core::array::from_fn(|k| cols[k.min(N - 1)].0);
+    let steps = x_steps.iter().zip(xs_steps).zip(c0).zip(c1).zip(c2).zip(c3);
+    for (((((xv, sv), a0), a1), a2), a3) in steps {
+        let a = [a0, a1, a2, a3];
         for c in 0..N {
             for l in 0..LANES {
-                let a = col_steps[c][s][l];
-                p1[c][l] = hadamard_add(p1[c][l], a, x_steps[s][l]);
-                p2[c][l] = hadamard_add(p2[c][l], a, xs_steps[s][l]);
+                p1[c][l] = hadamard_add(p1[c][l], a[c][l], xv[l]);
+                p2[c][l] = hadamard_add(p2[c][l], a[c][l], sv[l]);
             }
         }
     }
@@ -167,12 +185,17 @@ pub fn dotc_cols<S: Scalar, const N: usize>(cols: [&[S]; N], x: &[S], xs: &[S]) 
 }
 
 /// `y = Σ_b a_bᴴ x_b` (overwrite) down a stack of blocks of `y.len()`
-/// columns each, `(a_b, x_b, xs_b)` as [`dotc_lanes_stacked`] takes them,
-/// in the forms [`dotc_cols`] runs: four columns in lockstep, a tail of
-/// three as four with its last column repeated, one or two singly. An
-/// empty stack leaves `y` zero.
-pub fn gemv_conj_transpose_stacked<S: Scalar>(blocks: &[(&Matrix<S>, &[S], &[S])], y: &mut [S]) {
-    for &(a, x, xs) in blocks {
+/// columns each, as [`dotc_lanes_stacked`] takes them (the stack is walked
+/// once per block of columns, so it must be cheap to clone), in the forms
+/// [`dotc_cols`] runs: four columns in lockstep, a tail of three as four
+/// with its last column repeated, one or two singly. An empty stack leaves
+/// `y` zero.
+pub fn gemv_conj_transpose_stacked<'a, S: Scalar + 'a, I>(blocks: I, y: &mut [S])
+where
+    I: IntoIterator<Item: Borrow<StackedBlock<'a, S>>> + Clone,
+{
+    for block in blocks.clone() {
+        let &(a, x, xs) = block.borrow();
         assert!(
             a.ncols() == y.len() && a.nrows() == x.len() && x.len() == xs.len(),
             "gemv_h_stacked: block shape mismatch"
@@ -181,11 +204,13 @@ pub fn gemv_conj_transpose_stacked<S: Scalar>(blocks: &[(&Matrix<S>, &[S], &[S])
     for (k, yk) in y.chunks_mut(4).enumerate() {
         let j = 4 * k;
         match yk.len() {
-            4 => yk.copy_from_slice(&dotc_lanes_stacked(blocks, [j, j + 1, j + 2, j + 3])),
-            3 => yk.copy_from_slice(&dotc_lanes_stacked(blocks, [j, j + 1, j + 2, j + 2])[..3]),
+            4 => yk.copy_from_slice(&dotc_lanes_stacked(blocks.clone(), [j, j + 1, j + 2, j + 3])),
+            3 => yk.copy_from_slice(
+                &dotc_lanes_stacked(blocks.clone(), [j, j + 1, j + 2, j + 2])[..3],
+            ),
             _ => {
                 for (c, yc) in yk.iter_mut().enumerate() {
-                    *yc = dotc_lanes_stacked(blocks, [j + c])[0];
+                    *yc = dotc_lanes_stacked(blocks.clone(), [j + c])[0];
                 }
             }
         }

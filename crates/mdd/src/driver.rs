@@ -215,7 +215,7 @@ mod tests {
     use super::*;
     use seis_wave::{DatasetConfig, VelocityModel};
     use seismic_la::Matrix;
-    use tlr_mvm::{compress, CompressionMethod, Tile, ToleranceMode};
+    use tlr_mvm::{compress, CompressionMethod, TileRef, ToleranceMode};
 
     fn tiny_ds() -> SyntheticDataset {
         SyntheticDataset::generate(DatasetConfig::tiny(), VelocityModel::overthrust())
@@ -335,12 +335,12 @@ mod tests {
                     let at = format!("nb {nb} {method:?} {mode:?}: bin {f}, tile ({i},{j})");
                     assert_eq!(g.rank(), w.rank(), "{at}");
                     match (g, w) {
-                        (Tile::LowRank(g), Tile::LowRank(w)) => {
+                        (TileRef::LowRank(g), TileRef::LowRank(w)) => {
                             assert!(bits(g.panel()) == bits(w.panel()), "{at}: panel");
                             assert!(g.perm().eq(w.perm()), "{at}: column order");
                         }
-                        (Tile::Dense(g), Tile::Dense(w)) => {
-                            assert!(bits(g) == bits(w), "{at}: block");
+                        (TileRef::Dense(g), TileRef::Dense(w)) => {
+                            assert!(bits(&g.to_matrix()) == bits(&w.to_matrix()), "{at}: block");
                         }
                         _ => panic!("{at}: stored in another form"),
                     }

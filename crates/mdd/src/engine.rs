@@ -932,7 +932,7 @@ mod tests {
         let first = cache.get_or_build(&keys[0], || FrequencyOperators::build(&tlr));
         for (f, (mine, theirs)) in first.kernels().iter().zip(&tlr).enumerate() {
             for (i, j, tile) in theirs.tiles_with_coords() {
-                assert!(std::ptr::eq(mine.tile(i, j), tile), "f {f} tile ({i},{j})");
+                assert!(mine.tile(i, j).ptr_eq(&tile), "f {f} tile ({i},{j})");
             }
         }
         assert_eq!(first.resident_bytes(), bytes);

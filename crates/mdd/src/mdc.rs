@@ -46,6 +46,9 @@ pub struct MdcOperator<O: LinearOperator> {
     kernels: Vec<O>,
     /// [`LinearOperator::stored_bytes`] of each kernel.
     bytes: Vec<usize>,
+    /// The frequencies in the order their tasks are handed out: largest
+    /// stored bytes first, ties in index order.
+    order: Vec<usize>,
     n_src: usize,
     n_rec: usize,
 }
@@ -59,12 +62,26 @@ impl<O: LinearOperator> MdcOperator<O> {
         for k in &kernels {
             assert_eq!((k.nrows(), k.ncols()), (n_src, n_rec));
         }
+        let bytes: Vec<usize> = kernels.iter().map(O::stored_bytes).collect();
+        let mut order: Vec<usize> = (0..kernels.len()).collect();
+        order.sort_by_key(|&f| std::cmp::Reverse(bytes[f]));
         Self {
-            bytes: kernels.iter().map(O::stored_bytes).collect(),
             kernels,
+            bytes,
+            order,
             n_src,
             n_rec,
         }
+    }
+
+    /// `chunks` — one per frequency, in frequency order — paired with
+    /// their frequency and listed in task order, ready to hand to the pool.
+    fn tasks<T>(&self, chunks: impl Iterator<Item = T>) -> Vec<(usize, T)> {
+        let mut slots: Vec<Option<T>> = chunks.map(Some).collect();
+        self.order
+            .iter()
+            .filter_map(|&f| Some((f, slots.get_mut(f)?.take()?)))
+            .collect()
     }
 
     /// Number of frequency blocks.
@@ -105,42 +122,44 @@ impl<O: LinearOperator> LinearOperator for MdcOperator<O> {
         self.apply_adjoint_into(y, &mut x);
         x
     }
-    /// Frequency blocks are independent → rayon over frequencies (this is
-    /// the embarrassingly parallel structure the paper maps onto PEs).
-    /// Each kernel writes its own `n_src` chunk of `y` in place.
+    /// Frequency blocks are independent → one task per frequency (this
+    /// is the embarrassingly parallel structure the paper maps onto PEs),
+    /// each kernel writing its own `n_src` chunk of `y` in place, handed
+    /// out largest [`LinearOperator::stored_bytes`] first: a frequency
+    /// stack's bytes rise several-fold from its first matrix to its last,
+    /// and the pool hands tasks out in list order, so the big ones must
+    /// not start last. The order is fixed in [`MdcOperator::new`] and
+    /// changes no result. A TLR kernel's products are serial, so a stack
+    /// with fewer frequencies than threads leaves threads idle here; the
+    /// stacks this runs on hold 12–230.
     fn apply_into(&self, x: &[C32], y: &mut [C32]) {
         assert_eq!(x.len(), self.ncols());
         assert_eq!(y.len(), self.nrows());
         assert_finite("mdc.apply.x", x);
-        let _span = tlr_mvm::trace::span("mdc.apply");
         let nr = self.n_rec;
-        y.par_chunks_mut(self.n_src.max(1))
-            .zip(&self.kernels)
-            .enumerate()
-            .for_each(|(f, (yf, k))| k.apply_into(&x[f * nr..(f + 1) * nr], yf));
+        let tasks = self.tasks(y.chunks_mut(self.n_src.max(1)));
+        let _span = tlr_mvm::trace::span("mdc.apply");
+        tasks.into_par_iter().for_each(|(f, yf)| {
+            self.kernels[f].apply_into(&x[f * nr..(f + 1) * nr], yf);
+        });
         assert_finite("mdc.apply.y", y);
     }
+    /// One task per frequency, as [`LinearOperator::apply_into`] runs.
     fn apply_adjoint_into(&self, y: &[C32], x: &mut [C32]) {
         assert_eq!(y.len(), self.nrows());
         assert_eq!(x.len(), self.ncols());
         assert_finite("mdc.apply_adjoint.y", y);
-        let _span = tlr_mvm::trace::span("mdc.apply_adjoint");
         let ns = self.n_src;
-        x.par_chunks_mut(self.n_rec.max(1))
-            .zip(&self.kernels)
-            .enumerate()
-            .for_each(|(f, (xf, k))| k.apply_adjoint_into(&y[f * ns..(f + 1) * ns], xf));
+        let tasks = self.tasks(x.chunks_mut(self.n_rec.max(1)));
+        let _span = tlr_mvm::trace::span("mdc.apply_adjoint");
+        tasks.into_par_iter().for_each(|(f, xf)| {
+            self.kernels[f].apply_adjoint_into(&y[f * ns..(f + 1) * ns], xf);
+        });
         assert_finite("mdc.apply_adjoint.x", x);
     }
-    /// One task per frequency, each kernel's own fused pair on its own
-    /// chunks of `v`, `w` and `scratch`, so the order they start in changes
-    /// no result — and it is largest [`LinearOperator::stored_bytes`]
-    /// first (ties in index order): a frequency stack's bytes rise
-    /// several-fold from its first matrix to its last, and the pool hands
-    /// tasks out in list order, so the big ones must not start last. A
-    /// TLR kernel's sweep is serial, so a stack with fewer frequencies
-    /// than threads leaves threads idle here; the stacks this runs on hold
-    /// 12–230.
+    /// One task per frequency, as [`LinearOperator::apply_into`] runs:
+    /// each kernel's own fused pair on its own chunks of `v`, `w` and
+    /// `scratch`.
     fn adjoint_then_apply_into(
         &self,
         u: &[C32],
@@ -155,13 +174,11 @@ impl<O: LinearOperator> LinearOperator for MdcOperator<O> {
         assert_eq!(scratch.len(), self.ncols());
         assert_finite("mdc.adjoint_then_apply.u", u);
         let (ns, nr) = (self.n_src, self.n_rec);
-        let mut tasks: Vec<_> = v
-            .chunks_mut(nr.max(1))
-            .zip(w.chunks_mut(ns.max(1)))
-            .zip(scratch.chunks_mut(nr.max(1)))
-            .enumerate()
-            .collect();
-        tasks.sort_by_key(|&(f, _)| std::cmp::Reverse(self.bytes[f]));
+        let tasks = self.tasks(
+            v.chunks_mut(nr.max(1))
+                .zip(w.chunks_mut(ns.max(1)))
+                .zip(scratch.chunks_mut(nr.max(1))),
+        );
         let _span = tlr_mvm::trace::span("mdc.adjoint_then_apply");
         tasks.into_par_iter().for_each(|(f, ((vf, wf), zf))| {
             self.kernels[f].adjoint_then_apply_into(&u[f * ns..(f + 1) * ns], beta, vf, wf, zf);

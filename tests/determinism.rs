@@ -8,7 +8,7 @@ use seismic_geom::Ordering;
 use seismic_la::svd_truncate;
 use seismic_mdd::driver::compression_stats;
 use seismic_mdd::{compress_dataset, run_mdd_with_operators, LsqrOptions, MddConfig};
-use tlr_mvm::{compress, CompressionConfig, CompressionMethod, Tile, ToleranceMode};
+use tlr_mvm::{compress, CompressionConfig, CompressionMethod, TileRef, ToleranceMode};
 use wse_sim::RankModel;
 
 fn dataset() -> SyntheticDataset {
@@ -142,7 +142,7 @@ fn stack_signature(scale: usize, freq_stride: usize, cfg: CompressionConfig) -> 
     let mut count = 0;
     for (k, (_, _, tile)) in tiles.enumerate() {
         count += 1;
-        if matches!(tile, Tile::Dense(_)) {
+        if matches!(tile, TileRef::Dense(_)) {
             for b in (k as u64).to_le_bytes() {
                 dense_at = (dense_at ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
             }
@@ -275,11 +275,13 @@ fn assert_compress_dataset_is_compress_of_each_kernel(
             let at = format!("scale {scale} / stride {freq_stride}: bin {f}, tile ({i},{j})");
             assert_eq!(g.rank(), w.rank(), "{at}");
             match (g, w) {
-                (Tile::LowRank(g), Tile::LowRank(w)) => {
+                (TileRef::LowRank(g), TileRef::LowRank(w)) => {
                     assert!(bits(g.panel()) == bits(w.panel()), "{at}: panel");
                     assert!(g.perm().eq(w.perm()), "{at}: column order");
                 }
-                (Tile::Dense(g), Tile::Dense(w)) => assert!(bits(g) == bits(w), "{at}: block"),
+                (TileRef::Dense(g), TileRef::Dense(w)) => {
+                    assert!(bits(&g.to_matrix()) == bits(&w.to_matrix()), "{at}: block")
+                }
                 _ => panic!("{at}: stored in another form"),
             }
         }
@@ -323,7 +325,7 @@ fn dense_census(scale: usize, freq_stride: usize, nb: usize, acc: f32) -> (usize
         let kernel = ds.reordered_kernel_with(f, &rows, &cols);
         let tiling = stack.tiling();
         for (i, j, tile) in stack.tiles_with_coords() {
-            if !matches!(tile, Tile::Dense(_)) {
+            if !matches!(tile, TileRef::Dense(_)) {
                 continue;
             }
             let ((r0, m), (c0, n)) = (tiling.row_range(i), tiling.col_range(j));
@@ -378,11 +380,13 @@ fn compression_is_deterministic() {
         // The stored forms agree exactly.
         for ((_, _, la), (_, _, lb)) in ta.tiles_with_coords().zip(tb.tiles_with_coords()) {
             match (la, lb) {
-                (Tile::LowRank(la), Tile::LowRank(lb)) => {
+                (TileRef::LowRank(la), TileRef::LowRank(lb)) => {
                     assert_eq!(la.panel().as_slice(), lb.panel().as_slice());
                     assert!(la.perm().eq(lb.perm()));
                 }
-                (Tile::Dense(a), Tile::Dense(b)) => assert_eq!(a.as_slice(), b.as_slice()),
+                (TileRef::Dense(a), TileRef::Dense(b)) => {
+                    assert_eq!(a.to_matrix().as_slice(), b.to_matrix().as_slice())
+                }
                 _ => panic!("one run stored a tile dense, the other as a skeleton"),
             }
         }

@@ -22,7 +22,7 @@ use seismic_la::scalar::{C32, C64};
 use seismic_la::Matrix;
 use seismic_mdd::MdcOperator;
 use tlr_mvm::{
-    compress, CommAvoiding, CompressionConfig, CompressionMethod, LinearOperator, ThreePhase, Tile,
+    compress, CommAvoiding, CompressionConfig, CompressionMethod, LinearOperator, ThreePhase, TileRef,
     TlrMatrix, ToleranceMode,
 };
 use wse_sim::{execute_chunks, Cs2Config, Strategy};
@@ -280,13 +280,14 @@ fn the_mdc_sweeps_match_the_dense_reconstructions() {
 fn factor_pair(t: &TlrMatrix, i: usize, j: usize) -> (Matrix<C64>, Matrix<C64>) {
     let wide = |a: &Matrix<C32>| Matrix::from_fn(a.nrows(), a.ncols(), |r, c| a[(r, c)].widen());
     match t.tile(i, j) {
-        Tile::LowRank(s) => {
+        TileRef::LowRank(s) => {
             let pair = s.factors();
             (wide(&pair.u), wide(&pair.v))
         }
-        Tile::Dense(a) => {
+        TileRef::Dense(a) => {
             let one = |r, c| C64::new(if r == c { 1.0 } else { 0.0 }, 0.0);
-            (wide(a), Matrix::from_fn(a.ncols(), a.ncols(), one))
+            let (_, n) = a.shape();
+            (wide(&a.to_matrix()), Matrix::from_fn(n, n, one))
         }
     }
 }
