@@ -109,11 +109,6 @@ pub const SUBCOMMANDS: &[Subcommand] = &[
         in_all: true,
     },
     Subcommand {
-        name: "precision",
-        blurb: "FP32 vs bf16 base-storage ablation",
-        in_all: true,
-    },
-    Subcommand {
         name: "acc-report",
         blurb: "accuracy observatory: NMSE vs compression sweep",
         in_all: false,

@@ -74,7 +74,6 @@ fn handler_for(name: &str) -> Option<Handler> {
         "io" => io_study,
         "appbench" => appbench,
         "coupling" => coupling,
-        "precision" => precision,
         "acc-report" => acc_report,
         _ => return None,
     })
@@ -854,37 +853,6 @@ fn mmm(json: bool) -> RunResult {
     );
     if json {
         write_rows("mmm", &rows_data, mmmx::MmmRow::to_json)?;
-    }
-    Ok(())
-}
-
-fn precision(json: bool) -> RunResult {
-    println!("\n[precision ablation] FP32 vs bf16 base storage (refs [23]/[24])");
-    let ds = mddx::default_dataset();
-    let rows_data = mddx::precision_study(&ds);
-    let rows: Vec<Vec<String>> = rows_data
-        .iter()
-        .map(|r| {
-            vec![
-                r.format.clone(),
-                fmt_bytes(r.bytes as u64),
-                format!("{:.4}", r.nmse),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            "base-storage precision vs MDD quality",
-            &["format", "operator bytes", "NMSE"],
-            &rows
-        )
-    );
-    println!(
-        "  bf16 bases halve the footprint; the quantization noise (≈4e-3 per\n           entry) sits inside the compression tolerance's quality budget."
-    );
-    if json {
-        write_rows("precision", &rows_data, mddx::PrecisionRow::to_json)?;
     }
     Ok(())
 }

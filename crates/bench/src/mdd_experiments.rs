@@ -314,57 +314,6 @@ pub fn app_bench(ds: &SyntheticDataset) -> Vec<AppBenchRow> {
     out
 }
 
-/// Mixed-precision ablation row (the companion work's "multiple
-/// precisions", refs \[23\]/\[24\]): FP32 vs bf16 base storage.
-#[derive(Clone, Debug)]
-pub struct PrecisionRow {
-    /// Storage format label.
-    pub format: String,
-    /// Operator storage bytes.
-    pub bytes: usize,
-    /// MDD inversion NMSE.
-    pub nmse: f64,
-}
-
-impl PrecisionRow {
-    /// The row as a [`Json`] object, one key per field.
-    pub fn to_json(&self) -> Json {
-        json_fields!(self; format, bytes, nmse)
-    }
-}
-
-/// Compare FP32 and bf16 base storage end-to-end through the MDD solve.
-pub fn precision_study(ds: &SyntheticDataset) -> Vec<PrecisionRow> {
-    use tlr_mvm::Bf16TlrMatrix;
-    let cfg = mdd_config(70, 1e-4 * ACC_SCALE);
-    let vs = ds.acq.n_receivers() / 2;
-    let tlr = compress_dataset(ds, cfg.compression, cfg.ordering);
-    let full_bytes: usize = tlr.iter().map(|t| t.compressed_bytes()).sum();
-    let full = run_mdd_with_operators(ds, &tlr, vs, &cfg);
-
-    // Quantize the bases, widen on apply (CS-2 fmacs stay FP32).
-    let quantized: Vec<_> = tlr.iter().map(Bf16TlrMatrix::from_tlr).collect();
-    let q_bytes: usize = quantized.iter().map(|q| q.compressed_bytes()).sum();
-    let dequantized: Vec<_> = quantized
-        .iter()
-        .map(|q| q.dequantize(cfg.compression))
-        .collect();
-    let bf16 = run_mdd_with_operators(ds, &dequantized, vs, &cfg);
-
-    vec![
-        PrecisionRow {
-            format: "FP32 bases".to_string(),
-            bytes: full_bytes,
-            nmse: full.nmse_inverse,
-        },
-        PrecisionRow {
-            format: "bf16 bases".to_string(),
-            bytes: q_bytes,
-            nmse: bf16.nmse_inverse,
-        },
-    ]
-}
-
 /// §4 ablation row: joint vs per-frequency MDD on noisy data.
 #[derive(Clone, Debug)]
 pub struct CouplingRow {

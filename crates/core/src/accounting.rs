@@ -69,7 +69,7 @@ impl TlrMvmCost {
 /// products and the U batch as 4 real `(nb × K_j)` products.
 ///
 /// This is the stacked (§6.6 / wafer) model: it counts ranks, so a tile
-/// stored dense ([`crate::Tile::Dense`]) is charged as the `(A, I)`
+/// stored dense ([`crate::TileRef::Dense`]) is charged as the `(A, I)`
 /// expansion the stacked views and `wse-sim` still execute, not as the one
 /// `m × n` product the host's tile-fused apply runs on it — until the
 /// wafer model takes a dense chunk (ROADMAP item 3b). `tests/perf.rs`

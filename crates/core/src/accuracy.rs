@@ -11,7 +11,7 @@
 //!   cell per tile, row-major `mt × nt`):
 //!   [`GRID_TILE_RANK`] (truncation rank), [`GRID_TILE_STORED_BYTES`]
 //!   (bytes of the stored form — skeleton with its column order, or the
-//!   dense block: [`Tile::stored_bytes`]), and [`GRID_TILE_TAIL_PPB`]
+//!   dense block: [`TileRef::stored_bytes`]), and [`GRID_TILE_TAIL_PPB`]
 //!   (the truncation backward error `‖A_t − U Vᴴ‖_F / ‖A_t‖_F` in parts
 //!   per billion — for the SVD backend this is the QR residual plus the
 //!   discarded singular-value tail, `sqrt(‖E₁‖² + Σ_{i≥k} σᵢ²)`, which
@@ -35,9 +35,8 @@ use seismic_la::blas::gemv;
 use seismic_la::scalar::C32;
 use seismic_la::Matrix;
 
-use crate::matrix::{Tile, TlrMatrix};
+use crate::matrix::{TileRef, TlrMatrix};
 use crate::precision::{f64_to_u64, to_u64};
-use crate::tiling::Tiling;
 use crate::trace::{self, TraceReport};
 
 /// Grid name: per-tile truncation rank (`total() == TlrMatrix::total_rank`).
@@ -54,8 +53,8 @@ pub const GRID_TILE_TAIL_PPB: &str = "accuracy.tile_tail_ppb";
 /// A zero-norm tile has nothing to get wrong and reports 0, and so does
 /// a tile stored dense: nothing was truncated (which also keeps a
 /// non-finite tile, always stored dense, out of the arithmetic below).
-pub fn tile_tail_ppb(tile: &Matrix<C32>, stored: &Tile) -> u64 {
-    if matches!(stored, Tile::Dense(_)) {
+pub fn tile_tail_ppb(tile: &Matrix<C32>, stored: TileRef<'_>) -> u64 {
+    if matches!(stored, TileRef::Dense(_)) {
         return 0;
     }
     let norm = f64::from(tile.fro_norm());
@@ -67,32 +66,30 @@ pub fn tile_tail_ppb(tile: &Matrix<C32>, stored: &Tile) -> u64 {
     f64_to_u64((rel * 1e9).round())
 }
 
-/// Record the three per-tile accuracy grids for one compressed matrix.
-/// `tiles` is tile-column-major (`idx = j·mt + i`, the
-/// [`crate::compress::compress`] layout); the grids are row-major
-/// `mt × nt` like every other trace grid. `tail_ppb` carries the
-/// pre-measured backward-error cells in the same tile-column-major
-/// order. No-op while tracing is disabled.
-pub fn record_compression_grids(tiling: &Tiling, tiles: &[Tile], tail_ppb: &[u64]) {
+/// Record the three per-tile accuracy grids for one compressed matrix,
+/// reading each tile's rank and stored bytes from `tlr`. `tail_ppb`
+/// carries the pre-measured backward-error cells tile-column-major
+/// (`idx = j·mt + i`, the [`TlrMatrix::tiles_with_coords`] order); the
+/// grids are row-major `mt × nt` like every other trace grid. No-op while
+/// tracing is disabled.
+pub fn record_compression_grids(tlr: &TlrMatrix, tail_ppb: &[u64]) {
     if !trace::is_enabled() {
         return;
     }
+    let tiling = tlr.tiling();
     let mt = tiling.tile_rows();
     let nt = tiling.tile_cols();
-    if tiles.len() != mt * nt || tail_ppb.len() != tiles.len() {
+    if tail_ppb.len() != mt * nt {
         return;
     }
     let mut rank_cells = vec![0u64; mt * nt];
     let mut byte_cells = vec![0u64; mt * nt];
     let mut tail_cells = vec![0u64; mt * nt];
-    for i in 0..mt {
-        for j in 0..nt {
-            let idx = j * mt + i;
-            let cell = i * nt + j;
-            rank_cells[cell] = to_u64(tiles[idx].rank());
-            byte_cells[cell] = to_u64(tiles[idx].stored_bytes());
-            tail_cells[cell] = tail_ppb[idx];
-        }
+    for (i, j, tile) in tlr.tiles_with_coords() {
+        let cell = i * nt + j;
+        rank_cells[cell] = to_u64(tile.rank());
+        byte_cells[cell] = to_u64(tile.stored_bytes());
+        tail_cells[cell] = tail_ppb[tiling.tile_index(i, j)];
     }
     trace::add_grid(GRID_TILE_RANK, mt, nt, &rank_cells);
     trace::add_grid(GRID_TILE_STORED_BYTES, mt, nt, &byte_cells);

@@ -15,7 +15,7 @@ use seismic_la::svd::svd_truncate;
 use seismic_la::Matrix;
 
 use crate::accuracy;
-use crate::matrix::{Tile, TlrMatrix};
+use crate::matrix::TlrMatrix;
 use crate::skeleton::Skeleton;
 use crate::tiling::Tiling;
 use crate::trace;
@@ -110,18 +110,20 @@ pub fn compress(dense: &Matrix<C32>, config: CompressionConfig) -> TlrMatrix {
 /// Compress the `rows × cols` operator whose tiles `block` returns to TLR
 /// form, without ever holding the operator: `block(r0, c0, m, n)` is
 /// its `m × n` block at rows `r0..r0+m` and columns `c0..c0+n`, asked for
-/// once per tile (twice while tracing) and dropped or moved into the tile
-/// as soon as that tile is compressed, and `fro_norm` is `‖A‖_F`, called
-/// once, only under [`ToleranceMode::RelativeGlobal`]. A source whose
-/// blocks and norm are the bits of a matrix's [`Matrix::block`] and
-/// [`Matrix::fro_norm`] gives the operator [`compress`] gives that matrix,
-/// bit for bit: every tile reaches [`compress_tile`] with the same entries
-/// and the same tolerance.
+/// once per tile (twice while tracing) and dropped as soon as that tile is
+/// compressed, then once per maximal run of dense tiles in a tile column,
+/// for the run's whole rectangle, which [`TlrMatrix::new`] keeps as the
+/// run's panel; `fro_norm` is `‖A‖_F`, called once, only under
+/// [`ToleranceMode::RelativeGlobal`]. A source whose blocks and norm are
+/// the bits of a matrix's [`Matrix::block`] and [`Matrix::fro_norm`] gives
+/// the operator [`compress`] gives that matrix, bit for bit: every tile
+/// reaches [`compress_tile`] with the same entries and the same
+/// tolerance, and every dense run is the same rows of the matrix.
 ///
 /// Tiles are compressed independently and in parallel; a tile whose
-/// factors would not be smaller than the block itself is stored dense
-/// ([`Tile::Dense`]), so the tolerance always holds and
-/// [`TlrMatrix::compression_ratio`] is at least 1.
+/// factors would not be smaller than the block itself is stored dense, so
+/// the tolerance always holds and [`TlrMatrix::compression_ratio`] is at
+/// least 1.
 ///
 /// While tracing is enabled the compression observatory also records,
 /// per tile, the rank histogram plus three accuracy grids (rank, stored
@@ -165,36 +167,38 @@ where
         block(r0, c0, rl, cl)
     };
 
-    // Tile slots (empty dense blocks) and the per-tile backward-error
-    // staging buffer are allocated before the span opens: the traced
-    // region is pure per-tile compression (HP01).
-    let mut tiles: Vec<Tile> = (0..mt * nt)
-        .map(|_| Tile::Dense(Matrix::zeros(0, 0)))
-        .collect();
-    let mut tail_ppb: Vec<u64> = vec![0; if observe { mt * nt } else { 0 }];
+    // One slot per tile (`None`: stored dense) is allocated before the
+    // span opens: the traced region is pure per-tile compression (HP01).
+    let mut skeletons: Vec<Option<Skeleton>> = vec![None; mt * nt];
     {
         let _span = trace::span("compress.tiles");
-        tiles.par_iter_mut().enumerate().for_each(|(idx, slot)| {
-            let tile = tile_block(idx);
-            let tol = global_tol.unwrap_or_else(|| config.acc * tile.fro_norm());
-            *slot = compress_tile(tile, tol, config.method, crate::precision::to_u64(idx));
-        });
+        skeletons
+            .par_iter_mut()
+            .enumerate()
+            .for_each(|(idx, slot)| {
+                let tile = tile_block(idx);
+                let tol = global_tol.unwrap_or_else(|| config.acc * tile.fro_norm());
+                *slot = compress_tile(&tile, tol, config.method, crate::precision::to_u64(idx));
+            });
     }
+    let tlr = TlrMatrix::new(tiling, config, skeletons, &block);
 
     if observe {
         // Second pass for the backward-error grid only: the per-tile
         // truncation error is measured against the tile, read from the
         // source again, outside the timed span, so the observatory never
         // perturbs the traced compression kernel itself.
+        let mut tail_ppb: Vec<u64> = vec![0; mt * nt];
         tail_ppb.par_iter_mut().enumerate().for_each(|(idx, cell)| {
-            *cell = accuracy::tile_tail_ppb(&tile_block(idx), &tiles[idx]);
+            let tile = tlr.tile(idx % mt, idx / mt);
+            *cell = accuracy::tile_tail_ppb(&tile_block(idx), tile);
         });
-        accuracy::record_compression_grids(&tiling, &tiles, &tail_ppb);
-        for t in &tiles {
+        accuracy::record_compression_grids(&tlr, &tail_ppb);
+        for (_, _, t) in tlr.tiles_with_coords() {
             trace::record_tile_rank(t.rank());
         }
     }
-    TlrMatrix::new(tiling, tiles, config)
+    tlr
 }
 
 /// Compress a single tile with the chosen backend and store its rank-`k`
@@ -207,26 +211,32 @@ where
 /// rows of its QR prove the truncation would keep at least that many
 /// ([`seismic_la::svd::svd_truncate`]: about 9 in 10 of the tiles stored
 /// dense on the benchmark's stacks); the RRQR backend stops its QR at that
-/// rank. A dense tile holds the block as given — moved in, not copied —
-/// so neither early exit changes a stored bit.
+/// rank. `None` stores the tile dense: the caller drops its block, and
+/// [`TlrMatrix::new`] reads the tile's dense run from the source, so
+/// neither early exit changes a stored bit.
 ///
 /// A tile reaches a factoriser only when its Frobenius norm and `tol` are
 /// both finite. One holding a `NaN` or `Inf` (or truncated against a
 /// non-finite tolerance, as every tile is under
 /// [`ToleranceMode::RelativeGlobal`] once one entry is poisoned) is stored
-/// dense as given, so the poison reaches the output of the apply, where
-/// the finiteness checks see it, instead of vanishing into a rank-0 tile.
-pub fn compress_tile(tile: Matrix<C32>, tol: f32, method: CompressionMethod, seed: u64) -> Tile {
+/// dense, so the poison reaches the output of the apply, where the
+/// finiteness checks see it, instead of vanishing into a rank-0 tile.
+pub fn compress_tile(
+    tile: &Matrix<C32>,
+    tol: f32,
+    method: CompressionMethod,
+    seed: u64,
+) -> Option<Skeleton> {
     if !(tol.is_finite() && tile.fro_norm().is_finite()) {
-        return Tile::Dense(tile);
+        return None;
     }
     let (m, n) = tile.shape();
     // Factors save storage only below this rank.
     let pays = |k: usize| k * (m + n) < m * n;
     let dense_from = (m * n).div_ceil((m + n).max(1));
-    let skeleton = match method {
+    match method {
         CompressionMethod::Svd => {
-            svd_truncate(&tile, tol, Some(dense_from))
+            svd_truncate(tile, tol, Some(dense_from))
                 .filter(|t| pays(t.rank()))
                 .map(|t| {
                     // C = Q_k·(core·V_Jᴴ): the r × r product is taken in
@@ -245,18 +255,14 @@ pub fn compress_tile(tile: Matrix<C32>, tol: f32, method: CompressionMethod, see
                 sigma: f64::NEG_INFINITY,
                 per_norm: 0.0,
             };
-            let f = pivoted_qr_until(&tile, tol, Some(stop));
+            let f = pivoted_qr_until(tile, tol, Some(stop));
             (!f.stopped && pays(f.rank)).then(|| Skeleton::from_pivoted_qr(&f))
         }
         CompressionMethod::Rsvd => {
             let mut rng = ChaCha8Rng::seed_from_u64(0x7a5e_ed00 ^ seed);
-            let lr = rsvd_compress_adaptive(&tile, tol, &mut rng);
+            let lr = rsvd_compress_adaptive(tile, tol, &mut rng);
             pays(lr.rank()).then(|| Skeleton::from_factors(&lr.u, &lr.v))
         }
-    };
-    match skeleton {
-        Some(s) => Tile::LowRank(s),
-        None => Tile::Dense(tile),
     }
 }
 
@@ -623,6 +629,51 @@ mod tests {
     #[test]
     fn rsvd_refuses_a_negative_or_non_finite_accuracy() {
         refuses_a_bad_accuracy(CompressionMethod::Rsvd);
+    }
+
+    /// With tracing off, `compress_blocks` asks its source for each
+    /// tile's rectangle once and for each maximal dense run's once, and
+    /// for nothing else: a dense tile of a longer run is never read again
+    /// on its own. The matrix is zero (rank-0 skeletons) but for noise
+    /// tiles (stored dense) that make tile column 0 hold a run of two and
+    /// a run of one, tile column 1 a run of the whole column and tile
+    /// column 2 none.
+    #[test]
+    fn compress_blocks_reads_each_tile_and_each_dense_run_once() {
+        let _trace = crate::trace::tests::locked();
+        crate::trace::set_enabled(false);
+        let (nb, m, n) = (8, 36, 21);
+        let mut a = Matrix::<C32>::zeros(m, n);
+        let mut rng = ChaCha8Rng::seed_from_u64(73);
+        for (r0, c0, rows) in [(0, 0, 16), (24, 0, 8), (0, 8, m)] {
+            a.set_block(r0, c0, &Matrix::<C32>::random_normal(rows, nb, &mut rng));
+        }
+        let asked = std::sync::Mutex::new(Vec::new());
+        let tlr = compress_blocks(
+            a.shape(),
+            svd_config(nb, 1e-6),
+            || a.fro_norm(),
+            |r0, c0, m, n| {
+                asked.lock().unwrap().push((r0, c0, m, n));
+                a.block(r0, c0, m, n)
+            },
+        );
+        let mut asked = asked.into_inner().unwrap();
+        asked.sort_unstable();
+
+        let t = *tlr.tiling();
+        let mut want: Vec<_> = (0..t.tile_count())
+            .map(|idx| {
+                let ((r0, rl), (c0, cl)) = (t.row_range(idx % 5), t.col_range(idx / 5));
+                (r0, c0, rl, cl)
+            })
+            .collect();
+        want.extend([(0, 0, 16, 8), (24, 0, 8, 8), (0, 8, m, 8)]);
+        want.sort_unstable();
+        assert_eq!(t.tile_rows(), 5);
+        assert_eq!(tlr.dense_tiles(), 8);
+        assert_eq!(asked, want);
+        assert_eq!(tlr.reconstruct(), a);
     }
 
     #[test]

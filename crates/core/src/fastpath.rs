@@ -6,15 +6,11 @@
 //!
 //! * [`gather`] — the phase-2 shuffle as an inverse-permutation gather
 //!   (sequential stores, random loads);
-//! * [`gemv_conj_transpose_fast`] — `Aᴴx` for the V-batch: four columns ×
-//!   four complex lanes per step, written so that every float lane does
-//!   the same multiply-add and LLVM emits packed arithmetic (DESIGN.md
-//!   §12);
 //! * [`gemv_acc_fast`] — four-column register-blocked accumulation for
 //!   the U-batch (reads `y` once per four columns instead of once per
 //!   column).
 //!
-//! The conjugated dot of the V-batch kernel and of the skeleton tiles is
+//! The conjugated dot of the skeleton tiles is
 //! `seismic_la::blas::dotc_lanes` (reached through
 //! [`seismic_la::blas::dotc_cols`]), the kernel the write side's QR and
 //! Jacobi factorisations run on too; [`crate::TlrMatrix`]'s adjoint runs
@@ -30,8 +26,10 @@
 //! [`gather`]. The unit tests below pin the result bits
 //! (`fastpath_golden_bits`) as well as the agreement with the reference
 //! kernels; `tests/lane_ratios.rs` holds no absolute timing of them, only
-//! quotients within one release run — V-batch ÷ U-batch, which notices a
-//! compiler that stops vectorising the dot, and blocked ÷ plain V-batch.
+//! quotients within one release run of the stacked dot (the adjoint's
+//! V batch) — over [`gemv_acc_fast`] (the U batch), which notices a
+//! compiler that stops vectorising the dot, and over the plain
+//! `seismic_la::blas` V-batch kernel.
 
 pub(crate) use seismic_la::blas::dotc_cols;
 pub use seismic_la::blas::swap_re_im;
@@ -51,67 +49,6 @@ pub fn gather<S: Scalar>(dst: &mut [S], idx: &[usize], src: &[S]) {
     assert!(dst.len() <= idx.len());
     for (d, &q) in dst.iter_mut().zip(idx) {
         *d = src[q];
-    }
-}
-
-/// Rows per swapped-copy block of [`gemv_conj_transpose_fast`]: the copy
-/// lives in a `[C32; DOT_BLOCK]` on the stack, so the kernel never
-/// touches the heap whatever the row count.
-const DOT_BLOCK: usize = 64;
-
-/// `y += A[r0.., :]ᴴ x` over the `x.len()` rows from `r0`, four columns
-/// at a time and the column tail in one block.
-#[inline]
-fn conj_transpose_block(a: &Matrix<C32>, r0: usize, x: &[C32], xs: &[C32], y: &mut [C32]) {
-    fn cols<const N: usize>(
-        a: &Matrix<C32>,
-        j: usize,
-        rows: core::ops::Range<usize>,
-        x: &[C32],
-        xs: &[C32],
-        y: &mut [C32],
-    ) {
-        let cols: [&[C32]; N] = core::array::from_fn(|c| &a.col(j + c)[rows.clone()]);
-        for (yj, d) in y[j..j + N].iter_mut().zip(dotc_cols(cols, x, xs)) {
-            *yj += d;
-        }
-    }
-    let rows = r0..r0 + x.len();
-    let n = y.len();
-    let mut j = 0;
-    while j + 4 <= n {
-        cols::<4>(a, j, rows.clone(), x, xs, y);
-        j += 4;
-    }
-    match n - j {
-        3 => cols::<3>(a, j, rows, x, xs, y),
-        2 => cols::<2>(a, j, rows, x, xs, y),
-        1 => cols::<1>(a, j, rows, x, xs, y),
-        _ => {}
-    }
-}
-
-/// `y = Aᴴ x` (overwrite) — drop-in for
-/// [`seismic_la::blas::gemv_conj_transpose`] on the V-batch path, written
-/// so LLVM vectorises it.
-///
-/// A conjugated dot is a serial reduction of complex products whose real
-/// and imaginary lanes do different arithmetic, and LLVM may neither
-/// reassociate the sum nor invent the shuffle, so the obvious loop runs
-/// scalar. Here every lane is isomorphic (see `seismic_la::blas::dotc_lanes`): four
-/// columns advance in lockstep, four `C32` per step, against `x` and a
-/// swapped copy of `x` kept on the stack per `DOT_BLOCK`-row block;
-/// taller operands accumulate block by block.
-#[inline]
-pub fn gemv_conj_transpose_fast(a: &Matrix<C32>, x: &[C32], y: &mut [C32]) {
-    assert_eq!(a.nrows(), x.len(), "gemv_h_fast: x length mismatch");
-    assert_eq!(a.ncols(), y.len(), "gemv_h_fast: y length mismatch");
-    y.fill(C32::ZERO);
-    let mut swapped = [C32::ZERO; DOT_BLOCK];
-    for (b, xb) in x.chunks(DOT_BLOCK).enumerate() {
-        let xs = &mut swapped[..xb.len()];
-        swap_re_im(xb, xs);
-        conj_transpose_block(a, b * DOT_BLOCK, xb, xs, y);
     }
 }
 
@@ -250,8 +187,8 @@ pub(crate) mod golden {
 mod tests {
     use super::golden::{fnv1a, golden, golden_vec};
     use super::*;
-    use seismic_la::blas::{gemv_acc, gemv_conj_transpose, gemv_conj_transpose_stacked};
-    use seismic_la::scalar::{c32, C64};
+    use seismic_la::blas::{gemv_acc, gemv_conj_transpose_stacked};
+    use seismic_la::scalar::c32;
     use seismic_la::C32;
 
     fn close(a: C32, b: C32, tol: f32) -> bool {
@@ -274,39 +211,31 @@ mod tests {
             .collect()
     }
 
-    const GOLDEN_BITS: [u64; 3] = [
-        0x05fa_5b9a_4dde_3596,
-        0x7764_75ba_d411_baae,
-        0xa731_89a4_958f_e2a4,
-    ];
+    const GOLDEN_BITS: [u64; 2] = [0x7764_75ba_d411_baae, 0xa731_89a4_958f_e2a4];
 
-    /// The three kernels' output bits, hashed over shapes that cover full
+    /// The two kernels' output bits, hashed over shapes that cover full
     /// blocks and every tail length: a change of blocking factor or
     /// summation order fails here, whatever it does to a timing. The
     /// constants for `gemv_acc_fast` and `gather` are the ones captured from
-    /// the `get_unchecked` kernels this module once held; the one for
-    /// `gemv_conj_transpose_fast` is the isomorphic-lane kernel's, the same
-    /// in debug and release builds (no product is contracted into an FMA).
+    /// the `get_unchecked` kernels this module once held, the same in debug
+    /// and release builds (no product is contracted into an FMA).
     #[test]
     fn fastpath_golden_bits() {
         let mut shapes = vec![(32, 300), (63, 37), (16, 100)];
         shapes.extend((0..12).map(|n| (5, n)));
         shapes.extend((0..12).map(|m| (m, 9)));
-        let mut h = [0xcbf2_9ce4_8422_2325_u64; 3];
+        let mut h = [0xcbf2_9ce4_8422_2325_u64; 2];
         for (m, n) in shapes {
             let a = Matrix::from_fn(m, n, |i, j| golden(0, i * 31 + j));
-            let (xm, xn) = (golden_vec(m, 1), golden_vec(n, 2));
-            let mut y = vec![C32::ZERO; n];
-            gemv_conj_transpose_fast(&a, &xm, &mut y);
-            h[0] = fnv1a(h[0], &y);
+            let xn = golden_vec(n, 2);
             let mut y = golden_vec(m, 3);
             gemv_acc_fast(&a, &xn, &mut y);
-            h[1] = fnv1a(h[1], &y);
+            h[0] = fnv1a(h[0], &y);
             let src = golden_vec(m * n + 1, 5);
             let idx: Vec<usize> = (0..m * n).map(|p| (p * 7 + 3) % src.len()).collect();
             let mut dst = vec![C32::ZERO; idx.len()];
             gather(&mut dst, &idx, &src);
-            h[2] = fnv1a(h[2], &dst);
+            h[1] = fnv1a(h[1], &dst);
         }
         assert_eq!(h, GOLDEN_BITS, "{h:#018x?}");
     }
@@ -413,74 +342,6 @@ mod tests {
             check::<2>(n);
             check::<3>(n);
             check::<4>(n);
-        }
-    }
-
-    /// `Aᴴx` evaluated by the reference kernel in `f64`, and the
-    /// magnitude sum `Σ_i |a_ij||x_i|` the rounding bound scales with.
-    fn conj_transpose_f64(a: &Matrix<C32>, x: &[C32]) -> (Vec<C64>, Vec<f64>) {
-        let a64 = Matrix::from_fn(a.nrows(), a.ncols(), |i, j| a[(i, j)].widen());
-        let x64: Vec<C64> = x.iter().map(|v| v.widen()).collect();
-        let mut want = vec![C64::ZERO; a.ncols()];
-        gemv_conj_transpose(&a64, &x64, &mut want);
-        let mags = (0..a.ncols())
-            .map(|j| {
-                a64.col(j)
-                    .iter()
-                    .zip(&x64)
-                    .map(|(p, q)| p.abs() * q.abs())
-                    .sum()
-            })
-            .collect();
-        (want, mags)
-    }
-
-    /// Full four-column blocks and every column tail, full four-row steps
-    /// and every row tail, one and two (and a bit) 64-row blocks, against
-    /// the `f64` reference with the bound a length-`m` FP32 dot admits:
-    /// `|Δ_j| ≤ 4·m·ε₃₂·Σ_i |a_ij||x_i|`.
-    #[test]
-    fn fastpath_gemv_conj_transpose_within_rounding_bound_of_f64_reference() {
-        let rows = (0..=9).chain([15, 16, 17, 63, 64, 65, 70, 129]);
-        for m in rows {
-            for n in (0..=9).chain([37]) {
-                let a = Matrix::from_fn(m, n, |i, j| golden(i, j + 3));
-                let x = test_vec(m, 0.4);
-                let (want, mags) = conj_transpose_f64(&a, &x);
-                // Dirty output: the kernel overwrites.
-                let mut got = test_vec(n, 9.0);
-                gemv_conj_transpose_fast(&a, &x, &mut got);
-                for j in 0..n {
-                    let err = (got[j].widen() - want[j]).abs();
-                    let bound = 4.0 * m as f64 * f64::from(f32::EPSILON) * mags[j];
-                    assert!(err <= bound, "{m}x{n} col {j}: {err} > {bound}");
-                }
-            }
-        }
-    }
-
-    /// A NaN or infinity anywhere in `x` or in a column of `a` reaches
-    /// that column's output: no lane is skipped or masked.
-    #[test]
-    fn fastpath_gemv_conj_transpose_propagates_non_finite_inputs() {
-        for bad in [f32::NAN, f32::INFINITY] {
-            for (m, n) in [(70, 9), (5, 3), (64, 4)] {
-                for row in [0, m / 2, m - 1] {
-                    let a = Matrix::from_fn(m, n, golden);
-                    let mut x = test_vec(m, 0.4);
-                    x[row] = c32(bad, 1.0);
-                    let mut y = vec![C32::ZERO; n];
-                    gemv_conj_transpose_fast(&a, &x, &mut y);
-                    assert!(y.iter().all(|v| !v.is_finite()), "x[{row}]={bad} {m}x{n}");
-
-                    let mut a = a;
-                    a[(row, n - 1)] = c32(1.0, bad);
-                    let x = test_vec(m, 0.4);
-                    gemv_conj_transpose_fast(&a, &x, &mut y);
-                    assert!(!y[n - 1].is_finite(), "a[{row},{}]={bad}", n - 1);
-                    assert!(y[..n - 1].iter().all(|v| v.is_finite()));
-                }
-            }
         }
     }
 

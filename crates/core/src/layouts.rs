@@ -727,10 +727,7 @@ mod tests {
         let (tp, ca) = (ThreePhase::new(&t), CommAvoiding::new(&t));
         for (i, j, tile) in t.tiles_with_coords() {
             let (in_tp, in_ca) = (tp.tlr.tile(i, j), ca.tlr.tile(i, j));
-            assert!(
-                in_tp.ptr_eq(&tile) && in_ca.ptr_eq(&tile),
-                "({i},{j})"
-            );
+            assert!(in_tp.ptr_eq(&tile) && in_ca.ptr_eq(&tile), "({i},{j})");
         }
         let within = |inner: &[usize], outer: &[usize]| {
             let (outer, inner) = (outer.as_ptr_range(), inner.as_ptr_range());

@@ -94,10 +94,9 @@ pub use accuracy::{probe_nmse, verify_compression_grids, ProbeEstimate};
 pub use compress::{
     compress, compress_blocks, compress_tile, CompressionConfig, CompressionMethod, ToleranceMode,
 };
-pub use fastpath::{gather, gemv_acc_fast, gemv_conj_transpose_fast, swap_re_im};
+pub use fastpath::{gather, gemv_acc_fast, swap_re_im};
 pub use layouts::{ChunkRun, ColumnStack, CommAvoiding, RankChunk, ThreePhase, ThreePhaseScratch};
-pub use matrix::{DenseView, Tile, TileRef, TlrMatrix};
+pub use matrix::{DenseView, TileRef, TlrMatrix};
 pub use ops::LinearOperator;
-pub use precision::{bf16_to_f32, f32_to_bf16, Bf16Matrix, Bf16TlrMatrix};
 pub use skeleton::Skeleton;
 pub use tiling::Tiling;

@@ -1,7 +1,7 @@
 //! The tile low-rank matrix: one stored form per tile — the skeleton form
 //! `C·[I Xᴴ]·Πᵀ` of its low-rank approximant ([`Skeleton`]) or the dense
-//! block, whichever [`crate::compress::compress_tile`] chose ([`Tile`]) —
-//! on a uniform tile grid, with application, adjoint application, and
+//! block, whichever [`crate::compress::compress_tile`] chose — on a
+//! uniform tile grid, with application, adjoint application, and
 //! storage accounting.
 //!
 //! The store keeps a tile column's dense tiles as runs: each maximal run
@@ -37,64 +37,6 @@ use crate::tiling::Tiling;
 
 const CZERO: C32 = C32::new(0.0, 0.0);
 
-/// One tile as the compressor returns it and [`TlrMatrix::new`] takes it
-/// ([`crate::compress::compress_tile`] chooses the form).
-///
-/// Either form stands for a factor pair without storing it — a
-/// [`Tile::LowRank`] tile for `(C, W)` with `W = Π·[I; X]`, a
-/// [`Tile::Dense`] tile for `(A, I)`, the `r = n` case in which `X` is
-/// empty — so every rank-derived number (stack widths, the §6.6 cost
-/// model, the wafer workload) is what that factorisation gives, while
-/// [`TileRef::stored_bytes`] counts what is actually held. The matrix
-/// hands its tiles out as [`TileRef`]s, which carry the methods.
-#[derive(Clone, Debug)]
-pub enum Tile {
-    /// The skeleton form of a rank-`r` approximant: `r·(m+n−r)` words and
-    /// the column order.
-    LowRank(Skeleton),
-    /// The block itself, `m·n` words.
-    Dense(Matrix<C32>),
-}
-
-impl Tile {
-    /// This tile as a [`TlrMatrix`] hands its tiles out.
-    #[inline]
-    pub fn view(&self) -> TileRef<'_> {
-        match self {
-            Tile::LowRank(s) => TileRef::LowRank(s),
-            Tile::Dense(a) => TileRef::Dense(DenseView {
-                data: a.as_slice(),
-                ld: a.nrows(),
-                m: a.nrows(),
-                n: a.ncols(),
-            }),
-        }
-    }
-
-    /// Rank `r` of the skeleton; the column count of a dense tile.
-    #[inline]
-    pub fn rank(&self) -> usize {
-        self.view().rank()
-    }
-
-    /// `(m, n)` of the block this tile stands for.
-    #[inline]
-    pub fn shape(&self) -> (usize, usize) {
-        self.view().shape()
-    }
-
-    /// Stored bytes ([`TileRef::stored_bytes`]).
-    #[inline]
-    pub fn stored_bytes(&self) -> usize {
-        self.view().stored_bytes()
-    }
-
-    /// Densify.
-    pub fn to_dense(&self) -> Matrix<C32> {
-        self.view().to_dense()
-    }
-}
-
 /// A dense tile as the store holds it: `m` rows of a column-major run
 /// panel whose columns are `ld` long, `data` starting at the tile's
 /// first entry.
@@ -129,6 +71,13 @@ impl<'a> DenseView<'a> {
 /// Tile `(i, j)` of a [`TlrMatrix`] as stored, borrowed: its skeleton, or
 /// its rows of the dense run it belongs to. Copying one copies a
 /// reference.
+///
+/// Either form stands for a factor pair without storing it — a skeleton
+/// for `(C, W)` with `W = Π·[I; X]`, a dense tile for `(A, I)`, the
+/// `r = n` case in which `X` is empty — so every rank-derived number
+/// (stack widths, the §6.6 cost model, the wafer workload) is what that
+/// factorisation gives, while [`TileRef::stored_bytes`] counts what is
+/// actually held.
 ///
 /// The stacked layouts read a tile's rank columns in its stored form
 /// through `TileRef::gather` and `TileRef::coefficients` (the V phase),
@@ -191,14 +140,6 @@ impl<'a> TileRef<'a> {
         }
     }
 
-    /// An owned copy, as [`TlrMatrix::new`] takes it.
-    pub fn to_tile(&self) -> Tile {
-        match self {
-            TileRef::LowRank(s) => Tile::LowRank((*s).clone()),
-            TileRef::Dense(a) => Tile::Dense(a.to_matrix()),
-        }
-    }
-
     /// Densify.
     pub fn to_dense(&self) -> Matrix<C32> {
         match self {
@@ -228,7 +169,11 @@ impl<'a> TileRef<'a> {
         match self {
             TileRef::LowRank(s) => s.factors().apply_adjoint_acc(x, y),
             TileRef::Dense(a) => {
-                assert_eq!((x.len(), y.len()), a.shape(), "apply_adjoint_acc: shape mismatch");
+                assert_eq!(
+                    (x.len(), y.len()),
+                    a.shape(),
+                    "apply_adjoint_acc: shape mismatch"
+                );
                 for (c, yc) in y.iter_mut().enumerate() {
                     *yc += dotc(a.col(c), x);
                 }
@@ -333,86 +278,67 @@ pub struct TlrMatrix {
 }
 
 impl TlrMatrix {
-    /// Assemble from parts (normally produced by [`crate::compress::compress`]),
-    /// tile-column-major. Every panel of a run of two or more dense tiles
-    /// is filled, column by column, before any tile is freed, so the
-    /// blocks freed after them lie together (peak RSS: freeing each run's
-    /// tiles as its panel was made left more scattered holes); a run of
-    /// one tile, and every skeleton, is moved in as it is.
-    pub fn new(tiling: Tiling, tiles: Vec<Tile>, config: CompressionConfig) -> Self {
-        assert_eq!(tiles.len(), tiling.tile_count());
-        let mt = tiling.tile_rows();
-        for (idx, t) in tiles.iter().enumerate() {
-            let (i, j) = (idx % mt, idx / mt);
-            let ((_, rl), (_, cl)) = (tiling.row_range(i), tiling.col_range(j));
-            assert_eq!(t.shape(), (rl, cl), "tile ({i},{j}) shape mismatch");
-        }
-        let max_rank = tiles.iter().map(Tile::rank).max().unwrap_or(0);
-        let mut columns: Vec<Column> = (0..tiling.tile_cols())
+    /// Build the store of the operator whose blocks `block` returns
+    /// (normally called by [`crate::compress::compress_blocks`], with the
+    /// source it compressed). `skeletons` holds one entry per tile,
+    /// tile-column-major: the tile's skeleton, or `None` for a tile
+    /// stored dense. `block(r0, c0, m, n)` is the operator's `m × n`
+    /// block at rows `r0..r0+m` and columns `c0..c0+n`; it is asked once
+    /// per maximal run of consecutive dense tiles in a tile column, for
+    /// the run's whole rectangle, and that matrix is the run's panel.
+    ///
+    /// # Panics
+    ///
+    /// If `skeletons` does not hold one entry per tile, a skeleton's shape
+    /// is not its tile's, or a block is not the shape asked for.
+    pub fn new(
+        tiling: Tiling,
+        config: CompressionConfig,
+        skeletons: Vec<Option<Skeleton>>,
+        block: impl Fn(usize, usize, usize, usize) -> Matrix<C32>,
+    ) -> Self {
+        assert_eq!(skeletons.len(), tiling.tile_count());
+        let mut skeletons = skeletons.into_iter();
+        let mut slots = Vec::with_capacity(tiling.tile_count());
+        let mut max_rank = 0;
+        let columns = (0..tiling.tile_cols())
             .map(|j| {
-                let column = &tiles[j * mt..(j + 1) * mt];
-                let (_, cl) = tiling.col_range(j);
-                // Each run as the tile rows it spans.
+                let (c0, cl) = tiling.col_range(j);
                 let mut runs: Vec<Range<usize>> = Vec::new();
-                for (i, t) in column.iter().enumerate() {
-                    match (t, runs.last_mut()) {
-                        (Tile::Dense(_), Some(run)) if run.end == i => run.end = i + 1,
-                        (Tile::Dense(_), _) => runs.push(i..i + 1),
-                        (Tile::LowRank(_), _) => {}
+                let mut column = Vec::new();
+                for (i, s) in skeletons.by_ref().take(tiling.tile_rows()).enumerate() {
+                    let (r0, rl) = tiling.row_range(i);
+                    match s {
+                        Some(s) => {
+                            assert_eq!(s.shape(), (rl, cl), "tile ({i},{j}) shape mismatch");
+                            max_rank = max_rank.max(s.rank());
+                            slots.push(Slot::Skeleton(column.len()));
+                            column.push((r0..r0 + rl, s));
+                        }
+                        None => {
+                            max_rank = max_rank.max(cl);
+                            match runs.last_mut() {
+                                Some(run) if run.end == r0 => run.end = r0 + rl,
+                                _ => runs.push(r0..r0 + rl),
+                            }
+                            slots.push(Slot::Run(runs.len() - 1));
+                        }
                     }
                 }
                 let runs = runs
                     .into_iter()
-                    .map(|tile_rows| {
-                        let (r0, _) = tiling.row_range(tile_rows.start);
-                        let (last, rl) = tiling.row_range(tile_rows.end - 1);
-                        let rows = r0..last + rl;
-                        // A lone tile is moved in below, not copied.
-                        if tile_rows.len() == 1 {
-                            return Run {
-                                panel: Matrix::zeros(0, 0),
-                                rows,
-                            };
-                        }
-                        let mut data = Vec::with_capacity(rows.len() * cl);
-                        for c in 0..cl {
-                            for t in &column[tile_rows.clone()] {
-                                if let Tile::Dense(a) = t {
-                                    data.extend_from_slice(a.col(c));
-                                }
-                            }
-                        }
-                        Run {
-                            panel: Matrix::from_col_major(rows.len(), cl, data),
-                            rows,
-                        }
+                    .map(|rows| {
+                        let panel = block(rows.start, c0, rows.len(), cl);
+                        assert_eq!(panel.shape(), (rows.len(), cl), "dense run shape mismatch");
+                        Run { rows, panel }
                     })
                     .collect();
                 Column {
                     runs,
-                    skeletons: Vec::new(),
+                    skeletons: column,
                 }
             })
             .collect();
-        let mut slots = Vec::with_capacity(tiles.len());
-        for (idx, t) in tiles.into_iter().enumerate() {
-            let (i, j) = (idx % mt, idx / mt);
-            let (r0, rl) = tiling.row_range(i);
-            let column = &mut columns[j];
-            match t {
-                Tile::Dense(a) => {
-                    let k = column.runs.partition_point(|run| run.rows.start <= r0) - 1;
-                    if column.runs[k].rows.len() == rl {
-                        column.runs[k].panel = a;
-                    }
-                    slots.push(Slot::Run(k));
-                }
-                Tile::LowRank(s) => {
-                    slots.push(Slot::Skeleton(column.skeletons.len()));
-                    column.skeletons.push((r0..r0 + rl, s));
-                }
-            }
-        }
         Self {
             tiling,
             store: Arc::new(Store { columns, slots }),
@@ -489,7 +415,9 @@ impl TlrMatrix {
     /// dense block at 8 B per complex-FP32 entry, plus the skeletons'
     /// column orders.
     pub fn compressed_bytes(&self) -> usize {
-        self.tiles_with_coords().map(|(_, _, t)| t.stored_bytes()).sum()
+        self.tiles_with_coords()
+            .map(|(_, _, t)| t.stored_bytes())
+            .sum()
     }
 
     /// Dense storage the compression replaced.
@@ -670,25 +598,21 @@ pub(crate) mod test_support {
     /// pair it stands for: the skeleton with `r = n`, `C = A`, no `X` and
     /// the columns in their own order.
     pub(crate) fn dense_tiles_as_factors(tlr: &TlrMatrix) -> TlrMatrix {
-        let tiles = tlr
+        let skeletons = tlr
             .tiles_with_coords()
             .map(|(_, _, t)| match t {
                 TileRef::Dense(a) => {
                     let n = a.shape().1;
                     let order: Vec<usize> = (0..n).collect();
                     let zeros = Matrix::zeros(0, n);
-                    Tile::LowRank(Skeleton::new(&a.to_matrix(), &zeros, &order))
+                    Some(Skeleton::new(&a.to_matrix(), &zeros, &order))
                 }
-                TileRef::LowRank(_) => t.to_tile(),
+                TileRef::LowRank(s) => Some(s.clone()),
             })
             .collect();
-        TlrMatrix::new(tlr.tiling, tiles, tlr.config)
-    }
-
-    /// Owned copies of `tlr`'s tiles, tile-column-major, as
-    /// [`TlrMatrix::new`] takes them.
-    pub(crate) fn owned_tiles(tlr: &TlrMatrix) -> Vec<Tile> {
-        tlr.tiles_with_coords().map(|(_, _, t)| t.to_tile()).collect()
+        TlrMatrix::new(tlr.tiling, tlr.config, skeletons, |_, _, _, _| {
+            unreachable!("no tile is dense")
+        })
     }
 
     /// Noise does not compress: a ragged 45×38 matrix at `nb` 12 whose
@@ -750,7 +674,7 @@ pub(crate) mod test_support {
 
 #[cfg(test)]
 mod tests {
-    use super::test_support::{dense_tiles_as_factors, mixed_tiles, noise_tiles, owned_tiles};
+    use super::test_support::{dense_tiles_as_factors, mixed_tiles, noise_tiles};
     use super::*;
     use crate::compress::{compress, CompressionConfig, CompressionMethod, ToleranceMode};
     use crate::fastpath::golden::{fnv1a, golden, golden_vec};
@@ -1080,15 +1004,11 @@ mod tests {
             h = fnv1a(h, &tlr.apply_adjoint(&golden_vec(tlr.shape().0, 7)));
 
             for (i, j, row, col) in [(1, 1, 4, 1), (3, 1, 0, 9), (0, 2, 7, 3), (3, 3, 2, 6)] {
-                let mut tiles = owned_tiles(&tlr);
-                let t = tlr.tiling.tile_index(i, j);
-                assert!(matches!(tiles[t], Tile::Dense(_)));
-                let mut poisoned = tiles[t].to_dense();
-                let row = row.min(poisoned.nrows() - 1);
-                poisoned[(row, col)] = C32::new(1.0, f32::NAN);
-                tiles[t] = Tile::Dense(poisoned);
-                let bad = TlrMatrix::new(tlr.tiling, tiles, tlr.config);
-                let (c0, _) = tlr.tiling.col_range(j);
+                assert!(matches!(tlr.tile(i, j), TileRef::Dense(_)));
+                let ((r0, rl), (c0, _)) = (tlr.tiling.row_range(i), tlr.tiling.col_range(j));
+                let bad = rebuilt(&tlr, |a| {
+                    a[(r0 + row.min(rl - 1), c0 + col)] = C32::new(1.0, f32::NAN)
+                });
                 for (k, v) in bad.apply_adjoint(&y).iter().enumerate() {
                     assert_eq!(
                         v.is_finite(),
@@ -1104,9 +1024,9 @@ mod tests {
     /// Tile columns holding dense runs of one tile, of two and of the
     /// whole column, between skeletons and rank-0 tiles, at `nb` with a
     /// last tile row `last` rows high: five tile rows, and five tile
-    /// columns, the last seven wide. Returns the tiles it was built from
-    /// beside the store.
-    fn run_store(nb: usize, last: usize) -> (Vec<Tile>, TlrMatrix) {
+    /// columns, the last seven wide. Returns the parts it was built from
+    /// ([`hand_built_parts`]) beside the store.
+    fn run_store(nb: usize, last: usize) -> (Vec<Option<Skeleton>>, Matrix<C32>, TlrMatrix) {
         const D: Option<usize> = None;
         #[rustfmt::skip]
         const RANKS: [Option<usize>; 25] = [
@@ -1117,9 +1037,29 @@ mod tests {
             D, D, Some(0), Some(4), D,
         ];
         let tiling = Tiling::new(4 * nb + last, 4 * nb + 7, nb);
-        let tiles = hand_built_tiles(tiling, &RANKS, 11);
-        let tlr = TlrMatrix::new(tiling, tiles.clone(), cfg(nb, 1e-4));
-        (tiles, tlr)
+        let (skeletons, a) = hand_built_parts(tiling, &RANKS, 11);
+        let tlr = TlrMatrix::new(tiling, cfg(nb, 1e-4), skeletons.clone(), |r0, c0, m, n| {
+            a.block(r0, c0, m, n)
+        });
+        (skeletons, a, tlr)
+    }
+
+    /// `tlr` built again by [`TlrMatrix::new`] from copies of its
+    /// skeletons and from its reconstruction — whose dense tiles are the
+    /// stored blocks — after `edit`.
+    fn rebuilt(tlr: &TlrMatrix, edit: impl FnOnce(&mut Matrix<C32>)) -> TlrMatrix {
+        let skeletons = tlr
+            .tiles_with_coords()
+            .map(|(_, _, t)| match t {
+                TileRef::LowRank(s) => Some(s.clone()),
+                TileRef::Dense(_) => None,
+            })
+            .collect();
+        let mut a = tlr.reconstruct();
+        edit(&mut a);
+        TlrMatrix::new(tlr.tiling, tlr.config, skeletons, |r0, c0, m, n| {
+            a.block(r0, c0, m, n)
+        })
     }
 
     /// `y = Ãx` tile by tile, on the kernels the store ran before dense
@@ -1157,7 +1097,9 @@ mod tests {
                     TileRef::LowRank(_) => None,
                 })
                 .collect();
-            let blocks = dense.iter().map(|(a, r)| (a, &y[r.clone()], &ys[r.clone()]));
+            let blocks = dense
+                .iter()
+                .map(|(a, r)| (a, &y[r.clone()], &ys[r.clone()]));
             let xj = &mut x[c0..c0 + cl];
             gemv_conj_transpose_stacked(blocks, xj);
             for i in 0..t.tile_rows() {
@@ -1171,7 +1113,12 @@ mod tests {
 
     /// `4ε₃₂·‖A‖_F·‖v‖` of the reconstruction, in `f64`.
     fn rounding_bound(tlr: &TlrMatrix, v: &[C32]) -> f64 {
-        let norm = |v: &[C32]| v.iter().map(|z| f64::from(z.norm_sqr())).sum::<f64>().sqrt();
+        let norm = |v: &[C32]| {
+            v.iter()
+                .map(|z| f64::from(z.norm_sqr()))
+                .sum::<f64>()
+                .sqrt()
+        };
         4.0 * f64::from(f32::EPSILON) * norm(tlr.reconstruct().as_slice()) * norm(v)
     }
 
@@ -1180,9 +1127,10 @@ mod tests {
     }
 
     /// On [`run_store`] at `nb` 8, 10 and 12 with a last tile row of one
-    /// to four rows: the runs are the maximal ones; every `tile(i, j)`
-    /// view is the block it was built from, bit for bit; the three
-    /// products hold the per-tile reference ([`TileRef::apply_acc`] /
+    /// to four rows: the runs are the maximal ones; every run's panel is
+    /// the `block` of its rows, bit for bit; every `tile(i, j)` view is the
+    /// skeleton or the block it was built from; the three products hold
+    /// the per-tile reference ([`TileRef::apply_acc`] /
     /// [`TileRef::apply_adjoint_acc`]) within `4ε₃₂·‖A‖_F·‖x‖`, and equal a
     /// per-tile walk on the fast kernels bit for bit wherever every tile
     /// row but the last is a multiple of four rows high (the dot lanes
@@ -1193,7 +1141,7 @@ mod tests {
         for nb in [8, 10, 12] {
             for last in 1..=4 {
                 let at = format!("nb {nb}, last tile row {last}");
-                let (tiles, tlr) = run_store(nb, last);
+                let (skeletons, a, tlr) = run_store(nb, last);
                 let t = *tlr.tiling();
                 let runs: Vec<Vec<(usize, usize)>> = tlr
                     .store
@@ -1211,13 +1159,38 @@ mod tests {
                 ];
                 assert_eq!(runs, want, "{at}: runs");
                 assert_eq!(tlr.dense_tiles(), 16, "{at}");
-                for (idx, tile) in tiles.iter().enumerate() {
+                for (j, column) in tlr.store.columns.iter().enumerate() {
+                    let (c0, cl) = t.col_range(j);
+                    for run in &column.runs {
+                        let block = a.block(run.rows.start, c0, run.rows.len(), cl);
+                        let what = format!("{at}: run {:?} of tile column {j}", run.rows);
+                        assert_eq!(bits(run.panel.as_slice()), bits(block.as_slice()), "{what}");
+                    }
+                }
+                for (idx, skeleton) in skeletons.iter().enumerate() {
                     let (i, j) = (idx % t.tile_rows(), idx / t.tile_rows());
+                    let ((r0, rl), (c0, cl)) = (t.row_range(i), t.col_range(j));
                     let view = tlr.tile(i, j);
-                    assert_eq!(view.shape(), tile.shape(), "{at}: ({i},{j})");
-                    assert_eq!(view.stored_bytes(), tile.stored_bytes(), "{at}: ({i},{j})");
-                    let (got, want) = (view.to_dense(), tile.to_dense());
-                    assert_eq!(bits(got.as_slice()), bits(want.as_slice()), "{at}: ({i},{j})");
+                    let (want, bytes) = match skeleton {
+                        Some(s) => (
+                            s.factors().to_dense(),
+                            s.stored_elements() * 8 + s.index_bytes(),
+                        ),
+                        None => (a.block(r0, c0, rl, cl), rl * cl * 8),
+                    };
+                    assert_eq!(
+                        matches!(view, TileRef::Dense(_)),
+                        skeleton.is_none(),
+                        "{at}: ({i},{j})"
+                    );
+                    assert_eq!(view.shape(), (rl, cl), "{at}: ({i},{j})");
+                    assert_eq!(view.stored_bytes(), bytes, "{at}: ({i},{j})");
+                    let got = view.to_dense();
+                    assert_eq!(
+                        bits(got.as_slice()),
+                        bits(want.as_slice()),
+                        "{at}: ({i},{j})"
+                    );
                 }
 
                 let (m, n) = tlr.shape();
@@ -1261,24 +1234,34 @@ mod tests {
     #[test]
     fn a_nan_in_a_run_stays_in_its_tile() {
         for nb in [8, 10] {
-            let (tiles, tlr) = run_store(nb, 3);
+            let (skeletons, a, tlr) = run_store(nb, 3);
             let t = *tlr.tiling();
             let (m, n) = tlr.shape();
             let (x, y) = (rand_vec(n, 35), rand_vec(m, 36));
             for (i, j, row, col) in [(2, 0, 5, 1), (1, 1, 0, 7), (4, 2, 2, 3), (1, 4, 7, 6)] {
-                let mut tiles = tiles.clone();
-                let idx = t.tile_index(i, j);
-                let Tile::Dense(a) = &mut tiles[idx] else {
-                    panic!("tile ({i},{j}) is dense");
-                };
-                a[(row, col)] = C32::new(f32::NAN, 1.0);
-                let bad = TlrMatrix::new(t, tiles, tlr.config);
+                assert!(
+                    skeletons[t.tile_index(i, j)].is_none(),
+                    "tile ({i},{j}) is dense"
+                );
                 let ((r0, _), (c0, _)) = (t.row_range(i), t.col_range(j));
+                let mut a = a.clone();
+                a[(r0 + row, c0 + col)] = C32::new(f32::NAN, 1.0);
+                let bad = TlrMatrix::new(t, tlr.config, skeletons.clone(), |r0, c0, m, n| {
+                    a.block(r0, c0, m, n)
+                });
                 for (k, v) in bad.apply_adjoint(&y).iter().enumerate() {
-                    assert_eq!(v.is_finite(), k != c0 + col, "nb {nb} ({i},{j}): x[{k}] = {v}");
+                    assert_eq!(
+                        v.is_finite(),
+                        k != c0 + col,
+                        "nb {nb} ({i},{j}): x[{k}] = {v}"
+                    );
                 }
                 for (k, v) in bad.apply(&x).iter().enumerate() {
-                    assert_eq!(v.is_finite(), k != r0 + row, "nb {nb} ({i},{j}): y[{k}] = {v}");
+                    assert_eq!(
+                        v.is_finite(),
+                        k != r0 + row,
+                        "nb {nb} ({i},{j}): y[{k}] = {v}"
+                    );
                 }
             }
         }
@@ -1289,9 +1272,9 @@ mod tests {
     /// matrix rebuilt from copies of the tiles reads none of them.
     #[test]
     fn a_clone_shares_every_run_and_skeleton() {
-        let (_, tlr) = run_store(8, 2);
+        let (_, _, tlr) = run_store(8, 2);
         let clone = tlr.clone();
-        let rebuilt = TlrMatrix::new(tlr.tiling, owned_tiles(&tlr), tlr.config);
+        let rebuilt = rebuilt(&tlr, |_| {});
         for (i, j, tile) in tlr.tiles_with_coords() {
             assert!(clone.tile(i, j).ptr_eq(&tile), "({i},{j})");
             assert!(!rebuilt.tile(i, j).ptr_eq(&tile), "({i},{j})");
@@ -1320,11 +1303,9 @@ mod tests {
             .map(|(name, a, nb, acc)| (name, compress(&a, cfg(nb, acc))))
             .collect();
         let (_, mixed) = mixed_tiles();
-        let mut tiles = owned_tiles(&mixed);
-        let mut poisoned = tiles[mixed.tiling.tile_index(0, 1)].to_dense();
-        poisoned[(3, 5)] = C32::new(f32::NAN, 1.0);
-        tiles[mixed.tiling.tile_index(0, 1)] = Tile::Dense(poisoned);
-        let poisoned = TlrMatrix::new(mixed.tiling, tiles, mixed.config);
+        assert!(matches!(mixed.tile(0, 1), TileRef::Dense(_)));
+        let (c0, _) = mixed.tiling.col_range(1);
+        let poisoned = rebuilt(&mixed, |a| a[(3, c0 + 5)] = C32::new(f32::NAN, 1.0));
         stores.push(("NaN tile", poisoned.clone()));
         stores.push(("mixed", mixed));
         stores.push(("noise", noise_tiles()));
@@ -1380,37 +1361,52 @@ mod tests {
         hand_built_store(Tiling::new(70, 82, 24), &RANKS, 7)
     }
 
-    /// A store built by hand, no compressor, from [`hand_built_tiles`].
+    /// A store built by hand, no compressor, from [`hand_built_parts`].
     fn hand_built_store(tiling: Tiling, ranks: &[Option<usize>], step: usize) -> TlrMatrix {
-        let tiles = hand_built_tiles(tiling, ranks, step);
-        TlrMatrix::new(tiling, tiles, cfg(tiling.nb, 1e-4))
+        let (skeletons, a) = hand_built_parts(tiling, ranks, step);
+        TlrMatrix::new(tiling, cfg(tiling.nb, 1e-4), skeletons, |r0, c0, m, n| {
+            a.block(r0, c0, m, n)
+        })
     }
 
-    /// Tiles built by hand, column-major: per tile a skeleton of the
-    /// listed rank whose column order is `k ↦ (k·step + 3) mod n`, or, for
-    /// `None`, a dense block; the entries are [`golden`] values. `step`
-    /// must be prime to every tile width.
-    fn hand_built_tiles(tiling: Tiling, ranks: &[Option<usize>], step: usize) -> Vec<Tile> {
-        ranks
+    /// The parts of a store built by hand, as [`TlrMatrix::new`] takes
+    /// them: per tile, column-major, a skeleton of the listed rank whose
+    /// column order is `k ↦ (k·step + 3) mod n`, or `None` for a dense
+    /// tile; and the matrix the dense tiles are blocks of (zero under the
+    /// skeletons). The entries are [`golden`] values: tile `t`'s `(i, j)`
+    /// entry of a dense block is `golden(i·31 + j, 3t)`. `step` must be
+    /// prime to every tile width.
+    fn hand_built_parts(
+        tiling: Tiling,
+        ranks: &[Option<usize>],
+        step: usize,
+    ) -> (Vec<Option<Skeleton>>, Matrix<C32>) {
+        let entry = |salt: usize| move |i: usize, j: usize| golden(i * 31 + j, salt);
+        let skeletons = ranks
             .iter()
             .enumerate()
             .map(|(t, rank)| {
                 let (_, m) = tiling.row_range(t % tiling.tile_rows());
                 let (_, n) = tiling.col_range(t / tiling.tile_rows());
-                let entry = |salt: usize| move |i: usize, j: usize| golden(i * 31 + j, salt);
-                match *rank {
-                    None => Tile::Dense(Matrix::from_fn(m, n, entry(3 * t))),
-                    Some(r) => {
-                        let order: Vec<usize> = (0..n).map(|k| (k * step + 3) % n).collect();
-                        Tile::LowRank(Skeleton::new(
-                            &Matrix::from_fn(m, r, entry(3 * t + 1)),
-                            &Matrix::from_fn(n - r, r, entry(3 * t + 2)),
-                            &order,
-                        ))
-                    }
-                }
+                let order: Vec<usize> = (0..n).map(|k| (k * step + 3) % n).collect();
+                rank.map(|r| {
+                    Skeleton::new(
+                        &Matrix::from_fn(m, r, entry(3 * t + 1)),
+                        &Matrix::from_fn(n - r, r, entry(3 * t + 2)),
+                        &order,
+                    )
+                })
             })
-            .collect()
+            .collect();
+        let nb = tiling.nb;
+        let a = Matrix::from_fn(tiling.m, tiling.n, |i, j| {
+            let t = tiling.tile_index(i / nb, j / nb);
+            match ranks[t] {
+                None => entry(3 * t)(i % nb, j % nb),
+                Some(_) => CZERO,
+            }
+        });
+        (skeletons, a)
     }
 
     const SWEEP_GOLDEN_BITS: [u64; 4] = [

@@ -1,19 +1,7 @@
-//! Mixed-precision base storage — the ablation from the paper's companion
-//! work (Hong et al., "HPC Seismic Redatuming by Inversion with Algebraic
-//! Compression and *Multiple Precisions*", refs \[23\]/\[24\]): store the
-//! bases in a narrower format and widen on the fly, halving the
-//! memory footprint (and on bandwidth-bound hardware, the traffic) at a
-//! quantization-noise cost that the `acc` tolerance already budgets for.
-//!
-//! bf16 (top 16 bits of an IEEE f32) is used as the narrow format — the
-//! same exponent range as f32 with an 8-bit mantissa, so the relative
-//! quantization error is ~2⁻⁸ ≈ 4e-3 per entry.
-
-use seismic_la::scalar::C32;
-use seismic_la::Matrix;
-
-use crate::matrix::{Tile, TileRef, TlrMatrix};
-use crate::skeleton::{Perm, Skeleton};
+//! Checked numeric conversions: the sanctioned replacements for raw
+//! integer `as` casts in library code (lint rule `NA01`), which panic
+//! with the caller's location instead of silently truncating a byte or
+//! cycle count.
 
 /// Checked numeric conversion between integer types: panics with the
 /// caller's location if `x` does not fit in the destination. This is the
@@ -97,168 +85,9 @@ pub fn f64_to_u64(x: f64) -> u64 {
     }
 }
 
-/// Round an f32 to bf16 (round-to-nearest-even on the dropped bits).
-#[inline]
-pub fn f32_to_bf16(x: f32) -> u16 {
-    let bits = x.to_bits();
-    if x.is_nan() {
-        // Keep NaN quiet with a non-zero mantissa; rounding arithmetic
-        // below could carry a payload into the exponent (and previously
-        // overflowed u32 for sign-bit NaNs).
-        return checked_cast::<u32, u16>(bits >> 16) | 1;
-    }
-    let round = ((bits >> 16) & 1) + 0x7fff;
-    // Max finite/inf input is 0xff80_0000, so the add cannot overflow
-    // once NaNs are excluded.
-    checked_cast::<u32, u16>((bits + round) >> 16)
-}
-
-/// Widen a bf16 back to f32.
-#[inline]
-pub fn bf16_to_f32(h: u16) -> f32 {
-    f32::from_bits(u32::from(h) << 16)
-}
-
-/// A complex matrix with bf16-quantized storage (interleaved re/im).
-#[derive(Clone, Debug)]
-pub struct Bf16Matrix {
-    nrows: usize,
-    ncols: usize,
-    /// Interleaved `[re, im]` bf16 words, column-major.
-    data: Vec<u16>,
-}
-
-impl Bf16Matrix {
-    /// Quantize a complex matrix.
-    pub fn from_c32(a: &Matrix<C32>) -> Self {
-        let mut data = Vec::with_capacity(2 * a.len());
-        for v in a.as_slice() {
-            data.push(f32_to_bf16(v.re));
-            data.push(f32_to_bf16(v.im));
-        }
-        Self {
-            nrows: a.nrows(),
-            ncols: a.ncols(),
-            data,
-        }
-    }
-
-    /// Widen back to a full-precision matrix.
-    pub fn to_c32(&self) -> Matrix<C32> {
-        let data: Vec<C32> = self
-            .data
-            .chunks_exact(2)
-            .map(|p| C32::new(bf16_to_f32(p[0]), bf16_to_f32(p[1])))
-            .collect();
-        Matrix::from_col_major(self.nrows, self.ncols, data)
-    }
-
-    /// Storage bytes (4 B per complex entry instead of 8).
-    pub fn bytes(&self) -> usize {
-        self.data.len() * 2
-    }
-}
-
-/// One tile's stored form ([`Tile`]), quantised: the panel of a skeleton
-/// beside its row count and its column order, which stay as they are, or
-/// the dense block.
-enum Bf16Tile {
-    LowRank(Bf16Matrix, usize, Perm),
-    Dense(Bf16Matrix),
-}
-
-/// A TLR matrix with bf16 storage: half the memory of the FP32 version.
-pub struct Bf16TlrMatrix {
-    tiling: crate::tiling::Tiling,
-    tiles: Vec<Bf16Tile>,
-}
-
-impl Bf16TlrMatrix {
-    /// Quantize every tile as stored: the `[X; C]` panel of a skeleton (its
-    /// column order is kept as it is), or the dense block.
-    pub fn from_tlr(tlr: &TlrMatrix) -> Self {
-        let tiles = tlr
-            .tiles_with_coords()
-            .map(|(_, _, t)| match t {
-                TileRef::LowRank(s) => Bf16Tile::LowRank(
-                    Bf16Matrix::from_c32(s.panel()),
-                    s.shape().0,
-                    s.order().clone(),
-                ),
-                TileRef::Dense(a) => Bf16Tile::Dense(Bf16Matrix::from_c32(&a.to_matrix())),
-            })
-            .collect();
-        Self {
-            tiling: *tlr.tiling(),
-            tiles,
-        }
-    }
-
-    /// Total stored bytes: half the words' bytes of the FP32 matrix, and
-    /// the skeletons' column orders as they are.
-    pub fn compressed_bytes(&self) -> usize {
-        self.tiles
-            .iter()
-            .map(|t| match t {
-                Bf16Tile::LowRank(panel, _, order) => panel.bytes() + order.bytes(),
-                Bf16Tile::Dense(a) => a.bytes(),
-            })
-            .sum()
-    }
-
-    /// Widen back into a full-precision [`TlrMatrix`] (the apply path:
-    /// quantization noise is baked into the stored words, arithmetic stays
-    /// FP32 as on the CS-2, whose fmacs are single precision).
-    pub fn dequantize(&self, config: crate::compress::CompressionConfig) -> TlrMatrix {
-        let tiles: Vec<Tile> = self
-            .tiles
-            .iter()
-            .map(|t| match t {
-                Bf16Tile::LowRank(panel, m, order) => {
-                    Tile::LowRank(Skeleton::with_order(panel.to_c32(), *m, order.clone()))
-                }
-                Bf16Tile::Dense(a) => Tile::Dense(a.to_c32()),
-            })
-            .collect();
-        TlrMatrix::new(self.tiling, tiles, config)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compress::{compress, CompressionConfig, CompressionMethod, ToleranceMode};
-
-    #[test]
-    fn bf16_roundtrip_error_bounded() {
-        for &x in &[0.0f32, 1.0, -1.0, 2.7333, 1e-8, -2.5e7, 1e30] {
-            let back = bf16_to_f32(f32_to_bf16(x));
-            let rel = if x == 0.0 {
-                back.abs()
-            } else {
-                ((back - x) / x).abs()
-            };
-            assert!(rel < 0.004, "x={x} back={back} rel={rel}");
-        }
-        // Exactly representable values survive.
-        assert_eq!(bf16_to_f32(f32_to_bf16(1.0)), 1.0);
-        assert_eq!(bf16_to_f32(f32_to_bf16(-0.5)), -0.5);
-    }
-
-    #[test]
-    fn bf16_nan_and_inf_survive() {
-        assert!(bf16_to_f32(f32_to_bf16(f32::NAN)).is_nan());
-        // Sign-bit NaN with a full payload: the old rounding arithmetic
-        // overflowed u32 here and produced +0.0 in release builds.
-        assert!(bf16_to_f32(f32_to_bf16(f32::from_bits(0xFFFF_FFFF))).is_nan());
-        assert_eq!(bf16_to_f32(f32_to_bf16(f32::INFINITY)), f32::INFINITY);
-        assert_eq!(
-            bf16_to_f32(f32_to_bf16(f32::NEG_INFINITY)),
-            f32::NEG_INFINITY
-        );
-        // Overflow rounds to infinity, preserving sign.
-        assert_eq!(bf16_to_f32(f32_to_bf16(-f32::MAX)), f32::NEG_INFINITY);
-    }
 
     #[test]
     fn checked_casts_pass_in_range() {
@@ -315,70 +144,5 @@ mod tests {
     #[should_panic(expected = "negative")]
     fn f64_to_u64_rejects_negative() {
         f64_to_u64(-1.0);
-    }
-
-    fn kernel(m: usize, n: usize) -> Matrix<C32> {
-        Matrix::from_fn(m, n, |i, j| {
-            let x = i as f32 / m as f32;
-            let y = j as f32 / n as f32;
-            let d = ((x - y) * (x - y) + 0.02).sqrt();
-            C32::from_polar(1.0 / (1.0 + 3.0 * d), -9.0 * d)
-        })
-    }
-
-    #[test]
-    fn quantized_tlr_halves_memory() {
-        let a = kernel(80, 64);
-        let cfg = CompressionConfig {
-            nb: 16,
-            acc: 1e-3,
-            method: CompressionMethod::Svd,
-            mode: ToleranceMode::RelativeTile,
-        };
-        let tlr = compress(&a, cfg);
-        let q = Bf16TlrMatrix::from_tlr(&tlr);
-        // Words halve; the column orders (one byte per column of every
-        // skeleton tile that stores anything) are kept whole.
-        let index: usize = tlr
-            .tiles_with_coords()
-            .map(|(_, _, t)| t.stored_bytes() - 8 * t.stored_elements())
-            .sum();
-        assert!(index > 0);
-        assert_eq!(
-            (q.compressed_bytes() - index) * 2,
-            tlr.compressed_bytes() - index
-        );
-    }
-
-    #[test]
-    fn quantization_noise_within_bf16_budget() {
-        let a = kernel(96, 72);
-        let cfg = CompressionConfig {
-            nb: 16,
-            acc: 1e-4,
-            method: CompressionMethod::Svd,
-            mode: ToleranceMode::RelativeTile,
-        };
-        let tlr = compress(&a, cfg);
-        let deq = Bf16TlrMatrix::from_tlr(&tlr).dequantize(cfg);
-        // Operator perturbation from quantization: ≲ 2·bf16 eps relative
-        // (C and X each quantized).
-        let err = deq.reconstruct().sub(&tlr.reconstruct()).fro_norm();
-        let norm = tlr.reconstruct().fro_norm();
-        assert!(err < 0.01 * norm, "quantization err {err} vs norm {norm}");
-        // And the apply path agrees to the same budget.
-        let x: Vec<C32> = (0..72)
-            .map(|i| C32::new((i as f32 * 0.17).sin(), (i as f32 * 0.05).cos()))
-            .collect();
-        let y_full = tlr.apply(&x);
-        let y_q = deq.apply(&x);
-        let scale = seismic_la::blas::nrm2(&y_full).max(1e-20);
-        let diff: f32 = y_full
-            .iter()
-            .zip(&y_q)
-            .map(|(a, b)| (*a - *b).norm_sqr())
-            .sum::<f32>()
-            .sqrt();
-        assert!(diff < 0.01 * scale);
     }
 }

@@ -26,7 +26,7 @@ const CZERO: C32 = C32::new(0.0, 0.0);
 /// Column indices of one tile: a byte each while the tile has at most 256
 /// columns, a word each beyond.
 #[derive(Clone, Debug)]
-pub(crate) enum Perm {
+enum Perm {
     Byte(Box<[u8]>),
     Wide(Box<[usize]>),
 }
@@ -47,7 +47,7 @@ impl Perm {
         }
     }
 
-    pub(crate) fn bytes(&self) -> usize {
+    fn bytes(&self) -> usize {
         match self {
             Perm::Byte(p) => p.len(),
             Perm::Wide(p) => std::mem::size_of_val(&**p),
@@ -273,26 +273,6 @@ impl Skeleton {
     /// The column order as stored (empty at rank 0).
     pub fn perm(&self) -> impl Iterator<Item = usize> + '_ {
         (0..self.perm.len()).map(|k| self.perm.get(k))
-    }
-
-    /// The column order in its stored form, for a copy of this tile with
-    /// other entries ([`Skeleton::with_order`]).
-    pub(crate) fn order(&self) -> &Perm {
-        &self.perm
-    }
-
-    /// A tile of `m` rows from a panel and the `order` of another tile of
-    /// the same shape and rank.
-    pub(crate) fn with_order(panel: Matrix<C32>, m: usize, order: Perm) -> Self {
-        assert!(m <= panel.nrows(), "the panel holds C's m rows");
-        let (r, rest) = (panel.ncols(), panel.nrows() - m);
-        let n = if r == 0 { 0 } else { r + rest };
-        assert_eq!(order.len(), n, "one index per tile column");
-        Self {
-            panel,
-            m,
-            perm: order,
-        }
     }
 
     /// `t = x_J + Xᴴ x̃`: the coefficients the skeleton's columns

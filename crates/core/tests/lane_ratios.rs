@@ -8,6 +8,11 @@
 //! * `gemv.vbatch.fast / gemv.vbatch.ref ≤ 0.9` — the blocked V-batch
 //!   kernel beats the plain `seismic_la::blas` one.
 //!
+//! The V batch is the kernel every `TlrMatrix` adjoint runs on its dense
+//! runs: `gemv_conj_transpose_stacked` over one block, with the swapped
+//! copy of `x` made inside the timed call as `apply_adjoint_into` makes
+//! it.
+//!
 //! Both sides of a quotient run on the same operands in the same process,
 //! their samples interleaved so that a slow spell of the host hits all
 //! three kernels: the quotient needs no baseline and no quiet machine.
@@ -22,10 +27,10 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use seismic_la::blas::gemv_conj_transpose;
+use seismic_la::blas::{gemv_conj_transpose, gemv_conj_transpose_stacked};
 use seismic_la::scalar::C32;
 use seismic_la::{Matrix, Scalar};
-use tlr_mvm::{gemv_acc_fast, gemv_conj_transpose_fast};
+use tlr_mvm::{gemv_acc_fast, swap_re_im};
 
 /// Untimed rounds before the samples.
 const WARMUPS: usize = 2;
@@ -53,8 +58,10 @@ fn v_batch_kernel_stays_under_its_two_ceilings() {
     let (x_m, x_n) = (vector(m), vector(n));
     let (mut y_fast, mut y_ref, mut y_m) =
         (vec![C32::ZERO; n], vec![C32::ZERO; n], vec![C32::ZERO; m]);
+    let mut xs = vec![C32::ZERO; m];
     let mut vbatch_fast = || {
-        gemv_conj_transpose_fast(&a, &x_m, &mut y_fast);
+        swap_re_im(&x_m, &mut xs);
+        gemv_conj_transpose_stacked([(&a, x_m.as_slice(), xs.as_slice())], &mut y_fast);
         black_box(y_fast[0]);
     };
     let mut ubatch_fast = || {

@@ -204,7 +204,10 @@ where
     for (k, yk) in y.chunks_mut(4).enumerate() {
         let j = 4 * k;
         match yk.len() {
-            4 => yk.copy_from_slice(&dotc_lanes_stacked(blocks.clone(), [j, j + 1, j + 2, j + 3])),
+            4 => yk.copy_from_slice(&dotc_lanes_stacked(
+                blocks.clone(),
+                [j, j + 1, j + 2, j + 3],
+            )),
             3 => yk.copy_from_slice(
                 &dotc_lanes_stacked(blocks.clone(), [j, j + 1, j + 2, j + 2])[..3],
             ),

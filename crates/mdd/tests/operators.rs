@@ -22,7 +22,7 @@ use seismic_mdd::{
     MddConfig, StopReason,
 };
 use tlr_mvm::{
-    compress, CompressionConfig, CompressionMethod, LinearOperator, Tile, Tiling, TlrMatrix,
+    compress, CompressionConfig, CompressionMethod, LinearOperator, Tiling, TlrMatrix,
     ToleranceMode,
 };
 
@@ -202,8 +202,8 @@ fn engine_sweeps_are_the_mdc_operator_bit_for_bit() {
     );
 }
 
-/// A stack assembled tile by tile from dense blocks: `blocks(f, i, j)` is
-/// tile `(i, j)` of frequency `f` on an `nb`-grid over `m × n`.
+/// A stack of all-dense stores assembled from dense tiles: `blocks(f, i,
+/// j)` is tile `(i, j)` of frequency `f` on an `nb`-grid over `m × n`.
 fn dense_stack(
     nf: usize,
     (m, n, nb): (usize, usize, usize),
@@ -212,11 +212,15 @@ fn dense_stack(
     let tiling = Tiling::new(m, n, nb);
     (0..nf)
         .map(|f| {
-            let tiles = (0..tiling.tile_cols())
-                .flat_map(|j| (0..tiling.tile_rows()).map(move |i| (i, j)))
-                .map(|(i, j)| Tile::Dense(blocks(f, i, j)))
-                .collect();
-            TlrMatrix::new(tiling, tiles, CFG)
+            let mut a = Matrix::zeros(m, n);
+            for j in 0..tiling.tile_cols() {
+                for i in 0..tiling.tile_rows() {
+                    let ((r0, _), (c0, _)) = (tiling.row_range(i), tiling.col_range(j));
+                    a.set_block(r0, c0, &blocks(f, i, j));
+                }
+            }
+            let skeletons = vec![None; tiling.tile_count()];
+            TlrMatrix::new(tiling, CFG, skeletons, |r0, c0, m, n| a.block(r0, c0, m, n))
         })
         .collect()
 }

@@ -137,8 +137,8 @@ mod tests {
     use seismic_la::scalar::C64;
     use seismic_la::Matrix;
     use tlr_mvm::{
-        compress, CommAvoiding, CompressionConfig, CompressionMethod, Skeleton, Tile, Tiling,
-        TlrMatrix, ToleranceMode,
+        compress, CommAvoiding, CompressionConfig, CompressionMethod, Skeleton, Tiling, TlrMatrix,
+        ToleranceMode,
     };
 
     /// Per stack width 1, 3, 5, 12 and `usize::MAX` on [`ragged_store`]:
@@ -287,7 +287,7 @@ mod tests {
 
     /// A ragged 70×106 store at `nb` 24 built by hand, the one
     /// `tests/support/ragged_store.rs` builds: per tile, column-major, a
-    /// skeleton of the listed rank or, for `None`, a dense block. It holds
+    /// skeleton of the listed rank or, for `None`, a dense tile. It holds
     /// dense tiles, rank-0 tiles, a rank-0 tile column (2), `r = n` and a
     /// rank of every residue mod 4; the entries are exact sevenths in
     /// `[−2, 2]`.
@@ -316,29 +316,35 @@ mod tests {
                 C32::new(part(i * 31 + j), part(i * 31 + j + 13))
             }
         };
-        let tiles = RANKS
+        let skeletons = RANKS
             .iter()
             .enumerate()
             .map(|(t, rank)| {
                 let (_, m) = tiling.row_range(t % tiling.tile_rows());
                 let (_, n) = tiling.col_range(t / tiling.tile_rows());
-                match *rank {
-                    None => Tile::Dense(Matrix::from_fn(m, n, entry(3 * t))),
-                    Some(r) => {
-                        let order: Vec<usize> = (0..n).map(|k| (k * 7 + 3) % n).collect();
-                        Tile::LowRank(Skeleton::new(
-                            &Matrix::from_fn(m, r, entry(3 * t + 1)),
-                            &Matrix::from_fn(n - r, r, entry(3 * t + 2)),
-                            &order,
-                        ))
-                    }
-                }
+                rank.map(|r| {
+                    let order: Vec<usize> = (0..n).map(|k| (k * 7 + 3) % n).collect();
+                    Skeleton::new(
+                        &Matrix::from_fn(m, r, entry(3 * t + 1)),
+                        &Matrix::from_fn(n - r, r, entry(3 * t + 2)),
+                        &order,
+                    )
+                })
             })
             .collect();
+        // Entry `(i, j)` of dense tile `t` is `entry(3t)(i, j)`.
+        let nb = tiling.nb;
+        let block = |r0: usize, c0: usize, m: usize, n: usize| {
+            Matrix::from_fn(m, n, |i, j| {
+                let (r, c) = (r0 + i, c0 + j);
+                entry(3 * tiling.tile_index(r / nb, c / nb))(r % nb, c % nb)
+            })
+        };
         TlrMatrix::new(
             tiling,
-            tiles,
             CompressionConfig::paper_default().with_nb(24),
+            skeletons,
+            block,
         )
     }
 

@@ -307,9 +307,9 @@ fn scale_5_stacks_compressed_from_the_tables_are_the_dense_paths_bit_for_bit() {
 }
 
 /// `(certified, dense)`: of the tiles an SVD-compressed stack stores
-/// dense, how many `svd_truncate` proves dense from its QR's leading rows
-/// at the stop rank `compress_tile` hands it — the tiles that never reach
-/// Jacobi.
+/// dense (`compress_tile` returned no skeleton), how many `svd_truncate`
+/// proves dense from its QR's leading rows at the stop rank
+/// `compress_tile` passes it — the tiles that never reach Jacobi.
 fn dense_census(scale: usize, freq_stride: usize, nb: usize, acc: f32) -> (usize, usize) {
     let config = DatasetConfig {
         scale,

@@ -22,8 +22,8 @@ use seismic_la::scalar::{C32, C64};
 use seismic_la::Matrix;
 use seismic_mdd::MdcOperator;
 use tlr_mvm::{
-    compress, CommAvoiding, CompressionConfig, CompressionMethod, LinearOperator, ThreePhase, TileRef,
-    TlrMatrix, ToleranceMode,
+    compress, CommAvoiding, CompressionConfig, CompressionMethod, LinearOperator, ThreePhase,
+    TileRef, TlrMatrix, ToleranceMode,
 };
 use wse_sim::{execute_chunks, Cs2Config, Strategy};
 

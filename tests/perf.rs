@@ -24,7 +24,7 @@ use tlr_mvm::telemetry::FlightRecorder;
 use tlr_mvm::trace::{self, LatencyBucket, LatencyEntry};
 use tlr_mvm::{
     compress, three_phase_cost, tlr_mvm_cost, CommAvoiding, CompressionConfig, CompressionMethod,
-    LinearOperator, Skeleton, ThreePhase, Tile, Tiling, TlrMatrix, ToleranceMode,
+    LinearOperator, Skeleton, ThreePhase, Tiling, TlrMatrix, ToleranceMode,
 };
 use wse_sim::{execute_chunks, Cs2Config, Strategy};
 
@@ -373,17 +373,17 @@ fn pass_stack() -> Vec<TlrMatrix> {
     };
     (0..16)
         .map(|f| {
-            let tiles = (0..tiling.tile_cols())
+            let skeletons = (0..tiling.tile_cols())
                 .flat_map(|j| (0..tiling.tile_rows()).map(move |i| (i, j)))
                 .map(|(i, j)| {
-                    if i == j {
-                        return Tile::Dense(waves(NB, f + i));
-                    }
                     let r = 3 + (5 * i + 3 * j) % 6 + f / 2;
-                    Tile::LowRank(Skeleton::from_factors(&waves(r, i + f), &waves(r, j)))
+                    (i != j).then(|| Skeleton::from_factors(&waves(r, i + f), &waves(r, j)))
                 })
                 .collect();
-            TlrMatrix::new(tiling, tiles, config(NB))
+            // Each dense run is one diagonal tile, `(i, i)` at row `i·NB`.
+            TlrMatrix::new(tiling, config(NB), skeletons, |r0, _, _, _| {
+                waves(NB, f + r0 / NB)
+            })
         })
         .collect()
 }

@@ -37,15 +37,23 @@ fn self_check_passes() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("self-check ok"));
 }
 
+/// A name never listed and a retired one (`precision`, the bf16 ablation)
+/// are both unknown.
 #[test]
 fn unknown_experiment_exits_2_and_lists_choices() {
-    let out = repro().arg("fig99").output().expect("run repro fig99");
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("unknown experiment 'fig99'"));
-    // The choices come from the same table as --help.
-    for s in cli::SUBCOMMANDS {
-        assert!(err.contains(s.name), "error must offer '{}'", s.name);
+    for name in ["fig99", "precision"] {
+        let out = repro().arg(name).output().expect("run repro");
+        assert_eq!(out.status.code(), Some(2), "{name}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("unknown experiment '{name}'")),
+            "{err}"
+        );
+        // The choices come from the same table as --help.
+        for s in cli::SUBCOMMANDS {
+            assert!(err.contains(s.name), "error must offer '{}'", s.name);
+        }
+        assert!(out.stdout.is_empty(), "{name}: nothing may run");
     }
 }
 

@@ -2,7 +2,7 @@
 
 use seismic_la::scalar::C32;
 use seismic_la::Matrix;
-use tlr_mvm::{CompressionConfig, Skeleton, Tile, Tiling, TlrMatrix};
+use tlr_mvm::{CompressionConfig, Skeleton, Tiling, TlrMatrix};
 
 /// A ragged 70×106 store at `nb` 24, no compressor: per tile,
 /// column-major, a skeleton of the listed rank or, for `None`, a dense
@@ -35,29 +35,35 @@ pub fn ragged_store() -> TlrMatrix {
             C32::new(part(i * 31 + j), part(i * 31 + j + 13))
         }
     };
-    let tiles = RANKS
+    let skeletons = RANKS
         .iter()
         .enumerate()
         .map(|(t, rank)| {
             let (_, m) = tiling.row_range(t % tiling.tile_rows());
             let (_, n) = tiling.col_range(t / tiling.tile_rows());
-            match *rank {
-                None => Tile::Dense(Matrix::from_fn(m, n, entry(3 * t))),
-                Some(r) => {
-                    let order: Vec<usize> = (0..n).map(|k| (k * 7 + 3) % n).collect();
-                    Tile::LowRank(Skeleton::new(
-                        &Matrix::from_fn(m, r, entry(3 * t + 1)),
-                        &Matrix::from_fn(n - r, r, entry(3 * t + 2)),
-                        &order,
-                    ))
-                }
-            }
+            rank.map(|r| {
+                let order: Vec<usize> = (0..n).map(|k| (k * 7 + 3) % n).collect();
+                Skeleton::new(
+                    &Matrix::from_fn(m, r, entry(3 * t + 1)),
+                    &Matrix::from_fn(n - r, r, entry(3 * t + 2)),
+                    &order,
+                )
+            })
         })
         .collect();
+    // Entry `(i, j)` of dense tile `t` is `entry(3t)(i, j)`.
+    let nb = tiling.nb;
+    let block = |r0: usize, c0: usize, m: usize, n: usize| {
+        Matrix::from_fn(m, n, |i, j| {
+            let (r, c) = (r0 + i, c0 + j);
+            entry(3 * tiling.tile_index(r / nb, c / nb))(r % nb, c % nb)
+        })
+    };
     let store = TlrMatrix::new(
         tiling,
-        tiles,
         CompressionConfig::paper_default().with_nb(24),
+        skeletons,
+        block,
     );
     assert_eq!((store.dense_tiles(), store.column_rank(2)), (2, 0));
     store
