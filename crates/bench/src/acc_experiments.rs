@@ -30,9 +30,9 @@ use std::sync::{Mutex, OnceLock};
 use seis_wave::SyntheticDataset;
 use seismic_la::sync::lock;
 use seismic_mdd::{compress_dataset, compression_stats, run_mdd_with_operators};
+use tlr_mvm::cast::to_u64;
 use tlr_mvm::json::Json;
 use tlr_mvm::json_fields;
-use tlr_mvm::precision::to_u64;
 use tlr_mvm::{compress, probe_nmse, trace, verify_compression_grids, TlrMatrix};
 use wse_sim::{plan_strategy1_pe, Cs2Config, RankModel};
 

@@ -14,8 +14,8 @@
 //! so the TLR-MVM totals below multiply the per-basis counts by 4 for the
 //! V batch plus 4 for the U batch.
 
+use crate::cast::{to_u64, u64_to_f64};
 use crate::matrix::TlrMatrix;
-use crate::precision::to_u64;
 
 /// Bytes moved by one real FP32 `m × n` MVM under the cache (relative)
 /// model.
@@ -53,12 +53,12 @@ pub struct TlrMvmCost {
 impl TlrMvmCost {
     /// Arithmetic intensity under the relative byte model (flop/byte).
     pub fn relative_intensity(&self) -> f64 {
-        self.flops as f64 / self.relative_bytes.max(1) as f64
+        u64_to_f64(self.flops) / u64_to_f64(self.relative_bytes.max(1))
     }
 
     /// Arithmetic intensity under the absolute byte model.
     pub fn absolute_intensity(&self) -> f64 {
-        self.flops as f64 / self.absolute_bytes.max(1) as f64
+        u64_to_f64(self.flops) / u64_to_f64(self.absolute_bytes.max(1))
     }
 }
 

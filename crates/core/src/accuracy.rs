@@ -11,7 +11,8 @@
 //!   cell per tile, row-major `mt × nt`):
 //!   [`GRID_TILE_RANK`] (truncation rank), [`GRID_TILE_STORED_BYTES`]
 //!   (bytes of the stored form — skeleton with its column order, or the
-//!   dense block: [`TileRef::stored_bytes`]), and [`GRID_TILE_TAIL_PPB`]
+//!   dense block: [`crate::matrix::TileRef::stored_bytes`]), and
+//!   [`GRID_TILE_TAIL_PPB`]
 //!   (the truncation backward error `‖A_t − U Vᴴ‖_F / ‖A_t‖_F` in parts
 //!   per billion — for the SVD backend this is the QR residual plus the
 //!   discarded singular-value tail, `sqrt(‖E₁‖² + Σ_{i≥k} σᵢ²)`, which
@@ -35,8 +36,9 @@ use seismic_la::blas::gemv;
 use seismic_la::scalar::C32;
 use seismic_la::Matrix;
 
-use crate::matrix::{TileRef, TlrMatrix};
-use crate::precision::{f64_to_u64, to_u64};
+use crate::cast::{f64_to_u64, to_u64, u64_to_f64};
+use crate::matrix::TlrMatrix;
+use crate::skeleton::Skeleton;
 use crate::trace::{self, TraceReport};
 
 /// Grid name: per-tile truncation rank (`total() == TlrMatrix::total_rank`).
@@ -48,21 +50,19 @@ pub const GRID_TILE_STORED_BYTES: &str = "accuracy.tile_stored_bytes";
 /// billion (`round(1e9 · ‖A_t − U Vᴴ‖_F / ‖A_t‖_F)`).
 pub const GRID_TILE_TAIL_PPB: &str = "accuracy.tile_tail_ppb";
 
-/// Relative truncation backward error of one compressed tile, in parts
-/// per billion: `round(1e9 · ‖A_t − U Vᴴ‖_F / ‖A_t‖_F)`, saturating.
-/// A zero-norm tile has nothing to get wrong and reports 0, and so does
-/// a tile stored dense: nothing was truncated (which also keeps a
-/// non-finite tile, always stored dense, out of the arithmetic below).
-pub fn tile_tail_ppb(tile: &Matrix<C32>, stored: TileRef<'_>) -> u64 {
-    if matches!(stored, TileRef::Dense(_)) {
-        return 0;
-    }
+/// Relative truncation backward error of one skeleton tile against the
+/// block `tile` it stands for, in parts per billion:
+/// `round(1e9 · ‖A_t − U Vᴴ‖_F / ‖A_t‖_F)`, saturating. A zero-norm tile
+/// has nothing to get wrong and reports 0. A tile stored dense has no
+/// truncation error (its cell is 0), so its block need not be read; a
+/// non-finite tile is always stored dense.
+pub fn tile_tail_ppb(stored: &Skeleton, tile: &Matrix<C32>) -> u64 {
     let norm = f64::from(tile.fro_norm());
     if norm <= 0.0 {
         return 0;
     }
-    let err = f64::from(stored.to_dense().sub(tile).fro_norm());
-    let rel = (err / norm).min(u64::MAX as f64 / 1e10);
+    let err = f64::from(stored.factors().to_dense().sub(tile).fro_norm());
+    let rel = (err / norm).min(u64_to_f64(u64::MAX) / 1e10);
     f64_to_u64((rel * 1e9).round())
 }
 
@@ -184,7 +184,7 @@ pub fn probe_nmse(
     let mut order: Vec<usize> = (0..total).collect();
     for t in 0..k.min(total.saturating_sub(1)) {
         let span = to_u64(total - t);
-        let r = t + crate::precision::to_usize(rand::RngCore::next_u64(&mut rng) % span);
+        let r = t + crate::cast::to_usize(rand::RngCore::next_u64(&mut rng) % span);
         order.swap(t, r);
     }
 

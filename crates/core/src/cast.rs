@@ -1,13 +1,14 @@
-//! Checked numeric conversions: the sanctioned replacements for raw
-//! integer `as` casts in library code (lint rule `NA01`), which panic
-//! with the caller's location instead of silently truncating a byte or
-//! cycle count.
+//! The library's numeric conversions. `core`, `la` and `wse` deny
+//! `clippy::as_conversions` outside tests, so a conversion is `From`, a
+//! checked integer cast here (which panics with the caller's location
+//! instead of silently truncating a byte or cycle count), or one of the
+//! float helpers here, each the one `as` of its kind. `seismic_la` sits
+//! below this crate and converts through its `Real` trait instead.
 
 /// Checked numeric conversion between integer types: panics with the
-/// caller's location if `x` does not fit in the destination. This is the
-/// sanctioned replacement for raw `as` casts in hot paths (lint rule
-/// `NA01`): truncation becomes a loud contract violation instead of a
-/// silently wrong byte / cycle count.
+/// caller's location if `x` does not fit in the destination, so
+/// truncation becomes a loud contract violation instead of a silently
+/// wrong byte / cycle count.
 #[inline]
 #[track_caller]
 pub fn checked_cast<S, D>(x: S) -> D
@@ -55,8 +56,8 @@ pub fn to_usize(x: u64) -> usize {
 /// out-of-range inputs — the failure modes `as u64` saturates through.
 ///
 /// The conversion itself is a bit-level exponent/mantissa decomposition
-/// rather than an `as` cast, so the NA01 lint holds with no allowlist
-/// entry: truncation toward zero is spelled out as an explicit shift.
+/// rather than an `as` cast: truncation toward zero is spelled out as an
+/// explicit shift.
 #[inline]
 #[track_caller]
 pub fn f64_to_u64(x: f64) -> u64 {
@@ -83,6 +84,28 @@ pub fn f64_to_u64(x: f64) -> u64 {
     } else {
         frac >> (52 - shift)
     }
+}
+
+/// A count as `f64`: exact below 2^53, rounded to nearest above — the
+/// `f64` a ratio or a rate of byte, flop and element counts is taken in.
+#[inline]
+#[expect(clippy::as_conversions, reason = "std has no From<usize> for f64")]
+pub fn usize_to_f64(x: usize) -> f64 {
+    x as f64
+}
+
+/// A `u64` count as `f64`, rounded as [`usize_to_f64`].
+#[inline]
+#[expect(clippy::as_conversions, reason = "std has no From<u64> for f64")]
+pub fn u64_to_f64(x: u64) -> f64 {
+    x as f64
+}
+
+/// A count as `f32`, rounded once to nearest (exact below 2^24).
+#[inline]
+#[expect(clippy::as_conversions, reason = "std has no From<usize> for f32")]
+pub fn usize_to_f32(x: usize) -> f32 {
+    x as f32
 }
 
 #[cfg(test)]

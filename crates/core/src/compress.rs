@@ -15,7 +15,7 @@ use seismic_la::svd::svd_truncate;
 use seismic_la::Matrix;
 
 use crate::accuracy;
-use crate::matrix::TlrMatrix;
+use crate::matrix::{TileRef, TlrMatrix};
 use crate::skeleton::Skeleton;
 use crate::tiling::Tiling;
 use crate::trace;
@@ -156,7 +156,7 @@ where
     let global_tol = match config.mode {
         ToleranceMode::RelativeTile => None,
         ToleranceMode::RelativeGlobal => {
-            Some(config.acc * fro_norm() / (tiling.tile_count() as f32).sqrt())
+            Some(config.acc * fro_norm() / crate::cast::usize_to_f32(tiling.tile_count()).sqrt())
         }
     };
     let observe = trace::is_enabled();
@@ -178,20 +178,22 @@ where
             .for_each(|(idx, slot)| {
                 let tile = tile_block(idx);
                 let tol = global_tol.unwrap_or_else(|| config.acc * tile.fro_norm());
-                *slot = compress_tile(&tile, tol, config.method, crate::precision::to_u64(idx));
+                *slot = compress_tile(&tile, tol, config.method, crate::cast::to_u64(idx));
             });
     }
     let tlr = TlrMatrix::new(tiling, config, skeletons, &block);
 
     if observe {
-        // Second pass for the backward-error grid only: the per-tile
-        // truncation error is measured against the tile, read from the
+        // Second pass for the backward-error grid only: each skeleton's
+        // truncation error is measured against its tile, read from the
         // source again, outside the timed span, so the observatory never
-        // perturbs the traced compression kernel itself.
+        // perturbs the traced compression kernel itself. A dense tile
+        // truncated nothing: its cell stays 0 and its block is not read.
         let mut tail_ppb: Vec<u64> = vec![0; mt * nt];
         tail_ppb.par_iter_mut().enumerate().for_each(|(idx, cell)| {
-            let tile = tlr.tile(idx % mt, idx / mt);
-            *cell = accuracy::tile_tail_ppb(&tile_block(idx), tile);
+            if let TileRef::LowRank(s) = tlr.tile(idx % mt, idx / mt) {
+                *cell = accuracy::tile_tail_ppb(s, &tile_block(idx));
+            }
         });
         accuracy::record_compression_grids(&tlr, &tail_ppb);
         for (_, _, t) in tlr.tiles_with_coords() {
@@ -269,7 +271,6 @@ pub fn compress_tile(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::TileRef;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -631,17 +632,18 @@ mod tests {
         refuses_a_bad_accuracy(CompressionMethod::Rsvd);
     }
 
-    /// With tracing off, `compress_blocks` asks its source for each
-    /// tile's rectangle once and for each maximal dense run's once, and
-    /// for nothing else: a dense tile of a longer run is never read again
-    /// on its own. The matrix is zero (rank-0 skeletons) but for noise
-    /// tiles (stored dense) that make tile column 0 hold a run of two and
-    /// a run of one, tile column 1 a run of the whole column and tile
-    /// column 2 none.
-    #[test]
-    fn compress_blocks_reads_each_tile_and_each_dense_run_once() {
-        let _trace = crate::trace::tests::locked();
-        crate::trace::set_enabled(false);
+    /// Block-source rectangles `(r0, c0, m, n)`.
+    type Rects = Vec<(usize, usize, usize, usize)>;
+
+    /// `compress_blocks` at `nb` 8 on a 36 × 21 matrix that is zero
+    /// (rank-0 skeletons) but for noise tiles (stored dense) that make
+    /// tile column 0 hold a run of two and a run of one, tile column 1 a
+    /// run of the whole column and tile column 2 none. Returns the
+    /// rectangles its source was asked for and those it is due to ask
+    /// for, both sorted: every tile's and every dense run's once, and
+    /// while tracing every skeleton tile's again, for the backward-error
+    /// grid (a dense tile truncated nothing: its cell is 0 unread).
+    fn asked_and_due(traced: bool) -> (Rects, Rects) {
         let (nb, m, n) = (8, 36, 21);
         let mut a = Matrix::<C32>::zeros(m, n);
         let mut rng = ChaCha8Rng::seed_from_u64(73);
@@ -649,6 +651,7 @@ mod tests {
             a.set_block(r0, c0, &Matrix::<C32>::random_normal(rows, nb, &mut rng));
         }
         let asked = std::sync::Mutex::new(Vec::new());
+        crate::trace::set_enabled(traced);
         let tlr = compress_blocks(
             a.shape(),
             svd_config(nb, 1e-6),
@@ -658,22 +661,42 @@ mod tests {
                 a.block(r0, c0, m, n)
             },
         );
+        crate::trace::set_enabled(false);
         let mut asked = asked.into_inner().unwrap();
         asked.sort_unstable();
 
         let t = *tlr.tiling();
-        let mut want: Vec<_> = (0..t.tile_count())
-            .map(|idx| {
-                let ((r0, rl), (c0, cl)) = (t.row_range(idx % 5), t.col_range(idx / 5));
-                (r0, c0, rl, cl)
-            })
-            .collect();
-        want.extend([(0, 0, 16, 8), (24, 0, 8, 8), (0, 8, m, 8)]);
-        want.sort_unstable();
-        assert_eq!(t.tile_rows(), 5);
-        assert_eq!(tlr.dense_tiles(), 8);
-        assert_eq!(asked, want);
+        let mut due = vec![(0, 0, 16, 8), (24, 0, 8, 8), (0, 8, m, 8)];
+        for (i, j, tile) in tlr.tiles_with_coords() {
+            let ((r0, rl), (c0, cl)) = (t.row_range(i), t.col_range(j));
+            let reads = 1 + usize::from(traced && matches!(tile, TileRef::LowRank(_)));
+            due.extend(std::iter::repeat_n((r0, c0, rl, cl), reads));
+        }
+        due.sort_unstable();
+        assert_eq!((t.tile_rows(), tlr.dense_tiles()), (5, 8));
         assert_eq!(tlr.reconstruct(), a);
+        (asked, due)
+    }
+
+    /// With tracing off, `compress_blocks` asks its source for each
+    /// tile's rectangle once and for each maximal dense run's once, and
+    /// for nothing else: a dense tile of a longer run is never read again
+    /// on its own.
+    #[test]
+    fn compress_blocks_reads_each_tile_and_each_dense_run_once() {
+        let _trace = crate::trace::tests::locked();
+        let (asked, due) = asked_and_due(false);
+        assert_eq!(asked, due);
+    }
+
+    /// While tracing, the backward-error pass reads the 7 skeleton tiles
+    /// once more and none of the 8 dense ones.
+    #[test]
+    fn traced_compress_blocks_rereads_only_the_skeleton_tiles() {
+        let _trace = crate::trace::tests::locked();
+        let (asked, due) = asked_and_due(true);
+        assert_eq!(asked.len(), 15 + 3 + 7);
+        assert_eq!(asked, due);
     }
 
     #[test]

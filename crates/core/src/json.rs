@@ -15,7 +15,7 @@
 
 use std::fmt;
 
-use crate::precision::f64_to_u64;
+use crate::cast::f64_to_u64;
 
 /// Maximum container nesting the parser accepts; our artifacts use < 8.
 const MAX_DEPTH: usize = 64;
@@ -280,7 +280,7 @@ impl<'a> Parser<'a> {
             self.pos += 1;
             Ok(())
         } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
+            Err(self.err(&format!("expected '{}'", char::from(b))))
         }
     }
 
@@ -369,7 +369,7 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.err("unknown escape")),
                     }
                 }
-                c if c < 0x80 => out.push(c as char),
+                c if c < 0x80 => out.push(char::from(c)),
                 _ => {
                     // Re-decode the multi-byte UTF-8 sequence starting here.
                     let start = self.pos - 1;
@@ -391,7 +391,7 @@ impl<'a> Parser<'a> {
             let Some(c) = self.peek() else {
                 return Err(self.err("truncated \\u escape"));
             };
-            let d = (c as char)
+            let d = char::from(c)
                 .to_digit(16)
                 .ok_or_else(|| self.err("bad hex digit in \\u escape"))?;
             v = v * 16 + d;

@@ -36,10 +36,10 @@ use rayon::prelude::*;
 use seismic_la::scalar::C32;
 
 use crate::accounting::{absolute_bytes, mvm_flops, relative_bytes};
+use crate::cast::to_u64;
 use crate::fastpath::gather;
 use crate::invariant::assert_finite;
 use crate::matrix::TlrMatrix;
-use crate::precision::to_u64;
 use crate::tiling::Tiling;
 use crate::trace;
 

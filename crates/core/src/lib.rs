@@ -70,9 +70,11 @@
         clippy::allow_attributes_without_reason
     )
 )]
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
 
 pub mod accounting;
 pub mod accuracy;
+pub mod cast;
 pub mod compress;
 pub mod fastpath;
 pub mod invariant;
@@ -80,7 +82,6 @@ pub mod json;
 pub mod layouts;
 pub mod matrix;
 pub mod ops;
-pub mod precision;
 pub mod skeleton;
 pub mod telemetry;
 pub mod tiling;

@@ -428,7 +428,8 @@ impl TlrMatrix {
     /// Dense-to-compressed size ratio (the paper's "7×"); at least 1,
     /// since no tile stores more words than its dense block.
     pub fn compression_ratio(&self) -> f64 {
-        self.dense_bytes() as f64 / self.compressed_bytes().max(1) as f64
+        crate::cast::usize_to_f64(self.dense_bytes())
+            / crate::cast::usize_to_f64(self.compressed_bytes().max(1))
     }
 
     /// Densify (tests and small problems only).

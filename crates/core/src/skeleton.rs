@@ -18,8 +18,8 @@ use seismic_la::blas::gemm_conj_transpose_right;
 use seismic_la::scalar::{Scalar, C32, C64};
 use seismic_la::{LowRank, Matrix, PivotedQr};
 
+use crate::cast::checked_cast;
 use crate::fastpath::{axpy_cols, dotc_cols};
-use crate::precision::checked_cast;
 
 const CZERO: C32 = C32::new(0.0, 0.0);
 

@@ -129,7 +129,7 @@ fn bucket_index(nanos: u64) -> usize {
     if nanos < 2 {
         0
     } else {
-        crate::precision::to_usize(u64::from(nanos.ilog2()))
+        crate::cast::to_usize(u64::from(nanos.ilog2()))
     }
 }
 
@@ -332,11 +332,11 @@ impl LatencyEntry {
         // ceil(q·count), at least rank 1, never above count. A count
         // near u64::MAX rounds to 2^64 in f64, which f64_to_u64
         // rejects — saturate to `count` instead of panicking.
-        let raw = (q * self.count as f64).ceil();
-        let rank = if raw >= u64::MAX as f64 {
+        let raw = (q * crate::cast::u64_to_f64(self.count)).ceil();
+        let rank = if raw >= crate::cast::u64_to_f64(u64::MAX) {
             self.count
         } else {
-            crate::precision::f64_to_u64(raw).clamp(1, self.count)
+            crate::cast::f64_to_u64(raw).clamp(1, self.count)
         };
         let mut cumulative = 0u64;
         for b in &self.buckets {
@@ -671,7 +671,7 @@ pub fn record_tile_rank(rank: usize) {
         return;
     }
     let mut c = lock(&COLLECTOR);
-    let tiles = c.ranks.entry(crate::precision::to_u64(rank)).or_insert(0);
+    let tiles = c.ranks.entry(crate::cast::to_u64(rank)).or_insert(0);
     *tiles = tiles.saturating_add(1);
 }
 
@@ -730,8 +730,8 @@ pub fn snapshot() -> TraceReport {
             .iter()
             .map(|(name, (rows, cols, cells))| GridEntry {
                 name: name.clone(),
-                rows: crate::precision::to_u64(*rows),
-                cols: crate::precision::to_u64(*cols),
+                rows: crate::cast::to_u64(*rows),
+                cols: crate::cast::to_u64(*cols),
                 cells: cells.clone(),
             })
             .collect(),

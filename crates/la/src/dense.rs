@@ -282,7 +282,10 @@ impl Matrix<crate::scalar::C32> {
     /// Standard-normal random complex matrix (deterministic under a seeded RNG).
     pub fn random_normal<R: Rng>(nrows: usize, ncols: usize, rng: &mut R) -> Self {
         Self::from_fn(nrows, ncols, |_, _| {
-            crate::scalar::c32(normal_sample(rng) as f32, normal_sample(rng) as f32)
+            crate::scalar::c32(
+                f32::from_f64(normal_sample(rng)),
+                f32::from_f64(normal_sample(rng)),
+            )
         })
     }
 }

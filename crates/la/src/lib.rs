@@ -35,6 +35,7 @@
         clippy::allow_attributes_without_reason
     )
 )]
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
 
 pub mod blas;
 pub mod dense;

@@ -7,7 +7,7 @@ use crate::blas::{gemm, gemm_conj_transpose_left};
 use crate::dense::{normal_sample, Matrix};
 use crate::lowrank::LowRank;
 use crate::qr::qr;
-use crate::scalar::Scalar;
+use crate::scalar::{Real, Scalar};
 use crate::svd::jacobi_svd;
 
 /// Options for [`randomized_svd`].
@@ -39,7 +39,7 @@ pub trait SampleNormal: Scalar {
 
 impl SampleNormal for f32 {
     fn sample_normal<R: Rng>(rng: &mut R) -> Self {
-        normal_sample(rng) as f32
+        f32::from_f64(normal_sample(rng))
     }
 }
 
@@ -51,7 +51,10 @@ impl SampleNormal for f64 {
 
 impl SampleNormal for crate::scalar::C32 {
     fn sample_normal<R: Rng>(rng: &mut R) -> Self {
-        crate::scalar::c32(normal_sample(rng) as f32, normal_sample(rng) as f32)
+        crate::scalar::c32(
+            f32::from_f64(normal_sample(rng)),
+            f32::from_f64(normal_sample(rng)),
+        )
     }
 }
 

@@ -52,8 +52,11 @@ pub trait Real:
     fn max_val(self, other: Self) -> Self;
     /// Smaller of the two values.
     fn min_val(self, other: Self) -> Self;
-    /// Lossy conversion from `f64`.
+    /// Lossy conversion from `f64`: this crate's one narrowing float
+    /// conversion (it sits below `tlr_mvm::cast`).
     fn from_f64(x: f64) -> Self;
+    /// A count (a matrix dimension) as a real, rounded to nearest.
+    fn from_usize(n: usize) -> Self;
     /// Widening conversion to `f64`.
     fn to_f64(self) -> f64;
     /// `true` unless NaN or infinite.
@@ -110,13 +113,20 @@ macro_rules! impl_real {
             fn min_val(self, other: Self) -> Self {
                 self.min(other)
             }
+            // The crate's two float `as` casts. `clippy::as_conversions`
+            // does not see a cast to a macro's type parameter, so they
+            // carry no `#[expect]`; every other cast in the crate is denied.
             #[inline(always)]
             fn from_f64(x: f64) -> Self {
                 x as $t
             }
             #[inline(always)]
+            fn from_usize(n: usize) -> Self {
+                n as $t
+            }
+            #[inline(always)]
             fn to_f64(self) -> f64 {
-                self as f64
+                f64::from(self)
             }
             #[inline(always)]
             fn is_finite(self) -> bool {
@@ -252,7 +262,7 @@ impl C32 {
     /// Widen to double precision.
     #[inline]
     pub fn widen(self) -> C64 {
-        C64::new(self.re as f64, self.im as f64)
+        C64::new(f64::from(self.re), f64::from(self.im))
     }
 }
 
@@ -260,7 +270,7 @@ impl C64 {
     /// Narrow to single precision.
     #[inline]
     pub fn narrow(self) -> C32 {
-        C32::new(self.re as f32, self.im as f32)
+        C32::new(f32::from_f64(self.re), f32::from_f64(self.im))
     }
 }
 

@@ -126,7 +126,7 @@ pub fn jacobi_svd<S: Scalar>(a: &Matrix<S>) -> Svd<S> {
             v: t.u,
         };
     }
-    jacobi_sweeps(a, S::Real::EPSILON.to_f64() * (n as f64).sqrt())
+    jacobi_sweeps(a, S::Real::EPSILON.to_f64() * f64::from_usize(n).sqrt())
 }
 
 /// One-sided Jacobi on `a` (`m ≥ n`): `W = A·V` with `V` unitary, a
@@ -352,7 +352,7 @@ pub fn svd_truncate<S: Scalar>(
     let stop = stop_rank.map(|rank| RankStop {
         rank,
         sigma: tol,
-        per_norm: DENSE_PROOF_ROUNDING * eps * (a.ncols() as f64).sqrt(),
+        per_norm: DENSE_PROOF_ROUNDING * eps * f64::from_usize(a.ncols()).sqrt(),
     });
     let qr = pivoted_qr_until(a, S::Real::from_f64(tol / QR_TOL_DIVISOR), stop);
     if qr.stopped {
@@ -663,7 +663,8 @@ mod tests {
                 let mut sigma = vec![1e-4 * f64::from(tol); m.min(n)];
                 sigma[..stop - 1].fill(1.0);
                 let norm = ((stop - 1) as f64).sqrt();
-                let eps_room = DENSE_PROOF_ROUNDING * f64::from(f32::EPSILON) * (n as f64).sqrt();
+                let eps_room =
+                    DENSE_PROOF_ROUNDING * f64::from(f32::EPSILON) * f64::from_usize(n).sqrt();
                 let tau = f64::from(tol) + eps_room * norm;
                 let (lo, hi) = (1.1 * tau, 2.0 * f64::from(tol));
                 assert!(lo < hi, "{m}x{n}: empty window");

@@ -31,7 +31,7 @@ use std::time::Instant;
 
 use seismic_la::blas::nrm2;
 use seismic_la::scalar::{exactly_zero_f32, C32};
-use tlr_mvm::precision::to_u64;
+use tlr_mvm::cast::to_u64;
 use tlr_mvm::{trace, LinearOperator};
 
 /// LSQR options.

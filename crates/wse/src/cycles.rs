@@ -22,7 +22,7 @@
 //! reproduce Fig. 14's ~2 PB/s single-system relative-bandwidth
 //! saturation.
 
-use tlr_mvm::precision::to_u64;
+use tlr_mvm::cast::to_u64;
 
 use crate::machine::Cs2Config;
 

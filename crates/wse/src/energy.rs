@@ -6,7 +6,7 @@
 //! workloads. We model per-system draw as idle + occupancy-scaled active
 //! power, calibrated to those two operating points.
 
-use tlr_mvm::precision::f64_to_u64;
+use tlr_mvm::cast::{f64_to_u64, usize_to_f64};
 
 use crate::machine::Cluster;
 use crate::placement::PlacementReport;
@@ -28,7 +28,7 @@ pub struct EnergyReport {
 pub fn energy_report(report: &PlacementReport, cluster: &Cluster) -> EnergyReport {
     let cfg = &cluster.cs2;
     let per_system = cfg.idle_power_w + cfg.active_power_w * report.occupancy;
-    let total = per_system * cluster.systems as f64;
+    let total = per_system * usize_to_f64(cluster.systems);
     EnergyReport {
         power_per_system_w: per_system,
         total_power_w: total,

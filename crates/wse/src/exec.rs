@@ -12,8 +12,8 @@
 //! [`crate::cycles`], not executed.
 
 use seismic_la::scalar::C32;
+use tlr_mvm::cast::to_u64;
 use tlr_mvm::layouts::{ChunkRun, RankChunk};
-use tlr_mvm::precision::to_u64;
 
 use std::collections::BTreeMap;
 

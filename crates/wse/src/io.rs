@@ -4,6 +4,8 @@
 //! quantifies that remark: given a link bandwidth, how does per-MVM
 //! transfer time compare to compute, and does double buffering hide it?
 
+use tlr_mvm::cast::{u64_to_f64, usize_to_f64};
+
 use crate::machine::Cs2Config;
 use crate::placement::PlacementReport;
 
@@ -64,18 +66,18 @@ pub fn io_report(
     link: &HostLink,
     cfg: &Cs2Config,
 ) -> IoReport {
-    let systems = report.shards.max(1) as f64;
+    let systems = usize_to_f64(report.shards.max(1));
     // Inputs: per frequency, the full x vector (Σ cl) once per system
     // (on-wafer fan-out handles per-column distribution).
     let x_len: usize = workload.col_widths.iter().sum();
-    let bytes_in = workload.n_freqs as f64 * x_len as f64 * 8.0;
+    let bytes_in = usize_to_f64(workload.n_freqs) * usize_to_f64(x_len) * 8.0;
     // Outputs: one nb-long partial per chunk.
-    let chunks = report.pes_used as f64
+    let chunks = u64_to_f64(report.pes_used)
         / match report.strategy {
             crate::placement::Strategy::FusedSinglePe => 1.0,
             crate::placement::Strategy::ScatterEightPes => 8.0,
         };
-    let bytes_out = chunks * workload.nb as f64 * 8.0;
+    let bytes_out = chunks * usize_to_f64(workload.nb) * 8.0;
     let bytes_in_per_system = bytes_in / systems;
     let bytes_out_per_system = bytes_out / systems;
     let transfer_s = (bytes_in_per_system + bytes_out_per_system) / link.bandwidth + link.latency;

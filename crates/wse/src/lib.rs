@@ -21,7 +21,7 @@
 //!   proving the mapping computes the same answer as the host TLR-MVM.
 //! * [`verify`] — static plan verification: every SRAM/PE/fabric bound
 //!   checked against a plan before placement, reported as structured
-//!   diagnostics (rule id, location, severity).
+//!   diagnostics (rule id, location).
 //! * [`shards`] — explicit shard assignment with per-system statistics.
 //! * [`io`] — the §6.6 host-link / double-buffering analysis.
 //! * [`roofline`] — the machine descriptors of Figs. 15–16.
@@ -42,6 +42,7 @@
         clippy::allow_attributes_without_reason
     )
 )]
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
 
 pub mod cycles;
 pub mod energy;
@@ -64,5 +65,5 @@ pub use placement::{constant_size_bandwidth, place, PlaceError, PlacementReport,
 pub use roofline::{constant_rank_estimates, fig15_machines, fig16_machines, MachineDescriptor};
 pub use shards::{assign_shards, ShardAssignment, ShardStats};
 pub use sram::{plan_strategy1_pe, plan_strategy2_pe, SramError, SramPlan, SramPlanner};
-pub use verify::{verify_plan, Diagnostic, Severity, VerifyReport};
+pub use verify::{verify_plan, Diagnostic, VerifyReport};
 pub use workload::{choose_stack_width, paper_total_rank, RankModel, Workload};

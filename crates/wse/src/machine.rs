@@ -80,7 +80,7 @@ impl Cs2Config {
 
     /// Seconds for a given cycle count.
     pub fn cycles_to_seconds(&self, cycles: u64) -> f64 {
-        cycles as f64 / self.clock_hz
+        tlr_mvm::cast::u64_to_f64(cycles) / self.clock_hz
     }
 }
 

@@ -4,9 +4,9 @@
 //! PEs or systems, so aggregate sustained bandwidth is total bytes divided
 //! by the worst per-PE time — exactly the paper's §7.3 metric.
 
+use tlr_mvm::cast::{to_u64, u64_to_f64, usize_to_f64};
 use tlr_mvm::json::Json;
 use tlr_mvm::json_fields;
-use tlr_mvm::precision::to_u64;
 
 use crate::cycles::{pe_cost, strategy1_tasks, MvmTask};
 use crate::machine::Cluster;
@@ -220,15 +220,15 @@ pub fn place(
         stack_width,
         pes_used,
         pes_available,
-        occupancy: pes_used as f64 / pes_available as f64,
+        occupancy: u64_to_f64(pes_used) / u64_to_f64(pes_available),
         worst_cycles,
         time_s,
         relative_bytes,
         absolute_bytes,
         flops,
-        relative_bw: relative_bytes as f64 / time_s,
-        absolute_bw: absolute_bytes as f64 / time_s,
-        flops_per_s: flops as f64 / time_s,
+        relative_bw: u64_to_f64(relative_bytes) / time_s,
+        absolute_bw: u64_to_f64(absolute_bytes) / time_s,
+        flops_per_s: u64_to_f64(flops) / time_s,
     })
 }
 
@@ -246,10 +246,10 @@ pub fn constant_size_bandwidth(n: usize, cluster: &Cluster, ideal: bool) -> (f64
         task.cycles(cfg, true)
     };
     let secs = cfg.cycles_to_seconds(cycles.max(1));
-    let pes = cluster.total_pes() as f64;
+    let pes = usize_to_f64(cluster.total_pes());
     (
-        task.relative_bytes() as f64 / secs * pes,
-        task.absolute_bytes() as f64 / secs * pes,
+        u64_to_f64(task.relative_bytes()) / secs * pes,
+        u64_to_f64(task.absolute_bytes()) / secs * pes,
     )
 }
 

@@ -3,7 +3,7 @@
 //! shards … evenly distributed workloads as much as possible".
 
 use seismic_la::scalar::exactly_zero_f64;
-use tlr_mvm::precision::{to_u64, to_usize};
+use tlr_mvm::cast::{to_u64, to_usize, u64_to_f64, usize_to_f64};
 
 use crate::cycles::{pe_cost, strategy1_tasks};
 use crate::machine::Cluster;
@@ -46,9 +46,9 @@ impl ShardAssignment {
 
     /// Flop imbalance: `max_shard_flops / mean_shard_flops` (1.0 = perfect).
     pub fn flop_imbalance(&self) -> f64 {
-        let max = self.shards.iter().map(|s| s.flops).max().unwrap_or(0) as f64;
+        let max = u64_to_f64(self.shards.iter().map(|s| s.flops).max().unwrap_or(0));
         let total: u64 = self.shards.iter().map(|s| s.flops).sum();
-        let mean = total as f64 / self.shards.len().max(1) as f64;
+        let mean = u64_to_f64(total) / usize_to_f64(self.shards.len().max(1));
         if exactly_zero_f64(mean) {
             1.0
         } else {
@@ -58,9 +58,9 @@ impl ShardAssignment {
 
     /// PE-count imbalance across shards.
     pub fn pe_imbalance(&self) -> f64 {
-        let max = self.shards.iter().map(|s| s.pes_used).max().unwrap_or(0) as f64;
+        let max = u64_to_f64(self.shards.iter().map(|s| s.pes_used).max().unwrap_or(0));
         let total: u64 = self.shards.iter().map(|s| s.pes_used).sum();
-        let mean = total as f64 / self.shards.len().max(1) as f64;
+        let mean = u64_to_f64(total) / usize_to_f64(self.shards.len().max(1));
         if exactly_zero_f64(mean) {
             1.0
         } else {

@@ -9,16 +9,13 @@
 //! configuration is rejected with a rule id and location instead of a
 //! panic deep in a simulated run.
 //!
-//! The diagnostic type is shared with the `xtask analyze` lint driver:
-//! both passes speak `(rule, severity, location, message)`.
-//!
 //! Soundness contract (tested by proptest): a plan this module accepts
 //! is also accepted by [`place`](crate::placement::place) — the verifier
 //! checks a superset of the runtime feasibility conditions.
 
 use std::fmt;
 
-use tlr_mvm::precision::to_u64;
+use tlr_mvm::cast::to_u64;
 
 use crate::machine::Cluster;
 use crate::placement::Strategy;
@@ -27,34 +24,13 @@ use crate::sram::{
 };
 use crate::workload::Workload;
 
-/// How bad a diagnostic is.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    /// Suspicious but not plan-invalidating.
-    Warning,
-    /// The plan (or source) violates a hard bound.
-    Error,
-}
-
-impl fmt::Display for Severity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Severity::Warning => write!(f, "warning"),
-            Severity::Error => write!(f, "error"),
-        }
-    }
-}
-
-/// One structured finding: the shared currency of the static-analysis
-/// layer (`xtask analyze` lint rules and the WSE plan verifier).
+/// One violated bound of a plan: every finding is an error.
 #[derive(Clone, Debug)]
 pub struct Diagnostic {
-    /// Stable rule id (`WV..` for plan rules, `NA../NP../AT..` for lint).
+    /// Stable rule id (`WV01`…`WV07`).
     pub rule: &'static str,
-    /// Severity class.
-    pub severity: Severity,
-    /// Where the violation is (`file:line` for lint, a plan coordinate
-    /// such as `chunk(cl=25, w=64)` for the verifier).
+    /// Where the violation is: a plan coordinate such as
+    /// `chunk(cl=25, w=64)`.
     pub location: String,
     /// Human-readable explanation with the numbers that matter.
     pub message: String,
@@ -64,8 +40,8 @@ impl fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} [{}] {}: {}",
-            self.severity, self.rule, self.location, self.message
+            "error [{}] {}: {}",
+            self.rule, self.location, self.message
         )
     }
 }
@@ -108,11 +84,9 @@ pub struct VerifyReport {
 }
 
 impl VerifyReport {
-    /// `true` when no error-severity diagnostic was raised.
+    /// `true` when no bound is violated.
     pub fn is_ok(&self) -> bool {
-        self.diagnostics
-            .iter()
-            .all(|d| d.severity != Severity::Error)
+        self.diagnostics.is_empty()
     }
 
     /// `true` when some diagnostic carries the given rule id.
@@ -123,7 +97,6 @@ impl VerifyReport {
     fn error(&mut self, rule: &'static str, location: String, message: String) {
         self.diagnostics.push(Diagnostic {
             rule,
-            severity: Severity::Error,
             location,
             message,
         });

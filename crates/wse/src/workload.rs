@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use tlr_mvm::precision::{f64_to_u64, to_u64, to_usize};
+use tlr_mvm::cast::{f64_to_u64, to_u64, to_usize, u64_to_f64, usize_to_f64};
 use tlr_mvm::TlrMatrix;
 
 /// Stacked-rank description of a multi-frequency TLR workload.
@@ -224,17 +224,17 @@ impl RankModel {
         for f in 0..self.n_freqs {
             // Fig. 12 bottom: size per frequency matrix grows roughly
             // linearly from ~35 % of the maximum at the lowest frequency.
-            let fw = 0.35 + 0.65 * (f as f64 + 1.0) / self.n_freqs as f64;
+            let fw = 0.35 + 0.65 * (usize_to_f64(f) + 1.0) / usize_to_f64(self.n_freqs);
             for j in 0..cols {
                 // Deterministic per-column jitter in [0.8, 1.2].
                 let h = splitmix64(to_u64(f) << 32 | to_u64(j));
-                let cw = 0.8 + 0.4 * (h as f64 / u64::MAX as f64);
-                let w = fw * cw * col_widths[j] as f64 / self.nb as f64;
+                let cw = 0.8 + 0.4 * (u64_to_f64(h) / u64_to_f64(u64::MAX));
+                let w = fw * cw * usize_to_f64(col_widths[j]) / usize_to_f64(self.nb);
                 weights.push(w);
                 weight_sum += w;
             }
         }
-        let scale = self.total_rank_target as f64 / weight_sum;
+        let scale = u64_to_f64(self.total_rank_target) / weight_sum;
         let col_ranks: Vec<u64> = weights
             .iter()
             .enumerate()

@@ -286,7 +286,7 @@ mod tests {
     }
 
     /// Every knob this gate no longer has is an error that names it, and
-    /// so is the deleted `perfgate` command.
+    /// so are the deleted `perfgate` and `analyze` commands.
     #[test]
     fn unknown_and_deleted_flags_are_errors_naming_the_flag() {
         let deleted = [
@@ -301,8 +301,10 @@ mod tests {
             let err = drive(&root(), &args(&[&flag, "1"])).expect_err(&flag);
             assert!(err.contains(&flag) && err.contains(NAME), "{err}");
         }
-        let err = crate::dispatch(&args(&["perfgate", "--compare-only"])).expect_err("perfgate");
-        assert_eq!(err, "unknown xtask command: perfgate");
+        for command in ["perfgate", "analyze"] {
+            let err = crate::dispatch(&args(&[command])).expect_err(command);
+            assert_eq!(err, format!("unknown xtask command: {command}"));
+        }
     }
 
     /// `--bless` onto the file it reads from would destroy the run (and
