@@ -7,7 +7,7 @@
 //! sampled-probe estimate of the same quantity
 //! ([`tlr_mvm::probe_nmse`]), the compression ratio, an FNV-1a checksum
 //! of the full per-tile rank structure, and the projected per-PE SRAM
-//! footprint of the config on a CS-2 ([`wse_sim::plan_strategy1_pe`]).
+//! footprint of the config on a CS-2 ([`wse_sim::ChunkCost`]).
 //!
 //! The sweep is **self-verifying** before anything is written:
 //!
@@ -34,7 +34,7 @@ use tlr_mvm::cast::to_u64;
 use tlr_mvm::json::Json;
 use tlr_mvm::json_fields;
 use tlr_mvm::{compress, probe_nmse, trace, verify_compression_grids, TlrMatrix};
-use wse_sim::{plan_strategy1_pe, Cs2Config, RankModel};
+use wse_sim::{ChunkCost, Cs2Config, RankModel, Strategy};
 
 use crate::mdd_experiments::{default_dataset, mdd_config, repro_scale, ACC_SCALE};
 
@@ -229,10 +229,8 @@ pub fn acc_rows(ds: &SyntheticDataset, accs: &[f32]) -> Result<Vec<AccRow>, Stri
             let (exact, probe) = operator_nmse_pair(ds, &stack, cfg.ordering, point_key(nb, acc));
             let run = run_mdd_with_operators(ds, &stack, vs, &cfg);
             let w = machine.max_stack_width(nb);
-            let (sram_bytes, fits) = match plan_strategy1_pe(&machine, nb, nb, w) {
-                Ok(plan) => (plan.used_bytes as u64, true),
-                Err(_) => ((16 * nb * w) as u64, false),
-            };
+            let sram = ChunkCost::new(nb, nb, w, Strategy::FusedSinglePe, &machine).bases_bytes;
+            let (sram_bytes, fits) = (sram as u64, sram <= machine.bases_budget_bytes());
             let row = AccRow {
                 nb,
                 acc,

@@ -12,8 +12,8 @@ use tlr_mvm::{
 };
 use wse_sim::{
     choose_stack_width, constant_size_bandwidth, energy_report, energy_total_pj, execute_chunks,
-    fig15_machines, fig16_machines, place, strategy1_phase_costs, Cluster, Cs2Config,
-    MachineDescriptor, PlacementReport, RankModel, Strategy,
+    fig15_machines, fig16_machines, place, ChunkCost, Cluster, Cs2Config, MachineDescriptor,
+    PlacementReport, RankModel, Strategy,
 };
 
 /// The paper's five validated configurations (Table 1 rows).
@@ -855,7 +855,8 @@ pub fn phase_breakdown() -> Vec<PhaseBreakdownRow> {
                 stats("tlr_mvm.shuffle"),
                 stats("tlr_mvm.u_batch"),
             );
-            let (vm, um) = strategy1_phase_costs(nb, nb, paper.stack_width, &cfg, true);
+            let ChunkCost { v: vm, u: um, .. } =
+                ChunkCost::new(nb, nb, paper.stack_width, Strategy::FusedSinglePe, &cfg);
             PhaseBreakdownRow {
                 nb,
                 acc,

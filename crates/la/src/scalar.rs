@@ -77,9 +77,14 @@ pub trait Real:
     fn exactly_zero(self) -> bool;
 }
 
+/// `Real` for one float type; the two conversions into it, the crate's
+/// only float `as` casts, are written out at each use, where
+/// `clippy::as_conversions` sees them (it skips a cast inside a macro).
 macro_rules! impl_real {
-    ($t:ty) => {
+    ($t:ty, { $($conversions:tt)* }) => {
         impl Real for $t {
+            $($conversions)*
+
             const ZERO: Self = 0.0;
             const ONE: Self = 1.0;
             const TWO: Self = 2.0;
@@ -112,17 +117,6 @@ macro_rules! impl_real {
             #[inline(always)]
             fn min_val(self, other: Self) -> Self {
                 self.min(other)
-            }
-            // The crate's two float `as` casts. `clippy::as_conversions`
-            // does not see a cast to a macro's type parameter, so they
-            // carry no `#[expect]`; every other cast in the crate is denied.
-            #[inline(always)]
-            fn from_f64(x: f64) -> Self {
-                x as $t
-            }
-            #[inline(always)]
-            fn from_usize(n: usize) -> Self {
-                n as $t
             }
             #[inline(always)]
             fn to_f64(self) -> f64 {
@@ -161,8 +155,32 @@ macro_rules! impl_real {
     };
 }
 
-impl_real!(f32);
-impl_real!(f64);
+impl_real!(f32, {
+    #[inline(always)]
+    #[expect(
+        clippy::as_conversions,
+        reason = "std has no From<f64> for f32: rounds to nearest"
+    )]
+    fn from_f64(x: f64) -> Self {
+        x as f32
+    }
+    #[inline(always)]
+    #[expect(clippy::as_conversions, reason = "std has no From<usize> for f32")]
+    fn from_usize(n: usize) -> Self {
+        n as f32
+    }
+});
+impl_real!(f64, {
+    #[inline(always)]
+    fn from_f64(x: f64) -> Self {
+        x
+    }
+    #[inline(always)]
+    #[expect(clippy::as_conversions, reason = "std has no From<usize> for f64")]
+    fn from_usize(n: usize) -> Self {
+        n as f64
+    }
+});
 
 /// `true` iff `x` is exactly `±0.0` — the bitwise form of `x == 0.0`
 /// (identical semantics: both reject NaN) that exact-zero short-circuit

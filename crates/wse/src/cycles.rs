@@ -1,13 +1,14 @@
-//! The calibrated per-PE cycle-count model.
+//! The calibrated per-PE cycle-count model, and what one rank chunk
+//! costs under each strategy ([`ChunkCost`]).
 //!
-//! A real FP32 `m × n` MVM issues one fmac per element. With the operands
-//! placed in disjoint SRAM banks the PE retires one fmac per cycle (two
-//! 64-bit reads + one write, §6.5); misaligned layouts halve the rate.
-//! Each outer-loop sweep adds loop/DSR overhead, each MVM a launch
-//! overhead:
+//! A real FP32 `m × n` MVM issues one fmac per element. The model assumes
+//! every program is bank-aligned: its two operands sit in disjoint SRAM
+//! banks, so the PE retires one fmac per cycle (two 64-bit reads + one
+//! write, §6.5). Each outer-loop sweep adds loop/DSR overhead, each MVM a
+//! launch overhead:
 //!
 //! ```text
-//! cycles = m·n·cpf + sweeps·col_overhead + launch_overhead
+//! cycles = m·n + sweeps·col_overhead + launch_overhead
 //! ```
 //!
 //! where `sweeps` is the outer-loop trip count: the matrix columns for an
@@ -25,6 +26,8 @@
 use tlr_mvm::cast::to_u64;
 
 use crate::machine::Cs2Config;
+use crate::placement::Strategy;
+use crate::sram::{strategy1_bases_bytes, strategy1_vector_bytes, strategy2_pe_bytes};
 
 /// One real MVM task in a PE program.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -60,11 +63,8 @@ impl MvmTask {
     }
 
     /// Cycle count under the calibrated model.
-    pub fn cycles(&self, cfg: &Cs2Config, bank_aligned: bool) -> u64 {
-        let cpf: u64 = if bank_aligned { 1 } else { 2 };
-        self.fmacs() * cpf
-            + to_u64(self.sweeps) * cfg.col_overhead_cycles
-            + cfg.launch_overhead_cycles
+    pub fn cycles(&self, cfg: &Cs2Config) -> u64 {
+        self.fmacs() + to_u64(self.sweeps) * cfg.col_overhead_cycles + cfg.launch_overhead_cycles
     }
 
     /// Ideal cycle count (no overheads, perfect alignment) — the paper's
@@ -84,8 +84,8 @@ impl MvmTask {
     }
 }
 
-/// A PE's whole program: a sequence of real MVMs executed back to back.
-#[derive(Clone, Debug, Default)]
+/// What a PE's program of real MVMs costs.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PeCost {
     /// Total cycles.
     pub cycles: u64,
@@ -97,64 +97,117 @@ pub struct PeCost {
     pub absolute_bytes: u64,
 }
 
-/// Cost of running `tasks` sequentially on one PE.
-pub fn pe_cost(tasks: &[MvmTask], cfg: &Cs2Config, bank_aligned: bool) -> PeCost {
-    let mut c = PeCost::default();
-    for t in tasks {
-        c.cycles += t.cycles(cfg, bank_aligned);
-        c.flops += t.flops();
-        c.relative_bytes += t.relative_bytes();
-        c.absolute_bytes += t.absolute_bytes();
+impl PeCost {
+    /// `task` run `times` times back to back on one PE.
+    fn repeated(task: MvmTask, times: u64, cfg: &Cs2Config) -> Self {
+        Self {
+            cycles: times * task.cycles(cfg),
+            flops: times * task.flops(),
+            relative_bytes: times * task.relative_bytes(),
+            absolute_bytes: times * task.absolute_bytes(),
+        }
     }
-    c
 }
 
-/// The eight real MVMs of one strategy-1 chunk (`4×` V-batch `(w × cl)` +
-/// `4×` U-batch `(nb × w)`).
-pub fn strategy1_tasks(nb: usize, cl: usize, w: usize) -> Vec<MvmTask> {
-    let mut tasks = Vec::with_capacity(8);
-    for _ in 0..4 {
-        // V batch traverses the stacked bases along the rank dimension:
-        // dot-product form, w outputs.
-        tasks.push(MvmTask::dot_form(w, cl));
-    }
-    for _ in 0..4 {
-        // U batch sweeps the w rank columns in axpy form.
-        tasks.push(MvmTask::axpy_form(nb, w));
-    }
-    tasks
+/// Code and stack a PE keeps in its runtime reservation (8 KiB, a
+/// conservative estimate).
+const CODE_BYTES: usize = 8 * 1024;
+
+/// What one chunk of shape `(nb, cl, w)` costs under a [`Strategy`], and
+/// what it asks of a PE's SRAM: the one answer [`place`],
+/// [`assign_shards`], [`execute_chunks`] and the repro experiments read.
+///
+/// A chunk runs eight real MVMs on split-complex operands: the V phase,
+/// four dot-form `w × cl` MVMs (the stacked bases are traversed along the
+/// rank dimension), and the U phase, four axpy-form `nb × w` ones (the
+/// `w` rank columns swept). Strategy 1 runs all eight on one PE;
+/// strategy 2 scatters them over eight PEs, each holding one real base
+/// matrix.
+///
+/// [`place`]: crate::placement::place
+/// [`assign_shards`]: crate::shards::assign_shards
+/// [`execute_chunks`]: crate::exec::execute_chunks
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ChunkCost {
+    /// The V phase summed over its four MVMs.
+    pub v: PeCost,
+    /// The U phase summed over its four MVMs.
+    pub u: PeCost,
+    /// PEs the chunk occupies: 1, or 8 scattered.
+    pub pes: u64,
+    /// Cycles of the chunk's busiest PE (the paper's timing metric).
+    pub pe_cycles: u64,
+    /// Bases-budget bytes of the chunk's fullest PE.
+    pub bases_bytes: usize,
+    /// Runtime-reservation bytes of one of its PEs: the working vectors
+    /// plus code (strategy 1), or the code alone (strategy 2).
+    pub reserved_bytes: usize,
 }
 
-/// Per-phase cost of one strategy-1 chunk: `(V phase, U phase)`, each
-/// the four real MVMs of its batch. Splitting what [`strategy1_tasks`]
-/// fuses lets modeled V/U cycle shares be cross-checked against the
-/// measured wall-clock phase ratios a `--trace` run records.
-pub fn strategy1_phase_costs(
-    nb: usize,
-    cl: usize,
-    w: usize,
-    cfg: &Cs2Config,
-    bank_aligned: bool,
-) -> (PeCost, PeCost) {
-    let v = pe_cost(&[MvmTask::dot_form(w, cl); 4], cfg, bank_aligned);
-    let u = pe_cost(&[MvmTask::axpy_form(nb, w); 4], cfg, bank_aligned);
-    (v, u)
+impl ChunkCost {
+    /// The cost of one `(nb, cl, w)` chunk under `strategy` on `cfg`.
+    /// Inlined, so a caller that reads one field (`execute_chunks`' loop
+    /// over every chunk) computes only that field.
+    #[inline]
+    pub fn new(nb: usize, cl: usize, w: usize, strategy: Strategy, cfg: &Cs2Config) -> Self {
+        let (v_task, u_task) = (MvmTask::dot_form(w, cl), MvmTask::axpy_form(nb, w));
+        let (v, u) = (
+            PeCost::repeated(v_task, 4, cfg),
+            PeCost::repeated(u_task, 4, cfg),
+        );
+        let (pes, pe_cycles, bases_bytes, reserved_bytes) = match strategy {
+            Strategy::FusedSinglePe => (
+                1,
+                v.cycles + u.cycles,
+                strategy1_bases_bytes(nb, cl, w),
+                strategy1_vector_bytes(nb, cl, w) + CODE_BYTES,
+            ),
+            Strategy::ScatterEightPes => (
+                8,
+                v_task.cycles(cfg).max(u_task.cycles(cfg)),
+                strategy2_pe_bytes(w, cl).max(strategy2_pe_bytes(nb, w)),
+                CODE_BYTES,
+            ),
+        };
+        Self {
+            v,
+            u,
+            pes,
+            pe_cycles,
+            bases_bytes,
+            reserved_bytes,
+        }
+    }
+
+    /// Both phases: what the whole chunk costs, over all its PEs.
+    pub fn total(&self) -> PeCost {
+        let (v, u) = (self.v, self.u);
+        PeCost {
+            cycles: v.cycles + u.cycles,
+            flops: v.flops + u.flops,
+            relative_bytes: v.relative_bytes + u.relative_bytes,
+            absolute_bytes: v.absolute_bytes + u.absolute_bytes,
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The fused chunk's one PE runs both phases back to back; each phase
+    /// is four of its MVM.
     #[test]
     fn phase_costs_sum_to_fused_chunk_cost() {
         let cfg = Cs2Config::default();
         for (nb, w) in [(25usize, 64usize), (50, 32), (70, 23)] {
-            let fused = pe_cost(&strategy1_tasks(nb, nb, w), &cfg, true);
-            let (v, u) = strategy1_phase_costs(nb, nb, w, &cfg, true);
-            assert_eq!(v.cycles + u.cycles, fused.cycles);
-            assert_eq!(v.flops + u.flops, fused.flops);
-            assert_eq!(v.relative_bytes + u.relative_bytes, fused.relative_bytes);
-            assert_eq!(v.absolute_bytes + u.absolute_bytes, fused.absolute_bytes);
+            let c = ChunkCost::new(nb, nb, w, Strategy::FusedSinglePe, &cfg);
+            let (v, u) = (MvmTask::dot_form(w, nb), MvmTask::axpy_form(nb, w));
+            assert_eq!(c.pe_cycles, 4 * (v.cycles(&cfg) + u.cycles(&cfg)));
+            assert_eq!((c.pes, c.total().cycles), (1, c.pe_cycles));
+            assert_eq!(c.total().flops, 4 * (v.flops() + u.flops()));
+            assert_eq!(c.v.relative_bytes, 4 * v.relative_bytes());
+            assert_eq!(c.u.absolute_bytes, 4 * u.absolute_bytes());
         }
     }
 
@@ -162,12 +215,11 @@ mod tests {
     fn cycle_formula() {
         let cfg = Cs2Config::default();
         let t = MvmTask::axpy_form(10, 20);
-        assert_eq!(t.cycles(&cfg, true), 200 + 20 * 13 + 425);
-        assert_eq!(t.cycles(&cfg, false), 400 + 20 * 13 + 425);
+        assert_eq!(t.cycles(&cfg), 200 + 20 * 13 + 425);
         assert_eq!(t.cycles_ideal(), 200);
         assert_eq!(t.flops(), 400);
         let d = MvmTask::dot_form(10, 20);
-        assert_eq!(d.cycles(&cfg, true), 200 + 10 * 13 + 425);
+        assert_eq!(d.cycles(&cfg), 200 + 10 * 13 + 425);
     }
 
     #[test]
@@ -175,9 +227,9 @@ mod tests {
         // Paper Table 2, nb=25 acc=1e-4, stack width 64: worst cycle count
         // 21 350. The model must land within 10 %.
         let cfg = Cs2Config::default();
-        let cost = pe_cost(&strategy1_tasks(25, 25, 64), &cfg, true);
-        let rel_err = (cost.cycles as f64 - 21_350.0).abs() / 21_350.0;
-        assert!(rel_err < 0.08, "cycles {} vs paper 21350", cost.cycles);
+        let cycles = ChunkCost::new(25, 25, 64, Strategy::FusedSinglePe, &cfg).pe_cycles;
+        let rel_err = (cycles as f64 - 21_350.0).abs() / 21_350.0;
+        assert!(rel_err < 0.08, "cycles {cycles} vs paper 21350");
     }
 
     #[test]
@@ -192,25 +244,14 @@ mod tests {
             (70, 14, 12_999),
         ] {
             // The acc=3e-4 rows use smaller stack widths on the same nb.
-            let cost = pe_cost(&strategy1_tasks(nb, nb, w), &cfg, true);
-            let rel_err = (cost.cycles as f64 - paper as f64).abs() / paper as f64;
+            let cycles = ChunkCost::new(nb, nb, w, Strategy::FusedSinglePe, &cfg).pe_cycles;
+            let rel_err = (cycles as f64 - paper as f64).abs() / paper as f64;
             // Four configs land within 2.5 %; nb=25/w=64 is ~7 % high.
             assert!(
                 rel_err < 0.08,
-                "nb={nb} w={w}: model {} vs paper {paper}",
-                cost.cycles
+                "nb={nb} w={w}: model {cycles} vs paper {paper}"
             );
         }
-    }
-
-    #[test]
-    fn misalignment_costs_double_fmacs() {
-        let cfg = Cs2Config::default();
-        let tasks = strategy1_tasks(50, 50, 32);
-        let good = pe_cost(&tasks, &cfg, true);
-        let bad = pe_cost(&tasks, &cfg, false);
-        let fmacs: u64 = tasks.iter().map(|t| t.fmacs()).sum();
-        assert_eq!(bad.cycles - good.cycles, fmacs);
     }
 
     #[test]
@@ -219,7 +260,7 @@ mod tests {
         // PE of one CS-2; relative bandwidth saturates to ~2 PB/s.
         let cfg = Cs2Config::default();
         let t = MvmTask::axpy_form(128, 128);
-        let cycles = t.cycles(&cfg, true);
+        let cycles = t.cycles(&cfg);
         let secs = cfg.cycles_to_seconds(cycles);
         let bw = t.relative_bytes() as f64 / secs * cfg.usable_pes() as f64;
         assert!(

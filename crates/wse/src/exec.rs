@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 
 use tlr_mvm::trace;
 
-use crate::cycles::{strategy1_phase_costs, MvmTask};
+use crate::cycles::ChunkCost;
 use crate::machine::Cs2Config;
 use crate::placement::Strategy;
 
@@ -72,26 +72,18 @@ pub fn execute_chunks(
     trace_pe_groups(chunks, nb, cfg);
     run.apply();
     run.reduce_into(&mut y);
-    let (mut worst_cycles, mut fmacs) = (0u64, 0u64);
+    let (mut worst_cycles, mut fmacs, mut pes_used) = (0u64, 0u64, 0u64);
     for ch in chunks {
         let (cl, w) = (ch.x_range().len(), ch.width());
-        let v_task = MvmTask::dot_form(w, cl);
-        let u_task = MvmTask::axpy_form(nb, w);
-        let cycles = match strategy {
-            Strategy::FusedSinglePe => 4 * v_task.cycles(cfg, true) + 4 * u_task.cycles(cfg, true),
-            Strategy::ScatterEightPes => v_task.cycles(cfg, true).max(u_task.cycles(cfg, true)),
-        };
-        worst_cycles = worst_cycles.max(cycles);
+        let cost = ChunkCost::new(nb, cl, w, strategy, cfg);
+        worst_cycles = worst_cycles.max(cost.pe_cycles);
+        pes_used += cost.pes;
         fmacs += 4 * to_u64(cl * w + ch.row_len().iter().sum::<usize>());
     }
-    let pes_per_chunk = match strategy {
-        Strategy::FusedSinglePe => 1,
-        Strategy::ScatterEightPes => 8,
-    };
     ExecResult {
         y,
         worst_cycles,
-        pes_used: to_u64(chunks.len()) * pes_per_chunk,
+        pes_used,
         fmacs,
     }
 }
@@ -110,7 +102,7 @@ fn trace_pe_groups(chunks: &[RankChunk], nb: usize, cfg: &Cs2Config) {
     let (mut v_cycles, mut u_cycles) = (0u64, 0u64);
     for ch in chunks {
         let (cl, w) = (ch.x_range().len(), ch.width());
-        let (v, u) = strategy1_phase_costs(nb, cl, w, cfg, true);
+        let ChunkCost { v, u, .. } = ChunkCost::new(nb, cl, w, Strategy::FusedSinglePe, cfg);
         v_cycles += v.cycles;
         u_cycles += u.cycles;
         // Split-complex storage: 8 bytes per stored complex word.

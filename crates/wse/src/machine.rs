@@ -3,20 +3,15 @@
 /// Static description of one Cerebras CS-2 system as the paper uses it.
 #[derive(Clone, Copy, Debug)]
 pub struct Cs2Config {
-    /// Full fabric rows (757 in the paper).
-    pub grid_rows: usize,
-    /// Full fabric columns (996).
-    pub grid_cols: usize,
-    /// Rows usable by the program (750; the rest route data on/off wafer).
+    /// Rows usable by the program (750 of the fabric's 757; the rest
+    /// route data on/off wafer).
     pub usable_rows: usize,
-    /// Columns usable by the program (994).
+    /// Columns usable by the program (994 of 996).
     pub usable_cols: usize,
     /// Clock frequency (850 MHz).
     pub clock_hz: f64,
     /// SRAM per PE (48 kB).
     pub sram_bytes: usize,
-    /// SRAM banks per PE (8 × 6 kB).
-    pub sram_banks: usize,
     /// Per-PE runtime reservation (code, buffers, alignment padding);
     /// what remains of SRAM is available for the stacked bases. The
     /// default reproduces the paper's Table 1 stack widths
@@ -36,13 +31,10 @@ pub struct Cs2Config {
 impl Default for Cs2Config {
     fn default() -> Self {
         Self {
-            grid_rows: 757,
-            grid_cols: 996,
             usable_rows: 750,
             usable_cols: 994,
             clock_hz: 850.0e6,
             sram_bytes: 48 * 1024,
-            sram_banks: 8,
             runtime_reserved_bytes: 48 * 1024 - 25_800,
             // Calibrated jointly against the paper's Tables 2–5 cycle
             // counts and Fig. 14's 2 PB/s single-system relative-bandwidth
@@ -65,11 +57,6 @@ impl Cs2Config {
     /// SRAM bytes available for stacked bases on one PE.
     pub fn bases_budget_bytes(&self) -> usize {
         self.sram_bytes.saturating_sub(self.runtime_reserved_bytes)
-    }
-
-    /// Bank size in bytes.
-    pub fn bank_bytes(&self) -> usize {
-        self.sram_bytes / self.sram_banks
     }
 
     /// Largest stack width whose strategy-1 chunk (4 real FP32 base
@@ -127,13 +114,6 @@ mod tests {
         assert_eq!(c.max_stack_width(25), 64);
         assert_eq!(c.max_stack_width(50), 32);
         assert_eq!(c.max_stack_width(70), 23);
-    }
-
-    #[test]
-    fn bank_geometry() {
-        let c = Cs2Config::default();
-        assert_eq!(c.bank_bytes(), 6 * 1024);
-        assert_eq!(c.sram_banks * c.bank_bytes(), c.sram_bytes);
     }
 
     #[test]

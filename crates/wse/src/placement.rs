@@ -3,14 +3,16 @@
 //! Workloads are embarrassingly parallel (§6.5): no communication between
 //! PEs or systems, so aggregate sustained bandwidth is total bytes divided
 //! by the worst per-PE time — exactly the paper's §7.3 metric.
+//!
+//! [`place`] is the simulator's one plan check: every machine bound a plan
+//! must meet is a [`PlaceError`] it returns, never a panic.
 
 use tlr_mvm::cast::{to_u64, u64_to_f64, usize_to_f64};
 use tlr_mvm::json::Json;
 use tlr_mvm::json_fields;
 
-use crate::cycles::{pe_cost, strategy1_tasks, MvmTask};
-use crate::machine::Cluster;
-use crate::sram::{plan_strategy1_pe, plan_strategy2_pe};
+use crate::cycles::{ChunkCost, MvmTask};
+use crate::machine::{Cluster, Cs2Config};
 use crate::workload::Workload;
 
 /// The paper's two strong-scaling strategies (§6.7).
@@ -23,8 +25,8 @@ pub enum Strategy {
     ScatterEightPes,
 }
 
-/// Placement failure.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// Why a plan does not place.
+#[derive(Clone, Debug, PartialEq)]
 pub enum PlaceError {
     /// More work units than PEs across the cluster.
     NotEnoughPes {
@@ -33,8 +35,39 @@ pub enum PlaceError {
         /// PEs available.
         available: u64,
     },
-    /// A chunk does not fit in PE SRAM.
-    SramOverflow(String),
+    /// A chunk's bases do not fit a PE's bases budget.
+    SramOverflow {
+        /// The chunk's column width.
+        cl: usize,
+        /// The chunk's width.
+        w: usize,
+        /// Bytes its fullest PE holds.
+        required: usize,
+        /// The bases budget.
+        available: usize,
+    },
+    /// A chunk's working vectors and code do not fit the runtime
+    /// reservation.
+    ReservationOverflow {
+        /// The chunk's column width.
+        cl: usize,
+        /// The chunk's width.
+        w: usize,
+        /// Bytes one of its PEs keeps in the reservation.
+        required: usize,
+        /// The runtime reservation.
+        reserved: usize,
+    },
+    /// The stack width is zero.
+    ZeroStackWidth,
+    /// The workload's tile size `nb` is zero.
+    ZeroTileSize,
+    /// The workload's arrays disagree on its shape.
+    WorkloadShape(String),
+    /// The clock is not a finite positive frequency (Hz).
+    BadClock(f64),
+    /// The workload stores no rank: nothing runs, so no rate exists.
+    NoRank,
 }
 
 impl std::fmt::Display for PlaceError {
@@ -44,7 +77,33 @@ impl std::fmt::Display for PlaceError {
                 required,
                 available,
             } => write!(f, "placement needs {required} PEs, cluster has {available}"),
-            PlaceError::SramOverflow(msg) => write!(f, "SRAM overflow: {msg}"),
+            PlaceError::SramOverflow {
+                cl,
+                w,
+                required,
+                available,
+            } => write!(
+                f,
+                "SRAM overflow: chunk cl={cl} w={w} needs {required} B of bases, \
+                 the budget is {available} B"
+            ),
+            PlaceError::ReservationOverflow {
+                cl,
+                w,
+                required,
+                reserved,
+            } => write!(
+                f,
+                "chunk cl={cl} w={w} keeps {required} B of vectors and code in a {reserved} B \
+                 runtime reservation"
+            ),
+            PlaceError::ZeroStackWidth => write!(f, "stack width must be at least 1"),
+            PlaceError::ZeroTileSize => write!(f, "tile size nb is zero"),
+            PlaceError::WorkloadShape(msg) => write!(f, "workload shape: {msg}"),
+            PlaceError::BadClock(hz) => {
+                write!(f, "clock must be finite and positive, got {hz} Hz")
+            }
+            PlaceError::NoRank => write!(f, "the workload stores no rank"),
         }
     }
 }
@@ -110,74 +169,82 @@ impl PlacementReport {
     }
 }
 
-/// Per-PE resource quota for **one slot** of a chunk's placement: what a
-/// single physical PE is charged when a chunk of some `(cl, w)` shape is
-/// placed. [`place`] sums quotas into its aggregates.
-#[derive(Clone, Copy)]
-struct PeQuota {
-    /// Modeled cycle count of this PE's program.
-    cycles: u64,
-    /// Real FP32 flops this PE executes.
-    flops: u64,
-    /// Relative (cache-model) bytes this PE moves.
-    relative_bytes: u64,
-    /// Absolute (flat-SRAM) bytes this PE moves.
-    absolute_bytes: u64,
-}
-
-/// The per-PE quotas one chunk of shape `(cl, w)` occupies under a
-/// strategy: one fused PE ([`Strategy::FusedSinglePe`]), or eight
-/// scattered PEs — four V-side (`w × cl` dot-form) then four U-side
-/// (`nb × w` axpy-form) — for [`Strategy::ScatterEightPes`]. SRAM
-/// feasibility is checked with the per-PE SRAM planners.
-fn shape_pe_quotas(
-    nb: usize,
-    cl: usize,
-    w: usize,
-    strategy: Strategy,
-    cfg: &crate::machine::Cs2Config,
-) -> Result<Vec<PeQuota>, PlaceError> {
-    match strategy {
-        Strategy::FusedSinglePe => {
-            plan_strategy1_pe(cfg, nb, cl, w)
-                .map_err(|e| PlaceError::SramOverflow(format!("cl={cl} w={w}: {e}")))?;
-            let cost = pe_cost(&strategy1_tasks(nb, cl, w), cfg, true);
-            Ok(vec![PeQuota {
-                cycles: cost.cycles,
-                flops: cost.flops,
-                relative_bytes: cost.relative_bytes,
-                absolute_bytes: cost.absolute_bytes,
-            }])
-        }
-        Strategy::ScatterEightPes => {
-            // Four PEs run the V-side MVM (w × cl, dot form), four the
-            // U-side (nb × w, axpy form); each holds one real base
-            // matrix.
-            plan_strategy2_pe(cfg, w, cl)
-                .map_err(|e| PlaceError::SramOverflow(format!("V cl={cl} w={w}: {e}")))?;
-            plan_strategy2_pe(cfg, nb, w)
-                .map_err(|e| PlaceError::SramOverflow(format!("U nb={nb} w={w}: {e}")))?;
-            let vc = pe_cost(&[MvmTask::dot_form(w, cl)], cfg, true);
-            let uc = pe_cost(&[MvmTask::axpy_form(nb, w)], cfg, true);
-            let vq = PeQuota {
-                cycles: vc.cycles,
-                flops: vc.flops,
-                relative_bytes: vc.relative_bytes,
-                absolute_bytes: vc.absolute_bytes,
-            };
-            let uq = PeQuota {
-                cycles: uc.cycles,
-                flops: uc.flops,
-                relative_bytes: uc.relative_bytes,
-                absolute_bytes: uc.absolute_bytes,
-            };
-            Ok(vec![vq, vq, vq, vq, uq, uq, uq, uq])
-        }
+/// The bounds a plan must meet before its chunks are costed: a finite
+/// positive clock, a positive tile size and stack width, and a workload
+/// whose arrays agree on its shape with every column width in `1..=nb`.
+fn check_inputs(
+    workload: &Workload,
+    stack_width: usize,
+    cfg: &Cs2Config,
+) -> Result<(), PlaceError> {
+    if !(cfg.clock_hz.is_finite() && cfg.clock_hz > 0.0) {
+        return Err(PlaceError::BadClock(cfg.clock_hz));
     }
+    let (nb, cols) = (workload.nb, workload.cols_per_freq);
+    if nb == 0 {
+        return Err(PlaceError::ZeroTileSize);
+    }
+    if stack_width == 0 {
+        return Err(PlaceError::ZeroStackWidth);
+    }
+    let shape = |msg: String| Err(PlaceError::WorkloadShape(msg));
+    if workload.col_widths.len() != cols {
+        let n = workload.col_widths.len();
+        return shape(format!(
+            "col_widths has {n} entries for {cols} tile columns"
+        ));
+    }
+    if Some(workload.col_ranks.len()) != workload.n_freqs.checked_mul(cols) {
+        let (n, freqs) = (workload.col_ranks.len(), workload.n_freqs);
+        return shape(format!(
+            "col_ranks has {n} entries for {freqs} frequencies x {cols} columns"
+        ));
+    }
+    if let Some((j, cl)) =
+        (workload.col_widths.iter().enumerate()).find(|&(_, &cl)| cl == 0 || cl > nb)
+    {
+        return shape(format!("col_widths[{j}] = {cl} is outside 1..={nb}"));
+    }
+    Ok(())
 }
 
 /// Place a workload on a cluster at a given stack width and compute the
-/// paper's metrics. SRAM feasibility is checked per chunk shape.
+/// paper's metrics.
+///
+/// This is the plan check: a plan that places meets every bound below,
+/// and one that does not is refused with the bound it breaks.
+///
+/// * the clock, the tile size, the stack width and the workload's shape
+///   ([`PlaceError::BadClock`], [`ZeroTileSize`](PlaceError::ZeroTileSize),
+///   [`ZeroStackWidth`](PlaceError::ZeroStackWidth),
+///   [`WorkloadShape`](PlaceError::WorkloadShape));
+/// * per chunk shape of the census, its bases against the bases budget
+///   ([`SramOverflow`](PlaceError::SramOverflow)) and, strategy 1, its
+///   working vectors plus the 8 KiB code estimate against the runtime
+///   reservation, strategy 2, the code alone
+///   ([`ReservationOverflow`](PlaceError::ReservationOverflow)). Together
+///   the two bound a chunk's whole SRAM image: padding adds at most 24 B
+///   to the vectors, well inside the code estimate's slack;
+/// * the PEs the census needs against the cluster's
+///   ([`NotEnoughPes`](PlaceError::NotEnoughPes)), which also refuses a
+///   cluster of no system or no usable PE;
+/// * some rank to place ([`NoRank`](PlaceError::NoRank)), so every rate
+///   in the report is finite.
+///
+/// ```
+/// use wse_sim::{choose_stack_width, place, Cluster, PlaceError, RankModel, Strategy};
+///
+/// // The paper's nb=50, acc=1e-4 dataset on a 6-system cluster.
+/// let workload = RankModel::paper(50, 1e-4).expect("validated (nb, acc)").generate();
+/// let cluster = Cluster::new(6);
+/// let w_max = cluster.cs2.max_stack_width(50);
+/// let sw = choose_stack_width(&workload, cluster.total_pes() as u64, w_max);
+/// assert!(place(&workload, sw, Strategy::FusedSinglePe, &cluster).is_ok());
+///
+/// // An absurd stack width overflows a PE's SRAM.
+/// let bad = place(&workload, 10_000, Strategy::FusedSinglePe, &cluster);
+/// assert!(matches!(bad, Err(PlaceError::SramOverflow { .. })));
+/// ```
 pub fn place(
     workload: &Workload,
     stack_width: usize,
@@ -185,24 +252,37 @@ pub fn place(
     cluster: &Cluster,
 ) -> Result<PlacementReport, PlaceError> {
     let cfg = &cluster.cs2;
+    check_inputs(workload, stack_width, cfg)?;
     let nb = workload.nb;
     let census = workload.chunk_census(stack_width);
 
-    let mut pes_used: u64 = 0;
-    let mut worst_cycles: u64 = 0;
-    let mut relative_bytes: u64 = 0;
-    let mut absolute_bytes: u64 = 0;
-    let mut flops: u64 = 0;
+    let (mut pes_used, mut worst_cycles, mut flops) = (0u64, 0u64, 0u64);
+    let (mut relative_bytes, mut absolute_bytes) = (0u64, 0u64);
 
     for (&(cl, w), &count) in &census {
-        let quotas = shape_pe_quotas(nb, cl, w, strategy, cfg)?;
-        pes_used += to_u64(quotas.len()) * count;
-        for q in &quotas {
-            worst_cycles = worst_cycles.max(q.cycles);
-            relative_bytes += q.relative_bytes * count;
-            absolute_bytes += q.absolute_bytes * count;
-            flops += q.flops * count;
+        let cost = ChunkCost::new(nb, cl, w, strategy, cfg);
+        if cost.bases_bytes > cfg.bases_budget_bytes() {
+            return Err(PlaceError::SramOverflow {
+                cl,
+                w,
+                required: cost.bases_bytes,
+                available: cfg.bases_budget_bytes(),
+            });
         }
+        if cost.reserved_bytes > cfg.runtime_reserved_bytes {
+            return Err(PlaceError::ReservationOverflow {
+                cl,
+                w,
+                required: cost.reserved_bytes,
+                reserved: cfg.runtime_reserved_bytes,
+            });
+        }
+        let total = cost.total();
+        pes_used += cost.pes * count;
+        worst_cycles = worst_cycles.max(cost.pe_cycles);
+        relative_bytes += total.relative_bytes * count;
+        absolute_bytes += total.absolute_bytes * count;
+        flops += total.flops * count;
     }
 
     let pes_available = to_u64(cluster.total_pes());
@@ -211,6 +291,9 @@ pub fn place(
             required: pes_used,
             available: pes_available,
         });
+    }
+    if pes_used == 0 {
+        return Err(PlaceError::NoRank);
     }
 
     let time_s = cfg.cycles_to_seconds(worst_cycles);
@@ -243,7 +326,7 @@ pub fn constant_size_bandwidth(n: usize, cluster: &Cluster, ideal: bool) -> (f64
     let cycles = if ideal {
         task.cycles_ideal()
     } else {
-        task.cycles(cfg, true)
+        task.cycles(cfg)
     };
     let secs = cfg.cycles_to_seconds(cycles.max(1));
     let pes = usize_to_f64(cluster.total_pes());
@@ -355,30 +438,36 @@ mod tests {
         assert!(rels[2].1 > rels[0].1, "nb=70 should beat nb=25: {rels:?}");
     }
 
+    /// `place`'s aggregates are the census summed over [`ChunkCost`],
+    /// and a chunk's cost is its eight MVMs: one fused PE, or four V-side
+    /// and four U-side PEs scattered.
     #[test]
     fn shape_quotas_sum_to_legacy_accumulation() {
-        // The quota decomposition must reproduce the exact aggregate
-        // arithmetic place() historically used, slot by slot.
-        let cfg = Cs2Config::default();
-        let (nb, cl, w) = (50usize, 50usize, 32usize);
-        let fused = shape_pe_quotas(nb, cl, w, Strategy::FusedSinglePe, &cfg).unwrap();
-        assert_eq!(fused.len(), 1);
-        let cost = pe_cost(&strategy1_tasks(nb, cl, w), &cfg, true);
-        assert_eq!(fused[0].cycles, cost.cycles);
-        assert_eq!(fused[0].flops, cost.flops);
-        assert_eq!(fused[0].relative_bytes, cost.relative_bytes);
-        assert_eq!(fused[0].absolute_bytes, cost.absolute_bytes);
-
-        let scatter = shape_pe_quotas(nb, cl, w, Strategy::ScatterEightPes, &cfg).unwrap();
-        assert_eq!(scatter.len(), 8);
-        let vc = pe_cost(&[MvmTask::dot_form(w, cl)], &cfg, true);
-        let uc = pe_cost(&[MvmTask::axpy_form(nb, w)], &cfg, true);
-        let rel: u64 = scatter.iter().map(|q| q.relative_bytes).sum();
-        let fl: u64 = scatter.iter().map(|q| q.flops).sum();
-        assert_eq!(rel, 4 * (vc.relative_bytes + uc.relative_bytes));
-        assert_eq!(fl, 4 * (vc.flops + uc.flops));
-        let worst = scatter.iter().map(|q| q.cycles).max().unwrap();
-        assert_eq!(worst, vc.cycles.max(uc.cycles));
+        let cluster = Cluster::new(48);
+        let cfg = cluster.cs2;
+        let w = paper_workload(50, 1e-4);
+        let (vt, ut) = (MvmTask::dot_form(32, 50), MvmTask::axpy_form(50, 32));
+        let fused = ChunkCost::new(50, 50, 32, Strategy::FusedSinglePe, &cfg);
+        let scatter = ChunkCost::new(50, 50, 32, Strategy::ScatterEightPes, &cfg);
+        assert_eq!(scatter.pe_cycles, vt.cycles(&cfg).max(ut.cycles(&cfg)));
+        assert_eq!((scatter.pes, scatter.total()), (8, fused.total()));
+        for strategy in [Strategy::FusedSinglePe, Strategy::ScatterEightPes] {
+            let rep = place(&w, 32, strategy, &cluster).unwrap();
+            let (mut pes, mut worst, mut rel, mut abs, mut flops) = (0, 0, 0, 0, 0);
+            for (&(cl, sw), &count) in &w.chunk_census(32) {
+                let c = ChunkCost::new(50, cl, sw, strategy, &cfg);
+                pes += c.pes * count;
+                worst = c.pe_cycles.max(worst);
+                rel += c.total().relative_bytes * count;
+                abs += c.total().absolute_bytes * count;
+                flops += c.total().flops * count;
+            }
+            assert_eq!(
+                (rep.pes_used, rep.worst_cycles, rep.flops),
+                (pes, worst, flops)
+            );
+            assert_eq!((rep.relative_bytes, rep.absolute_bytes), (rel, abs));
+        }
     }
 
     #[test]
@@ -395,7 +484,7 @@ mod tests {
         let cluster = Cluster::new(48);
         let w = paper_workload(70, 1e-4);
         let err = place(&w, 60, Strategy::FusedSinglePe, &cluster).unwrap_err();
-        assert!(matches!(err, PlaceError::SramOverflow(_)));
+        assert!(matches!(err, PlaceError::SramOverflow { .. }), "{err}");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use seismic_la::scalar::exactly_zero_f64;
 use tlr_mvm::cast::{to_u64, to_usize, u64_to_f64, usize_to_f64};
 
-use crate::cycles::{pe_cost, strategy1_tasks};
+use crate::cycles::ChunkCost;
 use crate::machine::Cluster;
 use crate::placement::Strategy;
 use crate::workload::Workload;
@@ -84,6 +84,8 @@ fn shard_share(count: u64, idx: usize, n: usize) -> u64 {
 /// (chunks of the same shape are interchangeable, so the census is
 /// assigned proportionally — the same result as the paper's even split of
 /// the stacked bases, without materializing millions of chunk objects).
+/// It checks no bound: assign a plan [`place`](crate::placement::place)
+/// accepts (a zero `stack_width` panics in the census).
 pub fn assign_shards(
     workload: &Workload,
     stack_width: usize,
@@ -92,32 +94,19 @@ pub fn assign_shards(
 ) -> ShardAssignment {
     let n = cluster.systems.max(1);
     let mut shards = vec![ShardStats::default(); n];
-    let cfg = &cluster.cs2;
-    let nb = workload.nb;
-    let pes_per_chunk: u64 = match strategy {
-        Strategy::FusedSinglePe => 1,
-        Strategy::ScatterEightPes => 8,
-    };
-
     for (&(cl, w), &count) in &workload.chunk_census(stack_width) {
-        let tasks = strategy1_tasks(nb, cl, w);
-        let full_cost = pe_cost(&tasks, cfg, true);
-        let per_pe_cycles = match strategy {
-            Strategy::FusedSinglePe => full_cost.cycles,
-            Strategy::ScatterEightPes => {
-                tasks.iter().map(|t| t.cycles(cfg, true)).max().unwrap_or(0)
-            }
-        };
+        let cost = ChunkCost::new(workload.nb, cl, w, strategy, &cluster.cs2);
+        let total = cost.total();
         // Spread `count` chunks of this shape evenly: base + remainder.
         for (idx, shard) in shards.iter_mut().enumerate() {
             let c = shard_share(count, idx, n);
             if c == 0 {
                 continue;
             }
-            shard.pes_used += c * pes_per_chunk;
-            shard.worst_cycles = shard.worst_cycles.max(per_pe_cycles);
-            shard.flops += c * full_cost.flops;
-            shard.relative_bytes += c * full_cost.relative_bytes;
+            shard.pes_used += c * cost.pes;
+            shard.worst_cycles = shard.worst_cycles.max(cost.pe_cycles);
+            shard.flops += c * total.flops;
+            shard.relative_bytes += c * total.relative_bytes;
         }
     }
 

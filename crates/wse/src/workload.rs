@@ -62,22 +62,15 @@ impl Workload {
         self.col_ranks.iter().sum()
     }
 
-    /// Compressed bases storage in bytes: `8·K_j·(rl + cl)` summed —
-    /// with uniform `nb` this is `16·nb·ΣK` (8 B per complex entry,
-    /// U and V each `nb` rows/cols tall per rank).
+    /// Compressed bases storage in bytes: [`Self::bytes_per_freq`] summed
+    /// over the frequencies — with uniform `nb` this is `16·nb·ΣK`.
     pub fn compressed_bytes(&self) -> u64 {
-        let mut total = 0u64;
-        for f in 0..self.n_freqs {
-            for j in 0..self.cols_per_freq {
-                let k = self.col_ranks[f * self.cols_per_freq + j];
-                let cl = to_u64(self.col_widths[j]);
-                total += 8 * k * (to_u64(self.nb) + cl);
-            }
-        }
-        total
+        (0..self.n_freqs).map(|f| self.bytes_per_freq(f)).sum()
     }
 
-    /// Compressed bytes of one frequency matrix (Fig. 12 bottom panel).
+    /// Compressed bytes of one frequency matrix (Fig. 12 bottom panel):
+    /// `8·K_j·(nb + cl)` summed over its tile columns (8 B per complex
+    /// entry, `U` and `V` `nb` and `cl` tall per rank).
     pub fn bytes_per_freq(&self, f: usize) -> u64 {
         (0..self.cols_per_freq)
             .map(|j| {
